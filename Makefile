@@ -6,7 +6,7 @@ GO      ?= go
 # (BENCH_ci.json), committed trajectory points use BENCH_pr<N>.json.
 BENCH_OUT ?= BENCH_ci.json
 
-.PHONY: build test race bench bench-smoke benchgate suite-gate lint fmt examples watch-smoke coverage fuzz-smoke ci
+.PHONY: build test race bench bench-smoke suite-gate lint fmt examples watch-smoke coverage fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -18,17 +18,11 @@ race:
 	$(GO) test -race ./...
 
 # bench runs every benchmark once (smoke depth) and emits the JSON
-# artifact for the perf trajectory; use `go test -bench . -benchtime Nx`
-# directly for real measurements.
+# artifact for the perf trajectory. Perf comparisons between commits go
+# through bench/ (bash bench/run.sh, go run ./bench -aa|-compare).
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 30m . ./internal/... | tee bench.out
 	./ci/benchjson.sh bench.out $(BENCH_OUT)
-
-# benchgate is the perf ratchet: re-measures the gated benchmarks and
-# fails on a >15% ns/op or allocs/op regression against
-# ci/bench_baseline.json (ci/benchgate.sh -update to re-pin).
-benchgate:
-	./ci/benchgate.sh
 
 # suite-gate runs the statistical release gates: every registered
 # scenario across pinned seeds (suites/release.json, report + provenance
@@ -75,4 +69,4 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: build lint race coverage fuzz-smoke examples watch-smoke bench benchgate suite-gate
+ci: build lint race coverage fuzz-smoke examples watch-smoke bench suite-gate

@@ -2,7 +2,7 @@ package bgpworms
 
 // The benchmark harness: one benchmark per table and figure in the
 // paper's evaluation, plus ablations for the engine's design choices
-// (chunked folds, scheduling dedup, parallel rounds). Run with:
+// (LPM trie, tagger attribution, community-set layout). Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -34,8 +34,6 @@ import (
 	"bgpworms/internal/topo"
 	"bgpworms/internal/watch"
 )
-
-func simnetNew(g *topo.Graph) *simnet.Network { return simnet.New(g, nil) }
 
 var (
 	fixOnce sync.Once
@@ -454,14 +452,13 @@ func BenchmarkPipelinePerFigureWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkSimnetEngines compares the three propagation engines. The
-// toy subbenches announce 80 prefixes over a 100-AS mesh; the medium
-// subbenches build and churn a full gen.Medium world (~1k ASes, ~5M
-// deliveries) under the rounds oracle and the delta engine — the
-// committed delta-vs-rounds comparison the ISSUE-5 acceptance criterion
-// reads (delta >= 3x rounds on medium; see BENCH_pr5.json). Both
-// parallel engines produce bit-identical tap streams and RIBs
-// (TestDifferentialEngines), so only the wall clock differs.
+// BenchmarkSimnetEngines compares the delta engine with its rounds
+// reference. The toy subbenches announce 80 prefixes over a 100-AS
+// mesh; the medium subbenches build and churn a full gen.Medium world
+// (~1k ASes, ~5M deliveries) — the committed delta-vs-rounds comparison
+// the ISSUE-5 acceptance criterion reads (delta >= 3x rounds on medium;
+// see BENCH_pr5.json). Both engines produce bit-identical tap streams
+// and RIBs (TestDifferentialEngines), so only the wall clock differs.
 func BenchmarkSimnetEngines(b *testing.B) {
 	build := func() *topo.Graph {
 		g := topo.NewGraph()
@@ -487,23 +484,20 @@ func BenchmarkSimnetEngines(b *testing.B) {
 			}
 		}
 	}
-	toy := func(engine simnet.Engine) func(b *testing.B) {
+	toy := func(oracle bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				n := simnet.New(build(), nil)
-				n.SetEngine(engine)
+				if oracle {
+					n.UseRoundsOracle()
+				}
 				n.SetWorkers(runtime.GOMAXPROCS(0))
 				announce(b, n)
 			}
 		}
 	}
-	b.Run("serial/toy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			announce(b, simnet.New(build(), nil))
-		}
-	})
-	b.Run("rounds/toy", toy(simnet.EngineRounds))
-	b.Run("delta/toy", toy(simnet.EngineDelta))
+	b.Run("rounds/toy", toy(true))
+	b.Run("delta/toy", toy(false))
 
 	medium := func(engine string) func(b *testing.B) {
 		return func(b *testing.B) {
@@ -545,7 +539,6 @@ func BenchmarkLargeWorldBuild(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				p.Engine = "delta"
 				p.Workers = runtime.GOMAXPROCS(0)
 				w, err := gen.Build(p)
 				if err != nil {
@@ -897,43 +890,6 @@ func BenchmarkAblationCommunitySet(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationConvergence compares deduplicated work-queue
-// scheduling against naive re-enqueueing during convergence.
-func BenchmarkAblationConvergence(b *testing.B) {
-	pfx := netx.MustPrefix("203.0.113.0/24")
-	build := func() *topo.Graph {
-		g := topo.NewGraph()
-		// A 3-tier, 40-AS topology with multihoming.
-		for i := topo.ASN(1); i <= 4; i++ {
-			for j := i + 1; j <= 4; j++ {
-				g.AddPeering(i, j)
-			}
-		}
-		for i := topo.ASN(10); i < 22; i++ {
-			g.AddCustomerProvider(i, 1+(i%4))
-			g.AddCustomerProvider(i, 1+((i+1)%4))
-		}
-		for i := topo.ASN(100); i < 124; i++ {
-			g.AddCustomerProvider(i, 10+(i%12))
-		}
-		return g
-	}
-	for _, mode := range []struct {
-		name  string
-		dedup bool
-	}{{"dedup", true}, {"naive", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				n := simnetNew(build())
-				n.SetSchedulingDedup(mode.dedup)
-				if _, err := n.Announce(100, pfx); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // --- Warm-world snapshot benches (PR 7's tentpole) ---
 
 // BenchmarkSnapshotFork measures the copy-on-write fork: one op turns a
@@ -943,7 +899,6 @@ func BenchmarkAblationConvergence(b *testing.B) {
 // instead of a full rebuild.
 func BenchmarkSnapshotFork(b *testing.B) {
 	p := gen.Medium()
-	p.Engine = "delta"
 	p.Workers = runtime.GOMAXPROCS(0)
 	snap, err := gen.BuildSnapshot(p)
 	if err != nil {
@@ -961,56 +916,47 @@ func BenchmarkSnapshotFork(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepWarm runs the same 10-cell sweep cold and warm: five
+// BenchmarkSweepWarm runs a 10-cell sweep on warm worlds: five
 // single-shot scenarios crossed with two community sets, all on one
-// (scale, seed, engine) coordinate. Cold pays a full world build per
-// cell; warm builds once and forks nine more times. The warm/cold
-// ns-per-op ratio is the snapshot layer's headline speedup
-// (BENCH_pr7.json). Heavy world-churning scenarios (blackhole-sweep)
-// are deliberately absent: the bench isolates build amortization, the
-// cost the snapshot layer actually removes.
+// (scale, seed) coordinate, so the sweep builds one world and forks it
+// nine more times. Heavy world-churning scenarios (blackhole-sweep) are
+// deliberately absent: the bench isolates build amortization, the cost
+// the snapshot layer removes.
 func BenchmarkSweepWarm(b *testing.B) {
 	names := []string{
 		"rtbh", "steering-localpref", "steering-prepend",
 		"route-manipulation", "propagation-distance",
 	}
 	for _, scale := range []string{"medium", "large"} {
-		for _, mode := range []struct {
-			name string
-			cold bool
-		}{{"cold", true}, {"warm", false}} {
-			b.Run(scale+"/"+mode.name, func(b *testing.B) {
-				runtime.GC()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					g := scenario.Grid{
-						Scenarios:     names,
-						Scales:        []string{scale},
-						Seeds:         []int64{1},
-						Engines:       []string{"delta"},
-						CommunitySets: []string{"verified", "likely"},
-						Cold:          mode.cold,
-					}
-					rep, err := scenario.Sweep(g, runtime.GOMAXPROCS(0))
-					if err != nil {
-						b.Fatal(err)
-					}
-					if rep.Errored > 0 {
-						for _, c := range rep.Cells {
-							if c.Err != "" {
-								b.Fatalf("cell %s errored: %s", c.Scenario, c.Err)
-							}
+		b.Run(scale+"/warm", func(b *testing.B) {
+			runtime.GC()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g := scenario.Grid{
+					Scenarios:     names,
+					Scales:        []string{scale},
+					Seeds:         []int64{1},
+					CommunitySets: []string{"verified", "likely"},
+				}
+				rep, err := scenario.Sweep(g, runtime.GOMAXPROCS(0))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.Errored > 0 {
+					for _, c := range rep.Cells {
+						if c.Err != "" {
+							b.Fatalf("cell %s errored: %s", c.Scenario, c.Err)
 						}
 					}
-					if !mode.cold && rep.SnapshotForks < len(names) {
-						b.Fatalf("warm sweep forked %d times, want >= %d", rep.SnapshotForks, len(names))
-					}
-					b.ReportMetric(float64(rep.Ran), "cells")
-					b.ReportMetric(float64(rep.SnapshotBuilds), "builds")
-					b.ReportMetric(float64(rep.SnapshotForks), "forks")
 				}
-			})
-		}
+				if rep.SnapshotForks < len(names) {
+					b.Fatalf("warm sweep forked %d times, want >= %d", rep.SnapshotForks, len(names))
+				}
+				b.ReportMetric(float64(rep.Ran), "cells")
+				b.ReportMetric(float64(rep.SnapshotBuilds), "builds")
+				b.ReportMetric(float64(rep.SnapshotForks), "forks")
+			}
+		})
 	}
 }
 

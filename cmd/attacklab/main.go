@@ -52,7 +52,6 @@ func main() {
 
 		scale = flag.String("scale", "small", "internet scale: "+strings.Join(gen.PresetNames(), "|")+" (single run / full report)")
 		seed  = flag.Int64("seed", 1, "generator seed (single run / full report)")
-		eng   = flag.String("engine", "auto", "simnet engine: auto|serial|rounds|delta (single run / full report)")
 		vps   = flag.Int("vps", 48, "atlas vantage points")
 		set   = flag.String("set", "verified", "community set for candidate-driven scenarios: verified|likely|all")
 
@@ -60,10 +59,11 @@ func main() {
 		scales        = flag.String("scales", "tiny", "sweep: comma-separated scales")
 		seeds         = flag.String("seeds", "1", "sweep: comma-separated generator seeds")
 		engineWorkers = flag.String("engine-workers", "1", "sweep: comma-separated simnet engine worker counts per cell")
-		engines       = flag.String("engines", "auto", "sweep: comma-separated simnet engines (auto|serial|rounds|delta)")
-		sets          = flag.String("sets", "verified", "sweep: comma-separated community sets")
-		workers       = flag.Int("workers", 0, "sweep harness worker pool (0 = one per CPU)")
-		cold          = flag.Bool("cold", false, "sweep: build every cell's world from scratch instead of forking warm snapshots (bisection/benchmark escape hatch)")
+		// -engines exists for bench/, which passes "delta"; it goes when
+		// a benchmark PR drops the argument.
+		engines = flag.String("engines", "delta", "sweep: simnet engine: delta (the only one)")
+		sets    = flag.String("sets", "verified", "sweep: comma-separated community sets")
+		workers = flag.Int("workers", 0, "sweep harness worker pool (0 = one per CPU)")
 
 		traceOut = flag.String("trace", "", "sweep: write a JSON span trace with one span per grid cell")
 		verbose  = flag.Bool("v", false, "print per-scenario evidence (sweep: per-cell progress on stderr)")
@@ -76,11 +76,11 @@ func main() {
 	case *list:
 		runList(*asJSON)
 	case *run != "":
-		runOne(*run, *scale, *eng, *seed, *vps, *set, params, *asJSON, *verbose)
+		runOne(*run, *scale, *seed, *vps, *set, params, *asJSON, *verbose)
 	case *sweep:
-		runSweep(*scenarios, *scales, *seeds, *engineWorkers, *engines, *sets, *vps, *workers, *cold, params, *asJSON, *traceOut, *verbose)
+		runSweep(*scenarios, *scales, *seeds, *engineWorkers, *engines, *sets, *vps, *workers, params, *asJSON, *traceOut, *verbose)
 	default:
-		fullReport(*scale, *eng, *seed, *vps, *verbose)
+		fullReport(*scale, *seed, *vps, *verbose)
 	}
 }
 
@@ -93,13 +93,12 @@ func runList(asJSON bool) {
 	fmt.Println(scenario.RenderCatalog(all))
 }
 
-func runOne(name, scale, engine string, seed int64, vps int, set string, params multiFlag, asJSON, verbose bool) {
+func runOne(name, scale string, seed int64, vps int, set string, params multiFlag, asJSON, verbose bool) {
 	p, err := gen.Preset(scale)
 	if err != nil {
 		fail(err)
 	}
 	p.Seed = seed
-	p.Engine = engine
 	ctx := &scenario.Context{Gen: p, VPs: vps, CommunitySet: set, Values: parseParams(params)}
 	res, err := scenario.Run(name, ctx)
 	if err != nil {
@@ -109,13 +108,13 @@ func runOne(name, scale, engine string, seed int64, vps int, set string, params 
 		emitJSON(res)
 		return
 	}
-	fmt.Println(attack.RenderTable3([]*attack.Result{res}))
+	fmt.Println(attack.RenderTable3([]*scenario.Result{res}))
 	if verbose {
 		printEvidence(res)
 	}
 }
 
-func runSweep(scenarios, scales, seeds, engineWorkers, engines, sets string, vps, workers int, cold bool, params multiFlag, asJSON bool, traceOut string, verbose bool) {
+func runSweep(scenarios, scales, seeds, engineWorkers, engines, sets string, vps, workers int, params multiFlag, asJSON bool, traceOut string, verbose bool) {
 	g := scenario.Grid{
 		Scenarios:     splitList(scenarios),
 		Scales:        splitList(scales),
@@ -123,7 +122,6 @@ func runSweep(scenarios, scales, seeds, engineWorkers, engines, sets string, vps
 		CommunitySets: splitList(sets),
 		VPs:           vps,
 		Values:        parseParams(params),
-		Cold:          cold,
 	}
 	for _, s := range splitList(seeds) {
 		n, err := strconv.ParseInt(s, 10, 64)
@@ -196,7 +194,7 @@ func parseParams(params multiFlag) scenario.Values {
 	return v
 }
 
-func printEvidence(res *attack.Result) {
+func printEvidence(res *scenario.Result) {
 	fmt.Printf("-- %s (hijack=%v, success=%v)\n", res.Scenario, res.Hijack, res.Success)
 	for _, e := range res.Evidence {
 		fmt.Println("   ", e)
@@ -217,13 +215,12 @@ func emitJSON(v any) {
 
 // fullReport reproduces the paper's §6–§7 narrative end to end on one
 // lab, exactly as the pre-registry attacklab did.
-func fullReport(scale, engine string, seed int64, vps int, verbose bool) {
+func fullReport(scale string, seed int64, vps int, verbose bool) {
 	p, err := gen.Preset(scale)
 	if err != nil {
 		fail(err)
 	}
 	p.Seed = seed
-	p.Engine = engine
 
 	fmt.Println("== §6.1: vendor lab matrix ==")
 	fmt.Println(vendorMatrix())

@@ -12,12 +12,10 @@
 //	genesis -scale internet -workers 8 -out ./data
 //	genesis -sample-rel as-rel.txt -sample-size 5000 -out ./data
 //
-// -workers selects the simulation engine parallelism: 0 or 1 the serial
-// FIFO engine; >1 the delta-driven parallel engine with that many
-// workers; a negative value the parallel engine with one worker per
-// CPU. -engine pins a specific engine (serial, rounds, delta). The
-// parallel engines are deterministic under a fixed seed with identical
-// output for any worker count.
+// -workers sizes the simulation engine's worker pool: 0 or 1 runs it on
+// one goroutine, >1 on that many workers, a negative value on one
+// worker per CPU. The written archives are byte-identical for every
+// value under a fixed seed.
 //
 // -sample-rel switches to sampler mode: read a CAIDA serial-1
 // relationship file (real data or a previous genesis export), apply the
@@ -41,8 +39,7 @@ func main() {
 	scale := flag.String("scale", "small", "internet scale: "+strings.Join(gen.PresetNames(), "|"))
 	seed := flag.Int64("seed", 1, "generator seed")
 	out := flag.String("out", "data", "output directory")
-	workers := flag.Int("workers", 0, "simulation engine workers (0 or 1 = serial; >1 = parallel delta; <0 = parallel delta, one worker per CPU)")
-	engine := flag.String("engine", "auto", "simulation engine: auto|serial|rounds|delta")
+	workers := flag.Int("workers", 0, "simulation engine workers (0 or 1 = one goroutine; <0 = one worker per CPU); output is identical for every value")
 	sampleRel := flag.String("sample-rel", "", "sampler mode: CAIDA serial-1 relationship file to downsample (skips world building)")
 	sampleSize := flag.Int("sample-size", 5000, "sampler mode: target AS count")
 	flag.Parse()
@@ -60,7 +57,6 @@ func main() {
 	}
 	p.Seed = *seed
 	p.Workers = *workers
-	p.Engine = *engine
 
 	fmt.Printf("building %s internet (seed %d)...\n", *scale, *seed)
 	w, err := gen.Build(p)

@@ -7,14 +7,10 @@
 // instead consumes the MRT archives written by genesis, exercising the
 // same wire-format path the paper's pipeline used; add -stream to
 // classify the byte streams without materializing the update slice.
-// -workers sizes the analysis worker pool (0 = one per CPU); analysis
-// results are bit-identical for every worker count. When generating, the
-// same flag also selects the simulation engine: 0 or 1 keeps the serial
-// FIFO engine, while >1 (or any negative value, meaning one worker per
-// CPU) runs the round-based parallel engine — deterministic under a
-// fixed seed, with identical output for any parallel worker count, but
-// the two engines interleave deliveries differently, so their recorded
-// update streams are not comparable to each other.
+// -workers sizes the analysis worker pool (0 = one per CPU) and, when
+// generating, the simulation engine's pool (0 or 1 = no extra
+// goroutines, negative = one per CPU). The printed report is
+// byte-identical for every value under a fixed seed.
 //
 // Usage:
 //
@@ -42,11 +38,16 @@ func main() {
 	seed := flag.Int64("seed", 1, "generator seed")
 	mrtDir := flag.String("mrt", "", "read updates.*.mrt archives from this directory instead of simulating")
 	stream := flag.Bool("stream", false, "with -mrt: stream-classify the archives without materializing updates")
-	workers := flag.Int("workers", 0, "analysis worker pool size (0 = one per CPU); simulation engine parallelism when generating")
-	engine := flag.String("engine", "auto", "simulation engine: auto|serial|rounds|delta")
+	workers := flag.Int("workers", 0, "analysis worker pool size (0 = one per CPU); also sizes the simulation engine's pool when generating")
+	// -engine exists for bench/, which passes "delta"; it goes when a
+	// benchmark PR drops the argument.
+	engine := flag.String("engine", "delta", "simulation engine: delta (the only one)")
 	years := flag.Bool("evolution", true, "compute the Figure 3 time series (builds one Internet per year)")
 	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (build/churn/load/analyze/evolution)")
 	flag.Parse()
+	if *engine != "" && *engine != "delta" {
+		fail(fmt.Errorf("-engine %q: the only engine is \"delta\"", *engine))
+	}
 
 	// tr stays nil without -trace; obs span calls on a nil trace are
 	// no-ops, so the pipeline below needs no conditionals.
@@ -89,7 +90,7 @@ func main() {
 			fail(err)
 		}
 	default:
-		w, err := buildWorld(*scale, *engine, *seed, *workers, tr)
+		w, err := buildWorld(*scale, *seed, *workers, tr)
 		if err != nil {
 			fail(err)
 		}
@@ -109,7 +110,6 @@ func main() {
 		base := gen.Tiny()
 		base.Seed = *seed
 		base.Workers = *workers
-		base.Engine = *engine
 		pts, err := gen.Evolution(base, []int{2010, 2012, 2014, 2016, 2018}, func(w *gen.Internet) (int, int, int, int) {
 			return pipe.EvolutionMetrics(core.FromCollectors(w.Collectors))
 		})
@@ -163,14 +163,13 @@ func printAnalysis(a *core.Analysis) {
 	fmt.Println()
 }
 
-func buildWorld(scale, engine string, seed int64, workers int, tr *obs.Trace) (*gen.Internet, error) {
+func buildWorld(scale string, seed int64, workers int, tr *obs.Trace) (*gen.Internet, error) {
 	p, err := gen.Preset(scale)
 	if err != nil {
 		return nil, err
 	}
 	p.Seed = seed
 	p.Workers = workers
-	p.Engine = engine
 	sp := tr.Start("build")
 	sp.SetAttr("scale", scale)
 	w, err := gen.Build(p)

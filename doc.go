@@ -42,14 +42,13 @@
 // Figure 6 inference shards the concurrent route view by prefix.
 // Results are bit-identical for every worker count. A streaming path
 // (core.StreamMRTUpdates, core.Accumulator) classifies MRT byte streams
-// without materializing the update slice. The simulator offers three
-// engines (simnet.Network.SetEngine): the serial FIFO queue, the
-// delta-driven event engine that scales to the large/internet presets
-// (per-router dirty sets, class-shared export slabs, copy-on-write
-// receives), and the legacy rounds engine kept as the delta engine's
-// differential oracle. The parallel engines' convergence counts, tap
-// ordering, archives, and final RIBs are invariant across worker counts
-// under a fixed seed — and bit-identical to each other, a property the
+// without materializing the update slice. The simulator converges every
+// world with one engine (simnet.Network.Run): the delta-driven event
+// engine that scales to the large/internet presets (per-router dirty
+// sets, class-shared export slabs, copy-on-write receives). Its
+// convergence counts, tap ordering, archives, and final RIBs are
+// invariant across worker counts under a fixed seed, and bit-identical
+// to the older rounds engine kept as its oracle — a property the
 // randomized differential suite (internal/simnet/differential_test.go)
 // enforces with shrinking.
 // The watch and semantics engines extend the same discipline to the
@@ -58,7 +57,7 @@
 // make inferred dictionaries worker-count invariant.
 // Converged worlds can be frozen into immutable snapshots
 // (simnet.Network.Freeze, gen.BuildSnapshot) and forked copy-on-write,
-// so a sweep or release suite builds each (scale, seed, engine) world
+// so a sweep or release suite builds each (scale, seed) world
 // once and every cell perturbs a cheap fork; warm runs are held
 // bit-identical to scratch builds by a differential equivalence suite
 // (internal/simnet and internal/attack warm tests).

@@ -21,7 +21,7 @@ func main() {
 	fmt.Println(s.Summary)
 	fmt.Println()
 
-	var results []*attack.Result
+	var results []*scenario.Result
 	for _, hijack := range []bool{false, true} {
 		res, err := scenario.Run("route-manipulation", &scenario.Context{
 			Values: scenario.Values{"hijack": fmt.Sprint(hijack)},

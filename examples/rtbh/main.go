@@ -20,7 +20,7 @@ func main() {
 	s, _ := scenario.Get("rtbh")
 	fmt.Printf("%s (%s, difficulty %s): %s\n\n", s.Title, s.Section, s.Difficulty, s.Summary)
 
-	var results []*attack.Result
+	var results []*scenario.Result
 	for _, hijack := range []bool{false, true} {
 		res, err := scenario.Run("rtbh", &scenario.Context{
 			Values: scenario.Values{"hijack": fmt.Sprint(hijack)},

@@ -16,7 +16,7 @@ import (
 )
 
 func main() {
-	var results []*attack.Result
+	var results []*scenario.Result
 	for _, name := range []string{"steering-prepend", "selective-prepend"} {
 		s, _ := scenario.Get(name)
 		fmt.Printf("== %s: %s (%s, difficulty %s) ==\n", s.Section, s.Title, name, s.Difficulty)

@@ -7,6 +7,7 @@ import (
 	"bgpworms/internal/gen"
 	"bgpworms/internal/netx"
 	"bgpworms/internal/policy"
+	"bgpworms/internal/scenario"
 )
 
 func newLab(t *testing.T) *Lab {
@@ -112,7 +113,7 @@ func TestRunRTBHNoHijack(t *testing.T) {
 	if !res.Success {
 		t.Fatalf("RTBH no-hijack failed: %v", res.Evidence)
 	}
-	if res.Difficulty != Easy {
+	if res.Difficulty != scenario.Easy {
 		t.Fatal("RTBH graded easy in Table 3")
 	}
 	// Cleanup happened: no leftover route at first upstream.
@@ -141,7 +142,7 @@ func TestRunSteeringLocalPref(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Difficulty != Hard {
+	if res.Difficulty != scenario.Hard {
 		t.Fatal("steering graded hard")
 	}
 	// Success depends on the generated topology offering a customer-chain
@@ -171,7 +172,7 @@ func TestRunRouteManipulation(t *testing.T) {
 	if !res.Success {
 		t.Fatalf("route manipulation failed: %v", res.Evidence)
 	}
-	if res.Difficulty != Medium {
+	if res.Difficulty != scenario.Medium {
 		t.Fatal("manipulation graded medium")
 	}
 }
@@ -258,7 +259,7 @@ func TestSweepHopAnalysis(t *testing.T) {
 }
 
 func TestDifficultyStrings(t *testing.T) {
-	for _, d := range []Difficulty{Easy, Medium, Hard, Difficulty(99)} {
+	for _, d := range []scenario.Difficulty{scenario.Easy, scenario.Medium, scenario.Hard, scenario.Difficulty(99)} {
 		if d.String() == "" {
 			t.Fatal("empty difficulty")
 		}

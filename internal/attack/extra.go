@@ -10,6 +10,7 @@ import (
 	"bgpworms/internal/netx"
 	"bgpworms/internal/policy"
 	"bgpworms/internal/router"
+	"bgpworms/internal/scenario"
 	"bgpworms/internal/topo"
 )
 
@@ -39,8 +40,8 @@ func (l *Lab) CommunitySet(name string) ([]bgp.Community, error) {
 // per transit AS holding the probe, whether the tag survived on the best
 // path and at what AS-hop distance — the active analogue of the Figure
 // 5a/5b traveled-distance ECDFs.
-func (l *Lab) RunPropagationDistance() (*Result, error) {
-	res := &Result{Scenario: "Propagation Distance", Difficulty: Easy}
+func (l *Lab) RunPropagationDistance() (*scenario.Result, error) {
+	res := &scenario.Result{Scenario: "Propagation Distance", Difficulty: scenario.Easy}
 	res.Insights = append(res.Insights,
 		"communities cross ASes that have no use for them, so a trigger can arrive from far away",
 		"strip-all and strip-foreign transits bound the attack radius the same way they bound measurement visibility")
@@ -93,8 +94,8 @@ func (l *Lab) RunPropagationDistance() (*Result, error) {
 // no vantage point loses reachability and the decoy owner keeps an
 // ordinary best route, showing value-pattern inference over-counts and
 // only active verification separates triggers from decoys.
-func (l *Lab) RunBlackholeSquat() (*Result, error) {
-	res := &Result{Scenario: "Blackhole Squatting", Difficulty: Easy}
+func (l *Lab) RunBlackholeSquat() (*scenario.Result, error) {
+	res := &scenario.Result{Scenario: "Blackhole Squatting", Difficulty: scenario.Easy}
 	res.Insights = append(res.Insights,
 		"blackhole-looking community values on non-offering ASes are inert",
 		"inference from value patterns over-counts; the §7.6 active sweep separates triggers from decoys")
@@ -189,8 +190,8 @@ func (l *Lab) ensurePrependTarget(minPrepend uint32) (target, via topo.ASN, svc 
 // were routing through it, while every bystander keeps its path and
 // nobody loses reachability. The Table 3 steering row shows the path
 // lengthens at the target; this scenario shows the steering is surgical.
-func (l *Lab) RunSelectivePrepend(minPrepend int) (*Result, error) {
-	res := &Result{Scenario: "Traffic Steering (selective prepend)", Difficulty: Hard}
+func (l *Lab) RunSelectivePrepend(minPrepend int) (*scenario.Result, error) {
+	res := &scenario.Result{Scenario: "Traffic Steering (selective prepend)", Difficulty: scenario.Hard}
 	res.Insights = append(res.Insights,
 		"one community moves only the flows crossing the target AS; the rest of the Internet keeps its paths",
 		"providers only act on communities set by their customers")
@@ -321,8 +322,8 @@ func (l *Lab) armLeakAmplifier(amp topo.ASN) (bgp.Community, uint32) {
 // amplifier's local-pref-raise community. Plain, the leak loses the
 // decision process at the amplifier; amplified, the raise community
 // makes it best there and across its cone.
-func (l *Lab) RunRouteLeakAmplification() (*Result, error) {
-	res := &Result{Scenario: "Route Leak Amplification", Hijack: true, Difficulty: Medium}
+func (l *Lab) RunRouteLeakAmplification() (*scenario.Result, error) {
+	res := &scenario.Result{Scenario: "Route Leak Amplification", Hijack: true, Difficulty: scenario.Medium}
 	res.Insights = append(res.Insights,
 		"a leaked route on its own loses the decision process where legitimate paths are shorter or better-preferred",
 		"a raise community without §7.4's customer-session gate flips the amplifier and drags its whole cone onto the leak")

@@ -24,8 +24,8 @@ var hijackParam = scenario.Param{
 // run gets its own world — forked from the context's warm snapshot when
 // one is provided, built from scratch otherwise — so registered
 // scenarios are safe to execute concurrently from the sweep harness.
-func withLab(run func(l *Lab, ctx *scenario.Context) (*Result, error)) scenario.RunFunc {
-	return func(ctx *scenario.Context) (*Result, error) {
+func withLab(run func(l *Lab, ctx *scenario.Context) (*scenario.Result, error)) scenario.RunFunc {
+	return func(ctx *scenario.Context) (*scenario.Result, error) {
 		l, err := newLabFor(ctx)
 		if err != nil {
 			return nil, err
@@ -61,7 +61,7 @@ func builtinScenarios() []*scenario.Scenario {
 			Difficulty: scenario.Easy,
 			Expected:   scenario.Expectation{Plain: true, Hijack: true},
 			Params:     []scenario.Param{hijackParam},
-			Run: withLab(func(l *Lab, ctx *scenario.Context) (*Result, error) {
+			Run: withLab(func(l *Lab, ctx *scenario.Context) (*scenario.Result, error) {
 				return l.RunRTBH(ctx.Bool("hijack"))
 			}),
 		},
@@ -73,7 +73,7 @@ func builtinScenarios() []*scenario.Scenario {
 			Difficulty: scenario.Hard,
 			Expected:   scenario.Expectation{Plain: true, Hijack: true},
 			Params:     []scenario.Param{hijackParam},
-			Run: withLab(func(l *Lab, ctx *scenario.Context) (*Result, error) {
+			Run: withLab(func(l *Lab, ctx *scenario.Context) (*scenario.Result, error) {
 				return l.RunSteeringLocalPref(ctx.Bool("hijack"))
 			}),
 		},
@@ -85,7 +85,7 @@ func builtinScenarios() []*scenario.Scenario {
 			Difficulty: scenario.Hard,
 			Expected:   scenario.Expectation{Plain: true, Hijack: true},
 			Params:     []scenario.Param{hijackParam},
-			Run: withLab(func(l *Lab, ctx *scenario.Context) (*Result, error) {
+			Run: withLab(func(l *Lab, ctx *scenario.Context) (*scenario.Result, error) {
 				return l.RunSteeringPrepend(ctx.Bool("hijack"))
 			}),
 		},
@@ -97,7 +97,7 @@ func builtinScenarios() []*scenario.Scenario {
 			Difficulty: scenario.Medium,
 			Expected:   scenario.Expectation{Plain: true, Hijack: true},
 			Params:     []scenario.Param{hijackParam},
-			Run: withLab(func(l *Lab, ctx *scenario.Context) (*Result, error) {
+			Run: withLab(func(l *Lab, ctx *scenario.Context) (*scenario.Result, error) {
 				return l.RunRouteManipulation(ctx.Bool("hijack"))
 			}),
 		},
@@ -108,7 +108,7 @@ func builtinScenarios() []*scenario.Scenario {
 			Summary:    "sweep a candidate community set, diffing VP reachability per candidate, run twice for stability",
 			Difficulty: scenario.Easy,
 			Expected:   scenario.Expectation{Plain: true},
-			Run: withLab(func(l *Lab, ctx *scenario.Context) (*Result, error) {
+			Run: withLab(func(l *Lab, ctx *scenario.Context) (*scenario.Result, error) {
 				cands, err := l.CommunitySet(ctx.CommunitySet)
 				if err != nil {
 					return nil, err
@@ -117,7 +117,7 @@ func builtinScenarios() []*scenario.Scenario {
 				if err != nil {
 					return nil, err
 				}
-				res := &Result{Scenario: "Automated Blackhole Sweep", Difficulty: Easy}
+				res := &scenario.Result{Scenario: "Automated Blackhole Sweep", Difficulty: scenario.Easy}
 				ind := rep.InducingCommunities()
 				p, r := rep.PrecisionRecall()
 				res.Notef("%d/%d candidates (%s set) induced VP loss; %d/%d VPs affected",
@@ -149,7 +149,7 @@ func builtinScenarios() []*scenario.Scenario {
 			Summary:    "announce a benign-tagged probe and measure how many AS hops the tag survives",
 			Difficulty: scenario.Easy,
 			Expected:   scenario.Expectation{Plain: true},
-			Run: withLab(func(l *Lab, ctx *scenario.Context) (*Result, error) {
+			Run: withLab(func(l *Lab, ctx *scenario.Context) (*scenario.Result, error) {
 				return l.RunPropagationDistance()
 			}),
 		},
@@ -160,7 +160,7 @@ func builtinScenarios() []*scenario.Scenario {
 			Summary:    "tag a decoy 666-valued community of a non-RTBH AS and verify it is inert everywhere",
 			Difficulty: scenario.Easy,
 			Expected:   scenario.Expectation{Plain: true},
-			Run: withLab(func(l *Lab, ctx *scenario.Context) (*Result, error) {
+			Run: withLab(func(l *Lab, ctx *scenario.Context) (*scenario.Result, error) {
 				return l.RunBlackholeSquat()
 			}),
 		},
@@ -175,7 +175,7 @@ func builtinScenarios() []*scenario.Scenario {
 				Name: "min-prepend", Kind: scenario.KindInt, Default: "2",
 				Help: "minimum prepend count the target's community service must offer",
 			}},
-			Run: withLab(func(l *Lab, ctx *scenario.Context) (*Result, error) {
+			Run: withLab(func(l *Lab, ctx *scenario.Context) (*scenario.Result, error) {
 				return l.RunSelectivePrepend(ctx.Int("min-prepend"))
 			}),
 		},
@@ -190,7 +190,7 @@ func builtinScenarios() []*scenario.Scenario {
 				Name: "values", Kind: scenario.KindInt, Default: "24",
 				Help: "fabricated victim-ASN community values to inject",
 			}},
-			Run: withLab(func(l *Lab, ctx *scenario.Context) (*Result, error) {
+			Run: withLab(func(l *Lab, ctx *scenario.Context) (*scenario.Result, error) {
 				return l.RunDictionaryPoisoning(ctx.Int("values"))
 			}),
 		},
@@ -219,7 +219,7 @@ func builtinScenarios() []*scenario.Scenario {
 			// A leak is inherently a hijack-class announcement; there is
 			// no plain variant.
 			Expected: scenario.Expectation{Hijack: true},
-			Run: withLab(func(l *Lab, ctx *scenario.Context) (*Result, error) {
+			Run: withLab(func(l *Lab, ctx *scenario.Context) (*scenario.Result, error) {
 				return l.RunRouteLeakAmplification()
 			}),
 		},

@@ -12,22 +12,6 @@ import (
 	"bgpworms/internal/topo"
 )
 
-// Difficulty, Result, and the grading constants moved to the scenario
-// registry (internal/scenario); the aliases keep the lab API stable.
-type (
-	// Difficulty grades a scenario as Table 3 does.
-	Difficulty = scenario.Difficulty
-	// Result is one Table 3 row with evidence.
-	Result = scenario.Result
-)
-
-// Difficulty levels.
-const (
-	Easy   = scenario.Easy
-	Medium = scenario.Medium
-	Hard   = scenario.Hard
-)
-
 // PropagationReport is the §7.2 benign-community propagation check.
 type PropagationReport struct {
 	Injector string
@@ -86,8 +70,8 @@ func (l *Lab) PropagationCheck(inj *Injector) (*PropagationReport, error) {
 // at the target. With hijack: announce a victim's prefix the same way
 // from the research network, which requires an IRR update to pass origin
 // validation.
-func (l *Lab) RunRTBH(hijack bool) (*Result, error) {
-	res := &Result{Scenario: "Blackholing", Hijack: hijack, Difficulty: Easy}
+func (l *Lab) RunRTBH(hijack bool) (*scenario.Result, error) {
+	res := &scenario.Result{Scenario: "Blackholing", Hijack: hijack, Difficulty: scenario.Easy}
 	inj := l.Research
 
 	targets, err := l.FindRTBHTargets(inj, inj.OwnPrefix)
@@ -221,8 +205,8 @@ func (l *Lab) pickRemoteVictim() topo.ASN {
 // target's "customer fallback" community and verify the target installs
 // the route with the lowered preference. Relationship gating makes the
 // multi-hop variant hard.
-func (l *Lab) RunSteeringLocalPref(hijack bool) (*Result, error) {
-	res := &Result{Scenario: "Traffic Steering (local pref)", Hijack: hijack, Difficulty: Hard}
+func (l *Lab) RunSteeringLocalPref(hijack bool) (*scenario.Result, error) {
+	res := &scenario.Result{Scenario: "Traffic Steering (local pref)", Hijack: hijack, Difficulty: scenario.Hard}
 	inj := l.Research
 	res.Insights = append(res.Insights,
 		"providers only act on communities set by their customers",
@@ -294,8 +278,8 @@ func (l *Lab) RunSteeringLocalPref(hijack bool) (*Result, error) {
 // RunSteeringPrepend executes §7.4's prepending variant: tag the target's
 // prepend community and verify paths through the target lengthen, moving
 // best paths elsewhere (Figure 2/8a).
-func (l *Lab) RunSteeringPrepend(hijack bool) (*Result, error) {
-	res := &Result{Scenario: "Traffic Steering (prepending)", Hijack: hijack, Difficulty: Hard}
+func (l *Lab) RunSteeringPrepend(hijack bool) (*scenario.Result, error) {
+	res := &scenario.Result{Scenario: "Traffic Steering (prepending)", Hijack: hijack, Difficulty: scenario.Hard}
 	inj := l.Research
 	res.Insights = append(res.Insights,
 		"providers only act on communities set by their customers",
@@ -352,8 +336,8 @@ func (l *Lab) RunSteeringPrepend(hijack bool) (*Result, error) {
 // RunRouteManipulation executes §7.5: conflicting announce/suppress
 // communities at an IXP route server, exploiting the published evaluation
 // order to withhold a route from a member (Figure 9).
-func (l *Lab) RunRouteManipulation(hijack bool) (*Result, error) {
-	res := &Result{Scenario: "Route Manipulation", Hijack: hijack, Difficulty: Medium}
+func (l *Lab) RunRouteManipulation(hijack bool) (*scenario.Result, error) {
+	res := &scenario.Result{Scenario: "Route Manipulation", Hijack: hijack, Difficulty: scenario.Medium}
 	res.Insights = append(res.Insights,
 		"requires knowing the route server's community evaluation order (published here)")
 	if hijack {
@@ -427,17 +411,17 @@ func (l *Lab) RunRouteManipulation(hijack bool) (*Result, error) {
 }
 
 // Table3 runs the full scenario × hijack matrix.
-func (l *Lab) Table3() ([]*Result, error) {
-	var out []*Result
-	runs := []func() (*Result, error){
-		func() (*Result, error) { return l.RunRTBH(false) },
-		func() (*Result, error) { return l.RunRTBH(true) },
-		func() (*Result, error) { return l.RunSteeringLocalPref(false) },
-		func() (*Result, error) { return l.RunSteeringLocalPref(true) },
-		func() (*Result, error) { return l.RunSteeringPrepend(false) },
-		func() (*Result, error) { return l.RunSteeringPrepend(true) },
-		func() (*Result, error) { return l.RunRouteManipulation(false) },
-		func() (*Result, error) { return l.RunRouteManipulation(true) },
+func (l *Lab) Table3() ([]*scenario.Result, error) {
+	var out []*scenario.Result
+	runs := []func() (*scenario.Result, error){
+		func() (*scenario.Result, error) { return l.RunRTBH(false) },
+		func() (*scenario.Result, error) { return l.RunRTBH(true) },
+		func() (*scenario.Result, error) { return l.RunSteeringLocalPref(false) },
+		func() (*scenario.Result, error) { return l.RunSteeringLocalPref(true) },
+		func() (*scenario.Result, error) { return l.RunSteeringPrepend(false) },
+		func() (*scenario.Result, error) { return l.RunSteeringPrepend(true) },
+		func() (*scenario.Result, error) { return l.RunRouteManipulation(false) },
+		func() (*scenario.Result, error) { return l.RunRouteManipulation(true) },
 	}
 	for _, run := range runs {
 		r, err := run()

@@ -26,8 +26,8 @@ import (
 // outside-dictionary (a dict-squat alert) to inside (silence), and (c)
 // inference precision against ground truth drops — the detector's
 // blind spot is measurable.
-func (l *Lab) RunDictionaryPoisoning(values int) (*Result, error) {
-	res := &Result{Scenario: "Dictionary Poisoning", Difficulty: Medium}
+func (l *Lab) RunDictionaryPoisoning(values int) (*scenario.Result, error) {
+	res := &scenario.Result{Scenario: "Dictionary Poisoning", Difficulty: scenario.Medium}
 	res.Insights = append(res.Insights,
 		"inferred dictionaries are built from attacker-writable data: whoever can announce can define",
 		"a poisoned dictionary turns the dict-squat detector's strength (suppressing recurring values) into a blind spot")
@@ -132,8 +132,8 @@ func hygieneRates(raw string) ([]int, error) {
 // Success means the defense works as the paper's §6.2 predicts:
 // propagation shrinks monotonically and full hygiene kills the remote
 // trigger that rate 0 delivers.
-func RunHygieneFiltering(ctx *scenario.Context) (*Result, error) {
-	res := &Result{Scenario: "Hygiene Filtering Sweep", Difficulty: Easy}
+func RunHygieneFiltering(ctx *scenario.Context) (*scenario.Result, error) {
+	res := &scenario.Result{Scenario: "Hygiene Filtering Sweep", Difficulty: scenario.Easy}
 	res.Insights = append(res.Insights,
 		"strip-foreign at boundaries bounds the attack radius the same way it bounds measurement visibility",
 		"hygiene is a collective defense: partial adoption shrinks, only near-universal adoption kills")

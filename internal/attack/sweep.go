@@ -6,6 +6,7 @@ import (
 	"bgpworms/internal/atlas"
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/netx"
+	"bgpworms/internal/scenario"
 	"bgpworms/internal/stats"
 	"bgpworms/internal/topo"
 )
@@ -211,7 +212,7 @@ func RenderSweep(r *SweepReport) string {
 }
 
 // RenderTable3 renders scenario results in the paper's Table 3 layout.
-func RenderTable3(results []*Result) string {
+func RenderTable3(results []*scenario.Result) string {
 	t := stats.NewTable("Scenario", "Hijack", "Success", "Difficulty", "Insights")
 	for _, r := range results {
 		hij := "no"

@@ -96,7 +96,6 @@ type Collector struct {
 	node  *router.Router
 	net   *simnet.Network
 	obs   []Observation
-	subs  []func(Observation)
 	clock time.Time
 	seq   int
 }
@@ -188,16 +187,12 @@ func (c *Collector) tap(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route
 	ob := Observation{Seq: c.seq, Time: c.clock, PeerAS: from, Prefix: prefix, Route: cp}
 	c.obs = append(c.obs, ob)
 	observationsTotal.Inc()
-	for _, fn := range c.subs {
-		fn(ob)
-	}
 }
 
 // ForkInto clones the collector against a forked network: observations
 // recorded so far are shared read-only (capacity-clamped so appends
 // reallocate), the session clock and sequence continue where the
-// snapshot stopped, and a fresh tap is registered on the fork. Live
-// subscribers do not carry over — forks attach their own.
+// snapshot stopped, and a fresh tap is registered on the fork.
 func (c *Collector) ForkInto(n *simnet.Network) *Collector {
 	cp := &Collector{
 		Platform: c.Platform,
@@ -224,14 +219,6 @@ func (c *Collector) router() *router.Router {
 		}
 	}
 	return c.node
-}
-
-// OnObservation subscribes fn to the collector's live export: it runs
-// for every observation recorded from now on, in sequence order, on the
-// simulation goroutine. Streaming consumers (the watch engine) attach
-// here instead of polling Observations.
-func (c *Collector) OnObservation(fn func(Observation)) {
-	c.subs = append(c.subs, fn)
 }
 
 // partialKeeps deterministically keeps ~half the prefixes of a partial

@@ -145,12 +145,6 @@ func (ds *Dataset) Platforms() []string {
 	return out
 }
 
-// CollectorPeers returns the union of peer ASNs across collectors of a
-// platform ("" = all platforms).
-func (ds *Dataset) CollectorPeers(platform string) map[uint32]bool {
-	return collectorPeers(ds.Collectors, platform)
-}
-
 // routeKey identifies one (collector, peer, prefix) table slot.
 type routeKey struct {
 	col    string

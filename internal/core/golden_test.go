@@ -8,8 +8,8 @@ package core_test
 //
 //	go test ./internal/core -run TestGolden -update
 //
-// The fixture runs the default serial engine, so these files also pin
-// the serial delivery order the collector archives depend on.
+// The files also pin the engine's canonical delivery order, which the
+// collector archives depend on.
 
 import (
 	"bytes"

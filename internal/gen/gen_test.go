@@ -197,6 +197,18 @@ func TestPreset(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsRetiredEngines pins what Params.Engine accepts: an
+// engine name other than "delta" (or the oracle's "rounds") is an error.
+func TestBuildRejectsRetiredEngines(t *testing.T) {
+	for _, engine := range []string{"serial", "auto", "warp"} {
+		p := Tiny()
+		p.Engine = engine
+		if _, err := Build(p); err == nil {
+			t.Errorf("Build accepted engine %q", engine)
+		}
+	}
+}
+
 func TestRegistryGroundTruth(t *testing.T) {
 	w := buildTiny(t)
 	if len(w.Registry.Verified) == 0 {

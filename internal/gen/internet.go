@@ -79,9 +79,10 @@ func (w *Internet) drawValue(rng *rand.Rand) uint16 {
 // collectors, and announces every origin prefix to convergence.
 func Build(p Params) (*Internet, error) {
 	defer buildSecs.ObserveSince(time.Now())
-	engine, err := simnet.ParseEngine(p.Engine)
-	if err != nil {
-		return nil, err
+	switch p.Engine {
+	case "", "delta", "rounds":
+	default:
+		return nil, fmt.Errorf("gen: unknown engine %q (want \"delta\" or empty)", p.Engine)
 	}
 	if ASNStubBase+topo.ASN(p.Stubs) > ASNIXPBase {
 		// Dynamic layout: route servers move to the 16-bit window, which
@@ -104,7 +105,7 @@ func Build(p Params) (*Internet, error) {
 		rngSrc:     src,
 	}
 	w.buildGraph()
-	w.buildNetwork(engine)
+	w.buildNetwork()
 	if p.Tap != nil {
 		w.Net.Tap(p.Tap)
 	}
@@ -199,7 +200,7 @@ func (w *Internet) asRNG(asn topo.ASN) *rand.Rand {
 	return rand.New(rand.NewSource(w.Params.Seed*1e9 + int64(asn)))
 }
 
-func (w *Internet) buildNetwork(engine simnet.Engine) {
+func (w *Internet) buildNetwork() {
 	p := w.Params
 	w.Net = simnet.New(w.Graph, func(asn topo.ASN) router.Config {
 		rng := w.asRNG(asn)
@@ -330,7 +331,9 @@ func (w *Internet) buildNetwork(engine simnet.Engine) {
 	if p.Workers != 0 {
 		w.Net.SetWorkers(p.Workers)
 	}
-	w.Net.SetEngine(engine)
+	if p.Engine == "rounds" {
+		w.Net.UseRoundsOracle()
+	}
 }
 
 func (w *Internet) attachIXPs() error {

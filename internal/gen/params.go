@@ -22,20 +22,17 @@ import (
 type Params struct {
 	Seed int64
 
-	// Workers selects the simulation engine parallelism: 0 or 1 keeps
-	// the serial FIFO engine, >1 runs the delta-driven parallel engine
-	// with that many workers, and a negative value means one worker per
-	// available CPU. Results are deterministic for any setting of this
-	// knob given the same Seed. The parallel engines (delta, rounds)
-	// share one canonical delivery order, so their recorded collector
-	// streams are interchangeable; the serial engine orders deliveries
-	// differently and is comparable only with itself.
+	// Workers sizes the simulation engine's worker pool: 0 or 1 runs it
+	// on the calling goroutine, >1 on that many workers, and a negative
+	// value on one worker per available CPU. It never changes results:
+	// delivery counts, collector archives and RIBs are byte-identical
+	// for every value given the same Seed.
 	Workers int
 
-	// Engine pins the simnet propagation engine ("serial", "rounds",
-	// "delta"; "" or "auto" derives it from Workers — see
-	// simnet.ParseEngine). The rounds engine is the delta engine's
-	// differential oracle and is only worth pinning for that check.
+	// Engine exists for bench/, which passes "delta", and goes when a
+	// benchmark PR drops the argument: "" and "delta" both mean the one
+	// propagation engine. "rounds" runs simnet's reference engine
+	// instead; only the differential tests set it.
 	Engine string
 
 	// Topology shape.

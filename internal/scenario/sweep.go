@@ -11,7 +11,6 @@ import (
 	"bgpworms/internal/conc"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/obs"
-	"bgpworms/internal/simnet"
 	"bgpworms/internal/stats"
 )
 
@@ -26,13 +25,11 @@ type Grid struct {
 	Scales []string `json:"scales"`
 	// Seeds are generator seeds; default {1}.
 	Seeds []int64 `json:"seeds"`
-	// EngineWorkers fans gen.Params.Workers — the simnet engine
-	// parallelism per cell; default {1} (the serial FIFO engine).
+	// EngineWorkers fans gen.Params.Workers — the simnet engine's pool
+	// size per cell; default {1}. It cannot change a cell's result.
 	EngineWorkers []int `json:"engine_workers"`
-	// Engines fans gen.Params.Engine — the simnet propagation engine
-	// per cell ("auto", "serial", "rounds", "delta"); default {"auto"}.
-	// Sweeping {"rounds", "delta"} is the grid form of the differential
-	// engine check.
+	// Engines exists for bench/, which passes {"delta"}, and goes when a
+	// benchmark PR drops the argument: entries may only be "" or "delta".
 	Engines []string `json:"engines,omitempty"`
 	// CommunitySets names registry slices for candidate-driven scenarios
 	// ("verified", "likely", "all"); default {"verified"}.
@@ -41,12 +38,6 @@ type Grid struct {
 	VPs int `json:"vps"`
 	// Values applies fixed parameter overrides to every cell.
 	Values Values `json:"values,omitempty"`
-	// Cold disables warm-world snapshot reuse: every cell builds its
-	// world from scratch, as sweeps did before snapshots existed. The
-	// warm path is provably equivalent (the differential warm suite),
-	// so this is an escape hatch for benchmarking and bisection, not a
-	// correctness knob.
-	Cold bool `json:"cold,omitempty"`
 }
 
 func (g Grid) withDefaults() Grid {
@@ -61,9 +52,6 @@ func (g Grid) withDefaults() Grid {
 	}
 	if len(g.EngineWorkers) == 0 {
 		g.EngineWorkers = []int{1}
-	}
-	if len(g.Engines) == 0 {
-		g.Engines = []string{"auto"}
 	}
 	if len(g.CommunitySets) == 0 {
 		g.CommunitySets = []string{DefaultCommunitySet}
@@ -80,7 +68,6 @@ type Cell struct {
 	Scale         string  `json:"scale"`
 	Seed          int64   `json:"seed"`
 	EngineWorkers int     `json:"engine_workers"`
-	Engine        string  `json:"engine,omitempty"`
 	CommunitySet  string  `json:"community_set"`
 	Result        *Result `json:"result,omitempty"`
 	Err           string  `json:"error,omitempty"`
@@ -129,8 +116,8 @@ func (g Grid) Cells() ([]Cell, error) {
 		}
 	}
 	for _, e := range g.Engines {
-		if _, err := simnet.ParseEngine(e); err != nil {
-			return nil, err
+		if e != "" && e != "delta" {
+			return nil, fmt.Errorf("scenario: sweep names engine %q; the only engine is \"delta\"", e)
 		}
 	}
 	var cells []Cell
@@ -138,13 +125,11 @@ func (g Grid) Cells() ([]Cell, error) {
 		for _, scale := range g.Scales {
 			for _, seed := range g.Seeds {
 				for _, ew := range g.EngineWorkers {
-					for _, eng := range g.Engines {
-						for _, set := range g.CommunitySets {
-							cells = append(cells, Cell{
-								Scenario: name, Scale: scale, Seed: seed,
-								EngineWorkers: ew, Engine: eng, CommunitySet: set,
-							})
-						}
+					for _, set := range g.CommunitySets {
+						cells = append(cells, Cell{
+							Scenario: name, Scale: scale, Seed: seed,
+							EngineWorkers: ew, CommunitySet: set,
+						})
 					}
 				}
 			}
@@ -171,8 +156,7 @@ type SweepReport struct {
 	AsExpected int `json:"as_expected"`
 	// SnapshotBuilds and SnapshotForks account for warm-world reuse:
 	// how many worlds were actually built from scratch and how many
-	// cells ran on cheap forks of them. A cold sweep reports zero for
-	// both.
+	// cells ran on cheap forks of them.
 	SnapshotBuilds int `json:"snapshot_builds,omitempty"`
 	SnapshotForks  int `json:"snapshot_forks,omitempty"`
 }
@@ -183,11 +167,10 @@ type warmKey struct {
 	scale   string
 	seed    int64
 	workers int
-	engine  string
 }
 
 // WarmCache lazily builds at most one frozen world snapshot per (scale,
-// seed, engine, engine-workers) coordinate. Each snapshot is built by
+// seed, engine-workers) coordinate. Each snapshot is built by
 // the first cell that needs it (under sync.Once, so concurrent harness
 // workers block instead of double-building) and forked by the rest.
 // Sweep uses one per sweep; external cell executors (internal/suite)
@@ -213,7 +196,7 @@ func NewWarmCache() *WarmCache {
 // it exactly once. The build uses params with the tap stripped: per-cell
 // taps are replayed at fork time, never recorded into the shared world.
 func (wc *WarmCache) Snapshot(c Cell, params gen.Params) (*gen.Snapshot, error) {
-	key := warmKey{scale: c.Scale, seed: c.Seed, workers: c.EngineWorkers, engine: c.Engine}
+	key := warmKey{scale: c.Scale, seed: c.Seed, workers: c.EngineWorkers}
 	wc.mu.Lock()
 	e := wc.entries[key]
 	if e == nil {
@@ -244,10 +227,10 @@ func (wc *WarmCache) Stats() (builds, forks int) {
 
 // Sweep executes every grid cell over a pool of at most workers harness
 // goroutines (0 or negative: one per CPU). Cells agreeing on (scale,
-// seed, engine, engine workers) share one frozen world build and fork it
-// per run (unless Grid.Cold), so cells share no mutable state; results
-// land at their grid index and the fold runs in grid order — the report
-// is therefore bit-identical across harness worker counts, warm or cold.
+// seed, engine workers) share one frozen world build and fork it per
+// run, so cells share no mutable state; results land at their grid index
+// and the fold runs in grid order — the report is therefore
+// bit-identical across harness worker counts.
 func Sweep(g Grid, workers int) (*SweepReport, error) {
 	return SweepOpts(g, workers, SweepOpt{})
 }
@@ -261,7 +244,7 @@ type SweepOpt struct {
 	// completion order, not grid order — serialize in the callback.
 	Progress func(done, total int, c *Cell, d time.Duration)
 	// Trace, when set, records one "cell <scenario>" span per grid cell
-	// (scale/seed/engine attributes attached). Nil is a no-op.
+	// (scale/seed attributes attached). Nil is a no-op.
 	Trace *obs.Trace
 }
 
@@ -275,10 +258,7 @@ func SweepOpts(g Grid, workers int, opt SweepOpt) (*SweepReport, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var warm *WarmCache
-	if !g.Cold {
-		warm = NewWarmCache()
-	}
+	warm := NewWarmCache()
 	var done atomic.Int64
 	conc.Do(len(cells), workers, func(i int) {
 		c := &cells[i]
@@ -286,7 +266,6 @@ func SweepOpts(g Grid, workers int, opt SweepOpt) (*SweepReport, error) {
 		sp := opt.Trace.Start("cell " + c.Scenario)
 		sp.SetAttr("scale", c.Scale)
 		sp.SetAttr("seed", strconv.FormatInt(c.Seed, 10))
-		sp.SetAttr("engine", c.Engine)
 		runCell(c, g, warm)
 		sp.End()
 		if opt.Progress != nil {
@@ -294,9 +273,7 @@ func SweepOpts(g Grid, workers int, opt SweepOpt) (*SweepReport, error) {
 		}
 	})
 	rep := &SweepReport{Cells: cells, Ran: len(cells)}
-	if warm != nil {
-		rep.SnapshotBuilds, rep.SnapshotForks = warm.Stats()
-	}
+	rep.SnapshotBuilds, rep.SnapshotForks = warm.Stats()
 	for i := range cells {
 		c := &cells[i]
 		switch {
@@ -319,7 +296,7 @@ func SweepOpts(g Grid, workers int, opt SweepOpt) (*SweepReport, error) {
 }
 
 // ContextFor builds the run context for one grid cell exactly as Sweep
-// does: the cell's preset seeded and engined, the grid's vantage-point
+// does: the cell's preset seeded, the grid's vantage-point
 // count, and the grid's fixed Values filtered down to the parameters
 // the cell's scenario declares. External harnesses (internal/suite)
 // execute their cells through it so a suite cell and a sweep cell with
@@ -331,7 +308,6 @@ func (g Grid) ContextFor(c Cell) (*Context, error) {
 	}
 	p.Seed = c.Seed
 	p.Workers = c.EngineWorkers
-	p.Engine = c.Engine
 	// Pass only the parameters this cell's scenario declares, so fixed
 	// Values can span a mixed-scenario grid.
 	var vals Values
@@ -361,15 +337,13 @@ func runCell(c *Cell, g Grid, warm *WarmCache) {
 	// Scenarios that manage their own worlds never fork the shared
 	// snapshot; provisioning one for them would build a world nobody
 	// uses.
-	if warm != nil {
-		if s, _ := Get(c.Scenario); s != nil && !s.ManagesWorlds {
-			snap, err := warm.Snapshot(*c, ctx.Gen)
-			if err != nil {
-				c.Err = err.Error()
-				return
-			}
-			ctx.Warm = snap
+	if s, _ := Get(c.Scenario); s != nil && !s.ManagesWorlds {
+		snap, err := warm.Snapshot(*c, ctx.Gen)
+		if err != nil {
+			c.Err = err.Error()
+			return
 		}
+		ctx.Warm = snap
 	}
 	res, err := Run(c.Scenario, ctx)
 	if err != nil {
@@ -381,7 +355,7 @@ func runCell(c *Cell, g Grid, warm *WarmCache) {
 
 // RenderSweep renders the report as a text table, one row per cell.
 func RenderSweep(r *SweepReport) string {
-	t := stats.NewTable("Scenario", "Scale", "Seed", "Engine", "EngWorkers", "Set", "Success", "Expected", "Note")
+	t := stats.NewTable("Scenario", "Scale", "Seed", "EngWorkers", "Set", "Success", "Expected", "Note")
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		note := ""
@@ -397,11 +371,7 @@ func RenderSweep(r *SweepReport) string {
 			success = c.Result.Success
 			expected = strconv.FormatBool(c.Expected)
 		}
-		eng := c.Engine
-		if eng == "" {
-			eng = "auto"
-		}
-		t.Row(c.Scenario, c.Scale, c.Seed, eng, c.EngineWorkers, c.CommunitySet, success, expected, note)
+		t.Row(c.Scenario, c.Scale, c.Seed, c.EngineWorkers, c.CommunitySet, success, expected, note)
 	}
 	out := t.String()
 	out += fmt.Sprintf("\ncells=%d succeeded=%d failed=%d errored=%d as-expected=%d\n",

@@ -46,6 +46,9 @@ func TestGridRejectsUnknownDimensions(t *testing.T) {
 	if _, err := (scenario.Grid{Scales: []string{"galactic"}}).Cells(); err == nil {
 		t.Fatal("unknown scale accepted")
 	}
+	if _, err := (scenario.Grid{Engines: []string{"rounds"}}).Cells(); err == nil {
+		t.Fatal("engine other than delta accepted")
+	}
 	if _, err := (scenario.Grid{
 		Scenarios: []string{"rtbh"},
 		Values:    scenario.Values{"bogus": "1"},
@@ -146,12 +149,11 @@ func TestSweepCellExpectations(t *testing.T) {
 }
 
 // TestSweepEngineWorkerInvariance pins the simnet guarantee the sweep
-// leans on: under the parallel engine, scenario outcomes are invariant
-// to the engine worker count.
+// leans on: scenario outcomes are invariant to the engine worker count.
 func TestSweepEngineWorkerInvariance(t *testing.T) {
 	g := scenario.Grid{
 		Scenarios:     []string{"rtbh"},
-		EngineWorkers: []int{2, 8},
+		EngineWorkers: []int{1, 8},
 	}
 	rep, err := scenario.Sweep(g, 2)
 	if err != nil {
@@ -167,7 +169,7 @@ func TestSweepEngineWorkerInvariance(t *testing.T) {
 	ja, _ := json.Marshal(a.Result)
 	jb, _ := json.Marshal(b.Result)
 	if !bytes.Equal(ja, jb) {
-		t.Fatalf("engine workers changed the outcome:\nw=2: %s\nw=8: %s", ja, jb)
+		t.Fatalf("engine workers changed the outcome:\nw=1: %s\nw=8: %s", ja, jb)
 	}
 }
 

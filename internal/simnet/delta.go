@@ -13,9 +13,9 @@ import (
 	"bgpworms/internal/topo"
 )
 
-// The delta engine (EngineDelta) converges the same propagation queue
-// as the rounds engine but is organized around change, not rounds over
-// sorted global frontiers:
+// The delta engine converges the same propagation queue as the rounds
+// reference engine (parallel.go) but is organized around change, not
+// rounds over sorted global frontiers:
 //
 //   - work lives in per-router dirty-prefix buckets keyed by a dense
 //     router index, so a round never sorts a global frontier or clears
@@ -37,8 +37,8 @@ import (
 // prefixes in canonical order, neighbors ascending), applies them under
 // the same barriers, and therefore produces bit-identical tap streams,
 // delivery counts, and final RIBs — for any worker count, and equal to
-// EngineRounds on the same workload. TestDifferentialEngines holds both
-// engines to that contract on randomized worlds.
+// the rounds engine on the same workload. TestDifferentialEngines holds
+// both engines to that contract on randomized worlds.
 
 // deltaState is the delta engine's cached world view plus reusable
 // scratch. It is rebuilt when routers are added and refreshed per run

@@ -3,12 +3,10 @@ package simnet_test
 // The differential engine property test: random worlds must converge to
 // identical collector archives (the tap-derived record of every
 // delivery), identical RIBs, and identical delivery counts under the
-// rounds and delta engines and under 1/4/16 workers. The serial engine
-// must agree on the converged RIBs (its delivery interleaving is
-// different by design). On failure the harness shrinks the world —
-// halving each topology/churn dimension while the failure reproduces —
-// and reports the minimal failing configuration, which is the one worth
-// debugging.
+// delta engine and its rounds reference, and under 1/4/16 workers. On
+// failure the harness shrinks the world — halving each topology/churn
+// dimension while the failure reproduces — and reports the minimal
+// failing configuration, which is the one worth debugging.
 
 import (
 	"bytes"
@@ -18,6 +16,7 @@ import (
 	"testing"
 
 	"bgpworms/internal/gen"
+	"bgpworms/internal/topo"
 )
 
 // worldCfg is a shrinkable world recipe.
@@ -54,11 +53,31 @@ func randomCfg(rng *rand.Rand) worldCfg {
 	}
 }
 
+// The canonical presets as shrinkable recipes.
+var (
+	tinyCfg  = worldCfg{Tier1: 3, Mid: 10, Stubs: 40, Churn: 25, RTBH: 4, Seed: 1}    // == gen.Tiny()
+	smallCfg = worldCfg{Tier1: 5, Mid: 40, Stubs: 200, Churn: 120, RTBH: 12, Seed: 1} // == gen.Small()
+)
+
 // outcome captures everything the engines must agree on.
 type outcome struct {
 	steps    int
 	archives []byte
 	ribs     string
+}
+
+// diverges describes the first observable on which o differs from ref
+// ("" when they agree).
+func (o *outcome) diverges(ref *outcome) string {
+	switch {
+	case o.steps != ref.steps:
+		return fmt.Sprintf("deliveries %d != %d", o.steps, ref.steps)
+	case !bytes.Equal(o.archives, ref.archives):
+		return "collector archives diverge"
+	case o.ribs != ref.ribs:
+		return "RIBs diverge"
+	}
+	return ""
 }
 
 // buildOutcome builds the world under one engine/worker setting and
@@ -96,11 +115,47 @@ func buildWarmOutcome(t *testing.T, cfg worldCfg, engine string, workers int) (*
 	return perturbAndCollapse(w)
 }
 
-// perturbAndCollapse runs the churn month and collapses the observable
-// state: delivery count, collector archives (updates + RIB dumps), and
-// every router's converged RIB.
+// lateSession gives the first originating stub a second provider after
+// the world has converged and re-announces its first prefix across the
+// new session. Every other session in a generated world is wired before
+// the first Run, so this is the step that makes the delta engine refresh
+// the per-neighbor export hints it caches against
+// Router.NeighborVersion.
+func lateSession(w *gen.Internet) error {
+	for _, stub := range w.StubASes() {
+		if len(w.Origins[stub]) == 0 {
+			continue
+		}
+		has := map[topo.ASN]bool{}
+		for _, nb := range w.Net.Router(stub).Neighbors() {
+			has[nb] = true
+		}
+		for _, transit := range w.TransitASes() {
+			if has[transit] {
+				continue
+			}
+			if err := w.Net.Connect(stub, transit, topo.RelProvider); err != nil {
+				return err
+			}
+			p := w.Origins[stub][0]
+			if _, err := w.Net.Withdraw(stub, p); err != nil {
+				return err
+			}
+			_, err := w.Net.Announce(stub, p)
+			return err
+		}
+	}
+	return fmt.Errorf("no stub with a prefix and a transit it is not yet connected to")
+}
+
+// perturbAndCollapse runs the churn month and a late session change,
+// then collapses the observable state: delivery count, collector
+// archives (updates + RIB dumps), and every router's converged RIB.
 func perturbAndCollapse(w *gen.Internet) (*outcome, error) {
 	if _, err := w.RunChurn(); err != nil {
+		return nil, err
+	}
+	if err := lateSession(w); err != nil {
 		return nil, err
 	}
 	var arch bytes.Buffer
@@ -144,24 +199,9 @@ func checkCfg(t *testing.T, cfg worldCfg) string {
 		if err != nil {
 			return fmt.Sprintf("%s/%d build error: %v", v.engine, v.workers, err)
 		}
-		if got.steps != ref.steps {
-			return fmt.Sprintf("%s/%d deliveries %d != rounds/1 %d", v.engine, v.workers, got.steps, ref.steps)
+		if msg := got.diverges(ref); msg != "" {
+			return fmt.Sprintf("%s/%d vs rounds/1: %s", v.engine, v.workers, msg)
 		}
-		if !bytes.Equal(got.archives, ref.archives) {
-			return fmt.Sprintf("%s/%d collector archives diverge from rounds/1", v.engine, v.workers)
-		}
-		if got.ribs != ref.ribs {
-			return fmt.Sprintf("%s/%d RIBs diverge from rounds/1", v.engine, v.workers)
-		}
-	}
-	// The serial engine interleaves differently, so only the converged
-	// control plane must agree.
-	serial, err := buildOutcome(t, cfg, "serial", 1)
-	if err != nil {
-		return "serial/1 build error: " + err.Error()
-	}
-	if serial.ribs != ref.ribs {
-		return "serial/1 converged RIBs diverge from rounds/1"
 	}
 	return ""
 }
@@ -243,7 +283,6 @@ func checkWarmCfg(t *testing.T, cfg worldCfg) string {
 		engine  string
 		workers int
 	}{
-		{"serial", 1},
 		{"rounds", 1}, {"rounds", 4}, {"rounds", 16},
 		{"delta", 1}, {"delta", 4}, {"delta", 16},
 	} {
@@ -255,14 +294,8 @@ func checkWarmCfg(t *testing.T, cfg worldCfg) string {
 		if err != nil {
 			return fmt.Sprintf("%s/%d warm build error: %v", v.engine, v.workers, err)
 		}
-		if warm.steps != cold.steps {
-			return fmt.Sprintf("%s/%d warm deliveries %d != cold %d", v.engine, v.workers, warm.steps, cold.steps)
-		}
-		if !bytes.Equal(warm.archives, cold.archives) {
-			return fmt.Sprintf("%s/%d warm collector archives diverge from cold", v.engine, v.workers)
-		}
-		if warm.ribs != cold.ribs {
-			return fmt.Sprintf("%s/%d warm RIBs diverge from cold", v.engine, v.workers)
+		if msg := warm.diverges(cold); msg != "" {
+			return fmt.Sprintf("%s/%d warm vs cold: %s", v.engine, v.workers, msg)
 		}
 	}
 	return ""
@@ -290,8 +323,7 @@ func TestDifferentialWarmForks(t *testing.T) {
 
 // TestDifferentialWarmForkTinyPreset pins the canonical tiny preset.
 func TestDifferentialWarmForkTinyPreset(t *testing.T) {
-	cfg := worldCfg{Tier1: 3, Mid: 10, Stubs: 40, Churn: 25, RTBH: 4, Seed: 1} // == gen.Tiny()
-	if msg := checkWarmCfg(t, cfg); msg != "" {
+	if msg := checkWarmCfg(t, tinyCfg); msg != "" {
 		t.Fatalf("warm fork diverges from scratch on the tiny preset: %s", msg)
 	}
 }
@@ -299,8 +331,7 @@ func TestDifferentialWarmForkTinyPreset(t *testing.T) {
 // TestDifferentialEnginesTinyPreset pins the canonical presets the
 // acceptance criteria name: tiny always, small unless -short.
 func TestDifferentialEnginesTinyPreset(t *testing.T) {
-	cfg := worldCfg{Tier1: 3, Mid: 10, Stubs: 40, Churn: 25, RTBH: 4, Seed: 1} // == gen.Tiny()
-	if msg := checkCfg(t, cfg); msg != "" {
+	if msg := checkCfg(t, tinyCfg); msg != "" {
 		t.Fatalf("engines diverge on the tiny preset: %s", msg)
 	}
 }
@@ -309,8 +340,39 @@ func TestDifferentialEnginesSmallPreset(t *testing.T) {
 	if testing.Short() {
 		t.Skip("small preset differential check skipped in -short mode")
 	}
-	cfg := worldCfg{Tier1: 5, Mid: 40, Stubs: 200, Churn: 120, RTBH: 12, Seed: 1} // == gen.Small()
-	if msg := checkCfg(t, cfg); msg != "" {
+	if msg := checkCfg(t, smallCfg); msg != "" {
 		t.Fatalf("engines diverge on the small preset: %s", msg)
+	}
+}
+
+// TestBuildWorkerCountInvariance is the guarantee README and
+// ARCHITECTURE state: with the default engine, gen.Params.Workers only
+// sizes a pool. Every value — unset and 1 included — yields the same
+// delivery count, byte-equal collector archives, and equal RIBs.
+func TestBuildWorkerCountInvariance(t *testing.T) {
+	for _, preset := range []struct {
+		name string
+		cfg  worldCfg
+	}{{"tiny", tinyCfg}, {"small", smallCfg}} {
+		name, cfg := preset.name, preset.cfg
+		if name == "small" && testing.Short() {
+			continue
+		}
+		ref, err := buildOutcome(t, cfg, "", 0)
+		if err != nil {
+			t.Fatalf("%s: workers=0: %v", name, err)
+		}
+		if ref.steps == 0 {
+			t.Fatalf("%s: workers=0 produced an empty world", name)
+		}
+		for _, w := range []int{1, 2, 8} {
+			got, err := buildOutcome(t, cfg, "", w)
+			if err != nil {
+				t.Fatalf("%s: workers=%d: %v", name, w, err)
+			}
+			if msg := got.diverges(ref); msg != "" {
+				t.Errorf("%s: workers=%d vs workers=0: %s", name, w, msg)
+			}
+		}
 	}
 }

@@ -1,10 +1,6 @@
 package simnet
 
-import (
-	"time"
-
-	"bgpworms/internal/obs"
-)
+import "bgpworms/internal/obs"
 
 // Package-level instrumentation on obs.Default: simnet has no config
 // surface to thread a registry through (networks are built by gen and
@@ -14,29 +10,28 @@ import (
 // the hot per-delivery loops are untouched. Metrics are observational
 // only: tap streams and convergence results are identical either way.
 var (
-	simnetRuns       = make(map[Engine]*obs.Counter)
-	simnetDeliveries = make(map[Engine]*obs.Counter)
-	simnetRunSecs    = make(map[Engine]*obs.Histogram)
+	deltaRuns  = newRunMetrics("delta")
+	roundsRuns = newRunMetrics("rounds")
 
 	deltaRounds        = obs.Default.Counter("simnet_delta_rounds_total", "delta engine convergence rounds")
 	deltaDirtyPrefixes = obs.Default.Counter("simnet_delta_dirty_prefixes_total", "dirty (router,prefix) work items across delta rounds")
 	deltaExports       = obs.Default.Counter("simnet_delta_export_batches_total", "phase-1 export shards (one per dirty source router per round)")
 )
 
-func init() {
-	for _, e := range []Engine{EngineSerial, EngineRounds, EngineDelta} {
-		label := `{engine="` + e.String() + `"}`
-		simnetRuns[e] = obs.Default.Counter("simnet_runs_total"+label, "convergence runs")
-		simnetDeliveries[e] = obs.Default.Counter("simnet_deliveries_total"+label, "route deliveries (convergence steps)")
-		simnetRunSecs[e] = obs.Default.Histogram("simnet_run_seconds"+label, "convergence wall time", obs.DurationBuckets)
-	}
+// runMetrics is what Run tallies per invocation, one series set per
+// engine label; {engine="delta"} is the one a product process moves.
+type runMetrics struct {
+	runs, deliveries *obs.Counter
+	secs             *obs.Histogram
 }
 
-// observeRun tallies one Run() invocation.
-func observeRun(e Engine, delivered int, start time.Time) {
-	simnetRuns[e].Inc()
-	simnetDeliveries[e].Add(uint64(delivered))
-	simnetRunSecs[e].ObserveSince(start)
+func newRunMetrics(engine string) runMetrics {
+	label := `{engine="` + engine + `"}`
+	return runMetrics{
+		runs:       obs.Default.Counter("simnet_runs_total"+label, "convergence runs"),
+		deliveries: obs.Default.Counter("simnet_deliveries_total"+label, "route deliveries (convergence steps)"),
+		secs:       obs.Default.Histogram("simnet_run_seconds"+label, "convergence wall time", obs.DurationBuckets),
+	}
 }
 
 // deltaRoundTally accumulates per-round churn locally inside runDelta

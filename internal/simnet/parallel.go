@@ -3,7 +3,6 @@ package simnet
 import (
 	"fmt"
 	"net/netip"
-	"runtime"
 	"sort"
 
 	"bgpworms/internal/conc"
@@ -13,29 +12,6 @@ import (
 	"bgpworms/internal/topo"
 )
 
-// SetWorkers sizes the parallel engines' shard pool. Under the default
-// EngineAuto, 1 keeps the serial FIFO work-queue engine and any other
-// value switches Run to the delta engine with that many workers (0 =
-// one per available CPU); SetEngine overrides the choice. The parallel
-// engines' results — convergence counts, tap delivery order, and final
-// RIB state — are independent of the worker count: rounds are logical
-// barriers and all cross-router effects are applied in a canonical
-// order, so workers only split work inside a phase.
-func (n *Network) SetWorkers(w int) {
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	n.workers = w
-}
-
-// Workers returns the configured engine parallelism (1 = serial engine).
-func (n *Network) Workers() int {
-	if n.workers == 0 {
-		return 1
-	}
-	return n.workers
-}
-
 // delivery is one update crossing a session during a round: rt is nil
 // for withdrawals, mirroring UpdateTap.
 type delivery struct {
@@ -44,8 +20,12 @@ type delivery struct {
 	rt       *policy.Route
 }
 
-// runRounds drains the propagation queue with the parallel engine. Each
-// round is a synchronous step over the current frontier:
+// runRounds drains the propagation queue with the round-based reference
+// engine: the plain form of the algorithm runDelta optimizes — global
+// sorted frontier, per-session ExportTo/RecordAdvertised, cloning
+// ReceiveUpdate — kept so the differential tests can hold the delta
+// engine's taps, archives, delivery counts and RIBs to it. Each round is
+// a synchronous step over the current frontier:
 //
 //  1. export (parallel, sharded by source router): every frontier item
 //     computes its per-neighbor exports; ExportTo reads only the source

@@ -62,7 +62,7 @@ func announceAll(t *testing.T, n *Network) (string, int) {
 		}
 		total += d
 	}
-	// Withdraw a few to exercise the withdrawal path under rounds.
+	// Withdraw a few to exercise the withdrawal path.
 	for i := topo.ASN(100); i < 104; i++ {
 		p := netip.PrefixFrom(netx.V4(10, byte(i>>8), byte(i), 0), 24)
 		d, err := n.Withdraw(i, p)
@@ -91,103 +91,47 @@ func ribFingerprint(n *Network) string {
 }
 
 // TestParallelEngineWorkerCountInvariance is the simnet determinism
-// gate: the round-based engine must produce identical tap transcripts,
-// delivery counts, and final RIBs for every worker count.
+// gate: Run must produce identical tap transcripts, delivery counts, and
+// final RIBs for every worker count, and the rounds reference engine
+// must produce the same ones.
 func TestParallelEngineWorkerCountInvariance(t *testing.T) {
 	type result struct {
+		name  string
 		tape  string
 		total int
 		rib   string
 	}
 	var results []result
-	for _, w := range []int{1, 2, 8} {
-		n := New(meshGraph(t), nil)
-		n.workers = w // direct: SetWorkers(1) would select the serial engine
-		if n.workers > 1 && n.Workers() != w {
-			t.Fatalf("workers=%d", n.Workers())
-		}
-		// Force the round engine regardless of w so w=1 is the
-		// parallel engine's own baseline, not the serial engine.
-		tape, total := announceAllRounds(t, n)
-		results = append(results, result{tape, total, ribFingerprint(n)})
-	}
-	for i := 1; i < len(results); i++ {
-		if results[i].total != results[0].total {
-			t.Fatalf("deliveries diverge: %d vs %d", results[i].total, results[0].total)
-		}
-		if results[i].tape != results[0].tape {
-			t.Fatal("tap transcripts diverge across worker counts")
-		}
-		if results[i].rib != results[0].rib {
-			t.Fatal("final RIBs diverge across worker counts")
-		}
-	}
-}
-
-// announceAllRounds mirrors announceAll but drives runRounds directly so
-// worker count 1 also exercises the round engine.
-func announceAllRounds(t *testing.T, n *Network) (string, int) {
-	t.Helper()
-	var tape strings.Builder
-	n.Tap(func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
-		if rt != nil {
-			fmt.Fprintf(&tape, "%d>%d %s %v %v\n", from, to, prefix, rt.ASPath.Sequence(), rt.Communities)
-		} else {
-			fmt.Fprintf(&tape, "%d>%d %s withdraw\n", from, to, prefix)
-		}
-	})
-	w := n.workers
-	if w < 1 {
-		w = 1
-	}
-	total := 0
-	run := func(asn topo.ASN, p netip.Prefix, withdraw bool) {
-		r := n.Router(asn)
-		if withdraw {
-			if r.WithdrawLocal(p) {
-				n.schedule(asn, p)
+	for _, oracle := range []bool{false, true} {
+		for _, w := range []int{1, 2, 8} {
+			n := New(meshGraph(t), nil)
+			n.SetWorkers(w)
+			if oracle {
+				n.UseRoundsOracle()
 			}
-		} else {
-			if r.Originate(p, bgp.C(uint16(asn), 100)) {
-				n.schedule(asn, p)
-			}
+			tape, total := announceAll(t, n)
+			results = append(results, result{fmt.Sprintf("oracle=%v/w%d", oracle, w), tape, total, ribFingerprint(n)})
 		}
-		d, err := n.runRounds(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += d
 	}
-	for i := topo.ASN(100); i < 140; i++ {
-		run(i, netip.PrefixFrom(netx.V4(10, byte(i>>8), byte(i), 0), 24), false)
-	}
-	for i := topo.ASN(100); i < 104; i++ {
-		run(i, netip.PrefixFrom(netx.V4(10, byte(i>>8), byte(i), 0), 24), true)
-	}
-	return tape.String(), total
-}
-
-// TestParallelEngineMatchesSerialRIBs checks the two engines agree on
-// the converged control-plane state (the fixed point is engine-
-// independent even though delivery interleavings differ).
-func TestParallelEngineMatchesSerialRIBs(t *testing.T) {
-	serial := New(meshGraph(t), nil)
-	_, serialTotal := announceAll(t, serial)
-
-	parallel := New(meshGraph(t), nil)
-	parallel.SetWorkers(4)
-	_, parTotal := announceAll(t, parallel)
-
-	if serialTotal == 0 || parTotal == 0 {
+	ref := results[0]
+	if ref.total == 0 {
 		t.Fatal("no deliveries")
 	}
-	if got, want := ribFingerprint(parallel), ribFingerprint(serial); got != want {
-		t.Fatalf("engines converge to different RIBs:\nserial:\n%s\nparallel:\n%s", want, got)
+	for _, r := range results[1:] {
+		if r.total != ref.total {
+			t.Fatalf("%s: deliveries %d vs %s %d", r.name, r.total, ref.name, ref.total)
+		}
+		if r.tape != ref.tape {
+			t.Fatalf("%s: tap transcript diverges from %s", r.name, ref.name)
+		}
+		if r.rib != ref.rib {
+			t.Fatalf("%s: final RIBs diverge from %s", r.name, ref.name)
+		}
 	}
 }
 
-// TestParallelEngineConvergenceBound ensures the round engine still
-// enforces the delivery cap instead of hanging on oscillation.
+// TestParallelEngineConvergenceBound ensures the engine enforces the
+// delivery cap instead of hanging on oscillation.
 func TestParallelEngineConvergenceBound(t *testing.T) {
 	n := New(meshGraph(t), nil)
 	n.SetWorkers(4)

@@ -4,22 +4,22 @@
 // FIBs), looking-glass views, and a session tap that collectors use to
 // record MRT-faithful update streams.
 //
-// Three engines share the Network API (see the Engine option): the
-// serial FIFO queue (default for one worker), the delta-driven event
-// engine (default for SetWorkers > 1, and the one that scales to the
-// large/internet presets), and the legacy round-based parallel engine
-// kept as the delta engine's differential oracle. The parallel engines
-// produce bit-identical convergence counts, tap ordering, and final
-// RIBs for any worker count — and for each other — under a fixed seed.
-// That invariance is what lets the layers above — gen.Params.Workers,
-// core.Pipeline, and the scenario sweep's engine-workers grid dimension
-// — change parallelism without changing results (see ARCHITECTURE.md,
-// "Determinism contracts" and "Engines").
+// Run converges the network with one algorithm, the delta-driven event
+// engine (delta.go); SetWorkers only sizes its pool. Convergence
+// counts, tap ordering, and final RIBs are bit-identical for any worker
+// count under a fixed seed, which is what lets the layers above —
+// gen.Params.Workers, core.Pipeline, and the scenario sweep's
+// engine-workers grid dimension — change parallelism without changing
+// results. The round-based engine in parallel.go delivers in the same
+// canonical order and is kept as the reference the differential tests
+// check the delta engine against (see ARCHITECTURE.md, "Determinism
+// contracts" and "Engine").
 package simnet
 
 import (
 	"fmt"
 	"net/netip"
+	"runtime"
 	"sort"
 	"time"
 
@@ -44,16 +44,11 @@ type Network struct {
 	taps    []UpdateTap
 	steps   int
 	maxWork int
-	// noDedup disables work-item coalescing (ablation knob; see the
-	// event-queue convergence benchmarks in bench_test.go).
-	noDedup bool
-	// workers is the parallel engines' shard pool size; with the
-	// default EngineAuto it also selects the engine (<=1 serial FIFO,
-	// >1 delta).
+	// workers is the engine's shard pool size (SetWorkers).
 	workers int
-	// engine pins the propagation engine (EngineAuto derives it from
-	// workers).
-	engine Engine
+	// oracle routes Run through the rounds reference engine instead of
+	// the delta engine (UseRoundsOracle).
+	oracle bool
 	// delta is the delta engine's cached index and scratch (delta.go).
 	delta *deltaState
 	// frozen marks a network sealed by Freeze: its routers are shared
@@ -62,68 +57,6 @@ type Network struct {
 	// cow marks a network created by Snapshot.Fork: some routers may be
 	// sealed originals that engines must copy-on-write before mutating.
 	cow bool
-	// cloned counts routers this fork has copy-on-written.
-	cloned int
-}
-
-// Engine selects the propagation algorithm Run uses. All engines
-// converge to identical RIBs; the parallel ones (rounds, delta) also
-// share one canonical delivery order, so their tap streams and
-// collector archives are interchangeable. The serial FIFO engine
-// interleaves exports and receives and therefore orders deliveries
-// differently.
-type Engine int
-
-// Engines.
-const (
-	// EngineAuto derives the engine from the worker count: serial for
-	// SetWorkers <= 1, delta otherwise.
-	EngineAuto Engine = iota
-	// EngineSerial is the original FIFO work-queue engine: one delivery
-	// at a time, exports interleaved with receives.
-	EngineSerial
-	// EngineRounds is the legacy barrier-round parallel engine
-	// (parallel.go). It is kept behind this option as the differential
-	// oracle the delta engine is checked against.
-	EngineRounds
-	// EngineDelta is the delta-driven event engine (delta.go): per-router
-	// dirty sets, batched class-shared exports, copy-on-write receives.
-	EngineDelta
-)
-
-// String names the engine.
-func (e Engine) String() string {
-	switch e {
-	case EngineAuto:
-		return "auto"
-	case EngineSerial:
-		return "serial"
-	case EngineRounds:
-		return "rounds"
-	case EngineDelta:
-		return "delta"
-	default:
-		return "unknown"
-	}
-}
-
-// EngineNames lists the engine names ParseEngine accepts.
-func EngineNames() []string { return []string{"auto", "serial", "rounds", "delta"} }
-
-// ParseEngine parses an engine name ("" and "auto" mean EngineAuto).
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "", "auto":
-		return EngineAuto, nil
-	case "serial":
-		return EngineSerial, nil
-	case "rounds":
-		return EngineRounds, nil
-	case "delta":
-		return EngineDelta, nil
-	default:
-		return EngineAuto, fmt.Errorf("simnet: unknown engine %q (want one of %v)", s, EngineNames())
-	}
 }
 
 type workItem struct {
@@ -202,7 +135,7 @@ func (n *Network) Connect(a, b topo.ASN, rel topo.Rel) error {
 }
 
 // Tap registers an update observer and returns a handle for Untap.
-// Both engines fire taps serially in canonical delivery order, so a tap
+// The engine fires taps serially in canonical delivery order, so a tap
 // observes a deterministic stream for any worker count.
 func (n *Network) Tap(t UpdateTap) int {
 	n.taps = append(n.taps, t)
@@ -224,18 +157,12 @@ func (n *Network) Steps() int { return n.steps }
 
 func (n *Network) schedule(asn topo.ASN, p netip.Prefix) {
 	it := workItem{asn: asn, prefix: p.Masked()}
-	if !n.noDedup {
-		if n.queued[it] {
-			return
-		}
-		n.queued[it] = true
+	if n.queued[it] {
+		return
 	}
+	n.queued[it] = true
 	n.queue = append(n.queue, it)
 }
-
-// SetSchedulingDedup toggles work-item coalescing; disabling it is the
-// naive scheduling baseline measured by the convergence ablation bench.
-func (n *Network) SetSchedulingDedup(enabled bool) { n.noDedup = !enabled }
 
 // Announce originates prefix at asn with optional communities and runs the
 // network to convergence, returning the number of deliveries processed.
@@ -273,103 +200,45 @@ func (n *Network) maxDeliveries() int {
 // SetMaxDeliveries overrides the convergence bound (0 = default).
 func (n *Network) SetMaxDeliveries(v int) { n.maxWork = v }
 
-// SetEngine pins the propagation engine Run uses; EngineAuto (the
-// default) derives it from the worker count. Selecting EngineRounds or
-// EngineDelta with one worker runs that engine's canonical-order
-// algorithm serially — the baseline the differential tests compare.
-func (n *Network) SetEngine(e Engine) { n.engine = e }
-
-// EngineChoice returns the pinned engine option (EngineAuto unless
-// SetEngine was called); ResolvedEngine reports what Run will execute.
-func (n *Network) EngineChoice() Engine { return n.engine }
-
-// ResolvedEngine reports the engine Run executes for the current
-// engine/worker configuration.
-func (n *Network) ResolvedEngine() Engine {
-	if n.engine != EngineAuto {
-		return n.engine
+// SetWorkers sizes the engine's shard pool (0 or negative = one per
+// available CPU). It never changes results — convergence counts, tap
+// delivery order, and final RIB state are independent of the worker
+// count: rounds are logical barriers and all cross-router effects are
+// applied in a canonical order, so workers only split work inside a
+// phase.
+func (n *Network) SetWorkers(w int) {
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
-	if n.workers > 1 {
-		return EngineDelta
-	}
-	return EngineSerial
+	n.workers = w
 }
 
-// Run processes the propagation queue until convergence, returning the
-// number of deliveries. With the default EngineAuto, SetWorkers(>1)
-// selects the delta engine; SetEngine pins a specific one.
+// Workers returns the engine's pool size (1 until SetWorkers is called).
+func (n *Network) Workers() int {
+	if n.workers == 0 {
+		return 1
+	}
+	return n.workers
+}
+
+// UseRoundsOracle makes Run execute the rounds reference engine
+// (parallel.go) instead of the delta engine. It exists for the
+// differential tests, which reach it through gen.Params.Engine ==
+// "rounds"; nothing a user can set selects it.
+func (n *Network) UseRoundsOracle() { n.oracle = true }
+
+// Run processes the propagation queue until convergence with the delta
+// engine, returning the number of deliveries.
 func (n *Network) Run() (int, error) {
-	eng := n.ResolvedEngine()
-	start := time.Now()
-	var delivered int
-	var err error
-	switch eng {
-	case EngineRounds:
-		delivered, err = n.runRounds(n.Workers())
-	case EngineDelta:
-		delivered, err = n.runDelta(n.Workers())
-	default:
-		delivered, err = n.runSerial()
+	run, m := n.runDelta, deltaRuns
+	if n.oracle {
+		run, m = n.runRounds, roundsRuns
 	}
-	observeRun(eng, delivered, start)
+	defer m.secs.ObserveSince(time.Now())
+	delivered, err := run(n.Workers())
+	m.runs.Inc()
+	m.deliveries.Add(uint64(delivered))
 	return delivered, err
-}
-
-// runSerial is the original FIFO work-queue engine: one delivery at a
-// time, exports interleaved with receives.
-func (n *Network) runSerial() (int, error) {
-	delivered := 0
-	for len(n.queue) > 0 {
-		it := n.queue[0]
-		n.queue = n.queue[1:]
-		delete(n.queued, it)
-
-		// The serial engine is single-threaded, so copy-on-write can happen
-		// right at the touch points: the source when its exports are
-		// recomputed, each destination when a delivery actually lands.
-		src := n.mutable(it.asn)
-		for _, nb := range src.Neighbors() {
-			if n.routers[nb] == nil {
-				continue // session to an unmodelled node (e.g. a pure tap)
-			}
-			out, decision := src.ExportTo(nb, it.prefix)
-			switch decision {
-			case router.ExportSent:
-				if !src.RecordAdvertised(nb, it.prefix, out) {
-					continue // nothing new on this session
-				}
-				delivered++
-				n.steps++
-				for _, t := range n.taps {
-					if t != nil {
-						t(it.asn, nb, it.prefix, out)
-					}
-				}
-				if res, changed := n.mutable(nb).ReceiveUpdate(it.asn, out); res == router.ImportAccepted && changed {
-					n.schedule(nb, it.prefix)
-				}
-			default:
-				// Anything not sent is a withdrawal if previously sent.
-				if !src.RecordAdvertised(nb, it.prefix, nil) {
-					continue
-				}
-				delivered++
-				n.steps++
-				for _, t := range n.taps {
-					if t != nil {
-						t(it.asn, nb, it.prefix, nil)
-					}
-				}
-				if n.mutable(nb).ReceiveWithdraw(it.asn, it.prefix) {
-					n.schedule(nb, it.prefix)
-				}
-			}
-			if delivered > n.maxDeliveries() {
-				return delivered, fmt.Errorf("simnet: no convergence after %d deliveries", delivered)
-			}
-		}
-	}
-	return delivered, nil
 }
 
 // ASes lists all router ASNs in ascending order.

@@ -16,7 +16,7 @@ import (
 // then copied-on-write the first time a run actually touches them, so a
 // scenario's perturbation costs O(dirty routers), not O(world). The
 // engines pre-clone exactly the routers a round will mutate during their
-// serial phases (see runSerial/runRounds/runDelta), and every mutating
+// serial phases (see runDelta and runRounds), and every mutating
 // entry point on a sealed router panics, so a missed copy is a loud
 // failure instead of cross-fork corruption.
 
@@ -28,9 +28,8 @@ type Snapshot struct {
 	routers map[topo.ASN]*router.Router
 	steps   int
 	maxWork int
-	noDedup bool
 	workers int
-	engine  Engine
+	oracle  bool
 
 	mu        sync.Mutex
 	forks     int
@@ -63,14 +62,10 @@ func (n *Network) Freeze() (*Snapshot, error) {
 		routers: n.routers,
 		steps:   n.steps,
 		maxWork: n.maxWork,
-		noDedup: n.noDedup,
 		workers: n.workers,
-		engine:  n.engine,
+		oracle:  n.oracle,
 	}, nil
 }
-
-// Frozen reports whether the network has been sealed by Freeze.
-func (n *Network) Frozen() bool { return n.frozen }
 
 // Fork returns a mutable network backed by the snapshot's sealed
 // routers. The fork inherits the engine configuration and delivery
@@ -91,9 +86,8 @@ func (s *Snapshot) Fork() (*Network, error) {
 		queued:  make(map[workItem]bool),
 		steps:   s.steps,
 		maxWork: s.maxWork,
-		noDedup: s.noDedup,
 		workers: s.workers,
-		engine:  s.engine,
+		oracle:  s.oracle,
 		cow:     true,
 	}, nil
 }
@@ -134,7 +128,6 @@ func (n *Network) mutable(asn topo.ASN) *router.Router {
 	}
 	cp := r.Clone()
 	n.routers[asn] = cp
-	n.cloned++
 	return cp
 }
 
@@ -142,7 +135,3 @@ func (n *Network) mutable(asn topo.ASN) *router.Router {
 // the returned speaker is safe to mutate in this world. Harness code
 // that edits configs or catalogs after a fork must come through here.
 func (n *Network) MutableRouter(asn topo.ASN) *router.Router { return n.mutable(asn) }
-
-// ClonedRouters reports how many routers this fork has copy-on-written —
-// the O(dirty) denominator warm-path benchmarks track.
-func (n *Network) ClonedRouters() int { return n.cloned }

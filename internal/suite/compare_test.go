@@ -12,9 +12,8 @@ func abSuite() *Suite {
 	return &Suite{
 		Name: "ab",
 		Defaults: Defaults{
-			Scales:  []string{"tiny"},
-			Seeds:   []int64{1, 2, 3},
-			Engines: []string{"delta"},
+			Scales: []string{"tiny"},
+			Seeds:  []int64{1, 2, 3},
 		},
 		Entries: []Entry{
 			{Scenario: "rtbh"},

@@ -28,7 +28,6 @@ type Provenance struct {
 	Arm         string   `json:"arm"`
 	Scenarios   []string `json:"scenarios"`
 	Scales      []string `json:"scales"`
-	Engines     []string `json:"engines"`
 	Seeds       []int64  `json:"seeds"`
 	Cells       int      `json:"cells"`
 	Workers     int      `json:"workers"`
@@ -70,20 +69,15 @@ func NewProvenance(s *Suite, path string, suiteData []byte, rep *Report, workers
 		sum := sha256.Sum256(suiteData)
 		p.SuiteSHA256 = hex.EncodeToString(sum[:])
 	}
-	scales, engines, seeds := map[string]bool{}, map[string]bool{}, map[int64]bool{}
+	scales, seeds := map[string]bool{}, map[int64]bool{}
 	for _, spec := range s.cells() {
 		scales[spec.scale] = true
-		engines[spec.engine] = true
 		seeds[spec.seed] = true
 	}
 	for sc := range scales {
 		p.Scales = append(p.Scales, sc)
 	}
 	sort.Strings(p.Scales)
-	for e := range engines {
-		p.Engines = append(p.Engines, e)
-	}
-	sort.Strings(p.Engines)
 	for seed := range seeds {
 		p.Seeds = append(p.Seeds, seed)
 	}

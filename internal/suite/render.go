@@ -15,7 +15,7 @@ func Render(r *Report) string {
 	fmt.Fprintf(&b, "suite %s · arm %s · detectors: %s\n\n",
 		r.Suite, r.Arm, strings.Join(r.Detectors, ", "))
 
-	t := stats.NewTable("Scenario", "Scale", "Engine", "Seeds", "P mean", "P min", "R mean", "R min", "Var(P)", "Noise", "Gate")
+	t := stats.NewTable("Scenario", "Scale", "Seeds", "P mean", "P min", "R mean", "R min", "Var(P)", "Noise", "Gate")
 	for i := range r.Groups {
 		g := &r.Groups[i]
 		gate := "pass"
@@ -25,7 +25,7 @@ func Render(r *Report) string {
 		if hasError(r, g) {
 			gate = "ERROR"
 		}
-		t.Row(g.Scenario, g.Scale, g.Engine, len(g.Seeds),
+		t.Row(g.Scenario, g.Scale, len(g.Seeds),
 			fmt.Sprintf("%.3f", g.Precision.Mean), fmt.Sprintf("%.3f", g.Precision.Min),
 			fmt.Sprintf("%.3f", g.Recall.Mean), fmt.Sprintf("%.3f", g.Recall.Min),
 			fmt.Sprintf("%.5f", g.Precision.Variance),
@@ -51,7 +51,7 @@ func hasError(r *Report, g *GroupResult) bool {
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		if c.Err != "" && c.Scenario == g.Scenario && c.Scale == g.Scale &&
-			c.Engine == g.Engine && c.CommunitySet == g.CommunitySet {
+			c.CommunitySet == g.CommunitySet {
 			return true
 		}
 	}

@@ -46,7 +46,6 @@ type CellResult struct {
 	Scenario     string `json:"scenario"`
 	Scale        string `json:"scale"`
 	Seed         int64  `json:"seed"`
-	Engine       string `json:"engine"`
 	CommunitySet string `json:"community_set"`
 	// Success / Expected / AsExpected grade the scenario's own Table-3
 	// outcome against its declaration (or the entry's override).
@@ -99,13 +98,12 @@ func aggregate(xs []float64) Aggregate {
 	return a
 }
 
-// GroupResult aggregates one entry×scale×engine group across its
-// seeds and applies the variance gate.
+// GroupResult aggregates one entry×scale group across its seeds and
+// applies the variance gate.
 type GroupResult struct {
 	Key          string    `json:"key"`
 	Scenario     string    `json:"scenario"`
 	Scale        string    `json:"scale"`
-	Engine       string    `json:"engine"`
 	CommunitySet string    `json:"community_set"`
 	Seeds        []int64   `json:"seeds"`
 	Precision    Aggregate `json:"precision"`
@@ -249,7 +247,7 @@ func Run(s *Suite, opt Options) (*Report, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	tr := &trainer{}
-	// One frozen world per (scale, seed, engine) group: every cell in
+	// One frozen world per (scale, seed) group: every cell in
 	// the group forks it instead of rebuilding. The scenario layer's
 	// cache is shared so suite cells and sweep cells run the same code.
 	warm := scenario.NewWarmCache()
@@ -324,7 +322,7 @@ func (s *Suite) runCell(spec cellSpec, arm *Arm, tr *trainer, warm *scenario.War
 	e := &s.Entries[spec.entry]
 	out := CellResult{
 		Key: spec.key(), Scenario: spec.scenario, Scale: spec.scale,
-		Seed: spec.seed, Engine: spec.engine, CommunitySet: spec.communitySet,
+		Seed: spec.seed, CommunitySet: spec.communitySet,
 	}
 	grid := scenario.Grid{
 		Scenarios: []string{spec.scenario},
@@ -332,7 +330,7 @@ func (s *Suite) runCell(spec cellSpec, arm *Arm, tr *trainer, warm *scenario.War
 	}
 	cell := scenario.Cell{
 		Scenario: spec.scenario, Scale: spec.scale, Seed: spec.seed,
-		EngineWorkers: 1, Engine: spec.engine, CommunitySet: spec.communitySet,
+		EngineWorkers: 1, CommunitySet: spec.communitySet,
 	}
 	ctx, err := grid.ContextFor(cell)
 	if err != nil {
@@ -476,8 +474,7 @@ func (s *Suite) groupCells(specs []cellSpec, cells []CellResult) []GroupResult {
 		e := &s.Entries[spec.entry]
 		g := GroupResult{
 			Key: k, Scenario: spec.scenario, Scale: spec.scale,
-			Engine: spec.engine, CommunitySet: spec.communitySet,
-			MaxVariance: s.maxVariance(e),
+			CommunitySet: spec.communitySet, MaxVariance: s.maxVariance(e),
 		}
 		var ps, rs, ns []float64
 		errored := false

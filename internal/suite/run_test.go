@@ -88,9 +88,8 @@ func TestRunGateBreaches(t *testing.T) {
 	s := &Suite{
 		Name: "breaches",
 		Defaults: Defaults{
-			Scales:  []string{"tiny"},
-			Seeds:   []int64{1, 2, 3},
-			Engines: []string{"delta"},
+			Scales: []string{"tiny"},
+			Seeds:  []int64{1, 2, 3},
 		},
 		Entries: []Entry{{
 			Scenario: "rtbh",
@@ -134,9 +133,8 @@ func TestRunExpectOverride(t *testing.T) {
 	s := &Suite{
 		Name: "override",
 		Defaults: Defaults{
-			Scales:  []string{"tiny"},
-			Seeds:   []int64{1, 2, 3},
-			Engines: []string{"delta"},
+			Scales: []string{"tiny"},
+			Seeds:  []int64{1, 2, 3},
 		},
 		Entries: []Entry{{Scenario: "rtbh", Expect: &no}},
 	}

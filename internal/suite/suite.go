@@ -24,7 +24,6 @@ import (
 
 	"bgpworms/internal/gen"
 	"bgpworms/internal/scenario"
-	"bgpworms/internal/simnet"
 	"bgpworms/internal/watch"
 )
 
@@ -123,17 +122,16 @@ func (g *DictGate) validate() error {
 	return nil
 }
 
-// SnapshotGroup declares one warm-world reuse group: a (scale, engine)
-// pair whose member entries all run on exactly those coordinates, so
-// every member cell with the same seed forks one frozen snapshot
+// SnapshotGroup declares one warm-world reuse group: a scale whose
+// member entries all run on exactly that coordinate, so every member
+// cell with the same seed forks one frozen snapshot
 // instead of rebuilding the world. The runner derives reuse from cell
 // coordinates on its own; a named group is the suite author's pinned
 // claim about which entries share worlds, and a member whose grid
 // strays from the group's coordinates is a validation error — snapshot
 // reuse across mismatched worlds would be a silent equivalence break.
 type SnapshotGroup struct {
-	Scale  string `json:"scale"`
-	Engine string `json:"engine"`
+	Scale string `json:"scale"`
 }
 
 // Defaults fill entry dimensions left empty, so a suite states its
@@ -141,7 +139,6 @@ type SnapshotGroup struct {
 type Defaults struct {
 	Scales       []string `json:"scales,omitempty"`
 	Seeds        []int64  `json:"seeds,omitempty"`
-	Engines      []string `json:"engines,omitempty"`
 	CommunitySet string   `json:"community_set,omitempty"`
 	// VPs is the Atlas vantage-point count per cell (scenario default
 	// when 0).
@@ -159,11 +156,10 @@ type Defaults struct {
 type Entry struct {
 	// Scenario is the registry name (internal/attack registrations).
 	Scenario string `json:"scenario"`
-	// Scales / Seeds / Engines / CommunitySet fan the cell grid; empty
-	// dimensions inherit the suite defaults.
+	// Scales / Seeds / CommunitySet fan the cell grid; empty dimensions
+	// inherit the suite defaults.
 	Scales       []string `json:"scales,omitempty"`
 	Seeds        []int64  `json:"seeds,omitempty"`
-	Engines      []string `json:"engines,omitempty"`
 	CommunitySet string   `json:"community_set,omitempty"`
 	// Params are fixed scenario parameter overrides for every cell.
 	Params map[string]string `json:"params,omitempty"`
@@ -179,7 +175,7 @@ type Entry struct {
 	// cell and gates its quality.
 	Dict *DictGate `json:"dict,omitempty"`
 	// SnapshotGroup names a suite-level SnapshotGroup this entry belongs
-	// to; validation pins the entry's scales and engines to the group's.
+	// to; validation pins the entry's scale to the group's.
 	SnapshotGroup string `json:"snapshot_group,omitempty"`
 }
 
@@ -231,7 +227,7 @@ func Parse(data []byte) (*Suite, error) {
 }
 
 // Validate checks the suite against the scenario and detector
-// registries and the simulation preset/engine catalogs.
+// registries and the simulation preset catalog.
 func (s *Suite) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("suite: missing name")
@@ -250,16 +246,8 @@ func (s *Suite) Validate() error {
 			return fmt.Errorf("suite %s: defaults: %w", s.Name, err)
 		}
 	}
-	for _, e := range s.Defaults.Engines {
-		if _, err := simnet.ParseEngine(e); err != nil {
-			return fmt.Errorf("suite %s: defaults: %w", s.Name, err)
-		}
-	}
 	for name, g := range s.SnapshotGroups {
 		if _, err := gen.Preset(g.Scale); err != nil {
-			return fmt.Errorf("suite %s: snapshot group %s: %w", s.Name, name, err)
-		}
-		if _, err := simnet.ParseEngine(g.Engine); err != nil {
 			return fmt.Errorf("suite %s: snapshot group %s: %w", s.Name, name, err)
 		}
 	}
@@ -295,11 +283,6 @@ func (s *Suite) validateEntry(e *Entry) error {
 			return err
 		}
 	}
-	for _, eng := range e.Engines {
-		if _, err := simnet.ParseEngine(eng); err != nil {
-			return err
-		}
-	}
 	if err := sc.Validate(scenario.Values(e.Params)); err != nil {
 		return err
 	}
@@ -331,15 +314,10 @@ func (s *Suite) validateEntry(e *Entry) error {
 			return fmt.Errorf("unknown snapshot group %q", e.SnapshotGroup)
 		}
 		scales := pick(e.Scales, s.Defaults.Scales, []string{scenario.DefaultScale})
-		engines := pick(e.Engines, s.Defaults.Engines, []string{"delta"})
 		if len(scales) != 1 || scales[0] != g.Scale {
 			return fmt.Errorf("snapshot group %q pins scale %q but the entry runs on %v; "+
 				"snapshot reuse across mismatched worlds is not a cache miss, it is a different experiment",
 				e.SnapshotGroup, g.Scale, scales)
-		}
-		if len(engines) != 1 || engines[0] != g.Engine {
-			return fmt.Errorf("snapshot group %q pins engine %q but the entry runs on %v",
-				e.SnapshotGroup, g.Engine, engines)
 		}
 	}
 	return nil
@@ -351,23 +329,24 @@ type cellSpec struct {
 	scenario     string
 	scale        string
 	seed         int64
-	engine       string
 	communitySet string
 }
 
 // key is the canonical pairing identity of a cell across suite runs
-// and A/B arms.
+// and A/B arms. The fixed "delta" segment is where the retired engine
+// dimension sat; it stays so reports and baselines recorded before the
+// dimension went still pair cell for cell.
 func (c cellSpec) key() string {
-	return fmt.Sprintf("%d/%s/%s/%s/%s/seed=%d", c.entry, c.scenario, c.scale, c.engine, c.communitySet, c.seed)
+	return fmt.Sprintf("%s/seed=%d", c.groupKey(), c.seed)
 }
 
 // groupKey identifies the cross-seed aggregation group.
 func (c cellSpec) groupKey() string {
-	return fmt.Sprintf("%d/%s/%s/%s/%s", c.entry, c.scenario, c.scale, c.engine, c.communitySet)
+	return fmt.Sprintf("%d/%s/%s/delta/%s", c.entry, c.scenario, c.scale, c.communitySet)
 }
 
-// cells expands the suite into canonical order: entry, scale, seed,
-// engine (outermost first). Validation has already run; expansion is
+// cells expands the suite into canonical order: entry, scale, seed
+// (outermost first). Validation has already run; expansion is
 // mechanical.
 func (s *Suite) cells() []cellSpec {
 	var out []cellSpec
@@ -378,7 +357,6 @@ func (s *Suite) cells() []cellSpec {
 		if len(seeds) == 0 {
 			seeds = s.Defaults.Seeds
 		}
-		engines := pick(e.Engines, s.Defaults.Engines, []string{"delta"})
 		set := e.CommunitySet
 		if set == "" {
 			set = s.Defaults.CommunitySet
@@ -388,12 +366,10 @@ func (s *Suite) cells() []cellSpec {
 		}
 		for _, scale := range scales {
 			for _, seed := range seeds {
-				for _, eng := range engines {
-					out = append(out, cellSpec{
-						entry: i, scenario: e.Scenario, scale: scale,
-						seed: seed, engine: eng, communitySet: set,
-					})
-				}
+				out = append(out, cellSpec{
+					entry: i, scenario: e.Scenario, scale: scale,
+					seed: seed, communitySet: set,
+				})
 			}
 		}
 	}

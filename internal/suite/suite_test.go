@@ -10,7 +10,7 @@ import (
 func validSuiteJSON() string {
 	return `{
 		"name": "t",
-		"defaults": {"scales": ["tiny"], "seeds": [1, 2, 3], "engines": ["delta"]},
+		"defaults": {"scales": ["tiny"], "seeds": [1, 2, 3]},
 		"entries": [{"scenario": "rtbh", "min_precision": 0.9}]
 	}`
 }
@@ -42,9 +42,11 @@ func TestParseRejects(t *testing.T) {
 		{"no seeds at all", `{"name": "t", "entries": [{"scenario": "rtbh"}]}`, "at least 3"},
 		{"duplicate seeds", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1, 1, 2]}]}`, "duplicate seed"},
 		{"bad scale", `{"name": "t", "defaults": {"seeds": [1,2,3]}, "entries": [{"scenario": "rtbh", "scales": ["galactic"]}]}`, "galactic"},
-		{"bad engine", `{"name": "t", "defaults": {"seeds": [1,2,3]}, "entries": [{"scenario": "rtbh", "engines": ["warp"]}]}`, "warp"},
+		// The engines dimension is retired: the key itself is refused,
+		// whatever it names.
+		{"bad engine", `{"name": "t", "defaults": {"seeds": [1,2,3]}, "entries": [{"scenario": "rtbh", "engines": ["delta"]}]}`, "unknown field"},
 		{"bad default scale", `{"name": "t", "defaults": {"scales": ["galactic"], "seeds": [1,2,3]}, "entries": [{"scenario": "rtbh"}]}`, "galactic"},
-		{"bad default engine", `{"name": "t", "defaults": {"engines": ["warp"], "seeds": [1,2,3]}, "entries": [{"scenario": "rtbh"}]}`, "warp"},
+		{"bad default engine", `{"name": "t", "defaults": {"engines": ["delta"], "seeds": [1,2,3]}, "entries": [{"scenario": "rtbh"}]}`, "unknown field"},
 		{"precision above one", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "min_precision": 1.5}]}`, "min_precision"},
 		{"negative variance", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "max_variance": -0.1}]}`, "max_variance"},
 		{"negative noise cap", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "max_noise_alerts": -1}]}`, "max_noise_alerts"},

@@ -62,16 +62,6 @@ func (e *Engine) IngestObservations(c *collector.Collector) int {
 	return len(obs)
 }
 
-// AttachCollector subscribes the engine to a collector's live export:
-// every observation the collector records from now on is ingested as it
-// happens (blocking ingest — collector recording is already off the
-// simulation hot path).
-func (e *Engine) AttachCollector(c *collector.Collector) {
-	c.OnObservation(func(ob collector.Observation) {
-		e.Ingest(eventFromObservation(c, &ob))
-	})
-}
-
 func eventFromObservation(c *collector.Collector, ob *collector.Observation) Event {
 	ev := Event{
 		Time:   ob.Time,
