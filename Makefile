@@ -6,7 +6,7 @@ GO      ?= go
 # (BENCH_ci.json), committed trajectory points use BENCH_pr<N>.json.
 BENCH_OUT ?= BENCH_ci.json
 
-.PHONY: build test race bench bench-smoke suite-gate lint fmt examples watch-smoke coverage fuzz-smoke ci
+.PHONY: build test race bench suite-gate lint fmt examples watch-smoke coverage fuzz-smoke ci
 
 build:
 	$(GO) build ./...

@@ -526,35 +526,43 @@ func BenchmarkSimnetEngines(b *testing.B) {
 
 // BenchmarkLargeWorldBuild builds and converges the paper-scale presets
 // under the delta engine: large (~10k ASes) and internet (~63k ASes,
-// the study's April 2018 AS count, degree-skewed). One benchtime-1x
-// iteration in the CI bench job is the standing proof that a full
-// internet-scale world builds and converges on the CI box.
+// the study's April 2018 AS count, degree-skewed), each on one worker
+// and on one per CPU — the scaling pair ROADMAP item 2 asks for. One
+// benchtime-1x iteration in the CI bench job is the standing proof that
+// a full internet-scale world builds and converges on the CI box; at 1x
+// the pair shows a direction, not a measured speed-up.
 func BenchmarkLargeWorldBuild(b *testing.B) {
+	arms := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		arms = append(arms, n)
+	}
 	for _, scale := range []string{"large", "internet"} {
-		b.Run(scale, func(b *testing.B) {
-			runtime.GC()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, err := gen.Preset(scale)
-				if err != nil {
-					b.Fatal(err)
+		for _, workers := range arms {
+			b.Run(fmt.Sprintf("%s/workers=%d", scale, workers), func(b *testing.B) {
+				runtime.GC()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p, err := gen.Preset(scale)
+					if err != nil {
+						b.Fatal(err)
+					}
+					p.Workers = workers
+					w, err := gen.Build(p)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := w.RunChurn(); err != nil {
+						b.Fatal(err)
+					}
+					if got := w.Graph.NumASes(); got < 10000 {
+						b.Fatalf("ases=%d, want a paper-scale world", got)
+					}
+					b.ReportMetric(float64(w.Graph.NumASes()), "ases")
+					b.ReportMetric(float64(w.Net.Steps()), "deliveries")
+					b.ReportMetric(float64(len(w.AllPrefixes())), "prefixes")
 				}
-				p.Workers = runtime.GOMAXPROCS(0)
-				w, err := gen.Build(p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := w.RunChurn(); err != nil {
-					b.Fatal(err)
-				}
-				if got := w.Graph.NumASes(); got < 10000 {
-					b.Fatalf("ases=%d, want a paper-scale world", got)
-				}
-				b.ReportMetric(float64(w.Graph.NumASes()), "ases")
-				b.ReportMetric(float64(w.Net.Steps()), "deliveries")
-				b.ReportMetric(float64(len(w.AllPrefixes())), "prefixes")
-			}
-		})
+			})
+		}
 	}
 }
 

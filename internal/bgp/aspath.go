@@ -1,6 +1,7 @@
 package bgp
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -92,16 +93,47 @@ func (p ASPath) Prepend(asn uint32, n int) ASPath {
 	if n <= 0 {
 		return p.Clone()
 	}
-	pre := make([]uint32, n)
-	for i := range pre {
-		pre[i] = asn
+	var head []uint32 // the leading sequence the repeats join, if there is one
+	rest := p
+	if len(p) > 0 && p[0].Type == SegmentSequence {
+		head, rest = p[0].ASNs, p[1:]
 	}
-	out := p.Clone()
-	if len(out) > 0 && out[0].Type == SegmentSequence {
-		out[0].ASNs = append(pre, out[0].ASNs...)
-		return out
+	lead := make([]uint32, n, n+len(head))
+	for i := range lead {
+		lead[i] = asn
 	}
-	return append(ASPath{{Type: SegmentSequence, ASNs: pre}}, out...)
+	out := make(ASPath, 1, 1+len(rest))
+	out[0] = PathSegment{Type: SegmentSequence, ASNs: append(lead, head...)}
+	for _, seg := range rest {
+		out = append(out, PathSegment{Type: seg.Type, ASNs: append([]uint32(nil), seg.ASNs...)})
+	}
+	return out
+}
+
+// IsPrepend reports whether p is what q.Prepend(asn, n) builds — the same
+// segments, not merely the same flattened sequence — without allocating.
+func (p ASPath) IsPrepend(q ASPath, asn uint32, n int) bool {
+	if n <= 0 {
+		return equalSegments(p, q)
+	}
+	if len(p) == 0 || p[0].Type != SegmentSequence || len(p[0].ASNs) < n {
+		return false
+	}
+	for _, a := range p[0].ASNs[:n] {
+		if a != asn {
+			return false
+		}
+	}
+	if len(q) > 0 && q[0].Type == SegmentSequence {
+		return len(p) == len(q) && slices.Equal(p[0].ASNs[n:], q[0].ASNs) && equalSegments(p[1:], q[1:])
+	}
+	return len(p[0].ASNs) == n && equalSegments(p[1:], q)
+}
+
+func equalSegments(p, q ASPath) bool {
+	return slices.EqualFunc(p, q, func(a, b PathSegment) bool {
+		return a.Type == b.Type && slices.Equal(a.ASNs, b.ASNs)
+	})
 }
 
 // EqualSequence reports whether both paths flatten to the same ASN

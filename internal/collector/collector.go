@@ -82,7 +82,8 @@ type Observation struct {
 	Time   time.Time
 	PeerAS topo.ASN
 	Prefix netip.Prefix
-	// Route is nil for withdrawals.
+	// Route is nil for withdrawals. It is the object the network
+	// delivered, shared with router tables: read-only.
 	Route *policy.Route
 }
 
@@ -180,12 +181,10 @@ func (c *Collector) tap(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route
 	}
 	c.seq++
 	c.clock = c.clock.Add(37 * time.Millisecond) // logical session clock
-	var cp *policy.Route
-	if rt != nil {
-		cp = rt.Clone()
-	}
-	ob := Observation{Seq: c.seq, Time: c.clock, PeerAS: from, Prefix: prefix, Route: cp}
-	c.obs = append(c.obs, ob)
+	// The delivered route is recorded as it is, not copied: both engines
+	// treat an exported route as immutable (a later export of the prefix
+	// is a new object), and readers copy what they keep.
+	c.obs = append(c.obs, Observation{Seq: c.seq, Time: c.clock, PeerAS: from, Prefix: prefix, Route: rt})
 	observationsTotal.Inc()
 }
 

@@ -66,6 +66,57 @@ func TestFullFeedRecordsUpdates(t *testing.T) {
 	}
 }
 
+// TestRecordedRouteSurvivesReExport: the tap keeps the delivered route
+// object instead of a copy, which is only sound if nothing ever edits a
+// route after it was exported. Re-announce the prefix with different
+// communities, withdraw it, and announce it again — under both engines —
+// and the first observation must still read, and serialize, as it did
+// when it was recorded.
+func TestRecordedRouteSurvivesReExport(t *testing.T) {
+	for _, oracle := range []bool{false, true} {
+		n := testNet(t)
+		if oracle {
+			n.UseRoundsOracle()
+		}
+		c := New(PlatformRIS, "rrc00", 60001, t0)
+		c.AddPeer(Peer{AS: 3, Feed: FullFeed})
+		if err := c.Attach(n); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.Announce(1, pfx, bgp.C(1, 200)); err != nil {
+			t.Fatal(err)
+		}
+		first := c.Observations()[0]
+		want := first.Route.Clone()
+		wantWire, err := observationToUpdate(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range []func() (int, error){
+			func() (int, error) { return n.Announce(1, pfx, bgp.C(1, 300), bgp.C(1, 301)) },
+			func() (int, error) { return n.Withdraw(1, pfx) },
+			func() (int, error) { return n.Announce(1, pfx) },
+		} {
+			if _, err := step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := len(c.Observations()); got != 4 {
+			t.Fatalf("oracle=%v: %d observations, want 4 (announce, re-announce, withdraw, announce)", oracle, got)
+		}
+		got := c.Observations()[0]
+		if got.Route.String() != want.String() {
+			t.Errorf("oracle=%v: first observation now reads %v, recorded as %v", oracle, got.Route, want)
+		}
+		gotWire, _ := observationToUpdate(got)
+		a, _ := wantWire.Encode()
+		b, _ := gotWire.Encode()
+		if !bytes.Equal(a, b) {
+			t.Errorf("oracle=%v: first observation serializes differently after later exports", oracle)
+		}
+	}
+}
+
 func TestCustomerFeedSeesOnlyCustomerRoutes(t *testing.T) {
 	n := testNet(t)
 	c := New(PlatformPCH, "ixp-rs", 60002, t0)

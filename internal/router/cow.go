@@ -3,8 +3,6 @@ package router
 import (
 	"fmt"
 	"maps"
-	"net/netip"
-	"slices"
 )
 
 // Sealing turns a converged router into the shared, immutable backbone of
@@ -31,20 +29,24 @@ func (r *Router) mustMutable() {
 }
 
 // Clone returns an unsealed deep-enough copy for copy-on-write forking:
-// table structure (neighbor sets, per-prefix candidate and Adj-RIB-Out
-// slices, config maps) is private to the clone, while the immutable route
-// objects themselves — AS-path and community slabs — stay shared with the
-// sealed original. Mutating the clone can therefore never reach a sibling
-// fork: every in-place write path (storeAdjIn, withdraw, RecordAdvertised,
+// table structure (neighbor set, slots, both slabs, config maps) is
+// private to the clone — a page-by-page copy, a few allocations however
+// many prefixes the router holds — while the immutable route objects
+// themselves — AS-path and community slabs — stay shared with the sealed
+// original. Mutating the clone can therefore never reach a sibling fork:
+// every in-place write path (storeAdjIn, withdraw, RecordAdvertisedAll,
 // EnableFullCommunityExport) lands in clone-owned backing arrays or maps,
-// and routes are replaced wholesale, never edited.
+// and routes are replaced wholesale, never edited. The clone reads ids
+// through the original's table until Rebind moves it.
 func (r *Router) Clone() *Router {
 	cp := &Router{
 		cfg:       r.cfg,
 		neighbors: maps.Clone(r.neighbors),
 		nbVersion: r.nbVersion,
-		locals:    maps.Clone(r.locals),
-		state:     make(map[netip.Prefix]*prefixState, len(r.state)),
+		tbl:       r.tbl,
+		slots:     r.slots.clone(),
+		in:        r.in.clone(),
+		out:       r.out.clone(),
 		bestLen:   r.bestLen,
 	}
 	cp.cfg.SendCommunity = maps.Clone(r.cfg.SendCommunity)
@@ -54,13 +56,6 @@ func (r *Router) Clone() *Router {
 	cp.cfg.LocationTags = maps.Clone(r.cfg.LocationTags)
 	cp.cfg.CustomerPrefixes = maps.Clone(r.cfg.CustomerPrefixes)
 	cp.cfg.OriginAuth = maps.Clone(r.cfg.OriginAuth)
-	for p, st := range r.state {
-		cp.state[p] = &prefixState{
-			in:   slices.Clone(st.in),
-			best: st.best,
-			out:  slices.Clone(st.out),
-		}
-	}
 	// The LPM trie is rebuilt from scratch whenever it goes stale, never
 	// patched in place, so sharing the current trie (or the stale flag)
 	// with the sealed parent is safe — but a sibling fork may be driving

@@ -2,70 +2,50 @@ package router
 
 import (
 	"net/netip"
-	"sort"
+	"slices"
 
 	"bgpworms/internal/netx"
 	"bgpworms/internal/policy"
 	"bgpworms/internal/topo"
 )
 
-// decide recomputes the best route for p and reports whether it changed.
-// Only the exact-match map is maintained eagerly; the longest-prefix-
-// match trie is marked stale and rebuilt on the next data-plane read
-// (ensureRIB), since convergence changes best routes thousands of times
-// between FIB queries.
-func (r *Router) decide(p netip.Prefix) bool {
-	st := r.state[p]
-	e, ok := r.selectBest(p, st)
+// decide recomputes the best route for prefix id and reports whether it
+// changed. The slot keeps the winning candidate itself — no route is
+// built here — and only marks the longest-prefix-match trie stale; it is
+// rebuilt on the next data-plane read (ensureRIB), since convergence
+// changes best routes thousands of times between FIB queries.
+func (r *Router) decide(id uint32) bool {
+	st := r.slots.at(id)
+	if st == nil {
+		return false // never written: no candidates, no best
+	}
+	e, ok := selectBest(r.in.view(st.in))
 	if !ok {
-		if st == nil || st.best == nil {
+		if st.best.rt == nil {
 			return false
 		}
-		st.best = nil
+		st.best = inEntry{}
 		r.bestLen--
-		r.gcState(p, st)
 		r.ribStale = true
 		return true
 	}
-	if st == nil {
-		st = r.stateFor(p) // locally originated, first decision
-	}
-	if st.best != nil && sameEntryRoute(st.best, e) {
+	if st.best.rt != nil && sameEntry(st.best, e) {
 		// The stored best already equals the winning candidate (including
-		// community-only changes — sameEntryRoute compares them).
+		// community-only changes — sameEntry compares them).
 		return false
 	}
-	if st.best == nil {
+	if st.best.rt == nil {
 		r.bestLen++
 	}
-	st.best = materialize(e)
+	st.best = e
 	r.ribStale = true
 	return true
 }
 
-// materialize turns the winning Adj-RIB-In entry into a full Loc-RIB
-// route. Entries whose route already carries the entry attributes
-// (locally originated prefixes, and routes the mutating import path
-// built privately) are stored as-is; interned entries that alias a
-// shared export object get one private copy here — per best-route
-// change, not per delivery.
-func materialize(e inEntry) *policy.Route {
-	rt := e.rt
-	if rt.NextHopAS == e.from && rt.FromRel == e.rel && rt.LocalPref == e.lp && rt.Blackhole == e.bh {
-		return rt
-	}
-	out := *rt
-	out.NextHopAS = e.from
-	out.FromRel = e.rel
-	out.LocalPref = e.lp
-	out.Blackhole = e.bh
-	return &out
-}
-
-// ensureRIB rebuilds the longest-prefix-match trie from the exact-match
-// Loc-RIB if best routes changed since the last data-plane read. The
-// trie's shape depends only on the stored prefixes (bit paths), so the
-// rebuild is deterministic regardless of map iteration order.
+// ensureRIB rebuilds the longest-prefix-match trie from the slots if best
+// routes changed since the last data-plane read. The trie's shape depends
+// only on the stored prefixes (bit paths), so neither slot order nor the
+// ids it holds can show in what a lookup or a walk returns.
 func (r *Router) ensureRIB() {
 	if r.sealed {
 		// Sealed routers are shared read-only across concurrent forks, and
@@ -79,37 +59,31 @@ func (r *Router) ensureRIB() {
 	if !r.ribStale {
 		return
 	}
-	t := netx.NewTrie[*policy.Route]()
-	for p, st := range r.state {
-		if st.best != nil {
-			t.Insert(p, st.best)
+	t := netx.NewTrie[uint32]()
+	for id, st := range r.slots.all() {
+		if st.best.rt != nil {
+			t.Insert(st.best.rt.Prefix, id)
 		}
 	}
 	r.locRIB = t
 	r.ribStale = false
 }
 
-// selectBest runs the decision process over local + Adj-RIB-In
-// candidates. Candidates are already sorted by neighbor ASN, so the
-// scan needs no allocation and ties break deterministically.
-func (r *Router) selectBest(p netip.Prefix, st *prefixState) (inEntry, bool) {
-	var best inEntry
-	found := false
-	if len(r.locals) > 0 {
-		if lr, ok := r.locals[p]; ok {
-			best = inEntry{from: 0, rel: topo.RelNone, lp: lr.LocalPref, bh: lr.Blackhole, rt: lr}
-			found = true
+// selectBest runs the decision process over a prefix's candidates — the
+// local origination, if any, and the Adj-RIB-In entries. They are sorted
+// by neighbor ASN, so the scan needs no allocation and ties break
+// deterministically.
+func selectBest(cands []inEntry) (inEntry, bool) {
+	if len(cands) == 0 {
+		return inEntry{}, false
+	}
+	best := cands[0]
+	for _, c := range cands[1:] {
+		if betterEntry(c, best) {
+			best = c
 		}
 	}
-	if st != nil {
-		for _, c := range st.in {
-			if !found || betterEntry(c, best) {
-				best = c
-				found = true
-			}
-		}
-	}
-	return best, found
+	return best, true
 }
 
 // betterEntry implements the BGP decision process over Adj-RIB-In
@@ -161,17 +135,19 @@ func sameRoute(a, b *policy.Route) bool {
 	return samePathAndComms(a, b)
 }
 
-// sameEntryRoute is sameRoute against an Adj-RIB-In entry, reading the
-// import-derived attributes from the entry.
-func sameEntryRoute(old *policy.Route, e inEntry) bool {
-	if old == nil {
+// sameEntry is sameRoute between two candidates, reading the
+// import-derived attributes from the entries.
+func sameEntry(a, b inEntry) bool {
+	if a.from != b.from || a.lp != b.lp || a.bh != b.bh {
 		return false
 	}
-	if old.Prefix != e.rt.Prefix || old.NextHopAS != e.from || old.LocalPref != e.lp ||
-		old.Blackhole != e.bh || old.Origin != e.rt.Origin || old.MED != e.rt.MED {
+	if a.rt == b.rt {
+		return true
+	}
+	if a.rt.Prefix != b.rt.Prefix || a.rt.Origin != b.rt.Origin || a.rt.MED != b.rt.MED {
 		return false
 	}
-	return samePathAndComms(old, e.rt)
+	return samePathAndComms(a.rt, b.rt)
 }
 
 func samePathAndComms(a, b *policy.Route) bool {
@@ -191,19 +167,22 @@ func samePathAndComms(a, b *policy.Route) bool {
 
 // BestRoute returns the Loc-RIB entry for exactly p.
 func (r *Router) BestRoute(p netip.Prefix) (*policy.Route, bool) {
-	st := r.state[p.Masked()]
-	if st == nil || st.best == nil {
+	_, st := r.lookup(p)
+	if st == nil || st.best.rt == nil {
 		return nil, false
 	}
-	return st.best, true
+	return st.best.Route(), true
 }
 
 // LookupFIB performs longest-prefix match for a destination address,
 // returning the best route covering it — the data-plane view.
 func (r *Router) LookupFIB(addr netip.Addr) (*policy.Route, bool) {
 	r.ensureRIB()
-	_, rt, ok := r.locRIB.Lookup(addr)
-	return rt, ok
+	_, id, ok := r.locRIB.Lookup(addr)
+	if !ok {
+		return nil, false
+	}
+	return r.slots.at(id).best.Route(), true
 }
 
 // RIB returns every Loc-RIB route in canonical prefix order — the looking
@@ -211,8 +190,8 @@ func (r *Router) LookupFIB(addr netip.Addr) (*policy.Route, bool) {
 func (r *Router) RIB() []*policy.Route {
 	r.ensureRIB()
 	out := make([]*policy.Route, 0, r.locRIB.Len())
-	r.locRIB.Walk(func(_ netip.Prefix, rt *policy.Route) bool {
-		out = append(out, rt)
+	r.locRIB.Walk(func(_ netip.Prefix, id uint32) bool {
+		out = append(out, r.slots.at(id).best.Route())
 		return true
 	})
 	return out
@@ -222,16 +201,20 @@ func (r *Router) RIB() []*policy.Route {
 // (canonical prefix order, then ascending neighbor ASN). Collectors use
 // this to emit TABLE_DUMP_V2 snapshots with one entry per peer.
 func (r *Router) EachAdjIn(fn func(p netip.Prefix, from topo.ASN, rt *policy.Route)) {
-	prefixes := make([]netip.Prefix, 0, len(r.state))
-	for p, st := range r.state {
-		if len(st.in) > 0 {
-			prefixes = append(prefixes, p)
+	var runs [][]inEntry
+	for _, st := range r.slots.all() {
+		c := r.in.view(st.in)
+		if len(c) > 0 && c[0].from == 0 {
+			c = c[1:] // the local origination is not learned
+		}
+		if len(c) > 0 {
+			runs = append(runs, c)
 		}
 	}
-	sort.Slice(prefixes, func(i, j int) bool { return netx.ComparePrefix(prefixes[i], prefixes[j]) < 0 })
-	for _, p := range prefixes {
-		for _, c := range r.state[p].in { // already sorted by neighbor ASN
-			fn(p, c.from, materialize(c))
+	slices.SortFunc(runs, func(a, b []inEntry) int { return netx.ComparePrefix(a[0].rt.Prefix, b[0].rt.Prefix) })
+	for _, c := range runs {
+		for _, e := range c { // already sorted by neighbor ASN
+			fn(e.rt.Prefix, e.from, e.Route())
 		}
 	}
 }
@@ -240,7 +223,7 @@ func (r *Router) EachAdjIn(fn func(p netip.Prefix, from topo.ASN, rt *policy.Rou
 func (r *Router) Prefixes() []netip.Prefix {
 	r.ensureRIB()
 	out := make([]netip.Prefix, 0, r.locRIB.Len())
-	r.locRIB.Walk(func(p netip.Prefix, _ *policy.Route) bool {
+	r.locRIB.Walk(func(p netip.Prefix, _ uint32) bool {
 		out = append(out, p)
 		return true
 	})

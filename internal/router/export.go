@@ -1,8 +1,9 @@
 package router
 
 import (
+	"cmp"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/policy"
@@ -50,44 +51,48 @@ func (d ExportDecision) String() string {
 //
 // The returned route is a fresh copy safe for the receiver to mutate.
 func (r *Router) ExportTo(neighbor topo.ASN, p netip.Prefix) (*policy.Route, ExportDecision) {
-	pst := r.state[p.Masked()]
-	if pst == nil || pst.best == nil {
+	_, st := r.lookup(p)
+	if st == nil || st.best.rt == nil {
 		return nil, ExportNothing
 	}
-	best := pst.best
+	return r.exportTo(neighbor, st.best)
+}
+
+// exportTo is ExportTo for a resolved best entry.
+func (r *Router) exportTo(neighbor topo.ASN, best inEntry) (*policy.Route, ExportDecision) {
 	rel, ok := r.neighbors[neighbor]
 	if !ok {
 		return nil, ExportNothing
 	}
 	// Never send a route back to the neighbor we learned it from.
-	if best.NextHopAS == neighbor {
+	if best.from == neighbor {
 		return nil, ExportSuppressedGaoRexford
 	}
 	// Gao-Rexford: routes from peers/providers go to customers only.
 	// Route servers (ReflectAll) redistribute everything.
-	fromCustomerOrLocal := best.NextHopAS == 0 || best.FromRel == topo.RelCustomer
+	fromCustomerOrLocal := best.from == 0 || best.rel == topo.RelCustomer
 	if !fromCustomerOrLocal && rel != topo.RelCustomer && !r.cfg.ReflectAll {
 		return nil, ExportSuppressedGaoRexford
 	}
 	// Well-known communities.
-	if best.Communities.Has(bgp.CommunityNoAdvertise) {
+	if best.rt.Communities.Has(bgp.CommunityNoAdvertise) {
 		return nil, ExportSuppressedNoAdvertise
 	}
-	if best.Communities.Has(bgp.CommunityNoExport) {
+	if best.rt.Communities.Has(bgp.CommunityNoExport) {
 		return nil, ExportSuppressedNoExport
 	}
-	if best.Communities.Has(bgp.CommunityNoPeer) && rel == topo.RelPeer {
+	if best.rt.Communities.Has(bgp.CommunityNoPeer) && rel == topo.RelPeer {
 		return nil, ExportSuppressedNoExport
 	}
 
 	// Community services owned by this AS, evaluated in catalog order —
 	// the order itself resolves announce/no-announce conflicts (§5.3).
-	fromCustomer := best.FromRel == topo.RelCustomer
+	fromCustomer := best.rel == topo.RelCustomer
 	prepend := 0
 	hasAnnounceTo := false
 	announceDecided := false
 	announceAllowed := true
-	for _, svc := range r.cfg.Catalog.Active(best.Communities, fromCustomer || best.NextHopAS == 0) {
+	for _, svc := range r.cfg.Catalog.Active(best.rt.Communities, fromCustomer || best.from == 0) {
 		switch svc.Kind {
 		case policy.SvcNoExport:
 			return nil, ExportSuppressedService
@@ -117,7 +122,7 @@ func (r *Router) ExportTo(neighbor topo.ASN, p netip.Prefix) (*policy.Route, Exp
 		return nil, ExportSuppressedService
 	}
 
-	out := best.Clone()
+	out := best.rt.Clone()
 	selfHops := 1 + prepend
 	if r.cfg.Transparent {
 		selfHops = prepend // route servers stay off the AS path
@@ -195,9 +200,9 @@ func (r *Router) Hints(nbs []topo.ASN) *ExportHints {
 	return h
 }
 
-// ExportAll computes the export of p toward every neighbor in nbs,
-// appending one ExportItem per neighbor to buf — exactly what ExportTo
-// would decide and build, in nbs order — while doing the
+// ExportAll computes the export of prefix id toward every neighbor in
+// nbs, appending one ExportItem per neighbor to buf — exactly what
+// ExportTo would decide and build, in nbs order — while doing the
 // neighbor-independent work (best-route lookup, service-catalog scan,
 // AS-path prepending, community propagation) once per call instead of
 // once per session. Neighbors with the same effective community policy
@@ -205,33 +210,37 @@ func (r *Router) Hints(nbs []topo.ASN) *ExportHints {
 // AS-path/community slab per (prefix, policy class) export instead of
 // one private copy per session. Emitted routes are therefore shared:
 // receivers must not mutate them in place (the delta engine pairs this
-// with ReceiveShared, whose copy-on-write import honours that
-// contract). Every nbs entry must be a registered neighbor when hints
-// is non-nil; with nil hints unknown neighbors emit ExportNothing.
-func (r *Router) ExportAll(p netip.Prefix, nbs []topo.ASN, hints *ExportHints, buf []ExportItem) []ExportItem {
-	pst := r.state[p.Masked()]
-	if pst == nil || pst.best == nil {
+// with ReceiveSharedNoDecide, whose copy-on-write import honours that
+// contract). A class whose first session was last sent exactly what the
+// class would build re-emits that recorded object instead of building an
+// equal one, so an export that changes nothing allocates nothing. Every
+// nbs entry must be a registered neighbor when hints is non-nil; with nil
+// hints unknown neighbors emit ExportNothing.
+func (r *Router) ExportAll(id uint32, nbs []topo.ASN, hints *ExportHints, buf []ExportItem) []ExportItem {
+	st := r.slots.at(id)
+	if st == nil || st.best.rt == nil {
 		for _, nb := range nbs {
 			buf = append(buf, ExportItem{NB: nb, Dec: ExportNothing})
 		}
 		return buf
 	}
-	best := pst.best
-	fromCustomerOrLocal := best.NextHopAS == 0 || best.FromRel == topo.RelCustomer
-	noAdv := best.Communities.Has(bgp.CommunityNoAdvertise)
-	noExp := best.Communities.Has(bgp.CommunityNoExport)
-	noPeer := best.Communities.Has(bgp.CommunityNoPeer)
+	best := st.best
+	sent := r.out.view(st.out)
+	comms := best.rt.Communities
+	fromCustomerOrLocal := best.from == 0 || best.rel == topo.RelCustomer
+	noAdv := comms.Has(bgp.CommunityNoAdvertise)
+	noExp := comms.Has(bgp.CommunityNoExport)
+	noPeer := comms.Has(bgp.CommunityNoPeer)
 
 	// Service scan, neighbor-independent: catalog order still resolves
 	// announce/no-announce conflicts (§5.3) — the first service naming a
 	// neighbor decides for it, and SvcNoExport suppresses everything
 	// (ExportTo returns at that service, so later ones are irrelevant).
-	fromCustomer := best.FromRel == topo.RelCustomer
 	prepend := 0
 	suppressAll := false
 	hasAnnounceTo := false
 	var annCtl []policy.Service
-	for _, svc := range r.cfg.Catalog.Active(best.Communities, fromCustomer || best.NextHopAS == 0) {
+	for _, svc := range r.cfg.Catalog.Active(comms, fromCustomerOrLocal) {
 		switch svc.Kind {
 		case policy.SvcNoExport:
 			suppressAll = true
@@ -259,42 +268,45 @@ func (r *Router) ExportAll(p netip.Prefix, nbs []topo.ASN, hints *ExportHints, b
 	// classes[0] is the stripped-communities class (IOS without
 	// send-community); classes[1+mode] applies the propagation mode.
 	var classes [8]*policy.Route
-	classRoute := func(idx int, mode policy.PropagationMode) *policy.Route {
-		out := classes[idx]
-		if out == nil {
-			if !pathReady {
-				if selfHops > 0 {
-					path = best.ASPath.Prepend(uint32(r.cfg.ASN), selfHops)
-				} else {
-					// Transparent, no prepending: alias the stored path.
-					// Paths are never mutated in place (Prepend copies),
-					// so aliasing is content-identical to ExportTo's Clone.
-					path = best.ASPath
-				}
-				pathReady = true
-			}
-			var comms bgp.CommunitySet
-			switch {
-			case idx == 0:
-				comms = nil
-			case mode == policy.PropForwardAll:
-				// Alias instead of cloning: shared-slab classes are
-				// immutable downstream.
-				comms = best.Communities
-			default:
-				comms = policy.ApplyPropagation(mode, uint16(r.cfg.ASN), best.Communities)
-			}
-			out = &policy.Route{
-				Prefix:      best.Prefix,
-				ASPath:      path,
-				Communities: comms,
-				Origin:      best.Origin,
-				MED:         best.MED,
-				LocalPref:   policy.DefaultLocalPref, // LP is not transitive across eBGP
-				NextHopAS:   r.cfg.ASN,
-			}
-			classes[idx] = out
+	classRoute := func(idx int, mode policy.PropagationMode, nb topo.ASN) *policy.Route {
+		if classes[idx] != nil {
+			return classes[idx]
 		}
+		if idx == 0 {
+			mode = policy.PropStripAll
+		}
+		if i, found := slices.BinarySearchFunc(sent, nb, bySession); found &&
+			r.isClassExport(sent[i].rt, best.rt, selfHops, mode) {
+			classes[idx] = sent[i].rt
+			return classes[idx]
+		}
+		if !pathReady {
+			if selfHops > 0 {
+				path = best.rt.ASPath.Prepend(uint32(r.cfg.ASN), selfHops)
+			} else {
+				// Transparent, no prepending: alias the stored path.
+				// Paths are never mutated in place (Prepend copies),
+				// so aliasing is content-identical to ExportTo's Clone.
+				path = best.rt.ASPath
+			}
+			pathReady = true
+		}
+		out := &policy.Route{
+			Prefix:    best.rt.Prefix,
+			ASPath:    path,
+			Origin:    best.rt.Origin,
+			MED:       best.rt.MED,
+			LocalPref: policy.DefaultLocalPref, // LP is not transitive across eBGP
+			NextHopAS: r.cfg.ASN,
+		}
+		if mode == policy.PropForwardAll {
+			// Alias instead of cloning: shared-slab classes are immutable
+			// downstream.
+			out.Communities = comms
+		} else {
+			out.Communities = policy.ApplyPropagation(mode, uint16(r.cfg.ASN), comms)
+		}
+		classes[idx] = out
 		return out
 	}
 
@@ -310,7 +322,7 @@ func (r *Router) ExportAll(p netip.Prefix, nbs []topo.ASN, hints *ExportHints, b
 				continue
 			}
 		}
-		if best.NextHopAS == nb {
+		if best.from == nb {
 			buf = append(buf, ExportItem{NB: nb, Dec: ExportSuppressedGaoRexford})
 			continue
 		}
@@ -363,12 +375,12 @@ func (r *Router) ExportAll(p netip.Prefix, nbs []topo.ASN, hints *ExportHints, b
 			idx = 1 + int(mode)
 			if idx < 1 || idx >= len(classes) {
 				// Unknown future mode: fall back to the per-neighbor path.
-				rt, dec := r.ExportTo(nb, p)
+				rt, dec := r.exportTo(nb, best)
 				buf = append(buf, ExportItem{NB: nb, Rt: rt, Dec: dec})
 				continue
 			}
 		}
-		out := classRoute(idx, mode)
+		out := classRoute(idx, mode, nb)
 
 		if rm != nil {
 			// Route maps mutate in place: give them a private copy.
@@ -385,114 +397,121 @@ func (r *Router) ExportAll(p netip.Prefix, nbs []topo.ASN, hints *ExportHints, b
 	return buf
 }
 
+// isClassExport reports whether old — a route this router advertised
+// earlier — is field for field what ExportAll would build now from best
+// for an export class: the path prepended selfHops times and the
+// communities mode lets through. It allocates nothing.
+func (r *Router) isClassExport(old, best *policy.Route, selfHops int, mode policy.PropagationMode) bool {
+	if old.Prefix != best.Prefix || old.Origin != best.Origin || old.MED != best.MED ||
+		old.LocalPref != policy.DefaultLocalPref || old.NextHopAS != r.cfg.ASN ||
+		old.FromRel != topo.RelNone || old.Blackhole {
+		return false
+	}
+	if !old.ASPath.IsPrepend(best.ASPath, uint32(r.cfg.ASN), selfHops) {
+		return false
+	}
+	kept := 0
+	for _, c := range best.Communities {
+		if !mode.Keeps(uint16(r.cfg.ASN), c) {
+			continue
+		}
+		if kept >= len(old.Communities) || old.Communities[kept] != c {
+			return false
+		}
+		kept++
+	}
+	return kept == len(old.Communities)
+}
+
+// bySession orders an Adj-RIB-Out run against a neighbor for
+// slices.BinarySearchFunc.
+func bySession(e nbRoute, nb topo.ASN) int { return cmp.Compare(e.from, nb) }
+
 // RecordAdvertised stores what was last sent to a neighbor, letting the
 // simulator deliver only genuine changes. It returns true when the new
-// announcement differs from the previous one.
+// announcement differs from the previous one. It is the single-step
+// reference RecordAdvertisedAll's merge is checked against (the rounds
+// oracle drives it), so it shares the slots with it and no code.
 func (r *Router) RecordAdvertised(neighbor topo.ASN, p netip.Prefix, rt *policy.Route) bool {
 	r.mustMutable()
-	p = p.Masked()
-	st := r.state[p]
-	if st == nil {
-		if rt == nil {
-			return false
-		}
-		st = r.stateFor(p)
-	}
-	sent := st.out
-	i := sort.Search(len(sent), func(i int) bool { return sent[i].from >= neighbor })
-	had := i < len(sent) && sent[i].from == neighbor
 	if rt == nil {
-		if !had {
-			return false
+		_, st := r.lookup(p)
+		if st == nil {
+			return false // nothing recorded, and a withdrawal interns nothing
 		}
-		st.out = append(sent[:i], sent[i+1:]...)
-		if len(st.out) == 0 {
-			st.out = nil
-			r.gcState(p, st)
+		i, had := slices.BinarySearchFunc(r.out.view(st.out), neighbor, bySession)
+		if had {
+			r.out.remove(&st.out, i)
 		}
+		return had
+	}
+	st := r.slots.grow(r.tbl.Intern(p.Masked()))
+	sent := r.out.view(st.out)
+	i, had := slices.BinarySearchFunc(sent, neighbor, bySession)
+	if !had {
+		r.out.insert(&st.out, i, nbRoute{from: neighbor, rt: rt})
 		return true
 	}
-	if had {
-		if sameRoute(sent[i].rt, rt) {
-			return false
-		}
-		sent[i].rt = rt
-		return true
+	if sameRoute(sent[i].rt, rt) {
+		return false
 	}
-	sent = append(sent, nbRoute{})
-	copy(sent[i+1:], sent[i:])
-	sent[i] = nbRoute{from: neighbor, rt: rt}
-	st.out = sent
+	sent[i].rt = rt
 	return true
 }
 
-// RecordAdvertisedAll merges a full per-neighbor export round for p
-// into the Adj-RIB-Out with a single map access, calling emit for every
-// session whose advertisement actually changed (rt nil = withdraw) —
-// the batch form of RecordAdvertised the delta engine drives. items
-// must be ordered by neighbor ascending with each session at most once
-// (ExportAll output); sessions absent from items keep their recorded
-// state. Items whose Dec is not ExportSent count as withdrawals.
-func (r *Router) RecordAdvertisedAll(p netip.Prefix, items []ExportItem, emit func(nb topo.ASN, rt *policy.Route)) {
+// RecordAdvertisedAll merges a full per-neighbor export round for prefix
+// id into the Adj-RIB-Out, calling emit for every session whose
+// advertisement actually changed (rt nil = withdraw) — the batch form of
+// RecordAdvertised the delta engine drives. items must be ordered by
+// neighbor ascending with each session at most once (ExportAll output);
+// sessions absent from items keep their recorded state. Items whose Dec
+// is not ExportSent count as withdrawals.
+func (r *Router) RecordAdvertisedAll(id uint32, items []ExportItem, emit func(nb topo.ASN, rt *policy.Route)) {
 	r.mustMutable()
-	p = p.Masked()
-	st := r.state[p]
-	if st == nil {
-		st = r.stateFor(p)
+	var sp *span // nil until the slot exists: withdrawals never create one
+	if st := r.slots.at(id); st != nil {
+		sp = &st.out
 	}
-	sent := st.out
-	changed := false
+	i := 0 // items and records both ascend by neighbor: one merge pass
 	for _, it := range items {
-		rt := it.Rt
-		if it.Dec != ExportSent {
-			rt = nil
+		var sent []nbRoute
+		if sp != nil {
+			sent = r.out.view(*sp)
 		}
-		i := sort.Search(len(sent), func(i int) bool { return sent[i].from >= it.NB })
+		for i < len(sent) && sent[i].from < it.NB {
+			i++
+		}
 		present := i < len(sent) && sent[i].from == it.NB
-		if rt == nil {
-			if !present {
-				continue
+		switch {
+		case it.Dec != ExportSent || it.Rt == nil:
+			if present {
+				r.out.remove(sp, i)
+				emit(it.NB, nil)
 			}
-			sent = append(sent[:i], sent[i+1:]...)
-			changed = true
-			emit(it.NB, nil)
-			continue
-		}
-		if present {
-			if sameRoute(sent[i].rt, rt) {
-				continue
+		case present:
+			if !sameRoute(sent[i].rt, it.Rt) {
+				sent[i].rt = it.Rt
+				emit(it.NB, it.Rt)
 			}
-			sent[i].rt = rt
-			changed = true
-			emit(it.NB, rt)
-			continue
-		}
-		sent = append(sent, nbRoute{})
-		copy(sent[i+1:], sent[i:])
-		sent[i] = nbRoute{from: it.NB, rt: rt}
-		changed = true
-		emit(it.NB, rt)
-	}
-	if changed {
-		// Always write back: an append above may have moved the backing
-		// array away from what the state still references.
-		st.out = sent
-		if len(sent) == 0 {
-			st.out = nil
+		default:
+			if sp == nil {
+				sp = &r.slots.grow(id).out
+			}
+			r.out.insert(sp, i, nbRoute{from: it.NB, rt: it.Rt})
+			emit(it.NB, it.Rt)
 		}
 	}
-	r.gcState(p, st)
 }
 
 // Advertised returns the last route recorded as sent to neighbor for p.
 func (r *Router) Advertised(neighbor topo.ASN, p netip.Prefix) (*policy.Route, bool) {
-	st := r.state[p.Masked()]
+	_, st := r.lookup(p)
 	if st == nil {
 		return nil, false
 	}
-	i := sort.Search(len(st.out), func(i int) bool { return st.out[i].from >= neighbor })
-	if i < len(st.out) && st.out[i].from == neighbor {
-		return st.out[i].rt, true
+	sent := r.out.view(st.out)
+	if i, found := slices.BinarySearchFunc(sent, neighbor, bySession); found {
+		return sent[i].rt, true
 	}
 	return nil, false
 }

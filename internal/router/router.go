@@ -1,16 +1,27 @@
 // Package router models an AS-level BGP speaker: Adj-RIB-In, Loc-RIB with
-// the full decision process, per-neighbor import/export policy, the
-// community-triggered services of §2, and the vendor-specific behaviours
-// §6 measured in the lab (JunOS forwards communities by default, IOS
-// strips them unless send-community is configured, IOS caps community
-// additions at 32, and route-map term order decides whether blackhole
-// processing happens before or after origin validation).
+// the full decision process, Adj-RIB-Out, per-neighbor import/export
+// policy, the community-triggered services of §2, and the vendor-specific
+// behaviours §6 measured in the lab (JunOS forwards communities by
+// default, IOS strips them unless send-community is configured, IOS caps
+// community additions at 32, and route-map term order decides whether
+// blackhole processing happens before or after origin validation).
+//
+// All three tables live in one paged table of fixed-size slots indexed
+// by a dense prefix id (PrefixTable), with the variable-length candidate
+// and advertisement runs in two per-router slabs (table.go). The batched
+// entry points the delta engine drives — ExportAll, RecordAdvertisedAll,
+// ReceiveSharedNoDecide, WithdrawNoDecide, Decide — take the id, so
+// convergence hashes no prefix; the single-step, prefix-keyed API
+// (ReceiveUpdate, ExportTo, RecordAdvertised, BestRoute, ...) resolves
+// the id through the table first and then runs on the same slots. See
+// ARCHITECTURE.md, "Router memory layout".
 package router
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 	"sync"
 
 	"bgpworms/internal/bgp"
@@ -111,42 +122,63 @@ type Config struct {
 	ReflectAll bool
 }
 
-// nbRoute is one Adj-RIB-Out entry: the neighbor plus the route last
-// sent to it. Entries for a prefix are kept as a slice sorted by
-// neighbor ASN — routers hold a handful of sessions per prefix, where a
-// sorted slice beats a map on every axis the hot path cares about
-// (lookup, ordered iteration, and GC footprint at internet scale).
+// nbRoute is one Adj-RIB-Out record: the neighbor plus the route last
+// sent to it. A prefix's records are a run in the router's out slab,
+// sorted by neighbor ASN (16 bytes each).
 type nbRoute struct {
 	from topo.ASN
 	rt   *policy.Route
 }
 
-// inEntry is one Adj-RIB-In candidate — the compact interned form. The
-// import-derived attributes (next hop, relationship, local preference,
-// blackhole) live in the entry, not in a per-entry route copy, so a
-// receiver whose import policy neither tags nor rewrites the update
-// stores the sender's shared route object directly: one
-// AS-path/community slab per export class serves every session and
-// every receiver that accepted it unchanged. Readers must take nexthop,
-// relationship, local-pref, and blackhole from the entry; rt is
-// authoritative only for prefix, path, communities, origin, and MED.
+// inEntry is one decision-process candidate (24 bytes): a route learned
+// from neighbor from, or the locally originated route when from is 0. A
+// prefix's candidates are a run in the router's in slab, sorted by from,
+// and the slot's best is a copy of the winning one.
+//
+// The import-derived attributes — relationship, local preference,
+// blackhole — live here and not in rt, so a receiver whose import policy
+// neither tags nor rewrites an update stores the sender's shared route
+// object itself: one AS-path/community slab per export class serves
+// every session and every receiver that accepted it unchanged. Readers
+// take next hop (from), relationship, local-pref and blackhole from the
+// entry; rt is authoritative only for prefix, path, communities, origin
+// and MED. Route materialises the policy.Route a looking glass shows.
 type inEntry struct {
 	from topo.ASN
-	rel  topo.Rel
 	lp   uint32
+	rel  topo.Rel
 	bh   bool
 	rt   *policy.Route
 }
 
-// prefixState bundles every per-prefix table — Adj-RIB-In candidates,
-// the Loc-RIB best route, and the Adj-RIB-Out record — so the hot path
-// pays one prefix-keyed map access per operation instead of one per
-// table. The state pointer is stable once created; empty states are
-// garbage-collected with their prefix on withdrawal.
-type prefixState struct {
-	in   []inEntry
-	best *policy.Route
-	out  []nbRoute
+// Route returns the entry as a full route. Entries whose rt already
+// carries the entry's attributes (local originations, and routes the
+// mutating import path built privately) are returned as they are;
+// interned entries aliasing a shared export object get a private copy.
+// This is the read side of the looking-glass and data-plane paths; the
+// decision and export paths never call it.
+func (e inEntry) Route() *policy.Route {
+	rt := e.rt
+	if rt.NextHopAS == e.from && rt.FromRel == e.rel && rt.LocalPref == e.lp && rt.Blackhole == e.bh {
+		return rt
+	}
+	out := *rt
+	out.NextHopAS = e.from
+	out.FromRel = e.rel
+	out.LocalPref = e.lp
+	out.Blackhole = e.bh
+	return &out
+}
+
+// slot is everything a router knows about one prefix (48 bytes, no heap
+// object of its own): the Loc-RIB winner by value — best.rt is nil when
+// there is none — and the spans of its candidate and advertisement runs.
+// Slots are indexed by prefix id and never removed; a slot with no best
+// and two empty spans is an absent prefix.
+type slot struct {
+	best inEntry
+	in   span // run in Router.in: candidates, the local origination first
+	out  span // run in Router.out: Adj-RIB-Out records
 }
 
 // Router is a single-AS BGP speaker.
@@ -154,14 +186,20 @@ type Router struct {
 	cfg       Config
 	neighbors map[topo.ASN]topo.Rel
 	nbVersion int
-	locals    map[netip.Prefix]*policy.Route
-	// state is the unified per-prefix routing table; locRIB is the
-	// longest-prefix-match view (data plane), rebuilt lazily from it
-	// because convergence churns best routes thousands of times between
-	// data-plane queries.
-	state    map[netip.Prefix]*prefixState
-	bestLen  int
-	locRIB   *netx.Trie[*policy.Route]
+
+	// tbl names the prefixes; slot id is the state for tbl.At(id). Slot
+	// pages are allocated when this router first writes one of their ids,
+	// never sized to the table, so a prefix that reaches two routers costs
+	// two routers.
+	tbl     *PrefixTable
+	slots   slotTable
+	in      slab[inEntry]
+	out     slab[nbRoute]
+	bestLen int
+	// locRIB is the longest-prefix-match view (data plane) over slot ids,
+	// rebuilt lazily because convergence churns best routes thousands of
+	// times between data-plane queries.
+	locRIB   *netx.Trie[uint32]
 	ribStale bool
 
 	// sealed marks the router as part of a frozen world snapshot: shared
@@ -173,32 +211,52 @@ type Router struct {
 	ribMu  sync.Mutex
 }
 
-// New constructs a router from cfg.
+// New constructs a router from cfg with a prefix table of its own; a
+// network moves it onto the shared one with Rebind.
 func New(cfg Config) *Router {
 	return &Router{
 		cfg:       cfg,
 		neighbors: make(map[topo.ASN]topo.Rel),
-		locals:    make(map[netip.Prefix]*policy.Route),
-		state:     make(map[netip.Prefix]*prefixState),
-		locRIB:    netx.NewTrie[*policy.Route](),
+		tbl:       NewPrefixTable(),
+		locRIB:    netx.NewTrie[uint32](),
 	}
 }
 
-// stateFor returns the per-prefix state, creating it on demand.
-func (r *Router) stateFor(p netip.Prefix) *prefixState {
-	st := r.state[p]
-	if st == nil {
-		st = &prefixState{}
-		r.state[p] = st
+// Table returns the prefix table the router's ids come from.
+func (r *Router) Table() *PrefixTable { return r.tbl }
+
+// Rebind moves the router onto table t. When t is the router's table, or
+// a Clone of it taken since the table last grew, ids agree and only the
+// pointer moves (the copy-on-write fork path); otherwise each used slot
+// is renumbered through t, interning its prefix.
+func (r *Router) Rebind(t *PrefixTable) {
+	old := r.tbl
+	if t == old {
+		return
 	}
-	return st
+	r.mustMutable()
+	r.tbl = t
+	if t.base == old && t.baseLen == old.Len() {
+		return
+	}
+	slots := r.slots
+	r.slots = nil
+	for id, s := range slots.all() {
+		if s.best.rt != nil || s.in.n > 0 || s.out.n > 0 {
+			*r.slots.grow(t.Intern(old.At(id))) = *s
+		}
+	}
+	r.ribStale = true
 }
 
-// gcState drops the state entry if every table is empty.
-func (r *Router) gcState(p netip.Prefix, st *prefixState) {
-	if len(st.in) == 0 && st.best == nil && len(st.out) == 0 {
-		delete(r.state, p)
+// lookup resolves p to a slot that exists, for read paths: an unknown
+// prefix, or one this router never wrote, is absent.
+func (r *Router) lookup(p netip.Prefix) (uint32, *slot) {
+	id, ok := r.tbl.Lookup(p.Masked())
+	if !ok {
+		return 0, nil
 	}
+	return id, r.slots.at(id)
 }
 
 // ASN returns the router's AS number.
@@ -244,7 +302,7 @@ func (r *Router) Neighbors() []topo.ASN {
 	for n := range r.neighbors {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -253,33 +311,37 @@ func (r *Router) NeighborRel(asn topo.ASN) topo.Rel { return r.neighbors[asn] }
 
 // Originate injects a locally-originated prefix, optionally pre-tagged
 // with communities (the attacker's tool in every scenario), and reports
-// whether the Loc-RIB changed.
+// whether the Loc-RIB changed. The origination is stored as the
+// candidate from neighbor 0, which the decision process prefers over
+// every learned route.
 func (r *Router) Originate(p netip.Prefix, comms ...bgp.Community) bool {
 	r.mustMutable()
 	rt := policy.NewLocalRoute(p)
 	rt.Communities = bgp.NewCommunitySet(comms...)
-	r.locals[rt.Prefix] = rt
-	return r.decide(rt.Prefix)
+	id := r.tbl.Intern(rt.Prefix)
+	r.storeAdjIn(id, inEntry{lp: rt.LocalPref, rt: rt})
+	return r.decide(id)
 }
 
 // WithdrawLocal removes a locally-originated prefix.
 func (r *Router) WithdrawLocal(p netip.Prefix) bool {
 	r.mustMutable()
-	p = p.Masked()
-	if _, ok := r.locals[p]; !ok {
+	id, st := r.lookup(p)
+	if st == nil || !r.withdraw(0, id) {
 		return false
 	}
-	delete(r.locals, p)
-	return r.decide(p)
+	return r.decide(id)
 }
 
 // LocalPrefixes lists locally originated prefixes in canonical order.
 func (r *Router) LocalPrefixes() []netip.Prefix {
-	out := make([]netip.Prefix, 0, len(r.locals))
-	for p := range r.locals {
-		out = append(out, p)
+	var out []netip.Prefix
+	for _, st := range r.slots.all() {
+		if c := r.in.view(st.in); len(c) > 0 && c[0].from == 0 {
+			out = append(out, c[0].rt.Prefix)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return netx.ComparePrefix(out[i], out[j]) < 0 })
+	slices.SortFunc(out, netx.ComparePrefix)
 	return out
 }
 
@@ -319,48 +381,48 @@ func (ir ImportResult) String() string {
 // ReceiveUpdate processes an announcement from neighbor `from`. It returns
 // the import outcome and whether the Loc-RIB best route changed.
 func (r *Router) ReceiveUpdate(from topo.ASN, in *policy.Route) (ImportResult, bool) {
-	r.mustMutable()
-	res := r.receive(from, in, false)
-	if res != ImportAccepted {
-		return res, false
-	}
-	return res, r.decide(in.Prefix)
+	return r.receiveAndDecide(from, in, false)
 }
 
-// ReceiveShared is ReceiveUpdate for engines that deliver one shared
-// route object to many receivers (the delta engine's export classes).
-// Instead of deep-cloning the input up front it takes a shallow copy
-// whose AS-path and community slices alias the sender's slabs, and
-// copies the community set only at the first local mutation. The import
-// outcome and resulting RIB state are identical to ReceiveUpdate's; the
-// caller guarantees the shared input is never mutated in place.
+// ReceiveShared is ReceiveUpdate for callers that deliver one shared
+// route object to many receivers (ExportAll's export classes). Instead
+// of deep-cloning the input up front it takes a shallow copy whose
+// AS-path and community slices alias the sender's slabs, and copies the
+// community set only at the first local mutation. The import outcome and
+// resulting RIB state are identical to ReceiveUpdate's; the caller
+// guarantees the shared input is never mutated in place.
 func (r *Router) ReceiveShared(from topo.ASN, in *policy.Route) (ImportResult, bool) {
+	return r.receiveAndDecide(from, in, true)
+}
+
+func (r *Router) receiveAndDecide(from topo.ASN, in *policy.Route, shared bool) (ImportResult, bool) {
 	r.mustMutable()
-	res := r.receive(from, in, true)
+	id := r.tbl.Intern(in.Prefix)
+	res := r.receive(from, id, in, shared)
 	if res != ImportAccepted {
 		return res, false
 	}
-	return res, r.decide(in.Prefix)
+	return res, r.decide(id)
 }
 
-// ReceiveSharedNoDecide stores a shared update in the Adj-RIB-In
-// without running the decision process, reporting whether the import
-// was accepted. Engines that batch several deliveries for one prefix
-// (the delta engine's per-destination inboxes) apply them all and then
-// call Decide once per prefix: the final candidate set — and therefore
-// the decision — is order-identical to deciding after every delivery,
-// while transient intermediate best routes (which could only trigger
-// no-op re-exports) are never computed.
-func (r *Router) ReceiveSharedNoDecide(from topo.ASN, in *policy.Route) ImportResult {
+// ReceiveSharedNoDecide stores a shared update for the prefix id names
+// (in.Prefix) in the Adj-RIB-In without running the decision process,
+// reporting whether the import was accepted. Engines that batch several
+// deliveries for one prefix (the delta engine's per-destination inboxes)
+// apply them all and then call Decide once per prefix: the final
+// candidate set — and therefore the decision — is order-identical to
+// deciding after every delivery, while transient intermediate best
+// routes (which could only trigger no-op re-exports) are never computed.
+func (r *Router) ReceiveSharedNoDecide(from topo.ASN, id uint32, in *policy.Route) ImportResult {
 	r.mustMutable()
-	return r.receive(from, in, true)
+	return r.receive(from, id, in, true)
 }
 
-// Decide runs the decision process for p and reports whether the best
-// route changed. Pair with ReceiveSharedNoDecide / WithdrawNoDecide.
-func (r *Router) Decide(p netip.Prefix) bool {
+// Decide runs the decision process for prefix id and reports whether the
+// best route changed. Pair with ReceiveSharedNoDecide / WithdrawNoDecide.
+func (r *Router) Decide(id uint32) bool {
 	r.mustMutable()
-	return r.decide(p.Masked())
+	return r.decide(id)
 }
 
 // receive runs the import policy for an update and stores the accepted
@@ -372,7 +434,7 @@ func (r *Router) Decide(p netip.Prefix) bool {
 // fast path the delta engine lives on. Anything that mutates (blackhole
 // NO_EXPORT, location services, ingress tags, route maps) falls through
 // to the classic build-a-private-route path below.
-func (r *Router) receive(from topo.ASN, in *policy.Route, shared bool) ImportResult {
+func (r *Router) receive(from topo.ASN, id uint32, in *policy.Route, shared bool) ImportResult {
 	rel, ok := r.neighbors[from]
 	if !ok {
 		return ImportRejectedUnknownNeighbor
@@ -386,7 +448,7 @@ func (r *Router) receive(from topo.ASN, in *policy.Route, shared bool) ImportRes
 			return res
 		}
 		if pristine {
-			r.storeAdjIn(entry)
+			r.storeAdjIn(id, entry)
 			return ImportAccepted
 		}
 	}
@@ -521,24 +583,24 @@ func (r *Router) receive(from topo.ASN, in *policy.Route, shared bool) ImportRes
 		}
 	}
 
-	r.storeAdjIn(inEntry{from: from, rel: rel, lp: rt.LocalPref, bh: rt.Blackhole, rt: rt})
+	r.storeAdjIn(id, inEntry{from: from, rel: rel, lp: rt.LocalPref, bh: rt.Blackhole, rt: rt})
 	return ImportAccepted
 }
 
-// storeAdjIn inserts or replaces the candidate entry for (prefix, from).
-func (r *Router) storeAdjIn(e inEntry) {
-	st := r.stateFor(e.rt.Prefix)
-	cands := st.in
-	i := sort.Search(len(cands), func(i int) bool { return cands[i].from >= e.from })
-	if i < len(cands) && cands[i].from == e.from {
+// storeAdjIn inserts or replaces the candidate entry for (id, e.from).
+func (r *Router) storeAdjIn(id uint32, e inEntry) {
+	st := r.slots.grow(id)
+	cands := r.in.view(st.in)
+	i, found := slices.BinarySearchFunc(cands, e.from, byFrom)
+	if found {
 		cands[i] = e
-	} else {
-		cands = append(cands, inEntry{})
-		copy(cands[i+1:], cands[i:])
-		cands[i] = e
-		st.in = cands
+		return
 	}
+	r.in.insert(&st.in, i, e)
 }
+
+// byFrom orders a candidate run against a neighbor for slices.BinarySearchFunc.
+func byFrom(e inEntry, from topo.ASN) int { return cmp.Compare(e.from, from) }
 
 // importScan is the allocation-free decision half of the import policy:
 // it computes the outcome, effective local-pref, and blackhole flag for
@@ -642,37 +704,31 @@ func (r *Router) importScan(from topo.ASN, rel topo.Rel, in *policy.Route) (Impo
 // whether the best route changed.
 func (r *Router) ReceiveWithdraw(from topo.ASN, p netip.Prefix) bool {
 	r.mustMutable()
-	p = p.Masked()
-	if !r.withdraw(from, p) {
+	id, st := r.lookup(p)
+	if st == nil || from == 0 || !r.withdraw(from, id) {
 		return false
 	}
-	return r.decide(p)
+	return r.decide(id)
 }
 
-// WithdrawNoDecide removes the neighbor's Adj-RIB-In entry without
-// running the decision process, reporting whether an entry was removed;
-// the ReceiveSharedNoDecide batching contract applies.
-func (r *Router) WithdrawNoDecide(from topo.ASN, p netip.Prefix) bool {
+// WithdrawNoDecide removes the neighbor's Adj-RIB-In entry for prefix id
+// without running the decision process, reporting whether an entry was
+// removed; the ReceiveSharedNoDecide batching contract applies.
+func (r *Router) WithdrawNoDecide(from topo.ASN, id uint32) bool {
 	r.mustMutable()
-	return r.withdraw(from, p.Masked())
+	return from != 0 && r.withdraw(from, id)
 }
 
-func (r *Router) withdraw(from topo.ASN, p netip.Prefix) bool {
-	st := r.state[p]
+func (r *Router) withdraw(from topo.ASN, id uint32) bool {
+	st := r.slots.at(id)
 	if st == nil {
 		return false
 	}
-	cands := st.in
-	i := sort.Search(len(cands), func(i int) bool { return cands[i].from >= from })
-	if i >= len(cands) || cands[i].from != from {
-		return false
+	i, found := slices.BinarySearchFunc(r.in.view(st.in), from, byFrom)
+	if found {
+		r.in.remove(&st.in, i)
 	}
-	st.in = append(cands[:i], cands[i+1:]...)
-	if len(st.in) == 0 {
-		st.in = nil
-		r.gcState(p, st)
-	}
-	return true
+	return found
 }
 
 // allowAdd enforces the IOS 32-addition cap (§6.1).

@@ -142,10 +142,11 @@ func TestNoDecideBatchingMatchesPerDelivery(t *testing.T) {
 	perDelivery.ReceiveUpdate(200, rtFrom(200, 9))
 	perDelivery.ReceiveWithdraw(100, pfx)
 
-	batched.ReceiveSharedNoDecide(100, rtFrom(100, 5))
-	batched.ReceiveSharedNoDecide(200, rtFrom(200, 9))
-	batched.WithdrawNoDecide(100, pfx)
-	if !batched.Decide(pfx) {
+	id := batched.Table().Intern(pfx)
+	batched.ReceiveSharedNoDecide(100, id, rtFrom(100, 5))
+	batched.ReceiveSharedNoDecide(200, id, rtFrom(200, 9))
+	batched.WithdrawNoDecide(100, id)
+	if !batched.Decide(id) {
 		t.Fatal("batched decide reported no change for a new prefix")
 	}
 

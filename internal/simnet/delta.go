@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"net/netip"
 	"slices"
 	"sync"
 
@@ -19,15 +18,19 @@ import (
 //
 //   - work lives in per-router dirty-prefix buckets keyed by a dense
 //     router index, so a round never sorts a global frontier or clears
-//     a global dedup map — only the dirty router ids (ints) and each
+//     a global dedup map — only the dirty router indices and each
 //     router's few dirty prefixes are ordered;
+//   - prefixes travel as the network's dense prefix ids (the routers'
+//     slot indices), so buckets, deliveries and every router call in a
+//     round hash no prefix; the id is turned back into its prefix only
+//     to order a bucket canonically and to show taps the delivery;
 //   - exports run through router.ExportAll, which does the
 //     neighbor-independent work once per (router, prefix) and shares
 //     one route object per policy class across sessions — the compact
 //     AS-path/community slabs that keep memory flat at large scale;
-//   - receives run through router.ReceiveShared, whose copy-on-write
-//     import keeps those slabs shared until a router actually tags the
-//     route;
+//   - receives run through router.ReceiveSharedNoDecide, whose
+//     copy-on-write import keeps those slabs shared until a router
+//     actually tags the route;
 //   - all scratch (buckets, outboxes, inboxes) is reused across rounds
 //     and runs, so steady-state convergence allocates only real routing
 //     state.
@@ -51,14 +54,14 @@ type deltaState struct {
 	hints []*router.ExportHints // per-neighbor export policy, nbs-aligned
 	nbVer []int                 // Router.NeighborVersion at last refresh
 
-	items   [][]netip.Prefix      // per-router dirty prefixes (current round)
+	items   [][]uint32            // per-router dirty prefix ids (current round)
 	srcs    []int                 // dirty router indices, ascending
 	next    []int                 // dirty router indices for the next round
 	outs    [][]delivery          // per-dirty-router outboxes, reused
 	exp     [][]router.ExportItem // per-chunk export scratch, reused
 	inbox   [][]delivery          // per-router inboxes, reused
 	touched []int                 // router indices with non-empty inboxes
-	changed [][]netip.Prefix      // per-touched changed prefixes, reused
+	changed [][]uint32            // per-touched changed prefix ids, reused
 }
 
 // maxDenseASN bounds the direct-index table; generated worlds stay far
@@ -106,7 +109,7 @@ func (n *Network) deltaStateFor() *deltaState {
 		st.nbs = make([][]topo.ASN, len(st.order))
 		st.hints = make([]*router.ExportHints, len(st.order))
 		st.nbVer = make([]int, len(st.order))
-		st.items = make([][]netip.Prefix, len(st.order))
+		st.items = make([][]uint32, len(st.order))
 		st.inbox = make([][]delivery, len(st.order))
 		n.delta = st
 	}
@@ -134,6 +137,10 @@ func (n *Network) deltaStateFor() *deltaState {
 // runDelta drains the propagation queue with the delta engine.
 func (n *Network) runDelta(workers int) (int, error) {
 	st := n.deltaStateFor()
+	// Every id a run can meet was interned before it started, so one view
+	// of the table serves all rounds without touching its lock.
+	pfx := n.prefixes.Prefixes()
+	byPrefix := func(a, b uint32) int { return netx.ComparePrefix(pfx[a], pfx[b]) }
 	delivered := 0
 	maxWork := n.maxDeliveries()
 	// Compact the tap list once per run; the per-delivery loop in phase
@@ -154,8 +161,8 @@ func (n *Network) runDelta(workers int) (int, error) {
 		if len(st.items[ri]) == 0 {
 			st.srcs = append(st.srcs, ri)
 		}
-		if !containsPrefix(st.items[ri], it.prefix) {
-			st.items[ri] = append(st.items[ri], it.prefix)
+		if !slices.Contains(st.items[ri], it.id) {
+			st.items[ri] = append(st.items[ri], it.id)
 		}
 	}
 	n.queue = n.queue[:0]
@@ -182,7 +189,7 @@ func (n *Network) runDelta(workers int) (int, error) {
 		for _, ri := range st.srcs {
 			ps := st.items[ri]
 			tally.prefixes += uint64(len(ps))
-			slices.SortFunc(ps, netx.ComparePrefix)
+			slices.SortFunc(ps, byPrefix) // canonical order is prefix order, never id order
 		}
 		for len(st.outs) < len(st.srcs) {
 			st.outs = append(st.outs, nil)
@@ -192,21 +199,21 @@ func (n *Network) runDelta(workers int) (int, error) {
 		}
 
 		// Phase 1: exports, sharded by source router. ExportAll and
-		// RecordAdvertised touch only the source, so each shard owns its
+		// RecordAdvertisedAll touch only the source, so each shard owns its
 		// routers' state.
 		doChunked(len(st.srcs), workers, func(k int) {
 			ri := st.srcs[k]
 			src := n.routers[st.order[ri]]
 			out := st.outs[k][:0]
-			for _, p := range st.items[ri] {
-				exp := src.ExportAll(p, st.nbs[ri], st.hints[ri], st.exp[k][:0])
+			for _, id := range st.items[ri] {
+				exp := src.ExportAll(id, st.nbs[ri], st.hints[ri], st.exp[k][:0])
 				st.exp[k] = exp
 				// One Adj-RIB-Out merge per (router, prefix): only
 				// sessions whose advertisement changed become
 				// deliveries (suppressed exports withdraw if
 				// previously sent).
-				src.RecordAdvertisedAll(p, exp, func(nb topo.ASN, rt *policy.Route) {
-					out = append(out, delivery{from: st.order[ri], to: nb, prefix: p, rt: rt})
+				src.RecordAdvertisedAll(id, exp, func(nb topo.ASN, rt *policy.Route) {
+					out = append(out, delivery{from: st.order[ri], to: nb, id: id, rt: rt})
 				})
 			}
 			st.outs[k] = out
@@ -222,7 +229,7 @@ func (n *Network) runDelta(workers int) (int, error) {
 				delivered++
 				n.steps++
 				for _, t := range taps {
-					t(d.from, d.to, d.prefix, d.rt)
+					t(d.from, d.to, pfx[d.id], d.rt)
 				}
 				if delivered > maxWork {
 					// Scratch (inboxes, buckets) is mid-round dirty;
@@ -258,18 +265,18 @@ func (n *Network) runDelta(workers int) (int, error) {
 			for _, d := range st.inbox[di] {
 				mutated := false
 				if d.rt != nil {
-					mutated = dst.ReceiveSharedNoDecide(d.from, d.rt) == router.ImportAccepted
+					mutated = dst.ReceiveSharedNoDecide(d.from, d.id, d.rt) == router.ImportAccepted
 				} else {
-					mutated = dst.WithdrawNoDecide(d.from, d.prefix)
+					mutated = dst.WithdrawNoDecide(d.from, d.id)
 				}
-				if mutated && !containsPrefix(dirty, d.prefix) {
-					dirty = append(dirty, d.prefix)
+				if mutated && !slices.Contains(dirty, d.id) {
+					dirty = append(dirty, d.id)
 				}
 			}
 			ch := dirty[:0]
-			for _, p := range dirty {
-				if dst.Decide(p) {
-					ch = append(ch, p)
+			for _, id := range dirty {
+				if dst.Decide(id) {
+					ch = append(ch, id)
 				}
 			}
 			st.inbox[di] = st.inbox[di][:0]
@@ -320,16 +327,4 @@ func doChunked(n, workers int, fn func(i int)) {
 		}(c[0], c[1])
 	}
 	wg.Wait()
-}
-
-// containsPrefix is the small-slice membership check used for the
-// per-destination changed set; a round rarely dirties more than a
-// handful of prefixes per router, so linear scan beats a map.
-func containsPrefix(ps []netip.Prefix, p netip.Prefix) bool {
-	for _, q := range ps {
-		if q == p {
-			return true
-		}
-	}
-	return false
 }

@@ -12,10 +12,14 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net/netip"
 	"strings"
+	"sync"
 	"testing"
 
+	"bgpworms/internal/bgp"
 	"bgpworms/internal/gen"
+	"bgpworms/internal/netx"
 	"bgpworms/internal/topo"
 )
 
@@ -373,6 +377,112 @@ func TestBuildWorkerCountInvariance(t *testing.T) {
 			if msg := got.diverges(ref); msg != "" {
 				t.Errorf("%s: workers=%d vs workers=0: %s", name, w, msg)
 			}
+		}
+	}
+}
+
+// TestForkPrefixIsolation: two forks of one frozen tiny world announce,
+// concurrently, prefixes the snapshot has never seen — each fork first a
+// NO_EXPORT-tagged one that never leaves its origin, then a plain one
+// that floods the world. Every prefix gets its id in the
+// fork's own copy of the prefix table, so each fork must end
+// indistinguishable from a scratch build given the same announcements,
+// the snapshot's table must not grow, and a router the fork never
+// copied — still the sealed original, with slots only for the
+// snapshot's prefixes — must answer "absent" for the fork's prefix
+// instead of reading past its slots. Run under -race (make race).
+func TestForkPrefixIsolation(t *testing.T) {
+	type plan struct {
+		local, flood netip.Prefix
+	}
+	plans := []plan{
+		{netx.MustPrefix("198.51.100.0/24"), netx.MustPrefix("203.0.113.0/24")},
+		{netx.MustPrefix("2001:db8:f0::/48"), netx.MustPrefix("192.0.2.0/24")},
+	}
+	for _, engine := range []string{"delta", "rounds"} {
+		p := tinyCfg.params()
+		p.Engine = engine
+		p.Workers = 4
+		snap, err := gen.BuildSnapshot(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe, err := snap.Fork(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		origin := probe.StubASes()[0]
+		snapTable := probe.Net.Router(origin).Table() // a sealed router reads the snapshot's table
+		snapLen := snapTable.Len()
+
+		// announce runs a plan on w; on a fork it also reads the local
+		// prefix back through a router that is still the sealed original.
+		announce := func(w *gen.Internet, pl plan, fork bool) error {
+			if _, err := w.Net.Announce(origin, pl.local, bgp.CommunityNoExport); err != nil {
+				return err
+			}
+			if fork {
+				sealed := 0
+				for _, asn := range w.Net.ASes() {
+					r := w.Net.Router(asn)
+					if !r.Sealed() {
+						continue
+					}
+					sealed++
+					_, best := r.BestRoute(pl.local)
+					fib, covered := r.LookupFIB(pl.local.Addr())
+					_, adv := r.Advertised(origin, pl.local)
+					if best || adv || (covered && fib.Prefix == pl.local) {
+						return fmt.Errorf("sealed AS%d knows fork-only %s (best=%v fib=%v advertised=%v)", asn, pl.local, best, fib, adv)
+					}
+				}
+				if sealed == 0 {
+					return fmt.Errorf("a NO_EXPORT announcement copied every router: nothing sealed left to read through")
+				}
+			}
+			_, err := w.Net.Announce(origin, pl.flood)
+			return err
+		}
+
+		warm := make([]*outcome, len(plans))
+		errs := make([]error, len(plans))
+		var wg sync.WaitGroup
+		for i, pl := range plans {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w, err := snap.Fork(nil)
+				if err == nil {
+					err = announce(w, pl, true)
+				}
+				if err == nil {
+					warm[i], err = perturbAndCollapse(w)
+				}
+				errs[i] = err
+			}()
+		}
+		wg.Wait()
+		for i, pl := range plans {
+			if errs[i] != nil {
+				t.Fatalf("%s fork %d: %v", engine, i, errs[i])
+			}
+			w, err := gen.Build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := announce(w, pl, false); err != nil {
+				t.Fatal(err)
+			}
+			cold, err := perturbAndCollapse(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg := warm[i].diverges(cold); msg != "" {
+				t.Errorf("%s fork %d vs scratch build: %s", engine, i, msg)
+			}
+		}
+		if got := snapTable.Len(); got != snapLen {
+			t.Errorf("%s: snapshot prefix table grew from %d to %d prefixes under its forks", engine, snapLen, got)
 		}
 	}
 }

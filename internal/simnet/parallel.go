@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 
 	"bgpworms/internal/conc"
@@ -12,20 +11,22 @@ import (
 	"bgpworms/internal/topo"
 )
 
-// delivery is one update crossing a session during a round: rt is nil
-// for withdrawals, mirroring UpdateTap.
+// delivery is one update crossing a session during a round, the prefix
+// named by its id in the network's table: rt is nil for withdrawals,
+// mirroring UpdateTap.
 type delivery struct {
 	from, to topo.ASN
-	prefix   netip.Prefix
+	id       uint32
 	rt       *policy.Route
 }
 
 // runRounds drains the propagation queue with the round-based reference
 // engine: the plain form of the algorithm runDelta optimizes — global
 // sorted frontier, per-session ExportTo/RecordAdvertised, cloning
-// ReceiveUpdate — kept so the differential tests can hold the delta
-// engine's taps, archives, delivery counts and RIBs to it. Each round is
-// a synchronous step over the current frontier:
+// ReceiveUpdate, every router call keyed by prefix rather than id — kept
+// so the differential tests can hold the delta engine's taps, archives,
+// delivery counts and RIBs to it. Each round is a synchronous step over
+// the current frontier:
 //
 //  1. export (parallel, sharded by source router): every frontier item
 //     computes its per-neighbor exports; ExportTo reads only the source
@@ -46,6 +47,7 @@ type delivery struct {
 func (n *Network) runRounds(workers int) (int, error) {
 	delivered := 0
 	for len(n.queue) > 0 {
+		pfx := n.prefixes.Prefixes()
 		frontier := n.queue
 		n.queue = nil
 		clear(n.queued)
@@ -53,7 +55,7 @@ func (n *Network) runRounds(workers int) (int, error) {
 			if frontier[i].asn != frontier[j].asn {
 				return frontier[i].asn < frontier[j].asn
 			}
-			return netx.ComparePrefix(frontier[i].prefix, frontier[j].prefix) < 0
+			return netx.ComparePrefix(pfx[frontier[i].id], pfx[frontier[j].id]) < 0
 		})
 
 		// Group frontier items by source router, preserving sort order.
@@ -85,14 +87,14 @@ func (n *Network) runRounds(workers int) (int, error) {
 					if n.routers[nb] == nil {
 						continue // session to an unmodelled node (e.g. a pure tap)
 					}
-					out, decision := src.ExportTo(nb, it.prefix)
+					out, decision := src.ExportTo(nb, pfx[it.id])
 					if decision != router.ExportSent {
 						out = nil // anything not sent is a withdrawal if previously sent
 					}
-					if !src.RecordAdvertised(nb, it.prefix, out) {
+					if !src.RecordAdvertised(nb, pfx[it.id], out) {
 						continue // nothing new on this session
 					}
-					ds = append(ds, delivery{from: it.asn, to: nb, prefix: it.prefix, rt: out})
+					ds = append(ds, delivery{from: it.asn, to: nb, id: it.id, rt: out})
 				}
 			}
 			outs[i] = ds
@@ -108,7 +110,7 @@ func (n *Network) runRounds(workers int) (int, error) {
 			n.steps++
 			for _, t := range n.taps {
 				if t != nil {
-					t(d.from, d.to, d.prefix, d.rt)
+					t(d.from, d.to, pfx[d.id], d.rt)
 				}
 			}
 			if delivered > n.maxDeliveries() {
@@ -130,22 +132,22 @@ func (n *Network) runRounds(workers int) (int, error) {
 			}
 			byDst[d.to] = append(byDst[d.to], d)
 		}
-		changed := make([][]netip.Prefix, len(dstOrder))
+		changed := make([][]uint32, len(dstOrder))
 		conc.Do(len(dstOrder), workers, func(i int) {
 			dst := n.routers[dstOrder[i]]
-			seen := make(map[netip.Prefix]bool)
-			var ch []netip.Prefix
+			seen := make(map[uint32]bool)
+			var ch []uint32
 			for _, d := range byDst[dstOrder[i]] {
 				reschedule := false
 				if d.rt != nil {
 					res, chg := dst.ReceiveUpdate(d.from, d.rt)
 					reschedule = res == router.ImportAccepted && chg
 				} else {
-					reschedule = dst.ReceiveWithdraw(d.from, d.prefix)
+					reschedule = dst.ReceiveWithdraw(d.from, pfx[d.id])
 				}
-				if reschedule && !seen[d.prefix] {
-					seen[d.prefix] = true
-					ch = append(ch, d.prefix)
+				if reschedule && !seen[d.id] {
+					seen[d.id] = true
+					ch = append(ch, d.id)
 				}
 			}
 			changed[i] = ch
@@ -153,8 +155,8 @@ func (n *Network) runRounds(workers int) (int, error) {
 
 		// Phase 4: build the next frontier in canonical order.
 		for i, dst := range dstOrder {
-			for _, p := range changed[i] {
-				n.schedule(dst, p)
+			for _, id := range changed[i] {
+				n.schedule(dst, pfx[id])
 			}
 		}
 	}

@@ -37,8 +37,14 @@ type UpdateTap func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route)
 type Network struct {
 	Graph   *topo.Graph
 	routers map[topo.ASN]*router.Router
+	// prefixes is the one prefix table every router of this network
+	// indexes its slots by. Ids are assigned only in serial entry points
+	// (schedule, the routers' own Originate, AddRouter's Rebind), never
+	// inside a convergence run, and never show in anything a tap, archive
+	// or RIB dump carries.
+	prefixes *router.PrefixTable
 
-	// queue of (asn, prefix) pairs whose exports must be recomputed.
+	// queue of (asn, prefix id) pairs whose exports must be recomputed.
 	queue   []workItem
 	queued  map[workItem]bool
 	taps    []UpdateTap
@@ -60,8 +66,8 @@ type Network struct {
 }
 
 type workItem struct {
-	asn    topo.ASN
-	prefix netip.Prefix
+	asn topo.ASN
+	id  uint32
 }
 
 // ConfigFunc builds the router configuration for an AS. The returned
@@ -80,15 +86,18 @@ func New(g *topo.Graph, mk ConfigFunc) *Network {
 		mk = DefaultConfig
 	}
 	n := &Network{
-		Graph:   g,
-		routers: make(map[topo.ASN]*router.Router, g.NumASes()),
-		queued:  make(map[workItem]bool),
-		maxWork: 0,
+		Graph:    g,
+		routers:  make(map[topo.ASN]*router.Router, g.NumASes()),
+		prefixes: router.NewPrefixTable(),
+		queued:   make(map[workItem]bool),
+		maxWork:  0,
 	}
 	for _, asn := range g.ASes() {
 		cfg := mk(asn)
 		cfg.ASN = asn
-		n.routers[asn] = router.New(cfg)
+		r := router.New(cfg)
+		r.Rebind(n.prefixes)
+		n.routers[asn] = r
 	}
 	for _, asn := range g.ASes() {
 		r := n.routers[asn]
@@ -104,11 +113,13 @@ func (n *Network) Router(asn topo.ASN) *router.Router { return n.routers[asn] }
 
 // AddRouter inserts an extra node (e.g. a route server or an injection
 // platform) that is not part of the relationship graph. Sessions must be
-// wired explicitly with Connect.
+// wired explicitly with Connect. The router moves onto the network's
+// prefix table, keeping whatever routes it already holds.
 func (n *Network) AddRouter(r *router.Router) {
 	if n.frozen {
 		panic(fmt.Sprintf("simnet: AddRouter(AS%d) on frozen network — fork the snapshot instead", r.ASN()))
 	}
+	r.Rebind(n.prefixes)
 	n.routers[r.ASN()] = r
 	n.invalidateDelta()
 }
@@ -156,7 +167,7 @@ func (n *Network) Untap(id int) {
 func (n *Network) Steps() int { return n.steps }
 
 func (n *Network) schedule(asn topo.ASN, p netip.Prefix) {
-	it := workItem{asn: asn, prefix: p.Masked()}
+	it := workItem{asn: asn, id: n.prefixes.Intern(p.Masked())}
 	if n.queued[it] {
 		return
 	}

@@ -10,26 +10,27 @@ import (
 )
 
 // Warm-world snapshots: Freeze seals a converged network into an
-// immutable Snapshot whose routers — route slabs, per-prefix state, LPM
+// immutable Snapshot whose routers — route slabs, slot tables, LPM
 // tries — are shared, and Fork yields a mutable network backed by that
-// shared state. A fork pays one shallow map copy up front; routers are
-// then copied-on-write the first time a run actually touches them, so a
-// scenario's perturbation costs O(dirty routers), not O(world). The
-// engines pre-clone exactly the routers a round will mutate during their
-// serial phases (see runDelta and runRounds), and every mutating
-// entry point on a sealed router panics, so a missed copy is a loud
-// failure instead of cross-fork corruption.
+// shared state. A fork pays two shallow map copies up front (routers,
+// prefix ids); routers are then copied-on-write the first time a run
+// actually touches them, so a scenario's perturbation costs O(dirty
+// routers), not O(world). The engines pre-clone exactly the routers a
+// round will mutate during their serial phases (see runDelta and
+// runRounds), and every mutating entry point on a sealed router panics,
+// so a missed copy is a loud failure instead of cross-fork corruption.
 
 // Snapshot is an immutable, converged world: the shared backbone any
 // number of concurrent forks read through. It is created by
 // Network.Freeze and is safe for concurrent Fork calls.
 type Snapshot struct {
-	graph   *topo.Graph
-	routers map[topo.ASN]*router.Router
-	steps   int
-	maxWork int
-	workers int
-	oracle  bool
+	graph    *topo.Graph
+	routers  map[topo.ASN]*router.Router
+	prefixes *router.PrefixTable
+	steps    int
+	maxWork  int
+	workers  int
+	oracle   bool
 
 	mu        sync.Mutex
 	forks     int
@@ -58,12 +59,13 @@ func (n *Network) Freeze() (*Snapshot, error) {
 	}
 	n.frozen = true
 	return &Snapshot{
-		graph:   n.Graph,
-		routers: n.routers,
-		steps:   n.steps,
-		maxWork: n.maxWork,
-		workers: n.workers,
-		oracle:  n.oracle,
+		graph:    n.Graph,
+		routers:  n.routers,
+		prefixes: n.prefixes,
+		steps:    n.steps,
+		maxWork:  n.maxWork,
+		workers:  n.workers,
+		oracle:   n.oracle,
 	}, nil
 }
 
@@ -71,8 +73,9 @@ func (n *Network) Freeze() (*Snapshot, error) {
 // routers. The fork inherits the engine configuration and delivery
 // counter captured at freeze time, so a run on the fork resolves to the
 // same engine and counts steps exactly as a scratch-built world would.
-// Forks are independent: mutations copy-on-write the touched routers and
-// can never reach the snapshot or sibling forks.
+// Forks are independent: mutations copy-on-write the touched routers,
+// prefixes a fork sees first get ids in the fork's own copy of the prefix
+// table, and neither can reach the snapshot or sibling forks.
 func (s *Snapshot) Fork() (*Network, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -81,14 +84,15 @@ func (s *Snapshot) Fork() (*Network, error) {
 	}
 	s.forks++
 	return &Network{
-		Graph:   s.graph,
-		routers: maps.Clone(s.routers),
-		queued:  make(map[workItem]bool),
-		steps:   s.steps,
-		maxWork: s.maxWork,
-		workers: s.workers,
-		oracle:  s.oracle,
-		cow:     true,
+		Graph:    s.graph,
+		routers:  maps.Clone(s.routers),
+		prefixes: s.prefixes.Clone(),
+		queued:   make(map[workItem]bool),
+		steps:    s.steps,
+		maxWork:  s.maxWork,
+		workers:  s.workers,
+		oracle:   s.oracle,
+		cow:      true,
 	}, nil
 }
 
@@ -127,6 +131,7 @@ func (n *Network) mutable(asn topo.ASN) *router.Router {
 		panic(fmt.Sprintf("simnet: mutation of frozen network (AS%d) — fork the snapshot instead", asn))
 	}
 	cp := r.Clone()
+	cp.Rebind(n.prefixes)
 	n.routers[asn] = cp
 	return cp
 }
