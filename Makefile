@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzMRTRecord$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/mrt
 	$(GO) test -fuzz '^FuzzSuiteFile$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/suite
 	$(GO) test -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/durable
+	$(GO) test -fuzz '^FuzzCheckpoint$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/durable
 
 lint:
 	@fmtout="$$(gofmt -l .)"; \

@@ -282,6 +282,14 @@ until healthy=$(curl -fsS "http://$F3ADDR/healthz" 2>/dev/null | sed -n 's/.*"sh
     [ "$i" -ge 100 ] && { echo "watchsmoke: FAIL — replicated fleet never became healthy"; exit 1; }
     sleep 0.2
 done
+# The range is healthy as soon as one replica answers; the kill below
+# needs the other one up too.
+i=0
+until curl -fsS "http://$RADDR/healthz" >/dev/null 2>&1; do
+    i=$((i + 1))
+    [ "$i" -ge 100 ] && { echo "watchsmoke: FAIL — replica never became healthy"; exit 1; }
+    sleep 0.2
+done
 kill -9 "$TPID0"
 wait "$TPID0" 2>/dev/null || true
 r=$(curl -fsS "http://$F3ADDR/alerts")

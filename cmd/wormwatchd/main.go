@@ -409,7 +409,7 @@ func runDaemon(cfg config) error {
 				var n int
 				var err error
 				if tail != nil {
-					n, err = watch.StreamMRT(tail, src, sink)
+					n, err = watch.StreamMRT(watch.DrainReader(tail, eng.Dispatch), src, sink)
 				} else {
 					f, err2 := os.Open(p)
 					if err2 != nil {
@@ -476,7 +476,7 @@ func runDaemon(cfg config) error {
 					// The source label is constant across connections so a
 					// reconnecting sender produces the same event bytes a
 					// WAL replay would.
-					n, err := watch.StreamMRT(conn, "mrt:feed", sink)
+					n, err := watch.StreamMRT(watch.DrainReader(conn, eng.Dispatch), "mrt:feed", sink)
 					if err != nil && !stopping.Load() {
 						log.Printf("wormwatchd: live feed: %d events, then: %v", n, err)
 					} else {
@@ -488,9 +488,10 @@ func runDaemon(cfg config) error {
 		}()
 	}
 
-	// While any feed is live, surface partial batches on a heartbeat:
-	// without it a slow -follow source could sit under the engine's
-	// batching granularity and never show its alerts.
+	// The socket and -follow feeds dispatch their own partial batches
+	// the moment they drain (watch.DrainReader). The heartbeat is for what
+	// has no read boundary to hang that on — a scenario tap mid-replay —
+	// and for refreshing the detectors' dictionary.
 	flusherDone := make(chan struct{})
 	feeds.Add(1)
 	go func() {

@@ -8,9 +8,10 @@
 //
 // The layering mirrors a classic log-structured store:
 //
-//   - codec.go    one watch.Event <-> one compact binary record
+//   - codec.go    one watch.Event <-> one compact binary record, and
+//     the field vocabulary checkpoints are written in
 //   - wal.go      records -> CRC-framed frames -> rotating segments
-//   - snapshot.go engine state -> atomic checkpoint files
+//   - snapshot.go engine state -> atomic checkpoint files, same codec
 //   - store.go    the Store: sequencing, ownership filtering for the
 //     sharded daemon, recovery, snapshot scheduling, retention
 //
@@ -49,36 +50,16 @@ const maxRecord = 1 << 20
 // clocks identically).
 func EncodeEvent(buf []byte, ev *watch.Event) []byte {
 	buf = binary.AppendUvarint(buf, ev.Seq)
-	if ev.Time.IsZero() {
-		buf = binary.AppendVarint(buf, 0)
-	} else {
-		buf = binary.AppendVarint(buf, ev.Time.UnixNano())
-	}
-	var flags byte
+	buf = appendTime(buf, ev.Time)
+	flags := prefixFlags(ev.Prefix)
 	if ev.Withdraw {
 		flags |= flagWithdraw
-	}
-	addr := ev.Prefix.Addr()
-	switch {
-	case !ev.Prefix.IsValid():
-		flags |= flagNoPrefix
-	case !addr.Is4():
-		flags |= flagV6
 	}
 	buf = append(buf, flags)
 	buf = binary.AppendUvarint(buf, uint64(len(ev.Source)))
 	buf = append(buf, ev.Source...)
 	buf = binary.AppendUvarint(buf, uint64(ev.PeerAS))
-	if ev.Prefix.IsValid() {
-		if addr.Is4() {
-			a4 := addr.As4()
-			buf = append(buf, a4[:]...)
-		} else {
-			a16 := addr.As16()
-			buf = append(buf, a16[:]...)
-		}
-		buf = append(buf, byte(ev.Prefix.Bits()))
-	}
+	buf = appendPrefix(buf, ev.Prefix)
 	buf = binary.AppendUvarint(buf, uint64(len(ev.ASPath)))
 	for _, a := range ev.ASPath {
 		buf = binary.AppendUvarint(buf, uint64(a))
@@ -90,60 +71,68 @@ func EncodeEvent(buf []byte, ev *watch.Event) []byte {
 	return buf
 }
 
-// DecodeEvent parses one encoded event. It never panics: any
-// truncation or implausible length yields an error, which is what
-// makes it safe as the WAL recovery (and fuzzing) surface.
+// appendTime encodes t as varint UTC nanoseconds, the zero time as 0.
+func appendTime(buf []byte, t time.Time) []byte {
+	if t.IsZero() {
+		return binary.AppendVarint(buf, 0)
+	}
+	return binary.AppendVarint(buf, t.UnixNano())
+}
+
+// prefixFlags is the flag byte that tells a decoder how to read what
+// appendPrefix wrote for p: nothing, 4+1 bytes, or 16+1.
+func prefixFlags(p netip.Prefix) byte {
+	switch {
+	case !p.IsValid():
+		return flagNoPrefix
+	case !p.Addr().Is4():
+		return flagV6
+	}
+	return 0
+}
+
+// appendPrefix encodes a valid prefix as address bytes + length byte,
+// and an invalid one as nothing.
+func appendPrefix(buf []byte, p netip.Prefix) []byte {
+	if !p.IsValid() {
+		return buf
+	}
+	if addr := p.Addr(); addr.Is4() {
+		a4 := addr.As4()
+		buf = append(buf, a4[:]...)
+	} else {
+		a16 := addr.As16()
+		buf = append(buf, a16[:]...)
+	}
+	return append(buf, byte(p.Bits()))
+}
+
+// DecodeEvent parses one encoded event. It never panics and never sizes
+// an allocation from a length the input merely claims: any truncation or
+// implausible length yields an error, which is what makes it safe as the
+// WAL recovery, checkpoint restore and fuzzing surface.
 func DecodeEvent(data []byte) (watch.Event, error) {
-	var ev watch.Event
 	r := reader{data: data}
-	ev.Seq = r.uvarint()
-	if nanos := r.varint(); nanos != 0 {
-		ev.Time = time.Unix(0, nanos).UTC()
-	}
+	ev := watch.Event{Seq: r.uvarint(), Time: r.time()}
 	flags := r.byte()
-	srcLen := r.uvarint()
-	if srcLen > maxRecord {
-		return ev, fmt.Errorf("durable: source length %d implausible", srcLen)
-	}
-	ev.Source = string(r.bytes(int(srcLen)))
+	ev.Source = r.str()
 	ev.PeerAS = uint32(r.uvarint())
-	if flags&flagNoPrefix == 0 {
-		if flags&flagV6 != 0 {
-			var a16 [16]byte
-			copy(a16[:], r.bytes(16))
-			ev.Prefix = netip.PrefixFrom(netip.AddrFrom16(a16), int(r.byte()))
-		} else {
-			var a4 [4]byte
-			copy(a4[:], r.bytes(4))
-			ev.Prefix = netip.PrefixFrom(netip.AddrFrom4(a4), int(r.byte()))
-		}
-		if !ev.Prefix.IsValid() && !r.failed {
-			return ev, fmt.Errorf("durable: invalid prefix bits")
-		}
-	}
-	pathLen := r.uvarint()
-	if pathLen > maxRecord/2 {
-		return ev, fmt.Errorf("durable: path length %d implausible", pathLen)
-	}
-	if pathLen > 0 && !r.failed {
-		ev.ASPath = make([]uint32, 0, pathLen)
-		for i := uint64(0); i < pathLen && !r.failed; i++ {
+	ev.Prefix = r.prefix(flags)
+	if n := r.count(1); n > 0 {
+		ev.ASPath = make([]uint32, 0, n)
+		for i := 0; i < n && !r.failed; i++ {
 			ev.ASPath = append(ev.ASPath, uint32(r.uvarint()))
 		}
 	}
-	commLen := r.uvarint()
-	if commLen > maxRecord/4 {
-		return ev, fmt.Errorf("durable: community count %d implausible", commLen)
-	}
-	if commLen > 0 && !r.failed {
-		ev.Communities = make(bgp.CommunitySet, 0, commLen)
-		for i := uint64(0); i < commLen && !r.failed; i++ {
+	if n := r.count(4); n > 0 {
+		ev.Communities = make(bgp.CommunitySet, 0, n)
+		for i := 0; i < n; i++ {
 			ev.Communities = append(ev.Communities, bgp.Community(binary.BigEndian.Uint32(r.bytes(4))))
 		}
 	}
 	ev.Withdraw = flags&flagWithdraw != 0
 	if r.failed {
-		return ev, fmt.Errorf("durable: truncated event record (%d bytes)", len(data))
+		return ev, fmt.Errorf("durable: truncated or malformed event record (%d bytes)", len(data))
 	}
 	if r.pos != len(data) {
 		return ev, fmt.Errorf("durable: %d trailing bytes after event record", len(data)-r.pos)
@@ -151,8 +140,9 @@ func DecodeEvent(data []byte) (watch.Event, error) {
 	return ev, nil
 }
 
-// reader is a bounds-checked cursor: reads past the end flip failed
-// instead of panicking, so decode error handling lives in one place.
+// reader is a bounds-checked cursor: reads past the end and values no
+// input of this size could carry flip failed instead of panicking, so
+// decode error handling lives in one place.
 type reader struct {
 	data   []byte
 	pos    int
@@ -199,4 +189,46 @@ func (r *reader) bytes(n int) []byte {
 	b := r.data[r.pos : r.pos+n]
 	r.pos += n
 	return b
+}
+
+// count reads an element count (or a byte length, with size 1) and
+// fails unless that many elements of at least size bytes each could
+// still follow, so no caller allocates for more than the input holds.
+func (r *reader) count(size int) int {
+	v := r.uvarint()
+	if v > uint64(len(r.data)-r.pos)/uint64(size) {
+		r.failed = true
+		return 0
+	}
+	return int(v)
+}
+
+func (r *reader) str() string { return string(r.bytes(r.count(1))) }
+
+// time reads what appendTime wrote.
+func (r *reader) time() time.Time {
+	if nanos := r.varint(); nanos != 0 {
+		return time.Unix(0, nanos).UTC()
+	}
+	return time.Time{}
+}
+
+// prefix reads what appendPrefix wrote, given the flag byte that went
+// with it. Address bytes and a length that do not make a prefix fail
+// the read.
+func (r *reader) prefix(flags byte) netip.Prefix {
+	if flags&flagNoPrefix != 0 {
+		return netip.Prefix{}
+	}
+	var addr netip.Addr
+	if flags&flagV6 != 0 {
+		addr = netip.AddrFrom16([16]byte(r.bytes(16)))
+	} else {
+		addr = netip.AddrFrom4([4]byte(r.bytes(4)))
+	}
+	p := netip.PrefixFrom(addr, int(r.byte()))
+	if !p.IsValid() {
+		r.failed = true
+	}
+	return p
 }

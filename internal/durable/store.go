@@ -73,11 +73,21 @@ type Recovery struct {
 // Feed everything through Ingest (or the Sink adapter) from however
 // many goroutines; the store serializes, which is also what keeps the
 // WAL order identical to the engine's ingest order.
+//
+// Two locks, taken in this order. snapMu serialises checkpoints and is
+// the only lock held while one is encoded, written, fsynced and renamed.
+// mu is the ingest lock: it covers sequencing, the WAL append (a
+// buffered write, never an fsync) and the engine hand-off, and a
+// checkpoint holds it only for its fence — reading the watermark and
+// copying the engines' state at that watermark. No file is written,
+// synced, renamed or deleted under mu.
 type Store struct {
 	opts Options
 	eng  *watch.Engine
 	sem  *semantics.Engine
 	wal  *WAL
+
+	snapMu sync.Mutex
 
 	mu          sync.Mutex
 	pos         uint64 // global position of the last event seen from the feed
@@ -234,13 +244,19 @@ func (s *Store) Ingest(ev watch.Event) error {
 func (s *Store) Sink() func(watch.Event) {
 	return func(ev watch.Event) {
 		if err := s.Ingest(ev); err != nil {
-			s.mu.Lock()
-			if s.err == nil {
-				s.err = err
-			}
-			s.mu.Unlock()
+			s.stick(err)
 		}
 	}
+}
+
+// stick records err as the store's sticky error unless one is already
+// held.
+func (s *Store) stick(err error) {
+	s.mu.Lock()
+	if s.err == nil {
+		s.err = err
+	}
+	s.mu.Unlock()
 }
 
 // Err reports the first ingest error swallowed by Sink (nil when
@@ -251,23 +267,30 @@ func (s *Store) Err() error {
 	return s.err
 }
 
-// Snapshot writes a checkpoint now: ingest is gated, both engines are
-// flushed and exported, the checkpoint lands atomically, and WAL
-// segments it fully covers are deleted.
+// Snapshot writes a checkpoint now and returns once it is durable.
+// Ingest is excluded only while the fence is taken; it runs on while
+// the state cut at the fence is encoded and written, and nothing it
+// adds can leak into the file — window events are immutable once
+// ingested, so the copy the fence took may share their path and
+// community slices with the live engine. A crash at any point leaves
+// the previous checkpoint and an untruncated WAL: the new file appears
+// by rename, and covered segments are deleted only after it has.
 func (s *Store) Snapshot() error {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return fmt.Errorf("durable: snapshot of closed store")
 	}
-	return s.snapshotLocked()
+	cp := s.fenceLocked()
+	s.mu.Unlock()
+	return s.writeCheckpoint(cp)
 }
 
-func (s *Store) snapshotLocked() error {
-	// Make the covered tail durable before claiming coverage.
-	if err := s.wal.Sync(); err != nil {
-		return err
-	}
+// fenceLocked cuts both engines' state at the current watermark. It is
+// the whole of a checkpoint's claim on the ingest lock.
+func (s *Store) fenceLocked() *Checkpoint {
 	cp := &Checkpoint{
 		Seq:     s.watermarkLocked(),
 		Skipped: s.skipped,
@@ -277,10 +300,23 @@ func (s *Store) snapshotLocked() error {
 	if s.sem != nil {
 		cp.Semantics = s.sem.ExportState()
 	}
+	return cp
+}
+
+// writeCheckpoint makes a fenced state durable and retires what it
+// covers. snapMu is held, mu is not.
+func (s *Store) writeCheckpoint(cp *Checkpoint) error {
+	// The covered WAL tail must be durable before the checkpoint claims
+	// coverage, that is before the rename inside writeSnapshot.
+	if err := s.wal.Sync(); err != nil {
+		return err
+	}
 	if _, err := writeSnapshot(s.opts.Dir, cp); err != nil {
 		return err
 	}
+	s.mu.Lock()
 	s.snapSeq, s.snapAt = cp.Seq, cp.SavedAt
+	s.mu.Unlock()
 	if s.snapshots != nil {
 		s.snapshots.Inc()
 	}
@@ -304,14 +340,25 @@ func (s *Store) runSnapshots() {
 		case <-s.stopSnap:
 			return
 		case <-tick.C:
-			s.mu.Lock()
-			if !s.closed && s.watermarkLocked() > s.snapSeq {
-				if err := s.snapshotLocked(); err != nil && s.err == nil {
-					s.err = err
-				}
-			}
-			s.mu.Unlock()
+			s.checkpointIfNew()
 		}
+	}
+}
+
+// checkpointIfNew is one tick of the background loop: a checkpoint
+// unless the store is closed or nothing has arrived since the last one.
+func (s *Store) checkpointIfNew() {
+	s.snapMu.Lock()
+	defer s.snapMu.Unlock()
+	s.mu.Lock()
+	if s.closed || s.watermarkLocked() <= s.snapSeq {
+		s.mu.Unlock()
+		return
+	}
+	cp := s.fenceLocked()
+	s.mu.Unlock()
+	if err := s.writeCheckpoint(cp); err != nil {
+		s.stick(err)
 	}
 }
 
@@ -354,17 +401,22 @@ func (s *Store) Status() Status {
 	return st
 }
 
-// Close writes a final checkpoint and closes the WAL. The engines are
-// left open — they belong to the caller.
+// Close waits for a checkpoint in flight, refuses further ingest, writes
+// the final checkpoint and closes the WAL. The engines are left open —
+// they belong to the caller.
 func (s *Store) Close() error {
+	s.snapMu.Lock()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		s.snapMu.Unlock()
 		return nil
 	}
 	s.closed = true
-	err := s.snapshotLocked()
+	cp := s.fenceLocked()
 	s.mu.Unlock()
+	err := s.writeCheckpoint(cp)
+	s.snapMu.Unlock()
 	close(s.stopSnap)
 	<-s.snapDone
 	if werr := s.wal.Close(); err == nil {
@@ -375,7 +427,9 @@ func (s *Store) Close() error {
 }
 
 // crash simulates a kill -9 for tests: no final checkpoint, no flush —
-// only what the group commits already pushed to the kernel survives.
+// only what the group commits already pushed to the kernel survives. A
+// checkpoint already past its fence runs to completion, as one whose
+// rename beat the signal would have.
 func (s *Store) crash() {
 	s.mu.Lock()
 	s.closed = true

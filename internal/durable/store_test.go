@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"hash/fnv"
+	"math/rand"
 	"net/netip"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -383,5 +387,218 @@ func TestStoreBackgroundLoops(t *testing.T) {
 	}
 	if st.Status().Err != "" {
 		t.Fatalf("store error after background run: %s", st.Status().Err)
+	}
+}
+
+// cycleEvents repeats the churn feed up to n events (sequence numbers
+// make every repeat a distinct event).
+func cycleEvents(t testing.TB, n int) []watch.Event {
+	t.Helper()
+	base := churnEvents(t)
+	out := make([]watch.Event, 0, n)
+	for len(out) < n {
+		out = append(out, base[:min(len(base), n-len(out))]...)
+	}
+	return out
+}
+
+// TestStoreExactCutUnderConcurrentIngest is the checkpoint-outside-the-
+// lock proof. One goroutine ingests 50K events, a second checkpoints in
+// a loop, a third reads Status, and the store is killed at a random
+// point. Two claims:
+//
+//   - every checkpoint file written while ingest was running covers
+//     exactly its Seq: restored alone into a fresh engine pair it equals
+//     a control fed events 1..Seq — nothing past the fence leaked in
+//     through the window slices the fence copy shares with the live
+//     engine;
+//   - the recovered store (newest checkpoint + WAL tail) equals a
+//     control fed events 1..recovered-seq.
+//
+// Equality is byte equality of the encoded state. Run under -race: the
+// encoder reads event slices the engine still holds.
+func TestStoreExactCutUnderConcurrentIngest(t *testing.T) {
+	const total = 50_000
+	events := cycleEvents(t, total)
+	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
+	killAfter := 5_000 + rng.Intn(total-10_000)
+	t.Logf("kill after %d events", killAfter)
+
+	dir := t.TempDir()
+	opts := Options{
+		Dir: dir, FsyncInterval: time.Millisecond,
+		SegmentBytes:  256 << 10, // rotations and truncations inside the run
+		KeepSnapshots: 1 << 20,   // keep every checkpoint for the audit below
+	}
+	eng, sem := newPair(3)
+	st, _, err := Open(eng, sem, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	var ingested, snaps atomic.Int64
+	killed := make(chan struct{})
+	wg.Add(3)
+	go func() { // feed: stops at the first refusal, which is the kill
+		defer wg.Done()
+		for i, ev := range events {
+			if st.Ingest(ev) != nil {
+				return
+			}
+			ingested.Add(1)
+			if i%1024 == 0 {
+				time.Sleep(100 * time.Microsecond) // let checkpoints interleave on a busy box
+			}
+		}
+	}()
+	go func() { // a checkpoint per thousand events or so, always mid-ingest
+		defer wg.Done()
+		for at := int64(0); st.Snapshot() == nil; at = ingested.Load() {
+			snaps.Add(1)
+			for ingested.Load() < at+1000 {
+				select {
+				case <-killed:
+					return
+				default:
+					time.Sleep(50 * time.Microsecond)
+				}
+			}
+		}
+	}()
+	go func() { // a reader of the watermarks
+		defer wg.Done()
+		var last Status
+		for {
+			s := st.Status()
+			if s.Seq < last.Seq || s.SnapshotSeq < last.SnapshotSeq || s.SnapshotSeq > s.Seq {
+				t.Errorf("watermarks went backwards or crossed: %+v after %+v", s, last)
+				return
+			}
+			last = s
+			select {
+			case <-killed:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+	// The kill lands at the random point, or later if fewer than two
+	// checkpoints have been written by then (never past the feed's end).
+	for n := ingested.Load(); n < total && (n < int64(killAfter) || snaps.Load() < 2); n = ingested.Load() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	st.crash()
+	close(killed)
+	wg.Wait()
+	if err := st.Err(); err != nil {
+		t.Fatalf("store error during the run: %v", err)
+	}
+	eng.Close()
+	sem.Close()
+
+	// One control pair, advanced to each sequence under audit in turn.
+	ctl, ctlSem := newPair(2)
+	defer ctl.Close()
+	defer ctlSem.Close()
+	fed := 0
+	controlAt := func(seq uint64) []byte {
+		for ; fed < int(seq); fed++ {
+			ctl.Ingest(events[fed])
+		}
+		return stateBytes(t, ctl, ctlSem)
+	}
+
+	paths, err := snapshotPaths(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no checkpoint landed while ingest ran; nothing to audit")
+	}
+	t.Logf("%d checkpoints landed during the run", len(paths))
+	// Audit a spread of at most eight files; each costs a full restore.
+	step := max(1, len(paths)/8)
+	for i := 0; i < len(paths); i += step {
+		cp, err := readSnapshot(paths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := snapName(cp.Seq); filepath.Base(paths[i]) != want {
+			t.Fatalf("%s holds seq %d", paths[i], cp.Seq)
+		}
+		re, reSem := newPair(4)
+		if err := re.RestoreState(cp.Watch); err != nil {
+			t.Fatal(err)
+		}
+		if err := reSem.RestoreState(cp.Semantics); err != nil {
+			t.Fatal(err)
+		}
+		got := stateBytes(t, re, reSem)
+		re.Close()
+		reSem.Close()
+		if !bytes.Equal(got, controlAt(cp.Seq)) {
+			t.Fatalf("checkpoint %s does not equal a control fed events 1..%d", filepath.Base(paths[i]), cp.Seq)
+		}
+	}
+
+	eng2, sem2 := newPair(5)
+	defer eng2.Close()
+	defer sem2.Close()
+	st2, rec, err := Open(eng2, sem2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.crash()
+	if rec.Seq < rec.CheckpointSeq || rec.Seq > uint64(ingested.Load()) {
+		t.Fatalf("recovered %+v after %d acknowledged events", rec, ingested.Load())
+	}
+	if rec.Seq < uint64(fed) {
+		t.Fatalf("recovered seq %d is behind an audited checkpoint at %d", rec.Seq, fed)
+	}
+	if !bytes.Equal(stateBytes(t, eng2, sem2), controlAt(rec.Seq)) {
+		t.Fatalf("recovered state (checkpoint %d + %d WAL records) differs from a control fed events 1..%d",
+			rec.CheckpointSeq, rec.Replayed, rec.Seq)
+	}
+}
+
+// TestStoreCloseWaitsForCheckpointInFlight: Close while another
+// goroutine is mid-Snapshot must neither deadlock nor lose the final
+// state — the last file on disk covers everything ingested.
+func TestStoreCloseWaitsForCheckpointInFlight(t *testing.T) {
+	events := churnEvents(t)
+	eng, sem := newPair(2)
+	defer eng.Close()
+	defer sem.Close()
+	dir := t.TempDir()
+	st, _, err := Open(eng, sem, Options{Dir: dir, FsyncInterval: noSync, SnapshotInterval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for st.Snapshot() == nil {
+		}
+	}()
+	for _, ev := range events {
+		if err := st.Ingest(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	cp, err := loadLatestSnapshot(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Seq != uint64(len(events)) || st.Status().SnapshotSeq != cp.Seq {
+		t.Fatalf("final checkpoint at %d (status %d), want %d", cp.Seq, st.Status().SnapshotSeq, len(events))
+	}
+	if err := st.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }

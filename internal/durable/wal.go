@@ -3,6 +3,7 @@ package durable
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -77,8 +78,8 @@ type WALRecovery struct {
 }
 
 // WAL is the segmented write-ahead log. One goroutine may Append at a
-// time (the Store serializes); Sync and Close are safe concurrently
-// with the background syncer.
+// time (the Store serializes); Sync, TruncateBefore and Close are safe
+// concurrently with appends and with the background syncer.
 type WAL struct {
 	dir  string
 	opts WALOptions
@@ -367,8 +368,11 @@ func (w *WAL) rotateLocked(nextSeq uint64) error {
 	return nil
 }
 
-// flushLocked drains the user-space buffer and optionally fsyncs,
-// advancing the durable watermark.
+// flushLocked drains the user-space buffer and, when fsync is set, makes
+// the active segment durable and advances the durable watermark. It is
+// the under-lock commit of the two places that close the file right
+// after — rotation and Close; the group commit (Sync) fsyncs outside
+// the lock instead.
 func (w *WAL) flushLocked(fsync bool) error {
 	if w.bw == nil {
 		return nil
@@ -376,32 +380,70 @@ func (w *WAL) flushLocked(fsync bool) error {
 	if err := w.bw.Flush(); err != nil {
 		return err
 	}
-	if fsync && w.opts.FsyncInterval >= 0 {
-		var start time.Time
-		if w.fsyncHist != nil {
-			start = time.Now()
-		}
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
-		if w.fsyncHist != nil {
-			w.fsyncHist.ObserveSince(start)
-		}
+	if !fsync {
+		return nil
+	}
+	if err := w.fsync(w.f); err != nil {
+		return err
 	}
 	w.synced = w.lastSeq
 	w.dirty = false
 	return nil
 }
 
-// Sync forces a group commit now: everything appended so far is
-// durable when it returns.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
+// fsync makes f's written bytes durable and observes the latency. A log
+// opened with fsync disabled stops at the flush its caller already did.
+func (w *WAL) fsync(f *os.File) error {
+	if w.opts.FsyncInterval < 0 {
 		return nil
 	}
-	return w.flushLocked(true)
+	var start time.Time
+	if w.fsyncHist != nil {
+		start = time.Now()
+	}
+	err := f.Sync()
+	if err == nil && w.fsyncHist != nil {
+		w.fsyncHist.ObserveSince(start)
+	}
+	return err
+}
+
+// Sync is one group commit: everything appended before the call is
+// durable when it returns. Only the buffer flush and the capture of
+// (file, last sequence) happen under the append lock; the fsync runs
+// outside it, so appends — and Store.Ingest behind them — never wait for
+// the disk, and the durable watermark then advances to the captured
+// sequence only, never to records appended while the fsync was running.
+func (w *WAL) Sync() error {
+	w.mu.Lock()
+	if w.closed || w.f == nil {
+		w.mu.Unlock()
+		return nil
+	}
+	if err := w.flushLocked(false); err != nil {
+		w.mu.Unlock()
+		return err
+	}
+	f, seq := w.f, w.lastSeq
+	w.dirty = false
+	w.mu.Unlock()
+
+	err := w.fsync(f)
+
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	switch {
+	case err == nil:
+		w.synced = max(w.synced, seq)
+	case errors.Is(err, os.ErrClosed):
+		// The segment was closed under us. A rotation or Close fsynced it
+		// first and advanced the watermark itself; a crash did neither,
+		// and then nothing may be claimed.
+		err = nil
+	default:
+		w.dirty = true // retry on the next tick
+	}
+	return err
 }
 
 // runSyncer is the group-commit loop.
@@ -419,10 +461,11 @@ func (w *WAL) runSyncer() {
 			return
 		case <-tick.C:
 			w.mu.Lock()
-			if w.dirty && !w.closed {
-				_ = w.flushLocked(true)
-			}
+			dirty := w.dirty
 			w.mu.Unlock()
+			if dirty {
+				_ = w.Sync()
+			}
 		}
 	}
 }
@@ -487,13 +530,23 @@ func (w *WAL) Replay(fromSeq uint64, fn func(seq uint64, payload []byte) error) 
 // conservative — a segment whose last record is below seq survives
 // when the gap pushes its successor's first seq past seq — but never
 // deletes a record >= seq (TestTruncateBeforeProperty).
+//
+// Only the listing happens under the append lock (so its last entry is
+// the active segment); sealed segments are immutable, and unlinking
+// them does not make an Append wait.
 func (w *WAL) TruncateBefore(seq uint64) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	paths, err := w.segments()
+	w.mu.Unlock()
 	if err != nil {
 		return err
 	}
+	var freed int64
+	defer func() {
+		w.mu.Lock()
+		w.sealed -= freed
+		w.mu.Unlock()
+	}()
 	for i, p := range paths {
 		if i+1 >= len(paths) {
 			break // active segment
@@ -513,7 +566,7 @@ func (w *WAL) TruncateBefore(seq uint64) error {
 			return err
 		}
 		if statErr == nil {
-			w.sealed -= st.Size()
+			freed += st.Size()
 		}
 	}
 	return nil

@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -409,5 +412,98 @@ func TestTruncateBeforeProperty(t *testing.T) {
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestWALSyncInterleavings drives the off-lock group commit against
+// everything that can close the segment it is fsyncing: rotation (tiny
+// segments), Close, and crash. Claims: DurableSeq is monotone and never
+// ahead of LastSeq while the log is live; after Close everything
+// appended replays; after a crash every record DurableSeq ever vouched
+// for is on disk — the watermark advanced only to sequences that were
+// flushed before an fsync that returned, never to ones appended while
+// it ran (those may still be in the user-space buffer crash discards).
+func TestWALSyncInterleavings(t *testing.T) {
+	for _, end := range []string{"close", "crash"} {
+		t.Run(end, func(t *testing.T) {
+			dir := t.TempDir()
+			w, _, err := OpenWAL(dir, WALOptions{SegmentBytes: 2048, FsyncInterval: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const total = 4000
+			var appended atomic.Uint64
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for i := 0; i < 2; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var prev uint64
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := w.Sync(); err != nil {
+							t.Errorf("sync: %v", err)
+							return
+						}
+						d := w.DurableSeq()
+						if d < prev {
+							t.Errorf("durable seq went back: %d after %d", d, prev)
+							return
+						}
+						if last := w.LastSeq(); d > last {
+							t.Errorf("durable seq %d ahead of last appended %d", d, last)
+							return
+						}
+						prev = d
+					}
+				}()
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for seq := uint64(1); seq <= total; seq++ {
+					if w.Append(seq, []byte(fmt.Sprintf("payload-%d", seq))) != nil {
+						return // closed under us: the crash arm
+					}
+					appended.Store(seq)
+				}
+			}()
+			if end == "crash" {
+				for appended.Load() < total/2 {
+					runtime.Gosched()
+				}
+				w.crash()
+			} else {
+				for appended.Load() < total {
+					runtime.Gosched()
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+			vouched := w.DurableSeq()
+
+			w2, rec, err := OpenWAL(dir, WALOptions{FsyncInterval: noSync})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			if rec.LastSeq < vouched {
+				t.Fatalf("durable seq vouched for %d, only %d survived", vouched, rec.LastSeq)
+			}
+			if end == "close" && rec.LastSeq != total {
+				t.Fatalf("recovered %d of %d records after Close", rec.LastSeq, total)
+			}
+			if got := replayAll(t, w2, 1); !seqsEqual(got, seqRange(1, rec.LastSeq)) {
+				t.Fatalf("replay after %s is not 1..%d (%d records)", end, rec.LastSeq, len(got))
+			}
+		})
 	}
 }

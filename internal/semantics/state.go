@@ -18,33 +18,33 @@ import (
 // identical to one from an uninterrupted run.
 type State struct {
 	// Seq is the engine's last assigned observation sequence number.
-	Seq       uint64 `json:"seq"`
-	Ingested  uint64 `json:"ingested"`
-	Processed uint64 `json:"processed"`
-	Dropped   uint64 `json:"dropped"`
+	Seq       uint64
+	Ingested  uint64
+	Processed uint64
+	Dropped   uint64
 	// Communities is the merged evidence, sorted by community so the
 	// export is byte-stable.
-	Communities []EvidenceState `json:"communities,omitempty"`
+	Communities []EvidenceState
 }
 
 // EvidenceState is one community's persisted evidence accumulator —
 // the full fold state, not the classified Entry, so restoring loses
 // nothing.
 type EvidenceState struct {
-	Community bgp.Community  `json:"community"`
-	Count     uint64         `json:"count"`
-	OnPath    uint64         `json:"on_path"`
-	OffPath   uint64         `json:"off_path"`
-	AtOrigin  uint64         `json:"at_origin"`
-	HostRoute uint64         `json:"host_route"`
-	Prepended uint64         `json:"prepended"`
-	MaxTravel int            `json:"max_travel"`
-	FirstSeq  uint64         `json:"first_seq"`
-	LastSeq   uint64         `json:"last_seq"`
-	FirstSeen time.Time      `json:"first_seen"`
-	LastSeen  time.Time      `json:"last_seen"`
-	Peers     []uint32       `json:"peers,omitempty"`
-	Prefixes  []netip.Prefix `json:"prefixes,omitempty"`
+	Community bgp.Community
+	Count     uint64
+	OnPath    uint64
+	OffPath   uint64
+	AtOrigin  uint64
+	HostRoute uint64
+	Prepended uint64
+	MaxTravel int
+	FirstSeq  uint64
+	LastSeq   uint64
+	FirstSeen time.Time
+	LastSeen  time.Time
+	Peers     []uint32
+	Prefixes  []netip.Prefix
 }
 
 // ExportState flushes pending folds and snapshots the merged evidence.

@@ -613,21 +613,19 @@ func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		h := shardHealth{URL: set.urls[0], Status: "ok"}
 		healthy := false
 		var firstErr string
-		for ri, base := range set.urls {
+		for _, base := range set.urls {
 			res := f.fetch(base+"/healthz", "", nil)
 			status := "ok"
+			// A probe observes: it does not mark, because a success would
+			// make the last replica probed the sticky one on every poll.
 			if res.err != nil {
 				f.upstreamErr.Inc()
-				set.mark(ri, false)
 				status = res.err.Error()
 				if firstErr == "" {
 					firstErr = status
 				}
-			} else {
-				set.mark(ri, true)
-				if !healthy {
-					h.URL, h.Detail = base, json.RawMessage(res.body)
-				}
+			} else if !healthy {
+				h.URL, h.Detail = base, json.RawMessage(res.body)
 				healthy = true
 			}
 			if len(set.urls) > 1 {

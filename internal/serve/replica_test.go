@@ -54,6 +54,10 @@ func TestFrontendReplicaFailover(t *testing.T) {
 	const rounds = 6
 	for i := 0; i < rounds; i++ {
 		if i == rounds/2 {
+			// A health poll must not move the sticky replica: it used to
+			// leave the last replica probed preferred, and the kill below
+			// then failed over nothing (watchsmoke stage 4's flake).
+			get(t, h, "/healthz", nil)
 			repA.Close() // kill one replica mid-hammer
 		}
 		if got := mustGet(t, h, "/alerts"); !bytes.Equal(got, want) {

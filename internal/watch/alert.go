@@ -34,8 +34,8 @@ func (s Severity) String() string {
 // MarshalJSON renders the severity as its name.
 func (s Severity) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 
-// UnmarshalJSON parses the severity name (the durable snapshot path
-// round-trips alerts through JSON).
+// UnmarshalJSON parses the severity name (the scatter-gather frontend
+// decodes shard /alerts payloads to merge them).
 func (s *Severity) UnmarshalJSON(b []byte) error {
 	var name string
 	if err := json.Unmarshal(b, &name); err != nil {

@@ -47,6 +47,27 @@ func StreamMRT(r io.Reader, source string, sink func(Event)) (int, error) {
 	return n, err
 }
 
+// DrainReader wraps a live byte source (a feed socket, a tailed file)
+// for StreamMRT: onDrain runs before every Read of r. The MRT decoder
+// reads through a bufio.Reader, which goes back to its source only once
+// it has handed out every byte that has arrived, so onDrain fires exactly
+// when every decodable event has reached the sink and the next read may
+// block. Pass Engine.Dispatch and a partial batch never waits for the
+// events that would have filled it.
+func DrainReader(r io.Reader, onDrain func()) io.Reader {
+	return &drainReader{r: r, onDrain: onDrain}
+}
+
+type drainReader struct {
+	r       io.Reader
+	onDrain func()
+}
+
+func (d *drainReader) Read(p []byte) (int, error) {
+	d.onDrain()
+	return d.r.Read(p)
+}
+
 // IngestMRT is StreamMRT bound to the engine's lossless ingest.
 func (e *Engine) IngestMRT(r io.Reader, source string) (int, error) {
 	return StreamMRT(r, source, e.Ingest)

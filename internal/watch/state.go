@@ -3,44 +3,51 @@ package watch
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 )
 
 // State is the engine's persistable snapshot: everything needed to
 // rebuild an equivalent engine after a restart. The durable store
-// (internal/durable) writes it alongside a WAL position so recovery is
+// (internal/durable) encodes it next to a WAL position so recovery is
 // restore-from-State plus replay of the WAL tail.
 //
 // Exporting while feeds are live yields a consistent but arbitrary cut;
 // for an exact cut (the durable snapshot discipline) the caller gates
-// ingest around ExportState.
+// ingest around ExportState — and only around it: the State shares no
+// mutable memory with the engine, so it can be encoded while ingest
+// runs on.
 type State struct {
 	// Seq is the last assigned ingest sequence number.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Ingested / Processed / Dropped / AlertsRaised / AlertsTruncated
 	// mirror the Stats counters at export time.
-	Ingested        uint64 `json:"ingested"`
-	Processed       uint64 `json:"processed"`
-	Dropped         uint64 `json:"dropped"`
-	AlertsRaised    uint64 `json:"alerts_raised"`
-	AlertsTruncated uint64 `json:"alerts_truncated"`
+	Ingested        uint64
+	Processed       uint64
+	Dropped         uint64
+	AlertsRaised    uint64
+	AlertsTruncated uint64
 	// Prefixes holds every tracked prefix's window, sorted by prefix
 	// (address, then length) so the export is byte-stable.
-	Prefixes []PrefixWindow `json:"prefixes,omitempty"`
+	Prefixes []PrefixWindow
 	// Alerts is every retained alert, ordered by Seq.
-	Alerts []Alert `json:"alerts,omitempty"`
+	Alerts []Alert
 	// ByDetector carries the per-detector firing totals (they outlive
 	// retention truncation, so they cannot be rebuilt from Alerts).
-	ByDetector map[string]uint64 `json:"alerts_by_detector,omitempty"`
+	ByDetector map[string]uint64
 }
 
 // PrefixWindow is one prefix's persisted sliding-window state.
 type PrefixWindow struct {
-	Prefix netip.Prefix `json:"prefix"`
+	Prefix netip.Prefix
 	// Total counts every event ever folded for the prefix.
-	Total uint64 `json:"total"`
-	// Events is the current ring content, oldest first.
-	Events []Event `json:"events,omitempty"`
+	Total uint64
+	// Events is the current ring content, oldest first. The events are
+	// copies, but their ASPath and Communities slices are the ones the
+	// live ring holds: an ingested event's slices are never written
+	// again (the ring replaces whole events), so sharing them is safe
+	// and keeps the export a shallow copy.
+	Events []Event
 }
 
 // ExportState flushes pending work and snapshots the engine's full
@@ -62,12 +69,21 @@ func (e *Engine) ExportState() *State {
 	}
 	for _, s := range e.shards {
 		s.mu.Lock()
+		// One slab per shard holds every window's events: the export runs
+		// inside the durable store's ingest fence, where 5,000 growing
+		// appends were most of its time.
+		n := 0
+		for _, ps := range s.prefixes {
+			n += ps.n
+		}
+		slab := make([]Event, 0, n)
+		st.Prefixes = slices.Grow(st.Prefixes, len(s.prefixes))
 		for p, ps := range s.prefixes {
-			w := PrefixWindow{Prefix: p, Total: ps.total}
-			for i := 0; i < ps.Len(); i++ {
-				w.Events = append(w.Events, *ps.At(i))
+			from := len(slab)
+			for i := 0; i < ps.n; i++ {
+				slab = append(slab, *ps.At(i))
 			}
-			st.Prefixes = append(st.Prefixes, w)
+			st.Prefixes = append(st.Prefixes, PrefixWindow{Prefix: p, Total: ps.total, Events: slab[from:len(slab):len(slab)]})
 		}
 		st.Alerts = append(st.Alerts, s.alerts...)
 		for k, v := range s.byDetector {

@@ -103,8 +103,11 @@ type Config struct {
 	// Window is the time horizon (default 15m): events older than the
 	// newest arrival minus Window are evicted from the ring.
 	Window time.Duration
-	// BatchSize is the ingest batching granularity (default 128 events
-	// per shard dispatch).
+	// BatchSize caps a shard's pending run (default 128 events): a run
+	// that reaches it is handed to the shard worker at once. It bounds
+	// batch memory and amortises the channel send; it is not a latency
+	// floor, because shorter runs leave whenever a feed drains (Dispatch,
+	// called by DrainReader) or a caller flushes.
 	BatchSize int
 	// QueueDepth is the per-shard batch queue (default 64 batches);
 	// TryIngest drops when a shard's queue is full.
@@ -509,41 +512,40 @@ func (e *Engine) process(s *shard, ev *Event) {
 	st.push(ev, e.cfg.Window)
 }
 
-// Flush dispatches every pending run and blocks until all shards have
-// applied everything ingested before the call. Like dispatch, each
-// shard's detach+send happens under its dispatch lock, so flushes slot
-// into the per-shard FIFO instead of racing concurrent producers.
-func (e *Engine) Flush() {
-	e.mu.Lock()
-	closed := e.closed
-	e.mu.Unlock()
-	if closed {
-		return
+// Dispatch hands every shard's pending run to its worker and returns
+// without waiting for the runs to be applied: the call a feed makes when
+// it has decoded everything that has arrived and its next read may block
+// (DrainReader), so a short run is not held back for the events that
+// would have filled it. Runs leave through dispatch like full ones —
+// same per-shard FIFO, same back-pressure on a full queue — so where a
+// run is cut is unobservable in the alert set. With nothing pending it
+// only looks (e.mu, once per shard) and allocates nothing.
+func (e *Engine) Dispatch() {
+	for si, s := range e.shards {
+		e.mu.Lock()
+		n := len(e.pending[si])
+		e.mu.Unlock()
+		if n > 0 {
+			e.dispatch(s, si, true)
+		}
 	}
+}
+
+// Flush dispatches every pending run and blocks until all shards have
+// applied everything ingested before the call. The ack token is sent
+// under the shard's dispatch lock, so it slots into the per-shard FIFO
+// behind the run instead of racing concurrent producers.
+func (e *Engine) Flush() {
 	acks := make([]chan struct{}, 0, len(e.shards))
 	for si, s := range e.shards {
+		e.dispatch(s, si, true)
 		s.sendMu.Lock()
-		e.mu.Lock()
-		var events []Event
-		if len(e.pending[si]) > 0 {
-			events = e.pending[si]
-			e.pending[si] = *e.batchPool.Get().(*[]Event)
+		if !s.closed {
+			a := make(chan struct{})
+			s.ch <- batch{ack: a}
+			acks = append(acks, a)
 		}
-		e.mu.Unlock()
-		if s.closed {
-			if events != nil {
-				e.shed(events)
-			}
-			s.sendMu.Unlock()
-			continue
-		}
-		if events != nil {
-			s.ch <- batch{events: events}
-		}
-		a := make(chan struct{})
-		s.ch <- batch{ack: a}
 		s.sendMu.Unlock()
-		acks = append(acks, a)
 	}
 	for _, a := range acks {
 		<-a

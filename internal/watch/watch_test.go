@@ -3,6 +3,7 @@ package watch_test
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"testing"
 
 	_ "bgpworms/internal/attack" // registers the builtin scenarios
@@ -65,6 +66,21 @@ func TestWatchDeterminismAcrossShards(t *testing.T) {
 		if !bytes.Equal(ref, b) {
 			t.Fatalf("alert set differs between shard counts:\nshards=1: %s\nshards=%d: %s", ref, shards, b)
 		}
+	}
+	// Where a run is cut must be as unobservable as the shard count: a
+	// draining feed dispatches partial batches at arbitrary points.
+	events := churnEvents(t)
+	rng := rand.New(rand.NewSource(16))
+	alerts, _ := runFeed(t, func(e *watch.Engine) {
+		for _, ev := range events {
+			e.Ingest(ev)
+			if rng.Intn(5) == 0 {
+				e.Dispatch()
+			}
+		}
+	}, watch.Config{Shards: 3})
+	if b, _ := json.Marshal(alerts); !bytes.Equal(ref, b) {
+		t.Fatalf("alert set differs when runs are dispatched at random points (%d vs %d bytes)", len(b), len(ref))
 	}
 }
 
