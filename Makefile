@@ -2,11 +2,8 @@
 # runs: `make ci` is exactly what the gate executes.
 
 GO      ?= go
-# BENCH_OUT names the benchmark artifact; CI overrides per run
-# (BENCH_ci.json), committed trajectory points use BENCH_pr<N>.json.
-BENCH_OUT ?= BENCH_ci.json
 
-.PHONY: build test race bench suite-gate lint fmt examples watch-smoke coverage fuzz-smoke ci
+.PHONY: build test race scale-probe yardstick-smoke suite-gate lint fmt examples watch-smoke coverage fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -17,12 +14,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench runs every benchmark once (smoke depth) and emits the JSON
-# artifact for the perf trajectory. Perf comparisons between commits go
-# through bench/ (bash bench/run.sh, go run ./bench -aa|-compare).
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -timeout 30m . ./internal/... | tee bench.out
-	./ci/benchjson.sh bench.out $(BENCH_OUT)
+# scale-probe builds and converges the large and internet presets once:
+# the proof that a paper-scale world still fits the box, and the one
+# loop too long for bench/'s per-run time cap.
+scale-probe:
+	$(GO) test -run '^$$' -bench '^BenchmarkLargeWorldBuild$$' -benchtime 1x -timeout 30m .
+
+# yardstick-smoke is bench/'s own shrunken pass over all four workloads,
+# untraced then traced: it checks that the harness and every binary it
+# drives still work, and its numbers are not comparable. Perf
+# comparisons between commits: bash bench/run.sh, go run ./bench -compare.
+yardstick-smoke:
+	$(GO) run ./bench -all -smoke -out .bench_build/smoke.json
 
 # suite-gate runs the statistical release gates: every registered
 # scenario across pinned seeds (suites/release.json, report + provenance
@@ -70,4 +73,9 @@ lint:
 fmt:
 	gofmt -w .
 
-ci: build lint race coverage fuzz-smoke examples watch-smoke bench suite-gate
+# loc prints the non-test Go line count outside bench/ — the figure
+# ROADMAP's size line and every "net-negative" criterion refer to.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+
+ci: build lint race coverage fuzz-smoke examples watch-smoke scale-probe yardstick-smoke suite-gate

@@ -5,8 +5,9 @@
 //
 // By default it generates a synthetic Internet in memory. With -mrt it
 // instead consumes the MRT archives written by genesis, exercising the
-// same wire-format path the paper's pipeline used; add -stream to
-// classify the byte streams without materializing the update slice.
+// same wire-format path the paper's pipeline used: each archive is
+// classified as a byte stream, never materialized as an update slice,
+// so memory is bounded by the aggregates and not by the archive size.
 // -workers sizes the analysis worker pool (0 = one per CPU) and, when
 // generating, the simulation engine's pool (0 or 1 = no extra
 // goroutines, negative = one per CPU). The printed report is
@@ -16,17 +17,16 @@
 //
 //	worms -scale small
 //	worms -scale small -workers 8
-//	genesis -scale small -out data && worms -mrt data -stream
+//	genesis -scale small -out data && worms -mrt data
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-
 	"strings"
 
-	"bgpworms/internal/bgp"
 	"bgpworms/internal/core"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/obs"
@@ -36,14 +36,13 @@ import (
 func main() {
 	scale := flag.String("scale", "small", "internet scale: "+strings.Join(gen.PresetNames(), "|"))
 	seed := flag.Int64("seed", 1, "generator seed")
-	mrtDir := flag.String("mrt", "", "read updates.*.mrt archives from this directory instead of simulating")
-	stream := flag.Bool("stream", false, "with -mrt: stream-classify the archives without materializing updates")
+	mrtDir := flag.String("mrt", "", "stream-classify the updates.*.mrt archives in this directory instead of simulating")
 	workers := flag.Int("workers", 0, "analysis worker pool size (0 = one per CPU); also sizes the simulation engine's pool when generating")
 	// -engine exists for bench/, which passes "delta"; it goes when a
 	// benchmark PR drops the argument.
 	engine := flag.String("engine", "delta", "simulation engine: delta (the only one)")
 	years := flag.Bool("evolution", true, "compute the Figure 3 time series (builds one Internet per year)")
-	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (build/churn/load/analyze/evolution)")
+	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (build/churn/analyze/evolution, or stream with -mrt)")
 	flag.Parse()
 	if *engine != "" && *engine != "delta" {
 		fail(fmt.Errorf("-engine %q: the only engine is \"delta\"", *engine))
@@ -61,49 +60,30 @@ func main() {
 		}()
 	}
 
-	if *stream && *mrtDir == "" {
-		fail(fmt.Errorf("-stream requires -mrt (there is no byte stream to classify when simulating in memory)"))
-	}
-
 	pipe := core.NewPipeline(*workers)
 
-	var (
-		ds        *core.Dataset
-		blackhole []bgp.Community
-	)
-	switch {
-	case *mrtDir != "" && *stream:
+	if *mrtDir != "" {
 		sp := tr.Start("stream")
 		a, err := pipe.StreamMRTDir(*mrtDir, nil)
 		sp.End()
 		if err != nil {
 			fail(err)
 		}
-		printAnalysis(a)
+		printAnalysis(os.Stdout, a)
 		return
-	case *mrtDir != "":
-		sp := tr.Start("load")
-		var err error
-		ds, err = pipe.LoadMRTDir(*mrtDir)
-		sp.End()
-		if err != nil {
-			fail(err)
-		}
-	default:
-		w, err := buildWorld(*scale, *seed, *workers, tr)
-		if err != nil {
-			fail(err)
-		}
-		ds = core.FromCollectors(w.Collectors)
-		blackhole = w.Registry.All()
 	}
 
+	w, err := buildWorld(*scale, *seed, *workers, tr)
+	if err != nil {
+		fail(err)
+	}
+	ds := core.FromCollectors(w.Collectors)
 	sp := tr.Start("analyze")
-	a := pipe.Analyze(ds, blackhole)
+	a := pipe.Analyze(ds, w.Registry.All())
 	sp.End()
-	printAnalysis(a)
+	printAnalysis(os.Stdout, a)
 
-	if *years && *mrtDir == "" {
+	if *years {
 		evoSp := tr.Start("evolution")
 		defer evoSp.End()
 		fmt.Println("== Figure 3: community use over time ==")
@@ -124,43 +104,43 @@ func main() {
 	}
 }
 
-func printAnalysis(a *core.Analysis) {
-	fmt.Println("== Table 1: dataset overview ==")
-	fmt.Println(core.RenderTable1(a.Table1))
+func printAnalysis(w io.Writer, a *core.Analysis) {
+	fmt.Fprintln(w, "== Table 1: dataset overview ==")
+	fmt.Fprintln(w, core.RenderTable1(a.Table1))
 
-	fmt.Println("== Table 2: ASes with observed communities ==")
-	fmt.Println(core.RenderTable2(a.Table2))
+	fmt.Fprintln(w, "== Table 2: ASes with observed communities ==")
+	fmt.Fprintln(w, core.RenderTable2(a.Table2))
 
-	fmt.Println("== Figure 4a: updates with communities, per collector ==")
-	fmt.Println(core.RenderFigure4a(a.Fig4a))
-	fmt.Printf("overall share of announcements with >=1 community: %.1f%%\n\n", a.Share*100)
+	fmt.Fprintln(w, "== Figure 4a: updates with communities, per collector ==")
+	fmt.Fprintln(w, core.RenderFigure4a(a.Fig4a))
+	fmt.Fprintf(w, "overall share of announcements with >=1 community: %.1f%%\n\n", a.Share*100)
 
-	fmt.Println("== Figure 4b: communities and associated ASes per update ==")
-	fmt.Println(core.RenderFigure4b(a.Fig4b))
+	fmt.Fprintln(w, "== Figure 4b: communities and associated ASes per update ==")
+	fmt.Fprintln(w, core.RenderFigure4b(a.Fig4b))
 
 	all, bh := a.Prop.Figure5a()
-	fmt.Println("== Figure 5a: propagation distance ECDF (all vs blackholing) ==")
-	fmt.Println(core.RenderFigure5a(all, bh))
-	fmt.Printf("mean distance: all=%.2f blackholing=%.2f hops\n\n", all.Mean(), bh.Mean())
+	fmt.Fprintln(w, "== Figure 5a: propagation distance ECDF (all vs blackholing) ==")
+	fmt.Fprintln(w, core.RenderFigure5a(all, bh))
+	fmt.Fprintf(w, "mean distance: all=%.2f blackholing=%.2f hops\n\n", all.Mean(), bh.Mean())
 
-	fmt.Println("== Figure 5b: relative propagation distance by path length ==")
-	fmt.Println(core.RenderFigure5b(a.Prop.Figure5b(3, 10)))
+	fmt.Fprintln(w, "== Figure 5b: relative propagation distance by path length ==")
+	fmt.Fprintln(w, core.RenderFigure5b(a.Prop.Figure5b(3, 10)))
 
 	off, on := a.Prop.Figure5c(10)
-	fmt.Println("== Figure 5c: top-10 community values off-path vs on-path ==")
-	fmt.Println(core.RenderFigure5c(off, on))
+	fmt.Fprintln(w, "== Figure 5c: top-10 community values off-path vs on-path ==")
+	fmt.Fprintln(w, core.RenderFigure5c(off, on))
 
-	fmt.Println("== §4.3: transit ASes relaying foreign communities ==")
-	fmt.Printf("%d of %d transit ASes (%s) forward received communities onward\n\n",
+	fmt.Fprintln(w, "== §4.3: transit ASes relaying foreign communities ==")
+	fmt.Fprintf(w, "%d of %d transit ASes (%s) forward received communities onward\n\n",
 		a.Transit.Propagators, a.Transit.TransitASes, stats.Pct(a.Transit.Propagators, a.Transit.TransitASes))
 
-	fmt.Println("== Figure 6: community forwarding vs filtering ==")
-	fmt.Println(core.RenderFilterSummary(a.Filter.Summarize(10)))
-	fmt.Println("Figure 6b log-log bins (x=filtered, y=forwarded, count):")
+	fmt.Fprintln(w, "== Figure 6: community forwarding vs filtering ==")
+	fmt.Fprintln(w, core.RenderFilterSummary(a.Filter.Summarize(10)))
+	fmt.Fprintln(w, "Figure 6b log-log bins (x=filtered, y=forwarded, count):")
 	for _, b := range a.Filter.Hexbin(1, 2) {
-		fmt.Printf("  (%.1f, %.1f) -> %d\n", b.X, b.Y, b.Count)
+		fmt.Fprintf(w, "  (%.1f, %.1f) -> %d\n", b.X, b.Y, b.Count)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 }
 
 func buildWorld(scale string, seed int64, workers int, tr *obs.Trace) (*gen.Internet, error) {

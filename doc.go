@@ -37,12 +37,12 @@
 // # Concurrency
 //
 // The measurement pipeline (core.Pipeline) fans out over a worker pool:
-// per-update analyses fold contiguous chunks of the update stream into
-// partial aggregates merged deterministically in chunk order, and the
-// Figure 6 inference shards the concurrent route view by prefix.
-// Results are bit-identical for every worker count. A streaming path
-// (core.StreamMRTUpdates, core.Accumulator) classifies MRT byte streams
-// without materializing the update slice. The simulator converges every
+// one fold (core.Accumulator) builds every per-update aggregate, driven
+// by Analyze over contiguous chunks of an in-memory update slice or by
+// StreamMRTDir over MRT archives on disk, never materializing the
+// update slice; partial accumulators merge deterministically in order,
+// and the Figure 6 inference shards the concurrent route view by
+// prefix. Results are bit-identical for every worker count. The simulator converges every
 // world with one engine (simnet.Network.Run): the delta-driven event
 // engine that scales to the large/internet presets (per-router dirty
 // sets, class-shared export slabs, copy-on-write receives). Its
@@ -64,12 +64,14 @@
 //
 // # Verification
 //
-// The benchmark harness in bench_test.go regenerates every table and
-// figure of the paper's evaluation and converges the paper-scale
-// presets (BenchmarkLargeWorldBuild). CI runs the Makefile targets
-// (build, lint, race, coverage ratchet, fuzz smoke, examples, bench)
-// on every push; BENCHMARKS.md tracks the performance trajectory across
-// PRs, golden files (internal/core/testdata/golden) pin the
+// Performance is measured by one benchmark system, bench/: four
+// end-to-end workloads over the shipped binaries plus a traced run that
+// attributes the time to layers (bash bench/run.sh, go run ./bench
+// -compare). bench_test.go keeps only the scale probe, which converges
+// the paper-scale presets (BenchmarkLargeWorldBuild). CI runs the
+// Makefile targets (build, lint, race, coverage ratchet, fuzz smoke,
+// examples, scale probe, yardstick smoke) on every push; BENCHMARKS.md
+// keeps each PR's measurements as history, golden files (internal/core/testdata/golden) pin the
 // paper-facing numbers, native fuzzers with checked-in corpora
 // (FuzzCommunityText, FuzzMRTRecord) harden the codecs, and runnable
 // Example tests pin the documented entry points (core.Pipeline.Analyze,

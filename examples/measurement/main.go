@@ -37,14 +37,14 @@ func main() {
 	}
 	fmt.Printf("parsed %d updates from %d collectors\n\n", len(ds.Updates), len(ds.Collectors))
 
-	fmt.Println(core.RenderTable1(core.Table1(ds)))
-	fmt.Println(core.RenderTable2(core.Table2(ds)))
+	a := core.NewPipeline(0).Analyze(ds, w.Registry.All())
+	fmt.Println(core.RenderTable1(a.Table1))
+	fmt.Println(core.RenderTable2(a.Table2))
 
-	pa := core.AnalyzePropagation(ds, w.Registry.All())
-	all, bh := pa.Figure5a()
+	all, bh := a.Prop.Figure5a()
 	fmt.Println(core.RenderFigure5a(all, bh))
 
-	tp := core.TransitPropagators(ds)
+	tp := a.Transit
 	fmt.Printf("transit ASes forwarding foreign communities: %d of %d (%s)\n",
 		tp.Propagators, tp.TransitASes, stats.Pct(tp.Propagators, tp.TransitASes))
 }

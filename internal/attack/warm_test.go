@@ -147,7 +147,8 @@ func forkableScenarios(t *testing.T) []string {
 // checkScenarioMatrix runs every forkable scenario cold and warm over
 // the given combos on one scale, sharing one frozen snapshot per combo
 // across scenarios — exactly the reuse pattern the sweep and suite
-// harnesses rely on.
+// harnesses rely on. The combos run as parallel subtests: each builds
+// its own snapshot and its own cold worlds and shares nothing.
 func checkScenarioMatrix(t *testing.T, scale string, combos []struct {
 	engine  string
 	workers int
@@ -157,6 +158,7 @@ func checkScenarioMatrix(t *testing.T, scale string, combos []struct {
 	for _, v := range combos {
 		v := v
 		t.Run(fmt.Sprintf("%s/%s/w%d", scale, v.engine, v.workers), func(t *testing.T) {
+			t.Parallel()
 			base := warmContext(t, names[0], scale, v.engine, v.workers)
 			snap, err := gen.BuildSnapshot(base.Gen)
 			if err != nil {

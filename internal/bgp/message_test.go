@@ -322,23 +322,3 @@ func TestProperty_UpdateRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkUpdateEncode(b *testing.B) {
-	u := sampleUpdate()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := u.Encode(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkUpdateDecode(b *testing.B) {
-	wire, _ := sampleUpdate().Encode()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeMessage(wire); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

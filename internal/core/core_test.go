@@ -27,6 +27,12 @@ func upd(col string, peer uint32, p netip.Prefix, path []uint32, comms ...bgp.Co
 	}
 }
 
+// analyze is the in-package tests' one way into the pipeline: each test
+// reads the fields it checks off a single Analyze result.
+func analyze(ds *Dataset, knownBlackhole ...bgp.Community) *Analysis {
+	return NewPipeline(0).Analyze(ds, knownBlackhole)
+}
+
 func smallDataset() *Dataset {
 	ds := &Dataset{
 		Collectors: []CollectorMeta{
@@ -68,7 +74,7 @@ func TestStrippedPathAndOrigin(t *testing.T) {
 }
 
 func TestTable1Counts(t *testing.T) {
-	rows := Table1(smallDataset())
+	rows := analyze(smallDataset()).Table1
 	if len(rows) != 3 { // RIS, RV, Total
 		t.Fatalf("rows=%d", len(rows))
 	}
@@ -106,7 +112,7 @@ func TestTable1Counts(t *testing.T) {
 }
 
 func TestTable2Classification(t *testing.T) {
-	rows := Table2(smallDataset())
+	rows := analyze(smallDataset()).Table2
 	ris := rows[0]
 	// Communities: 3:100 (AS3 on path), 1:200 (AS1 on path), 99:666 (AS99
 	// off path). Total distinct ASes = {3,1,99} = 3.
@@ -132,7 +138,7 @@ func TestTable2Classification(t *testing.T) {
 func TestTable2PrivateASN(t *testing.T) {
 	ds := &Dataset{Collectors: []CollectorMeta{{Platform: "RIS", Name: "c", PeerASNs: map[uint32]bool{}}}}
 	ds.Updates = []Update{upd("c", 5, pfxA, []uint32{5, 1}, bgp.C(64512, 1), bgp.C(700, 2))}
-	rows := Table2(ds)
+	rows := analyze(ds).Table2
 	r := rows[0]
 	if r.OffPath != 2 || r.OffPathWithoutPrivate != 1 {
 		t.Fatalf("row=%+v", r)
@@ -142,14 +148,15 @@ func TestTable2PrivateASN(t *testing.T) {
 func TestWellKnownExcludedFromTable2(t *testing.T) {
 	ds := &Dataset{Collectors: []CollectorMeta{{Platform: "RIS", Name: "c", PeerASNs: map[uint32]bool{}}}}
 	ds.Updates = []Update{upd("c", 5, pfxA, []uint32{5, 1}, bgp.CommunityNoExport, bgp.CommunityBlackhole, bgp.C(0, 4))}
-	rows := Table2(ds)
+	rows := analyze(ds).Table2
 	if rows[0].Total != 0 {
 		t.Fatalf("reserved ranges must not count as ASes: %+v", rows[0])
 	}
 }
 
 func TestFigure4a(t *testing.T) {
-	fr := Figure4a(smallDataset())
+	a := analyze(smallDataset())
+	fr := a.Fig4a
 	if len(fr) != 2 {
 		t.Fatalf("fractions=%v", fr)
 	}
@@ -173,14 +180,13 @@ func TestFigure4a(t *testing.T) {
 	if RenderFigure4a(fr) == "" {
 		t.Fatal("render empty")
 	}
-	share := OverallCommunityShare(smallDataset())
-	if share <= 0.6 || share >= 0.7 { // 2 of 3 announcements
+	if share := a.Share; share <= 0.6 || share >= 0.7 { // 2 of 3 announcements
 		t.Fatalf("share=%v", share)
 	}
 }
 
 func TestFigure4b(t *testing.T) {
-	f := ComputeFigure4b(smallDataset())
+	f := analyze(smallDataset()).Fig4b
 	if f.CommunitiesPerUpdate.Len() != 3 {
 		t.Fatalf("len=%d", f.CommunitiesPerUpdate.Len())
 	}
@@ -223,7 +229,7 @@ func TestTaggerIndexAndDistance(t *testing.T) {
 
 func TestAnalyzePropagationAndFig5a(t *testing.T) {
 	ds := smallDataset()
-	pa := AnalyzePropagation(ds, nil)
+	pa := analyze(ds).Prop
 	// Communities analyzed: 3:100 (on, idx2), 1:200 (on, idx4), 99:666
 	// (off). Total observations = 3.
 	if len(pa.Observations) != 3 {
@@ -259,7 +265,7 @@ func TestFigure5bExcludesMonitorPeerTagger(t *testing.T) {
 		// Tagger = peer (idx 0): excluded. Tagger idx 1: kept.
 		upd("c", 5, pfxA, []uint32{5, 4, 1}, bgp.C(5, 1), bgp.C(4, 2)),
 	}
-	pa := AnalyzePropagation(ds, nil)
+	pa := analyze(ds).Prop
 	m := pa.Figure5b(3, 10)
 	e, ok := m[3]
 	if !ok || e.Len() != 1 {
@@ -280,7 +286,7 @@ func TestFigure5cTopValues(t *testing.T) {
 		upd("c", 5, pfxA, []uint32{5, 1}, bgp.C(1, 100), bgp.C(5, 100), bgp.C(99, 666)),
 		upd("c", 5, pfxB, []uint32{5, 1}, bgp.C(1, 100), bgp.C(98, 666)),
 	}
-	pa := AnalyzePropagation(ds, nil)
+	pa := analyze(ds).Prop
 	off, on := pa.Figure5c(10)
 	if len(off) != 1 || off[0].Value != 666 || off[0].Count != 2 || off[0].Share != 1 {
 		t.Fatalf("off=%v", off)
@@ -306,7 +312,7 @@ func TestTransitPropagators(t *testing.T) {
 		// No-community update defines more transit ASes.
 		upd("c", 9, pfxB, []uint32{9, 8, 7}),
 	}
-	rep := TransitPropagators(ds)
+	rep := analyze(ds).Transit
 	// Transit: non-origin positions: {5,4,3} ∪ {9,8} = 5.
 	if rep.TransitASes != 5 {
 		t.Fatalf("transit=%d", rep.TransitASes)
@@ -328,7 +334,7 @@ func TestLatestRoutesDedup(t *testing.T) {
 	u2 := upd("c", 5, pfxA, []uint32{5, 2, 1}, bgp.C(1, 2))
 	w := Update{Collector: "c", PeerAS: 7, Prefix: pfxB, Withdraw: true}
 	ds.Updates = []Update{u1, u2, w}
-	latest := ds.LatestRoutes()
+	latest := NewPipeline(0).LatestRoutes(ds)
 	if len(latest) != 1 {
 		t.Fatalf("latest=%v", latest)
 	}
@@ -337,7 +343,7 @@ func TestLatestRoutesDedup(t *testing.T) {
 	}
 	// Announce then withdraw → gone.
 	ds2 := &Dataset{Updates: []Update{u1, {Collector: "c", PeerAS: 5, Prefix: pfxA, Withdraw: true}}}
-	if len(ds2.LatestRoutes()) != 0 {
+	if len(NewPipeline(0).LatestRoutes(ds2)) != 0 {
 		t.Fatal("withdrawn route survived")
 	}
 }
@@ -353,7 +359,7 @@ func TestInferFilteringPaperExample(t *testing.T) {
 		upd("c1", 4, pfxA, []uint32{4, 3, 2, 1}, bgp.C(2, 77)),
 		upd("c2", 5, pfxA, []uint32{5, 3, 2, 1}),
 	}
-	fi := InferFiltering(ds)
+	fi := analyze(ds).Filter
 
 	// Added indication on (AS2, AS3).
 	if in := fi.Edges[Edge{2, 3}]; in == nil || in.Added != 1 {
@@ -395,7 +401,7 @@ func TestInferFilteringMixedEdge(t *testing.T) {
 		upd("c1", 4, pfxB, []uint32{4, 3, 2, 1}, bgp.C(2, 2)),
 		upd("c2", 5, pfxB, []uint32{5, 4, 3, 2, 1}),
 	}
-	fi := InferFiltering(ds)
+	fi := analyze(ds).Filter
 	mixed := fi.MixedEdges(1)
 	found := false
 	for _, e := range mixed {
@@ -409,7 +415,7 @@ func TestInferFilteringMixedEdge(t *testing.T) {
 }
 
 func TestEvolutionMetrics(t *testing.T) {
-	ua, uc, abs, te := EvolutionMetrics(smallDataset())
+	ua, uc, abs, te := NewPipeline(0).EvolutionMetrics(smallDataset())
 	// Communities: 3:100, 1:200, 99:666 → 3 ASes, 3 uniques, 3 absolute.
 	if ua != 3 || uc != 3 || abs != 3 {
 		t.Fatalf("ua=%d uc=%d abs=%d", ua, uc, abs)

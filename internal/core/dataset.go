@@ -197,12 +197,10 @@ func (a *latestAgg) finalize() []Update {
 	return out
 }
 
-// LatestRoutes reduces the update stream to the final route per
-// (collector, peer, prefix) — the "at the same time" concurrent view the
-// §4.4 filter inference iterates over. Withdrawn entries are removed.
-func (ds *Dataset) LatestRoutes() []Update { return DefaultPipeline.LatestRoutes(ds) }
-
-// LatestRoutes computes the concurrent view over the worker pool.
+// LatestRoutes reduces the update stream, over the worker pool, to the
+// final route per (collector, peer, prefix) — the "at the same time"
+// concurrent view the §4.4 filter inference iterates over. Withdrawn
+// entries are removed.
 func (p *Pipeline) LatestRoutes(ds *Dataset) []Update {
 	aggs := foldChunks(ds.Updates, p.workers(),
 		newLatestAgg,

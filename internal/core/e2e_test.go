@@ -64,9 +64,10 @@ func TestE2E_MRTPipelineMatchesDirect(t *testing.T) {
 
 func TestE2E_HeadlineShapesHold(t *testing.T) {
 	w, ds := buildDatasetViaMRT(t)
+	a := analyze(ds, w.Registry.All()...)
 
 	// Table 1: all four platforms present, v4 dominates.
-	rows := Table1(ds)
+	rows := a.Table1
 	if len(rows) != 5 {
 		t.Fatalf("table1 rows=%d", len(rows))
 	}
@@ -82,20 +83,19 @@ func TestE2E_HeadlineShapesHold(t *testing.T) {
 	}
 
 	// §4.2: the majority of announcements carry communities.
-	if share := OverallCommunityShare(ds); share < 0.5 {
+	if share := a.Share; share < 0.5 {
 		t.Fatalf("community share=%.2f, want >0.5", share)
 	}
 
 	// Table 2: both on-path and off-path community ASes exist.
-	t2 := Table2(ds)
+	t2 := a.Table2
 	tot2 := t2[len(t2)-1]
 	if tot2.OnPath == 0 || tot2.OffPath == 0 {
 		t.Fatalf("table2=%+v", tot2)
 	}
 
 	// Fig 5a: communities propagate multiple hops; some beyond 2.
-	pa := AnalyzePropagation(ds, w.Registry.All())
-	all, bh := pa.Figure5a()
+	all, bh := a.Prop.Figure5a()
 	if all.Len() == 0 {
 		t.Fatal("no on-path distances")
 	}
@@ -113,13 +113,13 @@ func TestE2E_HeadlineShapesHold(t *testing.T) {
 
 	// §4.3: a nonzero minority of transit ASes propagate foreign
 	// communities.
-	rep := TransitPropagators(ds)
+	rep := a.Transit
 	if rep.Propagators == 0 || rep.Propagators >= rep.TransitASes {
 		t.Fatalf("transit report=%+v", rep)
 	}
 
 	// Fig 6: both forwarding and filtering indications appear.
-	fi := InferFiltering(ds)
+	fi := a.Filter
 	s := fi.Summarize(1)
 	if s.WithForwardSign == 0 || s.WithFilterSign == 0 {
 		t.Fatalf("filter summary=%+v", s)
@@ -133,11 +133,11 @@ func TestE2E_HeadlineShapesHold(t *testing.T) {
 
 func TestE2E_Figure4Shapes(t *testing.T) {
 	_, ds := buildDatasetViaMRT(t)
-	fr := Figure4a(ds)
-	if len(fr) != 4 {
+	a := analyze(ds)
+	if fr := a.Fig4a; len(fr) != 4 {
 		t.Fatalf("collectors=%d", len(fr))
 	}
-	f4b := ComputeFigure4b(ds)
+	f4b := a.Fig4b
 	// Multi-community updates exist.
 	if f4b.CommunitiesPerUpdate.Quantile(1) < 2 {
 		t.Fatal("no multi-community updates")
@@ -150,8 +150,7 @@ func TestE2E_Figure4Shapes(t *testing.T) {
 
 func TestE2E_Figure5bRelativeDistances(t *testing.T) {
 	w, ds := buildDatasetViaMRT(t)
-	pa := AnalyzePropagation(ds, w.Registry.All())
-	m := pa.Figure5b(3, 10)
+	m := analyze(ds, w.Registry.All()...).Prop.Figure5b(3, 10)
 	if len(m) == 0 {
 		t.Fatal("no path-length groups")
 	}

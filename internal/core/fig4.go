@@ -79,22 +79,6 @@ func (a *fig4aAgg) finalize() []CollectorFraction {
 	return out
 }
 
-// Figure4a computes per-collector community fractions, sorted ascending
-// within each platform as the paper plots them.
-func Figure4a(ds *Dataset) []CollectorFraction { return DefaultPipeline.Figure4a(ds) }
-
-// Figure4a computes the per-collector fractions over the worker pool.
-func (p *Pipeline) Figure4a(ds *Dataset) []CollectorFraction {
-	aggs := foldChunks(ds.Updates, p.workers(),
-		newFig4aAgg,
-		func(a *fig4aAgg, u *Update, _ []uint32) { a.add(u) })
-	merged := newFig4aAgg()
-	for _, a := range aggs {
-		merged.merge(a)
-	}
-	return merged.finalize()
-}
-
 // shareAgg folds the global announcement / with-community counters.
 type shareAgg struct{ total, with int }
 
@@ -115,22 +99,6 @@ func (a *shareAgg) finalize() float64 {
 		return 0
 	}
 	return float64(a.with) / float64(a.total)
-}
-
-// OverallCommunityShare returns the global fraction of announcements with
-// at least one community (the paper's "more than 75%").
-func OverallCommunityShare(ds *Dataset) float64 { return DefaultPipeline.OverallCommunityShare(ds) }
-
-// OverallCommunityShare computes the global share over the worker pool.
-func (p *Pipeline) OverallCommunityShare(ds *Dataset) float64 {
-	aggs := foldChunks(ds.Updates, p.workers(),
-		func() *shareAgg { return &shareAgg{} },
-		func(a *shareAgg, u *Update, _ []uint32) { a.add(u) })
-	total := &shareAgg{}
-	for _, a := range aggs {
-		total.merge(a)
-	}
-	return total.finalize()
 }
 
 // Figure4b holds the two per-update ECDFs of Figure 4b.
@@ -168,21 +136,6 @@ func (a *fig4bAgg) finalize() Figure4b {
 		CommunitiesPerUpdate: stats.NewECDF(a.comms),
 		ASesPerUpdate:        stats.NewECDF(a.ases),
 	}
-}
-
-// ComputeFigure4b builds both distributions.
-func ComputeFigure4b(ds *Dataset) Figure4b { return DefaultPipeline.ComputeFigure4b(ds) }
-
-// ComputeFigure4b builds both distributions over the worker pool.
-func (p *Pipeline) ComputeFigure4b(ds *Dataset) Figure4b {
-	aggs := foldChunks(ds.Updates, p.workers(),
-		func() *fig4bAgg { return &fig4bAgg{} },
-		func(a *fig4bAgg, u *Update, _ []uint32) { a.add(u) })
-	merged := &fig4bAgg{}
-	for _, a := range aggs {
-		merged.merge(a)
-	}
-	return merged.finalize()
 }
 
 // RenderFigure4a renders the per-collector series.

@@ -104,26 +104,6 @@ func (a *propAgg) finalize() *PropagationAnalysis {
 	return &PropagationAnalysis{Observations: a.obs, isBlackhole: a.isBlackhole}
 }
 
-// AnalyzePropagation computes per-community propagation geometry for every
-// announcement. knownBlackhole may be nil (then only :666 classifies).
-func AnalyzePropagation(ds *Dataset, knownBlackhole []bgp.Community) *PropagationAnalysis {
-	return DefaultPipeline.AnalyzePropagation(ds, knownBlackhole)
-}
-
-// AnalyzePropagation computes the propagation geometry over the worker
-// pool.
-func (p *Pipeline) AnalyzePropagation(ds *Dataset, knownBlackhole []bgp.Community) *PropagationAnalysis {
-	cls := IsBlackholeClassifier(knownBlackhole)
-	aggs := foldChunks(ds.Updates, p.workers(),
-		func() *propAgg { return newPropAgg(cls) },
-		func(a *propAgg, u *Update, stripped []uint32) { a.add(u, stripped) })
-	merged := newPropAgg(cls)
-	for _, a := range aggs {
-		merged.merge(a)
-	}
-	return merged.finalize()
-}
-
 // Figure5a returns the propagation-distance ECDFs for all on-path
 // communities and for the blackholing subset.
 func (pa *PropagationAnalysis) Figure5a() (all, blackhole *stats.ECDF) {
@@ -230,8 +210,11 @@ func (t TransitReport) Fraction() float64 {
 	return float64(t.Propagators) / float64(t.TransitASes)
 }
 
-// transitAgg folds the transit / propagator AS sets; both merge by
-// union.
+// transitAgg folds the transit / propagator AS sets behind §4.3's
+// headline number (how many transit ASes forward received communities
+// onward); both merge by union. An AS at position j counts as a
+// propagator when 0 < j < taggerIdx for some observed community: it sat
+// strictly between the tagger and the collector's direct peer.
 type transitAgg struct {
 	transit map[uint32]bool
 	prop    map[uint32]bool
@@ -272,25 +255,6 @@ func (a *transitAgg) merge(b *transitAgg) {
 
 func (a *transitAgg) finalize() TransitReport {
 	return TransitReport{TransitASes: len(a.transit), Propagators: len(a.prop)}
-}
-
-// TransitPropagators computes §4.3's headline number: how many transit
-// ASes forward received communities onward. An AS at position j counts as
-// a propagator when 0 < j < taggerIdx for some observed community (it sat
-// strictly between the tagger and the collector's direct peer).
-func TransitPropagators(ds *Dataset) TransitReport { return DefaultPipeline.TransitPropagators(ds) }
-
-// TransitPropagators computes the transit-propagator sets over the
-// worker pool.
-func (p *Pipeline) TransitPropagators(ds *Dataset) TransitReport {
-	aggs := foldChunks(ds.Updates, p.workers(),
-		newTransitAgg,
-		func(a *transitAgg, u *Update, stripped []uint32) { a.add(u, stripped) })
-	merged := newTransitAgg()
-	for _, a := range aggs {
-		merged.merge(a)
-	}
-	return merged.finalize()
 }
 
 // RenderFigure5a renders the two ECDFs at the paper's anchor points.

@@ -60,10 +60,14 @@ func (fi *FilterInference) merge(o *FilterInference) {
 }
 
 // inferPrefix runs the §4.4 heuristic over the concurrent announcements
-// of one prefix, accumulating edge indications into fi. Every
-// contribution is a commutative count, so the result is independent of
-// announcement and community iteration order — the property that makes
-// prefix-sharded parallel execution bit-identical to the serial scan.
+// of one prefix, accumulating edge indications into fi: for every
+// community, ASes downstream of the conservative tagger are known
+// receivers; an announcement of the same prefix passing through a known
+// receiver without the community yields a filtered indication on the
+// egress edge where it went missing. Every contribution is a
+// commutative count, so the result is independent of announcement and
+// community iteration order — the property that makes prefix-sharded
+// parallel execution bit-identical to the serial scan.
 func (fi *FilterInference) inferPrefix(anns []Update) {
 	// Path visibility counts (origin-first edges).
 	for i := range anns {
@@ -132,21 +136,8 @@ func (fi *FilterInference) inferPrefix(anns []Update) {
 	}
 }
 
-// InferFiltering runs the §4.4 heuristic over the dataset's concurrent
-// view (latest route per collector peer): for every prefix and community,
-// ASes downstream of the conservative tagger are known receivers; an
-// announcement of the same prefix passing through a known receiver without
-// the community yields a filtered indication on the egress edge where it
-// went missing.
-func InferFiltering(ds *Dataset) *FilterInference { return DefaultPipeline.InferFiltering(ds) }
-
-// InferFiltering computes the Figure 6 inference with prefixes sharded
-// across the worker pool.
-func (p *Pipeline) InferFiltering(ds *Dataset) *FilterInference {
-	return p.inferFiltering(p.LatestRoutes(ds))
-}
-
-// inferFiltering shards the concurrent route view by prefix: each worker
+// inferFiltering runs the Figure 6 inference over the concurrent view
+// (latest route per collector peer), sharded by prefix: each worker
 // owns a disjoint set of prefix groups and accumulates a private edge
 // map; the per-worker maps merge by summation.
 func (p *Pipeline) inferFiltering(routes []Update) *FilterInference {

@@ -1,6 +1,6 @@
 package core_test
 
-// Golden-file regression tests for the fused analysis figures: the
+// Golden-file regression tests for the analysis figures: the
 // paper-facing numbers (Table 1/2, Fig 3-6) computed from a pinned tiny
 // world are serialized to testdata/golden/*.json and compared byte for
 // byte. Scale and engine work cannot silently shift the reproduction's
@@ -29,12 +29,13 @@ var update = flag.Bool("update", false, "rewrite the golden files with current r
 
 var (
 	goldenOnce sync.Once
-	goldenDS   *core.Dataset
-	goldenReg  *gen.Registry
+	goldenA    *core.Analysis
 	goldenErr  error
 )
 
-func goldenFixture(t *testing.T) (*core.Dataset, *gen.Registry) {
+// goldenFixture analyses the pinned tiny world once; every golden file
+// reads fields of the same Analyze result.
+func goldenFixture(t *testing.T) *core.Analysis {
 	t.Helper()
 	goldenOnce.Do(func() {
 		p := gen.Tiny()
@@ -47,13 +48,12 @@ func goldenFixture(t *testing.T) (*core.Dataset, *gen.Registry) {
 			goldenErr = err
 			return
 		}
-		goldenDS = core.FromCollectors(w.Collectors)
-		goldenReg = w.Registry
+		goldenA = core.NewPipeline(0).Analyze(core.FromCollectors(w.Collectors), w.Registry.All())
 	})
 	if goldenErr != nil {
 		t.Fatal(goldenErr)
 	}
-	return goldenDS, goldenReg
+	return goldenA
 }
 
 // ecdfSummary pins a distribution by its size and shape statistics.
@@ -109,18 +109,17 @@ func checkGolden(t *testing.T, name string, v any) {
 }
 
 func TestGoldenTable1(t *testing.T) {
-	ds, _ := goldenFixture(t)
-	checkGolden(t, "table1.json", core.Table1(ds))
+	checkGolden(t, "table1.json", goldenFixture(t).Table1)
 }
 
 func TestGoldenTable2(t *testing.T) {
-	ds, _ := goldenFixture(t)
-	checkGolden(t, "table2.json", core.Table2(ds))
+	checkGolden(t, "table2.json", goldenFixture(t).Table2)
 }
 
 func TestGoldenFig3Evolution(t *testing.T) {
+	pipe := core.NewPipeline(0)
 	pts, err := gen.Evolution(gen.Tiny(), []int{2010, 2014, 2018}, func(w *gen.Internet) (int, int, int, int) {
-		return core.EvolutionMetrics(core.FromCollectors(w.Collectors))
+		return pipe.EvolutionMetrics(core.FromCollectors(w.Collectors))
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,26 +128,24 @@ func TestGoldenFig3Evolution(t *testing.T) {
 }
 
 func TestGoldenFig4(t *testing.T) {
-	ds, _ := goldenFixture(t)
-	f4b := core.ComputeFigure4b(ds)
+	a := goldenFixture(t)
 	checkGolden(t, "fig4.json", map[string]any{
-		"collector_fractions":    core.Figure4a(ds),
-		"overall_share":          core.OverallCommunityShare(ds),
-		"communities_per_update": summarizeECDF(f4b.CommunitiesPerUpdate),
-		"ases_per_update":        summarizeECDF(f4b.ASesPerUpdate),
+		"collector_fractions":    a.Fig4a,
+		"overall_share":          a.Share,
+		"communities_per_update": summarizeECDF(a.Fig4b.CommunitiesPerUpdate),
+		"ases_per_update":        summarizeECDF(a.Fig4b.ASesPerUpdate),
 	})
 }
 
 func TestGoldenFig5(t *testing.T) {
-	ds, reg := goldenFixture(t)
-	pa := core.AnalyzePropagation(ds, reg.All())
-	all, bh := pa.Figure5a()
+	a := goldenFixture(t)
+	all, bh := a.Prop.Figure5a()
 	byLen := map[int]ecdfSummary{}
-	for l, e := range pa.Figure5b(3, 10) {
+	for l, e := range a.Prop.Figure5b(3, 10) {
 		byLen[l] = summarizeECDF(e)
 	}
-	off, on := pa.Figure5c(10)
-	distinct, private := pa.OffPathStats()
+	off, on := a.Prop.Figure5c(10)
+	distinct, private := a.Prop.OffPathStats()
 	checkGolden(t, "fig5.json", map[string]any{
 		"distance_all":        summarizeECDF(all),
 		"distance_blackhole":  summarizeECDF(bh),
@@ -157,15 +154,14 @@ func TestGoldenFig5(t *testing.T) {
 		"top_values_onpath":   on,
 		"offpath_distinct":    distinct,
 		"offpath_private":     private,
-		"transit":             core.TransitPropagators(ds),
+		"transit":             a.Transit,
 	})
 }
 
 func TestGoldenFig6(t *testing.T) {
-	ds, _ := goldenFixture(t)
-	fi := core.InferFiltering(ds)
+	a := goldenFixture(t)
 	checkGolden(t, "fig6.json", map[string]any{
-		"summary": fi.Summarize(10),
-		"hexbin":  fi.Hexbin(1, 4),
+		"summary": a.Filter.Summarize(10),
+		"hexbin":  a.Filter.Hexbin(1, 4),
 	})
 }

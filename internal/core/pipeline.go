@@ -8,22 +8,24 @@ import (
 	"bgpworms/internal/conc"
 )
 
-// Pipeline executes the §4 analyses over a worker pool. Work is sharded
-// two ways, matching the two shapes of computation in the paper:
+// Pipeline runs the §4 analysis over a worker pool. There is one fold —
+// Accumulator, which feeds every per-update aggregate from one look at
+// each update — and one entry per shape the input comes in:
 //
-//   - per-update folds (Tables 1/2, Figures 4/5, transit propagators)
-//     split the update stream into contiguous chunks, fold each chunk
-//     into a partial aggregate on its own worker, and merge the partial
-//     aggregates in chunk order;
-//   - per-prefix reductions (the Figure 6 filter inference) shard the
-//     concurrent route view by prefix, process each shard independently,
-//     and merge the per-edge indication counts by summation.
+//   - Analyze takes a world in memory (a Dataset): contiguous chunks of
+//     the update slice fold into one Accumulator each, merged in chunk
+//     order;
+//   - StreamMRTDir takes bytes on disk: each updates.*.mrt archive
+//     streams into its own Accumulator, the update slice never
+//     materialized, merged in sorted file-name order.
 //
-// Both merge strategies are deterministic: chunk-ordered merging
-// reproduces the exact serial fold order, and indication counts commute.
-// Every result is therefore bit-identical across worker counts; the
-// determinism tests assert workers=1 and workers=8 agree on rendered
-// output.
+// Both end in Accumulator.Analysis, which adds the one per-prefix
+// reduction (the Figure 6 filter inference): the concurrent route view
+// is sharded by prefix and the per-edge indication counts merge by
+// summation. Ordered merging reproduces the exact serial fold order and
+// indication counts commute, so every result is bit-identical across
+// worker counts; the determinism tests assert workers=1 and workers=8
+// agree on rendered output.
 type Pipeline struct {
 	// Workers is the parallelism degree; 0 or negative means
 	// runtime.GOMAXPROCS(0).
@@ -33,10 +35,6 @@ type Pipeline struct {
 // NewPipeline returns a pipeline with the given worker count (0 = one
 // worker per available CPU).
 func NewPipeline(workers int) *Pipeline { return &Pipeline{Workers: workers} }
-
-// DefaultPipeline is used by the package-level convenience functions
-// (Table1, Figure4a, ...); it sizes itself to the machine.
-var DefaultPipeline = &Pipeline{}
 
 func (p *Pipeline) workers() int {
 	if p == nil || p.Workers <= 0 {
@@ -76,12 +74,12 @@ func foldChunks[A any](updates []Update, workers int, mk func() A, fold func(agg
 // parallelDo runs fn(i) for i in [0, n) over the pipeline's workers.
 func parallelDo(n, workers int, fn func(i int)) { conc.Do(n, workers, fn) }
 
-// Analysis bundles every passive-measurement output of §4, produced in a
-// single fused pass over the update stream (plus the concurrent-view
-// reduction for Figure 6). Use Pipeline.Analyze when more than one
-// figure is needed: the fused pass strips each AS path once and feeds
-// all aggregates, where the per-figure entry points each rescan the
-// dataset.
+// Analysis bundles every passive-measurement output of §4 except the
+// Figure 3 time series (which spans several worlds; see
+// Pipeline.EvolutionMetrics): the pass over the update stream strips
+// each AS path once and feeds all aggregates, and the concurrent-view
+// reduction adds Figure 6. Figures 5a/5b/5c are read off Prop, the
+// Figure 6 summary and bins off Filter.
 type Analysis struct {
 	Table1  []Table1Row
 	Table2  []Table2Row
@@ -93,9 +91,11 @@ type Analysis struct {
 	Filter  *FilterInference
 }
 
-// Analyze runs the full §4 pipeline fused: one chunked parallel fold
-// builds every per-update aggregate, then the Figure 6 inference runs
-// over the latest-route view sharded by prefix.
+// Analyze runs the full §4 pipeline over an in-memory dataset: one
+// chunked parallel fold builds every per-update aggregate, then the
+// Figure 6 inference runs over the latest-route view sharded by prefix.
+// knownBlackhole seeds the Figure 5 blackhole classifier (nil = only
+// :666 classifies).
 func (p *Pipeline) Analyze(ds *Dataset, knownBlackhole []bgp.Community) *Analysis {
 	cls := IsBlackholeClassifier(knownBlackhole)
 	accs := foldChunks(ds.Updates, p.workers(),

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 
 	"bgpworms/internal/gen"
@@ -13,22 +14,15 @@ import (
 // renderAll flattens every analysis output into one golden string so a
 // single comparison covers Tables 1/2, Figures 4a/4b/5a/5b/5c, the
 // transit report, and the Figure 6 summary.
-func renderAll(t1 []Table1Row, t2 []Table2Row, f4a []CollectorFraction, share float64,
-	f4b Figure4b, pa *PropagationAnalysis, tr TransitReport, fi *FilterInference) string {
-	all, bh := pa.Figure5a()
-	off, on := pa.Figure5c(10)
-	return RenderTable1(t1) + RenderTable2(t2) + RenderFigure4a(f4a) +
-		fmt.Sprintf("share=%.9f\n", share) + RenderFigure4b(f4b) +
-		RenderFigure5a(all, bh) + RenderFigure5b(pa.Figure5b(3, 10)) +
+func renderAll(a *Analysis) string {
+	all, bh := a.Prop.Figure5a()
+	off, on := a.Prop.Figure5c(10)
+	return RenderTable1(a.Table1) + RenderTable2(a.Table2) + RenderFigure4a(a.Fig4a) +
+		fmt.Sprintf("share=%.9f\n", a.Share) + RenderFigure4b(a.Fig4b) +
+		RenderFigure5a(all, bh) + RenderFigure5b(a.Prop.Figure5b(3, 10)) +
 		RenderFigure5c(off, on) +
-		fmt.Sprintf("transit=%d/%d\n", tr.Propagators, tr.TransitASes) +
-		RenderFilterSummary(fi.Summarize(2))
-}
-
-func pipelineGolden(p *Pipeline, ds *Dataset) string {
-	return renderAll(p.Table1(ds), p.Table2(ds), p.Figure4a(ds), p.OverallCommunityShare(ds),
-		p.ComputeFigure4b(ds), p.AnalyzePropagation(ds, nil), p.TransitPropagators(ds),
-		p.InferFiltering(ds))
+		fmt.Sprintf("transit=%d/%d\n", a.Transit.Propagators, a.Transit.TransitASes) +
+		RenderFilterSummary(a.Filter.Summarize(2))
 }
 
 // TestPipelineDeterminismAcrossWorkers is the tentpole gate: serial
@@ -36,12 +30,12 @@ func pipelineGolden(p *Pipeline, ds *Dataset) string {
 // Fig. 4/5/6 and Tables 1/2 output on a generated internet.
 func TestPipelineDeterminismAcrossWorkers(t *testing.T) {
 	_, ds := buildDatasetViaMRT(t)
-	serial := pipelineGolden(NewPipeline(1), ds)
+	serial := renderAll(NewPipeline(1).Analyze(ds, nil))
 	if serial == "" {
 		t.Fatal("empty analysis output")
 	}
 	for _, w := range []int{2, 8} {
-		if got := pipelineGolden(NewPipeline(w), ds); got != serial {
+		if got := renderAll(NewPipeline(w).Analyze(ds, nil)); got != serial {
 			t.Fatalf("workers=%d output diverges from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s", w, serial, w, got)
 		}
 	}
@@ -63,27 +57,10 @@ func TestLatestRoutesChunkMergeIdentical(t *testing.T) {
 	}
 }
 
-// TestFusedAnalyzeMatchesPerFigure asserts the single-pass fused
-// pipeline computes exactly what the per-figure entry points compute.
-func TestFusedAnalyzeMatchesPerFigure(t *testing.T) {
-	w, ds := buildDatasetViaMRT(t)
-	known := w.Registry.All()
-	for _, workers := range []int{1, 8} {
-		p := NewPipeline(workers)
-		a := p.Analyze(ds, known)
-		got := renderAll(a.Table1, a.Table2, a.Fig4a, a.Share, a.Fig4b, a.Prop, a.Transit, a.Filter)
-		want := renderAll(p.Table1(ds), p.Table2(ds), p.Figure4a(ds), p.OverallCommunityShare(ds),
-			p.ComputeFigure4b(ds), p.AnalyzePropagation(ds, known), p.TransitPropagators(ds),
-			p.InferFiltering(ds))
-		if got != want {
-			t.Fatalf("workers=%d fused output diverges:\n--- per-figure ---\n%s\n--- fused ---\n%s", workers, want, got)
-		}
-	}
-}
-
 // TestStreamingMatchesMaterialized runs the same MRT archives through
-// the materializing loader and the streaming accumulator and demands
-// identical analysis output.
+// a materialized reference — every archive read whole with
+// ReadMRTUpdates and merged in sorted file-name order, then Analyze —
+// and through the streaming accumulator, and demands identical output.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	world, err := gen.Build(gen.Tiny())
 	if err != nil {
@@ -103,23 +80,36 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		}
 		f.Close()
 	}
-	known := world.Registry.All()
-	for _, workers := range []int{1, 4} {
-		p := NewPipeline(workers)
-		ds, err := p.LoadMRTDir(dir)
+	files, err := filepath.Glob(filepath.Join(dir, "updates.*.mrt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(files)
+	ds := &Dataset{}
+	for _, name := range files {
+		f, err := os.Open(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ds.Updates) == 0 {
-			t.Fatal("no updates loaded")
+		platform, collector := collectorNameFromFile(name)
+		part, err := ReadMRTUpdates(platform, collector, f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
 		}
-		mat := p.Analyze(ds, known)
+		ds.Merge(part)
+	}
+	if len(ds.Updates) == 0 {
+		t.Fatal("no updates loaded")
+	}
+	known := world.Registry.All()
+	for _, workers := range []int{1, 4} {
+		p := NewPipeline(workers)
 		str, err := p.StreamMRTDir(dir, known)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := renderAll(str.Table1, str.Table2, str.Fig4a, str.Share, str.Fig4b, str.Prop, str.Transit, str.Filter)
-		want := renderAll(mat.Table1, mat.Table2, mat.Fig4a, mat.Share, mat.Fig4b, mat.Prop, mat.Transit, mat.Filter)
+		got, want := renderAll(str), renderAll(p.Analyze(ds, known))
 		if got != want {
 			t.Fatalf("workers=%d streaming output diverges:\n--- materialized ---\n%s\n--- streaming ---\n%s", workers, want, got)
 		}
@@ -135,7 +125,7 @@ func TestAccumulatorEvolutionMetrics(t *testing.T) {
 		acc.Add(&ds.Updates[i])
 	}
 	ua, uc, abs, te := acc.EvolutionMetrics()
-	wua, wuc, wabs, wte := EvolutionMetrics(ds)
+	wua, wuc, wabs, wte := NewPipeline(0).EvolutionMetrics(ds)
 	if ua != wua || uc != wuc || abs != wabs || te != wte {
 		t.Fatalf("streaming evolution metrics diverge: got %d/%d/%d/%d want %d/%d/%d/%d",
 			ua, uc, abs, te, wua, wuc, wabs, wte)
@@ -156,7 +146,7 @@ func TestTotalRowCoversMetadataLessPlatforms(t *testing.T) {
 		Platform: "GHOST", Collector: "g0", PeerAS: 5,
 		Prefix: pfxA, ASPath: []uint32{5, 1},
 	}}
-	rows := Table1(ds)
+	rows := analyze(ds).Table1
 	total := rows[len(rows)-1]
 	if total.Source != "Total" || total.Messages != 1 || total.IPv4Prefixes != 1 || total.ASes != 2 {
 		t.Fatalf("total row dropped metadata-less platform: %+v", total)

@@ -110,7 +110,7 @@ func CompareUpdateVsRIB(ds *Dataset, views []RIBView) int {
 		pfx  string
 	}
 	latest := map[key]bool{}
-	for _, u := range ds.LatestRoutes() {
+	for _, u := range NewPipeline(0).LatestRoutes(ds) {
 		latest[key{u.Collector, u.PeerAS, u.Prefix.String()}] = true
 	}
 	missing := 0

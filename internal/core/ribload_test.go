@@ -53,16 +53,16 @@ func TestDatasetFromRIBRunsAnalyses(t *testing.T) {
 		t.Fatalf("collectors=%d", len(ds.Collectors))
 	}
 	// The §4 analyses run unchanged on RIB state.
-	rows := Table1(ds)
+	a := analyze(ds, w.Registry.All()...)
+	rows := a.Table1
 	if rows[len(rows)-1].Communities == 0 {
 		t.Fatal("no communities in RIB-derived dataset")
 	}
-	pa := AnalyzePropagation(ds, w.Registry.All())
-	all, _ := pa.Figure5a()
+	all, _ := a.Prop.Figure5a()
 	if all.Len() == 0 {
 		t.Fatal("no propagation distances from RIB state")
 	}
-	if rep := TransitPropagators(ds); rep.Propagators == 0 {
+	if rep := a.Transit; rep.Propagators == 0 {
 		t.Fatal("no propagators visible in RIB state")
 	}
 }

@@ -156,9 +156,10 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	a.latest.merge(b.latest)
 }
 
-// finalize materializes every per-update analysis output. The Figure 6
-// inference is attached separately (it needs the latest-route reduction).
-func (a *Accumulator) finalize() *Analysis {
+// Analysis finalizes the accumulator into the full output bundle,
+// running the Figure 6 inference over p's worker pool (nil = one
+// worker per CPU).
+func (a *Accumulator) Analysis(p *Pipeline) *Analysis {
 	return &Analysis{
 		Table1:  a.t1.rows(a.collectors, a.platforms),
 		Table2:  a.t2.rows(a.collectors, a.platforms),
@@ -167,18 +168,8 @@ func (a *Accumulator) finalize() *Analysis {
 		Fig4b:   a.fig4b.finalize(),
 		Prop:    a.prop.finalize(),
 		Transit: a.transit.finalize(),
+		Filter:  p.inferFiltering(a.latest.finalize()),
 	}
-}
-
-// Analysis finalizes the accumulator into the full output bundle,
-// running the Figure 6 inference over p's worker pool (nil = default).
-func (a *Accumulator) Analysis(p *Pipeline) *Analysis {
-	if p == nil {
-		p = DefaultPipeline
-	}
-	out := a.finalize()
-	out.Filter = p.inferFiltering(a.latest.finalize())
-	return out
 }
 
 // LatestRoutes returns the accumulated concurrent view (the Figure 6 /
@@ -202,41 +193,7 @@ func collectorNameFromFile(path string) (platform, name string) {
 	return platform, name
 }
 
-// LoadMRTDir reads every updates.*.mrt archive under dir into one
-// Dataset, decoding archives concurrently over the worker pool and
-// merging the fragments in sorted file-name order so the result is
-// independent of scheduling.
-func (p *Pipeline) LoadMRTDir(dir string) (*Dataset, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "updates.*.mrt"))
-	if err != nil {
-		return nil, err
-	}
-	if len(matches) == 0 {
-		return nil, fmt.Errorf("core: no updates.*.mrt files in %s", dir)
-	}
-	parts := make([]*Dataset, len(matches))
-	errs := make([]error, len(matches))
-	parallelDo(len(matches), p.workers(), func(i int) {
-		platform, name := collectorNameFromFile(matches[i])
-		f, err := os.Open(matches[i])
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		defer f.Close()
-		parts[i], errs[i] = ReadMRTUpdates(platform, name, f)
-	})
-	ds := &Dataset{}
-	for i, part := range parts {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		ds.Merge(part)
-	}
-	return ds, nil
-}
-
-// StreamMRTDir runs the fused single-pass analysis over every
+// StreamMRTDir runs the full §4 pipeline over every
 // updates.*.mrt archive under dir without materializing any update
 // slice: each archive streams into its own accumulator on the worker
 // pool, and the accumulators merge in sorted file-name order.
@@ -271,16 +228,13 @@ func (p *Pipeline) StreamMRTDir(dir string, knownBlackhole []bgp.Community) (*An
 		acc.AddCollector(meta)
 		accs[i] = acc
 	})
-	var total *Accumulator
-	for i, acc := range accs {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		if total == nil {
-			total = acc
-		} else {
-			total.Merge(acc)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
-	return total.Analysis(p), nil
+	for _, acc := range accs[1:] {
+		accs[0].Merge(acc)
+	}
+	return accs[0].Analysis(p), nil
 }

@@ -162,22 +162,6 @@ func (s table1Shards) rows(collectors []CollectorMeta, platforms []string) []Tab
 	return rows
 }
 
-// Table1 computes the dataset overview per platform plus the union row.
-func Table1(ds *Dataset) []Table1Row { return DefaultPipeline.Table1(ds) }
-
-// Table1 computes Table 1 with the pipeline's worker pool: one fused
-// pass over the update stream, sharded into contiguous chunks.
-func (p *Pipeline) Table1(ds *Dataset) []Table1Row {
-	shards := foldChunks(ds.Updates, p.workers(),
-		func() table1Shards { return make(table1Shards) },
-		func(s table1Shards, u *Update, stripped []uint32) { s.add(u, stripped) })
-	merged := make(table1Shards)
-	for _, s := range shards {
-		merged.merge(s)
-	}
-	return merged.rows(ds.Collectors, ds.Platforms())
-}
-
 // collectorPeers returns the union of peer ASNs across collectors of a
 // platform ("" = all platforms).
 func collectorPeers(collectors []CollectorMeta, platform string) map[uint32]bool {
@@ -320,21 +304,6 @@ func (s table2Shards) rows(collectors []CollectorMeta, platforms []string) []Tab
 	return rows
 }
 
-// Table2 computes community-AS classification per platform plus union.
-func Table2(ds *Dataset) []Table2Row { return DefaultPipeline.Table2(ds) }
-
-// Table2 computes Table 2 with the pipeline's worker pool.
-func (p *Pipeline) Table2(ds *Dataset) []Table2Row {
-	shards := foldChunks(ds.Updates, p.workers(),
-		func() table2Shards { return make(table2Shards) },
-		func(s table2Shards, u *Update, stripped []uint32) { s.add(u, stripped) })
-	merged := make(table2Shards)
-	for _, s := range shards {
-		merged.merge(s)
-	}
-	return merged.rows(ds.Collectors, ds.Platforms())
-}
-
 // RenderTable2 renders rows in paper layout.
 func RenderTable2(rows []Table2Row) string {
 	t := stats.NewTable("Source", "Total", "w/oCollPeer", "OnPath", "OffPath", "OffPath w/o private")
@@ -379,13 +348,9 @@ func (a *evolutionAgg) merge(b *evolutionAgg) {
 }
 
 // EvolutionMetrics extracts the four Figure 3 series values from a
-// dataset: unique ASes in communities, unique communities, absolute
-// community count, and table entries (latest-route count).
-func EvolutionMetrics(ds *Dataset) (uniqueASes, uniqueComms, absolute, tableEntries int) {
-	return DefaultPipeline.EvolutionMetrics(ds)
-}
-
-// EvolutionMetrics computes the Figure 3 values over the worker pool.
+// dataset over the worker pool: unique ASes in communities, unique
+// communities, absolute community count, and table entries
+// (latest-route count).
 func (p *Pipeline) EvolutionMetrics(ds *Dataset) (uniqueASes, uniqueComms, absolute, tableEntries int) {
 	aggs := foldChunks(ds.Updates, p.workers(),
 		newEvolutionAgg,

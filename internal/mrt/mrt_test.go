@@ -286,38 +286,3 @@ func TestManyRecordsStream(t *testing.T) {
 		t.Fatalf("read %d records, want %d", count, n)
 	}
 }
-
-func BenchmarkWriterBGP4MP(b *testing.B) {
-	m := sampleMessage(false)
-	w := NewWriter(io.Discard)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := w.Write(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkReaderBGP4MP(b *testing.B) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for i := 0; i < 1000; i++ {
-		if err := w.Write(sampleMessage(false)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	data := buf.Bytes()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := NewReader(bytes.NewReader(data))
-		for {
-			if _, err := r.Next(); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				b.Fatal(err)
-			}
-		}
-	}
-}

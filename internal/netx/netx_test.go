@@ -301,19 +301,3 @@ func TestTrieProperty_DeleteRemoves(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func BenchmarkTrieLookup(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tr := NewTrie[int]()
-	for i := 0; i < 10000; i++ {
-		tr.Insert(randomV4Prefix(byte(rng.Intn(224)), byte(rng.Intn(256)), byte(rng.Intn(256)), 0, uint8(8+rng.Intn(17))), i)
-	}
-	addrs := make([]netip.Addr, 1024)
-	for i := range addrs {
-		addrs[i] = V4(byte(rng.Intn(224)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Lookup(addrs[i%len(addrs)])
-	}
-}

@@ -93,6 +93,11 @@ func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 	if one.Errored != 0 {
 		t.Fatalf("cells errored: %s", b1)
 	}
+	// Warm reuse: one world built per seed, every cell run on a fork.
+	if one.SnapshotBuilds != 2 || one.SnapshotForks < one.Ran {
+		t.Fatalf("sweep built %d worlds and forked %d times for %d cells over 2 seeds",
+			one.SnapshotBuilds, one.SnapshotForks, one.Ran)
+	}
 	if scenario.RenderSweep(one) == "" {
 		t.Fatal("render empty")
 	}

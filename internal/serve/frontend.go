@@ -69,7 +69,6 @@ type replicaSet struct {
 
 	mu        sync.Mutex
 	preferred int
-	down      []bool
 }
 
 // order returns the replica indices in attempt order: the sticky
@@ -88,14 +87,10 @@ func (rs *replicaSet) order() []int {
 	return out
 }
 
-// mark records one replica attempt's outcome; a success also makes the
-// replica preferred.
-func (rs *replicaSet) mark(i int, ok bool) {
+// prefer makes replica i, which just answered, the sticky first choice.
+func (rs *replicaSet) prefer(i int) {
 	rs.mu.Lock()
-	rs.down[i] = !ok
-	if ok {
-		rs.preferred = i
-	}
+	rs.preferred = i
 	rs.mu.Unlock()
 }
 
@@ -118,7 +113,7 @@ func NewFrontend(shardURLs []string, reg *obs.Registry) *Frontend {
 		if len(urls) == 0 {
 			urls = []string{""}
 		}
-		sets[i] = &replicaSet{urls: urls, down: make([]bool, len(urls))}
+		sets[i] = &replicaSet{urls: urls}
 	}
 	f := &Frontend{
 		sets:   sets,
@@ -151,15 +146,7 @@ func (f *Frontend) Handler() http.Handler {
 	m.HandleFunc("/dict/stats", f.handleDictStats)
 	m.HandleFunc("/dict/", f.handleDictAS)
 	m.Handle("/metrics", f.reg.Handler())
-	hist := f.reg.Histogram("http_request_seconds",
-		"HTTP request service time", obs.DurationBuckets)
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		m.ServeHTTP(w, r)
-		hist.ObserveSince(start)
-		f.reg.Counter(`http_requests_total{path="`+routeLabel(r.URL.Path)+`"}`,
-			"HTTP requests by route").Inc()
-	})
+	return instrument(f.reg, m)
 }
 
 // gatherCache remembers, per shard per replica, the last ETag+body a
@@ -225,35 +212,51 @@ func (f *Frontend) gather(path string, c *gatherCache) ([][]byte, string, error)
 	return bodies, strings.Join(keys, "|"), nil
 }
 
-// fetchSet fetches path for one range, walking its replicas in sticky
-// preferred-first order. Each failed attempt that still has a
-// candidate behind it counts as a failover; the error only surfaces
-// when the whole set is down.
-func (f *Frontend) fetchSet(si int, path string, c *gatherCache) shardResult {
-	set := f.sets[si]
+// walk runs attempt against one range's replicas in sticky
+// preferred-first order until one succeeds. Each failed attempt that
+// still has a candidate behind it counts as a failover; the error only
+// surfaces when the whole set is down.
+func (f *Frontend) walk(set *replicaSet, attempt func(ri int) error) error {
 	attempts := set.order()
 	var errs []string
 	for n, ri := range attempts {
+		err := attempt(ri)
+		if err == nil {
+			set.prefer(ri)
+			return nil
+		}
+		f.upstreamErr.Inc()
+		errs = append(errs, fmt.Sprintf("%s: %v", set.urls[ri], err))
+		if n < len(attempts)-1 {
+			f.failovers.Inc()
+		}
+	}
+	return fmt.Errorf("all %d replicas failed: %s", len(set.urls), strings.Join(errs, "; "))
+}
+
+// fetchSet fetches path for one range from the first replica that
+// answers, revalidating against what that replica last served.
+func (f *Frontend) fetchSet(si int, path string, c *gatherCache) shardResult {
+	set := f.sets[si]
+	var out shardResult
+	err := f.walk(set, func(ri int) error {
 		c.mu.Lock()
 		etag, cached := c.etags[si][ri], c.bodies[si][ri]
 		c.mu.Unlock()
 		res := f.fetch(set.urls[ri]+path, etag, cached)
 		if res.err != nil {
-			f.upstreamErr.Inc()
-			set.mark(ri, false)
-			errs = append(errs, fmt.Sprintf("%s: %v", set.urls[ri], res.err))
-			if n < len(attempts)-1 {
-				f.failovers.Inc()
-			}
-			continue
+			return res.err
 		}
-		set.mark(ri, true)
 		c.mu.Lock()
 		c.etags[si][ri], c.bodies[si][ri] = res.etag, res.body
 		c.mu.Unlock()
-		return shardResult{body: res.body, etag: fmt.Sprintf("%d:%s", ri, res.etag)}
+		out = shardResult{body: res.body, etag: fmt.Sprintf("%d:%s", ri, res.etag)}
+		return nil
+	})
+	if err != nil {
+		return shardResult{err: err}
 	}
-	return shardResult{err: fmt.Errorf("all %d replicas failed: %s", len(set.urls), strings.Join(errs, "; "))}
+	return out
 }
 
 // fetch GETs url, revalidating against etag; a 304 answer reuses the
@@ -373,13 +376,10 @@ func (f *Frontend) handlePrefix(w http.ResponseWriter, r *http.Request) {
 	}
 	owner := f.rm.Owner(p.Masked())
 	set := f.sets[owner]
-	attempts := set.order()
-	var errs []string
-	for n, ri := range attempts {
+	err = f.walk(set, func(ri int) error {
 		req, err := http.NewRequest(http.MethodGet, set.urls[ri]+"/prefix/"+raw, nil)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return err
 		}
 		// Forward the client's revalidation. ETags are engine version
 		// counters, which the deterministic replay model makes consistent
@@ -390,35 +390,30 @@ func (f *Frontend) handlePrefix(w http.ResponseWriter, r *http.Request) {
 			req.Header.Set("If-None-Match", inm)
 		}
 		resp, err := f.client.Do(req)
-		if err == nil && resp.StatusCode >= 500 {
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode >= 500 {
 			// An erroring replica is indistinguishable from a dead one for
 			// routing purposes: drain the reason and try the next.
 			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-			resp.Body.Close()
-			err = fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
-		} else if err == nil {
-			// Any non-5xx answer is authoritative for the range — 200, 304,
-			// and 404 (prefix not tracked) all propagate to the client.
-			set.mark(ri, true)
-			for _, h := range []string{"Content-Type", "ETag"} {
-				if v := resp.Header.Get(h); v != "" {
-					w.Header().Set(h, v)
-				}
+			return fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+		}
+		// Any non-5xx answer is authoritative for the range — 200, 304,
+		// and 404 (prefix not tracked) all propagate to the client.
+		for _, h := range []string{"Content-Type", "ETag"} {
+			if v := resp.Header.Get(h); v != "" {
+				w.Header().Set(h, v)
 			}
-			w.WriteHeader(resp.StatusCode)
-			_, _ = io.Copy(w, resp.Body)
-			resp.Body.Close()
-			return
 		}
-		f.upstreamErr.Inc()
-		set.mark(ri, false)
-		errs = append(errs, fmt.Sprintf("%s: %v", set.urls[ri], err))
-		if n < len(attempts)-1 {
-			f.failovers.Inc()
-		}
+		w.WriteHeader(resp.StatusCode)
+		_, _ = io.Copy(w, resp.Body)
+		return nil
+	})
+	if err != nil {
+		http.Error(w, fmt.Sprintf("shard %d: %v", owner, err), http.StatusBadGateway)
 	}
-	http.Error(w, fmt.Sprintf("shard %d: all %d replicas failed: %s",
-		owner, len(set.urls), strings.Join(errs, "; ")), http.StatusBadGateway)
 }
 
 // frontendStats is the /stats response shape: each shard's snapshot

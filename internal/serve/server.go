@@ -92,19 +92,22 @@ func (s *Server) mux() *http.ServeMux {
 	return m
 }
 
-// Handler wraps the mux with the HTTP-layer instrumentation: a request
+// Handler returns the server's HTTP surface with the HTTP-layer
+// instrumentation around it.
+func (s *Server) Handler() http.Handler { return instrument(s.opts.Registry, s.mux()) }
+
+// instrument wraps a mux with the HTTP-layer instrumentation: a request
 // counter per route class and one latency histogram. Routes are
 // labeled by their fixed first segment (parameterized tails collapse),
 // so series cardinality is bounded by the endpoint table.
-func (s *Server) Handler() http.Handler {
-	m := s.mux()
-	hist := s.opts.Registry.Histogram("http_request_seconds",
+func instrument(reg *obs.Registry, m *http.ServeMux) http.Handler {
+	hist := reg.Histogram("http_request_seconds",
 		"HTTP request service time", obs.DurationBuckets)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		m.ServeHTTP(w, r)
 		hist.ObserveSince(start)
-		s.opts.Registry.Counter(`http_requests_total{path="`+routeLabel(r.URL.Path)+`"}`,
+		reg.Counter(`http_requests_total{path="`+routeLabel(r.URL.Path)+`"}`,
 			"HTTP requests by route").Inc()
 	})
 }

@@ -322,17 +322,3 @@ func TestStepsAccumulate(t *testing.T) {
 		t.Fatal("steps should accumulate")
 	}
 }
-
-func BenchmarkConvergenceFig2(b *testing.B) {
-	g := topo.NewGraph()
-	for _, e := range [][2]topo.ASN{{1, 2}, {2, 4}, {4, 3}, {4, 5}, {3, 6}, {5, 6}} {
-		g.AddCustomerProvider(e[0], e[1])
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		n := New(g, nil)
-		if _, err := n.Announce(1, pfx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -99,18 +99,13 @@ func eventFromObservation(c *collector.Collector, ob *collector.Observation) Eve
 	return ev
 }
 
-// LiveTap returns a simnet session tap feeding the engine through the
-// non-blocking path: when the engine falls behind, events are dropped
-// and counted (Stats.Dropped) rather than stalling the simulation.
-// Attach via gen.Params.Tap / scenario.Context.Tap to observe a world
-// from its first origin announcement.
-func (e *Engine) LiveTap(source string) simnet.UpdateTap {
-	return EventTap(source, e.TryIngest)
-}
-
-// BlockingTap is LiveTap with lossless ingest: the simulation waits for
-// the engine instead of dropping. The scenario ground-truth eval uses
-// it, where feed fidelity outranks simulation latency.
+// BlockingTap returns a simnet session tap feeding the engine with
+// lossless ingest: the simulation waits for the engine instead of
+// dropping. The scenario ground-truth eval uses it, where feed fidelity
+// outranks simulation latency. Attach via gen.Params.Tap /
+// scenario.Context.Tap to observe a world from its first origin
+// announcement; a live source that must not stall on its observer
+// passes TryIngest to EventTap instead.
 func (e *Engine) BlockingTap(source string) simnet.UpdateTap {
 	return EventTap(source, e.Ingest)
 }

@@ -13,10 +13,10 @@
 //     lives wholly inside one shard and detectors read only that state,
 //     so the alert set is bit-identical for any shard count
 //     (TestWatchDeterminismAcrossShards);
-//   - non-blocking ingest for live sources: TryIngest and LiveTap never
-//     block the producer — when the engine falls behind, events are
-//     dropped and counted, so a tapped simnet run cannot stall on its
-//     observer.
+//   - non-blocking ingest for live sources: TryIngest never blocks the
+//     producer — when the engine falls behind, events are dropped and
+//     counted, so a simnet run tapped through EventTap(source,
+//     TryIngest) cannot stall on its observer.
 //
 // Feeds come from adapters in feed.go (MRT byte streams via
 // core.StreamMRTUpdates, collector exports, live simnet taps); eval.go
