@@ -3,7 +3,7 @@
 
 GO      ?= go
 
-.PHONY: build test race scale-probe yardstick-smoke suite-gate lint fmt examples watch-smoke coverage fuzz-smoke loc ci
+.PHONY: build test race scale-probe yardstick-smoke suite-gate lint deadcode fmt examples watch-smoke coverage fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -70,6 +70,13 @@ lint:
 	fi
 	$(GO) vet ./...
 
+# deadcode rebuilds every main package without inlining and fails on a
+# non-test function under internal/ that the linker put into none of
+# them, unless ci/deadcode.allow names it with a reason (and on an
+# allow-list line that no longer applies). The binaries are the API.
+deadcode:
+	$(GO) test -tags deadcode -count=1 -run '^TestDeadcode$$' .
+
 fmt:
 	gofmt -w .
 
@@ -78,4 +85,4 @@ fmt:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
-ci: build lint race coverage fuzz-smoke examples watch-smoke scale-probe yardstick-smoke suite-gate
+ci: build lint deadcode race coverage fuzz-smoke examples watch-smoke scale-probe yardstick-smoke suite-gate

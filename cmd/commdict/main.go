@@ -25,11 +25,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	_ "bgpworms/internal/attack" // registers the builtin scenarios
 	"bgpworms/internal/core"
-	"bgpworms/internal/gen"
 	"bgpworms/internal/scenario"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
@@ -41,19 +39,20 @@ func main() {
 		scen    = flag.String("scenario", "", "replay a registered attack scenario and score inference against ground truth")
 		scale   = flag.String("scale", "", "gen preset for -scenario (tiny, small, medium; default tiny)")
 		seed    = flag.Int64("seed", 0, "generator seed for -scenario (default 1)")
-		workers = flag.Int("workers", 0, "inference workers (0 = one per CPU)")
-		asn     = flag.Int("asn", -1, "print only this AS's dictionary")
+		asn     = flag.Int("asn", -1, "print only this AS's dictionary (0..65535: communities name 16-bit ASNs)")
 		asJSON  = flag.Bool("json", false, "emit JSON instead of tables")
 	)
 	flag.Parse()
 
 	switch {
+	case *asn < -1 || *asn > 0xFFFF:
+		fail(fmt.Errorf("-asn %d: a community names a 16-bit AS, 0..65535", *asn))
 	case *scen != "" && *mrtPath != "":
 		fail(fmt.Errorf("-mrt and -scenario are exclusive"))
 	case *scen != "":
-		runScenario(*scen, *scale, *seed, *workers, *asn, *asJSON)
+		runScenario(*scen, *scale, *seed, *asn, *asJSON)
 	case *mrtPath != "":
-		runMRT(*mrtPath, *workers, *asn, *asJSON)
+		runMRT(*mrtPath, *asn, *asJSON)
 	default:
 		fail(fmt.Errorf("need -mrt or -scenario (see -h)"))
 	}
@@ -97,34 +96,24 @@ func emit(snap *semantics.Snapshot, stats semantics.Stats, rep *watch.DictEvalRe
 	}
 }
 
-func runScenario(name, scale string, seed int64, workers, asn int, asJSON bool) {
-	ctx := &scenario.Context{}
-	if scale != "" {
-		p, err := gen.Preset(scale)
-		if err != nil {
-			fail(err)
-		}
-		ctx.Gen = p
+func runScenario(name, scale string, seed int64, asn int, asJSON bool) {
+	params, err := scenario.GenParams(scale, seed)
+	if err != nil {
+		fail(err)
 	}
-	if seed != 0 {
-		if ctx.Gen.Stubs == 0 {
-			ctx.Gen, _ = gen.Preset(scenario.DefaultScale)
-		}
-		ctx.Gen.Seed = seed
-	}
-	rep, snap, err := watch.EvalDictionaryScenario(name, ctx, semantics.Config{Workers: workers})
+	rep, snap, err := watch.EvalDictionaryScenario(name, &scenario.Context{Gen: params})
 	if err != nil {
 		fail(err)
 	}
 	emit(snap, rep.Stats, rep, asn, asJSON)
 }
 
-func runMRT(path string, workers, asn int, asJSON bool) {
-	paths, err := mrtInputs(path)
+func runMRT(path string, asn int, asJSON bool) {
+	paths, _, err := core.UpdateArchives(path)
 	if err != nil {
 		fail(err)
 	}
-	eng := semantics.NewEngine(semantics.Config{Workers: workers})
+	eng := semantics.NewEngine(semantics.Config{})
 	defer eng.Close()
 	for _, p := range paths {
 		f, err := os.Open(p)
@@ -147,24 +136,4 @@ func runMRT(path string, workers, asn int, asJSON bool) {
 		}
 	}
 	emit(eng.Snapshot(), eng.Stats(), nil, asn, asJSON)
-}
-
-// mrtInputs expands the -mrt argument into concrete archive paths.
-func mrtInputs(path string) ([]string, error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, err
-	}
-	if !info.IsDir() {
-		return []string{path}, nil
-	}
-	paths, err := filepath.Glob(filepath.Join(path, "updates.*.mrt"))
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("no updates.*.mrt files in %s", path)
-	}
-	sort.Strings(paths)
-	return paths, nil
 }

@@ -73,6 +73,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *outDir != "" {
+		// Before the run, not after it: a suite is minutes of work to
+		// lose to a directory that was never there.
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			fatal(err)
+		}
+	}
 	// The trace is always collected: it is cheap, and provenance.json
 	// carries the per-cell span breakdown whether or not -trace asked
 	// for a standalone file.

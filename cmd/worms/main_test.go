@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -91,5 +93,114 @@ func TestStreamFlagIsGone(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "flag provided but not defined: -stream") {
 		t.Fatalf("stderr lacks the flag package's refusal:\n%s", stderr)
+	}
+}
+
+// buildCmds builds sibling commands into a temp dir and returns a runner
+// for them. The siblings are other package mains, so unlike worms they
+// cannot ride this test binary.
+func buildCmds(t *testing.T, names ...string) func(name string, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
+	dir := t.TempDir()
+	pkgs := make([]string, len(names))
+	for i, n := range names {
+		pkgs[i] = "bgpworms/cmd/" + n
+	}
+	if out, err := exec.Command("go", append([]string{"build", "-o", dir + string(filepath.Separator)}, pkgs...)...).CombinedOutput(); err != nil {
+		t.Fatalf("go build %v: %v\n%s", pkgs, err, out)
+	}
+	return func(name string, args ...string) (string, string, error) {
+		cmd := exec.Command(filepath.Join(dir, name), args...)
+		var out, errb bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		err := cmd.Run()
+		return out.String(), errb.String(), err
+	}
+}
+
+// TestArchivePipelineEndToEnd drives the path the README walks and no
+// other test runs through the shipped flag parsing: genesis writes
+// archives, bgpcat decodes every record genesis said it wrote, commdict
+// infers a dictionary from them, worms analyses them.
+func TestArchivePipelineEndToEnd(t *testing.T) {
+	run := buildCmds(t, "genesis", "bgpcat", "commdict", "wormwatchd")
+	dir := filepath.Join(t.TempDir(), "data")
+
+	wrote, stderr, err := run("genesis", "-scale", "tiny", "-out", dir)
+	if err != nil {
+		t.Fatalf("genesis: %v\n%s", err, stderr)
+	}
+	archives := 0
+	for _, line := range strings.Split(wrote, "\n") {
+		var path string
+		var records int
+		if n, _ := fmt.Sscanf(line, "wrote %s (%d records)", &path, &records); n != 2 || !strings.Contains(path, "updates.") {
+			continue
+		}
+		archives++
+		out, stderr, err := run("bgpcat", path)
+		if err != nil {
+			t.Fatalf("bgpcat %s: %v\n%s", path, err, stderr)
+		}
+		if want := fmt.Sprintf("# %s: %d records\n", path, records); !strings.HasSuffix(out, want) {
+			t.Fatalf("bgpcat %s does not end in %q:\n…%s", path, want, out[max(0, len(out)-200):])
+		}
+	}
+	if archives == 0 {
+		t.Fatalf("genesis reported no update archives:\n%s", wrote)
+	}
+
+	var dict struct {
+		Stats   struct{ Processed, Communities int }
+		Entries []struct{ Name string }
+	}
+	commdictJSON := func(args ...string) {
+		t.Helper()
+		out, stderr, err := run("commdict", append([]string{"-mrt", dir, "-json"}, args...)...)
+		if err != nil {
+			t.Fatalf("commdict %v: %v\n%s", args, err, stderr)
+		}
+		dict.Entries = nil
+		if err := json.Unmarshal([]byte(out), &dict); err != nil {
+			t.Fatalf("commdict %v: %v\n%s", args, err, out)
+		}
+	}
+	commdictJSON()
+	if len(dict.Entries) == 0 || dict.Stats.Communities != len(dict.Entries) || dict.Stats.Processed == 0 {
+		t.Fatalf("commdict -mrt: %d entries, stats %+v", len(dict.Entries), dict.Stats)
+	}
+	all := len(dict.Entries)
+	var asn string
+	for _, e := range dict.Entries {
+		// Well-known communities print by name; take a numeric one.
+		if a, _, ok := strings.Cut(e.Name, ":"); ok && strings.Trim(a, "0123456789") == "" {
+			asn = a
+			break
+		}
+	}
+	commdictJSON("-asn", asn)
+	if len(dict.Entries) == 0 || len(dict.Entries) >= all {
+		t.Fatalf("commdict -asn %s: %d of %d entries", asn, len(dict.Entries), all)
+	}
+	for _, e := range dict.Entries {
+		if !strings.HasPrefix(e.Name, asn+":") {
+			t.Fatalf("commdict -asn %s printed %s", asn, e.Name)
+		}
+	}
+	// 65546 is 10 mod 65536: it must be refused, not answered as AS10.
+	if out, stderr, err := run("commdict", "-mrt", dir, "-asn", "65546"); err == nil || !strings.Contains(stderr, "-asn 65546") {
+		t.Fatalf("commdict -asn 65546: err=%v stderr=%q stdout:\n%s", err, stderr, out)
+	}
+
+	for _, gone := range [][]string{{"commdict", "-workers"}, {"wormwatchd", "-dict-workers"}} {
+		_, stderr, err := run(gone[0], gone[1], "2")
+		if err == nil || !strings.Contains(stderr, "flag provided but not defined: "+gone[1]) {
+			t.Fatalf("%s %s 2: err=%v, stderr lacks the flag package's refusal:\n%s", gone[0], gone[1], err, stderr)
+		}
+	}
+
+	report, stderr, err := runWorms("-mrt", dir)
+	if err != nil || !strings.Contains(report, "Table 1") {
+		t.Fatalf("worms -mrt: %v\n%s\n%s", err, stderr, report)
 	}
 }

@@ -85,7 +85,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -93,6 +92,7 @@ import (
 	"time"
 
 	_ "bgpworms/internal/attack" // registers the builtin scenarios
+	"bgpworms/internal/core"
 	"bgpworms/internal/durable"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/mrt"
@@ -123,7 +123,6 @@ type config struct {
 	maxAlerts    int
 	detectors    string
 	dict         bool
-	dictWorkers  int
 	pprofOn      bool
 
 	walDir       string
@@ -162,7 +161,6 @@ func main() {
 	flag.IntVar(&cfg.maxAlerts, "max-alerts", 0, "retained alert cap (0 = default 100000, negative = unlimited)")
 	flag.StringVar(&cfg.detectors, "detectors", "", "comma-separated detector subset (default: all registered)")
 	flag.BoolVar(&cfg.dict, "dict", true, "infer per-AS community dictionaries and enable the dictionary-aware detectors")
-	flag.IntVar(&cfg.dictWorkers, "dict-workers", 0, "dictionary-inference workers (0 = one per CPU)")
 	flag.BoolVar(&cfg.pprofOn, "pprof", false, "serve Go profiling endpoints under /debug/pprof/")
 	flag.StringVar(&cfg.walDir, "wal", "", "durability directory: journal events to a WAL and checkpoint engine state (empty = in-memory only)")
 	flag.DurationVar(&cfg.fsync, "fsync", 0, "WAL group-commit fsync interval (default 50ms; negative disables fsync)")
@@ -262,9 +260,18 @@ func runDaemon(cfg config) error {
 			return fmt.Errorf("unknown scenario %q (have %v)", cfg.scenario, scenario.Names())
 		}
 	}
-	if cfg.scale != "" {
-		if _, err := gen.Preset(cfg.scale); err != nil {
+	scenarioGen, err := scenario.GenParams(cfg.scale, cfg.seed)
+	if err != nil {
+		return err
+	}
+	var mrtPaths []string
+	if cfg.mrtPath != "" {
+		var single bool
+		if mrtPaths, single, err = core.UpdateArchives(cfg.mrtPath); err != nil {
 			return err
+		}
+		if cfg.follow && !single {
+			return fmt.Errorf("-follow needs a single MRT file, not a directory")
 		}
 	}
 	if cfg.shardCount < 1 {
@@ -285,13 +292,14 @@ func runDaemon(cfg config) error {
 		Shards: cfg.engineShards, Window: cfg.window, WindowEvents: cfg.windowEvents,
 		MaxAlerts: cfg.maxAlerts, Metrics: reg,
 	}
-	// The dictionary stack: a semantics engine fed by event mirroring,
-	// and a holder the detectors read — refreshed on the flush
-	// heartbeat, so detection always consults a recent frozen snapshot.
+	// The dictionary stack: a semantics engine whose partial
+	// dictionaries the watch shards fold into, and a holder the
+	// detectors read — refreshed on the flush heartbeat, so detection
+	// always consults a recent frozen snapshot.
 	var sem *semantics.Engine
 	var holder *semantics.Holder
 	if cfg.dict {
-		sem = semantics.NewEngine(semantics.Config{Workers: cfg.dictWorkers, Metrics: reg})
+		sem = semantics.NewEngine(semantics.Config{Metrics: reg})
 		holder = &semantics.Holder{}
 		wcfg.Semantics = sem
 		wcfg.Dict = holder
@@ -336,11 +344,13 @@ func runDaemon(cfg config) error {
 			opts.Owner = serve.NewRangeMap(cfg.shardCount).OwnerFunc(cfg.shardIndex)
 		}
 		var recInfo durable.Recovery
-		var err error
 		store, recInfo, err = durable.Open(eng, sem, opts)
 		if err != nil {
 			return err
 		}
+		// For every early return below; after the shutdown path's own
+		// Close this one finds the store closed and does nothing.
+		defer store.Close()
 		sink = store.Sink()
 		log.Printf("wormwatchd: durable: recovered seq %d (checkpoint %d + %d WAL records, %d torn bytes)",
 			recInfo.Seq, recInfo.CheckpointSeq, recInfo.Replayed, recInfo.TornBytes)
@@ -353,9 +363,6 @@ func runDaemon(cfg config) error {
 	})
 	ln, err := listen(&cfg)
 	if err != nil {
-		if store != nil {
-			store.Close()
-		}
 		return err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
@@ -375,23 +382,16 @@ func runDaemon(cfg config) error {
 		feeds.Add(1)
 		go func() {
 			defer feeds.Done()
-			replayScenario(eng, sink, store != nil, cfg.scenario, cfg.scale, cfg.seed)
+			replayScenario(eng, sink, store != nil, cfg.scenario, scenarioGen)
 		}()
 	}
 	// The tail reader is created here, before the feed goroutine starts,
 	// so shutdown can always reach Stop — otherwise a signal racing feed
 	// startup could leave the MRT stream blocked in the tail forever.
 	var tail *mrt.TailReader
-	if cfg.mrtPath != "" {
-		paths, tailable, err := mrtInputs(cfg.mrtPath)
-		if err != nil {
-			return err
-		}
-		if cfg.follow && !tailable {
-			return fmt.Errorf("-follow needs a single MRT file, not a directory")
-		}
+	if mrtPaths != nil {
 		if cfg.follow {
-			f, err := os.Open(paths[0])
+			f, err := os.Open(mrtPaths[0])
 			if err != nil {
 				return err
 			}
@@ -401,7 +401,7 @@ func runDaemon(cfg config) error {
 		feeds.Add(1)
 		go func() {
 			defer feeds.Done()
-			for _, p := range paths {
+			for _, p := range mrtPaths {
 				if stopping.Load() {
 					return // shutdown between archives
 				}
@@ -448,9 +448,6 @@ func runDaemon(cfg config) error {
 		}
 		feedLn, err = net.Listen(network, cfg.feedListen)
 		if err != nil {
-			if store != nil {
-				store.Close()
-			}
 			return err
 		}
 		if cfg.feedReady != nil {
@@ -565,26 +562,12 @@ func runDaemon(cfg config) error {
 // (non-blocking TryIngest, the live-observation semantics); with one,
 // the feed is lossless — the WAL is the record and must see every
 // event.
-func replayScenario(eng *watch.Engine, sink func(watch.Event), durableFeed bool, name, scale string, seed int64) {
+func replayScenario(eng *watch.Engine, sink func(watch.Event), durableFeed bool, name string, params gen.Params) {
 	tapSink := sink
 	if !durableFeed {
 		tapSink = eng.TryIngest
 	}
-	ctx := &scenario.Context{Tap: watch.EventTap("scenario:"+name, tapSink)}
-	if scale != "" {
-		p, err := gen.Preset(scale)
-		if err != nil {
-			log.Printf("wormwatchd: %v", err)
-			return
-		}
-		ctx.Gen = p
-	}
-	if seed != 0 {
-		if ctx.Gen.Stubs == 0 {
-			ctx.Gen, _ = gen.Preset(scenario.DefaultScale)
-		}
-		ctx.Gen.Seed = seed
-	}
+	ctx := &scenario.Context{Gen: params, Tap: watch.EventTap("scenario:"+name, tapSink)}
 	res, err := scenario.Run(name, ctx)
 	if err != nil {
 		log.Printf("wormwatchd: scenario %s: %v", name, err)
@@ -631,25 +614,4 @@ func (c *connSet) closeAll() {
 		conn.Close()
 	}
 	c.mu.Unlock()
-}
-
-// mrtInputs expands -mrt into concrete archive paths; tailable reports
-// whether the input was a single file (the only -follow shape).
-func mrtInputs(path string) (paths []string, tailable bool, err error) {
-	info, err := os.Stat(path)
-	if err != nil {
-		return nil, false, err
-	}
-	if !info.IsDir() {
-		return []string{path}, true, nil
-	}
-	paths, err = filepath.Glob(filepath.Join(path, "updates.*.mrt"))
-	if err != nil {
-		return nil, false, err
-	}
-	if len(paths) == 0 {
-		return nil, false, fmt.Errorf("no updates.*.mrt files in %s", path)
-	}
-	sort.Strings(paths)
-	return paths, false, nil
 }

@@ -62,7 +62,7 @@ func helperMain() {
 func newTestServer(t *testing.T) (*watch.Engine, *semantics.Engine, http.Handler) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	sem := semantics.NewEngine(semantics.Config{Workers: 2, Metrics: reg})
+	sem := semantics.NewEngine(semantics.Config{Metrics: reg})
 	holder := &semantics.Holder{}
 	eng := watch.NewEngine(watch.Config{Shards: 4, Metrics: reg, Semantics: sem, Dict: holder})
 	srv := serve.New(serve.Options{Watch: eng, Semantics: sem, Holder: holder, Registry: reg, Pprof: true})
@@ -474,6 +474,35 @@ func TestDaemonFeedListenRejectsRereadableFeeds(t *testing.T) {
 	err := runDaemon(cfg)
 	if err == nil || !strings.Contains(err.Error(), "-feed-listen") {
 		t.Fatalf("scenario+feed-listen+wal accepted: %v", err)
+	}
+}
+
+// TestDaemonValidatesMRTBeforeOpeningAnything: a mistyped -mrt, or
+// -follow on a directory, fails the process while it is still only a
+// command line — no WAL directory made, no listener bound, nothing a
+// supervisor could take for a daemon that came up.
+func TestDaemonValidatesMRTBeforeOpeningAnything(t *testing.T) {
+	for name, cfg := range map[string]config{
+		"typo":          {mrtPath: filepath.Join(t.TempDir(), "typo")},
+		"follow a dir":  {mrtPath: t.TempDir(), follow: true},
+		"empty archive": {mrtPath: t.TempDir()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if cfg.follow {
+				if err := os.WriteFile(filepath.Join(cfg.mrtPath, "updates.x.mrt"), nil, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cfg.addr, cfg.shardCount, cfg.reg = "127.0.0.1:0", 1, obs.NewRegistry()
+			cfg.walDir = filepath.Join(t.TempDir(), "wal")
+			cfg.ready = func(addr string) { t.Errorf("listening on %s before -mrt was checked", addr) }
+			if err := runDaemon(cfg); err == nil {
+				t.Fatal("runDaemon accepted it")
+			}
+			if _, err := os.Stat(cfg.walDir); !os.IsNotExist(err) {
+				t.Fatalf("the store was opened before -mrt was checked (stat %s: %v)", cfg.walDir, err)
+			}
+		})
 	}
 }
 

@@ -19,9 +19,9 @@
 // Above the simulator, internal/attack builds injection-platform labs
 // and internal/scenario catalogs every attack for enumeration,
 // parameterized runs, and grid sweeps; internal/watch ingests live
-// update feeds (simnet taps, collector exports, MRT streams) into a
-// sharded sliding-window detection engine; internal/semantics infers
-// per-AS community dictionaries from the same feeds and classifies
+// update feeds (simnet taps, MRT streams) into a sharded sliding-window
+// detection engine; internal/semantics infers per-AS community
+// dictionaries from the same feeds and classifies
 // every value's usage (informational, action-blackhole,
 // action-steering, action-prepend, well-known, unknown), scoreable
 // against the generator's exported ground truth (gen.Registry.Dict)
@@ -54,7 +54,8 @@
 // The watch and semantics engines extend the same discipline to the
 // online side: prefix-sharded windows make alert sets shard-count
 // invariant, and the dictionary engine's commutative evidence folds
-// make inferred dictionaries worker-count invariant.
+// make inferred dictionaries invariant to how the stream was split over
+// the partial dictionaries the watch shards fold into.
 // Converged worlds can be frozen into immutable snapshots
 // (simnet.Network.Freeze, gen.BuildSnapshot) and forked copy-on-write,
 // so a sweep or release suite builds each (scale, seed) world
@@ -69,11 +70,12 @@
 // attributes the time to layers (bash bench/run.sh, go run ./bench
 // -compare). bench_test.go keeps only the scale probe, which converges
 // the paper-scale presets (BenchmarkLargeWorldBuild). CI runs the
-// Makefile targets (build, lint, race, coverage ratchet, fuzz smoke,
-// examples, scale probe, yardstick smoke) on every push; BENCHMARKS.md
+// Makefile targets (build, lint, deadcode — no function under internal/
+// that no binary links — race, coverage ratchet, fuzz smoke, examples,
+// scale probe, yardstick smoke) on every push; BENCHMARKS.md
 // keeps each PR's measurements as history, golden files (internal/core/testdata/golden) pin the
 // paper-facing numbers, native fuzzers with checked-in corpora
 // (FuzzCommunityText, FuzzMRTRecord) harden the codecs, and runnable
 // Example tests pin the documented entry points (core.Pipeline.Analyze,
-// scenario.Run, scenario.Sweep).
+// scenario.Run, scenario.SweepOpts).
 package bgpworms

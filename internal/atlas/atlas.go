@@ -7,7 +7,6 @@
 package atlas
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"sort"
@@ -88,15 +87,6 @@ func LostVPs(before, after PingResult) []int {
 	return out
 }
 
-// TracerouteAll issues AS-level traceroutes from every VP.
-func (p *Platform) TracerouteAll(target netip.Addr) []simnet.Trace {
-	out := make([]simnet.Trace, 0, len(p.vps))
-	for _, vp := range p.vps {
-		out = append(out, p.net.Forward(vp.AS, target))
-	}
-	return out
-}
-
 // VP returns the vantage point with the given ID.
 func (p *Platform) VP(id int) (VantagePoint, bool) {
 	for _, vp := range p.vps {
@@ -105,9 +95,4 @@ func (p *Platform) VP(id int) (VantagePoint, bool) {
 		}
 	}
 	return VantagePoint{}, false
-}
-
-// String describes the platform.
-func (p *Platform) String() string {
-	return fmt.Sprintf("atlas: %d vantage points", len(p.vps))
 }

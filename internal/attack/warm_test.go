@@ -20,7 +20,6 @@ import (
 	"bgpworms/internal/gen"
 	"bgpworms/internal/policy"
 	"bgpworms/internal/scenario"
-	"bgpworms/internal/semantics"
 	"bgpworms/internal/topo"
 	"bgpworms/internal/watch"
 )
@@ -239,13 +238,13 @@ func TestWarmDictEvalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _, err := watch.EvalDictionaryScenario(name, warmContext(t, name, "tiny", "delta", 1), semantics.Config{Workers: 1})
+	cold, _, err := watch.EvalDictionaryScenario(name, warmContext(t, name, "tiny", "delta", 1))
 	if err != nil {
 		t.Fatalf("cold dict eval: %v", err)
 	}
 	wctx := warmContext(t, name, "tiny", "delta", 1)
 	wctx.Warm = snap
-	warm, _, err := watch.EvalDictionaryScenario(name, wctx, semantics.Config{Workers: 1})
+	warm, _, err := watch.EvalDictionaryScenario(name, wctx)
 	if err != nil {
 		t.Fatalf("warm dict eval: %v", err)
 	}

@@ -66,15 +66,6 @@ func (p ASPath) Origin() uint32 {
 	return seq[len(seq)-1]
 }
 
-// First returns the first (neighbor) AS of the path, or 0 if empty.
-func (p ASPath) First() uint32 {
-	seq := p.Sequence()
-	if len(seq) == 0 {
-		return 0
-	}
-	return seq[0]
-}
-
 // Contains reports whether asn appears anywhere in the path.
 func (p ASPath) Contains(asn uint32) bool {
 	for _, seg := range p {

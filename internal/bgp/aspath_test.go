@@ -10,14 +10,14 @@ func TestPathBasics(t *testing.T) {
 	if p.HopLength() != 4 {
 		t.Fatalf("HopLength=%d", p.HopLength())
 	}
-	if p.Origin() != 1 || p.First() != 4 {
-		t.Fatalf("origin=%d first=%d", p.Origin(), p.First())
+	if p.Origin() != 1 {
+		t.Fatalf("origin=%d", p.Origin())
 	}
 	if !p.Contains(3) || p.Contains(9) {
 		t.Fatal("Contains wrong")
 	}
 	var empty ASPath
-	if empty.Origin() != 0 || empty.First() != 0 || empty.HopLength() != 0 {
+	if empty.Origin() != 0 || empty.HopLength() != 0 {
 		t.Fatal("empty path accessors wrong")
 	}
 	if Path() != nil {

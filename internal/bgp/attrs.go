@@ -85,36 +85,6 @@ type PathAttributes struct {
 	Unknown []RawAttr
 }
 
-// Clone deep-copies the attributes. RIB entries share decoded updates, so
-// any mutation path must clone first.
-func (a *PathAttributes) Clone() PathAttributes {
-	out := *a
-	out.ASPath = a.ASPath.Clone()
-	out.Communities = a.Communities.Clone()
-	if a.MED != nil {
-		v := *a.MED
-		out.MED = &v
-	}
-	if a.LocalPref != nil {
-		v := *a.LocalPref
-		out.LocalPref = &v
-	}
-	if a.Aggregator != nil {
-		v := *a.Aggregator
-		out.Aggregator = &v
-	}
-	out.LargeCommunities = append([]LargeCommunity(nil), a.LargeCommunities...)
-	out.MPReachNLRI = append([]netip.Prefix(nil), a.MPReachNLRI...)
-	out.MPUnreachNLRI = append([]netip.Prefix(nil), a.MPUnreachNLRI...)
-	if a.Unknown != nil {
-		out.Unknown = make([]RawAttr, len(a.Unknown))
-		for i, u := range a.Unknown {
-			out.Unknown[i] = RawAttr{Flags: u.Flags, Type: u.Type, Value: append([]byte(nil), u.Value...)}
-		}
-	}
-	return out
-}
-
 func appendAttrHeader(dst []byte, flags, typ uint8, length int) []byte {
 	if length > 0xFF {
 		flags |= flagExtLen

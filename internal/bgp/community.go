@@ -132,15 +132,6 @@ func ParseCommunity(s string) (Community, error) {
 	return C(uint16(asn), uint16(val)), nil
 }
 
-// MustCommunity is ParseCommunity that panics; for tests and constants.
-func MustCommunity(s string) Community {
-	c, err := ParseCommunity(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // LargeCommunity is an RFC 8092 96-bit community: GlobalAdmin (a 4-octet
 // ASN) plus two 32-bit data parts, rendered "ga:d1:d2".
 type LargeCommunity struct {
@@ -152,23 +143,6 @@ type LargeCommunity struct {
 // String renders the canonical "ga:d1:d2" form.
 func (l LargeCommunity) String() string {
 	return fmt.Sprintf("%d:%d:%d", l.GlobalAdmin, l.Data1, l.Data2)
-}
-
-// ParseLargeCommunity parses the "ga:d1:d2" presentation format.
-func ParseLargeCommunity(s string) (LargeCommunity, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return LargeCommunity{}, fmt.Errorf("bgp: large community %q: need 3 parts", s)
-	}
-	var vals [3]uint32
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 10, 32)
-		if err != nil {
-			return LargeCommunity{}, fmt.Errorf("bgp: large community %q: %v", s, err)
-		}
-		vals[i] = uint32(v)
-	}
-	return LargeCommunity{vals[0], vals[1], vals[2]}, nil
 }
 
 // CommunitySet maintains a sorted, duplicate-free community list, the
@@ -210,15 +184,6 @@ func (s CommunitySet) AddAll(cs ...Community) CommunitySet {
 	return s
 }
 
-// Remove returns the set without c.
-func (s CommunitySet) Remove(c Community) CommunitySet {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= c })
-	if i >= len(s) || s[i] != c {
-		return s
-	}
-	return append(s[:i], s[i+1:]...)
-}
-
 // RemoveIf returns the set without any community matching pred.
 func (s CommunitySet) RemoveIf(pred func(Community) bool) CommunitySet {
 	out := s[:0]
@@ -228,12 +193,6 @@ func (s CommunitySet) RemoveIf(pred func(Community) bool) CommunitySet {
 		}
 	}
 	return out
-}
-
-// RemoveASN strips every community whose high bits equal asn. This is the
-// common "delete communities directed at me" provider policy.
-func (s CommunitySet) RemoveASN(asn uint16) CommunitySet {
-	return s.RemoveIf(func(c Community) bool { return c.ASN() == asn })
 }
 
 // Clone returns an independent copy; needed because updates are shared
@@ -280,9 +239,4 @@ func (s CommunitySet) Display() string {
 		parts[i] = c.Display()
 	}
 	return strings.Join(parts, " ")
-}
-
-// IsSorted verifies the set invariant; used by property tests.
-func (s CommunitySet) IsSorted() bool {
-	return sort.SliceIsSorted(s, func(i, j int) bool { return s[i] < s[j] })
 }

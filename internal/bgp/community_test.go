@@ -1,7 +1,9 @@
 package bgp
 
 import (
+	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -102,8 +104,8 @@ func TestWellKnownNames(t *testing.T) {
 			}
 		}
 		// The numeric form parses back to the same value too.
-		if got := MustCommunity(tc.c.String()); got != tc.c {
-			t.Errorf("numeric round trip of %s = %s", tc.c, got)
+		if got, err := ParseCommunity(tc.c.String()); err != nil || got != tc.c {
+			t.Errorf("numeric round trip of %s = (%s, %v)", tc.c, got, err)
 		}
 	}
 	if C(3356, 666).Name() != "" {
@@ -112,15 +114,6 @@ func TestWellKnownNames(t *testing.T) {
 	if C(3356, 666).Display() != "3356:666" {
 		t.Errorf("Display=%q", C(3356, 666).Display())
 	}
-}
-
-func TestMustCommunityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustCommunity("bad")
 }
 
 func TestWellKnownValues(t *testing.T) {
@@ -147,9 +140,19 @@ func TestWellKnownValues(t *testing.T) {
 	}
 }
 
+// isSorted verifies the set invariant.
+func (s CommunitySet) isSorted() bool {
+	return sort.SliceIsSorted(s, func(i, j int) bool { return s[i] < s[j] })
+}
+
+// is matches exactly c, for RemoveIf.
+func is(c Community) func(Community) bool {
+	return func(x Community) bool { return x == c }
+}
+
 func TestCommunitySetOps(t *testing.T) {
 	s := NewCommunitySet(C(3, 3), C(1, 1), C(2, 2), C(1, 1))
-	if len(s) != 3 || !s.IsSorted() {
+	if len(s) != 3 || !s.isSorted() {
 		t.Fatalf("set=%v", s)
 	}
 	if !s.Has(C(2, 2)) || s.Has(C(4, 4)) {
@@ -159,21 +162,21 @@ func TestCommunitySetOps(t *testing.T) {
 	if len(s) != 3 {
 		t.Fatal("duplicate add grew set")
 	}
-	s = s.Remove(C(2, 2))
+	s = s.RemoveIf(is(C(2, 2)))
 	if s.Has(C(2, 2)) || len(s) != 2 {
-		t.Fatal("Remove failed")
+		t.Fatal("RemoveIf failed")
 	}
-	s = s.Remove(C(9, 9)) // absent: no-op
+	s = s.RemoveIf(is(C(9, 9))) // absent: no-op
 	if len(s) != 2 {
-		t.Fatal("Remove of absent changed set")
+		t.Fatal("RemoveIf of absent changed set")
 	}
 }
 
 func TestCommunitySetRemoveASN(t *testing.T) {
 	s := NewCommunitySet(C(10, 1), C(10, 2), C(20, 1), C(30, 5))
-	s = s.RemoveASN(10)
+	s = s.RemoveIf(func(c Community) bool { return c.ASN() == 10 })
 	if len(s) != 2 || s.Has(C(10, 1)) || s.Has(C(10, 2)) {
-		t.Fatalf("RemoveASN: %v", s)
+		t.Fatalf("RemoveIf by ASN: %v", s)
 	}
 }
 
@@ -218,7 +221,7 @@ func TestProperty_CommunitySetSortedUnique(t *testing.T) {
 		for _, v := range vals {
 			s = s.Add(Community(v))
 		}
-		if !s.IsSorted() {
+		if !s.isSorted() {
 			return false
 		}
 		for i := 1; i < len(s); i++ {
@@ -238,7 +241,7 @@ func TestProperty_CommunitySetSortedUnique(t *testing.T) {
 	}
 }
 
-// Property: Add then Remove restores non-membership.
+// Property: Add then RemoveIf restores non-membership.
 func TestProperty_CommunityAddRemove(t *testing.T) {
 	f := func(base []uint32, x uint32) bool {
 		var s CommunitySet
@@ -249,26 +252,11 @@ func TestProperty_CommunityAddRemove(t *testing.T) {
 		}
 		before := len(s)
 		s = s.Add(Community(x))
-		s = s.Remove(Community(x))
-		return !s.Has(Community(x)) && len(s) == before && s.IsSorted()
+		s = s.RemoveIf(is(Community(x)))
+		return !s.Has(Community(x)) && len(s) == before && s.isSorted()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParseLargeCommunity(t *testing.T) {
-	l, err := ParseLargeCommunity("4200000000:1:2")
-	if err != nil || l.GlobalAdmin != 4200000000 || l.Data1 != 1 || l.Data2 != 2 {
-		t.Fatalf("got %v err %v", l, err)
-	}
-	if l.String() != "4200000000:1:2" {
-		t.Fatalf("String=%q", l.String())
-	}
-	for _, bad := range []string{"1:2", "1:2:3:4", "x:1:2", "1:99999999999:2"} {
-		if _, err := ParseLargeCommunity(bad); err == nil {
-			t.Errorf("ParseLargeCommunity(%q) should fail", bad)
-		}
 	}
 }
 
@@ -283,6 +271,60 @@ func TestCommunitySetAddKeepsOrderAgainstSort(t *testing.T) {
 	for i := range ref {
 		if s[i] != ref[i] {
 			t.Fatalf("set=%v ref=%v", s, ref)
+		}
+	}
+}
+
+// Parked: no caller is left outside this file for the two parsers below.
+// They stay only until their tests can be retired; delete each with its
+// test.
+
+// MustCommunity is ParseCommunity that panics.
+func MustCommunity(s string) Community {
+	c, err := ParseCommunity(s)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+func TestMustCommunityPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	MustCommunity("bad")
+}
+
+// ParseLargeCommunity parses the "ga:d1:d2" presentation format.
+func ParseLargeCommunity(s string) (LargeCommunity, error) {
+	parts := strings.Split(s, ":")
+	if len(parts) != 3 {
+		return LargeCommunity{}, fmt.Errorf("bgp: large community %q: need 3 parts", s)
+	}
+	var vals [3]uint32
+	for i, p := range parts {
+		v, err := strconv.ParseUint(p, 10, 32)
+		if err != nil {
+			return LargeCommunity{}, fmt.Errorf("bgp: large community %q: %v", s, err)
+		}
+		vals[i] = uint32(v)
+	}
+	return LargeCommunity{vals[0], vals[1], vals[2]}, nil
+}
+
+func TestParseLargeCommunity(t *testing.T) {
+	l, err := ParseLargeCommunity("4200000000:1:2")
+	if err != nil || l.GlobalAdmin != 4200000000 || l.Data1 != 1 || l.Data2 != 2 {
+		t.Fatalf("got %v err %v", l, err)
+	}
+	if l.String() != "4200000000:1:2" {
+		t.Fatalf("String=%q", l.String())
+	}
+	for _, bad := range []string{"1:2", "1:2:3:4", "x:1:2", "1:99999999999:2"} {
+		if _, err := ParseLargeCommunity(bad); err == nil {
+			t.Errorf("ParseLargeCommunity(%q) should fail", bad)
 		}
 	}
 }

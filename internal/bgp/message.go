@@ -236,9 +236,3 @@ func decodeUpdate(body []byte) (*Update, error) {
 	}
 	return &Update{Withdrawn: wd, Attrs: attrs, NLRI: nlri}, nil
 }
-
-// MaxCommunitiesPerMessage is the ceiling derived in §6.1: the attribute
-// length field is 2 bytes and each community is 4 bytes, so a single
-// UPDATE can carry at most 2^16/4 = 16384 communities (before the overall
-// 4096-byte message cap bites first in practice).
-const MaxCommunitiesPerMessage = 1 << 16 / 4

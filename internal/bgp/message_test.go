@@ -64,7 +64,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 	if len(a.Communities) != 3 || !a.Communities.Has(CommunityBlackhole) {
 		t.Errorf("Communities=%v", a.Communities)
 	}
-	if !a.Communities.IsSorted() {
+	if !a.Communities.isSorted() {
 		t.Error("communities not normalized on decode")
 	}
 	if a.Aggregator == nil || a.Aggregator.ASN != 1299 {

@@ -238,11 +238,6 @@ func partialKeeps(collector, peer topo.ASN, p netip.Prefix) bool {
 // Observations returns everything recorded so far.
 func (c *Collector) Observations() []Observation { return c.obs }
 
-// Node exposes the collector's router (its Adj-RIB-In is the RIB snapshot
-// source). In a forked world this resolves through the network, so the
-// fork's copy-on-write state is what callers read.
-func (c *Collector) Node() *router.Router { return c.router() }
-
 // peerIP derives a deterministic session address.
 func peerIP(collector, peer topo.ASN) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, byte(collector), byte(peer >> 8), byte(peer)})

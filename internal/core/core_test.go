@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"sort"
 	"testing"
 	"time"
 
@@ -63,13 +64,6 @@ func TestStrippedPathAndOrigin(t *testing.T) {
 	got := u.StrippedPath()
 	if len(got) != 3 || got[0] != 5 || got[2] != 3 {
 		t.Fatalf("stripped=%v", got)
-	}
-	if u.OriginAS() != 3 {
-		t.Fatalf("origin=%d", u.OriginAS())
-	}
-	var empty Update
-	if empty.OriginAS() != 0 {
-		t.Fatal("empty origin")
 	}
 }
 
@@ -297,10 +291,6 @@ func TestFigure5cTopValues(t *testing.T) {
 	if RenderFigure5c(off, on) == "" {
 		t.Fatal("render empty")
 	}
-	d, p := pa.OffPathStats()
-	if d != 2 || p != 0 {
-		t.Fatalf("offpath stats=%d,%d", d, p)
-	}
 }
 
 func TestTransitPropagators(t *testing.T) {
@@ -319,12 +309,6 @@ func TestTransitPropagators(t *testing.T) {
 	}
 	if rep.Propagators != 2 {
 		t.Fatalf("propagators=%d", rep.Propagators)
-	}
-	if f := rep.Fraction(); f != 0.4 {
-		t.Fatalf("fraction=%v", f)
-	}
-	if (TransitReport{}).Fraction() != 0 {
-		t.Fatal("empty fraction")
 	}
 }
 
@@ -402,15 +386,8 @@ func TestInferFilteringMixedEdge(t *testing.T) {
 		upd("c2", 5, pfxB, []uint32{5, 4, 3, 2, 1}),
 	}
 	fi := analyze(ds).Filter
-	mixed := fi.MixedEdges(1)
-	found := false
-	for _, e := range mixed {
-		if e == (Edge{4, 5}) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("edge (4,5) should be mixed: %v; edges=%+v", mixed, fi.Edges[Edge{4, 5}])
+	if in := fi.Edges[Edge{4, 5}]; in == nil || in.Forwarded == 0 || in.Filtered == 0 {
+		t.Fatalf("edge (4,5) should carry both indications: %+v", in)
 	}
 }
 
@@ -423,6 +400,16 @@ func TestEvolutionMetrics(t *testing.T) {
 	if te != 3 { // three latest announcements
 		t.Fatalf("te=%d", te)
 	}
+}
+
+// sortedASNs renders an ASN set deterministically.
+func sortedASNs(m map[uint32]bool) []uint32 {
+	out := make([]uint32, 0, len(m))
+	for a := range m {
+		out = append(out, a)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 func TestSortedASNs(t *testing.T) {

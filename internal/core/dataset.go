@@ -40,14 +40,6 @@ func (u *Update) StrippedPath() []uint32 {
 	return bgp.Path(u.ASPath...).StripPrepending()
 }
 
-// OriginAS returns the originating AS (0 for empty paths).
-func (u *Update) OriginAS() uint32 {
-	if len(u.ASPath) == 0 {
-		return 0
-	}
-	return u.ASPath[len(u.ASPath)-1]
-}
-
 // CollectorMeta identifies one collector and its peering sessions.
 type CollectorMeta struct {
 	Platform string
@@ -119,30 +111,6 @@ func ReadMRTUpdates(platform, collectorName string, r io.Reader) (*Dataset, erro
 func (ds *Dataset) Merge(other *Dataset) {
 	ds.Updates = append(ds.Updates, other.Updates...)
 	ds.Collectors = append(ds.Collectors, other.Collectors...)
-}
-
-// Announcements returns only non-withdrawal updates.
-func (ds *Dataset) Announcements() []Update {
-	out := make([]Update, 0, len(ds.Updates))
-	for _, u := range ds.Updates {
-		if !u.Withdraw {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// Platforms lists distinct platforms in first-seen order.
-func (ds *Dataset) Platforms() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, c := range ds.Collectors {
-		if !seen[c.Platform] {
-			seen[c.Platform] = true
-			out = append(out, c.Platform)
-		}
-	}
-	return out
 }
 
 // routeKey identifies one (collector, peer, prefix) table slot.

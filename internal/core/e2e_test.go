@@ -124,11 +124,6 @@ func TestE2E_HeadlineShapesHold(t *testing.T) {
 	if s.WithForwardSign == 0 || s.WithFilterSign == 0 {
 		t.Fatalf("filter summary=%+v", s)
 	}
-	// Relationship join runs against the generated graph.
-	br := fi.ByRelationship(w.Graph)
-	if len(br) != 3 {
-		t.Fatalf("breakdown=%v", br)
-	}
 }
 
 func TestE2E_Figure4Shapes(t *testing.T) {

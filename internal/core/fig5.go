@@ -172,27 +172,6 @@ func (pa *PropagationAnalysis) Figure5c(k int) (offPath, onPath []ValueShare) {
 	return conv(off), conv(on)
 }
 
-// OffPathStats summarizes off-path communities (Table 2 context): total
-// distinct off-path community ASNs and how many are private.
-func (pa *PropagationAnalysis) OffPathStats() (distinct, private int) {
-	seen := map[uint16]bool{}
-	for _, o := range pa.Observations {
-		if o.OnPath() {
-			continue
-		}
-		asn := o.Community.ASN()
-		if seen[asn] {
-			continue
-		}
-		seen[asn] = true
-		distinct++
-		if bgp.IsPrivateASN(uint32(asn)) {
-			private++
-		}
-	}
-	return distinct, private
-}
-
 // TransitReport is the §4.3 transit-propagation count.
 type TransitReport struct {
 	// TransitASes appear on some path in a non-origin position.
@@ -200,14 +179,6 @@ type TransitReport struct {
 	// Propagators relayed at least one foreign community (excluding
 	// direct collector peers, which have collector-specific configs).
 	Propagators int
-}
-
-// Fraction returns propagators / transit.
-func (t TransitReport) Fraction() float64 {
-	if t.TransitASes == 0 {
-		return 0
-	}
-	return float64(t.Propagators) / float64(t.TransitASes)
 }
 
 // transitAgg folds the transit / propagator AS sets behind §4.3's

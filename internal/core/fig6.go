@@ -2,11 +2,10 @@ package core
 
 import (
 	"net/netip"
-	"sort"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/conc"
 	"bgpworms/internal/stats"
-	"bgpworms/internal/topo"
 )
 
 // Edge is a directed AS adjacency (From forwarded to To).
@@ -151,9 +150,9 @@ func (p *Pipeline) inferFiltering(routes []Update) *FilterInference {
 	}
 
 	w := p.workers()
-	shards := chunkRanges(len(order), w)
+	shards := conc.Chunks(len(order), w)
 	partial := make([]*FilterInference, len(shards))
-	parallelDo(len(shards), w, func(i int) {
+	conc.Do(len(shards), w, func(i int) {
 		fi := newFilterInference()
 		for _, pfx := range order[shards[i][0]:shards[i][1]] {
 			fi.inferPrefix(byPrefix[pfx])
@@ -224,58 +223,6 @@ func (fi *FilterInference) Hexbin(minPaths, cellsPerDecade int) []stats.Bin {
 		h.Add(float64(in.Filtered), float64(in.Forwarded))
 	}
 	return h.Bins()
-}
-
-// MixedEdges returns edges showing BOTH forward and filter indications —
-// the paper's "mixed picture" population.
-func (fi *FilterInference) MixedEdges(minPaths int) []Edge {
-	var out []Edge
-	for e, in := range fi.Edges {
-		if in.Paths >= minPaths && in.Forwarded > 0 && in.Filtered > 0 {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
-	return out
-}
-
-// RelBreakdown cross-references indications with AS relationships (the
-// CAIDA join the paper attempts): counts of forward-/filter-signed edges
-// per relationship of To as seen from From.
-type RelBreakdown struct {
-	Rel             topo.Rel
-	Edges           int
-	WithForwardSign int
-	WithFilterSign  int
-}
-
-// ByRelationship joins edge indications with graph relationships.
-func (fi *FilterInference) ByRelationship(g *topo.Graph) []RelBreakdown {
-	acc := map[topo.Rel]*RelBreakdown{}
-	for _, r := range []topo.Rel{topo.RelCustomer, topo.RelPeer, topo.RelProvider} {
-		acc[r] = &RelBreakdown{Rel: r}
-	}
-	for e, in := range fi.Edges {
-		rel := g.Relationship(topo.ASN(e.From), topo.ASN(e.To))
-		b, ok := acc[rel]
-		if !ok {
-			continue
-		}
-		b.Edges++
-		if in.Forwarded > 0 {
-			b.WithForwardSign++
-		}
-		if in.Filtered > 0 {
-			b.WithFilterSign++
-		}
-	}
-	out := []RelBreakdown{*acc[topo.RelCustomer], *acc[topo.RelPeer], *acc[topo.RelProvider]}
-	return out
 }
 
 // RenderFilterSummary renders the §4.4 percentages.

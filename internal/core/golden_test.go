@@ -145,15 +145,12 @@ func TestGoldenFig5(t *testing.T) {
 		byLen[l] = summarizeECDF(e)
 	}
 	off, on := a.Prop.Figure5c(10)
-	distinct, private := a.Prop.OffPathStats()
 	checkGolden(t, "fig5.json", map[string]any{
 		"distance_all":        summarizeECDF(all),
 		"distance_blackhole":  summarizeECDF(bh),
 		"relative_by_pathlen": byLen,
 		"top_values_offpath":  off,
 		"top_values_onpath":   on,
-		"offpath_distinct":    distinct,
-		"offpath_private":     private,
 		"transit":             a.Transit,
 	})
 }

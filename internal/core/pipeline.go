@@ -43,16 +43,13 @@ func (p *Pipeline) workers() int {
 	return p.Workers
 }
 
-// chunkRanges splits [0, n) into at most w near-equal contiguous ranges.
-func chunkRanges(n, w int) [][2]int { return conc.Chunks(n, w) }
-
 // foldChunks folds contiguous chunks of updates concurrently, one
 // aggregate per chunk, and returns the aggregates in chunk order so the
 // caller can merge them deterministically. fold receives each update
 // together with its prepending-stripped AS path (computed once per
 // update, shared by every consumer).
 func foldChunks[A any](updates []Update, workers int, mk func() A, fold func(agg A, u *Update, stripped []uint32)) []A {
-	ranges := chunkRanges(len(updates), workers)
+	ranges := conc.Chunks(len(updates), workers)
 	aggs := make([]A, len(ranges))
 	var wg sync.WaitGroup
 	for i, r := range ranges {
@@ -70,9 +67,6 @@ func foldChunks[A any](updates []Update, workers int, mk func() A, fold func(agg
 	wg.Wait()
 	return aggs
 }
-
-// parallelDo runs fn(i) for i in [0, n) over the pipeline's workers.
-func parallelDo(n, workers int, fn func(i int)) { conc.Do(n, workers, fn) }
 
 // Analysis bundles every passive-measurement output of §4 except the
 // Figure 3 time series (which spans several worlds; see

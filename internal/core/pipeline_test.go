@@ -8,6 +8,7 @@ import (
 	"sort"
 	"testing"
 
+	"bgpworms/internal/conc"
 	"bgpworms/internal/gen"
 )
 
@@ -116,25 +117,6 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestAccumulatorEvolutionMetrics checks the streaming Figure 3 values
-// agree with the dataset computation.
-func TestAccumulatorEvolutionMetrics(t *testing.T) {
-	_, ds := buildDatasetViaMRT(t)
-	acc := NewAccumulator(nil)
-	for i := range ds.Updates {
-		acc.Add(&ds.Updates[i])
-	}
-	ua, uc, abs, te := acc.EvolutionMetrics()
-	wua, wuc, wabs, wte := NewPipeline(0).EvolutionMetrics(ds)
-	if ua != wua || uc != wuc || abs != wabs || te != wte {
-		t.Fatalf("streaming evolution metrics diverge: got %d/%d/%d/%d want %d/%d/%d/%d",
-			ua, uc, abs, te, wua, wuc, wabs, wte)
-	}
-	if got := len(acc.LatestRoutes()); got != te {
-		t.Fatalf("latest routes len=%d want %d", got, te)
-	}
-}
-
 // TestTotalRowCoversMetadataLessPlatforms guards a sharding regression:
 // updates whose platform has no CollectorMeta entry (possible via the
 // exported Dataset fields or Merge of metadata-less fragments) get no
@@ -157,7 +139,7 @@ func TestTotalRowCoversMetadataLessPlatforms(t *testing.T) {
 // bounded count.
 func TestChunkRanges(t *testing.T) {
 	for _, tc := range []struct{ n, w int }{{0, 4}, {1, 4}, {7, 3}, {100, 8}, {5, 1}, {3, 0}} {
-		rs := chunkRanges(tc.n, tc.w)
+		rs := conc.Chunks(tc.n, tc.w)
 		covered := 0
 		prev := 0
 		for _, r := range rs {

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/conc"
 	"bgpworms/internal/mrt"
 )
 
@@ -66,8 +67,8 @@ func StreamMRTUpdates(platform, collectorName string, r io.Reader, fn func(u *Up
 
 // Accumulator ingests routing observations one at a time and folds every
 // §4 aggregate in a single pass: Tables 1/2, Figures 4a/4b, the Figure 5
-// propagation observations, the transit-propagator sets, the Figure 3
-// evolution counters, and the latest-route view Figure 6 runs on. It is
+// propagation observations, the transit-propagator sets, and the
+// latest-route view Figure 6 runs on. It is
 // the streaming complement of Dataset: MRT byte streams can be classified
 // without retaining the update slice (memory stays bounded by the
 // aggregate sizes — table entries, distinct sets, and per-community
@@ -88,14 +89,7 @@ type Accumulator struct {
 	fig4b   *fig4bAgg
 	prop    *propAgg
 	transit *transitAgg
-	evo     *evolutionAgg
 	latest  *latestAgg
-}
-
-// NewAccumulator returns an empty accumulator; knownBlackhole seeds the
-// Figure 5 blackhole classifier (nil = only :666 classifies).
-func NewAccumulator(knownBlackhole []bgp.Community) *Accumulator {
-	return newAccumulatorFor(IsBlackholeClassifier(knownBlackhole))
 }
 
 func newAccumulatorFor(isBlackhole func(bgp.Community) bool) *Accumulator {
@@ -108,7 +102,6 @@ func newAccumulatorFor(isBlackhole func(bgp.Community) bool) *Accumulator {
 		fig4b:   &fig4bAgg{},
 		prop:    newPropAgg(isBlackhole),
 		transit: newTransitAgg(),
-		evo:     newEvolutionAgg(),
 		latest:  newLatestAgg(),
 	}
 }
@@ -134,7 +127,6 @@ func (a *Accumulator) addStripped(u *Update, stripped []uint32) {
 	a.fig4b.add(u)
 	a.prop.add(u, stripped)
 	a.transit.add(u, stripped)
-	a.evo.add(u)
 	a.latest.add(u)
 }
 
@@ -152,7 +144,6 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	a.fig4b.merge(b.fig4b)
 	a.prop.merge(b.prop)
 	a.transit.merge(b.transit)
-	a.evo.merge(b.evo)
 	a.latest.merge(b.latest)
 }
 
@@ -172,15 +163,6 @@ func (a *Accumulator) Analysis(p *Pipeline) *Analysis {
 	}
 }
 
-// LatestRoutes returns the accumulated concurrent view (the Figure 6 /
-// Figure 3 table-entry reduction).
-func (a *Accumulator) LatestRoutes() []Update { return a.latest.finalize() }
-
-// EvolutionMetrics returns the Figure 3 series values accumulated so far.
-func (a *Accumulator) EvolutionMetrics() (uniqueASes, uniqueComms, absolute, tableEntries int) {
-	return len(a.evo.asSet), len(a.evo.commSet), a.evo.absolute, len(a.latest.finalize())
-}
-
 // collectorNameFromFile derives (platform, collector) from an MRT archive
 // name like updates.RIS-rrc00.mrt: the collector is the base name between
 // "updates." and ".mrt", the platform is its prefix before the first "-".
@@ -193,22 +175,48 @@ func collectorNameFromFile(path string) (platform, name string) {
 	return platform, name
 }
 
-// StreamMRTDir runs the full §4 pipeline over every
-// updates.*.mrt archive under dir without materializing any update
-// slice: each archive streams into its own accumulator on the worker
-// pool, and the accumulators merge in sorted file-name order.
-func (p *Pipeline) StreamMRTDir(dir string, knownBlackhole []bgp.Community) (*Analysis, error) {
+// UpdateArchives expands an -mrt argument into the update archives it
+// names, in the order every reader consumes them: a file is itself, a
+// directory is every updates.*.mrt under it in file-name order (what
+// genesis writes). single reports the file case — the one shape a
+// follower can tail.
+func UpdateArchives(path string) (paths []string, single bool, err error) {
+	info, err := os.Stat(path)
+	if err != nil {
+		return nil, false, err
+	}
+	if !info.IsDir() {
+		return []string{path}, true, nil
+	}
+	paths, err = archivesIn(path)
+	return paths, false, err
+}
+
+// archivesIn lists dir's updates.*.mrt archives; Glob returns them sorted.
+func archivesIn(dir string) ([]string, error) {
 	matches, err := filepath.Glob(filepath.Join(dir, "updates.*.mrt"))
 	if err != nil {
 		return nil, err
 	}
 	if len(matches) == 0 {
-		return nil, fmt.Errorf("core: no updates.*.mrt files in %s", dir)
+		return nil, fmt.Errorf("no updates.*.mrt files in %s", dir)
+	}
+	return matches, nil
+}
+
+// StreamMRTDir runs the full §4 pipeline over every
+// updates.*.mrt archive under dir without materializing any update
+// slice: each archive streams into its own accumulator on the worker
+// pool, and the accumulators merge in sorted file-name order.
+func (p *Pipeline) StreamMRTDir(dir string, knownBlackhole []bgp.Community) (*Analysis, error) {
+	matches, err := archivesIn(dir)
+	if err != nil {
+		return nil, err
 	}
 	cls := IsBlackholeClassifier(knownBlackhole)
 	accs := make([]*Accumulator, len(matches))
 	errs := make([]error, len(matches))
-	parallelDo(len(matches), p.workers(), func(i int) {
+	conc.Do(len(matches), p.workers(), func(i int) {
 		platform, name := collectorNameFromFile(matches[i])
 		f, err := os.Open(matches[i])
 		if err != nil {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"net/netip"
-	"sort"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/stats"
@@ -360,15 +359,4 @@ func (p *Pipeline) EvolutionMetrics(ds *Dataset) (uniqueASes, uniqueComms, absol
 		total.merge(a)
 	}
 	return len(total.asSet), len(total.commSet), total.absolute, len(p.LatestRoutes(ds))
-}
-
-// sortedASNs is a test helper exported via the package for deterministic
-// set rendering.
-func sortedASNs(m map[uint32]bool) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -35,7 +35,9 @@ import (
 //	           n x alert:  seq, time, detector, severity, prefix, peer AS,
 //	                       origin AS, community, source, message
 //	           n x (detector, alerts raised), sorted by detector
-//	semantics  seq, ingested, processed, dropped
+//	semantics  seq, seq, seq, 0 (four slots from when the dictionary engine
+//	           queued and shed on its own and counted ingested, processed
+//	           and dropped apart; the reader takes the first)
 //	           n x evidence: community (u32 BE), count, on-path, off-path,
 //	                       at-origin, host-route, prepended, max travel (varint),
 //	                       first seq, last seq, first seen, last seen,
@@ -268,7 +270,7 @@ func (e *snapEncoder) watch(st *watch.State) {
 }
 
 func (e *snapEncoder) semantics(st *semantics.State) {
-	for _, v := range []uint64{st.Seq, st.Ingested, st.Processed, st.Dropped} {
+	for _, v := range []uint64{st.Seq, st.Seq, st.Seq, 0} {
 		e.uvarint(v)
 	}
 	e.uvarint(uint64(len(st.Communities)))
@@ -383,7 +385,10 @@ func decodeWatchState(r *reader) (*watch.State, error) {
 }
 
 func decodeSemanticsState(r *reader) *semantics.State {
-	st := &semantics.State{Seq: r.uvarint(), Ingested: r.uvarint(), Processed: r.uvarint(), Dropped: r.uvarint()}
+	st := &semantics.State{Seq: r.uvarint()}
+	for i := 0; i < 3; i++ {
+		r.uvarint() // reserved slots, see the layout above
+	}
 	n := r.count(minEvidenceBytes)
 	if n > 0 {
 		st.Communities = make([]semantics.EvidenceState, 0, n)

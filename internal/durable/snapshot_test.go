@@ -66,7 +66,7 @@ func sampleCheckpoint() *Checkpoint {
 			ByDetector: map[string]uint64{"route-leak": 1, "blackhole-onset": 2, "community-squat": 1},
 		},
 		Semantics: &semantics.State{
-			Seq: 11, Ingested: 7, Processed: 7,
+			Seq: 11,
 			Communities: []semantics.EvidenceState{
 				{Community: bgp.C(2, 666), Count: 1, OffPath: 1, MaxTravel: -1, FirstSeq: 11, LastSeq: 11,
 					Peers: []uint32{2}, Prefixes: []netip.Prefix{evs[4].Prefix}},
@@ -300,5 +300,49 @@ func TestCheckpointSizeVsJSON(t *testing.T) {
 	if got := info.Size(); got*3 > parentJSONCheckpointBytes {
 		t.Fatalf("checkpoint is %d bytes; the JSON it replaced was %d, and the bound is a third of that (%d)",
 			got, parentJSONCheckpointBytes, parentJSONCheckpointBytes/3)
+	}
+}
+
+// TestCheckpointFromBeforeTheInlineFoldRestores reads a WWSNAP02 file the
+// parent of the inline-fold change wrote — when the dictionary engine
+// still queued and shed on its own and saved ingested, processed and
+// dropped counts apart — after events 1..240 of the churn feed. It must
+// restore to the state of a control fed those events, and encode back to
+// the bytes it was read from: the format did not move.
+func TestCheckpointFromBeforeTheInlineFoldRestores(t *testing.T) {
+	const seq = 240
+	path := filepath.Join("testdata", "pr20", snapName(seq))
+	cp, err := readSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Seq != seq || cp.Watch == nil || cp.Semantics == nil || len(cp.Semantics.Communities) == 0 {
+		t.Fatalf("%s: seq %d, watch %v, semantics %v", path, cp.Seq, cp.Watch != nil, cp.Semantics != nil)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := raw[len(snapMagic) : len(raw)-4]; !bytes.Equal(encodeCP(t, cp), body) {
+		t.Fatal("re-encoding the decoded checkpoint does not give the file's body back")
+	}
+
+	re, reSem := newPair(4)
+	defer re.Close()
+	defer reSem.Close()
+	if err := re.RestoreState(cp.Watch); err != nil {
+		t.Fatal(err)
+	}
+	if err := reSem.RestoreState(cp.Semantics); err != nil {
+		t.Fatal(err)
+	}
+	ctl, ctlSem := newPair(2)
+	defer ctl.Close()
+	defer ctlSem.Close()
+	for _, ev := range churnEvents(t)[:seq] {
+		ctl.Ingest(ev)
+	}
+	if !bytes.Equal(stateBytes(t, re, reSem), stateBytes(t, ctl, ctlSem)) {
+		t.Fatalf("state restored from %s differs from a control fed events 1..%d", path, seq)
 	}
 }

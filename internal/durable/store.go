@@ -110,8 +110,9 @@ type Store struct {
 // to the engines: the newest valid checkpoint is restored into eng and
 // sem (both must be fresh — never ingested), then the WAL tail beyond
 // it is replayed through eng.Ingest with original sequence numbers.
-// sem may be nil; when present it is restored here but fed via the
-// watch engine's Semantics mirroring, not by the store.
+// sem may be nil; when present it is restored here but fed by the
+// watch engine's shard workers (watch.Config.Semantics), not by the
+// store, and cut behind the watch engine's Flush.
 func Open(eng *watch.Engine, sem *semantics.Engine, opts Options) (*Store, Recovery, error) {
 	opts = opts.withDefaults()
 	var rec Recovery

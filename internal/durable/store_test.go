@@ -60,7 +60,7 @@ func churnEvents(t testing.TB) []watch.Event {
 // newPair builds a watch engine with a mirrored semantics engine, the
 // daemon's engine arrangement.
 func newPair(shards int) (*watch.Engine, *semantics.Engine) {
-	sem := semantics.NewEngine(semantics.Config{Workers: 2})
+	sem := semantics.NewEngine(semantics.Config{})
 	eng := watch.NewEngine(watch.Config{Shards: shards, Semantics: sem})
 	return eng, sem
 }
@@ -88,10 +88,15 @@ func alertsJSON(t testing.TB, e *watch.Engine) []byte {
 	return b
 }
 
+// dictJSON is everything the dictionary engine holds, both ways it can
+// be read: the classified entries a daemon serves and the evidence and
+// fold count a checkpoint saves. Call it behind the watch engine's Flush.
 func dictJSON(t testing.TB, s *semantics.Engine) []byte {
 	t.Helper()
-	s.Flush()
-	b, err := json.Marshal(s.Snapshot().Entries())
+	b, err := json.Marshal(struct {
+		Entries []*semantics.Entry
+		State   *semantics.State
+	}{s.Snapshot().Entries(), s.ExportState()})
 	if err != nil {
 		t.Fatal(err)
 	}

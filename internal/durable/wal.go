@@ -470,13 +470,6 @@ func (w *WAL) runSyncer() {
 	}
 }
 
-// LastSeq is the highest appended record sequence.
-func (w *WAL) LastSeq() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastSeq
-}
-
 // DurableSeq is the highest record sequence known flushed and fsynced.
 func (w *WAL) DurableSeq() uint64 {
 	w.mu.Lock()

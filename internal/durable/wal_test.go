@@ -18,6 +18,13 @@ import (
 // tests control durability explicitly.
 const noSync = time.Hour
 
+// LastSeq is the highest appended record sequence.
+func (w *WAL) LastSeq() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.lastSeq
+}
+
 func appendN(t testing.TB, w *WAL, seqs []uint64) {
 	t.Helper()
 	for _, seq := range seqs {

@@ -113,10 +113,6 @@ func BuildSnapshot(p Params) (*Snapshot, error) {
 	return &Snapshot{params: params, world: w, net: net, stream: stream, draws: w.rngSrc.n}, nil
 }
 
-// Params returns the parameters the snapshot was built with (with the
-// build-time tap, which forks do not inherit).
-func (s *Snapshot) Params() Params { return s.params }
-
 // Forks reports how many forks the snapshot has handed out.
 func (s *Snapshot) Forks() int { return s.net.Forks() }
 

@@ -180,17 +180,3 @@ func (rs *RouteServer) Attach(n *simnet.Network) error {
 	}
 	return nil
 }
-
-// PeerView returns what the route server last advertised to a member for
-// a prefix — the "public per-peer view of the accepted prefixes and
-// communities" that PEERING exposes (§7.5).
-func (rs *RouteServer) PeerView(member topo.ASN) []*policy.Route {
-	r := rs.router()
-	var out []*policy.Route
-	for _, p := range r.Prefixes() {
-		if rt, ok := r.Advertised(member, p); ok {
-			out = append(out, rt)
-		}
-	}
-	return out
-}

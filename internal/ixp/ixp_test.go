@@ -73,8 +73,8 @@ func TestPlainRedistributionToAllMembers(t *testing.T) {
 			t.Fatalf("origin=%d", rt.ASPath.Origin())
 		}
 	}
-	if len(rs.PeerView(200)) != 1 {
-		t.Fatal("peer view should show one advertisement")
+	if _, ok := rs.router().Advertised(200, pfx); !ok {
+		t.Fatal("route server should have advertised the prefix to member 200")
 	}
 }
 

@@ -96,7 +96,8 @@ func (m *BGP4MPMessage) appendBody(dst []byte) ([]byte, error) {
 	return append(dst, wire...), nil
 }
 
-// StateChange is a BGP4MP_STATE_CHANGE_AS4 record.
+// StateChange is a BGP4MP_STATE_CHANGE_AS4 record. OldState and NewState
+// are RFC 6396 FSM state numbers (1 Idle … 6 Established).
 type StateChange struct {
 	Timestamp time.Time
 	PeerAS    uint32
@@ -107,16 +108,6 @@ type StateChange struct {
 	OldState  uint16
 	NewState  uint16
 }
-
-// FSM states for StateChange records.
-const (
-	StateIdle        uint16 = 1
-	StateConnect     uint16 = 2
-	StateActive      uint16 = 3
-	StateOpenSent    uint16 = 4
-	StateOpenConfirm uint16 = 5
-	StateEstablished uint16 = 6
-)
 
 // RecordType implements Record.
 func (s *StateChange) RecordType() uint16 { return TypeBGP4MP }

@@ -118,6 +118,8 @@ func TestBGP4MPIPv6Session(t *testing.T) {
 }
 
 func TestStateChangeRoundTrip(t *testing.T) {
+	// RFC 6396 FSM states: OpenConfirm → Established.
+	const StateOpenConfirm, StateEstablished = 5, 6
 	in := &StateChange{
 		Timestamp: t0, PeerAS: 64500, LocalAS: 65001,
 		PeerIP: netip.MustParseAddr("192.0.2.7"), LocalIP: netip.MustParseAddr("192.0.2.1"),

@@ -1,8 +1,7 @@
 // Package netx provides IP prefix utilities shared by the BGP codec, the
-// routing simulator, and the measurement pipeline: parsing helpers, prefix
-// arithmetic (sub-prefix tests, more-specific enumeration), and a binary
-// trie supporting longest-prefix match, which backs every FIB in the
-// simulator.
+// routing simulator, and the measurement pipeline: parsing helpers, the
+// sub-prefix test and canonical prefix order, and a binary trie supporting
+// longest-prefix match, which backs every FIB in the simulator.
 package netx
 
 import (
@@ -36,25 +35,6 @@ func Covers(outer, inner netip.Prefix) bool {
 	return outer.Bits() <= inner.Bits() && outer.Contains(inner.Addr())
 }
 
-// MoreSpecific reports whether inner is a strictly more-specific prefix of
-// outer (covered and longer).
-func MoreSpecific(outer, inner netip.Prefix) bool {
-	return outer.Bits() < inner.Bits() && outer.Contains(inner.Addr())
-}
-
-// Halves splits p into its two immediate more-specific halves. It panics if
-// p is a host route (full-length prefix) that cannot be split.
-func Halves(p netip.Prefix) (lo, hi netip.Prefix) {
-	bits := p.Bits()
-	if bits >= p.Addr().BitLen() {
-		panic("netx: cannot split host route " + p.String())
-	}
-	lo = netip.PrefixFrom(p.Addr(), bits+1).Masked()
-	hiAddr := setBit(p.Addr(), bits)
-	hi = netip.PrefixFrom(hiAddr, bits+1).Masked()
-	return lo, hi
-}
-
 // NthAddr returns the n-th address inside p (0-based), wrapping within the
 // prefix if n exceeds its size. It is used by workload generators to pick
 // probe targets deterministically.
@@ -83,18 +63,6 @@ func bitAt(addr netip.Addr, i int) byte {
 	}
 	b := addr.As16()
 	return (b[i/8] >> (7 - i%8)) & 1
-}
-
-// setBit returns addr with bit i (0 = most significant) set to one.
-func setBit(addr netip.Addr, i int) netip.Addr {
-	if addr.Is4() {
-		b := addr.As4()
-		b[i/8] |= 1 << (7 - i%8)
-		return netip.AddrFrom4(b)
-	}
-	b := addr.As16()
-	b[i/8] |= 1 << (7 - i%8)
-	return netip.AddrFrom16(b)
 }
 
 func be32(b []byte) uint32 {

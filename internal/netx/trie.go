@@ -4,10 +4,10 @@ import (
 	"net/netip"
 )
 
-// Trie is a binary radix trie mapping prefixes to values of type V. It
-// supports exact insert/lookup/delete, longest-prefix match, and ordered
-// walks. The zero value is not usable; call NewTrie. IPv4 and IPv6 prefixes
-// live in separate sub-tries so mixed-family use is safe.
+// Trie is a binary radix trie mapping prefixes to values of type V:
+// insert and longest-prefix match, which is all a FIB rebuilt from its
+// slots needs. The zero value is not usable; call NewTrie. IPv4 and IPv6
+// prefixes live in separate sub-tries so mixed-family use is safe.
 type Trie[V any] struct {
 	v4, v6 *trieNode[V]
 	size   int
@@ -56,44 +56,6 @@ func (t *Trie[V]) Insert(p netip.Prefix, v V) bool {
 	return added
 }
 
-// Get returns the value stored under exactly p.
-func (t *Trie[V]) Get(p netip.Prefix) (V, bool) {
-	p = p.Masked()
-	n := t.root(p)
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(p.Addr(), i)]
-		if n == nil {
-			var zero V
-			return zero, false
-		}
-	}
-	if !n.set {
-		var zero V
-		return zero, false
-	}
-	return n.val, true
-}
-
-// Delete removes prefix p and reports whether it was present. Interior
-// nodes are left in place; the trie is optimised for lookup-heavy FIB use.
-func (t *Trie[V]) Delete(p netip.Prefix) bool {
-	p = p.Masked()
-	n := t.root(p)
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(p.Addr(), i)]
-		if n == nil {
-			return false
-		}
-	}
-	if !n.set {
-		return false
-	}
-	var zero V
-	n.val, n.set = zero, false
-	t.size--
-	return true
-}
-
 // Lookup performs longest-prefix match for addr and returns the most
 // specific covering prefix with its value.
 func (t *Trie[V]) Lookup(addr netip.Addr) (netip.Prefix, V, bool) {
@@ -125,93 +87,3 @@ func (t *Trie[V]) Lookup(addr netip.Addr) (netip.Prefix, V, bool) {
 	}
 	return bestPfx, best.val, true
 }
-
-// LookupPrefix performs longest-prefix match for an entire prefix: the
-// result must cover all of p (i.e. have length <= p.Bits()).
-func (t *Trie[V]) LookupPrefix(p netip.Prefix) (netip.Prefix, V, bool) {
-	p = p.Masked()
-	n := t.root(p)
-	var (
-		best    *trieNode[V]
-		bestPfx netip.Prefix
-	)
-	for i := 0; ; i++ {
-		if n.set {
-			best, bestPfx = n, n.pfx
-		}
-		if i >= p.Bits() {
-			break
-		}
-		n = n.child[bitAt(p.Addr(), i)]
-		if n == nil {
-			break
-		}
-	}
-	if best == nil {
-		var zero V
-		return netip.Prefix{}, zero, false
-	}
-	return bestPfx, best.val, true
-}
-
-// Walk visits every stored prefix in canonical (bitwise) order. Returning
-// false from fn stops the walk early.
-func (t *Trie[V]) Walk(fn func(netip.Prefix, V) bool) {
-	walkNode(t.v4, fn)
-	walkNode(t.v6, fn)
-}
-
-func walkNode[V any](n *trieNode[V], fn func(netip.Prefix, V) bool) bool {
-	if n == nil {
-		return true
-	}
-	if n.set {
-		if !fn(n.pfx, n.val) {
-			return false
-		}
-	}
-	if !walkNode(n.child[0], fn) {
-		return false
-	}
-	return walkNode(n.child[1], fn)
-}
-
-// Covered returns all stored prefixes covered by p (p itself included if
-// stored), in canonical order.
-func (t *Trie[V]) Covered(p netip.Prefix) []netip.Prefix {
-	p = p.Masked()
-	n := t.root(p)
-	for i := 0; i < p.Bits(); i++ {
-		n = n.child[bitAt(p.Addr(), i)]
-		if n == nil {
-			return nil
-		}
-	}
-	var out []netip.Prefix
-	walkNode(n, func(q netip.Prefix, _ V) bool {
-		out = append(out, q)
-		return true
-	})
-	return out
-}
-
-// Set is a Trie with no payload, used as a prefix set.
-type Set struct{ t *Trie[struct{}] }
-
-// NewSet returns an empty prefix set.
-func NewSet() *Set { return &Set{t: NewTrie[struct{}]()} }
-
-// Add inserts p, reporting whether it was new.
-func (s *Set) Add(p netip.Prefix) bool { return s.t.Insert(p, struct{}{}) }
-
-// Contains reports whether exactly p is in the set.
-func (s *Set) Contains(p netip.Prefix) bool { _, ok := s.t.Get(p); return ok }
-
-// ContainsAddr reports whether any stored prefix covers addr.
-func (s *Set) ContainsAddr(addr netip.Addr) bool { _, _, ok := s.t.Lookup(addr); return ok }
-
-// CoversPrefix reports whether any stored prefix covers all of p.
-func (s *Set) CoversPrefix(p netip.Prefix) bool { _, _, ok := s.t.LookupPrefix(p); return ok }
-
-// Len returns the number of stored prefixes.
-func (s *Set) Len() int { return s.t.Len() }

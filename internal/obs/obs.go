@@ -1,15 +1,16 @@
 // Package obs is the repo's zero-dependency observability substrate: a
-// metrics registry (counters, gauges, histograms with fixed bucket
-// layouts) rendered in Prometheus text format, plus lightweight span
+// metrics registry (counters, histograms with fixed bucket layouts,
+// scrape-time collector samples) rendered in Prometheus text format,
+// plus lightweight span
 // tracing (trace.go) for flight-recorder timing breakdowns, and the
 // build-info plumbing (build.go) shared by suite provenance and the
 // wormwatchd health endpoint.
 //
 // The design splits metrics by write frequency:
 //
-//   - hot-path instruments (Counter, Gauge) are single atomics — an
-//     Add is one uncontended atomic add, cheap enough to sit on a
-//     per-batch or per-run boundary of any engine in the repo;
+//   - the hot-path instrument (Counter) is a single atomic — an Add is
+//     one uncontended atomic add, cheap enough to sit on a per-batch or
+//     per-run boundary of any engine in the repo;
 //   - histograms take a per-histogram mutex per Observe. Every
 //     instrumented site observes at batch granularity (one watch shard
 //     batch, one simnet convergence run), never per event, so the lock
@@ -17,7 +18,8 @@
 //   - values that already live in an engine's own counters (queue
 //     depths, per-detector firing counts) are pulled at scrape time via
 //     RegisterCollector callbacks, so the engine's hot path is not
-//     touched at all.
+//     touched at all. Every gauge in the repo is one of these: there is
+//     no settable gauge instrument.
 //
 // Metrics are observational only: nothing in the repo branches on a
 // metric value, so attaching or detaching a registry can never change
@@ -91,7 +93,6 @@ type Sample struct {
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
 	families   map[string]family // family name -> type + help
 	collectors map[int]func(emit func(Sample))
@@ -107,7 +108,6 @@ type family struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		hists:      make(map[string]*Histogram),
 		families:   make(map[string]family),
 		collectors: make(map[int]func(emit func(Sample))),
@@ -159,25 +159,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the gauge registered under name, creating it on first
-// use.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		r.register(name, TypeGauge, help)
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the histogram registered under name, creating it
@@ -251,28 +232,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is a settable signed value (stored as float bits so fractional
-// gauges work).
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(floatBits(v)) }
-
-// Add adjusts the gauge by d (CAS loop; gauges are low-frequency).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, floatBits(bitsFloat(old)+d)) {
-			return
-		}
-	}
-}
-
-// Value reads the current value.
-func (g *Gauge) Value() float64 { return bitsFloat(g.bits.Load()) }
-
 // Histogram counts observations into fixed buckets. Observe takes the
 // histogram's mutex, which also makes scrape-time snapshots exact:
 // bucket counts, sum, and count are always mutually consistent.
@@ -332,20 +291,6 @@ func (h *Histogram) snapshot() histSnapshot {
 	return s
 }
 
-// Count reads the number of observations so far.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum reads the sum of observed values so far.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
 // DurationBuckets is the fixed layout for wall-time histograms, in
 // seconds: 100µs to 60s, roughly 2.5x steps. Every duration histogram
 // in the repo uses it, so panes line up across subsystems.
@@ -353,7 +298,3 @@ var DurationBuckets = []float64{
 	0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
-
-// SizeBuckets is the fixed layout for count-per-batch histograms:
-// powers of four from 1 to ~1M.
-var SizeBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}

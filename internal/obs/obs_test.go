@@ -31,13 +31,19 @@ func TestGetOrCreateIdentity(t *testing.T) {
 func TestRegistryTypeClashPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("no panic on counter/gauge family clash")
+			t.Fatal("no panic on counter/histogram family clash")
 		}
 	}()
 	r := NewRegistry()
 	r.Counter("clash_total", "")
-	r.Gauge(`clash_total{k="v"}`, "")
+	r.Histogram(`clash_total{k="v"}`, "", DurationBuckets)
 }
+
+// Count reads the number of observations so far.
+func (h *Histogram) Count() uint64 { return h.snapshot().total }
+
+// Sum reads the sum of observed values so far.
+func (h *Histogram) Sum() float64 { return h.snapshot().sum }
 
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
@@ -93,13 +99,13 @@ func TestGoldenPrometheusRender(t *testing.T) {
 	r.Counter("ingested_total", "events accepted").Add(42)
 	r.Counter(`alerts_total{detector="blackhole-onset"}`, "alerts raised").Add(4)
 	r.Counter(`alerts_total{detector="route-leak"}`, "").Inc()
-	r.Gauge("queue_depth", "live queue depth").Set(7)
 	// Binary-exact observations so the rendered _sum is stable.
 	h := r.Histogram(`batch_seconds{shard="0"}`, "shard batch latency", []float64{0.25, 0.5})
 	h.Observe(0.125)
 	h.Observe(0.375)
 	h.Observe(0.75)
 	r.RegisterCollector(func(emit func(Sample)) {
+		emit(Sample{Name: "queue_depth", Help: "live queue depth", Type: TypeGauge, Value: 7})
 		emit(Sample{Name: "tracked_prefixes", Help: "prefixes with window state", Type: TypeGauge, Value: 19})
 	})
 	var sb strings.Builder
@@ -151,7 +157,6 @@ func TestConcurrentScrapeAndWrite(t *testing.T) {
 				}
 				c.Inc()
 				h.Observe(float64(i%100) / 1000)
-				r.Gauge("g", "").Set(float64(i))
 				if i%50 == 0 {
 					r.Counter("hot_total", "").Inc()
 				}

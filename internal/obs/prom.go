@@ -15,9 +15,6 @@ import (
 // sorted by name — the render is deterministic for a fixed registry
 // state, which is what the golden test pins.
 
-func floatBits(v float64) uint64 { return math.Float64bits(v) }
-func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
-
 // series is one rendered line-in-waiting.
 type series struct {
 	name  string // full series name, labels included
@@ -43,9 +40,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 	for name, c := range r.counters {
 		add(name, formatUint(c.Value()))
-	}
-	for name, g := range r.gauges {
-		add(name, formatFloat(g.Value()))
 	}
 	// Histograms expand under their own family in canonical order
 	// (buckets ascending, +Inf, sum, count), per label set sorted by

@@ -1,10 +1,7 @@
 package policy
 
 import (
-	"fmt"
 	"net/netip"
-	"strconv"
-	"strings"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/netx"
@@ -43,12 +40,6 @@ type PrefixList struct {
 	Rules []PrefixRule
 }
 
-// Add appends an exact-match rule for p.
-func (l *PrefixList) Add(p netip.Prefix) *PrefixList {
-	l.Rules = append(l.Rules, PrefixRule{Prefix: p.Masked()})
-	return l
-}
-
 // AddRange appends a rule covering p with lengths in [ge, le].
 func (l *PrefixList) AddRange(p netip.Prefix, ge, le int) *PrefixList {
 	l.Rules = append(l.Rules, PrefixRule{Prefix: p.Masked(), Ge: ge, Le: le})
@@ -77,43 +68,6 @@ type CommunityPattern struct {
 	AnyValue bool
 }
 
-// ParseCommunityPattern parses "a:v" with either side possibly "*".
-func ParseCommunityPattern(s string) (CommunityPattern, error) {
-	a, v, ok := strings.Cut(s, ":")
-	if !ok {
-		return CommunityPattern{}, fmt.Errorf("policy: pattern %q: missing colon", s)
-	}
-	var p CommunityPattern
-	if a == "*" {
-		p.AnyASN = true
-	} else {
-		n, err := strconv.ParseUint(a, 10, 16)
-		if err != nil {
-			return CommunityPattern{}, fmt.Errorf("policy: pattern %q: %v", s, err)
-		}
-		p.ASN = uint16(n)
-	}
-	if v == "*" {
-		p.AnyValue = true
-	} else {
-		n, err := strconv.ParseUint(v, 10, 16)
-		if err != nil {
-			return CommunityPattern{}, fmt.Errorf("policy: pattern %q: %v", s, err)
-		}
-		p.Value = uint16(n)
-	}
-	return p, nil
-}
-
-// MustCommunityPattern is ParseCommunityPattern that panics on error.
-func MustCommunityPattern(s string) CommunityPattern {
-	p, err := ParseCommunityPattern(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Matches reports whether c satisfies the pattern.
 func (p CommunityPattern) Matches(c bgp.Community) bool {
 	if !p.AnyASN && c.ASN() != p.ASN {
@@ -131,18 +85,6 @@ type CommunityList struct {
 	Patterns []CommunityPattern
 }
 
-// AddExact appends an exact-community pattern.
-func (l *CommunityList) AddExact(c bgp.Community) *CommunityList {
-	l.Patterns = append(l.Patterns, CommunityPattern{ASN: c.ASN(), Value: c.Value()})
-	return l
-}
-
-// AddPattern appends a parsed wildcard pattern.
-func (l *CommunityList) AddPattern(s string) *CommunityList {
-	l.Patterns = append(l.Patterns, MustCommunityPattern(s))
-	return l
-}
-
 // MatchesAny reports whether any community in cs matches any pattern.
 func (l *CommunityList) MatchesAny(cs bgp.CommunitySet) bool {
 	if l == nil {
@@ -156,18 +98,4 @@ func (l *CommunityList) MatchesAny(cs bgp.CommunitySet) bool {
 		}
 	}
 	return false
-}
-
-// Filter returns the members of cs matching any pattern.
-func (l *CommunityList) Filter(cs bgp.CommunitySet) bgp.CommunitySet {
-	var out bgp.CommunitySet
-	for _, c := range cs {
-		for _, p := range l.Patterns {
-			if p.Matches(c) {
-				out = out.Add(c)
-				break
-			}
-		}
-	}
-	return out
 }

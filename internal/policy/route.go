@@ -54,10 +54,6 @@ func (r *Route) Clone() *Route {
 	return &out
 }
 
-// OriginAS returns the originating AS of the path (0 if locally originated
-// with an empty path).
-func (r *Route) OriginAS() topo.ASN { return r.ASPath.Origin() }
-
 // String renders a compact single-line view for looking glasses.
 func (r *Route) String() string {
 	bh := ""

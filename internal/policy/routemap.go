@@ -120,6 +120,3 @@ func (rm *RouteMap) Apply(rt *Route, localASN topo.ASN) bool {
 	}
 	return !rm.DefaultDeny
 }
-
-// Uint32 returns a pointer to v; helper for SetLocalPref literals.
-func Uint32(v uint32) *uint32 { return &v }

@@ -45,7 +45,7 @@ func (r *Router) decide(id uint32) bool {
 // ensureRIB rebuilds the longest-prefix-match trie from the slots if best
 // routes changed since the last data-plane read. The trie's shape depends
 // only on the stored prefixes (bit paths), so neither slot order nor the
-// ids it holds can show in what a lookup or a walk returns.
+// ids it holds can show in what a lookup returns.
 func (r *Router) ensureRIB() {
 	if r.sealed {
 		// Sealed routers are shared read-only across concurrent forks, and
@@ -188,12 +188,13 @@ func (r *Router) LookupFIB(addr netip.Addr) (*policy.Route, bool) {
 // RIB returns every Loc-RIB route in canonical prefix order — the looking
 // glass view (§7 uses looking glasses for all validation).
 func (r *Router) RIB() []*policy.Route {
-	r.ensureRIB()
-	out := make([]*policy.Route, 0, r.locRIB.Len())
-	r.locRIB.Walk(func(_ netip.Prefix, id uint32) bool {
-		out = append(out, r.slots.at(id).best.Route())
-		return true
-	})
+	var out []*policy.Route
+	for _, st := range r.slots.all() {
+		if st.best.rt != nil {
+			out = append(out, st.best.Route())
+		}
+	}
+	slices.SortFunc(out, func(a, b *policy.Route) int { return netx.ComparePrefix(a.Prefix, b.Prefix) })
 	return out
 }
 
@@ -221,11 +222,12 @@ func (r *Router) EachAdjIn(fn func(p netip.Prefix, from topo.ASN, rt *policy.Rou
 
 // Prefixes returns all Loc-RIB prefixes in canonical order.
 func (r *Router) Prefixes() []netip.Prefix {
-	r.ensureRIB()
-	out := make([]netip.Prefix, 0, r.locRIB.Len())
-	r.locRIB.Walk(func(p netip.Prefix, _ uint32) bool {
-		out = append(out, p)
-		return true
-	})
+	var out []netip.Prefix
+	for _, st := range r.slots.all() {
+		if st.best.rt != nil {
+			out = append(out, st.best.rt.Prefix)
+		}
+	}
+	slices.SortFunc(out, netx.ComparePrefix)
 	return out
 }

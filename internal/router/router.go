@@ -333,18 +333,6 @@ func (r *Router) WithdrawLocal(p netip.Prefix) bool {
 	return r.decide(id)
 }
 
-// LocalPrefixes lists locally originated prefixes in canonical order.
-func (r *Router) LocalPrefixes() []netip.Prefix {
-	var out []netip.Prefix
-	for _, st := range r.slots.all() {
-		if c := r.in.view(st.in); len(c) > 0 && c[0].from == 0 {
-			out = append(out, c[0].rt.Prefix)
-		}
-	}
-	slices.SortFunc(out, netx.ComparePrefix)
-	return out
-}
-
 // ImportResult describes the fate of a received update for diagnostics.
 type ImportResult int
 
@@ -358,47 +346,12 @@ const (
 	ImportRejectedPolicy
 )
 
-// String names the outcome.
-func (ir ImportResult) String() string {
-	switch ir {
-	case ImportAccepted:
-		return "accepted"
-	case ImportRejectedLoop:
-		return "rejected-loop"
-	case ImportRejectedUnknownNeighbor:
-		return "rejected-unknown-neighbor"
-	case ImportRejectedTooSpecific:
-		return "rejected-too-specific"
-	case ImportRejectedOriginInvalid:
-		return "rejected-origin-invalid"
-	case ImportRejectedPolicy:
-		return "rejected-policy"
-	default:
-		return "unknown"
-	}
-}
-
 // ReceiveUpdate processes an announcement from neighbor `from`. It returns
 // the import outcome and whether the Loc-RIB best route changed.
 func (r *Router) ReceiveUpdate(from topo.ASN, in *policy.Route) (ImportResult, bool) {
-	return r.receiveAndDecide(from, in, false)
-}
-
-// ReceiveShared is ReceiveUpdate for callers that deliver one shared
-// route object to many receivers (ExportAll's export classes). Instead
-// of deep-cloning the input up front it takes a shallow copy whose
-// AS-path and community slices alias the sender's slabs, and copies the
-// community set only at the first local mutation. The import outcome and
-// resulting RIB state are identical to ReceiveUpdate's; the caller
-// guarantees the shared input is never mutated in place.
-func (r *Router) ReceiveShared(from topo.ASN, in *policy.Route) (ImportResult, bool) {
-	return r.receiveAndDecide(from, in, true)
-}
-
-func (r *Router) receiveAndDecide(from topo.ASN, in *policy.Route, shared bool) (ImportResult, bool) {
 	r.mustMutable()
 	id := r.tbl.Intern(in.Prefix)
-	res := r.receive(from, id, in, shared)
+	res := r.receive(from, id, in, false)
 	if res != ImportAccepted {
 		return res, false
 	}

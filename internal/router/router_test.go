@@ -31,9 +31,6 @@ func TestOriginateAndBest(t *testing.T) {
 	if !ok || best.NextHopAS != 0 || !best.Communities.Has(bgp.C(65001, 100)) {
 		t.Fatalf("best=%v ok=%v", best, ok)
 	}
-	if got := r.LocalPrefixes(); len(got) != 1 || got[0] != pfx {
-		t.Fatalf("locals=%v", got)
-	}
 	if !r.WithdrawLocal(pfx) {
 		t.Fatal("withdraw should change RIB")
 	}
@@ -668,6 +665,26 @@ func TestCiscoCommunityAdditionCap(t *testing.T) {
 	}
 	if addedJ != 40 {
 		t.Fatalf("juniper added=%d want 40", addedJ)
+	}
+}
+
+// String names the outcome in test diagnostics.
+func (ir ImportResult) String() string {
+	switch ir {
+	case ImportAccepted:
+		return "accepted"
+	case ImportRejectedLoop:
+		return "rejected-loop"
+	case ImportRejectedUnknownNeighbor:
+		return "rejected-unknown-neighbor"
+	case ImportRejectedTooSpecific:
+		return "rejected-too-specific"
+	case ImportRejectedOriginInvalid:
+		return "rejected-origin-invalid"
+	case ImportRejectedPolicy:
+		return "rejected-policy"
+	default:
+		return "unknown"
 	}
 }
 

@@ -23,6 +23,17 @@ func mkSharedPair(cfg Config) (classic, shared *Router) {
 	return mk(), mk()
 }
 
+// ReceiveShared is the delta engine's receive — ReceiveSharedNoDecide,
+// then Decide — as one step, so it can stand beside ReceiveUpdate.
+func (r *Router) ReceiveShared(from topo.ASN, in *policy.Route) (ImportResult, bool) {
+	id := r.tbl.Intern(in.Prefix)
+	res := r.ReceiveSharedNoDecide(from, id, in)
+	if res != ImportAccepted {
+		return res, false
+	}
+	return res, r.Decide(id)
+}
+
 // TestReceiveSharedMatchesReceiveUpdate pins the contract the delta
 // engine rests on: ReceiveShared (shallow copy + copy-on-write) must
 // produce the same import results and the same Loc-RIB as ReceiveUpdate

@@ -19,13 +19,13 @@ func ExampleRun() {
 	// Blackholing: success=true difficulty=easy
 }
 
-// ExampleSweep fans a scenario grid over the harness worker pool. The
-// report is bit-identical for any worker count.
-func ExampleSweep() {
-	rep, err := scenario.Sweep(scenario.Grid{
+// ExampleSweepOpts fans a scenario grid over the harness worker pool.
+// The report is bit-identical for any worker count.
+func ExampleSweepOpts() {
+	rep, err := scenario.SweepOpts(scenario.Grid{
 		Scenarios: []string{"rtbh", "route-manipulation"},
 		Seeds:     []int64{1, 2},
-	}, 4)
+	}, 4, scenario.SweepOpt{})
 	if err != nil {
 		panic(err)
 	}

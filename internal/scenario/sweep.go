@@ -173,7 +173,7 @@ type warmKey struct {
 // seed, engine-workers) coordinate. Each snapshot is built by
 // the first cell that needs it (under sync.Once, so concurrent harness
 // workers block instead of double-building) and forked by the rest.
-// Sweep uses one per sweep; external cell executors (internal/suite)
+// SweepOpts uses one per sweep; external cell executors (internal/suite)
 // share the same mechanism so a suite cell and a sweep cell stay
 // bit-identical runs.
 type WarmCache struct {
@@ -225,16 +225,6 @@ func (wc *WarmCache) Stats() (builds, forks int) {
 	return builds, forks
 }
 
-// Sweep executes every grid cell over a pool of at most workers harness
-// goroutines (0 or negative: one per CPU). Cells agreeing on (scale,
-// seed, engine workers) share one frozen world build and fork it per
-// run, so cells share no mutable state; results land at their grid index
-// and the fold runs in grid order — the report is therefore
-// bit-identical across harness worker counts.
-func Sweep(g Grid, workers int) (*SweepReport, error) {
-	return SweepOpts(g, workers, SweepOpt{})
-}
-
 // SweepOpt carries the sweep's optional observability hooks. The zero
 // value is a plain sweep; nothing here can change the report.
 type SweepOpt struct {
@@ -248,7 +238,12 @@ type SweepOpt struct {
 	Trace *obs.Trace
 }
 
-// SweepOpts is Sweep with observability hooks attached.
+// SweepOpts executes every grid cell over a pool of at most workers
+// harness goroutines (0 or negative: one per CPU). Cells agreeing on
+// (scale, seed, engine workers) share one frozen world build and fork it
+// per run, so cells share no mutable state; results land at their grid
+// index and the fold runs in grid order — the report is therefore
+// bit-identical across harness worker counts.
 func SweepOpts(g Grid, workers int, opt SweepOpt) (*SweepReport, error) {
 	g = g.withDefaults()
 	cells, err := g.Cells()
@@ -295,7 +290,7 @@ func SweepOpts(g Grid, workers int, opt SweepOpt) (*SweepReport, error) {
 	return rep, nil
 }
 
-// ContextFor builds the run context for one grid cell exactly as Sweep
+// ContextFor builds the run context for one grid cell exactly as SweepOpts
 // does: the cell's preset seeded, the grid's vantage-point
 // count, and the grid's fixed Values filtered down to the parameters
 // the cell's scenario declares. External harnesses (internal/suite)

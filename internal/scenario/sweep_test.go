@@ -68,11 +68,11 @@ func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 		Scales: []string{"tiny"},
 		Seeds:  []int64{1, 2},
 	}
-	one, err := scenario.Sweep(g, 1)
+	one, err := scenario.SweepOpts(g, 1, scenario.SweepOpt{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := scenario.Sweep(g, 8)
+	eight, err := scenario.SweepOpts(g, 8, scenario.SweepOpt{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSweepCellExpectations(t *testing.T) {
 		Scenarios: []string{"rtbh", "route-leak-amplification"},
 		Values:    scenario.Values{"hijack": "true"},
 	}
-	rep, err := scenario.Sweep(g, 2)
+	rep, err := scenario.SweepOpts(g, 2, scenario.SweepOpt{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSweepEngineWorkerInvariance(t *testing.T) {
 		Scenarios:     []string{"rtbh"},
 		EngineWorkers: []int{1, 8},
 	}
-	rep, err := scenario.Sweep(g, 2)
+	rep, err := scenario.SweepOpts(g, 2, scenario.SweepOpt{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestSweepOptsHooks(t *testing.T) {
 		Scales:    []string{"tiny"},
 		Seeds:     []int64{1, 2},
 	}
-	bare, err := scenario.Sweep(g, 2)
+	bare, err := scenario.SweepOpts(g, 2, scenario.SweepOpt{})
 	if err != nil {
 		t.Fatal(err)
 	}

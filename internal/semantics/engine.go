@@ -1,7 +1,6 @@
 package semantics
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,53 +9,14 @@ import (
 	"bgpworms/internal/obs"
 )
 
-// Config sizes the engine. The zero value is usable: every field has a
-// default.
+// Config configures the engine. The zero value is usable.
 type Config struct {
-	// Workers is the number of fold workers, each with a private partial
-	// dictionary; 0 means one per available CPU. The snapshot is
-	// invariant to this knob.
-	Workers int
-	// BatchSize is the ingest batching granularity (default 256
-	// observations per worker dispatch).
-	BatchSize int
-	// QueueDepth is the per-worker batch queue (default 64 batches).
-	QueueDepth int
-	// Metrics, when non-nil, exposes the engine on that registry:
-	// ingest/drop counters, a fold-batch latency histogram, and a
-	// snapshot-merge counter. The scrape collector reads only the
-	// engine's atomics — never Snapshot or Stats, which flush and could
-	// stall a scrape behind a full worker queue. Metrics are
-	// observational only; the dictionary is bit-identical either way.
+	// Metrics, when non-nil, exposes the engine on that registry: fold
+	// counters, a fold-batch latency histogram, and a snapshot-merge
+	// counter. The scrape collector reads only the engine's atomics —
+	// never Snapshot or Stats, which take every partial's lock. Metrics
+	// are observational only; the dictionary is bit-identical either way.
 	Metrics *obs.Registry
-}
-
-func (c Config) withDefaults() Config {
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 256
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	return c
-}
-
-// worker owns one partial dictionary. Its map is touched only by its
-// goroutine during folds; Snapshot locks mu to read a quiesced partial.
-type worker struct {
-	ch  chan workBatch
-	mu  sync.Mutex
-	acc map[bgp.Community]*evidence
-}
-
-// workBatch is one unit of worker input: a run of observations, or a
-// flush token (ack non-nil) closed once everything before it is folded.
-type workBatch struct {
-	obs []Observation
-	ack chan struct{}
 }
 
 // logicalBase / logicalTick anchor the synthesized clock for clockless
@@ -65,27 +25,37 @@ var logicalBase = time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC)
 
 const logicalTick = 37 * time.Millisecond
 
-// Engine is the concurrent dictionary-inference engine. Create with
-// NewEngine; feed with Ingest or the adapters in feed.go; read with
-// Snapshot (which flushes and merges) at any time. Close releases the
-// workers; the last snapshot stays readable.
+// Partial is one partial dictionary: the evidence folded so far by one
+// producer. A producer that already batches on a goroutine of its own —
+// a watch shard worker — takes one from NewPartial and folds its batches
+// into it there; the engine merges every partial when asked for a
+// Snapshot. Fold may run concurrently with Fold on other partials and
+// with Snapshot.
+type Partial struct {
+	e   *Engine
+	mu  sync.Mutex
+	acc map[bgp.Community]*evidence
+}
+
+// Engine is the dictionary-inference engine: a set of partial
+// dictionaries and the commutative merge that classifies them. It runs
+// no goroutine and queues nothing — an observation is folded by the
+// time Ingest or Fold returns. Create with NewEngine; feed with Ingest
+// (the engine's own partial, for single-producer callers), the Tap in
+// feed.go, or Fold on partials handed out by NewPartial; read with
+// Snapshot at any time.
 type Engine struct {
-	cfg     Config
-	workers []*worker
-	wg      sync.WaitGroup
-	pool    sync.Pool
+	own *Partial // Ingest and RestoreState land here
 
-	mu      sync.Mutex // ingest path: seq, pending, next, closed
-	seq     uint64
-	pending []Observation
-	next    int
-	closed  bool
+	mu       sync.Mutex // guards partials, which only grows
+	partials []*Partial
 
-	ingested  atomic.Uint64
-	processed atomic.Uint64
-	dropped   atomic.Uint64
-	version   atomic.Uint64
-	merges    atomic.Uint64
+	closed atomic.Bool
+	// seq counts observations folded through any partial; Ingest stamps
+	// unsequenced observations from it.
+	seq     atomic.Uint64
+	version atomic.Uint64
+	merges  atomic.Uint64
 
 	// Metrics plumbing (nil when Config.Metrics is unset).
 	foldHist  *obs.Histogram
@@ -95,25 +65,10 @@ type Engine struct {
 	snap   *Snapshot
 }
 
-// NewEngine starts an engine with cfg.Workers fold goroutines.
+// NewEngine returns an empty engine.
 func NewEngine(cfg Config) *Engine {
-	cfg = cfg.withDefaults()
-	e := &Engine{cfg: cfg}
-	e.pool.New = func() any {
-		buf := make([]Observation, 0, cfg.BatchSize)
-		return &buf
-	}
-	e.pending = *e.pool.Get().(*[]Observation)
-	e.workers = make([]*worker, cfg.Workers)
-	for i := range e.workers {
-		w := &worker{
-			ch:  make(chan workBatch, cfg.QueueDepth),
-			acc: make(map[bgp.Community]*evidence),
-		}
-		e.workers[i] = w
-		e.wg.Add(1)
-		go e.run(w)
-	}
+	e := &Engine{}
+	e.own = e.NewPartial()
 	if cfg.Metrics != nil {
 		e.bindMetrics(cfg.Metrics)
 	}
@@ -121,184 +76,117 @@ func NewEngine(cfg Config) *Engine {
 }
 
 // bindMetrics attaches the engine to a registry. The collector touches
-// only atomics, so scrapes never block on worker queues.
+// only atomics, so a scrape never waits on a fold.
 func (e *Engine) bindMetrics(reg *obs.Registry) {
 	e.foldHist = reg.Histogram("semantics_fold_seconds",
-		"worker fold-batch latency", obs.DurationBuckets)
+		"partial fold-batch latency", obs.DurationBuckets)
 	e.collector = reg.RegisterCollector(func(emit func(obs.Sample)) {
 		counter := func(name, help string, v uint64) {
 			emit(obs.Sample{Name: name, Help: help, Type: obs.TypeCounter, Value: float64(v)})
 		}
-		counter("semantics_ingested_total", "observations accepted for folding", e.ingested.Load())
-		counter("semantics_processed_total", "observations folded by workers", e.processed.Load())
-		counter("semantics_dropped_total", "observations shed by the non-blocking ingest path", e.dropped.Load())
-		counter("semantics_merges_total", "snapshot merges of worker partials", e.merges.Load())
+		// Folding is inline, so accepted and folded are one count.
+		n := e.seq.Load()
+		counter("semantics_ingested_total", "observations accepted for folding", n)
+		counter("semantics_processed_total", "observations folded into a partial", n)
+		counter("semantics_merges_total", "snapshot merges of the partials", e.merges.Load())
 	})
 }
 
-func (e *Engine) run(w *worker) {
-	defer e.wg.Done()
-	for b := range w.ch {
-		if len(b.obs) > 0 {
-			var start time.Time
-			if e.foldHist != nil {
-				start = time.Now()
-			}
-			w.mu.Lock()
-			for i := range b.obs {
-				ob := &b.obs[i]
-				for _, c := range ob.Communities {
-					ev := w.acc[c]
-					if ev == nil {
-						ev = newEvidence()
-						w.acc[c] = ev
-					}
-					ev.fold(ob, c)
-				}
-			}
-			w.mu.Unlock()
-			if e.foldHist != nil {
-				e.foldHist.ObserveSince(start)
-			}
-			e.processed.Add(uint64(len(b.obs)))
-			e.version.Add(1)
-			buf := b.obs[:0]
-			e.pool.Put(&buf)
-		}
-		if b.ack != nil {
-			close(b.ack)
-		}
-	}
-}
-
-// Ingest feeds one observation. Withdrawals and community-free
-// sightings fold nothing and are skipped before the lock. Ingest after
-// Close is a silent no-op.
-//
-// Dispatch happens under the ingest lock: worker channel sends never
-// race Close's channel close, at the price of a blocked ingest when a
-// worker queue is full (the workers drain independently, so this is
-// backpressure, not deadlock).
-func (e *Engine) Ingest(ob Observation) {
-	e.ingest(ob, true)
-}
-
-// TryIngest feeds one observation without ever blocking: when the next
-// worker's queue is full, the pending run is shed and counted in
-// Stats.Dropped. This is the path lossy feeds (the watch engine's
-// TryIngest mirror) ride — dictionary inference can never stall a live
-// producer.
-func (e *Engine) TryIngest(ob Observation) {
-	e.ingest(ob, false)
-}
-
-func (e *Engine) ingest(ob Observation, block bool) {
-	if len(ob.Communities) == 0 {
-		return
-	}
+// NewPartial registers and returns a new empty partial dictionary.
+func (e *Engine) NewPartial() *Partial {
+	p := &Partial{e: e, acc: make(map[bgp.Community]*evidence)}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
+	e.partials = append(e.partials, p)
+	e.mu.Unlock()
+	return p
+}
+
+// Fold folds a batch of observations into the partial under one lock.
+// Every observation must carry its Seq and Time (the watch engine stamps
+// both); those without communities fold nothing and are not counted, as
+// in Ingest. The slices an observation points at are read, never kept.
+// Fold after the engine's Close is a silent no-op, like Ingest.
+func (p *Partial) Fold(batch []Observation) {
+	e := p.e
+	if len(batch) == 0 || e.closed.Load() {
 		return
 	}
-	e.seq++
+	var start time.Time
+	if e.foldHist != nil {
+		start = time.Now()
+	}
+	n := uint64(0)
+	p.mu.Lock()
+	for i := range batch {
+		if ob := &batch[i]; len(ob.Communities) > 0 {
+			p.fold(ob)
+			n++
+		}
+	}
+	p.mu.Unlock()
+	if e.foldHist != nil {
+		e.foldHist.ObserveSince(start)
+	}
+	e.seq.Add(n)
+	e.version.Add(1)
+}
+
+// fold adds one observation's evidence. Caller holds p.mu.
+func (p *Partial) fold(ob *Observation) {
+	for _, c := range ob.Communities {
+		ev := p.acc[c]
+		if ev == nil {
+			ev = newEvidence()
+			p.acc[c] = ev
+		}
+		ev.fold(ob, c)
+	}
+}
+
+// Ingest folds one observation into the engine's own partial, stamping
+// Seq and Time when the feed left them zero. Withdrawals and
+// community-free sightings fold nothing and are skipped before the lock.
+// Ingest after Close is a silent no-op.
+func (e *Engine) Ingest(ob Observation) {
+	if len(ob.Communities) == 0 || e.closed.Load() {
+		return
+	}
+	p := e.own
+	p.mu.Lock()
+	seq := e.seq.Add(1)
 	if ob.Seq == 0 {
-		ob.Seq = e.seq
+		ob.Seq = seq
 	}
 	if ob.Time.IsZero() {
 		ob.Time = logicalBase.Add(time.Duration(ob.Seq) * logicalTick)
 	}
-	e.pending = append(e.pending, ob)
-	e.ingested.Add(1)
-	if len(e.pending) >= e.cfg.BatchSize {
-		e.dispatchLocked(block)
-	}
+	p.fold(&ob)
+	p.mu.Unlock()
+	e.version.Add(1)
 }
 
-// dispatchLocked hands the pending run to the next worker round-robin;
-// a non-blocking dispatch sheds the run when that worker's queue is
-// full. Caller holds e.mu.
-func (e *Engine) dispatchLocked(block bool) {
-	if len(e.pending) == 0 {
-		return
-	}
-	batch := e.pending
-	e.pending = *e.pool.Get().(*[]Observation)
-	w := e.workers[e.next]
-	e.next = (e.next + 1) % len(e.workers)
-	if block {
-		w.ch <- workBatch{obs: batch}
-		return
-	}
-	select {
-	case w.ch <- workBatch{obs: batch}:
-	default:
-		e.dropped.Add(uint64(len(batch)))
-		buf := batch[:0]
-		e.pool.Put(&buf)
-	}
-}
+// Flush does nothing: there is no pending work to wait for. It exists
+// only because bench/trace.go, frozen between benchmark PRs, calls it.
+func (e *Engine) Flush() {}
 
-// Flush dispatches the pending run and blocks until every worker has
-// folded everything ingested before the call.
-func (e *Engine) Flush() {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.dispatchLocked(true)
-	acks := make([]chan struct{}, len(e.workers))
-	for i, wk := range e.workers {
-		acks[i] = make(chan struct{})
-		wk.ch <- workBatch{ack: acks[i]}
-	}
-	e.mu.Unlock()
-	for _, a := range acks {
-		<-a
-	}
-}
-
-// Close flushes, stops the workers, and marks the engine closed.
-// Snapshot remains valid after Close.
+// Close marks the engine closed and detaches it from its registry.
+// Further Ingest and Fold calls are dropped; Snapshot stays valid.
 func (e *Engine) Close() {
-	e.Flush()
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if e.closed.Swap(true) {
 		return
 	}
-	e.closed = true
-	e.mu.Unlock()
-	for _, w := range e.workers {
-		close(w.ch)
-	}
-	e.wg.Wait()
 	e.collector.Unregister()
 }
 
-// Version is a monotone token advancing whenever folded state may have
-// changed; snapshot caches key on it.
-func (e *Engine) Version() uint64 { return e.version.Load() }
-
-// Snapshot flushes pending work, merges every worker's partial
-// dictionary, classifies each entry in the same pass, and returns the
-// immutable result. The snapshot is bit-identical for any worker count
-// (every fold is commutative); repeated calls at an unchanged version
-// return the cached snapshot.
-func (e *Engine) Snapshot() *Snapshot {
-	e.Flush()
-	e.snapMu.Lock()
-	defer e.snapMu.Unlock()
-	v := e.version.Load()
-	if e.snap != nil && e.snap.Version == v {
-		return e.snap
-	}
-	e.merges.Add(1)
+// merged merges every partial's evidence into one fresh map.
+func (e *Engine) merged() map[bgp.Community]*evidence {
+	e.mu.Lock()
+	partials := e.partials
+	e.mu.Unlock()
 	merged := make(map[bgp.Community]*evidence)
-	for _, w := range e.workers {
-		w.mu.Lock()
-		for c, ev := range w.acc {
+	for _, p := range partials {
+		p.mu.Lock()
+		for c, ev := range p.acc {
 			m := merged[c]
 			if m == nil {
 				m = newEvidence()
@@ -306,45 +194,61 @@ func (e *Engine) Snapshot() *Snapshot {
 			}
 			m.merge(ev)
 		}
-		w.mu.Unlock()
+		p.mu.Unlock()
 	}
+	return merged
+}
+
+// Snapshot merges every partial dictionary, classifies each entry in
+// the same pass, and returns the immutable result. The snapshot is
+// bit-identical however the stream was split over partials (every fold
+// is commutative); repeated calls at an unchanged version return the
+// cached snapshot.
+func (e *Engine) Snapshot() *Snapshot {
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
+	// Read before merging: a fold bumps the version after it unlocks its
+	// partial, so the merge holds at least everything v counts.
+	v := e.version.Load()
+	if e.snap != nil && e.snap.Version == v {
+		return e.snap
+	}
+	e.merges.Add(1)
+	merged := e.merged()
 	entries := make(map[bgp.Community]*Entry, len(merged))
 	for c, ev := range merged {
 		entries[c] = ev.entry(c)
 	}
-	e.snap = newSnapshot(v, e.processed.Load(), entries)
+	e.snap = newSnapshot(v, e.seq.Load(), entries)
 	return e.snap
 }
 
-// Stats is the engine's operational snapshot.
+// Stats is the engine's operational snapshot. Ingested and Processed
+// are the same count — folding is inline — and both stay for the
+// /dict/stats consumers that read either.
 type Stats struct {
-	Ingested  uint64 `json:"ingested"`
-	Processed uint64 `json:"processed"`
-	// Dropped counts observations shed by the non-blocking TryIngest
-	// path when a worker queue was full.
-	Dropped     uint64         `json:"dropped"`
-	Workers     int            `json:"workers"`
+	Ingested    uint64         `json:"ingested"`
+	Processed   uint64         `json:"processed"`
 	Communities int            `json:"communities"`
 	ASes        int            `json:"ases"`
 	ByClass     map[string]int `json:"by_class"`
 	Version     uint64         `json:"version"`
 }
 
-// Stats flushes and reports counters plus dictionary shape (it takes a
-// snapshot, reusing the cache when nothing changed).
+// Stats reports counters plus dictionary shape (it takes a snapshot,
+// reusing the cache when nothing changed).
 func (e *Engine) Stats() Stats {
 	return e.StatsOf(e.Snapshot())
 }
 
 // StatsOf reports the live counters against the shape of an existing
-// snapshot, without flushing or re-merging — the daemon serves its
-// heartbeat snapshot this way, so /dict/stats never stalls ingest.
+// snapshot, without re-merging — the daemon serves its heartbeat
+// snapshot this way, so /dict/stats never contends with ingest.
 func (e *Engine) StatsOf(s *Snapshot) Stats {
+	n := e.seq.Load()
 	return Stats{
-		Ingested:    e.ingested.Load(),
-		Processed:   e.processed.Load(),
-		Dropped:     e.dropped.Load(),
-		Workers:     len(e.workers),
+		Ingested:    n,
+		Processed:   n,
 		Communities: s.Len(),
 		ASes:        len(s.ASNs()),
 		ByClass:     s.ByClass(),

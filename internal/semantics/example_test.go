@@ -13,7 +13,7 @@ import (
 // RTBH trigger), its :100 travels as an ordinary ingress tag, and a
 // squatted community naming an off-path AS stays unknown.
 func ExampleEngine() {
-	eng := semantics.NewEngine(semantics.Config{Workers: 2})
+	eng := semantics.NewEngine(semantics.Config{})
 	defer eng.Close()
 
 	path := []uint32{174, 3356, 9009}

@@ -3,37 +3,16 @@ package semantics
 import (
 	"net/netip"
 
-	"bgpworms/internal/collector"
 	"bgpworms/internal/policy"
 	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
 )
 
-// This file adapts the repo's update sources onto the engine: collector
-// exports and simnet session taps. MRT byte streams ride the watch
-// engine's mirroring (watch.Config.Semantics + Engine.IngestMRT), which
-// keeps this package below core in the import graph. Withdrawals carry
-// no communities and never reach the fold.
-
-// IngestObservations replays a collector's recorded observations in
-// sequence order, returning how many announcements were ingested.
-func (e *Engine) IngestObservations(c *collector.Collector) int {
-	n := 0
-	for _, ob := range c.Observations() {
-		if ob.Route == nil {
-			continue
-		}
-		e.Ingest(Observation{
-			Time:        ob.Time,
-			PeerAS:      uint32(ob.PeerAS),
-			Prefix:      ob.Prefix,
-			ASPath:      ob.Route.ASPath.Sequence(),
-			Communities: ob.Route.Communities.Clone(),
-		})
-		n++
-	}
-	return n
-}
+// This file adapts simnet session taps onto the engine. MRT byte streams
+// reach it through the watch engine (watch.Config.Semantics), or through
+// core.StreamMRTUpdates in cmd/commdict, which keeps this package below
+// core in the import graph. Withdrawals carry no communities and never
+// reach the fold.
 
 // Tap returns a simnet session tap feeding the engine: every delivered
 // announcement in the simulated network becomes dictionary evidence.

@@ -2,7 +2,6 @@ package semantics
 
 import (
 	"fmt"
-	"sort"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/stats"
@@ -161,16 +160,5 @@ func RenderDictionary(snap *Snapshot, asn int) string {
 	out := t.String()
 	out += fmt.Sprintf("\n%d entries across %d ASes from %d observations (version %d)\n",
 		snap.Len(), len(snap.ASNs()), snap.Observations, snap.Version)
-	return out
-}
-
-// sortedTruth lists truth communities in canonical order (tests and
-// renders).
-func sortedTruth(t Truth) []bgp.Community {
-	out := make([]bgp.Community, 0, len(t))
-	for c := range t {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -1,6 +1,6 @@
 // Package semantics is the community dictionary-inference engine: it
-// consumes routing observation streams (core MRT paths, collector
-// exports, simnet/watch taps) and maintains per-AS community
+// consumes routing observation streams (MRT archives, simnet taps, the
+// watch engine's shards) and maintains per-AS community
 // dictionaries — which 16-bit values each AS has been observed using,
 // what usage class the evidence implies (informational, blackhole
 // trigger, steering, prepend, well-known), how far and wide each value
@@ -12,12 +12,15 @@
 // shows.
 //
 // The engine shares the repo's determinism discipline (core.Pipeline,
-// watch.Engine): ingestion fans observation batches over a worker pool,
-// each worker folds a private partial dictionary, and Snapshot merges
-// the partials. Every fold is commutative and associative (counter
-// sums, min/max of sequence numbers and timestamps, set unions), so the
-// merged dictionary — and the classification computed from it — is
-// bit-identical for any worker count and any batch interleaving
+// watch.Engine) without owning any concurrency: it is a set of partial
+// dictionaries and the merge over them. Whoever feeds it brings the
+// goroutine — a single producer folds inline through Ingest, each watch
+// shard worker folds its batches into a partial of its own — and
+// Snapshot merges the partials. Every fold is commutative and
+// associative (counter sums, min/max of sequence numbers and
+// timestamps, set unions), so the merged dictionary — and the
+// classification computed from it — is bit-identical however the stream
+// was split over partials and in whatever order they were folded
 // (TestSemanticsDeterminismAcrossWorkers).
 //
 // Classification is fused into the snapshot merge: one pass over the

@@ -2,8 +2,12 @@ package semantics
 
 import (
 	"encoding/json"
+	"math/rand"
 	"net/netip"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/netx"
@@ -104,40 +108,114 @@ func synthFeed(n int) []Observation {
 	return obs
 }
 
-// TestSemanticsDeterminismAcrossWorkers is the engine's core contract:
-// the snapshot — entries, evidence counters, classes, fan-out — is
-// bit-identical for 1, 4, and 16 workers.
+// TestSemanticsDeterminismAcrossWorkers is the engine's core contract,
+// partition invariance: one stream cut into runs of shuffled length,
+// dealt over 1, 3 and 8 partials and folded by one goroutine each, gives
+// the Snapshot and the ExportState of a single Ingest loop — entries,
+// evidence counters, classes, fan-out and fold count.
 func TestSemanticsDeterminismAcrossWorkers(t *testing.T) {
 	feed := synthFeed(20000)
-	var want []byte
-	for _, workers := range []int{1, 4, 16} {
-		e := NewEngine(Config{Workers: workers, BatchSize: 64})
-		for i := range feed {
-			e.Ingest(feed[i])
+	for i := range feed {
+		// Partials take observations as stamped; the watch engine does this.
+		feed[i].Seq = uint64(i + 1)
+		feed[i].Time = logicalBase.Add(time.Duration(i) * time.Second)
+	}
+	view := func(e *Engine) (snap, state []byte) {
+		t.Helper()
+		s := e.Snapshot()
+		if s.Observations != uint64(len(feed)) {
+			t.Fatalf("snapshot counts %d observations, fed %d", s.Observations, len(feed))
 		}
-		snap := e.Snapshot()
-		e.Close()
-		got, err := json.Marshal(snap.Entries())
+		snap, err := json.Marshal(s.Entries())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want == nil {
-			want = got
-			if snap.Len() == 0 {
-				t.Fatal("empty dictionary")
-			}
-			continue
+		state, err = json.Marshal(e.ExportState())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if string(got) != string(want) {
-			t.Fatalf("workers=%d: snapshot differs from workers=1", workers)
+		return snap, state
+	}
+	ref := NewEngine(Config{})
+	defer ref.Close()
+	for i := range feed {
+		ref.Ingest(feed[i])
+	}
+	wantSnap, wantState := view(ref)
+	if ref.Snapshot().Len() == 0 {
+		t.Fatal("empty dictionary")
+	}
+	for _, workers := range []int{1, 3, 8} {
+		rng := rand.New(rand.NewSource(int64(workers)))
+		runs := make([][][]Observation, workers)
+		for at := 0; at < len(feed); {
+			n := min(1+rng.Intn(300), len(feed)-at)
+			w := rng.Intn(workers)
+			runs[w] = append(runs[w], feed[at:at+n])
+			at += n
 		}
+		e := NewEngine(Config{})
+		var wg sync.WaitGroup
+		for _, mine := range runs {
+			p := e.NewPartial()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for _, run := range mine {
+					p.Fold(run)
+				}
+			}()
+		}
+		e.Snapshot() // merges while the folds run
+		wg.Wait()
+		gotSnap, gotState := view(e)
+		e.Close()
+		if string(gotSnap) != string(wantSnap) {
+			t.Fatalf("%d partials: snapshot differs from a single Ingest loop", workers)
+		}
+		if string(gotState) != string(wantState) {
+			t.Fatalf("%d partials: exported state differs from a single Ingest loop", workers)
+		}
+	}
+}
+
+// TestEngineStartsNoGoroutine: the engine is data and a merge. Whoever
+// feeds it brings the goroutine.
+func TestEngineStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine(Config{})
+	p := e.NewPartial()
+	feed := synthFeed(64)
+	e.Ingest(feed[0])
+	p.Fold(feed[1:])
+	e.Snapshot()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines before NewEngine, %d with an engine in use", before, after)
+	}
+	e.Close()
+}
+
+// TestFoldAndIngestAfterClose: a closed engine drops what arrives and
+// keeps serving the dictionary it had.
+func TestFoldAndIngestAfterClose(t *testing.T) {
+	e := NewEngine(Config{})
+	p := e.NewPartial()
+	feed := synthFeed(200)
+	p.Fold(feed[:100])
+	want := e.Snapshot()
+	e.Close()
+	e.Close() // idempotent
+	p.Fold(feed[100:])
+	e.Ingest(feed[100])
+	if got := e.Snapshot(); got != want || e.Stats().Processed != want.Observations {
+		t.Fatalf("closed engine folded: %d observations, had %d", e.Stats().Processed, want.Observations)
 	}
 }
 
 // TestSynthFeedClasses pins the classifier's behavior on the synthetic
 // mix end to end.
 func TestSynthFeedClasses(t *testing.T) {
-	e := NewEngine(Config{Workers: 4})
+	e := NewEngine(Config{})
 	defer e.Close()
 	for _, ob := range synthFeed(20000) {
 		e.Ingest(ob)
@@ -184,7 +262,7 @@ func TestSynthFeedClasses(t *testing.T) {
 // TestScoreAgainst checks the precision/recall/class-accuracy math on a
 // hand-built truth.
 func TestScoreAgainst(t *testing.T) {
-	e := NewEngine(Config{Workers: 2})
+	e := NewEngine(Config{})
 	defer e.Close()
 	for _, ob := range synthFeed(4000) {
 		e.Ingest(ob)
@@ -228,30 +306,8 @@ func TestTruthAddKeepsAction(t *testing.T) {
 	if tr[c] != ClassActionBlackhole {
 		t.Fatalf("action downgraded to %s", tr[c])
 	}
-	if got := sortedTruth(tr); len(got) != 1 || got[0] != c {
-		t.Fatalf("sortedTruth = %v", got)
-	}
-}
-
-// TestTryIngestUnloaded: with headroom, the lossy path folds the same
-// dictionary as the blocking one and drops nothing.
-func TestTryIngestUnloaded(t *testing.T) {
-	feed := synthFeed(4000)
-	blocking := NewEngine(Config{Workers: 2})
-	lossy := NewEngine(Config{Workers: 2})
-	defer blocking.Close()
-	defer lossy.Close()
-	for i := range feed {
-		blocking.Ingest(feed[i])
-		lossy.TryIngest(feed[i])
-	}
-	a, _ := json.Marshal(blocking.Snapshot().Entries())
-	b, _ := json.Marshal(lossy.Snapshot().Entries())
-	if string(a) != string(b) {
-		t.Fatal("lossy and blocking paths diverged without load")
-	}
-	if st := lossy.Stats(); st.Dropped != 0 {
-		t.Fatalf("unloaded TryIngest dropped %d", st.Dropped)
+	if len(tr) != 1 {
+		t.Fatalf("truth = %v", tr)
 	}
 }
 
@@ -261,7 +317,7 @@ func TestHolder(t *testing.T) {
 	if _, ok := h.Lookup(bgp.C(1, 1)); ok {
 		t.Fatal("empty holder resolved a community")
 	}
-	e := NewEngine(Config{Workers: 1})
+	e := NewEngine(Config{})
 	defer e.Close()
 	e.Ingest(Observation{
 		PeerAS: 1, Prefix: netx.MustPrefix("10.0.0.0/24"),

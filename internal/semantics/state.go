@@ -10,18 +10,16 @@ import (
 )
 
 // State is the engine's persistable snapshot: the merged evidence for
-// every community, plus the ingest counters. The durable store writes
-// it next to the watch engine's state so a restarted daemon resumes
-// with the dictionary it had. Because every fold is commutative,
-// restoring is just preloading one worker's partial with the merged
-// evidence — subsequent folds land on top and the next Snapshot is
-// identical to one from an uninterrupted run.
+// every community, plus the fold count. The durable store writes it
+// next to the watch engine's state so a restarted daemon resumes with
+// the dictionary it had. Because every fold is commutative, restoring
+// is just preloading the engine's own partial with the merged evidence
+// — subsequent folds land on top, in whichever partial, and the next
+// Snapshot is identical to one from an uninterrupted run.
 type State struct {
-	// Seq is the engine's last assigned observation sequence number.
-	Seq       uint64
-	Ingested  uint64
-	Processed uint64
-	Dropped   uint64
+	// Seq is the number of observations folded, which is also the last
+	// sequence number Ingest stamped.
+	Seq uint64
 	// Communities is the merged evidence, sorted by community so the
 	// export is byte-stable.
 	Communities []EvidenceState
@@ -47,32 +45,12 @@ type EvidenceState struct {
 	Prefixes  []netip.Prefix
 }
 
-// ExportState flushes pending folds and snapshots the merged evidence.
+// ExportState snapshots the merged evidence of every partial. It is an
+// exact cut when no fold is in flight — the durable store calls it
+// behind the watch engine's Flush.
 func (e *Engine) ExportState() *State {
-	e.Flush()
-	e.mu.Lock()
-	seq := e.seq
-	e.mu.Unlock()
-	merged := make(map[bgp.Community]*evidence)
-	for _, w := range e.workers {
-		w.mu.Lock()
-		for c, ev := range w.acc {
-			m := merged[c]
-			if m == nil {
-				m = newEvidence()
-				merged[c] = m
-			}
-			m.merge(ev)
-		}
-		w.mu.Unlock()
-	}
-	st := &State{
-		Seq:       seq,
-		Ingested:  e.ingested.Load(),
-		Processed: e.processed.Load(),
-		Dropped:   e.dropped.Load(),
-	}
-	for c, ev := range merged {
+	st := &State{Seq: e.seq.Load()}
+	for c, ev := range e.merged() {
 		es := EvidenceState{
 			Community: c,
 			Count:     ev.count,
@@ -110,29 +88,22 @@ func (e *Engine) ExportState() *State {
 }
 
 // RestoreState loads a previously exported State into a fresh engine
-// (one that has never ingested). The merged evidence lands on worker
-// 0's partial; commutativity makes that indistinguishable from having
+// (one that has never folded). The merged evidence lands on the engine's
+// own partial; commutativity makes that indistinguishable from having
 // folded the original stream.
 func (e *Engine) RestoreState(st *State) error {
 	if st == nil {
 		return nil
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
+	if e.closed.Load() {
 		return fmt.Errorf("semantics: restore into closed engine")
 	}
-	if e.seq != 0 || e.ingested.Load() != 0 {
-		e.mu.Unlock()
-		return fmt.Errorf("semantics: restore into engine that already ingested (seq=%d)", e.seq)
+	if seq := e.seq.Load(); seq != 0 {
+		return fmt.Errorf("semantics: restore into engine that already ingested (seq=%d)", seq)
 	}
-	e.seq = st.Seq
-	e.mu.Unlock()
-	e.ingested.Store(st.Ingested)
-	e.processed.Store(st.Processed)
-	e.dropped.Store(st.Dropped)
-	w := e.workers[0]
-	w.mu.Lock()
+	e.seq.Store(st.Seq)
+	own := e.own
+	own.mu.Lock()
 	for i := range st.Communities {
 		es := &st.Communities[i]
 		ev := newEvidence()
@@ -151,9 +122,9 @@ func (e *Engine) RestoreState(st *State) error {
 		for _, p := range es.Prefixes {
 			ev.prefixes[p] = struct{}{}
 		}
-		w.acc[es.Community] = ev
+		own.acc[es.Community] = ev
 	}
-	w.mu.Unlock()
+	own.mu.Unlock()
 	e.version.Add(1)
 	return nil
 }

@@ -53,14 +53,14 @@ func TestSemanticsExportRestoreRoundTrip(t *testing.T) {
 	obs := synthObs(5000)
 	cut := len(obs) / 3
 
-	ref := semantics.NewEngine(semantics.Config{Workers: 3})
+	ref := semantics.NewEngine(semantics.Config{})
 	for _, ob := range obs {
 		ref.Ingest(ob)
 	}
 	want := snapshotJSON(t, ref)
 	ref.Close()
 
-	first := semantics.NewEngine(semantics.Config{Workers: 3})
+	first := semantics.NewEngine(semantics.Config{})
 	for _, ob := range obs[:cut] {
 		first.Ingest(ob)
 	}
@@ -76,7 +76,7 @@ func TestSemanticsExportRestoreRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second := semantics.NewEngine(semantics.Config{Workers: 5})
+	second := semantics.NewEngine(semantics.Config{})
 	defer second.Close()
 	if err := second.RestoreState(&decoded); err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestSemanticsExportRestoreRoundTrip(t *testing.T) {
 
 // TestSemanticsExportDeterministic pins byte-stable exports.
 func TestSemanticsExportDeterministic(t *testing.T) {
-	e := semantics.NewEngine(semantics.Config{Workers: 4})
+	e := semantics.NewEngine(semantics.Config{})
 	defer e.Close()
 	for _, ob := range synthObs(2000) {
 		e.Ingest(ob)
@@ -105,7 +105,7 @@ func TestSemanticsExportDeterministic(t *testing.T) {
 
 // TestSemanticsRestoreGuard pins the fresh-engine-only contract.
 func TestSemanticsRestoreGuard(t *testing.T) {
-	e := semantics.NewEngine(semantics.Config{Workers: 1})
+	e := semantics.NewEngine(semantics.Config{})
 	defer e.Close()
 	e.Ingest(synthObs(1)[0])
 	if err := e.RestoreState(&semantics.State{Seq: 5}); err == nil {
@@ -121,7 +121,7 @@ func TestSemanticsRestoreGuard(t *testing.T) {
 func TestMergeEntriesMatchesSingleRun(t *testing.T) {
 	obs := synthObs(5000)
 
-	single := semantics.NewEngine(semantics.Config{Workers: 2})
+	single := semantics.NewEngine(semantics.Config{})
 	for _, ob := range obs {
 		single.Ingest(ob)
 	}
@@ -131,7 +131,7 @@ func TestMergeEntriesMatchesSingleRun(t *testing.T) {
 	const shards = 3
 	parts := make([][]*semantics.Entry, shards)
 	for s := 0; s < shards; s++ {
-		e := semantics.NewEngine(semantics.Config{Workers: 2})
+		e := semantics.NewEngine(semantics.Config{})
 		for i, ob := range obs {
 			if int(ob.Prefix.Addr().As4()[2])%shards == s {
 				o := ob

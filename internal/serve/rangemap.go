@@ -25,9 +25,6 @@ func NewRangeMap(n int) *RangeMap {
 	return &RangeMap{n: n}
 }
 
-// Shards returns the shard count.
-func (m *RangeMap) Shards() int { return m.n }
-
 // Owner maps a prefix to its shard index: the top 32 address bits
 // scaled into [0, n). IPv4 uses the whole address; IPv6 uses its top
 // 32 bits (enough spread for range semantics, and cheap). An

@@ -166,7 +166,7 @@ type durableShard struct {
 func startDurableShard(t *testing.T, dir string, idx, count int, events []watch.Event) *durableShard {
 	t.Helper()
 	reg := obs.NewRegistry()
-	sem := semantics.NewEngine(semantics.Config{Workers: 2, Metrics: reg})
+	sem := semantics.NewEngine(semantics.Config{Metrics: reg})
 	eng := watch.NewEngine(watch.Config{Shards: 4, Semantics: sem, Metrics: reg})
 	opts := durable.Options{Dir: dir, FsyncInterval: -1}
 	if count > 1 {

@@ -93,7 +93,7 @@ type proc struct {
 func startProc(t testing.TB, events []watch.Event, idx, count int) *proc {
 	t.Helper()
 	reg := obs.NewRegistry()
-	sem := semantics.NewEngine(semantics.Config{Workers: 2, Metrics: reg})
+	sem := semantics.NewEngine(semantics.Config{Metrics: reg})
 	holder := &semantics.Holder{}
 	eng := watch.NewEngine(watch.Config{Shards: 4, Semantics: sem, Metrics: reg})
 	opts := durable.Options{Dir: t.TempDir(), FsyncInterval: -1}

@@ -134,12 +134,3 @@ func (g *LookingGlass) Show(p netip.Prefix) string {
 	}
 	return fmt.Sprintf("AS%d: %s", g.asn, rt)
 }
-
-// RIB lists all best routes at the AS.
-func (g *LookingGlass) RIB() []*policy.Route {
-	r := g.n.routers[g.asn]
-	if r == nil {
-		return nil
-	}
-	return r.RIB()
-}

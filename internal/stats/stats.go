@@ -52,22 +52,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return e.sorted[i]
 }
 
-// Points returns (x, P[X<=x]) pairs at each distinct sample value —
-// exactly the polyline a paper figure plots.
-func (e *ECDF) Points() (xs, ys []float64) {
-	n := len(e.sorted)
-	for i := 0; i < n; {
-		j := i
-		for j < n && e.sorted[j] == e.sorted[i] {
-			j++
-		}
-		xs = append(xs, e.sorted[i])
-		ys = append(ys, float64(j)/float64(n))
-		i = j
-	}
-	return xs, ys
-}
-
 // Mean returns the sample mean (NaN when empty).
 func (e *ECDF) Mean() float64 {
 	if len(e.sorted) == 0 {
@@ -92,17 +76,8 @@ func NewCounter() *Counter { return &Counter{m: make(map[string]int)} }
 // Add increments key by one.
 func (c *Counter) Add(key string) { c.m[key]++; c.n++ }
 
-// AddN increments key by n.
-func (c *Counter) AddN(key string, n int) { c.m[key] += n; c.n += n }
-
 // Total returns the sum of all counts.
 func (c *Counter) Total() int { return c.n }
-
-// Distinct returns the number of distinct keys.
-func (c *Counter) Distinct() int { return len(c.m) }
-
-// Count returns the count for key.
-func (c *Counter) Count(key string) int { return c.m[key] }
 
 // KV is a key with its count.
 type KV struct {

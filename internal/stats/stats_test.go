@@ -44,12 +44,12 @@ func TestECDFQuantileAndMean(t *testing.T) {
 
 func TestECDFPoints(t *testing.T) {
 	e := NewECDF([]float64{1, 1, 2, 5})
-	xs, ys := e.Points()
-	if len(xs) != 3 || xs[0] != 1 || xs[2] != 5 {
-		t.Fatalf("xs=%v", xs)
-	}
-	if ys[0] != 0.5 || ys[2] != 1 {
-		t.Fatalf("ys=%v", ys)
+	// The polyline a figure plots: P[X<=x] at each distinct sample value,
+	// flat between them.
+	for _, pt := range []struct{ x, y float64 }{{0.5, 0}, {1, 0.5}, {1.5, 0.5}, {2, 0.75}, {5, 1}, {9, 1}} {
+		if got := e.At(pt.x); got != pt.y {
+			t.Fatalf("At(%v)=%v want %v", pt.x, got, pt.y)
+		}
 	}
 }
 
@@ -87,14 +87,16 @@ func TestProperty_ECDFMonotone(t *testing.T) {
 func TestCounterTopK(t *testing.T) {
 	c := NewCounter()
 	c.Add("a")
-	c.AddN("b", 5)
+	for i := 0; i < 5; i++ {
+		c.Add("b")
+	}
 	c.Add("a")
 	c.Add("c")
-	if c.Total() != 8 || c.Distinct() != 3 || c.Count("b") != 5 {
-		t.Fatalf("total=%d distinct=%d", c.Total(), c.Distinct())
+	if c.Total() != 8 || len(c.TopK(10)) != 3 {
+		t.Fatalf("total=%d distinct=%d", c.Total(), len(c.TopK(10)))
 	}
 	top := c.TopK(2)
-	if len(top) != 2 || top[0].Key != "b" || top[1].Key != "a" {
+	if len(top) != 2 || top[0] != (KV{"b", 5}) || top[1] != (KV{"a", 2}) {
 		t.Fatalf("top=%v", top)
 	}
 	// Tie-break by key order.

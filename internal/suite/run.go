@@ -170,7 +170,7 @@ func (tr *trainer) snapshot(scale string, seed int64) (*semantics.Snapshot, erro
 		return nil, err
 	}
 	p.Seed = seed
-	eng := semantics.NewEngine(semantics.Config{Workers: 1})
+	eng := semantics.NewEngine(semantics.Config{})
 	defer eng.Close()
 	p.Tap = eng.Tap()
 	l, err := attack.NewLab(p, scenario.DefaultVPs)
@@ -402,7 +402,7 @@ func (s *Suite) runCell(spec cellSpec, arm *Arm, tr *trainer, warm *scenario.War
 		} else if snap != nil {
 			dctx.Warm = snap
 		}
-		drep, _, err := watch.EvalDictionaryScenario(spec.scenario, dctx, semantics.Config{Workers: 1})
+		drep, _, err := watch.EvalDictionaryScenario(spec.scenario, dctx)
 		if err != nil {
 			out.Err = fmt.Sprintf("dictionary eval: %s", err)
 			return out

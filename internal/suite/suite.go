@@ -19,7 +19,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 
 	"bgpworms/internal/gen"
@@ -140,9 +139,6 @@ type Defaults struct {
 	Scales       []string `json:"scales,omitempty"`
 	Seeds        []int64  `json:"seeds,omitempty"`
 	CommunitySet string   `json:"community_set,omitempty"`
-	// VPs is the Atlas vantage-point count per cell (scenario default
-	// when 0).
-	VPs int `json:"vps,omitempty"`
 	// Shards is the watch engine shard count per cell. Alert sets are
 	// shard-invariant; the knob only trades memory for parallelism.
 	Shards int `json:"shards,omitempty"`
@@ -191,19 +187,6 @@ type Suite struct {
 	// may opt into via Entry.SnapshotGroup.
 	SnapshotGroups map[string]SnapshotGroup `json:"snapshot_groups,omitempty"`
 	Entries        []Entry                  `json:"entries"`
-}
-
-// Load reads, parses, and validates a suite file.
-func Load(path string) (*Suite, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := Parse(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return s, nil
 }
 
 // Parse decodes and validates a suite. Unknown fields, unregistered

@@ -1,6 +1,7 @@
 package suite
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -47,6 +48,10 @@ func TestParseRejects(t *testing.T) {
 		{"bad engine", `{"name": "t", "defaults": {"seeds": [1,2,3]}, "entries": [{"scenario": "rtbh", "engines": ["delta"]}]}`, "unknown field"},
 		{"bad default scale", `{"name": "t", "defaults": {"scales": ["galactic"], "seeds": [1,2,3]}, "entries": [{"scenario": "rtbh"}]}`, "galactic"},
 		{"bad default engine", `{"name": "t", "defaults": {"engines": ["delta"], "seeds": [1,2,3]}, "entries": [{"scenario": "rtbh"}]}`, "unknown field"},
+		// No cell ever read a vantage-point count from the suite: every
+		// cell runs on scenario.DefaultVPs, and a file that asks for
+		// another number is told so.
+		{"default vps", `{"name": "t", "defaults": {"vps": 40, "seeds": [1,2,3]}, "entries": [{"scenario": "rtbh"}]}`, "unknown field"},
 		{"precision above one", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "min_precision": 1.5}]}`, "min_precision"},
 		{"negative variance", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "max_variance": -0.1}]}`, "max_variance"},
 		{"negative noise cap", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "max_noise_alerts": -1}]}`, "max_noise_alerts"},
@@ -70,6 +75,15 @@ func TestParseRejects(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Load reads and parses a suite file the way suiterun does.
+func Load(path string) (*Suite, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return Parse(data)
 }
 
 // TestCheckedInSuitesLoad keeps the shipped suite files parseable —

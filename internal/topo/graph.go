@@ -128,9 +128,6 @@ func (g *Graph) Providers(a ASN) []ASN { return g.neighborsOf(a, RelProvider) }
 // Customers returns the ASes buying transit from a.
 func (g *Graph) Customers(a ASN) []ASN { return g.neighborsOf(a, RelCustomer) }
 
-// Peers returns a's settlement-free peers.
-func (g *Graph) Peers(a ASN) []ASN { return g.neighborsOf(a, RelPeer) }
-
 // ASes returns every registered AS in ascending order.
 func (g *Graph) ASes() []ASN {
 	out := make([]ASN, 0, len(g.rel))
@@ -159,11 +156,6 @@ func (g *Graph) IsStub(a ASN) bool { return len(g.Customers(a)) == 0 }
 // IsTransit reports whether a has at least one customer, the structural
 // transit definition.
 func (g *Graph) IsTransit(a ASN) bool { return !g.IsStub(a) }
-
-// IsTier1 reports whether a has no providers (top of the hierarchy).
-func (g *Graph) IsTier1(a ASN) bool {
-	return len(g.Providers(a)) == 0 && len(g.rel[a]) > 0
-}
 
 // ValleyFree reports whether path (origin last, as in AS_PATH display
 // order nearest-first) obeys Gao-Rexford export rules: once the path goes

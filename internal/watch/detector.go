@@ -17,8 +17,6 @@ import (
 type Detector interface {
 	// Name is the registry key (kebab-case).
 	Name() string
-	// Describe is a one-line summary for catalogs.
-	Describe() string
 	// Observe inspects one event against its prefix window.
 	Observe(st *PrefixState, ev *Event, emit func(Alert))
 }
@@ -96,10 +94,6 @@ func init() {
 type blackholeOnset struct{}
 
 func (blackholeOnset) Name() string { return "blackhole-onset" }
-func (blackholeOnset) Describe() string {
-	return "a blackhole-valued community appeared on a prefix that had none in the window"
-}
-
 func (blackholeOnset) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
 	if ev.Withdraw {
 		return
@@ -138,10 +132,6 @@ func (blackholeOnset) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
 type communitySquat struct{}
 
 func (communitySquat) Name() string { return "community-squat" }
-func (communitySquat) Describe() string {
-	return "a never-before-seen community names an AS that is not on the path"
-}
-
 func (communitySquat) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
 	if ev.Withdraw {
 		return
@@ -167,10 +157,6 @@ func (communitySquat) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
 type propDistance struct{ threshold int }
 
 func (propDistance) Name() string { return "prop-distance" }
-func (d propDistance) Describe() string {
-	return fmt.Sprintf("a community traveled more than %d AS hops beyond the AS it names", d.threshold)
-}
-
 func (d propDistance) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
 	if ev.Withdraw || len(ev.ASPath) == 0 || len(ev.Communities) == 0 {
 		return
@@ -228,10 +214,6 @@ func travelHops(stripped []uint32, c bgp.Community) int {
 type routeLeak struct{}
 
 func (routeLeak) Name() string { return "route-leak" }
-func (routeLeak) Describe() string {
-	return "the origin AS shifted away from every origin in the window"
-}
-
 func (routeLeak) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
 	if ev.Withdraw || len(ev.ASPath) == 0 {
 		return

@@ -151,8 +151,8 @@ func TestDetectorRegistry(t *testing.T) {
 		if !ok {
 			t.Fatalf("builtin detector %q missing (have %v)", w, names)
 		}
-		if d.Name() != w || d.Describe() == "" {
-			t.Fatalf("detector %q misdescribes itself", w)
+		if d.Name() != w {
+			t.Fatalf("detector %q registered as %q", d.Name(), w)
 		}
 	}
 	if len(watch.Detectors()) != len(names) {

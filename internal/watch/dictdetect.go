@@ -43,10 +43,6 @@ func NewDictSquat(dict semantics.Provider) Detector {
 type dictSquat struct{ dict semantics.Provider }
 
 func (dictSquat) Name() string { return DictSquatName }
-func (dictSquat) Describe() string {
-	return "an off-path community outside the defining AS's inferred dictionary"
-}
-
 func (d dictSquat) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
 	if ev.Withdraw {
 		return
@@ -80,10 +76,6 @@ func NewUnknownActionCommunity(dict semantics.Provider) Detector {
 type unknownAction struct{ dict semantics.Provider }
 
 func (unknownAction) Name() string { return UnknownActionName }
-func (unknownAction) Describe() string {
-	return "an action-patterned community with no inferred service behind it"
-}
-
 func (d unknownAction) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
 	if ev.Withdraw {
 		return

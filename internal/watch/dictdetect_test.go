@@ -1,6 +1,7 @@
 package watch_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/netip"
 	"testing"
@@ -20,7 +21,7 @@ import (
 // It returns the frozen dictionary and the training world.
 func trainDictionary(t *testing.T) (*semantics.Snapshot, *gen.Internet) {
 	t.Helper()
-	eng := semantics.NewEngine(semantics.Config{Workers: 4})
+	eng := semantics.NewEngine(semantics.Config{})
 	defer eng.Close()
 	p, err := gen.Preset(scenario.DefaultScale)
 	if err != nil {
@@ -61,11 +62,11 @@ func TestDictSquatReducesFalsePositives(t *testing.T) {
 		}
 	}
 	if fired[watch.DictSquatName] == 0 {
-		t.Fatalf("dict-squat never fired\n%s", watch.RenderEval(rep))
+		t.Fatalf("dict-squat never fired\n%+v", rep.Scores)
 	}
 	if fired[watch.DictSquatName] >= fired["community-squat"] {
-		t.Fatalf("dict-squat fired %d times, PR-3 community-squat %d — no strict reduction\n%s",
-			fired[watch.DictSquatName], fired["community-squat"], watch.RenderEval(rep))
+		t.Fatalf("dict-squat fired %d times, PR-3 community-squat %d — no strict reduction\n%+v",
+			fired[watch.DictSquatName], fired["community-squat"], rep.Scores)
 	}
 	if decoyAlerts[watch.DictSquatName] == 0 {
 		t.Fatalf("dict-squat missed the decoy squat %s (alerts by detector: %v)", decoy, fired)
@@ -74,7 +75,7 @@ func TestDictSquatReducesFalsePositives(t *testing.T) {
 		t.Fatalf("unknown-action-community missed the decoy %s (alerts: %v)", decoy, fired)
 	}
 	if rep.Recall != 1 {
-		t.Fatalf("recall=%.2f with dict detectors active\n%s", rep.Recall, watch.RenderEval(rep))
+		t.Fatalf("recall=%.2f with dict detectors active\n%+v", rep.Recall, rep.Scores)
 	}
 	t.Logf("community-squat=%d dict-squat=%d (%.0f%% fewer), decoy caught by both dict detectors",
 		fired["community-squat"], fired[watch.DictSquatName],
@@ -107,37 +108,54 @@ func TestDictDetectorDeterminismAcrossShards(t *testing.T) {
 	}
 }
 
-// TestSemanticsMirroring checks Config.Semantics: every community-
-// carrying event the watch engine ingests lands in the dictionary
-// engine with the same sequence numbering.
+// TestSemanticsMirroring checks Config.Semantics: at 1, 4 and 16 shards
+// the dictionary the shard workers fold — evidence, bounds, fold count —
+// is the one a standalone engine builds from the same events under the
+// sequence numbers and timestamps the watch engine assigns, and it is
+// complete once Flush returns. Then the engines close in the order
+// wormwatchd's defers produce, dictionary first: what the watch engine
+// still drains is dropped, and the dictionary stays as it was.
 func TestSemanticsMirroring(t *testing.T) {
-	sem := semantics.NewEngine(semantics.Config{Workers: 2})
-	defer sem.Close()
-	eng := watch.NewEngine(watch.Config{Shards: 2, Semantics: sem})
-	n, err := scenarioFeed(t, eng)
-	if err != nil {
-		t.Fatal(err)
+	events := churnEvents(t)
+	state := func(e *semantics.Engine) []byte {
+		t.Helper()
+		b, err := json.Marshal(e.ExportState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	eng.Flush()
-	eng.Close()
-	st := sem.Stats()
-	if st.Processed == 0 || st.Communities == 0 {
-		t.Fatalf("mirroring produced no dictionary: %+v (replayed %d events)", st, n)
+	alone := semantics.NewEngine(semantics.Config{})
+	defer alone.Close()
+	for i, ev := range events {
+		alone.Ingest(semantics.Observation{
+			Seq: uint64(i + 1), Time: ev.Time, PeerAS: ev.PeerAS,
+			Prefix: ev.Prefix, ASPath: ev.ASPath, Communities: ev.Communities,
+		})
 	}
-	if st.Processed > eng.Stats().Ingested {
-		t.Fatalf("semantics processed %d > watch ingested %d", st.Processed, eng.Stats().Ingested)
+	want := state(alone)
+	if alone.Stats().Communities == 0 {
+		t.Fatal("the feed builds no dictionary; the comparison is vacuous")
 	}
-}
-
-// scenarioFeed replays the rtbh scenario through eng's blocking tap.
-func scenarioFeed(t *testing.T, eng *watch.Engine) (uint64, error) {
-	t.Helper()
-	ctx := &scenario.Context{Tap: eng.BlockingTap("test")}
-	if _, err := scenario.Run("rtbh", ctx); err != nil {
-		return 0, err
+	for _, shards := range []int{1, 4, 16} {
+		sem := semantics.NewEngine(semantics.Config{})
+		eng := watch.NewEngine(watch.Config{Shards: shards, Semantics: sem})
+		for _, ev := range events {
+			eng.Ingest(ev)
+		}
+		eng.Flush()
+		if got := state(sem); !bytes.Equal(got, want) {
+			t.Fatalf("shards=%d: dictionary differs from the standalone engine's (%d vs %d bytes)", shards, len(got), len(want))
+		}
+		sem.Close()
+		for _, ev := range events[:200] {
+			eng.Ingest(ev) // left pending: Close drains it into the closed dictionary
+		}
+		eng.Close()
+		if got := state(sem); !bytes.Equal(got, want) {
+			t.Fatalf("shards=%d: a closed dictionary engine kept folding", shards)
+		}
 	}
-	eng.Flush()
-	return eng.Stats().Ingested, nil
 }
 
 // TestEvalDictionaryScenario scores dictionary inference against the
@@ -147,7 +165,7 @@ func scenarioFeed(t *testing.T, eng *watch.Engine) (uint64, error) {
 func TestEvalDictionaryScenario(t *testing.T) {
 	for _, name := range []string{"rtbh", "blackhole-squatting"} {
 		t.Run(name, func(t *testing.T) {
-			rep, snap, err := watch.EvalDictionaryScenario(name, nil, semantics.Config{Workers: 4})
+			rep, snap, err := watch.EvalDictionaryScenario(name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,13 +183,12 @@ func TestEvalDictionaryScenario(t *testing.T) {
 	}
 }
 
-// TestEvalDictionaryDeterminism pins the score across semantics worker
-// counts: the same scenario replay must grade identically at 1 and 8
-// workers.
+// TestEvalDictionaryDeterminism pins the score across replays: the same
+// scenario must grade identically every time it runs.
 func TestEvalDictionaryDeterminism(t *testing.T) {
 	var want *watch.DictEvalReport
-	for _, workers := range []int{1, 8} {
-		rep, _, err := watch.EvalDictionaryScenario("rtbh", nil, semantics.Config{Workers: workers})
+	for run := 0; run < 2; run++ {
+		rep, _, err := watch.EvalDictionaryScenario("rtbh", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +199,7 @@ func TestEvalDictionaryDeterminism(t *testing.T) {
 		a, _ := json.Marshal(want.Score)
 		b, _ := json.Marshal(rep.Score)
 		if string(a) != string(b) {
-			t.Fatalf("score differs across worker counts:\n%s\nvs\n%s", a, b)
+			t.Fatalf("score differs across replays:\n%s\nvs\n%s", a, b)
 		}
 	}
 }

@@ -34,11 +34,11 @@ type DictEvalReport struct {
 // frozen dictionary the run produced (feed it to Config.Dict for
 // detection on a second pass). A nil ctx replays with scenario
 // defaults; any caller Tap/World hooks on ctx are replaced.
-func EvalDictionaryScenario(name string, ctx *scenario.Context, cfg semantics.Config) (*DictEvalReport, *semantics.Snapshot, error) {
+func EvalDictionaryScenario(name string, ctx *scenario.Context) (*DictEvalReport, *semantics.Snapshot, error) {
 	if ctx == nil {
 		ctx = &scenario.Context{}
 	}
-	eng := semantics.NewEngine(cfg)
+	eng := semantics.NewEngine(semantics.Config{})
 	defer eng.Close()
 	var world *gen.Internet
 	ctx.World = func(w *gen.Internet) { world = w }

@@ -95,12 +95,12 @@ func TestStreamDispatchesWhenFeedDrains(t *testing.T) {
 
 // TestDrainDispatchUnobservable: a burst that arrives in one write is
 // cut into runs wherever the decoder's buffer empties; the alert set
-// must equal a plain IngestMRT of the same bytes.
+// must equal a plain StreamMRT of the same bytes.
 func TestDrainDispatchUnobservable(t *testing.T) {
 	raw := churnMRT(t, 300)
 	ref := watch.NewEngine(watch.Config{Shards: 2})
 	defer ref.Close()
-	want, err := ref.IngestMRT(bytes.NewReader(raw), "mrt:feed")
+	want, err := watch.StreamMRT(bytes.NewReader(raw), "mrt:feed", ref.Ingest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDrainDispatchUnobservable(t *testing.T) {
 	}
 	e.Flush()
 	if got, want := alertsJSON(t, e), alertsJSON(t, ref); !bytes.Equal(got, want) {
-		t.Fatalf("alert set differs from plain IngestMRT (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("alert set differs from plain StreamMRT (%d vs %d bytes)", len(got), len(want))
 	}
 	if len(ref.Alerts()) == 0 {
 		t.Fatal("feed raised no alerts; the comparison is vacuous")

@@ -1,11 +1,9 @@
 package watch
 
 import (
-	"fmt"
 	"sort"
 
 	"bgpworms/internal/scenario"
-	"bgpworms/internal/stats"
 )
 
 // This file closes the detect-what-you-attack loop: a registered attack
@@ -269,16 +267,4 @@ func (r *EvalReport) score(dets []Detector, truth Truth) {
 	if tp+fn > 0 {
 		r.Recall = float64(tp) / float64(tp+fn)
 	}
-}
-
-// RenderEval renders the report as a text table plus summary line.
-func RenderEval(r *EvalReport) string {
-	t := stats.NewTable("Detector", "Expected", "Fired", "TP", "FP", "FN")
-	for _, s := range r.Scores {
-		t.Row(s.Detector, s.Expected, s.Fired, s.TP, s.FP, s.FN)
-	}
-	out := t.String()
-	out += fmt.Sprintf("\nscenario=%s success=%v alerts=%d precision=%.2f recall=%.2f\n",
-		r.Scenario, r.Result != nil && r.Result.Success, len(r.Alerts), r.Precision, r.Recall)
-	return out
 }

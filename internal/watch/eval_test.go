@@ -24,7 +24,7 @@ func TestEvalPerfectRecall(t *testing.T) {
 				t.Fatalf("lossless replay dropped %d events", rep.Stats.Dropped)
 			}
 			if rep.Recall != 1 {
-				t.Fatalf("recall = %.2f, want 1\n%s", rep.Recall, watch.RenderEval(rep))
+				t.Fatalf("recall = %.2f, want 1\n%+v", rep.Recall, rep.Scores)
 			}
 			truth, _ := watch.ScenarioTruth(name)
 			fired := map[string]int{}
@@ -33,7 +33,7 @@ func TestEvalPerfectRecall(t *testing.T) {
 			}
 			for _, must := range truth.Must {
 				if fired[must] == 0 {
-					t.Fatalf("detector %s never fired\n%s", must, watch.RenderEval(rep))
+					t.Fatalf("detector %s never fired\n%+v", must, rep.Scores)
 				}
 			}
 			if rep.Result == nil || !rep.Result.Success {
@@ -52,11 +52,11 @@ func TestEvalSquatOvercount(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Recall != 1 {
-		t.Fatalf("recall = %.2f, want 1\n%s", rep.Recall, watch.RenderEval(rep))
+		t.Fatalf("recall = %.2f, want 1\n%+v", rep.Recall, rep.Scores)
 	}
 	for _, s := range rep.Scores {
 		if s.Detector == "blackhole-onset" && s.Fired == 0 {
-			t.Fatalf("decoy :666 did not trip the value-pattern detector\n%s", watch.RenderEval(rep))
+			t.Fatalf("decoy :666 did not trip the value-pattern detector\n%+v", rep.Scores)
 		}
 	}
 }

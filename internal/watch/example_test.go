@@ -12,13 +12,13 @@ import (
 // wormwatchd runs over every ingested update.
 func ExampleDetectors() {
 	for _, d := range watch.Detectors() {
-		fmt.Printf("%s — %s\n", d.Name(), d.Describe())
+		fmt.Println(d.Name())
 	}
 	// Output:
-	// blackhole-onset — a blackhole-valued community appeared on a prefix that had none in the window
-	// community-squat — a never-before-seen community names an AS that is not on the path
-	// prop-distance — a community traveled more than 3 AS hops beyond the AS it names
-	// route-leak — the origin AS shifted away from every origin in the window
+	// blackhole-onset
+	// community-squat
+	// prop-distance
+	// route-leak
 }
 
 // ExampleEngine_Ingest streams a tiny hand-built feed — a baseline

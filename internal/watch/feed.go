@@ -4,17 +4,16 @@ import (
 	"io"
 	"net/netip"
 
-	"bgpworms/internal/collector"
 	"bgpworms/internal/core"
 	"bgpworms/internal/policy"
 	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
 )
 
-// This file adapts every update source in the repo onto the engine:
-// MRT byte streams (the wire path the paper's pipeline consumed),
-// collector exports (recorded or live), and simnet session taps (so
-// attack scenarios can drive detection as they run).
+// This file adapts every update source a binary feeds onto the engine:
+// MRT byte streams (the wire path the paper's pipeline consumed) and
+// simnet session taps (so attack scenarios can drive detection as they
+// run).
 
 // FromUpdate converts a normalized core observation into an Event.
 func FromUpdate(u *core.Update) Event {
@@ -66,37 +65,6 @@ type drainReader struct {
 func (d *drainReader) Read(p []byte) (int, error) {
 	d.onDrain()
 	return d.r.Read(p)
-}
-
-// IngestMRT is StreamMRT bound to the engine's lossless ingest.
-func (e *Engine) IngestMRT(r io.Reader, source string) (int, error) {
-	return StreamMRT(r, source, e.Ingest)
-}
-
-// IngestObservations replays a collector's recorded observations in
-// sequence order, returning how many events were ingested.
-func (e *Engine) IngestObservations(c *collector.Collector) int {
-	obs := c.Observations()
-	for i := range obs {
-		e.Ingest(eventFromObservation(c, &obs[i]))
-	}
-	return len(obs)
-}
-
-func eventFromObservation(c *collector.Collector, ob *collector.Observation) Event {
-	ev := Event{
-		Time:   ob.Time,
-		Source: c.Name,
-		PeerAS: uint32(ob.PeerAS),
-		Prefix: ob.Prefix,
-	}
-	if ob.Route == nil {
-		ev.Withdraw = true
-	} else {
-		ev.ASPath = ob.Route.ASPath.Sequence()
-		ev.Communities = ob.Route.Communities.Clone()
-	}
-	return ev
 }
 
 // BlockingTap returns a simnet session tap feeding the engine with

@@ -15,7 +15,6 @@ import (
 
 	_ "bgpworms/internal/attack" // registers the builtin scenarios
 	"bgpworms/internal/scenario"
-	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
 )
 
@@ -81,7 +80,7 @@ func TestRegistryScenariosAcceptedByEvalHarnesses(t *testing.T) {
 			if rep.Stats.Ingested == 0 {
 				t.Fatalf("EvalScenario saw no update stream for %s (tap unwired?)", name)
 			}
-			drep, snap, err := watch.EvalDictionaryScenario(name, nil, semantics.Config{})
+			drep, snap, err := watch.EvalDictionaryScenario(name, nil)
 			if err != nil {
 				t.Fatalf("EvalDictionaryScenario rejects %s: %v", name, err)
 			}

@@ -134,7 +134,7 @@ func (e *Engine) RestoreState(st *State) error {
 		p := w.Prefix.Masked()
 		s := e.shards[e.shardOf(p)]
 		s.mu.Lock()
-		ps := newPrefixState(p, e.cfg.WindowEvents)
+		ps := newPrefixState(e.cfg.WindowEvents)
 		for j := range w.Events {
 			ps.push(&w.Events[j], e.cfg.Window)
 		}

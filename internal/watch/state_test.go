@@ -12,8 +12,8 @@ import (
 )
 
 // churnEvents flattens the deterministic churn feed into an event list,
-// in exactly the order IngestObservations would deliver it, so tests
-// can split the stream at an arbitrary cut point.
+// collector by collector in recorded order, so tests can split the
+// stream at an arbitrary cut point.
 func churnEvents(t testing.TB) []watch.Event {
 	t.Helper()
 	w, err := gen.Build(gen.Tiny())

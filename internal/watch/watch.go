@@ -19,7 +19,7 @@
 //     TryIngest) cannot stall on its observer.
 //
 // Feeds come from adapters in feed.go (MRT byte streams via
-// core.StreamMRTUpdates, collector exports, live simnet taps); eval.go
+// core.StreamMRTUpdates, live simnet taps); eval.go
 // closes the loop with scenario ground truth, replaying a registered
 // attack through the engine and scoring each detector's precision and
 // recall.
@@ -135,16 +135,17 @@ type Config struct {
 	// observation per shard batch. Metrics are observational only — the
 	// alert set is bit-identical with or without a registry attached.
 	Metrics *obs.Registry
-	// Semantics, when non-nil, mirrors every ingested event into the
-	// dictionary-inference engine. With lossless feeds (Ingest,
-	// BlockingTap) dictionaries build from exactly the stream the
-	// detectors see; under TryIngest overload the two sides shed
-	// independently (each counts its own drops), so the dictionary may
-	// include events the detectors shed and vice versa. The semantics
-	// folds are order-insensitive, so mirroring preserves both engines'
-	// determinism. Mirroring and Dict are deliberately separate: a
-	// dictionary consulted mid-build would make alerts depend on shard
-	// timing.
+	// Semantics, when non-nil, builds dictionaries from the events the
+	// detectors process: each shard holds one of the engine's partial
+	// dictionaries, and its worker folds every batch's community-bearing
+	// events into it right after the detectors have seen them, with the
+	// sequence and timestamp this engine assigned. The dictionary
+	// therefore sees exactly the events the detectors do — an event
+	// TryIngest sheds reaches neither — and is complete for everything
+	// before a Flush. The folds are order-insensitive, so the dictionary
+	// is as shard-count invariant as the alert set. Semantics and Dict
+	// are deliberately separate: a dictionary consulted mid-build would
+	// make alerts depend on shard timing.
 	Semantics *semantics.Engine
 }
 
@@ -205,6 +206,12 @@ type shard struct {
 	curEv  *Event
 	curDet Detector
 	emit   func(Alert)
+
+	// dict is the shard's partial dictionary (nil without
+	// Config.Semantics); obs is the reused batch handed to its Fold.
+	// Only the worker goroutine touches either.
+	dict *semantics.Partial
+	obs  []semantics.Observation
 }
 
 // Engine is the streaming detection engine. Create with NewEngine; feed
@@ -274,6 +281,9 @@ func NewEngine(cfg Config) *Engine {
 			s.alerts = append(s.alerts, a)
 			s.byDetector[a.Detector]++
 			e.alerts.Add(1)
+		}
+		if cfg.Semantics != nil {
+			s.dict = cfg.Semantics.NewPartial()
 		}
 		e.pending[i] = *e.batchPool.Get().(*[]Event)
 		e.shards[i] = s
@@ -389,22 +399,6 @@ func (e *Engine) ingest(ev Event, block bool) {
 	full := len(e.pending[si]) >= e.cfg.BatchSize
 	e.ingested.Add(1)
 	e.mu.Unlock()
-	if e.cfg.Semantics != nil && len(ev.Communities) > 0 {
-		// Mirror into the dictionary engine with the watch-assigned
-		// sequence and timestamp, so both engines agree on first/last
-		// seen. Folds are order-insensitive; determinism survives. The
-		// lossy watch path mirrors lossily too (semantics.TryIngest),
-		// so dictionary inference can never stall a live tap.
-		ob := semantics.Observation{
-			Seq: ev.Seq, Time: ev.Time, PeerAS: ev.PeerAS,
-			Prefix: ev.Prefix, ASPath: ev.ASPath, Communities: ev.Communities,
-		}
-		if block {
-			e.cfg.Semantics.Ingest(ob)
-		} else {
-			e.cfg.Semantics.TryIngest(ob)
-		}
-	}
 	if full {
 		e.dispatch(e.shards[si], si, block)
 	}
@@ -481,6 +475,9 @@ func (e *Engine) runShard(s *shard) {
 				e.process(s, &b.events[i])
 			}
 			s.mu.Unlock()
+			if s.dict != nil {
+				s.foldDict(b.events)
+			}
 			if e.batchHist != nil {
 				e.batchHist.ObserveSince(start)
 			}
@@ -495,13 +492,29 @@ func (e *Engine) runShard(s *shard) {
 	}
 }
 
+// foldDict folds a processed batch's community-bearing events into the
+// shard's partial dictionary. It runs before the batch counts as
+// processed, so a Flush covers the dictionary too.
+func (s *shard) foldDict(events []Event) {
+	s.obs = s.obs[:0]
+	for i := range events {
+		if ev := &events[i]; len(ev.Communities) > 0 {
+			s.obs = append(s.obs, semantics.Observation{
+				Seq: ev.Seq, Time: ev.Time, PeerAS: ev.PeerAS,
+				Prefix: ev.Prefix, ASPath: ev.ASPath, Communities: ev.Communities,
+			})
+		}
+	}
+	s.dict.Fold(s.obs)
+}
+
 // process runs every detector over the event against the prefix's
 // window state (the window holds only *prior* events while detectors
 // run), then folds the event into the window.
 func (e *Engine) process(s *shard, ev *Event) {
 	st := s.prefixes[ev.Prefix]
 	if st == nil {
-		st = newPrefixState(ev.Prefix, e.cfg.WindowEvents)
+		st = newPrefixState(e.cfg.WindowEvents)
 		s.prefixes[ev.Prefix] = st
 	}
 	s.curEv = ev

@@ -8,7 +8,6 @@ import (
 
 	_ "bgpworms/internal/attack" // registers the builtin scenarios
 	"bgpworms/internal/bgp"
-	"bgpworms/internal/gen"
 	"bgpworms/internal/netx"
 	"bgpworms/internal/watch"
 )
@@ -18,16 +17,10 @@ import (
 // every collector's recorded observations.
 func churnFeed(t testing.TB) func(e *watch.Engine) {
 	t.Helper()
-	w, err := gen.Build(gen.Tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.RunChurn(); err != nil {
-		t.Fatal(err)
-	}
+	events := churnEvents(t)
 	return func(e *watch.Engine) {
-		for _, c := range w.Collectors {
-			e.IngestObservations(c)
+		for _, ev := range events {
+			e.Ingest(ev)
 		}
 	}
 }
@@ -184,8 +177,7 @@ func TestWatchBackpressureDrops(t *testing.T) {
 // stall is a test detector slow enough to back the queue up.
 type stall struct{}
 
-func (stall) Name() string     { return "stall" }
-func (stall) Describe() string { return "test-only: sleeps per event" }
+func (stall) Name() string { return "stall" }
 func (stall) Observe(st *watch.PrefixState, ev *watch.Event, emit func(watch.Alert)) {
 	for i := 0; i < 1000; i++ {
 		_ = i * i

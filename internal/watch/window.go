@@ -1,7 +1,6 @@
 package watch
 
 import (
-	"net/netip"
 	"time"
 
 	"bgpworms/internal/bgp"
@@ -16,19 +15,15 @@ import (
 // A PrefixState lives wholly inside one shard; detectors must not
 // retain it across Observe calls.
 type PrefixState struct {
-	prefix netip.Prefix
-	ring   []Event
-	head   int // index of the oldest event
-	n      int
-	total  uint64
+	ring  []Event
+	head  int // index of the oldest event
+	n     int
+	total uint64
 }
 
-func newPrefixState(p netip.Prefix, capacity int) *PrefixState {
-	return &PrefixState{prefix: p, ring: make([]Event, capacity)}
+func newPrefixState(capacity int) *PrefixState {
+	return &PrefixState{ring: make([]Event, capacity)}
 }
-
-// Prefix returns the prefix this state tracks.
-func (s *PrefixState) Prefix() netip.Prefix { return s.prefix }
 
 // Len is the current window occupancy.
 func (s *PrefixState) Len() int { return s.n }
@@ -36,15 +31,6 @@ func (s *PrefixState) Len() int { return s.n }
 // At returns the i-th windowed event, oldest first (0 <= i < Len).
 func (s *PrefixState) At(i int) *Event {
 	return &s.ring[(s.head+i)%len(s.ring)]
-}
-
-// Last returns the newest windowed event (nil when the window is
-// empty).
-func (s *PrefixState) Last() *Event {
-	if s.n == 0 {
-		return nil
-	}
-	return s.At(s.n - 1)
 }
 
 // HasCommunity reports whether any windowed event carries c.
