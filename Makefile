@@ -44,7 +44,8 @@ examples:
 	done
 
 # watch-smoke boots wormwatchd, replays an attack scenario through the
-# live engine tap, and asserts /alerts serves at least one alert.
+# lossless engine tap, and asserts /alerts is served and byte-identical
+# at two -engine-shards values; then recovery, sharding, resharding.
 watch-smoke:
 	./ci/watchsmoke.sh
 

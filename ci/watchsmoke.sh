@@ -1,8 +1,11 @@
 #!/bin/sh
 # watchsmoke.sh — end-to-end wormwatchd smoke: start the daemon, replay
-# an attack scenario feed through the live engine tap, and assert the
-# HTTP surface serves at least one alert. This is the CI gate that keeps
-# the daemon's boot path, feed wiring, and JSON endpoints honest.
+# an attack scenario feed through the engine tap, and assert the HTTP
+# surface serves its alerts, dictionary and metrics — and, the tap being
+# lossless, the same /alerts bytes at two -engine-shards values. Then
+# durability, sharding and resharding (stages 2-4). This is the CI gate
+# that keeps the daemon's boot path, feed wiring, and JSON endpoints
+# honest.
 set -eu
 
 ADDR="${WATCHSMOKE_ADDR:-127.0.0.1:8571}"
@@ -77,9 +80,49 @@ if [ "${ingested:-0}" -lt 1 ]; then
     exit 1
 fi
 
-echo "watchsmoke: stage 1 OK — $count alerts, $comms dictionary communities, $ingested updates scraped from scenario $SCENARIO"
 kill "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
+
+# The replay is lossless and the alert set shard-count invariant, so two
+# replays at different -engine-shards serve identical /alerts bytes.
+# -dict=false: the dictionary detectors read a holder refreshed on a
+# wall-clock heartbeat, the determinism contract's one stated exemption.
+# replay_alerts N prints /alerts once the daemon has logged the replay's
+# completion.
+replay_alerts() {
+    log=$(mktemp)
+    "$BIN" -addr "$ADDR" -scenario "$SCENARIO" -dict=false -engine-shards "$1" 2>"$log" &
+    rpid=$!
+    i=0
+    until grep -q "scenario $SCENARIO success=" "$log"; do
+        i=$((i + 1))
+        if [ "$i" -ge 150 ]; then
+            echo "watchsmoke: replay at -engine-shards $1 never finished" >&2
+            cat "$log" >&2
+            kill "$rpid" 2>/dev/null || true
+            return 1
+        fi
+        sleep 0.2
+    done
+    curl -fsS "http://$ADDR/alerts"
+    kill "$rpid" 2>/dev/null || true
+    wait "$rpid" 2>/dev/null || true
+    rm -f "$log"
+}
+echo "== determinism: the same replay at -engine-shards 1 and 4"
+alerts_1=$(replay_alerts 1)
+alerts_4=$(replay_alerts 4)
+case "$alerts_1" in *'"detector"'*) ;; *)
+    echo "watchsmoke: FAIL — the -dict=false replay raised no alerts"
+    exit 1 ;;
+esac
+if [ "$alerts_1" != "$alerts_4" ]; then
+    echo "watchsmoke: FAIL — /alerts differs between -engine-shards 1 and 4"
+    exit 1
+fi
+count1=$(printf '%s' "$alerts_1" | sed -n 's/.*"count": *\([0-9]*\).*/\1/p' | head -1)
+
+echo "watchsmoke: stage 1 OK — $count alerts, $comms dictionary communities, $ingested updates scraped from scenario $SCENARIO; $count1 alerts byte-identical at 1 and 4 engine shards"
 
 # ---------------------------------------------------------------------
 # Stage 2 — durability: hard-kill the daemon mid-feed, restart it on the

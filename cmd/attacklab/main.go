@@ -71,6 +71,9 @@ func main() {
 	)
 	flag.Var(&params, "p", "scenario parameter as name=value (repeatable)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
+	}
 
 	switch {
 	case *list:

@@ -43,6 +43,9 @@ func main() {
 		asJSON  = flag.Bool("json", false, "emit JSON instead of tables")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
+	}
 
 	switch {
 	case *asn < -1 || *asn > 0xFFFF:

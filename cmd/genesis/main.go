@@ -43,6 +43,9 @@ func main() {
 	sampleRel := flag.String("sample-rel", "", "sampler mode: CAIDA serial-1 relationship file to downsample (skips world building)")
 	sampleSize := flag.Int("sample-size", 5000, "sampler mode: target AS count")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
+	}
 
 	if *sampleRel != "" {
 		if err := runSample(*sampleRel, *sampleSize, *seed, *out); err != nil {

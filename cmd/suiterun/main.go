@@ -51,6 +51,9 @@ func main() {
 		updateBL  = flag.Bool("update-baseline", false, "record this run as <suite>.baseline.json for future paired comparisons")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
+	}
 
 	if *ab != "" {
 		os.Exit(runAB(*ab, suite.ABOptions{

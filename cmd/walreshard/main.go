@@ -32,6 +32,10 @@ func main() {
 		quiet        = flag.Bool("q", false, "suppress the per-destination report")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "walreshard: unexpected argument %q: every input is a flag, and flags after it were not read (see -h)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 	srcs := splitDirs(*from)
 	dsts := splitDirs(*to)
 	if len(srcs) == 0 || len(dsts) == 0 {

@@ -44,6 +44,9 @@ func main() {
 	years := flag.Bool("evolution", true, "compute the Figure 3 time series (builds one Internet per year)")
 	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (build/churn/analyze/evolution, or stream with -mrt)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
+	}
 	if *engine != "" && *engine != "delta" {
 		fail(fmt.Errorf("-engine %q: the only engine is \"delta\"", *engine))
 	}

@@ -40,7 +40,8 @@
 // write-ahead log and checkpoints engine state on -snapshot-interval;
 // a daemon killed mid-feed restarts into restore-from-snapshot plus
 // replay of the WAL tail, with zero loss of durable alerts. Feeds are
-// lossless in durable mode (the WAL is the backpressure point).
+// lossless with or without -wal: a feed that outruns the engine waits
+// for it (back-pressure), and no event is ever dropped.
 //
 // -scenario and -mrt are re-readable: a restarted daemon re-reads them
 // from the beginning and resume-skips everything recovery already
@@ -170,6 +171,9 @@ func main() {
 	flag.IntVar(&cfg.shardIndex, "shard-index", 0, "this process's shard index in [0, -shards)")
 	flag.StringVar(&cfg.frontend, "frontend", "", "run as a scatter-gather frontend over these comma-separated shard base URLs (no engines, no feeds)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
+	}
 	cfg.reg = obs.Default
 
 	var err error
@@ -219,10 +223,15 @@ func stopSignals(cfg *config) chan os.Signal {
 // runFrontend serves the scatter-gather tier: no engines, no feeds,
 // just the shard URL list and the merge logic in internal/serve.
 func runFrontend(cfg config) error {
+	if cfg.scenario != "" || cfg.mrtPath != "" || cfg.follow || cfg.feedListen != "" ||
+		cfg.walDir != "" || cfg.shardCount != 1 || cfg.shardIndex != 0 {
+		return fmt.Errorf("-frontend runs no engine: it takes no feed (-scenario, -mrt, -follow, -feed-listen), no -wal and no -shards/-shard-index")
+	}
 	urls := strings.Split(cfg.frontend, ",")
 	for i := range urls {
 		urls[i] = strings.TrimSpace(urls[i])
 	}
+	stop := stopSignals(&cfg) // before the listener, as in runDaemon
 	ln, err := listen(&cfg)
 	if err != nil {
 		return err
@@ -239,7 +248,7 @@ func runFrontend(cfg config) error {
 	select {
 	case err := <-errs:
 		return err
-	case <-stopSignals(&cfg):
+	case <-stop:
 	}
 	log.Printf("wormwatchd: frontend shutting down")
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -264,6 +273,9 @@ func runDaemon(cfg config) error {
 	if err != nil {
 		return err
 	}
+	if cfg.follow && cfg.mrtPath == "" {
+		return fmt.Errorf("-follow tails the file named by -mrt; there is no -mrt")
+	}
 	var mrtPaths []string
 	if cfg.mrtPath != "" {
 		var single bool
@@ -285,6 +297,15 @@ func runDaemon(cfg config) error {
 	}
 	if cfg.feedListen != "" && cfg.walDir != "" && (cfg.scenario != "" || cfg.mrtPath != "") {
 		return fmt.Errorf("-feed-listen cannot share -wal with -scenario/-mrt: re-readable feeds resume by re-reading and skipping, the live feed must resume from the WAL alone")
+	}
+	feedNetwork := "tcp"
+	if strings.Contains(cfg.feedListen, "/") {
+		feedNetwork = "unix"
+		if fi, err := os.Lstat(cfg.feedListen); err == nil && fi.Mode()&os.ModeSocket == 0 {
+			return fmt.Errorf("-feed-listen %s exists and is not a socket (an MRT archive goes to -mrt)", cfg.feedListen)
+		}
+		// Whatever is left there is the socket of a previous life killed hard.
+		os.Remove(cfg.feedListen)
 	}
 
 	reg := cfg.reg
@@ -361,6 +382,9 @@ func runDaemon(cfg config) error {
 		Store: store, ShardIndex: cfg.shardIndex, ShardCount: cfg.shardCount,
 		Pprof: cfg.pprofOn,
 	})
+	// Before the listener is up: whoever reads "listening" may send
+	// SIGTERM at once and must get the graceful path, not the default.
+	stop := stopSignals(&cfg)
 	ln, err := listen(&cfg)
 	if err != nil {
 		return err
@@ -382,7 +406,7 @@ func runDaemon(cfg config) error {
 		feeds.Add(1)
 		go func() {
 			defer feeds.Done()
-			replayScenario(eng, sink, store != nil, cfg.scenario, scenarioGen)
+			replayScenario(eng, sink, cfg.scenario, scenarioGen)
 		}()
 	}
 	// The tail reader is created here, before the feed goroutine starts,
@@ -440,20 +464,14 @@ func runDaemon(cfg config) error {
 	var feedLn net.Listener
 	var feedConns connSet
 	if cfg.feedListen != "" {
-		network := "tcp"
-		if strings.Contains(cfg.feedListen, "/") {
-			network = "unix"
-			// A previous life killed hard leaves the socket file behind.
-			os.Remove(cfg.feedListen)
-		}
-		feedLn, err = net.Listen(network, cfg.feedListen)
+		feedLn, err = net.Listen(feedNetwork, cfg.feedListen)
 		if err != nil {
 			return err
 		}
 		if cfg.feedReady != nil {
 			cfg.feedReady(feedLn.Addr().String())
 		}
-		log.Printf("wormwatchd: live feed listening on %s://%s", network, feedLn.Addr())
+		log.Printf("wormwatchd: live feed listening on %s://%s", feedNetwork, feedLn.Addr())
 		feeds.Add(1)
 		go func() {
 			defer feeds.Done()
@@ -511,7 +529,6 @@ func runDaemon(cfg config) error {
 		}
 	}()
 
-	stop := stopSignals(&cfg)
 	<-stop
 	log.Printf("wormwatchd: shutting down (again or wait %s to force)", forceExitAfter)
 	stopping.Store(true)
@@ -557,17 +574,10 @@ func runDaemon(cfg config) error {
 	return httpSrv.Shutdown(ctx)
 }
 
-// replayScenario drives a registered scenario through sink and logs the
-// Table-3 outcome. Without a durable store the tap is lossy
-// (non-blocking TryIngest, the live-observation semantics); with one,
-// the feed is lossless — the WAL is the record and must see every
-// event.
-func replayScenario(eng *watch.Engine, sink func(watch.Event), durableFeed bool, name string, params gen.Params) {
-	tapSink := sink
-	if !durableFeed {
-		tapSink = eng.TryIngest
-	}
-	ctx := &scenario.Context{Gen: params, Tap: watch.EventTap("scenario:"+name, tapSink)}
+// replayScenario drives a registered scenario through sink — the same
+// lossless sink every other feed uses — and logs the Table-3 outcome.
+func replayScenario(eng *watch.Engine, sink func(watch.Event), name string, params gen.Params) {
+	ctx := &scenario.Context{Gen: params, Tap: watch.EventTap("scenario:"+name, sink)}
 	res, err := scenario.Run(name, ctx)
 	if err != nil {
 		log.Printf("wormwatchd: scenario %s: %v", name, err)
@@ -575,8 +585,8 @@ func replayScenario(eng *watch.Engine, sink func(watch.Event), durableFeed bool,
 	}
 	eng.Flush()
 	st := eng.Stats()
-	log.Printf("wormwatchd: scenario %s success=%v; %d events, %d dropped, %d alerts",
-		name, res.Success, st.Ingested, st.Dropped, st.Alerts)
+	log.Printf("wormwatchd: scenario %s success=%v; %d events, %d alerts",
+		name, res.Success, st.Ingested, st.Alerts)
 }
 
 // connSet tracks live feed connections so shutdown can unblock their

@@ -22,6 +22,7 @@ import (
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/obs"
+	"bgpworms/internal/scenario"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/serve"
 	"bgpworms/internal/watch"
@@ -477,18 +478,25 @@ func TestDaemonFeedListenRejectsRereadableFeeds(t *testing.T) {
 	}
 }
 
-// TestDaemonValidatesMRTBeforeOpeningAnything: a mistyped -mrt, or
-// -follow on a directory, fails the process while it is still only a
-// command line — no WAL directory made, no listener bound, nothing a
-// supervisor could take for a daemon that came up.
+// TestDaemonValidatesMRTBeforeOpeningAnything: a mistyped -mrt, -follow
+// on a directory or on nothing, or an archive handed to -feed-listen
+// fails the process while it is still only a command line — no WAL
+// directory made, no listener bound, nothing a supervisor could take for
+// a daemon that came up — and the archive is still there afterwards.
 func TestDaemonValidatesMRTBeforeOpeningAnything(t *testing.T) {
+	archive := filepath.Join(t.TempDir(), "updates.rrc00.mrt")
+	if err := os.WriteFile(archive, []byte("not a socket"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for name, cfg := range map[string]config{
-		"typo":          {mrtPath: filepath.Join(t.TempDir(), "typo")},
-		"follow a dir":  {mrtPath: t.TempDir(), follow: true},
-		"empty archive": {mrtPath: t.TempDir()},
+		"typo":                   {mrtPath: filepath.Join(t.TempDir(), "typo")},
+		"follow a dir":           {mrtPath: t.TempDir(), follow: true},
+		"empty archive":          {mrtPath: t.TempDir()},
+		"follow nothing":         {follow: true},
+		"feed-listen an archive": {feedListen: archive},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if cfg.follow {
+			if cfg.follow && cfg.mrtPath != "" {
 				if err := os.WriteFile(filepath.Join(cfg.mrtPath, "updates.x.mrt"), nil, 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -502,7 +510,74 @@ func TestDaemonValidatesMRTBeforeOpeningAnything(t *testing.T) {
 			if _, err := os.Stat(cfg.walDir); !os.IsNotExist(err) {
 				t.Fatalf("the store was opened before -mrt was checked (stat %s: %v)", cfg.walDir, err)
 			}
+			if got, err := os.ReadFile(archive); err != nil || string(got) != "not a socket" {
+				t.Fatalf("the archive did not survive: %q, %v", got, err)
+			}
 		})
+	}
+}
+
+// TestFrontendRefusesEngineFlags: a frontend runs no engine, so a feed,
+// a WAL or a shard identity on its command line is a mistake, not
+// something to ignore.
+func TestFrontendRefusesEngineFlags(t *testing.T) {
+	for name, cfg := range map[string]config{
+		"wal":      {walDir: "d"},
+		"scenario": {scenario: "rtbh"},
+		"mrt":      {mrtPath: "x.mrt"},
+		"shards":   {shardCount: 2, shardIndex: 1},
+	} {
+		t.Run(name, func(t *testing.T) {
+			if cfg.shardCount == 0 {
+				cfg.shardCount = 1 // the flag's default
+			}
+			cfg.frontend, cfg.addr, cfg.reg = "http://127.0.0.1:1", "127.0.0.1:0", obs.NewRegistry()
+			cfg.ready = func(addr string) { t.Errorf("frontend listening on %s", addr) }
+			if err := runFrontend(cfg); err == nil || !strings.Contains(err.Error(), "-frontend") {
+				t.Fatalf("runFrontend: %v", err)
+			}
+		})
+	}
+}
+
+// TestScenarioAlertsSameWithAndWithoutWAL: a scenario replay is lossless
+// whatever it feeds, so /alerts is the same bytes through the durable
+// store and straight into the engine, at any engine shard count. The
+// replay's length comes from counting the tap, so "done" is a number and
+// not a quiet period.
+func TestScenarioAlertsSameWithAndWithoutWAL(t *testing.T) {
+	params, err := scenario.GenParams("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events uint64
+	count := &scenario.Context{Gen: params, Tap: watch.EventTap("count", func(watch.Event) { events++ })}
+	if _, err := scenario.Run("rtbh", count); err != nil {
+		t.Fatal(err)
+	}
+	replayed := func(cfg config) string {
+		cfg.scenario = "rtbh"
+		d := startDaemon(t, cfg)
+		defer d.stop(t)
+		base := d.url(t)
+		waitStable(t, base+"/stats", func(body string) bool {
+			var st watch.Stats
+			if err := json.Unmarshal([]byte(body), &st); err != nil {
+				t.Fatalf("/stats: %v\n%s", err, body)
+			}
+			return st.Ingested == events && st.Processed == events
+		})
+		_, alerts := httpGet(t, base+"/alerts")
+		return alerts
+	}
+	want := replayed(config{walDir: t.TempDir(), fsync: 5 * time.Millisecond})
+	if !strings.Contains(want, `"detector"`) {
+		t.Fatalf("the -wal replay raised no alerts:\n%.300s", want)
+	}
+	for _, shards := range []int{1, 4} {
+		if got := replayed(config{engineShards: shards}); got != want {
+			t.Fatalf("-engine-shards %d without -wal serves different /alerts than the -wal run:\nwal:    %.300s\nno wal: %.300s", shards, want, got)
+		}
 	}
 }
 

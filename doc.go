@@ -53,9 +53,11 @@
 // enforces with shrinking.
 // The watch and semantics engines extend the same discipline to the
 // online side: prefix-sharded windows make alert sets shard-count
-// invariant, and the dictionary engine's commutative evidence folds
-// make inferred dictionaries invariant to how the stream was split over
-// the partial dictionaries the watch shards fold into.
+// invariant, ingest has one lossless path (a feed that outruns the
+// shard workers waits; nothing is shed), and the dictionary engine's
+// commutative evidence folds make inferred dictionaries invariant to
+// how the stream was split over the partial dictionaries the watch
+// shards fold into.
 // Converged worlds can be frozen into immutable snapshots
 // (simnet.Network.Freeze, gen.BuildSnapshot) and forked copy-on-write,
 // so a sweep or release suite builds each (scale, seed) world

@@ -1,9 +1,7 @@
 package bgp
 
 import (
-	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -271,60 +269,6 @@ func TestCommunitySetAddKeepsOrderAgainstSort(t *testing.T) {
 	for i := range ref {
 		if s[i] != ref[i] {
 			t.Fatalf("set=%v ref=%v", s, ref)
-		}
-	}
-}
-
-// Parked: no caller is left outside this file for the two parsers below.
-// They stay only until their tests can be retired; delete each with its
-// test.
-
-// MustCommunity is ParseCommunity that panics.
-func MustCommunity(s string) Community {
-	c, err := ParseCommunity(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-func TestMustCommunityPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustCommunity("bad")
-}
-
-// ParseLargeCommunity parses the "ga:d1:d2" presentation format.
-func ParseLargeCommunity(s string) (LargeCommunity, error) {
-	parts := strings.Split(s, ":")
-	if len(parts) != 3 {
-		return LargeCommunity{}, fmt.Errorf("bgp: large community %q: need 3 parts", s)
-	}
-	var vals [3]uint32
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 10, 32)
-		if err != nil {
-			return LargeCommunity{}, fmt.Errorf("bgp: large community %q: %v", s, err)
-		}
-		vals[i] = uint32(v)
-	}
-	return LargeCommunity{vals[0], vals[1], vals[2]}, nil
-}
-
-func TestParseLargeCommunity(t *testing.T) {
-	l, err := ParseLargeCommunity("4200000000:1:2")
-	if err != nil || l.GlobalAdmin != 4200000000 || l.Data1 != 1 || l.Data2 != 2 {
-		t.Fatalf("got %v err %v", l, err)
-	}
-	if l.String() != "4200000000:1:2" {
-		t.Fatalf("String=%q", l.String())
-	}
-	for _, bad := range []string{"1:2", "1:2:3:4", "x:1:2", "1:99999999999:2"} {
-		if _, err := ParseLargeCommunity(bad); err == nil {
-			t.Errorf("ParseLargeCommunity(%q) should fail", bad)
 		}
 	}
 }

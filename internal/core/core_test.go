@@ -2,7 +2,6 @@ package core
 
 import (
 	"net/netip"
-	"sort"
 	"testing"
 	"time"
 
@@ -399,22 +398,5 @@ func TestEvolutionMetrics(t *testing.T) {
 	}
 	if te != 3 { // three latest announcements
 		t.Fatalf("te=%d", te)
-	}
-}
-
-// sortedASNs renders an ASN set deterministically.
-func sortedASNs(m map[uint32]bool) []uint32 {
-	out := make([]uint32, 0, len(m))
-	for a := range m {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func TestSortedASNs(t *testing.T) {
-	got := sortedASNs(map[uint32]bool{5: true, 1: true, 3: true})
-	if len(got) != 3 || got[0] != 1 || got[2] != 5 {
-		t.Fatalf("got=%v", got)
 	}
 }

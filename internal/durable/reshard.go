@@ -45,11 +45,11 @@ import (
 //
 // Non-splittable residue: semantics state is keyed by AS, not prefix,
 // and is dropped (destinations rebuild it from the replayed tail and
-// the live feed); global engine counters (Ingested, Dropped,
-// AlertsTruncated) and the store's Skipped count are per-shard
-// accounting and restart from the splittable evidence — retained
-// window totals and alerts. The /alerts surface, which is built purely
-// from prefix-keyed state, is preserved byte-for-byte.
+// the live feed); global engine counters (Ingested, AlertsTruncated)
+// and the store's Skipped count are per-shard accounting and restart
+// from the splittable evidence — retained window totals and alerts. The
+// /alerts surface, which is built purely from prefix-keyed state, is
+// preserved byte-for-byte.
 
 // ReshardOptions configures one offline reshard run.
 type ReshardOptions struct {

@@ -30,7 +30,9 @@ import (
 // bounds-checked reader as WAL records:
 //
 //	header     seq, skipped, saved-at, sections (bit 0 watch, bit 1 semantics)
-//	watch      seq, ingested, processed, dropped, alerts raised, alerts truncated
+//	watch      seq, ingested, processed, 0, alerts raised, alerts truncated
+//	           (the fourth slot counted events shed by a lossy ingest path
+//	           the engine no longer has; written 0, skipped on read)
 //	           n x window: prefix, total, n x (length, EncodeEvent record)
 //	           n x alert:  seq, time, detector, severity, prefix, peer AS,
 //	                       origin AS, community, source, message
@@ -226,7 +228,7 @@ func encodeCheckpoint(w io.Writer, cp *Checkpoint) error {
 }
 
 func (e *snapEncoder) watch(st *watch.State) {
-	for _, v := range []uint64{st.Seq, st.Ingested, st.Processed, st.Dropped, st.AlertsRaised, st.AlertsTruncated} {
+	for _, v := range []uint64{st.Seq, st.Ingested, st.Processed, 0, st.AlertsRaised, st.AlertsTruncated} {
 		e.uvarint(v)
 	}
 	e.uvarint(uint64(len(st.Prefixes)))
@@ -334,10 +336,9 @@ func decodeCheckpoint(body []byte) (*Checkpoint, error) {
 }
 
 func decodeWatchState(r *reader) (*watch.State, error) {
-	st := &watch.State{
-		Seq: r.uvarint(), Ingested: r.uvarint(), Processed: r.uvarint(),
-		Dropped: r.uvarint(), AlertsRaised: r.uvarint(), AlertsTruncated: r.uvarint(),
-	}
+	st := &watch.State{Seq: r.uvarint(), Ingested: r.uvarint(), Processed: r.uvarint()}
+	r.uvarint() // reserved slot, see the layout above
+	st.AlertsRaised, st.AlertsTruncated = r.uvarint(), r.uvarint()
 	if n := r.count(minWindowBytes); n > 0 {
 		st.Prefixes = make([]watch.PrefixWindow, 0, n)
 		for i := 0; i < n && !r.failed; i++ {

@@ -49,7 +49,7 @@ func sampleCheckpoint() *Checkpoint {
 		Skipped: 4,
 		SavedAt: t0.Add(time.Hour),
 		Watch: &watch.State{
-			Seq: 11, Ingested: 12, Processed: 11, Dropped: 1, AlertsRaised: 3, AlertsTruncated: 1,
+			Seq: 11, Ingested: 12, Processed: 11, AlertsRaised: 3, AlertsTruncated: 1,
 			Prefixes: []watch.PrefixWindow{
 				{Total: 1, Events: evs[3:4]}, // the prefix-less window
 				{Prefix: evs[4].Prefix, Total: 1, Events: evs[4:5]},

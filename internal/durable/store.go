@@ -25,9 +25,6 @@ type Options struct {
 	// the background loop; Snapshot can still be called directly, and
 	// Close always writes a final checkpoint).
 	SnapshotInterval time.Duration
-	// KeepSnapshots is how many checkpoint files to retain (default 2:
-	// the newest plus one fallback against a torn write).
-	KeepSnapshots int
 	// Owner, when non-nil, is the sharded daemon's ownership filter:
 	// events whose prefix it rejects still consume a global sequence
 	// number (so every shard assigns identical sequences) but are
@@ -42,13 +39,6 @@ type Options struct {
 	// Metrics, when non-nil, exposes the store and its WAL: fsync
 	// latency, wal_bytes, snapshot_age_seconds, sequence watermarks.
 	Metrics *obs.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = 2
-	}
-	return o
 }
 
 // Recovery reports what Open rebuilt.
@@ -88,6 +78,7 @@ type Store struct {
 	wal  *WAL
 
 	snapMu sync.Mutex
+	keep   int // checkpoint files retained: 2, the newest and a fallback against a torn write (a test audits more)
 
 	mu          sync.Mutex
 	pos         uint64 // global position of the last event seen from the feed
@@ -114,7 +105,6 @@ type Store struct {
 // watch engine's shard workers (watch.Config.Semantics), not by the
 // store, and cut behind the watch engine's Flush.
 func Open(eng *watch.Engine, sem *semantics.Engine, opts Options) (*Store, Recovery, error) {
-	opts = opts.withDefaults()
 	var rec Recovery
 	if opts.Dir == "" {
 		return nil, rec, fmt.Errorf("durable: Options.Dir is required")
@@ -127,7 +117,7 @@ func Open(eng *watch.Engine, sem *semantics.Engine, opts Options) (*Store, Recov
 		return nil, rec, err
 	}
 	s := &Store{
-		opts: opts, eng: eng, sem: sem,
+		opts: opts, eng: eng, sem: sem, keep: 2,
 		stopSnap: make(chan struct{}), snapDone: make(chan struct{}),
 	}
 	if cp != nil {
@@ -324,7 +314,7 @@ func (s *Store) writeCheckpoint(cp *Checkpoint) error {
 	if err := s.wal.TruncateBefore(cp.Seq + 1); err != nil {
 		return err
 	}
-	return pruneSnapshots(s.opts.Dir, s.opts.KeepSnapshots)
+	return pruneSnapshots(s.opts.Dir, s.keep)
 }
 
 // runSnapshots is the background checkpoint loop.

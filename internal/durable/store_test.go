@@ -260,7 +260,7 @@ func hashOwner(index, of int) func(netip.Prefix) bool {
 // by sequence — must be byte-identical to a single-process run.
 func TestStoreShardedByteIdentity(t *testing.T) {
 	events := churnEvents(t)
-	wantAlerts, _, wantStats := referenceRun(t, events)
+	wantAlerts, _, _ := referenceRun(t, events)
 
 	const shards = 3
 	var merged []watch.Alert
@@ -300,13 +300,10 @@ func TestStoreShardedByteIdentity(t *testing.T) {
 	if want := uint64((shards - 1) * len(events)); skippedTotal != want {
 		t.Fatalf("shards skipped %d events in total, want %d", skippedTotal, want)
 	}
-	if wantStats.Dropped != 0 {
-		t.Fatalf("reference run dropped %d events; the identity claim needs a lossless feed", wantStats.Dropped)
-	}
 }
 
 // TestStoreSnapshotRetention pins the garbage-collection behavior:
-// checkpoints prune to KeepSnapshots and fully-covered WAL segments are
+// checkpoints prune to two and fully-covered WAL segments are
 // deleted.
 func TestStoreSnapshotRetention(t *testing.T) {
 	events := churnEvents(t)
@@ -317,7 +314,6 @@ func TestStoreSnapshotRetention(t *testing.T) {
 	st, _, err := Open(eng, sem, Options{
 		Dir:           dir,
 		SegmentBytes:  4096,
-		KeepSnapshots: 2,
 		FsyncInterval: noSync,
 	})
 	if err != nil {
@@ -432,14 +428,14 @@ func TestStoreExactCutUnderConcurrentIngest(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{
 		Dir: dir, FsyncInterval: time.Millisecond,
-		SegmentBytes:  256 << 10, // rotations and truncations inside the run
-		KeepSnapshots: 1 << 20,   // keep every checkpoint for the audit below
+		SegmentBytes: 256 << 10, // rotations and truncations inside the run
 	}
 	eng, sem := newPair(3)
 	st, _, err := Open(eng, sem, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	st.keep = 1 << 20 // keep every checkpoint for the audit below
 
 	var wg sync.WaitGroup
 	var ingested, snaps atomic.Int64

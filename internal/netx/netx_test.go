@@ -44,41 +44,6 @@ func TestCovers(t *testing.T) {
 	}
 }
 
-// Halves splits p into its two immediate more-specific halves. It panics
-// if p is a host route. Parked here with its two tests: no caller is left
-// outside this file.
-func Halves(p netip.Prefix) (lo, hi netip.Prefix) {
-	bits := p.Bits()
-	if bits >= p.Addr().BitLen() {
-		panic("netx: cannot split host route " + p.String())
-	}
-	lo = netip.PrefixFrom(p.Addr(), bits+1).Masked()
-	hiAddr := p.Addr().AsSlice()
-	hiAddr[bits/8] |= 1 << (7 - bits%8)
-	a, _ := netip.AddrFromSlice(hiAddr)
-	return lo, netip.PrefixFrom(a, bits+1).Masked()
-}
-
-func TestHalves(t *testing.T) {
-	lo, hi := Halves(MustPrefix("10.0.0.0/8"))
-	if lo.String() != "10.0.0.0/9" || hi.String() != "10.128.0.0/9" {
-		t.Fatalf("got %s %s", lo, hi)
-	}
-	lo6, hi6 := Halves(MustPrefix("2001:db8::/32"))
-	if lo6.String() != "2001:db8::/33" || hi6.String() != "2001:db8:8000::/33" {
-		t.Fatalf("got %s %s", lo6, hi6)
-	}
-}
-
-func TestHalvesPanicsOnHostRoute(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Halves(MustPrefix("1.2.3.4/32"))
-}
-
 func TestNthAddr(t *testing.T) {
 	p := MustPrefix("192.0.2.0/24")
 	if got := NthAddr(p, 1); got != V4(192, 0, 2, 1) {
@@ -179,43 +144,6 @@ func TestTrieLookupMissAndFamilies(t *testing.T) {
 	}
 	if _, v, ok := tr.Lookup(netip.MustParseAddr("10.255.0.1")); !ok || v != 4 {
 		t.Fatal("v4 lookup failed")
-	}
-}
-
-// LookupPrefix performs longest-prefix match for an entire prefix: the
-// result must cover all of p. Parked here with its test: no caller is
-// left outside this file.
-func (t *Trie[V]) LookupPrefix(p netip.Prefix) (netip.Prefix, V, bool) {
-	var (
-		best netip.Prefix
-		val  V
-		ok   bool
-	)
-	n := t.root(p)
-	for i := 0; n != nil; i++ {
-		if n.set {
-			best, val, ok = n.pfx, n.val, true
-		}
-		if i >= p.Bits() {
-			break
-		}
-		n = n.child[bitAt(p.Addr(), i)]
-	}
-	return best, val, ok
-}
-
-func TestTrieLookupPrefix(t *testing.T) {
-	tr := NewTrie[string]()
-	tr.Insert(MustPrefix("10.0.0.0/8"), "eight")
-	tr.Insert(MustPrefix("10.1.0.0/16"), "sixteen")
-	p, v, ok := tr.LookupPrefix(MustPrefix("10.1.2.0/24"))
-	if !ok || v != "sixteen" || p.String() != "10.1.0.0/16" {
-		t.Fatalf("got %s %q %v", p, v, ok)
-	}
-	// A /12 inside 10/8 but above /16 must match only the /8.
-	_, v, ok = tr.LookupPrefix(MustPrefix("10.0.0.0/12"))
-	if !ok || v != "eight" {
-		t.Fatalf("got %q %v", v, ok)
 	}
 }
 

@@ -440,7 +440,6 @@ func (f *Frontend) handleStats(w http.ResponseWriter, r *http.Request) {
 			t := &payload.Total
 			t.Ingested += st.Ingested
 			t.Processed += st.Processed
-			t.Dropped += st.Dropped
 			t.Pending += st.Pending
 			t.Alerts += st.Alerts
 			t.AlertsTruncated += st.AlertsTruncated

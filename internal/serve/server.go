@@ -208,7 +208,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"go_version":     build.GoVersion,
 		"git_sha":        build.GitSHA,
 		"ingested":       st.Ingested,
-		"dropped":        st.Dropped,
 		"alerts":         st.Alerts,
 	}
 	if s.opts.ShardCount > 1 {

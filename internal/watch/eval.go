@@ -169,7 +169,7 @@ func EvalScenario(name string, ctx *scenario.Context, cfg Config) (*EvalReport, 
 	}
 	eng := NewEngine(cfg)
 	defer eng.Close()
-	ctx.Tap = eng.BlockingTap("scenario:" + name)
+	ctx.Tap = EventTap("scenario:"+name, eng.Ingest)
 	res, err := scenario.Run(name, ctx)
 	if err != nil {
 		return nil, err

@@ -67,21 +67,13 @@ func (d *drainReader) Read(p []byte) (int, error) {
 	return d.r.Read(p)
 }
 
-// BlockingTap returns a simnet session tap feeding the engine with
-// lossless ingest: the simulation waits for the engine instead of
-// dropping. The scenario ground-truth eval uses it, where feed fidelity
-// outranks simulation latency. Attach via gen.Params.Tap /
-// scenario.Context.Tap to observe a world from its first origin
-// announcement; a live source that must not stall on its observer
-// passes TryIngest to EventTap instead.
-func (e *Engine) BlockingTap(source string) simnet.UpdateTap {
-	return EventTap(source, e.Ingest)
-}
-
 // EventTap converts simnet session updates into Events and hands them
-// to sink — the routing point for anything that wants to sit between a
-// scenario replay and an engine, like the durable store (which journals
-// each event before forwarding).
+// to sink: an engine's Ingest, or anything that sits between a scenario
+// replay and an engine, like the durable store (which journals each
+// event before forwarding). Attach via gen.Params.Tap /
+// scenario.Context.Tap to observe a world from its first origin
+// announcement. The tap is lossless: the simulation waits for a
+// saturated engine instead of dropping.
 func EventTap(source string, sink func(Event)) simnet.UpdateTap {
 	return func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
 		ev := Event{Source: source, PeerAS: uint32(from), Prefix: prefix}

@@ -20,11 +20,10 @@ import (
 type State struct {
 	// Seq is the last assigned ingest sequence number.
 	Seq uint64
-	// Ingested / Processed / Dropped / AlertsRaised / AlertsTruncated
-	// mirror the Stats counters at export time.
+	// Ingested / Processed / AlertsRaised / AlertsTruncated mirror the
+	// Stats counters at export time.
 	Ingested        uint64
 	Processed       uint64
-	Dropped         uint64
 	AlertsRaised    uint64
 	AlertsTruncated uint64
 	// Prefixes holds every tracked prefix's window, sorted by prefix
@@ -62,7 +61,6 @@ func (e *Engine) ExportState() *State {
 		Seq:             seq,
 		Ingested:        e.ingested.Load(),
 		Processed:       e.processed.Load(),
-		Dropped:         e.dropped.Load(),
 		AlertsRaised:    e.alerts.Load(),
 		AlertsTruncated: e.truncated.Load(),
 		ByDetector:      make(map[string]uint64),
@@ -126,7 +124,6 @@ func (e *Engine) RestoreState(st *State) error {
 	e.mu.Unlock()
 	e.ingested.Store(st.Ingested)
 	e.processed.Store(st.Processed)
-	e.dropped.Store(st.Dropped)
 	e.alerts.Store(st.AlertsRaised)
 	e.truncated.Store(st.AlertsTruncated)
 	for i := range st.Prefixes {

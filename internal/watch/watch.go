@@ -13,10 +13,10 @@
 //     lives wholly inside one shard and detectors read only that state,
 //     so the alert set is bit-identical for any shard count
 //     (TestWatchDeterminismAcrossShards);
-//   - non-blocking ingest for live sources: TryIngest never blocks the
-//     producer — when the engine falls behind, events are dropped and
-//     counted, so a simnet run tapped through EventTap(source,
-//     TryIngest) cannot stall on its observer.
+//   - one lossless way in: Ingest. A full shard queue is the
+//     back-pressure — an MRT stream, a feed socket, a simnet run tapped
+//     through EventTap(source, Ingest) waits for the engine and no event
+//     is ever shed (see "Engine locking" on Engine).
 //
 // Feeds come from adapters in feed.go (MRT byte streams via
 // core.StreamMRTUpdates, live simnet taps); eval.go
@@ -103,15 +103,6 @@ type Config struct {
 	// Window is the time horizon (default 15m): events older than the
 	// newest arrival minus Window are evicted from the ring.
 	Window time.Duration
-	// BatchSize caps a shard's pending run (default 128 events): a run
-	// that reaches it is handed to the shard worker at once. It bounds
-	// batch memory and amortises the channel send; it is not a latency
-	// floor, because shorter runs leave whenever a feed drains (Dispatch,
-	// called by DrainReader) or a caller flushes.
-	BatchSize int
-	// QueueDepth is the per-shard batch queue (default 64 batches);
-	// TryIngest drops when a shard's queue is full.
-	QueueDepth int
 	// MaxAlerts bounds retained alerts so a long-running daemon cannot
 	// grow without limit (default 100000; negative = unlimited). When a
 	// shard's share overflows, its oldest alerts are discarded and
@@ -140,12 +131,11 @@ type Config struct {
 	// dictionaries, and its worker folds every batch's community-bearing
 	// events into it right after the detectors have seen them, with the
 	// sequence and timestamp this engine assigned. The dictionary
-	// therefore sees exactly the events the detectors do — an event
-	// TryIngest sheds reaches neither — and is complete for everything
-	// before a Flush. The folds are order-insensitive, so the dictionary
-	// is as shard-count invariant as the alert set. Semantics and Dict
-	// are deliberately separate: a dictionary consulted mid-build would
-	// make alerts depend on shard timing.
+	// therefore sees exactly the events the detectors do and is complete
+	// for everything before a Flush. The folds are order-insensitive, so
+	// the dictionary is as shard-count invariant as the alert set.
+	// Semantics and Dict are deliberately separate: a dictionary
+	// consulted mid-build would make alerts depend on shard timing.
 	Semantics *semantics.Engine
 }
 
@@ -158,12 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Window <= 0 {
 		c.Window = 15 * time.Minute
-	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 128
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
 	}
 	if c.MaxAlerts == 0 {
 		c.MaxAlerts = 100000
@@ -184,19 +168,25 @@ type batch struct {
 	ack    chan struct{}
 }
 
+const (
+	// batchSize caps a shard's pending run: a run that reaches it goes
+	// to the shard worker at once. It bounds batch memory and amortises
+	// the channel send; it is no latency floor, because shorter runs
+	// leave whenever a feed drains (Dispatch) or a caller flushes.
+	batchSize = 128
+	// queueDepth is each shard's queue, in batches: enough to ride out a
+	// worker's slow batch, so a producer that has to wait means the
+	// engine is saturated, not bursty.
+	queueDepth = 64
+)
+
 // shard owns a disjoint slice of the prefix space: its state map, its
 // alerts, and one worker goroutine draining its queue. Queries lock mu
 // and read while ingestion continues on the other shards.
 type shard struct {
-	ch chan batch
-	// sendMu serializes batch dispatch into ch (and gates it against
-	// Close). It is never held while e.mu is, so a blocked lossless
-	// sender stalls only its own shard's dispatch — the lossy path
-	// TryLocks and sheds instead of waiting.
-	sendMu sync.Mutex
-	closed bool // guarded by sendMu
+	ch chan batch // sent to and closed only under Engine.mu
 
-	mu         sync.Mutex
+	mu         sync.Mutex // workers and readers only; see "Engine locking"
 	prefixes   map[netip.Prefix]*PrefixState
 	alerts     []Alert
 	byDetector map[string]uint64
@@ -215,8 +205,20 @@ type shard struct {
 }
 
 // Engine is the streaming detection engine. Create with NewEngine; feed
-// with Ingest / TryIngest or the adapters in feed.go; query Alerts,
-// Stats, and PrefixInfo at any time, including mid-ingest.
+// with Ingest or the adapters in feed.go; query Alerts, Stats, and
+// PrefixInfo at any time, including mid-ingest.
+//
+// Engine locking: two locks, one order. Engine.mu is the ingest lock.
+// It covers stamping the sequence, appending to the home shard's
+// pending run and sending a run (or a flush token) into the shard's
+// queue, so with any number of producers runs enter a queue in stamp
+// order: per-shard FIFO is a property of the lock. A send that finds the
+// queue full blocks holding Engine.mu — the back-pressure; it stalls
+// every producer — which is safe because of one rule: shard workers, and
+// the detectors and dictionary fold they run, never take Engine.mu, so
+// the queue always drains. shard.mu guards one shard's windows and
+// alerts; only its worker and readers (Alerts, Stats, PrefixInfo,
+// ExportState, a scrape) take it, and nothing takes Engine.mu under it.
 type Engine struct {
 	cfg       Config
 	detectors []Detector
@@ -224,14 +226,13 @@ type Engine struct {
 	wg        sync.WaitGroup
 	batchPool sync.Pool
 
-	mu      sync.Mutex // ingest path: seq, pending, closed
+	mu      sync.Mutex // ingest path: seq, pending, closed, shard queue sends
 	seq     uint64
 	pending [][]Event
-	closed  bool
+	closed  bool // once set, every pending run is empty and every queue closed
 
 	ingested  atomic.Uint64
 	processed atomic.Uint64
-	dropped   atomic.Uint64
 	alerts    atomic.Uint64
 	truncated atomic.Uint64
 	version   atomic.Uint64
@@ -247,14 +248,14 @@ func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{cfg: cfg, detectors: cfg.Detectors}
 	e.batchPool.New = func() any {
-		buf := make([]Event, 0, cfg.BatchSize)
+		buf := make([]Event, 0, batchSize)
 		return &buf
 	}
 	e.shards = make([]*shard, cfg.Shards)
 	e.pending = make([][]Event, cfg.Shards)
 	for i := range e.shards {
 		s := &shard{
-			ch:         make(chan batch, cfg.QueueDepth),
+			ch:         make(chan batch, queueDepth),
 			prefixes:   make(map[netip.Prefix]*PrefixState),
 			byDetector: make(map[string]uint64),
 		}
@@ -298,9 +299,8 @@ func NewEngine(cfg Config) *Engine {
 
 // bindMetrics attaches the engine to a registry: one batch-latency
 // histogram written by the shard workers, and a scrape-time collector
-// for everything the engine already counts. The collector takes the
-// shard locks exactly like Stats does, so a scrape is as safe (and as
-// cheap) as a /stats query.
+// that renders Stats, so a scrape is as safe (and as cheap) as a /stats
+// query.
 func (e *Engine) bindMetrics(reg *obs.Registry) {
 	e.batchHist = reg.Histogram("watch_batch_seconds",
 		"shard batch apply latency", obs.DurationBuckets)
@@ -311,29 +311,14 @@ func (e *Engine) bindMetrics(reg *obs.Registry) {
 		gauge := func(name, help string, v float64) {
 			emit(obs.Sample{Name: name, Help: help, Type: obs.TypeGauge, Value: v})
 		}
-		ingested, processed, dropped := e.ingested.Load(), e.processed.Load(), e.dropped.Load()
-		counter("watch_ingested_total", "events accepted for processing", ingested)
-		counter("watch_processed_total", "events applied by shard workers", processed)
-		counter("watch_dropped_total", "events shed by the non-blocking ingest path", dropped)
-		counter("watch_alerts_total", "alerts raised across all detectors", e.alerts.Load())
-		counter("watch_alerts_truncated_total", "old alerts discarded under the retention cap", e.truncated.Load())
-		var pending uint64
-		if ingested > processed+dropped {
-			pending = ingested - processed - dropped
-		}
-		gauge("watch_pending_events", "events ingested but not yet applied", float64(pending))
-		tracked := 0
-		byDet := make(map[string]uint64)
-		for _, s := range e.shards {
-			s.mu.Lock()
-			tracked += len(s.prefixes)
-			for k, v := range s.byDetector {
-				byDet[k] += v
-			}
-			s.mu.Unlock()
-		}
-		gauge("watch_tracked_prefixes", "prefixes with live window state", float64(tracked))
-		for det, v := range byDet {
+		st := e.Stats()
+		counter("watch_ingested_total", "events accepted for processing", st.Ingested)
+		counter("watch_processed_total", "events applied by shard workers", st.Processed)
+		counter("watch_alerts_total", "alerts raised across all detectors", st.Alerts)
+		counter("watch_alerts_truncated_total", "old alerts discarded under the retention cap", st.AlertsTruncated)
+		gauge("watch_pending_events", "events ingested but not yet applied", float64(st.Pending))
+		gauge("watch_tracked_prefixes", "prefixes with live window state", float64(st.TrackedPrefixes))
+		for det, v := range st.ByDetector {
 			counter(`watch_detector_alerts_total{detector="`+det+`"}`,
 				"alerts raised, by detector", v)
 		}
@@ -356,30 +341,18 @@ func (e *Engine) shardOf(p netip.Prefix) int {
 	return int(h % uint32(len(e.shards)))
 }
 
-// Ingest feeds one event, blocking if the home shard's queue is full.
-// The engine assigns Seq in call order: feed from a single goroutine
-// (every adapter in feed.go does) and the alert set is deterministic.
-// Ingesting after Close is a silent no-op.
+// Ingest feeds one event; it is the engine's only way in. An event that
+// fills its home shard's pending run sends the run to the shard worker,
+// and if that shard's queue is full the call — and every other producer
+// — waits for the worker: back-pressure, never loss. The engine assigns
+// Seq in call order: feed from a single goroutine (every adapter in
+// feed.go does) and the alert set is deterministic. Ingesting after Close
+// is a silent no-op.
 func (e *Engine) Ingest(ev Event) {
-	e.ingest(ev, true)
-}
-
-// TryIngest feeds one event without ever blocking: when the home
-// shard's queue is full — or its dispatch lock is held by a blocked
-// lossless sender — the shard's pending run is shed and counted in
-// Stats.Dropped (in mixed blocking/non-blocking use, shed runs can
-// include events a blocking feed queued on the same shard). This is
-// the backpressure path live simnet taps ride — a slow engine can
-// never stall the simulation.
-func (e *Engine) TryIngest(ev Event) {
-	e.ingest(ev, false)
-}
-
-func (e *Engine) ingest(ev Event, block bool) {
 	ev.Prefix = ev.Prefix.Masked()
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		return
 	}
 	if ev.Seq == 0 {
@@ -396,68 +369,21 @@ func (e *Engine) ingest(ev Event, block bool) {
 	}
 	si := e.shardOf(ev.Prefix)
 	e.pending[si] = append(e.pending[si], ev)
-	full := len(e.pending[si]) >= e.cfg.BatchSize
 	e.ingested.Add(1)
-	e.mu.Unlock()
-	if full {
-		e.dispatch(e.shards[si], si, block)
+	if len(e.pending[si]) >= batchSize {
+		e.sendLocked(si)
 	}
 }
 
-// dispatch detaches the shard's pending run and hands it to the worker.
-// Detach and send happen under the shard's dispatch lock (never under
-// e.mu), which keeps two guarantees at once: a lossless sender blocked
-// on a full shard cannot stall TryIngest — the never-block path live
-// simnet taps ride only TryLocks this lock and sheds on contention —
-// and concurrent producers cannot reorder batches within a shard, since
-// no batch leaves e.pending except in dispatch order (per-shard FIFO is
-// what keeps per-prefix windows chronological).
-func (e *Engine) dispatch(s *shard, si int, block bool) {
-	if block {
-		s.sendMu.Lock()
-	} else if !s.sendMu.TryLock() {
-		e.shedPending(si)
+// sendLocked hands shard si's pending run, if any, to the shard worker,
+// blocking while the queue is full. The caller holds e.mu (see "Engine
+// locking"); on a closed engine pending is empty, so nothing is sent.
+func (e *Engine) sendLocked(si int) {
+	if len(e.pending[si]) == 0 {
 		return
 	}
-	defer s.sendMu.Unlock()
-	e.mu.Lock()
-	events := e.pending[si]
-	if len(events) == 0 {
-		// Another producer dispatched (or shed) this run first.
-		e.mu.Unlock()
-		return
-	}
+	e.shards[si].ch <- batch{events: e.pending[si]}
 	e.pending[si] = *e.batchPool.Get().(*[]Event)
-	e.mu.Unlock()
-	if s.closed {
-		e.shed(events)
-		return
-	}
-	if block {
-		s.ch <- batch{events: events}
-		return
-	}
-	select {
-	case s.ch <- batch{events: events}:
-	default:
-		e.shed(events)
-	}
-}
-
-// shedPending drops a shard's pending run in place (the lossy path's
-// response to dispatch contention).
-func (e *Engine) shedPending(si int) {
-	e.mu.Lock()
-	n := len(e.pending[si])
-	e.pending[si] = e.pending[si][:0]
-	e.mu.Unlock()
-	e.dropped.Add(uint64(n))
-}
-
-func (e *Engine) shed(events []Event) {
-	e.dropped.Add(uint64(len(events)))
-	buf := events[:0]
-	e.batchPool.Put(&buf)
 }
 
 // runShard is the per-shard worker: it applies batches in arrival order
@@ -529,37 +455,36 @@ func (e *Engine) process(s *shard, ev *Event) {
 // without waiting for the runs to be applied: the call a feed makes when
 // it has decoded everything that has arrived and its next read may block
 // (DrainReader), so a short run is not held back for the events that
-// would have filled it. Runs leave through dispatch like full ones —
-// same per-shard FIFO, same back-pressure on a full queue — so where a
+// would have filled it. Runs leave exactly like full ones, so where a
 // run is cut is unobservable in the alert set. With nothing pending it
-// only looks (e.mu, once per shard) and allocates nothing.
+// takes e.mu once and allocates nothing.
 func (e *Engine) Dispatch() {
-	for si, s := range e.shards {
-		e.mu.Lock()
-		n := len(e.pending[si])
-		e.mu.Unlock()
-		if n > 0 {
-			e.dispatch(s, si, true)
-		}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for si := range e.shards {
+		e.sendLocked(si)
 	}
 }
 
 // Flush dispatches every pending run and blocks until all shards have
-// applied everything ingested before the call. The ack token is sent
-// under the shard's dispatch lock, so it slots into the per-shard FIFO
-// behind the run instead of racing concurrent producers.
+// applied everything ingested before the call: the ack tokens are queued
+// under e.mu, behind everything stamped so far, and awaited outside it.
+// On a closed engine it waits for the workers to finish what Close
+// queued, so when Flush returns every accepted event is applied.
 func (e *Engine) Flush() {
-	acks := make([]chan struct{}, 0, len(e.shards))
-	for si, s := range e.shards {
-		e.dispatch(s, si, true)
-		s.sendMu.Lock()
-		if !s.closed {
-			a := make(chan struct{})
-			s.ch <- batch{ack: a}
-			acks = append(acks, a)
-		}
-		s.sendMu.Unlock()
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		e.wg.Wait()
+		return
 	}
+	acks := make([]chan struct{}, len(e.shards))
+	for si, s := range e.shards {
+		e.sendLocked(si)
+		acks[si] = make(chan struct{})
+		s.ch <- batch{ack: acks[si]}
+	}
+	e.mu.Unlock()
 	for _, a := range acks {
 		<-a
 	}
@@ -567,32 +492,17 @@ func (e *Engine) Flush() {
 
 // Close drains everything pending, stops the shard workers, and marks
 // the engine closed. Queries remain valid after Close; further ingest
-// is dropped silently.
+// is a silent no-op.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return
-	}
-	e.closed = true
-	e.mu.Unlock()
-	for si, s := range e.shards {
-		s.sendMu.Lock()
-		if !s.closed {
-			// closed=true stops new appends, and every dispatch runs
-			// under sendMu, so this detach sees the shard's final run.
-			e.mu.Lock()
-			remaining := e.pending[si]
-			e.pending[si] = nil
-			e.mu.Unlock()
-			if len(remaining) > 0 {
-				s.ch <- batch{events: remaining}
-			}
-			s.closed = true
+	if !e.closed {
+		for si, s := range e.shards {
+			e.sendLocked(si)
 			close(s.ch)
 		}
-		s.sendMu.Unlock()
+		e.closed = true
 	}
+	e.mu.Unlock()
 	e.wg.Wait()
 	// Detach from the registry so a closed engine's series stop
 	// rendering (daemons that rebuild engines would otherwise scrape
@@ -624,8 +534,9 @@ func (e *Engine) Alerts() []Alert {
 type Stats struct {
 	Ingested  uint64 `json:"ingested"`
 	Processed uint64 `json:"processed"`
-	// Dropped counts events shed by the non-blocking ingest path when a
-	// shard queue was full.
+	// Dropped is always 0: ingest is lossless and nothing writes the
+	// field. It stays because the frozen benchmark compiles against it
+	// (bench/serving.go:369,451,620,779) and decodes it from /stats.
 	Dropped uint64 `json:"dropped"`
 	Pending uint64 `json:"pending"`
 	Alerts  uint64 `json:"alerts"`
@@ -645,7 +556,6 @@ func (e *Engine) Stats() Stats {
 	st := Stats{
 		Ingested:        e.ingested.Load(),
 		Processed:       e.processed.Load(),
-		Dropped:         e.dropped.Load(),
 		Alerts:          e.alerts.Load(),
 		AlertsTruncated: e.truncated.Load(),
 		Shards:          len(e.shards),
@@ -654,8 +564,8 @@ func (e *Engine) Stats() Stats {
 		ByDetector:      make(map[string]uint64),
 		Version:         e.version.Load(),
 	}
-	if st.Ingested > st.Processed+st.Dropped {
-		st.Pending = st.Ingested - st.Processed - st.Dropped
+	if st.Ingested > st.Processed {
+		st.Pending = st.Ingested - st.Processed
 	}
 	for _, s := range e.shards {
 		s.mu.Lock()

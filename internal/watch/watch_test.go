@@ -42,8 +42,8 @@ func TestWatchDeterminismAcrossShards(t *testing.T) {
 	var ref []byte
 	for _, shards := range []int{1, 2, 8} {
 		alerts, st := runFeed(t, feed, watch.Config{Shards: shards})
-		if st.Dropped != 0 {
-			t.Fatalf("shards=%d: blocking ingest dropped %d events", shards, st.Dropped)
+		if st.Processed != st.Ingested {
+			t.Fatalf("shards=%d: processed %d of %d ingested events", shards, st.Processed, st.Ingested)
 		}
 		if len(alerts) == 0 {
 			t.Fatalf("shards=%d: churn feed raised no alerts", shards)
@@ -154,23 +154,20 @@ func TestWatchPrefixInfo(t *testing.T) {
 	}
 }
 
-// TestWatchBackpressureDrops pins the non-blocking contract: a stalled
-// engine sheds TryIngest load and accounts for it instead of blocking.
-func TestWatchBackpressureDrops(t *testing.T) {
-	e := watch.NewEngine(watch.Config{Shards: 1, BatchSize: 1, QueueDepth: 1,
-		Detectors: []watch.Detector{stall{}}})
+// TestWatchBackpressureIsLossless pins the overload contract: more events
+// than a stalled shard's queue holds make the producer wait, and every
+// one of them is applied.
+func TestWatchBackpressureIsLossless(t *testing.T) {
+	e := watch.NewEngine(watch.Config{Shards: 1, Detectors: []watch.Detector{stall{}}})
 	defer e.Close()
 	p := netx.MustPrefix("203.0.113.0/24")
-	for i := 0; i < 10000; i++ {
-		e.TryIngest(watch.Event{PeerAS: 1, Prefix: p, ASPath: []uint32{1}})
+	const n = 10000 // the queue holds 64 runs of 128
+	for i := 0; i < n; i++ {
+		e.Ingest(watch.Event{PeerAS: 1, Prefix: p, ASPath: []uint32{1}})
 	}
 	e.Flush()
-	st := e.Stats()
-	if st.Dropped == 0 {
-		t.Fatal("expected drops under a stalled shard")
-	}
-	if st.Processed+st.Dropped != st.Ingested {
-		t.Fatalf("accounting: processed=%d + dropped=%d != ingested=%d", st.Processed, st.Dropped, st.Ingested)
+	if st := e.Stats(); st.Ingested != n || st.Processed != n || st.Pending != 0 {
+		t.Fatalf("ingested %d, processed %d, pending %d; want %d, %d, 0", st.Ingested, st.Processed, st.Pending, n, n)
 	}
 }
 
