@@ -3,7 +3,7 @@
 
 GO      ?= go
 
-.PHONY: build test race scale-probe yardstick-smoke suite-gate lint deadcode fmt examples watch-smoke coverage fuzz-smoke loc ci
+.PHONY: build test race scale-probe yardstick-smoke suite-gate lint deadcode mutant-gate fmt examples watch-smoke coverage fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,12 @@ lint:
 deadcode:
 	$(GO) test -tags deadcode -count=1 -run '^TestDeadcode$$' .
 
+# mutant-gate applies each ci/mutants/*.patch — a seeded bug — to a
+# temp copy of the tree and requires the tests its header names to go
+# red; a patch that no longer applies fails the gate too.
+mutant-gate:
+	./ci/mutantgate.sh
+
 fmt:
 	gofmt -w .
 
@@ -86,4 +92,4 @@ fmt:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
-ci: build lint deadcode race coverage fuzz-smoke examples watch-smoke scale-probe yardstick-smoke suite-gate
+ci: build lint deadcode mutant-gate race coverage fuzz-smoke examples watch-smoke scale-probe yardstick-smoke suite-gate

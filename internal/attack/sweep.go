@@ -147,7 +147,6 @@ func (l *Lab) sweepOnce(candidates []bgp.Community) (*SweepReport, error) {
 					entry.TargetOnPath++
 					entry.HopDistances = append(entry.HopDistances, len(tr.Hops)-pos)
 				}
-				_ = tr
 			}
 		}
 		rep.Entries = append(rep.Entries, entry)

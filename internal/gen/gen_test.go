@@ -6,6 +6,7 @@ import (
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/collector"
 	"bgpworms/internal/policy"
+	"bgpworms/internal/router"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/topo"
 )
@@ -50,6 +51,40 @@ func TestBuildTopologyShape(t *testing.T) {
 	for _, m := range w.midASNs() {
 		if len(w.Graph.Providers(m)) == 0 {
 			t.Fatalf("mid AS%d has no providers", m)
+		}
+	}
+}
+
+// TestIngressTagsUnderCiscoCap holds the invariant that lets every
+// ingress tag count toward the IOS addition cap without changing a
+// generated world: no session is configured with more tags than the cap.
+func TestIngressTagsUnderCiscoCap(t *testing.T) {
+	for _, preset := range []struct {
+		name string
+		p    Params
+	}{{"tiny", Tiny()}, {"small", Small()}} {
+		if preset.name == "small" && testing.Short() {
+			continue
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			p := preset.p
+			p.Seed = seed
+			w, err := Build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tagged := 0
+			for _, asn := range w.Net.ASes() {
+				for nb, tags := range w.Net.Router(asn).Config().IngressTags {
+					if len(tags) > router.CiscoMaxAddedCommunities {
+						t.Fatalf("%s seed %d: AS%d tags %d communities on the session to AS%d", preset.name, seed, asn, len(tags), nb)
+					}
+					tagged++
+				}
+			}
+			if tagged == 0 {
+				t.Fatalf("%s seed %d: no tagged session", preset.name, seed)
+			}
 		}
 	}
 }

@@ -262,11 +262,13 @@ func (w *Internet) buildNetwork() {
 				cat.Add(policy.Service{Community: bgp.C(uint16(asn), 70), Kind: policy.SvcLocalPref, Param: 70, CustomerOnly: true})
 				cat.Add(policy.Service{Community: bgp.C(uint16(asn), 130), Kind: policy.SvcLocalPref, Param: 130, CustomerOnly: true})
 			}
+			// Per-session ingress tags, in the order the router adds them.
+			tags := map[topo.ASN][]bgp.Community{}
 			if rng.Float64() < p.PLocationTagging {
-				cfg.LocationTags = make(map[topo.ASN]bgp.Community)
 				for _, nb := range w.Graph.Neighbors(asn) {
-					cfg.LocationTags[nb] = bgp.C(uint16(asn), uint16(200+int(nb)%20))
-					w.tagTruth.Add(cfg.LocationTags[nb], semantics.ClassInformational)
+					loc := bgp.C(uint16(asn), uint16(200+int(nb)%20))
+					tags[nb] = append(tags[nb], loc)
+					w.tagTruth.Add(loc, semantics.ClassInformational)
 				}
 			}
 			// Prefix-length hygiene: many transits enforce /24 max —
@@ -276,9 +278,6 @@ func (w *Internet) buildNetwork() {
 			if rng.Float64() < 0.6 {
 				cfg.MaxPrefixLen = 24
 			}
-			// Ingress policy communities, assembled as per-neighbor
-			// import-map terms.
-			importTerms := map[topo.ASN][]policy.Term{}
 			// Most sizable transits tag ingress routes with their own
 			// informational communities (origin/type tagging, the dominant
 			// reason >75% of updates carry communities in §4.2).
@@ -288,13 +287,10 @@ func (w *Internet) buildNetwork() {
 				w.tagTruth.Add(tag, semantics.ClassInformational)
 				w.tagTruth.Add(extra, semantics.ClassInformational)
 				for _, nb := range w.Graph.Neighbors(asn) {
-					adds := []bgp.Community{tag}
+					tags[nb] = append(tags[nb], tag)
 					if rng.Float64() < 0.4 {
-						adds = append(adds, extra)
+						tags[nb] = append(tags[nb], extra)
 					}
-					importTerms[nb] = append(importTerms[nb], policy.Term{
-						AddCommunities: adds, Continue: true,
-					})
 				}
 			}
 			// Community bundling: tag customer ingress with a community
@@ -310,18 +306,13 @@ func (w *Internet) buildNetwork() {
 						// usage under that ASN, so truth keeps them.
 						w.tagTruth.Add(bundle, semantics.ClassInformational)
 						for _, c := range w.Graph.Customers(asn) {
-							importTerms[c] = append(importTerms[c], policy.Term{
-								AddCommunities: []bgp.Community{bundle}, Continue: true,
-							})
+							tags[c] = append(tags[c], bundle)
 						}
 					}
 				}
 			}
-			if len(importTerms) > 0 {
-				cfg.ImportMaps = map[topo.ASN]*policy.RouteMap{}
-				for nb, terms := range importTerms {
-					cfg.ImportMaps[nb] = &policy.RouteMap{Terms: terms}
-				}
+			if len(tags) > 0 {
+				cfg.IngressTags = tags
 			}
 		}
 		cfg.Catalog = cat

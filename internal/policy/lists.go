@@ -3,7 +3,6 @@ package policy
 import (
 	"net/netip"
 
-	"bgpworms/internal/bgp"
 	"bgpworms/internal/netx"
 )
 
@@ -54,47 +53,6 @@ func (l *PrefixList) Matches(p netip.Prefix) bool {
 	for _, r := range l.Rules {
 		if r.Matches(p) {
 			return true
-		}
-	}
-	return false
-}
-
-// CommunityPattern matches communities: exact value, any value of an ASN
-// ("asn:*"), any ASN with a value ("*:value"), or everything ("*:*").
-type CommunityPattern struct {
-	ASN      uint16
-	Value    uint16
-	AnyASN   bool
-	AnyValue bool
-}
-
-// Matches reports whether c satisfies the pattern.
-func (p CommunityPattern) Matches(c bgp.Community) bool {
-	if !p.AnyASN && c.ASN() != p.ASN {
-		return false
-	}
-	if !p.AnyValue && c.Value() != p.Value {
-		return false
-	}
-	return true
-}
-
-// CommunityList is a set of patterns; a community set matches if any of
-// its members matches any pattern.
-type CommunityList struct {
-	Patterns []CommunityPattern
-}
-
-// MatchesAny reports whether any community in cs matches any pattern.
-func (l *CommunityList) MatchesAny(cs bgp.CommunitySet) bool {
-	if l == nil {
-		return false
-	}
-	for _, c := range cs {
-		for _, p := range l.Patterns {
-			if p.Matches(c) {
-				return true
-			}
 		}
 	}
 	return false

@@ -45,48 +45,6 @@ func TestPrefixListFirstMatch(t *testing.T) {
 	}
 }
 
-func TestCommunityPatterns(t *testing.T) {
-	exact := CommunityPattern{ASN: 3320, Value: 666}
-	anyValue := CommunityPattern{ASN: 3320, AnyValue: true}
-	anyASN := CommunityPattern{Value: 666, AnyASN: true}
-	cases := []struct {
-		pat  CommunityPattern
-		comm bgp.Community
-		want bool
-	}{
-		{exact, bgp.C(3320, 666), true},
-		{exact, bgp.C(3320, 667), false},
-		{anyValue, bgp.C(3320, 1), true},
-		{anyValue, bgp.C(3321, 1), false},
-		{anyASN, bgp.C(1, 666), true},
-		{anyASN, bgp.C(1, 665), false},
-		{CommunityPattern{AnyASN: true, AnyValue: true}, bgp.C(9, 9), true},
-	}
-	for _, c := range cases {
-		if got := c.pat.Matches(c.comm); got != c.want {
-			t.Errorf("%+v vs %s: %v want %v", c.pat, c.comm, got, c.want)
-		}
-	}
-}
-
-func TestCommunityListMatchFilter(t *testing.T) {
-	l := CommunityList{Patterns: []CommunityPattern{{ASN: 10, Value: 1}, {ASN: 20, AnyValue: true}}}
-	cs := bgp.NewCommunitySet(bgp.C(10, 1), bgp.C(20, 5), bgp.C(30, 9))
-	if !l.MatchesAny(cs) {
-		t.Fatal("should match")
-	}
-	if l.MatchesAny(bgp.NewCommunitySet(bgp.C(30, 9))) {
-		t.Fatal("30:9 matches neither pattern")
-	}
-	var nilList *CommunityList
-	if nilList.MatchesAny(cs) {
-		t.Fatal("nil list matches nothing")
-	}
-}
-
-// Uint32 returns a pointer to v, for SetLocalPref literals.
-func Uint32(v uint32) *uint32 { return &v }
-
 func mkRoute() *Route {
 	r := NewLocalRoute(netx.MustPrefix("203.0.113.0/24"))
 	r.ASPath = bgp.Path(64500, 64501)
@@ -104,124 +62,6 @@ func TestRouteCloneIndependence(t *testing.T) {
 	c.LocalPref = 50
 	if r.Communities.Has(bgp.C(1, 1)) || r.ASPath.HopLength() != 2 || r.LocalPref != DefaultLocalPref {
 		t.Fatal("clone aliases original")
-	}
-}
-
-func TestRouteMapBasicPermitDeny(t *testing.T) {
-	rm := &RouteMap{Terms: []Term{
-		{Name: "deny-long", MatchMinLen: 25, Deny: true},
-		{Name: "tag", AddCommunities: []bgp.Community{bgp.C(9, 9)}},
-	}}
-	r := mkRoute()
-	if !rm.Apply(r, 65001) {
-		t.Fatal("should accept /24")
-	}
-	if !r.Communities.Has(bgp.C(9, 9)) {
-		t.Fatal("tag term not applied")
-	}
-	long := NewLocalRoute(netx.MustPrefix("203.0.113.0/28"))
-	if rm.Apply(long, 65001) {
-		t.Fatal("should reject /28")
-	}
-}
-
-func TestRouteMapDefaultDeny(t *testing.T) {
-	pl := (&PrefixList{}).AddRange(netx.MustPrefix("192.0.2.0/24"), 0, 0)
-	rm := &RouteMap{DefaultDeny: true, Terms: []Term{{Name: "cust", MatchPrefix: pl}}}
-	ok := rm.Apply(NewLocalRoute(netx.MustPrefix("192.0.2.0/24")), 1)
-	if !ok {
-		t.Fatal("listed prefix should pass")
-	}
-	if rm.Apply(NewLocalRoute(netx.MustPrefix("198.51.100.0/24")), 1) {
-		t.Fatal("unlisted prefix should be dropped by default-deny")
-	}
-	var nilMap *RouteMap
-	if !nilMap.Apply(mkRoute(), 1) {
-		t.Fatal("nil route-map accepts")
-	}
-}
-
-func TestRouteMapSetActions(t *testing.T) {
-	del := CommunityList{Patterns: []CommunityPattern{{ASN: 64500, AnyValue: true}}}
-	rm := &RouteMap{Terms: []Term{{
-		SetLocalPref:      Uint32(250),
-		AddCommunities:    []bgp.Community{bgp.C(1, 2)},
-		DeleteCommunities: &del,
-		PrependSelf:       2,
-		SetBlackhole:      true,
-	}}}
-	r := mkRoute()
-	if !rm.Apply(r, 65001) {
-		t.Fatal("accept expected")
-	}
-	if r.LocalPref != 250 || !r.Blackhole {
-		t.Fatalf("lp=%d bh=%v", r.LocalPref, r.Blackhole)
-	}
-	if !r.Communities.Has(bgp.C(1, 2)) || r.Communities.Has(bgp.C(64500, 100)) {
-		t.Fatalf("communities=%v", r.Communities)
-	}
-	seq := r.ASPath.Sequence()
-	if len(seq) != 4 || seq[0] != 65001 || seq[1] != 65001 {
-		t.Fatalf("path=%v", seq)
-	}
-}
-
-// The §6.3 misconfiguration: a blackhole term evaluated before customer
-// prefix validation lets a hijacked prefix through when tagged with the
-// blackhole community. Swapping term order closes the hole — same terms,
-// different outcome.
-func TestRouteMapEvaluationOrderRTBHMisconfig(t *testing.T) {
-	customer := (&PrefixList{}).AddRange(netx.MustPrefix("203.0.113.0/24"), 24, 32)
-	bhList := CommunityList{Patterns: []CommunityPattern{{ASN: 65001, Value: 666}}}
-
-	blackholeTerm := Term{Name: "rtbh", MatchCommunity: &bhList, SetBlackhole: true, SetLocalPref: Uint32(200)}
-	validateTerm := Term{Name: "validate", MatchPrefix: customer, Continue: true}
-
-	// Misconfigured (NANOG tutorial shape): the blackhole term fires on the
-	// community alone, before any prefix validation.
-	misconfigured := &RouteMap{DefaultDeny: true, Terms: []Term{blackholeTerm, validateTerm}}
-	// Corrected: blackhole processing is constrained to validated customer
-	// prefixes.
-	correctedBH := blackholeTerm
-	correctedBH.MatchPrefix = customer
-	corrected := &RouteMap{DefaultDeny: true, Terms: []Term{validateTerm, correctedBH}}
-
-	hijack := NewLocalRoute(netx.MustPrefix("198.51.100.0/24")) // not a customer prefix
-	hijack.Communities = bgp.NewCommunitySet(bgp.C(65001, 666))
-
-	if ok := misconfigured.Apply(hijack.Clone(), 65001); !ok {
-		t.Fatal("misconfigured map must accept the tagged hijack")
-	}
-	if ok := corrected.Apply(hijack.Clone(), 65001); ok {
-		t.Fatal("corrected map must reject the tagged hijack")
-	}
-
-	// A legitimate tagged customer prefix passes both.
-	legit := NewLocalRoute(netx.MustPrefix("203.0.113.5/32"))
-	legit.Communities = bgp.NewCommunitySet(bgp.C(65001, 666))
-	out := legit.Clone()
-	if ok := corrected.Apply(out, 65001); !ok || !out.Blackhole {
-		t.Fatalf("legit blackhole rejected or not marked: ok=%v bh=%v", ok, out.Blackhole)
-	}
-}
-
-func TestRouteMapMatchRelAndNeighbor(t *testing.T) {
-	rm := &RouteMap{DefaultDeny: true, Terms: []Term{
-		{MatchRel: topo.RelCustomer, MatchNeighbor: 64500},
-	}}
-	r := mkRoute()
-	if !rm.Apply(r, 1) {
-		t.Fatal("customer route from 64500 should pass")
-	}
-	r2 := mkRoute()
-	r2.FromRel = topo.RelPeer
-	if rm.Apply(r2, 1) {
-		t.Fatal("peer route should fail")
-	}
-	r3 := mkRoute()
-	r3.NextHopAS = 999
-	if rm.Apply(r3, 1) {
-		t.Fatal("wrong neighbor should fail")
 	}
 }
 
@@ -295,7 +135,7 @@ func TestApplyPropagationModes(t *testing.T) {
 }
 
 func TestKindAndModeStrings(t *testing.T) {
-	kinds := []ServiceKind{SvcBlackhole, SvcPrepend, SvcLocalPref, SvcAnnounceTo, SvcNoAnnounceTo, SvcNoExport, SvcLocation, ServiceKind(99)}
+	kinds := []ServiceKind{SvcBlackhole, SvcPrepend, SvcLocalPref, SvcAnnounceTo, SvcNoAnnounceTo, SvcNoExport, ServiceKind(99)}
 	for _, k := range kinds {
 		if k.String() == "" {
 			t.Fatal("empty kind string")

@@ -1,9 +1,9 @@
-// Package policy implements the routing-policy machinery the paper's
-// scenarios hinge on: prefix lists with ge/le semantics, community lists,
-// ordered route-maps whose term order is observable behaviour (§6.3),
+// Package policy holds the routing-policy vocabulary the router and the
+// world generator share: the Route itself, prefix lists with ge/le
+// semantics (the IRR customer filters), ordered catalogs of
 // community-triggered services (RTBH, prepend, local-pref, selective
-// announcement, location tagging — the Bonaventure/Donnet taxonomy from
-// §2), and per-neighbor community propagation modes (§4.4).
+// announcement — the Bonaventure/Donnet taxonomy from §2) whose order is
+// observable behaviour (§5.3), and community propagation modes (§4.4).
 package policy
 
 import (

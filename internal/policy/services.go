@@ -5,10 +5,11 @@ import (
 	"bgpworms/internal/topo"
 )
 
-// ServiceKind enumerates the community-triggered service classes of the
+// ServiceKind enumerates the community-triggered action classes of the
 // Bonaventure/Donnet taxonomy the paper uses in §2: route selection
-// (local-pref, prepending), selective announcement, route suppression,
-// blackholing, and location tagging.
+// (local-pref, prepending), selective announcement, route suppression and
+// blackholing. Informational tagging triggers no action and is a router
+// session property (router.Config.IngressTags), not a service.
 type ServiceKind int
 
 // Service kinds.
@@ -27,9 +28,6 @@ const (
 	// SvcNoExport suppresses export to everyone (provider-scoped
 	// NO_EXPORT equivalent).
 	SvcNoExport
-	// SvcLocation is informational ingress tagging (Param is an opaque
-	// location code); it triggers no routing action.
-	SvcLocation
 )
 
 // String names the kind.
@@ -47,8 +45,6 @@ func (k ServiceKind) String() string {
 		return "no-announce-to"
 	case SvcNoExport:
 		return "no-export"
-	case SvcLocation:
-		return "location"
 	default:
 		return "unknown"
 	}

@@ -51,11 +51,8 @@ func (r *Router) Clone() *Router {
 	}
 	cp.cfg.SendCommunity = maps.Clone(r.cfg.SendCommunity)
 	cp.cfg.PropagationPerNeighbor = maps.Clone(r.cfg.PropagationPerNeighbor)
-	cp.cfg.ImportMaps = maps.Clone(r.cfg.ImportMaps)
-	cp.cfg.ExportMaps = maps.Clone(r.cfg.ExportMaps)
-	cp.cfg.LocationTags = maps.Clone(r.cfg.LocationTags)
+	cp.cfg.IngressTags = maps.Clone(r.cfg.IngressTags)
 	cp.cfg.CustomerPrefixes = maps.Clone(r.cfg.CustomerPrefixes)
-	cp.cfg.OriginAuth = maps.Clone(r.cfg.OriginAuth)
 	// The LPM trie is rebuilt from scratch whenever it goes stale, never
 	// patched in place, so sharing the current trie (or the stale flag)
 	// with the sealed parent is safe — but a sibling fork may be driving

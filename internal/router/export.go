@@ -20,7 +20,6 @@ const (
 	ExportSuppressedNoExport
 	ExportSuppressedNoAdvertise
 	ExportSuppressedService
-	ExportSuppressedPolicy
 	ExportNothing
 )
 
@@ -37,8 +36,6 @@ func (d ExportDecision) String() string {
 		return "suppressed-no-advertise"
 	case ExportSuppressedService:
 		return "suppressed-service"
-	case ExportSuppressedPolicy:
-		return "suppressed-policy"
 	default:
 		return "nothing"
 	}
@@ -47,7 +44,7 @@ func (d ExportDecision) String() string {
 // ExportTo computes the route this AS would announce to neighbor for
 // prefix p, applying Gao-Rexford export rules, well-known communities,
 // selective-announcement services, prepending services, vendor community
-// handling, propagation mode, and the per-neighbor export map.
+// handling and propagation mode.
 //
 // The returned route is a fresh copy safe for the receiver to mutate.
 func (r *Router) ExportTo(neighbor topo.ASN, p netip.Prefix) (*policy.Route, ExportDecision) {
@@ -143,12 +140,6 @@ func (r *Router) exportTo(neighbor topo.ASN, best inEntry) (*policy.Route, Expor
 		}
 		out.Communities = policy.ApplyPropagation(mode, uint16(r.cfg.ASN), out.Communities)
 	}
-
-	if rm := r.cfg.ExportMaps[neighbor]; rm != nil {
-		if !rm.Apply(out, r.cfg.ASN) {
-			return nil, ExportSuppressedPolicy
-		}
-	}
 	return out, ExportSent
 }
 
@@ -175,8 +166,6 @@ type ExportHints struct {
 	// Mode is the effective propagation mode per session (per-neighbor
 	// override or the AS-wide default).
 	Mode []policy.PropagationMode
-	// Rmap is the per-session export route-map (usually nil).
-	Rmap []*policy.RouteMap
 }
 
 // Hints builds the ExportHints for nbs (aligned slices). Engines cache
@@ -186,7 +175,6 @@ func (r *Router) Hints(nbs []topo.ASN) *ExportHints {
 		Rels:  make([]topo.Rel, len(nbs)),
 		Strip: make([]bool, len(nbs)),
 		Mode:  make([]policy.PropagationMode, len(nbs)),
-		Rmap:  make([]*policy.RouteMap, len(nbs)),
 	}
 	for i, nb := range nbs {
 		h.Rels[i] = r.neighbors[nb]
@@ -195,7 +183,6 @@ func (r *Router) Hints(nbs []topo.ASN) *ExportHints {
 		if m, ok := r.cfg.PropagationPerNeighbor[nb]; ok {
 			h.Mode[i] = m
 		}
-		h.Rmap[i] = r.cfg.ExportMaps[nb]
 	}
 	return h
 }
@@ -266,8 +253,9 @@ func (r *Router) ExportAll(id uint32, nbs []topo.ASN, hints *ExportHints, buf []
 	var path bgp.ASPath
 	pathReady := false
 	// classes[0] is the stripped-communities class (IOS without
-	// send-community); classes[1+mode] applies the propagation mode.
-	var classes [8]*policy.Route
+	// send-community); classes[1+mode] applies one of the four
+	// propagation modes.
+	var classes [1 + 1 + policy.PropStripForeign]*policy.Route
 	classRoute := func(idx int, mode policy.PropagationMode, nb topo.ASN) *policy.Route {
 		if classes[idx] != nil {
 			return classes[idx]
@@ -359,40 +347,20 @@ func (r *Router) ExportAll(id uint32, nbs []topo.ASN, hints *ExportHints, buf []
 
 		var strip bool
 		var mode policy.PropagationMode
-		var rm *policy.RouteMap
 		if hints != nil {
-			strip, mode, rm = hints.Strip[ni], hints.Mode[ni], hints.Rmap[ni]
+			strip, mode = hints.Strip[ni], hints.Mode[ni]
 		} else {
 			strip = r.cfg.Vendor == VendorCisco && !r.cfg.SendCommunity[nb]
 			mode = r.cfg.Propagation
 			if m, ok := r.cfg.PropagationPerNeighbor[nb]; ok {
 				mode = m
 			}
-			rm = r.cfg.ExportMaps[nb]
 		}
 		idx := 0
 		if !strip {
 			idx = 1 + int(mode)
-			if idx < 1 || idx >= len(classes) {
-				// Unknown future mode: fall back to the per-neighbor path.
-				rt, dec := r.exportTo(nb, best)
-				buf = append(buf, ExportItem{NB: nb, Rt: rt, Dec: dec})
-				continue
-			}
 		}
-		out := classRoute(idx, mode, nb)
-
-		if rm != nil {
-			// Route maps mutate in place: give them a private copy.
-			priv := out.Clone()
-			if !rm.Apply(priv, r.cfg.ASN) {
-				buf = append(buf, ExportItem{NB: nb, Dec: ExportSuppressedPolicy})
-				continue
-			}
-			buf = append(buf, ExportItem{NB: nb, Rt: priv, Dec: ExportSent})
-			continue
-		}
-		buf = append(buf, ExportItem{NB: nb, Rt: out, Dec: ExportSent})
+		buf = append(buf, ExportItem{NB: nb, Rt: classRoute(idx, mode, nb), Dec: ExportSent})
 	}
 	return buf
 }

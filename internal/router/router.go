@@ -1,10 +1,11 @@
 // Package router models an AS-level BGP speaker: Adj-RIB-In, Loc-RIB with
-// the full decision process, Adj-RIB-Out, per-neighbor import/export
-// policy, the community-triggered services of §2, and the vendor-specific
-// behaviours §6 measured in the lab (JunOS forwards communities by
-// default, IOS strips them unless send-community is configured, IOS caps
-// community additions at 32, and route-map term order decides whether
-// blackhole processing happens before or after origin validation).
+// the full decision process, Adj-RIB-Out, per-session ingress tags and
+// community propagation, the community-triggered services of §2, and the
+// vendor-specific behaviours §6 measured in the lab (JunOS forwards
+// communities by default, IOS strips them unless send-community is
+// configured, IOS caps community additions at 32, and
+// BlackholeBeforeValidate runs blackhole processing ahead of origin
+// validation, the §6.3 misconfiguration).
 //
 // All three tables live in one paged table of fixed-size slots indexed
 // by a dense prefix id (PrefixTable), with the variable-length candidate
@@ -72,13 +73,11 @@ type Config struct {
 	// Catalog lists the community services this AS offers.
 	Catalog *policy.Catalog
 
-	// ImportMaps / ExportMaps are per-neighbor route-maps; nil accepts.
-	ImportMaps map[topo.ASN]*policy.RouteMap
-	ExportMaps map[topo.ASN]*policy.RouteMap
-
-	// LocationTags are ingress-point communities added to routes learned
-	// from the keyed neighbor (the AS6 LAX/FRA tagging of Figure 1).
-	LocationTags map[topo.ASN]bgp.Community
+	// IngressTags are the informational communities added to every route
+	// learned from the keyed neighbor: ingress-point location (the AS6
+	// LAX/FRA tagging of Figure 1), origin/type tags and customer bundles.
+	// They count toward the IOS addition cap.
+	IngressTags map[topo.ASN][]bgp.Community
 
 	// MaxPrefixLen rejects announcements more specific than this (0 =
 	// unlimited). Blackhole-tagged announcements are exempt up to /32 when
@@ -101,11 +100,6 @@ type Config struct {
 	// list are rejected.
 	CustomerPrefixes map[topo.ASN]*policy.PrefixList
 	ValidateOrigin   bool
-
-	// OriginAuth binds prefixes to their authorized origin AS (IRR route
-	// objects / RPKI ROAs). With ValidateOrigin set, a route for a bound
-	// prefix whose AS-path origin differs is rejected — on any session.
-	OriginAuth map[netip.Prefix]topo.ASN
 
 	// BlackholeBeforeValidate reproduces the §6.3 misconfiguration: the
 	// blackhole community is honoured before origin validation runs,
@@ -343,7 +337,6 @@ const (
 	ImportRejectedUnknownNeighbor
 	ImportRejectedTooSpecific
 	ImportRejectedOriginInvalid
-	ImportRejectedPolicy
 )
 
 // ReceiveUpdate processes an announcement from neighbor `from`. It returns
@@ -384,9 +377,9 @@ func (r *Router) Decide(id uint32) bool {
 // For shared inputs it first runs a pure decision pass (importScan): if
 // the import neither tags nor rewrites the route, the accepted entry
 // aliases the sender's route object with zero allocation — the interned
-// fast path the delta engine lives on. Anything that mutates (blackhole
-// NO_EXPORT, location services, ingress tags, route maps) falls through
-// to the classic build-a-private-route path below.
+// fast path the delta engine lives on. An import that adds a community
+// (blackhole NO_EXPORT, the session's ingress tags) falls through to the
+// classic build-a-private-route path below.
 func (r *Router) receive(from topo.ASN, id uint32, in *policy.Route, shared bool) ImportResult {
 	rel, ok := r.neighbors[from]
 	if !ok {
@@ -461,11 +454,6 @@ func (r *Router) receive(from topo.ASN, id uint32, in *policy.Route, shared bool
 			validated = false
 		}
 	}
-	if validated && r.cfg.ValidateOrigin && len(r.cfg.OriginAuth) > 0 {
-		if want, ok := r.cfg.OriginAuth[rt.Prefix]; ok && rt.ASPath.Origin() != want {
-			validated = false
-		}
-	}
 
 	if blackholeTagged && r.cfg.BlackholeBeforeValidate {
 		// §6.3 misconfiguration: blackhole precedence skips validation.
@@ -503,37 +491,19 @@ func (r *Router) receive(from topo.ASN, id uint32, in *policy.Route, shared bool
 	}
 
 	// Community services at ingress (local-pref class; prepend and
-	// announce-control act at export; location is additive).
-	added := 0
+	// announce-control act at export).
 	for _, svc := range r.cfg.Catalog.Active(rt.Communities, fromCustomer) {
-		switch svc.Kind {
-		case policy.SvcLocalPref:
+		if svc.Kind == policy.SvcLocalPref {
 			rt.LocalPref = svc.Param
-		case policy.SvcLocation:
-			// Location services bundle-tag on ingress.
-			if r.allowAdd(added) {
-				addComm(bgp.C(uint16(r.cfg.ASN), uint16(svc.Param)))
-				added++
-			}
 		}
 	}
 
-	// Ingress location tagging per neighbor (Figure 1, AS6 style).
-	if tag, ok := r.cfg.LocationTags[from]; ok && r.allowAdd(added) {
+	// Per-session ingress tagging (Figure 1, AS6 style).
+	for added, tag := range r.cfg.IngressTags[from] {
+		if !r.allowAdd(added) {
+			break
+		}
 		addComm(tag)
-		added++
-	}
-
-	if rm := r.cfg.ImportMaps[from]; rm != nil {
-		if !ownComms {
-			// Route maps mutate the community set in place; detach from
-			// the shared slab first. (Prepend actions already copy.)
-			rt.Communities = rt.Communities.Clone()
-			ownComms = true
-		}
-		if !rm.Apply(rt, r.cfg.ASN) {
-			return ImportRejectedPolicy
-		}
 	}
 
 	r.storeAdjIn(id, inEntry{from: from, rel: rel, lp: rt.LocalPref, bh: rt.Blackhole, rt: rt})
@@ -587,11 +557,6 @@ func (r *Router) importScan(from topo.ASN, rel topo.Rel, in *policy.Route) (Impo
 			validated = false
 		}
 	}
-	if validated && r.cfg.ValidateOrigin && len(r.cfg.OriginAuth) > 0 {
-		if want, ok := r.cfg.OriginAuth[in.Prefix]; ok && in.ASPath.Origin() != want {
-			validated = false
-		}
-	}
 
 	bh := false
 	if blackholeTagged && r.cfg.BlackholeBeforeValidate {
@@ -631,22 +596,12 @@ func (r *Router) importScan(from topo.ASN, rel topo.Rel, in *policy.Route) (Impo
 		}
 	}
 
-	added := 0
 	for _, svc := range r.cfg.Catalog.Active(in.Communities, fromCustomer) {
-		switch svc.Kind {
-		case policy.SvcLocalPref:
+		if svc.Kind == policy.SvcLocalPref {
 			lp = svc.Param
-		case policy.SvcLocation:
-			if r.allowAdd(added) {
-				mutates = true
-				added++
-			}
 		}
 	}
-	if _, ok := r.cfg.LocationTags[from]; ok && r.allowAdd(added) {
-		mutates = true
-	}
-	if r.cfg.ImportMaps[from] != nil {
+	if len(r.cfg.IngressTags[from]) > 0 {
 		mutates = true
 	}
 

@@ -279,13 +279,20 @@ func TestLocalPrefServiceCustomerGating(t *testing.T) {
 func TestLocationTagging(t *testing.T) {
 	r := New(Config{
 		ASN: 65001, Vendor: VendorJuniper,
-		LocationTags: map[topo.ASN]bgp.Community{64500: bgp.C(65001, 201)},
+		IngressTags: map[topo.ASN][]bgp.Community{64500: {bgp.C(65001, 201)}},
 	})
 	r.AddNeighbor(64500, topo.RelPeer)
+	r.AddNeighbor(64501, topo.RelPeer)
 	r.ReceiveUpdate(64500, route(pfx, 64500, 1))
 	best, _ := r.BestRoute(pfx)
 	if !best.Communities.Has(bgp.C(65001, 201)) {
 		t.Fatalf("location tag missing: %v", best.Communities)
+	}
+	// Tags belong to the session: an untagged session adds nothing.
+	p2 := netx.MustPrefix("198.51.100.0/24")
+	r.ReceiveUpdate(64501, route(p2, 64501, 1))
+	if best, _ := r.BestRoute(p2); len(best.Communities) != 0 {
+		t.Fatalf("untagged session tagged: %v", best.Communities)
 	}
 }
 
@@ -532,27 +539,6 @@ func TestPerNeighborPropagationOverride(t *testing.T) {
 	}
 }
 
-func TestExportMapApplied(t *testing.T) {
-	rm := &policy.RouteMap{Terms: []policy.Term{{MatchMinLen: 25, Deny: true}}}
-	r := New(Config{ASN: 65001, Vendor: VendorJuniper, ExportMaps: map[topo.ASN]*policy.RouteMap{64501: rm}})
-	r.AddNeighbor(64500, topo.RelCustomer)
-	r.AddNeighbor(64501, topo.RelCustomer)
-	long := netx.MustPrefix("203.0.113.128/25")
-	r.ReceiveUpdate(64500, route(long, 64500, 1))
-	if _, d := r.ExportTo(64501, long); d != ExportSuppressedPolicy {
-		t.Fatalf("export map: %v", d)
-	}
-}
-
-func TestImportMapApplied(t *testing.T) {
-	rm := &policy.RouteMap{Terms: []policy.Term{{MatchNeighbor: 64500, Deny: true}}}
-	r := New(Config{ASN: 65001, Vendor: VendorJuniper, ImportMaps: map[topo.ASN]*policy.RouteMap{64500: rm}})
-	r.AddNeighbor(64500, topo.RelCustomer)
-	if res, _ := r.ReceiveUpdate(64500, route(pfx, 64500, 1)); res != ImportRejectedPolicy {
-		t.Fatalf("res=%v", res)
-	}
-}
-
 func TestRecordAdvertisedChangeDetection(t *testing.T) {
 	r := newRouter(65001)
 	r.AddNeighbor(64500, topo.RelCustomer)
@@ -623,48 +609,32 @@ func TestRIBAndStringViews(t *testing.T) {
 }
 
 func TestCiscoCommunityAdditionCap(t *testing.T) {
-	// An import map adding many communities on a Cisco router is capped at
-	// 32 additions via location-tag/service paths. Route-map additions are
-	// modelled as explicit config (not capped), so exercise the service
-	// path: many location services triggered simultaneously.
-	cat := policy.NewCatalog(65001)
-	var comms []bgp.Community
+	// A session configured with 40 ingress tags: IOS adds the first 32
+	// (§6.1), JunOS all 40 — on both import paths.
+	var tags []bgp.Community
 	for i := 0; i < 40; i++ {
-		c := bgp.C(64999, uint16(i))
-		cat.Add(policy.Service{Community: c, Kind: policy.SvcLocation, Param: uint32(1000 + i)})
-		comms = append(comms, c)
+		tags = append(tags, bgp.C(65001, uint16(1000+i)))
 	}
-	r := New(Config{ASN: 65001, Vendor: VendorCisco, Catalog: cat})
-	r.AddNeighbor(64500, topo.RelCustomer)
-	in := route(pfx, 64500, 1)
-	in.Communities = bgp.NewCommunitySet(comms...)
-	r.ReceiveUpdate(64500, in)
-	best, _ := r.BestRoute(pfx)
-	added := 0
-	for _, c := range best.Communities {
-		if c.ASN() == 65001 {
-			added++
+	for _, c := range []struct {
+		v    Vendor
+		want int
+	}{{VendorCisco, CiscoMaxAddedCommunities}, {VendorJuniper, 40}} {
+		cfg := Config{ASN: 65001, Vendor: c.v, IngressTags: map[topo.ASN][]bgp.Community{64500: tags}}
+		classic, shared := New(cfg), New(cfg)
+		for _, r := range []*Router{classic, shared} {
+			r.AddNeighbor(64500, topo.RelCustomer)
 		}
-	}
-	if added != CiscoMaxAddedCommunities {
-		t.Fatalf("added=%d want %d", added, CiscoMaxAddedCommunities)
-	}
-
-	// Juniper has no such cap.
-	rj := New(Config{ASN: 65001, Vendor: VendorJuniper, Catalog: cat})
-	rj.AddNeighbor(64500, topo.RelCustomer)
-	in2 := route(pfx, 64500, 1)
-	in2.Communities = bgp.NewCommunitySet(comms...)
-	rj.ReceiveUpdate(64500, in2)
-	bj, _ := rj.BestRoute(pfx)
-	addedJ := 0
-	for _, c := range bj.Communities {
-		if c.ASN() == 65001 {
-			addedJ++
+		classic.ReceiveUpdate(64500, route(pfx, 64500, 1))
+		shared.ReceiveShared(64500, route(pfx, 64500, 1))
+		for name, r := range map[string]*Router{"classic": classic, "shared": shared} {
+			best, _ := r.BestRoute(pfx)
+			if len(best.Communities) != c.want {
+				t.Fatalf("vendor %d %s: added=%d want %d", c.v, name, len(best.Communities), c.want)
+			}
+			if !best.Communities.Has(tags[0]) || best.Communities.Has(tags[c.want-1]+1) {
+				t.Fatalf("vendor %d %s: cap kept the wrong tags: %v", c.v, name, best.Communities)
+			}
 		}
-	}
-	if addedJ != 40 {
-		t.Fatalf("juniper added=%d want 40", addedJ)
 	}
 }
 
@@ -681,20 +651,18 @@ func (ir ImportResult) String() string {
 		return "rejected-too-specific"
 	case ImportRejectedOriginInvalid:
 		return "rejected-origin-invalid"
-	case ImportRejectedPolicy:
-		return "rejected-policy"
 	default:
 		return "unknown"
 	}
 }
 
 func TestImportResultStrings(t *testing.T) {
-	for _, ir := range []ImportResult{ImportAccepted, ImportRejectedLoop, ImportRejectedUnknownNeighbor, ImportRejectedTooSpecific, ImportRejectedOriginInvalid, ImportRejectedPolicy, ImportResult(99)} {
+	for _, ir := range []ImportResult{ImportAccepted, ImportRejectedLoop, ImportRejectedUnknownNeighbor, ImportRejectedTooSpecific, ImportRejectedOriginInvalid, ImportResult(99)} {
 		if ir.String() == "" {
 			t.Fatal("empty result string")
 		}
 	}
-	for _, d := range []ExportDecision{ExportSent, ExportSuppressedGaoRexford, ExportSuppressedNoExport, ExportSuppressedNoAdvertise, ExportSuppressedService, ExportSuppressedPolicy, ExportNothing} {
+	for _, d := range []ExportDecision{ExportSent, ExportSuppressedGaoRexford, ExportSuppressedNoExport, ExportSuppressedNoAdvertise, ExportSuppressedService, ExportNothing} {
 		if d.String() == "" {
 			t.Fatal("empty decision string")
 		}

@@ -42,18 +42,20 @@ func TestReceiveSharedMatchesReceiveUpdate(t *testing.T) {
 	cat := policy.NewCatalog(65001)
 	cat.Add(policy.Service{Community: bgp.C(65001, 666), Kind: policy.SvcBlackhole})
 	cat.Add(policy.Service{Community: bgp.C(65001, 70), Kind: policy.SvcLocalPref, Param: 70, CustomerOnly: true})
-	cat.Add(policy.Service{Community: bgp.C(65001, 500), Kind: policy.SvcLocation, Param: 9})
 	cfgs := map[string]Config{
 		"plain": {ASN: 65001},
 		"services": {
 			ASN: 65001, Catalog: cat,
 			BlackholeMinLen: 24, BlackholeAddNoExport: true,
 		},
+		// Two tagged sessions, each list naming a community some route
+		// already carries: that Add is a no-op, and the entry must still
+		// own its set rather than alias the shared one.
 		"tagging": {
-			ASN:          65001,
-			LocationTags: map[topo.ASN]bgp.Community{200: bgp.C(65001, 42)},
-			ImportMaps: map[topo.ASN]*policy.RouteMap{
-				300: {Terms: []policy.Term{{AddCommunities: []bgp.Community{bgp.C(65001, 7)}, Continue: true}}},
+			ASN: 65001,
+			IngressTags: map[topo.ASN][]bgp.Community{
+				200: {bgp.C(65001, 42), bgp.C(65001, 500)},
+				300: {bgp.C(65001, 7), bgp.C(3320, 100), bgp.C(65001, 8)},
 			},
 		},
 		"hygiene": {ASN: 65001, MaxPrefixLen: 24},
@@ -68,7 +70,9 @@ func TestReceiveSharedMatchesReceiveUpdate(t *testing.T) {
 		func() *policy.Route {
 			rt := policy.NewLocalRoute(netip.PrefixFrom(netx.V4(203, 0, 113, 9), 32))
 			rt.ASPath = bgp.Path(200, 64999)
-			rt.Communities = bgp.NewCommunitySet(bgp.C(65001, 666), bgp.C(65001, 500))
+			// Spare capacity: an Add that skipped the copy would write
+			// the shared array in place.
+			rt.Communities = append(make(bgp.CommunitySet, 0, 8), bgp.C(65001, 500), bgp.C(65001, 666))
 			return rt
 		}(),
 		func() *policy.Route {
@@ -125,6 +129,21 @@ func TestReceiveSharedMatchesReceiveUpdate(t *testing.T) {
 					t.Fatalf("adj-in diverges at %d:\nclassic: %+v\nshared:  %+v", i, ac[i], as[i])
 				}
 			}
+			// A tagged session's entries carry every tag, in a community
+			// set of their own.
+			shared.EachAdjIn(func(p netip.Prefix, from topo.ASN, rt *policy.Route) {
+				tags := cfg.IngressTags[from]
+				for _, c := range tags {
+					if !rt.Communities.Has(c) {
+						t.Errorf("%s from %d: tag %s missing: %v", p, from, c, rt.Communities)
+					}
+				}
+				for _, in := range routes {
+					if len(tags) > 0 && in.Prefix == p && len(in.Communities) > 0 && &rt.Communities[0] == &in.Communities[0] {
+						t.Errorf("%s from %d: tagged entry aliases the shared community set", p, from)
+					}
+				}
+			})
 		})
 	}
 }

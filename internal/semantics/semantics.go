@@ -135,8 +135,6 @@ func ClassOfService(k policy.ServiceKind) Class {
 		return ClassActionPrepend
 	case policy.SvcLocalPref, policy.SvcAnnounceTo, policy.SvcNoAnnounceTo, policy.SvcNoExport:
 		return ClassActionSteering
-	case policy.SvcLocation:
-		return ClassInformational
 	default:
 		return ClassUnknown
 	}
