@@ -3,7 +3,7 @@
 
 GO      ?= go
 
-.PHONY: build test race scale-probe yardstick-smoke suite-gate lint deadcode mutant-gate fmt examples watch-smoke coverage fuzz-smoke loc ci
+.PHONY: build test race scale-probe yardstick-smoke suite-gate lint deadcode mutant-gate fmt watch-smoke coverage fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -35,14 +35,6 @@ suite-gate:
 	$(GO) run ./cmd/suiterun -suite suites/release.json -out .
 	$(GO) run ./cmd/suiterun -suite suites/detectors.json -out ''
 
-# examples runs every examples/* binary end to end against a small
-# generated topology, so the documented walkthroughs cannot silently rot.
-examples:
-	@set -e; for d in examples/*/; do \
-		echo "== go run ./$$d"; \
-		$(GO) run ./$$d >/dev/null; \
-	done
-
 # watch-smoke boots wormwatchd, replays an attack scenario through the
 # lossless engine tap, and asserts /alerts is served and byte-identical
 # at two -engine-shards values; then recovery, sharding, resharding.
@@ -64,12 +56,17 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/durable
 	$(GO) test -fuzz '^FuzzCheckpoint$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/durable
 
+# lint is gofmt, go vet and the layering gate (layering_test.go): the
+# record package imports only the wire and simulation layers, watch and
+# semantics never depend on core, and only bench/ names the record's old
+# watch-package aliases.
 lint:
 	@fmtout="$$(gofmt -l .)"; \
 	if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; \
 	fi
 	$(GO) vet ./...
+	$(GO) test -count=1 -run '^TestLayering$$' .
 
 # deadcode rebuilds every main package without inlining and fails on a
 # non-test function under internal/ that the linker put into none of
@@ -92,4 +89,4 @@ fmt:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
-ci: build lint deadcode mutant-gate race coverage fuzz-smoke examples watch-smoke scale-probe yardstick-smoke suite-gate
+ci: build lint deadcode mutant-gate race coverage fuzz-smoke watch-smoke scale-probe yardstick-smoke suite-gate

@@ -1,15 +1,31 @@
 #!/bin/sh
-# mutantgate.sh — every patch under ci/mutants is a seeded bug some test
-# must catch. For each patch: copy the working tree to a temp directory,
-# apply the patch there (one that no longer applies fails the gate), and
-# run each test its header names on a "Must-fail: ./pkg TestName" line;
-# every one of them must report "--- FAIL: TestName". No mutant ever
+# mutantgate.sh — every patch under ci/mutants is a seeded bug. For each
+# patch: copy the working tree to a temp directory and apply the patch
+# there (one that no longer applies fails the gate). Then either
+#   - the header names tests on "Must-fail: ./pkg TestName" lines, and
+#     every one of them must report "--- FAIL: TestName"; or
+#   - the header has a "Known-survivor: reason" line: a bug no test
+#     catches, kept on record. It must still apply; its reason is
+#     printed and no test is run.
+# A patch with both headers, or neither, fails the gate. No mutant ever
 # touches the tree itself.
 set -eu
 
 root=$(pwd)
 fail=0
 for patch in ci/mutants/*.patch; do
+    musts=$(sed -n 's/^Must-fail: //p' "$patch")
+    survivor=$(sed -n 's/^Known-survivor: //p' "$patch")
+    if [ -n "$musts" ] && [ -n "$survivor" ]; then
+        echo "FAIL $patch: header has both Must-fail and Known-survivor" >&2
+        fail=1
+        continue
+    fi
+    if [ -z "$musts" ] && [ -z "$survivor" ]; then
+        echo "FAIL $patch: header names no Must-fail test and no Known-survivor reason" >&2
+        fail=1
+        continue
+    fi
     tmp=$(mktemp -d)
     # Tracked and untracked-but-not-ignored files: the tree as it stands,
     # without .git or build caches.
@@ -21,10 +37,10 @@ for patch in ci/mutants/*.patch; do
         rm -rf "$tmp"
         continue
     fi
-    musts=$(sed -n 's/^Must-fail: //p' "$patch")
-    if [ -z "$musts" ]; then
-        echo "FAIL $patch: header names no Must-fail test" >&2
-        fail=1
+    if [ -n "$survivor" ]; then
+        echo "known survivor $patch: $survivor"
+        rm -rf "$tmp"
+        continue
     fi
     echo "$musts" | while read -r pkg test; do
         [ -n "$pkg" ] || continue

@@ -28,6 +28,7 @@ import (
 
 	_ "bgpworms/internal/attack" // registers the builtin scenarios
 	"bgpworms/internal/core"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/scenario"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
@@ -123,16 +124,7 @@ func runMRT(path string, asn int, asJSON bool) {
 		if err != nil {
 			fail(err)
 		}
-		_, err = core.StreamMRTUpdates("mrt", filepath.Base(p), f, func(u *core.Update) error {
-			if u.Withdraw {
-				return nil
-			}
-			eng.Ingest(semantics.Observation{
-				Time: u.Time, PeerAS: u.PeerAS, Prefix: u.Prefix,
-				ASPath: u.ASPath, Communities: u.Communities,
-			})
-			return nil
-		})
+		_, err = feed.StreamMRT(f, filepath.Base(p), eng.Ingest)
 		f.Close()
 		if err != nil {
 			fail(fmt.Errorf("%s: %w", p, err))

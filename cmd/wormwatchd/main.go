@@ -95,6 +95,7 @@ import (
 	_ "bgpworms/internal/attack" // registers the builtin scenarios
 	"bgpworms/internal/core"
 	"bgpworms/internal/durable"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/mrt"
 	"bgpworms/internal/obs"
@@ -433,14 +434,14 @@ func runDaemon(cfg config) error {
 				var n int
 				var err error
 				if tail != nil {
-					n, err = watch.StreamMRT(watch.DrainReader(tail, eng.Dispatch), src, sink)
+					n, err = feed.StreamMRT(feed.DrainReader(tail, eng.Dispatch), src, sink)
 				} else {
 					f, err2 := os.Open(p)
 					if err2 != nil {
 						log.Printf("wormwatchd: skipping %s: %v", p, err2)
 						continue
 					}
-					n, err = watch.StreamMRT(f, src, sink)
+					n, err = feed.StreamMRT(f, src, sink)
 					f.Close()
 				}
 				if err != nil {
@@ -491,7 +492,7 @@ func runDaemon(cfg config) error {
 					// The source label is constant across connections so a
 					// reconnecting sender produces the same event bytes a
 					// WAL replay would.
-					n, err := watch.StreamMRT(watch.DrainReader(conn, eng.Dispatch), "mrt:feed", sink)
+					n, err := feed.StreamMRT(feed.DrainReader(conn, eng.Dispatch), "mrt:feed", sink)
 					if err != nil && !stopping.Load() {
 						log.Printf("wormwatchd: live feed: %d events, then: %v", n, err)
 					} else {
@@ -504,7 +505,7 @@ func runDaemon(cfg config) error {
 	}
 
 	// The socket and -follow feeds dispatch their own partial batches
-	// the moment they drain (watch.DrainReader). The heartbeat is for what
+	// the moment they drain (feed.DrainReader). The heartbeat is for what
 	// has no read boundary to hang that on — a scenario tap mid-replay —
 	// and for refreshing the detectors' dictionary.
 	flusherDone := make(chan struct{})
@@ -576,8 +577,8 @@ func runDaemon(cfg config) error {
 
 // replayScenario drives a registered scenario through sink — the same
 // lossless sink every other feed uses — and logs the Table-3 outcome.
-func replayScenario(eng *watch.Engine, sink func(watch.Event), name string, params gen.Params) {
-	ctx := &scenario.Context{Gen: params, Tap: watch.EventTap("scenario:"+name, sink)}
+func replayScenario(eng *watch.Engine, sink func(feed.Event), name string, params gen.Params) {
+	ctx := &scenario.Context{Gen: params, Tap: feed.Tap("scenario:"+name, sink)}
 	res, err := scenario.Run(name, ctx)
 	if err != nil {
 		log.Printf("wormwatchd: scenario %s: %v", name, err)

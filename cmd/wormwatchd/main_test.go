@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/obs"
 	"bgpworms/internal/scenario"
@@ -70,8 +71,8 @@ func newTestServer(t *testing.T) (*watch.Engine, *semantics.Engine, http.Handler
 	return eng, sem, srv.Handler()
 }
 
-func testEvent(i int) watch.Event {
-	return watch.Event{
+func testEvent(i int) feed.Event {
+	return feed.Event{
 		PeerAS:      65001,
 		Prefix:      netip.MustParsePrefix("10.0.0.0/24"),
 		ASPath:      []uint32{65001, 65000, uint32(7000 + i%4)},
@@ -404,7 +405,7 @@ func mrtParts(t *testing.T) (part1, part2 []byte) {
 // events the daemon will ingest from it.
 func eventCount(t *testing.T, raw []byte) uint64 {
 	t.Helper()
-	n, err := watch.StreamMRT(bytes.NewReader(raw), "mrt:feed", func(watch.Event) {})
+	n, err := feed.StreamMRT(bytes.NewReader(raw), "mrt:feed", func(feed.Event) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +552,7 @@ func TestScenarioAlertsSameWithAndWithoutWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events uint64
-	count := &scenario.Context{Gen: params, Tap: watch.EventTap("count", func(watch.Event) { events++ })}
+	count := &scenario.Context{Gen: params, Tap: feed.Tap("count", func(feed.Event) { events++ })}
 	if _, err := scenario.Run("rtbh", count); err != nil {
 		t.Fatal(err)
 	}
@@ -732,10 +733,10 @@ func TestDaemonFeedListenKill9Recovery(t *testing.T) {
 	// ordering — two live connections would otherwise interleave.
 	d := startDaemon(t, config{feedListen: "127.0.0.1:0", walDir: t.TempDir(), fsync: 2 * time.Millisecond})
 	defer d.stop(t)
-	base, feed := d.url(t), d.feed(t)
-	streamFeed(t, feed, part1)
+	base, sock := d.url(t), d.feed(t)
+	streamFeed(t, sock, part1)
 	waitDurable(t, base, n1)
-	streamFeed(t, feed, part2)
+	streamFeed(t, sock, part2)
 	waitDurable(t, base, n1+n2)
 	want := waitStable(t, base+"/alerts", func(body string) bool {
 		return body == alertsFinal

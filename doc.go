@@ -14,8 +14,10 @@
 // internal/policy and internal/router implement AS-level routing;
 // internal/simnet runs networks of routers to convergence;
 // internal/collector and internal/gen produce the measurement vantage
-// (synthetic Internets recorded into MRT archives); internal/core
-// consumes those archives and computes every table and figure of §4.
+// (synthetic Internets recorded into MRT archives); internal/feed holds
+// the one routing observation record (feed.Event) with its one MRT
+// decoder and one simnet tap, below every consumer; internal/core
+// consumes those records and computes every table and figure of §4.
 // Above the simulator, internal/attack builds injection-platform labs
 // and internal/scenario catalogs every attack for enumeration,
 // parameterized runs, and grid sweeps; internal/watch ingests live
@@ -72,12 +74,13 @@
 // attributes the time to layers (bash bench/run.sh, go run ./bench
 // -compare). bench_test.go keeps only the scale probe, which converges
 // the paper-scale presets (BenchmarkLargeWorldBuild). CI runs the
-// Makefile targets (build, lint, deadcode — no function under internal/
-// that no binary links — race, coverage ratchet, fuzz smoke, examples,
-// scale probe, yardstick smoke) on every push; BENCHMARKS.md
+// Makefile targets (build, lint with the layering gate, deadcode — no
+// function under internal/ that no binary links — race, coverage ratchet,
+// fuzz smoke, watch smoke, scale probe, yardstick smoke) on every push; BENCHMARKS.md
 // keeps each PR's measurements as history, golden files (internal/core/testdata/golden) pin the
 // paper-facing numbers, native fuzzers with checked-in corpora
 // (FuzzCommunityText, FuzzMRTRecord) harden the codecs, and runnable
 // Example tests pin the documented entry points (core.Pipeline.Analyze,
-// scenario.Run, scenario.SweepOpts).
+// scenario.Run, scenario.SweepOpts, and simnet's five-AS walk through
+// looking glasses and the data plane).
 package bgpworms

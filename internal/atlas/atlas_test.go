@@ -102,7 +102,7 @@ func TestTracerouteAll(t *testing.T) {
 	for _, vp := range vps {
 		tr := n.Forward(vp.AS, netx.NthAddr(pfx, 1))
 		if tr.Outcome != simnet.Delivered || tr.FinalAS != 1 {
-			t.Fatalf("trace=%s", tr)
+			t.Fatalf("trace=%+v", tr)
 		}
 	}
 }

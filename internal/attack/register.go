@@ -6,7 +6,7 @@ import (
 
 // The attack package registers every lab scenario into the
 // internal/scenario registry at init, so importing attack (as
-// cmd/attacklab and the examples do) populates the catalog.
+// cmd/attacklab and the other binaries do) populates the catalog.
 func init() {
 	for _, s := range builtinScenarios() {
 		scenario.Register(s)

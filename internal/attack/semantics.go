@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/scenario"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/topo"
@@ -38,7 +39,7 @@ func (l *Lab) RunDictionaryPoisoning(values int) (*scenario.Result, error) {
 	// The inference under attack observes the live network.
 	sem := semantics.NewEngine(semantics.Config{})
 	defer sem.Close()
-	tapID := l.W.Net.Tap(sem.Tap())
+	tapID := l.W.Net.Tap(feed.Tap("", sem.Ingest))
 	defer l.W.Net.Untap(tapID)
 
 	// Clean training baseline: a month of ordinary churn.

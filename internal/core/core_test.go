@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
+	"bgpworms/internal/gen"
 	"bgpworms/internal/netx"
 )
 
@@ -15,10 +17,11 @@ var (
 	pfxB = netx.MustPrefix("198.51.100.0/24")
 )
 
-func upd(col string, peer uint32, p netip.Prefix, path []uint32, comms ...bgp.Community) Update {
-	return Update{
-		Platform:    "RIS",
-		Collector:   col,
+// upd is one announcement at collector col; the collector's name
+// carries its platform ("RIS-rrc00" is on RIS), as generated names do.
+func upd(col string, peer uint32, p netip.Prefix, path []uint32, comms ...bgp.Community) feed.Event {
+	return feed.Event{
+		Source:      col,
 		PeerAS:      peer,
 		Time:        t0,
 		Prefix:      p,
@@ -36,31 +39,27 @@ func analyze(ds *Dataset, knownBlackhole ...bgp.Community) *Analysis {
 func smallDataset() *Dataset {
 	ds := &Dataset{
 		Collectors: []CollectorMeta{
-			{Platform: "RIS", Name: "rrc00", PeerIPs: 2, PeerASNs: map[uint32]bool{5: true, 7: true}},
-			{Platform: "RV", Name: "rv0", PeerIPs: 1, PeerASNs: map[uint32]bool{9: true}},
+			{Platform: "RIS", Name: "RIS-rrc00", PeerIPs: 2, PeerASNs: map[uint32]bool{5: true, 7: true}},
+			{Platform: "RV", Name: "RV-rv0", PeerIPs: 1, PeerASNs: map[uint32]bool{9: true}},
 		},
 	}
 	// Path display order: nearest first, origin last.
-	ds.Updates = []Update{
+	ds.Updates = []feed.Event{
 		// Community 3:100 tagged by AS3 at index 2 — traveled 3 hops.
-		upd("rrc00", 5, pfxA, []uint32{5, 4, 3, 2, 1}, bgp.C(3, 100), bgp.C(1, 200)),
+		upd("RIS-rrc00", 5, pfxA, []uint32{5, 4, 3, 2, 1}, bgp.C(3, 100), bgp.C(1, 200)),
 		// Prepended path: 4 4 4 3 1 → stripped 4 3 1.
-		upd("rrc00", 7, pfxA, []uint32{7, 4, 4, 4, 3, 1}, bgp.C(99, 666)),
+		upd("RIS-rrc00", 7, pfxA, []uint32{7, 4, 4, 4, 3, 1}, bgp.C(99, 666)),
 		// v6 prefix, no communities (RV platform).
-		func() Update {
-			u := upd("rv0", 9, netx.MustPrefix("2001:db8::/32"), []uint32{9, 3, 1})
-			u.Platform = "RV"
-			return u
-		}(),
+		upd("RV-rv0", 9, netx.MustPrefix("2001:db8::/32"), []uint32{9, 3, 1}),
 		// Withdrawal.
-		{Platform: "RV", Collector: "rv0", PeerAS: 9, Time: t0, Prefix: pfxB, Withdraw: true},
+		{Source: "RV-rv0", PeerAS: 9, Time: t0, Prefix: pfxB, Withdraw: true},
 	}
 	return ds
 }
 
 func TestStrippedPathAndOrigin(t *testing.T) {
-	u := upd("c", 5, pfxA, []uint32{5, 4, 4, 4, 3})
-	got := u.StrippedPath()
+	u := upd("RIS-c", 5, pfxA, []uint32{5, 4, 4, 4, 3})
+	got := strippedPath(&u)
 	if len(got) != 3 || got[0] != 5 || got[2] != 3 {
 		t.Fatalf("stripped=%v", got)
 	}
@@ -129,8 +128,8 @@ func TestTable2Classification(t *testing.T) {
 }
 
 func TestTable2PrivateASN(t *testing.T) {
-	ds := &Dataset{Collectors: []CollectorMeta{{Platform: "RIS", Name: "c", PeerASNs: map[uint32]bool{}}}}
-	ds.Updates = []Update{upd("c", 5, pfxA, []uint32{5, 1}, bgp.C(64512, 1), bgp.C(700, 2))}
+	ds := &Dataset{Collectors: []CollectorMeta{{Platform: "RIS", Name: "RIS-c", PeerASNs: map[uint32]bool{}}}}
+	ds.Updates = []feed.Event{upd("RIS-c", 5, pfxA, []uint32{5, 1}, bgp.C(64512, 1), bgp.C(700, 2))}
 	rows := analyze(ds).Table2
 	r := rows[0]
 	if r.OffPath != 2 || r.OffPathWithoutPrivate != 1 {
@@ -139,8 +138,8 @@ func TestTable2PrivateASN(t *testing.T) {
 }
 
 func TestWellKnownExcludedFromTable2(t *testing.T) {
-	ds := &Dataset{Collectors: []CollectorMeta{{Platform: "RIS", Name: "c", PeerASNs: map[uint32]bool{}}}}
-	ds.Updates = []Update{upd("c", 5, pfxA, []uint32{5, 1}, bgp.CommunityNoExport, bgp.CommunityBlackhole, bgp.C(0, 4))}
+	ds := &Dataset{Collectors: []CollectorMeta{{Platform: "RIS", Name: "RIS-c", PeerASNs: map[uint32]bool{}}}}
+	ds.Updates = []feed.Event{upd("RIS-c", 5, pfxA, []uint32{5, 1}, bgp.CommunityNoExport, bgp.CommunityBlackhole, bgp.C(0, 4))}
 	rows := analyze(ds).Table2
 	if rows[0].Total != 0 {
 		t.Fatalf("reserved ranges must not count as ASes: %+v", rows[0])
@@ -158,9 +157,9 @@ func TestFigure4a(t *testing.T) {
 	var rrc, rv CollectorFraction
 	for _, f := range fr {
 		switch f.Collector {
-		case "rrc00":
+		case "RIS-rrc00":
 			rrc = f
-		case "rv0":
+		case "RV-rv0":
 			rv = f
 		}
 	}
@@ -253,10 +252,10 @@ func TestBlackholeClassifier(t *testing.T) {
 }
 
 func TestFigure5bExcludesMonitorPeerTagger(t *testing.T) {
-	ds := &Dataset{Collectors: []CollectorMeta{{Platform: "RIS", Name: "c", PeerASNs: map[uint32]bool{}}}}
-	ds.Updates = []Update{
+	ds := &Dataset{Collectors: []CollectorMeta{{Platform: "RIS", Name: "RIS-c", PeerASNs: map[uint32]bool{}}}}
+	ds.Updates = []feed.Event{
 		// Tagger = peer (idx 0): excluded. Tagger idx 1: kept.
-		upd("c", 5, pfxA, []uint32{5, 4, 1}, bgp.C(5, 1), bgp.C(4, 2)),
+		upd("RIS-c", 5, pfxA, []uint32{5, 4, 1}, bgp.C(5, 1), bgp.C(4, 2)),
 	}
 	pa := analyze(ds).Prop
 	m := pa.Figure5b(3, 10)
@@ -274,10 +273,10 @@ func TestFigure5bExcludesMonitorPeerTagger(t *testing.T) {
 }
 
 func TestFigure5cTopValues(t *testing.T) {
-	ds := &Dataset{Collectors: []CollectorMeta{{Platform: "RIS", Name: "c", PeerASNs: map[uint32]bool{}}}}
-	ds.Updates = []Update{
-		upd("c", 5, pfxA, []uint32{5, 1}, bgp.C(1, 100), bgp.C(5, 100), bgp.C(99, 666)),
-		upd("c", 5, pfxB, []uint32{5, 1}, bgp.C(1, 100), bgp.C(98, 666)),
+	ds := &Dataset{Collectors: []CollectorMeta{{Platform: "RIS", Name: "RIS-c", PeerASNs: map[uint32]bool{}}}}
+	ds.Updates = []feed.Event{
+		upd("RIS-c", 5, pfxA, []uint32{5, 1}, bgp.C(1, 100), bgp.C(5, 100), bgp.C(99, 666)),
+		upd("RIS-c", 5, pfxB, []uint32{5, 1}, bgp.C(1, 100), bgp.C(98, 666)),
 	}
 	pa := analyze(ds).Prop
 	off, on := pa.Figure5c(10)
@@ -293,13 +292,13 @@ func TestFigure5cTopValues(t *testing.T) {
 }
 
 func TestTransitPropagators(t *testing.T) {
-	ds := &Dataset{Collectors: []CollectorMeta{{Platform: "RIS", Name: "c", PeerASNs: map[uint32]bool{}}}}
-	ds.Updates = []Update{
+	ds := &Dataset{Collectors: []CollectorMeta{{Platform: "RIS", Name: "RIS-c", PeerASNs: map[uint32]bool{}}}}
+	ds.Updates = []feed.Event{
 		// Community of AS1 (origin, idx 3): relayers are idx 1,2 = {4,3}.
 		// Peer (idx 0 = AS5) excluded.
-		upd("c", 5, pfxA, []uint32{5, 4, 3, 1}, bgp.C(1, 100)),
+		upd("RIS-c", 5, pfxA, []uint32{5, 4, 3, 1}, bgp.C(1, 100)),
 		// No-community update defines more transit ASes.
-		upd("c", 9, pfxB, []uint32{9, 8, 7}),
+		upd("RIS-c", 9, pfxB, []uint32{9, 8, 7}),
 	}
 	rep := analyze(ds).Transit
 	// Transit: non-origin positions: {5,4,3} ∪ {9,8} = 5.
@@ -313,10 +312,10 @@ func TestTransitPropagators(t *testing.T) {
 
 func TestLatestRoutesDedup(t *testing.T) {
 	ds := &Dataset{}
-	u1 := upd("c", 5, pfxA, []uint32{5, 1}, bgp.C(1, 1))
-	u2 := upd("c", 5, pfxA, []uint32{5, 2, 1}, bgp.C(1, 2))
-	w := Update{Collector: "c", PeerAS: 7, Prefix: pfxB, Withdraw: true}
-	ds.Updates = []Update{u1, u2, w}
+	u1 := upd("RIS-c", 5, pfxA, []uint32{5, 1}, bgp.C(1, 1))
+	u2 := upd("RIS-c", 5, pfxA, []uint32{5, 2, 1}, bgp.C(1, 2))
+	w := feed.Event{Source: "RIS-c", PeerAS: 7, Prefix: pfxB, Withdraw: true}
+	ds.Updates = []feed.Event{u1, u2, w}
 	latest := NewPipeline(0).LatestRoutes(ds)
 	if len(latest) != 1 {
 		t.Fatalf("latest=%v", latest)
@@ -325,7 +324,7 @@ func TestLatestRoutesDedup(t *testing.T) {
 		t.Fatal("did not keep the newest route")
 	}
 	// Announce then withdraw → gone.
-	ds2 := &Dataset{Updates: []Update{u1, {Collector: "c", PeerAS: 5, Prefix: pfxA, Withdraw: true}}}
+	ds2 := &Dataset{Updates: []feed.Event{u1, {Source: "RIS-c", PeerAS: 5, Prefix: pfxA, Withdraw: true}}}
 	if len(NewPipeline(0).LatestRoutes(ds2)) != 0 {
 		t.Fatal("withdrawn route survived")
 	}
@@ -338,9 +337,9 @@ func TestInferFilteringPaperExample(t *testing.T) {
 	// Careful: paper's A2 traverses AS2 as well: AS1,AS2,AS3,AS5 →
 	// nearest-first [5,3,2,1].
 	ds := &Dataset{}
-	ds.Updates = []Update{
-		upd("c1", 4, pfxA, []uint32{4, 3, 2, 1}, bgp.C(2, 77)),
-		upd("c2", 5, pfxA, []uint32{5, 3, 2, 1}),
+	ds.Updates = []feed.Event{
+		upd("RIS-c1", 4, pfxA, []uint32{4, 3, 2, 1}, bgp.C(2, 77)),
+		upd("RIS-c2", 5, pfxA, []uint32{5, 3, 2, 1}),
 	}
 	fi := analyze(ds).Filter
 
@@ -376,13 +375,13 @@ func TestInferFilteringPaperExample(t *testing.T) {
 func TestInferFilteringMixedEdge(t *testing.T) {
 	// Same edge forwards one community and filters another.
 	ds := &Dataset{}
-	ds.Updates = []Update{
-		upd("c1", 4, pfxA, []uint32{4, 3, 2, 1}, bgp.C(2, 1)),
-		upd("c2", 5, pfxA, []uint32{5, 4, 3, 2, 1}, bgp.C(2, 1)),
+	ds.Updates = []feed.Event{
+		upd("RIS-c1", 4, pfxA, []uint32{4, 3, 2, 1}, bgp.C(2, 1)),
+		upd("RIS-c2", 5, pfxA, []uint32{5, 4, 3, 2, 1}, bgp.C(2, 1)),
 		// Second prefix: community from AS2 reaches AS3 via c1's view but
 		// is missing on the path via 4→5.
-		upd("c1", 4, pfxB, []uint32{4, 3, 2, 1}, bgp.C(2, 2)),
-		upd("c2", 5, pfxB, []uint32{5, 4, 3, 2, 1}),
+		upd("RIS-c1", 4, pfxB, []uint32{4, 3, 2, 1}, bgp.C(2, 2)),
+		upd("RIS-c2", 5, pfxB, []uint32{5, 4, 3, 2, 1}),
 	}
 	fi := analyze(ds).Filter
 	if in := fi.Edges[Edge{4, 5}]; in == nil || in.Forwarded == 0 || in.Filtered == 0 {
@@ -398,5 +397,33 @@ func TestEvolutionMetrics(t *testing.T) {
 	}
 	if te != 3 { // three latest announcements
 		t.Fatalf("te=%d", te)
+	}
+}
+
+// TestGeneratedCollectorNamesCarryPlatform holds the invariant that let
+// the record drop its per-update platform label: every collector the
+// generator attaches is named "<platform>-NN", so platformOf(name) gives
+// back the platform it was built with, on tiny and small worlds alike.
+func TestGeneratedCollectorNamesCarryPlatform(t *testing.T) {
+	for _, scale := range []string{"tiny", "small"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			p, err := gen.Preset(scale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Seed = seed
+			w, err := gen.Build(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(w.Collectors) == 0 {
+				t.Fatalf("%s seed %d: no collectors", scale, seed)
+			}
+			for _, c := range w.Collectors {
+				if got := platformOf(c.Name); got != string(c.Platform) {
+					t.Errorf("%s seed %d: collector %q reads as platform %q, built on %q", scale, seed, c.Name, got, c.Platform)
+				}
+			}
+		}
 	}
 }

@@ -1,43 +1,41 @@
 // Package core implements the paper's primary contribution: the BGP
 // community propagation analysis pipeline of §4. It consumes route
-// collector data (in-memory observations or MRT byte streams), normalizes
-// AS paths (prepending removal), classifies communities as on-/off-path,
-// measures propagation distances (Fig. 5), counts transit propagators
-// (§4.3), infers per-edge community filtering from indication counts
-// (Fig. 6), and produces the dataset summaries of Tables 1 and 2 and the
-// use statistics of Figures 3 and 4.
+// collector data (in-memory observations or MRT byte streams, both as
+// feed.Event records), normalizes AS paths (prepending removal),
+// classifies communities as on-/off-path, measures propagation distances
+// (Fig. 5), counts transit propagators (§4.3), infers per-edge community
+// filtering from indication counts (Fig. 6), and produces the dataset
+// summaries of Tables 1 and 2 and the use statistics of Figures 3 and 4.
 package core
 
 import (
-	"io"
 	"net/netip"
 	"sort"
+	"strings"
 	"time"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/collector"
+	"bgpworms/internal/feed"
 )
 
-// Update is one normalized routing observation at a collector.
-type Update struct {
-	Platform  string
-	Collector string
-	PeerAS    uint32
-	Time      time.Time
-	Prefix    netip.Prefix
-	// ASPath is nearest-AS-first (peer first, origin last), raw (with
-	// prepending).
-	ASPath []uint32
-	// Communities is the normalized community set.
-	Communities bgp.CommunitySet
-	// Withdraw marks withdrawals; attribute fields are empty for them.
-	Withdraw bool
+// strippedPath returns the event's path with consecutive duplicates
+// (prepending) collapsed — the normalization §4.1 applies before all
+// analysis.
+func strippedPath(ev *feed.Event) []uint32 {
+	return bgp.Path(ev.ASPath...).StripPrepending()
 }
 
-// StrippedPath returns the path with consecutive duplicates (prepending)
-// collapsed — the normalization §4.1 applies before all analysis.
-func (u *Update) StrippedPath() []uint32 {
-	return bgp.Path(u.ASPath...).StripPrepending()
+// platformOf derives a collector's platform from its name, the prefix
+// before the first "-" ("RIS-00" → "RIS"; a name without one is its own
+// platform). Every generated collector is named that way, and archive
+// names carry the collector name, so one rule labels both the in-memory
+// and the on-disk path.
+func platformOf(collector string) string {
+	if i := strings.Index(collector, "-"); i > 0 {
+		return collector[:i]
+	}
+	return collector
 }
 
 // CollectorMeta identifies one collector and its peering sessions.
@@ -50,13 +48,16 @@ type CollectorMeta struct {
 	PeerASNs map[uint32]bool
 }
 
-// Dataset is the pipeline input: a month of updates across collectors.
+// Dataset is the pipeline input: a month of updates across collectors,
+// each labelled with its collector's name in Source.
 type Dataset struct {
-	Updates    []Update
+	Updates    []feed.Event
 	Collectors []CollectorMeta
 }
 
 // FromCollectors converts attached collectors' archives into a Dataset.
+// Each recorded delivery goes through the one route-to-record
+// conversion, feed.Tap, and keeps the collector's session clock.
 func FromCollectors(cs []*collector.Collector) *Dataset {
 	ds := &Dataset{}
 	for _, c := range cs {
@@ -70,47 +71,17 @@ func FromCollectors(cs []*collector.Collector) *Dataset {
 			meta.PeerASNs[uint32(p.AS)] = true
 		}
 		ds.Collectors = append(ds.Collectors, meta)
+		var at time.Time
+		record := feed.Tap(c.Name, func(ev feed.Event) {
+			ev.Time = at
+			ds.Updates = append(ds.Updates, ev)
+		})
 		for _, ob := range c.Observations() {
-			u := Update{
-				Platform:  string(c.Platform),
-				Collector: c.Name,
-				PeerAS:    uint32(ob.PeerAS),
-				Time:      ob.Time,
-				Prefix:    ob.Prefix,
-			}
-			if ob.Route == nil {
-				u.Withdraw = true
-			} else {
-				u.ASPath = ob.Route.ASPath.Sequence()
-				u.Communities = ob.Route.Communities.Clone()
-			}
-			ds.Updates = append(ds.Updates, u)
+			at = ob.Time
+			record(ob.PeerAS, c.ASN, ob.Prefix, ob.Route)
 		}
 	}
 	return ds
-}
-
-// ReadMRTUpdates parses a BGP4MP update stream (as written by
-// collector.WriteUpdatesMRT) into a Dataset fragment for one collector.
-// It materializes the stream; use StreamMRTUpdates to classify without
-// retaining the update slice.
-func ReadMRTUpdates(platform, collectorName string, r io.Reader) (*Dataset, error) {
-	ds := &Dataset{}
-	meta, err := StreamMRTUpdates(platform, collectorName, r, func(u *Update) error {
-		ds.Updates = append(ds.Updates, *u)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ds.Collectors = append(ds.Collectors, meta)
-	return ds, nil
-}
-
-// Merge appends other's updates and collectors into ds.
-func (ds *Dataset) Merge(other *Dataset) {
-	ds.Updates = append(ds.Updates, other.Updates...)
-	ds.Collectors = append(ds.Collectors, other.Collectors...)
 }
 
 // routeKey identifies one (collector, peer, prefix) table slot.
@@ -126,18 +97,18 @@ type routeKey struct {
 // chunk's entry overrides an earlier chunk's (it came later in the
 // stream), and keys keep their global first-seen position.
 type latestAgg struct {
-	last  map[routeKey]Update
+	last  map[routeKey]feed.Event
 	order []routeKey
 }
 
-func newLatestAgg() *latestAgg { return &latestAgg{last: make(map[routeKey]Update)} }
+func newLatestAgg() *latestAgg { return &latestAgg{last: make(map[routeKey]feed.Event)} }
 
-func (a *latestAgg) add(u *Update) {
-	k := routeKey{u.Collector, u.PeerAS, u.Prefix}
+func (a *latestAgg) add(ev *feed.Event) {
+	k := routeKey{ev.Source, ev.PeerAS, ev.Prefix}
 	if _, seen := a.last[k]; !seen {
 		a.order = append(a.order, k)
 	}
-	a.last[k] = *u
+	a.last[k] = *ev
 }
 
 func (a *latestAgg) merge(b *latestAgg) {
@@ -149,16 +120,16 @@ func (a *latestAgg) merge(b *latestAgg) {
 	}
 }
 
-func (a *latestAgg) finalize() []Update {
-	out := make([]Update, 0, len(a.order))
+func (a *latestAgg) finalize() []feed.Event {
+	out := make([]feed.Event, 0, len(a.order))
 	for _, k := range a.order {
-		if u := a.last[k]; !u.Withdraw {
-			out = append(out, u)
+		if ev := a.last[k]; !ev.Withdraw {
+			out = append(out, ev)
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Collector != out[j].Collector {
-			return out[i].Collector < out[j].Collector
+		if out[i].Source != out[j].Source {
+			return out[i].Source < out[j].Source
 		}
 		return out[i].PeerAS < out[j].PeerAS
 	})
@@ -169,10 +140,10 @@ func (a *latestAgg) finalize() []Update {
 // final route per (collector, peer, prefix) — the "at the same time"
 // concurrent view the §4.4 filter inference iterates over. Withdrawn
 // entries are removed.
-func (p *Pipeline) LatestRoutes(ds *Dataset) []Update {
+func (p *Pipeline) LatestRoutes(ds *Dataset) []feed.Event {
 	aggs := foldChunks(ds.Updates, p.workers(),
 		newLatestAgg,
-		func(a *latestAgg, u *Update, _ []uint32) { a.add(u) })
+		func(a *latestAgg, ev *feed.Event, _ []uint32) { a.add(ev) })
 	merged := newLatestAgg()
 	for _, a := range aggs {
 		merged.merge(a)

@@ -2,10 +2,29 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
+	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
 )
+
+// readArchive materializes one collector archive through the one MRT
+// decoder, with the metadata the archive itself tells: the collector's
+// name and the peer ASes its records name.
+func readArchive(t *testing.T, r io.Reader, name string) ([]feed.Event, CollectorMeta) {
+	t.Helper()
+	var events []feed.Event
+	meta := CollectorMeta{Platform: platformOf(name), Name: name, PeerASNs: map[uint32]bool{}}
+	if _, err := feed.StreamMRT(r, name, func(ev feed.Event) {
+		meta.PeerASNs[ev.PeerAS] = true
+		events = append(events, ev)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	meta.PeerIPs = len(meta.PeerASNs)
+	return events, meta
+}
 
 // buildDatasetViaMRT runs the full honest pipeline: synthetic Internet →
 // collector archives → MRT byte streams → parsed Dataset. The analysis
@@ -25,18 +44,16 @@ func buildDatasetViaMRT(t *testing.T) (*gen.Internet, *Dataset) {
 		if _, err := c.WriteUpdatesMRT(&buf); err != nil {
 			t.Fatal(err)
 		}
-		part, err := ReadMRTUpdates(string(c.Platform), c.Name, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		events, meta := readArchive(t, &buf, c.Name)
 		// MRT streams do not carry session metadata; splice in the real
 		// peer list.
-		part.Collectors[0].PeerIPs = len(c.Peers())
-		part.Collectors[0].PeerASNs = map[uint32]bool{}
+		meta.PeerIPs = len(c.Peers())
+		meta.PeerASNs = map[uint32]bool{}
 		for _, p := range c.Peers() {
-			part.Collectors[0].PeerASNs[uint32(p.AS)] = true
+			meta.PeerASNs[uint32(p.AS)] = true
 		}
-		ds.Merge(part)
+		ds.Updates = append(ds.Updates, events...)
+		ds.Collectors = append(ds.Collectors, meta)
 	}
 	return w, ds
 }

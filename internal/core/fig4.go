@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"bgpworms/internal/feed"
 	"bgpworms/internal/stats"
 )
 
@@ -34,15 +35,15 @@ type fig4aAgg struct {
 
 func newFig4aAgg() *fig4aAgg { return &fig4aAgg{idx: make(map[string]int)} }
 
-func (a *fig4aAgg) add(u *Update) {
+func (a *fig4aAgg) add(platform string, u *feed.Event) {
 	if u.Withdraw {
 		return
 	}
-	i, ok := a.idx[u.Collector]
+	i, ok := a.idx[u.Source]
 	if !ok {
 		i = len(a.out)
-		a.idx[u.Collector] = i
-		a.out = append(a.out, CollectorFraction{Platform: u.Platform, Collector: u.Collector})
+		a.idx[u.Source] = i
+		a.out = append(a.out, CollectorFraction{Platform: platform, Collector: u.Source})
 	}
 	a.out[i].Updates++
 	if len(u.Communities) > 0 {
@@ -82,7 +83,7 @@ func (a *fig4aAgg) finalize() []CollectorFraction {
 // shareAgg folds the global announcement / with-community counters.
 type shareAgg struct{ total, with int }
 
-func (a *shareAgg) add(u *Update) {
+func (a *shareAgg) add(u *feed.Event) {
 	if u.Withdraw {
 		return
 	}
@@ -118,7 +119,7 @@ type fig4bAgg struct {
 	ases  []float64
 }
 
-func (a *fig4bAgg) add(u *Update) {
+func (a *fig4bAgg) add(u *feed.Event) {
 	if u.Withdraw {
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/stats"
 )
 
@@ -79,7 +80,7 @@ func newPropAgg(isBlackhole func(bgp.Community) bool) *propAgg {
 	return &propAgg{isBlackhole: isBlackhole}
 }
 
-func (a *propAgg) add(u *Update, stripped []uint32) {
+func (a *propAgg) add(u *feed.Event, stripped []uint32) {
 	if u.Withdraw || len(u.Communities) == 0 {
 		return
 	}
@@ -195,7 +196,7 @@ func newTransitAgg() *transitAgg {
 	return &transitAgg{transit: make(map[uint32]bool), prop: make(map[uint32]bool)}
 }
 
-func (a *transitAgg) add(u *Update, stripped []uint32) {
+func (a *transitAgg) add(u *feed.Event, stripped []uint32) {
 	if u.Withdraw {
 		return
 	}

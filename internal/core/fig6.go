@@ -5,6 +5,7 @@ import (
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/conc"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/stats"
 )
 
@@ -67,10 +68,10 @@ func (fi *FilterInference) merge(o *FilterInference) {
 // commutative count, so the result is independent of announcement and
 // community iteration order — the property that makes prefix-sharded
 // parallel execution bit-identical to the serial scan.
-func (fi *FilterInference) inferPrefix(anns []Update) {
+func (fi *FilterInference) inferPrefix(anns []feed.Event) {
 	// Path visibility counts (origin-first edges).
 	for i := range anns {
-		o := originFirst(anns[i].StrippedPath())
+		o := originFirst(strippedPath(&anns[i]))
 		for k := 0; k+1 < len(o); k++ {
 			fi.get(Edge{o[k], o[k+1]}).Paths++
 		}
@@ -92,7 +93,7 @@ func (fi *FilterInference) inferPrefix(anns []Update) {
 			if !anns[i].Communities.Has(c) {
 				continue
 			}
-			path := anns[i].StrippedPath()
+			path := strippedPath(&anns[i])
 			ti := TaggerIndex(path, c)
 			if ti < 0 {
 				continue // off-path: no geometry to reason about
@@ -122,7 +123,7 @@ func (fi *FilterInference) inferPrefix(anns []Update) {
 			if anns[i].Communities.Has(c) {
 				continue
 			}
-			o := originFirst(anns[i].StrippedPath())
+			o := originFirst(strippedPath(&anns[i]))
 			// The LAST receiver on the path is where the community
 			// was dropped toward the next hop.
 			for k := len(o) - 2; k >= 0; k-- {
@@ -139,8 +140,8 @@ func (fi *FilterInference) inferPrefix(anns []Update) {
 // (latest route per collector peer), sharded by prefix: each worker
 // owns a disjoint set of prefix groups and accumulates a private edge
 // map; the per-worker maps merge by summation.
-func (p *Pipeline) inferFiltering(routes []Update) *FilterInference {
-	byPrefix := make(map[netip.Prefix][]Update)
+func (p *Pipeline) inferFiltering(routes []feed.Event) *FilterInference {
+	byPrefix := make(map[netip.Prefix][]feed.Event)
 	var order []netip.Prefix
 	for _, u := range routes {
 		if _, seen := byPrefix[u.Prefix]; !seen {

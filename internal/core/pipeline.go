@@ -6,6 +6,7 @@ import (
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/conc"
+	"bgpworms/internal/feed"
 )
 
 // Pipeline runs the §4 analysis over a worker pool. There is one fold —
@@ -48,7 +49,7 @@ func (p *Pipeline) workers() int {
 // caller can merge them deterministically. fold receives each update
 // together with its prepending-stripped AS path (computed once per
 // update, shared by every consumer).
-func foldChunks[A any](updates []Update, workers int, mk func() A, fold func(agg A, u *Update, stripped []uint32)) []A {
+func foldChunks[A any](updates []feed.Event, workers int, mk func() A, fold func(agg A, ev *feed.Event, stripped []uint32)) []A {
 	ranges := conc.Chunks(len(updates), workers)
 	aggs := make([]A, len(ranges))
 	var wg sync.WaitGroup
@@ -58,8 +59,8 @@ func foldChunks[A any](updates []Update, workers int, mk func() A, fold func(agg
 			defer wg.Done()
 			agg := mk()
 			for j := lo; j < hi; j++ {
-				u := &updates[j]
-				fold(agg, u, u.StrippedPath())
+				ev := &updates[j]
+				fold(agg, ev, strippedPath(ev))
 			}
 			aggs[i] = agg
 		}(i, r[0], r[1])
@@ -94,7 +95,7 @@ func (p *Pipeline) Analyze(ds *Dataset, knownBlackhole []bgp.Community) *Analysi
 	cls := IsBlackholeClassifier(knownBlackhole)
 	accs := foldChunks(ds.Updates, p.workers(),
 		func() *Accumulator { return newAccumulatorFor(cls) },
-		func(a *Accumulator, u *Update, stripped []uint32) { a.addStripped(u, stripped) })
+		func(a *Accumulator, ev *feed.Event, stripped []uint32) { a.addStripped(ev, stripped) })
 	var acc *Accumulator
 	if len(accs) == 0 {
 		acc = newAccumulatorFor(cls)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bgpworms/internal/conc"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
 )
 
@@ -59,9 +60,10 @@ func TestLatestRoutesChunkMergeIdentical(t *testing.T) {
 }
 
 // TestStreamingMatchesMaterialized runs the same MRT archives through
-// a materialized reference — every archive read whole with
-// ReadMRTUpdates and merged in sorted file-name order, then Analyze —
-// and through the streaming accumulator, and demands identical output.
+// a materialized reference — every archive decoded whole with
+// feed.StreamMRT and concatenated in sorted file-name order, then
+// Analyze — and through the streaming accumulator, and demands
+// identical output.
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	world, err := gen.Build(gen.Tiny())
 	if err != nil {
@@ -92,13 +94,10 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		platform, collector := collectorNameFromFile(name)
-		part, err := ReadMRTUpdates(platform, collector, f)
+		events, meta := readArchive(t, f, collectorNameFromFile(name))
 		f.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ds.Merge(part)
+		ds.Updates = append(ds.Updates, events...)
+		ds.Collectors = append(ds.Collectors, meta)
 	}
 	if len(ds.Updates) == 0 {
 		t.Fatal("no updates loaded")
@@ -119,13 +118,12 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 
 // TestTotalRowCoversMetadataLessPlatforms guards a sharding regression:
 // updates whose platform has no CollectorMeta entry (possible via the
-// exported Dataset fields or Merge of metadata-less fragments) get no
-// per-platform row, but must still count in the Total row, as the
-// pre-pipeline full-scan code did.
+// exported Dataset fields) get no per-platform row, but must still count
+// in the Total row, as the pre-pipeline full-scan code did.
 func TestTotalRowCoversMetadataLessPlatforms(t *testing.T) {
 	ds := &Dataset{}
-	ds.Updates = []Update{{
-		Platform: "GHOST", Collector: "g0", PeerAS: 5,
+	ds.Updates = []feed.Event{{
+		Source: "GHOST-g0", PeerAS: 5,
 		Prefix: pfxA, ASPath: []uint32{5, 1},
 	}}
 	rows := analyze(ds).Table1

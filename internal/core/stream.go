@@ -1,69 +1,15 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/conc"
-	"bgpworms/internal/mrt"
+	"bgpworms/internal/feed"
 )
-
-// StreamMRTUpdates decodes a BGP4MP update stream (as written by
-// collector.WriteUpdatesMRT) and invokes fn once per normalized routing
-// observation, without materializing the update slice. It returns the
-// collector metadata gathered along the way. fn errors abort the stream.
-func StreamMRTUpdates(platform, collectorName string, r io.Reader, fn func(u *Update) error) (CollectorMeta, error) {
-	meta := CollectorMeta{Platform: platform, Name: collectorName, PeerASNs: make(map[uint32]bool)}
-	mr := mrt.NewReader(r)
-	for {
-		rec, err := mr.Next()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return meta, fmt.Errorf("core: reading MRT: %w", err)
-		}
-		msg, ok := rec.(*mrt.BGP4MPMessage)
-		if !ok {
-			continue // state changes etc. carry no routes
-		}
-		upd, ok := msg.Message.(*bgp.Update)
-		if !ok {
-			continue
-		}
-		meta.PeerASNs[msg.PeerAS] = true
-		base := Update{
-			Platform:  platform,
-			Collector: collectorName,
-			PeerAS:    msg.PeerAS,
-			Time:      msg.Timestamp,
-		}
-		for _, p := range upd.AllAnnounced() {
-			u := base
-			u.Prefix = p
-			u.ASPath = upd.Attrs.ASPath.Sequence()
-			u.Communities = upd.Attrs.Communities.Clone()
-			if err := fn(&u); err != nil {
-				return meta, err
-			}
-		}
-		for _, p := range upd.AllWithdrawn() {
-			u := base
-			u.Prefix = p
-			u.Withdraw = true
-			if err := fn(&u); err != nil {
-				return meta, err
-			}
-		}
-	}
-	meta.PeerIPs = len(meta.PeerASNs)
-	return meta, nil
-}
 
 // Accumulator ingests routing observations one at a time and folds every
 // §4 aggregate in a single pass: Tables 1/2, Figures 4a/4b, the Figure 5
@@ -116,13 +62,15 @@ func (a *Accumulator) AddCollector(meta CollectorMeta) {
 	}
 }
 
-// Add folds one observation into every aggregate.
-func (a *Accumulator) Add(u *Update) { a.addStripped(u, u.StrippedPath()) }
+// Add folds one observation into every aggregate, under the platform
+// its collector (Source) names.
+func (a *Accumulator) Add(ev *feed.Event) { a.addStripped(ev, strippedPath(ev)) }
 
-func (a *Accumulator) addStripped(u *Update, stripped []uint32) {
-	a.t1.add(u, stripped)
-	a.t2.add(u, stripped)
-	a.fig4a.add(u)
+func (a *Accumulator) addStripped(u *feed.Event, stripped []uint32) {
+	platform := platformOf(u.Source)
+	a.t1.add(platform, u, stripped)
+	a.t2.add(platform, u, stripped)
+	a.fig4a.add(platform, u)
 	a.share.add(u)
 	a.fig4b.add(u)
 	a.prop.add(u, stripped)
@@ -163,16 +111,11 @@ func (a *Accumulator) Analysis(p *Pipeline) *Analysis {
 	}
 }
 
-// collectorNameFromFile derives (platform, collector) from an MRT archive
-// name like updates.RIS-rrc00.mrt: the collector is the base name between
-// "updates." and ".mrt", the platform is its prefix before the first "-".
-func collectorNameFromFile(path string) (platform, name string) {
-	name = strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "updates."), ".mrt")
-	platform = name
-	if i := strings.Index(name, "-"); i > 0 {
-		platform = name[:i]
-	}
-	return platform, name
+// collectorNameFromFile derives the collector name from an MRT archive
+// name like updates.RIS-rrc00.mrt: the base name between "updates." and
+// ".mrt" (its platform is platformOf the name).
+func collectorNameFromFile(path string) string {
+	return strings.TrimSuffix(strings.TrimPrefix(filepath.Base(path), "updates."), ".mrt")
 }
 
 // UpdateArchives expands an -mrt argument into the update archives it
@@ -206,8 +149,10 @@ func archivesIn(dir string) ([]string, error) {
 
 // StreamMRTDir runs the full §4 pipeline over every
 // updates.*.mrt archive under dir without materializing any update
-// slice: each archive streams into its own accumulator on the worker
-// pool, and the accumulators merge in sorted file-name order.
+// slice: each archive streams through feed.StreamMRT into its own
+// accumulator on the worker pool, and the accumulators merge in sorted
+// file-name order. An archive carries no session metadata, so its
+// collector's peers are the peer ASes its records name.
 func (p *Pipeline) StreamMRTDir(dir string, knownBlackhole []bgp.Community) (*Analysis, error) {
 	matches, err := archivesIn(dir)
 	if err != nil {
@@ -217,7 +162,7 @@ func (p *Pipeline) StreamMRTDir(dir string, knownBlackhole []bgp.Community) (*An
 	accs := make([]*Accumulator, len(matches))
 	errs := make([]error, len(matches))
 	conc.Do(len(matches), p.workers(), func(i int) {
-		platform, name := collectorNameFromFile(matches[i])
+		name := collectorNameFromFile(matches[i])
 		f, err := os.Open(matches[i])
 		if err != nil {
 			errs[i] = err
@@ -225,14 +170,15 @@ func (p *Pipeline) StreamMRTDir(dir string, knownBlackhole []bgp.Community) (*An
 		}
 		defer f.Close()
 		acc := newAccumulatorFor(cls)
-		meta, err := StreamMRTUpdates(platform, name, f, func(u *Update) error {
-			acc.Add(u)
-			return nil
-		})
-		if err != nil {
+		meta := CollectorMeta{Platform: platformOf(name), Name: name, PeerASNs: make(map[uint32]bool)}
+		if _, err := feed.StreamMRT(f, name, func(ev feed.Event) {
+			meta.PeerASNs[ev.PeerAS] = true
+			acc.Add(&ev)
+		}); err != nil {
 			errs[i] = err
 			return
 		}
+		meta.PeerIPs = len(meta.PeerASNs)
 		acc.AddCollector(meta)
 		accs[i] = acc
 	})

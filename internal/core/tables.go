@@ -4,6 +4,7 @@ import (
 	"net/netip"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/stats"
 )
 
@@ -48,7 +49,7 @@ func newTable1Agg() *table1Agg {
 	}
 }
 
-func (a *table1Agg) add(u *Update, stripped []uint32) {
+func (a *table1Agg) add(u *feed.Event, stripped []uint32) {
 	a.messages++
 	if u.Prefix.Addr().Is4() {
 		a.v4[u.Prefix] = true
@@ -122,11 +123,11 @@ func (a *table1Agg) row(label, platform string, collectors []CollectorMeta) Tabl
 // update belongs to exactly one platform.
 type table1Shards map[string]*table1Agg
 
-func (s table1Shards) add(u *Update, stripped []uint32) {
-	agg := s[u.Platform]
+func (s table1Shards) add(platform string, u *feed.Event, stripped []uint32) {
+	agg := s[platform]
 	if agg == nil {
 		agg = newTable1Agg()
-		s[u.Platform] = agg
+		s[platform] = agg
 	}
 	agg.add(u, stripped)
 }
@@ -214,7 +215,7 @@ func newTable2Agg() *table2Agg {
 	return &table2Agg{all: make(map[uint32]bool), onPath: make(map[uint32]bool)}
 }
 
-func (a *table2Agg) add(u *Update, stripped []uint32) {
+func (a *table2Agg) add(u *feed.Event, stripped []uint32) {
 	if u.Withdraw || len(u.Communities) == 0 {
 		return
 	}
@@ -265,11 +266,11 @@ func (a *table2Agg) row(label, platform string, collectors []CollectorMeta) Tabl
 // table2Shards keys partial aggregates by platform, like table1Shards.
 type table2Shards map[string]*table2Agg
 
-func (s table2Shards) add(u *Update, stripped []uint32) {
-	agg := s[u.Platform]
+func (s table2Shards) add(platform string, u *feed.Event, stripped []uint32) {
+	agg := s[platform]
 	if agg == nil {
 		agg = newTable2Agg()
-		s[u.Platform] = agg
+		s[platform] = agg
 	}
 	agg.add(u, stripped)
 }
@@ -323,7 +324,7 @@ func newEvolutionAgg() *evolutionAgg {
 	return &evolutionAgg{asSet: make(map[uint16]bool), commSet: make(map[bgp.Community]bool)}
 }
 
-func (a *evolutionAgg) add(u *Update) {
+func (a *evolutionAgg) add(u *feed.Event) {
 	if u.Withdraw {
 		return
 	}
@@ -353,7 +354,7 @@ func (a *evolutionAgg) merge(b *evolutionAgg) {
 func (p *Pipeline) EvolutionMetrics(ds *Dataset) (uniqueASes, uniqueComms, absolute, tableEntries int) {
 	aggs := foldChunks(ds.Updates, p.workers(),
 		newEvolutionAgg,
-		func(a *evolutionAgg, u *Update, _ []uint32) { a.add(u) })
+		func(a *evolutionAgg, u *feed.Event, _ []uint32) { a.add(u) })
 	total := newEvolutionAgg()
 	for _, a := range aggs {
 		total.merge(a)

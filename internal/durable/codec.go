@@ -8,7 +8,8 @@
 //
 // The layering mirrors a classic log-structured store:
 //
-//   - codec.go    one watch.Event <-> one compact binary record, and
+//   - codec.go    one feed.Event — the record every feed decodes into
+//     and every engine consumes — <-> one compact binary record, and
 //     the field vocabulary checkpoints are written in
 //   - wal.go      records -> CRC-framed frames -> rotating segments
 //   - snapshot.go engine state -> atomic checkpoint files, same codec
@@ -29,7 +30,7 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
-	"bgpworms/internal/watch"
+	"bgpworms/internal/feed"
 )
 
 // Codec flag bits.
@@ -48,7 +49,7 @@ const maxRecord = 1 << 20
 // rebuilds the event exactly (times carry UTC wall-clock nanoseconds;
 // the zero time round-trips as zero, so replay re-synthesizes logical
 // clocks identically).
-func EncodeEvent(buf []byte, ev *watch.Event) []byte {
+func EncodeEvent(buf []byte, ev *feed.Event) []byte {
 	buf = binary.AppendUvarint(buf, ev.Seq)
 	buf = appendTime(buf, ev.Time)
 	flags := prefixFlags(ev.Prefix)
@@ -111,9 +112,9 @@ func appendPrefix(buf []byte, p netip.Prefix) []byte {
 // an allocation from a length the input merely claims: any truncation or
 // implausible length yields an error, which is what makes it safe as the
 // WAL recovery, checkpoint restore and fuzzing surface.
-func DecodeEvent(data []byte) (watch.Event, error) {
+func DecodeEvent(data []byte) (feed.Event, error) {
 	r := reader{data: data}
-	ev := watch.Event{Seq: r.uvarint(), Time: r.time()}
+	ev := feed.Event{Seq: r.uvarint(), Time: r.time()}
 	flags := r.byte()
 	ev.Source = r.str()
 	ev.PeerAS = uint32(r.uvarint())

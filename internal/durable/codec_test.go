@@ -6,11 +6,11 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
-	"bgpworms/internal/watch"
+	"bgpworms/internal/feed"
 )
 
-func sampleEvents() []watch.Event {
-	return []watch.Event{
+func sampleEvents() []feed.Event {
+	return []feed.Event{
 		{
 			Seq:    1,
 			Time:   time.Date(2018, 4, 3, 12, 30, 0, 123456789, time.UTC),
@@ -55,7 +55,7 @@ func sampleEvents() []watch.Event {
 	}
 }
 
-func eventsEqual(a, b *watch.Event) bool {
+func eventsEqual(a, b *feed.Event) bool {
 	if a.Seq != b.Seq || !a.Time.Equal(b.Time) || a.Source != b.Source ||
 		a.PeerAS != b.PeerAS || a.Prefix != b.Prefix || a.Withdraw != b.Withdraw ||
 		len(a.ASPath) != len(b.ASPath) || len(a.Communities) != len(b.Communities) {

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"bgpworms/internal/feed"
 	"bgpworms/internal/watch"
 )
 
@@ -34,7 +35,7 @@ func fnvIndex(of int) func(netip.Prefix) int {
 // WAL tail), shard 1 shuts down gracefully (its state is entirely a
 // cp@end, with every WAL record checkpoint-covered). Returns the two
 // directories and the mid-stream watermark.
-func runSrcFleet(t *testing.T, events []watch.Event) (dirs []string, mid uint64) {
+func runSrcFleet(t *testing.T, events []feed.Event) (dirs []string, mid uint64) {
 	t.Helper()
 	mid = uint64(len(events) / 2)
 	for k := 0; k < 2; k++ {
@@ -206,7 +207,7 @@ func TestReshardWithoutCheckpoints(t *testing.T) {
 // under the same sequence, is collapsed to one logical record, and is
 // scattered to every destination.
 func TestReshardInvalidPrefixDuplicates(t *testing.T) {
-	feed := []watch.Event{
+	records := []feed.Event{
 		{Source: "c1", PeerAS: 64500, Prefix: netip.MustParsePrefix("10.0.0.0/24"), ASPath: []uint32{64500, 64501}},
 		{Source: "c1", PeerAS: 64500, Prefix: netip.MustParsePrefix("192.0.2.0/24"), ASPath: []uint32{64500, 64502}},
 		{Source: "c1", PeerAS: 64500}, // no prefix: journaled by every shard
@@ -227,7 +228,7 @@ func TestReshardInvalidPrefixDuplicates(t *testing.T) {
 		if err := st.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
-		for _, ev := range feed {
+		for _, ev := range records {
 			sink(ev)
 		}
 		if err := st.wal.Sync(); err != nil {
@@ -248,8 +249,8 @@ func TestReshardInvalidPrefixDuplicates(t *testing.T) {
 	if rep.Duplicates != 1 {
 		t.Fatalf("collapsed %d duplicate records, want 1 (the invalid-prefix event)", rep.Duplicates)
 	}
-	if rep.Records != len(feed) {
-		t.Fatalf("scattered %d unique records, want %d", rep.Records, len(feed))
+	if rep.Records != len(records) {
+		t.Fatalf("scattered %d unique records, want %d", rep.Records, len(records))
 	}
 	// Three valid records went to one destination each; the invalid one
 	// went to all three.
@@ -257,7 +258,7 @@ func TestReshardInvalidPrefixDuplicates(t *testing.T) {
 	for _, n := range rep.PerDst {
 		total += n
 	}
-	if want := (len(feed) - 1) + len(dst); total != want {
+	if want := (len(records) - 1) + len(dst); total != want {
 		t.Fatalf("wrote %d records across destinations, want %d", total, want)
 	}
 	for k, dir := range dst {
@@ -268,8 +269,8 @@ func TestReshardInvalidPrefixDuplicates(t *testing.T) {
 		}
 		// A shard's watermark is its last owned record; the invalid event
 		// (seq 3) reached every destination, so no watermark may trail it.
-		if rec.Seq < 3 || rec.Seq > uint64(len(feed)) {
-			t.Fatalf("dst %d recovered watermark %d, want within [3,%d]", k, rec.Seq, len(feed))
+		if rec.Seq < 3 || rec.Seq > uint64(len(records)) {
+			t.Fatalf("dst %d recovered watermark %d, want within [3,%d]", k, rec.Seq, len(records))
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
 )
@@ -344,7 +345,7 @@ func decodeWatchState(r *reader) (*watch.State, error) {
 		for i := 0; i < n && !r.failed; i++ {
 			w := watch.PrefixWindow{Prefix: r.prefix(r.byte()), Total: r.uvarint()}
 			if m := r.count(minEventBytes); m > 0 {
-				w.Events = make([]watch.Event, 0, m)
+				w.Events = make([]feed.Event, 0, m)
 				for j := 0; j < m && !r.failed; j++ {
 					rec := r.bytes(r.count(1))
 					if r.failed {

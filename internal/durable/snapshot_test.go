@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
 )
@@ -263,7 +264,7 @@ func sizingState(t testing.TB) *watch.State {
 			if k%4 == 0 {
 				comms = comms.AddAll(bgp.C(uint16(64500+k%7), 666))
 			}
-			eng.Ingest(watch.Event{
+			eng.Ingest(feed.Event{
 				Time:   base.Add(time.Duration(k) * time.Millisecond),
 				Source: "mrt:feed", PeerAS: 64500 + k%7,
 				Prefix:      netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24),

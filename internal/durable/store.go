@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"bgpworms/internal/feed"
 	"bgpworms/internal/obs"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
@@ -201,7 +202,7 @@ func (s *Store) watermarkLocked() uint64 { return max(s.pos, s.recovered) }
 // store assigns the global sequence number; any Seq already on the
 // event is overwritten. Events a sharded store does not own consume a
 // sequence but go no further.
-func (s *Store) Ingest(ev watch.Event) error {
+func (s *Store) Ingest(ev feed.Event) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -230,10 +231,10 @@ func (s *Store) Ingest(ev watch.Event) error {
 }
 
 // Sink adapts Ingest to the plain sink shape the feed adapters take
-// (watch.EventTap, watch.StreamMRT). The first error sticks and is
+// (feed.Tap, feed.StreamMRT). The first error sticks and is
 // reported by Err; later events are still journaled when possible.
-func (s *Store) Sink() func(watch.Event) {
-	return func(ev watch.Event) {
+func (s *Store) Sink() func(feed.Event) {
+	return func(ev feed.Event) {
 		if err := s.Ingest(ev); err != nil {
 			s.stick(err)
 		}

@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"bgpworms/internal/core"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
@@ -22,7 +24,7 @@ import (
 // churnEvents flattens the deterministic churn feed into an event list
 // (the same harness the watch-engine state tests use), so durability
 // tests can cut the stream anywhere and replay the remainder.
-func churnEvents(t testing.TB) []watch.Event {
+func churnEvents(t testing.TB) []feed.Event {
 	t.Helper()
 	w, err := gen.Build(gen.Tiny())
 	if err != nil {
@@ -31,26 +33,7 @@ func churnEvents(t testing.TB) []watch.Event {
 	if _, err := w.RunChurn(); err != nil {
 		t.Fatal(err)
 	}
-	var events []watch.Event
-	for _, c := range w.Collectors {
-		obs := c.Observations()
-		for i := range obs {
-			ob := &obs[i]
-			ev := watch.Event{
-				Time:   ob.Time,
-				Source: c.Name,
-				PeerAS: uint32(ob.PeerAS),
-				Prefix: ob.Prefix,
-			}
-			if ob.Route == nil {
-				ev.Withdraw = true
-			} else {
-				ev.ASPath = ob.Route.ASPath.Sequence()
-				ev.Communities = ob.Route.Communities.Clone()
-			}
-			events = append(events, ev)
-		}
-	}
+	events := core.FromCollectors(w.Collectors).Updates
 	if len(events) < 300 {
 		t.Fatalf("churn feed too small for durability splits: %d events", len(events))
 	}
@@ -67,7 +50,7 @@ func newPair(shards int) (*watch.Engine, *semantics.Engine) {
 
 // referenceRun ingests every event into a fresh engine pair and returns
 // the canonical outputs an uninterrupted daemon would serve.
-func referenceRun(t testing.TB, events []watch.Event) (alerts, dict []byte, stats watch.Stats) {
+func referenceRun(t testing.TB, events []feed.Event) (alerts, dict []byte, stats watch.Stats) {
 	t.Helper()
 	eng, sem := newPair(4)
 	defer eng.Close()
@@ -393,10 +376,10 @@ func TestStoreBackgroundLoops(t *testing.T) {
 
 // cycleEvents repeats the churn feed up to n events (sequence numbers
 // make every repeat a distinct event).
-func cycleEvents(t testing.TB, n int) []watch.Event {
+func cycleEvents(t testing.TB, n int) []feed.Event {
 	t.Helper()
 	base := churnEvents(t)
-	out := make([]watch.Event, 0, n)
+	out := make([]feed.Event, 0, n)
 	for len(out) < n {
 		out = append(out, base[:min(len(base), n-len(out))]...)
 	}

@@ -424,8 +424,9 @@ func TestTruncateBeforeProperty(t *testing.T) {
 
 // TestWALSyncInterleavings drives the off-lock group commit against
 // everything that can close the segment it is fsyncing: rotation (tiny
-// segments), Close, and crash. Claims: DurableSeq is monotone and never
-// ahead of LastSeq while the log is live; after Close everything
+// segments), Close, and crash. Claims: DurableSeq is monotone, never
+// ahead of LastSeq and never on a record still in the append buffer
+// while the log is live; after Close everything
 // appended replays; after a crash every record DurableSeq ever vouched
 // for is on disk — the watermark advanced only to sequences that were
 // flushed before an fsync that returned, never to ones appended while
@@ -464,6 +465,17 @@ func TestWALSyncInterleavings(t *testing.T) {
 						}
 						if last := w.LastSeq(); d > last {
 							t.Errorf("durable seq %d ahead of last appended %d", d, last)
+							return
+						}
+						// Bytes still in the append buffer are the newest
+						// record's: it is not on disk, so nothing may vouch
+						// for it.
+						w.mu.Lock()
+						buffered := w.bw != nil && w.bw.Buffered() > 0
+						synced, last := w.synced, w.lastSeq
+						w.mu.Unlock()
+						if buffered && synced >= last {
+							t.Errorf("durable seq %d vouches for record %d, still in the append buffer", synced, last)
 							return
 						}
 						prev = d

@@ -152,6 +152,6 @@ func TestDataPlaneThroughFabric(t *testing.T) {
 	n.Announce(100, pfx)
 	tr := n.Forward(300, netx.NthAddr(pfx, 7))
 	if tr.Outcome != simnet.Delivered || tr.FinalAS != 100 {
-		t.Fatalf("trace=%s", tr)
+		t.Fatalf("trace=%+v", tr)
 	}
 }

@@ -6,8 +6,8 @@
 //
 // The package sits between the simulation stack and the CLIs: scenario
 // implementations live where the lab machinery lives (internal/attack)
-// and register themselves here; cmd/attacklab and the examples are thin
-// clients of the registry. Scenario results and sweep reports are
+// and register themselves here; cmd/attacklab and the other binaries are
+// thin clients of the registry. Scenario results and sweep reports are
 // deterministic: a fixed (scale, seed, community set, engine workers)
 // cell produces a bit-identical Result regardless of how many harness
 // workers execute the sweep.

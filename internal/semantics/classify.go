@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 )
 
 // evidence is the per-community accumulator one worker folds. Every
@@ -73,7 +74,7 @@ func isHostRoute(p netip.Prefix) bool {
 
 // fold updates the community's evidence with one sighting. Classified
 // lazily at snapshot time; the hot path is counters and set inserts.
-func (e *evidence) fold(ob *Observation, c bgp.Community) {
+func (e *evidence) fold(ob *feed.Event, c bgp.Community) {
 	asn := uint32(c.ASN())
 	onPath, travel, prepended := pathFacts(ob.ASPath, asn)
 	e.count++

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/obs"
 )
 
@@ -39,11 +40,11 @@ type Partial struct {
 
 // Engine is the dictionary-inference engine: a set of partial
 // dictionaries and the commutative merge that classifies them. It runs
-// no goroutine and queues nothing — an observation is folded by the
-// time Ingest or Fold returns. Create with NewEngine; feed with Ingest
-// (the engine's own partial, for single-producer callers), the Tap in
-// feed.go, or Fold on partials handed out by NewPartial; read with
-// Snapshot at any time.
+// no goroutine and queues nothing — an event is folded by the time
+// Ingest or Fold returns. Create with NewEngine; feed with Ingest (the
+// engine's own partial, for single-producer callers: pass it to
+// feed.StreamMRT or feed.Tap) or Fold on partials handed out by
+// NewPartial; read with Snapshot at any time.
 type Engine struct {
 	own *Partial // Ingest and RestoreState land here
 
@@ -101,12 +102,13 @@ func (e *Engine) NewPartial() *Partial {
 	return p
 }
 
-// Fold folds a batch of observations into the partial under one lock.
-// Every observation must carry its Seq and Time (the watch engine stamps
-// both); those without communities fold nothing and are not counted, as
-// in Ingest. The slices an observation points at are read, never kept.
+// Fold folds a batch of events into the partial under one lock. Every
+// event must carry its Seq and Time (the watch engine stamps both);
+// those without communities — withdrawals among them — fold nothing and
+// are not counted, as in Ingest, and a batch of only those leaves the
+// engine untouched. The slices an event points at are read, never kept.
 // Fold after the engine's Close is a silent no-op, like Ingest.
-func (p *Partial) Fold(batch []Observation) {
+func (p *Partial) Fold(batch []feed.Event) {
 	e := p.e
 	if len(batch) == 0 || e.closed.Load() {
 		return
@@ -118,12 +120,15 @@ func (p *Partial) Fold(batch []Observation) {
 	n := uint64(0)
 	p.mu.Lock()
 	for i := range batch {
-		if ob := &batch[i]; len(ob.Communities) > 0 {
-			p.fold(ob)
+		if ev := &batch[i]; len(ev.Communities) > 0 {
+			p.fold(ev)
 			n++
 		}
 	}
 	p.mu.Unlock()
+	if n == 0 {
+		return
+	}
 	if e.foldHist != nil {
 		e.foldHist.ObserveSince(start)
 	}
@@ -131,36 +136,36 @@ func (p *Partial) Fold(batch []Observation) {
 	e.version.Add(1)
 }
 
-// fold adds one observation's evidence. Caller holds p.mu.
-func (p *Partial) fold(ob *Observation) {
-	for _, c := range ob.Communities {
-		ev := p.acc[c]
-		if ev == nil {
-			ev = newEvidence()
-			p.acc[c] = ev
+// fold adds one event's evidence. Caller holds p.mu.
+func (p *Partial) fold(ev *feed.Event) {
+	for _, c := range ev.Communities {
+		evd := p.acc[c]
+		if evd == nil {
+			evd = newEvidence()
+			p.acc[c] = evd
 		}
-		ev.fold(ob, c)
+		evd.fold(ev, c)
 	}
 }
 
-// Ingest folds one observation into the engine's own partial, stamping
-// Seq and Time when the feed left them zero. Withdrawals and
-// community-free sightings fold nothing and are skipped before the lock.
-// Ingest after Close is a silent no-op.
-func (e *Engine) Ingest(ob Observation) {
-	if len(ob.Communities) == 0 || e.closed.Load() {
+// Ingest folds one event into the engine's own partial, stamping Seq
+// and Time when the feed left them zero. Withdrawals and community-free
+// announcements fold nothing and are skipped before the lock. Ingest
+// after Close is a silent no-op.
+func (e *Engine) Ingest(ev feed.Event) {
+	if len(ev.Communities) == 0 || e.closed.Load() {
 		return
 	}
 	p := e.own
 	p.mu.Lock()
 	seq := e.seq.Add(1)
-	if ob.Seq == 0 {
-		ob.Seq = seq
+	if ev.Seq == 0 {
+		ev.Seq = seq
 	}
-	if ob.Time.IsZero() {
-		ob.Time = logicalBase.Add(time.Duration(ob.Seq) * logicalTick)
+	if ev.Time.IsZero() {
+		ev.Time = logicalBase.Add(time.Duration(ev.Seq) * logicalTick)
 	}
-	p.fold(&ob)
+	p.fold(&ev)
 	p.mu.Unlock()
 	e.version.Add(1)
 }

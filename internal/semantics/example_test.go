@@ -5,6 +5,7 @@ import (
 	"net/netip"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/semantics"
 )
 
@@ -19,20 +20,20 @@ func ExampleEngine() {
 	path := []uint32{174, 3356, 9009}
 	for i := 0; i < 4; i++ {
 		// Ingress tag: on-path, ordinary /24 announcements.
-		eng.Ingest(semantics.Observation{
+		eng.Ingest(feed.Event{
 			PeerAS: 174, Prefix: netip.MustParsePrefix("203.0.113.0/24"),
 			ASPath:      path,
 			Communities: bgp.NewCommunitySet(bgp.C(3356, 100)),
 		})
 		// RTBH trigger: host routes tagged 3356:666.
-		eng.Ingest(semantics.Observation{
+		eng.Ingest(feed.Event{
 			PeerAS: 174, Prefix: netip.MustParsePrefix("203.0.113.9/32"),
 			ASPath:      path,
 			Communities: bgp.NewCommunitySet(bgp.C(3356, 666)),
 		})
 	}
 	// A community naming an AS that is never on the path: a squat.
-	eng.Ingest(semantics.Observation{
+	eng.Ingest(feed.Event{
 		PeerAS: 174, Prefix: netip.MustParsePrefix("203.0.113.0/24"),
 		ASPath:      path,
 		Communities: bgp.NewCommunitySet(bgp.C(65001, 666)),

@@ -1,6 +1,7 @@
 // Package semantics is the community dictionary-inference engine: it
 // consumes routing observation streams (MRT archives, simnet taps, the
-// watch engine's shards) and maintains per-AS community
+// watch engine's shards), all as the one record feed.Event, and
+// maintains per-AS community
 // dictionaries — which 16-bit values each AS has been observed using,
 // what usage class the evidence implies (informational, blackhole
 // trigger, steering, prepend, well-known), how far and wide each value
@@ -14,9 +15,11 @@
 // The engine shares the repo's determinism discipline (core.Pipeline,
 // watch.Engine) without owning any concurrency: it is a set of partial
 // dictionaries and the merge over them. Whoever feeds it brings the
-// goroutine — a single producer folds inline through Ingest, each watch
-// shard worker folds its batches into a partial of its own — and
-// Snapshot merges the partials. Every fold is commutative and
+// goroutine — a single producer folds inline through Ingest (the sink
+// feed.StreamMRT and feed.Tap deliver to), each watch shard worker folds
+// its event batches, as they are, into a partial of its own — and
+// Snapshot merges the partials. Withdrawals and community-free
+// announcements fold nothing. Every fold is commutative and
 // associative (counter sums, min/max of sequence numbers and
 // timestamps, set unions), so the merged dictionary — and the
 // classification computed from it — is bit-identical however the stream
@@ -35,7 +38,6 @@ package semantics
 import (
 	"encoding/json"
 	"fmt"
-	"net/netip"
 	"sort"
 	"time"
 
@@ -138,24 +140,6 @@ func ClassOfService(k policy.ServiceKind) Class {
 	default:
 		return ClassUnknown
 	}
-}
-
-// Observation is one normalized routing sighting entering the engine.
-// Withdrawals carry no communities and are ignored; feeds may skip them.
-type Observation struct {
-	// Seq orders the observation in its stream; 0 means "assign": the
-	// engine stamps its own ingest sequence.
-	Seq uint64
-	// Time is the sighting timestamp. Zero means "synthesize" from Seq,
-	// keeping clockless feeds (simnet taps) deterministic.
-	Time time.Time
-	// PeerAS is the session the sighting arrived on (fan-out evidence).
-	PeerAS uint32
-	Prefix netip.Prefix
-	// ASPath is nearest-AS-first (peer first, origin last), raw.
-	ASPath []uint32
-	// Communities is the normalized community set.
-	Communities bgp.CommunitySet
 }
 
 // Entry is one inferred dictionary entry: a community, its evidence

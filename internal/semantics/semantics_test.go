@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/netx"
 )
 
@@ -70,14 +71,14 @@ func TestClassifyRules(t *testing.T) {
 // synthFeed builds a deterministic observation mix exercising every
 // classification rule: origin tags, ingress tags, a blackhole trigger
 // on host routes, a prepend service, a steering request, a squat.
-func synthFeed(n int) []Observation {
-	obs := make([]Observation, 0, n)
+func synthFeed(n int) []feed.Event {
+	obs := make([]feed.Event, 0, n)
 	for i := 0; i < n; i++ {
 		pfxIdx := i % 512
 		peer := uint32(100 + i%11)
 		mid := uint32(1000 + i%31)
 		origin := uint32(10000 + pfxIdx)
-		ob := Observation{
+		ob := feed.Event{
 			PeerAS: peer,
 			Prefix: netip.PrefixFrom(netx.V4(10, byte(pfxIdx>>8), byte(pfxIdx), 0), 24),
 			ASPath: []uint32{peer, mid, origin},
@@ -114,17 +115,17 @@ func synthFeed(n int) []Observation {
 // the Snapshot and the ExportState of a single Ingest loop — entries,
 // evidence counters, classes, fan-out and fold count.
 func TestSemanticsDeterminismAcrossWorkers(t *testing.T) {
-	feed := synthFeed(20000)
-	for i := range feed {
+	stream := synthFeed(20000)
+	for i := range stream {
 		// Partials take observations as stamped; the watch engine does this.
-		feed[i].Seq = uint64(i + 1)
-		feed[i].Time = logicalBase.Add(time.Duration(i) * time.Second)
+		stream[i].Seq = uint64(i + 1)
+		stream[i].Time = logicalBase.Add(time.Duration(i) * time.Second)
 	}
 	view := func(e *Engine) (snap, state []byte) {
 		t.Helper()
 		s := e.Snapshot()
-		if s.Observations != uint64(len(feed)) {
-			t.Fatalf("snapshot counts %d observations, fed %d", s.Observations, len(feed))
+		if s.Observations != uint64(len(stream)) {
+			t.Fatalf("snapshot counts %d observations, fed %d", s.Observations, len(stream))
 		}
 		snap, err := json.Marshal(s.Entries())
 		if err != nil {
@@ -138,8 +139,8 @@ func TestSemanticsDeterminismAcrossWorkers(t *testing.T) {
 	}
 	ref := NewEngine(Config{})
 	defer ref.Close()
-	for i := range feed {
-		ref.Ingest(feed[i])
+	for i := range stream {
+		ref.Ingest(stream[i])
 	}
 	wantSnap, wantState := view(ref)
 	if ref.Snapshot().Len() == 0 {
@@ -147,11 +148,11 @@ func TestSemanticsDeterminismAcrossWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{1, 3, 8} {
 		rng := rand.New(rand.NewSource(int64(workers)))
-		runs := make([][][]Observation, workers)
-		for at := 0; at < len(feed); {
-			n := min(1+rng.Intn(300), len(feed)-at)
+		runs := make([][][]feed.Event, workers)
+		for at := 0; at < len(stream); {
+			n := min(1+rng.Intn(300), len(stream)-at)
 			w := rng.Intn(workers)
-			runs[w] = append(runs[w], feed[at:at+n])
+			runs[w] = append(runs[w], stream[at:at+n])
 			at += n
 		}
 		e := NewEngine(Config{})
@@ -185,9 +186,9 @@ func TestEngineStartsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine(Config{})
 	p := e.NewPartial()
-	feed := synthFeed(64)
-	e.Ingest(feed[0])
-	p.Fold(feed[1:])
+	stream := synthFeed(64)
+	e.Ingest(stream[0])
+	p.Fold(stream[1:])
 	e.Snapshot()
 	if after := runtime.NumGoroutine(); after != before {
 		t.Fatalf("%d goroutines before NewEngine, %d with an engine in use", before, after)
@@ -200,13 +201,13 @@ func TestEngineStartsNoGoroutine(t *testing.T) {
 func TestFoldAndIngestAfterClose(t *testing.T) {
 	e := NewEngine(Config{})
 	p := e.NewPartial()
-	feed := synthFeed(200)
-	p.Fold(feed[:100])
+	stream := synthFeed(200)
+	p.Fold(stream[:100])
 	want := e.Snapshot()
 	e.Close()
 	e.Close() // idempotent
-	p.Fold(feed[100:])
-	e.Ingest(feed[100])
+	p.Fold(stream[100:])
+	e.Ingest(stream[100])
 	if got := e.Snapshot(); got != want || e.Stats().Processed != want.Observations {
 		t.Fatalf("closed engine folded: %d observations, had %d", e.Stats().Processed, want.Observations)
 	}
@@ -319,7 +320,7 @@ func TestHolder(t *testing.T) {
 	}
 	e := NewEngine(Config{})
 	defer e.Close()
-	e.Ingest(Observation{
+	e.Ingest(feed.Event{
 		PeerAS: 1, Prefix: netx.MustPrefix("10.0.0.0/24"),
 		ASPath:      []uint32{1, 2},
 		Communities: bgp.NewCommunitySet(bgp.C(2, 100)),

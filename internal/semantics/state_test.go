@@ -7,13 +7,14 @@ import (
 	"testing"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/semantics"
 )
 
 // synthObs builds a deterministic observation stream exercising every
 // evidence dimension: on/off path, host routes, prepending, fan-out.
-func synthObs(n int) []semantics.Observation {
-	out := make([]semantics.Observation, 0, n)
+func synthObs(n int) []feed.Event {
+	out := make([]feed.Event, 0, n)
 	for i := 0; i < n; i++ {
 		asn := uint16(65000 + i%4)
 		path := []uint32{uint32(65100 + i%3), uint32(asn), uint32(7000 + i%5)}
@@ -24,7 +25,7 @@ func synthObs(n int) []semantics.Observation {
 		if i%13 == 0 {
 			p = netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i % 11), byte(i % 200), 1}), 32)
 		}
-		out = append(out, semantics.Observation{
+		out = append(out, feed.Event{
 			PeerAS: uint32(65100 + i%3),
 			Prefix: p,
 			ASPath: path,

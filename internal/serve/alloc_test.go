@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/netx"
 	"bgpworms/internal/obs"
 	"bgpworms/internal/watch"
@@ -35,7 +36,7 @@ func alertsEngine(t *testing.T, firing, total int) *watch.Engine {
 	e := watch.NewEngine(watch.Config{Shards: 1})
 	t.Cleanup(e.Close)
 	for i := 0; i < total; i++ {
-		ev := watch.Event{
+		ev := feed.Event{
 			PeerAS:      100,
 			Prefix:      netx.MustPrefix("10.1.2.0/24"),
 			ASPath:      []uint32{100, 1000, 10000},

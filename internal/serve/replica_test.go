@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"bgpworms/internal/durable"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/obs"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
@@ -163,7 +164,7 @@ type durableShard struct {
 	ts    *httptest.Server
 }
 
-func startDurableShard(t *testing.T, dir string, idx, count int, events []watch.Event) *durableShard {
+func startDurableShard(t *testing.T, dir string, idx, count int, events []feed.Event) *durableShard {
 	t.Helper()
 	reg := obs.NewRegistry()
 	sem := semantics.NewEngine(semantics.Config{Metrics: reg})

@@ -12,7 +12,9 @@ import (
 	"sync"
 	"testing"
 
+	"bgpworms/internal/core"
 	"bgpworms/internal/durable"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/obs"
 	"bgpworms/internal/semantics"
@@ -22,7 +24,7 @@ import (
 // churnEvents flattens the deterministic churn feed into an event list
 // (the same harness the watch state and durable tests use), so shard
 // equivalence tests feed every process the identical stream.
-func churnEvents(t testing.TB) []watch.Event {
+func churnEvents(t testing.TB) []feed.Event {
 	t.Helper()
 	w, err := gen.Build(gen.Tiny())
 	if err != nil {
@@ -31,26 +33,7 @@ func churnEvents(t testing.TB) []watch.Event {
 	if _, err := w.RunChurn(); err != nil {
 		t.Fatal(err)
 	}
-	var events []watch.Event
-	for _, c := range w.Collectors {
-		obs := c.Observations()
-		for i := range obs {
-			ob := &obs[i]
-			ev := watch.Event{
-				Time:   ob.Time,
-				Source: c.Name,
-				PeerAS: uint32(ob.PeerAS),
-				Prefix: ob.Prefix,
-			}
-			if ob.Route == nil {
-				ev.Withdraw = true
-			} else {
-				ev.ASPath = ob.Route.ASPath.Sequence()
-				ev.Communities = ob.Route.Communities.Clone()
-			}
-			events = append(events, ev)
-		}
-	}
+	events := core.FromCollectors(w.Collectors).Updates
 	if len(events) < 300 {
 		t.Fatalf("churn feed too small to shard meaningfully: %d events", len(events))
 	}
@@ -63,8 +46,8 @@ func churnEvents(t testing.TB) []watch.Event {
 // RangeMap slice and make shard-equivalence tests vacuous. The remap is
 // a pure function of the original prefix, so identical prefixes stay
 // identical and every process sees the same transformed feed.
-func spreadPrefixes(events []watch.Event) []watch.Event {
-	out := make([]watch.Event, len(events))
+func spreadPrefixes(events []feed.Event) []feed.Event {
+	out := make([]feed.Event, len(events))
 	for i, ev := range events {
 		if ev.Prefix.IsValid() && ev.Prefix.Addr().Is4() && ev.Prefix.Bits() >= 8 {
 			a := ev.Prefix.Addr().As4()
@@ -90,7 +73,7 @@ type proc struct {
 // startProc builds a daemon-shaped process (durable store included, so
 // sequence assignment matches production), feeds it every event, and
 // returns it flushed. owner nil = standalone reference.
-func startProc(t testing.TB, events []watch.Event, idx, count int) *proc {
+func startProc(t testing.TB, events []feed.Event, idx, count int) *proc {
 	t.Helper()
 	reg := obs.NewRegistry()
 	sem := semantics.NewEngine(semantics.Config{Metrics: reg})

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"net/netip"
 
 	"bgpworms/internal/policy"
@@ -23,22 +22,6 @@ const (
 	ForwardingLoop
 )
 
-// String names the outcome.
-func (o Outcome) String() string {
-	switch o {
-	case Delivered:
-		return "delivered"
-	case Blackholed:
-		return "blackholed"
-	case NoRoute:
-		return "no-route"
-	case ForwardingLoop:
-		return "loop"
-	default:
-		return "unknown"
-	}
-}
-
 // Trace is an AS-level forwarding trace — the simulator's traceroute.
 type Trace struct {
 	Src     topo.ASN
@@ -48,11 +31,6 @@ type Trace struct {
 	// FinalAS is where the packet ended up (delivery, drop, or no-route
 	// point).
 	FinalAS topo.ASN
-}
-
-// String renders a one-line trace.
-func (t Trace) String() string {
-	return fmt.Sprintf("AS%d -> %s: %v hops=%v (at AS%d)", t.Src, t.Dst, t.Outcome, t.Hops, t.FinalAS)
 }
 
 // maxForwardHops caps AS-level forwarding; Internet AS paths rarely exceed
@@ -124,13 +102,4 @@ func (g *LookingGlass) Route(p netip.Prefix) (*policy.Route, bool) {
 		return nil, false
 	}
 	return r.BestRoute(p)
-}
-
-// Show renders the best route for p, or a not-found line.
-func (g *LookingGlass) Show(p netip.Prefix) string {
-	rt, ok := g.Route(p)
-	if !ok {
-		return fmt.Sprintf("AS%d: %% no route for %s", g.asn, p)
-	}
-	return fmt.Sprintf("AS%d: %s", g.asn, rt)
 }

@@ -34,7 +34,7 @@ func TestForwardingLoopDetected(t *testing.T) {
 	}
 	tr := n.Forward(1, netx.NthAddr(p, 1))
 	if tr.Outcome != ForwardingLoop {
-		t.Fatalf("want loop, got %s", tr)
+		t.Fatalf("want loop, got %+v", tr)
 	}
 	if len(tr.Hops) < 2 {
 		t.Fatalf("hops=%v", tr.Hops)

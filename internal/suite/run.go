@@ -10,6 +10,7 @@ import (
 
 	"bgpworms/internal/attack"
 	"bgpworms/internal/conc"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/obs"
 	"bgpworms/internal/scenario"
@@ -172,7 +173,7 @@ func (tr *trainer) snapshot(scale string, seed int64) (*semantics.Snapshot, erro
 	p.Seed = seed
 	eng := semantics.NewEngine(semantics.Config{})
 	defer eng.Close()
-	p.Tap = eng.Tap()
+	p.Tap = feed.Tap("", eng.Ingest)
 	l, err := attack.NewLab(p, scenario.DefaultVPs)
 	if err != nil {
 		return nil, fmt.Errorf("train dictionary %s: %w", key, err)

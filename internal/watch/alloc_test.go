@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/netx"
 	"bgpworms/internal/watch"
 )
@@ -19,7 +20,7 @@ func TestSteadyStateIngestAllocations(t *testing.T) {
 	const parentAllocsPerEvent = 3.01
 	e := watch.NewEngine(watch.Config{Shards: 1})
 	defer e.Close()
-	ev := watch.Event{
+	ev := feed.Event{
 		PeerAS:      100,
 		Prefix:      netx.MustPrefix("10.1.2.0/24"),
 		ASPath:      []uint32{100, 1000, 10000},

@@ -2,10 +2,12 @@ package watch
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 )
 
 // Detector is one streaming anomaly rule. Observe is called once per
@@ -18,7 +20,7 @@ type Detector interface {
 	// Name is the registry key (kebab-case).
 	Name() string
 	// Observe inspects one event against its prefix window.
-	Observe(st *PrefixState, ev *Event, emit func(Alert))
+	Observe(st *PrefixState, ev *feed.Event, emit func(Alert))
 }
 
 var (
@@ -94,7 +96,7 @@ func init() {
 type blackholeOnset struct{}
 
 func (blackholeOnset) Name() string { return "blackhole-onset" }
-func (blackholeOnset) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
+func (blackholeOnset) Observe(st *PrefixState, ev *feed.Event, emit func(Alert)) {
 	if ev.Withdraw {
 		return
 	}
@@ -132,12 +134,12 @@ func (blackholeOnset) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
 type communitySquat struct{}
 
 func (communitySquat) Name() string { return "community-squat" }
-func (communitySquat) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
+func (communitySquat) Observe(st *PrefixState, ev *feed.Event, emit func(Alert)) {
 	if ev.Withdraw {
 		return
 	}
 	for _, c := range ev.Communities {
-		if c.IsWellKnown() || ev.onPath(uint32(c.ASN())) || st.HasCommunity(c) {
+		if c.IsWellKnown() || slices.Contains(ev.ASPath, uint32(c.ASN())) || st.HasCommunity(c) {
 			continue
 		}
 		emit(Alert{
@@ -157,7 +159,7 @@ func (communitySquat) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
 type propDistance struct{ threshold int }
 
 func (propDistance) Name() string { return "prop-distance" }
-func (d propDistance) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
+func (d propDistance) Observe(st *PrefixState, ev *feed.Event, emit func(Alert)) {
 	if ev.Withdraw || len(ev.ASPath) == 0 || len(ev.Communities) == 0 {
 		return
 	}
@@ -214,7 +216,7 @@ func travelHops(stripped []uint32, c bgp.Community) int {
 type routeLeak struct{}
 
 func (routeLeak) Name() string { return "route-leak" }
-func (routeLeak) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
+func (routeLeak) Observe(st *PrefixState, ev *feed.Event, emit func(Alert)) {
 	if ev.Withdraw || len(ev.ASPath) == 0 {
 		return
 	}

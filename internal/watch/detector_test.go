@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/netx"
 	"bgpworms/internal/watch"
 )
 
 // feedAll runs a fixed event sequence through a fresh single-shard
 // engine and returns the alerts.
-func feedAll(t *testing.T, events ...watch.Event) []watch.Alert {
+func feedAll(t *testing.T, events ...feed.Event) []watch.Alert {
 	t.Helper()
 	e := watch.NewEngine(watch.Config{Shards: 1})
 	defer e.Close()
@@ -33,8 +34,8 @@ func byDetector(alerts []watch.Alert, name string) []watch.Alert {
 	return out
 }
 
-func announce(peer uint32, p netip.Prefix, path []uint32, comms ...bgp.Community) watch.Event {
-	return watch.Event{PeerAS: peer, Prefix: p, ASPath: path, Communities: bgp.NewCommunitySet(comms...)}
+func announce(peer uint32, p netip.Prefix, path []uint32, comms ...bgp.Community) feed.Event {
+	return feed.Event{PeerAS: peer, Prefix: p, ASPath: path, Communities: bgp.NewCommunitySet(comms...)}
 }
 
 func TestBlackholeOnsetFiresOncePerEpisode(t *testing.T) {

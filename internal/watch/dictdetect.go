@@ -2,7 +2,9 @@ package watch
 
 import (
 	"fmt"
+	"slices"
 
+	"bgpworms/internal/feed"
 	"bgpworms/internal/semantics"
 )
 
@@ -43,12 +45,12 @@ func NewDictSquat(dict semantics.Provider) Detector {
 type dictSquat struct{ dict semantics.Provider }
 
 func (dictSquat) Name() string { return DictSquatName }
-func (d dictSquat) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
+func (d dictSquat) Observe(st *PrefixState, ev *feed.Event, emit func(Alert)) {
 	if ev.Withdraw {
 		return
 	}
 	for _, c := range ev.Communities {
-		if c.IsWellKnown() || ev.onPath(uint32(c.ASN())) || st.HasCommunity(c) {
+		if c.IsWellKnown() || slices.Contains(ev.ASPath, uint32(c.ASN())) || st.HasCommunity(c) {
 			continue
 		}
 		if _, known := d.dict.Lookup(c); known {
@@ -76,7 +78,7 @@ func NewUnknownActionCommunity(dict semantics.Provider) Detector {
 type unknownAction struct{ dict semantics.Provider }
 
 func (unknownAction) Name() string { return UnknownActionName }
-func (d unknownAction) Observe(st *PrefixState, ev *Event, emit func(Alert)) {
+func (d unknownAction) Observe(st *PrefixState, ev *feed.Event, emit func(Alert)) {
 	if ev.Withdraw {
 		return
 	}

@@ -8,6 +8,7 @@ import (
 
 	"bgpworms/internal/attack"
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/scenario"
 	"bgpworms/internal/semantics"
@@ -27,7 +28,7 @@ func trainDictionary(t *testing.T) (*semantics.Snapshot, *gen.Internet) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Tap = eng.Tap()
+	p.Tap = feed.Tap("", eng.Ingest)
 	l, err := attack.NewLab(p, scenario.DefaultVPs)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +129,7 @@ func TestSemanticsMirroring(t *testing.T) {
 	alone := semantics.NewEngine(semantics.Config{})
 	defer alone.Close()
 	for i, ev := range events {
-		alone.Ingest(semantics.Observation{
+		alone.Ingest(feed.Event{
 			Seq: uint64(i + 1), Time: ev.Time, PeerAS: ev.PeerAS,
 			Prefix: ev.Prefix, ASPath: ev.ASPath, Communities: ev.Communities,
 		})
@@ -210,7 +211,7 @@ func TestDictProviderNilSafety(t *testing.T) {
 	var holder semantics.Holder
 	eng := watch.NewEngine(watch.Config{Shards: 1, Dict: &holder})
 	defer eng.Close()
-	eng.Ingest(watch.Event{
+	eng.Ingest(feed.Event{
 		PeerAS: 1,
 		Prefix: netip.MustParsePrefix("10.1.0.0/24"),
 		ASPath: []uint32{1, 2},

@@ -3,6 +3,7 @@ package watch
 import (
 	"fmt"
 
+	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/scenario"
 	"bgpworms/internal/semantics"
@@ -42,7 +43,7 @@ func EvalDictionaryScenario(name string, ctx *scenario.Context) (*DictEvalReport
 	defer eng.Close()
 	var world *gen.Internet
 	ctx.World = func(w *gen.Internet) { world = w }
-	ctx.Tap = eng.Tap()
+	ctx.Tap = feed.Tap("", eng.Ingest)
 	res, err := scenario.Run(name, ctx)
 	if err != nil {
 		return nil, nil, err

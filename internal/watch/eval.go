@@ -3,6 +3,7 @@ package watch
 import (
 	"sort"
 
+	"bgpworms/internal/feed"
 	"bgpworms/internal/scenario"
 )
 
@@ -169,7 +170,7 @@ func EvalScenario(name string, ctx *scenario.Context, cfg Config) (*EvalReport, 
 	}
 	eng := NewEngine(cfg)
 	defer eng.Close()
-	ctx.Tap = EventTap("scenario:"+name, eng.Ingest)
+	ctx.Tap = feed.Tap("scenario:"+name, eng.Ingest)
 	res, err := scenario.Run(name, ctx)
 	if err != nil {
 		return nil, err

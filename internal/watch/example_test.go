@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/netx"
 	"bgpworms/internal/watch"
 )
@@ -30,8 +31,8 @@ func ExampleEngine_Ingest() {
 
 	victim := netx.MustPrefix("203.0.113.9/32")
 	path := []uint32{100, 200}
-	e.Ingest(watch.Event{PeerAS: 100, Prefix: victim, ASPath: path})
-	e.Ingest(watch.Event{PeerAS: 100, Prefix: victim, ASPath: path,
+	e.Ingest(feed.Event{PeerAS: 100, Prefix: victim, ASPath: path})
+	e.Ingest(feed.Event{PeerAS: 100, Prefix: victim, ASPath: path,
 		Communities: bgp.NewCommunitySet(bgp.C(100, 666))})
 	e.Flush()
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 )
 
 // These tests pin the "Engine locking" rules on Engine from the inside:
@@ -27,7 +28,7 @@ type gate struct {
 }
 
 func (gate) Name() string { return "gate" }
-func (g gate) Observe(_ *PrefixState, ev *Event, _ func(Alert)) {
+func (g gate) Observe(_ *PrefixState, ev *feed.Event, _ func(Alert)) {
 	if ev.Prefix == g.slow {
 		<-g.release
 	}
@@ -37,13 +38,13 @@ func (g gate) Observe(_ *PrefixState, ev *Event, _ func(Alert)) {
 // prefixes whose alerts depend on what each prefix's window held before:
 // fresh off-path communities, blackhole episodes, origin shifts,
 // withdrawals. Reordering two events of one prefix changes the alert set.
-func sequencedFeed() []Event {
+func sequencedFeed() []feed.Event {
 	rng := rand.New(rand.NewSource(23))
-	events := make([]Event, 24000)
+	events := make([]feed.Event, 24000)
 	for i := range events {
 		pi := rng.Intn(512)
 		peer, origin := uint32(1+rng.Intn(4)), uint32(1000+pi)
-		ev := Event{
+		ev := feed.Event{
 			Seq:    uint64(i + 1),
 			Time:   logicalBase.Add(time.Duration(i+1) * logicalTick),
 			PeerAS: peer,
@@ -111,7 +112,7 @@ func TestConcurrentProducersKeepShardFIFO(t *testing.T) {
 		// run: the first queueDepth+1 events of the slow shard, which is a
 		// prefix of every one of its prefixes' own sequences. The rest go
 		// to the producers, by prefix.
-		own := make([][]Event, producers)
+		own := make([][]feed.Event, producers)
 		filled := 0
 		for _, ev := range events {
 			if filled <= queueDepth && e.shards[e.shardOf(ev.Prefix)] == slow {
@@ -187,7 +188,7 @@ func TestFlushAfterCloseWaitsForWorkers(t *testing.T) {
 	e := NewEngine(Config{Shards: 1, Detectors: []Detector{g}})
 	const n = 300
 	for i := 0; i < n; i++ {
-		e.Ingest(Event{PeerAS: 1, Prefix: p, ASPath: []uint32{1}})
+		e.Ingest(feed.Event{PeerAS: 1, Prefix: p, ASPath: []uint32{1}})
 	}
 	closed := make(chan struct{})
 	go func() {

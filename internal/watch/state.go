@@ -5,6 +5,8 @@ import (
 	"net/netip"
 	"slices"
 	"sort"
+
+	"bgpworms/internal/feed"
 )
 
 // State is the engine's persistable snapshot: everything needed to
@@ -46,7 +48,7 @@ type PrefixWindow struct {
 	// live ring holds: an ingested event's slices are never written
 	// again (the ring replaces whole events), so sharing them is safe
 	// and keeps the export a shallow copy.
-	Events []Event
+	Events []feed.Event
 }
 
 // ExportState flushes pending work and snapshots the engine's full
@@ -74,7 +76,7 @@ func (e *Engine) ExportState() *State {
 		for _, ps := range s.prefixes {
 			n += ps.n
 		}
-		slab := make([]Event, 0, n)
+		slab := make([]feed.Event, 0, n)
 		st.Prefixes = slices.Grow(st.Prefixes, len(s.prefixes))
 		for p, ps := range s.prefixes {
 			from := len(slab)

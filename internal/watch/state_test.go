@@ -6,15 +6,16 @@ import (
 	"net/netip"
 	"testing"
 
-	"bgpworms/internal/collector"
+	"bgpworms/internal/core"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/watch"
 )
 
-// churnEvents flattens the deterministic churn feed into an event list,
-// collector by collector in recorded order, so tests can split the
-// stream at an arbitrary cut point.
-func churnEvents(t testing.TB) []watch.Event {
+// churnEvents is the deterministic churn feed as one event list — the
+// records core folds, collector by collector in recorded order — so
+// tests can split the stream at an arbitrary cut point.
+func churnEvents(t testing.TB) []feed.Event {
 	t.Helper()
 	w, err := gen.Build(gen.Tiny())
 	if err != nil {
@@ -23,33 +24,11 @@ func churnEvents(t testing.TB) []watch.Event {
 	if _, err := w.RunChurn(); err != nil {
 		t.Fatal(err)
 	}
-	var events []watch.Event
-	for _, c := range w.Collectors {
-		obs := c.Observations()
-		for i := range obs {
-			events = append(events, eventFromObs(c, &obs[i]))
-		}
-	}
+	events := core.FromCollectors(w.Collectors).Updates
 	if len(events) < 100 {
 		t.Fatalf("churn feed too small to split: %d events", len(events))
 	}
 	return events
-}
-
-func eventFromObs(c *collector.Collector, ob *collector.Observation) watch.Event {
-	ev := watch.Event{
-		Time:   ob.Time,
-		Source: c.Name,
-		PeerAS: uint32(ob.PeerAS),
-		Prefix: ob.Prefix,
-	}
-	if ob.Route == nil {
-		ev.Withdraw = true
-	} else {
-		ev.ASPath = ob.Route.ASPath.Sequence()
-		ev.Communities = ob.Route.Communities.Clone()
-	}
-	return ev
 }
 
 func mustPrefix(t testing.TB, s string) netip.Prefix {
@@ -160,7 +139,7 @@ func TestExportStateDeterministic(t *testing.T) {
 func TestRestoreStateGuards(t *testing.T) {
 	e := watch.NewEngine(watch.Config{Shards: 1})
 	defer e.Close()
-	e.Ingest(watch.Event{Prefix: mustPrefix(t, "10.0.0.0/24"), PeerAS: 65001})
+	e.Ingest(feed.Event{Prefix: mustPrefix(t, "10.0.0.0/24"), PeerAS: 65001})
 	if err := e.RestoreState(&watch.State{Seq: 10}); err == nil {
 		t.Fatal("RestoreState accepted an engine that already ingested")
 	}
@@ -178,8 +157,8 @@ func TestProvidedSeq(t *testing.T) {
 	e := watch.NewEngine(watch.Config{Shards: 1})
 	defer e.Close()
 	p := mustPrefix(t, "10.1.0.0/24")
-	e.Ingest(watch.Event{Seq: 41, Prefix: p, PeerAS: 65001, ASPath: []uint32{65001}})
-	e.Ingest(watch.Event{Prefix: p, PeerAS: 65001, ASPath: []uint32{65001}})
+	e.Ingest(feed.Event{Seq: 41, Prefix: p, PeerAS: 65001, ASPath: []uint32{65001}})
+	e.Ingest(feed.Event{Prefix: p, PeerAS: 65001, ASPath: []uint32{65001}})
 	e.Flush()
 	info, ok := e.PrefixInfo(p)
 	if !ok {

@@ -7,6 +7,14 @@
 // every observation as it arrives: blackhole-community onset, community
 // squatting, propagation-distance spikes, and route-leak signatures.
 //
+// The engine consumes the one routing record, feed.Event, from whatever
+// makes one: feed.StreamMRT over MRT archives and feed sockets, feed.Tap
+// over a simulated network, the durable store's journal on replay. With
+// Config.Semantics set, each shard also folds its batches, as they are,
+// into a partial dictionary. eval.go closes the loop with scenario
+// ground truth, replaying a registered attack through the engine and
+// scoring each detector's precision and recall.
+//
 // The engine shares the repo's two load-bearing disciplines:
 //
 //   - prefix sharding (the core.Pipeline shape): each prefix's state
@@ -15,14 +23,8 @@
 //     (TestWatchDeterminismAcrossShards);
 //   - one lossless way in: Ingest. A full shard queue is the
 //     back-pressure — an MRT stream, a feed socket, a simnet run tapped
-//     through EventTap(source, Ingest) waits for the engine and no event
+//     through feed.Tap(source, Ingest) waits for the engine and no event
 //     is ever shed (see "Engine locking" on Engine).
-//
-// Feeds come from adapters in feed.go (MRT byte streams via
-// core.StreamMRTUpdates, live simnet taps); eval.go
-// closes the loop with scenario ground truth, replaying a registered
-// attack through the engine and scoring each detector's precision and
-// recall.
 package watch
 
 import (
@@ -35,53 +37,10 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/obs"
 	"bgpworms/internal/semantics"
 )
-
-// Event is one normalized routing observation entering the engine: an
-// announcement or withdrawal seen on some feed session.
-type Event struct {
-	// Seq is the ingest sequence number (1-based). Callers normally
-	// leave it zero and the engine assigns it in call order; a non-zero
-	// Seq is trusted verbatim (the durable replay and sharded-feed
-	// paths pre-assign global sequence numbers) and must arrive in
-	// increasing order.
-	Seq uint64 `json:"seq"`
-	// Time is the observation timestamp. Zero means "synthesize": the
-	// engine stamps a logical clock derived from Seq, which keeps
-	// clockless feeds (simnet taps) deterministic.
-	Time time.Time `json:"time"`
-	// Source names the feed the event arrived on.
-	Source string `json:"source,omitempty"`
-	// PeerAS is the session peer (for simnet taps, the exporting AS).
-	PeerAS uint32       `json:"peer_as"`
-	Prefix netip.Prefix `json:"prefix"`
-	// ASPath is nearest-AS-first (peer first, origin last), raw.
-	ASPath []uint32 `json:"as_path,omitempty"`
-	// Communities is the normalized community set.
-	Communities bgp.CommunitySet `json:"communities,omitempty"`
-	// Withdraw marks withdrawals; path and communities are empty.
-	Withdraw bool `json:"withdraw,omitempty"`
-}
-
-// Origin returns the originating AS (0 for empty paths).
-func (ev *Event) Origin() uint32 {
-	if len(ev.ASPath) == 0 {
-		return 0
-	}
-	return ev.ASPath[len(ev.ASPath)-1]
-}
-
-// onPath reports whether asn appears anywhere in the raw AS path.
-func (ev *Event) onPath(asn uint32) bool {
-	for _, a := range ev.ASPath {
-		if a == asn {
-			return true
-		}
-	}
-	return false
-}
 
 // logicalBase anchors the synthesized clock for clockless feeds (the
 // same nominal month the generator uses).
@@ -164,7 +123,7 @@ func (c Config) withDefaults() Config {
 // batch is one unit of shard work: a run of events, or a flush token
 // (ack non-nil) the worker closes once everything before it is applied.
 type batch struct {
-	events []Event
+	events []feed.Event
 	ack    chan struct{}
 }
 
@@ -193,20 +152,18 @@ type shard struct {
 
 	// emit plumbing, reused across events to keep the hot path
 	// allocation-free.
-	curEv  *Event
+	curEv  *feed.Event
 	curDet Detector
 	emit   func(Alert)
 
 	// dict is the shard's partial dictionary (nil without
-	// Config.Semantics); obs is the reused batch handed to its Fold.
-	// Only the worker goroutine touches either.
+	// Config.Semantics). Only the worker goroutine touches it.
 	dict *semantics.Partial
-	obs  []semantics.Observation
 }
 
 // Engine is the streaming detection engine. Create with NewEngine; feed
-// with Ingest or the adapters in feed.go; query Alerts, Stats, and
-// PrefixInfo at any time, including mid-ingest.
+// with Ingest, directly or as the sink of feed.StreamMRT or feed.Tap;
+// query Alerts, Stats, and PrefixInfo at any time, including mid-ingest.
 //
 // Engine locking: two locks, one order. Engine.mu is the ingest lock.
 // It covers stamping the sequence, appending to the home shard's
@@ -228,7 +185,7 @@ type Engine struct {
 
 	mu      sync.Mutex // ingest path: seq, pending, closed, shard queue sends
 	seq     uint64
-	pending [][]Event
+	pending [][]feed.Event
 	closed  bool // once set, every pending run is empty and every queue closed
 
 	ingested  atomic.Uint64
@@ -248,11 +205,11 @@ func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	e := &Engine{cfg: cfg, detectors: cfg.Detectors}
 	e.batchPool.New = func() any {
-		buf := make([]Event, 0, batchSize)
+		buf := make([]feed.Event, 0, batchSize)
 		return &buf
 	}
 	e.shards = make([]*shard, cfg.Shards)
-	e.pending = make([][]Event, cfg.Shards)
+	e.pending = make([][]feed.Event, cfg.Shards)
 	for i := range e.shards {
 		s := &shard{
 			ch:         make(chan batch, queueDepth),
@@ -286,7 +243,7 @@ func NewEngine(cfg Config) *Engine {
 		if cfg.Semantics != nil {
 			s.dict = cfg.Semantics.NewPartial()
 		}
-		e.pending[i] = *e.batchPool.Get().(*[]Event)
+		e.pending[i] = *e.batchPool.Get().(*[]feed.Event)
 		e.shards[i] = s
 		e.wg.Add(1)
 		go e.runShard(s)
@@ -345,10 +302,10 @@ func (e *Engine) shardOf(p netip.Prefix) int {
 // fills its home shard's pending run sends the run to the shard worker,
 // and if that shard's queue is full the call — and every other producer
 // — waits for the worker: back-pressure, never loss. The engine assigns
-// Seq in call order: feed from a single goroutine (every adapter in
-// feed.go does) and the alert set is deterministic. Ingesting after Close
+// Seq in call order: feed from a single goroutine (feed.StreamMRT and
+// feed.Tap do) and the alert set is deterministic. Ingesting after Close
 // is a silent no-op.
-func (e *Engine) Ingest(ev Event) {
+func (e *Engine) Ingest(ev feed.Event) {
 	ev.Prefix = ev.Prefix.Masked()
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -383,7 +340,7 @@ func (e *Engine) sendLocked(si int) {
 		return
 	}
 	e.shards[si].ch <- batch{events: e.pending[si]}
-	e.pending[si] = *e.batchPool.Get().(*[]Event)
+	e.pending[si] = *e.batchPool.Get().(*[]feed.Event)
 }
 
 // runShard is the per-shard worker: it applies batches in arrival order
@@ -401,8 +358,10 @@ func (e *Engine) runShard(s *shard) {
 				e.process(s, &b.events[i])
 			}
 			s.mu.Unlock()
+			// The dictionary folds the batch as it is, before the batch
+			// counts as processed, so a Flush covers it too.
 			if s.dict != nil {
-				s.foldDict(b.events)
+				s.dict.Fold(b.events)
 			}
 			if e.batchHist != nil {
 				e.batchHist.ObserveSince(start)
@@ -418,26 +377,10 @@ func (e *Engine) runShard(s *shard) {
 	}
 }
 
-// foldDict folds a processed batch's community-bearing events into the
-// shard's partial dictionary. It runs before the batch counts as
-// processed, so a Flush covers the dictionary too.
-func (s *shard) foldDict(events []Event) {
-	s.obs = s.obs[:0]
-	for i := range events {
-		if ev := &events[i]; len(ev.Communities) > 0 {
-			s.obs = append(s.obs, semantics.Observation{
-				Seq: ev.Seq, Time: ev.Time, PeerAS: ev.PeerAS,
-				Prefix: ev.Prefix, ASPath: ev.ASPath, Communities: ev.Communities,
-			})
-		}
-	}
-	s.dict.Fold(s.obs)
-}
-
 // process runs every detector over the event against the prefix's
 // window state (the window holds only *prior* events while detectors
 // run), then folds the event into the window.
-func (e *Engine) process(s *shard, ev *Event) {
+func (e *Engine) process(s *shard, ev *feed.Event) {
 	st := s.prefixes[ev.Prefix]
 	if st == nil {
 		st = newPrefixState(e.cfg.WindowEvents)
@@ -454,7 +397,7 @@ func (e *Engine) process(s *shard, ev *Event) {
 // Dispatch hands every shard's pending run to its worker and returns
 // without waiting for the runs to be applied: the call a feed makes when
 // it has decoded everything that has arrived and its next read may block
-// (DrainReader), so a short run is not held back for the events that
+// (feed.DrainReader), so a short run is not held back for the events that
 // would have filled it. Runs leave exactly like full ones, so where a
 // run is cut is unobservable in the alert set. With nothing pending it
 // takes e.mu once and allocates nothing.

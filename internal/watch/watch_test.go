@@ -8,6 +8,7 @@ import (
 
 	_ "bgpworms/internal/attack" // registers the builtin scenarios
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/netx"
 	"bgpworms/internal/watch"
 )
@@ -25,11 +26,11 @@ func churnFeed(t testing.TB) func(e *watch.Engine) {
 	}
 }
 
-func runFeed(t testing.TB, feed func(*watch.Engine), cfg watch.Config) ([]watch.Alert, watch.Stats) {
+func runFeed(t testing.TB, replay func(*watch.Engine), cfg watch.Config) ([]watch.Alert, watch.Stats) {
 	t.Helper()
 	e := watch.NewEngine(cfg)
 	defer e.Close()
-	feed(e)
+	replay(e)
 	e.Flush()
 	return e.Alerts(), e.Stats()
 }
@@ -38,15 +39,15 @@ func runFeed(t testing.TB, feed func(*watch.Engine), cfg watch.Config) ([]watch.
 // feed must yield a bit-identical alert set whether one shard or eight
 // process it.
 func TestWatchDeterminismAcrossShards(t *testing.T) {
-	feed := churnFeed(t)
+	replay := churnFeed(t)
 	var ref []byte
 	for _, shards := range []int{1, 2, 8} {
-		alerts, st := runFeed(t, feed, watch.Config{Shards: shards})
+		alerts, st := runFeed(t, replay, watch.Config{Shards: shards})
 		if st.Processed != st.Ingested {
 			t.Fatalf("shards=%d: processed %d of %d ingested events", shards, st.Processed, st.Ingested)
 		}
 		if len(alerts) == 0 {
-			t.Fatalf("shards=%d: churn feed raised no alerts", shards)
+			t.Fatalf("shards=%d: churn replay raised no alerts", shards)
 		}
 		b, err := json.Marshal(alerts)
 		if err != nil {
@@ -80,9 +81,9 @@ func TestWatchDeterminismAcrossShards(t *testing.T) {
 // TestWatchRepeatability pins that two runs over the identical feed and
 // config agree — no map-iteration order leaks into alerts or stats.
 func TestWatchRepeatability(t *testing.T) {
-	feed := churnFeed(t)
-	a1, s1 := runFeed(t, feed, watch.Config{Shards: 4})
-	a2, s2 := runFeed(t, feed, watch.Config{Shards: 4})
+	replay := churnFeed(t)
+	a1, s1 := runFeed(t, replay, watch.Config{Shards: 4})
+	a2, s2 := runFeed(t, replay, watch.Config{Shards: 4})
 	j1, _ := json.Marshal(a1)
 	j2, _ := json.Marshal(a2)
 	if !bytes.Equal(j1, j2) {
@@ -97,7 +98,7 @@ func TestWatchRepeatability(t *testing.T) {
 // contract: stats, alerts, and prefix lookups stay consistent while a
 // feed is mid-flight.
 func TestWatchQueriesWhileIngesting(t *testing.T) {
-	feed := churnFeed(t)
+	replay := churnFeed(t)
 	e := watch.NewEngine(watch.Config{Shards: 4})
 	defer e.Close()
 	done := make(chan struct{})
@@ -117,7 +118,7 @@ func TestWatchQueriesWhileIngesting(t *testing.T) {
 			_ = e.Alerts()
 		}
 	}()
-	feed(e)
+	replay(e)
 	e.Flush()
 	done <- struct{}{}
 	<-done
@@ -135,9 +136,9 @@ func TestWatchPrefixInfo(t *testing.T) {
 	e := watch.NewEngine(watch.Config{Shards: 2})
 	defer e.Close()
 	p := netx.MustPrefix("203.0.113.0/24")
-	e.Ingest(watch.Event{PeerAS: 10, Prefix: p, ASPath: []uint32{10, 20, 30},
+	e.Ingest(feed.Event{PeerAS: 10, Prefix: p, ASPath: []uint32{10, 20, 30},
 		Communities: bgp.NewCommunitySet(bgp.C(30, 100))})
-	e.Ingest(watch.Event{PeerAS: 10, Prefix: p, Withdraw: true})
+	e.Ingest(feed.Event{PeerAS: 10, Prefix: p, Withdraw: true})
 	e.Flush()
 	info, ok := e.PrefixInfo(p)
 	if !ok {
@@ -163,7 +164,7 @@ func TestWatchBackpressureIsLossless(t *testing.T) {
 	p := netx.MustPrefix("203.0.113.0/24")
 	const n = 10000 // the queue holds 64 runs of 128
 	for i := 0; i < n; i++ {
-		e.Ingest(watch.Event{PeerAS: 1, Prefix: p, ASPath: []uint32{1}})
+		e.Ingest(feed.Event{PeerAS: 1, Prefix: p, ASPath: []uint32{1}})
 	}
 	e.Flush()
 	if st := e.Stats(); st.Ingested != n || st.Processed != n || st.Pending != 0 {
@@ -175,7 +176,7 @@ func TestWatchBackpressureIsLossless(t *testing.T) {
 type stall struct{}
 
 func (stall) Name() string { return "stall" }
-func (stall) Observe(st *watch.PrefixState, ev *watch.Event, emit func(watch.Alert)) {
+func (stall) Observe(st *watch.PrefixState, ev *feed.Event, emit func(watch.Alert)) {
 	for i := 0; i < 1000; i++ {
 		_ = i * i
 	}
@@ -192,7 +193,7 @@ func TestWatchAlertRetentionCap(t *testing.T) {
 	for i := 0; i < fired; i++ {
 		// Every event carries a fresh off-path community: one squat
 		// alert each (the 4-event window forgets old communities).
-		e.Ingest(watch.Event{PeerAS: 1, Prefix: p, ASPath: []uint32{1, 2},
+		e.Ingest(feed.Event{PeerAS: 1, Prefix: p, ASPath: []uint32{1, 2},
 			Communities: bgp.NewCommunitySet(bgp.C(uint16(5000+i), 1))})
 	}
 	e.Flush()
@@ -222,10 +223,10 @@ func TestWatchAlertRetentionCap(t *testing.T) {
 func TestWatchIngestAfterClose(t *testing.T) {
 	e := watch.NewEngine(watch.Config{Shards: 1})
 	p := netx.MustPrefix("203.0.113.0/24")
-	e.Ingest(watch.Event{PeerAS: 1, Prefix: p, ASPath: []uint32{1}})
+	e.Ingest(feed.Event{PeerAS: 1, Prefix: p, ASPath: []uint32{1}})
 	e.Close()
 	before := e.Stats().Ingested
-	e.Ingest(watch.Event{PeerAS: 1, Prefix: p, ASPath: []uint32{1}})
+	e.Ingest(feed.Event{PeerAS: 1, Prefix: p, ASPath: []uint32{1}})
 	if e.Stats().Ingested != before {
 		t.Fatal("ingest after close was counted")
 	}

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 )
 
 // PrefixState is the sliding-window state one prefix carries: a ring
@@ -15,21 +16,21 @@ import (
 // A PrefixState lives wholly inside one shard; detectors must not
 // retain it across Observe calls.
 type PrefixState struct {
-	ring  []Event
+	ring  []feed.Event
 	head  int // index of the oldest event
 	n     int
 	total uint64
 }
 
 func newPrefixState(capacity int) *PrefixState {
-	return &PrefixState{ring: make([]Event, capacity)}
+	return &PrefixState{ring: make([]feed.Event, capacity)}
 }
 
 // Len is the current window occupancy.
 func (s *PrefixState) Len() int { return s.n }
 
 // At returns the i-th windowed event, oldest first (0 <= i < Len).
-func (s *PrefixState) At(i int) *Event {
+func (s *PrefixState) At(i int) *feed.Event {
 	return &s.ring[(s.head+i)%len(s.ring)]
 }
 
@@ -45,10 +46,10 @@ func (s *PrefixState) HasCommunity(c bgp.Community) bool {
 
 // push folds ev into the window: age-based eviction first, then the
 // count bound (overwriting the oldest when full).
-func (s *PrefixState) push(ev *Event, horizon time.Duration) {
+func (s *PrefixState) push(ev *feed.Event, horizon time.Duration) {
 	cutoff := ev.Time.Add(-horizon)
 	for s.n > 0 && s.ring[s.head].Time.Before(cutoff) {
-		s.ring[s.head] = Event{}
+		s.ring[s.head] = feed.Event{}
 		s.head = (s.head + 1) % len(s.ring)
 		s.n--
 	}
