@@ -36,7 +36,14 @@ func Path(asns ...uint32) ASPath {
 // Sequence flattens the path into a single ASN list, expanding sets in
 // their stored order. Nearest AS first.
 func (p ASPath) Sequence() []uint32 {
-	var out []uint32
+	n := 0
+	for _, seg := range p {
+		n += len(seg.ASNs)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint32, 0, n)
 	for _, seg := range p {
 		out = append(out, seg.ASNs...)
 	}

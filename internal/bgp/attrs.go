@@ -174,8 +174,10 @@ func encodeASPath(p ASPath) []byte {
 	return dst
 }
 
-func decodeASPath(b []byte) (ASPath, error) {
-	var p ASPath
+// decodeASPath parses an AS_PATH attribute into p, whose segments and
+// their ASN arrays (up to cap(p)) it refills in place.
+func decodeASPath(p ASPath, b []byte) (ASPath, error) {
+	p = p[:0]
 	for len(b) > 0 {
 		if len(b) < 2 {
 			return nil, fmt.Errorf("bgp: truncated AS_PATH segment header")
@@ -188,9 +190,17 @@ func decodeASPath(b []byte) (ASPath, error) {
 		if len(b) < 4*cnt {
 			return nil, fmt.Errorf("bgp: truncated AS_PATH segment body")
 		}
-		asns := make([]uint32, cnt)
+		var asns []uint32
+		if len(p) < cap(p) {
+			// The slot this segment lands in still holds an earlier
+			// decode's ASN array.
+			asns = p[:len(p)+1][len(p)].ASNs[:0]
+		}
+		if cap(asns) < cnt {
+			asns = make([]uint32, 0, cnt)
+		}
 		for i := 0; i < cnt; i++ {
-			asns[i] = binary.BigEndian.Uint32(b[4*i:])
+			asns = append(asns, binary.BigEndian.Uint32(b[4*i:]))
 		}
 		b = b[4*cnt:]
 		p = append(p, PathSegment{Type: typ, ASNs: asns})
@@ -220,33 +230,64 @@ func encodeMPUnreach(nlri []netip.Prefix) []byte {
 	return encodeNLRIList(dst, nlri)
 }
 
-// DecodeAttributes parses the path attribute block of an UPDATE.
+// DecodeAttributes parses the path attribute block of an UPDATE into a
+// fresh attribute set.
 func DecodeAttributes(b []byte) (PathAttributes, error) {
 	var a PathAttributes
+	err := a.decode(b)
+	return a, err
+}
+
+// decode parses an attribute block into a, refilling its slices in
+// place: every field is reset first, so nothing of the previous block
+// survives.
+func (a *PathAttributes) decode(b []byte) error {
+	*a = PathAttributes{
+		ASPath:           a.ASPath[:0],
+		Communities:      a.Communities[:0],
+		LargeCommunities: a.LargeCommunities[:0],
+		MPReachNLRI:      a.MPReachNLRI[:0],
+		MPUnreachNLRI:    a.MPUnreachNLRI[:0],
+		Unknown:          a.Unknown[:0],
+	}
 	for len(b) > 0 {
 		if len(b) < 3 {
-			return a, fmt.Errorf("bgp: truncated attribute header")
+			return fmt.Errorf("bgp: truncated attribute header")
 		}
 		flags, typ := b[0], b[1]
 		var length, hdr int
 		if flags&flagExtLen != 0 {
 			if len(b) < 4 {
-				return a, fmt.Errorf("bgp: truncated extended attribute header")
+				return fmt.Errorf("bgp: truncated extended attribute header")
 			}
 			length, hdr = int(binary.BigEndian.Uint16(b[2:])), 4
 		} else {
 			length, hdr = int(b[2]), 3
 		}
 		if len(b) < hdr+length {
-			return a, fmt.Errorf("bgp: attribute %d body truncated (want %d, have %d)", typ, length, len(b)-hdr)
+			return fmt.Errorf("bgp: attribute %d body truncated (want %d, have %d)", typ, length, len(b)-hdr)
 		}
 		val := b[hdr : hdr+length]
 		b = b[hdr+length:]
 		if err := a.decodeOne(flags, typ, val); err != nil {
-			return a, err
+			return err
 		}
 	}
-	return a, nil
+	return nil
+}
+
+// appendRaw appends an uninterpreted attribute to list, reusing the
+// value buffer of the slot it lands in.
+func appendRaw(list []RawAttr, flags, typ uint8, val []byte) []RawAttr {
+	n := len(list)
+	if n < cap(list) {
+		list = list[:n+1]
+	} else {
+		list = append(list, RawAttr{})
+	}
+	r := &list[n]
+	r.Flags, r.Type, r.Value = flags, typ, append(r.Value[:0], val...)
+	return list
 }
 
 func (a *PathAttributes) decodeOne(flags, typ uint8, val []byte) error {
@@ -257,7 +298,7 @@ func (a *PathAttributes) decodeOne(flags, typ uint8, val []byte) error {
 		}
 		a.Origin = Origin(val[0])
 	case AttrTypeASPath:
-		p, err := decodeASPath(val)
+		p, err := decodeASPath(a.ASPath, val)
 		if err != nil {
 			return err
 		}
@@ -293,11 +334,16 @@ func (a *PathAttributes) decodeOne(flags, typ uint8, val []byte) error {
 		if len(val)%4 != 0 {
 			return fmt.Errorf("bgp: COMMUNITIES length %d", len(val))
 		}
-		cs := make([]Community, len(val)/4)
-		for i := range cs {
-			cs[i] = Community(binary.BigEndian.Uint32(val[4*i:]))
+		cs := a.Communities[:0]
+		for i := 0; i < len(val); i += 4 {
+			c := Community(binary.BigEndian.Uint32(val[i:]))
+			if n := len(cs); n == 0 || c > cs[n-1] {
+				cs = append(cs, c) // wire sets arrive sorted
+			} else {
+				cs = cs.Add(c)
+			}
 		}
-		a.Communities = NewCommunitySet(cs...)
+		a.Communities = cs
 	case AttrTypeMPReachNLRI:
 		return a.decodeMPReach(val)
 	case AttrTypeMPUnreachNLRI:
@@ -314,7 +360,7 @@ func (a *PathAttributes) decodeOne(flags, typ uint8, val []byte) error {
 			})
 		}
 	default:
-		a.Unknown = append(a.Unknown, RawAttr{Flags: flags, Type: typ, Value: append([]byte(nil), val...)})
+		a.Unknown = appendRaw(a.Unknown, flags, typ, val)
 	}
 	return nil
 }
@@ -335,10 +381,10 @@ func (a *PathAttributes) decodeMPReach(val []byte) error {
 	rest := val[4+nhLen+1:]
 	if afi != AFIIPv6 || safi != SAFIUnicast {
 		// Preserve unsupported families untouched.
-		a.Unknown = append(a.Unknown, RawAttr{Flags: flagOptional, Type: AttrTypeMPReachNLRI, Value: append([]byte(nil), val...)})
+		a.Unknown = appendRaw(a.Unknown, flagOptional, AttrTypeMPReachNLRI, val)
 		return nil
 	}
-	nlri, err := decodeNLRIList(rest, true)
+	nlri, err := appendNLRIList(a.MPReachNLRI[:0], rest, true)
 	if err != nil {
 		return err
 	}
@@ -353,10 +399,10 @@ func (a *PathAttributes) decodeMPUnreach(val []byte) error {
 	afi := binary.BigEndian.Uint16(val)
 	safi := val[2]
 	if afi != AFIIPv6 || safi != SAFIUnicast {
-		a.Unknown = append(a.Unknown, RawAttr{Flags: flagOptional, Type: AttrTypeMPUnreachNLRI, Value: append([]byte(nil), val...)})
+		a.Unknown = appendRaw(a.Unknown, flagOptional, AttrTypeMPUnreachNLRI, val)
 		return nil
 	}
-	nlri, err := decodeNLRIList(val[3:], true)
+	nlri, err := appendNLRIList(a.MPUnreachNLRI[:0], val[3:], true)
 	if err != nil {
 		return err
 	}

@@ -157,8 +157,17 @@ func wrapMessage(typ uint8, body []byte) ([]byte, error) {
 }
 
 // DecodeMessage parses one BGP message from b, which must contain exactly
-// one whole message.
-func DecodeMessage(b []byte) (Message, error) {
+// one whole message. Everything it returns is freshly allocated.
+func DecodeMessage(b []byte) (Message, error) { return DecodeMessageInto(b, new(Update)) }
+
+// DecodeMessageInto is DecodeMessage for a caller that decodes message
+// after message and keeps none of them: an UPDATE is decoded into u and
+// returned as u itself. u's slices are truncated and refilled, so once
+// they have grown to fit a stream's records an UPDATE decodes without
+// allocating. Whatever u held before is overwritten, slices included,
+// and after an error u holds nothing meaningful. Other message types
+// come back fresh and leave u alone.
+func DecodeMessageInto(b []byte, u *Update) (Message, error) {
 	if len(b) < headerLen {
 		return nil, fmt.Errorf("bgp: message shorter than header (%d bytes)", len(b))
 	}
@@ -180,7 +189,10 @@ func DecodeMessage(b []byte) (Message, error) {
 	case MsgTypeOpen:
 		return decodeOpen(body)
 	case MsgTypeUpdate:
-		return decodeUpdate(body)
+		if err := u.decode(body); err != nil {
+			return nil, err
+		}
+		return u, nil
 	case MsgTypeKeepalive:
 		if len(body) != 0 {
 			return nil, fmt.Errorf("bgp: KEEPALIVE with %d body bytes", len(body))
@@ -208,31 +220,28 @@ func decodeOpen(body []byte) (*Open, error) {
 	}, nil
 }
 
-func decodeUpdate(body []byte) (*Update, error) {
+// decode is the one UPDATE body decoder: it refills u in place.
+func (u *Update) decode(body []byte) error {
 	if len(body) < 4 {
-		return nil, fmt.Errorf("bgp: UPDATE too short")
+		return fmt.Errorf("bgp: UPDATE too short")
 	}
 	wdLen := int(binary.BigEndian.Uint16(body))
 	if len(body) < 2+wdLen+2 {
-		return nil, fmt.Errorf("bgp: UPDATE withdrawn block truncated")
+		return fmt.Errorf("bgp: UPDATE withdrawn block truncated")
 	}
-	wd, err := decodeNLRIList(body[2:2+wdLen], false)
-	if err != nil {
-		return nil, err
+	var err error
+	if u.Withdrawn, err = appendNLRIList(u.Withdrawn[:0], body[2:2+wdLen], false); err != nil {
+		return err
 	}
 	attrLenOff := 2 + wdLen
 	attrLen := int(binary.BigEndian.Uint16(body[attrLenOff:]))
 	attrOff := attrLenOff + 2
 	if len(body) < attrOff+attrLen {
-		return nil, fmt.Errorf("bgp: UPDATE attribute block truncated")
+		return fmt.Errorf("bgp: UPDATE attribute block truncated")
 	}
-	attrs, err := DecodeAttributes(body[attrOff : attrOff+attrLen])
-	if err != nil {
-		return nil, err
+	if err := u.Attrs.decode(body[attrOff : attrOff+attrLen]); err != nil {
+		return err
 	}
-	nlri, err := decodeNLRIList(body[attrOff+attrLen:], false)
-	if err != nil {
-		return nil, err
-	}
-	return &Update{Withdrawn: wd, Attrs: attrs, NLRI: nlri}, nil
+	u.NLRI, err = appendNLRIList(u.NLRI[:0], body[attrOff+attrLen:], false)
+	return err
 }

@@ -73,16 +73,16 @@ func encodeNLRIList(dst []byte, ps []netip.Prefix) []byte {
 	return dst
 }
 
-// decodeNLRIList parses back-to-back NLRI entries filling exactly b.
-func decodeNLRIList(b []byte, v6 bool) ([]netip.Prefix, error) {
-	var out []netip.Prefix
+// appendNLRIList parses back-to-back NLRI entries filling exactly b and
+// appends them to dst.
+func appendNLRIList(dst []netip.Prefix, b []byte, v6 bool) ([]netip.Prefix, error) {
 	for len(b) > 0 {
 		p, n, err := decodeNLRI(b, v6)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, p)
+		dst = append(dst, p)
 		b = b[n:]
 	}
-	return out, nil
+	return dst, nil
 }

@@ -64,14 +64,24 @@ func (ev *Event) Origin() uint32 {
 // StreamMRT decodes a BGP4MP update stream (as written by
 // collector.WriteUpdatesMRT) and hands sink one Event per announced or
 // withdrawn prefix, labelled with source, without materializing the
-// stream. Each announcement gets its own copy of the path and community
-// set, so a sink may keep what it is given. It returns how many events
-// reached the sink.
+// stream. Records decode through one reused bgp.Update, and each record
+// that announces gets one copy of its path and community set, shared by
+// that record's prefixes: a sink may keep what it is given but must not
+// write into it. A withdrawal carries no slices. It returns how many
+// events reached the sink.
 func StreamMRT(r io.Reader, source string, sink func(Event)) (int, error) {
 	mr := mrt.NewReader(r)
+	var upd bgp.Update
 	n := 0
+	emit := func(ev Event, prefixes []netip.Prefix) {
+		for _, p := range prefixes {
+			ev.Prefix = p
+			sink(ev)
+		}
+		n += len(prefixes)
+	}
 	for {
-		rec, err := mr.Next()
+		rec, err := mr.NextUpdate(&upd)
 		if errors.Is(err, io.EOF) {
 			return n, nil
 		}
@@ -82,26 +92,22 @@ func StreamMRT(r io.Reader, source string, sink func(Event)) (int, error) {
 		if !ok {
 			continue // state changes etc. carry no routes
 		}
-		upd, ok := msg.Message.(*bgp.Update)
-		if !ok {
-			continue
+		if _, ok := msg.Message.(*bgp.Update); !ok {
+			continue // the UPDATE, when there is one, is upd
 		}
 		base := Event{Time: msg.Timestamp, Source: source, PeerAS: msg.PeerAS}
-		for _, p := range upd.AllAnnounced() {
-			ev := base
-			ev.Prefix = p
-			ev.ASPath = upd.Attrs.ASPath.Sequence()
-			ev.Communities = upd.Attrs.Communities.Clone()
-			sink(ev)
-			n++
+		if len(upd.NLRI)+len(upd.Attrs.MPReachNLRI) > 0 {
+			ann := base
+			ann.ASPath = upd.Attrs.ASPath.Sequence()
+			if len(upd.Attrs.Communities) > 0 {
+				ann.Communities = upd.Attrs.Communities.Clone()
+			}
+			emit(ann, upd.NLRI)
+			emit(ann, upd.Attrs.MPReachNLRI)
 		}
-		for _, p := range upd.AllWithdrawn() {
-			ev := base
-			ev.Prefix = p
-			ev.Withdraw = true
-			sink(ev)
-			n++
-		}
+		base.Withdraw = true
+		emit(base, upd.Withdrawn)
+		emit(base, upd.Attrs.MPUnreachNLRI)
 	}
 }
 

@@ -16,6 +16,7 @@ import (
 	"bgpworms/internal/core"
 	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
+	"bgpworms/internal/mrt"
 	"bgpworms/internal/policy"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
@@ -98,6 +99,82 @@ func normalized(ev feed.Event) feed.Event {
 		ev.Communities = nil
 	}
 	return ev
+}
+
+// TestStreamMRTAllocations pins the decoder's allocation budget in a
+// unit no machine changes. Once its buffers are warm, StreamMRT
+// allocates, for each record that announces, one copy of the path and
+// one of the community set, which that record's prefixes share, and
+// nothing for a withdrawal. Each budget is the difference between a
+// stream of one block of records and one of eleven, so the per-stream
+// setup (the reader, its buffers, the first record's growth) cancels.
+// The decoder that copied per prefix and allocated the UPDATE afresh
+// per record measured 8.32 allocations per event on the yardstick feed.
+func TestStreamMRTAllocations(t *testing.T) {
+	perRecord := func(block []byte, records int) float64 {
+		allocs := func(raw []byte) float64 {
+			return testing.AllocsPerRun(10, func() {
+				if _, err := feed.StreamMRT(bytes.NewReader(raw), "mrt:feed", func(feed.Event) {}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		const extra = 10
+		return (allocs(bytes.Repeat(block, 1+extra)) - allocs(block)) / extra / float64(records)
+	}
+	p := func(s string) netip.Prefix { return netip.MustParsePrefix(s) }
+	announce := func(i int) *bgp.Update {
+		return &bgp.Update{
+			Attrs: bgp.PathAttributes{
+				ASPath: bgp.ASPath{
+					{Type: bgp.SegmentSequence, ASNs: []uint32{64500, 64500, 3320, uint32(1299 + i)}},
+					{Type: bgp.SegmentSet, ASNs: []uint32{64600, 64601}},
+				},
+				NextHop:     netip.MustParseAddr("192.0.2.7"),
+				Communities: bgp.NewCommunitySet(bgp.C(3320, uint16(i)), bgp.C(1299, 666), bgp.CommunityNoExport),
+			},
+			NLRI: []netip.Prefix{netip.PrefixFrom(netip.AddrFrom4([4]byte{203, 0, byte(i), 0}), 24)},
+		}
+	}
+	var ann []*bgp.Update
+	for i := 0; i < 8; i++ {
+		ann = append(ann, announce(i))
+	}
+	two := announce(8)
+	two.NLRI = append(two.NLRI, p("198.51.100.0/24"))
+	ann = append(ann, two)
+	wd := []*bgp.Update{
+		{Withdrawn: []netip.Prefix{p("203.0.1.0/24")}},
+		{Withdrawn: []netip.Prefix{p("203.0.2.0/24"), p("203.0.3.0/24")}},
+		{Attrs: bgp.PathAttributes{MPUnreachNLRI: []netip.Prefix{p("2001:db8:1::/48")}}},
+	}
+	a, w := perRecord(mrtRecords(t, ann...), len(ann)), perRecord(mrtRecords(t, wd...), len(wd))
+	t.Logf("%.2f allocations per announcing record, %.2f per withdrawal record", a, w)
+	if a > 2 {
+		t.Errorf("%.2f allocations per announcing record, want at most 2", a)
+	}
+	if w != 0 {
+		t.Errorf("%.2f allocations per withdrawal record, want 0", w)
+	}
+}
+
+// mrtRecords writes one BGP4MP record per UPDATE.
+func mrtRecords(t testing.TB, updates ...*bgp.Update) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := mrt.NewWriter(&buf)
+	for i, u := range updates {
+		err := w.Write(&mrt.BGP4MPMessage{
+			Timestamp: time.Unix(1522540800+int64(i), 0).UTC(),
+			PeerAS:    64500, LocalAS: 65000,
+			PeerIP: netip.MustParseAddr("192.0.2.7"), LocalIP: netip.MustParseAddr("192.0.2.1"),
+			Message: u,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
 }
 
 // TestTapWithdrawalCarriesNothing: Tap turns a nil route into a

@@ -65,6 +65,7 @@ type Reader struct {
 	peers []PeerEntry
 	hdr   [12]byte
 	body  []byte
+	msg   BGP4MPMessage // NextUpdate's record
 }
 
 // NewReader wraps r.
@@ -74,28 +75,63 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReaderSize(r, 1
 // callers to resolve RIBEntry.PeerIndex.
 func (r *Reader) PeerTable() []PeerEntry { return r.peers }
 
-// Next returns the next record, or io.EOF at clean end of stream.
+// Next returns the next record, or io.EOF at clean end of stream. Every
+// record it returns is freshly allocated and may be kept.
 func (r *Reader) Next() (Record, error) {
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("mrt: truncated header: %w", err)
-		}
+	ts, typ, sub, body, err := r.read()
+	if err != nil {
 		return nil, err
 	}
-	ts := time.Unix(int64(binary.BigEndian.Uint32(r.hdr[0:])), 0).UTC()
-	typ := binary.BigEndian.Uint16(r.hdr[4:])
-	sub := binary.BigEndian.Uint16(r.hdr[6:])
+	return r.decode(ts, typ, sub, body, nil)
+}
+
+// NextUpdate is Next for a caller that reads record after record and
+// keeps none of them. A BGP4MP message record comes back as the reader's
+// own *BGP4MPMessage, and an UPDATE inside it is decoded into u, reusing
+// u's slices (bgp.DecodeMessageInto); both are overwritten by the next
+// call. Every other record, and every error, is what Next would return.
+func (r *Reader) NextUpdate(u *bgp.Update) (Record, error) {
+	ts, typ, sub, body, err := r.read()
+	if err != nil {
+		return nil, err
+	}
+	return r.decode(ts, typ, sub, body, u)
+}
+
+// read reads one record's common header and body. The body aliases the
+// reader's buffer until the next read. A stream that ends exactly at a
+// record boundary returns io.EOF; one cut anywhere inside a record,
+// including right after its header, is an error.
+func (r *Reader) read() (ts time.Time, typ, sub uint16, body []byte, err error) {
+	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) {
+			err = fmt.Errorf("mrt: truncated header: %w", err)
+		}
+		return ts, 0, 0, nil, err
+	}
+	ts = time.Unix(int64(binary.BigEndian.Uint32(r.hdr[0:])), 0).UTC()
+	typ = binary.BigEndian.Uint16(r.hdr[4:])
+	sub = binary.BigEndian.Uint16(r.hdr[6:])
 	length := binary.BigEndian.Uint32(r.hdr[8:])
 	if length > maxRecordLen {
-		return nil, fmt.Errorf("mrt: record length %d exceeds cap", length)
+		return ts, 0, 0, nil, fmt.Errorf("mrt: record length %d exceeds cap", length)
 	}
 	if cap(r.body) < int(length) {
 		r.body = make([]byte, length)
 	}
-	body := r.body[:length]
+	body = r.body[:length]
 	if _, err := io.ReadFull(r.r, body); err != nil {
-		return nil, fmt.Errorf("mrt: truncated body: %w", err)
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised a body
+		}
+		return ts, 0, 0, nil, fmt.Errorf("mrt: truncated body: %w", err)
 	}
+	return ts, typ, sub, body, nil
+}
+
+// decode turns one record body into a Record; a non-nil u selects
+// NextUpdate's reuse.
+func (r *Reader) decode(ts time.Time, typ, sub uint16, body []byte, u *bgp.Update) (Record, error) {
 	if typ == TypeBGP4MPET {
 		if len(body) < 4 {
 			return nil, fmt.Errorf("mrt: BGP4MP_ET without microseconds")
@@ -107,7 +143,7 @@ func (r *Reader) Next() (Record, error) {
 	}
 	switch typ {
 	case TypeBGP4MP:
-		return r.decodeBGP4MP(ts, sub, body)
+		return r.decodeBGP4MP(ts, sub, body, u)
 	case TypeTableDumpV2:
 		return r.decodeTableDumpV2(ts, sub, body)
 	default:
@@ -115,7 +151,7 @@ func (r *Reader) Next() (Record, error) {
 	}
 }
 
-func (r *Reader) decodeBGP4MP(ts time.Time, sub uint16, body []byte) (Record, error) {
+func (r *Reader) decodeBGP4MP(ts time.Time, sub uint16, body []byte, u *bgp.Update) (Record, error) {
 	as4 := sub == SubtypeBGP4MPMessageAS4 || sub == SubtypeBGP4MPStateChangeAS4
 	asLen := 2
 	if as4 {
@@ -150,14 +186,23 @@ func (r *Reader) decodeBGP4MP(ts time.Time, sub uint16, body []byte) (Record, er
 
 	switch sub {
 	case SubtypeBGP4MPMessage, SubtypeBGP4MPMessageAS4:
-		msg, err := bgp.DecodeMessage(body[off:])
+		var msg bgp.Message
+		var err error
+		rec := &r.msg
+		if u != nil {
+			msg, err = bgp.DecodeMessageInto(body[off:], u)
+		} else {
+			msg, err = bgp.DecodeMessage(body[off:])
+			rec = new(BGP4MPMessage)
+		}
 		if err != nil {
 			return nil, err
 		}
-		return &BGP4MPMessage{
+		*rec = BGP4MPMessage{
 			Timestamp: ts, PeerAS: peerAS, LocalAS: localAS, IfIndex: ifIndex,
 			PeerIP: peerIP, LocalIP: localIP, Message: msg,
-		}, nil
+		}
+		return rec, nil
 	case SubtypeBGP4MPStateChange, SubtypeBGP4MPStateChangeAS4:
 		if len(body) < off+4 {
 			return nil, fmt.Errorf("mrt: state change truncated")

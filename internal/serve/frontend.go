@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/netip"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -317,54 +316,18 @@ func (f *Frontend) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	mergeAll := func() ([]byte, error) {
-		merged, err := mergeAlerts(bodies, "")
-		if err != nil {
-			return nil, err
-		}
-		return json.MarshalIndent(alertsPayload{Count: len(merged), Alerts: merged}, "", "  ")
+	merge := func() ([]byte, error) { return mergeAlerts(bodies, detector) }
+	var body []byte
+	if detector == "" {
+		body, err = f.alerts.mergedFor(key, merge)
+	} else {
+		body, err = merge() // filtered views are per-query; only the full view is cached
 	}
-	if detector != "" {
-		merged, err := mergeAlerts(bodies, detector)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		body, err := json.MarshalIndent(alertsPayload{Count: len(merged), Alerts: merged}, "", "  ")
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, body)
-		return
-	}
-	body, err := f.alerts.mergedFor(key, mergeAll)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	writeJSON(w, body)
-}
-
-// mergeAlerts decodes per-shard /alerts payloads and merges them by
-// global sequence. Shards own disjoint prefix ranges, so sequence
-// numbers never collide and a stable sort by Seq reconstructs the exact
-// global order a single process would have produced.
-func mergeAlerts(bodies [][]byte, detector string) ([]watch.Alert, error) {
-	var merged []watch.Alert
-	for i, b := range bodies {
-		var p alertsPayload
-		if err := json.Unmarshal(b, &p); err != nil {
-			return nil, fmt.Errorf("shard %d /alerts: %w", i, err)
-		}
-		for _, a := range p.Alerts {
-			if detector == "" || a.Detector == detector {
-				merged = append(merged, a)
-			}
-		}
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Seq < merged[j].Seq })
-	return merged, nil
 }
 
 func (f *Frontend) handlePrefix(w http.ResponseWriter, r *http.Request) {

@@ -211,17 +211,10 @@ func TestServerETagRevalidation(t *testing.T) {
 	}
 }
 
-// TestFrontendByteIdentity is the sharding acceptance test: three shard
-// processes (prefix-range split, durable stores, full feed each) behind
-// the scatter-gather frontend must serve /alerts byte-identical to one
-// standalone process fed the same stream — plus exact /dict and
-// aggregate /stats invariants.
-func TestFrontendByteIdentity(t *testing.T) {
-	events := churnEvents(t)
-	ref := startProc(t, events, 0, 1)
-	refH := ref.srv.Handler()
-
-	const n = 3
+// startFleet starts n shard processes, each fed every event, behind a
+// frontend, and returns the frontend's handler and the shards.
+func startFleet(t *testing.T, events []feed.Event, n int) (http.Handler, []*proc) {
+	t.Helper()
 	var urls []string
 	shardProcs := make([]*proc, n)
 	for i := 0; i < n; i++ {
@@ -230,8 +223,53 @@ func TestFrontendByteIdentity(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
 	}
-	fe := NewFrontend(urls, obs.NewRegistry())
-	feH := fe.Handler()
+	return NewFrontend(urls, obs.NewRegistry()).Handler(), shardProcs
+}
+
+// sameAlerts fails t unless the frontend serves /alerts, and the view of
+// every detector (plus one that does not exist), byte-identical to ref.
+func sameAlerts(t *testing.T, ref, fe http.Handler) {
+	t.Helper()
+	for _, det := range append(watch.DetectorNames(), "no-such-detector") {
+		path := "/alerts?detector=" + det
+		if got, want := mustGet(t, fe, path), mustGet(t, ref, path); !bytes.Equal(got, want) {
+			t.Fatalf("sharded %s diverged:\nref %d bytes, frontend %d bytes", path, len(want), len(got))
+		}
+	}
+	if got, want := mustGet(t, fe, "/alerts"), mustGet(t, ref, "/alerts"); !bytes.Equal(got, want) {
+		t.Fatalf("sharded /alerts diverged from single-process:\nref %d bytes, frontend %d bytes", len(want), len(got))
+	}
+}
+
+// TestFrontendByteIdentity is the sharding acceptance test: three shard
+// processes (prefix-range split, durable stores, full feed each) behind
+// the scatter-gather frontend must serve /alerts, full and per detector,
+// byte-identical to one standalone process fed the same stream — plus
+// exact /dict and aggregate /stats invariants. The frontend copies the
+// shards' alert elements without decoding them, so the cases also cover
+// what that copy must carry through: every alert's source holds <, & and
+// >, which json.Marshal escapes, route-leak's message an em dash; a
+// shard with no alerts ("alerts": null) and a fleet with none at all;
+// and a shard body that is not an /alerts payload, which fails the
+// merge with 502.
+func TestFrontendByteIdentity(t *testing.T) {
+	events := churnEvents(t)
+	// The tiny churn feed shifts no origin: one prefix announced from two
+	// origins raises the route-leak alert.
+	leak := events[len(events)-1]
+	leak.Prefix, leak.Withdraw = netip.MustParsePrefix("203.0.113.0/24"), false
+	leak.ASPath = []uint32{leak.PeerAS, 300}
+	events = append(events, leak)
+	leak.ASPath = []uint32{leak.PeerAS, 999}
+	events = append(events, leak)
+	for i := range events {
+		events[i].Source += " <&>"
+	}
+	ref := startProc(t, events, 0, 1)
+	refH := ref.srv.Handler()
+
+	const n = 3
+	feH, shardProcs := startFleet(t, events, n)
 
 	// Sanity: the split is real — every shard saw the whole feed but
 	// ingested only its slice, and the slices sum to the whole.
@@ -247,24 +285,25 @@ func TestFrontendByteIdentity(t *testing.T) {
 		t.Fatalf("shard ingest sums to %d, want %d", ingested, len(events))
 	}
 
-	// /alerts: byte-identical.
+	// /alerts: byte-identical, full and filtered.
+	sameAlerts(t, refH, feH)
 	refAlerts := mustGet(t, refH, "/alerts")
-	feAlerts := mustGet(t, feH, "/alerts")
-	if !bytes.Equal(refAlerts, feAlerts) {
-		t.Fatalf("sharded /alerts diverged from single-process:\nref %d bytes, frontend %d bytes", len(refAlerts), len(feAlerts))
+	for _, want := range []string{`\u003c\u0026\u003e`, "\u2014 route-leak"} {
+		if !bytes.Contains(refAlerts, []byte(want)) {
+			t.Fatalf("reference /alerts never contains %q; the escaping case is vacuous", want)
+		}
 	}
-	var ap alertsPayload
+	var ap struct {
+		Count  int `json:"count"`
+		Alerts []struct {
+			Prefix netip.Prefix `json:"prefix"`
+		} `json:"alerts"`
+	}
 	if err := json.Unmarshal(refAlerts, &ap); err != nil {
 		t.Fatal(err)
 	}
 	if ap.Count == 0 {
 		t.Fatal("no alerts in reference run — equality is vacuous")
-	}
-
-	// Filtered view too.
-	det := ap.Alerts[0].Detector
-	if !bytes.Equal(mustGet(t, refH, "/alerts?detector="+det), mustGet(t, feH, "/alerts?detector="+det)) {
-		t.Fatalf("sharded /alerts?detector=%s diverged", det)
 	}
 
 	// /prefix/{p}: routed to the owning shard, byte-identical.
@@ -327,6 +366,50 @@ func TestFrontendByteIdentity(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(string(health), `"shards_healthy": 3`) {
 		t.Fatalf("frontend /healthz: %d\n%s", code, health)
 	}
+
+	t.Run("one shard without alerts", func(t *testing.T) {
+		rm := NewRangeMap(2)
+		var own []feed.Event
+		for _, ev := range events {
+			if rm.Owner(ev.Prefix) == 0 {
+				own = append(own, ev)
+			}
+		}
+		feH, shards := startFleet(t, own, 2)
+		if shards[0].eng.Stats().Alerts == 0 || shards[1].eng.Stats().Ingested != 0 {
+			t.Fatalf("shard 0 holds %d alerts, shard 1 ingested %d events; want some and none",
+				shards[0].eng.Stats().Alerts, shards[1].eng.Stats().Ingested)
+		}
+		sameAlerts(t, startProc(t, own, 0, 1).srv.Handler(), feH)
+	})
+	t.Run("no alerts anywhere", func(t *testing.T) {
+		feH, _ := startFleet(t, nil, 2)
+		sameAlerts(t, startProc(t, nil, 0, 1).srv.Handler(), feH)
+	})
+	t.Run("malformed shard body", func(t *testing.T) {
+		good := httptest.NewServer(shardProcs[0].srv.Handler())
+		t.Cleanup(good.Close)
+		for _, body := range []string{
+			"not json",
+			`{"count": 1, "alerts": [{"seq": 1}`,
+			`{"count": 0}`,
+			`{"count": 1, "alerts": {"seq": 1}}`,
+			`{"count": 1, "alerts": [1]}`,
+			`{"count": 1, "alerts": [{"detector": "route-leak"}]}`,
+			`{"count": 1, "alerts": [{"seq": -1}]}`,
+		} {
+			bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Write([]byte(body))
+			}))
+			fe := NewFrontend([]string{good.URL, bad.URL}, obs.NewRegistry()).Handler()
+			for _, path := range []string{"/alerts", "/alerts?detector=route-leak"} {
+				if code, _, _ := get(t, fe, path, nil); code != http.StatusBadGateway {
+					t.Errorf("%s with a shard serving %q: status %d, want 502", path, body, code)
+				}
+			}
+			bad.Close()
+		}
+	})
 }
 
 // canonDict renders a dictionary payload with the Peers upper bound

@@ -34,26 +34,6 @@ func (s Severity) String() string {
 // MarshalJSON renders the severity as its name.
 func (s Severity) MarshalJSON() ([]byte, error) { return json.Marshal(s.String()) }
 
-// UnmarshalJSON parses the severity name (the scatter-gather frontend
-// decodes shard /alerts payloads to merge them).
-func (s *Severity) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	switch name {
-	case "info":
-		*s = Info
-	case "warning":
-		*s = Warning
-	case "critical":
-		*s = Critical
-	default:
-		return fmt.Errorf("watch: unknown severity %q", name)
-	}
-	return nil
-}
-
 // Alert is one typed detector finding. Detectors fill Detector,
 // Severity, Community, and Message; the engine stamps the remaining
 // fields from the triggering event.

@@ -12,12 +12,13 @@ import (
 // TestSteadyStateIngestAllocations pins the ingest hot path in a unit no
 // machine changes: heap allocations per event while an engine with every
 // builtin detector re-ingests an announcement for a prefix it already
-// tracks, window full, batch buffers warm, nothing firing. The commit
-// that retired the `go test -bench` ratchet measured 3.01 for this loop
-// (3,082 allocations per 1,024-event run, 3.02 under -race); the bound
-// is 1.25x that.
+// tracks, window full, batch buffers warm, nothing firing. This loop
+// measured 3.01 while prop-distance built a prepending-stripped copy of
+// every path (three allocations per event); counting travel hops on the
+// raw path it measures 0.010, the batch hand-off's few allocations per
+// run. The bound is 5x that, and a single allocation per event fails it.
 func TestSteadyStateIngestAllocations(t *testing.T) {
-	const parentAllocsPerEvent = 3.01
+	const measuredAllocsPerEvent = 0.010
 	e := watch.NewEngine(watch.Config{Shards: 1})
 	defer e.Close()
 	ev := feed.Event{
@@ -38,8 +39,8 @@ func TestSteadyStateIngestAllocations(t *testing.T) {
 	if st := e.Stats(); st.Alerts != 0 || st.Processed != 22*run {
 		t.Fatalf("not the steady state: %+v", st)
 	}
-	t.Logf("%.3f allocations per event (parent: %.2f)", got, parentAllocsPerEvent)
-	if got > parentAllocsPerEvent*1.25 {
-		t.Errorf("%.3f allocations per event, want at most %.3f", got, parentAllocsPerEvent*1.25)
+	t.Logf("%.3f allocations per event (measured: %.3f)", got, measuredAllocsPerEvent)
+	if got > measuredAllocsPerEvent*5 {
+		t.Errorf("%.3f allocations per event, want at most %.3f", got, measuredAllocsPerEvent*5)
 	}
 }

@@ -163,12 +163,11 @@ func (d propDistance) Observe(st *PrefixState, ev *feed.Event, emit func(Alert))
 	if ev.Withdraw || len(ev.ASPath) == 0 || len(ev.Communities) == 0 {
 		return
 	}
-	stripped := bgp.Path(ev.ASPath...).StripPrepending()
 	for _, c := range ev.Communities {
 		if c.IsWellKnown() {
 			continue
 		}
-		hops := travelHops(stripped, c)
+		hops := travelHops(ev.ASPath, c)
 		if hops <= d.threshold {
 			continue
 		}
@@ -180,7 +179,7 @@ func (d propDistance) Observe(st *PrefixState, ev *feed.Event, emit func(Alert))
 			if prior.Withdraw || !prior.Communities.Has(c) {
 				continue
 			}
-			if travelHops(bgp.Path(prior.ASPath...).StripPrepending(), c) > d.threshold {
+			if travelHops(prior.ASPath, c) > d.threshold {
 				repeat = true
 			}
 		}
@@ -196,13 +195,20 @@ func (d propDistance) Observe(st *PrefixState, ev *feed.Event, emit func(Alert))
 }
 
 // travelHops returns how many AS hops beyond its naming AS the
-// community has traveled on a nearest-first stripped path (-1 when the
-// naming AS is not on the path).
-func travelHops(stripped []uint32, c bgp.Community) int {
-	for i, a := range stripped {
-		if a == uint32(c.ASN()) {
-			return i
+// community has traveled on a raw nearest-first path, counting a run of
+// consecutive repeats (prepending) as one hop — the index the naming AS
+// would have in bgp.ASPath.StripPrepending, without building it — or -1
+// when the naming AS is not on the path.
+func travelHops(path []uint32, c bgp.Community) int {
+	hops := 0
+	for i, a := range path {
+		if i > 0 && a == path[i-1] {
+			continue
 		}
+		if a == uint32(c.ASN()) {
+			return hops
+		}
+		hops++
 	}
 	return -1
 }

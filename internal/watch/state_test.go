@@ -51,10 +51,10 @@ func alertsJSON(t testing.TB, e *watch.Engine) []byte {
 
 // TestExportRestoreRoundTrip is the durability equivalence proof at the
 // engine level: run a feed to completion in one engine; run the same
-// feed split at an arbitrary cut through export → JSON → restore → the
+// feed split at an arbitrary cut through export → restore → the
 // remaining events; the final alert sets and counters must be
-// byte-identical. The JSON round-trip is deliberate — it is exactly
-// what a durable snapshot file does.
+// byte-identical. The checkpoint file's encoding of the exported state
+// is durable's to test (TestCheckpointCodecRoundTrip).
 func TestExportRestoreRoundTrip(t *testing.T) {
 	events := churnEvents(t)
 	cut := len(events) / 3
@@ -80,21 +80,11 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("export seq = %d, want %d", st.Seq, cut)
 	}
 
-	// Snapshot file round trip.
-	blob, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var decoded watch.State
-	if err := json.Unmarshal(blob, &decoded); err != nil {
-		t.Fatal(err)
-	}
-
 	// Second life: restore with a different shard count (state is
 	// shard-layout independent), then the rest of the feed.
 	second := watch.NewEngine(watch.Config{Shards: 7})
 	defer second.Close()
-	if err := second.RestoreState(&decoded); err != nil {
+	if err := second.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range events[cut:] {
