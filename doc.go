@@ -45,9 +45,10 @@
 // update slice; partial accumulators merge deterministically in order,
 // and the Figure 6 inference shards the concurrent route view by
 // prefix. Results are bit-identical for every worker count. The simulator converges every
-// world with one engine (simnet.Network.Run): the delta-driven event
+// world with one engine (simnet.Network.Apply): the delta-driven event
 // engine that scales to the large/internet presets (per-router dirty
-// sets, class-shared export slabs, copy-on-write receives). Its
+// sets, class-shared export slabs, copy-on-write receives), converging
+// ops on distinct prefixes together while replaying taps in op order. Its
 // convergence counts, tap ordering, archives, and final RIBs are
 // invariant across worker counts under a fixed seed, and bit-identical
 // to the older rounds engine kept as its oracle — a property the

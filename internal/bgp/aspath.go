@@ -159,19 +159,17 @@ func (p ASPath) EqualSequence(q ASPath) bool {
 	}
 }
 
-// StripPrepending returns the flattened sequence with consecutive
-// duplicates collapsed, the normalization the paper applies before all
-// propagation analysis ("We remove AS path prepending to not bias the AS
-// path", §4.1).
-func (p ASPath) StripPrepending() []uint32 {
-	seq := p.Sequence()
-	out := seq[:0:0]
+// StripPrepending appends the flat AS sequence seq to dst with
+// consecutive duplicates collapsed, the normalization the paper applies
+// before all propagation analysis ("We remove AS path prepending to not
+// bias the AS path", §4.1).
+func StripPrepending(dst, seq []uint32) []uint32 {
 	for i, a := range seq {
 		if i == 0 || a != seq[i-1] {
-			out = append(out, a)
+			dst = append(dst, a)
 		}
 	}
-	return out
+	return dst
 }
 
 // Clone deep-copies the path.

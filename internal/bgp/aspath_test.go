@@ -67,8 +67,7 @@ func TestPrepend(t *testing.T) {
 }
 
 func TestStripPrepending(t *testing.T) {
-	p := Path(3, 3, 3, 2, 2, 1)
-	got := p.StripPrepending()
+	got := StripPrepending(nil, []uint32{3, 3, 3, 2, 2, 1})
 	want := []uint32{3, 2, 1}
 	if len(got) != len(want) {
 		t.Fatalf("got %v", got)
@@ -79,8 +78,7 @@ func TestStripPrepending(t *testing.T) {
 		}
 	}
 	// Non-consecutive repeats (poisoning) survive.
-	p2 := Path(3, 2, 3, 1)
-	if len(p2.StripPrepending()) != 4 {
+	if len(StripPrepending(nil, []uint32{3, 2, 3, 1})) != 4 {
 		t.Fatal("non-consecutive repeats must be kept")
 	}
 }
@@ -118,8 +116,7 @@ func TestProperty_StripPrepending(t *testing.T) {
 		if len(asns) == 0 {
 			return true
 		}
-		p := Path(asns...)
-		s := p.StripPrepending()
+		s := StripPrepending(nil, asns)
 		if len(s) > len(asns) || len(s) == 0 {
 			return false
 		}

@@ -23,7 +23,10 @@ import (
 // (prepending) collapsed — the normalization §4.1 applies before all
 // analysis.
 func strippedPath(ev *feed.Event) []uint32 {
-	return bgp.Path(ev.ASPath...).StripPrepending()
+	if len(ev.ASPath) == 0 {
+		return nil
+	}
+	return bgp.StripPrepending(make([]uint32, 0, len(ev.ASPath)), ev.ASPath)
 }
 
 // platformOf derives a collector's platform from its name, the prefix

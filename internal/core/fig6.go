@@ -2,6 +2,7 @@ package core
 
 import (
 	"net/netip"
+	"slices"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/conc"
@@ -69,9 +70,22 @@ func (fi *FilterInference) merge(o *FilterInference) {
 // community iteration order — the property that makes prefix-sharded
 // parallel execution bit-identical to the serial scan.
 func (fi *FilterInference) inferPrefix(anns []feed.Event) {
-	// Path visibility counts (origin-first edges).
+	// Each announcement's stripped path, origin first, built once into
+	// one backing buffer.
+	total := 0
 	for i := range anns {
-		o := originFirst(strippedPath(&anns[i]))
+		total += len(anns[i].ASPath)
+	}
+	buf := make([]uint32, 0, total)
+	paths := make([][]uint32, len(anns))
+	for i := range anns {
+		lo := len(buf)
+		buf = bgp.StripPrepending(buf, anns[i].ASPath)
+		slices.Reverse(buf[lo:])
+		paths[i] = buf[lo:len(buf):len(buf)]
+	}
+	// Path visibility counts (origin-first edges).
+	for _, o := range paths {
 		for k := 0; k+1 < len(o); k++ {
 			fi.get(Edge{o[k], o[k+1]}).Paths++
 		}
@@ -89,17 +103,20 @@ func (fi *FilterInference) inferPrefix(anns []feed.Event) {
 		// Receivers: tagger and everyone after it on each carrying
 		// path.
 		received := map[uint32]bool{}
-		for i := range anns {
+		for i, o := range paths {
 			if !anns[i].Communities.Has(c) {
 				continue
 			}
-			path := strippedPath(&anns[i])
-			ti := TaggerIndex(path, c)
-			if ti < 0 {
+			// The conservative tagger (TaggerIndex on the collector-first
+			// path) is the occurrence nearest the collector: the last one
+			// origin first.
+			oi := len(o) - 1
+			for oi >= 0 && o[oi] != uint32(c.ASN()) {
+				oi--
+			}
+			if oi < 0 {
 				continue // off-path: no geometry to reason about
 			}
-			o := originFirst(path)
-			oi := len(o) - 1 - ti
 			// Added indication on the tagger's egress edge.
 			if oi+1 < len(o) {
 				fi.get(Edge{o[oi], o[oi+1]}).Added++
@@ -119,11 +136,10 @@ func (fi *FilterInference) inferPrefix(anns []feed.Event) {
 		}
 		// Filtered indications: announcements of the same prefix
 		// without c that pass through a known receiver.
-		for i := range anns {
+		for i, o := range paths {
 			if anns[i].Communities.Has(c) {
 				continue
 			}
-			o := originFirst(strippedPath(&anns[i]))
 			// The LAST receiver on the path is where the community
 			// was dropped toward the next hop.
 			for k := len(o) - 2; k >= 0; k-- {
@@ -165,14 +181,6 @@ func (p *Pipeline) inferFiltering(routes []feed.Event) *FilterInference {
 		fi.merge(part)
 	}
 	return fi
-}
-
-func originFirst(path []uint32) []uint32 {
-	out := make([]uint32, len(path))
-	for i, a := range path {
-		out[len(path)-1-i] = a
-	}
-	return out
 }
 
 // FilterSummary holds the §4.4 headline percentages.

@@ -9,6 +9,7 @@ import (
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/netx"
 	"bgpworms/internal/semantics"
+	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
 )
 
@@ -31,13 +32,22 @@ type ChurnReport struct {
 
 // RunChurn simulates the observation month: re-announcement trains,
 // community retagging, blackhole episodes, and IXP-community tagging. All
-// of it lands in the collectors' update archives.
+// of it lands in the collectors' update archives. Nothing it draws
+// depends on network state, so it plans the month first and converges
+// it with one Apply.
 func (w *Internet) RunChurn() (*ChurnReport, error) {
 	defer churnSecs.ObserveSince(time.Now())
 	rep := &ChurnReport{}
 	prefixes := w.AllPrefixes()
 	if len(prefixes) == 0 {
 		return rep, nil
+	}
+	var ops []simnet.Op
+	announce := func(as topo.ASN, p netip.Prefix, tags ...bgp.Community) {
+		ops = append(ops, simnet.Op{AS: as, Prefix: p, Communities: tags})
+	}
+	withdraw := func(as topo.ASN, p netip.Prefix) {
+		ops = append(ops, simnet.Op{AS: as, Prefix: p, Withdraw: true})
 	}
 
 	// Flap/retag events.
@@ -47,18 +57,14 @@ func (w *Internet) RunChurn() (*ChurnReport, error) {
 		if !ok {
 			continue
 		}
-		if _, err := w.Net.Withdraw(origin, pfx); err != nil {
-			return rep, fmt.Errorf("gen: churn withdraw: %w", err)
-		}
+		withdraw(origin, pfx)
 		tags := w.OriginTags[pfx]
 		if w.rng.Float64() < 0.2 {
 			tags = w.originTagSet(origin, w.asRNG(origin+topo.ASN(e)))
 			w.OriginTags[pfx] = tags
 			rep.Retagged++
 		}
-		if _, err := w.Net.Announce(origin, pfx, tags...); err != nil {
-			return rep, fmt.Errorf("gen: churn announce: %w", err)
-		}
+		announce(origin, pfx, tags...)
 		rep.Reannouncements++
 	}
 
@@ -82,38 +88,25 @@ func (w *Internet) RunChurn() (*ChurnReport, error) {
 		}
 		if e%3 == 2 {
 			// Whole-prefix blackhole: re-announce the /24 tagged.
-			if _, err := w.Net.Withdraw(v.victim, base); err != nil {
-				return rep, err
-			}
-			tags := w.OriginTags[base].Clone().Add(v.community)
-			if _, err := w.Net.Announce(v.victim, base, tags...); err != nil {
-				return rep, fmt.Errorf("gen: rtbh /24 announce: %w", err)
-			}
+			withdraw(v.victim, base)
+			announce(v.victim, base, w.OriginTags[base].Clone().Add(v.community)...)
 			rep.RTBH = append(rep.RTBH, RTBHEpisode{
 				Victim: v.victim, Provider: v.provider, Community: v.community, HostRoute: base,
 			})
 			// Attack over: restore the plain announcement.
-			if _, err := w.Net.Withdraw(v.victim, base); err != nil {
-				return rep, err
-			}
-			if _, err := w.Net.Announce(v.victim, base, w.OriginTags[base]...); err != nil {
-				return rep, err
-			}
+			withdraw(v.victim, base)
+			announce(v.victim, base, w.OriginTags[base]...)
 			continue
 		}
 		host := netip.PrefixFrom(netx.NthAddr(base, uint64(10+e)), 32).Masked()
-		if _, err := w.Net.Announce(v.victim, host, v.community); err != nil {
-			return rep, fmt.Errorf("gen: rtbh announce: %w", err)
-		}
+		announce(v.victim, host, v.community)
 		rep.RTBH = append(rep.RTBH, RTBHEpisode{
 			Victim: v.victim, Provider: v.provider, Community: v.community, HostRoute: host,
 		})
 		// Mitigation over: withdraw again (half the time, so some RTBH
 		// state survives into the RIB snapshot).
 		if e%2 == 0 {
-			if _, err := w.Net.Withdraw(v.victim, host); err != nil {
-				return rep, err
-			}
+			withdraw(v.victim, host)
 		}
 	}
 
@@ -130,14 +123,12 @@ func (w *Internet) RunChurn() (*ChurnReport, error) {
 			continue
 		}
 		pfx := pfxs[0]
-		if _, err := w.Net.Withdraw(src, pfx); err != nil {
-			return rep, err
-		}
-		tags := w.OriginTags[pfx].Clone().Add(rs.AnnounceToCommunity(dst))
-		if _, err := w.Net.Announce(src, pfx, tags...); err != nil {
-			return rep, err
-		}
+		withdraw(src, pfx)
+		announce(src, pfx, w.OriginTags[pfx].Clone().Add(rs.AnnounceToCommunity(dst))...)
 		rep.IXPTagged++
+	}
+	if _, err := w.Net.Apply(ops...); err != nil {
+		return rep, fmt.Errorf("gen: churn: %w", err)
 	}
 	return rep, nil
 }

@@ -399,12 +399,16 @@ func v6PrefixFor(originIdx int) netip.Prefix {
 	return netx.MustPrefix(fmt.Sprintf("2001:db8:%x::/48", originIdx+1))
 }
 
+// announceOrigins draws every sampled stub's prefixes and tags, then
+// converges all the announcements with one Apply (nothing drawn depends
+// on network state).
 func (w *Internet) announceOrigins() error {
 	stubs := w.stubASNs()
 	step := w.Params.OriginSampleEvery
 	if step < 1 {
 		step = 1
 	}
+	var ops []simnet.Op
 	for i := 0; i < len(stubs); i += step {
 		s := stubs[i]
 		rng := w.asRNG(s)
@@ -414,19 +418,16 @@ func (w *Internet) announceOrigins() error {
 			tags := w.originTagSet(s, rng)
 			w.Origins[s] = append(w.Origins[s], pfx)
 			w.OriginTags[pfx] = tags
-			if _, err := w.Net.Announce(s, pfx, tags...); err != nil {
-				return err
-			}
+			ops = append(ops, simnet.Op{AS: s, Prefix: pfx, Communities: tags})
 		}
 		if rng.Float64() < w.Params.V6Share {
 			pfx := v6PrefixFor(i)
 			w.Origins[s] = append(w.Origins[s], pfx)
-			if _, err := w.Net.Announce(s, pfx); err != nil {
-				return err
-			}
+			ops = append(ops, simnet.Op{AS: s, Prefix: pfx})
 		}
 	}
-	return nil
+	_, err := w.Net.Apply(ops...)
+	return err
 }
 
 // originTagSet draws the communities an origin attaches at announcement

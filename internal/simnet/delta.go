@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
-	"bgpworms/internal/conc"
 	"bgpworms/internal/netx"
 	"bgpworms/internal/policy"
 	"bgpworms/internal/router"
@@ -53,6 +54,9 @@ type deltaState struct {
 	nbs   [][]topo.ASN          // modelled neighbors per router, ascending
 	hints []*router.ExportHints // per-neighbor export policy, nbs-aligned
 	nbVer []int                 // Router.NeighborVersion at last refresh
+
+	owner  []int32      // prefix id -> index in the window of the op converging it
+	replay [][]delivery // per-op deliveries of the current window, serial order
 
 	items   [][]uint32            // per-router dirty prefix ids (current round)
 	srcs    []int                 // dirty router indices, ascending
@@ -134,8 +138,84 @@ func (n *Network) deltaStateFor() *deltaState {
 	return st
 }
 
-// runDelta drains the propagation queue with the delta engine.
-func (n *Network) runDelta(workers int) (int, error) {
+// applyWindowOps bounds how many ops one applyWindow converges together.
+// Batching pays once rounds carry enough sources to shard (doChunked);
+// the window's buffered deliveries, the routes they pin and the engine
+// scratch that grows with round size are its cost. On a 2-core VM,
+// windows of 16, 64 and 256 ops built worms -scale medium -workers 2
+// equally fast. A window of 64 raised the peak RSS of attacklab's
+// small+medium sweep from ~1.5 to ~1.8 GB, while 16 kept it at ~1.5 GB.
+// Converging all 1,405 origin announcements as one batch raised worms'
+// peak RSS by ~250 MB.
+const applyWindowOps = 16
+
+// applyWindow applies ops (at most applyWindowOps, all from known ASes)
+// with the delta engine in waves: the k-th op on a prefix goes in wave
+// k, so a wave holds each prefix at most once and converges as one
+// runDelta with every op's source scheduled. A prefix's trajectory never
+// depends on another prefix's state, so the deliveries runDelta credits
+// to an op by prefix are exactly, and in the order of, those of the op's
+// own serial run; the taps replay them op by op once the window has
+// converged.
+func (n *Network) applyWindow(ops []Op, counts []int) error {
+	var wave [applyWindowOps]int
+	waves := 0
+	for i, op := range ops {
+		p := op.Prefix.Masked()
+		for _, prev := range ops[:i] {
+			if prev.Prefix.Masked() == p {
+				wave[i]++
+			}
+		}
+		waves = max(waves, wave[i]+1)
+	}
+	taps := make([]UpdateTap, 0, len(n.taps))
+	for _, t := range n.taps {
+		if t != nil {
+			taps = append(taps, t)
+		}
+	}
+	st := n.deltaStateFor()
+	for len(st.replay) < len(ops) {
+		st.replay = append(st.replay, nil)
+	}
+	for w := range waves {
+		for i, op := range ops {
+			if wave[i] != w {
+				continue
+			}
+			if id, ok := n.originate(op); ok {
+				if int(id) >= len(st.owner) {
+					st.owner = append(st.owner, make([]int32, int(id)+1-len(st.owner))...)
+				}
+				st.owner[id] = int32(i)
+			}
+		}
+		start := time.Now()
+		delivered, err := n.runDelta(n.Workers(), counts, len(taps) > 0)
+		deltaRuns.observe(start, delivered)
+		if err != nil {
+			return err
+		}
+	}
+	pfx := n.prefixes.Prefixes()
+	for i := range ops {
+		for _, d := range st.replay[i] {
+			for _, t := range taps {
+				t(d.from, d.to, pfx[d.id], d.rt)
+			}
+		}
+		clear(st.replay[i]) // drop the routes the buffer pins
+		st.replay[i] = st.replay[i][:0]
+	}
+	return nil
+}
+
+// runDelta drains the propagation queue with the delta engine, crediting
+// each delivery to the op that owns its prefix (st.owner) in counts and,
+// when record is set, buffering it in that op's st.replay. It returns
+// the run's total deliveries.
+func (n *Network) runDelta(workers int, counts []int, record bool) (int, error) {
 	st := n.deltaStateFor()
 	// Every id a run can meet was interned before it started, so one view
 	// of the table serves all rounds without touching its lock.
@@ -143,27 +223,18 @@ func (n *Network) runDelta(workers int) (int, error) {
 	byPrefix := func(a, b uint32) int { return netx.ComparePrefix(pfx[a], pfx[b]) }
 	delivered := 0
 	maxWork := n.maxDeliveries()
-	// Compact the tap list once per run; the per-delivery loop in phase
-	// 2 is the engine's hottest serial section.
-	taps := make([]UpdateTap, 0, len(n.taps))
-	for _, t := range n.taps {
-		if t != nil {
-			taps = append(taps, t)
-		}
-	}
 
-	// Seed the dirty buckets from the externally scheduled queue, then
-	// keep all rounds internal: the global queue and its dedup map stay
-	// tiny (they only ever see Announce/Withdraw entry points).
+	// Seed the dirty buckets from the externally scheduled queue (whose
+	// dedup map already keeps each item once), then keep all rounds
+	// internal: the global queue and its dedup map only ever see Apply's
+	// ops.
 	st.srcs = st.srcs[:0]
 	for _, it := range n.queue {
 		ri := st.idx(it.asn)
 		if len(st.items[ri]) == 0 {
 			st.srcs = append(st.srcs, ri)
 		}
-		if !slices.Contains(st.items[ri], it.id) {
-			st.items[ri] = append(st.items[ri], it.id)
-		}
+		st.items[ri] = append(st.items[ri], it.id)
 	}
 	n.queue = n.queue[:0]
 	clear(n.queued)
@@ -187,9 +258,7 @@ func (n *Network) runDelta(workers int) (int, error) {
 			}
 		}
 		for _, ri := range st.srcs {
-			ps := st.items[ri]
-			tally.prefixes += uint64(len(ps))
-			slices.SortFunc(ps, byPrefix) // canonical order is prefix order, never id order
+			tally.prefixes += uint64(len(st.items[ri]))
 		}
 		for len(st.outs) < len(st.srcs) {
 			st.outs = append(st.outs, nil)
@@ -205,7 +274,9 @@ func (n *Network) runDelta(workers int) (int, error) {
 			ri := st.srcs[k]
 			src := n.routers[st.order[ri]]
 			out := st.outs[k][:0]
-			for _, id := range st.items[ri] {
+			ps := st.items[ri]
+			slices.SortFunc(ps, byPrefix) // canonical order is prefix order, never id order
+			for _, id := range ps {
 				exp := src.ExportAll(id, st.nbs[ri], st.hints[ri], st.exp[k][:0])
 				st.exp[k] = exp
 				// One Adj-RIB-Out merge per (router, prefix): only
@@ -220,23 +291,26 @@ func (n *Network) runDelta(workers int) (int, error) {
 			st.items[ri] = st.items[ri][:0]
 		})
 
-		// Phase 2: fire taps in canonical order and bin deliveries into
-		// per-destination inboxes (serial, so tap streams and inbox
-		// order are worker-count invariant).
+		// Phase 2: credit deliveries to their ops in canonical order and
+		// bin them into per-destination inboxes (serial, so replay streams
+		// and inbox order are worker-count invariant).
 		st.touched = st.touched[:0]
 		for k := range st.srcs {
 			for _, d := range st.outs[k] {
 				delivered++
 				n.steps++
-				for _, t := range taps {
-					t(d.from, d.to, pfx[d.id], d.rt)
+				op := st.owner[d.id]
+				counts[op]++
+				if record {
+					st.replay[op] = append(st.replay[op], d)
 				}
-				if delivered > maxWork {
-					// Scratch (inboxes, buckets) is mid-round dirty;
-					// drop the cached state so a later Run starts clean
-					// instead of silently swallowing stale deliveries.
+				if counts[op] > maxWork {
+					// Scratch (inboxes, buckets, replay) is mid-round
+					// dirty; drop the cached state so a later Apply
+					// starts clean instead of silently swallowing stale
+					// deliveries.
 					n.invalidateDelta()
-					return delivered, fmt.Errorf("simnet: no convergence after %d deliveries", delivered)
+					return delivered, fmt.Errorf("simnet: no convergence after %d deliveries", counts[op])
 				}
 				di := st.idx(d.to)
 				if len(st.inbox[di]) == 0 {
@@ -269,10 +343,14 @@ func (n *Network) runDelta(workers int) (int, error) {
 				} else {
 					mutated = dst.WithdrawNoDecide(d.from, d.id)
 				}
-				if mutated && !slices.Contains(dirty, d.id) {
+				if mutated {
 					dirty = append(dirty, d.id)
 				}
 			}
+			// Dedup by id: decide order is immaterial (prefixes are
+			// independent) and the next round re-sorts canonically.
+			slices.Sort(dirty)
+			dirty = slices.Compact(dirty)
 			ch := dirty[:0]
 			for _, id := range dirty {
 				if dst.Decide(id) {
@@ -304,11 +382,13 @@ func (n *Network) runDelta(workers int) (int, error) {
 }
 
 // doChunked runs fn(i) for i in [0, n) over at most workers goroutines,
-// handing each worker one contiguous chunk instead of streaming single
-// indices through a channel (conc.Do): the delta engine's shards are
-// fine-grained, and per-index dispatch costs more than the work on
-// small rounds. Chunking cannot change results — every fn(i) writes
-// only slot i's state.
+// which claim contiguous grains of about n/(8*workers) indices from a
+// shared counter instead of streaming single indices through a channel
+// (conc.Do): the delta engine's shards are fine-grained, so per-index
+// dispatch costs more than the work on small rounds, and their cost is
+// skewed (a tier-1 inbox dwarfs a stub's), so one fixed chunk per worker
+// leaves the others idle. Chunking cannot change results — every fn(i)
+// writes only slot i's state.
 func doChunked(n, workers int, fn func(i int)) {
 	if workers <= 1 || n <= 32 {
 		for i := 0; i < n; i++ {
@@ -316,15 +396,23 @@ func doChunked(n, workers int, fn func(i int)) {
 		}
 		return
 	}
+	grain := max(1, n/(8*workers))
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, c := range conc.Chunks(n, workers) {
+	for range workers {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
+			for {
+				lo := int(next.Add(int64(grain))) - grain
+				if lo >= n {
+					return
+				}
+				for i := lo; i < min(lo+grain, n); i++ {
+					fn(i)
+				}
 			}
-		}(c[0], c[1])
+		}()
 	}
 	wg.Wait()
 }

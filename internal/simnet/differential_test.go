@@ -260,7 +260,10 @@ func shrinkSteps(c worldCfg) []worldCfg {
 }
 
 // TestDifferentialEngines is the randomized rounds-vs-delta oracle
-// check with shrinking.
+// check with shrinking. gen hands origin announcements and the churn
+// month to Apply as op lists, so the delta side converges them in
+// batched windows, while the rounds oracle's Apply stays the independent
+// referee: one op, one run, taps fired inline.
 func TestDifferentialEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(20180401))
 	configs := 4

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 
 	"bgpworms/internal/bgp"
@@ -42,7 +43,9 @@ func TestForwardingLoopDetected(t *testing.T) {
 }
 
 // TestFlapStormConvergence exercises repeated announce/withdraw cycles
-// and verifies state returns exactly to baseline each time.
+// and verifies state returns exactly to baseline each time; then runs
+// the same storm as one Apply, which must cost every op what it cost on
+// its own and end in the same baseline.
 func TestFlapStormConvergence(t *testing.T) {
 	g := topo.NewGraph()
 	for _, e := range [][2]topo.ASN{{1, 2}, {2, 4}, {4, 3}, {4, 5}, {3, 6}, {5, 6}} {
@@ -52,21 +55,40 @@ func TestFlapStormConvergence(t *testing.T) {
 	}
 	n := New(g, nil)
 	p := netx.MustPrefix("203.0.113.0/24")
+	var ops []Op
+	var serial []int
 	for i := 0; i < 25; i++ {
-		if _, err := n.Announce(1, p, bgp.C(1, uint16(i))); err != nil {
+		d, err := n.Announce(1, p, bgp.C(1, uint16(i)))
+		if err != nil {
 			t.Fatal(err)
 		}
 		rt, ok := n.Router(6).BestRoute(p)
 		if !ok || !rt.Communities.Has(bgp.C(1, uint16(i))) {
 			t.Fatalf("iteration %d: AS6 state stale: %v", i, rt)
 		}
-		if _, err := n.Withdraw(1, p); err != nil {
+		w, err := n.Withdraw(1, p)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, asn := range n.ASes() {
 			if _, ok := n.Router(asn).BestRoute(p); ok {
 				t.Fatalf("iteration %d: AS%d kept a withdrawn route", i, asn)
 			}
+		}
+		ops = append(ops, Op{AS: 1, Prefix: p, Communities: []bgp.Community{bgp.C(1, uint16(i))}}, Op{AS: 1, Prefix: p, Withdraw: true})
+		serial = append(serial, d, w)
+	}
+	m := New(g, nil)
+	batched, err := m.Apply(ops...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(batched, serial) {
+		t.Fatalf("storm as one Apply delivered %v per op, one at a time %v", batched, serial)
+	}
+	for _, asn := range m.ASes() {
+		if _, ok := m.Router(asn).BestRoute(p); ok {
+			t.Fatalf("after the batched storm AS%d kept a withdrawn route", asn)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package simnet
 
-import "bgpworms/internal/obs"
+import (
+	"time"
+
+	"bgpworms/internal/obs"
+)
 
 // Package-level instrumentation on obs.Default: simnet has no config
 // surface to thread a registry through (networks are built by gen and
@@ -18,7 +22,7 @@ var (
 	deltaExports       = obs.Default.Counter("simnet_delta_export_batches_total", "phase-1 export shards (one per dirty source router per round)")
 )
 
-// runMetrics is what Run tallies per invocation, one series set per
+// runMetrics is what one engine run tallies, one series set per
 // engine label; {engine="delta"} is the one a product process moves.
 type runMetrics struct {
 	runs, deliveries *obs.Counter
@@ -32,6 +36,14 @@ func newRunMetrics(engine string) runMetrics {
 		deliveries: obs.Default.Counter("simnet_deliveries_total"+label, "route deliveries (convergence steps)"),
 		secs:       obs.Default.Histogram("simnet_run_seconds"+label, "convergence wall time", obs.DurationBuckets),
 	}
+}
+
+// observe tallies one run that started at start and delivered
+// delivered updates.
+func (m runMetrics) observe(start time.Time, delivered int) {
+	m.secs.ObserveSince(start)
+	m.runs.Inc()
+	m.deliveries.Add(uint64(delivered))
 }
 
 // deltaRoundTally accumulates per-round churn locally inside runDelta

@@ -4,8 +4,8 @@
 // FIBs), looking-glass views, and a session tap that collectors use to
 // record MRT-faithful update streams.
 //
-// Run converges the network with one algorithm, the delta-driven event
-// engine (delta.go); SetWorkers only sizes its pool. Convergence
+// Apply converges the network with one algorithm, the delta-driven
+// event engine (delta.go); SetWorkers only sizes its pool. Convergence
 // counts, tap ordering, and final RIBs are bit-identical for any worker
 // count under a fixed seed, which is what lets the layers above —
 // gen.Params.Workers, core.Pipeline, and the scenario sweep's
@@ -52,7 +52,7 @@ type Network struct {
 	maxWork int
 	// workers is the engine's shard pool size (SetWorkers).
 	workers int
-	// oracle routes Run through the rounds reference engine instead of
+	// oracle routes Apply through the rounds reference engine instead of
 	// the delta engine (UseRoundsOracle).
 	oracle bool
 	// delta is the delta engine's cached index and scratch (delta.go).
@@ -146,8 +146,10 @@ func (n *Network) Connect(a, b topo.ASN, rel topo.Rel) error {
 }
 
 // Tap registers an update observer and returns a handle for Untap.
-// The engine fires taps serially in canonical delivery order, so a tap
-// observes a deterministic stream for any worker count.
+// Taps fire serially, op by op in Apply order and within an op in
+// canonical delivery order, so a tap observes a deterministic stream
+// for any worker count. The delta engine fires them once the op's
+// window has converged, so a tap must not read router state.
 func (n *Network) Tap(t UpdateTap) int {
 	n.taps = append(n.taps, t)
 	return len(n.taps) - 1
@@ -166,36 +168,102 @@ func (n *Network) Untap(id int) {
 // Steps returns the number of update deliveries processed so far.
 func (n *Network) Steps() int { return n.steps }
 
-func (n *Network) schedule(asn topo.ASN, p netip.Prefix) {
+// schedule queues (asn, p) for export and returns p's prefix id.
+func (n *Network) schedule(asn topo.ASN, p netip.Prefix) uint32 {
 	it := workItem{asn: asn, id: n.prefixes.Intern(p.Masked())}
-	if n.queued[it] {
-		return
+	if !n.queued[it] {
+		n.queued[it] = true
+		n.queue = append(n.queue, it)
 	}
-	n.queued[it] = true
-	n.queue = append(n.queue, it)
+	return it.id
+}
+
+// Op is one origination change at AS: an announcement of Prefix tagged
+// with Communities, or, with Withdraw set, the removal of AS's own
+// origination of Prefix.
+type Op struct {
+	AS          topo.ASN
+	Prefix      netip.Prefix
+	Communities []bgp.Community
+	Withdraw    bool
 }
 
 // Announce originates prefix at asn with optional communities and runs the
 // network to convergence, returning the number of deliveries processed.
 func (n *Network) Announce(asn topo.ASN, p netip.Prefix, comms ...bgp.Community) (int, error) {
-	if n.routers[asn] == nil {
-		return 0, fmt.Errorf("simnet: announce from unknown AS%d", asn)
-	}
-	if n.mutable(asn).Originate(p, comms...) {
-		n.schedule(asn, p)
-	}
-	return n.Run()
+	return first(n.Apply(Op{AS: asn, Prefix: p, Communities: comms}))
 }
 
 // Withdraw removes a locally originated prefix at asn and reconverges.
 func (n *Network) Withdraw(asn topo.ASN, p netip.Prefix) (int, error) {
-	if n.routers[asn] == nil {
-		return 0, fmt.Errorf("simnet: withdraw from unknown AS%d", asn)
+	return first(n.Apply(Op{AS: asn, Prefix: p, Withdraw: true}))
+}
+
+// first unpacks a one-op Apply.
+func first(counts []int, err error) (int, error) { return counts[0], err }
+
+// Apply makes each op's origination change and converges the network
+// after it, in slice order, returning the deliveries each op caused.
+// Taps, per-op counts and final RIBs are exactly those of applying the
+// ops one at a time; the delta engine gets there by converging ops on
+// distinct prefixes together (applyWindow). An op from an unknown AS
+// ends the list with an error after the ops before it are applied. An
+// op that exceeds the convergence bound — counted per op — ends it with
+// the error it raises on its own, leaving the network mid-convergence
+// and, under the delta engine, its window's taps unfired.
+func (n *Network) Apply(ops ...Op) ([]int, error) {
+	counts := make([]int, len(ops))
+	valid := len(ops)
+	for i, op := range ops {
+		if n.routers[op.AS] == nil {
+			valid = i
+			break
+		}
 	}
-	if n.mutable(asn).WithdrawLocal(p) {
-		n.schedule(asn, p)
+	var err error
+	if n.oracle {
+		// The reference: one op, one rounds run, taps fired inline.
+		for i, op := range ops[:valid] {
+			n.originate(op)
+			start := time.Now()
+			counts[i], err = n.runRounds(n.Workers())
+			roundsRuns.observe(start, counts[i])
+			if err != nil {
+				return counts, err
+			}
+		}
+	} else {
+		for lo := 0; lo < valid; lo += applyWindowOps {
+			hi := min(lo+applyWindowOps, valid)
+			if err := n.applyWindow(ops[lo:hi], counts[lo:hi]); err != nil {
+				return counts, err
+			}
+		}
 	}
-	return n.Run()
+	if valid < len(ops) {
+		verb := "announce"
+		if ops[valid].Withdraw {
+			verb = "withdraw"
+		}
+		return counts, fmt.Errorf("simnet: %s from unknown AS%d", verb, ops[valid].AS)
+	}
+	return counts, nil
+}
+
+// originate makes op's change at its AS and, when the AS's Loc-RIB
+// changed, schedules the prefix for export and returns its id.
+func (n *Network) originate(op Op) (id uint32, scheduled bool) {
+	r := n.mutable(op.AS)
+	var changed bool
+	if op.Withdraw {
+		changed = r.WithdrawLocal(op.Prefix)
+	} else {
+		changed = r.Originate(op.Prefix, op.Communities...)
+	}
+	if !changed {
+		return 0, false
+	}
+	return n.schedule(op.AS, op.Prefix), true
 }
 
 // maxDeliveries bounds a single convergence run; policy-driven BGP can
@@ -232,25 +300,11 @@ func (n *Network) Workers() int {
 	return n.workers
 }
 
-// UseRoundsOracle makes Run execute the rounds reference engine
+// UseRoundsOracle makes Apply execute the rounds reference engine
 // (parallel.go) instead of the delta engine. It exists for the
 // differential tests, which reach it through gen.Params.Engine ==
 // "rounds"; nothing a user can set selects it.
 func (n *Network) UseRoundsOracle() { n.oracle = true }
-
-// Run processes the propagation queue until convergence with the delta
-// engine, returning the number of deliveries.
-func (n *Network) Run() (int, error) {
-	run, m := n.runDelta, deltaRuns
-	if n.oracle {
-		run, m = n.runRounds, roundsRuns
-	}
-	defer m.secs.ObserveSince(time.Now())
-	delivered, err := run(n.Workers())
-	m.runs.Inc()
-	m.deliveries.Add(uint64(delivered))
-	return delivered, err
-}
 
 // ASes lists all router ASNs in ascending order.
 func (n *Network) ASes() []topo.ASN {

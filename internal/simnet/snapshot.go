@@ -47,7 +47,7 @@ func (n *Network) Freeze() (*Snapshot, error) {
 		return nil, fmt.Errorf("simnet: network already frozen")
 	}
 	if len(n.queue) > 0 {
-		return nil, fmt.Errorf("simnet: freeze of unconverged network (%d queued items); call Run first", len(n.queue))
+		return nil, fmt.Errorf("simnet: freeze of unconverged network (%d queued items)", len(n.queue))
 	}
 	for asn, r := range n.routers {
 		if r.Sealed() {
@@ -58,6 +58,10 @@ func (n *Network) Freeze() (*Snapshot, error) {
 		r.Seal()
 	}
 	n.frozen = true
+	// A frozen network never runs again: drop the engine scratch, whose
+	// buffers also hold stale route pointers that would pin dead routes
+	// for as long as the snapshot lives.
+	n.invalidateDelta()
 	return &Snapshot{
 		graph:    n.Graph,
 		routers:  n.routers,

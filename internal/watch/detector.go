@@ -197,7 +197,7 @@ func (d propDistance) Observe(st *PrefixState, ev *feed.Event, emit func(Alert))
 // travelHops returns how many AS hops beyond its naming AS the
 // community has traveled on a raw nearest-first path, counting a run of
 // consecutive repeats (prepending) as one hop — the index the naming AS
-// would have in bgp.ASPath.StripPrepending, without building it — or -1
+// would have in bgp.StripPrepending, without building it — or -1
 // when the naming AS is not on the path.
 func travelHops(path []uint32, c bgp.Community) int {
 	hops := 0
