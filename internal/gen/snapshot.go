@@ -65,15 +65,21 @@ func replaySource(seed int64, draws uint64) *countingSource {
 	return s
 }
 
-// TapEvent is one recorded update delivery from world construction. The
+// tapEvent is one recorded update delivery from world construction. The
 // route pointer is the shared (sealed, immutable) slab object the live
 // tap saw; consumers that retain routes clone them, exactly as they do
 // on the live stream.
-type TapEvent struct {
-	From, To topo.ASN
-	Prefix   netip.Prefix
-	Route    *policy.Route
+type tapEvent struct {
+	from, to topo.ASN
+	prefix   netip.Prefix
+	route    *policy.Route
 }
+
+// tapBlock is how many events one block of the recorded stream holds
+// (192 KiB): the stream grows a block at a time and never copies what it
+// has recorded, where one doubling slice copied it all over again at
+// every doubling and peaked at one and a half times its length.
+const tapBlock = 4096
 
 // Snapshot is a frozen, converged Internet plus everything needed to
 // hand out equivalent warm forks: the sealed network, the construction
@@ -84,7 +90,7 @@ type Snapshot struct {
 	params Params // Tap preserved from build time, excluded from Compatible
 	world  *Internet
 	net    *simnet.Snapshot
-	stream []TapEvent
+	stream [][]tapEvent // full blocks of tapBlock events, the last one partial
 	draws  uint64
 }
 
@@ -93,9 +99,13 @@ type Snapshot struct {
 // Build; the stream is additionally recorded for replay into forks.
 func BuildSnapshot(p Params) (*Snapshot, error) {
 	userTap := p.Tap
-	var stream []TapEvent
+	var stream [][]tapEvent
 	p.Tap = func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
-		stream = append(stream, TapEvent{From: from, To: to, Prefix: prefix, Route: rt})
+		if len(stream) == 0 || len(stream[len(stream)-1]) == tapBlock {
+			stream = append(stream, make([]tapEvent, 0, tapBlock))
+		}
+		last := &stream[len(stream)-1]
+		*last = append(*last, tapEvent{from: from, to: to, prefix: prefix, route: rt})
 		if userTap != nil {
 			userTap(from, to, prefix, rt)
 		}
@@ -146,8 +156,10 @@ func (s *Snapshot) Fork(tap simnet.UpdateTap) (*Internet, error) {
 		return nil, err
 	}
 	if tap != nil {
-		for _, ev := range s.stream {
-			tap(ev.From, ev.To, ev.Prefix, ev.Route)
+		for _, block := range s.stream {
+			for _, ev := range block {
+				tap(ev.from, ev.to, ev.prefix, ev.route)
+			}
 		}
 		n.Tap(tap)
 	}

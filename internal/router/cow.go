@@ -13,6 +13,14 @@ import (
 // one sanctioned "write" on a sealed router is the lazy Loc-RIB trie
 // rebuild in ensureRIB, which is a deterministic cache fill guarded by
 // ribMu (see decision.go).
+//
+// A fork's copy of a router shares the sealed original's pages, page by
+// page. The ownership rule: the slot table and both slabs mark each page
+// owned or shared (table.go); a Clone owns none; every write path — slot
+// writes through slotTable.mut and grow, run writes through slab.run —
+// copies a shared page the first time it writes it and owns it from then
+// on. Only sealed routers are cloned, so a shared page is never written
+// by anyone: a fork pays for the pages it writes, not for the router.
 
 // Seal marks the router immutable. There is no Unseal: forks obtain a
 // mutable descendant via Clone.
@@ -28,25 +36,28 @@ func (r *Router) mustMutable() {
 	}
 }
 
-// Clone returns an unsealed deep-enough copy for copy-on-write forking:
-// table structure (neighbor set, slots, both slabs, config maps) is
-// private to the clone — a page-by-page copy, a few allocations however
-// many prefixes the router holds — while the immutable route objects
-// themselves — AS-path and community slabs — stay shared with the sealed
-// original. Mutating the clone can therefore never reach a sibling fork:
-// every in-place write path (storeAdjIn, withdraw, RecordAdvertisedAll,
-// EnableFullCommunityExport) lands in clone-owned backing arrays or maps,
-// and routes are replaced wholesale, never edited. The clone reads ids
-// through the original's table until Rebind moves it.
+// Clone returns an unsealed copy of a sealed router for copy-on-write
+// forking. The neighbor set and config maps are copied; the slot and
+// slab pages are shared, owned by neither side until the clone writes
+// one (see the ownership rule above), so a clone costs a few slices of
+// page pointers however many prefixes the router holds. Route objects —
+// AS-path and community slabs — are immutable and stay shared for good:
+// routes are replaced wholesale, never edited. The clone reads ids
+// through the original's table until Rebind moves it. Cloning an
+// unsealed router panics: its next write would land in pages the clone
+// reads.
 func (r *Router) Clone() *Router {
+	if !r.sealed {
+		panic(fmt.Sprintf("router: Clone of unsealed AS%d (Seal it first)", r.cfg.ASN))
+	}
 	cp := &Router{
 		cfg:       r.cfg,
 		neighbors: maps.Clone(r.neighbors),
 		nbVersion: r.nbVersion,
 		tbl:       r.tbl,
-		slots:     r.slots.clone(),
-		in:        r.in.clone(),
-		out:       r.out.clone(),
+		slots:     r.slots.share(),
+		in:        r.in.share(),
+		out:       r.out.share(),
 		bestLen:   r.bestLen,
 	}
 	cp.cfg.SendCommunity = maps.Clone(r.cfg.SendCommunity)
@@ -55,14 +66,10 @@ func (r *Router) Clone() *Router {
 	cp.cfg.CustomerPrefixes = maps.Clone(r.cfg.CustomerPrefixes)
 	// The LPM trie is rebuilt from scratch whenever it goes stale, never
 	// patched in place, so sharing the current trie (or the stale flag)
-	// with the sealed parent is safe — but a sibling fork may be driving
-	// the parent's lazy rebuild concurrently, so read under its lock.
-	if r.sealed {
-		r.ribMu.Lock()
-		cp.locRIB, cp.ribStale = r.locRIB, r.ribStale
-		r.ribMu.Unlock()
-	} else {
-		cp.locRIB, cp.ribStale = r.locRIB, r.ribStale
-	}
+	// is safe — but a sibling fork may be driving the original's lazy
+	// rebuild concurrently, so read under its lock.
+	r.ribMu.Lock()
+	cp.locRIB, cp.ribStale = r.locRIB, r.ribStale
+	r.ribMu.Unlock()
 	return cp
 }

@@ -1,0 +1,98 @@
+package router
+
+import (
+	"net/netip"
+	"testing"
+
+	"bgpworms/internal/bgp"
+	"bgpworms/internal/netx"
+	"bgpworms/internal/policy"
+	"bgpworms/internal/topo"
+)
+
+// privatePages counts the slot pages and slab pages cp holds that are not
+// the pages of orig, the router it was cloned from.
+func privatePages(orig, cp *Router) (slots, in, out int) {
+	for id := 0; id < cp.tbl.Len(); id += 1 << slotPageBits {
+		if s := cp.slots.at(uint32(id)); s != nil && s != orig.slots.at(uint32(id)) {
+			slots++
+		}
+	}
+	return slots, privateSlabPages(&orig.in, &cp.in), privateSlabPages(&orig.out, &cp.out)
+}
+
+// privateSlabPages compares each page's first element, which every
+// allocated page has.
+func privateSlabPages[T any](orig, cp *slab[T]) int {
+	n := 0
+	for pg := range cp.pages {
+		first := span{off: uint32(pg << slabPageBits), n: 1}
+		if pg >= len(orig.pages) || &cp.view(first)[0] != &orig.view(first)[0] {
+			n++
+		}
+	}
+	return n
+}
+
+// TestCloneSharesUntouchedPages pins the copy-on-write page rule: a clone
+// of a sealed router shares every slot and slab page with it, and writing
+// one prefix through each mutator copies only the pages that prefix's
+// slot and runs live in — one slot page, and per slab the page a run
+// moves out of and the one it moves into — while the sealed original
+// reads back exactly as before.
+func TestCloneSharesUntouchedPages(t *testing.T) {
+	r := New(Config{ASN: 65001})
+	nbs := []topo.ASN{100, 200, 300}
+	r.AddNeighbor(100, topo.RelProvider)
+	r.AddNeighbor(200, topo.RelCustomer)
+	r.AddNeighbor(300, topo.RelPeer)
+	route := func(p netip.Prefix, path ...uint32) *policy.Route {
+		rt := policy.NewLocalRoute(p)
+		rt.ASPath = bgp.Path(path...)
+		return rt
+	}
+	record := func(r *Router, id uint32) {
+		r.RecordAdvertisedAll(id, r.ExportAll(id, nbs, nil, nil), func(topo.ASN, *policy.Route) {})
+	}
+	var universe []netip.Prefix
+	for i := range 3000 {
+		p := netip.PrefixFrom(netx.V4(10, byte(i>>8), byte(i), 0), 24)
+		universe = append(universe, p)
+		id := r.Table().Intern(p)
+		for _, from := range nbs[:1+i%2] {
+			r.ReceiveSharedNoDecide(from, id, route(p, uint32(from), 3320))
+		}
+		r.Decide(id)
+		record(r, id)
+	}
+	r.Seal()
+	before := readBack(r, universe, nbs)
+	cp := r.Clone()
+	if s, in, out := privatePages(r, cp); s+in+out != 0 {
+		t.Fatalf("fresh clone owns %d slot, %d in and %d out pages; want all shared", s, in, out)
+	}
+
+	p := universe[1234] // learned from 100 alone, advertised to 200
+	id, _ := cp.Table().Lookup(p)
+	cp.ReceiveSharedNoDecide(100, id, route(p, 100, 9, 3320)) // storeAdjIn: a replace in a shared page
+	cp.ReceiveSharedNoDecide(300, id, route(p, 300, 3320))    // storeAdjIn: a new candidate
+	cp.WithdrawNoDecide(100, id)
+	cp.Decide(id)
+	record(cp, id) // the record for 200 is replaced in place
+	cp.Originate(p)
+	cp.WithdrawLocal(p)
+
+	if readBack(cp, universe, nbs) == before {
+		t.Fatal("the clone's writes changed nothing it reads back")
+	}
+	if got := readBack(r, universe, nbs); got != before {
+		t.Fatalf("writes to the clone reached the sealed original:\n%s", lineDiff(got, before))
+	}
+	s, in, out := privatePages(r, cp)
+	if s > 1 || in > 2 || out > 2 {
+		t.Fatalf("writing one prefix took %d slot, %d in and %d out pages private; want at most 1, 2 and 2", s, in, out)
+	}
+	if ns, nin, nout := r.tbl.Len()>>slotPageBits, len(r.in.pages), len(r.out.pages); ns < 4 || nin < 4 || nout < 4 {
+		t.Fatalf("the original has only %d slot, %d in and %d out pages: the bounds above prove nothing", ns, nin, nout)
+	}
+}

@@ -24,7 +24,7 @@ func (r *Router) decide(id uint32) bool {
 		if st.best.rt == nil {
 			return false
 		}
-		st.best = inEntry{}
+		r.slots.mut(id).best = inEntry{}
 		r.bestLen--
 		r.ribStale = true
 		return true
@@ -37,7 +37,7 @@ func (r *Router) decide(id uint32) bool {
 	if st.best.rt == nil {
 		r.bestLen++
 	}
-	st.best = e
+	r.slots.mut(id).best = e
 	r.ribStale = true
 	return true
 }

@@ -403,13 +403,13 @@ func bySession(e nbRoute, nb topo.ASN) int { return cmp.Compare(e.from, nb) }
 func (r *Router) RecordAdvertised(neighbor topo.ASN, p netip.Prefix, rt *policy.Route) bool {
 	r.mustMutable()
 	if rt == nil {
-		_, st := r.lookup(p)
+		id, st := r.lookup(p)
 		if st == nil {
 			return false // nothing recorded, and a withdrawal interns nothing
 		}
 		i, had := slices.BinarySearchFunc(r.out.view(st.out), neighbor, bySession)
 		if had {
-			r.out.remove(&st.out, i)
+			r.out.remove(&r.slots.mut(id).out, i)
 		}
 		return had
 	}
@@ -423,7 +423,7 @@ func (r *Router) RecordAdvertised(neighbor topo.ASN, p netip.Prefix, rt *policy.
 	if sameRoute(sent[i].rt, rt) {
 		return false
 	}
-	sent[i].rt = rt
+	r.out.set(st.out, i, nbRoute{from: neighbor, rt: rt})
 	return true
 }
 
@@ -436,15 +436,14 @@ func (r *Router) RecordAdvertised(neighbor topo.ASN, p netip.Prefix, rt *policy.
 // is not ExportSent count as withdrawals.
 func (r *Router) RecordAdvertisedAll(id uint32, items []ExportItem, emit func(nb topo.ASN, rt *policy.Route)) {
 	r.mustMutable()
-	var sp *span // nil until the slot exists: withdrawals never create one
-	if st := r.slots.at(id); st != nil {
-		sp = &st.out
-	}
+	// st is nil until the slot exists (withdrawals never create one) and
+	// read-only until the first write takes it through mut or grow.
+	st := r.slots.at(id)
 	i := 0 // items and records both ascend by neighbor: one merge pass
 	for _, it := range items {
 		var sent []nbRoute
-		if sp != nil {
-			sent = r.out.view(*sp)
+		if st != nil {
+			sent = r.out.view(st.out)
 		}
 		for i < len(sent) && sent[i].from < it.NB {
 			i++
@@ -453,19 +452,18 @@ func (r *Router) RecordAdvertisedAll(id uint32, items []ExportItem, emit func(nb
 		switch {
 		case it.Dec != ExportSent || it.Rt == nil:
 			if present {
-				r.out.remove(sp, i)
+				st = r.slots.mut(id)
+				r.out.remove(&st.out, i)
 				emit(it.NB, nil)
 			}
 		case present:
 			if !sameRoute(sent[i].rt, it.Rt) {
-				sent[i].rt = it.Rt
+				r.out.set(st.out, i, nbRoute{from: it.NB, rt: it.Rt})
 				emit(it.NB, it.Rt)
 			}
 		default:
-			if sp == nil {
-				sp = &r.slots.grow(id).out
-			}
-			r.out.insert(sp, i, nbRoute{from: it.NB, rt: it.Rt})
+			st = r.slots.grow(id)
+			r.out.insert(&st.out, i, nbRoute{from: it.NB, rt: it.Rt})
 			emit(it.NB, it.Rt)
 		}
 	}

@@ -57,6 +57,19 @@ func (m *tableModel) best(p netip.Prefix) *policy.Route {
 	return best
 }
 
+// longestMatch is the data-plane answer for addr: the best route of the
+// most specific universe prefix covering it that has one.
+func (m *tableModel) longestMatch(universe []netip.Prefix, addr netip.Addr) *policy.Route {
+	var best *policy.Route
+	bits := -1
+	for _, p := range universe {
+		if rt := m.best(p); rt != nil && p.Contains(addr) && p.Bits() > bits {
+			best, bits = rt, p.Bits()
+		}
+	}
+	return best
+}
+
 // rank orders candidates: the smallest wins.
 func rank(rt *policy.Route) []int64 {
 	learned := int64(1)
@@ -99,6 +112,11 @@ func newModelWorld(t *testing.T, seed int64) *modelWorld {
 	}
 	for i := 0; i < 24; i++ {
 		w.universe = append(w.universe, netx.MustPrefix(fmt.Sprintf("2001:db8:%x::/48", i)))
+	}
+	// Covering prefixes, so a longest-prefix match has somewhere to fall
+	// back to.
+	for _, p := range []string{"10.0.0.0/8", "10.0.0.0/12", "2001:db8::/32"} {
+		w.universe = append(w.universe, netx.MustPrefix(p))
 	}
 	for i := range w.universe {
 		w.universe[i] = w.universe[i].Masked()
@@ -152,14 +170,15 @@ func (w *modelWorld) check() {
 	w.checkRouter(w.r, w.dump())
 }
 
-// dump renders the model the way render reads a router back: exact-match
-// lookups first, then the three walks, each in canonical order.
+// dump renders the model the way readBack reads a router back: lookups
+// first, then the three walks, each in canonical order.
 func (w *modelWorld) dump() string {
 	var look, adjin, rib, prefixes strings.Builder
 	bests := 0
 	for _, p := range w.universe {
 		best := w.m.best(p)
 		fmt.Fprintf(&look, "best %s %s\n", p, show(best))
+		fmt.Fprintf(&look, "fib %s %s\n", p.Addr(), show(w.m.longestMatch(w.universe, p.Addr())))
 		if best != nil {
 			bests++
 			fmt.Fprintf(&rib, "rib %s\n", show(best))
@@ -177,19 +196,34 @@ func (w *modelWorld) dump() string {
 
 func (w *modelWorld) checkRouter(r *Router, want string) {
 	w.t.Helper()
+	if got := readBack(r, w.universe, w.nbs); got != want {
+		w.fail("router and model disagree (content or order):\n%s", lineDiff(got, want))
+	}
+}
+
+// readBack renders every read API of r over universe — BestRoute,
+// LookupFIB on each prefix's first address, Advertised per session,
+// EachAdjIn, RIB, Prefixes and String()'s prefix count — in the layout
+// dump gives the model. A lookup whose ok flag disagrees with its route
+// says so in its line.
+func readBack(r *Router, universe []netip.Prefix, nbs []topo.ASN) string {
 	var b strings.Builder
-	for _, p := range w.universe {
-		rt, ok := r.BestRoute(p)
+	line := func(format string, rt *policy.Route, ok bool, args ...any) {
+		fmt.Fprintf(&b, format, args...)
+		b.WriteString(" " + show(rt))
 		if ok != (rt != nil) {
-			w.fail("BestRoute(%s) = %v, %v", p, rt, ok)
+			fmt.Fprintf(&b, " ok=%v", ok)
 		}
-		fmt.Fprintf(&b, "best %s %s\n", p, show(rt))
-		for _, nb := range w.nbs {
-			adv, ok := r.Advertised(nb, p)
-			if ok != (adv != nil) {
-				w.fail("Advertised(%d, %s) = %v, %v", nb, p, adv, ok)
-			}
-			fmt.Fprintf(&b, "adv %s %d %s\n", p, nb, show(adv))
+		b.WriteString("\n")
+	}
+	for _, p := range universe {
+		rt, ok := r.BestRoute(p)
+		line("best %s", rt, ok, p)
+		rt, ok = r.LookupFIB(p.Addr())
+		line("fib %s", rt, ok, p.Addr())
+		for _, nb := range nbs {
+			rt, ok = r.Advertised(nb, p)
+			line("adv %s %d", rt, ok, p, nb)
 		}
 	}
 	r.EachAdjIn(func(p netip.Prefix, from topo.ASN, rt *policy.Route) {
@@ -201,14 +235,12 @@ func (w *modelWorld) checkRouter(r *Router, want string) {
 	for _, p := range r.Prefixes() {
 		fmt.Fprintf(&b, "prefix %s\n", p)
 	}
-	var asn, nbs, count int
-	if _, err := fmt.Sscanf(r.String(), "AS%d (%d neighbors, %d prefixes)", &asn, &nbs, &count); err != nil {
-		w.fail("String() = %q: %v", r.String(), err)
+	var asn, nbCount, count int
+	if _, err := fmt.Sscanf(r.String(), "AS%d (%d neighbors, %d prefixes)", &asn, &nbCount, &count); err != nil {
+		fmt.Fprintf(&b, "String() = %q: %v\n", r.String(), err)
 	}
 	fmt.Fprintf(&b, "count %d\n", count)
-	if got := b.String(); got != want {
-		w.fail("router and model disagree (content or order):\n%s", lineDiff(got, want))
-	}
+	return b.String()
 }
 
 // lineDiff lists the lines only one side has; if there are none the two
@@ -327,11 +359,10 @@ func (w *modelWorld) randomStep(sealed *[]sealedCopy) {
 			w.m.put(w.m.out, p, nb, rt)
 		}
 	case 10:
-		w.step = "Clone+Seal"
-		cp := w.r.Clone()
+		w.step = "Seal+Clone"
 		w.r.Seal()
 		*sealed = append(*sealed, sealedCopy{w.r, w.dump()})
-		w.r = cp
+		w.r = w.r.Clone()
 	case 11:
 		// Move to another id space: a clone of the table (ids agree) or an
 		// empty one (every slot renumbered).
@@ -350,10 +381,11 @@ type sealedCopy struct {
 	want string
 }
 
-// TestTablesMatchModel drives random operation sequences over 72 v4 and
-// v6 prefixes — some interned up front in shuffled order, the rest at
-// first use — and after every step compares BestRoute, Advertised,
-// EachAdjIn, RIB, Prefixes and String()'s prefix count with the model.
+// TestTablesMatchModel drives random operation sequences over 75 v4 and
+// v6 prefixes, three of them covering others — some interned up front
+// in shuffled order, the rest at first use — and after every step compares BestRoute, LookupFIB,
+// Advertised, EachAdjIn, RIB, Prefixes and String()'s prefix count with
+// the model.
 // Sealed originals left behind by Clone must still read as they did when
 // they were sealed, whatever their clones did since.
 func TestTablesMatchModel(t *testing.T) {

@@ -513,10 +513,9 @@ func (r *Router) receive(from topo.ASN, id uint32, in *policy.Route, shared bool
 // storeAdjIn inserts or replaces the candidate entry for (id, e.from).
 func (r *Router) storeAdjIn(id uint32, e inEntry) {
 	st := r.slots.grow(id)
-	cands := r.in.view(st.in)
-	i, found := slices.BinarySearchFunc(cands, e.from, byFrom)
+	i, found := slices.BinarySearchFunc(r.in.view(st.in), e.from, byFrom)
 	if found {
-		cands[i] = e
+		r.in.set(st.in, i, e)
 		return
 	}
 	r.in.insert(&st.in, i, e)
@@ -634,7 +633,7 @@ func (r *Router) withdraw(from topo.ASN, id uint32) bool {
 	}
 	i, found := slices.BinarySearchFunc(r.in.view(st.in), from, byFrom)
 	if found {
-		r.in.remove(&st.in, i)
+		r.in.remove(&r.slots.mut(id).in, i)
 	}
 	return found
 }

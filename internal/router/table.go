@@ -101,42 +101,72 @@ func (t *PrefixTable) Clone() *PrefixTable {
 // slotPageBits sizes a page of the slot table: 128 slots, 6 KiB.
 const slotPageBits = 7
 
+type slotPage = [1 << slotPageBits]slot
+
 // slotTable holds a router's slots, indexed by prefix id, in fixed-size
 // pages allocated on first write: growing never copies a slot, and a
 // prefix that reaches a router costs it one page at most — not a slice
 // as long as the id is high.
-type slotTable []*[1 << slotPageBits]slot
+//
+// Pages are copy-on-write (cow.go): a clone shares every page with its
+// sealed original and marks it shared. Read paths use at; every write
+// goes through mut or grow, which copy a shared page once before handing
+// out a pointer into it.
+type slotTable []slotPageRef
 
-// at returns the slot for id, or nil if its page was never written.
+// slotPageRef is one page of a slot table. The shared bit sits beside
+// the pointer every access loads anyway.
+type slotPageRef struct {
+	page   *slotPage
+	shared bool // the sealed original's page, not yet copied
+}
+
+// at returns the slot for id, or nil if its page was never written. The
+// slot may live in a shared page: it must not be written through.
 func (t slotTable) at(id uint32) *slot {
-	if pg := int(id >> slotPageBits); pg < len(t) && t[pg] != nil {
-		return &t[pg][id&(1<<slotPageBits-1)]
+	if pg := int(id >> slotPageBits); pg < len(t) && t[pg].page != nil {
+		return &t[pg].page[id&(1<<slotPageBits-1)]
 	}
 	return nil
 }
 
-// grow returns the slot for id, allocating its page if need be.
+// mut returns the slot for id for writing, or nil if its page was never
+// written; a shared page is copied first.
+func (t slotTable) mut(id uint32) *slot {
+	pg := int(id >> slotPageBits)
+	if pg >= len(t) || t[pg].page == nil {
+		return nil
+	}
+	if t[pg].shared {
+		dup := *t[pg].page
+		t[pg] = slotPageRef{page: &dup}
+	}
+	return &t[pg].page[id&(1<<slotPageBits-1)]
+}
+
+// grow returns the slot for id for writing, allocating its page if need
+// be.
 func (t *slotTable) grow(id uint32) *slot {
 	pg := int(id >> slotPageBits)
 	if pg >= len(*t) {
 		*t = append(*t, make(slotTable, pg+1-len(*t))...)
 	}
-	if (*t)[pg] == nil {
-		(*t)[pg] = new([1 << slotPageBits]slot)
+	if (*t)[pg].page == nil {
+		(*t)[pg].page = new(slotPage)
 	}
-	return t.at(id)
+	return t.mut(id)
 }
 
 // all iterates the slots of every allocated page in id order, unused
-// (zero) slots included.
+// (zero) slots included. Like at, it is a read path.
 func (t slotTable) all() iter.Seq2[uint32, *slot] {
 	return func(yield func(uint32, *slot) bool) {
-		for pg, page := range t {
-			if page == nil {
+		for pg, ref := range t {
+			if ref.page == nil {
 				continue
 			}
-			for i := range page {
-				if !yield(uint32(pg<<slotPageBits|i), &page[i]) {
+			for i := range ref.page {
+				if !yield(uint32(pg<<slotPageBits|i), &ref.page[i]) {
 					return
 				}
 			}
@@ -144,13 +174,11 @@ func (t slotTable) all() iter.Seq2[uint32, *slot] {
 	}
 }
 
-func (t slotTable) clone() slotTable {
-	cp := slices.Clone(t)
-	for pg, page := range cp {
-		if page != nil {
-			dup := *page
-			cp[pg] = &dup
-		}
+// share returns a table that shares every page with t and owns none.
+func (t slotTable) share() slotTable {
+	cp := make(slotTable, len(t))
+	for pg, ref := range t {
+		cp[pg] = slotPageRef{page: ref.page, shared: ref.page != nil}
 	}
 	return cp
 }
@@ -176,20 +204,51 @@ const (
 // reallocated, so growth copies nothing but the run that moved. Elements
 // outside live runs are always zero, so released route pointers do not
 // outlive their entries.
+//
+// Pages are copy-on-write like the slot table's: view is the read path,
+// and insert, remove, set, grow and release write only through run,
+// which copies a shared page once. A shared page's spare capacity is
+// shared too, so alloc takes the last page private before extending it.
 type slab[T any] struct {
-	pages [][]T      // len = elements handed out so far, cap = page size
+	pages []slabPageRef[T]
 	free  [][]uint32 // free[c] holds offsets of released spans of capacity 1<<c
 }
 
-// view returns sp's entries. The slice aliases the slab; an insert into
-// the same span may move the run and leave it stale.
+// slabPageRef is one page of a slab and whether it is shared.
+type slabPageRef[T any] struct {
+	elems  []T  // len = elements handed out so far, cap = page size
+	shared bool // the sealed original's page, not yet copied
+}
+
+// view returns sp's entries for reading. The slice aliases the slab and
+// may alias a shared page; an insert into the same span may move the
+// run and leave it stale.
 func (s *slab[T]) view(sp span) []T {
 	if sp.n == 0 {
 		return nil
 	}
 	o := sp.off & (slabPage - 1)
-	return s.pages[sp.off>>slabPageBits][o : o+sp.n]
+	return s.pages[sp.off>>slabPageBits].elems[o : o+sp.n]
 }
+
+// run is view for writing: sp's page is copied first if it is shared.
+func (s *slab[T]) run(sp span) []T {
+	if sp.n == 0 {
+		return nil
+	}
+	s.own(int(sp.off >> slabPageBits))
+	return s.view(sp)
+}
+
+// own makes page pg private to this slab, copying it if it is shared.
+func (s *slab[T]) own(pg int) {
+	if p := &s.pages[pg]; p.shared {
+		*p = slabPageRef[T]{elems: append(make([]T, 0, cap(p.elems)), p.elems...)}
+	}
+}
+
+// set overwrites index i of sp's run.
+func (s *slab[T]) set(sp span, i int, v T) { s.run(sp)[i] = v }
 
 // insert places v at index i of sp's run, moving the run if it is full.
 func (s *slab[T]) insert(sp *span, i int, v T) {
@@ -197,14 +256,14 @@ func (s *slab[T]) insert(sp *span, i int, v T) {
 		s.grow(sp)
 	}
 	sp.n++
-	run := s.view(*sp)
+	run := s.run(*sp)
 	copy(run[i+1:], run[i:])
 	run[i] = v
 }
 
 // remove deletes index i of sp's run, releasing the span when it empties.
 func (s *slab[T]) remove(sp *span, i int) {
-	run := s.view(*sp)
+	run := s.run(*sp)
 	copy(run[i:], run[i+1:])
 	var zero T
 	run[len(run)-1] = zero
@@ -219,7 +278,7 @@ func (s *slab[T]) remove(sp *span, i int) {
 func (s *slab[T]) grow(sp *span) {
 	newCap := max(1, 2*sp.cap)
 	moved := span{off: s.alloc(newCap), n: sp.n, cap: newCap}
-	copy(s.view(moved), s.view(*sp))
+	copy(s.run(moved), s.view(*sp))
 	s.release(*sp)
 	*sp = moved
 }
@@ -236,15 +295,15 @@ func (s *slab[T]) alloc(c uint32) uint32 {
 		return off
 	}
 	pg := len(s.pages) - 1
-	if pg < 0 || len(s.pages[pg])+int(c) > cap(s.pages[pg]) {
+	if pg < 0 || len(s.pages[pg].elems)+int(c) > cap(s.pages[pg].elems) {
 		if pg >= 0 {
 			// Hand the tail of the page we are leaving to the free lists,
 			// largest power of two first.
-			for rest := s.pages[pg]; len(rest) < cap(rest); {
+			for rest := s.pages[pg].elems; len(rest) < cap(rest); {
 				piece := uint32(1) << (bits.Len(uint(cap(rest)-len(rest))) - 1)
 				s.release(span{off: uint32(pg<<slabPageBits | len(rest)), cap: piece})
 				rest = rest[:len(rest)+int(piece)]
-				s.pages[pg] = rest
+				s.pages[pg].elems = rest
 			}
 		}
 		pg++
@@ -252,10 +311,13 @@ func (s *slab[T]) alloc(c uint32) uint32 {
 		if pg < 4 {
 			size = 64 << pg
 		}
-		s.pages = append(s.pages, make([]T, 0, max(int(c), size)))
+		s.pages = append(s.pages, slabPageRef[T]{elems: make([]T, 0, max(int(c), size))})
 	}
-	off := uint32(pg<<slabPageBits | len(s.pages[pg]))
-	s.pages[pg] = s.pages[pg][:len(s.pages[pg])+int(c)]
+	// Sibling clones extend the same shared spare capacity.
+	s.own(pg)
+	p := &s.pages[pg]
+	off := uint32(pg<<slabPageBits | len(p.elems))
+	p.elems = p.elems[:len(p.elems)+int(c)]
 	return off
 }
 
@@ -264,7 +326,7 @@ func (s *slab[T]) release(sp span) {
 	if sp.cap == 0 {
 		return
 	}
-	clear(s.view(sp))
+	clear(s.run(sp))
 	class := bits.TrailingZeros32(sp.cap)
 	for len(s.free) <= class {
 		s.free = append(s.free, nil)
@@ -272,10 +334,12 @@ func (s *slab[T]) release(sp span) {
 	s.free[class] = append(s.free[class], sp.off)
 }
 
-func (s *slab[T]) clone() slab[T] {
-	cp := slab[T]{pages: slices.Clone(s.pages), free: slices.Clone(s.free)}
-	for i, pg := range cp.pages {
-		cp.pages[i] = append(make([]T, 0, cap(pg)), pg...)
+// share returns a slab that shares every page with s and owns none. The
+// free lists are copied: they are popped and pushed in place.
+func (s *slab[T]) share() slab[T] {
+	cp := slab[T]{pages: make([]slabPageRef[T], len(s.pages)), free: slices.Clone(s.free)}
+	for pg, p := range s.pages {
+		cp.pages[pg] = slabPageRef[T]{elems: p.elems, shared: true}
 	}
 	for c := range cp.free {
 		cp.free[c] = slices.Clone(cp.free[c])

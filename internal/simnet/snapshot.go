@@ -13,12 +13,15 @@ import (
 // immutable Snapshot whose routers — route slabs, slot tables, LPM
 // tries — are shared, and Fork yields a mutable network backed by that
 // shared state. A fork pays two shallow map copies up front (routers,
-// prefix ids); routers are then copied-on-write the first time a run
-// actually touches them, so a scenario's perturbation costs O(dirty
-// routers), not O(world). The engines pre-clone exactly the routers a
-// round will mutate during their serial phases (see runDelta and
-// runRounds), and every mutating entry point on a sealed router panics,
-// so a missed copy is a loud failure instead of cross-fork corruption.
+// prefix ids); a router is then cloned the first time a run touches it
+// (mutable), and the clone shares the sealed router's slot and slab
+// pages, copying a page only when it first writes it (router/cow.go).
+// A scenario's perturbation therefore costs O(pages written) — a page or
+// two per router per prefix it reaches — not O(dirty routers × table),
+// let alone O(world). The engines pre-clone exactly the routers a round
+// will mutate during their serial phases (see runDelta and runRounds),
+// and every mutating entry point on a sealed router panics, so a missed
+// clone is a loud failure instead of cross-fork corruption.
 
 // Snapshot is an immutable, converged world: the shared backbone any
 // number of concurrent forks read through. It is created by

@@ -125,6 +125,46 @@ func TestExportStateDeterministic(t *testing.T) {
 	}
 }
 
+// TestExportStateSharesNoRing pins that an exported State shares no
+// mutable memory with the engine, the property the durable store relies
+// on when it encodes a checkpoint outside its ingest fence: after the
+// export, a full window of new events for the same prefixes overwrites
+// every ring slot, and the export must still read as it did when taken.
+// The windows are contiguous in their rings at export time, the case an
+// export that aliased the ring would get wrong.
+func TestExportStateSharesNoRing(t *testing.T) {
+	const window = 4
+	e := watch.NewEngine(watch.Config{Shards: 2, WindowEvents: window})
+	defer e.Close()
+	prefixes := []netip.Prefix{mustPrefix(t, "10.0.0.0/24"), mustPrefix(t, "10.0.1.0/24"), mustPrefix(t, "2001:db8::/48")}
+	ingest := func(round, n int) {
+		for i := 0; i < n; i++ {
+			for _, p := range prefixes {
+				peer := uint32(65000 + 10*round + i)
+				e.Ingest(feed.Event{Prefix: p, PeerAS: peer, ASPath: []uint32{peer, 3320}})
+			}
+		}
+		e.Flush()
+	}
+	ingest(0, window/2)
+	st := e.ExportState()
+	want, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Prefixes) != len(prefixes) {
+		t.Fatalf("export holds %d windows, want %d", len(st.Prefixes), len(prefixes))
+	}
+	ingest(1, window)
+	got, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("ingest after ExportState rewrote the export:\nat export: %s\nnow:       %s", want, got)
+	}
+}
+
 // TestRestoreStateGuards pins the fresh-engine-only contract.
 func TestRestoreStateGuards(t *testing.T) {
 	e := watch.NewEngine(watch.Config{Shards: 1})
