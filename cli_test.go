@@ -74,6 +74,9 @@ func testRefusals(t *testing.T, bin string) {
 		{"wormwatchd", []string{"-frontend", "http://127.0.0.1:1", "-wal", "d"}, "-frontend", []string{"d"}},
 		{"wormwatchd", []string{"-frontend", "http://127.0.0.1:1", "-scenario", "rtbh"}, "-frontend", nil},
 		{"wormwatchd", []string{"-frontend", "http://127.0.0.1:1", "-shards", "2"}, "-frontend", nil},
+		// Shard URLs the frontend could never fetch.
+		{"wormwatchd", []string{"-addr", "127.0.0.1:0", "-frontend", "http://127.0.0.1:1,"}, "-frontend", nil},
+		{"wormwatchd", []string{"-addr", "127.0.0.1:0", "-frontend", "127.0.0.1:8581"}, "-frontend", nil},
 		// The argument meant for -mrt: refused, and not unlinked.
 		{"wormwatchd", []string{"-feed-listen", "./" + archive, "-wal", "d"}, "not a socket", []string{"d"}},
 		// bgpcat is the one binary that takes operands; the rest of the

@@ -83,6 +83,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -136,7 +137,10 @@ type config struct {
 	shardIndex int
 	frontend   string
 
-	// reg defaults to obs.Default; tests inject a private registry.
+	// reg is what /metrics renders besides the engines' own series:
+	// obs.Default, where the libraries' process-wide instruments live.
+	// Tests may inject a private registry, which holds only the HTTP
+	// layer's.
 	reg *obs.Registry
 	// signals overrides OS signal delivery in tests; nil installs the
 	// real SIGINT/SIGTERM handler.
@@ -231,6 +235,13 @@ func runFrontend(cfg config) error {
 	urls := strings.Split(cfg.frontend, ",")
 	for i := range urls {
 		urls[i] = strings.TrimSpace(urls[i])
+		for _, r := range strings.Split(urls[i], "|") {
+			// A URL that cannot be fetched would fail every scatter and
+			// degrade /healthz for the frontend's whole life.
+			if u, err := url.Parse(strings.TrimSpace(r)); err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+				return fmt.Errorf("-frontend element %q is not an http:// or https:// URL with a host", r)
+			}
+		}
 	}
 	stop := stopSignals(&cfg) // before the listener, as in runDaemon
 	ln, err := listen(&cfg)
@@ -309,10 +320,9 @@ func runDaemon(cfg config) error {
 		os.Remove(cfg.feedListen)
 	}
 
-	reg := cfg.reg
 	wcfg := watch.Config{
 		Shards: cfg.engineShards, Window: cfg.window, WindowEvents: cfg.windowEvents,
-		MaxAlerts: cfg.maxAlerts, Metrics: reg,
+		MaxAlerts: cfg.maxAlerts,
 	}
 	// The dictionary stack: a semantics engine whose partial
 	// dictionaries the watch shards fold into, and a holder the
@@ -321,7 +331,7 @@ func runDaemon(cfg config) error {
 	var sem *semantics.Engine
 	var holder *semantics.Holder
 	if cfg.dict {
-		sem = semantics.NewEngine(semantics.Config{Metrics: reg})
+		sem = semantics.NewEngine(semantics.Config{})
 		holder = &semantics.Holder{}
 		wcfg.Semantics = sem
 		wcfg.Dict = holder
@@ -360,7 +370,6 @@ func runDaemon(cfg config) error {
 			SegmentBytes:     cfg.walSegment,
 			SnapshotInterval: cfg.snapInterval,
 			ResumeSkip:       cfg.feedListen == "",
-			Metrics:          reg,
 		}
 		if cfg.shardCount > 1 {
 			opts.Owner = serve.NewRangeMap(cfg.shardCount).OwnerFunc(cfg.shardIndex)
@@ -379,7 +388,7 @@ func runDaemon(cfg config) error {
 	}
 
 	srv := serve.New(serve.Options{
-		Watch: eng, Semantics: sem, Holder: holder, Registry: reg,
+		Watch: eng, Semantics: sem, Holder: holder, Registry: cfg.reg,
 		Store: store, ShardIndex: cfg.shardIndex, ShardCount: cfg.shardCount,
 		Pprof: cfg.pprofOn,
 	})

@@ -59,15 +59,15 @@ func helperMain() {
 	}
 }
 
-// newTestServer assembles the daemon's HTTP stack on fresh engines and
-// a private registry (never obs.Default — tests must not cross-talk).
+// newTestServer assembles the daemon's HTTP stack as main does, on
+// obs.Default, where the process-wide instruments live. The engines are
+// fresh, so the per-instance series on the page are this test's own.
 func newTestServer(t *testing.T) (*watch.Engine, *semantics.Engine, http.Handler) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	sem := semantics.NewEngine(semantics.Config{Metrics: reg})
+	sem := semantics.NewEngine(semantics.Config{})
 	holder := &semantics.Holder{}
-	eng := watch.NewEngine(watch.Config{Shards: 4, Metrics: reg, Semantics: sem, Dict: holder})
-	srv := serve.New(serve.Options{Watch: eng, Semantics: sem, Holder: holder, Registry: reg, Pprof: true})
+	eng := watch.NewEngine(watch.Config{Shards: 4, Semantics: sem, Dict: holder})
+	srv := serve.New(serve.Options{Watch: eng, Semantics: sem, Holder: holder, Registry: obs.Default, Pprof: true})
 	return eng, sem, srv.Handler()
 }
 
@@ -170,7 +170,7 @@ func TestHealthzBuildInfo(t *testing.T) {
 // TestPprofGate pins that the profiling mux is flag-gated.
 func TestPprofGate(t *testing.T) {
 	reg := obs.NewRegistry()
-	eng := watch.NewEngine(watch.Config{Shards: 1, Metrics: reg})
+	eng := watch.NewEngine(watch.Config{Shards: 1})
 	defer eng.Close()
 	srv := serve.New(serve.Options{Watch: eng, Registry: reg})
 	if code, _ := get(t, srv.Handler(), "/debug/pprof/"); code != http.StatusNotFound {
@@ -182,8 +182,10 @@ func TestPprofGate(t *testing.T) {
 	}
 }
 
-// daemon runs runDaemon in-process with injected signals and reports
-// the bound address — the harness for daemon-lifecycle tests.
+// daemon runs runDaemon in-process (runFrontend when cfg.frontend is
+// set) with injected signals and reports the bound address — the
+// harness for daemon-lifecycle tests. Without cfg.reg it serves a
+// private registry.
 type daemon struct {
 	cfg      config
 	signals  chan os.Signal
@@ -205,13 +207,19 @@ func startDaemon(t *testing.T, cfg config) *daemon {
 	if d.cfg.shardCount == 0 {
 		d.cfg.shardCount = 1
 	}
-	d.cfg.reg = obs.NewRegistry()
+	if d.cfg.reg == nil {
+		d.cfg.reg = obs.NewRegistry()
+	}
 	d.cfg.signals = d.signals
 	d.cfg.ready = func(a string) { d.addr <- a }
 	if d.cfg.feedListen != "" {
 		d.cfg.feedReady = func(a string) { d.feedAddr <- a }
 	}
-	go func() { d.done <- runDaemon(d.cfg) }()
+	run := runDaemon
+	if d.cfg.frontend != "" {
+		run = runFrontend
+	}
+	go func() { d.done <- run(d.cfg) }()
 	return d
 }
 

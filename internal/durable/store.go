@@ -14,7 +14,9 @@ import (
 )
 
 // Options configures a Store. Dir is required; everything else has a
-// default.
+// default. Instrumentation is not configured: the store counts
+// checkpoints on obs.Default and emits its gauges, and its WAL's,
+// through Collect.
 type Options struct {
 	// Dir is the durability directory: WAL segments and checkpoint
 	// files live side by side in it.
@@ -37,9 +39,6 @@ type Options struct {
 	// live feeds, which resume mid-stream — their events continue the
 	// recovered numbering instead.
 	ResumeSkip bool
-	// Metrics, when non-nil, exposes the store and its WAL: fsync
-	// latency, wal_bytes, snapshot_age_seconds, sequence watermarks.
-	Metrics *obs.Registry
 }
 
 // Recovery reports what Open rebuilt.
@@ -94,8 +93,7 @@ type Store struct {
 
 	stopSnap  chan struct{}
 	snapDone  chan struct{}
-	snapshots *obs.Counter
-	collector *obs.CollectorHandle
+	snapshots *obs.Counter // process-wide, shared by every store
 }
 
 // Open recovers (or initializes) the durability directory and binds it
@@ -120,6 +118,7 @@ func Open(eng *watch.Engine, sem *semantics.Engine, opts Options) (*Store, Recov
 	s := &Store{
 		opts: opts, eng: eng, sem: sem, keep: 2,
 		stopSnap: make(chan struct{}), snapDone: make(chan struct{}),
+		snapshots: obs.Default.Counter("durable_snapshots_total", "checkpoints written"),
 	}
 	if cp != nil {
 		if err := eng.RestoreState(cp.Watch); err != nil {
@@ -137,7 +136,6 @@ func Open(eng *watch.Engine, sem *semantics.Engine, opts Options) (*Store, Recov
 	wal, wrec, err := OpenWAL(opts.Dir, WALOptions{
 		SegmentBytes:  opts.SegmentBytes,
 		FsyncInterval: opts.FsyncInterval,
-		Metrics:       opts.Metrics,
 	})
 	if err != nil {
 		return nil, rec, err
@@ -165,32 +163,29 @@ func Open(eng *watch.Engine, sem *semantics.Engine, opts Options) (*Store, Recov
 	if !opts.ResumeSkip {
 		s.pos = rec.Seq
 	}
-	if opts.Metrics != nil {
-		s.bindMetrics(opts.Metrics)
-	}
 	go s.runSnapshots()
 	return s, rec, nil
 }
 
-func (s *Store) bindMetrics(reg *obs.Registry) {
-	s.snapshots = reg.Counter("durable_snapshots_total", "checkpoints written")
-	s.collector = reg.RegisterCollector(func(emit func(obs.Sample)) {
-		s.mu.Lock()
-		seq, skipped := s.watermarkLocked(), s.skipped
-		snapSeq, snapAt := s.snapSeq, s.snapAt
-		s.mu.Unlock()
-		gauge := func(name, help string, v float64) {
-			emit(obs.Sample{Name: name, Help: help, Type: obs.TypeGauge, Value: v})
-		}
-		gauge("durable_seq", "global event sequence watermark", float64(seq))
-		gauge("durable_skipped_events", "events consumed but not owned by this shard", float64(skipped))
-		gauge("snapshot_seq", "sequence covered by the newest checkpoint", float64(snapSeq))
-		age := -1.0 // no checkpoint yet
-		if !snapAt.IsZero() {
-			age = time.Since(snapAt).Seconds()
-		}
-		gauge("snapshot_age_seconds", "seconds since the newest checkpoint was written", age)
-	})
+// Collect emits the store's per-instance gauges, and its WAL's, for the
+// server that holds the store.
+func (s *Store) Collect(emit func(obs.Sample)) {
+	s.mu.Lock()
+	seq, skipped := s.watermarkLocked(), s.skipped
+	snapSeq, snapAt := s.snapSeq, s.snapAt
+	s.mu.Unlock()
+	gauge := func(name, help string, v float64) {
+		emit(obs.Sample{Name: name, Help: help, Type: obs.TypeGauge, Value: v})
+	}
+	gauge("durable_seq", "global event sequence watermark", float64(seq))
+	gauge("durable_skipped_events", "events consumed but not owned by this shard", float64(skipped))
+	gauge("snapshot_seq", "sequence covered by the newest checkpoint", float64(snapSeq))
+	age := -1.0 // no checkpoint yet
+	if !snapAt.IsZero() {
+		age = time.Since(snapAt).Seconds()
+	}
+	gauge("snapshot_age_seconds", "seconds since the newest checkpoint was written", age)
+	s.wal.collect(emit)
 }
 
 // watermarkLocked is the global sequence covered so far. While a
@@ -309,9 +304,7 @@ func (s *Store) writeCheckpoint(cp *Checkpoint) error {
 	s.mu.Lock()
 	s.snapSeq, s.snapAt = cp.Seq, cp.SavedAt
 	s.mu.Unlock()
-	if s.snapshots != nil {
-		s.snapshots.Inc()
-	}
+	s.snapshots.Inc()
 	if err := s.wal.TruncateBefore(cp.Seq + 1); err != nil {
 		return err
 	}
@@ -414,7 +407,6 @@ func (s *Store) Close() error {
 	if werr := s.wal.Close(); err == nil {
 		err = werr
 	}
-	s.collector.Unregister()
 	return err
 }
 
@@ -429,5 +421,4 @@ func (s *Store) crash() {
 	close(s.stopSnap)
 	<-s.snapDone
 	s.wal.crash()
-	s.collector.Unregister()
 }

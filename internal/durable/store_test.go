@@ -336,6 +336,53 @@ func TestStoreSnapshotRetention(t *testing.T) {
 	}
 }
 
+// TestStoreCollectReadsItsOwnState pins what the store's Collect
+// reports, its WAL's gauges included, against the watermarks it keeps:
+// with the group commit held off, the appended and the durable sequence
+// differ until a checkpoint syncs the log.
+func TestStoreCollectReadsItsOwnState(t *testing.T) {
+	events := churnEvents(t)[:50]
+	eng, sem := newPair(2)
+	defer eng.Close()
+	defer sem.Close()
+	st, _, err := Open(eng, sem, Options{Dir: t.TempDir(), FsyncInterval: noSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	sink := st.Sink()
+	for _, ev := range events {
+		sink(ev)
+	}
+	check := func(when string, want map[string]float64) {
+		t.Helper()
+		got := collected(st.Collect)
+		want["wal_bytes"] = float64(st.Status().WALBytes)
+		for name, v := range want {
+			if got[name] != v {
+				t.Errorf("%s: %s = %v, want %v", when, name, got[name], v)
+			}
+		}
+		if len(got) != 8 {
+			t.Errorf("%s: %d series, want 8: %v", when, len(got), got)
+		}
+	}
+	check("before a checkpoint", map[string]float64{
+		"durable_seq": 50, "durable_skipped_events": 0, "snapshot_seq": 0, "snapshot_age_seconds": -1,
+		"wal_segments": 1, "wal_last_seq": 50, "wal_durable_seq": 0,
+	})
+	if err := st.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	check("after a checkpoint", map[string]float64{
+		"durable_seq": 50, "durable_skipped_events": 0, "snapshot_seq": 50,
+		"wal_segments": 1, "wal_last_seq": 50, "wal_durable_seq": 50,
+	})
+	if age := collected(st.Collect)["snapshot_age_seconds"]; age < 0 {
+		t.Errorf("snapshot_age_seconds %v after a checkpoint", age)
+	}
+}
+
 // TestStoreBackgroundLoops smoke-tests the automatic snapshot loop and
 // the WAL group-commit together under a live feed.
 func TestStoreBackgroundLoops(t *testing.T) {

@@ -35,7 +35,9 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.IEEE)
 
-// WALOptions sizes the log. The zero value is usable.
+// WALOptions sizes the log. The zero value is usable. Instrumentation is
+// not configured: the log counts appends and times fsyncs on
+// obs.Default, and its gauges render through the Store's Collect.
 type WALOptions struct {
 	// SegmentBytes is the rotation threshold (default 64 MiB): a
 	// segment that grows past it is sealed and a new one started.
@@ -46,11 +48,6 @@ type WALOptions struct {
 	// active segment this often. 0 keeps the default; negative disables
 	// fsync entirely (the OS still sees every byte on Close).
 	FsyncInterval time.Duration
-	// Metrics, when non-nil, exposes the log: a wal_fsync_seconds
-	// latency histogram, append counters, and scrape-time gauges for
-	// on-disk bytes, segment count, and the last appended/durable
-	// sequence numbers.
-	Metrics *obs.Registry
 }
 
 func (o WALOptions) withDefaults() WALOptions {
@@ -90,6 +87,7 @@ type WAL struct {
 	segStart uint64 // first record seq in the active segment
 	segBytes int64
 	sealed   int64 // on-disk bytes across sealed segments
+	segs     int   // segment files on disk, kept so a scrape lists no directory
 	lastSeq  uint64
 	synced   uint64 // highest seq known flushed+fsynced
 	dirty    bool
@@ -98,10 +96,10 @@ type WAL struct {
 	stopSync chan struct{}
 	syncDone chan struct{}
 
+	// Process-wide, shared by every log.
 	fsyncHist *obs.Histogram
 	records   *obs.Counter
 	bytes     *obs.Counter
-	collector *obs.CollectorHandle
 }
 
 // OpenWAL opens (or creates) the log in dir, recovering existing
@@ -112,36 +110,34 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, WALRecovery, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, WALRecovery{}, err
 	}
-	w := &WAL{dir: dir, opts: opts, stopSync: make(chan struct{}), syncDone: make(chan struct{})}
+	w := &WAL{dir: dir, opts: opts, stopSync: make(chan struct{}), syncDone: make(chan struct{}),
+		fsyncHist: obs.Default.Histogram("wal_fsync_seconds",
+			"WAL group-commit flush+fsync latency", obs.DurationBuckets),
+		records: obs.Default.Counter("wal_records_total", "records appended to the WAL"),
+		bytes:   obs.Default.Counter("wal_appended_bytes_total", "bytes appended to the WAL"),
+	}
 	rec, err := w.recover()
 	if err != nil {
 		return nil, rec, err
-	}
-	if opts.Metrics != nil {
-		w.bindMetrics(opts.Metrics)
 	}
 	go w.runSyncer()
 	return w, rec, nil
 }
 
-func (w *WAL) bindMetrics(reg *obs.Registry) {
-	w.fsyncHist = reg.Histogram("wal_fsync_seconds",
-		"WAL group-commit flush+fsync latency", obs.DurationBuckets)
-	w.records = reg.Counter("wal_records_total", "records appended to the WAL")
-	w.bytes = reg.Counter("wal_appended_bytes_total", "bytes appended to the WAL")
-	w.collector = reg.RegisterCollector(func(emit func(obs.Sample)) {
-		w.mu.Lock()
-		bytes, segs := w.sealed+w.segBytes, w.segmentCountLocked()
-		last, synced := w.lastSeq, w.synced
-		w.mu.Unlock()
-		gauge := func(name, help string, v float64) {
-			emit(obs.Sample{Name: name, Help: help, Type: obs.TypeGauge, Value: v})
-		}
-		gauge("wal_bytes", "on-disk bytes across all WAL segments", float64(bytes))
-		gauge("wal_segments", "live WAL segment files", float64(segs))
-		gauge("wal_last_seq", "highest appended record sequence", float64(last))
-		gauge("wal_durable_seq", "highest record sequence known fsynced", float64(synced))
-	})
+// collect emits the log's per-instance gauges; Store.Collect renders
+// them for the server holding the store.
+func (w *WAL) collect(emit func(obs.Sample)) {
+	w.mu.Lock()
+	bytes, segs := w.sealed+w.segBytes, w.segs
+	last, synced := w.lastSeq, w.synced
+	w.mu.Unlock()
+	gauge := func(name, help string, v float64) {
+		emit(obs.Sample{Name: name, Help: help, Type: obs.TypeGauge, Value: v})
+	}
+	gauge("wal_bytes", "on-disk bytes across all WAL segments", float64(bytes))
+	gauge("wal_segments", "live WAL segment files", float64(segs))
+	gauge("wal_last_seq", "highest appended record sequence", float64(last))
+	gauge("wal_durable_seq", "highest record sequence known fsynced", float64(synced))
 }
 
 func segName(firstSeq uint64) string { return fmt.Sprintf("wal-%020d.seg", firstSeq) }
@@ -156,11 +152,6 @@ func (w *WAL) segments() ([]string, error) {
 	return paths, nil
 }
 
-func (w *WAL) segmentCountLocked() int {
-	paths, _ := w.segments()
-	return len(paths)
-}
-
 // recover scans the on-disk segments, truncates a torn tail off the
 // last one, and positions the writer.
 func (w *WAL) recover() (WALRecovery, error) {
@@ -170,6 +161,7 @@ func (w *WAL) recover() (WALRecovery, error) {
 		return rec, err
 	}
 	rec.Segments = len(paths)
+	w.segs = len(paths)
 	for i, p := range paths {
 		last := i == len(paths)-1
 		info, err := scanSegment(p, 0, nil)
@@ -332,10 +324,8 @@ func (w *WAL) Append(seq uint64, payload []byte) error {
 	w.lastSeq = seq
 	w.segBytes += frameHeader + int64(len(payload))
 	w.dirty = true
-	if w.records != nil {
-		w.records.Inc()
-		w.bytes.Add(uint64(frameHeader + len(payload)))
-	}
+	w.records.Inc()
+	w.bytes.Add(uint64(frameHeader + len(payload)))
 	return nil
 }
 
@@ -356,6 +346,7 @@ func (w *WAL) rotateLocked(nextSeq uint64) error {
 	if err != nil {
 		return err
 	}
+	w.segs++
 	var hdr [segHeader]byte
 	copy(hdr[:8], segMagic)
 	binary.BigEndian.PutUint64(hdr[8:], nextSeq)
@@ -397,12 +388,9 @@ func (w *WAL) fsync(f *os.File) error {
 	if w.opts.FsyncInterval < 0 {
 		return nil
 	}
-	var start time.Time
-	if w.fsyncHist != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	err := f.Sync()
-	if err == nil && w.fsyncHist != nil {
+	if err == nil {
 		w.fsyncHist.ObserveSince(start)
 	}
 	return err
@@ -535,9 +523,11 @@ func (w *WAL) TruncateBefore(seq uint64) error {
 		return err
 	}
 	var freed int64
+	removed := 0
 	defer func() {
 		w.mu.Lock()
 		w.sealed -= freed
+		w.segs -= removed
 		w.mu.Unlock()
 	}()
 	for i, p := range paths {
@@ -558,6 +548,7 @@ func (w *WAL) TruncateBefore(seq uint64) error {
 		if err := os.Remove(p); err != nil {
 			return err
 		}
+		removed++
 		if statErr == nil {
 			freed += st.Size()
 		}
@@ -583,7 +574,6 @@ func (w *WAL) Close() error {
 	w.mu.Unlock()
 	close(w.stopSync)
 	<-w.syncDone
-	w.collector.Unregister()
 	return err
 }
 
@@ -600,5 +590,4 @@ func (w *WAL) crash() {
 	w.mu.Unlock()
 	close(w.stopSync)
 	<-w.syncDone
-	w.collector.Unregister()
 }

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bgpworms/internal/obs"
 )
 
 // noSync keeps the background group-commit loop effectively inert so
@@ -145,6 +147,58 @@ func TestWALRotationAndTruncate(t *testing.T) {
 	if len(all) == 0 || all[0] > 61 {
 		t.Fatalf("truncation deleted covered boundary: first remaining %v", all[:min(len(all), 3)])
 	}
+}
+
+// collected is one Collect call's samples by series name.
+func collected(collect func(func(obs.Sample))) map[string]float64 {
+	out := map[string]float64{}
+	collect(func(s obs.Sample) { out[s.Name] = s.Value })
+	return out
+}
+
+// TestWALSegmentCountTracksDisk: a scrape reads the segment count from
+// memory rather than listing the directory under the append lock, so
+// the count must follow the files through rotations, truncations, Close
+// and a reopen.
+func TestWALSegmentCountTracksDisk(t *testing.T) {
+	dir := t.TempDir()
+	check := func(w *WAL, when string) {
+		t.Helper()
+		onDisk, err := w.segments()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := collected(w.collect)["wal_segments"]; got != float64(len(onDisk)) {
+			t.Fatalf("%s: wal_segments %v, %d files on disk", when, got, len(onDisk))
+		}
+	}
+	w, _, err := OpenWAL(dir, WALOptions{SegmentBytes: 256, FsyncInterval: noSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(w, "fresh")
+	appendN(t, w, seqRange(1, 100))
+	check(w, "after rotations")
+	if err := w.TruncateBefore(61); err != nil {
+		t.Fatal(err)
+	}
+	check(w, "after truncation")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check(w, "after Close")
+
+	w, _, err = OpenWAL(dir, WALOptions{SegmentBytes: 256, FsyncInterval: noSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	check(w, "reopened")
+	appendN(t, w, seqRange(101, 150))
+	if err := w.TruncateBefore(151); err != nil {
+		t.Fatal(err)
+	}
+	check(w, "after appending and truncating everything sealed")
 }
 
 func TestWALTornTailTruncatedOnRecovery(t *testing.T) {

@@ -1,33 +1,34 @@
 // Package obs is the repo's zero-dependency observability substrate: a
-// metrics registry (counters, histograms with fixed bucket layouts,
-// scrape-time collector samples) rendered in Prometheus text format,
+// metrics registry (counters, histograms with fixed bucket layouts)
+// rendered in Prometheus text format together with render-time samples,
 // plus lightweight span
 // tracing (trace.go) for flight-recorder timing breakdowns, and the
 // build-info plumbing (build.go) shared by suite provenance and the
 // wormwatchd health endpoint.
 //
-// The design splits metrics by write frequency:
+// One instrumentation rule holds across the repo: library packages never
+// take a registry.
 //
-//   - the hot-path instrument (Counter) is a single atomic — an Add is
-//     one uncontended atomic add, cheap enough to sit on a per-batch or
-//     per-run boundary of any engine in the repo;
-//   - histograms take a per-histogram mutex per Observe. Every
-//     instrumented site observes at batch granularity (one watch shard
-//     batch, one simnet convergence run), never per event, so the lock
-//     is a few dozen acquisitions per second, not millions;
-//   - values that already live in an engine's own counters (queue
-//     depths, per-detector firing counts) are pulled at scrape time via
-//     RegisterCollector callbacks, so the engine's hot path is not
-//     touched at all. Every gauge in the repo is one of these: there is
-//     no settable gauge instrument.
+//   - Process-wide instruments live on Default. A Counter is a single
+//     atomic, cheap enough for a per-batch or per-run boundary; a
+//     Histogram takes a per-histogram mutex per Observe, and every site
+//     observes at batch granularity (one watch shard batch, one WAL
+//     group commit, one simnet convergence run), never per event.
+//   - Per-instance state that an engine already keeps (queue depths,
+//     per-detector firing counts, sequence watermarks) is emitted by the
+//     engine's own Collect method and rendered by the server that holds
+//     the engine, passed to WritePrometheus or Handler at request time.
+//     Nothing registers or unregisters: a closed engine stops rendering
+//     because its server stops holding it. Every gauge in the repo is
+//     one of these samples: there is no settable gauge instrument.
 //
 // Metrics are observational only: nothing in the repo branches on a
-// metric value, so attaching or detaching a registry can never change
-// a report, a tap stream, or an alert set (the determinism exemptions
-// are documented in ARCHITECTURE.md, "Observability"). Counters that
-// are worker-count invariant by construction (events ingested via the
-// blocking path, alerts) are asserted invariant in tests; inherently
-// racy ones (drops, queue depth, batch timing) are explicitly exempt.
+// metric value, so no report, tap stream or alert set depends on what
+// is scraped (the determinism exemptions are documented in
+// ARCHITECTURE.md, "Observability"). Counters that are worker-count
+// invariant by construction (events ingested, alerts) are asserted
+// invariant in tests; inherently racy ones (queue depth, batch timing)
+// are explicitly exempt.
 //
 // Series names carry their labels Prometheus-style:
 //
@@ -47,10 +48,11 @@ import (
 	"time"
 )
 
-// Default is the process-wide registry. Package-level instrumentation
-// (simnet, collector, gen) binds here; daemons serve it at /metrics.
-// Engines with per-instance series (watch, semantics) take an explicit
-// *Registry so tests can isolate them.
+// Default is the process-wide registry, and the only one library code
+// writes: simnet, gen and collector create their instruments here at
+// package init, watch, semantics and durable when they build an
+// instance, so a process that builds none (a frontend) does not list
+// them. A binary hands Default to the server that serves /metrics.
 var Default = NewRegistry()
 
 // MetricType tags a family for the TYPE line of the text exposition.
@@ -77,10 +79,9 @@ func (t MetricType) String() string {
 	}
 }
 
-// Sample is one scrape-time measurement emitted by a registered
-// collector callback: a full series name (labels included) with its
-// current value. Help may be empty; the first non-empty help for a
-// family wins.
+// Sample is one render-time measurement emitted by an engine's Collect:
+// a full series name (labels included) with its current value. Help may
+// be empty; the first non-empty help for a family wins.
 type Sample struct {
 	Name  string
 	Help  string
@@ -88,15 +89,13 @@ type Sample struct {
 	Value float64
 }
 
-// Registry holds instruments and scrape-time collector callbacks. The
-// zero value is not usable; create with NewRegistry.
+// Registry holds instruments. The zero value is not usable; create with
+// NewRegistry.
 type Registry struct {
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	hists      map[string]*Histogram
-	families   map[string]family // family name -> type + help
-	collectors map[int]func(emit func(Sample))
-	nextColl   int
+	mu       sync.RWMutex
+	counters map[string]*Counter
+	hists    map[string]*Histogram
+	families map[string]family // family name -> type + help
 }
 
 type family struct {
@@ -107,10 +106,9 @@ type family struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   make(map[string]*Counter),
-		hists:      make(map[string]*Histogram),
-		families:   make(map[string]family),
-		collectors: make(map[int]func(emit func(Sample))),
+		counters: make(map[string]*Counter),
+		hists:    make(map[string]*Histogram),
+		families: make(map[string]family),
 	}
 }
 
@@ -181,40 +179,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
-}
-
-// CollectorHandle identifies one registered scrape callback for
-// Unregister.
-type CollectorHandle struct {
-	r  *Registry
-	id int
-}
-
-// RegisterCollector adds a scrape-time callback: at every render the
-// registry invokes fn, and every Sample it emits appears in the
-// exposition alongside the instrument series. Collectors are how
-// engines expose state they already track (queue depths, per-detector
-// counts) without any hot-path writes. Callbacks run under the
-// registry's read lock and must not create instruments on the same
-// registry.
-func (r *Registry) RegisterCollector(fn func(emit func(Sample))) *CollectorHandle {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id := r.nextColl
-	r.nextColl++
-	r.collectors[id] = fn
-	return &CollectorHandle{r: r, id: id}
-}
-
-// Unregister removes the callback; safe to call more than once and on
-// a nil handle.
-func (h *CollectorHandle) Unregister() {
-	if h == nil || h.r == nil {
-		return
-	}
-	h.r.mu.Lock()
-	delete(h.r.collectors, h.id)
-	h.r.mu.Unlock()
 }
 
 // Counter is a monotone uint64. The zero value is usable but callers

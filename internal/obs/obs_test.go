@@ -70,7 +70,7 @@ func TestHistogramBuckets(t *testing.T) {
 
 // goldenExposition is the exact render the golden test pins: family
 // ordering, HELP/TYPE placement, label handling, histogram expansion,
-// and collector samples all in one page.
+// and render-time samples all in one page.
 const goldenExposition = `# HELP alerts_total alerts raised
 # TYPE alerts_total counter
 alerts_total{detector="blackhole-onset"} 4
@@ -104,12 +104,12 @@ func TestGoldenPrometheusRender(t *testing.T) {
 	h.Observe(0.125)
 	h.Observe(0.375)
 	h.Observe(0.75)
-	r.RegisterCollector(func(emit func(Sample)) {
-		emit(Sample{Name: "queue_depth", Help: "live queue depth", Type: TypeGauge, Value: 7})
-		emit(Sample{Name: "tracked_prefixes", Help: "prefixes with window state", Type: TypeGauge, Value: 19})
-	})
 	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
+	if err := r.WritePrometheus(&sb, func(emit func(Sample)) {
+		emit(Sample{Name: "queue_depth", Help: "live queue depth", Type: TypeGauge, Value: 7})
+	}, func(emit func(Sample)) {
+		emit(Sample{Name: "tracked_prefixes", Help: "prefixes with window state", Type: TypeGauge, Value: 19})
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if sb.String() != goldenExposition {
@@ -117,22 +117,23 @@ func TestGoldenPrometheusRender(t *testing.T) {
 	}
 }
 
-func TestCollectorUnregister(t *testing.T) {
+// TestRenderTimeSamplesBelongToOneRender pins that the registry keeps no
+// trace of what a render was handed: samples appear in the render that
+// collected them and in no later one.
+func TestRenderTimeSamplesBelongToOneRender(t *testing.T) {
 	r := NewRegistry()
-	h := r.RegisterCollector(func(emit func(Sample)) {
+	r.Counter("kept_total", "").Inc()
+	var sb strings.Builder
+	r.WritePrometheus(&sb, func(emit func(Sample)) {
 		emit(Sample{Name: "ghost", Type: TypeGauge, Value: 1})
 	})
-	var sb strings.Builder
-	r.WritePrometheus(&sb)
-	if !strings.Contains(sb.String(), "ghost 1") {
-		t.Fatal("collector sample missing before unregister")
+	if !strings.Contains(sb.String(), "ghost 1") || !strings.Contains(sb.String(), "kept_total 1") {
+		t.Fatalf("render lacks its samples:\n%s", sb.String())
 	}
-	h.Unregister()
-	h.Unregister() // idempotent
 	sb.Reset()
 	r.WritePrometheus(&sb)
-	if strings.Contains(sb.String(), "ghost") {
-		t.Fatal("collector sample survived unregister")
+	if strings.Contains(sb.String(), "ghost") || !strings.Contains(sb.String(), "kept_total 1") {
+		t.Fatalf("a render without the collect function:\n%s", sb.String())
 	}
 }
 

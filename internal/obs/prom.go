@@ -21,13 +21,12 @@ type series struct {
 	value string
 }
 
-// WritePrometheus renders every instrument and collector sample in
-// Prometheus text format. It holds the registry read lock for the
-// duration; collector callbacks run inside it.
-func (r *Registry) WritePrometheus(w io.Writer) error {
+// WritePrometheus renders every instrument, and every Sample the collect
+// functions emit now, in Prometheus text format. The instruments are
+// read under the registry's read lock; collect runs after it is
+// released, so it may do anything but write w.
+func (r *Registry) WritePrometheus(w io.Writer, collect ...func(emit func(Sample))) error {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-
 	fams := make(map[string]family, len(r.families))
 	for k, v := range r.families {
 		fams[k] = v
@@ -49,7 +48,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		fam, labels := splitName(name)
 		histsByFam[fam] = append(histsByFam[fam], histSeries{labels: labels, snap: h.snapshot()})
 	}
-	for _, fn := range r.collectors {
+	r.mu.RUnlock()
+	for _, fn := range collect {
 		fn(func(s Sample) {
 			fam, _ := splitName(s.Name)
 			if f, ok := fams[fam]; !ok || (f.help == "" && s.Help != "") {
@@ -147,12 +147,12 @@ func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// Handler serves the registry at GET /metrics in Prometheus text
-// format.
-func (r *Registry) Handler() http.Handler {
+// Handler serves the registry, plus what collect emits at each request,
+// at GET /metrics in Prometheus text format.
+func (r *Registry) Handler(collect ...func(emit func(Sample))) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		var sb strings.Builder
-		if err := r.WritePrometheus(&sb); err != nil {
+		if err := r.WritePrometheus(&sb, collect...); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}

@@ -10,15 +10,9 @@ import (
 	"bgpworms/internal/obs"
 )
 
-// Config configures the engine. The zero value is usable.
-type Config struct {
-	// Metrics, when non-nil, exposes the engine on that registry: fold
-	// counters, a fold-batch latency histogram, and a snapshot-merge
-	// counter. The scrape collector reads only the engine's atomics —
-	// never Snapshot or Stats, which take every partial's lock. Metrics
-	// are observational only; the dictionary is bit-identical either way.
-	Metrics *obs.Registry
-}
+// Config is empty: the engine has nothing to configure. It stays because
+// the frozen benchmark (bench/trace.go) names it.
+type Config struct{}
 
 // logicalBase / logicalTick anchor the synthesized clock for clockless
 // feeds (the same nominal month the generator and watch engine use).
@@ -58,39 +52,32 @@ type Engine struct {
 	version atomic.Uint64
 	merges  atomic.Uint64
 
-	// Metrics plumbing (nil when Config.Metrics is unset).
-	foldHist  *obs.Histogram
-	collector *obs.CollectorHandle
+	foldHist *obs.Histogram // process-wide, shared by every engine
 
 	snapMu sync.Mutex
 	snap   *Snapshot
 }
 
 // NewEngine returns an empty engine.
-func NewEngine(cfg Config) *Engine {
-	e := &Engine{}
+func NewEngine(Config) *Engine {
+	e := &Engine{foldHist: obs.Default.Histogram("semantics_fold_seconds",
+		"partial fold-batch latency", obs.DurationBuckets)}
 	e.own = e.NewPartial()
-	if cfg.Metrics != nil {
-		e.bindMetrics(cfg.Metrics)
-	}
 	return e
 }
 
-// bindMetrics attaches the engine to a registry. The collector touches
-// only atomics, so a scrape never waits on a fold.
-func (e *Engine) bindMetrics(reg *obs.Registry) {
-	e.foldHist = reg.Histogram("semantics_fold_seconds",
-		"partial fold-batch latency", obs.DurationBuckets)
-	e.collector = reg.RegisterCollector(func(emit func(obs.Sample)) {
-		counter := func(name, help string, v uint64) {
-			emit(obs.Sample{Name: name, Help: help, Type: obs.TypeCounter, Value: float64(v)})
-		}
-		// Folding is inline, so accepted and folded are one count.
-		n := e.seq.Load()
-		counter("semantics_ingested_total", "observations accepted for folding", n)
-		counter("semantics_processed_total", "observations folded into a partial", n)
-		counter("semantics_merges_total", "snapshot merges of the partials", e.merges.Load())
-	})
+// Collect emits the engine's per-instance series for the server that
+// holds it. It reads only atomics — never Snapshot or Stats, which take
+// every partial's lock — so a scrape never waits on a fold.
+func (e *Engine) Collect(emit func(obs.Sample)) {
+	counter := func(name, help string, v uint64) {
+		emit(obs.Sample{Name: name, Help: help, Type: obs.TypeCounter, Value: float64(v)})
+	}
+	// Folding is inline, so accepted and folded are one count.
+	n := e.seq.Load()
+	counter("semantics_ingested_total", "observations accepted for folding", n)
+	counter("semantics_processed_total", "observations folded into a partial", n)
+	counter("semantics_merges_total", "snapshot merges of the partials", e.merges.Load())
 }
 
 // NewPartial registers and returns a new empty partial dictionary.
@@ -113,10 +100,7 @@ func (p *Partial) Fold(batch []feed.Event) {
 	if len(batch) == 0 || e.closed.Load() {
 		return
 	}
-	var start time.Time
-	if e.foldHist != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	n := uint64(0)
 	p.mu.Lock()
 	for i := range batch {
@@ -129,9 +113,7 @@ func (p *Partial) Fold(batch []feed.Event) {
 	if n == 0 {
 		return
 	}
-	if e.foldHist != nil {
-		e.foldHist.ObserveSince(start)
-	}
+	e.foldHist.ObserveSince(start)
 	e.seq.Add(n)
 	e.version.Add(1)
 }
@@ -174,14 +156,9 @@ func (e *Engine) Ingest(ev feed.Event) {
 // only because bench/trace.go, frozen between benchmark PRs, calls it.
 func (e *Engine) Flush() {}
 
-// Close marks the engine closed and detaches it from its registry.
-// Further Ingest and Fold calls are dropped; Snapshot stays valid.
-func (e *Engine) Close() {
-	if e.closed.Swap(true) {
-		return
-	}
-	e.collector.Unregister()
-}
+// Close marks the engine closed. Further Ingest and Fold calls are
+// dropped; Snapshot stays valid.
+func (e *Engine) Close() { e.closed.Store(true) }
 
 // merged merges every partial's evidence into one fresh map.
 func (e *Engine) merged() map[bgp.Community]*evidence {

@@ -167,8 +167,8 @@ type durableShard struct {
 func startDurableShard(t *testing.T, dir string, idx, count int, events []feed.Event) *durableShard {
 	t.Helper()
 	reg := obs.NewRegistry()
-	sem := semantics.NewEngine(semantics.Config{Metrics: reg})
-	eng := watch.NewEngine(watch.Config{Shards: 4, Semantics: sem, Metrics: reg})
+	sem := semantics.NewEngine(semantics.Config{})
+	eng := watch.NewEngine(watch.Config{Shards: 4, Semantics: sem})
 	opts := durable.Options{Dir: dir, FsyncInterval: -1}
 	if count > 1 {
 		opts.Owner = NewRangeMap(count).OwnerFunc(idx)

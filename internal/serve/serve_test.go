@@ -76,9 +76,9 @@ type proc struct {
 func startProc(t testing.TB, events []feed.Event, idx, count int) *proc {
 	t.Helper()
 	reg := obs.NewRegistry()
-	sem := semantics.NewEngine(semantics.Config{Metrics: reg})
+	sem := semantics.NewEngine(semantics.Config{})
 	holder := &semantics.Holder{}
-	eng := watch.NewEngine(watch.Config{Shards: 4, Semantics: sem, Metrics: reg})
+	eng := watch.NewEngine(watch.Config{Shards: 4, Semantics: sem})
 	opts := durable.Options{Dir: t.TempDir(), FsyncInterval: -1}
 	if count > 1 {
 		opts.Owner = NewRangeMap(count).OwnerFunc(idx)
@@ -162,7 +162,7 @@ func (c *statusCounter) count(path string, code int) int {
 // store attached.
 func TestServerDurableEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
-	eng := watch.NewEngine(watch.Config{Shards: 1, Metrics: reg})
+	eng := watch.NewEngine(watch.Config{Shards: 1})
 	defer eng.Close()
 	bare := New(Options{Watch: eng, Registry: reg})
 	var p durablePayload

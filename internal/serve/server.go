@@ -37,7 +37,9 @@ type Options struct {
 	// Semantics + Holder power the /dict endpoints; nil disables them.
 	Semantics *semantics.Engine
 	Holder    *semantics.Holder
-	Registry  *obs.Registry
+	// Registry is rendered on /metrics together with the Collect series
+	// of Watch, Semantics and Store; a binary passes obs.Default.
+	Registry *obs.Registry
 	// Store, when non-nil, surfaces the durability subsystem on
 	// /durable.
 	Store *durable.Store
@@ -81,7 +83,14 @@ func (s *Server) mux() *http.ServeMux {
 	m.HandleFunc("/dict/stats", s.handleDictStats)
 	m.HandleFunc("/dict/export", s.handleDictExport)
 	m.HandleFunc("/dict/", s.handleDictAS)
-	m.Handle("/metrics", s.opts.Registry.Handler())
+	collect := []func(func(obs.Sample)){s.opts.Watch.Collect}
+	if s.opts.Semantics != nil {
+		collect = append(collect, s.opts.Semantics.Collect)
+	}
+	if s.opts.Store != nil {
+		collect = append(collect, s.opts.Store.Collect)
+	}
+	m.Handle("/metrics", s.opts.Registry.Handler(collect...))
 	if s.opts.Pprof {
 		m.HandleFunc("/debug/pprof/", pprof.Index)
 		m.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

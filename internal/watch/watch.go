@@ -50,7 +50,8 @@ var logicalBase = time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC)
 const logicalTick = 37 * time.Millisecond
 
 // Config sizes the engine. The zero value is usable: every field has a
-// default.
+// default. Instrumentation is not configured: the engine observes its
+// batch latency on obs.Default and emits the rest through Collect.
 type Config struct {
 	// Shards is the number of prefix shards, each with its own worker
 	// goroutine and state map; 0 means one per available CPU. The alert
@@ -77,14 +78,6 @@ type Config struct {
 	// *semantics.Snapshot for deterministic alert sets, or a
 	// *semantics.Holder a daemon refreshes while ingesting.
 	Dict semantics.Provider
-	// Metrics, when non-nil, exposes the engine on that registry:
-	// ingest/drop/alert counters, queue-depth and tracked-prefix gauges,
-	// per-detector firing counts, and a batch-latency histogram. Almost
-	// everything is pulled at scrape time from counters the engine
-	// already maintains, so the only hot-path cost is one histogram
-	// observation per shard batch. Metrics are observational only — the
-	// alert set is bit-identical with or without a registry attached.
-	Metrics *obs.Registry
 	// Semantics, when non-nil, builds dictionaries from the events the
 	// detectors process: each shard holds one of the engine's partial
 	// dictionaries, and its worker folds every batch's community-bearing
@@ -194,16 +187,16 @@ type Engine struct {
 	truncated atomic.Uint64
 	version   atomic.Uint64
 
-	// Metrics plumbing (nil when Config.Metrics is unset).
-	batchHist *obs.Histogram
-	collector *obs.CollectorHandle
+	batchHist *obs.Histogram // process-wide, shared by every engine
 }
 
 // NewEngine starts an engine with one worker goroutine per shard. Close
 // releases them.
 func NewEngine(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{cfg: cfg, detectors: cfg.Detectors}
+	e := &Engine{cfg: cfg, detectors: cfg.Detectors,
+		batchHist: obs.Default.Histogram("watch_batch_seconds",
+			"shard batch apply latency", obs.DurationBuckets)}
 	e.batchPool.New = func() any {
 		buf := make([]feed.Event, 0, batchSize)
 		return &buf
@@ -248,42 +241,34 @@ func NewEngine(cfg Config) *Engine {
 		e.wg.Add(1)
 		go e.runShard(s)
 	}
-	if cfg.Metrics != nil {
-		e.bindMetrics(cfg.Metrics)
-	}
 	return e
 }
 
-// bindMetrics attaches the engine to a registry: one batch-latency
-// histogram written by the shard workers, and a scrape-time collector
-// that renders Stats, so a scrape is as safe (and as cheap) as a /stats
-// query.
-func (e *Engine) bindMetrics(reg *obs.Registry) {
-	e.batchHist = reg.Histogram("watch_batch_seconds",
-		"shard batch apply latency", obs.DurationBuckets)
-	e.collector = reg.RegisterCollector(func(emit func(obs.Sample)) {
-		counter := func(name, help string, v uint64) {
-			emit(obs.Sample{Name: name, Help: help, Type: obs.TypeCounter, Value: float64(v)})
-		}
-		gauge := func(name, help string, v float64) {
-			emit(obs.Sample{Name: name, Help: help, Type: obs.TypeGauge, Value: v})
-		}
-		st := e.Stats()
-		counter("watch_ingested_total", "events accepted for processing", st.Ingested)
-		counter("watch_processed_total", "events applied by shard workers", st.Processed)
-		counter("watch_alerts_total", "alerts raised across all detectors", st.Alerts)
-		counter("watch_alerts_truncated_total", "old alerts discarded under the retention cap", st.AlertsTruncated)
-		gauge("watch_pending_events", "events ingested but not yet applied", float64(st.Pending))
-		gauge("watch_tracked_prefixes", "prefixes with live window state", float64(st.TrackedPrefixes))
-		for det, v := range st.ByDetector {
-			counter(`watch_detector_alerts_total{detector="`+det+`"}`,
-				"alerts raised, by detector", v)
-		}
-		for i, s := range e.shards {
-			gauge(`watch_shard_queue_depth{shard="`+strconv.Itoa(i)+`"}`,
-				"batches queued per shard", float64(len(s.ch)))
-		}
-	})
+// Collect emits the engine's per-instance series, read from Stats and
+// the shard queues, so it is as safe and as cheap as a /stats query.
+// The server holding the engine renders them on its /metrics page.
+func (e *Engine) Collect(emit func(obs.Sample)) {
+	counter := func(name, help string, v uint64) {
+		emit(obs.Sample{Name: name, Help: help, Type: obs.TypeCounter, Value: float64(v)})
+	}
+	gauge := func(name, help string, v float64) {
+		emit(obs.Sample{Name: name, Help: help, Type: obs.TypeGauge, Value: v})
+	}
+	st := e.Stats()
+	counter("watch_ingested_total", "events accepted for processing", st.Ingested)
+	counter("watch_processed_total", "events applied by shard workers", st.Processed)
+	counter("watch_alerts_total", "alerts raised across all detectors", st.Alerts)
+	counter("watch_alerts_truncated_total", "old alerts discarded under the retention cap", st.AlertsTruncated)
+	gauge("watch_pending_events", "events ingested but not yet applied", float64(st.Pending))
+	gauge("watch_tracked_prefixes", "prefixes with live window state", float64(st.TrackedPrefixes))
+	for det, v := range st.ByDetector {
+		counter(`watch_detector_alerts_total{detector="`+det+`"}`,
+			"alerts raised, by detector", v)
+	}
+	for i, s := range e.shards {
+		gauge(`watch_shard_queue_depth{shard="`+strconv.Itoa(i)+`"}`,
+			"batches queued per shard", float64(len(s.ch)))
+	}
 }
 
 // shardOf maps a prefix to its home shard (FNV-1a over address+length,
@@ -349,10 +334,7 @@ func (e *Engine) runShard(s *shard) {
 	defer e.wg.Done()
 	for b := range s.ch {
 		if len(b.events) > 0 {
-			var start time.Time
-			if e.batchHist != nil {
-				start = time.Now()
-			}
+			start := time.Now()
 			s.mu.Lock()
 			for i := range b.events {
 				e.process(s, &b.events[i])
@@ -363,9 +345,7 @@ func (e *Engine) runShard(s *shard) {
 			if s.dict != nil {
 				s.dict.Fold(b.events)
 			}
-			if e.batchHist != nil {
-				e.batchHist.ObserveSince(start)
-			}
+			e.batchHist.ObserveSince(start)
 			e.processed.Add(uint64(len(b.events)))
 			e.version.Add(1)
 			buf := b.events[:0]
@@ -447,11 +427,6 @@ func (e *Engine) Close() {
 	}
 	e.mu.Unlock()
 	e.wg.Wait()
-	// Detach from the registry so a closed engine's series stop
-	// rendering (daemons that rebuild engines would otherwise scrape
-	// stale shards). Counter totals live in the collector, so they
-	// vanish with it — long-lived processes keep the engine open.
-	e.collector.Unregister()
 }
 
 // Version is a monotone snapshot token: it advances whenever queryable
