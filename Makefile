@@ -29,11 +29,12 @@ yardstick-smoke:
 
 # suite-gate runs the statistical release gates: every registered
 # scenario across pinned seeds (suites/release.json, report + provenance
-# written to the working directory for the CI artifact upload) plus the
-# detector-quality suite under the dictionary arm (suites/detectors.json).
+# written to the working directory) plus the detector-quality suite
+# under the dictionary arm (suites/detectors.json, written to
+# suite-detectors/); CI uploads both.
 suite-gate:
 	$(GO) run ./cmd/suiterun -suite suites/release.json -out .
-	$(GO) run ./cmd/suiterun -suite suites/detectors.json -out ''
+	$(GO) run ./cmd/suiterun -suite suites/detectors.json -out suite-detectors
 
 # watch-smoke boots wormwatchd, replays an attack scenario through the
 # lossless engine tap, and asserts /alerts is served and byte-identical

@@ -77,6 +77,9 @@ func testRefusals(t *testing.T, bin string) {
 		// Shard URLs the frontend could never fetch.
 		{"wormwatchd", []string{"-addr", "127.0.0.1:0", "-frontend", "http://127.0.0.1:1,"}, "-frontend", nil},
 		{"wormwatchd", []string{"-addr", "127.0.0.1:0", "-frontend", "127.0.0.1:8581"}, "-frontend", nil},
+		// A detector the configuration cannot run: the dictionary pair
+		// with inference switched off.
+		{"wormwatchd", []string{"-dict=false", "-detectors", "dict-squat", "-wal", "d"}, `detector "dict-squat" needs a dictionary`, []string{"d"}},
 		// The argument meant for -mrt: refused, and not unlinked.
 		{"wormwatchd", []string{"-feed-listen", "./" + archive, "-wal", "d"}, "not a socket", []string{"d"}},
 		// bgpcat is the one binary that takes operands; the rest of the

@@ -29,9 +29,9 @@ import (
 	_ "bgpworms/internal/attack" // registers the builtin scenarios
 	"bgpworms/internal/core"
 	"bgpworms/internal/feed"
+	"bgpworms/internal/gen"
 	"bgpworms/internal/scenario"
 	"bgpworms/internal/semantics"
-	"bgpworms/internal/watch"
 )
 
 func main() {
@@ -69,17 +69,26 @@ func fail(err error) {
 
 // jsonPayload is the -json output shape.
 type jsonPayload struct {
-	Stats   semantics.Stats       `json:"stats"`
-	Score   *semantics.Score      `json:"score,omitempty"`
-	Entries []*semantics.Entry    `json:"entries"`
-	Eval    *watch.DictEvalReport `json:"eval,omitempty"`
+	Stats   semantics.Stats    `json:"stats"`
+	Score   *semantics.Score   `json:"score,omitempty"`
+	Entries []*semantics.Entry `json:"entries"`
+	Eval    *scenarioEval      `json:"eval,omitempty"`
 }
 
-func emit(snap *semantics.Snapshot, stats semantics.Stats, rep *watch.DictEvalReport, asn int, asJSON bool) {
+// scenarioEval is what -scenario adds to the dictionary: the replay's
+// own outcome and the inference score against the world's ground truth.
+type scenarioEval struct {
+	Scenario string           `json:"scenario"`
+	Result   *scenario.Result `json:"result"`
+	Stats    semantics.Stats  `json:"stats"`
+	Score    semantics.Score  `json:"score"`
+}
+
+func emit(snap *semantics.Snapshot, stats semantics.Stats, ev *scenarioEval, asn int, asJSON bool) {
 	if asJSON {
-		payload := jsonPayload{Stats: stats, Eval: rep}
-		if rep != nil {
-			payload.Score = &rep.Score
+		payload := jsonPayload{Stats: stats, Eval: ev}
+		if ev != nil {
+			payload.Score = &ev.Score
 		}
 		if asn >= 0 {
 			payload.Entries = snap.AS(uint16(asn))
@@ -94,22 +103,42 @@ func emit(snap *semantics.Snapshot, stats semantics.Stats, rep *watch.DictEvalRe
 		return
 	}
 	fmt.Print(semantics.RenderDictionary(snap, asn))
-	if rep != nil {
+	if ev != nil {
 		fmt.Println()
-		fmt.Print(watch.RenderDictEval(rep))
+		fmt.Print(semantics.RenderScore(ev.Score))
+		fmt.Printf("scenario=%s success=%v observations=%d communities=%d ases=%d\n",
+			ev.Scenario, ev.Result != nil && ev.Result.Success, ev.Stats.Processed, ev.Stats.Communities, ev.Stats.ASes)
 	}
 }
 
+// runScenario replays a registered scenario with a semantics tap
+// observing every update delivery — world construction, probes, and the
+// attack itself — then scores the inferred dictionary against the
+// world's ground truth, read after the run so services the lab
+// provisioned mid-scenario count too.
 func runScenario(name, scale string, seed int64, asn int, asJSON bool) {
 	params, err := scenario.GenParams(scale, seed)
 	if err != nil {
 		fail(err)
 	}
-	rep, snap, err := watch.EvalDictionaryScenario(name, &scenario.Context{Gen: params})
+	eng := semantics.NewEngine(semantics.Config{})
+	defer eng.Close()
+	var world *gen.Internet
+	res, err := scenario.Run(name, &scenario.Context{
+		Gen:   params,
+		Tap:   feed.Tap("", eng.Ingest),
+		World: func(w *gen.Internet) { world = w },
+	})
 	if err != nil {
 		fail(err)
 	}
-	emit(snap, rep.Stats, rep, asn, asJSON)
+	if world == nil {
+		fail(fmt.Errorf("scenario %q never exposed its world (no ground truth)", name))
+	}
+	snap := eng.Snapshot()
+	ev := &scenarioEval{Scenario: name, Result: res, Stats: eng.Stats(),
+		Score: semantics.ScoreAgainst(snap, world.TruthDict())}
+	emit(snap, ev.Stats, ev, asn, asJSON)
 }
 
 func runMRT(path string, asn int, asJSON bool) {

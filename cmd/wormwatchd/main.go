@@ -22,7 +22,8 @@
 // dictionary-inference engine; its snapshots power the /dict endpoints
 // and the dictionary-aware detectors (dict-squat,
 // unknown-action-community), whose dictionary refreshes on the flush
-// heartbeat.
+// heartbeat. -detectors narrows the set to the names given, the
+// dictionary pair included while -dict is on.
 //
 // Feed modes (combine freely; each runs on its own goroutine):
 //
@@ -60,7 +61,7 @@
 // Every shard consumes the full feed and assigns identical global
 // sequence numbers, but journals and processes only its prefix range;
 // the -frontend process scatter-gathers /alerts, /prefix/{p}, /dict,
-// and /stats, merging version-keyed shard snapshots into responses
+// and /stats, merging shard snapshots into responses
 // byte-identical to a single-process daemon's (dictionary detectors
 // see per-shard partial dictionaries; run -dict=false for exact
 // cross-shard alert equality).
@@ -165,7 +166,7 @@ func main() {
 	flag.DurationVar(&cfg.window, "window", 0, "detection window horizon (default 15m)")
 	flag.IntVar(&cfg.windowEvents, "window-events", 0, "per-prefix ring capacity (default 32)")
 	flag.IntVar(&cfg.maxAlerts, "max-alerts", 0, "retained alert cap (0 = default 100000, negative = unlimited)")
-	flag.StringVar(&cfg.detectors, "detectors", "", "comma-separated detector subset (default: all registered)")
+	flag.StringVar(&cfg.detectors, "detectors", "", "comma-separated detector subset, run in the order named (default: the four stateless detectors, plus dict-squat and unknown-action-community with -dict)")
 	flag.BoolVar(&cfg.dict, "dict", true, "infer per-AS community dictionaries and enable the dictionary-aware detectors")
 	flag.BoolVar(&cfg.pprofOn, "pprof", false, "serve Go profiling endpoints under /debug/pprof/")
 	flag.StringVar(&cfg.walDir, "wal", "", "durability directory: journal events to a WAL and checkpoint engine state (empty = in-memory only)")
@@ -310,6 +311,29 @@ func runDaemon(cfg config) error {
 	if cfg.feedListen != "" && cfg.walDir != "" && (cfg.scenario != "" || cfg.mrtPath != "") {
 		return fmt.Errorf("-feed-listen cannot share -wal with -scenario/-mrt: re-readable feeds resume by re-reading and skipping, the live feed must resume from the WAL alone")
 	}
+	wcfg := watch.Config{
+		Shards: cfg.engineShards, Window: cfg.window, WindowEvents: cfg.windowEvents,
+		MaxAlerts: cfg.maxAlerts,
+	}
+	// The detectors' dictionary is a holder refreshed on the flush
+	// heartbeat, so detection always consults a recent frozen snapshot.
+	var holder *semantics.Holder
+	if cfg.dict {
+		holder = &semantics.Holder{}
+		wcfg.Dict = holder
+	}
+	// No -detectors runs the default set; a named subset runs verbatim,
+	// the dictionary pair included when -dict is on.
+	var names []string
+	if cfg.detectors != "" {
+		names = strings.Split(cfg.detectors, ",")
+		for i := range names {
+			names[i] = strings.TrimSpace(names[i])
+		}
+	}
+	if wcfg.Detectors, err = watch.ResolveDetectors(names, wcfg.Dict); err != nil {
+		return fmt.Errorf("-detectors: %w", err)
+	}
 	feedNetwork := "tcp"
 	if strings.Contains(cfg.feedListen, "/") {
 		feedNetwork = "unix"
@@ -320,32 +344,12 @@ func runDaemon(cfg config) error {
 		os.Remove(cfg.feedListen)
 	}
 
-	wcfg := watch.Config{
-		Shards: cfg.engineShards, Window: cfg.window, WindowEvents: cfg.windowEvents,
-		MaxAlerts: cfg.maxAlerts,
-	}
-	// The dictionary stack: a semantics engine whose partial
-	// dictionaries the watch shards fold into, and a holder the
-	// detectors read — refreshed on the flush heartbeat, so detection
-	// always consults a recent frozen snapshot.
+	// The rest of the dictionary stack: a semantics engine whose partial
+	// dictionaries the watch shards fold into, published to the holder.
 	var sem *semantics.Engine
-	var holder *semantics.Holder
 	if cfg.dict {
 		sem = semantics.NewEngine(semantics.Config{})
-		holder = &semantics.Holder{}
 		wcfg.Semantics = sem
-		wcfg.Dict = holder
-	}
-	if cfg.detectors != "" {
-		for _, name := range strings.Split(cfg.detectors, ",") {
-			d, ok := watch.LookupDetector(strings.TrimSpace(name))
-			if !ok {
-				return fmt.Errorf("unknown detector %q (have %v)", name, watch.DetectorNames())
-			}
-			wcfg.Detectors = append(wcfg.Detectors, d)
-		}
-		// An explicit -detectors subset is respected verbatim: the
-		// dictionary-aware pair joins only the default set.
 	}
 	eng := watch.NewEngine(wcfg)
 	defer eng.Close()

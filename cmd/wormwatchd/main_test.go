@@ -590,6 +590,43 @@ func TestScenarioAlertsSameWithAndWithoutWAL(t *testing.T) {
 	}
 }
 
+// TestDetectorsFlagNamesTheDictionaryPair: under the default -dict,
+// -detectors may name the dictionary-aware pair, which the daemon runs
+// by default anyway; the named subset runs and nothing else does.
+func TestDetectorsFlagNamesTheDictionaryPair(t *testing.T) {
+	params, err := scenario.GenParams("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events uint64
+	count := &scenario.Context{Gen: params, Tap: feed.Tap("count", func(feed.Event) { events++ })}
+	if _, err := scenario.Run("blackhole-squatting", count); err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, config{scenario: "blackhole-squatting", dict: true,
+		detectors: "dict-squat, unknown-action-community"})
+	defer d.stop(t)
+	body := waitStable(t, d.url(t)+"/stats", func(body string) bool {
+		var st watch.Stats
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatalf("/stats: %v\n%s", err, body)
+		}
+		return st.Ingested == events && st.Processed == events
+	})
+	var st watch.Stats
+	if err := json.Unmarshal([]byte(body), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.ByDetector["dict-squat"] == 0 {
+		t.Fatalf("dict-squat never fired: %v", st.ByDetector)
+	}
+	for det := range st.ByDetector {
+		if det != "dict-squat" && det != "unknown-action-community" {
+			t.Fatalf("%s fired although -detectors did not name it: %v", det, st.ByDetector)
+		}
+	}
+}
+
 // TestDaemonFeedListenGracefulShutdown covers the live feed's clean
 // path: a SIGTERM with a connection still open must unblock the stream,
 // checkpoint, and exit; a restart serves the identical alerts without

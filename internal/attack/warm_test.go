@@ -20,6 +20,7 @@ import (
 	"bgpworms/internal/gen"
 	"bgpworms/internal/policy"
 	"bgpworms/internal/scenario"
+	"bgpworms/internal/semantics"
 	"bgpworms/internal/topo"
 	"bgpworms/internal/watch"
 )
@@ -229,8 +230,10 @@ func TestWarmEvalScenarioEquivalence(t *testing.T) {
 	}
 }
 
-// TestWarmDictEvalEquivalence runs the dictionary-inference evaluation
-// warm and cold for the scenario that attacks the dictionary itself.
+// TestWarmDictEvalEquivalence runs the evaluation with dictionary
+// inference folded on the replay, warm and cold, for the scenario that
+// attacks the dictionary itself: the reports (score included) and the
+// inferred dictionaries must be identical.
 func TestWarmDictEvalEquivalence(t *testing.T) {
 	const name = "dictionary-poisoning"
 	base := warmContext(t, name, "tiny", "delta", 1)
@@ -238,20 +241,26 @@ func TestWarmDictEvalEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, _, err := watch.EvalDictionaryScenario(name, warmContext(t, name, "tiny", "delta", 1))
-	if err != nil {
-		t.Fatalf("cold dict eval: %v", err)
+	eval := func(ctx *scenario.Context) ([]byte, []byte) {
+		sem := semantics.NewEngine(semantics.Config{})
+		defer sem.Close()
+		rep, err := watch.EvalScenario(name, ctx, watch.Config{Shards: 2, Semantics: sem})
+		if err != nil {
+			t.Fatalf("dict eval: %v", err)
+		}
+		rj, _ := json.Marshal(rep)
+		ej, _ := json.Marshal(rep.Dict.Snapshot.Entries())
+		return rj, ej
 	}
+	cold, coldDict := eval(warmContext(t, name, "tiny", "delta", 1))
 	wctx := warmContext(t, name, "tiny", "delta", 1)
 	wctx.Warm = snap
-	warm, _, err := watch.EvalDictionaryScenario(name, wctx)
-	if err != nil {
-		t.Fatalf("warm dict eval: %v", err)
+	warm, warmDict := eval(wctx)
+	if !bytes.Equal(cold, warm) {
+		t.Errorf("warm dictionary eval report diverges from cold:\nwarm: %s\ncold: %s", warm, cold)
 	}
-	cj, _ := json.Marshal(cold)
-	wj, _ := json.Marshal(warm)
-	if !bytes.Equal(cj, wj) {
-		t.Errorf("warm EvalDictionaryScenario report diverges from cold:\nwarm: %s\ncold: %s", wj, cj)
+	if !bytes.Equal(coldDict, warmDict) {
+		t.Error("warm replay inferred a different dictionary than cold")
 	}
 }
 

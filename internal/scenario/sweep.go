@@ -169,13 +169,13 @@ type warmKey struct {
 	workers int
 }
 
-// WarmCache lazily builds at most one frozen world snapshot per (scale,
-// seed, engine-workers) coordinate. Each snapshot is built by
-// the first cell that needs it (under sync.Once, so concurrent harness
-// workers block instead of double-building) and forked by the rest.
-// SweepOpts uses one per sweep; external cell executors (internal/suite)
-// share the same mechanism so a suite cell and a sweep cell stay
-// bit-identical runs.
+// WarmCache provisions grid cells: it lazily builds at most one frozen
+// world snapshot per (scale, seed, engine-workers) coordinate. Each
+// snapshot is built by the first cell that needs it (under sync.Once, so
+// concurrent harness workers block instead of double-building) and
+// forked by the rest. SweepOpts uses one per sweep and internal/suite
+// one per suite run; both build every cell's Context through Context, so
+// a suite cell and a sweep cell stay bit-identical runs.
 type WarmCache struct {
 	mu      sync.Mutex
 	entries map[warmKey]*warmEntry
@@ -192,10 +192,26 @@ func NewWarmCache() *WarmCache {
 	return &WarmCache{entries: make(map[warmKey]*warmEntry)}
 }
 
-// Snapshot returns the frozen world for the cell's coordinates, building
+// Context builds the run context for one grid cell: g.ContextFor, plus
+// the cell's shared frozen world unless the scenario ManagesWorlds
+// (those never fork it, so provisioning one would be a wasted build).
+func (wc *WarmCache) Context(g Grid, c Cell) (*Context, error) {
+	ctx, err := g.ContextFor(c)
+	if err != nil {
+		return nil, err
+	}
+	if s, _ := Get(c.Scenario); s != nil && !s.ManagesWorlds {
+		if ctx.Warm, err = wc.snapshot(c, ctx.Gen); err != nil {
+			return nil, err
+		}
+	}
+	return ctx, nil
+}
+
+// snapshot returns the frozen world for the cell's coordinates, building
 // it exactly once. The build uses params with the tap stripped: per-cell
 // taps are replayed at fork time, never recorded into the shared world.
-func (wc *WarmCache) Snapshot(c Cell, params gen.Params) (*gen.Snapshot, error) {
+func (wc *WarmCache) snapshot(c Cell, params gen.Params) (*gen.Snapshot, error) {
 	key := warmKey{scale: c.Scale, seed: c.Seed, workers: c.EngineWorkers}
 	wc.mu.Lock()
 	e := wc.entries[key]
@@ -290,12 +306,10 @@ func SweepOpts(g Grid, workers int, opt SweepOpt) (*SweepReport, error) {
 	return rep, nil
 }
 
-// ContextFor builds the run context for one grid cell exactly as SweepOpts
-// does: the cell's preset seeded, the grid's vantage-point
-// count, and the grid's fixed Values filtered down to the parameters
-// the cell's scenario declares. External harnesses (internal/suite)
-// execute their cells through it so a suite cell and a sweep cell with
-// the same coordinates are bit-identical runs.
+// ContextFor builds the cold run context for one grid cell: the cell's
+// preset seeded, the grid's vantage-point count, and the grid's fixed
+// Values filtered down to the parameters the cell's scenario declares.
+// WarmCache.Context adds the shared world to it.
 func (g Grid) ContextFor(c Cell) (*Context, error) {
 	p, err := gen.Preset(c.Scale)
 	if err != nil {
@@ -324,21 +338,10 @@ func (g Grid) ContextFor(c Cell) (*Context, error) {
 }
 
 func runCell(c *Cell, g Grid, warm *WarmCache) {
-	ctx, err := g.ContextFor(*c)
+	ctx, err := warm.Context(g, *c)
 	if err != nil {
 		c.Err = err.Error()
 		return
-	}
-	// Scenarios that manage their own worlds never fork the shared
-	// snapshot; provisioning one for them would build a world nobody
-	// uses.
-	if s, _ := Get(c.Scenario); s != nil && !s.ManagesWorlds {
-		snap, err := warm.Snapshot(*c, ctx.Gen)
-		if err != nil {
-			c.Err = err.Error()
-			return
-		}
-		ctx.Warm = snap
 	}
 	res, err := Run(c.Scenario, ctx)
 	if err != nil {

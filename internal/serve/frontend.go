@@ -18,7 +18,7 @@ import (
 
 // Frontend is the thin scatter-gather tier of the sharded daemon: it
 // owns no engine, only the shard URL list and the same RangeMap the
-// shards run, and merges their version-keyed snapshots.
+// shards run, and merges their snapshots.
 //
 //   - /alerts        scatter to every shard, merge by global sequence.
 //     Because shards assign identical global sequence numbers and own
@@ -32,12 +32,13 @@ import (
 //     observe several shards' prefixes).
 //   - /stats         scatter, serve per-shard snapshots plus sums.
 //
-// Revalidation rides ETags: every gather remembers each replica's ETag
-// and body, sends If-None-Match, and an unchanged replica answers 304
+// Revalidation rides ETags: every gather remembers each range's last
+// ETag and body, sends If-None-Match, and an unchanged shard answers 304
 // with no payload — so a quiet fleet serves cached merges at the cost
-// of N tiny round trips. Caches are per-replica because shard ETags are
-// engine version counters, which are not comparable across replicas of
-// the same range.
+// of N tiny round trips. Shard ETags are derived from the bytes they
+// validate, so one slot per range serves all of its replicas: a
+// byte-identical replica revalidates the cached body after a failover,
+// and a restarted or lagging one sends its own bytes.
 type Frontend struct {
 	sets   []*replicaSet
 	rm     *RangeMap
@@ -148,32 +149,24 @@ func (f *Frontend) Handler() http.Handler {
 	return instrument(f.reg, m)
 }
 
-// gatherCache remembers, per shard per replica, the last ETag+body a
-// path served, plus one merged render keyed by the joined
-// replica:ETag vector (ETags from different replicas of a range are
-// distinct version-counter spaces, so the replica index is part of the
-// key).
+// gatherCache remembers, per range, the last ETag+body a path served,
+// whichever replica served it, plus one merged render keyed by the
+// joined ETag vector.
 type gatherCache struct {
 	mu     sync.Mutex
-	etags  [][]string
-	bodies [][][]byte
+	etags  []string
+	bodies [][]byte
 
 	mergedKey  string
 	mergedBody []byte
 }
 
 func (c *gatherCache) init(sets []*replicaSet) {
-	c.etags = make([][]string, len(sets))
-	c.bodies = make([][][]byte, len(sets))
-	for i, s := range sets {
-		c.etags[i] = make([]string, len(s.urls))
-		c.bodies[i] = make([][]byte, len(s.urls))
-	}
+	c.etags = make([]string, len(sets))
+	c.bodies = make([][]byte, len(sets))
 }
 
-// shardResult is one fetch's outcome. fetch fills etag with the raw
-// upstream ETag; fetchSet rewrites it to "replica:ETag" before the
-// gather joins it into the merged-render key.
+// shardResult is one fetch's outcome: the body and its upstream ETag.
 type shardResult struct {
 	body []byte
 	etag string
@@ -182,7 +175,7 @@ type shardResult struct {
 
 // gather fetches path from every range concurrently — failing over
 // inside each replica set — and returns the bodies plus the
-// version-vector key. A range whose every replica fails fails the
+// ETag-vector key. A range whose every replica fails fails the
 // whole gather: a partial merge would silently drop a slice of the
 // prefix space.
 func (f *Frontend) gather(path string, c *gatherCache) ([][]byte, string, error) {
@@ -234,22 +227,21 @@ func (f *Frontend) walk(set *replicaSet, attempt func(ri int) error) error {
 }
 
 // fetchSet fetches path for one range from the first replica that
-// answers, revalidating against what that replica last served.
+// answers, revalidating against what the range last served.
 func (f *Frontend) fetchSet(si int, path string, c *gatherCache) shardResult {
 	set := f.sets[si]
 	var out shardResult
 	err := f.walk(set, func(ri int) error {
 		c.mu.Lock()
-		etag, cached := c.etags[si][ri], c.bodies[si][ri]
+		etag, cached := c.etags[si], c.bodies[si]
 		c.mu.Unlock()
-		res := f.fetch(set.urls[ri]+path, etag, cached)
-		if res.err != nil {
-			return res.err
+		out = f.fetch(set.urls[ri]+path, etag, cached)
+		if out.err != nil {
+			return out.err
 		}
 		c.mu.Lock()
-		c.etags[si][ri], c.bodies[si][ri] = res.etag, res.body
+		c.etags[si], c.bodies[si] = out.etag, out.body
 		c.mu.Unlock()
-		out = shardResult{body: res.body, etag: fmt.Sprintf("%d:%s", ri, res.etag)}
 		return nil
 	})
 	if err != nil {
@@ -344,11 +336,9 @@ func (f *Frontend) handlePrefix(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return err
 		}
-		// Forward the client's revalidation. ETags are engine version
-		// counters, which the deterministic replay model makes consistent
-		// across replicas at the same feed position: equal version means
-		// equal bytes, and a lagging replica has a different version, so
-		// the 304 can never lie.
+		// Forward the client's revalidation. A shard's ETag is derived
+		// from the body it validates, so whichever replica answers, a
+		// 304 means the client already holds these exact bytes.
 		if inm := r.Header.Get("If-None-Match"); inm != "" {
 			req.Header.Set("If-None-Match", inm)
 		}
@@ -424,7 +414,7 @@ func (f *Frontend) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // mergedDict gathers /dict/export from every shard and returns the
-// merged dictionary, cached on the shard version vector.
+// merged dictionary, cached on the shard ETag vector.
 func (f *Frontend) mergedDict() ([]*semantics.Entry, uint64, error) {
 	bodies, key, err := f.gather("/dict/export", &f.dict)
 	if err != nil {

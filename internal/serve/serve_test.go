@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"bgpworms/internal/bgp"
 	"bgpworms/internal/core"
 	"bgpworms/internal/durable"
 	"bgpworms/internal/feed"
@@ -184,9 +185,9 @@ func TestServerDurableEndpoint(t *testing.T) {
 }
 
 // TestServerETagRevalidation pins the shard-side revalidation contract:
-// versioned endpoints serve an ETag, honor If-None-Match with an empty
-// 304, and the ETag rides headers only — bodies stay byte-identical
-// across revalidating and plain requests.
+// cached endpoints serve the ETag of their bytes, honor If-None-Match
+// with an empty 304, and the ETag rides headers only — bodies stay
+// byte-identical across revalidating and plain requests.
 func TestServerETagRevalidation(t *testing.T) {
 	events := churnEvents(t)
 	p := startProc(t, events, 0, 1)
@@ -197,17 +198,80 @@ func TestServerETagRevalidation(t *testing.T) {
 			t.Fatalf("GET %s: %d", path, code)
 		}
 		etag := hdr.Get("ETag")
-		if !strings.HasPrefix(etag, `"v`) {
-			t.Fatalf("%s: no version ETag, got %q", path, etag)
+		// The tag covers the rendered JSON; writeJSON adds the newline.
+		if etag != contentETag(bytes.TrimSuffix(body, []byte("\n"))) {
+			t.Fatalf("%s: ETag %q is not the ETag of its %d-byte body", path, etag, len(body))
 		}
 		code2, _, body2 := get(t, h, path, map[string]string{"If-None-Match": etag})
 		if code2 != http.StatusNotModified || len(body2) != 0 {
 			t.Fatalf("%s: revalidation got %d with %d body bytes", path, code2, len(body2))
 		}
-		code3, _, body3 := get(t, h, path, map[string]string{"If-None-Match": `"v999999"`})
+		code3, _, body3 := get(t, h, path, map[string]string{"If-None-Match": `"00000000-0"`})
 		if code3 != http.StatusOK || !bytes.Equal(body3, body) {
 			t.Fatalf("%s: stale-ETag refetch diverged (code %d)", path, code3)
 		}
+	}
+}
+
+// TestServerETagNamesItsView: a filtered /alerts view is other bytes
+// than the full view, so it must not answer 304 to the full view's
+// ETag — a version-derived tag did, and the client kept the full list.
+func TestServerETagNamesItsView(t *testing.T) {
+	h := startProc(t, churnEvents(t), 0, 1).srv.Handler()
+	_, hdr, _ := get(t, h, "/alerts", nil)
+	const view = "/alerts?detector=route-leak"
+	code, _, body := get(t, h, view, map[string]string{"If-None-Match": hdr.Get("ETag")})
+	if code != http.StatusOK {
+		t.Fatalf("%s answered %d to the full view's ETag", view, code)
+	}
+	if want := mustGet(t, h, view); !bytes.Equal(body, want) {
+		t.Fatalf("%s revalidated against the full view served other bytes", view)
+	}
+}
+
+// TestFrontendSeesShardRestart: a shard that restarts and reaches the
+// same engine version with other state must not be revalidated as
+// unchanged. Version-derived ETags collided here, and the frontend kept
+// serving the previous life's /alerts.
+func TestFrontendSeesShardRestart(t *testing.T) {
+	victim := netip.MustParsePrefix("203.0.113.0/24")
+	plain := feed.Event{PeerAS: 100, Prefix: victim, ASPath: []uint32{100, 200}}
+	tagged := plain
+	tagged.Communities = bgp.NewCommunitySet(bgp.C(200, 666))
+	life := func(events ...feed.Event) (*watch.Engine, http.Handler) {
+		eng := watch.NewEngine(watch.Config{Shards: 1})
+		t.Cleanup(eng.Close)
+		for _, ev := range events {
+			eng.Ingest(ev)
+		}
+		eng.Flush()
+		return eng, New(Options{Watch: eng, Registry: obs.NewRegistry()}).Handler()
+	}
+	first, firstH := life(plain, tagged)  // a blackhole onset
+	second, secondH := life(plain, plain) // nothing to report
+	if first.Version() != second.Version() {
+		t.Fatalf("versions %d and %d: the two lives must meet at one version", first.Version(), second.Version())
+	}
+	var mu sync.Mutex
+	current := firstH
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		h := current
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	fe := NewFrontend([]string{ts.URL}, obs.NewRegistry()).Handler()
+
+	if got, want := mustGet(t, fe, "/alerts"), mustGet(t, firstH, "/alerts"); !bytes.Equal(got, want) {
+		t.Fatal("frontend diverged from the shard's first life")
+	}
+	mu.Lock()
+	current = secondH
+	mu.Unlock()
+	got, want := mustGet(t, fe, "/alerts"), mustGet(t, secondH, "/alerts")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("after the restart the frontend serves:\n%s\nthe shard serves:\n%s", got, want)
 	}
 }
 
@@ -230,7 +294,12 @@ func startFleet(t *testing.T, events []feed.Event, n int) (http.Handler, []*proc
 // every detector (plus one that does not exist), byte-identical to ref.
 func sameAlerts(t *testing.T, ref, fe http.Handler) {
 	t.Helper()
-	for _, det := range append(watch.DetectorNames(), "no-such-detector") {
+	every, _ := watch.ResolveDetectors(nil, &semantics.Holder{})
+	names := []string{"no-such-detector"}
+	for _, d := range every {
+		names = append(names, d.Name())
+	}
+	for _, det := range names {
 		path := "/alerts?detector=" + det
 		if got, want := mustGet(t, fe, path), mustGet(t, ref, path); !bytes.Equal(got, want) {
 			t.Fatalf("sharded %s diverged:\nref %d bytes, frontend %d bytes", path, len(want), len(got))

@@ -5,17 +5,18 @@
 //   - Server wraps one engine pair (watch + semantics) with
 //     version-keyed JSON snapshot caches: a response body is rendered
 //     once per engine change and shared by every concurrent reader at
-//     that version. When a durable.Store is attached, /durable reports
-//     its watermarks.
+//     that version, under an ETag derived from its bytes. When a
+//     durable.Store is attached, /durable reports its watermarks.
 //   - Frontend (frontend.go) is the thin scatter-gather tier for the
 //     sharded daemon: prefix-range ownership (rangemap.go) maps feeds
-//     to N shard processes, and the frontend merges their version-keyed
-//     snapshots into single-process-identical responses.
+//     to N shard processes, and the frontend merges their snapshots into
+//     single-process-identical responses.
 package serve
 
 import (
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"net/http"
 	"net/http/pprof"
 	"net/netip"
@@ -154,34 +155,35 @@ func (s *Server) dictSnapshot() *semantics.Snapshot {
 
 // snapshotCache is a version-keyed rendered-JSON cache safe for
 // concurrent readers: the fast path is a shared read lock and a byte
-// slice copy-free write.
+// slice copy-free write. Each render's ETag is computed once, with it.
 type snapshotCache struct {
 	mu      sync.RWMutex
 	version uint64
 	valid   bool
 	body    []byte
+	etag    string
 }
 
-func (c *snapshotCache) get(version uint64, render func() ([]byte, error)) ([]byte, error) {
+func (c *snapshotCache) get(version uint64, render func() ([]byte, error)) (body []byte, etag string, err error) {
 	c.mu.RLock()
 	if c.valid && c.version == version {
-		body := c.body
+		body, etag = c.body, c.etag
 		c.mu.RUnlock()
-		return body, nil
+		return body, etag, nil
 	}
 	c.mu.RUnlock()
-	body, err := render()
-	if err != nil {
-		return nil, err
+	if body, err = render(); err != nil {
+		return nil, "", err
 	}
+	etag = contentETag(body)
 	c.mu.Lock()
 	// Last writer at the newest version wins; stale renders are simply
 	// not cached over a fresher one.
 	if !c.valid || version >= c.version {
-		c.version, c.valid, c.body = version, true, body
+		c.version, c.valid, c.body, c.etag = version, true, body, etag
 	}
 	c.mu.Unlock()
-	return body, nil
+	return body, etag, nil
 }
 
 func writeJSON(w http.ResponseWriter, body []byte) {
@@ -192,13 +194,23 @@ func writeJSON(w http.ResponseWriter, body []byte) {
 	}
 }
 
-// versionedJSON writes body with an ETag derived from version, honoring
-// If-None-Match — the frontend's cheap revalidation path: an unchanged
-// shard answers 304 with no body. The ETag rides a header rather than
-// the payload so the body stays byte-identical to a single-process
-// render.
-func versionedJSON(w http.ResponseWriter, r *http.Request, version uint64, body []byte) {
-	etag := `"v` + strconv.FormatUint(version, 10) + `"`
+// castagnoli is the CRC-32C table content ETags are computed with.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// contentETag derives an ETag from the bytes it validates: CRC-32C plus
+// length. Unlike a version counter it means the same thing in every
+// process and every view: two responses share an ETag only if their
+// bodies match, whichever replica, process life or ?detector filter
+// rendered them.
+func contentETag(body []byte) string {
+	return fmt.Sprintf(`"%08x-%x"`, crc32.Checksum(body, castagnoli), len(body))
+}
+
+// taggedJSON writes body with its ETag, honoring If-None-Match — the
+// frontend's cheap revalidation path: an unchanged shard answers 304
+// with no body. The ETag rides a header rather than the payload so the
+// body stays byte-identical to a single-process render.
+func taggedJSON(w http.ResponseWriter, r *http.Request, etag string, body []byte) {
 	w.Header().Set("ETag", etag)
 	if r.Header.Get("If-None-Match") == etag {
 		w.WriteHeader(http.StatusNotModified)
@@ -228,15 +240,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	version := s.opts.Watch.Version()
-	body, err := s.stats.get(version, func() ([]byte, error) {
+	body, etag, err := s.stats.get(s.opts.Watch.Version(), func() ([]byte, error) {
 		return json.MarshalIndent(s.opts.Watch.Stats(), "", "  ")
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	versionedJSON(w, r, version, body)
+	taggedJSON(w, r, etag, body)
 }
 
 // durablePayload is the /durable response shape.
@@ -276,7 +287,6 @@ type alertsPayload struct {
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	version := s.opts.Watch.Version()
 	if det := r.URL.Query().Get("detector"); det != "" {
 		// Filtered views are per-query; only the full view is cached.
 		var filtered []watch.Alert
@@ -290,10 +300,10 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		versionedJSON(w, r, version, body)
+		taggedJSON(w, r, contentETag(body), body)
 		return
 	}
-	body, err := s.alerts.get(version, func() ([]byte, error) {
+	body, etag, err := s.alerts.get(s.opts.Watch.Version(), func() ([]byte, error) {
 		alerts := s.opts.Watch.Alerts()
 		return json.MarshalIndent(alertsPayload{Count: len(alerts), Alerts: alerts}, "", "  ")
 	})
@@ -301,7 +311,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	versionedJSON(w, r, version, body)
+	taggedJSON(w, r, etag, body)
 }
 
 // dictIndexPayload is the /dict response shape.
@@ -324,7 +334,7 @@ func (s *Server) handleDictIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.dictSnapshot()
-	body, err := s.dictIndex.get(snap.Version, func() ([]byte, error) {
+	body, _, err := s.dictIndex.get(snap.Version, func() ([]byte, error) {
 		payload := dictIndexPayload{Observations: snap.Observations, Communities: snap.Len()}
 		for _, asn := range snap.ASNs() {
 			payload.ASes = append(payload.ASes, dictIndexItem{ASN: asn, Entries: len(snap.AS(asn))})
@@ -344,7 +354,7 @@ func (s *Server) handleDictStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.dictSnapshot()
-	body, err := s.dictStats.get(snap.Version, func() ([]byte, error) {
+	body, _, err := s.dictStats.get(snap.Version, func() ([]byte, error) {
 		return json.MarshalIndent(s.opts.Semantics.StatsOf(snap), "", "  ")
 	})
 	if err != nil {
@@ -373,7 +383,7 @@ func (s *Server) handleDictExport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.dictSnapshot()
-	body, err := s.dictExp.get(snap.Version, func() ([]byte, error) {
+	body, etag, err := s.dictExp.get(snap.Version, func() ([]byte, error) {
 		entries := snap.Entries()
 		return json.MarshalIndent(dictExportPayload{
 			Version:      snap.Version,
@@ -386,7 +396,7 @@ func (s *Server) handleDictExport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	versionedJSON(w, r, snap.Version, body)
+	taggedJSON(w, r, etag, body)
 }
 
 // dictASPayload is the /dict/{asn} response shape.
@@ -418,7 +428,7 @@ func (s *Server) handleDictAS(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	versionedJSON(w, r, snap.Version, body)
+	taggedJSON(w, r, contentETag(body), body)
 }
 
 func (s *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {
@@ -428,7 +438,6 @@ func (s *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad prefix %q: %v", raw, err), http.StatusBadRequest)
 		return
 	}
-	version := s.opts.Watch.Version()
 	info, ok := s.opts.Watch.PrefixInfo(p)
 	if !ok {
 		http.Error(w, fmt.Sprintf("prefix %s not tracked", p), http.StatusNotFound)
@@ -439,5 +448,5 @@ func (s *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	versionedJSON(w, r, version, body)
+	taggedJSON(w, r, contentETag(body), body)
 }

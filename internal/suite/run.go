@@ -26,7 +26,7 @@ type Options struct {
 	// Arm overrides the suite's declared detector configuration.
 	Arm *Arm
 	// Trace, when set, records one root span per cell with
-	// build/detectors/eval/dict children — the per-cell wall-time
+	// build/detectors/eval children — the per-cell wall-time
 	// breakdown suiterun writes into provenance.json. Purely
 	// observational: the report bytes are identical with or without it.
 	Trace *obs.Trace
@@ -186,47 +186,10 @@ func (tr *trainer) snapshot(scale string, seed int64) (*semantics.Snapshot, erro
 	return snap, nil
 }
 
-// detectorsFor resolves the arm into a concrete detector list for one
-// cell, training/fetching the cell's dictionary when the arm needs it.
-func detectorsFor(arm *Arm, tr *trainer, scale string, seed int64) ([]watch.Detector, error) {
-	var dict *semantics.Snapshot
-	if arm != nil && arm.Dict {
-		var err error
-		if dict, err = tr.snapshot(scale, seed); err != nil {
-			return nil, err
-		}
-	}
-	if arm == nil || len(arm.Detectors) == 0 {
-		dets := watch.Detectors()
-		if dict != nil {
-			dets = append(dets, watch.DictDetectors(dict)...)
-		}
-		return dets, nil
-	}
-	byName := map[string]watch.Detector{}
-	if dict != nil {
-		for _, d := range watch.DictDetectors(dict) {
-			byName[d.Name()] = d
-		}
-	}
-	var dets []watch.Detector
-	for _, name := range arm.Detectors {
-		if d, ok := byName[name]; ok {
-			dets = append(dets, d)
-			continue
-		}
-		d, ok := watch.LookupDetector(name)
-		if !ok {
-			return nil, fmt.Errorf("arm %s: unknown detector %q", arm.label(), name)
-		}
-		dets = append(dets, d)
-	}
-	return dets, nil
-}
-
-// Run executes every suite cell — the scenario replayed through the
-// watch engine with the arm's detectors, plus a dictionary-inference
-// pass where gated — then aggregates seed groups, applies every gate,
+// Run executes every suite cell — the scenario replayed once through
+// the watch engine with the arm's detectors, folding a dictionary on the
+// same replay where the entry gates inference — then aggregates seed
+// groups, applies every gate,
 // and folds the confusion matrix. Cells land at their grid index and
 // all folds run in grid order, so the report is bit-identical across
 // worker counts.
@@ -238,7 +201,8 @@ func Run(s *Suite, opt Options) (*Report, error) {
 	if arm == nil {
 		arm = s.Arm
 	}
-	if err := arm.validate(); err != nil {
+	dets, err := arm.resolve(nil)
+	if err != nil {
 		return nil, err
 	}
 	specs := s.cells()
@@ -248,9 +212,9 @@ func Run(s *Suite, opt Options) (*Report, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	tr := &trainer{}
-	// One frozen world per (scale, seed) group: every cell in
-	// the group forks it instead of rebuilding. The scenario layer's
-	// cache is shared so suite cells and sweep cells run the same code.
+	// One frozen world per (scale, seed) group: every cell in the group
+	// forks it instead of rebuilding. The scenario layer provisions the
+	// cells, so suite cells and sweep cells run the same code.
 	warm := scenario.NewWarmCache()
 	var done atomic.Int64
 	conc.Do(len(specs), workers, func(i int) {
@@ -265,7 +229,10 @@ func Run(s *Suite, opt Options) (*Report, error) {
 
 	rep := &Report{Suite: s.Name, Arm: arm.label(), Cells: cells, Ran: len(cells)}
 	rep.SnapshotBuilds, rep.SnapshotForks = warm.Stats()
-	rep.Detectors = detectorNames(arm)
+	for _, d := range dets {
+		rep.Detectors = append(rep.Detectors, d.Name())
+	}
+	sort.Strings(rep.Detectors)
 	rep.Matrix = map[string]map[string]int{}
 	for i := range cells {
 		c := &cells[i]
@@ -303,22 +270,6 @@ func Run(s *Suite, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-// detectorNames lists the arm's detector names (registry defaults
-// expanded), sorted — the report's record of what was evaluated.
-func detectorNames(arm *Arm) []string {
-	var names []string
-	if arm == nil || len(arm.Detectors) == 0 {
-		names = watch.DetectorNames()
-		if arm != nil && arm.Dict {
-			names = append(names, watch.DictSquatName, watch.UnknownActionName)
-		}
-	} else {
-		names = append(names, arm.Detectors...)
-	}
-	sort.Strings(names)
-	return names
-}
-
 func (s *Suite) runCell(spec cellSpec, arm *Arm, tr *trainer, warm *scenario.WarmCache, sp *obs.Span) CellResult {
 	e := &s.Entries[spec.entry]
 	out := CellResult{
@@ -333,34 +284,25 @@ func (s *Suite) runCell(spec cellSpec, arm *Arm, tr *trainer, warm *scenario.War
 		Scenario: spec.scenario, Scale: spec.scale, Seed: spec.seed,
 		EngineWorkers: 1, CommunitySet: spec.communitySet,
 	}
-	ctx, err := grid.ContextFor(cell)
+	buildSp := sp.Child("build")
+	ctx, err := warm.Context(grid, cell)
+	if ctx != nil && ctx.Warm != nil {
+		buildSp.SetAttr("warm", "true")
+	}
+	buildSp.End()
 	if err != nil {
 		out.Err = err.Error()
 		return out
 	}
-	// Scenarios that manage their own worlds never fork the shared
-	// snapshot, so provisioning one for them would be a wasted build.
-	warmFork := func(params gen.Params) (*gen.Snapshot, error) {
-		if warm == nil {
-			return nil, nil
-		}
-		if sc, _ := scenario.Get(spec.scenario); sc == nil || sc.ManagesWorlds {
-			return nil, nil
-		}
-		return warm.Snapshot(cell, params)
-	}
-	buildSp := sp.Child("build")
-	if snap, err := warmFork(ctx.Gen); err != nil {
-		buildSp.End()
-		out.Err = err.Error()
-		return out
-	} else if snap != nil {
-		buildSp.SetAttr("warm", "true")
-		ctx.Warm = snap
-	}
-	buildSp.End()
 	detSp := sp.Child("detectors")
-	dets, err := detectorsFor(arm, tr, spec.scale, spec.seed)
+	var dict semantics.Provider
+	if arm != nil && arm.Dict {
+		dict, err = tr.snapshot(spec.scale, spec.seed)
+	}
+	var dets []watch.Detector
+	if err == nil {
+		dets, err = arm.resolve(dict)
+	}
 	detSp.End()
 	if err != nil {
 		out.Err = err.Error()
@@ -370,8 +312,13 @@ func (s *Suite) runCell(spec cellSpec, arm *Arm, tr *trainer, warm *scenario.War
 	if shards == 0 {
 		shards = 2
 	}
+	cfg := watch.Config{Shards: shards, Detectors: dets}
+	if e.Dict != nil {
+		cfg.Semantics = semantics.NewEngine(semantics.Config{})
+		defer cfg.Semantics.Close()
+	}
 	evalSp := sp.Child("eval")
-	rep, err := watch.EvalScenario(spec.scenario, ctx, watch.Config{Shards: shards, Detectors: dets})
+	rep, err := watch.EvalScenario(spec.scenario, ctx, cfg)
 	evalSp.End()
 	if err != nil {
 		out.Err = err.Error()
@@ -388,27 +335,8 @@ func (s *Suite) runCell(spec cellSpec, arm *Arm, tr *trainer, warm *scenario.War
 		out.Expected = sc.ExpectedFor(rep.Result.Hijack)
 	}
 	out.AsExpected = out.Success == out.Expected
-
-	if e.Dict != nil {
-		dictSp := sp.Child("dict")
-		defer dictSp.End()
-		dctx, err := grid.ContextFor(cell)
-		if err != nil {
-			out.Err = err.Error()
-			return out
-		}
-		if snap, err := warmFork(dctx.Gen); err != nil {
-			out.Err = err.Error()
-			return out
-		} else if snap != nil {
-			dctx.Warm = snap
-		}
-		drep, _, err := watch.EvalDictionaryScenario(spec.scenario, dctx)
-		if err != nil {
-			out.Err = fmt.Sprintf("dictionary eval: %s", err)
-			return out
-		}
-		dm := drep.Score.Summary()
+	if rep.Dict != nil {
+		dm := rep.Dict.Score.Summary()
 		out.Dict = &dm
 	}
 

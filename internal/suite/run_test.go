@@ -33,30 +33,43 @@ func marshalReport(t *testing.T, rep *Report) []byte {
 }
 
 // TestGoldenReport pins the exact bytes of suite_report.json for the
-// tiny suite. Run `go test ./internal/suite -run Golden -update` after
-// an intentional format or metric change.
+// tiny suites: the default arm, and the dictionary arm whose gated cells
+// score inference from the same replay the detectors see. Run
+// `go test ./internal/suite -run Golden -update` after an intentional
+// format or metric change.
 func TestGoldenReport(t *testing.T) {
-	rep, err := Run(tinySuite(t), Options{Workers: 2})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	got := marshalReport(t, rep)
-	golden := filepath.Join("testdata", "golden", "suite_report.json")
-	if *update {
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatalf("update golden: %v", err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("read golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("suite_report.json drifted from golden file %s\n"+
-			"re-run with -update if the change is intentional\ngot:\n%s", golden, got)
-	}
-	if !rep.Pass {
-		t.Fatalf("tiny suite must pass its own gates: %v", rep.Failures)
+	for _, c := range []struct{ suite, report string }{
+		{"tiny_suite.json", "suite_report.json"},
+		{"tiny_dict_suite.json", "dict_suite_report.json"},
+	} {
+		t.Run(c.suite, func(t *testing.T) {
+			s, err := Load(filepath.Join("testdata", "golden", c.suite))
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			rep, err := Run(s, Options{Workers: 2})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			got := marshalReport(t, rep)
+			golden := filepath.Join("testdata", "golden", c.report)
+			if *update {
+				if err := os.WriteFile(golden, got, 0o644); err != nil {
+					t.Fatalf("update golden: %v", err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("read golden (run with -update to create): %v", err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s drifted from golden file %s\n"+
+					"re-run with -update if the change is intentional\ngot:\n%s", c.report, golden, got)
+			}
+			if !rep.Pass {
+				t.Fatalf("%s must pass its own gates: %v", c.suite, rep.Failures)
+			}
+		})
 	}
 }
 

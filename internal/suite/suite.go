@@ -23,6 +23,7 @@ import (
 
 	"bgpworms/internal/gen"
 	"bgpworms/internal/scenario"
+	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
 )
 
@@ -41,13 +42,12 @@ const DefaultMaxVariance = 0.0025
 // Arm names one detector configuration under evaluation: which
 // detectors run, and whether a community dictionary is trained (per
 // scale and seed, on a clean churn baseline) to back the
-// dictionary-aware pair. The zero Arm is the default: every registered
-// detector, no dictionary.
+// dictionary-aware pair. The zero Arm is the default: the stateless
+// detectors, no dictionary.
 type Arm struct {
 	Name string `json:"name,omitempty"`
-	// Detectors are watch detector registry names (plus the dict pair's
-	// names when Dict is set); empty means every registered detector
-	// (plus the dict pair when Dict is set).
+	// Detectors are watch.ResolveDetectors names (the dict pair's only
+	// when Dict is set); empty means its default set.
 	Detectors []string `json:"detectors,omitempty"`
 	// Dict trains a per-(scale,seed) community dictionary on a clean
 	// world plus a month of churn and binds the dictionary-aware
@@ -69,26 +69,29 @@ func (a *Arm) label() string {
 	return "custom"
 }
 
-// validate rejects unknown detector names and dict-pair names without a
-// dictionary to back them.
-func (a *Arm) validate() error {
-	if a == nil {
-		return nil
-	}
-	for _, name := range a.Detectors {
-		if name == watch.DictSquatName || name == watch.UnknownActionName {
-			if !a.Dict {
-				return fmt.Errorf("arm %s: detector %q needs \"dict\": true", a.label(), name)
-			}
-			continue
-		}
-		if _, ok := watch.LookupDetector(name); !ok {
-			return fmt.Errorf("arm %s: unknown detector %q (registered: %v)",
-				a.label(), name, watch.DetectorNames())
+// resolve names the arm's detectors through watch.ResolveDetectors,
+// bound to dict: unknown names and dict-pair names without a dictionary
+// arm are errors. A nil dict under a dictionary arm stands in for the
+// dictionary each cell trains, so the list can be checked and named
+// before any training runs.
+func (a *Arm) resolve(dict semantics.Provider) ([]watch.Detector, error) {
+	var names []string
+	if a != nil {
+		names = a.Detectors
+		if a.Dict && dict == nil {
+			dict = untrained
 		}
 	}
-	return nil
+	dets, err := watch.ResolveDetectors(names, dict)
+	if err != nil {
+		return nil, fmt.Errorf("arm %s: %w", a.label(), err)
+	}
+	return dets, nil
 }
+
+// untrained is the empty dictionary validation binds detectors to: only
+// their names are read.
+var untrained = &semantics.Holder{}
 
 // DetectorGate is one per-detector assertion inside a suite entry.
 type DetectorGate struct {
@@ -100,9 +103,8 @@ type DetectorGate struct {
 }
 
 // DictGate asserts dictionary-inference quality for an entry: the
-// scenario is additionally replayed through the semantics engine and
-// the inferred dictionary is scored against the generator's ground
-// truth (watch.EvalDictionaryScenario).
+// evaluated replay also folds a dictionary, which is scored against the
+// generator's ground truth (watch.EvalScenario with Config.Semantics).
 type DictGate struct {
 	MinPrecision     *float64 `json:"min_precision,omitempty"`
 	MinRecall        *float64 `json:"min_recall,omitempty"`
@@ -119,18 +121,6 @@ func (g *DictGate) validate() error {
 		}
 	}
 	return nil
-}
-
-// SnapshotGroup declares one warm-world reuse group: a scale whose
-// member entries all run on exactly that coordinate, so every member
-// cell with the same seed forks one frozen snapshot
-// instead of rebuilding the world. The runner derives reuse from cell
-// coordinates on its own; a named group is the suite author's pinned
-// claim about which entries share worlds, and a member whose grid
-// strays from the group's coordinates is a validation error — snapshot
-// reuse across mismatched worlds would be a silent equivalence break.
-type SnapshotGroup struct {
-	Scale string `json:"scale"`
 }
 
 // Defaults fill entry dimensions left empty, so a suite states its
@@ -170,9 +160,6 @@ type Entry struct {
 	// Dict, when set, additionally scores dictionary inference over the
 	// cell and gates its quality.
 	Dict *DictGate `json:"dict,omitempty"`
-	// SnapshotGroup names a suite-level SnapshotGroup this entry belongs
-	// to; validation pins the entry's scale to the group's.
-	SnapshotGroup string `json:"snapshot_group,omitempty"`
 }
 
 // Suite is the checked-in declarative format.
@@ -183,10 +170,7 @@ type Suite struct {
 	// caller does not override one.
 	Arm      *Arm     `json:"arm,omitempty"`
 	Defaults Defaults `json:"defaults,omitempty"`
-	// SnapshotGroups are the declared warm-world reuse groups entries
-	// may opt into via Entry.SnapshotGroup.
-	SnapshotGroups map[string]SnapshotGroup `json:"snapshot_groups,omitempty"`
-	Entries        []Entry                  `json:"entries"`
+	Entries  []Entry  `json:"entries"`
 }
 
 // Parse decodes and validates a suite. Unknown fields, unregistered
@@ -209,8 +193,8 @@ func Parse(data []byte) (*Suite, error) {
 	return &s, nil
 }
 
-// Validate checks the suite against the scenario and detector
-// registries and the simulation preset catalog.
+// Validate checks the suite against the scenario registry, the detector
+// catalog and the simulation preset catalog.
 func (s *Suite) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("suite: missing name")
@@ -218,7 +202,7 @@ func (s *Suite) Validate() error {
 	if len(s.Entries) == 0 {
 		return fmt.Errorf("suite %s: no entries", s.Name)
 	}
-	if err := s.Arm.validate(); err != nil {
+	if _, err := s.Arm.resolve(nil); err != nil {
 		return fmt.Errorf("suite %s: %w", s.Name, err)
 	}
 	if s.Defaults.MaxVariance != nil && *s.Defaults.MaxVariance < 0 {
@@ -227,11 +211,6 @@ func (s *Suite) Validate() error {
 	for _, scale := range s.Defaults.Scales {
 		if _, err := gen.Preset(scale); err != nil {
 			return fmt.Errorf("suite %s: defaults: %w", s.Name, err)
-		}
-	}
-	for name, g := range s.SnapshotGroups {
-		if _, err := gen.Preset(g.Scale); err != nil {
-			return fmt.Errorf("suite %s: snapshot group %s: %w", s.Name, name, err)
 		}
 	}
 	for i := range s.Entries {
@@ -272,13 +251,12 @@ func (s *Suite) validateEntry(e *Entry) error {
 	if err := e.Thresholds.Validate(); err != nil {
 		return err
 	}
+	// A gate may name any detector, the dictionary pair included: the
+	// arm it runs under can be overridden at run time.
+	if _, err := watch.ResolveDetectors(sortedKeys(e.Detectors), untrained); err != nil {
+		return err
+	}
 	for name, g := range e.Detectors {
-		known := name == watch.DictSquatName || name == watch.UnknownActionName
-		if !known {
-			if _, ok := watch.LookupDetector(name); !ok {
-				return fmt.Errorf("unknown detector %q (registered: %v)", name, watch.DetectorNames())
-			}
-		}
 		if g.MaxFired != nil && *g.MaxFired < 0 {
 			return fmt.Errorf("detector %s: max_fired %d negative", name, *g.MaxFired)
 		}
@@ -289,18 +267,6 @@ func (s *Suite) validateEntry(e *Entry) error {
 	if e.Dict != nil {
 		if err := e.Dict.validate(); err != nil {
 			return err
-		}
-	}
-	if e.SnapshotGroup != "" {
-		g, ok := s.SnapshotGroups[e.SnapshotGroup]
-		if !ok {
-			return fmt.Errorf("unknown snapshot group %q", e.SnapshotGroup)
-		}
-		scales := pick(e.Scales, s.Defaults.Scales, []string{scenario.DefaultScale})
-		if len(scales) != 1 || scales[0] != g.Scale {
-			return fmt.Errorf("snapshot group %q pins scale %q but the entry runs on %v; "+
-				"snapshot reuse across mismatched worlds is not a cache miss, it is a different experiment",
-				e.SnapshotGroup, g.Scale, scales)
 		}
 	}
 	return nil

@@ -51,6 +51,10 @@ func TestParseRejects(t *testing.T) {
 		// No cell ever read a vantage-point count from the suite: every
 		// cell runs on scenario.DefaultVPs, and a file that asks for
 		// another number is told so.
+		// Warm-world reuse follows cell coordinates; the groups that only
+		// restated them are gone, and so are their keys.
+		{"snapshot groups", `{"name": "t", "snapshot_groups": {"w": {"scale": "tiny"}}, "entries": [{"scenario": "rtbh", "seeds": [1,2,3]}]}`, "unknown field"},
+		{"snapshot group", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "snapshot_group": "w"}]}`, "unknown field"},
 		{"default vps", `{"name": "t", "defaults": {"vps": 40, "seeds": [1,2,3]}, "entries": [{"scenario": "rtbh"}]}`, "unknown field"},
 		{"precision above one", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "min_precision": 1.5}]}`, "min_precision"},
 		{"negative variance", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "max_variance": -0.1}]}`, "max_variance"},
@@ -59,7 +63,7 @@ func TestParseRejects(t *testing.T) {
 		{"contradictory gate", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "detectors": {"blackhole-onset": {"must_fire": true, "max_fired": 0}}}]}`, "never pass"},
 		{"dict gate range", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "dict": {"min_precision": 2}}]}`, "outside [0,1]"},
 		{"unknown param", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "params": {"warp_factor": "9"}}]}`, "warp_factor"},
-		{"dict pair without dict", `{"name": "t", "arm": {"detectors": ["dict-squat"]}, "entries": [{"scenario": "rtbh", "seeds": [1,2,3]}]}`, `"dict": true`},
+		{"dict pair without dict", `{"name": "t", "arm": {"detectors": ["dict-squat"]}, "entries": [{"scenario": "rtbh", "seeds": [1,2,3]}]}`, "needs a dictionary"},
 		{"unknown arm detector", `{"name": "t", "arm": {"detectors": ["nope"]}, "entries": [{"scenario": "rtbh", "seeds": [1,2,3]}]}`, "unknown detector"},
 		{"trailing data", validSuiteJSON() + `{"again": true}`, "trailing data"},
 		{"not json", `release gates ahoy`, "suite:"},

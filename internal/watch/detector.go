@@ -3,11 +3,10 @@ package watch
 import (
 	"fmt"
 	"slices"
-	"sort"
-	"sync"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/feed"
+	"bgpworms/internal/semantics"
 )
 
 // Detector is one streaming anomaly rule. Observe is called once per
@@ -17,70 +16,64 @@ import (
 // every shard), and must be deterministic: the same (state, event) pair
 // always emits the same alerts.
 type Detector interface {
-	// Name is the registry key (kebab-case).
+	// Name is the catalog key (kebab-case).
 	Name() string
 	// Observe inspects one event against its prefix window.
 	Observe(st *PrefixState, ev *feed.Event, emit func(Alert))
 }
 
-var (
-	detMu  sync.RWMutex
-	detReg = map[string]Detector{}
-)
-
-// RegisterDetector adds d to the global registry. It panics on empty
-// names and duplicates — registration happens from package init, where
-// a bad catalog should be fatal (the scenario registry's contract).
-func RegisterDetector(d Detector) {
-	if d == nil || d.Name() == "" {
-		panic("watch: RegisterDetector requires a named detector")
-	}
-	detMu.Lock()
-	defer detMu.Unlock()
-	if _, dup := detReg[d.Name()]; dup {
-		panic(fmt.Sprintf("watch: duplicate detector %q", d.Name()))
-	}
-	detReg[d.Name()] = d
+// catalog is every detector the engine can run, in the default order:
+// the four stateless rules by name, then the two that read a
+// dictionary. bind returns the detector, bound to dict for the pair
+// that needs one (the stateless rules ignore it).
+var catalog = []struct {
+	name      string
+	needsDict bool
+	bind      func(semantics.Provider) Detector
+}{
+	{"blackhole-onset", false, func(semantics.Provider) Detector { return blackholeOnset{} }},
+	{"community-squat", false, func(semantics.Provider) Detector { return communitySquat{} }},
+	{"prop-distance", false, func(semantics.Provider) Detector { return propDistance{threshold: 3} }},
+	{"route-leak", false, func(semantics.Provider) Detector { return routeLeak{} }},
+	{DictSquatName, true, func(d semantics.Provider) Detector { return dictSquat{dict: d} }},
+	{UnknownActionName, true, func(d semantics.Provider) Detector { return unknownAction{dict: d} }},
 }
 
-// LookupDetector returns the registered detector by name.
-func LookupDetector(name string) (Detector, bool) {
-	detMu.RLock()
-	defer detMu.RUnlock()
-	d, ok := detReg[name]
-	return d, ok
-}
-
-// DetectorNames returns every registered detector name, sorted.
-func DetectorNames() []string {
-	detMu.RLock()
-	defer detMu.RUnlock()
-	out := make([]string, 0, len(detReg))
-	for name := range detReg {
-		out = append(out, name)
+// ResolveDetectors is the one way a detector list is named: the engine's
+// default, the suite's arms and entry gates, and wormwatchd -detectors
+// all call it. No names means the default set — every stateless rule,
+// plus the dictionary pair when dict is non-nil. Named detectors come
+// back in the order given; a name outside the catalog, or a dictionary
+// detector without a dict to bind it to, is an error.
+func ResolveDetectors(names []string, dict semantics.Provider) ([]Detector, error) {
+	if len(names) == 0 {
+		var out []Detector
+		for _, c := range catalog {
+			if !c.needsDict || dict != nil {
+				out = append(out, c.bind(dict))
+			}
+		}
+		return out, nil
 	}
-	sort.Strings(out)
-	return out
-}
-
-// Detectors returns every registered detector, sorted by name — the
-// engine's default detector set.
-func Detectors() []Detector {
-	names := DetectorNames()
-	detMu.RLock()
-	defer detMu.RUnlock()
 	out := make([]Detector, 0, len(names))
 	for _, name := range names {
-		out = append(out, detReg[name])
+		i := 0
+		for i < len(catalog) && catalog[i].name != name {
+			i++
+		}
+		switch {
+		case i == len(catalog):
+			known := make([]string, len(catalog))
+			for j, c := range catalog {
+				known[j] = c.name
+			}
+			return nil, fmt.Errorf("unknown detector %q (have %v)", name, known)
+		case catalog[i].needsDict && dict == nil:
+			return nil, fmt.Errorf("detector %q needs a dictionary, and none is configured", name)
+		}
+		out = append(out, catalog[i].bind(dict))
 	}
-	return out
-}
-
-func init() {
-	RegisterDetector(blackholeOnset{})
-	RegisterDetector(communitySquat{})
-	RegisterDetector(propDistance{threshold: 3})
-	RegisterDetector(routeLeak{})
+	return out, nil
 }
 
 // blackholeOnset fires when a blackhole-valued community (RFC 7999 or a

@@ -8,6 +8,7 @@ import (
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/feed"
 	"bgpworms/internal/netx"
+	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
 )
 
@@ -144,19 +145,40 @@ func TestRouteLeakFirstSightingSilent(t *testing.T) {
 	}
 }
 
-func TestDetectorRegistry(t *testing.T) {
-	names := watch.DetectorNames()
-	want := []string{"blackhole-onset", "community-squat", "prop-distance", "route-leak"}
-	for _, w := range want {
-		d, ok := watch.LookupDetector(w)
-		if !ok {
-			t.Fatalf("builtin detector %q missing (have %v)", w, names)
+// TestResolveDetectors pins the catalog: the default set in its fixed
+// order (the dictionary pair only with a dictionary), named detectors in
+// the order given, and the two refusals.
+func TestResolveDetectors(t *testing.T) {
+	names := func(dets []watch.Detector, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d.Name() != w {
-			t.Fatalf("detector %q registered as %q", d.Name(), w)
+		var out []string
+		for _, d := range dets {
+			out = append(out, d.Name())
+		}
+		return strings.Join(out, ",")
+	}
+	dict := &semantics.Holder{}
+	for _, c := range []struct {
+		names []string
+		dict  semantics.Provider
+		want  string
+	}{
+		{nil, nil, "blackhole-onset,community-squat,prop-distance,route-leak"},
+		{nil, dict, "blackhole-onset,community-squat,prop-distance,route-leak,dict-squat,unknown-action-community"},
+		{[]string{"route-leak", "blackhole-onset"}, nil, "route-leak,blackhole-onset"},
+		{[]string{"dict-squat", "route-leak"}, dict, "dict-squat,route-leak"},
+	} {
+		if got := names(watch.ResolveDetectors(c.names, c.dict)); got != c.want {
+			t.Errorf("ResolveDetectors(%v, dict=%v) = %s, want %s", c.names, c.dict != nil, got, c.want)
 		}
 	}
-	if len(watch.Detectors()) != len(names) {
-		t.Fatal("Detectors() and DetectorNames() disagree")
+	if _, err := watch.ResolveDetectors([]string{"nope"}, dict); err == nil || !strings.Contains(err.Error(), `unknown detector "nope"`) {
+		t.Errorf("unknown name: err = %v", err)
+	}
+	if _, err := watch.ResolveDetectors([]string{watch.DictSquatName}, nil); err == nil || !strings.Contains(err.Error(), "needs a dictionary") {
+		t.Errorf("dictionary detector without a dictionary: err = %v", err)
 	}
 }

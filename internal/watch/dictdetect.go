@@ -14,10 +14,9 @@ import (
 // (internal/semantics) — CommunityWatch's move from "looks odd" to
 // "departs from this AS's observed vocabulary".
 //
-// Both detectors bind to a semantics.Provider at construction and are
-// NOT in the global registry: a registry detector must be stateless,
-// and these carry their dictionary. The engine appends them to the
-// default set when Config.Dict is set.
+// Both detectors bind to a semantics.Provider when ResolveDetectors
+// builds them, and only when it is given one: the engine's default set
+// carries them exactly when Config.Dict is set.
 //
 // Determinism: with a frozen *semantics.Snapshot the alert set is
 // bit-identical across shard counts, exactly like the builtin
@@ -25,23 +24,19 @@ import (
 // refreshes while ingesting) alerts depend on refresh timing — fine
 // for a daemon, wrong for an eval; harnesses freeze.
 
-// DictSquatName and UnknownActionName are the detector registry keys.
+// DictSquatName and UnknownActionName are the pair's catalog keys.
 const (
 	DictSquatName     = "dict-squat"
 	UnknownActionName = "unknown-action-community"
 )
 
-// NewDictSquat returns the dictionary-aware squat detector: it fires
-// only when a community's defining AS is off-path AND the value is
-// outside that AS's inferred dictionary. Recurring legitimate off-path
-// uses (community bundling, private tags, action requests traveling
-// toward their definer) are in the dictionary and stay silent, which is
-// what cuts the PR-3 community-squat detector's false positives
+// dictSquat is the dictionary-aware squat detector: it fires only when
+// a community's defining AS is off-path AND the value is outside that
+// AS's inferred dictionary. Recurring legitimate off-path uses
+// (community bundling, private tags, action requests traveling toward
+// their definer) are in the dictionary and stay silent, which is what
+// cuts the community-squat detector's false positives
 // (TestDictSquatReducesFalsePositives).
-func NewDictSquat(dict semantics.Provider) Detector {
-	return dictSquat{dict: dict}
-}
-
 type dictSquat struct{ dict semantics.Provider }
 
 func (dictSquat) Name() string { return DictSquatName }
@@ -65,16 +60,12 @@ func (d dictSquat) Observe(st *PrefixState, ev *feed.Event, emit func(Alert)) {
 	}
 }
 
-// NewUnknownActionCommunity returns the detector for action-patterned
-// communities with no inferred service behind them: a blackhole-valued
-// community (:666 / :999 / RFC 7999) whose defining AS's dictionary
-// does not classify it as a blackhole action. Real triggers are in the
-// dictionary as action-blackhole and stay silent; squatted decoys — the
-// §7.6 "likely" population — fire.
-func NewUnknownActionCommunity(dict semantics.Provider) Detector {
-	return unknownAction{dict: dict}
-}
-
+// unknownAction is the detector for action-patterned communities with
+// no inferred service behind them: a blackhole-valued community (:666 /
+// :999 / RFC 7999) whose defining AS's dictionary does not classify it
+// as a blackhole action. Real triggers are in the dictionary as
+// action-blackhole and stay silent; squatted decoys — the §7.6 "likely"
+// population — fire.
 type unknownAction struct{ dict semantics.Provider }
 
 func (unknownAction) Name() string { return UnknownActionName }
@@ -99,13 +90,4 @@ func (d unknownAction) Observe(st *PrefixState, ev *feed.Event, emit func(Alert)
 				c, c.ASN(), ev.Origin()),
 		})
 	}
-}
-
-// DictDetectors builds the dictionary-aware set bound to dict, in name
-// order (the registry's ordering discipline). Harnesses that assemble
-// detector arms by name (internal/suite) use it to add the pair to an
-// explicit Config.Detectors list; Config.Dict adds it implicitly when
-// no list is given.
-func DictDetectors(dict semantics.Provider) []Detector {
-	return []Detector{NewDictSquat(dict), NewUnknownActionCommunity(dict)}
 }

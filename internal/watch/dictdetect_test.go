@@ -3,8 +3,10 @@ package watch_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/netip"
 	"testing"
+	"time"
 
 	"bgpworms/internal/attack"
 	"bgpworms/internal/bgp"
@@ -159,27 +161,39 @@ func TestSemanticsMirroring(t *testing.T) {
 	}
 }
 
+// evalDict runs EvalScenario with dictionary inference folded on the
+// replay, as the suite's dictionary-gated cells do.
+func evalDict(t *testing.T, name string, ctx *scenario.Context) *watch.EvalReport {
+	t.Helper()
+	sem := semantics.NewEngine(semantics.Config{})
+	defer sem.Close()
+	rep, err := watch.EvalScenario(name, ctx, watch.Config{Shards: 2, Semantics: sem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Dict == nil {
+		t.Fatalf("%s: EvalScenario with Semantics reported no dictionary score", name)
+	}
+	return rep
+}
+
 // TestEvalDictionaryScenario scores dictionary inference against the
 // generator's exported ground truth over two scenarios — the
-// infer-what-you-generate acceptance gate — and pins the harness's
-// worker-count invariance.
+// infer-what-you-generate acceptance gate.
 func TestEvalDictionaryScenario(t *testing.T) {
 	for _, name := range []string{"rtbh", "blackhole-squatting"} {
 		t.Run(name, func(t *testing.T) {
-			rep, snap, err := watch.EvalDictionaryScenario(name, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if snap.Len() == 0 {
+			d := evalDict(t, name, nil).Dict
+			if d.Snapshot.Len() == 0 {
 				t.Fatal("empty inferred dictionary")
 			}
-			if p := rep.Score.Precision(); p < 0.9 {
-				t.Fatalf("precision=%.2f, want >= 0.9\n%s", p, watch.RenderDictEval(rep))
+			if p := d.Score.Precision(); p < 0.9 {
+				t.Fatalf("precision=%.2f, want >= 0.9\n%s", p, semantics.RenderScore(d.Score))
 			}
-			if r := rep.Score.Recall(); r < 0.5 {
-				t.Fatalf("recall=%.2f, want >= 0.5\n%s", r, watch.RenderDictEval(rep))
+			if r := d.Score.Recall(); r < 0.5 {
+				t.Fatalf("recall=%.2f, want >= 0.5\n%s", r, semantics.RenderScore(d.Score))
 			}
-			t.Logf("\n%s", watch.RenderDictEval(rep))
+			t.Logf("\n%s", semantics.RenderScore(d.Score))
 		})
 	}
 }
@@ -187,20 +201,62 @@ func TestEvalDictionaryScenario(t *testing.T) {
 // TestEvalDictionaryDeterminism pins the score across replays: the same
 // scenario must grade identically every time it runs.
 func TestEvalDictionaryDeterminism(t *testing.T) {
-	var want *watch.DictEvalReport
-	for run := 0; run < 2; run++ {
-		rep, _, err := watch.EvalDictionaryScenario("rtbh", nil)
-		if err != nil {
-			t.Fatal(err)
+	a, _ := json.Marshal(evalDict(t, "rtbh", nil).Dict.Score)
+	b, _ := json.Marshal(evalDict(t, "rtbh", nil).Dict.Score)
+	if string(a) != string(b) {
+		t.Fatalf("score differs across replays:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestEvalDictionaryFromOneReplay holds the single evaluated replay to
+// what a second, dedicated replay infers: for every registered scenario
+// the dictionary the watch shards folded — every entry's class and
+// counters — and its score equal those of a semantics engine tapped on
+// its own replay of the same world. Only the sighting bounds differ by
+// construction (the watch engine numbers every event, the standalone
+// engine only community-bearing ones), so they are left out. Two seeds
+// of the default scale keep it cheap.
+func TestEvalDictionaryFromOneReplay(t *testing.T) {
+	entries := func(snap *semantics.Snapshot) []byte {
+		var out []semantics.Entry
+		for _, e := range snap.Entries() {
+			c := *e
+			c.FirstSeq, c.LastSeq, c.FirstSeen, c.LastSeen = 0, 0, time.Time{}, time.Time{}
+			out = append(out, c)
 		}
-		if want == nil {
-			want = rep
-			continue
-		}
-		a, _ := json.Marshal(want.Score)
-		b, _ := json.Marshal(rep.Score)
-		if string(a) != string(b) {
-			t.Fatalf("score differs across replays:\n%s\nvs\n%s", a, b)
+		b, _ := json.Marshal(out)
+		return b
+	}
+	for _, name := range scenario.Names() {
+		for _, seed := range []int64{1, 2} {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				params, err := scenario.GenParams(scenario.DefaultScale, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				one := evalDict(t, name, &scenario.Context{Gen: params}).Dict
+
+				sem := semantics.NewEngine(semantics.Config{})
+				defer sem.Close()
+				var world *gen.Internet
+				if _, err := scenario.Run(name, &scenario.Context{
+					Gen:   params,
+					Tap:   feed.Tap("", sem.Ingest),
+					World: func(w *gen.Internet) { world = w },
+				}); err != nil {
+					t.Fatal(err)
+				}
+				second := sem.Snapshot()
+				if got, want := entries(one.Snapshot), entries(second); !bytes.Equal(got, want) {
+					t.Fatalf("the evaluated replay inferred %d entries, a second replay %d, and they differ",
+						one.Snapshot.Len(), second.Len())
+				}
+				got, _ := json.Marshal(one.Score)
+				want, _ := json.Marshal(semantics.ScoreAgainst(second, world.TruthDict()))
+				if !bytes.Equal(got, want) {
+					t.Fatalf("score from the evaluated replay:\n%s\nfrom a second replay:\n%s", got, want)
+				}
+			})
 		}
 	}
 }

@@ -1,15 +1,21 @@
 package watch
 
 import (
+	"fmt"
 	"sort"
 
 	"bgpworms/internal/feed"
+	"bgpworms/internal/gen"
 	"bgpworms/internal/scenario"
+	"bgpworms/internal/semantics"
 )
 
 // This file closes the detect-what-you-attack loop: a registered attack
 // scenario replays through the engine via a session tap, and every
-// detector is scored against the scenario's declared ground truth.
+// detector is scored against the scenario's declared ground truth. With
+// Config.Semantics set, the same replay closes the infer-what-you-generate
+// loop too: the dictionary the shards folded is scored against the
+// world's exported ground truth (gen.Registry.Dict / Internet.TruthDict).
 
 // Truth declares which detectors a scenario's feed is expected to
 // trigger. Must detectors count toward recall; each AnyOf group counts
@@ -128,6 +134,20 @@ type EvalReport struct {
 	// with no declared truth — every alert. It is the false-positive
 	// alert volume the suite harness gates and A/B-compares.
 	NoiseAlerts int `json:"noise_alerts"`
+	// Dict grades dictionary inference over the same replay; it is set
+	// only when the evaluated Config carried a Semantics engine.
+	Dict *DictEval `json:"dict,omitempty"`
+}
+
+// DictEval is dictionary inference scored from an evaluated replay.
+type DictEval struct {
+	// Score grades Snapshot against the world's ground truth captured
+	// after the run, so services the lab provisioned mid-scenario count
+	// as truth too.
+	Score semantics.Score `json:"score"`
+	// Snapshot is the dictionary that was graded: every event of the
+	// replay folded, read after the engine's final Flush.
+	Snapshot *semantics.Snapshot `json:"-"`
 }
 
 // Metrics is the flat, structured slice of an EvalReport a suite
@@ -162,8 +182,11 @@ func (r *EvalReport) Metrics() Metrics {
 // EvalScenario replays the named registered scenario with a lossless
 // engine tap observing the full simulated update stream — world
 // construction, probes, and the attack itself — then scores each
-// detector against the scenario's ground truth. A nil ctx replays with
-// scenario defaults; any caller tap on ctx is replaced.
+// detector against the scenario's ground truth. When cfg.Semantics is
+// set, the dictionary its partials inferred from that one replay is
+// scored as well (EvalReport.Dict). A nil ctx replays with scenario
+// defaults; any caller Tap (and, with Semantics, World) hook on ctx is
+// replaced.
 func EvalScenario(name string, ctx *scenario.Context, cfg Config) (*EvalReport, error) {
 	if ctx == nil {
 		ctx = &scenario.Context{}
@@ -171,12 +194,23 @@ func EvalScenario(name string, ctx *scenario.Context, cfg Config) (*EvalReport, 
 	eng := NewEngine(cfg)
 	defer eng.Close()
 	ctx.Tap = feed.Tap("scenario:"+name, eng.Ingest)
+	var world *gen.Internet
+	if cfg.Semantics != nil {
+		ctx.World = func(w *gen.Internet) { world = w }
+	}
 	res, err := scenario.Run(name, ctx)
 	if err != nil {
 		return nil, err
 	}
 	eng.Flush()
 	rep := &EvalReport{Scenario: name, Result: res, Stats: eng.Stats(), Alerts: eng.Alerts()}
+	if cfg.Semantics != nil {
+		if world == nil {
+			return nil, fmt.Errorf("watch: scenario %q never exposed its world (no dictionary ground truth)", name)
+		}
+		snap := cfg.Semantics.Snapshot()
+		rep.Dict = &DictEval{Score: semantics.ScoreAgainst(snap, world.TruthDict()), Snapshot: snap}
+	}
 	truth, known := ScenarioTruth(name)
 	rep.Known = known
 	rep.score(eng.detectors, truth)

@@ -6,13 +6,16 @@ import (
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/feed"
 	"bgpworms/internal/netx"
+	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
 )
 
-// ExampleDetectors lists the builtin detector registry — the catalog
-// wormwatchd runs over every ingested update.
-func ExampleDetectors() {
-	for _, d := range watch.Detectors() {
+// ExampleResolveDetectors lists the default detector set — what
+// wormwatchd runs over every ingested update: the stateless rules, then
+// the dictionary-aware pair once a dictionary is configured.
+func ExampleResolveDetectors() {
+	dets, _ := watch.ResolveDetectors(nil, &semantics.Holder{})
+	for _, d := range dets {
 		fmt.Println(d.Name())
 	}
 	// Output:
@@ -20,6 +23,8 @@ func ExampleDetectors() {
 	// community-squat
 	// prop-distance
 	// route-leak
+	// dict-squat
+	// unknown-action-community
 }
 
 // ExampleEngine_Ingest streams a tiny hand-built feed — a baseline

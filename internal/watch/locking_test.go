@@ -88,11 +88,17 @@ func alertBytes(t *testing.T, e *Engine) []byte {
 // outside Engine.mu reorders runs only if the sender is descheduled
 // between unlock and send, which a test cannot force: that half of the
 // guarantee is that the send is under the lock, not this test.)
+// withGate is the default detector set with g appended.
+func withGate(g gate) []Detector {
+	dets, _ := ResolveDetectors(nil, nil)
+	return append(dets, g)
+}
+
 func TestConcurrentProducersKeepShardFIFO(t *testing.T) {
 	events := sequencedFeed()
 	open := make(chan struct{})
 	close(open)
-	ref := NewEngine(Config{Shards: 1, Detectors: append(Detectors(), gate{release: open})})
+	ref := NewEngine(Config{Shards: 1, Detectors: withGate(gate{release: open})})
 	for _, ev := range events {
 		ref.Ingest(ev)
 	}
@@ -105,7 +111,7 @@ func TestConcurrentProducersKeepShardFIFO(t *testing.T) {
 	const producers = 8
 	for _, shards := range []int{1, 4, 16} {
 		g := gate{slow: events[0].Prefix, release: make(chan struct{})}
-		e := NewEngine(Config{Shards: shards, Detectors: append(Detectors(), g)})
+		e := NewEngine(Config{Shards: shards, Detectors: withGate(g)})
 		slow := e.shards[e.shardOf(g.slow)]
 
 		// Park the worker and fill its queue to the brim, one event per

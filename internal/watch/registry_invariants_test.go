@@ -3,11 +3,11 @@ package watch_test
 // Registry-wide invariants: every registered attack scenario must be
 // self-describing (a paper §-citation, a title, a declared Table-3
 // expectation), must run to completion on the tiny preset, and must be
-// accepted by both evaluation harnesses — the detection scorer
-// (EvalScenario) and the dictionary-inference scorer
-// (EvalDictionaryScenario, which additionally requires the scenario to
-// expose its built world for ground truth). New scenarios cannot land
-// half-wired to the evaluation layers.
+// accepted by the evaluation harness — EvalScenario scoring both the
+// detectors and, with Config.Semantics, dictionary inference (which
+// additionally requires the scenario to expose its built world for
+// ground truth). New scenarios cannot land half-wired to the evaluation
+// layers.
 
 import (
 	"strings"
@@ -15,6 +15,7 @@ import (
 
 	_ "bgpworms/internal/attack" // registers the builtin scenarios
 	"bgpworms/internal/scenario"
+	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
 )
 
@@ -73,22 +74,20 @@ func TestRegistryScenariosRunOnTiny(t *testing.T) {
 func TestRegistryScenariosAcceptedByEvalHarnesses(t *testing.T) {
 	for _, name := range scenario.Names() {
 		t.Run(name, func(t *testing.T) {
-			rep, err := watch.EvalScenario(name, nil, watch.Config{})
+			sem := semantics.NewEngine(semantics.Config{})
+			defer sem.Close()
+			rep, err := watch.EvalScenario(name, nil, watch.Config{Semantics: sem})
 			if err != nil {
 				t.Fatalf("EvalScenario rejects %s: %v", name, err)
 			}
 			if rep.Stats.Ingested == 0 {
 				t.Fatalf("EvalScenario saw no update stream for %s (tap unwired?)", name)
 			}
-			drep, snap, err := watch.EvalDictionaryScenario(name, nil)
-			if err != nil {
-				t.Fatalf("EvalDictionaryScenario rejects %s: %v", name, err)
+			if rep.Dict.Snapshot.Len() == 0 {
+				t.Fatalf("EvalScenario inferred an empty dictionary for %s", name)
 			}
-			if snap == nil || snap.Len() == 0 {
-				t.Fatalf("EvalDictionaryScenario inferred an empty dictionary for %s", name)
-			}
-			if drep.Score.TruthTotal == 0 {
-				t.Fatalf("EvalDictionaryScenario found no ground truth for %s", name)
+			if rep.Dict.Score.TruthTotal == 0 {
+				t.Fatalf("EvalScenario found no dictionary ground truth for %s", name)
 			}
 		})
 	}

@@ -3,7 +3,7 @@
 // CommunityWatch direction (Giotsas, 2018) layered on this repo's attack
 // lab. Where internal/core is batch — a month of updates in, the §4
 // figures out — watch maintains per-prefix sliding-window state in
-// prefix-sharded ring buffers and runs a registry of detectors over
+// prefix-sharded ring buffers and runs a fixed catalog of detectors over
 // every observation as it arrives: blackhole-community onset, community
 // squatting, propagation-distance spikes, and route-leak signatures.
 //
@@ -13,7 +13,8 @@
 // Config.Semantics set, each shard also folds its batches, as they are,
 // into a partial dictionary. eval.go closes the loop with scenario
 // ground truth, replaying a registered attack through the engine and
-// scoring each detector's precision and recall.
+// scoring each detector's precision and recall — and, from the same
+// replay, the dictionary those partials inferred.
 //
 // The engine shares the repo's two load-bearing disciplines:
 //
@@ -69,9 +70,9 @@ type Config struct {
 	// counted in Stats.AlertsTruncated. Shard-count invariance of the
 	// alert set holds as long as the cap is never hit.
 	MaxAlerts int
-	// Detectors overrides the detector list (default: every registered
-	// detector, in name order, plus the dictionary-aware pair when Dict
-	// is set).
+	// Detectors overrides the detector list (default:
+	// ResolveDetectors(nil, Dict) — the stateless rules, plus the
+	// dictionary-aware pair when Dict is set).
 	Detectors []Detector
 	// Dict enables the dictionary-aware detectors (dict-squat,
 	// unknown-action-community) bound to this provider. Pass a frozen
@@ -105,10 +106,7 @@ func (c Config) withDefaults() Config {
 		c.MaxAlerts = 100000
 	}
 	if c.Detectors == nil {
-		c.Detectors = Detectors()
-		if c.Dict != nil {
-			c.Detectors = append(c.Detectors, DictDetectors(c.Dict)...)
-		}
+		c.Detectors, _ = ResolveDetectors(nil, c.Dict) // no names: cannot fail
 	}
 	return c
 }
