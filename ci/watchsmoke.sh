@@ -14,7 +14,43 @@ BIN="$(mktemp -d)/wormwatchd"
 
 go build -o "$BIN" ./cmd/wormwatchd
 
-"$BIN" -addr "$ADDR" -scenario "$SCENARIO" &
+# dict_after_replay ADDR LOG... prints ADDR's /dict once every LOG has
+# logged the scenario replay's completion and two reads further apart
+# than the daemon's 500 ms publication heartbeat agree: the second read
+# then serves a dictionary published after the replay ended.
+dict_after_replay() {
+    addr=$1
+    shift
+    for log in "$@"; do
+        i=0
+        until grep -q "scenario $SCENARIO success=" "$log"; do
+            i=$((i + 1))
+            if [ "$i" -ge 300 ]; then
+                echo "watchsmoke: replay never finished ($log)" >&2
+                cat "$log" >&2
+                return 1
+            fi
+            sleep 0.2
+        done
+    done
+    prev=""
+    i=0
+    while [ "$i" -lt 30 ]; do
+        body=$(curl -fsS "http://$addr/dict")
+        if [ -n "$prev" ] && [ "$body" = "$prev" ]; then
+            printf '%s' "$body"
+            return 0
+        fi
+        prev="$body"
+        i=$((i + 1))
+        sleep 0.6
+    done
+    echo "watchsmoke: /dict on $addr never stabilized" >&2
+    return 1
+}
+
+LOG1=$(mktemp)
+"$BIN" -addr "$ADDR" -scenario "$SCENARIO" 2>"$LOG1" &
 PID=$!
 trap 'kill "$PID" 2>/dev/null || true' EXIT
 
@@ -62,6 +98,8 @@ if [ -z "$asn" ]; then
 fi
 echo "== /dict/$asn"
 curl -fsS "http://$ADDR/dict/$asn" | head -30
+# The whole replay's /dict: stage 3 requires the fleet's to be these bytes.
+single_dict=$(dict_after_replay "$ADDR" "$LOG1")
 
 # Metrics: the Prometheus endpoint must serve the watch/semantics/HTTP
 # series, and the watch counters must reflect the replay that just ran.
@@ -212,7 +250,8 @@ echo "watchsmoke: stage 2 OK — $count2 alerts stable across two kill -9 recove
 # ---------------------------------------------------------------------
 # Stage 3 — sharding: two shard daemons on a prefix-range split behind
 # the scatter-gather frontend; the merged surface must serve alerts, a
-# healthy fleet view, and the frontend metrics series.
+# healthy fleet view, the frontend metrics series, and, once both
+# replays are done, the single daemon's /dict bytes.
 SADDR0="${WATCHSMOKE_SADDR0:-127.0.0.1:8573}"
 SADDR1="${WATCHSMOKE_SADDR1:-127.0.0.1:8574}"
 FADDR="${WATCHSMOKE_FADDR:-127.0.0.1:8575}"
@@ -221,9 +260,9 @@ SPID0="" SPID1="" FPID=""
 trap 'kill "$SPID0" "$SPID1" "$FPID" 2>/dev/null || true; wait "$SPID0" "$SPID1" "$FPID" 2>/dev/null || true; rm -rf "$WALDIR" "$SHDIR"' EXIT
 
 echo "== sharding: 2 shards + frontend"
-"$BIN" -addr "$SADDR0" -scenario "$SCENARIO" -shards 2 -shard-index 0 -wal "$SHDIR/s0" -fsync 5ms &
+"$BIN" -addr "$SADDR0" -scenario "$SCENARIO" -shards 2 -shard-index 0 -wal "$SHDIR/s0" -fsync 5ms 2>"$SHDIR/s0.log" &
 SPID0=$!
-"$BIN" -addr "$SADDR1" -scenario "$SCENARIO" -shards 2 -shard-index 1 -wal "$SHDIR/s1" -fsync 5ms &
+"$BIN" -addr "$SADDR1" -scenario "$SCENARIO" -shards 2 -shard-index 1 -wal "$SHDIR/s1" -fsync 5ms 2>"$SHDIR/s1.log" &
 SPID1=$!
 "$BIN" -addr "$FADDR" -frontend "http://$SADDR0,http://$SADDR1" &
 FPID=$!
@@ -257,8 +296,13 @@ for series in frontend_scatter_seconds frontend_upstream_errors_total http_reque
         exit 1
     fi
 done
+fleet_dict=$(dict_after_replay "$FADDR" "$SHDIR/s0.log" "$SHDIR/s1.log")
+if [ "$fleet_dict" != "$single_dict" ]; then
+    echo "watchsmoke: FAIL — the 2-shard frontend's /dict differs from the single daemon's"
+    exit 1
+fi
 
-echo "watchsmoke: stage 3 OK — $fcount merged alerts from 2 shards"
+echo "watchsmoke: stage 3 OK — $fcount merged alerts from 2 shards, /dict byte-identical to one daemon's"
 
 # ---------------------------------------------------------------------
 # Stage 4 — fleet reshaping + replication: capture the stable merged
@@ -361,4 +405,4 @@ if [ "$acode" != "502" ] || [ "$hcode" != "503" ]; then
     exit 1
 fi
 
-echo "watchsmoke: OK — stage 1 ($count alerts), stage 2 ($count2 alerts through recovery), stage 3 ($fcount merged alerts from 2 shards), stage 4 (2->3 reshard byte-identical, replica failover with $failovers failover(s))"
+echo "watchsmoke: OK — stage 1 ($count alerts), stage 2 ($count2 alerts through recovery), stage 3 ($fcount merged alerts from 2 shards, /dict as one daemon's), stage 4 (2->3 reshard byte-identical, replica failover with $failovers failover(s))"

@@ -107,9 +107,9 @@ import (
 	"bgpworms/internal/watch"
 )
 
-// config is the daemon's parsed command line, shaped so tests can run
-// the same code path in-process (runDaemon / runFrontend) without a
-// flag.Parse.
+// config is the daemon's parsed command line (parseFlags), shaped so
+// tests can run the same code path in-process (runDaemon / runFrontend)
+// without one.
 type config struct {
 	addr     string
 	scenario string
@@ -154,35 +154,11 @@ type config struct {
 }
 
 func main() {
-	var cfg config
-	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8571", "HTTP listen address")
-	flag.StringVar(&cfg.scenario, "scenario", "", "replay a registered attack scenario through the engine")
-	flag.StringVar(&cfg.scale, "scale", "", "gen preset for -scenario (tiny, small, medium, large, internet; default tiny)")
-	flag.Int64Var(&cfg.seed, "seed", 0, "generator seed for -scenario (default 1)")
-	flag.StringVar(&cfg.mrtPath, "mrt", "", "MRT update archive to stream (file, or dir of updates.*.mrt)")
-	flag.BoolVar(&cfg.follow, "follow", false, "with -mrt FILE: keep reading as the file grows")
-	flag.StringVar(&cfg.feedListen, "feed-listen", "", "accept live MRT update streams on this address (host:port, or a unix socket path containing \"/\"); not re-readable — with -wal, recovery replays the WAL alone")
-	flag.IntVar(&cfg.engineShards, "engine-shards", 0, "in-process engine prefix shards (0 = one per CPU)")
-	flag.DurationVar(&cfg.window, "window", 0, "detection window horizon (default 15m)")
-	flag.IntVar(&cfg.windowEvents, "window-events", 0, "per-prefix ring capacity (default 32)")
-	flag.IntVar(&cfg.maxAlerts, "max-alerts", 0, "retained alert cap (0 = default 100000, negative = unlimited)")
-	flag.StringVar(&cfg.detectors, "detectors", "", "comma-separated detector subset, run in the order named (default: the four stateless detectors, plus dict-squat and unknown-action-community with -dict)")
-	flag.BoolVar(&cfg.dict, "dict", true, "infer per-AS community dictionaries and enable the dictionary-aware detectors")
-	flag.BoolVar(&cfg.pprofOn, "pprof", false, "serve Go profiling endpoints under /debug/pprof/")
-	flag.StringVar(&cfg.walDir, "wal", "", "durability directory: journal events to a WAL and checkpoint engine state (empty = in-memory only)")
-	flag.DurationVar(&cfg.fsync, "fsync", 0, "WAL group-commit fsync interval (default 50ms; negative disables fsync)")
-	flag.DurationVar(&cfg.snapInterval, "snapshot-interval", 30*time.Second, "checkpoint cadence with -wal (0 disables automatic checkpoints)")
-	flag.Int64Var(&cfg.walSegment, "wal-segment-bytes", 0, "WAL segment rotation threshold (default 64MiB)")
-	flag.IntVar(&cfg.shardCount, "shards", 1, "total shard processes in the deployment (prefix-range split)")
-	flag.IntVar(&cfg.shardIndex, "shard-index", 0, "this process's shard index in [0, -shards)")
-	flag.StringVar(&cfg.frontend, "frontend", "", "run as a scatter-gather frontend over these comma-separated shard base URLs (no engines, no feeds)")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
+	cfg, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		fail(err)
 	}
 	cfg.reg = obs.Default
-
-	var err error
 	if cfg.frontend != "" {
 		err = runFrontend(cfg)
 	} else {
@@ -191,6 +167,50 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+}
+
+// parseFlags reads a command line into a config. It refuses a bare word,
+// and beside -frontend any flag but -addr: a frontend runs no engine and
+// no feed, so every other flag would be silently ignored.
+func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
+	var cfg config
+	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8571", "HTTP listen address")
+	fs.StringVar(&cfg.scenario, "scenario", "", "replay a registered attack scenario through the engine")
+	fs.StringVar(&cfg.scale, "scale", "", "gen preset for -scenario (tiny, small, medium, large, internet; default tiny)")
+	fs.Int64Var(&cfg.seed, "seed", 0, "generator seed for -scenario (default 1)")
+	fs.StringVar(&cfg.mrtPath, "mrt", "", "MRT update archive to stream (file, or dir of updates.*.mrt)")
+	fs.BoolVar(&cfg.follow, "follow", false, "with -mrt FILE: keep reading as the file grows")
+	fs.StringVar(&cfg.feedListen, "feed-listen", "", "accept live MRT update streams on this address (host:port, or a unix socket path containing \"/\"); not re-readable — with -wal, recovery replays the WAL alone")
+	fs.IntVar(&cfg.engineShards, "engine-shards", 0, "in-process engine prefix shards (0 = one per CPU)")
+	fs.DurationVar(&cfg.window, "window", 0, "detection window horizon (default 15m)")
+	fs.IntVar(&cfg.windowEvents, "window-events", 0, "per-prefix ring capacity (default 32)")
+	fs.IntVar(&cfg.maxAlerts, "max-alerts", 0, "retained alert cap (0 = default 100000, negative = unlimited)")
+	fs.StringVar(&cfg.detectors, "detectors", "", "comma-separated detector subset, run in the order named (default: the four stateless detectors, plus dict-squat and unknown-action-community with -dict)")
+	fs.BoolVar(&cfg.dict, "dict", true, "infer per-AS community dictionaries and enable the dictionary-aware detectors")
+	fs.BoolVar(&cfg.pprofOn, "pprof", false, "serve Go profiling endpoints under /debug/pprof/")
+	fs.StringVar(&cfg.walDir, "wal", "", "durability directory: journal events to a WAL and checkpoint engine state (empty = in-memory only)")
+	fs.DurationVar(&cfg.fsync, "fsync", 0, "WAL group-commit fsync interval (default 50ms; negative disables fsync)")
+	fs.DurationVar(&cfg.snapInterval, "snapshot-interval", 30*time.Second, "checkpoint cadence with -wal (0 disables automatic checkpoints)")
+	fs.Int64Var(&cfg.walSegment, "wal-segment-bytes", 0, "WAL segment rotation threshold (default 64MiB)")
+	fs.IntVar(&cfg.shardCount, "shards", 1, "total shard processes in the deployment (prefix-range split)")
+	fs.IntVar(&cfg.shardIndex, "shard-index", 0, "this process's shard index in [0, -shards)")
+	fs.StringVar(&cfg.frontend, "frontend", "", "run as a scatter-gather frontend over these comma-separated shard base URLs (no engines, no feeds; any flag but -addr is refused)")
+	if err := fs.Parse(args); err != nil {
+		return cfg, err
+	}
+	if fs.NArg() > 0 {
+		return cfg, fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", fs.Arg(0))
+	}
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if cfg.frontend != "" && f.Name != "addr" && f.Name != "frontend" {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		return cfg, fmt.Errorf("-frontend runs no engine and reads only -addr; refusing %s", strings.Join(ignored, " "))
+	}
+	return cfg, nil
 }
 
 func fail(err error) {
@@ -229,10 +249,6 @@ func stopSignals(cfg *config) chan os.Signal {
 // runFrontend serves the scatter-gather tier: no engines, no feeds,
 // just the shard URL list and the merge logic in internal/serve.
 func runFrontend(cfg config) error {
-	if cfg.scenario != "" || cfg.mrtPath != "" || cfg.follow || cfg.feedListen != "" ||
-		cfg.walDir != "" || cfg.shardCount != 1 || cfg.shardIndex != 0 {
-		return fmt.Errorf("-frontend runs no engine: it takes no feed (-scenario, -mrt, -follow, -feed-listen), no -wal and no -shards/-shard-index")
-	}
 	urls := strings.Split(cfg.frontend, ",")
 	for i := range urls {
 		urls[i] = strings.TrimSpace(urls[i])
@@ -315,12 +331,14 @@ func runDaemon(cfg config) error {
 		Shards: cfg.engineShards, Window: cfg.window, WindowEvents: cfg.windowEvents,
 		MaxAlerts: cfg.maxAlerts,
 	}
-	// The detectors' dictionary is a holder refreshed on the flush
-	// heartbeat, so detection always consults a recent frozen snapshot.
-	var holder *semantics.Holder
+	// The dictionary stack: a semantics engine whose partial dictionaries
+	// the watch shards fold into. The detectors consult the snapshot it
+	// publishes on the flush heartbeat, so detection always reads a recent
+	// frozen dictionary.
+	var sem *semantics.Engine
 	if cfg.dict {
-		holder = &semantics.Holder{}
-		wcfg.Dict = holder
+		sem = semantics.NewEngine(semantics.Config{})
+		wcfg.Semantics, wcfg.Dict = sem, sem
 	}
 	// No -detectors runs the default set; a named subset runs verbatim,
 	// the dictionary pair included when -dict is on.
@@ -344,13 +362,6 @@ func runDaemon(cfg config) error {
 		os.Remove(cfg.feedListen)
 	}
 
-	// The rest of the dictionary stack: a semantics engine whose partial
-	// dictionaries the watch shards fold into, published to the holder.
-	var sem *semantics.Engine
-	if cfg.dict {
-		sem = semantics.NewEngine(semantics.Config{})
-		wcfg.Semantics = sem
-	}
 	eng := watch.NewEngine(wcfg)
 	defer eng.Close()
 	if sem != nil {
@@ -392,7 +403,7 @@ func runDaemon(cfg config) error {
 	}
 
 	srv := serve.New(serve.Options{
-		Watch: eng, Semantics: sem, Holder: holder, Registry: cfg.reg,
+		Watch: eng, Semantics: sem, Registry: cfg.reg,
 		Store: store, ShardIndex: cfg.shardIndex, ShardCount: cfg.shardCount,
 		Pprof: cfg.pprofOn,
 	})
@@ -535,9 +546,9 @@ func runDaemon(cfg config) error {
 				eng.Flush()
 				if sem != nil {
 					// Snapshot caches by version: a quiet engine makes
-					// this a no-op, a busy one refreshes the detectors'
-					// dictionary.
-					holder.Store(sem.Snapshot())
+					// this a no-op, a busy one publishes a fresh
+					// dictionary to the detectors and /dict.
+					sem.Snapshot()
 				}
 			}
 		}

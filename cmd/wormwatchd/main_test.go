@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net"
@@ -65,9 +66,8 @@ func helperMain() {
 func newTestServer(t *testing.T) (*watch.Engine, *semantics.Engine, http.Handler) {
 	t.Helper()
 	sem := semantics.NewEngine(semantics.Config{})
-	holder := &semantics.Holder{}
-	eng := watch.NewEngine(watch.Config{Shards: 4, Semantics: sem, Dict: holder})
-	srv := serve.New(serve.Options{Watch: eng, Semantics: sem, Holder: holder, Registry: obs.Default, Pprof: true})
+	eng := watch.NewEngine(watch.Config{Shards: 4, Semantics: sem, Dict: sem})
+	srv := serve.New(serve.Options{Watch: eng, Semantics: sem, Registry: obs.Default, Pprof: true})
 	return eng, sem, srv.Handler()
 }
 
@@ -526,24 +526,45 @@ func TestDaemonValidatesMRTBeforeOpeningAnything(t *testing.T) {
 	}
 }
 
-// TestFrontendRefusesEngineFlags: a frontend runs no engine, so a feed,
-// a WAL or a shard identity on its command line is a mistake, not
-// something to ignore.
+// TestFrontendRefusesEngineFlags: a frontend runs no engine and no
+// feed, so any flag but -addr on its command line is a mistake, not
+// something to ignore. Each row is a flag as given; "addr" alone must
+// parse.
 func TestFrontendRefusesEngineFlags(t *testing.T) {
-	for name, cfg := range map[string]config{
-		"wal":      {walDir: "d"},
-		"scenario": {scenario: "rtbh"},
-		"mrt":      {mrtPath: "x.mrt"},
-		"shards":   {shardCount: 2, shardIndex: 1},
+	for name, args := range map[string][]string{
+		"addr":              nil,
+		"wal":               {"-wal", "d"},
+		"scenario":          {"-scenario", "rtbh"},
+		"mrt":               {"-mrt", "x.mrt"},
+		"shards":            {"-shards", "2", "-shard-index", "1"},
+		"shards=1":          {"-shards", "1"},
+		"follow":            {"-follow"},
+		"feed-listen":       {"-feed-listen", "127.0.0.1:0"},
+		"pprof":             {"-pprof"},
+		"detectors":         {"-detectors", "route-leak"},
+		"dict":              {"-dict=false"},
+		"engine-shards":     {"-engine-shards", "4"},
+		"window":            {"-window", "1m"},
+		"window-events":     {"-window-events", "8"},
+		"max-alerts":        {"-max-alerts", "10"},
+		"fsync":             {"-fsync", "5ms"},
+		"snapshot-interval": {"-snapshot-interval", "1s"},
+		"wal-segment-bytes": {"-wal-segment-bytes", "4096"},
+		"scale":             {"-scale", "small"},
+		"seed":              {"-seed", "3"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if cfg.shardCount == 0 {
-				cfg.shardCount = 1 // the flag's default
+			fs := flag.NewFlagSet("wormwatchd", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			cfg, err := parseFlags(fs, append([]string{"-addr", "127.0.0.1:0", "-frontend", "http://127.0.0.1:1"}, args...))
+			if name == "addr" {
+				if err != nil || cfg.frontend == "" || cfg.addr != "127.0.0.1:0" {
+					t.Fatalf("-frontend with -addr: %+v, %v", cfg, err)
+				}
+				return
 			}
-			cfg.frontend, cfg.addr, cfg.reg = "http://127.0.0.1:1", "127.0.0.1:0", obs.NewRegistry()
-			cfg.ready = func(addr string) { t.Errorf("frontend listening on %s", addr) }
-			if err := runFrontend(cfg); err == nil || !strings.Contains(err.Error(), "-frontend") {
-				t.Fatalf("runFrontend: %v", err)
+			if err == nil || !strings.Contains(err.Error(), "-frontend") || !strings.Contains(err.Error(), strings.SplitN(args[0], "=", 2)[0]) {
+				t.Fatalf("parseFlags(%v): %v", args, err)
 			}
 		})
 	}

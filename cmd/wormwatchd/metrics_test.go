@@ -144,7 +144,7 @@ func TestMetricsMatchStatsAcrossEngineShards(t *testing.T) {
 	for _, shards := range []int{1, 4, 16} {
 		sem := semantics.NewEngine(semantics.Config{})
 		eng := watch.NewEngine(watch.Config{Shards: shards, Semantics: sem})
-		h := serve.New(serve.Options{Watch: eng, Semantics: sem, Holder: &semantics.Holder{}, Registry: obs.NewRegistry()}).Handler()
+		h := serve.New(serve.Options{Watch: eng, Semantics: sem, Registry: obs.NewRegistry()}).Handler()
 		feedMRT(t, part1, eng.Ingest)
 		feedMRT(t, part2, eng.Ingest)
 		eng.Flush()
@@ -184,7 +184,7 @@ func TestServersSharingARegistryRenderEachSeriesOnce(t *testing.T) {
 		sem := semantics.NewEngine(semantics.Config{})
 		eng := watch.NewEngine(watch.Config{Shards: 2, Semantics: sem})
 		defer eng.Close()
-		h := serve.New(serve.Options{Watch: eng, Semantics: sem, Holder: &semantics.Holder{}, Registry: reg}).Handler()
+		h := serve.New(serve.Options{Watch: eng, Semantics: sem, Registry: reg}).Handler()
 		for j := 0; j < n; j++ {
 			eng.Ingest(testEvent(j))
 		}

@@ -26,7 +26,7 @@
 // dictionaries from the same feeds and classifies
 // every value's usage (informational, action-blackhole,
 // action-steering, action-prepend, well-known, unknown), scoreable
-// against the generator's exported ground truth (gen.Registry.Dict)
+// against the generator's ground truth (gen.Internet.TruthDict)
 // and feeding the dictionary-aware watch detectors. The cmd/ tree
 // exposes the halves as binaries: genesis writes archives, worms
 // analyses them, attacklab lists/runs/sweeps the §5–§7 scenarios,
@@ -39,7 +39,8 @@
 // # Concurrency
 //
 // The measurement pipeline (core.Pipeline) fans out over a worker pool:
-// one fold (core.Accumulator) builds every per-update aggregate, driven
+// one fold (core.Accumulator) builds every per-update aggregate (the
+// §4 share and the Figure 3 point are read off them), driven
 // by Analyze over contiguous chunks of an in-memory update slice or by
 // StreamMRTDir over MRT archives on disk, never materializing the
 // update slice; partial accumulators merge deterministically in order,

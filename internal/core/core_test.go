@@ -311,12 +311,17 @@ func TestTransitPropagators(t *testing.T) {
 }
 
 func TestLatestRoutesDedup(t *testing.T) {
-	ds := &Dataset{}
 	u1 := upd("RIS-c", 5, pfxA, []uint32{5, 1}, bgp.C(1, 1))
 	u2 := upd("RIS-c", 5, pfxA, []uint32{5, 2, 1}, bgp.C(1, 2))
 	w := feed.Event{Source: "RIS-c", PeerAS: 7, Prefix: pfxB, Withdraw: true}
-	ds.Updates = []feed.Event{u1, u2, w}
-	latest := NewPipeline(0).LatestRoutes(ds)
+	latestOf := func(evs ...feed.Event) []feed.Event {
+		agg := newLatestAgg()
+		for i := range evs {
+			agg.add(&evs[i])
+		}
+		return agg.finalize()
+	}
+	latest := latestOf(u1, u2, w)
 	if len(latest) != 1 {
 		t.Fatalf("latest=%v", latest)
 	}
@@ -324,8 +329,7 @@ func TestLatestRoutesDedup(t *testing.T) {
 		t.Fatal("did not keep the newest route")
 	}
 	// Announce then withdraw → gone.
-	ds2 := &Dataset{Updates: []feed.Event{u1, {Source: "RIS-c", PeerAS: 5, Prefix: pfxA, Withdraw: true}}}
-	if len(NewPipeline(0).LatestRoutes(ds2)) != 0 {
+	if len(latestOf(u1, feed.Event{Source: "RIS-c", PeerAS: 5, Prefix: pfxA, Withdraw: true})) != 0 {
 		t.Fatal("withdrawn route survived")
 	}
 }

@@ -138,18 +138,3 @@ func (a *latestAgg) finalize() []feed.Event {
 	})
 	return out
 }
-
-// LatestRoutes reduces the update stream, over the worker pool, to the
-// final route per (collector, peer, prefix) — the "at the same time"
-// concurrent view the §4.4 filter inference iterates over. Withdrawn
-// entries are removed.
-func (p *Pipeline) LatestRoutes(ds *Dataset) []feed.Event {
-	aggs := foldChunks(ds.Updates, p.workers(),
-		newLatestAgg,
-		func(a *latestAgg, ev *feed.Event, _ []uint32) { a.add(ev) })
-	merged := newLatestAgg()
-	for _, a := range aggs {
-		merged.merge(a)
-	}
-	return merged.finalize()
-}

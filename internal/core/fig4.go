@@ -80,26 +80,18 @@ func (a *fig4aAgg) finalize() []CollectorFraction {
 	return out
 }
 
-// shareAgg folds the global announcement / with-community counters.
-type shareAgg struct{ total, with int }
-
-func (a *shareAgg) add(u *feed.Event) {
-	if u.Withdraw {
-		return
+// share is the §4 headline figure: the with-community share of all
+// announcements, summed over the Figure 4a rows.
+func share(fracs []CollectorFraction) float64 {
+	var updates, with int
+	for _, f := range fracs {
+		updates += f.Updates
+		with += f.WithComm
 	}
-	a.total++
-	if len(u.Communities) > 0 {
-		a.with++
-	}
-}
-
-func (a *shareAgg) merge(b *shareAgg) { a.total += b.total; a.with += b.with }
-
-func (a *shareAgg) finalize() float64 {
-	if a.total == 0 {
+	if updates == 0 {
 		return 0
 	}
-	return float64(a.with) / float64(a.total)
+	return float64(with) / float64(updates)
 }
 
 // Figure4b holds the two per-update ECDFs of Figure 4b.

@@ -69,12 +69,12 @@ func foldChunks[A any](updates []feed.Event, workers int, mk func() A, fold func
 	return aggs
 }
 
-// Analysis bundles every passive-measurement output of §4 except the
-// Figure 3 time series (which spans several worlds; see
-// Pipeline.EvolutionMetrics): the pass over the update stream strips
-// each AS path once and feeds all aggregates, and the concurrent-view
-// reduction adds Figure 6. Figures 5a/5b/5c are read off Prop, the
-// Figure 6 summary and bins off Filter.
+// Analysis bundles every passive-measurement output of §4: the pass over
+// the update stream strips each AS path once and feeds all aggregates,
+// and the concurrent-view reduction adds Figure 6. Figures 5a/5b/5c are
+// read off Prop, the Figure 6 summary and bins off Filter. Fig3 is this
+// world's point of the Figure 3 series, which spans several worlds (see
+// Pipeline.EvolutionMetrics).
 type Analysis struct {
 	Table1  []Table1Row
 	Table2  []Table2Row
@@ -84,6 +84,19 @@ type Analysis struct {
 	Prop    *PropagationAnalysis
 	Transit TransitReport
 	Filter  *FilterInference
+	Fig3    Figure3
+}
+
+// Figure3 is one world's point of the Figure 3 growth series, each value
+// read off an aggregate the fold already holds: the community ASes are
+// Table 2's Total row, the unique communities Table 1's, the absolute
+// count sums Figure 4b's per-announcement counts, and the table entries
+// are the latest-route view Figure 6 runs on.
+type Figure3 struct {
+	UniqueASes          int
+	UniqueCommunities   int
+	AbsoluteCommunities int
+	TableEntries        int
 }
 
 // Analyze runs the full §4 pipeline over an in-memory dataset: one
@@ -109,4 +122,12 @@ func (p *Pipeline) Analyze(ds *Dataset, knownBlackhole []bgp.Community) *Analysi
 		acc.AddCollector(c)
 	}
 	return acc.Analysis(p)
+}
+
+// EvolutionMetrics returns the four Figure 3 series values of one world:
+// unique ASes in communities, unique communities, absolute community
+// count, and table entries (latest-route count). They are Analyze's Fig3.
+func (p *Pipeline) EvolutionMetrics(ds *Dataset) (uniqueASes, uniqueComms, absolute, tableEntries int) {
+	f := p.Analyze(ds, nil).Fig3
+	return f.UniqueASes, f.UniqueCommunities, f.AbsoluteCommunities, f.TableEntries
 }

@@ -44,17 +44,28 @@ func TestPipelineDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestLatestRoutesChunkMergeIdentical asserts the concurrent view is the
-// exact same slice — order included — for any worker count.
+// exact same slice — order included — for any worker count, and so is
+// the Figure 3 point read off it (its table-entry count among them).
 func TestLatestRoutesChunkMergeIdentical(t *testing.T) {
 	_, ds := buildDatasetViaMRT(t)
-	serial := NewPipeline(1).LatestRoutes(ds)
-	if len(serial) == 0 {
-		t.Fatal("no latest routes")
+	view := func(workers int) []feed.Event {
+		merged := newLatestAgg()
+		for _, a := range foldChunks(ds.Updates, workers, newLatestAgg,
+			func(a *latestAgg, ev *feed.Event, _ []uint32) { a.add(ev) }) {
+			merged.merge(a)
+		}
+		return merged.finalize()
 	}
-	for _, w := range []int{3, 8} {
-		got := NewPipeline(w).LatestRoutes(ds)
-		if !reflect.DeepEqual(got, serial) {
+	serial, serialFig3 := view(1), NewPipeline(1).Analyze(ds, nil).Fig3
+	if len(serial) == 0 || serialFig3.TableEntries != len(serial) {
+		t.Fatalf("latest-route view of %d routes, Figure 3 counts %d", len(serial), serialFig3.TableEntries)
+	}
+	for _, w := range []int{2, 8} {
+		if got := view(w); !reflect.DeepEqual(got, serial) {
 			t.Fatalf("workers=%d latest-route view diverges (len %d vs %d)", w, len(got), len(serial))
+		}
+		if got := NewPipeline(w).Analyze(ds, nil).Fig3; got != serialFig3 {
+			t.Fatalf("workers=%d Figure 3 point %+v diverges from serial %+v", w, got, serialFig3)
 		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 // Accumulator ingests routing observations one at a time and folds every
 // §4 aggregate in a single pass: Tables 1/2, Figures 4a/4b, the Figure 5
 // propagation observations, the transit-propagator sets, and the
-// latest-route view Figure 6 runs on. It is
+// latest-route view Figure 6 runs on. The Figure 4a share and the
+// Figure 3 point are read off those aggregates, not folded again. It is
 // the streaming complement of Dataset: MRT byte streams can be classified
 // without retaining the update slice (memory stays bounded by the
 // aggregate sizes — table entries, distinct sets, and per-community
@@ -31,7 +32,6 @@ type Accumulator struct {
 	t1      table1Shards
 	t2      table2Shards
 	fig4a   *fig4aAgg
-	share   *shareAgg
 	fig4b   *fig4bAgg
 	prop    *propAgg
 	transit *transitAgg
@@ -44,7 +44,6 @@ func newAccumulatorFor(isBlackhole func(bgp.Community) bool) *Accumulator {
 		t1:      make(table1Shards),
 		t2:      make(table2Shards),
 		fig4a:   newFig4aAgg(),
-		share:   &shareAgg{},
 		fig4b:   &fig4bAgg{},
 		prop:    newPropAgg(isBlackhole),
 		transit: newTransitAgg(),
@@ -71,7 +70,6 @@ func (a *Accumulator) addStripped(u *feed.Event, stripped []uint32) {
 	a.t1.add(platform, u, stripped)
 	a.t2.add(platform, u, stripped)
 	a.fig4a.add(platform, u)
-	a.share.add(u)
 	a.fig4b.add(u)
 	a.prop.add(u, stripped)
 	a.transit.add(u, stripped)
@@ -88,7 +86,6 @@ func (a *Accumulator) Merge(b *Accumulator) {
 	a.t1.merge(b.t1)
 	a.t2.merge(b.t2)
 	a.fig4a.merge(b.fig4a)
-	a.share.merge(b.share)
 	a.fig4b.merge(b.fig4b)
 	a.prop.merge(b.prop)
 	a.transit.merge(b.transit)
@@ -99,15 +96,29 @@ func (a *Accumulator) Merge(b *Accumulator) {
 // running the Figure 6 inference over p's worker pool (nil = one
 // worker per CPU).
 func (a *Accumulator) Analysis(p *Pipeline) *Analysis {
+	t1 := a.t1.rows(a.collectors, a.platforms)
+	t2 := a.t2.rows(a.collectors, a.platforms)
+	fig4a := a.fig4a.finalize()
+	latest := a.latest.finalize()
+	absolute := 0
+	for _, n := range a.fig4b.comms {
+		absolute += int(n)
+	}
 	return &Analysis{
-		Table1:  a.t1.rows(a.collectors, a.platforms),
-		Table2:  a.t2.rows(a.collectors, a.platforms),
-		Fig4a:   a.fig4a.finalize(),
-		Share:   a.share.finalize(),
+		Table1:  t1,
+		Table2:  t2,
+		Fig4a:   fig4a,
+		Share:   share(fig4a),
 		Fig4b:   a.fig4b.finalize(),
 		Prop:    a.prop.finalize(),
 		Transit: a.transit.finalize(),
-		Filter:  p.inferFiltering(a.latest.finalize()),
+		Filter:  p.inferFiltering(latest),
+		Fig3: Figure3{
+			UniqueASes:          t2[len(t2)-1].Total,
+			UniqueCommunities:   t1[len(t1)-1].Communities,
+			AbsoluteCommunities: absolute,
+			TableEntries:        len(latest),
+		},
 	}
 }
 

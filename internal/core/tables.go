@@ -312,52 +312,3 @@ func RenderTable2(rows []Table2Row) string {
 	}
 	return t.String()
 }
-
-// evolutionAgg folds the Figure 3 series values.
-type evolutionAgg struct {
-	asSet    map[uint16]bool
-	commSet  map[bgp.Community]bool
-	absolute int
-}
-
-func newEvolutionAgg() *evolutionAgg {
-	return &evolutionAgg{asSet: make(map[uint16]bool), commSet: make(map[bgp.Community]bool)}
-}
-
-func (a *evolutionAgg) add(u *feed.Event) {
-	if u.Withdraw {
-		return
-	}
-	a.absolute += len(u.Communities)
-	for _, c := range u.Communities {
-		a.commSet[c] = true
-		if c.ASN() != 0 && c.ASN() != 0xFFFF {
-			a.asSet[c.ASN()] = true
-		}
-	}
-}
-
-func (a *evolutionAgg) merge(b *evolutionAgg) {
-	a.absolute += b.absolute
-	for k := range b.asSet {
-		a.asSet[k] = true
-	}
-	for k := range b.commSet {
-		a.commSet[k] = true
-	}
-}
-
-// EvolutionMetrics extracts the four Figure 3 series values from a
-// dataset over the worker pool: unique ASes in communities, unique
-// communities, absolute community count, and table entries
-// (latest-route count).
-func (p *Pipeline) EvolutionMetrics(ds *Dataset) (uniqueASes, uniqueComms, absolute, tableEntries int) {
-	aggs := foldChunks(ds.Updates, p.workers(),
-		newEvolutionAgg,
-		func(a *evolutionAgg, u *feed.Event, _ []uint32) { a.add(u) })
-	total := newEvolutionAgg()
-	for _, a := range aggs {
-		total.merge(a)
-	}
-	return len(total.asSet), len(total.commSet), total.absolute, len(p.LatestRoutes(ds))
-}

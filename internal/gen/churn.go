@@ -8,7 +8,6 @@ import (
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/netx"
-	"bgpworms/internal/semantics"
 	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
 )
@@ -168,12 +167,6 @@ type Registry struct {
 	// Likely are plausible-looking decoys (value 666 on ASes without the
 	// service) mirroring the 115 "likely" labels in the source dataset.
 	Likely []bgp.Community
-	// Dict is the world's complete community dictionary ground truth
-	// (every defined or attached community with its true usage class),
-	// sealed at the end of Build — the oracle semantics-inference
-	// precision and recall are scored against. TruthDict recomputes it
-	// live when labs add services after Build.
-	Dict semantics.Truth
 }
 
 // All returns verified plus likely, verified first.

@@ -15,8 +15,8 @@ import (
 // current state: every catalog service (including services attack labs
 // added after Build), every network-attached informational tag
 // (ingress, location, bundling), every origin tag, and the well-known
-// values. Call it after the runs whose policies should count;
-// Registry.Dict is the snapshot Build itself seals.
+// values. It is computed on demand, never stored: call it after the
+// runs whose policies should count.
 func (w *Internet) TruthDict() semantics.Truth {
 	t := make(semantics.Truth)
 	for _, cat := range w.Catalogs {

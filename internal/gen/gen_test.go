@@ -293,7 +293,7 @@ func TestRegistryGroundTruth(t *testing.T) {
 // surface through TruthDict.
 func TestTruthDictionary(t *testing.T) {
 	w := buildTiny(t)
-	dict := w.Registry.Dict
+	dict := w.TruthDict()
 	if len(dict) == 0 {
 		t.Fatal("empty ground-truth dictionary")
 	}

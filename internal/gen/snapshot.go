@@ -208,12 +208,10 @@ func clampTagMap(m map[netip.Prefix]bgp.CommunitySet) map[netip.Prefix]bgp.Commu
 }
 
 // forkClone returns a fork-private registry: the community lists are
-// capacity-clamped (labs append and sort them in place) and the sealed
-// dictionary map is cloned.
+// capacity-clamped (labs append and sort them in place).
 func (r *Registry) forkClone() *Registry {
 	return &Registry{
 		Verified: r.Verified[:len(r.Verified):len(r.Verified)],
 		Likely:   r.Likely[:len(r.Likely):len(r.Likely)],
-		Dict:     maps.Clone(r.Dict),
 	}
 }

@@ -39,6 +39,10 @@ type Partial struct {
 // engine's own partial, for single-producer callers: pass it to
 // feed.StreamMRT or feed.Tap) or Fold on partials handed out by
 // NewPartial; read with Snapshot at any time.
+//
+// The last snapshot taken is the published one: Lookup (the engine is a
+// Provider) and Published read it lock-free, so a dictionary consulted
+// while folds land changes only when someone calls Snapshot.
 type Engine struct {
 	own *Partial // Ingest and RestoreState land here
 
@@ -54,8 +58,8 @@ type Engine struct {
 
 	foldHist *obs.Histogram // process-wide, shared by every engine
 
-	snapMu sync.Mutex
-	snap   *Snapshot
+	snapMu sync.Mutex               // serializes Snapshot's merges
+	snap   atomic.Pointer[Snapshot] // the published snapshot
 }
 
 // NewEngine returns an empty engine.
@@ -182,18 +186,18 @@ func (e *Engine) merged() map[bgp.Community]*evidence {
 }
 
 // Snapshot merges every partial dictionary, classifies each entry in
-// the same pass, and returns the immutable result. The snapshot is
+// the same pass, publishes the result and returns it. The snapshot is
 // bit-identical however the stream was split over partials (every fold
 // is commutative); repeated calls at an unchanged version return the
-// cached snapshot.
+// published snapshot.
 func (e *Engine) Snapshot() *Snapshot {
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
 	// Read before merging: a fold bumps the version after it unlocks its
 	// partial, so the merge holds at least everything v counts.
 	v := e.version.Load()
-	if e.snap != nil && e.snap.Version == v {
-		return e.snap
+	if s := e.snap.Load(); s != nil && s.Version == v {
+		return s
 	}
 	e.merges.Add(1)
 	merged := e.merged()
@@ -201,8 +205,22 @@ func (e *Engine) Snapshot() *Snapshot {
 	for c, ev := range merged {
 		entries[c] = ev.entry(c)
 	}
-	e.snap = newSnapshot(v, e.seq.Load(), entries)
-	return e.snap
+	s := newSnapshot(v, e.seq.Load(), entries)
+	e.snap.Store(s)
+	return s
+}
+
+// Published returns the last snapshot Snapshot took (nil before the
+// first).
+func (e *Engine) Published() *Snapshot { return e.snap.Load() }
+
+// Lookup implements Provider over the published snapshot: before the
+// first Snapshot the dictionary is empty.
+func (e *Engine) Lookup(c bgp.Community) (*Entry, bool) {
+	if s := e.snap.Load(); s != nil {
+		return s.Lookup(c)
+	}
+	return nil, false
 }
 
 // Stats is the engine's operational snapshot. Ingested and Processed
@@ -224,7 +242,7 @@ func (e *Engine) Stats() Stats {
 }
 
 // StatsOf reports the live counters against the shape of an existing
-// snapshot, without re-merging — the daemon serves its heartbeat
+// snapshot, without re-merging — the daemon serves its published
 // snapshot this way, so /dict/stats never contends with ingest.
 func (e *Engine) StatsOf(s *Snapshot) Stats {
 	n := e.seq.Load()
@@ -236,25 +254,4 @@ func (e *Engine) StatsOf(s *Snapshot) Stats {
 		ByClass:     s.ByClass(),
 		Version:     s.Version,
 	}
-}
-
-// Holder is an atomically swapped snapshot cell: a live daemon stores
-// fresh snapshots on a heartbeat while detectors read the current one
-// lock-free. A nil or empty holder looks like an empty dictionary.
-type Holder struct {
-	p atomic.Pointer[Snapshot]
-}
-
-// Store publishes a snapshot.
-func (h *Holder) Store(s *Snapshot) { h.p.Store(s) }
-
-// Load returns the current snapshot (nil before the first Store).
-func (h *Holder) Load() *Snapshot { return h.p.Load() }
-
-// Lookup implements Provider over the current snapshot.
-func (h *Holder) Lookup(c bgp.Community) (*Entry, bool) {
-	if s := h.p.Load(); s != nil {
-		return s.Lookup(c)
-	}
-	return nil, false
 }

@@ -9,7 +9,7 @@ import (
 
 // Truth is a ground-truth dictionary: every community a world's
 // policies legitimately define or attach, with its true usage class.
-// gen.Internet exports one (Registry.Dict / TruthDict), which is what
+// gen.Internet exports one (TruthDict, computed on demand), which is what
 // makes inference precision and recall measurable per scenario.
 type Truth map[bgp.Community]Class
 

@@ -229,7 +229,7 @@ func (s *Snapshot) ByClass() map[string]int {
 
 // Provider is the read interface dictionary consumers (the watch
 // detectors, the /dict endpoints) depend on. *Snapshot implements it
-// directly; *Holder implements it over an atomically swapped snapshot.
+// directly; *Engine implements it over its published snapshot.
 type Provider interface {
 	Lookup(c bgp.Community) (*Entry, bool)
 }

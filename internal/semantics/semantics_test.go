@@ -312,21 +312,81 @@ func TestTruthAddKeepsAction(t *testing.T) {
 	}
 }
 
-// TestHolder exercises the atomic snapshot cell.
-func TestHolder(t *testing.T) {
-	var h Holder
-	if _, ok := h.Lookup(bgp.C(1, 1)); ok {
-		t.Fatal("empty holder resolved a community")
-	}
+// TestEnginePublishesSnapshot: the engine's dictionary, read through
+// Lookup and Published, is the last snapshot taken. It is empty before
+// the first Snapshot, and a fold stays invisible until the next one.
+func TestEnginePublishesSnapshot(t *testing.T) {
 	e := NewEngine(Config{})
 	defer e.Close()
-	e.Ingest(feed.Event{
-		PeerAS: 1, Prefix: netx.MustPrefix("10.0.0.0/24"),
-		ASPath:      []uint32{1, 2},
-		Communities: bgp.NewCommunitySet(bgp.C(2, 100)),
-	})
-	h.Store(e.Snapshot())
-	if _, ok := h.Lookup(bgp.C(2, 100)); !ok {
-		t.Fatal("holder missed stored entry")
+	ingest := func(c bgp.Community) {
+		e.Ingest(feed.Event{
+			PeerAS: 1, Prefix: netx.MustPrefix("10.0.0.0/24"),
+			ASPath:      []uint32{1, 2},
+			Communities: bgp.NewCommunitySet(c),
+		})
 	}
+	first, later := bgp.C(2, 100), bgp.C(2, 200)
+	ingest(first)
+	if _, ok := e.Lookup(first); ok || e.Published() != nil {
+		t.Fatal("a fold was visible before the first Snapshot")
+	}
+	snap := e.Snapshot()
+	if e.Published() != snap {
+		t.Fatal("Snapshot did not publish what it returned")
+	}
+	if _, ok := e.Lookup(first); !ok {
+		t.Fatal("Lookup missed an entry of the published snapshot")
+	}
+	ingest(later)
+	if _, ok := e.Lookup(later); ok {
+		t.Fatal("a fold after the Snapshot was visible before the next one")
+	}
+	if e.Snapshot() == snap {
+		t.Fatal("Snapshot reused a snapshot older than the last fold")
+	}
+	if _, ok := e.Lookup(later); !ok {
+		t.Fatal("the next Snapshot did not publish the later fold")
+	}
+}
+
+// TestEnginePublicationConcurrent has readers consult the engine's
+// dictionary while it folds and republishes, as the daemon's detectors
+// do against its heartbeat; under -race it proves the lock-free read.
+func TestEnginePublicationConcurrent(t *testing.T) {
+	e := NewEngine(Config{})
+	defer e.Close()
+	c := bgp.C(2, 100)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if s := e.Published(); s != nil {
+					if _, ok := e.Lookup(c); !ok {
+						t.Error("a published snapshot lost its entry")
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 2000; i++ {
+		e.Ingest(feed.Event{
+			PeerAS: 1, Prefix: netx.MustPrefix("10.0.0.0/24"),
+			ASPath:      []uint32{1, 2},
+			Communities: bgp.NewCommunitySet(c, bgp.C(2, uint16(i))),
+		})
+		if i%50 == 0 {
+			e.Snapshot()
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

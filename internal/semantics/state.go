@@ -130,8 +130,9 @@ func (e *Engine) RestoreState(st *State) error {
 }
 
 // MergeEntries merges already-classified dictionary entries for the
-// same communities — the scatter-gather path, where each shard holds a
-// partial dictionary built from a disjoint slice of the prefix space.
+// same communities into one snapshot — the scatter-gather path, where
+// each shard holds a partial dictionary built from a disjoint slice of
+// the prefix space and observations is the shards' summed count.
 // Counter fields add exactly, first/last bounds take min/max, and the
 // class is re-derived from the merged counters (classification uses
 // only additive evidence, so the merged class equals the class a
@@ -139,8 +140,8 @@ func (e *Engine) RestoreState(st *State) error {
 // the frontend: Peers sums to an upper bound (the same session can
 // observe more than one shard's prefixes), while Prefixes is exact
 // under prefix sharding (prefix sets are disjoint by construction).
-// The result is sorted by (ASN, community), the canonical render order.
-func MergeEntries(lists ...[]*Entry) []*Entry {
+// The result has no engine version.
+func MergeEntries(observations uint64, lists ...[]*Entry) *Snapshot {
 	merged := make(map[bgp.Community]*Entry)
 	for _, list := range lists {
 		for _, in := range list {
@@ -169,7 +170,6 @@ func MergeEntries(lists ...[]*Entry) []*Entry {
 			}
 		}
 	}
-	out := make([]*Entry, 0, len(merged))
 	for _, m := range merged {
 		m.Class = classify(m.Community, &evidence{
 			count:     m.Count,
@@ -180,14 +180,6 @@ func MergeEntries(lists ...[]*Entry) []*Entry {
 			prepended: m.Prepended,
 			maxTravel: m.MaxTravel,
 		})
-		out = append(out, m)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Community.ASN() != b.Community.ASN() {
-			return a.Community.ASN() < b.Community.ASN()
-		}
-		return a.Community < b.Community
-	})
-	return out
+	return newSnapshot(0, observations, merged)
 }

@@ -126,11 +126,13 @@ func TestMergeEntriesMatchesSingleRun(t *testing.T) {
 	for _, ob := range obs {
 		single.Ingest(ob)
 	}
-	want := single.Snapshot().Entries()
+	whole := single.Snapshot()
+	want := whole.Entries()
 	single.Close()
 
 	const shards = 3
 	parts := make([][]*semantics.Entry, shards)
+	var observations uint64
 	for s := 0; s < shards; s++ {
 		e := semantics.NewEngine(semantics.Config{})
 		for i, ob := range obs {
@@ -140,10 +142,16 @@ func TestMergeEntriesMatchesSingleRun(t *testing.T) {
 				e.Ingest(o)
 			}
 		}
-		parts[s] = e.Snapshot().Entries()
+		snap := e.Snapshot()
+		parts[s], observations = snap.Entries(), observations+snap.Observations
 		e.Close()
 	}
-	got := semantics.MergeEntries(parts...)
+	merged := semantics.MergeEntries(observations, parts...)
+	if merged.Observations != whole.Observations || merged.Len() != whole.Len() || len(merged.ASNs()) != len(whole.ASNs()) {
+		t.Fatalf("merged snapshot holds %d observations, %d entries, %d ASes; single run %d, %d, %d",
+			merged.Observations, merged.Len(), len(merged.ASNs()), whole.Observations, whole.Len(), len(whole.ASNs()))
+	}
+	got := merged.Entries()
 
 	if len(got) != len(want) {
 		t.Fatalf("merged %d entries, single run has %d", len(got), len(want))

@@ -6,7 +6,6 @@ import (
 	"io"
 	"net/http"
 	"net/netip"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -27,7 +26,8 @@ import (
 //   - /prefix/{p}    route to the owning shard (pure function of the
 //     prefix), proxy its response verbatim.
 //   - /dict, /dict/stats, /dict/{asn}  scatter /dict/export, merge the
-//     partial dictionaries with semantics.MergeEntries. Counters and
+//     partial dictionaries into one snapshot with semantics.MergeEntries,
+//     and render it with the shard's own payload builders. Counters and
 //     classes merge exactly; Peers is an upper bound (one session can
 //     observe several shards' prefixes).
 //   - /stats         scatter, serve per-shard snapshots plus sums.
@@ -46,13 +46,12 @@ type Frontend struct {
 	client *http.Client
 	start  time.Time
 
-	alerts  gatherCache
-	stats   gatherCache
-	dict    gatherCache
-	dictMu  sync.Mutex
-	dictKey string
-	merged  []*semantics.Entry
-	dictObs uint64
+	alerts   gatherCache
+	stats    gatherCache
+	dict     gatherCache
+	dictMu   sync.Mutex
+	dictKey  string
+	dictSnap *semantics.Snapshot
 
 	scatterHist *obs.Histogram
 	upstreamErr *obs.Counter
@@ -142,9 +141,13 @@ func (f *Frontend) Handler() http.Handler {
 	m.HandleFunc("/stats", f.handleStats)
 	m.HandleFunc("/alerts", f.handleAlerts)
 	m.HandleFunc("/prefix/", f.handlePrefix)
-	m.HandleFunc("/dict", f.handleDictIndex)
-	m.HandleFunc("/dict/stats", f.handleDictStats)
-	m.HandleFunc("/dict/", f.handleDictAS)
+	m.HandleFunc("/dict", f.dictPage(renderDictIndex))
+	m.HandleFunc("/dict/stats", f.dictPage(renderFleetDictStats))
+	m.HandleFunc("/dict/", func(w http.ResponseWriter, r *http.Request) {
+		if body := dictASPage(w, r, f.mergedDict); body != nil {
+			writeJSON(w, body)
+		}
+	})
 	m.Handle("/metrics", f.reg.Handler())
 	return instrument(f.reg, m)
 }
@@ -415,63 +418,50 @@ func (f *Frontend) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // mergedDict gathers /dict/export from every shard and returns the
 // merged dictionary, cached on the shard ETag vector.
-func (f *Frontend) mergedDict() ([]*semantics.Entry, uint64, error) {
+func (f *Frontend) mergedDict() (*semantics.Snapshot, error) {
 	bodies, key, err := f.gather("/dict/export", &f.dict)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	f.dictMu.Lock()
 	defer f.dictMu.Unlock()
 	if f.dictKey == key {
-		return f.merged, f.dictObs, nil
+		return f.dictSnap, nil
 	}
 	lists := make([][]*semantics.Entry, len(bodies))
 	var observations uint64
 	for i, b := range bodies {
 		var p dictExportPayload
 		if err := json.Unmarshal(b, &p); err != nil {
-			return nil, 0, fmt.Errorf("shard %d /dict/export: %w", i, err)
+			return nil, fmt.Errorf("shard %d /dict/export: %w", i, err)
 		}
 		lists[i] = p.Entries
 		observations += p.Observations
 	}
-	f.merged = semantics.MergeEntries(lists...)
-	f.dictKey, f.dictObs = key, observations
-	return f.merged, observations, nil
+	f.dictKey, f.dictSnap = key, semantics.MergeEntries(observations, lists...)
+	return f.dictSnap, nil
 }
 
-func (f *Frontend) handleDictIndex(w http.ResponseWriter, r *http.Request) {
-	entries, observations, err := f.mergedDict()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	payload := dictIndexPayload{Observations: observations, Communities: len(entries)}
-	perAS := map[uint16]int{}
-	var order []uint16
-	for _, e := range entries {
-		asn := e.Community.ASN()
-		if perAS[asn] == 0 {
-			order = append(order, asn)
+// dictPage serves a /dict page rendered from the merged dictionary.
+func (f *Frontend) dictPage(render func(*semantics.Snapshot) ([]byte, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		snap, err := f.mergedDict()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
 		}
-		perAS[asn]++
+		body, err := render(snap)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		writeJSON(w, body)
 	}
-	// MergeEntries sorts by (ASN, community), so first-appearance order
-	// is ascending ASN — the same order a shard's /dict serves.
-	for _, asn := range order {
-		payload.ASes = append(payload.ASes, dictIndexItem{ASN: asn, Entries: perAS[asn]})
-	}
-	body, err := json.MarshalIndent(payload, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, body)
 }
 
-// frontendDictStats is the merged /dict/stats shape: dictionary shape
-// from the merged entries, fleet-wide observation count from the
-// shards.
+// frontendDictStats is the merged /dict/stats shape: the dictionary
+// shape a shard reports of its snapshot, read off the merged one, and
+// the fleet-wide observation count.
 type frontendDictStats struct {
 	Observations uint64         `json:"observations"`
 	Communities  int            `json:"communities"`
@@ -479,59 +469,13 @@ type frontendDictStats struct {
 	ByClass      map[string]int `json:"by_class"`
 }
 
-func (f *Frontend) handleDictStats(w http.ResponseWriter, r *http.Request) {
-	entries, observations, err := f.mergedDict()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	st := frontendDictStats{
-		Observations: observations,
-		Communities:  len(entries),
-		ByClass:      map[string]int{},
-	}
-	seen := map[uint16]bool{}
-	for _, e := range entries {
-		st.ByClass[e.Class.String()]++
-		seen[e.Community.ASN()] = true
-	}
-	st.ASes = len(seen)
-	body, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, body)
-}
-
-func (f *Frontend) handleDictAS(w http.ResponseWriter, r *http.Request) {
-	raw := strings.TrimPrefix(r.URL.Path, "/dict/")
-	asn, err := strconv.ParseUint(raw, 10, 16)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad ASN %q: %v", raw, err), http.StatusBadRequest)
-		return
-	}
-	entries, _, err := f.mergedDict()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	var own []*semantics.Entry
-	for _, e := range entries {
-		if e.Community.ASN() == uint16(asn) {
-			own = append(own, e)
-		}
-	}
-	if len(own) == 0 {
-		http.Error(w, fmt.Sprintf("no dictionary entries for AS%d", asn), http.StatusNotFound)
-		return
-	}
-	body, err := json.MarshalIndent(dictASPayload{ASN: uint16(asn), Count: len(own), Entries: own}, "", "  ")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, body)
+func renderFleetDictStats(snap *semantics.Snapshot) ([]byte, error) {
+	return json.MarshalIndent(frontendDictStats{
+		Observations: snap.Observations,
+		Communities:  snap.Len(),
+		ASes:         len(snap.ASNs()),
+		ByClass:      snap.ByClass(),
+	}, "", "  ")
 }
 
 func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -185,7 +185,7 @@ func startDurableShard(t *testing.T, dir string, idx, count int, events []feed.E
 		t.Fatal(err)
 	}
 	eng.Flush()
-	srv := New(Options{Watch: eng, Semantics: sem, Holder: &semantics.Holder{}, Registry: reg,
+	srv := New(Options{Watch: eng, Semantics: sem, Registry: reg,
 		Store: store, ShardIndex: idx, ShardCount: count})
 	s := &durableShard{eng: eng, sem: sem, store: store, srv: srv}
 	s.ts = httptest.NewServer(srv.Handler())

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -78,7 +79,6 @@ func startProc(t testing.TB, events []feed.Event, idx, count int) *proc {
 	t.Helper()
 	reg := obs.NewRegistry()
 	sem := semantics.NewEngine(semantics.Config{})
-	holder := &semantics.Holder{}
 	eng := watch.NewEngine(watch.Config{Shards: 4, Semantics: sem})
 	opts := durable.Options{Dir: t.TempDir(), FsyncInterval: -1}
 	if count > 1 {
@@ -98,7 +98,7 @@ func startProc(t testing.TB, events []feed.Event, idx, count int) *proc {
 	}
 	eng.Flush()
 	return &proc{eng: eng, sem: sem, store: store, srv: New(Options{
-		Watch: eng, Semantics: sem, Holder: holder, Registry: reg,
+		Watch: eng, Semantics: sem, Registry: reg,
 		Store: store, ShardIndex: idx, ShardCount: count,
 	})}
 }
@@ -294,7 +294,7 @@ func startFleet(t *testing.T, events []feed.Event, n int) (http.Handler, []*proc
 // every detector (plus one that does not exist), byte-identical to ref.
 func sameAlerts(t *testing.T, ref, fe http.Handler) {
 	t.Helper()
-	every, _ := watch.ResolveDetectors(nil, &semantics.Holder{})
+	every, _ := watch.ResolveDetectors(nil, &semantics.Snapshot{})
 	names := []string{"no-such-detector"}
 	for _, d := range every {
 		names = append(names, d.Name())
@@ -410,14 +410,21 @@ func TestFrontendByteIdentity(t *testing.T) {
 		t.Fatalf("sharded %s diverged:\nref: %s\nfrontend: %s", path, want, got)
 	}
 
-	// /dict/stats: merged shape matches the reference dictionary.
+	// /dict/stats: the merged dictionary's shape is the single process's
+	// (communities, ases, by_class), and its observations are the
+	// reference export's.
 	var ds frontendDictStats
 	if err := json.Unmarshal(mustGet(t, feH, "/dict/stats"), &ds); err != nil {
 		t.Fatal(err)
 	}
-	if ds.Observations != refExport.Observations || ds.Communities != refExport.Count {
-		t.Fatalf("frontend /dict/stats %+v vs reference export obs=%d count=%d",
-			ds, refExport.Observations, refExport.Count)
+	var refStats semantics.Stats
+	if err := json.Unmarshal(mustGet(t, refH, "/dict/stats"), &refStats); err != nil {
+		t.Fatal(err)
+	}
+	if ds.Observations != refExport.Observations || ds.Communities != refStats.Communities ||
+		ds.ASes != refStats.ASes || !reflect.DeepEqual(ds.ByClass, refStats.ByClass) {
+		t.Fatalf("frontend /dict/stats %+v vs reference %+v (export observations %d)",
+			ds, refStats, refExport.Observations)
 	}
 
 	// /stats: totals are additive over the shards.

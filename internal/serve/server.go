@@ -35,9 +35,9 @@ import (
 // the rest are optional.
 type Options struct {
 	Watch *watch.Engine
-	// Semantics + Holder power the /dict endpoints; nil disables them.
+	// Semantics powers the /dict endpoints from its published snapshot;
+	// nil disables them.
 	Semantics *semantics.Engine
-	Holder    *semantics.Holder
 	// Registry is rendered on /metrics together with the Collect series
 	// of Watch, Semantics and Store; a binary passes obs.Default.
 	Registry *obs.Registry
@@ -80,13 +80,19 @@ func (s *Server) mux() *http.ServeMux {
 	m.HandleFunc("/alerts", s.handleAlerts)
 	m.HandleFunc("/prefix/", s.handlePrefix)
 	m.HandleFunc("/durable", s.handleDurable)
-	m.HandleFunc("/dict", s.handleDictIndex)
-	m.HandleFunc("/dict/stats", s.handleDictStats)
-	m.HandleFunc("/dict/export", s.handleDictExport)
-	m.HandleFunc("/dict/", s.handleDictAS)
 	collect := []func(func(obs.Sample)){s.opts.Watch.Collect}
 	if s.opts.Semantics != nil {
+		m.HandleFunc("/dict", s.handleDictIndex)
+		m.HandleFunc("/dict/stats", s.handleDictStats)
+		m.HandleFunc("/dict/export", s.handleDictExport)
+		m.HandleFunc("/dict/", s.handleDictAS)
 		collect = append(collect, s.opts.Semantics.Collect)
+	} else {
+		off := func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "dictionary inference disabled (-dict=false)", http.StatusNotFound)
+		}
+		m.HandleFunc("/dict", off)
+		m.HandleFunc("/dict/", off)
 	}
 	if s.opts.Store != nil {
 		collect = append(collect, s.opts.Store.Collect)
@@ -140,17 +146,15 @@ func routeLabel(path string) string {
 }
 
 // dictSnapshot returns the dictionary view requests are served from:
-// the holder's heartbeat copy (at most one heartbeat stale — the same
-// snapshot the detectors consult), computed directly only on cold
-// start before the first heartbeat. Serving the heartbeat snapshot
-// keeps /dict reads from stalling ingest on flush barriers.
+// the engine's published snapshot (at most one heartbeat stale — the
+// same snapshot the detectors consult), taken here only on cold start
+// before the first heartbeat. Serving the published snapshot keeps
+// /dict reads from stalling ingest on flush barriers.
 func (s *Server) dictSnapshot() *semantics.Snapshot {
-	if snap := s.opts.Holder.Load(); snap != nil {
+	if snap := s.opts.Semantics.Published(); snap != nil {
 		return snap
 	}
-	snap := s.opts.Semantics.Snapshot()
-	s.opts.Holder.Store(snap)
-	return snap
+	return s.opts.Semantics.Snapshot()
 }
 
 // snapshotCache is a version-keyed rendered-JSON cache safe for
@@ -326,21 +330,20 @@ type dictIndexItem struct {
 	Entries int    `json:"entries"`
 }
 
-// handleDictIndex lists every AS with inferred entries — the discovery
-// entry point for /dict/{asn}.
-func (s *Server) handleDictIndex(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Semantics == nil {
-		http.Error(w, "dictionary inference disabled (-dict=false)", http.StatusNotFound)
-		return
+// renderDictIndex renders the /dict body of a dictionary: every AS with
+// inferred entries, the discovery entry point for /dict/{asn}. A shard
+// renders its published snapshot, the frontend the merge of its shards'.
+func renderDictIndex(snap *semantics.Snapshot) ([]byte, error) {
+	payload := dictIndexPayload{Observations: snap.Observations, Communities: snap.Len()}
+	for _, asn := range snap.ASNs() {
+		payload.ASes = append(payload.ASes, dictIndexItem{ASN: asn, Entries: len(snap.AS(asn))})
 	}
+	return json.MarshalIndent(payload, "", "  ")
+}
+
+func (s *Server) handleDictIndex(w http.ResponseWriter, r *http.Request) {
 	snap := s.dictSnapshot()
-	body, _, err := s.dictIndex.get(snap.Version, func() ([]byte, error) {
-		payload := dictIndexPayload{Observations: snap.Observations, Communities: snap.Len()}
-		for _, asn := range snap.ASNs() {
-			payload.ASes = append(payload.ASes, dictIndexItem{ASN: asn, Entries: len(snap.AS(asn))})
-		}
-		return json.MarshalIndent(payload, "", "  ")
-	})
+	body, _, err := s.dictIndex.get(snap.Version, func() ([]byte, error) { return renderDictIndex(snap) })
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -349,10 +352,6 @@ func (s *Server) handleDictIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDictStats(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Semantics == nil {
-		http.Error(w, "dictionary inference disabled (-dict=false)", http.StatusNotFound)
-		return
-	}
 	snap := s.dictSnapshot()
 	body, _, err := s.dictStats.get(snap.Version, func() ([]byte, error) {
 		return json.MarshalIndent(s.opts.Semantics.StatsOf(snap), "", "  ")
@@ -378,10 +377,6 @@ type dictExportPayload struct {
 // merges the partials; it is also a bulk-download convenience for
 // operators.
 func (s *Server) handleDictExport(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Semantics == nil {
-		http.Error(w, "dictionary inference disabled (-dict=false)", http.StatusNotFound)
-		return
-	}
 	snap := s.dictSnapshot()
 	body, etag, err := s.dictExp.get(snap.Version, func() ([]byte, error) {
 		entries := snap.Entries()
@@ -406,29 +401,39 @@ type dictASPayload struct {
 	Entries []*semantics.Entry `json:"entries"`
 }
 
-func (s *Server) handleDictAS(w http.ResponseWriter, r *http.Request) {
-	if s.opts.Semantics == nil {
-		http.Error(w, "dictionary inference disabled (-dict=false)", http.StatusNotFound)
-		return
-	}
+// dictASPage renders the /dict/{asn} body from the dictionary dict
+// returns, for a shard and the frontend alike. On nil it has answered the
+// request itself: 400 for a bad ASN, 502 when dict fails, 404 for an AS
+// without entries.
+func dictASPage(w http.ResponseWriter, r *http.Request, dict func() (*semantics.Snapshot, error)) []byte {
 	raw := strings.TrimPrefix(r.URL.Path, "/dict/")
 	asn, err := strconv.ParseUint(raw, 10, 16)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad ASN %q: %v", raw, err), http.StatusBadRequest)
-		return
+		return nil
 	}
-	snap := s.dictSnapshot()
+	snap, err := dict()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return nil
+	}
 	entries := snap.AS(uint16(asn))
 	if len(entries) == 0 {
 		http.Error(w, fmt.Sprintf("no dictionary entries for AS%d", asn), http.StatusNotFound)
-		return
+		return nil
 	}
 	body, err := json.MarshalIndent(dictASPayload{ASN: uint16(asn), Count: len(entries), Entries: entries}, "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		return nil
 	}
-	taggedJSON(w, r, contentETag(body), body)
+	return body
+}
+
+func (s *Server) handleDictAS(w http.ResponseWriter, r *http.Request) {
+	if body := dictASPage(w, r, func() (*semantics.Snapshot, error) { return s.dictSnapshot(), nil }); body != nil {
+		taggedJSON(w, r, contentETag(body), body)
+	}
 }
 
 func (s *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {

@@ -91,7 +91,7 @@ func (a *Arm) resolve(dict semantics.Provider) ([]watch.Detector, error) {
 
 // untrained is the empty dictionary validation binds detectors to: only
 // their names are read.
-var untrained = &semantics.Holder{}
+var untrained = &semantics.Snapshot{}
 
 // DetectorGate is one per-detector assertion inside a suite entry.
 type DetectorGate struct {

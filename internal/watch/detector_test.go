@@ -160,7 +160,7 @@ func TestResolveDetectors(t *testing.T) {
 		}
 		return strings.Join(out, ",")
 	}
-	dict := &semantics.Holder{}
+	dict := &semantics.Snapshot{}
 	for _, c := range []struct {
 		names []string
 		dict  semantics.Provider

@@ -20,9 +20,9 @@ import (
 //
 // Determinism: with a frozen *semantics.Snapshot the alert set is
 // bit-identical across shard counts, exactly like the builtin
-// detectors. With a live provider (a semantics.Holder a daemon
-// refreshes while ingesting) alerts depend on refresh timing — fine
-// for a daemon, wrong for an eval; harnesses freeze.
+// detectors. With a live provider (a semantics.Engine, whose snapshot a
+// daemon republishes while ingesting) alerts depend on refresh timing —
+// fine for a daemon, wrong for an eval; harnesses freeze.
 
 // DictSquatName and UnknownActionName are the pair's catalog keys.
 const (

@@ -261,11 +261,13 @@ func TestEvalDictionaryFromOneReplay(t *testing.T) {
 	}
 }
 
-// TestDictProviderNilSafety: an empty holder behaves like an empty
-// dictionary — every off-path community is outside it.
+// TestDictProviderNilSafety: a semantics engine that has published no
+// snapshot yet behaves like an empty dictionary — every off-path
+// community is outside it.
 func TestDictProviderNilSafety(t *testing.T) {
-	var holder semantics.Holder
-	eng := watch.NewEngine(watch.Config{Shards: 1, Dict: &holder})
+	sem := semantics.NewEngine(semantics.Config{})
+	defer sem.Close()
+	eng := watch.NewEngine(watch.Config{Shards: 1, Dict: sem})
 	defer eng.Close()
 	eng.Ingest(feed.Event{
 		PeerAS: 1,

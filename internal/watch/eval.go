@@ -15,7 +15,7 @@ import (
 // detector is scored against the scenario's declared ground truth. With
 // Config.Semantics set, the same replay closes the infer-what-you-generate
 // loop too: the dictionary the shards folded is scored against the
-// world's exported ground truth (gen.Registry.Dict / Internet.TruthDict).
+// world's ground truth (gen.Internet.TruthDict).
 
 // Truth declares which detectors a scenario's feed is expected to
 // trigger. Must detectors count toward recall; each AnyOf group counts

@@ -14,7 +14,7 @@ import (
 // wormwatchd runs over every ingested update: the stateless rules, then
 // the dictionary-aware pair once a dictionary is configured.
 func ExampleResolveDetectors() {
-	dets, _ := watch.ResolveDetectors(nil, &semantics.Holder{})
+	dets, _ := watch.ResolveDetectors(nil, &semantics.Snapshot{})
 	for _, d := range dets {
 		fmt.Println(d.Name())
 	}

@@ -77,7 +77,8 @@ type Config struct {
 	// Dict enables the dictionary-aware detectors (dict-squat,
 	// unknown-action-community) bound to this provider. Pass a frozen
 	// *semantics.Snapshot for deterministic alert sets, or a
-	// *semantics.Holder a daemon refreshes while ingesting.
+	// *semantics.Engine, whose published snapshot a daemon refreshes
+	// while ingesting.
 	Dict semantics.Provider
 	// Semantics, when non-nil, builds dictionaries from the events the
 	// detectors process: each shard holds one of the engine's partial
