@@ -59,8 +59,8 @@ fuzz-smoke:
 
 # lint is gofmt, go vet and the layering gate (layering_test.go): the
 # record package imports only the wire and simulation layers, watch and
-# semantics never depend on core, and only bench/ names the record's old
-# watch-package aliases.
+# semantics never depend on core, only bench/ names the record's old
+# watch-package aliases, and no binary registers -scale/-seed itself.
 lint:
 	@fmtout="$$(gofmt -l .)"; \
 	if [ -n "$$fmtout" ]; then \

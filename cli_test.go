@@ -32,6 +32,8 @@ func TestCLI(t *testing.T) {
 		t.Fatalf("go build %v: %v\n%s", pkgs, err, out)
 	}
 	t.Run("refusals", func(t *testing.T) { testRefusals(t, bin) })
+	t.Run("retired flags", func(t *testing.T) { testRetiredFlags(t, bin) })
+	t.Run("world defaults", func(t *testing.T) { testWorldDefaults(t, bin) })
 	t.Run("walreshard", func(t *testing.T) { testReshardOfRealShards(t, bin) })
 }
 
@@ -75,6 +77,24 @@ func testRefusals(t *testing.T, bin string) {
 		{"wormwatchd", []string{"-frontend", "http://127.0.0.1:1", "-scenario", "rtbh"}, "-frontend", nil},
 		{"wormwatchd", []string{"-frontend", "http://127.0.0.1:1", "-shards", "2"}, "-frontend", nil},
 		{"wormwatchd", []string{"-addr", "127.0.0.1:0", "-frontend", "http://127.0.0.1:1", "-pprof"}, "-frontend", nil},
+		{"worms", []string{"-mrt", "d", "-scale", "medium"}, "reads no -scale", nil},
+		{"worms", []string{"-mrt", "d", "-seed", "7"}, "reads no -seed", nil},
+		{"commdict", []string{"-mrt", archive, "-scale", "medium"}, "reads no -scale", nil},
+		{"commdict", []string{"-mrt", archive, "-seed", "7"}, "reads no -seed", nil},
+		{"attacklab", []string{"-sweep", "-scale", "medium", "-seed", "7", "-set", "all", "-scenarios", "propagation-distance"}, "does not read -scale", nil},
+		{"attacklab", []string{"-sweep", "-seed", "7"}, "does not read -seed", nil},
+		{"attacklab", []string{"-sweep", "-set", "all"}, "does not read -set", nil},
+		{"attacklab", []string{"-sweep", "-run", "rtbh"}, "does not read -run", nil},
+		{"attacklab", []string{"-run", "rtbh", "-scales", "small"}, "-scales is read only by -sweep", nil},
+		{"attacklab", []string{"-run", "rtbh", "-seeds", "1,2"}, "-seeds is read only by -sweep", nil},
+		{"attacklab", []string{"-run", "rtbh", "-engine-workers", "4"}, "-engine-workers is read only by -sweep", nil},
+		{"attacklab", []string{"-run", "rtbh", "-engines", "delta"}, "-engines is read only by -sweep", nil},
+		{"attacklab", []string{"-sets", "all"}, "-sets is read only by -sweep", nil},
+		{"attacklab", []string{"-scenarios", "rtbh"}, "-scenarios is read only by -sweep", nil},
+		{"attacklab", []string{"-workers", "4"}, "-workers is read only by -sweep", nil},
+		{"attacklab", []string{"-trace", "t.json"}, "-trace is read only by -sweep", []string{"t.json"}},
+		// A world the presets do not name.
+		{"wormwatchd", []string{"-addr", "127.0.0.1:0", "-scale", "galactic", "-wal", "d"}, `unknown scale "galactic"`, []string{"d"}},
 		// Shard URLs the frontend could never fetch.
 		{"wormwatchd", []string{"-addr", "127.0.0.1:0", "-frontend", "http://127.0.0.1:1,"}, "-frontend", nil},
 		{"wormwatchd", []string{"-addr", "127.0.0.1:0", "-frontend", "127.0.0.1:8581"}, "-frontend", nil},
@@ -88,6 +108,8 @@ func testRefusals(t *testing.T, bin string) {
 		{"bgpcat", []string{archive}, "", nil},
 		{"bgpcat", []string{"-follow"}, "-follow tails a file", nil},
 		{"attacklab", []string{"-list"}, "", nil},
+		// The sweep the benchmark runs, on a one-cell grid.
+		{"attacklab", []string{"-sweep", "-json", "-v", "-engines", "delta", "-workers", "2", "-scales", "tiny", "-seeds", "1", "-scenarios", "rtbh"}, "", nil},
 	} {
 		t.Run(c.name+" "+strings.Join(c.args, " "), func(t *testing.T) {
 			dir := t.TempDir()
@@ -113,6 +135,33 @@ func testRefusals(t *testing.T, bin string) {
 				t.Fatalf("%s did not survive as a regular file: %v", archive, err)
 			}
 		})
+	}
+}
+
+// testRetiredFlags: a flag that is gone is an error, not a no-op.
+// suiterun's -update-baseline went with the implicit comparison it fed;
+// -ab compares two reports explicitly.
+func testRetiredFlags(t *testing.T, bin string) {
+	_, stderr, err := run(t, t.TempDir(), bin, "suiterun", "-suite", "suite.json", "-update-baseline")
+	if err == nil || !strings.Contains(stderr, "flag provided but not defined: -update-baseline") {
+		t.Fatalf("suiterun -update-baseline: err=%v\n%s", err, stderr)
+	}
+}
+
+// testWorldDefaults: a scenario replay with no -scale/-seed replays the
+// world the flags' defaults name, byte for byte.
+func testWorldDefaults(t *testing.T, bin string) {
+	dir := t.TempDir()
+	bare, stderr, err := run(t, dir, bin, "commdict", "-scenario", "rtbh", "-json")
+	if err != nil || !strings.Contains(bare, `"entries"`) {
+		t.Fatalf("commdict -scenario rtbh -json: %v\n%s", err, stderr)
+	}
+	named, stderr, err := run(t, dir, bin, "commdict", "-scenario", "rtbh", "-json", "-scale", "tiny", "-seed", "1")
+	if err != nil {
+		t.Fatalf("commdict -scale tiny -seed 1: %v\n%s", err, stderr)
+	}
+	if bare != named {
+		t.Fatalf("the default flags replay a different world than -scale tiny -seed 1 (%d vs %d bytes)", len(bare), len(named))
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -50,15 +51,14 @@ func main() {
 		sweep  = flag.Bool("sweep", false, "sweep a scenario grid (see -scenarios/-scales/-seeds/-engine-workers/-sets)")
 		asJSON = flag.Bool("json", false, "emit JSON instead of tables")
 
-		scale = flag.String("scale", "small", "internet scale: "+strings.Join(gen.PresetNames(), "|")+" (single run / full report)")
-		seed  = flag.Int64("seed", 1, "generator seed (single run / full report)")
+		world = gen.NewFlags(flag.CommandLine, "small")
 		vps   = flag.Int("vps", 48, "atlas vantage points")
 		set   = flag.String("set", "verified", "community set for candidate-driven scenarios: verified|likely|all")
 
 		scenarios     = flag.String("scenarios", "", "sweep: comma-separated scenario names (empty = all)")
 		scales        = flag.String("scales", "tiny", "sweep: comma-separated scales")
 		seeds         = flag.String("seeds", "1", "sweep: comma-separated generator seeds")
-		engineWorkers = flag.String("engine-workers", "1", "sweep: comma-separated simnet engine worker counts per cell")
+		engineWorkers = flag.String("engine-workers", "1", "sweep: comma-separated simnet engine worker counts per cell (0 = one per CPU)")
 		// -engines exists for bench/, which passes "delta"; it goes when
 		// a benchmark PR drops the argument.
 		engines = flag.String("engines", "delta", "sweep: simnet engine: delta (the only one)")
@@ -75,15 +75,34 @@ func main() {
 		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
 	}
 
+	// A sweep names its worlds by grid and a single world is named by
+	// -scale/-seed, so each refuses the other's flags rather than run
+	// on defaults in silence.
+	sweepOnly := []string{"scales", "seeds", "engine-workers", "engines", "sets", "scenarios", "workers", "trace"}
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case *sweep && slices.Contains([]string{"scale", "seed", "set", "run"}, f.Name):
+			fail(fmt.Errorf("-sweep names its worlds with -scales/-seeds/-sets and does not read -%s", f.Name))
+		case !*sweep && slices.Contains(sweepOnly, f.Name):
+			fail(fmt.Errorf("-%s is read only by -sweep", f.Name))
+		}
+	})
+
 	switch {
 	case *list:
 		runList(*asJSON)
-	case *run != "":
-		runOne(*run, *scale, *seed, *vps, *set, params, *asJSON, *verbose)
 	case *sweep:
 		runSweep(*scenarios, *scales, *seeds, *engineWorkers, *engines, *sets, *vps, *workers, params, *asJSON, *traceOut, *verbose)
 	default:
-		fullReport(*scale, *seed, *vps, *verbose)
+		p, err := world.Params()
+		if err != nil {
+			fail(err)
+		}
+		if *run != "" {
+			runOne(*run, p, *vps, *set, params, *asJSON, *verbose)
+		} else {
+			fullReport(p, world.Scale, *vps, *verbose)
+		}
 	}
 }
 
@@ -96,12 +115,7 @@ func runList(asJSON bool) {
 	fmt.Println(scenario.RenderCatalog(all))
 }
 
-func runOne(name, scale string, seed int64, vps int, set string, params multiFlag, asJSON, verbose bool) {
-	p, err := gen.Preset(scale)
-	if err != nil {
-		fail(err)
-	}
-	p.Seed = seed
+func runOne(name string, p gen.Params, vps int, set string, params multiFlag, asJSON, verbose bool) {
 	ctx := &scenario.Context{Gen: p, VPs: vps, CommunitySet: set, Values: parseParams(params)}
 	res, err := scenario.Run(name, ctx)
 	if err != nil {
@@ -218,13 +232,7 @@ func emitJSON(v any) {
 
 // fullReport reproduces the paper's §6–§7 narrative end to end on one
 // lab, exactly as the pre-registry attacklab did.
-func fullReport(scale string, seed int64, vps int, verbose bool) {
-	p, err := gen.Preset(scale)
-	if err != nil {
-		fail(err)
-	}
-	p.Seed = seed
-
+func fullReport(p gen.Params, scale string, vps int, verbose bool) {
 	fmt.Println("== §6.1: vendor lab matrix ==")
 	fmt.Println(vendorMatrix())
 

@@ -38,8 +38,7 @@ func main() {
 	var (
 		mrtPath = flag.String("mrt", "", "MRT update archive to infer from (file, or dir of updates.*.mrt)")
 		scen    = flag.String("scenario", "", "replay a registered attack scenario and score inference against ground truth")
-		scale   = flag.String("scale", "", "gen preset for -scenario (tiny, small, medium; default tiny)")
-		seed    = flag.Int64("seed", 0, "generator seed for -scenario (default 1)")
+		world   = gen.NewFlags(flag.CommandLine, scenario.DefaultScale)
 		asn     = flag.Int("asn", -1, "print only this AS's dictionary (0..65535: communities name 16-bit ASNs)")
 		asJSON  = flag.Bool("json", false, "emit JSON instead of tables")
 	)
@@ -54,8 +53,17 @@ func main() {
 	case *scen != "" && *mrtPath != "":
 		fail(fmt.Errorf("-mrt and -scenario are exclusive"))
 	case *scen != "":
-		runScenario(*scen, *scale, *seed, *asn, *asJSON)
+		params, err := world.Params()
+		if err != nil {
+			fail(err)
+		}
+		runScenario(*scen, params, *asn, *asJSON)
 	case *mrtPath != "":
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "scale" || f.Name == "seed" {
+				fail(fmt.Errorf("-mrt infers from the archives' world and reads no -%s", f.Name))
+			}
+		})
 		runMRT(*mrtPath, *asn, *asJSON)
 	default:
 		fail(fmt.Errorf("need -mrt or -scenario (see -h)"))
@@ -116,11 +124,7 @@ func emit(snap *semantics.Snapshot, stats semantics.Stats, ev *scenarioEval, asn
 // attack itself — then scores the inferred dictionary against the
 // world's ground truth, read after the run so services the lab
 // provisioned mid-scenario count too.
-func runScenario(name, scale string, seed int64, asn int, asJSON bool) {
-	params, err := scenario.GenParams(scale, seed)
-	if err != nil {
-		fail(err)
-	}
+func runScenario(name string, params gen.Params, asn int, asJSON bool) {
 	eng := semantics.NewEngine(semantics.Config{})
 	defer eng.Close()
 	var world *gen.Internet

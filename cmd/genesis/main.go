@@ -12,10 +12,9 @@
 //	genesis -scale internet -workers 8 -out ./data
 //	genesis -sample-rel as-rel.txt -sample-size 5000 -out ./data
 //
-// -workers sizes the simulation engine's worker pool: 0 or 1 runs it on
-// one goroutine, >1 on that many workers, a negative value on one
-// worker per CPU. The written archives are byte-identical for every
-// value under a fixed seed.
+// -workers sizes the simulation engine's worker pool (0 or negative =
+// one per CPU). The written archives are byte-identical for every value
+// under a fixed seed.
 //
 // -sample-rel switches to sampler mode: read a CAIDA serial-1
 // relationship file (real data or a previous genesis export), apply the
@@ -29,17 +28,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"bgpworms/internal/gen"
 	"bgpworms/internal/topo"
 )
 
 func main() {
-	scale := flag.String("scale", "small", "internet scale: "+strings.Join(gen.PresetNames(), "|"))
-	seed := flag.Int64("seed", 1, "generator seed")
+	world := gen.NewFlags(flag.CommandLine, "small")
 	out := flag.String("out", "data", "output directory")
-	workers := flag.Int("workers", 0, "simulation engine workers (0 or 1 = one goroutine; <0 = one worker per CPU); output is identical for every value")
+	workers := flag.Int("workers", 0, "simulation engine workers (0 = one per CPU); output is identical for every value")
 	sampleRel := flag.String("sample-rel", "", "sampler mode: CAIDA serial-1 relationship file to downsample (skips world building)")
 	sampleSize := flag.Int("sample-size", 5000, "sampler mode: target AS count")
 	flag.Parse()
@@ -48,20 +45,19 @@ func main() {
 	}
 
 	if *sampleRel != "" {
-		if err := runSample(*sampleRel, *sampleSize, *seed, *out); err != nil {
+		if err := runSample(*sampleRel, *sampleSize, world.Seed, *out); err != nil {
 			fail(err)
 		}
 		return
 	}
 
-	p, err := gen.Preset(*scale)
+	p, err := world.Params()
 	if err != nil {
 		fail(err)
 	}
-	p.Seed = *seed
 	p.Workers = *workers
 
-	fmt.Printf("building %s internet (seed %d)...\n", *scale, *seed)
+	fmt.Printf("building %s internet (seed %d)...\n", world.Scale, p.Seed)
 	w, err := gen.Build(p)
 	if err != nil {
 		fail(err)

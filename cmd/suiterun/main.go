@@ -48,7 +48,6 @@ func main() {
 		recallTol = flag.Float64("recall-tol", 0, "A/B: tolerated per-cell recall drop")
 		precTol   = flag.Float64("precision-tol", 0, "A/B: tolerated per-cell precision drop")
 		noiseTol  = flag.Int("noise-tol", 0, "A/B: tolerated per-cell noise-alert increase")
-		updateBL  = flag.Bool("update-baseline", false, "record this run as <suite>.baseline.json for future paired comparisons")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -134,21 +133,6 @@ func main() {
 			fatal(err)
 		}
 	}
-	if *updateBL {
-		bl := baselinePath(*suitePath)
-		if err := writeJSON(bl, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "baseline recorded: %s\n", bl)
-	} else if old, err := loadReport(baselinePath(*suitePath)); err == nil {
-		// A recorded baseline makes every run a paired comparison for
-		// free — informational here; -ab gates explicitly.
-		if abRep, err := suite.Compare(old, rep, suite.ABOptions{}); err == nil {
-			fmt.Fprintf(os.Stderr, "vs baseline %s: %s\n", baselinePath(*suitePath),
-				verdict(abRep.Accept))
-		}
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -196,10 +180,6 @@ func runAB(spec string, opt suite.ABOptions, jsonOut bool) int {
 	return 0
 }
 
-func baselinePath(suitePath string) string {
-	return strings.TrimSuffix(suitePath, ".json") + ".baseline.json"
-}
-
 func loadReport(path string) (*suite.Report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -218,13 +198,6 @@ func writeJSON(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func verdict(ok bool) string {
-	if ok {
-		return "ACCEPT (no quality loss, noise sign test held)"
-	}
-	return "REJECT"
 }
 
 func fatal(err error) {

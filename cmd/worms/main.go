@@ -8,10 +8,9 @@
 // same wire-format path the paper's pipeline used: each archive is
 // classified as a byte stream, never materialized as an update slice,
 // so memory is bounded by the aggregates and not by the archive size.
-// -workers sizes the analysis worker pool (0 = one per CPU) and, when
-// generating, the simulation engine's pool (0 or 1 = no extra
-// goroutines, negative = one per CPU). The printed report is
-// byte-identical for every value under a fixed seed.
+// -workers sizes the analysis worker pool and, when generating, the
+// simulation engine's pool (0 or negative = one per CPU for both). The
+// printed report is byte-identical for every value under a fixed seed.
 //
 // Usage:
 //
@@ -25,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"bgpworms/internal/core"
 	"bgpworms/internal/gen"
@@ -34,8 +32,7 @@ import (
 )
 
 func main() {
-	scale := flag.String("scale", "small", "internet scale: "+strings.Join(gen.PresetNames(), "|"))
-	seed := flag.Int64("seed", 1, "generator seed")
+	world := gen.NewFlags(flag.CommandLine, "small")
 	mrtDir := flag.String("mrt", "", "stream-classify the updates.*.mrt archives in this directory instead of simulating")
 	workers := flag.Int("workers", 0, "analysis worker pool size (0 = one per CPU); also sizes the simulation engine's pool when generating")
 	// -engine exists for bench/, which passes "delta"; it goes when a
@@ -46,6 +43,13 @@ func main() {
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
+	}
+	if *mrtDir != "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "scale" || f.Name == "seed" {
+				fail(fmt.Errorf("-mrt analyses the archives' world and reads no -%s", f.Name))
+			}
+		})
 	}
 	if *engine != "" && *engine != "delta" {
 		fail(fmt.Errorf("-engine %q: the only engine is \"delta\"", *engine))
@@ -76,7 +80,12 @@ func main() {
 		return
 	}
 
-	w, err := buildWorld(*scale, *seed, *workers, tr)
+	p, err := world.Params()
+	if err != nil {
+		fail(err)
+	}
+	p.Workers = *workers
+	w, err := buildWorld(p, world.Scale, tr)
 	if err != nil {
 		fail(err)
 	}
@@ -91,7 +100,7 @@ func main() {
 		defer evoSp.End()
 		fmt.Println("== Figure 3: community use over time ==")
 		base := gen.Tiny()
-		base.Seed = *seed
+		base.Seed = p.Seed
 		base.Workers = *workers
 		pts, err := gen.Evolution(base, []int{2010, 2012, 2014, 2016, 2018}, func(w *gen.Internet) (int, int, int, int) {
 			return pipe.EvolutionMetrics(core.FromCollectors(w.Collectors))
@@ -146,13 +155,7 @@ func printAnalysis(w io.Writer, a *core.Analysis) {
 	fmt.Fprintln(w)
 }
 
-func buildWorld(scale string, seed int64, workers int, tr *obs.Trace) (*gen.Internet, error) {
-	p, err := gen.Preset(scale)
-	if err != nil {
-		return nil, err
-	}
-	p.Seed = seed
-	p.Workers = workers
+func buildWorld(p gen.Params, scale string, tr *obs.Trace) (*gen.Internet, error) {
 	sp := tr.Start("build")
 	sp.SetAttr("scale", scale)
 	w, err := gen.Build(p)

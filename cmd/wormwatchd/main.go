@@ -113,10 +113,11 @@ import (
 type config struct {
 	addr     string
 	scenario string
-	scale    string
-	seed     int64
-	mrtPath  string
-	follow   bool
+	// world is the -scenario replay's world (-scale/-seed); the zero
+	// value replays scenario.Run's default, as the flags' defaults do.
+	world   gen.Params
+	mrtPath string
+	follow  bool
 	// feedListen accepts live MRT streams on a socket — the one feed
 	// that cannot be re-read after a crash.
 	feedListen string
@@ -176,8 +177,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	var cfg config
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8571", "HTTP listen address")
 	fs.StringVar(&cfg.scenario, "scenario", "", "replay a registered attack scenario through the engine")
-	fs.StringVar(&cfg.scale, "scale", "", "gen preset for -scenario (tiny, small, medium, large, internet; default tiny)")
-	fs.Int64Var(&cfg.seed, "seed", 0, "generator seed for -scenario (default 1)")
+	world := gen.NewFlags(fs, scenario.DefaultScale)
 	fs.StringVar(&cfg.mrtPath, "mrt", "", "MRT update archive to stream (file, or dir of updates.*.mrt)")
 	fs.BoolVar(&cfg.follow, "follow", false, "with -mrt FILE: keep reading as the file grows")
 	fs.StringVar(&cfg.feedListen, "feed-listen", "", "accept live MRT update streams on this address (host:port, or a unix socket path containing \"/\"); not re-readable — with -wal, recovery replays the WAL alone")
@@ -210,7 +210,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	if len(ignored) > 0 {
 		return cfg, fmt.Errorf("-frontend runs no engine and reads only -addr; refusing %s", strings.Join(ignored, " "))
 	}
-	return cfg, nil
+	var err error
+	cfg.world, err = world.Params()
+	return cfg, err
 }
 
 func fail(err error) {
@@ -298,14 +300,13 @@ func runDaemon(cfg config) error {
 			return fmt.Errorf("unknown scenario %q (have %v)", cfg.scenario, scenario.Names())
 		}
 	}
-	scenarioGen, err := scenario.GenParams(cfg.scale, cfg.seed)
-	if err != nil {
-		return err
-	}
 	if cfg.follow && cfg.mrtPath == "" {
 		return fmt.Errorf("-follow tails the file named by -mrt; there is no -mrt")
 	}
-	var mrtPaths []string
+	var (
+		mrtPaths []string
+		err      error
+	)
 	if cfg.mrtPath != "" {
 		var single bool
 		if mrtPaths, single, err = core.UpdateArchives(cfg.mrtPath); err != nil {
@@ -431,7 +432,7 @@ func runDaemon(cfg config) error {
 		feeds.Add(1)
 		go func() {
 			defer feeds.Done()
-			replayScenario(eng, sink, cfg.scenario, scenarioGen)
+			replayScenario(eng, sink, cfg.scenario, cfg.world)
 		}()
 	}
 	// The tail reader is created here, before the feed goroutine starts,

@@ -576,12 +576,8 @@ func TestFrontendRefusesEngineFlags(t *testing.T) {
 // replay's length comes from counting the tap, so "done" is a number and
 // not a quiet period.
 func TestScenarioAlertsSameWithAndWithoutWAL(t *testing.T) {
-	params, err := scenario.GenParams("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var events uint64
-	count := &scenario.Context{Gen: params, Tap: feed.Tap("count", func(feed.Event) { events++ })}
+	count := &scenario.Context{Tap: feed.Tap("count", func(feed.Event) { events++ })}
 	if _, err := scenario.Run("rtbh", count); err != nil {
 		t.Fatal(err)
 	}
@@ -615,12 +611,8 @@ func TestScenarioAlertsSameWithAndWithoutWAL(t *testing.T) {
 // -detectors may name the dictionary-aware pair, which the daemon runs
 // by default anyway; the named subset runs and nothing else does.
 func TestDetectorsFlagNamesTheDictionaryPair(t *testing.T) {
-	params, err := scenario.GenParams("", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var events uint64
-	count := &scenario.Context{Gen: params, Tap: feed.Tap("count", func(feed.Event) { events++ })}
+	count := &scenario.Context{Tap: feed.Tap("count", func(feed.Event) { events++ })}
 	if _, err := scenario.Run("blackhole-squatting", count); err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,11 @@
 // bgpcat pretty-prints MRT (with -follow tailing growing archives and
 // -community filtering), commdict prints inferred dictionaries, and
 // wormwatchd serves the detection engine's alerts and the live
-// dictionary (/dict endpoints) over HTTP while ingesting.
+// dictionary (/dict endpoints) over HTTP while ingesting. The five
+// that build or replay a world name it the same way: gen.NewFlags
+// registers -scale and -seed, and each binary passes only its default
+// scale. A worker count means one thing everywhere: 0 or negative is
+// one worker per CPU.
 // ARCHITECTURE.md maps every paper section to its package.
 //
 // # Concurrency

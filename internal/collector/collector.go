@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/mrt"
 	"bgpworms/internal/obs"
 	"bgpworms/internal/policy"
@@ -97,12 +98,11 @@ type Collector struct {
 	node  *router.Router
 	net   *simnet.Network
 	obs   []Observation
-	clock time.Time
 	seq   int
 }
 
 // New creates a collector. asn must be unused by the production network.
-func New(platform Platform, name string, asn topo.ASN, start time.Time) *Collector {
+func New(platform Platform, name string, asn topo.ASN) *Collector {
 	return &Collector{
 		Platform: platform,
 		Name:     name,
@@ -114,7 +114,6 @@ func New(platform Platform, name string, asn topo.ASN, start time.Time) *Collect
 			// Collector sessions are special: no policy, keep everything.
 			Propagation: policy.PropForwardAll,
 		}),
-		clock: start,
 	}
 }
 
@@ -180,18 +179,17 @@ func (c *Collector) tap(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route
 		return
 	}
 	c.seq++
-	c.clock = c.clock.Add(37 * time.Millisecond) // logical session clock
 	// The delivered route is recorded as it is, not copied: both engines
 	// treat an exported route as immutable (a later export of the prefix
 	// is a new object), and readers copy what they keep.
-	c.obs = append(c.obs, Observation{Seq: c.seq, Time: c.clock, PeerAS: from, Prefix: prefix, Route: rt})
+	c.obs = append(c.obs, Observation{Seq: c.seq, Time: feed.LogicalTime(uint64(c.seq)), PeerAS: from, Prefix: prefix, Route: rt})
 	observationsTotal.Inc()
 }
 
 // ForkInto clones the collector against a forked network: observations
 // recorded so far are shared read-only (capacity-clamped so appends
-// reallocate), the session clock and sequence continue where the
-// snapshot stopped, and a fresh tap is registered on the fork.
+// reallocate), the sequence (and with it the logical clock) continues
+// where the snapshot stopped, and a fresh tap is registered on the fork.
 func (c *Collector) ForkInto(n *simnet.Network) *Collector {
 	cp := &Collector{
 		Platform: c.Platform,
@@ -201,7 +199,6 @@ func (c *Collector) ForkInto(n *simnet.Network) *Collector {
 		node:     c.node,
 		net:      n,
 		obs:      c.obs[:len(c.obs):len(c.obs)],
-		clock:    c.clock,
 		seq:      c.seq,
 	}
 	n.Tap(cp.tap)

@@ -33,7 +33,7 @@ func testNet(t *testing.T) *simnet.Network {
 
 func TestFullFeedRecordsUpdates(t *testing.T) {
 	n := testNet(t)
-	c := New(PlatformRIS, "rrc00", 60001, t0)
+	c := New(PlatformRIS, "rrc00", 60001)
 	c.AddPeer(Peer{AS: 3, Feed: FullFeed})
 	if err := c.Attach(n); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestRecordedRouteSurvivesReExport(t *testing.T) {
 		if oracle {
 			n.UseRoundsOracle()
 		}
-		c := New(PlatformRIS, "rrc00", 60001, t0)
+		c := New(PlatformRIS, "rrc00", 60001)
 		c.AddPeer(Peer{AS: 3, Feed: FullFeed})
 		if err := c.Attach(n); err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestRecordedRouteSurvivesReExport(t *testing.T) {
 
 func TestCustomerFeedSeesOnlyCustomerRoutes(t *testing.T) {
 	n := testNet(t)
-	c := New(PlatformPCH, "ixp-rs", 60002, t0)
+	c := New(PlatformPCH, "ixp-rs", 60002)
 	c.AddPeer(Peer{AS: 4, Feed: CustomerFeed})
 	if err := c.Attach(n); err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestCustomerFeedSeesOnlyCustomerRoutes(t *testing.T) {
 
 func TestPartialFeedDropsSome(t *testing.T) {
 	n := testNet(t)
-	c := New(PlatformRV, "rv2", 60003, t0)
+	c := New(PlatformRV, "rv2", 60003)
 	c.AddPeer(Peer{AS: 3, Feed: PartialFeed})
 	if err := c.Attach(n); err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestPartialFeedDropsSome(t *testing.T) {
 
 func TestWithdrawalsRecorded(t *testing.T) {
 	n := testNet(t)
-	c := New(PlatformIS, "iso1", 60004, t0)
+	c := New(PlatformIS, "iso1", 60004)
 	c.AddPeer(Peer{AS: 3, Feed: FullFeed})
 	c.Attach(n)
 	n.Announce(1, pfx)
@@ -207,7 +207,7 @@ func readAll(t *testing.T, data []byte) []mrt.Record {
 
 func TestWriteUpdatesMRTRoundTrip(t *testing.T) {
 	n := testNet(t)
-	c := New(PlatformRIS, "rrc01", 60005, t0)
+	c := New(PlatformRIS, "rrc01", 60005)
 	c.AddPeer(Peer{AS: 3, Feed: FullFeed})
 	c.Attach(n)
 	n.Announce(1, pfx, bgp.C(1, 200))
@@ -250,7 +250,7 @@ func TestWriteUpdatesMRTRoundTrip(t *testing.T) {
 
 func TestWriteRIBSnapshotMRT(t *testing.T) {
 	n := testNet(t)
-	c := New(PlatformRV, "rv1", 60006, t0)
+	c := New(PlatformRV, "rv1", 60006)
 	c.AddPeer(Peer{AS: 3, Feed: FullFeed})
 	c.AddPeer(Peer{AS: 4, Feed: FullFeed})
 	c.Attach(n)
@@ -296,7 +296,7 @@ func TestFeedTypeStrings(t *testing.T) {
 }
 
 func TestPeersSortedAndSynthesizedIPs(t *testing.T) {
-	c := New(PlatformRIS, "x", 60007, t0)
+	c := New(PlatformRIS, "x", 60007)
 	c.AddPeer(Peer{AS: 9})
 	c.AddPeer(Peer{AS: 3})
 	ps := c.Peers()

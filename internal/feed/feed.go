@@ -35,8 +35,8 @@ type Event struct {
 	// order.
 	Seq uint64 `json:"seq"`
 	// Time is the observation timestamp. Zero means "synthesize": the
-	// engines stamp a logical clock derived from Seq, which keeps
-	// clockless feeds (simnet taps) deterministic.
+	// engines stamp LogicalTime(Seq), which keeps clockless feeds
+	// (simnet taps) deterministic.
 	Time time.Time `json:"time"`
 	// Source names the feed the event arrived on; for collector archives
 	// it is the collector name, e.g. "RIS-00".
@@ -52,6 +52,16 @@ type Event struct {
 	// Withdraw marks withdrawals; path and communities are empty.
 	Withdraw bool `json:"withdraw,omitempty"`
 }
+
+// LogicalTime is the synthesized clock of a clockless feed: the nth
+// observation is n ticks of 37 ms into the nominal observation month
+// (April 2018, the paper's). The collectors stamp their archives with
+// it and the engines stamp events that arrive without a time.
+func LogicalTime(n uint64) time.Time {
+	return logicalBase.Add(time.Duration(n) * 37 * time.Millisecond)
+}
+
+var logicalBase = time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC)
 
 // Origin returns the originating AS (0 for empty paths).
 func (ev *Event) Origin() uint32 {

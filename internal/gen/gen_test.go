@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"flag"
+	"reflect"
+	"strings"
 	"testing"
 
 	"bgpworms/internal/bgp"
@@ -235,6 +238,31 @@ func TestPreset(t *testing.T) {
 	}
 	if _, err := Preset("galactic"); err == nil {
 		t.Fatal("unknown preset accepted")
+	}
+}
+
+// TestFlagsParams pins the one command-line face of a world: -scale
+// names the preset, -seed replaces the preset's seed, no flags give the
+// default scale at seed 1, and an unknown scale is refused.
+func TestFlagsParams(t *testing.T) {
+	parse := func(args ...string) (Params, error) {
+		fs := flag.NewFlagSet("world", flag.ContinueOnError)
+		f := NewFlags(fs, "tiny")
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return f.Params()
+	}
+	want := Medium()
+	want.Seed = 7
+	if got, err := parse("-scale", "medium", "-seed", "7"); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("-scale medium -seed 7: %+v, %v; want %+v", got, err, want)
+	}
+	if got, err := parse(); err != nil || !reflect.DeepEqual(got, Tiny()) {
+		t.Fatalf("no flags: %+v, %v; want the tiny preset at seed 1", got, err)
+	}
+	if _, err := parse("-scale", "galactic"); err == nil || !strings.Contains(err.Error(), `unknown scale "galactic"`) {
+		t.Fatalf("-scale galactic: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/collector"
+	"bgpworms/internal/feed"
 	"bgpworms/internal/ixp"
 	"bgpworms/internal/netx"
 	"bgpworms/internal/policy"
@@ -18,8 +19,9 @@ import (
 	"bgpworms/internal/topo"
 )
 
-// BaseTime is the nominal observation month (the paper uses April 2018).
-var BaseTime = time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC)
+// BaseTime is the nominal observation month (the paper uses April 2018):
+// the start of the collectors' logical clock.
+var BaseTime = feed.LogicalTime(0)
 
 // Internet is a fully built synthetic Internet with measurement
 // infrastructure attached.
@@ -316,9 +318,7 @@ func (w *Internet) buildNetwork() {
 		w.Catalogs[asn] = cat
 		return cfg
 	})
-	if p.Workers != 0 {
-		w.Net.SetWorkers(p.Workers)
-	}
+	w.Net.SetWorkers(p.Workers)
 	if p.Engine == "rounds" {
 		w.Net.UseRoundsOracle()
 	}
@@ -352,7 +352,7 @@ func (w *Internet) attachCollectors() error {
 		count := p.CollectorsPerPlatform[string(platform)]
 		for i := 0; i < count; i++ {
 			name := fmt.Sprintf("%s-%02d", platform, i)
-			c := collector.New(platform, name, asn, BaseTime)
+			c := collector.New(platform, name, asn)
 			asn++
 			if platform == collector.PlatformPCH {
 				// PCH peers with IXP route servers (§4.1) plus a few mids.

@@ -22,11 +22,11 @@ import (
 type Params struct {
 	Seed int64
 
-	// Workers sizes the simulation engine's worker pool: 0 or 1 runs it
-	// on the calling goroutine, >1 on that many workers, and a negative
-	// value on one worker per available CPU. It never changes results:
-	// delivery counts, collector archives and RIBs are byte-identical
-	// for every value given the same Seed.
+	// Workers sizes the simulation engine's worker pool, the rule every
+	// pool in the repo follows: 0 or negative means one worker per
+	// available CPU. It never changes results: delivery counts,
+	// collector archives and RIBs are byte-identical for every value
+	// given the same Seed.
 	Workers int
 
 	// Engine exists for bench/, which passes "delta", and goes when a

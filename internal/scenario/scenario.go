@@ -266,27 +266,6 @@ type Context struct {
 	scenario *Scenario
 }
 
-// GenParams resolves the -scale/-seed pair the scenario-replaying
-// binaries take into Context.Gen: the named preset — DefaultScale when
-// only a seed is given — with a non-zero seed overriding the preset's.
-// With neither it returns the zero Params, which Run fills in itself.
-func GenParams(scale string, seed int64) (gen.Params, error) {
-	if scale == "" {
-		if seed == 0 {
-			return gen.Params{}, nil
-		}
-		scale = DefaultScale
-	}
-	p, err := gen.Preset(scale)
-	if err != nil {
-		return gen.Params{}, err
-	}
-	if seed != 0 {
-		p.Seed = seed
-	}
-	return p, nil
-}
-
 func (c *Context) withDefaults(s *Scenario) *Context {
 	out := *c
 	out.scenario = s

@@ -26,7 +26,8 @@ type Grid struct {
 	// Seeds are generator seeds; default {1}.
 	Seeds []int64 `json:"seeds"`
 	// EngineWorkers fans gen.Params.Workers — the simnet engine's pool
-	// size per cell; default {1}. It cannot change a cell's result.
+	// size per cell (0 = one per CPU); default {1}. It cannot change a
+	// cell's result.
 	EngineWorkers []int `json:"engine_workers"`
 	// Engines exists for bench/, which passes {"delta"}, and goes when a
 	// benchmark PR drops the argument: entries may only be "" or "delta".

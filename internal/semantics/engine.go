@@ -14,12 +14,6 @@ import (
 // the frozen benchmark (bench/trace.go) names it.
 type Config struct{}
 
-// logicalBase / logicalTick anchor the synthesized clock for clockless
-// feeds (the same nominal month the generator and watch engine use).
-var logicalBase = time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC)
-
-const logicalTick = 37 * time.Millisecond
-
 // Partial is one partial dictionary: the evidence folded so far by one
 // producer. A producer that already batches on a goroutine of its own —
 // a watch shard worker — takes one from NewPartial and folds its batches
@@ -149,7 +143,7 @@ func (e *Engine) Ingest(ev feed.Event) {
 		ev.Seq = seq
 	}
 	if ev.Time.IsZero() {
-		ev.Time = logicalBase.Add(time.Duration(ev.Seq) * logicalTick)
+		ev.Time = feed.LogicalTime(ev.Seq)
 	}
 	p.fold(&ev)
 	p.mu.Unlock()

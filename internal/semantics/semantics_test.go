@@ -119,7 +119,7 @@ func TestSemanticsDeterminismAcrossWorkers(t *testing.T) {
 	for i := range stream {
 		// Partials take observations as stamped; the watch engine does this.
 		stream[i].Seq = uint64(i + 1)
-		stream[i].Time = logicalBase.Add(time.Duration(i) * time.Second)
+		stream[i].Time = feed.LogicalTime(0).Add(time.Duration(i) * time.Second)
 	}
 	view := func(e *Engine) (snap, state []byte) {
 		t.Helper()

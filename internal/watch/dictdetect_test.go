@@ -230,10 +230,11 @@ func TestEvalDictionaryFromOneReplay(t *testing.T) {
 	for _, name := range scenario.Names() {
 		for _, seed := range []int64{1, 2} {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				params, err := scenario.GenParams(scenario.DefaultScale, seed)
+				params, err := gen.Preset(scenario.DefaultScale)
 				if err != nil {
 					t.Fatal(err)
 				}
+				params.Seed = seed
 				one := evalDict(t, name, &scenario.Context{Gen: params}).Dict
 
 				sem := semantics.NewEngine(semantics.Config{})

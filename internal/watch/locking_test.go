@@ -46,7 +46,7 @@ func sequencedFeed() []feed.Event {
 		peer, origin := uint32(1+rng.Intn(4)), uint32(1000+pi)
 		ev := feed.Event{
 			Seq:    uint64(i + 1),
-			Time:   logicalBase.Add(time.Duration(i+1) * logicalTick),
+			Time:   feed.LogicalTime(uint64(i + 1)),
 			PeerAS: peer,
 			Prefix: netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(pi >> 8), byte(pi), 0}), 24),
 			ASPath: []uint32{peer, 50, origin},

@@ -43,13 +43,6 @@ import (
 	"bgpworms/internal/semantics"
 )
 
-// logicalBase anchors the synthesized clock for clockless feeds (the
-// same nominal month the generator uses).
-var logicalBase = time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC)
-
-// logicalTick is the synthesized inter-event spacing.
-const logicalTick = 37 * time.Millisecond
-
 // Config sizes the engine. The zero value is usable: every field has a
 // default. Instrumentation is not configured: the engine observes its
 // batch latency on obs.Default and emits the rest through Collect.
@@ -306,7 +299,7 @@ func (e *Engine) Ingest(ev feed.Event) {
 		e.seq = ev.Seq
 	}
 	if ev.Time.IsZero() {
-		ev.Time = logicalBase.Add(time.Duration(e.seq) * logicalTick)
+		ev.Time = feed.LogicalTime(e.seq)
 	}
 	si := e.shardOf(ev.Prefix)
 	e.pending[si] = append(e.pending[si], ev)

@@ -3,8 +3,9 @@ package bgpworms
 // The layering gate (`make lint`, and tier-1): the import graph keeps
 // one routing record below everything that consumes it. internal/feed
 // sits on the wire and simulation layers alone; watch and semantics
-// never reach up into core's batch pipeline; and the record's old
-// watch-package names survive only for the frozen benchmark.
+// never reach up into core's batch pipeline; the record's old
+// watch-package names survive only for the frozen benchmark; and a
+// world is named on a command line by gen.NewFlags, not by each binary.
 
 import (
 	"go/ast"
@@ -42,6 +43,10 @@ func TestLayering(t *testing.T) {
 
 	for _, use := range retiredWatchNames(t) {
 		t.Errorf("%s: names %s; take feed.Event / feed.StreamMRT (only bench/ may use the old names)", use.pos, use.name)
+	}
+
+	for _, use := range worldFlagRegistrations(t) {
+		t.Errorf("%s: registers %s itself; a binary takes -scale/-seed from gen.NewFlags", use.pos, use.name)
 	}
 }
 
@@ -164,6 +169,49 @@ func retiredWatchNames(t *testing.T) []nameUse {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return uses
+}
+
+// worldFlagRegistrations finds every flag named "scale" or "seed" that a
+// file under cmd/ registers itself: a call to one of the flag package's
+// definers (flag.String, fs.Int64Var, ...) with that name as an
+// argument.
+func worldFlagRegistrations(t *testing.T) []nameUse {
+	t.Helper()
+	definers := strings.Fields("Bool BoolVar BoolFunc Duration DurationVar Float64 Float64Var Func Int IntVar Int64 Int64Var String StringVar TextVar Uint UintVar Uint64 Uint64Var Var")
+	fset := token.NewFileSet()
+	var uses []nameUse
+	files, err := filepath.Glob(filepath.Join("cmd", "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("found no files under cmd/; is the gate reading the right tree?")
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || !slices.Contains(definers, sel.Sel.Name) {
+				return true
+			}
+			for _, arg := range call.Args {
+				if lit, ok := arg.(*ast.BasicLit); ok && (lit.Value == `"scale"` || lit.Value == `"seed"`) {
+					uses = append(uses, nameUse{fset.Position(lit.Pos()), "-" + strings.Trim(lit.Value, `"`)})
+				}
+			}
+			return true
+		})
 	}
 	return uses
 }
