@@ -93,6 +93,11 @@ func testRefusals(t *testing.T, bin string) {
 		{"attacklab", []string{"-scenarios", "rtbh"}, "-scenarios is read only by -sweep", nil},
 		{"attacklab", []string{"-workers", "4"}, "-workers is read only by -sweep", nil},
 		{"attacklab", []string{"-trace", "t.json"}, "-trace is read only by -sweep", []string{"t.json"}},
+		{"genesis", []string{"-sample-rel", archive, "-scale", "medium", "-out", "d"}, "does not read -scale", []string{"d"}},
+		{"genesis", []string{"-sample-rel", archive, "-workers", "2", "-out", "d"}, "does not read -workers", []string{"d"}},
+		{"genesis", []string{"-sample-size", "100", "-out", "d"}, "-sample-size is read only by -sample-rel", []string{"d", "data"}},
+		{"wormwatchd", []string{"-addr", "127.0.0.1:0", "-scale", "medium", "-wal", "d"}, "there is no -scenario", []string{"d"}},
+		{"wormwatchd", []string{"-addr", "127.0.0.1:0", "-mrt", archive, "-seed", "7", "-wal", "d"}, "there is no -scenario", []string{"d"}},
 		// A world the presets do not name.
 		{"wormwatchd", []string{"-addr", "127.0.0.1:0", "-scale", "galactic", "-wal", "d"}, `unknown scale "galactic"`, []string{"d"}},
 		// Shard URLs the frontend could never fetch.

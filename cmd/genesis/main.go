@@ -20,7 +20,9 @@
 // relationship file (real data or a previous genesis export), apply the
 // degree-preserving sampler (topo.Sample) down to -sample-size ASes,
 // and write the sampled as-rel.txt — the bridge from real 63k-AS
-// relationship dumps to worlds the simulator converges quickly.
+// relationship dumps to worlds the simulator converges quickly. It reads
+// -seed and -out; -scale and -workers name a world build and are refused
+// beside it, as -sample-size is without it.
 package main
 
 import (
@@ -43,6 +45,16 @@ func main() {
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
 	}
+	// The sampler reads a relationship file and builds no world, so each
+	// mode refuses the other's flags rather than ignore them in silence.
+	flag.Visit(func(f *flag.Flag) {
+		switch {
+		case *sampleRel != "" && (f.Name == "scale" || f.Name == "workers"):
+			fail(fmt.Errorf("-sample-rel samples a relationship file and does not read -%s", f.Name))
+		case *sampleRel == "" && f.Name == "sample-size":
+			fail(fmt.Errorf("-sample-size is read only by -sample-rel"))
+		}
+	})
 
 	if *sampleRel != "" {
 		if err := runSample(*sampleRel, *sampleSize, world.Seed, *out); err != nil {

@@ -170,9 +170,10 @@ func main() {
 	}
 }
 
-// parseFlags reads a command line into a config. It refuses a bare word,
-// and beside -frontend any flag but -addr: a frontend runs no engine and
-// no feed, so every other flag would be silently ignored.
+// parseFlags reads a command line into a config. It refuses a bare word;
+// beside -frontend any flag but -addr, since a frontend runs no engine
+// and no feed, so every other flag would be silently ignored; and
+// -scale/-seed without -scenario, since they name the replay's world.
 func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	var cfg config
 	fs.StringVar(&cfg.addr, "addr", "127.0.0.1:8571", "HTTP listen address")
@@ -201,18 +202,26 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	if fs.NArg() > 0 {
 		return cfg, fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", fs.Arg(0))
 	}
-	var ignored []string
+	var ignored, worldless []string
 	fs.Visit(func(f *flag.Flag) {
-		if cfg.frontend != "" && f.Name != "addr" && f.Name != "frontend" {
+		switch {
+		case cfg.frontend != "" && f.Name != "addr" && f.Name != "frontend":
 			ignored = append(ignored, "-"+f.Name)
+		case cfg.scenario == "" && (f.Name == "scale" || f.Name == "seed"):
+			worldless = append(worldless, "-"+f.Name)
 		}
 	})
 	if len(ignored) > 0 {
 		return cfg, fmt.Errorf("-frontend runs no engine and reads only -addr; refusing %s", strings.Join(ignored, " "))
 	}
 	var err error
-	cfg.world, err = world.Params()
-	return cfg, err
+	if cfg.world, err = world.Params(); err != nil {
+		return cfg, err
+	}
+	if len(worldless) > 0 {
+		return cfg, fmt.Errorf("%s name the world -scenario replays, and there is no -scenario", strings.Join(worldless, " "))
+	}
+	return cfg, nil
 }
 
 func fail(err error) {

@@ -138,7 +138,7 @@ func (c *Collector) Peers() []Peer {
 // Attach inserts the collector into the network: a router node, one
 // session per peer (full feeds ride a customer relationship so the peer
 // exports its entire table; customer feeds ride a peer relationship), and
-// a tap recording every delivery to the collector.
+// a tap subscribed to the deliveries the collector receives.
 func (c *Collector) Attach(n *simnet.Network) error {
 	c.net = n
 	n.AddRouter(c.node)
@@ -161,16 +161,13 @@ func (c *Collector) Attach(n *simnet.Network) error {
 			pr.EnableFullCommunityExport(c.ASN)
 		}
 	}
-	n.Tap(c.tap)
+	n.Tap(c.tap, c.ASN)
 	return nil
 }
 
 // tap records one delivery to the collector; it is the method value
-// Attach and ForkInto register with the network.
-func (c *Collector) tap(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
-	if to != c.ASN {
-		return
-	}
+// Attach and ForkInto register with the network, subscribed to c.ASN.
+func (c *Collector) tap(from, _ topo.ASN, prefix netip.Prefix, rt *policy.Route) {
 	p, ok := c.peers[from]
 	if !ok {
 		return
@@ -189,7 +186,8 @@ func (c *Collector) tap(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route
 // ForkInto clones the collector against a forked network: observations
 // recorded so far are shared read-only (capacity-clamped so appends
 // reallocate), the sequence (and with it the logical clock) continues
-// where the snapshot stopped, and a fresh tap is registered on the fork.
+// where the snapshot stopped, and a fresh tap, subscribed to the
+// collector's sessions, is registered on the fork.
 func (c *Collector) ForkInto(n *simnet.Network) *Collector {
 	cp := &Collector{
 		Platform: c.Platform,
@@ -201,7 +199,7 @@ func (c *Collector) ForkInto(n *simnet.Network) *Collector {
 		obs:      c.obs[:len(c.obs):len(c.obs)],
 		seq:      c.seq,
 	}
-	n.Tap(cp.tap)
+	n.Tap(cp.tap, cp.ASN)
 	return cp
 }
 

@@ -11,6 +11,7 @@ import (
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/netx"
+	"bgpworms/internal/obs"
 	"bgpworms/internal/policy"
 	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
@@ -95,21 +96,24 @@ func applyOps(w *gen.Internet, rng *rand.Rand) []simnet.Op {
 }
 
 // applyTranscript is everything a batched Apply must reproduce: every
-// tap call in order, the per-op delivery counts, and every RIB.
+// tap call in order, labelled with the tap that made it, the per-op
+// delivery counts, and every RIB.
 type applyTranscript struct {
 	taps   []string
 	counts []int
 	ribs   string
 }
 
-func recordTaps(n *simnet.Network, into *[]string) {
-	n.Tap(func(from, to topo.ASN, p netip.Prefix, rt *policy.Route) {
+// recordTaps registers a tap named name, subscribed to the receivers
+// to (none: every receiver), that appends its calls to into.
+func recordTaps(n *simnet.Network, name string, into *[]string, to ...topo.ASN) int {
+	return n.Tap(func(from, to topo.ASN, p netip.Prefix, rt *policy.Route) {
 		if rt == nil {
-			*into = append(*into, fmt.Sprintf("%d>%d %s withdraw", from, to, p))
+			*into = append(*into, fmt.Sprintf("%s: %d>%d %s withdraw", name, from, to, p))
 			return
 		}
-		*into = append(*into, fmt.Sprintf("%d>%d %s %s", from, to, p, rt))
-	})
+		*into = append(*into, fmt.Sprintf("%s: %d>%d %s %s", name, from, to, p, rt))
+	}, to...)
 }
 
 func ribDump(n *simnet.Network) string {
@@ -122,10 +126,44 @@ func ribDump(n *simnet.Network) string {
 	return b.String()
 }
 
+// applyArm is one tap set TestApplyMatchesSerial registers on a built
+// world, in order. Each tap subscribes to the receivers its to indexes
+// in applyReceivers, or, with to nil, to every receiver. With untap set,
+// the first tap is detached halfway through the ops.
+type applyArm struct {
+	name  string
+	taps  []armTap
+	untap bool
+}
+
+type armTap struct {
+	name string
+	to   []int
+}
+
+var applyArms = []applyArm{
+	{name: "world", taps: []armTap{{"W", nil}}},
+	{name: "scoped", taps: []armTap{{"A", []int{0, 1}}, {"B", []int{1, 2}}}, untap: true},
+	{name: "mixed", taps: []armTap{{"A", []int{0}}, {"W", nil}, {"B", []int{1, 2}}}, untap: true},
+}
+
+// applyReceivers picks the receivers the scoped taps subscribe to: the
+// first op's origin, the lowest ASN (a tier-1 in generated worlds)
+// and a collector, whose own tap shares its deliveries.
+func applyReceivers(w *gen.Internet, ops []simnet.Op) []topo.ASN {
+	return []topo.ASN{ops[0].AS, w.Net.ASes()[0], w.Collectors[0].ASN}
+}
+
 // TestApplyMatchesSerial holds Apply to its contract on seeded random
 // worlds at workers 1, 2 and 4: one Apply(ops...) fires exactly the tap
 // calls, returns exactly the per-op delivery counts, and leaves exactly
-// the RIBs of applying the ops one at a time in slice order.
+// the RIBs of applying the ops one at a time in slice order, and that
+// one-at-a-time run equals the rounds oracle's. Each arm registers its
+// own taps — one whole-world tap, receiver-scoped taps only, or a
+// whole-world tap between two scoped ones — so every tap must see
+// exactly the deliveries to its receivers, taps sharing a delivery in
+// registration order. An arm that untaps a tap between two Applies
+// must end that tap's stream there and leave the others as they were.
 func TestApplyMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260415))
 	worlds := 3
@@ -136,49 +174,141 @@ func TestApplyMatchesSerial(t *testing.T) {
 		cfg := randomCfg(rng)
 		cfg.Churn, cfg.RTBH = 0, 0
 		opSeed := rng.Int63()
-		for _, workers := range []int{1, 2, 4} {
-			p := cfg.params()
-			p.Workers = workers
-			run := func(batched bool) applyTranscript {
+		for _, arm := range applyArms {
+			run := func(engine string, workers int, batched bool) applyTranscript {
+				p := cfg.params()
+				p.Engine, p.Workers = engine, workers
 				w, err := gen.Build(p)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var tr applyTranscript
-				recordTaps(w.Net, &tr.taps)
 				ops := applyOps(w, rand.New(rand.NewSource(opSeed)))
+				rcv := applyReceivers(w, ops)
+				var tr applyTranscript
+				ids := make([]int, len(arm.taps))
+				for i, tp := range arm.taps {
+					var to []topo.ASN
+					for _, k := range tp.to {
+						to = append(to, rcv[k])
+					}
+					ids[i] = recordTaps(w.Net, tp.name, &tr.taps, to...)
+				}
+				half := len(ops) / 2
 				if batched {
-					tr.counts, err = w.Net.Apply(ops...)
-					if err != nil {
-						t.Fatal(err)
+					for k, part := range [][]simnet.Op{ops[:half], ops[half:]} {
+						if k == 1 && arm.untap {
+							w.Net.Untap(ids[0])
+						}
+						counts, err := w.Net.Apply(part...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						tr.counts = append(tr.counts, counts...)
 					}
 				} else {
-					for _, op := range ops {
+					// The reference keeps every tap registered; what Untap
+					// must end is the first tap's calls past the cut.
+					cut := 0
+					for i, op := range ops {
+						if i == half {
+							cut = len(tr.taps)
+						}
 						c, err := w.Net.Apply(op)
 						if err != nil {
 							t.Fatal(err)
 						}
 						tr.counts = append(tr.counts, c...)
 					}
+					if arm.untap {
+						gone, kept := arm.taps[0].name+": ", tr.taps[:cut]
+						for _, c := range tr.taps[cut:] {
+							if !strings.HasPrefix(c, gone) {
+								kept = append(kept, c)
+							}
+						}
+						tr.taps = kept
+					}
 				}
 				tr.ribs = ribDump(w.Net)
 				return tr
 			}
-			serial, batched := run(false), run(true)
-			where := fmt.Sprintf("{%s} workers=%d", cfg, workers)
-			if len(serial.taps) == 0 {
-				t.Fatalf("%s: the ops delivered nothing", where)
+			oracle := run("rounds", 1, true)
+			for _, workers := range []int{1, 2, 4} {
+				serial, batched := run("delta", workers, false), run("delta", workers, true)
+				where := fmt.Sprintf("{%s} %s workers=%d", cfg, arm.name, workers)
+				for _, tp := range arm.taps {
+					if !slices.ContainsFunc(serial.taps, func(c string) bool { return strings.HasPrefix(c, tp.name+": ") }) {
+						t.Fatalf("%s: tap %s saw nothing", where, tp.name)
+					}
+				}
+				sameApply(t, where+": batched vs serial", batched, serial)
+				sameApply(t, where+": serial vs the rounds oracle", serial, oracle)
 			}
-			if !slices.Equal(batched.counts, serial.counts) {
-				t.Fatalf("%s: per-op deliveries\n batched %v\n  serial %v", where, batched.counts, serial.counts)
-			}
-			if i := firstDiff(batched.taps, serial.taps); i >= 0 {
-				t.Fatalf("%s: tap call %d of %d/%d differs\n batched %s\n  serial %s", where, i,
-					len(batched.taps), len(serial.taps), at(batched.taps, i), at(serial.taps, i))
-			}
-			if batched.ribs != serial.ribs {
-				t.Fatalf("%s: RIBs differ", where)
-			}
+		}
+	}
+}
+
+func sameApply(t *testing.T, where string, got, want applyTranscript) {
+	t.Helper()
+	if !slices.Equal(got.counts, want.counts) {
+		t.Fatalf("%s: per-op deliveries\n got %v\nwant %v", where, got.counts, want.counts)
+	}
+	if i := firstDiff(got.taps, want.taps); i >= 0 {
+		t.Fatalf("%s: tap call %d of %d/%d differs\n got %s\nwant %s", where, i,
+			len(got.taps), len(want.taps), at(got.taps, i), at(want.taps, i))
+	}
+	if got.ribs != want.ribs {
+		t.Fatalf("%s: RIBs differ", where)
+	}
+}
+
+// TestTapReplayCountsObservedDeliveries pins simnet_tap_replayed_total
+// on a tiny world: with collectors as the only taps, the delta engine
+// buffers exactly the deliveries addressed to them, as counted by a
+// whole-world tap on the rounds oracle, at any worker count; once a
+// whole-world tap registers, it buffers every delivery.
+func TestTapReplayCountsObservedDeliveries(t *testing.T) {
+	replayed := obs.Default.Counter("simnet_tap_replayed_total", "")
+	build := func(engine string, workers int) (*gen.Internet, []simnet.Op) {
+		p := tinyCfg.params()
+		p.Engine, p.Workers = engine, workers
+		w, err := gen.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w, applyOps(w, rand.New(rand.NewSource(1)))
+	}
+	w, ops := build("rounds", 1)
+	collectors := make(map[topo.ASN]bool)
+	for _, c := range w.Collectors {
+		collectors[c.ASN] = true
+	}
+	toCollectors := 0
+	w.Net.Tap(func(_, to topo.ASN, _ netip.Prefix, _ *policy.Route) {
+		if collectors[to] {
+			toCollectors++
+		}
+	})
+	if _, err := w.Net.Apply(ops...); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		w, ops := build("delta", workers)
+		before, steps := replayed.Value(), w.Net.Steps()
+		if _, err := w.Net.Apply(ops...); err != nil {
+			t.Fatal(err)
+		}
+		got, delivered := replayed.Value()-before, w.Net.Steps()-steps
+		if got != uint64(toCollectors) || toCollectors == 0 || toCollectors >= delivered {
+			t.Fatalf("workers=%d: %d buffered for replay, want the %d of %d deliveries addressed to collectors", workers, got, toCollectors, delivered)
+		}
+		w.Net.Tap(func(topo.ASN, topo.ASN, netip.Prefix, *policy.Route) {})
+		before, steps = replayed.Value(), w.Net.Steps()
+		if _, err := w.Net.Apply(applyOps(w, rand.New(rand.NewSource(2)))...); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := replayed.Value()-before, w.Net.Steps()-steps; got != uint64(want) {
+			t.Fatalf("workers=%d: with a whole-world tap %d buffered for replay, want all %d deliveries", workers, got, want)
 		}
 	}
 }

@@ -34,7 +34,10 @@ import (
 //     actually tags the route;
 //   - all scratch (buckets, outboxes, inboxes) is reused across rounds
 //     and runs, so steady-state convergence allocates only real routing
-//     state.
+//     state;
+//   - a delivery is buffered for tap replay only when a tap observes its
+//     receiver (tapOf), so a world whose only taps are collectors keeps
+//     and replays the few deliveries addressed to them, not the world's.
 //
 // Determinism contract: the delta engine delivers updates in exactly
 // the canonical order the rounds engine uses (sources ascending, dirty
@@ -56,7 +59,16 @@ type deltaState struct {
 	nbVer []int                 // Router.NeighborVersion at last refresh
 
 	owner  []int32      // prefix id -> index in the window of the op converging it
-	replay [][]delivery // per-op deliveries of the current window, serial order
+	replay [][]delivery // per-op observed deliveries of the current window, serial order
+
+	// Tap lists by receiver, rebuilt when Network.tapVer moves: tapOf
+	// maps a router index to its list in tapLists, whose slot 0 holds the
+	// whole-world taps. A receiver some tap subscribes to has its own
+	// list, the whole-world taps and its subscribers in registration
+	// order. An empty list means nothing observes the receiver.
+	tapOf    []int32
+	tapLists [][]UpdateTap
+	tapVer   int
 
 	items   [][]uint32            // per-router dirty prefix ids (current round)
 	srcs    []int                 // dirty router indices, ascending
@@ -117,6 +129,9 @@ func (n *Network) deltaStateFor() *deltaState {
 		st.inbox = make([][]delivery, len(st.order))
 		n.delta = st
 	}
+	if st.tapLists == nil || st.tapVer != n.tapVer {
+		n.indexTaps(st)
+	}
 	// Refresh neighbor caches for routers whose session set changed.
 	for i, asn := range st.order {
 		r := n.routers[asn]
@@ -138,6 +153,35 @@ func (n *Network) deltaStateFor() *deltaState {
 	return st
 }
 
+// indexTaps rebuilds st's per-receiver tap lists. Each list holds the
+// taps observing its receiver (tap.observes, the rounds oracle's
+// filter) in registration order.
+func (n *Network) indexTaps(st *deltaState) {
+	observers := func(keep func(tap) bool) []UpdateTap {
+		var fns []UpdateTap
+		for _, t := range n.taps {
+			if t.fn != nil && keep(t) {
+				fns = append(fns, t.fn)
+			}
+		}
+		return fns
+	}
+	st.tapVer = n.tapVer
+	st.tapOf = make([]int32, len(st.order))
+	st.tapLists = [][]UpdateTap{observers(func(t tap) bool { return len(t.to) == 0 })}
+	for _, t := range n.taps {
+		for _, asn := range t.to {
+			if n.routers[asn] == nil {
+				continue // no router, no deliveries to observe
+			}
+			if ri := st.idx(asn); st.tapOf[ri] == 0 {
+				st.tapOf[ri] = int32(len(st.tapLists))
+				st.tapLists = append(st.tapLists, observers(func(t tap) bool { return t.observes(asn) }))
+			}
+		}
+	}
+}
+
 // applyWindowOps bounds how many ops one applyWindow converges together.
 // Batching pays once rounds carry enough sources to shard (doChunked);
 // the window's buffered deliveries, the routes they pin and the engine
@@ -156,7 +200,7 @@ const applyWindowOps = 16
 // depends on another prefix's state, so the deliveries runDelta credits
 // to an op by prefix are exactly, and in the order of, those of the op's
 // own serial run; the taps replay them op by op once the window has
-// converged.
+// converged, each delivery to the taps that observe its receiver.
 func (n *Network) applyWindow(ops []Op, counts []int) error {
 	var wave [applyWindowOps]int
 	waves := 0
@@ -168,12 +212,6 @@ func (n *Network) applyWindow(ops []Op, counts []int) error {
 			}
 		}
 		waves = max(waves, wave[i]+1)
-	}
-	taps := make([]UpdateTap, 0, len(n.taps))
-	for _, t := range n.taps {
-		if t != nil {
-			taps = append(taps, t)
-		}
 	}
 	st := n.deltaStateFor()
 	for len(st.replay) < len(ops) {
@@ -192,30 +230,33 @@ func (n *Network) applyWindow(ops []Op, counts []int) error {
 			}
 		}
 		start := time.Now()
-		delivered, err := n.runDelta(n.Workers(), counts, len(taps) > 0)
+		delivered, err := n.runDelta(n.Workers(), counts)
 		deltaRuns.observe(start, delivered)
 		if err != nil {
 			return err
 		}
 	}
 	pfx := n.prefixes.Prefixes()
+	replayed := 0
 	for i := range ops {
 		for _, d := range st.replay[i] {
-			for _, t := range taps {
+			for _, t := range st.tapLists[st.tapOf[st.idx(d.to)]] {
 				t(d.from, d.to, pfx[d.id], d.rt)
 			}
 		}
+		replayed += len(st.replay[i])
 		clear(st.replay[i]) // drop the routes the buffer pins
 		st.replay[i] = st.replay[i][:0]
 	}
+	tapReplayed.Add(uint64(replayed))
 	return nil
 }
 
 // runDelta drains the propagation queue with the delta engine, crediting
 // each delivery to the op that owns its prefix (st.owner) in counts and,
-// when record is set, buffering it in that op's st.replay. It returns
-// the run's total deliveries.
-func (n *Network) runDelta(workers int, counts []int, record bool) (int, error) {
+// when a tap observes its receiver, buffering it in that op's st.replay.
+// It returns the run's total deliveries.
+func (n *Network) runDelta(workers int, counts []int) (int, error) {
 	st := n.deltaStateFor()
 	// Every id a run can meet was interned before it started, so one view
 	// of the table serves all rounds without touching its lock.
@@ -301,7 +342,8 @@ func (n *Network) runDelta(workers int, counts []int, record bool) (int, error) 
 				n.steps++
 				op := st.owner[d.id]
 				counts[op]++
-				if record {
+				di := st.idx(d.to)
+				if len(st.tapLists[st.tapOf[di]]) > 0 {
 					st.replay[op] = append(st.replay[op], d)
 				}
 				if counts[op] > maxWork {
@@ -312,7 +354,6 @@ func (n *Network) runDelta(workers int, counts []int, record bool) (int, error) 
 					n.invalidateDelta()
 					return delivered, fmt.Errorf("simnet: no convergence after %d deliveries", counts[op])
 				}
-				di := st.idx(d.to)
 				if len(st.inbox[di]) == 0 {
 					st.touched = append(st.touched, di)
 					if n.cow {

@@ -20,6 +20,7 @@ var (
 	deltaRounds        = obs.Default.Counter("simnet_delta_rounds_total", "delta engine convergence rounds")
 	deltaDirtyPrefixes = obs.Default.Counter("simnet_delta_dirty_prefixes_total", "dirty (router,prefix) work items across delta rounds")
 	deltaExports       = obs.Default.Counter("simnet_delta_export_batches_total", "phase-1 export shards (one per dirty source router per round)")
+	tapReplayed        = obs.Default.Counter("simnet_tap_replayed_total", "deliveries buffered for tap replay (those to a receiver some tap observes)")
 )
 
 // runMetrics is what one engine run tallies, one series set per

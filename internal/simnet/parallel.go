@@ -32,9 +32,10 @@ type delivery struct {
 //     computes its per-neighbor exports; ExportTo reads only the source
 //     and RecordAdvertised writes only the source's Adj-RIB-Out, so
 //     sharding by source keeps router state single-owner;
-//  2. observe (serial): deliveries fire the taps in canonical frontier
-//     order — sources ascending, items in (ASN, prefix) order, neighbors
-//     ascending — and the convergence bound is enforced;
+//  2. observe (serial): deliveries fire the taps observing their
+//     receiver in canonical frontier order — sources ascending, items in
+//     (ASN, prefix) order, neighbors ascending — and the convergence
+//     bound is enforced;
 //  3. receive (parallel, sharded by destination router): each router
 //     drains its inbox in the canonical order of step 2; ReceiveUpdate /
 //     ReceiveWithdraw mutate only the destination;
@@ -109,8 +110,8 @@ func (n *Network) runRounds(workers int) (int, error) {
 			delivered++
 			n.steps++
 			for _, t := range n.taps {
-				if t != nil {
-					t(d.from, d.to, pfx[d.id], d.rt)
+				if t.fn != nil && t.observes(d.to) {
+					t.fn(d.from, d.to, pfx[d.id], d.rt)
 				}
 			}
 			if delivered > n.maxDeliveries() {

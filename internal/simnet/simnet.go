@@ -4,6 +4,11 @@
 // FIBs), looking-glass views, and a session tap that collectors use to
 // record MRT-faithful update streams.
 //
+// A tap subscribes either to every delivery or to the deliveries to a
+// set of receivers (Tap's ASNs): a collector observes its own sessions
+// and nothing else, so the engine buffers and replays only what some tap
+// observes — on a generated world about one delivery in twenty.
+//
 // Apply converges the network with one algorithm, the delta-driven
 // event engine (delta.go); SetWorkers only sizes its pool. Convergence
 // counts, tap ordering, and final RIBs are bit-identical for any worker
@@ -20,6 +25,7 @@ import (
 	"fmt"
 	"net/netip"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 
@@ -29,9 +35,23 @@ import (
 	"bgpworms/internal/topo"
 )
 
-// UpdateTap observes every delivered announcement (rt != nil) or
-// withdrawal (rt == nil) on the session from→to. Collectors attach here.
+// UpdateTap observes a delivered announcement (rt != nil) or withdrawal
+// (rt == nil) on the session from→to. Collectors attach here.
 type UpdateTap func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route)
+
+// tap is one registration: fn observes the deliveries to the receivers
+// in to (ascending, distinct), or every delivery when to is empty. An
+// untapped registration keeps its slot with a nil fn.
+type tap struct {
+	fn UpdateTap
+	to []topo.ASN
+}
+
+// observes reports whether the tap sees a delivery to asn.
+func (t tap) observes(asn topo.ASN) bool {
+	_, ok := slices.BinarySearch(t.to, asn)
+	return len(t.to) == 0 || ok
+}
 
 // Network is a set of interconnected routers plus the propagation engine.
 type Network struct {
@@ -47,7 +67,8 @@ type Network struct {
 	// queue of (asn, prefix id) pairs whose exports must be recomputed.
 	queue   []workItem
 	queued  map[workItem]bool
-	taps    []UpdateTap
+	taps    []tap
+	tapVer  int // bumped by Tap and Untap: the delta engine's tap lists follow it
 	steps   int
 	maxWork int
 	// workers is the engine's shard pool size (SetWorkers).
@@ -146,12 +167,21 @@ func (n *Network) Connect(a, b topo.ASN, rel topo.Rel) error {
 }
 
 // Tap registers an update observer and returns a handle for Untap.
+// With no ASNs the tap observes every delivery in the network; with
+// ASNs it observes only the deliveries whose receiver is one of them,
+// the way a collector observes its own sessions. Deliveries no tap
+// observes are neither buffered nor replayed.
+//
 // Taps fire serially, op by op in Apply order and within an op in
-// canonical delivery order, so a tap observes a deterministic stream
-// for any worker count. The delta engine fires them once the op's
-// window has converged, so a tap must not read router state.
-func (n *Network) Tap(t UpdateTap) int {
-	n.taps = append(n.taps, t)
+// canonical delivery order, so each tap observes a deterministic stream
+// for any worker count; taps observing the same delivery fire in
+// registration order. Scoping a tap changes which deliveries it sees,
+// never their order. The delta engine fires taps once the op's window
+// has converged, so a tap must not read router state.
+func (n *Network) Tap(t UpdateTap, to ...topo.ASN) int {
+	to = slices.Compact(slices.Sorted(slices.Values(to)))
+	n.taps = append(n.taps, tap{fn: t, to: to})
+	n.tapVer++
 	return len(n.taps) - 1
 }
 
@@ -161,7 +191,8 @@ func (n *Network) Tap(t UpdateTap) int {
 // come and go without disturbing collectors.
 func (n *Network) Untap(id int) {
 	if id >= 0 && id < len(n.taps) {
-		n.taps[id] = nil
+		n.taps[id].fn = nil
+		n.tapVer++
 	}
 }
 

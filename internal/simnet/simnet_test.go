@@ -183,14 +183,29 @@ func TestLookingGlass(t *testing.T) {
 func TestTapObservesUpdatesAndWithdrawals(t *testing.T) {
 	g := paperFig2(t)
 	n := New(g, nil)
-	var updates, withdrawals int
+	var updates, withdrawals, to6 int
 	n.Tap(func(from, to topo.ASN, p netip.Prefix, rt *policy.Route) {
 		if rt != nil {
 			updates++
 		} else {
 			withdrawals++
 		}
+		if to == 6 {
+			to6++
+		}
 	})
+	// A tap scoped to AS6 sees the deliveries to AS6, withdrawals
+	// included, and nothing else.
+	var scoped, scopedWithdrawals int
+	n.Tap(func(from, to topo.ASN, p netip.Prefix, rt *policy.Route) {
+		if to != 6 {
+			t.Errorf("tap scoped to AS6 saw %d>%d", from, to)
+		}
+		scoped++
+		if rt == nil {
+			scopedWithdrawals++
+		}
+	}, 6)
 	n.Announce(1, pfx)
 	if updates == 0 {
 		t.Fatal("tap saw no updates")
@@ -198,6 +213,9 @@ func TestTapObservesUpdatesAndWithdrawals(t *testing.T) {
 	n.Withdraw(1, pfx)
 	if withdrawals == 0 {
 		t.Fatal("tap saw no withdrawals")
+	}
+	if scoped != to6 || scopedWithdrawals == 0 {
+		t.Fatalf("tap scoped to AS6 saw %d deliveries (%d withdrawals); %d went to AS6", scoped, scopedWithdrawals, to6)
 	}
 }
 
