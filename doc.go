@@ -69,9 +69,11 @@
 // Converged worlds can be frozen into immutable snapshots
 // (simnet.Network.Freeze, gen.BuildSnapshot) and forked copy-on-write,
 // so a sweep or release suite builds each (scale, seed) world
-// once and every cell perturbs a cheap fork; warm runs are held
-// bit-identical to scratch builds by a differential equivalence suite
-// (internal/simnet and internal/attack warm tests).
+// once and every cell perturbs a cheap fork. Only a suite, whose cells
+// tap their forks, records the construction stream for them to replay
+// (gen.BuildSnapshotForReplay); a sweep's snapshots record nothing. Warm
+// runs are held bit-identical to scratch builds by a differential
+// equivalence suite (internal/simnet and internal/attack warm tests).
 //
 // # Verification
 //

@@ -59,14 +59,16 @@ func warmContext(t *testing.T, name, scale, engine string, workers int) *scenari
 }
 
 // runObservable executes the scenario (warm when snap is non-nil,
-// scratch otherwise) and collapses its observables. Tap events are
-// formatted immediately: route pointers in the stream are shared with
-// the live network and must not be held.
-func runObservable(t *testing.T, name string, ctx *scenario.Context, snap *gen.Snapshot) *scenarioObservable {
+// scratch otherwise) and collapses its observables, the update stream
+// only when tapped. Tap events are formatted immediately: route pointers
+// in the stream are shared with the live network and must not be held.
+func runObservable(t *testing.T, name string, ctx *scenario.Context, snap *gen.Snapshot, tapped bool) *scenarioObservable {
 	t.Helper()
 	var taps strings.Builder
-	ctx.Tap = func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
-		fmt.Fprintf(&taps, "%d>%d %s %s\n", from, to, prefix, rt)
+	if tapped {
+		ctx.Tap = func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
+			fmt.Fprintf(&taps, "%d>%d %s %s\n", from, to, prefix, rt)
+		}
 	}
 	var worlds []*gen.Internet
 	ctx.World = func(w *gen.Internet) { worlds = append(worlds, w) }
@@ -147,8 +149,12 @@ func forkableScenarios(t *testing.T) []string {
 // checkScenarioMatrix runs every forkable scenario cold and warm over
 // the given combos on one scale, sharing one frozen snapshot per combo
 // across scenarios — exactly the reuse pattern the sweep and suite
-// harnesses rely on. The combos run as parallel subtests: each builds
-// its own snapshot and its own cold worlds and shares nothing.
+// harnesses rely on. Each combo freezes twice: a recording snapshot
+// whose tapped forks must match the cold run stream included (the
+// suite's path), and a stream-free one whose untapped forks must match
+// it on everything else (the sweep's path). The combos run as parallel
+// subtests: each builds its own snapshots and its own cold worlds and
+// shares nothing.
 func checkScenarioMatrix(t *testing.T, scale string, combos []struct {
 	engine  string
 	workers int
@@ -160,15 +166,24 @@ func checkScenarioMatrix(t *testing.T, scale string, combos []struct {
 		t.Run(fmt.Sprintf("%s/%s/w%d", scale, v.engine, v.workers), func(t *testing.T) {
 			t.Parallel()
 			base := warmContext(t, names[0], scale, v.engine, v.workers)
-			snap, err := gen.BuildSnapshot(base.Gen)
+			snap, err := gen.BuildSnapshotForReplay(base.Gen)
 			if err != nil {
 				t.Fatalf("freeze %s/%s/%d: %v", scale, v.engine, v.workers, err)
 			}
+			bare, err := gen.BuildSnapshot(base.Gen)
+			if err != nil {
+				t.Fatalf("freeze %s/%s/%d stream-free: %v", scale, v.engine, v.workers, err)
+			}
 			for _, name := range names {
-				cold := runObservable(t, name, warmContext(t, name, scale, v.engine, v.workers), nil)
-				warm := runObservable(t, name, warmContext(t, name, scale, v.engine, v.workers), snap)
+				cold := runObservable(t, name, warmContext(t, name, scale, v.engine, v.workers), nil, true)
+				warm := runObservable(t, name, warmContext(t, name, scale, v.engine, v.workers), snap, true)
 				if msg := diffObservable(cold, warm); msg != "" {
 					t.Errorf("%s on %s/%s/%d: %s", name, scale, v.engine, v.workers, msg)
+				}
+				untapped := runObservable(t, name, warmContext(t, name, scale, v.engine, v.workers), bare, false)
+				cold.taps = ""
+				if msg := diffObservable(cold, untapped); msg != "" {
+					t.Errorf("%s untapped on %s/%s/%d: %s", name, scale, v.engine, v.workers, msg)
 				}
 			}
 		})
@@ -207,7 +222,7 @@ func TestWarmScenarioEquivalenceSmall(t *testing.T) {
 // harness's exact code path.
 func TestWarmEvalScenarioEquivalence(t *testing.T) {
 	base := warmContext(t, "rtbh", "tiny", "delta", 1)
-	snap, err := gen.BuildSnapshot(base.Gen)
+	snap, err := gen.BuildSnapshotForReplay(base.Gen)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +252,7 @@ func TestWarmEvalScenarioEquivalence(t *testing.T) {
 func TestWarmDictEvalEquivalence(t *testing.T) {
 	const name = "dictionary-poisoning"
 	base := warmContext(t, name, "tiny", "delta", 1)
-	snap, err := gen.BuildSnapshot(base.Gen)
+	snap, err := gen.BuildSnapshotForReplay(base.Gen)
 	if err != nil {
 		t.Fatal(err)
 	}

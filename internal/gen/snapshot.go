@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -24,7 +25,9 @@ import (
 // RNG is replayed to the exact draw position Build stopped at — so a
 // fork-then-perturb run is bit-identical to building the same perturbed
 // world from scratch. The differential suite (internal/attack warm
-// tests) holds every registered scenario to that equivalence.
+// tests) holds every registered scenario to that equivalence. Only
+// BuildSnapshotForReplay records the construction stream, which a
+// tapped fork replays; untapped forks (sweeps) never need it.
 
 // countingSource wraps a math/rand source and counts raw draws. Both
 // Int63 and Uint64 advance the underlying generator by exactly one step,
@@ -82,32 +85,42 @@ type tapEvent struct {
 const tapBlock = 4096
 
 // Snapshot is a frozen, converged Internet plus everything needed to
-// hand out equivalent warm forks: the sealed network, the construction
-// tap stream (replayed into each fork's tap so stream consumers see the
-// full history a scratch build would have shown them), and the RNG draw
-// count at freeze time.
+// hand out equivalent warm forks: the sealed network, the RNG draw count
+// at freeze time and, when built by BuildSnapshotForReplay, the
+// construction tap stream (replayed into each tapped fork so stream
+// consumers see the full history a scratch build would have shown them).
 type Snapshot struct {
-	params Params // Tap preserved from build time, excluded from Compatible
-	world  *Internet
-	net    *simnet.Snapshot
-	stream [][]tapEvent // full blocks of tapBlock events, the last one partial
-	draws  uint64
+	params   Params
+	world    *Internet
+	net      *simnet.Snapshot
+	recorded bool         // the construction stream was recorded
+	stream   [][]tapEvent // full blocks of tapBlock events, the last one partial
+	draws    uint64
 }
 
-// BuildSnapshot builds a world exactly as Build does and freezes it.
-// p.Tap, if set, observes the construction stream live, exactly as under
-// Build; the stream is additionally recorded for replay into forks.
-func BuildSnapshot(p Params) (*Snapshot, error) {
-	userTap := p.Tap
+// BuildSnapshot builds a world exactly as Build does and freezes it,
+// recording nothing: its forks run untapped, and Fork with a tap fails.
+// p.Tap must be nil; a fork observes construction only through Fork.
+func BuildSnapshot(p Params) (*Snapshot, error) { return buildSnapshot(p, false) }
+
+// BuildSnapshotForReplay is BuildSnapshot that also records the
+// construction stream, so a tapped Fork can replay it. The stream holds
+// every construction delivery (2.4M on medium) for the snapshot's
+// lifetime: build with it only when forks will be tapped.
+func BuildSnapshotForReplay(p Params) (*Snapshot, error) { return buildSnapshot(p, true) }
+
+func buildSnapshot(p Params, record bool) (*Snapshot, error) {
+	if p.Tap != nil {
+		return nil, errors.New("gen: a snapshot takes no Params.Tap; pass the tap to Fork")
+	}
 	var stream [][]tapEvent
-	p.Tap = func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
-		if len(stream) == 0 || len(stream[len(stream)-1]) == tapBlock {
-			stream = append(stream, make([]tapEvent, 0, tapBlock))
-		}
-		last := &stream[len(stream)-1]
-		*last = append(*last, tapEvent{from: from, to: to, prefix: prefix, route: rt})
-		if userTap != nil {
-			userTap(from, to, prefix, rt)
+	if record {
+		p.Tap = func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
+			if len(stream) == 0 || len(stream[len(stream)-1]) == tapBlock {
+				stream = append(stream, make([]tapEvent, 0, tapBlock))
+			}
+			last := &stream[len(stream)-1]
+			*last = append(*last, tapEvent{from: from, to: to, prefix: prefix, route: rt})
 		}
 	}
 	w, err := Build(p)
@@ -118,9 +131,8 @@ func BuildSnapshot(p Params) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	params := p
-	params.Tap = userTap
-	return &Snapshot{params: params, world: w, net: net, stream: stream, draws: w.rngSrc.n}, nil
+	p.Tap = nil
+	return &Snapshot{params: p, world: w, net: net, recorded: record, stream: stream, draws: w.rngSrc.n}, nil
 }
 
 // Forks reports how many forks the snapshot has handed out.
@@ -134,10 +146,9 @@ func (s *Snapshot) Discard() error { return s.net.Discard() }
 // harnesses call it before forking so a snapshot can never silently
 // stand in for a differently parameterized world.
 func (s *Snapshot) Compatible(p Params) error {
-	a, b := s.params, p
-	a.Tap, b.Tap = nil, nil
-	if !reflect.DeepEqual(a, b) {
-		return fmt.Errorf("gen: warm snapshot built for %+v cannot serve params %+v", a, b)
+	p.Tap = nil
+	if !reflect.DeepEqual(s.params, p) {
+		return fmt.Errorf("gen: warm snapshot built for %+v cannot serve params %+v", s.params, p)
 	}
 	return nil
 }
@@ -146,11 +157,15 @@ func (s *Snapshot) Compatible(p Params) error {
 // non-nil, first replays the recorded construction stream (so streaming
 // consumers see what a live tap on a scratch build would have seen) and
 // is then registered on the fork in the same position Build registers
-// Params.Tap — before the collectors' taps. All ground-truth maps and
-// registries are fork-private; routers copy-on-write as the fork's runs
-// touch them.
+// Params.Tap — before the collectors' taps. A tap on a snapshot built
+// without the stream is an error, never a fork that silently missed its
+// history. All ground-truth maps and registries are fork-private;
+// routers copy-on-write as the fork's runs touch them.
 func (s *Snapshot) Fork(tap simnet.UpdateTap) (*Internet, error) {
 	defer forkSecs.ObserveSince(time.Now())
+	if tap != nil && !s.recorded {
+		return nil, errors.New("gen: a tapped fork needs the construction stream; build the snapshot with BuildSnapshotForReplay")
+	}
 	n, err := s.net.Fork()
 	if err != nil {
 		return nil, err

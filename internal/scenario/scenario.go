@@ -258,9 +258,11 @@ type Context struct {
 	// instead of building from scratch. The snapshot must have been
 	// built with exactly this context's generator parameters
 	// (gen.Snapshot.Compatible) — a mismatch is a loud error, never a
-	// silent rebuild. Tap and World behave identically on the warm
-	// path: the tap sees the full construction stream (replayed), and
-	// World receives the forked Internet.
+	// silent rebuild. World receives the forked Internet. A Tap needs a
+	// snapshot that recorded its construction stream
+	// (gen.BuildSnapshotForReplay); it then sees that stream replayed,
+	// as on a scratch build. On a stream-free snapshot a Tap is an
+	// error.
 	Warm *gen.Snapshot
 
 	scenario *Scenario

@@ -178,6 +178,7 @@ type warmKey struct {
 // one per suite run; both build every cell's Context through Context, so
 // a suite cell and a sweep cell stay bit-identical runs.
 type WarmCache struct {
+	tapped  bool
 	mu      sync.Mutex
 	entries map[warmKey]*warmEntry
 }
@@ -188,9 +189,12 @@ type warmEntry struct {
 	err  error
 }
 
-// NewWarmCache returns an empty cache.
-func NewWarmCache() *WarmCache {
-	return &WarmCache{entries: make(map[warmKey]*warmEntry)}
+// NewWarmCache returns an empty cache. tapped declares whether the
+// cells will run with a Context.Tap: only then does each snapshot record
+// its construction stream for the forks to replay. An untapped cache's
+// forks refuse a tap (gen.Snapshot.Fork).
+func NewWarmCache(tapped bool) *WarmCache {
+	return &WarmCache{tapped: tapped, entries: make(map[warmKey]*warmEntry)}
 }
 
 // Context builds the run context for one grid cell: g.ContextFor, plus
@@ -210,8 +214,8 @@ func (wc *WarmCache) Context(g Grid, c Cell) (*Context, error) {
 }
 
 // snapshot returns the frozen world for the cell's coordinates, building
-// it exactly once. The build uses params with the tap stripped: per-cell
-// taps are replayed at fork time, never recorded into the shared world.
+// it exactly once, with the construction stream only if the cache's
+// cells are tapped.
 func (wc *WarmCache) snapshot(c Cell, params gen.Params) (*gen.Snapshot, error) {
 	key := warmKey{scale: c.Scale, seed: c.Seed, workers: c.EngineWorkers}
 	wc.mu.Lock()
@@ -222,8 +226,11 @@ func (wc *WarmCache) snapshot(c Cell, params gen.Params) (*gen.Snapshot, error) 
 	}
 	wc.mu.Unlock()
 	e.once.Do(func() {
-		params.Tap = nil
-		e.snap, e.err = gen.BuildSnapshot(params)
+		if wc.tapped {
+			e.snap, e.err = gen.BuildSnapshotForReplay(params)
+		} else {
+			e.snap, e.err = gen.BuildSnapshot(params)
+		}
 	})
 	return e.snap, e.err
 }
@@ -270,7 +277,7 @@ func SweepOpts(g Grid, workers int, opt SweepOpt) (*SweepReport, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	warm := NewWarmCache()
+	warm := NewWarmCache(false) // no sweep cell taps its world
 	var done atomic.Int64
 	conc.Do(len(cells), workers, func(i int) {
 		c := &cells[i]

@@ -10,6 +10,7 @@ import (
 	_ "bgpworms/internal/attack" // registers the builtin scenarios
 	"bgpworms/internal/obs"
 	"bgpworms/internal/scenario"
+	"bgpworms/internal/suite"
 )
 
 func TestGridCellEnumeration(t *testing.T) {
@@ -100,6 +101,59 @@ func TestSweepDeterminismAcrossWorkers(t *testing.T) {
 	}
 	if scenario.RenderSweep(one) == "" {
 		t.Fatal("render empty")
+	}
+}
+
+// TestWarmCacheRecordsOnlyForTappedCells pins which harness records a
+// snapshot's construction stream. No sweep cell taps its world, so
+// SweepOpts' snapshots are stream-free: a one-cell sweep replays to taps
+// exactly what the cell replays when NewWarmCache(false) provisions it,
+// and less than under NewWarmCache(true), whose build replays every
+// delivery into the recorder. Every suite cell replays its world through
+// EvalScenario's tap, which a stream-free snapshot refuses, so suite.Run
+// records: its warm cells run without error.
+func TestWarmCacheRecordsOnlyForTappedCells(t *testing.T) {
+	replayed := obs.Default.Counter("simnet_tap_replayed_total", "")
+	g := scenario.Grid{Scenarios: []string{"rtbh"}}
+	cells, err := g.Cells()
+	if err != nil || len(cells) != 1 {
+		t.Fatalf("grid: %d cells, %v", len(cells), err)
+	}
+	provisioned := func(tapped bool) uint64 {
+		before := replayed.Value()
+		ctx, err := scenario.NewWarmCache(tapped).Context(g, cells[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := scenario.Run(cells[0].Scenario, ctx); err != nil {
+			t.Fatal(err)
+		}
+		return replayed.Value() - before
+	}
+	bare, recording := provisioned(false), provisioned(true)
+	before := replayed.Value()
+	rep, err := scenario.SweepOpts(g, 1, scenario.SweepOpt{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errored != 0 || rep.SnapshotBuilds != 1 {
+		t.Fatalf("sweep: %d errored, %d snapshots built", rep.Errored, rep.SnapshotBuilds)
+	}
+	if got := replayed.Value() - before; got != bare || bare >= recording {
+		t.Fatalf("sweep replayed %d deliveries to taps; a stream-free snapshot's cell replays %d, a recording one's %d", got, bare, recording)
+	}
+
+	s := &suite.Suite{
+		Name:     "warm-recording",
+		Defaults: suite.Defaults{Scales: []string{"tiny"}, Seeds: []int64{1, 2, 3}},
+		Entries:  []suite.Entry{{Scenario: "rtbh"}},
+	}
+	srep, err := suite.Run(s, suite.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srep.Errored != 0 || srep.SnapshotBuilds != 3 {
+		t.Fatalf("suite: %d of %d cells errored on %d snapshots: %v", srep.Errored, srep.Ran, srep.SnapshotBuilds, srep.Failures)
 	}
 }
 

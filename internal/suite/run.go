@@ -214,8 +214,10 @@ func Run(s *Suite, opt Options) (*Report, error) {
 	tr := &trainer{}
 	// One frozen world per (scale, seed) group: every cell in the group
 	// forks it instead of rebuilding. The scenario layer provisions the
-	// cells, so suite cells and sweep cells run the same code.
-	warm := scenario.NewWarmCache()
+	// cells, so suite cells and sweep cells run the same code. Every cell
+	// replays its world through EvalScenario's tap, so the snapshots
+	// record their construction streams.
+	warm := scenario.NewWarmCache(true)
 	var done atomic.Int64
 	conc.Do(len(specs), workers, func(i int) {
 		start := time.Now()
