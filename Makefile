@@ -3,7 +3,7 @@
 
 GO      ?= go
 
-.PHONY: build test race scale-probe yardstick-smoke suite-gate lint deadcode mutant-gate fmt watch-smoke coverage fuzz-smoke loc ci
+.PHONY: build test race scale-probe yardstick-smoke suite-gate lint deadcode mutant-gate fmt watch-smoke pins coverage fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,13 @@ suite-gate:
 # at two -engine-shards values; then recovery, sharding, resharding.
 watch-smoke:
 	./ci/watchsmoke.sh
+
+# pins holds the repo's byte-identity guarantee to the hashes in
+# ci/pins.txt: each line's command, run on freshly built binaries, must
+# print exactly the pinned bytes (worms reports at every -workers, the
+# bench sweep grid, both suite reports, commdict replays).
+pins:
+	./ci/pins.sh
 
 # coverage enforces the ratchet in ci/coverage.txt (raise-only).
 coverage:
@@ -90,4 +97,4 @@ fmt:
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
 
-ci: build lint deadcode mutant-gate race coverage fuzz-smoke watch-smoke scale-probe yardstick-smoke suite-gate
+ci: build lint deadcode mutant-gate race coverage fuzz-smoke watch-smoke pins scale-probe yardstick-smoke suite-gate

@@ -3,7 +3,9 @@
 # patch: copy the working tree to a temp directory and apply the patch
 # there (one that no longer applies fails the gate). Then either
 #   - the header names tests on "Must-fail: ./pkg TestName" lines, and
-#     every one of them must report "--- FAIL: TestName"; or
+#     every one of them must report "--- FAIL: TestName" (a
+#     "Must-fail: make TARGET" line instead requires the make target to
+#     print a "FAIL " line, as ci/pins.sh does for each moved pin); or
 #   - the header has a "Known-survivor: reason" line: a bug no test
 #     catches, kept on record. It must still apply; its reason is
 #     printed and no test is run.
@@ -44,6 +46,15 @@ for patch in ci/mutants/*.patch; do
     fi
     echo "$musts" | while read -r pkg test; do
         [ -n "$pkg" ] || continue
+        if [ "$pkg" = make ]; then
+            if (cd "$tmp" && make -s "$test" 2>&1) | grep -q '^FAIL '; then
+                echo "ok   $patch: make $test goes red"
+            else
+                echo "FAIL $patch: make $test stays green (or the mutant does not build)" >&2
+                exit 1
+            fi
+            continue
+        fi
         if (cd "$tmp" && go test -count=1 -short -run "^${test}\$" "$pkg" 2>&1) | grep -q -- "--- FAIL: ${test} "; then
             echo "ok   $patch: $pkg $test goes red"
         else

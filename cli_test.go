@@ -85,6 +85,8 @@ func testRefusals(t *testing.T, bin string) {
 		{"attacklab", []string{"-sweep", "-seed", "7"}, "does not read -seed", nil},
 		{"attacklab", []string{"-sweep", "-set", "all"}, "does not read -set", nil},
 		{"attacklab", []string{"-sweep", "-run", "rtbh"}, "does not read -run", nil},
+		{"attacklab", []string{"-sweep", "-scenarios", "rtbh", "-sets", "verifed"}, `unknown community set "verifed"`, nil},
+		{"attacklab", []string{"-run", "rtbh", "-set", "verifed"}, `unknown community set "verifed"`, nil},
 		{"attacklab", []string{"-run", "rtbh", "-scales", "small"}, "-scales is read only by -sweep", nil},
 		{"attacklab", []string{"-run", "rtbh", "-seeds", "1,2"}, "-seeds is read only by -sweep", nil},
 		{"attacklab", []string{"-run", "rtbh", "-engine-workers", "4"}, "-engine-workers is read only by -sweep", nil},

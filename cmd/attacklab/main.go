@@ -23,8 +23,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	"bgpworms/internal/attack"
 	"bgpworms/internal/bgp"
@@ -159,13 +157,7 @@ func runSweep(scenarios, scales, seeds, engineWorkers, engines, sets string, vps
 		opt.Trace = obs.NewTrace("attacklab sweep")
 	}
 	if verbose {
-		var mu sync.Mutex
-		opt.Progress = func(done, total int, c *scenario.Cell, d time.Duration) {
-			mu.Lock()
-			defer mu.Unlock()
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s/%s seed=%d (%v)\n",
-				done, total, c.Scenario, c.Scale, c.Seed, d.Round(time.Millisecond))
-		}
+		opt.Progress = scenario.PrintProgress(os.Stderr)
 	}
 	rep, err := scenario.SweepOpts(g, workers, opt)
 	if err != nil {

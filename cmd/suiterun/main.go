@@ -26,10 +26,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"bgpworms/internal/obs"
+	"bgpworms/internal/scenario"
 	"bgpworms/internal/suite"
 )
 
@@ -86,14 +86,9 @@ func main() {
 	// carries the per-cell span breakdown whether or not -trace asked
 	// for a standalone file.
 	tr := obs.NewTrace("suiterun " + s.Name)
-	opt := suite.Options{Workers: *workers, Trace: tr}
+	opt := suite.Options{Workers: *workers, SweepOpt: scenario.SweepOpt{Trace: tr}}
 	if *verbose {
-		var mu sync.Mutex
-		opt.Progress = func(done, total int, c *suite.CellResult, d time.Duration) {
-			mu.Lock()
-			defer mu.Unlock()
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s (%v)\n", done, total, c.Key, d.Round(time.Millisecond))
-		}
+		opt.Progress = scenario.PrintProgress(os.Stderr)
 	}
 	if *detectors != "" || *dict {
 		arm := &suite.Arm{Name: *armName, Dict: *dict}

@@ -69,7 +69,8 @@
 // Converged worlds can be frozen into immutable snapshots
 // (simnet.Network.Freeze, gen.BuildSnapshot) and forked copy-on-write,
 // so a sweep or release suite builds each (scale, seed) world
-// once and every cell perturbs a cheap fork. Only a suite, whose cells
+// once and every cell perturbs a cheap fork (a suite's dictionary arm
+// trains on a fork of the same world). Only a suite, whose cells
 // tap their forks, records the construction stream for them to replay
 // (gen.BuildSnapshotForReplay); a sweep's snapshots record nothing. Warm
 // runs are held bit-identical to scratch builds by a differential
@@ -84,11 +85,12 @@
 // the paper-scale presets (BenchmarkLargeWorldBuild). CI runs the
 // Makefile targets (build, lint with the layering gate, deadcode — no
 // function under internal/ that no binary links — race, coverage ratchet,
-// fuzz smoke, watch smoke, scale probe, yardstick smoke) on every push; BENCHMARKS.md
+// fuzz smoke, watch smoke, byte pins, scale probe, yardstick smoke) on every push; BENCHMARKS.md
 // keeps each PR's measurements as history, golden files (internal/core/testdata/golden) pin the
 // paper-facing numbers, native fuzzers with checked-in corpora
 // (FuzzCommunityText, FuzzMRTRecord) harden the codecs, and runnable
 // Example tests pin the documented entry points (core.Pipeline.Analyze,
-// scenario.Run, scenario.SweepOpts, and simnet's five-AS walk through
-// looking glasses and the data plane).
+// scenario.Run, scenario.SweepOpts over the one grid runner
+// scenario.RunCells, and simnet's five-AS walk through looking glasses
+// and the data plane).
 package bgpworms

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
+	"strings"
 
 	"bgpworms/internal/atlas"
 	"bgpworms/internal/bgp"
@@ -31,7 +32,7 @@ func (l *Lab) CommunitySet(name string) ([]bgp.Community, error) {
 	case "all":
 		return l.W.Registry.All(), nil
 	default:
-		return nil, fmt.Errorf("attack: unknown community set %q (want verified|likely|all)", name)
+		return nil, fmt.Errorf("attack: unknown community set %q (want %s)", name, strings.Join(scenario.CommunitySets, "|"))
 	}
 }
 

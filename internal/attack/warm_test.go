@@ -46,8 +46,7 @@ type scenarioObservable struct {
 
 func warmContext(t *testing.T, name, scale, engine string, workers int) *scenario.Context {
 	t.Helper()
-	grid := scenario.Grid{Scenarios: []string{name}}
-	ctx, err := grid.ContextFor(scenario.Cell{
+	ctx, err := scenario.ContextFor(scenario.Cell{
 		Scenario: name, Scale: scale, Seed: 1,
 		EngineWorkers: workers,
 	})

@@ -1,8 +1,9 @@
 // Package scenario is the attack-scenario engine: a registry of named,
 // self-describing attack scenarios (the paper's §5–§7 taxonomy, Table 3)
-// and a parallel sweep harness that fans a scenario grid — topology
-// scale × generator seed × community set × simulation-engine workers —
-// over the worker pool shared with the measurement pipeline.
+// and the one grid runner (RunCells) that fans a scenario grid —
+// topology scale × generator seed × community set × simulation-engine
+// workers — over the worker pool shared with the measurement pipeline,
+// under sweeps (SweepOpts) and release suites (internal/suite) alike.
 //
 // The package sits between the simulation stack and the CLIs: scenario
 // implementations live where the lab machinery lives (internal/attack)
@@ -15,8 +16,11 @@ package scenario
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 
 	"bgpworms/internal/gen"
 	"bgpworms/internal/simnet"
@@ -229,6 +233,17 @@ const (
 	DefaultCommunitySet = "verified"
 )
 
+// CommunitySets names the registry slices a candidate-driven scenario
+// can draw from; a grid or a run naming any other is refused.
+var CommunitySets = []string{"verified", "likely", "all"}
+
+func checkCommunitySet(name string) error {
+	if !slices.Contains(CommunitySets, name) {
+		return fmt.Errorf("scenario: unknown community set %q (want %s)", name, strings.Join(CommunitySets, "|"))
+	}
+	return nil
+}
+
 // Context carries everything a scenario run needs. The zero value is
 // usable: defaults are a tiny Internet, DefaultVPs vantage points, and
 // the DefaultCommunitySet registry slice.
@@ -239,7 +254,7 @@ type Context struct {
 	// VPs is the Atlas vantage-point count.
 	VPs int
 	// CommunitySet names the registry slice candidate-driven scenarios
-	// sweep: "verified", "likely", or "all".
+	// sweep: one of CommunitySets.
 	CommunitySet string
 	// Values overrides scenario parameters.
 	Values Values
@@ -266,6 +281,20 @@ type Context struct {
 	Warm *gen.Snapshot
 
 	scenario *Scenario
+	// shared builds or returns the warm cache's world for the cell's
+	// coordinates (WarmCache.Context sets it).
+	shared func() (*gen.Snapshot, error)
+}
+
+// Shared returns the frozen world the provisioning WarmCache holds for
+// the cell's (scale, seed, engine workers), building it on first use:
+// the world Warm forks, and for a ManagesWorlds cell, which forks none,
+// the one it would have forked. A context no cache provisioned has none.
+func (c *Context) Shared() (*gen.Snapshot, error) {
+	if c.shared == nil {
+		return nil, errors.New("scenario: the context was not provisioned by a warm cache")
+	}
+	return c.shared()
 }
 
 func (c *Context) withDefaults(s *Scenario) *Context {
@@ -337,5 +366,9 @@ func Run(name string, ctx *Context) (*Result, error) {
 	if err := s.Validate(ctx.Values); err != nil {
 		return nil, err
 	}
-	return s.Run(ctx.withDefaults(s))
+	ctx = ctx.withDefaults(s)
+	if err := checkCommunitySet(ctx.CommunitySet); err != nil {
+		return nil, err
+	}
+	return s.Run(ctx)
 }

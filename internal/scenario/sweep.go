@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"strconv"
 	"sync"
@@ -14,7 +15,8 @@ import (
 	"bgpworms/internal/stats"
 )
 
-// Grid is a sweep specification: the cross product of every dimension.
+// Grid specifies a sweep or one suite entry: the cross product of every
+// dimension.
 // Empty dimensions default to a single canonical value, so the zero Grid
 // (plus at least one scenario name, or none for "all registered") is
 // runnable.
@@ -33,9 +35,9 @@ type Grid struct {
 	// benchmark PR drops the argument: entries may only be "" or "delta".
 	Engines []string `json:"engines,omitempty"`
 	// CommunitySets names registry slices for candidate-driven scenarios
-	// ("verified", "likely", "all"); default {"verified"}.
+	// (members of the package's CommunitySets); default {"verified"}.
 	CommunitySets []string `json:"community_sets"`
-	// VPs is the Atlas vantage-point count per cell; default 12.
+	// VPs is the Atlas vantage-point count per cell; 0 runs DefaultVPs.
 	VPs int `json:"vps"`
 	// Values applies fixed parameter overrides to every cell.
 	Values Values `json:"values,omitempty"`
@@ -57,13 +59,10 @@ func (g Grid) withDefaults() Grid {
 	if len(g.CommunitySets) == 0 {
 		g.CommunitySets = []string{DefaultCommunitySet}
 	}
-	if g.VPs == 0 {
-		g.VPs = DefaultVPs
-	}
 	return g
 }
 
-// Cell is one grid point and, after the sweep, its outcome.
+// Cell is one grid point and, after a sweep, its outcome.
 type Cell struct {
 	Scenario      string  `json:"scenario"`
 	Scale         string  `json:"scale"`
@@ -78,6 +77,11 @@ type Cell struct {
 	// self-describing. Both are meaningful only when Result is set.
 	Expected   bool `json:"expected"`
 	AsExpected bool `json:"as_expected"`
+	// Values are the grid's fixed Values this cell's scenario declares,
+	// and VPs the grid's vantage-point count: what ContextFor reads
+	// beside the coordinates above.
+	Values Values `json:"-"`
+	VPs    int    `json:"-"`
 }
 
 // Cells enumerates the grid in canonical order (scenario, scale, seed,
@@ -87,14 +91,14 @@ func (g Grid) Cells() ([]Cell, error) {
 	g = g.withDefaults()
 	for _, name := range g.Scenarios {
 		if _, ok := Get(name); !ok {
-			return nil, fmt.Errorf("scenario: sweep names unknown scenario %q", name)
+			return nil, fmt.Errorf("scenario: grid names unknown scenario %q (have %v)", name, Names())
 		}
 	}
 	// Fixed Values apply per cell to scenarios that declare the
 	// parameter; scenarios without it ignore it, so one -p flag can
-	// parameterize a mixed grid. A name no swept scenario declares is a
-	// typo and rejected up front; a declared value must parse everywhere
-	// it applies.
+	// parameterize a mixed grid. A name no gridded scenario declares is
+	// a typo and rejected up front; a declared value must parse
+	// everywhere it applies.
 	for name, raw := range g.Values {
 		declared := false
 		for _, sn := range g.Scenarios {
@@ -108,7 +112,7 @@ func (g Grid) Cells() ([]Cell, error) {
 			}
 		}
 		if !declared {
-			return nil, fmt.Errorf("scenario: no swept scenario declares parameter %q", name)
+			return nil, fmt.Errorf("scenario: no gridded scenario declares parameter %q", name)
 		}
 	}
 	for _, scale := range g.Scales {
@@ -116,13 +120,19 @@ func (g Grid) Cells() ([]Cell, error) {
 			return nil, err
 		}
 	}
+	for _, set := range g.CommunitySets {
+		if err := checkCommunitySet(set); err != nil {
+			return nil, err
+		}
+	}
 	for _, e := range g.Engines {
 		if e != "" && e != "delta" {
-			return nil, fmt.Errorf("scenario: sweep names engine %q; the only engine is \"delta\"", e)
+			return nil, fmt.Errorf("scenario: grid names engine %q; the only engine is \"delta\"", e)
 		}
 	}
 	var cells []Cell
 	for _, name := range g.Scenarios {
+		vals := declared(mustGet(name), g.Values)
 		for _, scale := range g.Scales {
 			for _, seed := range g.Seeds {
 				for _, ew := range g.EngineWorkers {
@@ -130,6 +140,7 @@ func (g Grid) Cells() ([]Cell, error) {
 						cells = append(cells, Cell{
 							Scenario: name, Scale: scale, Seed: seed,
 							EngineWorkers: ew, CommunitySet: set,
+							Values: vals, VPs: g.VPs,
 						})
 					}
 				}
@@ -137,6 +148,21 @@ func (g Grid) Cells() ([]Cell, error) {
 		}
 	}
 	return cells, nil
+}
+
+// declared filters vals down to the parameters s declares (nil when
+// none), so fixed Values can span a mixed-scenario grid.
+func declared(s *Scenario, vals Values) Values {
+	var out Values
+	for name, raw := range vals {
+		if _, ok := s.Param(name); ok {
+			if out == nil {
+				out = Values{}
+			}
+			out[name] = raw
+		}
+	}
+	return out
 }
 
 func mustGet(name string) *Scenario {
@@ -174,9 +200,8 @@ type warmKey struct {
 // world snapshot per (scale, seed, engine-workers) coordinate. Each
 // snapshot is built by the first cell that needs it (under sync.Once, so
 // concurrent harness workers block instead of double-building) and
-// forked by the rest. SweepOpts uses one per sweep and internal/suite
-// one per suite run; both build every cell's Context through Context, so
-// a suite cell and a sweep cell stay bit-identical runs.
+// forked by the rest. RunCells declares one per run, so a suite cell
+// and a sweep cell are provisioned by the same code.
 type WarmCache struct {
 	tapped  bool
 	mu      sync.Mutex
@@ -197,16 +222,19 @@ func NewWarmCache(tapped bool) *WarmCache {
 	return &WarmCache{tapped: tapped, entries: make(map[warmKey]*warmEntry)}
 }
 
-// Context builds the run context for one grid cell: g.ContextFor, plus
+// Context builds the run context for one grid cell: ContextFor, plus
 // the cell's shared frozen world unless the scenario ManagesWorlds
 // (those never fork it, so provisioning one would be a wasted build).
-func (wc *WarmCache) Context(g Grid, c Cell) (*Context, error) {
-	ctx, err := g.ContextFor(c)
+// Either way Context.Shared reaches the cell's world.
+func (wc *WarmCache) Context(c Cell) (*Context, error) {
+	ctx, err := ContextFor(c)
 	if err != nil {
 		return nil, err
 	}
+	p := ctx.Gen
+	ctx.shared = func() (*gen.Snapshot, error) { return wc.snapshot(c, p) }
 	if s, _ := Get(c.Scenario); s != nil && !s.ManagesWorlds {
-		if ctx.Warm, err = wc.snapshot(c, ctx.Gen); err != nil {
+		if ctx.Warm, err = ctx.shared(); err != nil {
 			return nil, err
 		}
 	}
@@ -249,8 +277,8 @@ func (wc *WarmCache) Stats() (builds, forks int) {
 	return builds, forks
 }
 
-// SweepOpt carries the sweep's optional observability hooks. The zero
-// value is a plain sweep; nothing here can change the report.
+// SweepOpt carries a grid run's optional observability hooks. The zero
+// value is a plain run; nothing here can change a report.
 type SweepOpt struct {
 	// Progress, when set, is called after every completed cell with the
 	// done count, the grid total, the cell just finished, and its wall
@@ -258,26 +286,38 @@ type SweepOpt struct {
 	// completion order, not grid order — serialize in the callback.
 	Progress func(done, total int, c *Cell, d time.Duration)
 	// Trace, when set, records one "cell <scenario>" span per grid cell
-	// (scale/seed attributes attached). Nil is a no-op.
+	// (scale/seed attributes attached) with a "build" child for its
+	// provisioning. Nil is a no-op.
 	Trace *obs.Trace
 }
 
-// SweepOpts executes every grid cell over a pool of at most workers
-// harness goroutines (0 or negative: one per CPU). Cells agreeing on
-// (scale, seed, engine workers) share one frozen world build and fork it
-// per run, so cells share no mutable state; results land at their grid
-// index and the fold runs in grid order — the report is therefore
-// bit-identical across harness worker counts.
-func SweepOpts(g Grid, workers int, opt SweepOpt) (*SweepReport, error) {
-	g = g.withDefaults()
-	cells, err := g.Cells()
-	if err != nil {
-		return nil, err
+// PrintProgress returns a SweepOpt.Progress that writes one
+// "[i/n] scenario/scale seed=N (d)" line per finished cell to w,
+// serializing the concurrent calls.
+func PrintProgress(w io.Writer) func(done, total int, c *Cell, d time.Duration) {
+	var mu sync.Mutex
+	return func(done, total int, c *Cell, d time.Duration) {
+		mu.Lock()
+		defer mu.Unlock()
+		fmt.Fprintf(w, "[%d/%d] %s/%s seed=%d (%v)\n", done, total, c.Scenario, c.Scale, c.Seed, d.Round(time.Millisecond))
 	}
+}
+
+// RunCells is the one grid runner under sweeps and suites. It calls
+// fn(i, ctx, sp) for every cell over a pool of at most workers harness
+// goroutines (0 or negative: one per CPU), ctx provisioned by one
+// WarmCache — tapped declares whether fn taps its fork — and sp the
+// cell's root span. A cell the cache cannot provision gets its Err set
+// and no fn call. Cells agreeing on (scale, seed, engine workers) fork
+// one frozen world, so they share no mutable state; fn writes cell i's
+// outcome at index i, which keeps every fold over the cells
+// bit-identical across worker counts. It returns the cache's
+// builds/forks count.
+func RunCells(cells []Cell, workers int, tapped bool, opt SweepOpt, fn func(i int, ctx *Context, sp *obs.Span)) (builds, forks int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	warm := NewWarmCache(false) // no sweep cell taps its world
+	warm := NewWarmCache(tapped)
 	var done atomic.Int64
 	conc.Do(len(cells), workers, func(i int) {
 		c := &cells[i]
@@ -285,14 +325,42 @@ func SweepOpts(g Grid, workers int, opt SweepOpt) (*SweepReport, error) {
 		sp := opt.Trace.Start("cell " + c.Scenario)
 		sp.SetAttr("scale", c.Scale)
 		sp.SetAttr("seed", strconv.FormatInt(c.Seed, 10))
-		runCell(c, g, warm)
+		build := sp.Child("build")
+		ctx, err := warm.Context(*c)
+		if ctx != nil && ctx.Warm != nil {
+			build.SetAttr("warm", "true")
+		}
+		build.End()
+		if err != nil {
+			c.Err = err.Error()
+		} else {
+			fn(i, ctx, sp)
+		}
 		sp.End()
 		if opt.Progress != nil {
 			opt.Progress(int(done.Add(1)), len(cells), c, time.Since(start))
 		}
 	})
+	return warm.Stats()
+}
+
+// SweepOpts runs every grid cell through RunCells with Run as the cell
+// function, on untapped worlds, and tallies the outcomes in grid order
+// — the report is therefore bit-identical across harness worker counts.
+func SweepOpts(g Grid, workers int, opt SweepOpt) (*SweepReport, error) {
+	cells, err := g.Cells()
+	if err != nil {
+		return nil, err
+	}
 	rep := &SweepReport{Cells: cells, Ran: len(cells)}
-	rep.SnapshotBuilds, rep.SnapshotForks = warm.Stats()
+	rep.SnapshotBuilds, rep.SnapshotForks = RunCells(cells, workers, false, opt, func(i int, ctx *Context, _ *obs.Span) {
+		res, err := Run(cells[i].Scenario, ctx)
+		if err != nil {
+			cells[i].Err = err.Error()
+			return
+		}
+		cells[i].Result = res
+	})
 	for i := range cells {
 		c := &cells[i]
 		switch {
@@ -315,48 +383,16 @@ func SweepOpts(g Grid, workers int, opt SweepOpt) (*SweepReport, error) {
 }
 
 // ContextFor builds the cold run context for one grid cell: the cell's
-// preset seeded, the grid's vantage-point count, and the grid's fixed
-// Values filtered down to the parameters the cell's scenario declares.
-// WarmCache.Context adds the shared world to it.
-func (g Grid) ContextFor(c Cell) (*Context, error) {
+// preset seeded, its vantage-point count and its Values. WarmCache.Context
+// adds the shared world to it.
+func ContextFor(c Cell) (*Context, error) {
 	p, err := gen.Preset(c.Scale)
 	if err != nil {
 		return nil, err
 	}
 	p.Seed = c.Seed
 	p.Workers = c.EngineWorkers
-	// Pass only the parameters this cell's scenario declares, so fixed
-	// Values can span a mixed-scenario grid.
-	var vals Values
-	if s, _ := Get(c.Scenario); s != nil {
-		for name, raw := range g.Values {
-			if _, ok := s.Param(name); ok {
-				if vals == nil {
-					vals = Values{}
-				}
-				vals[name] = raw
-			}
-		}
-	}
-	vps := g.VPs
-	if vps == 0 {
-		vps = DefaultVPs
-	}
-	return &Context{Gen: p, VPs: vps, CommunitySet: c.CommunitySet, Values: vals}, nil
-}
-
-func runCell(c *Cell, g Grid, warm *WarmCache) {
-	ctx, err := warm.Context(g, *c)
-	if err != nil {
-		c.Err = err.Error()
-		return
-	}
-	res, err := Run(c.Scenario, ctx)
-	if err != nil {
-		c.Err = err.Error()
-		return
-	}
-	c.Result = res
+	return &Context{Gen: p, VPs: c.VPs, CommunitySet: c.CommunitySet, Values: c.Values}, nil
 }
 
 // RenderSweep renders the report as a text table, one row per cell.

@@ -121,7 +121,7 @@ func TestWarmCacheRecordsOnlyForTappedCells(t *testing.T) {
 	}
 	provisioned := func(tapped bool) uint64 {
 		before := replayed.Value()
-		ctx, err := scenario.NewWarmCache(tapped).Context(g, cells[0])
+		ctx, err := scenario.NewWarmCache(tapped).Context(cells[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,8 +234,9 @@ func TestSweepEngineWorkerInvariance(t *testing.T) {
 
 // TestSweepOptsHooks pins the observability satellite: the progress
 // callback sees every cell exactly once with a sane done/total, the
-// trace records one span per cell, and attaching the hooks leaves the
-// report bit-identical to a bare sweep.
+// trace records one root span per cell (its provisioning a "build"
+// child), and attaching the hooks leaves the report bit-identical to a
+// bare sweep.
 func TestSweepOptsHooks(t *testing.T) {
 	g := scenario.Grid{
 		Scenarios: []string{"rtbh", "propagation-distance"},
@@ -268,14 +269,21 @@ func TestSweepOptsHooks(t *testing.T) {
 	if calls != 4 || seen["rtbh"] != 2 || seen["propagation-distance"] != 2 {
 		t.Fatalf("progress calls=%d seen=%v", calls, seen)
 	}
-	recs := tr.Records()
-	if len(recs) != 4 {
-		t.Fatalf("trace spans=%d want 4", len(recs))
-	}
-	for _, r := range recs {
+	roots := 0
+	for _, r := range tr.Records() {
+		if r.Parent != 0 {
+			if r.Name != "build" {
+				t.Fatalf("child span %+v", r)
+			}
+			continue
+		}
+		roots++
 		if r.DurUS <= 0 || r.Attrs["scale"] != "tiny" {
 			t.Fatalf("span %+v", r)
 		}
+	}
+	if roots != 4 {
+		t.Fatalf("root spans=%d want 4", roots)
 	}
 	b1, _ := json.Marshal(bare)
 	b2, _ := json.Marshal(hooked)

@@ -64,8 +64,10 @@ func FuzzSuiteFile(f *testing.F) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("Parse accepted a suite Validate rejects: %v", err)
 		}
-		if got := len(s.cells()); got == 0 {
-			t.Fatal("valid suite expanded to zero cells")
+		for i := range s.Entries {
+			if cells, err := s.grid(&s.Entries[i]).Cells(); err != nil || len(cells) == 0 {
+				t.Fatalf("valid suite entry %d expanded to %d cells: %v", i, len(cells), err)
+			}
 		}
 		if got := s.Scenarios(); len(got) == 0 {
 			t.Fatal("valid suite covers zero scenarios")

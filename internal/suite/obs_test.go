@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"bgpworms/internal/obs"
+	"bgpworms/internal/scenario"
 )
 
 // TestRunTraceAndProgress pins the observability contract for suite
@@ -27,14 +28,16 @@ func TestRunTraceAndProgress(t *testing.T) {
 	var calls int
 	traced, err := Run(s, Options{
 		Workers: 2,
-		Trace:   tr,
-		Progress: func(done, total int, c *CellResult, d time.Duration) {
-			mu.Lock()
-			defer mu.Unlock()
-			calls++
-			if done < 1 || done > total || c == nil || c.Key == "" || d < 0 {
-				t.Errorf("progress(done=%d, total=%d, c=%+v, d=%v)", done, total, c, d)
-			}
+		SweepOpt: scenario.SweepOpt{
+			Trace: tr,
+			Progress: func(done, total int, c *scenario.Cell, d time.Duration) {
+				mu.Lock()
+				defer mu.Unlock()
+				calls++
+				if done < 1 || done > total || c == nil || c.Scenario == "" || d < 0 {
+					t.Errorf("progress(done=%d, total=%d, c=%+v, d=%v)", done, total, c, d)
+				}
+			},
 		},
 	})
 	if err != nil {

@@ -70,9 +70,9 @@ func NewProvenance(s *Suite, path string, suiteData []byte, rep *Report, workers
 		p.SuiteSHA256 = hex.EncodeToString(sum[:])
 	}
 	scales, seeds := map[string]bool{}, map[int64]bool{}
-	for _, spec := range s.cells() {
-		scales[spec.scale] = true
-		seeds[spec.seed] = true
+	for _, c := range rep.Cells {
+		scales[c.Scale] = true
+		seeds[c.Seed] = true
 	}
 	for sc := range scales {
 		p.Scales = append(p.Scales, sc)

@@ -2,16 +2,11 @@ package suite
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"bgpworms/internal/attack"
-	"bgpworms/internal/conc"
 	"bgpworms/internal/feed"
-	"bgpworms/internal/gen"
 	"bgpworms/internal/obs"
 	"bgpworms/internal/scenario"
 	"bgpworms/internal/semantics"
@@ -25,16 +20,12 @@ type Options struct {
 	Workers int
 	// Arm overrides the suite's declared detector configuration.
 	Arm *Arm
-	// Trace, when set, records one root span per cell with
-	// build/detectors/eval children — the per-cell wall-time
-	// breakdown suiterun writes into provenance.json. Purely
-	// observational: the report bytes are identical with or without it.
-	Trace *obs.Trace
-	// Progress, when set, is called after each completed cell with the
-	// done count, cell total, the finished cell, and its wall time.
-	// Calls come concurrently from harness goroutines in completion
-	// order — serialize in the callback.
-	Progress func(done, total int, c *CellResult, d time.Duration)
+	// SweepOpt carries the grid runner's progress and trace hooks. The
+	// trace gets one root span per cell with build/detectors/eval
+	// children — the per-cell wall-time breakdown suiterun writes into
+	// provenance.json. Purely observational: the report bytes are
+	// identical with or without them.
+	scenario.SweepOpt
 }
 
 // DictMetrics is the gateable slice of a dictionary-inference score.
@@ -145,19 +136,19 @@ type Report struct {
 	SnapshotForks  int `json:"-"`
 }
 
-// trainer builds and caches clean-baseline dictionaries per
-// (scale, seed): the cell's world rebuilt without the attack, observed
-// by a semantics tap through construction plus a month of churn — the
-// CommunityWatch-style training pass the dictionary-aware detectors
-// assume. Training is serialized; cells needing the same dictionary
-// share one build.
+// trainer caches clean-baseline dictionaries per (scale, seed): the
+// cell's shared world forked without the attack, observed by a
+// semantics tap through its replayed construction plus a month of churn
+// — the CommunityWatch-style training pass the dictionary-aware
+// detectors assume. Training is serialized; cells needing the same
+// dictionary share one pass.
 type trainer struct {
 	mu    sync.Mutex
 	cache map[string]*semantics.Snapshot
 }
 
-func (tr *trainer) snapshot(scale string, seed int64) (*semantics.Snapshot, error) {
-	key := fmt.Sprintf("%s/%d", scale, seed)
+func (tr *trainer) snapshot(c *scenario.Cell, ctx *scenario.Context) (*semantics.Snapshot, error) {
+	key := fmt.Sprintf("%s/%d", c.Scale, c.Seed)
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	if tr.cache == nil {
@@ -166,15 +157,13 @@ func (tr *trainer) snapshot(scale string, seed int64) (*semantics.Snapshot, erro
 	if snap, ok := tr.cache[key]; ok {
 		return snap, nil
 	}
-	p, err := gen.Preset(scale)
+	world, err := ctx.Shared()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("train dictionary %s: %w", key, err)
 	}
-	p.Seed = seed
 	eng := semantics.NewEngine(semantics.Config{})
 	defer eng.Close()
-	p.Tap = feed.Tap("", eng.Ingest)
-	l, err := attack.NewLab(p, scenario.DefaultVPs)
+	l, err := attack.NewWarmLab(world, scenario.DefaultVPs, feed.Tap("", eng.Ingest))
 	if err != nil {
 		return nil, fmt.Errorf("train dictionary %s: %w", key, err)
 	}
@@ -186,12 +175,12 @@ func (tr *trainer) snapshot(scale string, seed int64) (*semantics.Snapshot, erro
 	return snap, nil
 }
 
-// Run executes every suite cell — the scenario replayed once through
-// the watch engine with the arm's detectors, folding a dictionary on the
-// same replay where the entry gates inference — then aggregates seed
-// groups, applies every gate,
-// and folds the confusion matrix. Cells land at their grid index and
-// all folds run in grid order, so the report is bit-identical across
+// Run executes every suite cell through scenario.RunCells on tapped
+// worlds — the scenario replayed once through the watch engine with the
+// arm's detectors, folding a dictionary on the same replay where the
+// entry gates inference — then aggregates seed groups, applies every
+// gate, and folds the confusion matrix. Cells land at their grid index
+// and all folds run in grid order, so the report is bit-identical across
 // worker counts.
 func Run(s *Suite, opt Options) (*Report, error) {
 	if err := s.Validate(); err != nil {
@@ -205,39 +194,39 @@ func Run(s *Suite, opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := s.cells()
-	cells := make([]CellResult, len(specs))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	var cells []scenario.Cell
+	var results []CellResult
+	var entryOf []int
+	for i := range s.Entries {
+		cs, err := s.grid(&s.Entries[i]).Cells()
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range cs {
+			out := CellResult{Scenario: c.Scenario, Scale: c.Scale, Seed: c.Seed, CommunitySet: c.CommunitySet}
+			out.Key = fmt.Sprintf("%s/seed=%d", groupKey(i, &out), c.Seed)
+			results = append(results, out)
+			entryOf = append(entryOf, i)
+		}
+		cells = append(cells, cs...)
 	}
 	tr := &trainer{}
-	// One frozen world per (scale, seed) group: every cell in the group
-	// forks it instead of rebuilding. The scenario layer provisions the
-	// cells, so suite cells and sweep cells run the same code. Every cell
-	// replays its world through EvalScenario's tap, so the snapshots
-	// record their construction streams.
-	warm := scenario.NewWarmCache(true)
-	var done atomic.Int64
-	conc.Do(len(specs), workers, func(i int) {
-		start := time.Now()
-		sp := opt.Trace.Start("cell " + specs[i].key())
-		cells[i] = s.runCell(specs[i], arm, tr, warm, sp)
-		sp.End()
-		if opt.Progress != nil {
-			opt.Progress(int(done.Add(1)), len(specs), &cells[i], time.Since(start))
+	builds, forks := scenario.RunCells(cells, opt.Workers, true, opt.SweepOpt, func(i int, ctx *scenario.Context, sp *obs.Span) {
+		if err := s.runCell(&results[i], &s.Entries[entryOf[i]], &cells[i], ctx, arm, tr, sp); err != nil {
+			cells[i].Err = err.Error()
 		}
 	})
 
-	rep := &Report{Suite: s.Name, Arm: arm.label(), Cells: cells, Ran: len(cells)}
-	rep.SnapshotBuilds, rep.SnapshotForks = warm.Stats()
+	rep := &Report{Suite: s.Name, Arm: arm.label(), Cells: results, Ran: len(results)}
+	rep.SnapshotBuilds, rep.SnapshotForks = builds, forks
 	for _, d := range dets {
 		rep.Detectors = append(rep.Detectors, d.Name())
 	}
 	sort.Strings(rep.Detectors)
 	rep.Matrix = map[string]map[string]int{}
-	for i := range cells {
-		c := &cells[i]
+	for i := range results {
+		c := &results[i]
+		c.Err = cells[i].Err
 		switch {
 		case c.Err != "":
 			rep.Errored++
@@ -262,7 +251,7 @@ func Run(s *Suite, opt Options) (*Report, error) {
 			row[det] += n
 		}
 	}
-	rep.Groups = s.groupCells(specs, cells)
+	rep.Groups = s.groupCells(entryOf, results)
 	for i := range rep.Groups {
 		for _, f := range rep.Groups[i].Failures {
 			rep.Failures = append(rep.Failures, fmt.Sprintf("%s: %s", rep.Groups[i].Key, f))
@@ -272,34 +261,24 @@ func Run(s *Suite, opt Options) (*Report, error) {
 	return rep, nil
 }
 
-func (s *Suite) runCell(spec cellSpec, arm *Arm, tr *trainer, warm *scenario.WarmCache, sp *obs.Span) CellResult {
-	e := &s.Entries[spec.entry]
-	out := CellResult{
-		Key: spec.key(), Scenario: spec.scenario, Scale: spec.scale,
-		Seed: spec.seed, CommunitySet: spec.communitySet,
-	}
-	grid := scenario.Grid{
-		Scenarios: []string{spec.scenario},
-		Values:    scenario.Values(e.Params),
-	}
-	cell := scenario.Cell{
-		Scenario: spec.scenario, Scale: spec.scale, Seed: spec.seed,
-		EngineWorkers: 1, CommunitySet: spec.communitySet,
-	}
-	buildSp := sp.Child("build")
-	ctx, err := warm.Context(grid, cell)
-	if ctx != nil && ctx.Warm != nil {
-		buildSp.SetAttr("warm", "true")
-	}
-	buildSp.End()
-	if err != nil {
-		out.Err = err.Error()
-		return out
-	}
+// groupKey identifies a cell's cross-seed aggregation group; the group
+// key and the seed make the cell's Key, its pairing identity across
+// suite runs and A/B arms. The fixed "delta" segment is where the
+// retired engine dimension sat; it stays so reports recorded before the
+// dimension went still pair cell for cell.
+func groupKey(entry int, c *CellResult) string {
+	return fmt.Sprintf("%d/%s/%s/delta/%s", entry, c.Scenario, c.Scale, c.CommunitySet)
+}
+
+// runCell is the suite's cell function: it fills out from one evaluated
+// replay of the provisioned ctx and gates it, returning the error that
+// stopped it.
+func (s *Suite) runCell(out *CellResult, e *Entry, c *scenario.Cell, ctx *scenario.Context, arm *Arm, tr *trainer, sp *obs.Span) error {
 	detSp := sp.Child("detectors")
 	var dict semantics.Provider
+	var err error
 	if arm != nil && arm.Dict {
-		dict, err = tr.snapshot(spec.scale, spec.seed)
+		dict, err = tr.snapshot(c, ctx)
 	}
 	var dets []watch.Detector
 	if err == nil {
@@ -307,24 +286,20 @@ func (s *Suite) runCell(spec cellSpec, arm *Arm, tr *trainer, warm *scenario.War
 	}
 	detSp.End()
 	if err != nil {
-		out.Err = err.Error()
-		return out
+		return err
 	}
-	shards := s.Defaults.Shards
-	if shards == 0 {
-		shards = 2
-	}
-	cfg := watch.Config{Shards: shards, Detectors: dets}
+	// Two engine shards: alert sets are shard-invariant, so the count
+	// only trades memory for parallelism.
+	cfg := watch.Config{Shards: 2, Detectors: dets}
 	if e.Dict != nil {
 		cfg.Semantics = semantics.NewEngine(semantics.Config{})
 		defer cfg.Semantics.Close()
 	}
 	evalSp := sp.Child("eval")
-	rep, err := watch.EvalScenario(spec.scenario, ctx, cfg)
+	rep, err := watch.EvalScenario(c.Scenario, ctx, cfg)
 	evalSp.End()
 	if err != nil {
-		out.Err = err.Error()
-		return out
+		return err
 	}
 	m := rep.Metrics()
 	out.Precision, out.Recall = m.Precision, m.Recall
@@ -333,7 +308,7 @@ func (s *Suite) runCell(spec cellSpec, arm *Arm, tr *trainer, warm *scenario.War
 	out.Success = rep.Result != nil && rep.Result.Success
 	if e.Expect != nil {
 		out.Expected = *e.Expect
-	} else if sc, ok := scenario.Get(spec.scenario); ok && rep.Result != nil {
+	} else if sc, ok := scenario.Get(c.Scenario); ok && rep.Result != nil {
 		out.Expected = sc.ExpectedFor(rep.Result.Hijack)
 	}
 	out.AsExpected = out.Success == out.Expected
@@ -341,9 +316,8 @@ func (s *Suite) runCell(spec cellSpec, arm *Arm, tr *trainer, warm *scenario.War
 		dm := rep.Dict.Score.Summary()
 		out.Dict = &dm
 	}
-
-	out.Failures = s.gateCell(e, &out)
-	return out
+	out.Failures = s.gateCell(e, out)
+	return nil
 }
 
 // gateCell applies every per-cell assertion, returning one line per
@@ -388,11 +362,11 @@ func (s *Suite) gateCell(e *Entry, c *CellResult) []string {
 
 // groupCells folds cells into their cross-seed groups (grid order) and
 // applies the variance gate.
-func (s *Suite) groupCells(specs []cellSpec, cells []CellResult) []GroupResult {
+func (s *Suite) groupCells(entryOf []int, cells []CellResult) []GroupResult {
 	order := []string{}
 	byKey := map[string][]int{}
-	for i, spec := range specs {
-		k := spec.groupKey()
+	for i := range cells {
+		k := groupKey(entryOf[i], &cells[i])
 		if _, ok := byKey[k]; !ok {
 			order = append(order, k)
 		}
@@ -401,11 +375,11 @@ func (s *Suite) groupCells(specs []cellSpec, cells []CellResult) []GroupResult {
 	var groups []GroupResult
 	for _, k := range order {
 		idx := byKey[k]
-		spec := specs[idx[0]]
-		e := &s.Entries[spec.entry]
+		first := &cells[idx[0]]
+		e := &s.Entries[entryOf[idx[0]]]
 		g := GroupResult{
-			Key: k, Scenario: spec.scenario, Scale: spec.scale,
-			CommunitySet: spec.communitySet, MaxVariance: s.maxVariance(e),
+			Key: k, Scenario: first.Scenario, Scale: first.Scale,
+			CommunitySet: first.CommunitySet, MaxVariance: s.maxVariance(e),
 		}
 		var ps, rs, ns []float64
 		errored := false

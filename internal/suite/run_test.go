@@ -6,7 +6,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"bgpworms/internal/obs"
+	"bgpworms/internal/scenario"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from the current run")
@@ -161,6 +166,95 @@ func TestRunExpectOverride(t *testing.T) {
 	if rep.AsExpected != 0 {
 		t.Fatalf("AsExpected = %d, want 0", rep.AsExpected)
 	}
+}
+
+// TestEntryParamsReachCells pins that an entry's params reach every cell
+// it expands to: rtbh with hijack=true runs the hijack variant, graded
+// against the scenario's hijack expectation, whose announcement the
+// route-leak detector sees in every cell where the plain entry's cells
+// show none.
+func TestEntryParamsReachCells(t *testing.T) {
+	zero := 0
+	s := &Suite{
+		Name:     "params",
+		Defaults: Defaults{Seeds: []int64{1, 2, 3}},
+		Entries: []Entry{
+			{Scenario: "rtbh", Detectors: map[string]DetectorGate{"route-leak": {MaxFired: &zero}}},
+			{Scenario: "rtbh", Params: map[string]string{"hijack": "true"},
+				Detectors: map[string]DetectorGate{"route-leak": {MustFire: true}}},
+		},
+	}
+	rep, err := Run(s, Options{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !rep.Pass || rep.Ran != 6 {
+		t.Fatalf("ran %d cells, failures %v", rep.Ran, rep.Failures)
+	}
+	sc, _ := scenario.Get("rtbh")
+	for _, c := range rep.Cells[3:] {
+		if c.Expected != sc.Expected.Hijack || !c.AsExpected {
+			t.Fatalf("cell %s graded expected=%v as-expected=%v, want the hijack expectation %v",
+				c.Key, c.Expected, c.AsExpected, sc.Expected.Hijack)
+		}
+	}
+}
+
+// TestDictArmBuildsOneWorldPerKey pins that the dictionary arm trains on
+// the worlds the cells fork: a dictionary-arm run builds exactly the
+// worlds it reports (gen_build_seconds counts every build), none more
+// for training.
+func TestDictArmBuildsOneWorldPerKey(t *testing.T) {
+	s, err := Load(filepath.Join("testdata", "golden", "tiny_dict_suite.json"))
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	before := worldBuilds(t)
+	rep, err := Run(s, Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if got := worldBuilds(t) - before; rep.SnapshotBuilds == 0 || got != rep.SnapshotBuilds {
+		t.Fatalf("the run built %d worlds and reports %d snapshot builds", got, rep.SnapshotBuilds)
+	}
+}
+
+// TestDictArmTrainsWorldManagingCells: a scenario that builds its own
+// worlds forks no shared one, yet the dictionary arm trains on the world
+// the cell's cache holds for its coordinates.
+func TestDictArmTrainsWorldManagingCells(t *testing.T) {
+	s := &Suite{
+		Name:    "managed",
+		Arm:     &Arm{Dict: true},
+		Entries: []Entry{{Scenario: "hygiene-filtering", Seeds: []int64{0, 1, 2}}},
+	}
+	rep, err := Run(s, Options{})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rep.Errored != 0 || rep.SnapshotBuilds != 3 {
+		t.Fatalf("%d cells errored on %d trained worlds: %v", rep.Errored, rep.SnapshotBuilds, rep.Failures)
+	}
+}
+
+// worldBuilds reads the process's gen_build_seconds count off
+// obs.Default's Prometheus text.
+func worldBuilds(t *testing.T) int {
+	t.Helper()
+	var b bytes.Buffer
+	if err := obs.Default.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, "gen_build_seconds_count "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	return 0
 }
 
 func TestRunRejectsInvalidSuite(t *testing.T) {

@@ -1,11 +1,11 @@
 // Package suite is the statistical release-gate harness: declarative
-// scenario suites (checked-in JSON under suites/), a multi-seed runner
-// that executes every suite cell through the scenario sweep machinery
-// and the watch/semantics evaluation loops, cross-seed variance gating
-// with per-detector assertion thresholds, a detector-vs-scenario
-// confusion matrix, and a paired A/B decision rule (Compare) that two
-// detector configurations are judged by before one may replace the
-// other.
+// scenario suites (checked-in JSON under suites/) whose entries expand
+// as scenario.Grids and run on the scenario layer's grid runner
+// (scenario.RunCells) through the watch/semantics evaluation loops,
+// cross-seed variance gating with per-detector assertion thresholds, a
+// detector-vs-scenario confusion matrix, and a paired A/B decision rule
+// (Compare) that two detector configurations are judged by before one
+// may replace the other.
 //
 // A suite is the repo's analogue of the paper's Table 3 discipline:
 // every registered attack scenario declares what must be detected, the
@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 
-	"bgpworms/internal/gen"
 	"bgpworms/internal/scenario"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/watch"
@@ -129,9 +128,6 @@ type Defaults struct {
 	Scales       []string `json:"scales,omitempty"`
 	Seeds        []int64  `json:"seeds,omitempty"`
 	CommunitySet string   `json:"community_set,omitempty"`
-	// Shards is the watch engine shard count per cell. Alert sets are
-	// shard-invariant; the knob only trades memory for parallelism.
-	Shards int `json:"shards,omitempty"`
 	// MaxVariance is the suite-wide cross-seed variance bound
 	// (DefaultMaxVariance when nil).
 	MaxVariance *float64 `json:"max_variance,omitempty"`
@@ -174,9 +170,10 @@ type Suite struct {
 }
 
 // Parse decodes and validates a suite. Unknown fields, unregistered
-// scenarios, short or duplicated seed lists, unparsable parameters, and
-// out-of-range thresholds are all errors — a malformed suite must
-// never reach the gate looking like a passing one.
+// scenarios, short or duplicated seed lists, unparsable parameters,
+// unknown community sets, and out-of-range thresholds are all errors —
+// a malformed suite must never reach the gate looking like a passing
+// one.
 func Parse(data []byte) (*Suite, error) {
 	var s Suite
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -193,8 +190,9 @@ func Parse(data []byte) (*Suite, error) {
 	return &s, nil
 }
 
-// Validate checks the suite against the scenario registry, the detector
-// catalog and the simulation preset catalog.
+// Validate checks the suite against the detector catalog and, through
+// each entry's scenario.Grid, the scenario registry, the community sets
+// and the simulation preset catalog.
 func (s *Suite) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("suite: missing name")
@@ -208,11 +206,6 @@ func (s *Suite) Validate() error {
 	if s.Defaults.MaxVariance != nil && *s.Defaults.MaxVariance < 0 {
 		return fmt.Errorf("suite %s: defaults.max_variance %v negative", s.Name, *s.Defaults.MaxVariance)
 	}
-	for _, scale := range s.Defaults.Scales {
-		if _, err := gen.Preset(scale); err != nil {
-			return fmt.Errorf("suite %s: defaults: %w", s.Name, err)
-		}
-	}
 	for i := range s.Entries {
 		if err := s.validateEntry(&s.Entries[i]); err != nil {
 			return fmt.Errorf("suite %s: entry %d (%s): %w", s.Name, i, s.Entries[i].Scenario, err)
@@ -222,30 +215,18 @@ func (s *Suite) Validate() error {
 }
 
 func (s *Suite) validateEntry(e *Entry) error {
-	sc, ok := scenario.Get(e.Scenario)
-	if !ok {
-		return fmt.Errorf("unknown scenario %q (registered: %v)", e.Scenario, scenario.Names())
-	}
-	seeds := e.Seeds
-	if len(seeds) == 0 {
-		seeds = s.Defaults.Seeds
-	}
-	if len(seeds) < MinSeeds {
-		return fmt.Errorf("%d seed(s); a gated cell needs at least %d for the variance bound", len(seeds), MinSeeds)
+	g := s.grid(e)
+	if len(g.Seeds) < MinSeeds {
+		return fmt.Errorf("%d seed(s); a gated cell needs at least %d for the variance bound", len(g.Seeds), MinSeeds)
 	}
 	seen := map[int64]bool{}
-	for _, seed := range seeds {
+	for _, seed := range g.Seeds {
 		if seen[seed] {
 			return fmt.Errorf("duplicate seed %d", seed)
 		}
 		seen[seed] = true
 	}
-	for _, scale := range e.Scales {
-		if _, err := gen.Preset(scale); err != nil {
-			return err
-		}
-	}
-	if err := sc.Validate(scenario.Values(e.Params)); err != nil {
+	if _, err := g.Cells(); err != nil {
 		return err
 	}
 	if err := e.Thresholds.Validate(); err != nil {
@@ -272,67 +253,28 @@ func (s *Suite) validateEntry(e *Entry) error {
 	return nil
 }
 
-// cellSpec is one expanded grid point, pre-resolution.
-type cellSpec struct {
-	entry        int
-	scenario     string
-	scale        string
-	seed         int64
-	communitySet string
-}
-
-// key is the canonical pairing identity of a cell across suite runs
-// and A/B arms. The fixed "delta" segment is where the retired engine
-// dimension sat; it stays so reports and baselines recorded before the
-// dimension went still pair cell for cell.
-func (c cellSpec) key() string {
-	return fmt.Sprintf("%s/seed=%d", c.groupKey(), c.seed)
-}
-
-// groupKey identifies the cross-seed aggregation group.
-func (c cellSpec) groupKey() string {
-	return fmt.Sprintf("%d/%s/%s/delta/%s", c.entry, c.scenario, c.scale, c.communitySet)
-}
-
-// cells expands the suite into canonical order: entry, scale, seed
-// (outermost first). Validation has already run; expansion is
-// mechanical.
-func (s *Suite) cells() []cellSpec {
-	var out []cellSpec
-	for i := range s.Entries {
-		e := &s.Entries[i]
-		scales := pick(e.Scales, s.Defaults.Scales, []string{scenario.DefaultScale})
-		seeds := e.Seeds
-		if len(seeds) == 0 {
-			seeds = s.Defaults.Seeds
-		}
-		set := e.CommunitySet
-		if set == "" {
-			set = s.Defaults.CommunitySet
-		}
-		if set == "" {
-			set = scenario.DefaultCommunitySet
-		}
-		for _, scale := range scales {
-			for _, seed := range seeds {
-				out = append(out, cellSpec{
-					entry: i, scenario: e.Scenario, scale: scale,
-					seed: seed, communitySet: set,
-				})
-			}
-		}
+// grid is the entry's cell grid: each dimension the entry leaves empty
+// comes from the suite defaults, then from the scenario layer's. Its
+// cells run in canonical order (scale, then seed).
+func (s *Suite) grid(e *Entry) scenario.Grid {
+	g := scenario.Grid{
+		Scenarios: []string{e.Scenario}, Scales: e.Scales, Seeds: e.Seeds,
+		Values: scenario.Values(e.Params),
 	}
-	return out
-}
-
-func pick(own, def, fallback []string) []string {
-	if len(own) > 0 {
-		return own
+	if len(g.Scales) == 0 {
+		g.Scales = s.Defaults.Scales
 	}
-	if len(def) > 0 {
-		return def
+	if len(g.Seeds) == 0 {
+		g.Seeds = s.Defaults.Seeds
 	}
-	return fallback
+	set := e.CommunitySet
+	if set == "" {
+		set = s.Defaults.CommunitySet
+	}
+	if set != "" {
+		g.CommunitySets = []string{set}
+	}
+	return g
 }
 
 // maxVariance resolves the variance bound for an entry.

@@ -21,8 +21,8 @@ func TestParseValid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if got := len(s.cells()); got != 3 {
-		t.Fatalf("cells = %d, want 3 (one per seed)", got)
+	if cells, err := s.grid(&s.Entries[0]).Cells(); err != nil || len(cells) != 3 {
+		t.Fatalf("cells = %d (%v), want 3 (one per seed)", len(cells), err)
 	}
 	if got := s.Scenarios(); len(got) != 1 || got[0] != "rtbh" {
 		t.Fatalf("Scenarios = %v", got)
@@ -55,6 +55,11 @@ func TestParseRejects(t *testing.T) {
 		// restated them are gone, and so are their keys.
 		{"snapshot groups", `{"name": "t", "snapshot_groups": {"w": {"scale": "tiny"}}, "entries": [{"scenario": "rtbh", "seeds": [1,2,3]}]}`, "unknown field"},
 		{"snapshot group", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "snapshot_group": "w"}]}`, "unknown field"},
+		// Alert sets are shard-invariant, so no suite sets a shard
+		// count: every cell runs two.
+		{"default shards", `{"name": "t", "defaults": {"shards": 2, "seeds": [1,2,3]}, "entries": [{"scenario": "rtbh"}]}`, "unknown field"},
+		{"unknown community set", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "community_set": "verifed"}]}`, "verifed"},
+		{"unknown default community set", `{"name": "t", "defaults": {"community_set": "verifed", "seeds": [1,2,3]}, "entries": [{"scenario": "rtbh"}]}`, "unknown community set"},
 		{"default vps", `{"name": "t", "defaults": {"vps": 40, "seeds": [1,2,3]}, "entries": [{"scenario": "rtbh"}]}`, "unknown field"},
 		{"precision above one", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "min_precision": 1.5}]}`, "min_precision"},
 		{"negative variance", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "max_variance": -0.1}]}`, "max_variance"},
