@@ -87,6 +87,14 @@ func testRefusals(t *testing.T, bin string) {
 		{"attacklab", []string{"-sweep", "-run", "rtbh"}, "does not read -run", nil},
 		{"attacklab", []string{"-sweep", "-scenarios", "rtbh", "-sets", "verifed"}, `unknown community set "verifed"`, nil},
 		{"attacklab", []string{"-run", "rtbh", "-set", "verifed"}, `unknown community set "verifed"`, nil},
+		// A repeated grid value would run its cells again and count every
+		// copy; a negative pool size is not a spelling of "one per CPU".
+		{"attacklab", []string{"-sweep", "-scenarios", "rtbh,rtbh"}, "duplicate scenario rtbh", nil},
+		{"attacklab", []string{"-sweep", "-scenarios", "rtbh", "-scales", "tiny,tiny"}, "duplicate scale tiny", nil},
+		{"attacklab", []string{"-sweep", "-scenarios", "rtbh", "-seeds", "2,2"}, "duplicate seed 2", nil},
+		{"attacklab", []string{"-sweep", "-scenarios", "rtbh", "-engine-workers", "1,1"}, "duplicate engine-worker count 1", nil},
+		{"attacklab", []string{"-sweep", "-scenarios", "rtbh", "-sets", "verified,verified"}, "duplicate community set verified", nil},
+		{"attacklab", []string{"-sweep", "-scenarios", "rtbh", "-engine-workers", "1,-3"}, "engine-worker count -3", nil},
 		{"attacklab", []string{"-run", "rtbh", "-scales", "small"}, "-scales is read only by -sweep", nil},
 		{"attacklab", []string{"-run", "rtbh", "-seeds", "1,2"}, "-seeds is read only by -sweep", nil},
 		{"attacklab", []string{"-run", "rtbh", "-engine-workers", "4"}, "-engine-workers is read only by -sweep", nil},

@@ -56,7 +56,7 @@ func main() {
 		scenarios     = flag.String("scenarios", "", "sweep: comma-separated scenario names (empty = all)")
 		scales        = flag.String("scales", "tiny", "sweep: comma-separated scales")
 		seeds         = flag.String("seeds", "1", "sweep: comma-separated generator seeds")
-		engineWorkers = flag.String("engine-workers", "1", "sweep: comma-separated simnet engine worker counts per cell (0 = one per CPU)")
+		engineWorkers = flag.String("engine-workers", "1", "sweep: comma-separated simnet engine worker counts, each sizing a cell's fork of the shared world (0 = one per CPU)")
 		// -engines exists for bench/, which passes "delta"; it goes when
 		// a benchmark PR drops the argument.
 		engines = flag.String("engines", "delta", "sweep: simnet engine: delta (the only one)")

@@ -72,9 +72,11 @@
 // once and every cell perturbs a cheap fork (a suite's dictionary arm
 // trains on a fork of the same world). Only a suite, whose cells
 // tap their forks, records the construction stream for them to replay
-// (gen.BuildSnapshotForReplay); a sweep's snapshots record nothing. Warm
-// runs are held bit-identical to scratch builds by a differential
-// equivalence suite (internal/simnet and internal/attack warm tests).
+// (gen.BuildSnapshotForReplay); a sweep's snapshots record nothing. A
+// snapshot converges on every CPU and each fork runs at its cell's
+// engine pool, which no result depends on. Warm runs are held
+// bit-identical to scratch builds by a differential equivalence suite
+// (internal/simnet and internal/attack warm tests).
 //
 // # Verification
 //

@@ -73,12 +73,16 @@ func NewLab(p gen.Params, nVPs int) (*Lab, error) {
 // snapshot is frozen immediately after gen.Build — before any injector,
 // IRR state, or catalog edit exists — the fork runs the exact same
 // attachment code a scratch lab runs, so a warm lab is bit-identical to
-// a cold one built from the snapshot's parameters.
-func NewWarmLab(s *gen.Snapshot, nVPs int, tap simnet.UpdateTap) (*Lab, error) {
+// a cold one built from the snapshot's parameters. The fork's engine
+// runs on workers (gen.Params.Workers' rule), whatever pool the
+// snapshot was built for.
+func NewWarmLab(s *gen.Snapshot, workers, nVPs int, tap simnet.UpdateTap) (*Lab, error) {
 	w, err := s.Fork(tap)
 	if err != nil {
 		return nil, err
 	}
+	w.Params.Workers = workers
+	w.Net.SetWorkers(workers)
 	return newLabOver(w, nVPs)
 }
 

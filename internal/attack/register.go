@@ -46,7 +46,7 @@ func newLabFor(ctx *scenario.Context) (*Lab, error) {
 		if err := ctx.Warm.Compatible(ctx.Gen); err != nil {
 			return nil, err
 		}
-		return NewWarmLab(ctx.Warm, ctx.VPs, ctx.Tap)
+		return NewWarmLab(ctx.Warm, ctx.Gen.Workers, ctx.VPs, ctx.Tap)
 	}
 	return NewLab(ctx.Gen, ctx.VPs)
 }

@@ -27,7 +27,10 @@ import (
 // world from scratch. The differential suite (internal/attack warm
 // tests) holds every registered scenario to that equivalence. Only
 // BuildSnapshotForReplay records the construction stream, which a
-// tapped fork replays; untapped forks (sweeps) never need it.
+// tapped fork replays; untapped forks (sweeps) never need it. The build
+// converges on every CPU, and the forks run at Params.Workers: a
+// snapshot is built once and forked many times, so its build is the
+// one step a whole grid waits on.
 
 // countingSource wraps a math/rand source and counts raw draws. Both
 // Int63 and Uint64 advance the underlying generator by exactly one step,
@@ -101,6 +104,11 @@ type Snapshot struct {
 // BuildSnapshot builds a world exactly as Build does and freezes it,
 // recording nothing: its forks run untapped, and Fork with a tap fails.
 // p.Tap must be nil; a fork observes construction only through Fork.
+//
+// The build converges on one engine worker per CPU whatever p.Workers
+// says, and the frozen network is set back to p.Workers, the pool its
+// forks run at. Convergence is the same at any worker count, so the
+// snapshot is the world Build(p) returns; Compatible ignores Workers.
 func BuildSnapshot(p Params) (*Snapshot, error) { return buildSnapshot(p, false) }
 
 // BuildSnapshotForReplay is BuildSnapshot that also records the
@@ -123,15 +131,18 @@ func buildSnapshot(p Params, record bool) (*Snapshot, error) {
 			*last = append(*last, tapEvent{from: from, to: to, prefix: prefix, route: rt})
 		}
 	}
+	workers := p.Workers
+	p.Workers = 0
 	w, err := Build(p)
 	if err != nil {
 		return nil, err
 	}
+	w.Net.SetWorkers(workers)
 	net, err := w.Net.Freeze()
 	if err != nil {
 		return nil, err
 	}
-	p.Tap = nil
+	p.Tap, p.Workers = nil, workers
 	return &Snapshot{params: p, world: w, net: net, recorded: record, stream: stream, draws: w.rngSrc.n}, nil
 }
 
@@ -142,11 +153,12 @@ func (s *Snapshot) Forks() int { return s.net.Forks() }
 func (s *Snapshot) Discard() error { return s.net.Discard() }
 
 // Compatible reports whether a world built from p would be the world
-// this snapshot froze — every parameter except the tap must match. Warm
-// harnesses call it before forking so a snapshot can never silently
-// stand in for a differently parameterized world.
+// this snapshot froze — every parameter except the tap and the engine
+// pool size must match. Warm harnesses call it before forking so a
+// snapshot can never silently stand in for a differently parameterized
+// world; a fork that wants another pool sets it on its network.
 func (s *Snapshot) Compatible(p Params) error {
-	p.Tap = nil
+	p.Tap, p.Workers = nil, s.params.Workers
 	if !reflect.DeepEqual(s.params, p) {
 		return fmt.Errorf("gen: warm snapshot built for %+v cannot serve params %+v", s.params, p)
 	}

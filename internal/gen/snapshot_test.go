@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/netip"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -124,5 +125,36 @@ func TestSnapshotTapReplayCounts(t *testing.T) {
 	}
 	if got, want := replayed.Value()-before, snap.world.Net.Steps(); got != uint64(want) {
 		t.Fatalf("recording: %d buffered for replay, want all %d deliveries", got, want)
+	}
+}
+
+// TestSnapshotForksRunAtTheCellPool: a snapshot converges on every CPU
+// but hands out forks whose engine pool is the Params.Workers it was
+// built with, and it serves params that differ from its own only in
+// that pool size.
+func TestSnapshotForksRunAtTheCellPool(t *testing.T) {
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0) + 1} {
+		p := Tiny()
+		p.Workers = workers
+		snap, err := BuildSnapshot(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := snap.Fork(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Net.Workers(); got != workers || f.Params.Workers != workers {
+			t.Fatalf("built with Workers %d: the fork's pool is %d, its Params.Workers %d", workers, got, f.Params.Workers)
+		}
+		other := p
+		other.Workers = workers + 7
+		if err := snap.Compatible(other); err != nil {
+			t.Fatalf("a snapshot refused params that differ only in Workers: %v", err)
+		}
+		other.Seed++
+		if err := snap.Compatible(other); err == nil {
+			t.Fatal("a snapshot accepted params with another seed")
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 
@@ -94,5 +95,47 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 	}
 	if ns, nin, nout := r.tbl.Len()>>slotPageBits, len(r.in.pages), len(r.out.pages); ns < 4 || nin < 4 || nout < 4 {
 		t.Fatalf("the original has only %d slot, %d in and %d out pages: the bounds above prove nothing", ns, nin, nout)
+	}
+
+	// Growing a new prefix's run allocates past the sealed original's
+	// last page, which has spare capacity that every sibling clone
+	// shares: no shared page is copied for it, and each sibling reads
+	// back only its own candidates for the one id both tables give it.
+	r = New(Config{ASN: 65002})
+	r.AddNeighbor(100, topo.RelProvider)
+	r.AddNeighbor(200, topo.RelCustomer)
+	for i := range 1000 {
+		p := netip.PrefixFrom(netx.V4(10, byte(i>>8), byte(i), 0), 24)
+		r.ReceiveSharedNoDecide(100, r.Table().Intern(p), route(p, 100, 3320))
+	}
+	r.Seal()
+	if last := r.in.pages[len(r.in.pages)-1].elems; len(r.in.free) != 0 || len(last) == cap(last) {
+		t.Fatalf("the original's Adj-RIB-In has free spans %v or a full last page: the check below proves nothing", r.in.free)
+	}
+	q := netip.MustParsePrefix("192.0.2.0/24")
+	origins := []uint32{64500, 64501}
+	var sibs []*Router
+	for _, origin := range origins {
+		cp := r.Clone()
+		tbl := r.Table().Clone()
+		cp.Rebind(tbl)
+		id := tbl.Intern(q)
+		cp.ReceiveSharedNoDecide(100, id, route(q, 100, origin))
+		cp.ReceiveSharedNoDecide(200, id, route(q, 200, origin))
+		if n := privateSlabPages(&r.in, &cp.in) - (len(cp.in.pages) - len(r.in.pages)); n != 0 {
+			t.Fatalf("growing a new prefix's run copied %d shared Adj-RIB-In pages", n)
+		}
+		sibs = append(sibs, cp)
+	}
+	for i, cp := range sibs {
+		got := ""
+		cp.EachAdjIn(func(p netip.Prefix, from topo.ASN, rt *policy.Route) {
+			if p == q {
+				got += fmt.Sprintf("%d %v; ", from, rt.ASPath)
+			}
+		})
+		if want := fmt.Sprintf("100 %v; 200 %v; ", bgp.Path(100, origins[i]), bgp.Path(200, origins[i])); got != want {
+			t.Fatalf("sibling clone %d reads back %q for %s, want %q", i, got, q, want)
+		}
 	}
 }

@@ -208,10 +208,13 @@ const (
 // Pages are copy-on-write like the slot table's: view is the read path,
 // and insert, remove, set, grow and release write only through run,
 // which copies a shared page once. A shared page's spare capacity is
-// shared too, so alloc takes the last page private before extending it.
+// shared too, with every sibling clone, so alloc never extends a shared
+// page: it opens a fresh one, and a clone's first new pages are sized
+// like a new slab's.
 type slab[T any] struct {
 	pages []slabPageRef[T]
 	free  [][]uint32 // free[c] holds offsets of released spans of capacity 1<<c
+	base  int        // pages shared with the original at share time
 }
 
 // slabPageRef is one page of a slab and whether it is shared.
@@ -285,8 +288,9 @@ func (s *slab[T]) grow(sp *span) {
 
 // alloc returns the offset of a zeroed span of capacity c (a power of
 // two): a released one if the size class has any, else fresh elements
-// from the last page, else a new page. The first pages of a slab are
-// small, so a router holding three routes does not pay for a thousand.
+// from the last page unless it is shared, else a new page. The first
+// pages of a slab, or of a clone's own, are small, so a router holding
+// three routes does not pay for a thousand, nor a fork writing three.
 func (s *slab[T]) alloc(c uint32) uint32 {
 	if class := bits.TrailingZeros32(c); class < len(s.free) && len(s.free[class]) > 0 {
 		last := len(s.free[class]) - 1
@@ -295,8 +299,8 @@ func (s *slab[T]) alloc(c uint32) uint32 {
 		return off
 	}
 	pg := len(s.pages) - 1
-	if pg < 0 || len(s.pages[pg].elems)+int(c) > cap(s.pages[pg].elems) {
-		if pg >= 0 {
+	if pg < 0 || s.pages[pg].shared || len(s.pages[pg].elems)+int(c) > cap(s.pages[pg].elems) {
+		if pg >= 0 && !s.pages[pg].shared {
 			// Hand the tail of the page we are leaving to the free lists,
 			// largest power of two first.
 			for rest := s.pages[pg].elems; len(rest) < cap(rest); {
@@ -308,13 +312,11 @@ func (s *slab[T]) alloc(c uint32) uint32 {
 		}
 		pg++
 		size := slabPage
-		if pg < 4 {
-			size = 64 << pg
+		if n := pg - s.base; n < 4 {
+			size = 64 << n
 		}
 		s.pages = append(s.pages, slabPageRef[T]{elems: make([]T, 0, max(int(c), size))})
 	}
-	// Sibling clones extend the same shared spare capacity.
-	s.own(pg)
 	p := &s.pages[pg]
 	off := uint32(pg<<slabPageBits | len(p.elems))
 	p.elems = p.elems[:len(p.elems)+int(c)]
@@ -337,7 +339,7 @@ func (s *slab[T]) release(sp span) {
 // share returns a slab that shares every page with s and owns none. The
 // free lists are copied: they are popped and pushed in place.
 func (s *slab[T]) share() slab[T] {
-	cp := slab[T]{pages: make([]slabPageRef[T], len(s.pages)), free: slices.Clone(s.free)}
+	cp := slab[T]{pages: make([]slabPageRef[T], len(s.pages)), free: slices.Clone(s.free), base: len(s.pages)}
 	for pg, p := range s.pages {
 		cp.pages[pg] = slabPageRef[T]{elems: p.elems, shared: true}
 	}

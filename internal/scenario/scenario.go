@@ -271,13 +271,13 @@ type Context struct {
 	World func(*gen.Internet)
 	// Warm, when non-nil, is a frozen world snapshot the scenario forks
 	// instead of building from scratch. The snapshot must have been
-	// built with exactly this context's generator parameters
-	// (gen.Snapshot.Compatible) — a mismatch is a loud error, never a
-	// silent rebuild. World receives the forked Internet. A Tap needs a
-	// snapshot that recorded its construction stream
-	// (gen.BuildSnapshotForReplay); it then sees that stream replayed,
-	// as on a scratch build. On a stream-free snapshot a Tap is an
-	// error.
+	// built with this context's generator parameters, the engine pool
+	// size aside (gen.Snapshot.Compatible) — a mismatch is a loud error,
+	// never a silent rebuild. The fork runs at Gen.Workers. World
+	// receives the forked Internet. A Tap needs a snapshot that recorded
+	// its construction stream (gen.BuildSnapshotForReplay); it then sees
+	// that stream replayed, as on a scratch build. On a stream-free
+	// snapshot a Tap is an error.
 	Warm *gen.Snapshot
 
 	scenario *Scenario
@@ -287,7 +287,7 @@ type Context struct {
 }
 
 // Shared returns the frozen world the provisioning WarmCache holds for
-// the cell's (scale, seed, engine workers), building it on first use:
+// the cell's (scale, seed), building it on first use:
 // the world Warm forks, and for a ManagesWorlds cell, which forks none,
 // the one it would have forked. A context no cache provisioned has none.
 func (c *Context) Shared() (*gen.Snapshot, error) {

@@ -28,8 +28,9 @@ type Grid struct {
 	// Seeds are generator seeds; default {1}.
 	Seeds []int64 `json:"seeds"`
 	// EngineWorkers fans gen.Params.Workers — the simnet engine's pool
-	// size per cell (0 = one per CPU); default {1}. It cannot change a
-	// cell's result.
+	// size for each cell's fork (0 = one per CPU; negative is refused);
+	// default {1}. It cannot change a cell's result, so cells differing
+	// only here fork one world.
 	EngineWorkers []int `json:"engine_workers"`
 	// Engines exists for bench/, which passes {"delta"}, and goes when a
 	// benchmark PR drops the argument: entries may only be "" or "delta".
@@ -86,9 +87,24 @@ type Cell struct {
 
 // Cells enumerates the grid in canonical order (scenario, scale, seed,
 // engine workers, community set — outermost first) and validates every
-// dimension value up front.
+// dimension value up front. A value a dimension repeats is refused: it
+// would run the same cells again and count each copy in the tallies.
 func (g Grid) Cells() ([]Cell, error) {
 	g = g.withDefaults()
+	for _, err := range []error{
+		repeated("scenario", g.Scenarios), repeated("scale", g.Scales), repeated("seed", g.Seeds),
+		repeated("engine-worker count", g.EngineWorkers), repeated("engine", g.Engines),
+		repeated("community set", g.CommunitySets),
+	} {
+		if err != nil {
+			return nil, err
+		}
+	}
+	for _, ew := range g.EngineWorkers {
+		if ew < 0 {
+			return nil, fmt.Errorf("scenario: grid names engine-worker count %d; 0 means one per CPU", ew)
+		}
+	}
 	for _, name := range g.Scenarios {
 		if _, ok := Get(name); !ok {
 			return nil, fmt.Errorf("scenario: grid names unknown scenario %q (have %v)", name, Names())
@@ -150,6 +166,18 @@ func (g Grid) Cells() ([]Cell, error) {
 	return cells, nil
 }
 
+// repeated returns an error naming the first value vals holds twice.
+func repeated[T comparable](dim string, vals []T) error {
+	seen := make(map[T]bool, len(vals))
+	for _, v := range vals {
+		if seen[v] {
+			return fmt.Errorf("scenario: grid lists duplicate %s %v", dim, v)
+		}
+		seen[v] = true
+	}
+	return nil
+}
+
 // declared filters vals down to the parameters s declares (nil when
 // none), so fixed Values can span a mixed-scenario grid.
 func declared(s *Scenario, vals Values) Values {
@@ -189,15 +217,16 @@ type SweepReport struct {
 }
 
 // warmKey identifies one shared world build: cells agreeing on every
-// generator-relevant coordinate fork the same snapshot.
+// generator-relevant coordinate fork the same snapshot. The engine pool
+// size is not one: a snapshot converges on every CPU, and each fork runs
+// at its own cell's EngineWorkers.
 type warmKey struct {
-	scale   string
-	seed    int64
-	workers int
+	scale string
+	seed  int64
 }
 
 // WarmCache provisions grid cells: it lazily builds at most one frozen
-// world snapshot per (scale, seed, engine-workers) coordinate. Each
+// world snapshot per (scale, seed) coordinate. Each
 // snapshot is built by the first cell that needs it (under sync.Once, so
 // concurrent harness workers block instead of double-building) and
 // forked by the rest. RunCells declares one per run, so a suite cell
@@ -245,7 +274,7 @@ func (wc *WarmCache) Context(c Cell) (*Context, error) {
 // it exactly once, with the construction stream only if the cache's
 // cells are tapped.
 func (wc *WarmCache) snapshot(c Cell, params gen.Params) (*gen.Snapshot, error) {
-	key := warmKey{scale: c.Scale, seed: c.Seed, workers: c.EngineWorkers}
+	key := warmKey{scale: c.Scale, seed: c.Seed}
 	wc.mu.Lock()
 	e := wc.entries[key]
 	if e == nil {
@@ -308,10 +337,10 @@ func PrintProgress(w io.Writer) func(done, total int, c *Cell, d time.Duration) 
 // goroutines (0 or negative: one per CPU), ctx provisioned by one
 // WarmCache — tapped declares whether fn taps its fork — and sp the
 // cell's root span. A cell the cache cannot provision gets its Err set
-// and no fn call. Cells agreeing on (scale, seed, engine workers) fork
-// one frozen world, so they share no mutable state; fn writes cell i's
-// outcome at index i, which keeps every fold over the cells
-// bit-identical across worker counts. It returns the cache's
+// and no fn call. Cells agreeing on (scale, seed) fork one frozen world,
+// each at its own engine pool, so they share no mutable state; fn
+// writes cell i's outcome at index i, which keeps every fold over the
+// cells bit-identical across worker counts. It returns the cache's
 // builds/forks count.
 func RunCells(cells []Cell, workers int, tapped bool, opt SweepOpt, fn func(i int, ctx *Context, sp *obs.Span)) (builds, forks int) {
 	if workers <= 0 {

@@ -3,6 +3,7 @@ package scenario_test
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -55,6 +56,28 @@ func TestGridRejectsUnknownDimensions(t *testing.T) {
 		Values:    scenario.Values{"bogus": "1"},
 	}).Cells(); err == nil {
 		t.Fatal("unknown fixed value accepted")
+	}
+}
+
+// TestGridRejectsRepeatedValues: a value a dimension lists twice would
+// run its cells twice and count both copies, and a negative engine pool
+// is not a spelling of "one per CPU" (0 is).
+func TestGridRejectsRepeatedValues(t *testing.T) {
+	for _, tc := range []struct {
+		grid scenario.Grid
+		want string
+	}{
+		{scenario.Grid{Scenarios: []string{"rtbh", "rtbh"}}, "duplicate scenario rtbh"},
+		{scenario.Grid{Scales: []string{"tiny", "tiny"}}, "duplicate scale tiny"},
+		{scenario.Grid{Seeds: []int64{1, 2, 1}}, "duplicate seed 1"},
+		{scenario.Grid{EngineWorkers: []int{0, 0}}, "duplicate engine-worker count 0"},
+		{scenario.Grid{Engines: []string{"delta", "delta"}}, "duplicate engine delta"},
+		{scenario.Grid{CommunitySets: []string{"all", "all"}}, "duplicate community set all"},
+		{scenario.Grid{EngineWorkers: []int{1, -3}}, "engine-worker count -3"},
+	} {
+		if _, err := tc.grid.Cells(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%+v: err %v, want one naming %q", tc.grid, err, tc.want)
+		}
 	}
 }
 
@@ -209,6 +232,9 @@ func TestSweepCellExpectations(t *testing.T) {
 
 // TestSweepEngineWorkerInvariance pins the simnet guarantee the sweep
 // leans on: scenario outcomes are invariant to the engine worker count.
+// Both cells fork the one world a (scale, seed) builds, each at its own
+// pool, so each is also held to a cold run of its cell, which builds
+// the world at that pool.
 func TestSweepEngineWorkerInvariance(t *testing.T) {
 	g := scenario.Grid{
 		Scenarios:     []string{"rtbh"},
@@ -218,17 +244,27 @@ func TestSweepEngineWorkerInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Cells) != 2 {
-		t.Fatalf("cells=%d", len(rep.Cells))
+	if len(rep.Cells) != 2 || rep.SnapshotBuilds != 1 {
+		t.Fatalf("cells=%d on %d snapshot builds; want 2 on 1", len(rep.Cells), rep.SnapshotBuilds)
 	}
-	a, b := rep.Cells[0], rep.Cells[1]
-	if a.Err != "" || b.Err != "" {
-		t.Fatalf("cell errors: %q %q", a.Err, b.Err)
-	}
-	ja, _ := json.Marshal(a.Result)
-	jb, _ := json.Marshal(b.Result)
-	if !bytes.Equal(ja, jb) {
-		t.Fatalf("engine workers changed the outcome:\nw=1: %s\nw=8: %s", ja, jb)
+	want, _ := json.Marshal(rep.Cells[0].Result)
+	for _, c := range rep.Cells {
+		if c.Err != "" {
+			t.Fatalf("w=%d: cell error %q", c.EngineWorkers, c.Err)
+		}
+		ctx, err := scenario.ContextFor(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := scenario.Run(c.Scenario, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, res := range map[string]*scenario.Result{"warm": c.Result, "cold": cold} {
+			if got, _ := json.Marshal(res); !bytes.Equal(got, want) {
+				t.Fatalf("engine workers changed the outcome:\nw=1 warm: %s\nw=%d %s: %s", want, c.EngineWorkers, name, got)
+			}
+		}
 	}
 }
 

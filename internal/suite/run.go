@@ -163,7 +163,7 @@ func (tr *trainer) snapshot(c *scenario.Cell, ctx *scenario.Context) (*semantics
 	}
 	eng := semantics.NewEngine(semantics.Config{})
 	defer eng.Close()
-	l, err := attack.NewWarmLab(world, scenario.DefaultVPs, feed.Tap("", eng.Ingest))
+	l, err := attack.NewWarmLab(world, ctx.Gen.Workers, scenario.DefaultVPs, feed.Tap("", eng.Ingest))
 	if err != nil {
 		return nil, fmt.Errorf("train dictionary %s: %w", key, err)
 	}

@@ -219,13 +219,6 @@ func (s *Suite) validateEntry(e *Entry) error {
 	if len(g.Seeds) < MinSeeds {
 		return fmt.Errorf("%d seed(s); a gated cell needs at least %d for the variance bound", len(g.Seeds), MinSeeds)
 	}
-	seen := map[int64]bool{}
-	for _, seed := range g.Seeds {
-		if seen[seed] {
-			return fmt.Errorf("duplicate seed %d", seed)
-		}
-		seen[seed] = true
-	}
 	if _, err := g.Cells(); err != nil {
 		return err
 	}

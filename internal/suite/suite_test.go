@@ -42,6 +42,8 @@ func TestParseRejects(t *testing.T) {
 		{"too few seeds", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1, 2]}]}`, "at least 3"},
 		{"no seeds at all", `{"name": "t", "entries": [{"scenario": "rtbh"}]}`, "at least 3"},
 		{"duplicate seeds", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1, 1, 2]}]}`, "duplicate seed"},
+		{"duplicate scales", `{"name": "t", "entries": [{"scenario": "rtbh", "seeds": [1,2,3], "scales": ["tiny", "tiny"]}]}`, "duplicate scale tiny"},
+		{"duplicate default scales", `{"name": "t", "defaults": {"scales": ["small", "tiny", "small"], "seeds": [1,2,3]}, "entries": [{"scenario": "rtbh"}]}`, "duplicate scale small"},
 		{"bad scale", `{"name": "t", "defaults": {"seeds": [1,2,3]}, "entries": [{"scenario": "rtbh", "scales": ["galactic"]}]}`, "galactic"},
 		// The engines dimension is retired: the key itself is refused,
 		// whatever it names.
