@@ -39,7 +39,7 @@ func main() {
 	// benchmark PR drops the argument.
 	engine := flag.String("engine", "delta", "simulation engine: delta (the only one)")
 	years := flag.Bool("evolution", true, "compute the Figure 3 time series (builds one Internet per year)")
-	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (build/churn/analyze/evolution, or stream with -mrt)")
+	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (build/churn/load/analyze/render/evolution, or stream with -mrt)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
@@ -89,11 +89,15 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	sp := tr.Start("load")
 	ds := core.FromCollectors(w.Collectors)
-	sp := tr.Start("analyze")
+	sp.End()
+	sp = tr.Start("analyze")
 	a := pipe.Analyze(ds, w.Registry.All())
 	sp.End()
+	sp = tr.Start("render")
 	printAnalysis(os.Stdout, a)
+	sp.End()
 
 	if *years {
 		evoSp := tr.Start("evolution")

@@ -45,7 +45,7 @@
 // The measurement pipeline (core.Pipeline) fans out over a worker pool:
 // one fold (core.Accumulator) builds every per-update aggregate (the
 // §4 share and the Figure 3 point are read off them), driven
-// by Analyze over contiguous chunks of an in-memory update slice or by
+// by Analyze over each collector's run of an in-memory update slice or by
 // StreamMRTDir over MRT archives on disk, never materializing the
 // update slice; partial accumulators merge deterministically in order,
 // and the Figure 6 inference shards the concurrent route view by

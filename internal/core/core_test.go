@@ -289,6 +289,11 @@ func TestFigure5cTopValues(t *testing.T) {
 	if RenderFigure5c(off, on) == "" {
 		t.Fatal("render empty")
 	}
+	// Equal counts rank by the value's decimal text: 100 before 20.
+	ds.Updates = append(ds.Updates, upd("RIS-c", 5, pfxB, []uint32{5, 1}, bgp.C(97, 20), bgp.C(96, 100)))
+	if off, _ = analyze(ds).Prop.Figure5c(10); len(off) != 3 || off[1].Value != 100 || off[2].Value != 20 {
+		t.Fatalf("tied values out of decimal-text order: off=%v", off)
+	}
 }
 
 func TestTransitPropagators(t *testing.T) {
@@ -314,12 +319,12 @@ func TestLatestRoutesDedup(t *testing.T) {
 	u1 := upd("RIS-c", 5, pfxA, []uint32{5, 1}, bgp.C(1, 1))
 	u2 := upd("RIS-c", 5, pfxA, []uint32{5, 2, 1}, bgp.C(1, 2))
 	w := feed.Event{Source: "RIS-c", PeerAS: 7, Prefix: pfxB, Withdraw: true}
-	latestOf := func(evs ...feed.Event) []feed.Event {
-		agg := newLatestAgg()
+	latestOf := func(evs ...feed.Event) []*feed.Event {
+		agg := make(latestAgg)
 		for i := range evs {
 			agg.add(&evs[i])
 		}
-		return agg.finalize()
+		return agg.finalize(1)
 	}
 	latest := latestOf(u1, u2, w)
 	if len(latest) != 1 {

@@ -9,13 +9,17 @@
 package core
 
 import (
+	"cmp"
+	"maps"
 	"net/netip"
-	"sort"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/collector"
+	"bgpworms/internal/conc"
 	"bgpworms/internal/feed"
 )
 
@@ -28,6 +32,26 @@ func strippedPath(ev *feed.Event) []uint32 {
 	}
 	return bgp.StripPrepending(make([]uint32, 0, len(ev.ASPath)), ev.ASPath)
 }
+
+// blockList is an append-only sequence kept in fixed-size blocks, so a
+// growing fold never copies what it already holds. Merging a later
+// portion of the stream appends its blocks after the receiver's; all
+// concatenates them once.
+type blockList[T any] [][]T
+
+const blockLen = 4096
+
+func (b *blockList[T]) add(v T) {
+	if n := len(*b); n == 0 || len((*b)[n-1]) == blockLen {
+		*b = append(*b, make([]T, 0, blockLen))
+	}
+	last := &(*b)[len(*b)-1]
+	*last = append(*last, v)
+}
+
+func (b *blockList[T]) merge(o blockList[T]) { *b = append(*b, o...) }
+
+func (b blockList[T]) all() []T { return slices.Concat(b...) }
 
 // platformOf derives a collector's platform from its name, the prefix
 // before the first "-" ("RIS-00" → "RIS"; a name without one is its own
@@ -60,10 +84,19 @@ type Dataset struct {
 
 // FromCollectors converts attached collectors' archives into a Dataset.
 // Each recorded delivery goes through the one route-to-record
-// conversion, feed.Tap, and keeps the collector's session clock.
+// conversion, feed.Tap, and keeps the collector's session clock. Updates
+// is sized once from the observation counts, and each collector converts
+// into its own segment of it concurrently, one worker per CPU; the
+// segments follow cs order.
 func FromCollectors(cs []*collector.Collector) *Dataset {
-	ds := &Dataset{}
-	for _, c := range cs {
+	ds := &Dataset{Collectors: make([]CollectorMeta, len(cs))}
+	starts := make([]int, len(cs)+1)
+	for i, c := range cs {
+		starts[i+1] = starts[i] + len(c.Observations())
+	}
+	ds.Updates = make([]feed.Event, starts[len(cs)])
+	conc.Do(len(cs), runtime.GOMAXPROCS(0), func(i int) {
+		c := cs[i]
 		meta := CollectorMeta{
 			Platform: string(c.Platform),
 			Name:     c.Name,
@@ -73,68 +106,91 @@ func FromCollectors(cs []*collector.Collector) *Dataset {
 			meta.PeerIPs++
 			meta.PeerASNs[uint32(p.AS)] = true
 		}
-		ds.Collectors = append(ds.Collectors, meta)
+		ds.Collectors[i] = meta
 		var at time.Time
+		next := starts[i]
 		record := feed.Tap(c.Name, func(ev feed.Event) {
 			ev.Time = at
-			ds.Updates = append(ds.Updates, ev)
+			ds.Updates[next] = ev
+			next++
 		})
 		for _, ob := range c.Observations() {
 			at = ob.Time
 			record(ob.PeerAS, c.ASN, ob.Prefix, ob.Route)
 		}
-	}
+	})
 	return ds
 }
 
-// routeKey identifies one (collector, peer, prefix) table slot.
-type routeKey struct {
-	col    string
+// slot identifies one (peer, prefix) table slot of a collector.
+type slot struct {
 	peer   uint32
 	prefix netip.Prefix
 }
 
+// collectorView is one collector's latest route per slot, held as
+// pointers to the folded events, with slots in first-seen order.
+type collectorView struct {
+	idx   map[slot]int
+	slots []*feed.Event
+}
+
+func (v *collectorView) add(ev *feed.Event) {
+	k := slot{ev.PeerAS, ev.Prefix}
+	if i, seen := v.idx[k]; seen {
+		v.slots[i] = ev
+		return
+	}
+	v.idx[k] = len(v.slots)
+	v.slots = append(v.slots, ev)
+}
+
 // latestAgg folds the update stream down to the final route per
-// (collector, peer, prefix). The first-seen order list makes
-// chunk-ordered merging reproduce the serial scan exactly: a later
-// chunk's entry overrides an earlier chunk's (it came later in the
-// stream), and keys keep their global first-seen position.
-type latestAgg struct {
-	last  map[routeKey]feed.Event
-	order []routeKey
+// (collector, peer, prefix), one view per collector. Merging a later
+// portion of the stream reproduces the serial scan exactly: a later
+// entry overrides an earlier one, and a slot keeps its first-seen
+// position within its collector. A collector the receiver has not seen
+// moves over whole.
+type latestAgg map[string]*collectorView
+
+func (a latestAgg) add(ev *feed.Event) {
+	v := a[ev.Source]
+	if v == nil {
+		v = &collectorView{idx: make(map[slot]int)}
+		a[ev.Source] = v
+	}
+	v.add(ev)
 }
 
-func newLatestAgg() *latestAgg { return &latestAgg{last: make(map[routeKey]feed.Event)} }
-
-func (a *latestAgg) add(ev *feed.Event) {
-	k := routeKey{ev.Source, ev.PeerAS, ev.Prefix}
-	if _, seen := a.last[k]; !seen {
-		a.order = append(a.order, k)
-	}
-	a.last[k] = *ev
-}
-
-func (a *latestAgg) merge(b *latestAgg) {
-	for _, k := range b.order {
-		if _, seen := a.last[k]; !seen {
-			a.order = append(a.order, k)
+func (a latestAgg) merge(b latestAgg) {
+	for name, bv := range b {
+		v := a[name]
+		if v == nil {
+			a[name] = bv
+			continue
 		}
-		a.last[k] = b.last[k]
+		for _, ev := range bv.slots {
+			v.add(ev)
+		}
 	}
 }
 
-func (a *latestAgg) finalize() []feed.Event {
-	out := make([]feed.Event, 0, len(a.order))
-	for _, k := range a.order {
-		if ev := a.last[k]; !ev.Withdraw {
-			out = append(out, ev)
+// finalize returns the concurrent view: every slot whose latest update
+// is an announcement, collectors in name order and, within one, stably
+// by peer AS. Each collector filters and sorts on its own worker.
+func (a latestAgg) finalize(workers int) []*feed.Event {
+	names := slices.Sorted(maps.Keys(a))
+	parts := make([][]*feed.Event, len(names))
+	conc.Do(len(names), workers, func(i int) {
+		v := a[names[i]]
+		out := make([]*feed.Event, 0, len(v.slots))
+		for _, ev := range v.slots {
+			if !ev.Withdraw {
+				out = append(out, ev)
+			}
 		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Source != out[j].Source {
-			return out[i].Source < out[j].Source
-		}
-		return out[i].PeerAS < out[j].PeerAS
+		slices.SortStableFunc(out, func(x, y *feed.Event) int { return cmp.Compare(x.PeerAS, y.PeerAS) })
+		parts[i] = out
 	})
-	return out
+	return slices.Concat(parts...)
 }

@@ -25,7 +25,7 @@ func (c CollectorFraction) Fraction() float64 {
 }
 
 // fig4aAgg folds per-collector update counts. The first-seen order list
-// lets chunk-ordered merging reproduce the serial discovery order
+// lets ordered merging reproduce the serial discovery order
 // exactly, which keeps the pre-sort slice identical across worker
 // counts.
 type fig4aAgg struct {
@@ -104,30 +104,30 @@ type Figure4b struct {
 	ASesPerUpdate *stats.ECDF
 }
 
-// fig4bAgg accumulates the raw samples; chunk-ordered concatenation
+// fig4bAgg accumulates the raw samples; ordered concatenation
 // reproduces the serial sample order.
 type fig4bAgg struct {
-	comms []float64
-	ases  []float64
+	comms blockList[float64]
+	ases  blockList[float64]
 }
 
 func (a *fig4bAgg) add(u *feed.Event) {
 	if u.Withdraw {
 		return
 	}
-	a.comms = append(a.comms, float64(len(u.Communities)))
-	a.ases = append(a.ases, float64(len(u.Communities.ASNs())))
+	a.comms.add(float64(len(u.Communities)))
+	a.ases.add(float64(len(u.Communities.ASNs())))
 }
 
 func (a *fig4bAgg) merge(b *fig4bAgg) {
-	a.comms = append(a.comms, b.comms...)
-	a.ases = append(a.ases, b.ases...)
+	a.comms.merge(b.comms)
+	a.ases.merge(b.ases)
 }
 
 func (a *fig4bAgg) finalize() Figure4b {
 	return Figure4b{
-		CommunitiesPerUpdate: stats.NewECDF(a.comms),
-		ASesPerUpdate:        stats.NewECDF(a.ases),
+		CommunitiesPerUpdate: stats.NewECDF(a.comms.all()),
+		ASesPerUpdate:        stats.NewECDF(a.ases.all()),
 	}
 }
 

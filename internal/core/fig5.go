@@ -1,8 +1,11 @@
 package core
 
 import (
-	"fmt"
+	"cmp"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/feed"
@@ -67,12 +70,13 @@ func IsBlackholeClassifier(known []bgp.Community) func(bgp.Community) bool {
 	}
 }
 
-// propAgg folds per-(announcement, community) observations. Observation
-// order within a chunk matches the serial scan; chunk-ordered
-// concatenation therefore reproduces the exact serial Observations
+// propAgg folds per-(announcement, community) observations. Each
+// accumulator's observations match the serial scan of its portion, and
+// Merge appends the later portion's after the receiver's, so the
+// concatenation in finalize reproduces the exact serial Observations
 // slice. The classifier closure is shared read-only across workers.
 type propAgg struct {
-	obs         []CommunityObservation
+	obs         blockList[CommunityObservation]
 	isBlackhole func(bgp.Community) bool
 }
 
@@ -90,7 +94,7 @@ func (a *propAgg) add(u *feed.Event, stripped []uint32) {
 			// by construction and excluded from distance analysis.
 			continue
 		}
-		a.obs = append(a.obs, CommunityObservation{
+		a.obs.add(CommunityObservation{
 			Community: c,
 			PathLen:   len(stripped),
 			TaggerIdx: TaggerIndex(stripped, c),
@@ -99,10 +103,10 @@ func (a *propAgg) add(u *feed.Event, stripped []uint32) {
 	}
 }
 
-func (a *propAgg) merge(b *propAgg) { a.obs = append(a.obs, b.obs...) }
+func (a *propAgg) merge(b *propAgg) { a.obs.merge(b.obs) }
 
 func (a *propAgg) finalize() *PropagationAnalysis {
-	return &PropagationAnalysis{Observations: a.obs, isBlackhole: a.isBlackhole}
+	return &PropagationAnalysis{Observations: a.obs.all(), isBlackhole: a.isBlackhole}
 }
 
 // Figure5a returns the propagation-distance ECDFs for all on-path
@@ -149,28 +153,38 @@ type ValueShare struct {
 }
 
 // Figure5c returns the top-K community values for off-path and on-path
-// communities.
+// communities, ties broken by the value's decimal text.
 func (pa *PropagationAnalysis) Figure5c(k int) (offPath, onPath []ValueShare) {
-	off := stats.NewCounter()
-	on := stats.NewCounter()
+	off, on := map[uint16]int{}, map[uint16]int{}
 	for _, o := range pa.Observations {
-		key := fmt.Sprint(o.Community.Value())
 		if o.OnPath() {
-			on.Add(key)
+			on[o.Community.Value()]++
 		} else {
-			off.Add(key)
+			off[o.Community.Value()]++
 		}
 	}
-	conv := func(c *stats.Counter) []ValueShare {
+	top := func(counts map[uint16]int) []ValueShare {
+		total := 0
 		var out []ValueShare
-		for _, kv := range c.TopK(k) {
-			var v int
-			fmt.Sscan(kv.Key, &v)
-			out = append(out, ValueShare{Value: uint16(v), Count: kv.Count, Share: float64(kv.Count) / float64(c.Total())})
+		for v, n := range counts {
+			total += n
+			out = append(out, ValueShare{Value: v, Count: n})
+		}
+		slices.SortFunc(out, func(x, y ValueShare) int {
+			if c := cmp.Compare(y.Count, x.Count); c != 0 {
+				return c
+			}
+			return strings.Compare(strconv.Itoa(int(x.Value)), strconv.Itoa(int(y.Value)))
+		})
+		if k < len(out) {
+			out = out[:k]
+		}
+		for i := range out {
+			out[i].Share = float64(out[i].Count) / float64(total)
 		}
 		return out
 	}
-	return conv(off), conv(on)
+	return top(off), top(on)
 }
 
 // TransitReport is the §4.3 transit-propagation count.

@@ -60,6 +60,26 @@ func (fi *FilterInference) merge(o *FilterInference) {
 	}
 }
 
+// inferScratch is one worker's inferPrefix state, reused from prefix to
+// prefix.
+type inferScratch struct {
+	// buf holds every announcement's stripped path, origin first, and
+	// paths each one's slice of it; ids is buf with each AS replaced by
+	// its dense index within the prefix (idOf), and idPaths slices it.
+	buf     []uint32
+	paths   [][]uint32
+	ids     []int32
+	idPaths [][]int32
+	idOf    map[uint32]int32
+	comms   map[bgp.Community]bool
+	// received marks, by dense index, the ASes one community reached.
+	received []bool
+}
+
+func newInferScratch() *inferScratch {
+	return &inferScratch{idOf: make(map[uint32]int32), comms: make(map[bgp.Community]bool)}
+}
+
 // inferPrefix runs the §4.4 heuristic over the concurrent announcements
 // of one prefix, accumulating edge indications into fi: for every
 // community, ASes downstream of the conservative tagger are known
@@ -69,21 +89,35 @@ func (fi *FilterInference) merge(o *FilterInference) {
 // commutative count, so the result is independent of announcement and
 // community iteration order — the property that makes prefix-sharded
 // parallel execution bit-identical to the serial scan.
-func (fi *FilterInference) inferPrefix(anns []feed.Event) {
-	// Each announcement's stripped path, origin first, built once into
-	// one backing buffer.
+func (fi *FilterInference) inferPrefix(anns []*feed.Event, s *inferScratch) {
+	// Each announcement's stripped path, origin first, built once, and
+	// its ASes as dense indexes, looked up once per prefix rather than
+	// once per community.
 	total := 0
-	for i := range anns {
-		total += len(anns[i].ASPath)
+	for _, ann := range anns {
+		total += len(ann.ASPath)
 	}
-	buf := make([]uint32, 0, total)
-	paths := make([][]uint32, len(anns))
-	for i := range anns {
+	buf, ids := slices.Grow(s.buf[:0], total), slices.Grow(s.ids[:0], total)
+	paths, idPaths := s.paths[:0], s.idPaths[:0]
+	clear(s.idOf)
+	for _, ann := range anns {
 		lo := len(buf)
-		buf = bgp.StripPrepending(buf, anns[i].ASPath)
+		buf = bgp.StripPrepending(buf, ann.ASPath)
 		slices.Reverse(buf[lo:])
-		paths[i] = buf[lo:len(buf):len(buf)]
+		for _, as := range buf[lo:] {
+			id, seen := s.idOf[as]
+			if !seen {
+				id = int32(len(s.idOf))
+				s.idOf[as] = id
+			}
+			ids = append(ids, id)
+		}
+		paths = append(paths, buf[lo:len(buf):len(buf)])
+		idPaths = append(idPaths, ids[lo:len(ids):len(ids)])
 	}
+	s.buf, s.ids, s.paths, s.idPaths = buf, ids, paths, idPaths
+	received := slices.Grow(s.received[:0], len(s.idOf))[:len(s.idOf)]
+	s.received = received
 	// Path visibility counts (origin-first edges).
 	for _, o := range paths {
 		for k := 0; k+1 < len(o); k++ {
@@ -91,18 +125,19 @@ func (fi *FilterInference) inferPrefix(anns []feed.Event) {
 		}
 	}
 	// Candidate communities for this prefix.
-	commSet := map[bgp.Community]bool{}
-	for i := range anns {
-		for _, c := range anns[i].Communities {
+	clear(s.comms)
+	for _, ann := range anns {
+		for _, c := range ann.Communities {
 			if c.ASN() != 0 && c.ASN() != 0xFFFF {
-				commSet[c] = true
+				s.comms[c] = true
 			}
 		}
 	}
-	for c := range commSet {
+	for c := range s.comms {
 		// Receivers: tagger and everyone after it on each carrying
 		// path.
-		received := map[uint32]bool{}
+		clear(received)
+		anyReceived := false
 		for i, o := range paths {
 			if !anns[i].Communities.Has(c) {
 				continue
@@ -127,11 +162,12 @@ func (fi *FilterInference) inferPrefix(anns []feed.Event) {
 			for k := oi + 1; k+1 < len(o); k++ {
 				fi.get(Edge{o[k], o[k+1]}).Forwarded++
 			}
-			for k := oi; k < len(o); k++ {
-				received[o[k]] = true
+			for _, id := range idPaths[i][oi:] {
+				received[id] = true
 			}
+			anyReceived = true
 		}
-		if len(received) == 0 {
+		if !anyReceived {
 			continue
 		}
 		// Filtered indications: announcements of the same prefix
@@ -143,7 +179,7 @@ func (fi *FilterInference) inferPrefix(anns []feed.Event) {
 			// The LAST receiver on the path is where the community
 			// was dropped toward the next hop.
 			for k := len(o) - 2; k >= 0; k-- {
-				if received[o[k]] {
+				if received[idPaths[i][k]] {
 					fi.get(Edge{o[k], o[k+1]}).Filtered++
 					break
 				}
@@ -156,23 +192,24 @@ func (fi *FilterInference) inferPrefix(anns []feed.Event) {
 // (latest route per collector peer), sharded by prefix: each worker
 // owns a disjoint set of prefix groups and accumulates a private edge
 // map; the per-worker maps merge by summation.
-func (p *Pipeline) inferFiltering(routes []feed.Event) *FilterInference {
-	byPrefix := make(map[netip.Prefix][]feed.Event)
+func (p *Pipeline) inferFiltering(routes []*feed.Event) *FilterInference {
+	byPrefix := make(map[netip.Prefix][]*feed.Event)
 	var order []netip.Prefix
 	for _, u := range routes {
-		if _, seen := byPrefix[u.Prefix]; !seen {
+		group, seen := byPrefix[u.Prefix]
+		if !seen {
 			order = append(order, u.Prefix)
 		}
-		byPrefix[u.Prefix] = append(byPrefix[u.Prefix], u)
+		byPrefix[u.Prefix] = append(group, u)
 	}
 
 	w := p.workers()
 	shards := conc.Chunks(len(order), w)
 	partial := make([]*FilterInference, len(shards))
 	conc.Do(len(shards), w, func(i int) {
-		fi := newFilterInference()
+		fi, s := newFilterInference(), newInferScratch()
 		for _, pfx := range order[shards[i][0]:shards[i][1]] {
-			fi.inferPrefix(byPrefix[pfx])
+			fi.inferPrefix(byPrefix[pfx], s)
 		}
 		partial[i] = fi
 	})

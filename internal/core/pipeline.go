@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/conc"
@@ -13,20 +12,21 @@ import (
 // Accumulator, which feeds every per-update aggregate from one look at
 // each update — and one entry per shape the input comes in:
 //
-//   - Analyze takes a world in memory (a Dataset): contiguous chunks of
-//     the update slice fold into one Accumulator each, merged in chunk
-//     order;
+//   - Analyze takes a world in memory (a Dataset): each collector's run
+//     of the update slice folds into its own Accumulator, merged in
+//     slice order;
 //   - StreamMRTDir takes bytes on disk: each updates.*.mrt archive
 //     streams into its own Accumulator, the update slice never
 //     materialized, merged in sorted file-name order.
 //
-// Both end in Accumulator.Analysis, which adds the one per-prefix
-// reduction (the Figure 6 filter inference): the concurrent route view
-// is sharded by prefix and the per-edge indication counts merge by
-// summation. Ordered merging reproduces the exact serial fold order and
-// indication counts commute, so every result is bit-identical across
-// worker counts; the determinism tests assert workers=1 and workers=8
-// agree on rendered output.
+// Both end in Accumulator.Analysis, which filters and sorts each
+// collector's latest-route view on its own worker and adds the one
+// per-prefix reduction (the Figure 6 filter inference): the concurrent
+// route view is sharded by prefix and the per-edge indication counts
+// merge by summation. Ordered merging reproduces the exact serial fold
+// order and indication counts commute, so every result is bit-identical
+// across worker counts; the determinism tests assert workers=1 and
+// workers=8 agree on rendered output.
 type Pipeline struct {
 	// Workers is the parallelism degree; 0 or negative means
 	// runtime.GOMAXPROCS(0).
@@ -42,31 +42,6 @@ func (p *Pipeline) workers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return p.Workers
-}
-
-// foldChunks folds contiguous chunks of updates concurrently, one
-// aggregate per chunk, and returns the aggregates in chunk order so the
-// caller can merge them deterministically. fold receives each update
-// together with its prepending-stripped AS path (computed once per
-// update, shared by every consumer).
-func foldChunks[A any](updates []feed.Event, workers int, mk func() A, fold func(agg A, ev *feed.Event, stripped []uint32)) []A {
-	ranges := conc.Chunks(len(updates), workers)
-	aggs := make([]A, len(ranges))
-	var wg sync.WaitGroup
-	for i, r := range ranges {
-		wg.Add(1)
-		go func(i int, lo, hi int) {
-			defer wg.Done()
-			agg := mk()
-			for j := lo; j < hi; j++ {
-				ev := &updates[j]
-				fold(agg, ev, strippedPath(ev))
-			}
-			aggs[i] = agg
-		}(i, r[0], r[1])
-	}
-	wg.Wait()
-	return aggs
 }
 
 // Analysis bundles every passive-measurement output of §4: the pass over
@@ -99,29 +74,48 @@ type Figure3 struct {
 	TableEntries        int
 }
 
-// Analyze runs the full §4 pipeline over an in-memory dataset: one
-// chunked parallel fold builds every per-update aggregate, then the
-// Figure 6 inference runs over the latest-route view sharded by prefix.
-// knownBlackhole seeds the Figure 5 blackhole classifier (nil = only
-// :666 classifies).
+// Analyze runs the full §4 pipeline over an in-memory dataset: each
+// run of consecutive updates from one collector (Source) folds into its
+// own Accumulator on the worker pool, the accumulators merge in slice
+// order, then the Figure 6 inference runs over the latest-route view
+// sharded by prefix. The view points into ds.Updates. knownBlackhole
+// seeds the Figure 5 blackhole classifier (nil = only :666 classifies).
 func (p *Pipeline) Analyze(ds *Dataset, knownBlackhole []bgp.Community) *Analysis {
-	cls := IsBlackholeClassifier(knownBlackhole)
-	accs := foldChunks(ds.Updates, p.workers(),
-		func() *Accumulator { return newAccumulatorFor(cls) },
-		func(a *Accumulator, ev *feed.Event, stripped []uint32) { a.addStripped(ev, stripped) })
-	var acc *Accumulator
-	if len(accs) == 0 {
-		acc = newAccumulatorFor(cls)
-	} else {
-		acc = accs[0]
-		for _, b := range accs[1:] {
-			acc.Merge(b)
-		}
-	}
+	acc := p.fold(ds.Updates, IsBlackholeClassifier(knownBlackhole))
 	for _, c := range ds.Collectors {
 		acc.AddCollector(c)
 	}
 	return acc.Analysis(p)
+}
+
+// fold folds updates one collector run per Accumulator, concurrently,
+// and merges the accumulators in slice order, which reproduces the
+// serial scan.
+func (p *Pipeline) fold(updates []feed.Event, cls func(bgp.Community) bool) *Accumulator {
+	var runs [][2]int
+	for lo := 0; lo < len(updates); {
+		hi := lo + 1
+		for hi < len(updates) && updates[hi].Source == updates[lo].Source {
+			hi++
+		}
+		runs = append(runs, [2]int{lo, hi})
+		lo = hi
+	}
+	if len(runs) == 0 {
+		return newAccumulatorFor(cls)
+	}
+	accs := make([]*Accumulator, len(runs))
+	conc.Do(len(runs), p.workers(), func(i int) {
+		acc := newAccumulatorFor(cls)
+		for j := runs[i][0]; j < runs[i][1]; j++ {
+			acc.Add(&updates[j])
+		}
+		accs[i] = acc
+	})
+	for _, b := range accs[1:] {
+		accs[0].Merge(b)
+	}
+	return accs[0]
 }
 
 // EvolutionMetrics returns the four Figure 3 series values of one world:

@@ -7,10 +7,13 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
+	"bgpworms/internal/bgp"
 	"bgpworms/internal/conc"
 	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
+	"bgpworms/internal/netx"
 )
 
 // renderAll flattens every analysis output into one golden string so a
@@ -48,13 +51,9 @@ func TestPipelineDeterminismAcrossWorkers(t *testing.T) {
 // the Figure 3 point read off it (its table-entry count among them).
 func TestLatestRoutesChunkMergeIdentical(t *testing.T) {
 	_, ds := buildDatasetViaMRT(t)
-	view := func(workers int) []feed.Event {
-		merged := newLatestAgg()
-		for _, a := range foldChunks(ds.Updates, workers, newLatestAgg,
-			func(a *latestAgg, ev *feed.Event, _ []uint32) { a.add(ev) }) {
-			merged.merge(a)
-		}
-		return merged.finalize()
+	view := func(workers int) []*feed.Event {
+		p := NewPipeline(workers)
+		return p.fold(ds.Updates, IsBlackholeClassifier(nil)).latest.finalize(workers)
 	}
 	serial, serialFig3 := view(1), NewPipeline(1).Analyze(ds, nil).Fig3
 	if len(serial) == 0 || serialFig3.TableEntries != len(serial) {
@@ -67,6 +66,104 @@ func TestLatestRoutesChunkMergeIdentical(t *testing.T) {
 		if got := NewPipeline(w).Analyze(ds, nil).Fig3; got != serialFig3 {
 			t.Fatalf("workers=%d Figure 3 point %+v diverges from serial %+v", w, got, serialFig3)
 		}
+	}
+}
+
+// splitCollectorDataset is a hand-built stream in which collector RIS-a
+// speaks in two runs with RV-b between them: the second run replaces a
+// route of the first, withdraws another, and adds a slot of its own.
+func splitCollectorDataset() *Dataset {
+	pfxC := netx.MustPrefix("192.0.2.0/24")
+	ds := &Dataset{Collectors: []CollectorMeta{
+		{Platform: "RIS", Name: "RIS-a", PeerIPs: 2, PeerASNs: map[uint32]bool{5: true, 7: true}},
+		{Platform: "RV", Name: "RV-b", PeerIPs: 1, PeerASNs: map[uint32]bool{9: true}},
+	}}
+	ds.Updates = []feed.Event{
+		upd("RIS-a", 7, pfxA, []uint32{7, 3, 2, 1}, bgp.C(2, 100)),
+		upd("RIS-a", 5, pfxA, []uint32{5, 3, 2, 1}),
+		upd("RIS-a", 5, pfxB, []uint32{5, 4, 1}, bgp.C(4, 666)),
+		upd("RIS-a", 7, pfxC, []uint32{7, 4, 1}, bgp.C(4, 200)),
+		upd("RV-b", 9, pfxA, []uint32{9, 3, 2, 1}, bgp.C(2, 100), bgp.C(3, 300)),
+		upd("RV-b", 9, pfxB, []uint32{9, 6, 4, 1}),
+		upd("RIS-a", 5, pfxA, []uint32{5, 3, 3, 2, 1}, bgp.C(3, 100)),
+		{Source: "RIS-a", PeerAS: 5, Time: t0, Prefix: pfxB, Withdraw: true},
+		upd("RIS-a", 5, pfxC, []uint32{5, 4, 1}, bgp.C(4, 200)),
+	}
+	return ds
+}
+
+// TestAnalyzeMatchesSerialScan holds the per-collector fold to one
+// Accumulator folding the whole stream in order: rendered output, the
+// Figure 3 point and the latest-route view, order included, at any
+// worker count. The split dataset's second RIS-a run must merge into
+// the first run's view, not replace it.
+func TestAnalyzeMatchesSerialScan(t *testing.T) {
+	single := splitCollectorDataset()
+	single.Updates = single.Updates[:4]
+	single.Collectors = single.Collectors[:1]
+	for _, tc := range []struct {
+		name string
+		ds   *Dataset
+	}{{"split", splitCollectorDataset()}, {"single", single}} {
+		name, ds := tc.name, tc.ds
+		cls := IsBlackholeClassifier(nil)
+		serial := newAccumulatorFor(cls)
+		for i := range ds.Updates {
+			serial.Add(&ds.Updates[i])
+		}
+		for _, c := range ds.Collectors {
+			serial.AddCollector(c)
+		}
+		wantView, want := serial.latest.finalize(1), serial.Analysis(NewPipeline(1))
+		for _, w := range []int{1, 2, 8} {
+			p := NewPipeline(w)
+			got := p.Analyze(ds, nil)
+			if renderAll(got) != renderAll(want) || got.Fig3 != want.Fig3 {
+				t.Fatalf("%s, workers=%d: Analyze diverges from the serial scan:\n--- serial %+v ---\n%s\n--- got %+v ---\n%s",
+					name, w, want.Fig3, renderAll(want), got.Fig3, renderAll(got))
+			}
+			if view := p.fold(ds.Updates, cls).latest.finalize(w); !reflect.DeepEqual(view, wantView) {
+				t.Fatalf("%s, workers=%d: latest-route view of %d routes, serial %d, or another order", name, w, len(view), len(wantView))
+			}
+		}
+	}
+}
+
+// TestFromCollectorsMatchesSerialConversion: converting each collector
+// into its own segment concurrently gives the dataset that converting
+// every observation in turn does.
+func TestFromCollectorsMatchesSerialConversion(t *testing.T) {
+	w, err := gen.Build(gen.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.RunChurn(); err != nil {
+		t.Fatal(err)
+	}
+	want := &Dataset{}
+	for _, c := range w.Collectors {
+		meta := CollectorMeta{Platform: string(c.Platform), Name: c.Name, PeerASNs: map[uint32]bool{}}
+		for _, p := range c.Peers() {
+			meta.PeerIPs++
+			meta.PeerASNs[uint32(p.AS)] = true
+		}
+		want.Collectors = append(want.Collectors, meta)
+		var at time.Time
+		record := feed.Tap(c.Name, func(ev feed.Event) {
+			ev.Time = at
+			want.Updates = append(want.Updates, ev)
+		})
+		for _, ob := range c.Observations() {
+			at = ob.Time
+			record(ob.PeerAS, c.ASN, ob.Prefix, ob.Route)
+		}
+	}
+	if len(want.Collectors) < 2 || len(want.Updates) == 0 {
+		t.Fatalf("%d collectors recorded %d updates; the comparison needs several of each", len(want.Collectors), len(want.Updates))
+	}
+	if got := FromCollectors(w.Collectors); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FromCollectors gave %d updates from %d collectors, the serial conversion %d from %d, or other records",
+			len(got.Updates), len(got.Collectors), len(want.Updates), len(want.Collectors))
 	}
 }
 

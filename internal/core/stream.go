@@ -21,9 +21,10 @@ import (
 // aggregate sizes — table entries, distinct sets, and per-community
 // observations — not by stream length).
 //
-// Accumulators also serve as the per-chunk partial aggregates of
-// Pipeline.Analyze: Merge combines two accumulators deterministically
-// when the receiver folded the earlier portion of the stream.
+// Accumulators also serve as the per-collector partial aggregates of
+// Pipeline.Analyze and StreamMRTDir: Merge combines two accumulators
+// deterministically when the receiver folded the earlier portion of the
+// stream.
 type Accumulator struct {
 	collectors []CollectorMeta
 	platforms  []string
@@ -35,7 +36,7 @@ type Accumulator struct {
 	fig4b   *fig4bAgg
 	prop    *propAgg
 	transit *transitAgg
-	latest  *latestAgg
+	latest  latestAgg
 }
 
 func newAccumulatorFor(isBlackhole func(bgp.Community) bool) *Accumulator {
@@ -47,7 +48,7 @@ func newAccumulatorFor(isBlackhole func(bgp.Community) bool) *Accumulator {
 		fig4b:   &fig4bAgg{},
 		prop:    newPropAgg(isBlackhole),
 		transit: newTransitAgg(),
-		latest:  newLatestAgg(),
+		latest:  make(latestAgg),
 	}
 }
 
@@ -62,7 +63,8 @@ func (a *Accumulator) AddCollector(meta CollectorMeta) {
 }
 
 // Add folds one observation into every aggregate, under the platform
-// its collector (Source) names.
+// its collector (Source) names. The latest-route view keeps ev itself,
+// so the caller must not change it afterwards.
 func (a *Accumulator) Add(ev *feed.Event) { a.addStripped(ev, strippedPath(ev)) }
 
 func (a *Accumulator) addStripped(u *feed.Event, stripped []uint32) {
@@ -99,10 +101,12 @@ func (a *Accumulator) Analysis(p *Pipeline) *Analysis {
 	t1 := a.t1.rows(a.collectors, a.platforms)
 	t2 := a.t2.rows(a.collectors, a.platforms)
 	fig4a := a.fig4a.finalize()
-	latest := a.latest.finalize()
+	latest := a.latest.finalize(p.workers())
 	absolute := 0
-	for _, n := range a.fig4b.comms {
-		absolute += int(n)
+	for _, block := range a.fig4b.comms {
+		for _, n := range block {
+			absolute += int(n)
+		}
 	}
 	return &Analysis{
 		Table1:  t1,

@@ -293,12 +293,7 @@ type alertsPayload struct {
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	if det := r.URL.Query().Get("detector"); det != "" {
 		// Filtered views are per-query; only the full view is cached.
-		var filtered []watch.Alert
-		for _, a := range s.opts.Watch.Alerts() {
-			if a.Detector == det {
-				filtered = append(filtered, a)
-			}
-		}
+		filtered := s.opts.Watch.AlertsOf(det)
 		body, err := json.MarshalIndent(alertsPayload{Count: len(filtered), Alerts: filtered}, "", "  ")
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)

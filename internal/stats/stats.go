@@ -64,45 +64,6 @@ func (e *ECDF) Mean() float64 {
 	return sum / float64(len(e.sorted))
 }
 
-// Counter counts occurrences of string keys and reports top-K.
-type Counter struct {
-	m map[string]int
-	n int
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter { return &Counter{m: make(map[string]int)} }
-
-// Add increments key by one.
-func (c *Counter) Add(key string) { c.m[key]++; c.n++ }
-
-// Total returns the sum of all counts.
-func (c *Counter) Total() int { return c.n }
-
-// KV is a key with its count.
-type KV struct {
-	Key   string
-	Count int
-}
-
-// TopK returns the k most frequent keys (ties broken by key order).
-func (c *Counter) TopK(k int) []KV {
-	out := make([]KV, 0, len(c.m))
-	for key, n := range c.m {
-		out = append(out, KV{key, n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Key < out[j].Key
-	})
-	if k < len(out) {
-		out = out[:k]
-	}
-	return out
-}
-
 // LogBin2D grid-bins (x, y) points on log10(v+1) axes — the §4.4 Figure 6b
 // scatter of filtering vs forwarding indications per AS edge.
 type LogBin2D struct {

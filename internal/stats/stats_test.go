@@ -84,31 +84,6 @@ func TestProperty_ECDFMonotone(t *testing.T) {
 	}
 }
 
-func TestCounterTopK(t *testing.T) {
-	c := NewCounter()
-	c.Add("a")
-	for i := 0; i < 5; i++ {
-		c.Add("b")
-	}
-	c.Add("a")
-	c.Add("c")
-	if c.Total() != 8 || len(c.TopK(10)) != 3 {
-		t.Fatalf("total=%d distinct=%d", c.Total(), len(c.TopK(10)))
-	}
-	top := c.TopK(2)
-	if len(top) != 2 || top[0] != (KV{"b", 5}) || top[1] != (KV{"a", 2}) {
-		t.Fatalf("top=%v", top)
-	}
-	// Tie-break by key order.
-	c2 := NewCounter()
-	c2.Add("z")
-	c2.Add("y")
-	top2 := c2.TopK(10)
-	if top2[0].Key != "y" {
-		t.Fatalf("tie-break wrong: %v", top2)
-	}
-}
-
 func TestLogBin2D(t *testing.T) {
 	h := NewLogBin2D(1)
 	h.Add(0, 0)    // cell (0,0)

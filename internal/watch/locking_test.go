@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"net/netip"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -75,6 +76,43 @@ func alertBytes(t *testing.T, e *Engine) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// TestAlertsOfFiltersAlerts: one detector's view is Alerts() filtered
+// to that detector, order included, at any shard count, for every
+// default detector and for one that does not exist.
+func TestAlertsOfFiltersAlerts(t *testing.T) {
+	events := sequencedFeed()
+	names := []string{"no-such-detector"}
+	dets, _ := ResolveDetectors(nil, nil)
+	for _, d := range dets {
+		names = append(names, d.Name())
+	}
+	for _, shards := range []int{1, 4, 16} {
+		e := NewEngine(Config{Shards: shards})
+		for _, ev := range events {
+			e.Ingest(ev)
+		}
+		e.Close()
+		all, raised := e.Alerts(), 0
+		for _, name := range names {
+			var want []Alert
+			for _, a := range all {
+				if a.Detector == name {
+					want = append(want, a)
+				}
+			}
+			if got := e.AlertsOf(name); !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards=%d: AlertsOf(%q) gave %d alerts, filtering Alerts() %d, or another order", shards, name, len(got), len(want))
+			}
+			if len(want) > 0 {
+				raised++
+			}
+		}
+		if raised < 2 {
+			t.Fatalf("shards=%d: alerts from %d detectors; the comparison needs several", shards, raised)
+		}
+	}
 }
 
 // TestConcurrentProducersKeepShardFIFO: eight producers, each owning a

@@ -29,9 +29,10 @@
 package watch
 
 import (
+	"cmp"
 	"net/netip"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -436,8 +437,31 @@ func (e *Engine) Alerts() []Alert {
 		out = append(out, s.alerts...)
 		s.mu.Unlock()
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
+	return bySeq(out)
+}
+
+// AlertsOf is Alerts filtered to one detector, copying only that
+// detector's alerts. Safe to call while ingesting.
+func (e *Engine) AlertsOf(detector string) []Alert {
+	var out []Alert
+	for _, s := range e.shards {
+		s.mu.Lock()
+		for _, a := range s.alerts {
+			if a.Detector == detector {
+				out = append(out, a)
+			}
+		}
+		s.mu.Unlock()
+	}
+	return bySeq(out)
+}
+
+// bySeq orders shard-concatenated alerts by sequence. The alerts of one
+// event share its Seq and come from its one shard, already in detector
+// order, so a stable sort keeps them so.
+func bySeq(alerts []Alert) []Alert {
+	slices.SortStableFunc(alerts, func(a, b Alert) int { return cmp.Compare(a.Seq, b.Seq) })
+	return alerts
 }
 
 // Stats is the engine's operational snapshot.
