@@ -32,16 +32,16 @@ func learned(first uint32, more ...uint32) *policy.Route {
 
 func TestReceiveAndDecideAllocateNothing(t *testing.T) {
 	r, id := allocRouter()
-	r.ReceiveSharedNoDecide(200, id, learned(200, 7))
-	r.ReceiveSharedNoDecide(100, id, learned(100, 7))
+	r.ReceiveSharedNoDecide(nil, 200, id, r.routes.Add(learned(200, 7)))
+	r.ReceiveSharedNoDecide(nil, 100, id, r.routes.Add(learned(100, 7)))
 	r.Decide(id)
 
 	// (a) The provider's candidate is replaced; the customer's stays best.
-	loser := [2]*policy.Route{learned(100, 8, 7), learned(100, 9, 7)}
+	loser := [2]Handle{r.routes.Add(learned(100, 8, 7)), r.routes.Add(learned(100, 9, 7))}
 	i := 0
 	if n := testing.AllocsPerRun(200, func() {
 		i++
-		if r.ReceiveSharedNoDecide(100, id, loser[i%2]) != ImportAccepted || r.Decide(id) {
+		if r.ReceiveSharedNoDecide(nil, 100, id, loser[i%2]) != ImportAccepted || r.Decide(id) {
 			t.Fatal("replacing a losing candidate changed the best route")
 		}
 	}); n != 0 {
@@ -50,10 +50,10 @@ func TestReceiveAndDecideAllocateNothing(t *testing.T) {
 
 	// (b) The best candidate itself is replaced by a different route: the
 	// slot takes the new entry, no policy.Route is built.
-	winner := [2]*policy.Route{learned(200, 8, 7), learned(200, 9, 7)}
+	winner := [2]Handle{r.routes.Add(learned(200, 8, 7)), r.routes.Add(learned(200, 9, 7))}
 	if n := testing.AllocsPerRun(200, func() {
 		i++
-		if r.ReceiveSharedNoDecide(200, id, winner[i%2]) != ImportAccepted || !r.Decide(id) {
+		if r.ReceiveSharedNoDecide(nil, 200, id, winner[i%2]) != ImportAccepted || !r.Decide(id) {
 			t.Fatal("replacing the best candidate did not change the best route")
 		}
 	}); n != 0 {
@@ -70,24 +70,24 @@ func TestUnchangedExportAllocatesNothing(t *testing.T) {
 		r.cfg.Propagation = mode
 		rt := learned(200, 7)
 		rt.Communities = rt.Communities.Add(bgp.C(65001, 5)) // stripped under PropActStripOwn
-		r.ReceiveSharedNoDecide(200, id, rt)
+		r.ReceiveSharedNoDecide(nil, 200, id, r.routes.Add(rt))
 		r.Decide(id)
 
 		nbs := r.Neighbors()
 		hints := r.Hints(nbs)
 		emitted := 0
-		emit := func(topo.ASN, *policy.Route) { emitted++ }
-		buf := r.ExportAll(id, nbs, hints, nil)
+		emit := func(topo.ASN, Handle) { emitted++ }
+		buf := r.ExportAll(nil, id, nbs, hints, nil)
 		r.RecordAdvertisedAll(id, buf, emit)
 		if emitted != 2 { // the provider and the other customer; never back to 200
 			t.Fatalf("%v: first export emitted %d advertisements, want 2", mode, emitted)
 		}
 
 		// (c) Nothing changed since: the class re-emits the recorded
-		// object, so neither the export nor the merge allocates.
+		// handle, so neither the export nor the merge allocates.
 		emitted = 0
 		if n := testing.AllocsPerRun(200, func() {
-			buf = r.ExportAll(id, nbs, hints, buf[:0])
+			buf = r.ExportAll(nil, id, nbs, hints, buf[:0])
 			r.RecordAdvertisedAll(id, buf, emit)
 		}); n != 0 || emitted != 0 {
 			t.Errorf("%v: unchanged ExportAll + RecordAdvertisedAll: %v allocs, %d emits, want 0 and 0", mode, n, emitted)

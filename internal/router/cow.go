@@ -40,12 +40,12 @@ func (r *Router) mustMutable() {
 // forking. The neighbor set and config maps are copied; the slot and
 // slab pages are shared, owned by neither side until the clone writes
 // one (see the ownership rule above), so a clone costs a few slices of
-// page pointers however many prefixes the router holds. Route objects —
-// AS-path and community slabs — are immutable and stay shared for good:
-// routes are replaced wholesale, never edited. The clone reads ids
-// through the original's table until Rebind moves it. Cloning an
-// unsealed router panics: its next write would land in pages the clone
-// reads.
+// page pointers however many prefixes the router holds. Routes are
+// written once and never edited, so the clone's handles name them in the
+// original's arena for good. The clone reads ids and routes through the
+// original's table and arena until Rebind moves it — onto a fork's
+// clones of both, which is a pointer swap. Cloning an unsealed router
+// panics: its next write would land in pages the clone reads.
 func (r *Router) Clone() *Router {
 	if !r.sealed {
 		panic(fmt.Sprintf("router: Clone of unsealed AS%d (Seal it first)", r.cfg.ASN))
@@ -55,6 +55,7 @@ func (r *Router) Clone() *Router {
 		neighbors: maps.Clone(r.neighbors),
 		nbVersion: r.nbVersion,
 		tbl:       r.tbl,
+		routes:    r.routes,
 		slots:     r.slots.share(),
 		in:        r.in.share(),
 		out:       r.out.share(),

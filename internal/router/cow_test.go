@@ -53,7 +53,7 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 		return rt
 	}
 	record := func(r *Router, id uint32) {
-		r.RecordAdvertisedAll(id, r.ExportAll(id, nbs, nil, nil), func(topo.ASN, *policy.Route) {})
+		r.RecordAdvertisedAll(id, r.ExportAll(nil, id, nbs, nil, nil), func(topo.ASN, Handle) {})
 	}
 	var universe []netip.Prefix
 	for i := range 3000 {
@@ -61,7 +61,7 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 		universe = append(universe, p)
 		id := r.Table().Intern(p)
 		for _, from := range nbs[:1+i%2] {
-			r.ReceiveSharedNoDecide(from, id, route(p, uint32(from), 3320))
+			r.ReceiveSharedNoDecide(nil, from, id, r.routes.Add(route(p, uint32(from), 3320)))
 		}
 		r.Decide(id)
 		record(r, id)
@@ -75,8 +75,8 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 
 	p := universe[1234] // learned from 100 alone, advertised to 200
 	id, _ := cp.Table().Lookup(p)
-	cp.ReceiveSharedNoDecide(100, id, route(p, 100, 9, 3320)) // storeAdjIn: a replace in a shared page
-	cp.ReceiveSharedNoDecide(300, id, route(p, 300, 3320))    // storeAdjIn: a new candidate
+	cp.ReceiveSharedNoDecide(nil, 100, id, cp.routes.Add(route(p, 100, 9, 3320))) // storeAdjIn: a replace in a shared page
+	cp.ReceiveSharedNoDecide(nil, 300, id, cp.routes.Add(route(p, 300, 3320)))    // storeAdjIn: a new candidate
 	cp.WithdrawNoDecide(100, id)
 	cp.Decide(id)
 	record(cp, id) // the record for 200 is replaced in place
@@ -101,27 +101,45 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 	// last page, which has spare capacity that every sibling clone
 	// shares: no shared page is copied for it, and each sibling reads
 	// back only its own candidates for the one id both tables give it.
+	// The same holds for the route arena: each sibling moves onto a clone
+	// of the original's, whose last page has room left too, and stores
+	// its routes in pages of its own.
 	r = New(Config{ASN: 65002})
 	r.AddNeighbor(100, topo.RelProvider)
 	r.AddNeighbor(200, topo.RelCustomer)
 	for i := range 1000 {
 		p := netip.PrefixFrom(netx.V4(10, byte(i>>8), byte(i), 0), 24)
-		r.ReceiveSharedNoDecide(100, r.Table().Intern(p), route(p, 100, 3320))
+		r.ReceiveSharedNoDecide(nil, 100, r.Table().Intern(p), r.routes.Add(route(p, 100, 3320)))
 	}
 	r.Seal()
 	if last := r.in.pages[len(r.in.pages)-1].elems; len(r.in.free) != 0 || len(last) == cap(last) {
 		t.Fatalf("the original's Adj-RIB-In has free spans %v or a full last page: the check below proves nothing", r.in.free)
 	}
+	if r.routes.next.Load()%arenaPage == 0 {
+		t.Fatal("the original's route arena ends on a page boundary: the check below proves nothing")
+	}
 	q := netip.MustParsePrefix("192.0.2.0/24")
 	origins := []uint32{64500, 64501}
 	var sibs []*Router
-	for _, origin := range origins {
+	for i, origin := range origins {
 		cp := r.Clone()
 		tbl := r.Table().Clone()
-		cp.Rebind(tbl)
+		cp.Rebind(tbl, r.routes.Clone())
 		id := tbl.Intern(q)
-		cp.ReceiveSharedNoDecide(100, id, route(q, 100, origin))
-		cp.ReceiveSharedNoDecide(200, id, route(q, 200, origin))
+		// The siblings store their two routes in opposite orders, so
+		// their equal-shaped candidate runs name different handles: a run
+		// one sibling wrote over the other's reads back wrong.
+		receive := [2]func(){
+			func() { cp.ReceiveSharedNoDecide(nil, 100, id, cp.routes.Add(route(q, 100, origin))) },
+			func() { cp.ReceiveUpdate(200, route(q, 200, origin)) }, // the router builds this one
+		}
+		receive[i]()
+		receive[1-i]()
+		for _, e := range cp.in.view(cp.slots.at(id).in) {
+			if pg := int(e.h >> arenaPageBits); pg < len(r.routes.view()) && cp.routes.view()[pg] == r.routes.view()[pg] {
+				t.Fatalf("sibling clone %d stored the route from %d in a page of the original's arena", len(sibs), e.from)
+			}
+		}
 		if n := privateSlabPages(&r.in, &cp.in) - (len(cp.in.pages) - len(r.in.pages)); n != 0 {
 			t.Fatalf("growing a new prefix's run copied %d shared Adj-RIB-In pages", n)
 		}

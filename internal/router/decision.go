@@ -19,9 +19,10 @@ func (r *Router) decide(id uint32) bool {
 	if st == nil {
 		return false // never written: no candidates, no best
 	}
-	e, ok := selectBest(r.in.view(st.in))
+	rs := r.routes.view()
+	e, ok := selectBest(rs, r.in.view(st.in))
 	if !ok {
-		if st.best.rt == nil {
+		if st.best.h == 0 {
 			return false
 		}
 		r.slots.mut(id).best = inEntry{}
@@ -29,12 +30,12 @@ func (r *Router) decide(id uint32) bool {
 		r.ribStale = true
 		return true
 	}
-	if st.best.rt != nil && sameEntry(st.best, e) {
+	if st.best.h != 0 && sameEntry(rs, st.best, e) {
 		// The stored best already equals the winning candidate (including
 		// community-only changes — sameEntry compares them).
 		return false
 	}
-	if st.best.rt == nil {
+	if st.best.h == 0 {
 		r.bestLen++
 	}
 	r.slots.mut(id).best = e
@@ -60,9 +61,10 @@ func (r *Router) ensureRIB() {
 		return
 	}
 	t := netx.NewTrie[uint32]()
+	pfx := r.tbl.Prefixes()
 	for id, st := range r.slots.all() {
-		if st.best.rt != nil {
-			t.Insert(st.best.rt.Prefix, id)
+		if st.best.h != 0 {
+			t.Insert(pfx[id], id)
 		}
 	}
 	r.locRIB = t
@@ -73,13 +75,13 @@ func (r *Router) ensureRIB() {
 // local origination, if any, and the Adj-RIB-In entries. They are sorted
 // by neighbor ASN, so the scan needs no allocation and ties break
 // deterministically.
-func selectBest(cands []inEntry) (inEntry, bool) {
+func selectBest(rs routeView, cands []inEntry) (inEntry, bool) {
 	if len(cands) == 0 {
 		return inEntry{}, false
 	}
 	best := cands[0]
 	for _, c := range cands[1:] {
-		if betterEntry(c, best) {
+		if betterEntry(rs, c, best) {
 			best = c
 		}
 	}
@@ -98,7 +100,7 @@ func selectBest(cands []inEntry) (inEntry, bool) {
 //  4. lower Origin
 //  5. lower MED
 //  6. lower neighbor ASN (deterministic tie-break)
-func betterEntry(a, b inEntry) bool {
+func betterEntry(rs routeView, a, b inEntry) bool {
 	aLocal := a.from == 0
 	bLocal := b.from == 0
 	if aLocal != bLocal {
@@ -107,15 +109,16 @@ func betterEntry(a, b inEntry) bool {
 	if a.lp != b.lp {
 		return a.lp > b.lp
 	}
-	al, bl := a.rt.ASPath.HopLength(), b.rt.ASPath.HopLength()
+	ar, br := rs.at(a.h), rs.at(b.h)
+	al, bl := ar.ASPath.HopLength(), br.ASPath.HopLength()
 	if al != bl {
 		return al < bl
 	}
-	if a.rt.Origin != b.rt.Origin {
-		return a.rt.Origin < b.rt.Origin
+	if ar.Origin != br.Origin {
+		return ar.Origin < br.Origin
 	}
-	if a.rt.MED != b.rt.MED {
-		return a.rt.MED < b.rt.MED
+	if ar.MED != br.MED {
+		return ar.MED < br.MED
 	}
 	return a.from < b.from
 }
@@ -135,19 +138,34 @@ func sameRoute(a, b *policy.Route) bool {
 	return samePathAndComms(a, b)
 }
 
+// sameStored is sameRoute between two stored routes: equal handles are
+// equal routes, and different handles may still name equal content (a
+// rebuilt private import, a re-exported class).
+func sameStored(rs routeView, a, b Handle) bool {
+	if a == b {
+		return true
+	}
+	if a == 0 || b == 0 {
+		return false
+	}
+	return sameRoute(rs.at(a), rs.at(b))
+}
+
 // sameEntry is sameRoute between two candidates, reading the
-// import-derived attributes from the entries.
-func sameEntry(a, b inEntry) bool {
+// import-derived attributes from the entries and the rest from their
+// routes.
+func sameEntry(rs routeView, a, b inEntry) bool {
 	if a.from != b.from || a.lp != b.lp || a.bh != b.bh {
 		return false
 	}
-	if a.rt == b.rt {
+	if a.h == b.h {
 		return true
 	}
-	if a.rt.Prefix != b.rt.Prefix || a.rt.Origin != b.rt.Origin || a.rt.MED != b.rt.MED {
+	ar, br := rs.at(a.h), rs.at(b.h)
+	if ar.Prefix != br.Prefix || ar.Origin != br.Origin || ar.MED != br.MED {
 		return false
 	}
-	return samePathAndComms(a.rt, b.rt)
+	return samePathAndComms(ar, br)
 }
 
 func samePathAndComms(a, b *policy.Route) bool {
@@ -168,10 +186,10 @@ func samePathAndComms(a, b *policy.Route) bool {
 // BestRoute returns the Loc-RIB entry for exactly p.
 func (r *Router) BestRoute(p netip.Prefix) (*policy.Route, bool) {
 	_, st := r.lookup(p)
-	if st == nil || st.best.rt == nil {
+	if st == nil || st.best.h == 0 {
 		return nil, false
 	}
-	return st.best.Route(), true
+	return r.entryRoute(st.best), true
 }
 
 // LookupFIB performs longest-prefix match for a destination address,
@@ -182,7 +200,7 @@ func (r *Router) LookupFIB(addr netip.Addr) (*policy.Route, bool) {
 	if !ok {
 		return nil, false
 	}
-	return r.slots.at(id).best.Route(), true
+	return r.entryRoute(r.slots.at(id).best), true
 }
 
 // RIB returns every Loc-RIB route in canonical prefix order — the looking
@@ -190,8 +208,8 @@ func (r *Router) LookupFIB(addr netip.Addr) (*policy.Route, bool) {
 func (r *Router) RIB() []*policy.Route {
 	var out []*policy.Route
 	for _, st := range r.slots.all() {
-		if st.best.rt != nil {
-			out = append(out, st.best.Route())
+		if st.best.h != 0 {
+			out = append(out, r.entryRoute(st.best))
 		}
 	}
 	slices.SortFunc(out, func(a, b *policy.Route) int { return netx.ComparePrefix(a.Prefix, b.Prefix) })
@@ -202,20 +220,19 @@ func (r *Router) RIB() []*policy.Route {
 // (canonical prefix order, then ascending neighbor ASN). Collectors use
 // this to emit TABLE_DUMP_V2 snapshots with one entry per peer.
 func (r *Router) EachAdjIn(fn func(p netip.Prefix, from topo.ASN, rt *policy.Route)) {
-	var runs [][]inEntry
-	for _, st := range r.slots.all() {
-		c := r.in.view(st.in)
-		if len(c) > 0 && c[0].from == 0 {
-			c = c[1:] // the local origination is not learned
-		}
-		if len(c) > 0 {
-			runs = append(runs, c)
+	pfx := r.tbl.Prefixes()
+	var ids []uint32
+	for id, st := range r.slots.all() {
+		if c := r.in.view(st.in); len(c) > 1 || len(c) == 1 && c[0].from != 0 {
+			ids = append(ids, id) // the local origination is not learned
 		}
 	}
-	slices.SortFunc(runs, func(a, b []inEntry) int { return netx.ComparePrefix(a[0].rt.Prefix, b[0].rt.Prefix) })
-	for _, c := range runs {
-		for _, e := range c { // already sorted by neighbor ASN
-			fn(e.rt.Prefix, e.from, e.Route())
+	slices.SortFunc(ids, func(a, b uint32) int { return netx.ComparePrefix(pfx[a], pfx[b]) })
+	for _, id := range ids {
+		for _, e := range r.in.view(r.slots.at(id).in) { // already sorted by neighbor ASN
+			if e.from != 0 {
+				fn(pfx[id], e.from, r.entryRoute(e))
+			}
 		}
 	}
 }
@@ -223,9 +240,10 @@ func (r *Router) EachAdjIn(fn func(p netip.Prefix, from topo.ASN, rt *policy.Rou
 // Prefixes returns all Loc-RIB prefixes in canonical order.
 func (r *Router) Prefixes() []netip.Prefix {
 	var out []netip.Prefix
-	for _, st := range r.slots.all() {
-		if st.best.rt != nil {
-			out = append(out, st.best.rt.Prefix)
+	pfx := r.tbl.Prefixes()
+	for id, st := range r.slots.all() {
+		if st.best.h != 0 {
+			out = append(out, pfx[id])
 		}
 	}
 	slices.SortFunc(out, netx.ComparePrefix)

@@ -49,7 +49,7 @@ func (d ExportDecision) String() string {
 // The returned route is a fresh copy safe for the receiver to mutate.
 func (r *Router) ExportTo(neighbor topo.ASN, p netip.Prefix) (*policy.Route, ExportDecision) {
 	_, st := r.lookup(p)
-	if st == nil || st.best.rt == nil {
+	if st == nil || st.best.h == 0 {
 		return nil, ExportNothing
 	}
 	return r.exportTo(neighbor, st.best)
@@ -65,6 +65,7 @@ func (r *Router) exportTo(neighbor topo.ASN, best inEntry) (*policy.Route, Expor
 	if best.from == neighbor {
 		return nil, ExportSuppressedGaoRexford
 	}
+	rt := r.routes.At(best.h)
 	// Gao-Rexford: routes from peers/providers go to customers only.
 	// Route servers (ReflectAll) redistribute everything.
 	fromCustomerOrLocal := best.from == 0 || best.rel == topo.RelCustomer
@@ -72,13 +73,13 @@ func (r *Router) exportTo(neighbor topo.ASN, best inEntry) (*policy.Route, Expor
 		return nil, ExportSuppressedGaoRexford
 	}
 	// Well-known communities.
-	if best.rt.Communities.Has(bgp.CommunityNoAdvertise) {
+	if rt.Communities.Has(bgp.CommunityNoAdvertise) {
 		return nil, ExportSuppressedNoAdvertise
 	}
-	if best.rt.Communities.Has(bgp.CommunityNoExport) {
+	if rt.Communities.Has(bgp.CommunityNoExport) {
 		return nil, ExportSuppressedNoExport
 	}
-	if best.rt.Communities.Has(bgp.CommunityNoPeer) && rel == topo.RelPeer {
+	if rt.Communities.Has(bgp.CommunityNoPeer) && rel == topo.RelPeer {
 		return nil, ExportSuppressedNoExport
 	}
 
@@ -89,7 +90,7 @@ func (r *Router) exportTo(neighbor topo.ASN, best inEntry) (*policy.Route, Expor
 	hasAnnounceTo := false
 	announceDecided := false
 	announceAllowed := true
-	for _, svc := range r.cfg.Catalog.Active(best.rt.Communities, fromCustomer || best.from == 0) {
+	for _, svc := range r.cfg.Catalog.Active(rt.Communities, fromCustomer || best.from == 0) {
 		switch svc.Kind {
 		case policy.SvcNoExport:
 			return nil, ExportSuppressedService
@@ -119,7 +120,7 @@ func (r *Router) exportTo(neighbor topo.ASN, best inEntry) (*policy.Route, Expor
 		return nil, ExportSuppressedService
 	}
 
-	out := best.rt.Clone()
+	out := rt.Clone()
 	selfHops := 1 + prepend
 	if r.cfg.Transparent {
 		selfHops = prepend // route servers stay off the AS path
@@ -143,11 +144,12 @@ func (r *Router) exportTo(neighbor topo.ASN, best inEntry) (*policy.Route, Expor
 	return out, ExportSent
 }
 
-// ExportItem is one session's export outcome from ExportAll: Rt is
-// non-nil only when Dec == ExportSent.
+// ExportItem is one session's export outcome from ExportAll: H names the
+// route sent, in the router's arena, and is non-zero only when Dec ==
+// ExportSent.
 type ExportItem struct {
 	NB  topo.ASN
-	Rt  *policy.Route
+	H   Handle
 	Dec ExportDecision
 }
 
@@ -193,27 +195,30 @@ func (r *Router) Hints(nbs []topo.ASN) *ExportHints {
 // neighbor-independent work (best-route lookup, service-catalog scan,
 // AS-path prepending, community propagation) once per call instead of
 // once per session. Neighbors with the same effective community policy
-// share one outbound route object, so a router keeps a single
-// AS-path/community slab per (prefix, policy class) export instead of
-// one private copy per session. Emitted routes are therefore shared:
-// receivers must not mutate them in place (the delta engine pairs this
-// with ReceiveSharedNoDecide, whose copy-on-write import honours that
-// contract). A class whose first session was last sent exactly what the
-// class would build re-emits that recorded object instead of building an
-// equal one, so an export that changes nothing allocates nothing. Every
-// nbs entry must be a registered neighbor when hints is non-nil; with nil
-// hints unknown neighbors emit ExportNothing.
-func (r *Router) ExportAll(id uint32, nbs []topo.ASN, hints *ExportHints, buf []ExportItem) []ExportItem {
+// share one outbound route, so a router keeps a single AS-path/community
+// slab per (prefix, policy class) export instead of one private copy per
+// session. The routes are built in the router's arena through cur, the
+// calling engine worker's cursor (nil: one handle at a time), and
+// emitted by handle; receivers never write them (the delta engine pairs
+// this with ReceiveSharedNoDecide, whose copy-on-write import honours
+// that contract). A class whose first session was last sent exactly what
+// the class would build re-emits that recorded handle instead of
+// building an equal route, so an export that changes nothing stores
+// nothing. Every nbs entry must be a registered neighbor when hints is
+// non-nil; with nil hints unknown neighbors emit ExportNothing.
+func (r *Router) ExportAll(cur *RouteCursor, id uint32, nbs []topo.ASN, hints *ExportHints, buf []ExportItem) []ExportItem {
 	st := r.slots.at(id)
-	if st == nil || st.best.rt == nil {
+	if st == nil || st.best.h == 0 {
 		for _, nb := range nbs {
 			buf = append(buf, ExportItem{NB: nb, Dec: ExportNothing})
 		}
 		return buf
 	}
 	best := st.best
+	rs := r.routes.view()
+	bestRt := rs.at(best.h)
 	sent := r.out.view(st.out)
-	comms := best.rt.Communities
+	comms := bestRt.Communities
 	fromCustomerOrLocal := best.from == 0 || best.rel == topo.RelCustomer
 	noAdv := comms.Has(bgp.CommunityNoAdvertise)
 	noExp := comms.Has(bgp.CommunityNoExport)
@@ -255,47 +260,47 @@ func (r *Router) ExportAll(id uint32, nbs []topo.ASN, hints *ExportHints, buf []
 	// classes[0] is the stripped-communities class (IOS without
 	// send-community); classes[1+mode] applies one of the four
 	// propagation modes.
-	var classes [1 + 1 + policy.PropStripForeign]*policy.Route
-	classRoute := func(idx int, mode policy.PropagationMode, nb topo.ASN) *policy.Route {
-		if classes[idx] != nil {
+	var classes [1 + 1 + policy.PropStripForeign]Handle
+	classRoute := func(idx int, mode policy.PropagationMode, nb topo.ASN) Handle {
+		if classes[idx] != 0 {
 			return classes[idx]
 		}
 		if idx == 0 {
 			mode = policy.PropStripAll
 		}
 		if i, found := slices.BinarySearchFunc(sent, nb, bySession); found &&
-			r.isClassExport(sent[i].rt, best.rt, selfHops, mode) {
-			classes[idx] = sent[i].rt
+			r.isClassExport(rs.at(sent[i].h), bestRt, selfHops, mode) {
+			classes[idx] = sent[i].h
 			return classes[idx]
 		}
 		if !pathReady {
 			if selfHops > 0 {
-				path = best.rt.ASPath.Prepend(uint32(r.cfg.ASN), selfHops)
+				path = bestRt.ASPath.Prepend(uint32(r.cfg.ASN), selfHops)
 			} else {
 				// Transparent, no prepending: alias the stored path.
 				// Paths are never mutated in place (Prepend copies),
 				// so aliasing is content-identical to ExportTo's Clone.
-				path = best.rt.ASPath
+				path = bestRt.ASPath
 			}
 			pathReady = true
 		}
-		out := &policy.Route{
-			Prefix:    best.rt.Prefix,
+		h, out := r.newRoute(cur)
+		*out = policy.Route{
+			Prefix:    bestRt.Prefix,
 			ASPath:    path,
-			Origin:    best.rt.Origin,
-			MED:       best.rt.MED,
+			Origin:    bestRt.Origin,
+			MED:       bestRt.MED,
 			LocalPref: policy.DefaultLocalPref, // LP is not transitive across eBGP
 			NextHopAS: r.cfg.ASN,
 		}
 		if mode == policy.PropForwardAll {
-			// Alias instead of cloning: shared-slab classes are immutable
-			// downstream.
+			// Alias instead of cloning: stored routes are immutable.
 			out.Communities = comms
 		} else {
 			out.Communities = policy.ApplyPropagation(mode, uint16(r.cfg.ASN), comms)
 		}
-		classes[idx] = out
-		return out
+		classes[idx] = h
+		return h
 	}
 
 	for ni, nb := range nbs {
@@ -360,7 +365,7 @@ func (r *Router) ExportAll(id uint32, nbs []topo.ASN, hints *ExportHints, buf []
 		if !strip {
 			idx = 1 + int(mode)
 		}
-		buf = append(buf, ExportItem{NB: nb, Rt: classRoute(idx, mode, nb), Dec: ExportSent})
+		buf = append(buf, ExportItem{NB: nb, H: classRoute(idx, mode, nb), Dec: ExportSent})
 	}
 	return buf
 }
@@ -417,25 +422,26 @@ func (r *Router) RecordAdvertised(neighbor topo.ASN, p netip.Prefix, rt *policy.
 	sent := r.out.view(st.out)
 	i, had := slices.BinarySearchFunc(sent, neighbor, bySession)
 	if !had {
-		r.out.insert(&st.out, i, nbRoute{from: neighbor, rt: rt})
+		r.out.insert(&st.out, i, nbRoute{from: neighbor, h: r.routes.Add(rt)})
 		return true
 	}
-	if sameRoute(sent[i].rt, rt) {
+	if sameRoute(r.routes.At(sent[i].h), rt) {
 		return false
 	}
-	r.out.set(st.out, i, nbRoute{from: neighbor, rt: rt})
+	r.out.set(st.out, i, nbRoute{from: neighbor, h: r.routes.Add(rt)})
 	return true
 }
 
 // RecordAdvertisedAll merges a full per-neighbor export round for prefix
 // id into the Adj-RIB-Out, calling emit for every session whose
-// advertisement actually changed (rt nil = withdraw) — the batch form of
+// advertisement actually changed (h 0 = withdraw) — the batch form of
 // RecordAdvertised the delta engine drives. items must be ordered by
 // neighbor ascending with each session at most once (ExportAll output);
 // sessions absent from items keep their recorded state. Items whose Dec
 // is not ExportSent count as withdrawals.
-func (r *Router) RecordAdvertisedAll(id uint32, items []ExportItem, emit func(nb topo.ASN, rt *policy.Route)) {
+func (r *Router) RecordAdvertisedAll(id uint32, items []ExportItem, emit func(nb topo.ASN, h Handle)) {
 	r.mustMutable()
+	rs := r.routes.view()
 	// st is nil until the slot exists (withdrawals never create one) and
 	// read-only until the first write takes it through mut or grow.
 	st := r.slots.at(id)
@@ -450,21 +456,21 @@ func (r *Router) RecordAdvertisedAll(id uint32, items []ExportItem, emit func(nb
 		}
 		present := i < len(sent) && sent[i].from == it.NB
 		switch {
-		case it.Dec != ExportSent || it.Rt == nil:
+		case it.Dec != ExportSent || it.H == 0:
 			if present {
 				st = r.slots.mut(id)
 				r.out.remove(&st.out, i)
-				emit(it.NB, nil)
+				emit(it.NB, 0)
 			}
 		case present:
-			if !sameRoute(sent[i].rt, it.Rt) {
-				r.out.set(st.out, i, nbRoute{from: it.NB, rt: it.Rt})
-				emit(it.NB, it.Rt)
+			if !sameStored(rs, sent[i].h, it.H) {
+				r.out.set(st.out, i, nbRoute{from: it.NB, h: it.H})
+				emit(it.NB, it.H)
 			}
 		default:
 			st = r.slots.grow(id)
-			r.out.insert(&st.out, i, nbRoute{from: it.NB, rt: it.Rt})
-			emit(it.NB, it.Rt)
+			r.out.insert(&st.out, i, nbRoute{from: it.NB, h: it.H})
+			emit(it.NB, it.H)
 		}
 	}
 }
@@ -477,7 +483,7 @@ func (r *Router) Advertised(neighbor topo.ASN, p netip.Prefix) (*policy.Route, b
 	}
 	sent := r.out.view(st.out)
 	if i, found := slices.BinarySearchFunc(sent, neighbor, bySession); found {
-		return sent[i].rt, true
+		return r.routes.At(sent[i].h), true
 	}
 	return nil, false
 }

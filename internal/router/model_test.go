@@ -16,11 +16,13 @@ import (
 
 // tableModel is the independent reference the slot tables are checked
 // against: two plain maps keyed by prefix, full routes as values, the
-// policy-free import (local-pref by relationship) and the decision
-// process written out once more. Key 0 of in is the local origination.
+// policy-free import (local-pref by relationship, plus a session's
+// ingress tags) and the decision process written out once more. Key 0
+// of in is the local origination.
 type tableModel struct {
 	self topo.ASN
 	nbs  map[topo.ASN]topo.Rel
+	tags map[topo.ASN][]bgp.Community
 	in   map[netip.Prefix]map[topo.ASN]*policy.Route
 	out  map[netip.Prefix]map[topo.ASN]*policy.Route
 }
@@ -33,6 +35,9 @@ func (m *tableModel) receive(from topo.ASN, rt *policy.Route) {
 	cp := rt.Clone()
 	cp.NextHopAS, cp.FromRel = from, rel
 	cp.LocalPref = map[topo.Rel]uint32{topo.RelCustomer: LocalPrefCustomer, topo.RelPeer: LocalPrefPeer, topo.RelProvider: LocalPrefProvider}[rel]
+	for _, c := range m.tags[from] {
+		cp.Communities = cp.Communities.Add(c)
+	}
 	m.put(m.in, rt.Prefix, from, cp)
 }
 
@@ -98,10 +103,14 @@ type modelWorld struct {
 	step     string
 }
 
+// modelTags tags the routes learned from 400, so its shared imports are
+// rebuilt privately — under a new handle — every time they arrive.
+var modelTags = map[topo.ASN][]bgp.Community{400: {bgp.C(65001, 400)}}
+
 func newModelWorld(t *testing.T, seed int64) *modelWorld {
-	w := &modelWorld{t: t, rng: rand.New(rand.NewSource(seed)), r: New(Config{ASN: 65001})}
+	w := &modelWorld{t: t, rng: rand.New(rand.NewSource(seed)), r: New(Config{ASN: 65001, IngressTags: modelTags})}
 	w.m = &tableModel{self: 65001, nbs: map[topo.ASN]topo.Rel{100: topo.RelProvider, 200: topo.RelCustomer, 300: topo.RelPeer, 400: topo.RelCustomer},
-		in: map[netip.Prefix]map[topo.ASN]*policy.Route{}, out: map[netip.Prefix]map[topo.ASN]*policy.Route{}}
+		tags: modelTags, in: map[netip.Prefix]map[topo.ASN]*policy.Route{}, out: map[netip.Prefix]map[topo.ASN]*policy.Route{}}
 	for nb, rel := range w.m.nbs {
 		w.r.AddNeighbor(nb, rel)
 		w.nbs = append(w.nbs, nb)
@@ -274,21 +283,23 @@ func (w *modelWorld) recordAll(p netip.Prefix) {
 			continue
 		}
 		it := ExportItem{NB: nb, Dec: ExportSuppressedGaoRexford}
+		var rt *policy.Route
 		if w.rng.Intn(3) > 0 {
-			it.Rt, it.Dec = w.route(p, 65001), ExportSent
+			rt = w.route(p, 65001)
 			if old := w.m.out[p][nb]; old != nil && w.rng.Intn(2) == 0 {
-				it.Rt = old.Clone() // an equal re-advertisement: no change
+				rt = old.Clone() // an equal re-advertisement under a new handle: no change
 			}
+			it.H, it.Dec = w.r.routes.Add(rt), ExportSent
 		}
 		items = append(items, it)
-		if show(w.m.out[p][nb]) != show(it.Rt) {
-			want = append(want, fmt.Sprintf("%d %s", nb, show(it.Rt)))
-			w.m.put(w.m.out, p, nb, it.Rt)
+		if show(w.m.out[p][nb]) != show(rt) {
+			want = append(want, fmt.Sprintf("%d %s", nb, show(rt)))
+			w.m.put(w.m.out, p, nb, rt)
 		}
 	}
 	var got []string
-	w.r.RecordAdvertisedAll(w.r.Table().Intern(p), items, func(nb topo.ASN, rt *policy.Route) {
-		got = append(got, fmt.Sprintf("%d %s", nb, show(rt)))
+	w.r.RecordAdvertisedAll(w.r.Table().Intern(p), items, func(nb topo.ASN, h Handle) {
+		got = append(got, fmt.Sprintf("%d %s", nb, show(w.r.routes.At(h))))
 	})
 	if !slices.Equal(got, want) {
 		w.fail("RecordAdvertisedAll emitted %q, want %q", got, want)
@@ -297,7 +308,7 @@ func (w *modelWorld) recordAll(p netip.Prefix) {
 
 func (w *modelWorld) randomStep(sealed *[]sealedCopy) {
 	p := w.prefix()
-	switch op := w.rng.Intn(12); op {
+	switch op := w.rng.Intn(13); op {
 	case 0:
 		comms := []bgp.Community{bgp.C(65001, uint16(w.rng.Intn(3)))}
 		w.step = fmt.Sprintf("Originate(%s, %v)", p, comms)
@@ -327,7 +338,7 @@ func (w *modelWorld) randomStep(sealed *[]sealedCopy) {
 		default:
 			w.step = fmt.Sprintf("ReceiveSharedNoDecide+Decide(%d, %s)", from, show(rt))
 			id := w.r.Table().Intern(p)
-			w.r.ReceiveSharedNoDecide(from, id, rt)
+			w.r.ReceiveSharedNoDecide(nil, from, id, w.r.routes.Add(rt))
 			changed = w.r.Decide(id)
 		}
 		if want := before != show(w.m.best(p)); changed != want {
@@ -364,15 +375,26 @@ func (w *modelWorld) randomStep(sealed *[]sealedCopy) {
 		*sealed = append(*sealed, sealedCopy{w.r, w.dump()})
 		w.r = w.r.Clone()
 	case 11:
-		// Move to another id space: a clone of the table (ids agree) or an
-		// empty one (every slot renumbered).
+		// Move to another id and handle space: clones of the table and
+		// arena (ids and handles agree) or empty ones (every slot
+		// renumbered, every route copied).
 		if w.rng.Intn(2) == 0 {
 			w.step = "Rebind(clone)"
-			w.r.Rebind(w.r.Table().Clone())
+			w.r.Rebind(w.r.Table().Clone(), w.r.routes.Clone())
 		} else {
 			w.step = "Rebind(empty)"
-			w.r.Rebind(NewPrefixTable())
+			w.r.Rebind(NewPrefixTable(), NewRouteArena())
 		}
+	case 12:
+		// Move onto an arena other routers have grown, the way AddRouter
+		// moves a router holding routes onto a network's: every route the
+		// router names is copied in under a new handle.
+		a := NewRouteArena()
+		for range w.rng.Intn(3 * arenaPage) {
+			a.Add(w.route(w.prefix(), 100))
+		}
+		w.step = fmt.Sprintf("Rebind(arena grown to %d routes)", a.Routes())
+		w.r.Rebind(w.r.Table(), a)
 	}
 }
 
@@ -383,11 +405,14 @@ type sealedCopy struct {
 
 // TestTablesMatchModel drives random operation sequences over 75 v4 and
 // v6 prefixes, three of them covering others — some interned up front
-// in shuffled order, the rest at first use — and after every step compares BestRoute, LookupFIB,
-// Advertised, EachAdjIn, RIB, Prefixes and String()'s prefix count with
-// the model.
-// Sealed originals left behind by Clone must still read as they did when
-// they were sealed, whatever their clones did since.
+// in shuffled order, the rest at first use — and after every step
+// compares BestRoute, LookupFIB, Advertised, EachAdjIn, RIB, Prefixes
+// and String()'s prefix count with the model. The sequences rebind the
+// router onto cloned, empty and grown arenas, and session 400 is tagged,
+// so its imports are rebuilt under a new handle on every arrival: equal
+// content under two handles must never count as a change. Sealed
+// originals left behind by Clone must still read as they did when they
+// were sealed, whatever their clones did since.
 func TestTablesMatchModel(t *testing.T) {
 	steps := 500
 	if testing.Short() {
@@ -414,6 +439,30 @@ func TestTablesMatchModel(t *testing.T) {
 					w.fail("withdrawing the only candidate reported no change")
 				}
 				w.m.put(w.m.in, hi, 200, nil)
+			}
+			w.check()
+		}
+
+		// Fixed case: a tagged session's import is rebuilt in the arena
+		// every time it arrives, so the same delivery twice stores equal
+		// content under a new handle — the first is a new best, the second
+		// no change.
+		q := w.universe[0]
+		if q == hi {
+			q = w.universe[1]
+		}
+		rt := w.route(q, 400)
+		rt.ASPath = bgp.Path(400, 3002)
+		h, id := w.r.routes.Add(rt), w.r.Table().Intern(q)
+		if w.m.best(q) != nil {
+			w.fail("%s already has a best route: the case below proves nothing", q)
+		}
+		w.m.receive(400, rt)
+		for i, want := range []bool{true, false} {
+			w.step = fmt.Sprintf("ReceiveSharedNoDecide+Decide(400, %s) #%d on a tagged session", show(rt), i+1)
+			w.r.ReceiveSharedNoDecide(nil, 400, id, h)
+			if got := w.r.Decide(id); got != want {
+				w.fail("best changed = %v, want %v", got, want)
 			}
 			w.check()
 		}

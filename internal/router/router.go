@@ -9,13 +9,16 @@
 //
 // All three tables live in one paged table of fixed-size slots indexed
 // by a dense prefix id (PrefixTable), with the variable-length candidate
-// and advertisement runs in two per-router slabs (table.go). The batched
+// and advertisement runs in two per-router slabs (table.go). Routes
+// themselves live in a RouteArena (arena.go) and the tables hold 32-bit
+// handles to them, so no slot or slab page holds a pointer. The batched
 // entry points the delta engine drives — ExportAll, RecordAdvertisedAll,
-// ReceiveSharedNoDecide, WithdrawNoDecide, Decide — take the id, so
-// convergence hashes no prefix; the single-step, prefix-keyed API
-// (ReceiveUpdate, ExportTo, RecordAdvertised, BestRoute, ...) resolves
-// the id through the table first and then runs on the same slots. See
-// ARCHITECTURE.md, "Router memory layout".
+// ReceiveSharedNoDecide, WithdrawNoDecide, Decide — take the id and pass
+// routes by handle, so convergence hashes no prefix; the single-step,
+// prefix-keyed API (ReceiveUpdate, ExportTo, RecordAdvertised,
+// BestRoute, ...) resolves the id through the table first, takes and
+// returns *policy.Route, and runs on the same slots. See ARCHITECTURE.md,
+// "Router memory layout".
 package router
 
 import (
@@ -116,43 +119,44 @@ type Config struct {
 	ReflectAll bool
 }
 
-// nbRoute is one Adj-RIB-Out record: the neighbor plus the route last
-// sent to it. A prefix's records are a run in the router's out slab,
-// sorted by neighbor ASN (16 bytes each).
+// nbRoute is one Adj-RIB-Out record: the neighbor plus the handle of the
+// route last sent to it. A prefix's records are a run in the router's out
+// slab, sorted by neighbor ASN (8 bytes each, no pointer).
 type nbRoute struct {
 	from topo.ASN
-	rt   *policy.Route
+	h    Handle
 }
 
-// inEntry is one decision-process candidate (24 bytes): a route learned
-// from neighbor from, or the locally originated route when from is 0. A
-// prefix's candidates are a run in the router's in slab, sorted by from,
-// and the slot's best is a copy of the winning one.
+// inEntry is one decision-process candidate (16 bytes, no pointer): a
+// route learned from neighbor from, or the locally originated route when
+// from is 0. A prefix's candidates are a run in the router's in slab,
+// sorted by from, and the slot's best is a copy of the winning one.
 //
 // The import-derived attributes — relationship, local preference,
-// blackhole — live here and not in rt, so a receiver whose import policy
-// neither tags nor rewrites an update stores the sender's shared route
-// object itself: one AS-path/community slab per export class serves
-// every session and every receiver that accepted it unchanged. Readers
-// take next hop (from), relationship, local-pref and blackhole from the
-// entry; rt is authoritative only for prefix, path, communities, origin
-// and MED. Route materialises the policy.Route a looking glass shows.
+// blackhole — live here and not in the route, so a receiver whose import
+// policy neither tags nor rewrites an update stores the sender's handle
+// itself: one route per export class serves every session and every
+// receiver that accepted it unchanged. Readers take next hop (from),
+// relationship, local-pref and blackhole from the entry; the route h
+// names is authoritative only for prefix, path, communities, origin and
+// MED. Router.entryRoute materialises the policy.Route a looking glass
+// shows.
 type inEntry struct {
 	from topo.ASN
 	lp   uint32
+	h    Handle
 	rel  topo.Rel
 	bh   bool
-	rt   *policy.Route
 }
 
-// Route returns the entry as a full route. Entries whose rt already
+// entryRoute returns e as a full route. Entries whose route already
 // carries the entry's attributes (local originations, and routes the
-// mutating import path built privately) are returned as they are;
-// interned entries aliasing a shared export object get a private copy.
+// mutating import path built privately) are returned as they are, read
+// only; entries sharing a sender's export route get a private copy.
 // This is the read side of the looking-glass and data-plane paths; the
 // decision and export paths never call it.
-func (e inEntry) Route() *policy.Route {
-	rt := e.rt
+func (r *Router) entryRoute(e inEntry) *policy.Route {
+	rt := r.routes.At(e.h)
 	if rt.NextHopAS == e.from && rt.FromRel == e.rel && rt.LocalPref == e.lp && rt.Blackhole == e.bh {
 		return rt
 	}
@@ -164,11 +168,11 @@ func (e inEntry) Route() *policy.Route {
 	return &out
 }
 
-// slot is everything a router knows about one prefix (48 bytes, no heap
-// object of its own): the Loc-RIB winner by value — best.rt is nil when
-// there is none — and the spans of its candidate and advertisement runs.
-// Slots are indexed by prefix id and never removed; a slot with no best
-// and two empty spans is an absent prefix.
+// slot is everything a router knows about one prefix (40 bytes, no
+// pointer): the Loc-RIB winner by value — best.h is 0 when there is none
+// — and the spans of its candidate and advertisement runs. Slots are
+// indexed by prefix id and never removed; a slot with no best and two
+// empty spans is an absent prefix.
 type slot struct {
 	best inEntry
 	in   span // run in Router.in: candidates, the local origination first
@@ -184,8 +188,9 @@ type Router struct {
 	// tbl names the prefixes; slot id is the state for tbl.At(id). Slot
 	// pages are allocated when this router first writes one of their ids,
 	// never sized to the table, so a prefix that reaches two routers costs
-	// two routers.
+	// two routers. routes holds every route the slots and slabs name.
 	tbl     *PrefixTable
+	routes  *RouteArena
 	slots   slotTable
 	in      slab[inEntry]
 	out     slab[nbRoute]
@@ -205,13 +210,14 @@ type Router struct {
 	ribMu  sync.Mutex
 }
 
-// New constructs a router from cfg with a prefix table of its own; a
-// network moves it onto the shared one with Rebind.
+// New constructs a router from cfg with a prefix table and a route arena
+// of its own; a network moves it onto the shared ones with Rebind.
 func New(cfg Config) *Router {
 	return &Router{
 		cfg:       cfg,
 		neighbors: make(map[topo.ASN]topo.Rel),
 		tbl:       NewPrefixTable(),
+		routes:    NewRouteArena(),
 		locRIB:    netx.NewTrie[uint32](),
 	}
 }
@@ -219,25 +225,55 @@ func New(cfg Config) *Router {
 // Table returns the prefix table the router's ids come from.
 func (r *Router) Table() *PrefixTable { return r.tbl }
 
-// Rebind moves the router onto table t. When t is the router's table, or
-// a Clone of it taken since the table last grew, ids agree and only the
-// pointer moves (the copy-on-write fork path); otherwise each used slot
-// is renumbered through t, interning its prefix.
-func (r *Router) Rebind(t *PrefixTable) {
-	old := r.tbl
-	if t == old {
+// Rebind moves the router onto table t and arena a. When t is the
+// router's table, or a Clone of it taken since the table last grew, ids
+// agree, and when a is the router's arena, or a Clone of it taken since
+// it last grew, handles agree: then only the pointers move (the
+// copy-on-write fork path). Otherwise each used slot is renumbered
+// through t, interning its prefix, and each route it names is copied
+// into a once under a new handle.
+func (r *Router) Rebind(t *PrefixTable, a *RouteArena) {
+	oldT, oldA := r.tbl, r.routes
+	if t == oldT && a == oldA {
 		return
 	}
 	r.mustMutable()
-	r.tbl = t
-	if t.base == old && t.baseLen == old.Len() {
+	r.tbl, r.routes = t, a
+	renumber := t != oldT && !(t.base == oldT && t.baseLen == oldT.Len())
+	copyRoutes := a != oldA && !(a.base == oldA && a.baseLen == oldA.next.Load())
+	if !renumber && !copyRoutes {
 		return
+	}
+	moved := make(map[Handle]Handle)
+	move := func(h Handle) Handle {
+		if !copyRoutes || h == 0 {
+			return h
+		}
+		nh, ok := moved[h]
+		if !ok {
+			nh = a.Add(oldA.At(h))
+			moved[h] = nh
+		}
+		return nh
 	}
 	slots := r.slots
 	r.slots = nil
 	for id, s := range slots.all() {
-		if s.best.rt != nil || s.in.n > 0 || s.out.n > 0 {
-			*r.slots.grow(t.Intern(old.At(id))) = *s
+		if s.best.h == 0 && s.in.n == 0 && s.out.n == 0 {
+			continue
+		}
+		if renumber {
+			id = t.Intern(oldT.At(id))
+		}
+		st := r.slots.grow(id)
+		*st = *s
+		st.best.h = move(st.best.h)
+		in, out := r.in.run(st.in), r.out.run(st.out)
+		for i := range in {
+			in[i].h = move(in[i].h)
+		}
+		for i := range out {
+			out[i].h = move(out[i].h)
 		}
 	}
 	r.ribStale = true
@@ -313,7 +349,7 @@ func (r *Router) Originate(p netip.Prefix, comms ...bgp.Community) bool {
 	rt := policy.NewLocalRoute(p)
 	rt.Communities = bgp.NewCommunitySet(comms...)
 	id := r.tbl.Intern(rt.Prefix)
-	r.storeAdjIn(id, inEntry{lp: rt.LocalPref, rt: rt})
+	r.storeAdjIn(id, inEntry{lp: rt.LocalPref, h: r.routes.Add(rt)})
 	return r.decide(id)
 }
 
@@ -344,24 +380,27 @@ const (
 func (r *Router) ReceiveUpdate(from topo.ASN, in *policy.Route) (ImportResult, bool) {
 	r.mustMutable()
 	id := r.tbl.Intern(in.Prefix)
-	res := r.receive(from, id, in, false)
+	res := r.receive(nil, from, id, in, 0)
 	if res != ImportAccepted {
 		return res, false
 	}
 	return res, r.decide(id)
 }
 
-// ReceiveSharedNoDecide stores a shared update for the prefix id names
-// (in.Prefix) in the Adj-RIB-In without running the decision process,
-// reporting whether the import was accepted. Engines that batch several
-// deliveries for one prefix (the delta engine's per-destination inboxes)
-// apply them all and then call Decide once per prefix: the final
-// candidate set — and therefore the decision — is order-identical to
-// deciding after every delivery, while transient intermediate best
-// routes (which could only trigger no-op re-exports) are never computed.
-func (r *Router) ReceiveSharedNoDecide(from topo.ASN, id uint32, in *policy.Route) ImportResult {
+// ReceiveSharedNoDecide stores the update h names in the router's arena,
+// for the prefix id names, in the Adj-RIB-In without running the
+// decision process, reporting whether the import was accepted. A route
+// the import must tag or rewrite is stored anew through cur, the calling
+// engine worker's cursor on the same arena (nil: one handle at a time).
+// Engines that batch several deliveries for one prefix (the delta
+// engine's per-destination inboxes) apply them all and then call Decide
+// once per prefix: the final candidate set — and therefore the decision
+// — is order-identical to deciding after every delivery, while transient
+// intermediate best routes (which could only trigger no-op re-exports)
+// are never computed.
+func (r *Router) ReceiveSharedNoDecide(cur *RouteCursor, from topo.ASN, id uint32, h Handle) ImportResult {
 	r.mustMutable()
-	return r.receive(from, id, in, true)
+	return r.receive(cur, from, id, r.routes.At(h), h)
 }
 
 // Decide runs the decision process for prefix id and reports whether the
@@ -374,13 +413,15 @@ func (r *Router) Decide(id uint32) bool {
 // receive runs the import policy for an update and stores the accepted
 // candidate in the Adj-RIB-In; callers run the decision process.
 //
-// For shared inputs it first runs a pure decision pass (importScan): if
-// the import neither tags nor rewrites the route, the accepted entry
-// aliases the sender's route object with zero allocation — the interned
-// fast path the delta engine lives on. An import that adds a community
-// (blackhole NO_EXPORT, the session's ingress tags) falls through to the
-// classic build-a-private-route path below.
-func (r *Router) receive(from topo.ASN, id uint32, in *policy.Route, shared bool) ImportResult {
+// A shared input is the arena route named by handle shared (0 for a
+// caller's route, which receive never aliases). For shared inputs it
+// first runs a pure decision pass (importScan): if the import neither
+// tags nor rewrites the route, the accepted entry stores the sender's
+// handle with zero allocation — the fast path the delta engine lives on.
+// An import that adds a community (blackhole NO_EXPORT, the session's
+// ingress tags) falls through to the classic build-a-private-route path
+// below, which stores its result in the arena through cur.
+func (r *Router) receive(cur *RouteCursor, from topo.ASN, id uint32, in *policy.Route, shared Handle) ImportResult {
 	rel, ok := r.neighbors[from]
 	if !ok {
 		return ImportRejectedUnknownNeighbor
@@ -388,24 +429,25 @@ func (r *Router) receive(from topo.ASN, id uint32, in *policy.Route, shared bool
 	if in.ASPath.HasLoop(r.cfg.ASN) {
 		return ImportRejectedLoop
 	}
-	if shared {
+	if shared != 0 {
 		res, entry, pristine := r.importScan(from, rel, in)
 		if res != ImportAccepted {
 			return res
 		}
 		if pristine {
+			entry.h = shared
 			r.storeAdjIn(id, entry)
 			return ImportAccepted
 		}
 	}
-	var rt *policy.Route
-	ownComms := true
-	if shared {
-		cp := *in // slices still alias the shared slabs
-		rt = &cp
-		ownComms = false
-	} else {
-		rt = in.Clone()
+	// A shared input's slices stay aliased until a tag copies the set; a
+	// caller's route is deep-copied.
+	cp := *in
+	rt := &cp
+	ownComms := shared == 0
+	if ownComms {
+		rt.ASPath = in.ASPath.Clone()
+		rt.Communities = in.Communities.Clone()
 	}
 	// addComm is the copy-on-write community append: shared routes get a
 	// private set the first time this router tags the route.
@@ -506,8 +548,22 @@ func (r *Router) receive(from topo.ASN, id uint32, in *policy.Route, shared bool
 		addComm(tag)
 	}
 
-	r.storeAdjIn(id, inEntry{from: from, rel: rel, lp: rt.LocalPref, bh: rt.Blackhole, rt: rt})
+	h, slot := r.newRoute(cur)
+	*slot = *rt
+	r.storeAdjIn(id, inEntry{from: from, rel: rel, lp: rt.LocalPref, bh: rt.Blackhole, h: h})
 	return ImportAccepted
+}
+
+// newRoute returns a fresh handle in the router's arena and its zero
+// route for the caller to fill, reserved through cur when there is one.
+func (r *Router) newRoute(cur *RouteCursor) (Handle, *policy.Route) {
+	if cur == nil {
+		return r.routes.slot()
+	}
+	if cur.a != r.routes {
+		panic(fmt.Sprintf("router: AS%d given a cursor on another arena", r.cfg.ASN))
+	}
+	return cur.alloc()
 }
 
 // storeAdjIn inserts or replaces the candidate entry for (id, e.from).
@@ -528,10 +584,10 @@ func byFrom(e inEntry, from topo.ASN) int { return cmp.Compare(e.from, from) }
 // it computes the outcome, effective local-pref, and blackhole flag for
 // an update without building a route, and reports whether the import is
 // pristine — nothing would tag or rewrite the route, so the shared
-// input can be stored as-is. Non-pristine accepted imports are replayed
-// by the mutating path in receive; the two must agree, which the
-// engine differential tests cross-check (the rounds oracle never takes
-// this path).
+// input's handle can be stored as-is (the caller sets the entry's h).
+// Non-pristine accepted imports are replayed by the mutating path in
+// receive; the two must agree, which the engine differential tests
+// cross-check (the rounds oracle never takes this path).
 func (r *Router) importScan(from topo.ASN, rel topo.Rel, in *policy.Route) (ImportResult, inEntry, bool) {
 	fromCustomer := rel == topo.RelCustomer
 
@@ -604,7 +660,7 @@ func (r *Router) importScan(from topo.ASN, rel topo.Rel, in *policy.Route) (Impo
 		mutates = true
 	}
 
-	return ImportAccepted, inEntry{from: from, rel: rel, lp: lp, bh: bh, rt: in}, !mutates
+	return ImportAccepted, inEntry{from: from, rel: rel, lp: lp, bh: bh}, !mutates
 }
 
 // ReceiveWithdraw processes a withdrawal from a neighbor and reports

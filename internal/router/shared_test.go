@@ -24,10 +24,11 @@ func mkSharedPair(cfg Config) (classic, shared *Router) {
 }
 
 // ReceiveShared is the delta engine's receive — ReceiveSharedNoDecide,
-// then Decide — as one step, so it can stand beside ReceiveUpdate.
+// then Decide — as one step, so it can stand beside ReceiveUpdate. in is
+// stored in the router's arena first, the way a sender's export is.
 func (r *Router) ReceiveShared(from topo.ASN, in *policy.Route) (ImportResult, bool) {
 	id := r.tbl.Intern(in.Prefix)
-	res := r.ReceiveSharedNoDecide(from, id, in)
+	res := r.ReceiveSharedNoDecide(nil, from, id, r.routes.Add(in))
 	if res != ImportAccepted {
 		return res, false
 	}
@@ -173,8 +174,8 @@ func TestNoDecideBatchingMatchesPerDelivery(t *testing.T) {
 	perDelivery.ReceiveWithdraw(100, pfx)
 
 	id := batched.Table().Intern(pfx)
-	batched.ReceiveSharedNoDecide(100, id, rtFrom(100, 5))
-	batched.ReceiveSharedNoDecide(200, id, rtFrom(200, 9))
+	batched.ReceiveSharedNoDecide(nil, 100, id, batched.routes.Add(rtFrom(100, 5)))
+	batched.ReceiveSharedNoDecide(nil, 200, id, batched.routes.Add(rtFrom(200, 9)))
 	batched.WithdrawNoDecide(100, id)
 	if !batched.Decide(id) {
 		t.Fatal("batched decide reported no change for a new prefix")

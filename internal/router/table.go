@@ -98,7 +98,7 @@ func (t *PrefixTable) Clone() *PrefixTable {
 	return &PrefixTable{ids: maps.Clone(t.ids), pfx: slices.Clone(t.pfx), base: t, baseLen: len(t.pfx)}
 }
 
-// slotPageBits sizes a page of the slot table: 128 slots, 6 KiB.
+// slotPageBits sizes a page of the slot table: 128 slots, 5 KiB.
 const slotPageBits = 7
 
 type slotPage = [1 << slotPageBits]slot
@@ -106,7 +106,8 @@ type slotPage = [1 << slotPageBits]slot
 // slotTable holds a router's slots, indexed by prefix id, in fixed-size
 // pages allocated on first write: growing never copies a slot, and a
 // prefix that reaches a router costs it one page at most — not a slice
-// as long as the id is high.
+// as long as the id is high. A slot holds no pointer (routes are arena
+// handles), so the garbage collector never scans a slot page.
 //
 // Pages are copy-on-write (cow.go): a clone shares every page with its
 // sealed original and marks it shared. Read paths use at; every write
@@ -187,8 +188,8 @@ func (t slotTable) share() slotTable {
 // starting at element off&(slabPage-1).
 type span struct{ off, n, cap uint32 }
 
-// slabPageBits sizes a slab page: 1024 entries, 24 KiB of candidates or
-// 16 KiB of advertisement records.
+// slabPageBits sizes a slab page: 1024 entries, 16 KiB of candidates or
+// 8 KiB of advertisement records.
 const (
 	slabPageBits = 10
 	slabPage     = 1 << slabPageBits
@@ -202,8 +203,9 @@ const (
 // the size and the old span goes on its size class's free list, so
 // steady-state churn reuses holes instead of allocating. Pages are never
 // reallocated, so growth copies nothing but the run that moved. Elements
-// outside live runs are always zero, so released route pointers do not
-// outlive their entries.
+// outside live runs are always zero. Both element types name routes by
+// arena handle and hold no pointer, so slab pages are never scanned by
+// the garbage collector.
 //
 // Pages are copy-on-write like the slot table's: view is the read path,
 // and insert, remove, set, grow and release write only through run,

@@ -379,3 +379,34 @@ func TestApplyBoundsEachOp(t *testing.T) {
 		t.Fatalf("bound %d: batched error %v, serial error %v", most-1, batchErr, serialErr)
 	}
 }
+
+// TestArenaRoutesCountIsWorkerInvariant pins
+// simnet_route_arena_routes_total: an Apply adds the routes its windows
+// stored — export classes and tagged imports built on the engine's
+// workers as well as the originations — and the count is the same at
+// any worker count, however the workers' cursors split their blocks of
+// handles.
+func TestArenaRoutesCountIsWorkerInvariant(t *testing.T) {
+	stored := obs.Default.Counter("simnet_route_arena_routes_total", "")
+	var want uint64
+	for _, workers := range []int{1, 2, 4} {
+		p := tinyCfg.params()
+		p.Workers = workers
+		w, err := gen.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := applyOps(w, rand.New(rand.NewSource(1)))
+		before := stored.Value()
+		if _, err := w.Net.Apply(ops...); err != nil {
+			t.Fatal(err)
+		}
+		got := stored.Value() - before
+		if workers == 1 {
+			want = got
+		}
+		if got != want || got <= uint64(len(ops)) {
+			t.Fatalf("workers=%d: %d routes stored for %d ops, want %d at one worker and more than one per op", workers, got, len(ops), want)
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"bgpworms/internal/netx"
-	"bgpworms/internal/policy"
 	"bgpworms/internal/router"
 	"bgpworms/internal/topo"
 )
@@ -27,11 +26,16 @@ import (
 //     to order a bucket canonically and to show taps the delivery;
 //   - exports run through router.ExportAll, which does the
 //     neighbor-independent work once per (router, prefix) and shares
-//     one route object per policy class across sessions — the compact
+//     one route per policy class across sessions — the compact
 //     AS-path/community slabs that keep memory flat at large scale;
+//   - routes live in the network's router.RouteArena and travel as
+//     32-bit handles, so deliveries, inboxes and the routers' tables
+//     hold no pointers for the garbage collector to scan; each worker
+//     appends through a cursor of its own (curs), reserving handles a
+//     block at a time;
 //   - receives run through router.ReceiveSharedNoDecide, whose
-//     copy-on-write import keeps those slabs shared until a router
-//     actually tags the route;
+//     copy-on-write import keeps those routes shared until a router
+//     actually tags one;
 //   - all scratch (buckets, outboxes, inboxes) is reused across rounds
 //     and runs, so steady-state convergence allocates only real routing
 //     state;
@@ -58,8 +62,9 @@ type deltaState struct {
 	hints []*router.ExportHints // per-neighbor export policy, nbs-aligned
 	nbVer []int                 // Router.NeighborVersion at last refresh
 
-	owner  []int32      // prefix id -> index in the window of the op converging it
-	replay [][]delivery // per-op observed deliveries of the current window, serial order
+	owner  []int32              // prefix id -> index in the window of the op converging it
+	replay [][]delivery         // per-op observed deliveries of the current window, serial order
+	curs   []router.RouteCursor // per-worker appenders on the network's arena
 
 	// Tap lists by receiver, rebuilt when Network.tapVer moves: tapOf
 	// maps a router index to its list in tapLists, whose slot 0 holds the
@@ -78,6 +83,15 @@ type deltaState struct {
 	inbox   [][]delivery          // per-router inboxes, reused
 	touched []int                 // router indices with non-empty inboxes
 	changed [][]uint32            // per-touched changed prefix ids, reused
+}
+
+// delivery is one update crossing a session during a round, the prefix
+// named by its id in the network's table and the route by its handle in
+// the network's arena: h is 0 for withdrawals, mirroring UpdateTap's nil.
+type delivery struct {
+	from, to topo.ASN
+	id       uint32
+	h        router.Handle
 }
 
 // maxDenseASN bounds the direct-index table; generated worlds stay far
@@ -184,8 +198,8 @@ func (n *Network) indexTaps(st *deltaState) {
 
 // applyWindowOps bounds how many ops one applyWindow converges together.
 // Batching pays once rounds carry enough sources to shard (doChunked);
-// the window's buffered deliveries, the routes they pin and the engine
-// scratch that grows with round size are its cost. On a 2-core VM,
+// the window's buffered deliveries and the engine scratch that grows
+// with round size are its cost. On a 2-core VM,
 // windows of 16, 64 and 256 ops built worms -scale medium -workers 2
 // equally fast. A window of 64 raised the peak RSS of attacklab's
 // small+medium sweep from ~1.5 to ~1.8 GB, while 16 kept it at ~1.5 GB.
@@ -217,6 +231,7 @@ func (n *Network) applyWindow(ops []Op, counts []int) error {
 	for len(st.replay) < len(ops) {
 		st.replay = append(st.replay, nil)
 	}
+	stored := n.routes.Routes()
 	for w := range waves {
 		for i, op := range ops {
 			if wave[i] != w {
@@ -241,14 +256,14 @@ func (n *Network) applyWindow(ops []Op, counts []int) error {
 	for i := range ops {
 		for _, d := range st.replay[i] {
 			for _, t := range st.tapLists[st.tapOf[st.idx(d.to)]] {
-				t(d.from, d.to, pfx[d.id], d.rt)
+				t(d.from, d.to, pfx[d.id], n.routes.At(d.h))
 			}
 		}
 		replayed += len(st.replay[i])
-		clear(st.replay[i]) // drop the routes the buffer pins
 		st.replay[i] = st.replay[i][:0]
 	}
 	tapReplayed.Add(uint64(replayed))
+	arenaRoutes.Add(uint64(n.routes.Routes() - stored))
 	return nil
 }
 
@@ -284,6 +299,14 @@ func (n *Network) runDelta(workers int, counts []int) (int, error) {
 	// to the package counters once per run (obs.go).
 	var tally deltaRoundTally
 	defer tally.flush()
+	for len(st.curs) < workers {
+		st.curs = append(st.curs, n.routes.Cursor())
+	}
+	defer func() {
+		for w := range st.curs {
+			st.curs[w].Flush()
+		}
+	}()
 
 	for len(st.srcs) > 0 {
 		tally.rounds++
@@ -311,21 +334,21 @@ func (n *Network) runDelta(workers int, counts []int) (int, error) {
 		// Phase 1: exports, sharded by source router. ExportAll and
 		// RecordAdvertisedAll touch only the source, so each shard owns its
 		// routers' state.
-		doChunked(len(st.srcs), workers, func(k int) {
+		doChunked(len(st.srcs), workers, func(w, k int) {
 			ri := st.srcs[k]
 			src := n.routers[st.order[ri]]
 			out := st.outs[k][:0]
 			ps := st.items[ri]
 			slices.SortFunc(ps, byPrefix) // canonical order is prefix order, never id order
 			for _, id := range ps {
-				exp := src.ExportAll(id, st.nbs[ri], st.hints[ri], st.exp[k][:0])
+				exp := src.ExportAll(&st.curs[w], id, st.nbs[ri], st.hints[ri], st.exp[k][:0])
 				st.exp[k] = exp
 				// One Adj-RIB-Out merge per (router, prefix): only
 				// sessions whose advertisement changed become
 				// deliveries (suppressed exports withdraw if
 				// previously sent).
-				src.RecordAdvertisedAll(id, exp, func(nb topo.ASN, rt *policy.Route) {
-					out = append(out, delivery{from: st.order[ri], to: nb, id: id, rt: rt})
+				src.RecordAdvertisedAll(id, exp, func(nb topo.ASN, h router.Handle) {
+					out = append(out, delivery{from: st.order[ri], to: nb, id: id, h: h})
 				})
 			}
 			st.outs[k] = out
@@ -368,7 +391,7 @@ func (n *Network) runDelta(workers int, counts []int) (int, error) {
 		for len(st.changed) < len(st.touched) {
 			st.changed = append(st.changed, nil)
 		}
-		doChunked(len(st.touched), workers, func(k int) {
+		doChunked(len(st.touched), workers, func(w, k int) {
 			di := st.touched[k]
 			dst := n.routers[st.order[di]]
 			// Apply every delivery first, then decide once per mutated
@@ -379,8 +402,8 @@ func (n *Network) runDelta(workers int, counts []int) (int, error) {
 			dirty := st.changed[k][:0]
 			for _, d := range st.inbox[di] {
 				mutated := false
-				if d.rt != nil {
-					mutated = dst.ReceiveSharedNoDecide(d.from, d.id, d.rt) == router.ImportAccepted
+				if d.h != 0 {
+					mutated = dst.ReceiveSharedNoDecide(&st.curs[w], d.from, d.id, d.h) == router.ImportAccepted
 				} else {
 					mutated = dst.WithdrawNoDecide(d.from, d.id)
 				}
@@ -422,25 +445,27 @@ func (n *Network) runDelta(workers int, counts []int) (int, error) {
 	return delivered, nil
 }
 
-// doChunked runs fn(i) for i in [0, n) over at most workers goroutines,
-// which claim contiguous grains of about n/(8*workers) indices from a
-// shared counter instead of streaming single indices through a channel
-// (conc.Do): the delta engine's shards are fine-grained, so per-index
-// dispatch costs more than the work on small rounds, and their cost is
-// skewed (a tier-1 inbox dwarfs a stub's), so one fixed chunk per worker
-// leaves the others idle. Chunking cannot change results — every fn(i)
-// writes only slot i's state.
-func doChunked(n, workers int, fn func(i int)) {
+// doChunked runs fn(w, i) for i in [0, n) over at most workers
+// goroutines, w being the running goroutine's index in [0, workers) —
+// what lets fn use per-worker state (the route cursors) without a lock.
+// The goroutines claim contiguous grains of about n/(8*workers) indices
+// from a shared counter instead of streaming single indices through a
+// channel (conc.Do): the delta engine's shards are fine-grained, so
+// per-index dispatch costs more than the work on small rounds, and their
+// cost is skewed (a tier-1 inbox dwarfs a stub's), so one fixed chunk
+// per worker leaves the others idle. Chunking cannot change results —
+// every fn(w, i) writes only slot i's state and worker w's scratch.
+func doChunked(n, workers int, fn func(w, i int)) {
 	if workers <= 1 || n <= 32 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
 	grain := max(1, n/(8*workers))
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range workers {
+	for w := range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -450,7 +475,7 @@ func doChunked(n, workers int, fn func(i int)) {
 					return
 				}
 				for i := lo; i < min(lo+grain, n); i++ {
-					fn(i)
+					fn(w, i)
 				}
 			}
 		}()

@@ -11,15 +11,6 @@ import (
 	"bgpworms/internal/topo"
 )
 
-// delivery is one update crossing a session during a round, the prefix
-// named by its id in the network's table: rt is nil for withdrawals,
-// mirroring UpdateTap.
-type delivery struct {
-	from, to topo.ASN
-	id       uint32
-	rt       *policy.Route
-}
-
 // runRounds drains the propagation queue with the round-based reference
 // engine: the plain form of the algorithm runDelta optimizes — global
 // sorted frontier, per-session ExportTo/RecordAdvertised, cloning
@@ -46,6 +37,13 @@ type delivery struct {
 // state regardless of how many workers split the shards, which is what
 // makes the engine deterministic for any worker count.
 func (n *Network) runRounds(workers int) (int, error) {
+	// update is one delivery as the single-step API passes it: the route
+	// ExportTo built (nil for a withdrawal) rather than an arena handle.
+	type update struct {
+		from, to topo.ASN
+		id       uint32
+		rt       *policy.Route
+	}
 	delivered := 0
 	for len(n.queue) > 0 {
 		pfx := n.prefixes.Prefixes()
@@ -79,10 +77,10 @@ func (n *Network) runRounds(workers int) (int, error) {
 		}
 
 		// Phase 1: compute exports per source.
-		outs := make([][]delivery, len(srcOrder))
+		outs := make([][]update, len(srcOrder))
 		conc.Do(len(srcOrder), workers, func(i int) {
 			src := n.routers[srcOrder[i]]
-			var ds []delivery
+			var ds []update
 			for _, it := range bySrc[srcOrder[i]] {
 				for _, nb := range src.Neighbors() {
 					if n.routers[nb] == nil {
@@ -95,14 +93,14 @@ func (n *Network) runRounds(workers int) (int, error) {
 					if !src.RecordAdvertised(nb, pfx[it.id], out) {
 						continue // nothing new on this session
 					}
-					ds = append(ds, delivery{from: it.asn, to: nb, id: it.id, rt: out})
+					ds = append(ds, update{from: it.asn, to: nb, id: it.id, rt: out})
 				}
 			}
 			outs[i] = ds
 		})
 
 		// Phase 2: count deliveries and fire taps in canonical order.
-		var round []delivery
+		var round []update
 		for _, ds := range outs {
 			round = append(round, ds...)
 		}
@@ -121,7 +119,7 @@ func (n *Network) runRounds(workers int) (int, error) {
 
 		// Phase 3: apply inboxes per destination.
 		var dstOrder []topo.ASN
-		byDst := make(map[topo.ASN][]delivery)
+		byDst := make(map[topo.ASN][]update)
 		for _, d := range round {
 			if _, seen := byDst[d.to]; !seen {
 				dstOrder = append(dstOrder, d.to)

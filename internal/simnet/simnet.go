@@ -63,6 +63,11 @@ type Network struct {
 	// inside a convergence run, and never show in anything a tap, archive
 	// or RIB dump carries.
 	prefixes *router.PrefixTable
+	// routes is the one arena every router of this network stores its
+	// routes in. Handles are assigned inside convergence runs too (the
+	// engine's workers append through cursors of their own), and, like
+	// prefix ids, never show in anything observable.
+	routes *router.RouteArena
 
 	// queue of (asn, prefix id) pairs whose exports must be recomputed.
 	queue   []workItem
@@ -110,6 +115,7 @@ func New(g *topo.Graph, mk ConfigFunc) *Network {
 		Graph:    g,
 		routers:  make(map[topo.ASN]*router.Router, g.NumASes()),
 		prefixes: router.NewPrefixTable(),
+		routes:   router.NewRouteArena(),
 		queued:   make(map[workItem]bool),
 		maxWork:  0,
 	}
@@ -117,7 +123,7 @@ func New(g *topo.Graph, mk ConfigFunc) *Network {
 		cfg := mk(asn)
 		cfg.ASN = asn
 		r := router.New(cfg)
-		r.Rebind(n.prefixes)
+		r.Rebind(n.prefixes, n.routes)
 		n.routers[asn] = r
 	}
 	for _, asn := range g.ASes() {
@@ -135,12 +141,13 @@ func (n *Network) Router(asn topo.ASN) *router.Router { return n.routers[asn] }
 // AddRouter inserts an extra node (e.g. a route server or an injection
 // platform) that is not part of the relationship graph. Sessions must be
 // wired explicitly with Connect. The router moves onto the network's
-// prefix table, keeping whatever routes it already holds.
+// prefix table and route arena, keeping whatever routes it already
+// holds.
 func (n *Network) AddRouter(r *router.Router) {
 	if n.frozen {
 		panic(fmt.Sprintf("simnet: AddRouter(AS%d) on frozen network — fork the snapshot instead", r.ASN()))
 	}
-	r.Rebind(n.prefixes)
+	r.Rebind(n.prefixes, n.routes)
 	n.routers[r.ASN()] = r
 	n.invalidateDelta()
 }

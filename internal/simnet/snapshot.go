@@ -30,6 +30,7 @@ type Snapshot struct {
 	graph    *topo.Graph
 	routers  map[topo.ASN]*router.Router
 	prefixes *router.PrefixTable
+	routes   *router.RouteArena
 	steps    int
 	maxWork  int
 	workers  int
@@ -62,13 +63,13 @@ func (n *Network) Freeze() (*Snapshot, error) {
 	}
 	n.frozen = true
 	// A frozen network never runs again: drop the engine scratch, whose
-	// buffers also hold stale route pointers that would pin dead routes
-	// for as long as the snapshot lives.
+	// buffers would otherwise live as long as the snapshot.
 	n.invalidateDelta()
 	return &Snapshot{
 		graph:    n.Graph,
 		routers:  n.routers,
 		prefixes: n.prefixes,
+		routes:   n.routes,
 		steps:    n.steps,
 		maxWork:  n.maxWork,
 		workers:  n.workers,
@@ -94,6 +95,7 @@ func (s *Snapshot) Fork() (*Network, error) {
 		Graph:    s.graph,
 		routers:  maps.Clone(s.routers),
 		prefixes: s.prefixes.Clone(),
+		routes:   s.routes.Clone(),
 		queued:   make(map[workItem]bool),
 		steps:    s.steps,
 		maxWork:  s.maxWork,
@@ -138,7 +140,7 @@ func (n *Network) mutable(asn topo.ASN) *router.Router {
 		panic(fmt.Sprintf("simnet: mutation of frozen network (AS%d) — fork the snapshot instead", asn))
 	}
 	cp := r.Clone()
-	cp.Rebind(n.prefixes)
+	cp.Rebind(n.prefixes, n.routes)
 	n.routers[asn] = cp
 	return cp
 }

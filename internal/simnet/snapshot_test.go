@@ -136,6 +136,43 @@ func TestSnapshotForkIsolation(t *testing.T) {
 	}
 }
 
+// TestForkRoutesIsolated pins the route-arena half of fork isolation:
+// sibling forks of one sealed world converge a prefix each, one after
+// the other, and store their routes in clones of the snapshot's arena,
+// which share its pages — its last one with room to spare. A fork's
+// routes must start on a page of its own: each fork must read back
+// exactly what it read right after its own run, whatever its sibling
+// stored since, and the snapshot must read as it did before.
+func TestForkRoutesIsolated(t *testing.T) {
+	parent, snap := frozenWorld(t)
+	before := collapseRIBs(parent)
+	var forks []*Network
+	var reads []string
+	for i := range 2 {
+		f, err := snap.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := netx.MustPrefix(fmt.Sprintf("10.%d.0.0/16", 70+i))
+		if _, err := f.Announce(topo.ASN(2+i), own, bgp.C(uint16(2+i), uint16(700+i))); err != nil {
+			t.Fatal(err)
+		}
+		read := collapseRIBs(f)
+		if !strings.Contains(read, own.String()) {
+			t.Fatalf("fork %d does not read back its own prefix %s:\n%s", i, own, read)
+		}
+		forks, reads = append(forks, f), append(reads, read)
+	}
+	for i, f := range forks {
+		if got := collapseRIBs(f); got != reads[i] {
+			t.Errorf("fork %d reads back differently once its sibling ran:\n%s\nwant:\n%s", i, got, reads[i])
+		}
+	}
+	if after := collapseRIBs(parent); after != before {
+		t.Error("the frozen parent reads back differently after its forks ran")
+	}
+}
+
 // TestFreezeLifecycleErrors pins every loud failure mode of the
 // freeze/fork/discard lifecycle.
 func TestFreezeLifecycleErrors(t *testing.T) {
