@@ -18,9 +18,9 @@ import (
 	"testing"
 
 	"bgpworms/internal/gen"
-	"bgpworms/internal/policy"
 	"bgpworms/internal/scenario"
 	"bgpworms/internal/semantics"
+	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
 	"bgpworms/internal/watch"
 )
@@ -59,14 +59,18 @@ func warmContext(t *testing.T, name, scale, engine string, workers int) *scenari
 
 // runObservable executes the scenario (warm when snap is non-nil,
 // scratch otherwise) and collapses its observables, the update stream
-// only when tapped. Tap events are formatted immediately: route pointers
-// in the stream are shared with the live network and must not be held.
+// only when tapped. Tap events are formatted as they arrive.
 func runObservable(t *testing.T, name string, ctx *scenario.Context, snap *gen.Snapshot, tapped bool) *scenarioObservable {
 	t.Helper()
 	var taps strings.Builder
 	if tapped {
-		ctx.Tap = func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
-			fmt.Fprintf(&taps, "%d>%d %s %s\n", from, to, prefix, rt)
+		ctx.Tap = func(from, to topo.ASN, prefix netip.Prefix, ref simnet.RouteRef) {
+			if !ref.Valid() {
+				fmt.Fprintf(&taps, "%d>%d %s withdraw\n", from, to, prefix)
+				return
+			}
+			rt := ref.Route()
+			fmt.Fprintf(&taps, "%d>%d %s %s\n", from, to, prefix, &rt)
 		}
 	}
 	var worlds []*gen.Internet

@@ -1,7 +1,6 @@
 package bgp
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -106,32 +105,6 @@ func (p ASPath) Prepend(asn uint32, n int) ASPath {
 		out = append(out, PathSegment{Type: seg.Type, ASNs: append([]uint32(nil), seg.ASNs...)})
 	}
 	return out
-}
-
-// IsPrepend reports whether p is what q.Prepend(asn, n) builds — the same
-// segments, not merely the same flattened sequence — without allocating.
-func (p ASPath) IsPrepend(q ASPath, asn uint32, n int) bool {
-	if n <= 0 {
-		return equalSegments(p, q)
-	}
-	if len(p) == 0 || p[0].Type != SegmentSequence || len(p[0].ASNs) < n {
-		return false
-	}
-	for _, a := range p[0].ASNs[:n] {
-		if a != asn {
-			return false
-		}
-	}
-	if len(q) > 0 && q[0].Type == SegmentSequence {
-		return len(p) == len(q) && slices.Equal(p[0].ASNs[n:], q[0].ASNs) && equalSegments(p[1:], q[1:])
-	}
-	return len(p[0].ASNs) == n && equalSegments(p[1:], q)
-}
-
-func equalSegments(p, q ASPath) bool {
-	return slices.EqualFunc(p, q, func(a, b PathSegment) bool {
-		return a.Type == b.Type && slices.Equal(a.ASNs, b.ASNs)
-	})
 }
 
 // EqualSequence reports whether both paths flatten to the same ASN

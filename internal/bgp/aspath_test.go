@@ -139,34 +139,3 @@ func TestProperty_Prepend(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: IsPrepend accepts exactly what Prepend builds — whether the
-// path leads with a sequence, a set, or nothing — and rejects a path that
-// differs in one ASN, one repeat, or its segmentation.
-func TestProperty_IsPrepend(t *testing.T) {
-	f := func(asns []uint32, leadSet bool, a uint32, n uint8) bool {
-		k := int(n % 4)
-		q := Path(asns...)
-		if leadSet && len(asns) > 0 {
-			q = append(ASPath{{Type: SegmentSet, ASNs: []uint32{a + 1, a + 2}}}, q...)
-		}
-		p := q.Prepend(a, k)
-		if !p.IsPrepend(q, a, k) || p.IsPrepend(q, a, k+1) || p.IsPrepend(q, a+1, k+1) {
-			return false
-		}
-		if len(p) == 0 {
-			return true
-		}
-		bumped := p.Clone()
-		bumped[len(bumped)-1].ASNs[0]++
-		if bumped.IsPrepend(q, a, k) {
-			return false
-		}
-		// Same flattened sequence as Prepend(a, k+1), one segment too many.
-		split := append(ASPath{{Type: SegmentSequence, ASNs: []uint32{a}}}, p...)
-		return p[0].Type != SegmentSequence || !split.IsPrepend(q, a, k+1)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}

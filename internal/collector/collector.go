@@ -82,10 +82,11 @@ type Observation struct {
 	Seq    int
 	Time   time.Time
 	PeerAS topo.ASN
+	// Route is the delivered route's handle in the network's arena, 0 for
+	// withdrawals: recording one copies nothing. Collector.Route resolves
+	// it.
+	Route  router.Handle
 	Prefix netip.Prefix
-	// Route is nil for withdrawals. It is the object the network
-	// delivered, shared with router tables: read-only.
-	Route *policy.Route
 }
 
 // Collector is a passive measurement node attached to the network.
@@ -167,7 +168,7 @@ func (c *Collector) Attach(n *simnet.Network) error {
 
 // tap records one delivery to the collector; it is the method value
 // Attach and ForkInto register with the network, subscribed to c.ASN.
-func (c *Collector) tap(from, _ topo.ASN, prefix netip.Prefix, rt *policy.Route) {
+func (c *Collector) tap(from, _ topo.ASN, prefix netip.Prefix, rt simnet.RouteRef) {
 	p, ok := c.peers[from]
 	if !ok {
 		return
@@ -176,10 +177,10 @@ func (c *Collector) tap(from, _ topo.ASN, prefix netip.Prefix, rt *policy.Route)
 		return
 	}
 	c.seq++
-	// The delivered route is recorded as it is, not copied: both engines
-	// treat an exported route as immutable (a later export of the prefix
-	// is a new object), and readers copy what they keep.
-	c.obs = append(c.obs, Observation{Seq: c.seq, Time: feed.LogicalTime(uint64(c.seq)), PeerAS: from, Prefix: prefix, Route: rt})
+	// The delivered route is recorded by reference, not copied: a stored
+	// route is never changed (a later export of the prefix is a new
+	// route), and readers copy what they keep.
+	c.obs = append(c.obs, Observation{Seq: c.seq, Time: feed.LogicalTime(uint64(c.seq)), PeerAS: from, Prefix: prefix, Route: rt.Handle()})
 	observationsTotal.Inc()
 }
 
@@ -230,6 +231,11 @@ func partialKeeps(collector, peer topo.ASN, p netip.Prefix) bool {
 	return h.Sum32()%2 == 0
 }
 
+// Route resolves the route ob recorded (the zero Ref for a withdrawal)
+// through the arena of the network the collector is attached to, which
+// resolves every handle a snapshot's collector recorded as well.
+func (c *Collector) Route(ob Observation) router.Ref { return c.net.Routes().Ref(ob.Route) }
+
 // Observations returns everything recorded so far.
 func (c *Collector) Observations() []Observation { return c.obs }
 
@@ -248,7 +254,7 @@ func collectorIP(collector topo.ASN) netip.Addr {
 func (c *Collector) WriteUpdatesMRT(w io.Writer) (int, error) {
 	mw := mrt.NewWriter(w)
 	for _, ob := range c.obs {
-		msg, err := observationToUpdate(ob)
+		msg, err := observationToUpdate(ob, c.Route(ob))
 		if err != nil {
 			return mw.Count(), err
 		}
@@ -267,15 +273,16 @@ func (c *Collector) WriteUpdatesMRT(w io.Writer) (int, error) {
 	return mw.Count(), nil
 }
 
-// observationToUpdate converts a recorded route into a wire UPDATE.
-func observationToUpdate(ob Observation) (*bgp.Update, error) {
-	if ob.Route == nil {
+// observationToUpdate converts a recorded route, ob's resolved as ref,
+// into a wire UPDATE.
+func observationToUpdate(ob Observation, ref router.Ref) (*bgp.Update, error) {
+	if !ref.Valid() {
 		if ob.Prefix.Addr().Is4() {
 			return &bgp.Update{Withdrawn: []netip.Prefix{ob.Prefix}}, nil
 		}
 		return &bgp.Update{Attrs: bgp.PathAttributes{MPUnreachNLRI: []netip.Prefix{ob.Prefix}}}, nil
 	}
-	rt := ob.Route
+	rt := ref.Route()
 	attrs := bgp.PathAttributes{
 		Origin:      rt.Origin,
 		ASPath:      rt.ASPath.Clone(),

@@ -46,14 +46,15 @@ func TestFullFeedRecordsUpdates(t *testing.T) {
 		t.Fatal("no observations")
 	}
 	last := obs[len(obs)-1]
-	if last.PeerAS != 3 || last.Route == nil {
+	if last.PeerAS != 3 || !c.Route(last).Valid() {
 		t.Fatalf("obs=%+v", last)
 	}
-	if last.Route.ASPath.Origin() != 1 {
-		t.Fatalf("origin=%d", last.Route.ASPath.Origin())
+	rt := c.Route(last).Route()
+	if rt.ASPath.Origin() != 1 {
+		t.Fatalf("origin=%d", rt.ASPath.Origin())
 	}
-	if !last.Route.Communities.Has(bgp.C(1, 200)) {
-		t.Fatalf("communities=%v", last.Route.Communities)
+	if !rt.Communities.Has(bgp.C(1, 200)) {
+		t.Fatalf("communities=%v", rt.Communities)
 	}
 	// Timestamps are monotone.
 	for i := 1; i < len(obs); i++ {
@@ -87,8 +88,8 @@ func TestRecordedRouteSurvivesReExport(t *testing.T) {
 			t.Fatal(err)
 		}
 		first := c.Observations()[0]
-		want := first.Route.Clone()
-		wantWire, err := observationToUpdate(first)
+		want := c.Route(first).Route()
+		wantWire, err := observationToUpdate(first, c.Route(first))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,10 +106,10 @@ func TestRecordedRouteSurvivesReExport(t *testing.T) {
 			t.Fatalf("oracle=%v: %d observations, want 4 (announce, re-announce, withdraw, announce)", oracle, got)
 		}
 		got := c.Observations()[0]
-		if got.Route.String() != want.String() {
-			t.Errorf("oracle=%v: first observation now reads %v, recorded as %v", oracle, got.Route, want)
+		if rt := c.Route(got).Route(); rt.String() != want.String() {
+			t.Errorf("oracle=%v: first observation now reads %v, recorded as %v", oracle, &rt, &want)
 		}
-		gotWire, _ := observationToUpdate(got)
+		gotWire, _ := observationToUpdate(got, c.Route(got))
 		a, _ := wantWire.Encode()
 		b, _ := gotWire.Encode()
 		if !bytes.Equal(a, b) {
@@ -179,7 +180,7 @@ func TestWithdrawalsRecorded(t *testing.T) {
 	n.Withdraw(1, pfx)
 	var withdrawals int
 	for _, ob := range c.Observations() {
-		if ob.Route == nil && ob.Prefix == pfx {
+		if ob.Route == 0 && ob.Prefix == pfx {
 			withdrawals++
 		}
 	}

@@ -116,7 +116,7 @@ func FromCollectors(cs []*collector.Collector) *Dataset {
 		})
 		for _, ob := range c.Observations() {
 			at = ob.Time
-			record(ob.PeerAS, c.ASN, ob.Prefix, ob.Route)
+			record(ob.PeerAS, c.ASN, ob.Prefix, c.Route(ob))
 		}
 	})
 	return ds

@@ -155,7 +155,7 @@ func TestFromCollectorsMatchesSerialConversion(t *testing.T) {
 		})
 		for _, ob := range c.Observations() {
 			at = ob.Time
-			record(ob.PeerAS, c.ASN, ob.Prefix, ob.Route)
+			record(ob.PeerAS, c.ASN, ob.Prefix, c.Route(ob))
 		}
 	}
 	if len(want.Collectors) < 2 || len(want.Updates) == 0 {

@@ -8,7 +8,7 @@
 // Events come from StreamMRT, which decodes BGP4MP update archives and
 // live feed bytes, and from Tap, which adapts a simulated network's
 // session deliveries. The package sits below every consumer and imports
-// only the wire and simulation layers (bgp, mrt, simnet, policy, topo).
+// only the wire and simulation layers (bgp, mrt, simnet, topo).
 package feed
 
 import (
@@ -20,7 +20,6 @@ import (
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/mrt"
-	"bgpworms/internal/policy"
 	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
 )
@@ -143,17 +142,18 @@ func (d *drainReader) Read(p []byte) (int, error) {
 }
 
 // Tap adapts a simulated network's session deliveries into Events for
-// sink, labelled with source: the exporting AS is the peer, a nil route
-// a withdrawal. Attach via gen.Params.Tap / scenario.Context.Tap to
+// sink, labelled with source: the exporting AS is the peer, the zero
+// RouteRef a withdrawal. Attach via gen.Params.Tap / scenario.Context.Tap to
 // observe a world from its first origin announcement, or Network.Tap
 // for one already built. The tap is lossless: a sink that blocks (a
 // saturated watch engine) stalls the simulation instead of dropping.
 func Tap(source string, sink func(Event)) simnet.UpdateTap {
-	return func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
+	return func(from, to topo.ASN, prefix netip.Prefix, ref simnet.RouteRef) {
 		ev := Event{Source: source, PeerAS: uint32(from), Prefix: prefix}
-		if rt == nil {
+		if !ref.Valid() {
 			ev.Withdraw = true
 		} else {
+			rt := ref.Route()
 			ev.ASPath = rt.ASPath.Sequence()
 			ev.Communities = rt.Communities.Clone()
 		}

@@ -18,7 +18,9 @@ import (
 	"bgpworms/internal/gen"
 	"bgpworms/internal/mrt"
 	"bgpworms/internal/policy"
+	"bgpworms/internal/router"
 	"bgpworms/internal/semantics"
+	"bgpworms/internal/simnet"
 	"bgpworms/internal/watch"
 )
 
@@ -185,9 +187,11 @@ func TestTapWithdrawalCarriesNothing(t *testing.T) {
 	p := netip.MustParsePrefix("198.51.100.0/24")
 	var got []feed.Event
 	tap := feed.Tap("sim", func(ev feed.Event) { got = append(got, ev) })
-	rt := &policy.Route{ASPath: bgp.Path(7, 3), Communities: bgp.NewCommunitySet(bgp.C(3, 100))}
-	tap(7, 9, p, rt)
-	tap(7, 9, p, nil)
+	rt := &policy.Route{Prefix: p, ASPath: bgp.Path(7, 3), Communities: bgp.NewCommunitySet(bgp.C(3, 100))}
+	routes := router.NewRouteArena()
+	ref := routes.Ref(routes.Add(rt))
+	tap(7, 9, p, ref)
+	tap(7, 9, p, simnet.RouteRef{})
 
 	want := []feed.Event{
 		{Source: "sim", PeerAS: 7, Prefix: p, ASPath: []uint32{7, 3}, Communities: bgp.NewCommunitySet(bgp.C(3, 100))},
@@ -196,7 +200,7 @@ func TestTapWithdrawalCarriesNothing(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tap emitted\n %+v\nwant\n %+v", got, want)
 	}
-	rt.Communities[0] = bgp.C(3, 200)
+	ref.Route().Communities[0] = bgp.C(3, 200) // the arena's canonical set
 	if got[0].Communities[0] != bgp.C(3, 100) {
 		t.Fatal("the announcement shares its community set with the network's route")
 	}

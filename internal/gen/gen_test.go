@@ -139,11 +139,13 @@ func TestOriginTagsArriveAtCollectors(t *testing.T) {
 	found := false
 	for _, c := range w.Collectors {
 		for _, ob := range c.Observations() {
-			if ob.Route == nil {
+			ref := c.Route(ob)
+			if !ref.Valid() {
 				continue
 			}
-			origin := ob.Route.ASPath.Origin()
-			for _, comm := range ob.Route.Communities {
+			rt := ref.Route()
+			origin := rt.ASPath.Origin()
+			for _, comm := range rt.Communities {
 				if topo.ASN(comm.ASN()) == origin && origin >= ASNStubBase {
 					found = true
 				}

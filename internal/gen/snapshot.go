@@ -12,7 +12,7 @@ import (
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/collector"
 	"bgpworms/internal/ixp"
-	"bgpworms/internal/policy"
+	"bgpworms/internal/router"
 	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
 )
@@ -71,14 +71,13 @@ func replaySource(seed int64, draws uint64) *countingSource {
 	return s
 }
 
-// tapEvent is one recorded update delivery from world construction. The
-// route pointer is the shared (sealed, immutable) slab object the live
-// tap saw; consumers that retain routes clone them, exactly as they do
-// on the live stream.
+// tapEvent is one recorded update delivery from world construction: the
+// route is the handle the live tap saw, resolved at replay through the
+// snapshot's (sealed, never changed) route arena, 0 for a withdrawal.
 type tapEvent struct {
 	from, to topo.ASN
+	h        router.Handle
 	prefix   netip.Prefix
-	route    *policy.Route
 }
 
 // tapBlock is how many events one block of the recorded stream holds
@@ -123,12 +122,12 @@ func buildSnapshot(p Params, record bool) (*Snapshot, error) {
 	}
 	var stream [][]tapEvent
 	if record {
-		p.Tap = func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
+		p.Tap = func(from, to topo.ASN, prefix netip.Prefix, rt simnet.RouteRef) {
 			if len(stream) == 0 || len(stream[len(stream)-1]) == tapBlock {
 				stream = append(stream, make([]tapEvent, 0, tapBlock))
 			}
 			last := &stream[len(stream)-1]
-			*last = append(*last, tapEvent{from: from, to: to, prefix: prefix, route: rt})
+			*last = append(*last, tapEvent{from: from, to: to, h: rt.Handle(), prefix: prefix})
 		}
 	}
 	workers := p.Workers
@@ -183,9 +182,10 @@ func (s *Snapshot) Fork(tap simnet.UpdateTap) (*Internet, error) {
 		return nil, err
 	}
 	if tap != nil {
+		routes := n.Routes()
 		for _, block := range s.stream {
 			for _, ev := range block {
-				tap(ev.from, ev.to, ev.prefix, ev.route)
+				tap(ev.from, ev.to, ev.prefix, routes.Ref(ev.h))
 			}
 		}
 		n.Tap(tap)

@@ -9,16 +9,19 @@ import (
 	"testing"
 
 	"bgpworms/internal/obs"
-	"bgpworms/internal/policy"
 	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
 )
 
-// transcript returns a tap that formats every delivery into *out at once
-// (the route pointers belong to the live network and are not held).
+// transcript returns a tap that formats every delivery into *out.
 func transcript(out *[]string) simnet.UpdateTap {
-	return func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
-		*out = append(*out, fmt.Sprintf("%d>%d %s %s", from, to, prefix, rt))
+	return func(from, to topo.ASN, prefix netip.Prefix, ref simnet.RouteRef) {
+		if !ref.Valid() {
+			*out = append(*out, fmt.Sprintf("%d>%d %s withdraw", from, to, prefix))
+			return
+		}
+		rt := ref.Route()
+		*out = append(*out, fmt.Sprintf("%d>%d %s %s", from, to, prefix, &rt))
 	}
 }
 
@@ -99,7 +102,7 @@ func TestSnapshotTapReplayCounts(t *testing.T) {
 	perReceiver := map[topo.ASN]int{}
 	p := Tiny()
 	p.Engine = "rounds"
-	p.Tap = func(_, to topo.ASN, _ netip.Prefix, _ *policy.Route) { perReceiver[to]++ }
+	p.Tap = func(_, to topo.ASN, _ netip.Prefix, _ simnet.RouteRef) { perReceiver[to]++ }
 	w, err := Build(p)
 	if err != nil {
 		t.Fatal(err)

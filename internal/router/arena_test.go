@@ -2,6 +2,7 @@ package router
 
 import (
 	"net/netip"
+	"slices"
 	"sync"
 	"testing"
 
@@ -18,7 +19,7 @@ import (
 // arena's own.
 func TestRouteArenaConcurrentAppends(t *testing.T) {
 	a := NewRouteArena()
-	const goroutines, perG = 5, 3 * arenaPage
+	const goroutines, perG = 5, 3 * pageLen
 	handles := make([][]Handle, goroutines)
 	var wg sync.WaitGroup
 	for g := range goroutines {
@@ -36,9 +37,7 @@ func TestRouteArenaConcurrentAppends(t *testing.T) {
 					handles[g] = append(handles[g], a.Add(&rt))
 					continue
 				}
-				h, slot := cur.alloc()
-				*slot = rt
-				handles[g] = append(handles[g], h)
+				handles[g] = append(handles[g], cur.add(a.record(&rt)))
 			}
 			cur.Flush()
 		}()
@@ -52,17 +51,17 @@ func TestRouteArenaConcurrentAppends(t *testing.T) {
 				t.Fatalf("goroutine %d route %d got handle %d twice or the null handle", g, i, h)
 			}
 			seen[h] = true
-			rt := a.At(h)
+			rt := a.Ref(h).Route()
 			if want := netip.PrefixFrom(netx.V4(10, byte(g), byte(i>>8), byte(i)), 32); rt.Prefix != want || rt.MED != uint32(i) ||
-				!rt.ASPath.EqualSequence(bgp.Path(uint32(g), uint32(i))) {
-				t.Fatalf("handle %d (goroutine %d route %d) resolves to %v", h, g, i, rt)
+				!slices.Equal(rt.ASPath.Sequence(), []uint32{uint32(g), uint32(i)}) {
+				t.Fatalf("handle %d (goroutine %d route %d) resolves to %v", h, g, i, &rt)
 			}
 		}
 	}
 	if got := a.Routes(); got != goroutines*perG {
 		t.Fatalf("Routes() = %d, want %d", got, goroutines*perG)
 	}
-	if a.At(0) != nil {
+	if a.Ref(0).Valid() {
 		t.Fatal("handle 0 resolves to a route")
 	}
 }

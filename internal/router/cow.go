@@ -43,8 +43,8 @@ func (r *Router) mustMutable() {
 // page pointers however many prefixes the router holds. Routes are
 // written once and never edited, so the clone's handles name them in the
 // original's arena for good. The clone reads ids and routes through the
-// original's table and arena until Rebind moves it — onto a fork's
-// clones of both, which is a pointer swap. Cloning an unsealed router
+// original's table and arena until Rebind moves it — onto a fork's Clone
+// of the arena, which carries a Clone of the table, a pointer swap. Cloning an unsealed router
 // panics: its next write would land in pages the clone reads.
 func (r *Router) Clone() *Router {
 	if !r.sealed {

@@ -115,7 +115,7 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 	if last := r.in.pages[len(r.in.pages)-1].elems; len(r.in.free) != 0 || len(last) == cap(last) {
 		t.Fatalf("the original's Adj-RIB-In has free spans %v or a full last page: the check below proves nothing", r.in.free)
 	}
-	if r.routes.next.Load()%arenaPage == 0 {
+	if r.routes.recs.next.Load()%pageLen == 0 {
 		t.Fatal("the original's route arena ends on a page boundary: the check below proves nothing")
 	}
 	q := netip.MustParsePrefix("192.0.2.0/24")
@@ -123,9 +123,8 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 	var sibs []*Router
 	for i, origin := range origins {
 		cp := r.Clone()
-		tbl := r.Table().Clone()
-		cp.Rebind(tbl, r.routes.Clone())
-		id := tbl.Intern(q)
+		cp.Rebind(r.routes.Clone())
+		id := cp.Table().Intern(q)
 		// The siblings store their two routes in opposite orders, so
 		// their equal-shaped candidate runs name different handles: a run
 		// one sibling wrote over the other's reads back wrong.
@@ -136,7 +135,7 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 		receive[i]()
 		receive[1-i]()
 		for _, e := range cp.in.view(cp.slots.at(id).in) {
-			if pg := int(e.h >> arenaPageBits); pg < len(r.routes.view()) && cp.routes.view()[pg] == r.routes.view()[pg] {
+			if pg := int(e.h >> pageBits); pg < len(r.routes.recs.view()) && cp.routes.recs.view()[pg] == r.routes.recs.view()[pg] {
 				t.Fatalf("sibling clone %d stored the route from %d in a page of the original's arena", len(sibs), e.from)
 			}
 		}

@@ -19,8 +19,8 @@ func (r *Router) decide(id uint32) bool {
 	if st == nil {
 		return false // never written: no candidates, no best
 	}
-	rs := r.routes.view()
-	e, ok := selectBest(rs, r.in.view(st.in))
+	a := r.routes
+	e, ok := selectBest(a, r.in.view(st.in))
 	if !ok {
 		if st.best.h == 0 {
 			return false
@@ -30,7 +30,7 @@ func (r *Router) decide(id uint32) bool {
 		r.ribStale = true
 		return true
 	}
-	if st.best.h != 0 && sameEntry(rs, st.best, e) {
+	if st.best.h != 0 && sameEntry(a, st.best, e) {
 		// The stored best already equals the winning candidate (including
 		// community-only changes — sameEntry compares them).
 		return false
@@ -75,13 +75,13 @@ func (r *Router) ensureRIB() {
 // local origination, if any, and the Adj-RIB-In entries. They are sorted
 // by neighbor ASN, so the scan needs no allocation and ties break
 // deterministically.
-func selectBest(rs routeView, cands []inEntry) (inEntry, bool) {
+func selectBest(a *RouteArena, cands []inEntry) (inEntry, bool) {
 	if len(cands) == 0 {
 		return inEntry{}, false
 	}
 	best := cands[0]
 	for _, c := range cands[1:] {
-		if betterEntry(rs, c, best) {
+		if betterEntry(a, c, best) {
 			best = c
 		}
 	}
@@ -100,87 +100,56 @@ func selectBest(rs routeView, cands []inEntry) (inEntry, bool) {
 //  4. lower Origin
 //  5. lower MED
 //  6. lower neighbor ASN (deterministic tie-break)
-func betterEntry(rs routeView, a, b inEntry) bool {
-	aLocal := a.from == 0
-	bLocal := b.from == 0
-	if aLocal != bLocal {
-		return aLocal
+func betterEntry(a *RouteArena, x, y inEntry) bool {
+	xLocal := x.from == 0
+	yLocal := y.from == 0
+	if xLocal != yLocal {
+		return xLocal
 	}
-	if a.lp != b.lp {
-		return a.lp > b.lp
+	if x.lp != y.lp {
+		return x.lp > y.lp
 	}
-	ar, br := rs.at(a.h), rs.at(b.h)
-	al, bl := ar.ASPath.HopLength(), br.ASPath.HopLength()
-	if al != bl {
-		return al < bl
-	}
-	if ar.Origin != br.Origin {
-		return ar.Origin < br.Origin
-	}
-	if ar.MED != br.MED {
-		return ar.MED < br.MED
-	}
-	return a.from < b.from
-}
-
-// sameRoute compares the fields that matter for re-advertisement.
-func sameRoute(a, b *policy.Route) bool {
-	if a == b {
-		return true
-	}
-	if a == nil || b == nil {
-		return false
-	}
-	if a.Prefix != b.Prefix || a.NextHopAS != b.NextHopAS || a.LocalPref != b.LocalPref ||
-		a.Blackhole != b.Blackhole || a.Origin != b.Origin || a.MED != b.MED {
-		return false
-	}
-	return samePathAndComms(a, b)
-}
-
-// sameStored is sameRoute between two stored routes: equal handles are
-// equal routes, and different handles may still name equal content (a
-// rebuilt private import, a re-exported class).
-func sameStored(rs routeView, a, b Handle) bool {
-	if a == b {
-		return true
-	}
-	if a == 0 || b == 0 {
-		return false
-	}
-	return sameRoute(rs.at(a), rs.at(b))
-}
-
-// sameEntry is sameRoute between two candidates, reading the
-// import-derived attributes from the entries and the rest from their
-// routes.
-func sameEntry(rs routeView, a, b inEntry) bool {
-	if a.from != b.from || a.lp != b.lp || a.bh != b.bh {
-		return false
-	}
-	if a.h == b.h {
-		return true
-	}
-	ar, br := rs.at(a.h), rs.at(b.h)
-	if ar.Prefix != br.Prefix || ar.Origin != br.Origin || ar.MED != br.MED {
-		return false
-	}
-	return samePathAndComms(ar, br)
-}
-
-func samePathAndComms(a, b *policy.Route) bool {
-	if !a.ASPath.EqualSequence(b.ASPath) {
-		return false
-	}
-	if len(a.Communities) != len(b.Communities) {
-		return false
-	}
-	for i := range a.Communities {
-		if a.Communities[i] != b.Communities[i] {
-			return false
+	xr, yr := a.rec(x.h), a.rec(y.h)
+	if xr.path != yr.path {
+		if xl, yl := a.path(xr.path).HopLength(), a.path(yr.path).HopLength(); xl != yl {
+			return xl < yl
 		}
 	}
-	return true
+	if xr.origin != yr.origin {
+		return xr.origin < yr.origin
+	}
+	if xr.med != yr.med {
+		return xr.med < yr.med
+	}
+	return x.from < y.from
+}
+
+// sameStored reports whether two handles name equal routes for
+// re-advertisement (sameRecord): equal handles always do, and different
+// handles may too (a rebuilt private import, a re-exported class).
+func sameStored(a *RouteArena, x, y Handle) bool {
+	if x == y {
+		return true
+	}
+	if x == 0 || y == 0 {
+		return false
+	}
+	return a.sameRecord(a.rec(x), a.rec(y))
+}
+
+// sameEntry is sameStored between two candidates, reading the
+// import-derived attributes from the entries and the rest from their
+// records.
+func sameEntry(a *RouteArena, x, y inEntry) bool {
+	if x.from != y.from || x.lp != y.lp || x.bh != y.bh {
+		return false
+	}
+	if x.h == y.h {
+		return true
+	}
+	xr, yr := a.rec(x.h), a.rec(y.h)
+	return xr.pfx == yr.pfx && xr.origin == yr.origin && xr.med == yr.med &&
+		xr.comms == yr.comms && a.samePath(xr.path, yr.path)
 }
 
 // BestRoute returns the Loc-RIB entry for exactly p.

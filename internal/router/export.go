@@ -65,7 +65,7 @@ func (r *Router) exportTo(neighbor topo.ASN, best inEntry) (*policy.Route, Expor
 	if best.from == neighbor {
 		return nil, ExportSuppressedGaoRexford
 	}
-	rt := r.routes.At(best.h)
+	rt := r.routes.route(r.routes.rec(best.h))
 	// Gao-Rexford: routes from peers/providers go to customers only.
 	// Route servers (ReflectAll) redistribute everything.
 	fromCustomerOrLocal := best.from == 0 || best.rel == topo.RelCustomer
@@ -195,17 +195,15 @@ func (r *Router) Hints(nbs []topo.ASN) *ExportHints {
 // neighbor-independent work (best-route lookup, service-catalog scan,
 // AS-path prepending, community propagation) once per call instead of
 // once per session. Neighbors with the same effective community policy
-// share one outbound route, so a router keeps a single AS-path/community
-// slab per (prefix, policy class) export instead of one private copy per
-// session. The routes are built in the router's arena through cur, the
-// calling engine worker's cursor (nil: one handle at a time), and
-// emitted by handle; receivers never write them (the delta engine pairs
-// this with ReceiveSharedNoDecide, whose copy-on-write import honours
-// that contract). A class whose first session was last sent exactly what
-// the class would build re-emits that recorded handle instead of
-// building an equal route, so an export that changes nothing stores
-// nothing. Every nbs entry must be a registered neighbor when hints is
-// non-nil; with nil hints unknown neighbors emit ExportNothing.
+// share one outbound route per (prefix, policy class). The class's path
+// and communities are assembled in the scratch of cur, the calling engine
+// worker's cursor (nil: the arena's spare one), and interned, so content
+// the network already holds costs no allocation; its route is stored in
+// the router's arena through cur and emitted by handle. A class whose
+// first session was last sent exactly the record the class would store
+// re-emits that recorded handle, so an export that changes nothing
+// stores nothing. Every nbs entry must be a registered neighbor when
+// hints is non-nil; with nil hints unknown neighbors emit ExportNothing.
 func (r *Router) ExportAll(cur *RouteCursor, id uint32, nbs []topo.ASN, hints *ExportHints, buf []ExportItem) []ExportItem {
 	st := r.slots.at(id)
 	if st == nil || st.best.h == 0 {
@@ -214,11 +212,16 @@ func (r *Router) ExportAll(cur *RouteCursor, id uint32, nbs []topo.ASN, hints *E
 		}
 		return buf
 	}
+	cur = r.cursor(cur)
+	if cur == nil {
+		cur = r.routes.borrow()
+		defer r.routes.giveBack(cur)
+	}
 	best := st.best
-	rs := r.routes.view()
-	bestRt := rs.at(best.h)
+	a := r.routes
+	bestRc := *a.rec(best.h)
 	sent := r.out.view(st.out)
-	comms := bestRt.Communities
+	comms := a.comms.at(bestRc.comms)
 	fromCustomerOrLocal := best.from == 0 || best.rel == topo.RelCustomer
 	noAdv := comms.Has(bgp.CommunityNoAdvertise)
 	noExp := comms.Has(bgp.CommunityNoExport)
@@ -255,7 +258,7 @@ func (r *Router) ExportAll(cur *RouteCursor, id uint32, nbs []topo.ASN, hints *E
 	if r.cfg.Transparent {
 		selfHops = prepend // route servers stay off the AS path
 	}
-	var path bgp.ASPath
+	path := uint32(0)
 	pathReady := false
 	// classes[0] is the stripped-communities class (IOS without
 	// send-community); classes[1+mode] applies one of the four
@@ -268,39 +271,25 @@ func (r *Router) ExportAll(cur *RouteCursor, id uint32, nbs []topo.ASN, hints *E
 		if idx == 0 {
 			mode = policy.PropStripAll
 		}
-		if i, found := slices.BinarySearchFunc(sent, nb, bySession); found &&
-			r.isClassExport(rs.at(sent[i].h), bestRt, selfHops, mode) {
-			classes[idx] = sent[i].h
-			return classes[idx]
-		}
 		if !pathReady {
-			if selfHops > 0 {
-				path = bestRt.ASPath.Prepend(uint32(r.cfg.ASN), selfHops)
-			} else {
-				// Transparent, no prepending: alias the stored path.
-				// Paths are never mutated in place (Prepend copies),
-				// so aliasing is content-identical to ExportTo's Clone.
-				path = bestRt.ASPath
-			}
+			path = cur.prepend(bestRc.path, uint32(r.cfg.ASN), selfHops)
 			pathReady = true
 		}
-		h, out := r.newRoute(cur)
-		*out = policy.Route{
-			Prefix:    bestRt.Prefix,
-			ASPath:    path,
-			Origin:    bestRt.Origin,
-			MED:       bestRt.MED,
-			LocalPref: policy.DefaultLocalPref, // LP is not transitive across eBGP
-			NextHopAS: r.cfg.ASN,
+		rc := record{
+			pfx:    bestRc.pfx,
+			path:   path,
+			comms:  cur.kept(bestRc.comms, mode, uint16(r.cfg.ASN)),
+			origin: bestRc.origin,
+			med:    bestRc.med,
+			lp:     policy.DefaultLocalPref, // LP is not transitive across eBGP
+			nh:     r.cfg.ASN,
 		}
-		if mode == policy.PropForwardAll {
-			// Alias instead of cloning: stored routes are immutable.
-			out.Communities = comms
+		if i, found := slices.BinarySearchFunc(sent, nb, bySession); found && *a.rec(sent[i].h) == rc {
+			classes[idx] = sent[i].h
 		} else {
-			out.Communities = policy.ApplyPropagation(mode, uint16(r.cfg.ASN), comms)
+			classes[idx] = cur.add(rc)
 		}
-		classes[idx] = h
-		return h
+		return classes[idx]
 	}
 
 	for ni, nb := range nbs {
@@ -370,32 +359,6 @@ func (r *Router) ExportAll(cur *RouteCursor, id uint32, nbs []topo.ASN, hints *E
 	return buf
 }
 
-// isClassExport reports whether old — a route this router advertised
-// earlier — is field for field what ExportAll would build now from best
-// for an export class: the path prepended selfHops times and the
-// communities mode lets through. It allocates nothing.
-func (r *Router) isClassExport(old, best *policy.Route, selfHops int, mode policy.PropagationMode) bool {
-	if old.Prefix != best.Prefix || old.Origin != best.Origin || old.MED != best.MED ||
-		old.LocalPref != policy.DefaultLocalPref || old.NextHopAS != r.cfg.ASN ||
-		old.FromRel != topo.RelNone || old.Blackhole {
-		return false
-	}
-	if !old.ASPath.IsPrepend(best.ASPath, uint32(r.cfg.ASN), selfHops) {
-		return false
-	}
-	kept := 0
-	for _, c := range best.Communities {
-		if !mode.Keeps(uint16(r.cfg.ASN), c) {
-			continue
-		}
-		if kept >= len(old.Communities) || old.Communities[kept] != c {
-			return false
-		}
-		kept++
-	}
-	return kept == len(old.Communities)
-}
-
 // bySession orders an Adj-RIB-Out run against a neighbor for
 // slices.BinarySearchFunc.
 func bySession(e nbRoute, nb topo.ASN) int { return cmp.Compare(e.from, nb) }
@@ -421,14 +384,16 @@ func (r *Router) RecordAdvertised(neighbor topo.ASN, p netip.Prefix, rt *policy.
 	st := r.slots.grow(r.tbl.Intern(p.Masked()))
 	sent := r.out.view(st.out)
 	i, had := slices.BinarySearchFunc(sent, neighbor, bySession)
-	if !had {
-		r.out.insert(&st.out, i, nbRoute{from: neighbor, h: r.routes.Add(rt)})
-		return true
-	}
-	if sameRoute(r.routes.At(sent[i].h), rt) {
+	rc := r.routes.record(rt)
+	if had && r.routes.sameRecord(r.routes.rec(sent[i].h), &rc) {
 		return false
 	}
-	r.out.set(st.out, i, nbRoute{from: neighbor, h: r.routes.Add(rt)})
+	nr := nbRoute{from: neighbor, h: r.routes.store(rc)}
+	if had {
+		r.out.set(st.out, i, nr)
+	} else {
+		r.out.insert(&st.out, i, nr)
+	}
 	return true
 }
 
@@ -441,7 +406,6 @@ func (r *Router) RecordAdvertised(neighbor topo.ASN, p netip.Prefix, rt *policy.
 // is not ExportSent count as withdrawals.
 func (r *Router) RecordAdvertisedAll(id uint32, items []ExportItem, emit func(nb topo.ASN, h Handle)) {
 	r.mustMutable()
-	rs := r.routes.view()
 	// st is nil until the slot exists (withdrawals never create one) and
 	// read-only until the first write takes it through mut or grow.
 	st := r.slots.at(id)
@@ -463,7 +427,7 @@ func (r *Router) RecordAdvertisedAll(id uint32, items []ExportItem, emit func(nb
 				emit(it.NB, 0)
 			}
 		case present:
-			if !sameStored(rs, sent[i].h, it.H) {
+			if !sameStored(r.routes, sent[i].h, it.H) {
 				r.out.set(st.out, i, nbRoute{from: it.NB, h: it.H})
 				emit(it.NB, it.H)
 			}
@@ -483,7 +447,8 @@ func (r *Router) Advertised(neighbor topo.ASN, p netip.Prefix) (*policy.Route, b
 	}
 	sent := r.out.view(st.out)
 	if i, found := slices.BinarySearchFunc(sent, neighbor, bySession); found {
-		return r.routes.At(sent[i].h), true
+		rt := r.routes.route(r.routes.rec(sent[i].h))
+		return &rt, true
 	}
 	return nil, false
 }

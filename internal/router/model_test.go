@@ -299,7 +299,12 @@ func (w *modelWorld) recordAll(p netip.Prefix) {
 	}
 	var got []string
 	w.r.RecordAdvertisedAll(w.r.Table().Intern(p), items, func(nb topo.ASN, h Handle) {
-		got = append(got, fmt.Sprintf("%d %s", nb, show(w.r.routes.At(h))))
+		var rt *policy.Route
+		if ref := w.r.routes.Ref(h); ref.Valid() {
+			v := ref.Route()
+			rt = &v
+		}
+		got = append(got, fmt.Sprintf("%d %s", nb, show(rt)))
 	})
 	if !slices.Equal(got, want) {
 		w.fail("RecordAdvertisedAll emitted %q, want %q", got, want)
@@ -380,21 +385,21 @@ func (w *modelWorld) randomStep(sealed *[]sealedCopy) {
 		// renumbered, every route copied).
 		if w.rng.Intn(2) == 0 {
 			w.step = "Rebind(clone)"
-			w.r.Rebind(w.r.Table().Clone(), w.r.routes.Clone())
+			w.r.Rebind(w.r.routes.Clone())
 		} else {
 			w.step = "Rebind(empty)"
-			w.r.Rebind(NewPrefixTable(), NewRouteArena())
+			w.r.Rebind(NewRouteArena())
 		}
 	case 12:
 		// Move onto an arena other routers have grown, the way AddRouter
 		// moves a router holding routes onto a network's: every route the
 		// router names is copied in under a new handle.
 		a := NewRouteArena()
-		for range w.rng.Intn(3 * arenaPage) {
+		for range w.rng.Intn(3 * pageLen) {
 			a.Add(w.route(w.prefix(), 100))
 		}
 		w.step = fmt.Sprintf("Rebind(arena grown to %d routes)", a.Routes())
-		w.r.Rebind(w.r.Table(), a)
+		w.r.Rebind(a)
 	}
 }
 

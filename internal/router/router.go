@@ -10,8 +10,10 @@
 // All three tables live in one paged table of fixed-size slots indexed
 // by a dense prefix id (PrefixTable), with the variable-length candidate
 // and advertisement runs in two per-router slabs (table.go). Routes
-// themselves live in a RouteArena (arena.go) and the tables hold 32-bit
-// handles to them, so no slot or slab page holds a pointer. The batched
+// themselves live in a RouteArena (arena.go) as records of ids — the
+// AS path and community set interned once per network (intern.go) — and
+// the tables hold 32-bit handles to them, so no slot, slab or arena page
+// holds a pointer. The batched
 // entry points the delta engine drives — ExportAll, RecordAdvertisedAll,
 // ReceiveSharedNoDecide, WithdrawNoDecide, Decide — take the id and pass
 // routes by handle, so convergence hashes no prefix; the single-step,
@@ -139,8 +141,7 @@ type nbRoute struct {
 // receiver that accepted it unchanged. Readers take next hop (from),
 // relationship, local-pref and blackhole from the entry; the route h
 // names is authoritative only for prefix, path, communities, origin and
-// MED. Router.entryRoute materialises the policy.Route a looking glass
-// shows.
+// MED. Router.entryRoute builds the policy.Route a looking glass shows.
 type inEntry struct {
 	from topo.ASN
 	lp   uint32
@@ -149,23 +150,14 @@ type inEntry struct {
 	bh   bool
 }
 
-// entryRoute returns e as a full route. Entries whose route already
-// carries the entry's attributes (local originations, and routes the
-// mutating import path built privately) are returned as they are, read
-// only; entries sharing a sender's export route get a private copy.
-// This is the read side of the looking-glass and data-plane paths; the
-// decision and export paths never call it.
+// entryRoute returns e as a full route: its record's fields, with the
+// entry's import-derived attributes laid over them. This is the read
+// side of the looking-glass and data-plane paths; the decision and
+// export paths never call it.
 func (r *Router) entryRoute(e inEntry) *policy.Route {
-	rt := r.routes.At(e.h)
-	if rt.NextHopAS == e.from && rt.FromRel == e.rel && rt.LocalPref == e.lp && rt.Blackhole == e.bh {
-		return rt
-	}
-	out := *rt
-	out.NextHopAS = e.from
-	out.FromRel = e.rel
-	out.LocalPref = e.lp
-	out.Blackhole = e.bh
-	return &out
+	rt := r.routes.route(r.routes.rec(e.h))
+	rt.NextHopAS, rt.FromRel, rt.LocalPref, rt.Blackhole = e.from, e.rel, e.lp, e.bh
+	return &rt
 }
 
 // slot is everything a router knows about one prefix (40 bytes, no
@@ -210,14 +202,15 @@ type Router struct {
 	ribMu  sync.Mutex
 }
 
-// New constructs a router from cfg with a prefix table and a route arena
-// of its own; a network moves it onto the shared ones with Rebind.
+// New constructs a router from cfg with a route arena, and so a prefix
+// table, of its own; a network moves it onto the shared ones with Rebind.
 func New(cfg Config) *Router {
+	a := NewRouteArena()
 	return &Router{
 		cfg:       cfg,
 		neighbors: make(map[topo.ASN]topo.Rel),
-		tbl:       NewPrefixTable(),
-		routes:    NewRouteArena(),
+		tbl:       a.Table(),
+		routes:    a,
 		locRIB:    netx.NewTrie[uint32](),
 	}
 }
@@ -225,33 +218,33 @@ func New(cfg Config) *Router {
 // Table returns the prefix table the router's ids come from.
 func (r *Router) Table() *PrefixTable { return r.tbl }
 
-// Rebind moves the router onto table t and arena a. When t is the
-// router's table, or a Clone of it taken since the table last grew, ids
-// agree, and when a is the router's arena, or a Clone of it taken since
-// it last grew, handles agree: then only the pointers move (the
-// copy-on-write fork path). Otherwise each used slot is renumbered
-// through t, interning its prefix, and each route it names is copied
-// into a once under a new handle.
-func (r *Router) Rebind(t *PrefixTable, a *RouteArena) {
+// Rebind moves the router onto arena a and its prefix table. When a is
+// the router's arena, or a Clone of it taken since it last grew, handles
+// and ids agree: then only the pointers move (the copy-on-write fork
+// path). Otherwise each used slot is renumbered through a's table,
+// interning its prefix, and each route it names is copied into a once
+// under a new handle, its path and communities interned there.
+func (r *Router) Rebind(a *RouteArena) {
 	oldT, oldA := r.tbl, r.routes
-	if t == oldT && a == oldA {
+	if a == oldA {
 		return
 	}
 	r.mustMutable()
+	t := a.Table()
 	r.tbl, r.routes = t, a
 	renumber := t != oldT && !(t.base == oldT && t.baseLen == oldT.Len())
-	copyRoutes := a != oldA && !(a.base == oldA && a.baseLen == oldA.next.Load())
-	if !renumber && !copyRoutes {
+	if !renumber && a.base == oldA && a.baseLen == oldA.recs.next.Load() {
 		return
 	}
 	moved := make(map[Handle]Handle)
 	move := func(h Handle) Handle {
-		if !copyRoutes || h == 0 {
-			return h
+		if h == 0 {
+			return 0
 		}
 		nh, ok := moved[h]
 		if !ok {
-			nh = a.Add(oldA.At(h))
+			rt := oldA.route(oldA.rec(h))
+			nh = a.Add(&rt)
 			moved[h] = nh
 		}
 		return nh
@@ -380,7 +373,10 @@ const (
 func (r *Router) ReceiveUpdate(from topo.ASN, in *policy.Route) (ImportResult, bool) {
 	r.mustMutable()
 	id := r.tbl.Intern(in.Prefix)
-	res := r.receive(nil, from, id, in, 0)
+	rel, res := r.admit(from, in.ASPath)
+	if res == ImportAccepted {
+		res = r.receive(nil, from, rel, id, in, 0)
+	}
 	if res != ImportAccepted {
 		return res, false
 	}
@@ -391,16 +387,52 @@ func (r *Router) ReceiveUpdate(from topo.ASN, in *policy.Route) (ImportResult, b
 // for the prefix id names, in the Adj-RIB-In without running the
 // decision process, reporting whether the import was accepted. A route
 // the import must tag or rewrite is stored anew through cur, the calling
-// engine worker's cursor on the same arena (nil: one handle at a time).
-// Engines that batch several deliveries for one prefix (the delta
+// engine worker's cursor on the same arena (nil: the arena's spare
+// cursor). Engines that batch several deliveries for one prefix (the delta
 // engine's per-destination inboxes) apply them all and then call Decide
 // once per prefix: the final candidate set — and therefore the decision
 // — is order-identical to deciding after every delivery, while transient
 // intermediate best routes (which could only trigger no-op re-exports)
 // are never computed.
+//
+// The route is read in place: a pure decision pass (importScan) settles
+// the outcome, and if the import neither tags nor rewrites the route,
+// the accepted entry stores h itself with zero allocation — the fast
+// path the delta engine lives on. Only an import that adds a community
+// (blackhole NO_EXPORT, the session's ingress tags) resolves the route
+// and builds a private one (receive).
 func (r *Router) ReceiveSharedNoDecide(cur *RouteCursor, from topo.ASN, id uint32, h Handle) ImportResult {
 	r.mustMutable()
-	return r.receive(cur, from, id, r.routes.At(h), h)
+	a := r.routes
+	rc := a.rec(h)
+	rel, res := r.admit(from, a.path(rc.path))
+	if res != ImportAccepted {
+		return res
+	}
+	res, entry, pristine := r.importScan(from, rel, a.tbl.At(rc.pfx), a.comms.at(rc.comms))
+	if res != ImportAccepted {
+		return res
+	}
+	if pristine {
+		entry.h = h
+		r.storeAdjIn(id, entry)
+		return ImportAccepted
+	}
+	in := a.route(rc)
+	return r.receive(cur, from, rel, id, &in, h)
+}
+
+// admit runs the session and loop checks every import starts with,
+// returning the sender's relationship.
+func (r *Router) admit(from topo.ASN, path bgp.ASPath) (topo.Rel, ImportResult) {
+	rel, ok := r.neighbors[from]
+	if !ok {
+		return rel, ImportRejectedUnknownNeighbor
+	}
+	if path.HasLoop(r.cfg.ASN) {
+		return rel, ImportRejectedLoop
+	}
+	return rel, ImportAccepted
 }
 
 // Decide runs the decision process for prefix id and reports whether the
@@ -410,53 +442,30 @@ func (r *Router) Decide(id uint32) bool {
 	return r.decide(id)
 }
 
-// receive runs the import policy for an update and stores the accepted
-// candidate in the Adj-RIB-In; callers run the decision process.
-//
-// A shared input is the arena route named by handle shared (0 for a
-// caller's route, which receive never aliases). For shared inputs it
-// first runs a pure decision pass (importScan): if the import neither
-// tags nor rewrites the route, the accepted entry stores the sender's
-// handle with zero allocation — the fast path the delta engine lives on.
-// An import that adds a community (blackhole NO_EXPORT, the session's
-// ingress tags) falls through to the classic build-a-private-route path
-// below, which stores its result in the arena through cur.
-func (r *Router) receive(cur *RouteCursor, from topo.ASN, id uint32, in *policy.Route, shared Handle) ImportResult {
-	rel, ok := r.neighbors[from]
-	if !ok {
-		return ImportRejectedUnknownNeighbor
+// receive runs the import policy for an update from an admitted session
+// and stores the accepted candidate in the Adj-RIB-In, as a route of the
+// router's own; callers run the decision process. The input is a
+// caller's route, or the arena route named by handle shared, whose path
+// and communities ids the new route reuses. A tag is added to a copy of
+// the set in the cursor's scratch, and the route is stored through cur
+// (nil: the arena's spare cursor).
+func (r *Router) receive(cur *RouteCursor, from topo.ASN, rel topo.Rel, id uint32, in *policy.Route, shared Handle) ImportResult {
+	cur = r.cursor(cur)
+	if cur == nil {
+		cur = r.routes.borrow()
+		defer r.routes.giveBack(cur)
 	}
-	if in.ASPath.HasLoop(r.cfg.ASN) {
-		return ImportRejectedLoop
-	}
-	if shared != 0 {
-		res, entry, pristine := r.importScan(from, rel, in)
-		if res != ImportAccepted {
-			return res
-		}
-		if pristine {
-			entry.h = shared
-			r.storeAdjIn(id, entry)
-			return ImportAccepted
-		}
-	}
-	// A shared input's slices stay aliased until a tag copies the set; a
-	// caller's route is deep-copied.
-	cp := *in
-	rt := &cp
-	ownComms := shared == 0
-	if ownComms {
-		rt.ASPath = in.ASPath.Clone()
-		rt.Communities = in.Communities.Clone()
-	}
-	// addComm is the copy-on-write community append: shared routes get a
-	// private set the first time this router tags the route.
+	// The input's slices are read, never written: the first tag copies
+	// the set into the cursor's scratch.
+	rt := *in
+	tagged := false
 	addComm := func(c bgp.Community) {
-		if !ownComms {
-			rt.Communities = rt.Communities.Clone()
-			ownComms = true
+		if !tagged {
+			cur.comms = append(cur.comms[:0], rt.Communities...)
+			tagged = true
 		}
-		rt.Communities = rt.Communities.Add(c)
+		cur.comms = cur.comms.Add(c)
+		rt.Communities = cur.comms
 	}
 	rt.NextHopAS = from
 	rt.FromRel = rel
@@ -548,22 +557,27 @@ func (r *Router) receive(cur *RouteCursor, from topo.ASN, id uint32, in *policy.
 		addComm(tag)
 	}
 
-	h, slot := r.newRoute(cur)
-	*slot = *rt
-	r.storeAdjIn(id, inEntry{from: from, rel: rel, lp: rt.LocalPref, bh: rt.Blackhole, h: h})
+	rc := record{pfx: id, origin: rt.Origin, med: rt.MED, lp: rt.LocalPref, nh: from, rel: rel, bh: rt.Blackhole}
+	if shared != 0 {
+		src := r.routes.rec(shared)
+		rc.path, rc.comms = src.path, src.comms
+	} else {
+		rc.path, rc.comms = r.routes.pathID(in.ASPath), r.routes.comms.intern(in.Communities)
+	}
+	if tagged {
+		rc.comms = r.routes.comms.intern(rt.Communities)
+	}
+	r.storeAdjIn(id, inEntry{from: from, rel: rel, lp: rt.LocalPref, bh: rt.Blackhole, h: cur.add(rc)})
 	return ImportAccepted
 }
 
-// newRoute returns a fresh handle in the router's arena and its zero
-// route for the caller to fill, reserved through cur when there is one.
-func (r *Router) newRoute(cur *RouteCursor) (Handle, *policy.Route) {
-	if cur == nil {
-		return r.routes.slot()
-	}
-	if cur.a != r.routes {
+// cursor checks that cur, an engine worker's cursor or nil, appends to
+// the router's arena.
+func (r *Router) cursor(cur *RouteCursor) *RouteCursor {
+	if cur != nil && cur.a != r.routes {
 		panic(fmt.Sprintf("router: AS%d given a cursor on another arena", r.cfg.ASN))
 	}
-	return cur.alloc()
+	return cur
 }
 
 // storeAdjIn inserts or replaces the candidate entry for (id, e.from).
@@ -582,33 +596,34 @@ func byFrom(e inEntry, from topo.ASN) int { return cmp.Compare(e.from, from) }
 
 // importScan is the allocation-free decision half of the import policy:
 // it computes the outcome, effective local-pref, and blackhole flag for
-// an update without building a route, and reports whether the import is
+// an update — its prefix and communities — without building a route,
+// and reports whether the import is
 // pristine — nothing would tag or rewrite the route, so the shared
 // input's handle can be stored as-is (the caller sets the entry's h).
 // Non-pristine accepted imports are replayed by the mutating path in
 // receive; the two must agree, which the engine differential tests
 // cross-check (the rounds oracle never takes this path).
-func (r *Router) importScan(from topo.ASN, rel topo.Rel, in *policy.Route) (ImportResult, inEntry, bool) {
+func (r *Router) importScan(from topo.ASN, rel topo.Rel, pfx netip.Prefix, comms bgp.CommunitySet) (ImportResult, inEntry, bool) {
 	fromCustomer := rel == topo.RelCustomer
 
 	blackholeTagged := false
 	if r.cfg.Catalog != nil {
-		if bh, ok := r.cfg.Catalog.BlackholeCommunity(); ok && in.Communities.Has(bh) {
+		if bh, ok := r.cfg.Catalog.BlackholeCommunity(); ok && comms.Has(bh) {
 			blackholeTagged = true
 		}
 		if !blackholeTagged {
-			if _, offers := r.cfg.Catalog.BlackholeCommunity(); offers && in.Communities.Has(bgp.CommunityBlackhole) {
+			if _, offers := r.cfg.Catalog.BlackholeCommunity(); offers && comms.Has(bgp.CommunityBlackhole) {
 				blackholeTagged = true
 			}
 		}
 	}
-	if blackholeTagged && r.cfg.BlackholeMinLen > 0 && in.Prefix.Bits() < r.cfg.BlackholeMinLen {
+	if blackholeTagged && r.cfg.BlackholeMinLen > 0 && pfx.Bits() < r.cfg.BlackholeMinLen {
 		blackholeTagged = false
 	}
 
 	validated := true
 	if r.cfg.ValidateOrigin && fromCustomer {
-		if !r.cfg.CustomerPrefixes[from].Matches(in.Prefix) {
+		if !r.cfg.CustomerPrefixes[from].Matches(pfx) {
 			validated = false
 		}
 	}
@@ -625,10 +640,10 @@ func (r *Router) importScan(from topo.ASN, rel topo.Rel, in *policy.Route) (Impo
 
 	if !bh && r.cfg.MaxPrefixLen > 0 {
 		limit := r.cfg.MaxPrefixLen
-		if in.Prefix.Addr().Is6() {
+		if pfx.Addr().Is6() {
 			limit = 48
 		}
-		if in.Prefix.Bits() > limit {
+		if pfx.Bits() > limit {
 			return ImportRejectedTooSpecific, inEntry{}, false
 		}
 	}
@@ -651,7 +666,7 @@ func (r *Router) importScan(from topo.ASN, rel topo.Rel, in *policy.Route) (Impo
 		}
 	}
 
-	for _, svc := range r.cfg.Catalog.Active(in.Communities, fromCustomer) {
+	for _, svc := range r.cfg.Catalog.Active(comms, fromCustomer) {
 		if svc.Kind == policy.SvcLocalPref {
 			lp = svc.Param
 		}

@@ -2,6 +2,7 @@ package router
 
 import (
 	"net/netip"
+	"slices"
 	"testing"
 
 	"bgpworms/internal/bgp"
@@ -33,6 +34,14 @@ func (r *Router) ReceiveShared(from topo.ASN, in *policy.Route) (ImportResult, b
 		return res, false
 	}
 	return res, r.Decide(id)
+}
+
+// equalRoutes compares two routes on what re-advertisement compares
+// (RouteArena.sameRecord).
+func equalRoutes(a, b *policy.Route) bool {
+	return a.Prefix == b.Prefix && a.NextHopAS == b.NextHopAS && a.LocalPref == b.LocalPref &&
+		a.Blackhole == b.Blackhole && a.Origin == b.Origin && a.MED == b.MED &&
+		slices.Equal(a.ASPath.Sequence(), b.ASPath.Sequence()) && slices.Equal(a.Communities, b.Communities)
 }
 
 // TestReceiveSharedMatchesReceiveUpdate pins the contract the delta
@@ -93,7 +102,7 @@ func TestReceiveSharedMatchesReceiveUpdate(t *testing.T) {
 					if resC != resS || chgC != chgS {
 						t.Fatalf("from=%d %s: classic=(%v,%v) shared=(%v,%v)", from, rt.Prefix, resC, chgC, resS, chgS)
 					}
-					if !sameRoute(rt, want) || rt.LocalPref != want.LocalPref || rt.FromRel != want.FromRel {
+					if !equalRoutes(rt, want) || rt.LocalPref != want.LocalPref || rt.FromRel != want.FromRel {
 						t.Fatalf("shared input mutated: %v != %v", rt, want)
 					}
 				}
@@ -105,7 +114,7 @@ func TestReceiveSharedMatchesReceiveUpdate(t *testing.T) {
 				if okc != oks {
 					t.Fatalf("best presence diverges for %s: %v vs %v", rt.Prefix, okc, oks)
 				}
-				if okc && (!sameRoute(bc, bs) || bc.FromRel != bs.FromRel) {
+				if okc && (!equalRoutes(bc, bs) || bc.FromRel != bs.FromRel) {
 					t.Fatalf("best diverges for %s:\nclassic: %v\nshared:  %v", rt.Prefix, bc, bs)
 				}
 			}
@@ -186,7 +195,7 @@ func TestNoDecideBatchingMatchesPerDelivery(t *testing.T) {
 	if !okp || !okb {
 		t.Fatalf("missing best route: per-delivery=%v batched=%v", okp, okb)
 	}
-	if !sameRoute(bp, bb) || bp.FromRel != bb.FromRel {
+	if !equalRoutes(bp, bb) || bp.FromRel != bb.FromRel {
 		t.Fatalf("batched decide diverges:\nper-delivery: %v\nbatched:      %v", bp, bb)
 	}
 }

@@ -7,12 +7,15 @@ import (
 	"net/netip"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // PrefixTable assigns every prefix a dense id in first-seen order; routers
-// index their per-prefix slots by it. A simnet.Network owns one table for
-// all of its routers, so the engine hands ids — never prefixes — to the
-// batched entry points; a standalone router (New) owns a private one.
+// index their per-prefix slots by it and arena records name their prefix
+// by it. A simnet.Network owns one table for all of its routers, the one
+// its RouteArena resolves through, so the engine hands ids — never
+// prefixes — to the batched entry points; a standalone router (New) owns
+// a private one.
 //
 // The table is append-only: an id, once assigned, names the same prefix
 // for the table's lifetime and in every Clone taken afterwards. Ids are
@@ -20,13 +23,14 @@ import (
 // observable (taps, archives, RIB dumps, reports); canonical order is
 // netx.ComparePrefix over At's values.
 //
-// Lookup, At and Prefixes may run concurrently with Intern. The engine
-// interns only in its serial entry points, so a converging run reads a
-// table nobody writes.
+// Lookup, At and Prefixes may run concurrently with Intern, and At and
+// Prefixes never lock: the id-indexed prefixes are published through an
+// atomic pointer the way arena pages are. The engine interns only in its
+// serial entry points, so a converging run reads a table nobody writes.
 type PrefixTable struct {
 	mu  sync.RWMutex
 	ids map[netip.Prefix]uint32
-	pfx []netip.Prefix
+	pfx atomic.Pointer[[]netip.Prefix]
 
 	// base and baseLen record the table this one was cloned from and its
 	// length then: while base has not grown since, a router can move from
@@ -52,9 +56,12 @@ func (t *PrefixTable) Intern(p netip.Prefix) uint32 {
 	if t.ids == nil {
 		t.ids = make(map[netip.Prefix]uint32)
 	}
-	id := uint32(len(t.pfx))
+	// Appending may reuse the published slice's spare capacity: readers
+	// of it never index past its length.
+	pfx := append(t.view(), p)
+	id := uint32(len(pfx) - 1)
 	t.ids[p] = id
-	t.pfx = append(t.pfx, p)
+	t.pfx.Store(&pfx)
 	return id
 }
 
@@ -67,25 +74,20 @@ func (t *PrefixTable) Lookup(p netip.Prefix) (uint32, bool) {
 }
 
 // At returns the prefix id names.
-func (t *PrefixTable) At(id uint32) netip.Prefix {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.pfx[id]
-}
+func (t *PrefixTable) At(id uint32) netip.Prefix { return (*t.pfx.Load())[id] }
 
 // Len returns how many prefixes have an id.
-func (t *PrefixTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.pfx)
-}
+func (t *PrefixTable) Len() int { return len(t.view()) }
 
 // Prefixes returns the prefixes indexed by id. The slice is a stable
 // read-only view: later Interns never write the elements it covers.
-func (t *PrefixTable) Prefixes() []netip.Prefix {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.pfx[:len(t.pfx):len(t.pfx)]
+func (t *PrefixTable) Prefixes() []netip.Prefix { return slices.Clip(t.view()) }
+
+func (t *PrefixTable) view() []netip.Prefix {
+	if v := t.pfx.Load(); v != nil {
+		return *v
+	}
+	return nil
 }
 
 // Clone returns an independent table holding the same assignments; ids
@@ -95,7 +97,10 @@ func (t *PrefixTable) Prefixes() []netip.Prefix {
 func (t *PrefixTable) Clone() *PrefixTable {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return &PrefixTable{ids: maps.Clone(t.ids), pfx: slices.Clone(t.pfx), base: t, baseLen: len(t.pfx)}
+	pfx := t.Prefixes()
+	c := &PrefixTable{ids: maps.Clone(t.ids), base: t, baseLen: len(pfx)}
+	c.pfx.Store(&pfx)
+	return c
 }
 
 // slotPageBits sizes a page of the slot table: 128 slots, 5 KiB.

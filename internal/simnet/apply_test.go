@@ -12,7 +12,6 @@ import (
 	"bgpworms/internal/gen"
 	"bgpworms/internal/netx"
 	"bgpworms/internal/obs"
-	"bgpworms/internal/policy"
 	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
 )
@@ -107,12 +106,13 @@ type applyTranscript struct {
 // recordTaps registers a tap named name, subscribed to the receivers
 // to (none: every receiver), that appends its calls to into.
 func recordTaps(n *simnet.Network, name string, into *[]string, to ...topo.ASN) int {
-	return n.Tap(func(from, to topo.ASN, p netip.Prefix, rt *policy.Route) {
-		if rt == nil {
+	return n.Tap(func(from, to topo.ASN, p netip.Prefix, ref simnet.RouteRef) {
+		if !ref.Valid() {
 			*into = append(*into, fmt.Sprintf("%s: %d>%d %s withdraw", name, from, to, p))
 			return
 		}
-		*into = append(*into, fmt.Sprintf("%s: %d>%d %s %s", name, from, to, p, rt))
+		rt := ref.Route()
+		*into = append(*into, fmt.Sprintf("%s: %d>%d %s %s", name, from, to, p, &rt))
 	}, to...)
 }
 
@@ -284,7 +284,7 @@ func TestTapReplayCountsObservedDeliveries(t *testing.T) {
 		collectors[c.ASN] = true
 	}
 	toCollectors := 0
-	w.Net.Tap(func(_, to topo.ASN, _ netip.Prefix, _ *policy.Route) {
+	w.Net.Tap(func(_, to topo.ASN, _ netip.Prefix, _ simnet.RouteRef) {
 		if collectors[to] {
 			toCollectors++
 		}
@@ -302,7 +302,7 @@ func TestTapReplayCountsObservedDeliveries(t *testing.T) {
 		if got != uint64(toCollectors) || toCollectors == 0 || toCollectors >= delivered {
 			t.Fatalf("workers=%d: %d buffered for replay, want the %d of %d deliveries addressed to collectors", workers, got, toCollectors, delivered)
 		}
-		w.Net.Tap(func(topo.ASN, topo.ASN, netip.Prefix, *policy.Route) {})
+		w.Net.Tap(func(topo.ASN, topo.ASN, netip.Prefix, simnet.RouteRef) {})
 		before, steps = replayed.Value(), w.Net.Steps()
 		if _, err := w.Net.Apply(applyOps(w, rand.New(rand.NewSource(2)))...); err != nil {
 			t.Fatal(err)
@@ -385,10 +385,20 @@ func TestApplyBoundsEachOp(t *testing.T) {
 // stored — export classes and tagged imports built on the engine's
 // workers as well as the originations — and the count is the same at
 // any worker count, however the workers' cursors split their blocks of
-// handles.
+// handles. The two intern counts published beside it are worker
+// invariant too: which paths and community sets a window builds does not
+// depend on scheduling, only which worker interns one first, and so its
+// id. Both hold for a whole build (the network's tables) and for each
+// Apply (simnet_interned_paths_total and
+// simnet_interned_community_sets_total).
 func TestArenaRoutesCountIsWorkerInvariant(t *testing.T) {
-	stored := obs.Default.Counter("simnet_route_arena_routes_total", "")
-	var want uint64
+	counters := []*obs.Counter{
+		obs.Default.Counter("simnet_route_arena_routes_total", ""),
+		obs.Default.Counter("simnet_interned_paths_total", ""),
+		obs.Default.Counter("simnet_interned_community_sets_total", ""),
+	}
+	var wantBuilt [2]int64
+	var want []uint64
 	for _, workers := range []int{1, 2, 4} {
 		p := tinyCfg.params()
 		p.Workers = workers
@@ -396,17 +406,30 @@ func TestArenaRoutesCountIsWorkerInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var built [2]int64
+		built[0], built[1] = w.Net.Routes().Interned()
 		ops := applyOps(w, rand.New(rand.NewSource(1)))
-		before := stored.Value()
+		before := make([]uint64, len(counters))
+		for i, c := range counters {
+			before[i] = c.Value()
+		}
 		if _, err := w.Net.Apply(ops...); err != nil {
 			t.Fatal(err)
 		}
-		got := stored.Value() - before
-		if workers == 1 {
-			want = got
+		got := make([]uint64, len(counters))
+		for i, c := range counters {
+			got[i] = c.Value() - before[i]
 		}
-		if got != want || got <= uint64(len(ops)) {
-			t.Fatalf("workers=%d: %d routes stored for %d ops, want %d at one worker and more than one per op", workers, got, len(ops), want)
+		t.Logf("workers=%d: built %v paths and community sets; Apply stored %v routes, paths, community sets", workers, built, got)
+		if workers == 1 {
+			wantBuilt, want = built, got
+		}
+		if built != wantBuilt || built[0] == 0 || built[1] == 0 {
+			t.Fatalf("workers=%d: the built world interned %v paths and community sets, want %v at one worker, none zero", workers, built, wantBuilt)
+		}
+		if !slices.Equal(got, want) || got[0] <= uint64(len(ops)) {
+			t.Fatalf("workers=%d: Apply stored %d routes and interned %d paths and %d community sets for %d ops, want %v at one worker and more than one route per op",
+				workers, got[0], got[1], got[2], len(ops), want)
 		}
 	}
 }

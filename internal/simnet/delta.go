@@ -232,6 +232,7 @@ func (n *Network) applyWindow(ops []Op, counts []int) error {
 		st.replay = append(st.replay, nil)
 	}
 	stored := n.routes.Routes()
+	paths, comms := n.routes.Interned()
 	for w := range waves {
 		for i, op := range ops {
 			if wave[i] != w {
@@ -256,7 +257,7 @@ func (n *Network) applyWindow(ops []Op, counts []int) error {
 	for i := range ops {
 		for _, d := range st.replay[i] {
 			for _, t := range st.tapLists[st.tapOf[st.idx(d.to)]] {
-				t(d.from, d.to, pfx[d.id], n.routes.At(d.h))
+				t(d.from, d.to, pfx[d.id], n.routes.Ref(d.h))
 			}
 		}
 		replayed += len(st.replay[i])
@@ -264,6 +265,9 @@ func (n *Network) applyWindow(ops []Op, counts []int) error {
 	}
 	tapReplayed.Add(uint64(replayed))
 	arenaRoutes.Add(uint64(n.routes.Routes() - stored))
+	paths1, comms1 := n.routes.Interned()
+	internedPaths.Add(uint64(paths1 - paths))
+	internedComms.Add(uint64(comms1 - comms))
 	return nil
 }
 

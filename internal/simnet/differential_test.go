@@ -417,6 +417,23 @@ func TestForkPrefixIsolation(t *testing.T) {
 		origin := probe.StubASes()[0]
 		snapTable := probe.Net.Router(origin).Table() // a sealed router reads the snapshot's table
 		snapLen := snapTable.Len()
+		// advertised dumps every Adj-RIB-Out record of the probe's routers,
+		// which are all still the snapshot's sealed originals.
+		advertised := func() string {
+			var b strings.Builder
+			for _, asn := range probe.Net.ASes() {
+				r := probe.Net.Router(asn)
+				for _, p := range snapTable.Prefixes()[:snapLen] {
+					for _, nb := range r.Neighbors() {
+						if rt, ok := r.Advertised(nb, p); ok {
+							fmt.Fprintf(&b, "AS%d>%d %s\n", asn, nb, rt)
+						}
+					}
+				}
+			}
+			return b.String()
+		}
+		snapAdvertised := advertised()
 
 		// announce runs a plan on w; on a fork it also reads the local
 		// prefix back through a router that is still the sealed original.
@@ -486,6 +503,9 @@ func TestForkPrefixIsolation(t *testing.T) {
 		}
 		if got := snapTable.Len(); got != snapLen {
 			t.Errorf("%s: snapshot prefix table grew from %d to %d prefixes under its forks", engine, snapLen, got)
+		}
+		if advertised() != snapAdvertised {
+			t.Errorf("%s: the snapshot's Adj-RIB-Outs changed under its forks", engine)
 		}
 	}
 }

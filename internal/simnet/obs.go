@@ -22,6 +22,8 @@ var (
 	deltaExports       = obs.Default.Counter("simnet_delta_export_batches_total", "phase-1 export shards (one per dirty source router per round)")
 	tapReplayed        = obs.Default.Counter("simnet_tap_replayed_total", "deliveries buffered for tap replay (those to a receiver some tap observes)")
 	arenaRoutes        = obs.Default.Counter("simnet_route_arena_routes_total", "routes stored in network route arenas by delta engine windows (never freed before their network)")
+	internedPaths      = obs.Default.Counter("simnet_interned_paths_total", "distinct AS paths delta engine windows added to network intern tables")
+	internedComms      = obs.Default.Counter("simnet_interned_community_sets_total", "distinct community sets delta engine windows added to network intern tables")
 )
 
 // runMetrics is what one engine run tallies, one series set per

@@ -107,9 +107,13 @@ func (n *Network) runRounds(workers int) (int, error) {
 		for _, d := range round {
 			delivered++
 			n.steps++
+			var ref RouteRef // stored for the first tap that observes d
 			for _, t := range n.taps {
 				if t.fn != nil && t.observes(d.to) {
-					t.fn(d.from, d.to, pfx[d.id], d.rt)
+					if d.rt != nil && !ref.Valid() {
+						ref = n.routes.Ref(n.routes.Add(d.rt))
+					}
+					t.fn(d.from, d.to, pfx[d.id], ref)
 				}
 			}
 			if delivered > n.maxDeliveries() {

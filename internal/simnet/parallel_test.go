@@ -8,7 +8,6 @@ import (
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/netx"
-	"bgpworms/internal/policy"
 	"bgpworms/internal/topo"
 )
 
@@ -46,8 +45,9 @@ func meshGraph(t *testing.T) *topo.Graph {
 func announceAll(t *testing.T, n *Network) (string, int) {
 	t.Helper()
 	var tape strings.Builder
-	n.Tap(func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route) {
-		if rt != nil {
+	n.Tap(func(from, to topo.ASN, prefix netip.Prefix, ref RouteRef) {
+		if ref.Valid() {
+			rt := ref.Route()
 			fmt.Fprintf(&tape, "%d>%d %s %v %v\n", from, to, prefix, rt.ASPath.Sequence(), rt.Communities)
 		} else {
 			fmt.Fprintf(&tape, "%d>%d %s withdraw\n", from, to, prefix)

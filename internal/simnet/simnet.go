@@ -35,9 +35,14 @@ import (
 	"bgpworms/internal/topo"
 )
 
-// UpdateTap observes a delivered announcement (rt != nil) or withdrawal
-// (rt == nil) on the session from→to. Collectors attach here.
-type UpdateTap func(from, to topo.ASN, prefix netip.Prefix, rt *policy.Route)
+// UpdateTap observes a delivered announcement (rt.Valid()) or withdrawal
+// (the zero RouteRef) on the session from→to. Collectors attach here.
+type UpdateTap func(from, to topo.ASN, prefix netip.Prefix, rt RouteRef)
+
+// RouteRef names a delivered route in the network's route arena. A tap
+// may keep it: the reference keeps the arena alive, and the route it
+// names never changes. RouteRef.Route resolves it.
+type RouteRef = router.Ref
 
 // tap is one registration: fn observes the deliveries to the receivers
 // in to (ascending, distinct), or every delivery when to is empty. An
@@ -57,17 +62,16 @@ func (t tap) observes(asn topo.ASN) bool {
 type Network struct {
 	Graph   *topo.Graph
 	routers map[topo.ASN]*router.Router
-	// prefixes is the one prefix table every router of this network
-	// indexes its slots by. Ids are assigned only in serial entry points
-	// (schedule, the routers' own Originate, AddRouter's Rebind), never
-	// inside a convergence run, and never show in anything a tap, archive
-	// or RIB dump carries.
-	prefixes *router.PrefixTable
 	// routes is the one arena every router of this network stores its
-	// routes in. Handles are assigned inside convergence runs too (the
-	// engine's workers append through cursors of their own), and, like
-	// prefix ids, never show in anything observable.
-	routes *router.RouteArena
+	// routes in, and prefixes its prefix table, which every router
+	// indexes its slots by. Prefix ids are assigned only in serial entry
+	// points (schedule, the routers' own Originate, AddRouter's Rebind),
+	// never inside a convergence run. Handles and the ids of interned
+	// paths and community sets are assigned inside convergence runs too
+	// (the engine's workers append through cursors of their own). None of
+	// them shows in anything a tap, archive or RIB dump carries.
+	routes   *router.RouteArena
+	prefixes *router.PrefixTable
 
 	// queue of (asn, prefix id) pairs whose exports must be recomputed.
 	queue   []workItem
@@ -111,11 +115,12 @@ func New(g *topo.Graph, mk ConfigFunc) *Network {
 	if mk == nil {
 		mk = DefaultConfig
 	}
+	routes := router.NewRouteArena()
 	n := &Network{
 		Graph:    g,
 		routers:  make(map[topo.ASN]*router.Router, g.NumASes()),
-		prefixes: router.NewPrefixTable(),
-		routes:   router.NewRouteArena(),
+		routes:   routes,
+		prefixes: routes.Table(),
 		queued:   make(map[workItem]bool),
 		maxWork:  0,
 	}
@@ -123,7 +128,7 @@ func New(g *topo.Graph, mk ConfigFunc) *Network {
 		cfg := mk(asn)
 		cfg.ASN = asn
 		r := router.New(cfg)
-		r.Rebind(n.prefixes, n.routes)
+		r.Rebind(n.routes)
 		n.routers[asn] = r
 	}
 	for _, asn := range g.ASes() {
@@ -134,6 +139,10 @@ func New(g *topo.Graph, mk ConfigFunc) *Network {
 	}
 	return n
 }
+
+// Routes returns the network's route arena, which resolves the handles
+// its routers and taps name.
+func (n *Network) Routes() *router.RouteArena { return n.routes }
 
 // Router returns the speaker for asn (nil if absent).
 func (n *Network) Router(asn topo.ASN) *router.Router { return n.routers[asn] }
@@ -147,7 +156,7 @@ func (n *Network) AddRouter(r *router.Router) {
 	if n.frozen {
 		panic(fmt.Sprintf("simnet: AddRouter(AS%d) on frozen network — fork the snapshot instead", r.ASN()))
 	}
-	r.Rebind(n.prefixes, n.routes)
+	r.Rebind(n.routes)
 	n.routers[r.ASN()] = r
 	n.invalidateDelta()
 }

@@ -184,8 +184,8 @@ func TestTapObservesUpdatesAndWithdrawals(t *testing.T) {
 	g := paperFig2(t)
 	n := New(g, nil)
 	var updates, withdrawals, to6 int
-	n.Tap(func(from, to topo.ASN, p netip.Prefix, rt *policy.Route) {
-		if rt != nil {
+	n.Tap(func(from, to topo.ASN, p netip.Prefix, rt RouteRef) {
+		if rt.Valid() {
 			updates++
 		} else {
 			withdrawals++
@@ -197,12 +197,12 @@ func TestTapObservesUpdatesAndWithdrawals(t *testing.T) {
 	// A tap scoped to AS6 sees the deliveries to AS6, withdrawals
 	// included, and nothing else.
 	var scoped, scopedWithdrawals int
-	n.Tap(func(from, to topo.ASN, p netip.Prefix, rt *policy.Route) {
+	n.Tap(func(from, to topo.ASN, p netip.Prefix, rt RouteRef) {
 		if to != 6 {
 			t.Errorf("tap scoped to AS6 saw %d>%d", from, to)
 		}
 		scoped++
-		if rt == nil {
+		if !rt.Valid() {
 			scopedWithdrawals++
 		}
 	}, 6)

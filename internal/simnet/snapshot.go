@@ -13,7 +13,8 @@ import (
 // immutable Snapshot whose routers — route slabs, slot tables, LPM
 // tries — are shared, and Fork yields a mutable network backed by that
 // shared state. A fork pays two shallow map copies up front (routers,
-// prefix ids); a router is then cloned the first time a run touches it
+// prefix ids) and an arena Clone that copies nothing per route or per
+// interned path and community set; a router is then cloned the first time a run touches it
 // (mutable), and the clone shares the sealed router's slot and slab
 // pages, copying a page only when it first writes it (router/cow.go).
 // A scenario's perturbation therefore costs O(pages written) — a page or
@@ -27,14 +28,13 @@ import (
 // number of concurrent forks read through. It is created by
 // Network.Freeze and is safe for concurrent Fork calls.
 type Snapshot struct {
-	graph    *topo.Graph
-	routers  map[topo.ASN]*router.Router
-	prefixes *router.PrefixTable
-	routes   *router.RouteArena
-	steps    int
-	maxWork  int
-	workers  int
-	oracle   bool
+	graph   *topo.Graph
+	routers map[topo.ASN]*router.Router
+	routes  *router.RouteArena
+	steps   int
+	maxWork int
+	workers int
+	oracle  bool
 
 	mu        sync.Mutex
 	forks     int
@@ -66,14 +66,13 @@ func (n *Network) Freeze() (*Snapshot, error) {
 	// buffers would otherwise live as long as the snapshot.
 	n.invalidateDelta()
 	return &Snapshot{
-		graph:    n.Graph,
-		routers:  n.routers,
-		prefixes: n.prefixes,
-		routes:   n.routes,
-		steps:    n.steps,
-		maxWork:  n.maxWork,
-		workers:  n.workers,
-		oracle:   n.oracle,
+		graph:   n.Graph,
+		routers: n.routers,
+		routes:  n.routes,
+		steps:   n.steps,
+		maxWork: n.maxWork,
+		workers: n.workers,
+		oracle:  n.oracle,
 	}, nil
 }
 
@@ -82,8 +81,9 @@ func (n *Network) Freeze() (*Snapshot, error) {
 // counter captured at freeze time, so a run on the fork resolves to the
 // same engine and counts steps exactly as a scratch-built world would.
 // Forks are independent: mutations copy-on-write the touched routers,
-// prefixes a fork sees first get ids in the fork's own copy of the prefix
-// table, and neither can reach the snapshot or sibling forks.
+// and the prefixes, routes, AS paths and community sets a fork stores
+// land in its own Clone of the snapshot's arena and prefix table, which
+// neither the snapshot nor a sibling fork can reach.
 func (s *Snapshot) Fork() (*Network, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -91,11 +91,12 @@ func (s *Snapshot) Fork() (*Network, error) {
 		return nil, fmt.Errorf("simnet: fork of discarded snapshot")
 	}
 	s.forks++
+	routes := s.routes.Clone()
 	return &Network{
 		Graph:    s.graph,
 		routers:  maps.Clone(s.routers),
-		prefixes: s.prefixes.Clone(),
-		routes:   s.routes.Clone(),
+		routes:   routes,
+		prefixes: routes.Table(),
 		queued:   make(map[workItem]bool),
 		steps:    s.steps,
 		maxWork:  s.maxWork,
@@ -140,7 +141,7 @@ func (n *Network) mutable(asn topo.ASN) *router.Router {
 		panic(fmt.Sprintf("simnet: mutation of frozen network (AS%d) — fork the snapshot instead", asn))
 	}
 	cp := r.Clone()
-	cp.Rebind(n.prefixes, n.routes)
+	cp.Rebind(n.routes)
 	n.routers[asn] = cp
 	return cp
 }
