@@ -3,7 +3,7 @@
 
 GO      ?= go
 
-.PHONY: build test race scale-probe yardstick-smoke suite-gate lint deadcode mutant-gate fmt watch-smoke pins coverage fuzz-smoke loc ci
+.PHONY: build test race scale-probe yardstick-smoke suite-gate lint deadcode mutant-gate fmt watch-smoke pins traffic-cover coverage fuzz-smoke loc ci
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,16 @@ watch-smoke:
 # bench sweep grid, both suite reports, commdict replays).
 pins:
 	./ci/pins.sh
+
+# traffic-cover runs the pins (ci/pins.sh, unchanged) on binaries built
+# with coverage of every package and writes what they executed, per
+# function, to .cover/func.txt: which product code the pinned commands
+# reach, the traffic evidence for deleting a path none of them does.
+# The pins must still pass. Not part of ci.
+traffic-cover:
+	rm -rf .cover && mkdir .cover
+	GOFLAGS='-cover -coverpkg=bgpworms/...' GOCOVERDIR='$(CURDIR)/.cover' ./ci/pins.sh
+	$(GO) tool covdata func -i=.cover >.cover/func.txt
 
 # coverage enforces the ratchet in ci/coverage.txt (raise-only).
 coverage:

@@ -281,7 +281,7 @@ func vendorMatrix() string {
 			if send {
 				cfg.SendCommunity = map[topo.ASN]bool{64501: true}
 			}
-			r := router.New(cfg)
+			r := router.New(cfg, router.NewRouteArena())
 			r.AddNeighbor(64500, topo.RelCustomer)
 			r.AddNeighbor(64501, topo.RelCustomer)
 			in := policy.NewLocalRoute(pfx)

@@ -141,8 +141,7 @@ func (l *Lab) attachResearch() error {
 	if stripper == 0 {
 		stripper = mids[0]
 	}
-	inj := router.New(router.Config{ASN: asn, Vendor: router.VendorJuniper, Propagation: policy.PropForwardAll})
-	l.W.Net.AddRouter(inj)
+	l.W.Net.AddRouter(router.Config{ASN: asn, Vendor: router.VendorJuniper, Propagation: policy.PropForwardAll})
 	for _, up := range []topo.ASN{forwarder, stripper} {
 		if err := l.W.Net.Connect(asn, up, topo.RelProvider); err != nil {
 			return err
@@ -223,8 +222,7 @@ func (l *Lab) ensureRTBHProvider(near topo.ASN) topo.ASN {
 // server plus several transit providers.
 func (l *Lab) attachPeering() error {
 	asn := l.W.Params.InjectorBase() + 1
-	inj := router.New(router.Config{ASN: asn, Vendor: router.VendorJuniper, Propagation: policy.PropForwardAll})
-	l.W.Net.AddRouter(inj)
+	l.W.Net.AddRouter(router.Config{ASN: asn, Vendor: router.VendorJuniper, Propagation: policy.PropForwardAll})
 	var ups []topo.ASN
 	for _, rs := range l.W.RouteServers {
 		if err := rs.AddMember(asn); err != nil {

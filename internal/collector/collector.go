@@ -96,8 +96,7 @@ type Collector struct {
 	ASN      topo.ASN
 
 	peers map[topo.ASN]Peer
-	node  *router.Router
-	net   *simnet.Network
+	net   *simnet.Network // the network Attach built the collector's node in
 	obs   []Observation
 	seq   int
 }
@@ -109,12 +108,6 @@ func New(platform Platform, name string, asn topo.ASN) *Collector {
 		Name:     name,
 		ASN:      asn,
 		peers:    make(map[topo.ASN]Peer),
-		node: router.New(router.Config{
-			ASN:    asn,
-			Vendor: router.VendorJuniper,
-			// Collector sessions are special: no policy, keep everything.
-			Propagation: policy.PropForwardAll,
-		}),
 	}
 }
 
@@ -136,13 +129,19 @@ func (c *Collector) Peers() []Peer {
 	return out
 }
 
-// Attach inserts the collector into the network: a router node, one
-// session per peer (full feeds ride a customer relationship so the peer
-// exports its entire table; customer feeds ride a peer relationship), and
-// a tap subscribed to the deliveries the collector receives.
+// Attach inserts the collector into the network: a router node built on
+// it, one session per peer (full feeds ride a customer relationship so
+// the peer exports its entire table; customer feeds ride a peer
+// relationship), and a tap subscribed to the deliveries the collector
+// receives.
 func (c *Collector) Attach(n *simnet.Network) error {
 	c.net = n
-	n.AddRouter(c.node)
+	n.AddRouter(router.Config{
+		ASN:    c.ASN,
+		Vendor: router.VendorJuniper,
+		// Collector sessions are special: no policy, keep everything.
+		Propagation: policy.PropForwardAll,
+	})
 	for _, p := range c.Peers() {
 		switch p.Feed {
 		case FullFeed, PartialFeed:
@@ -195,25 +194,12 @@ func (c *Collector) ForkInto(n *simnet.Network) *Collector {
 		Name:     c.Name,
 		ASN:      c.ASN,
 		peers:    c.peers,
-		node:     c.node,
 		net:      n,
 		obs:      c.obs[:len(c.obs):len(c.obs)],
 		seq:      c.seq,
 	}
 	n.Tap(cp.tap, cp.ASN)
 	return cp
-}
-
-// router resolves the collector's speaker in the attached network, so a
-// forked collector reads the fork's copy-on-write router rather than the
-// sealed snapshot original.
-func (c *Collector) router() *router.Router {
-	if c.net != nil {
-		if r := c.net.Router(c.ASN); r != nil {
-			return r
-		}
-	}
-	return c.node
 }
 
 // partialKeeps deterministically keeps ~half the prefixes of a partial
@@ -322,7 +308,9 @@ func (c *Collector) WriteRIBSnapshotMRT(w io.Writer, at time.Time) (int, error) 
 	type entryKey struct{ p netip.Prefix }
 	byPrefix := make(map[entryKey][]mrt.RIBEntry)
 	var order []netip.Prefix
-	c.router().EachAdjIn(func(p netip.Prefix, from topo.ASN, rt *policy.Route) {
+	// The node resolves through the network, so a forked collector reads
+	// the fork's copy-on-write router rather than the sealed original.
+	c.net.Router(c.ASN).EachAdjIn(func(p netip.Prefix, from topo.ASN, rt *policy.Route) {
 		// Partial feeds are partial in the table too.
 		if pr, ok := c.peers[from]; ok && pr.Feed == PartialFeed && !partialKeeps(c.ASN, from, p) {
 			return

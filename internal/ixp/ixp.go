@@ -46,8 +46,7 @@ type RouteServer struct {
 	asn     topo.ASN
 	order   EvalOrder
 	members []topo.ASN
-	rt      *router.Router
-	net     *simnet.Network
+	net     *simnet.Network // the network Attach built the speaker in
 }
 
 // NewRouteServer creates a route server with the given AS number (used
@@ -55,16 +54,7 @@ type RouteServer struct {
 // on AS paths). Member ASNs must fit in 16 bits to be addressable in
 // community values.
 func NewRouteServer(asn topo.ASN, order EvalOrder) *RouteServer {
-	rs := &RouteServer{asn: asn, order: order}
-	rs.rt = router.New(router.Config{
-		ASN:         asn,
-		Vendor:      router.VendorJuniper,
-		Propagation: policy.PropForwardAll,
-		Transparent: true,
-		ReflectAll:  true,
-		Catalog:     policy.NewCatalog(asn),
-	})
-	return rs
+	return &RouteServer{asn: asn, order: order}
 }
 
 // ASN returns the route server's AS number.
@@ -73,32 +63,10 @@ func (rs *RouteServer) ASN() topo.ASN { return rs.asn }
 // Order returns the published evaluation order.
 func (rs *RouteServer) Order() EvalOrder { return rs.order }
 
-// Router exposes the underlying speaker (for simnet attachment). In a
-// forked world this resolves through the network, so callers read the
-// fork's copy-on-write state.
-func (rs *RouteServer) Router() *router.Router { return rs.router() }
-
-// router resolves the route server's speaker in the attached network,
-// falling back to the original before attachment.
-func (rs *RouteServer) router() *router.Router {
-	if rs.net != nil {
-		if r := rs.net.Router(rs.asn); r != nil {
-			return r
-		}
-	}
-	return rs.rt
-}
-
-// mutableRouter resolves the speaker for mutation: in a forked world the
-// sealed snapshot router is copy-on-written into the fork first.
-func (rs *RouteServer) mutableRouter() *router.Router {
-	if rs.net != nil {
-		if r := rs.net.MutableRouter(rs.asn); r != nil {
-			return r
-		}
-	}
-	return rs.rt
-}
+// Router returns the route server's speaker in the network it is
+// attached to. In a forked world this resolves through the fork, so
+// callers read the fork's copy-on-write state.
+func (rs *RouteServer) Router() *router.Router { return rs.net.Router(rs.asn) }
 
 // ForkInto clones the route server against a forked network: the member
 // list is capacity-clamped so AddMember on the fork reallocates instead
@@ -108,7 +76,6 @@ func (rs *RouteServer) ForkInto(n *simnet.Network) *RouteServer {
 		asn:     rs.asn,
 		order:   rs.order,
 		members: rs.members[:len(rs.members):len(rs.members)],
-		rt:      rs.rt,
 		net:     n,
 	}
 }
@@ -130,8 +97,9 @@ func (rs *RouteServer) SuppressToCommunity(member topo.ASN) bgp.Community {
 	return bgp.C(0, uint16(member))
 }
 
-// AddMember registers a member and rebuilds the service catalog in the
-// published evaluation order.
+// AddMember registers a member and, once the route server is attached,
+// rebuilds its speaker's service catalog in the published evaluation
+// order.
 func (rs *RouteServer) AddMember(member topo.ASN) error {
 	if member > 0xFFFF {
 		return fmt.Errorf("ixp: member AS%d does not fit the 16-bit community format", member)
@@ -142,11 +110,15 @@ func (rs *RouteServer) AddMember(member topo.ASN) error {
 		}
 	}
 	rs.members = append(rs.members, member)
-	rs.rebuildCatalog()
+	if rs.net != nil {
+		rs.net.MutableRouter(rs.asn).Config().Catalog = rs.catalog()
+	}
 	return nil
 }
 
-func (rs *RouteServer) rebuildCatalog() {
+// catalog builds the service catalog for the current members in the
+// published evaluation order.
+func (rs *RouteServer) catalog() *policy.Catalog {
 	cat := policy.NewCatalog(rs.asn)
 	add := func(kind policy.ServiceKind) {
 		for _, m := range rs.Members() {
@@ -165,14 +137,22 @@ func (rs *RouteServer) rebuildCatalog() {
 		add(policy.SvcAnnounceTo)
 		add(policy.SvcNoAnnounceTo)
 	}
-	rs.mutableRouter().Config().Catalog = cat
+	return cat
 }
 
-// Attach inserts the route server into a network and wires sessions to
-// every registered member (members must already exist in the network).
+// Attach builds the route server's speaker in a network and wires
+// sessions to every registered member (members must already exist in the
+// network).
 func (rs *RouteServer) Attach(n *simnet.Network) error {
 	rs.net = n
-	n.AddRouter(rs.rt)
+	n.AddRouter(router.Config{
+		ASN:         rs.asn,
+		Vendor:      router.VendorJuniper,
+		Propagation: policy.PropForwardAll,
+		Transparent: true,
+		ReflectAll:  true,
+		Catalog:     rs.catalog(),
+	})
 	for _, m := range rs.Members() {
 		if err := n.Connect(m, rs.asn, topo.RelPeer); err != nil {
 			return err

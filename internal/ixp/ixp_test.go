@@ -73,7 +73,7 @@ func TestPlainRedistributionToAllMembers(t *testing.T) {
 			t.Fatalf("origin=%d", rt.ASPath.Origin())
 		}
 	}
-	if _, ok := rs.router().Advertised(200, pfx); !ok {
+	if _, ok := rs.Router().Advertised(200, pfx); !ok {
 		t.Fatal("route server should have advertised the prefix to member 200")
 	}
 }

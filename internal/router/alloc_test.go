@@ -16,7 +16,7 @@ import (
 // structure could allocate inside them.
 
 func allocRouter() (*Router, uint32) {
-	r := New(Config{ASN: 65001})
+	r := New(Config{ASN: 65001}, NewRouteArena())
 	r.AddNeighbor(100, topo.RelProvider)
 	r.AddNeighbor(200, topo.RelCustomer)
 	r.AddNeighbor(300, topo.RelCustomer)

@@ -117,10 +117,12 @@ type record struct {
 }
 
 // RouteArena is an append-only store of routes addressed by Handle. A
-// simnet.Network owns one arena for all of its routers; a router built
-// by New owns a private one until Rebind moves it. Routes are written
-// once, when they are built, and never changed or freed: an arena goes
-// with the network that owns it.
+// router is built on one (New) and stores every route it builds there:
+// a simnet.Network owns one arena for all of its routers, and a fork's
+// copy-on-write routers are cloned onto the fork's Clone of the
+// snapshot's (Router.Clone).
+// Routes are written once, when they are built, and never changed or
+// freed: an arena goes with the network that owns it.
 //
 // Each route is a record of ids (record): its prefix's id in the arena's
 // PrefixTable (Table), and its AS path's and community set's ids in the
@@ -146,12 +148,6 @@ type RouteArena struct {
 	// records and intern tables without locking, so nothing may be added
 	// to it any more.
 	frozen atomic.Bool
-
-	// base and baseLen record the arena this one was cloned from and its
-	// reserved length then: a router can move from base to this arena
-	// keeping its handles (Router.Rebind).
-	base    *RouteArena
-	baseLen uint32
 }
 
 // NewRouteArena returns an empty arena over a new, empty prefix table.
@@ -234,7 +230,7 @@ func (a *RouteArena) Interned() (paths, comms int64) { return a.paths.len(), a.c
 // afterwards panics. World forks clone the snapshot's arena.
 func (a *RouteArena) Clone() *RouteArena {
 	a.frozen.Store(true)
-	c := &RouteArena{tbl: a.tbl.Clone(), paths: a.paths.clone(), comms: a.comms.clone(), base: a, baseLen: a.recs.next.Load()}
+	c := &RouteArena{tbl: a.tbl.Clone(), paths: a.paths.clone(), comms: a.comms.clone()}
 	a.recs.shareInto(&c.recs)
 	c.stored.Store(a.stored.Load())
 	return c

@@ -37,16 +37,15 @@ func (r *Router) mustMutable() {
 }
 
 // Clone returns an unsealed copy of a sealed router for copy-on-write
-// forking. The neighbor set and config maps are copied; the slot and
-// slab pages are shared, owned by neither side until the clone writes
-// one (see the ownership rule above), so a clone costs a few slices of
-// page pointers however many prefixes the router holds. Routes are
-// written once and never edited, so the clone's handles name them in the
-// original's arena for good. The clone reads ids and routes through the
-// original's table and arena until Rebind moves it — onto a fork's Clone
-// of the arena, which carries a Clone of the table, a pointer swap. Cloning an unsealed router
+// forking, on arena a: the router's own arena or a Clone of it taken
+// since the router was sealed (a fork's), which resolves every handle
+// and prefix id the original holds, so the copy keeps them as they are.
+// The neighbor set and config maps are copied; the slot and slab pages
+// are shared, owned by neither side until the clone writes one (see the
+// ownership rule above), so a clone costs a few slices of page pointers
+// however many prefixes the router holds. Cloning an unsealed router
 // panics: its next write would land in pages the clone reads.
-func (r *Router) Clone() *Router {
+func (r *Router) Clone(a *RouteArena) *Router {
 	if !r.sealed {
 		panic(fmt.Sprintf("router: Clone of unsealed AS%d (Seal it first)", r.cfg.ASN))
 	}
@@ -54,8 +53,7 @@ func (r *Router) Clone() *Router {
 		cfg:       r.cfg,
 		neighbors: maps.Clone(r.neighbors),
 		nbVersion: r.nbVersion,
-		tbl:       r.tbl,
-		routes:    r.routes,
+		routes:    a,
 		slots:     r.slots.share(),
 		in:        r.in.share(),
 		out:       r.out.share(),

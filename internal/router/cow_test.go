@@ -14,7 +14,7 @@ import (
 // privatePages counts the slot pages and slab pages cp holds that are not
 // the pages of orig, the router it was cloned from.
 func privatePages(orig, cp *Router) (slots, in, out int) {
-	for id := 0; id < cp.tbl.Len(); id += 1 << slotPageBits {
+	for id := 0; id < len(cp.Table().Prefixes()); id += 1 << slotPageBits {
 		if s := cp.slots.at(uint32(id)); s != nil && s != orig.slots.at(uint32(id)) {
 			slots++
 		}
@@ -42,7 +42,7 @@ func privateSlabPages[T any](orig, cp *slab[T]) int {
 // moves out of and the one it moves into — while the sealed original
 // reads back exactly as before.
 func TestCloneSharesUntouchedPages(t *testing.T) {
-	r := New(Config{ASN: 65001})
+	r := New(Config{ASN: 65001}, NewRouteArena())
 	nbs := []topo.ASN{100, 200, 300}
 	r.AddNeighbor(100, topo.RelProvider)
 	r.AddNeighbor(200, topo.RelCustomer)
@@ -68,7 +68,7 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 	}
 	r.Seal()
 	before := readBack(r, universe, nbs)
-	cp := r.Clone()
+	cp := r.Clone(r.routes.Clone())
 	if s, in, out := privatePages(r, cp); s+in+out != 0 {
 		t.Fatalf("fresh clone owns %d slot, %d in and %d out pages; want all shared", s, in, out)
 	}
@@ -93,7 +93,7 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 	if s > 1 || in > 2 || out > 2 {
 		t.Fatalf("writing one prefix took %d slot, %d in and %d out pages private; want at most 1, 2 and 2", s, in, out)
 	}
-	if ns, nin, nout := r.tbl.Len()>>slotPageBits, len(r.in.pages), len(r.out.pages); ns < 4 || nin < 4 || nout < 4 {
+	if ns, nin, nout := len(r.Table().Prefixes())>>slotPageBits, len(r.in.pages), len(r.out.pages); ns < 4 || nin < 4 || nout < 4 {
 		t.Fatalf("the original has only %d slot, %d in and %d out pages: the bounds above prove nothing", ns, nin, nout)
 	}
 
@@ -101,10 +101,10 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 	// last page, which has spare capacity that every sibling clone
 	// shares: no shared page is copied for it, and each sibling reads
 	// back only its own candidates for the one id both tables give it.
-	// The same holds for the route arena: each sibling moves onto a clone
-	// of the original's, whose last page has room left too, and stores
-	// its routes in pages of its own.
-	r = New(Config{ASN: 65002})
+	// The same holds for the route arena: each sibling is cloned onto a
+	// clone of the original's, whose last page has room left too, and
+	// stores its routes in pages of its own.
+	r = New(Config{ASN: 65002}, NewRouteArena())
 	r.AddNeighbor(100, topo.RelProvider)
 	r.AddNeighbor(200, topo.RelCustomer)
 	for i := range 1000 {
@@ -122,8 +122,7 @@ func TestCloneSharesUntouchedPages(t *testing.T) {
 	origins := []uint32{64500, 64501}
 	var sibs []*Router
 	for i, origin := range origins {
-		cp := r.Clone()
-		cp.Rebind(r.routes.Clone())
+		cp := r.Clone(r.routes.Clone())
 		id := cp.Table().Intern(q)
 		// The siblings store their two routes in opposite orders, so
 		// their equal-shaped candidate runs name different handles: a run

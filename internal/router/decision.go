@@ -61,7 +61,7 @@ func (r *Router) ensureRIB() {
 		return
 	}
 	t := netx.NewTrie[uint32]()
-	pfx := r.tbl.Prefixes()
+	pfx := r.routes.tbl.Prefixes()
 	for id, st := range r.slots.all() {
 		if st.best.h != 0 {
 			t.Insert(pfx[id], id)
@@ -189,7 +189,7 @@ func (r *Router) RIB() []*policy.Route {
 // (canonical prefix order, then ascending neighbor ASN). Collectors use
 // this to emit TABLE_DUMP_V2 snapshots with one entry per peer.
 func (r *Router) EachAdjIn(fn func(p netip.Prefix, from topo.ASN, rt *policy.Route)) {
-	pfx := r.tbl.Prefixes()
+	pfx := r.routes.tbl.Prefixes()
 	var ids []uint32
 	for id, st := range r.slots.all() {
 		if c := r.in.view(st.in); len(c) > 1 || len(c) == 1 && c[0].from != 0 {
@@ -209,7 +209,7 @@ func (r *Router) EachAdjIn(fn func(p netip.Prefix, from topo.ASN, rt *policy.Rou
 // Prefixes returns all Loc-RIB prefixes in canonical order.
 func (r *Router) Prefixes() []netip.Prefix {
 	var out []netip.Prefix
-	pfx := r.tbl.Prefixes()
+	pfx := r.routes.tbl.Prefixes()
 	for id, st := range r.slots.all() {
 		if st.best.h != 0 {
 			out = append(out, pfx[id])

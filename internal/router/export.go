@@ -381,7 +381,7 @@ func (r *Router) RecordAdvertised(neighbor topo.ASN, p netip.Prefix, rt *policy.
 		}
 		return had
 	}
-	st := r.slots.grow(r.tbl.Intern(p.Masked()))
+	st := r.slots.grow(r.routes.tbl.Intern(p.Masked()))
 	sent := r.out.view(st.out)
 	i, had := slices.BinarySearchFunc(sent, neighbor, bySession)
 	rc := r.routes.record(rt)

@@ -171,7 +171,7 @@ func TestInternEqualSequenceNotSegments(t *testing.T) {
 
 	// Through the router: re-advertising the same route with its path
 	// split differently is no change, and a different sequence is one.
-	r := New(Config{ASN: 65001})
+	r := New(Config{ASN: 65001}, NewRouteArena())
 	r.AddNeighbor(100, topo.RelCustomer)
 	p := netx.MustPrefix("203.0.113.0/24")
 	rt := policy.NewLocalRoute(p)
@@ -286,12 +286,12 @@ func TestForkInternsIntoItsOwnTables(t *testing.T) {
 	}
 }
 
-// TestRebindKeepsIDsValid moves a router holding routes onto a clone of
-// its arena (records, and so ids, carry over unchanged) and onto a fresh
-// arena (every path and set interned anew), and checks that every view
-// reads the same afterwards.
-func TestRebindKeepsIDsValid(t *testing.T) {
-	r := New(Config{ASN: 65001, IngressTags: map[topo.ASN][]bgp.Community{200: {bgp.C(65001, 9)}}})
+// TestCloneKeepsIDsValid clones a sealed router holding routes onto a
+// clone of its arena, the way a fork does, and checks that every handle
+// and prefix id it holds reads the same there and every view reads the
+// same afterwards.
+func TestCloneKeepsIDsValid(t *testing.T) {
+	r := New(Config{ASN: 65001, IngressTags: map[topo.ASN][]bgp.Community{200: {bgp.C(65001, 9)}}}, NewRouteArena())
 	r.AddNeighbor(100, topo.RelProvider)
 	r.AddNeighbor(200, topo.RelCustomer)
 	for i := range 40 {
@@ -315,28 +315,27 @@ func TestRebindKeepsIDsValid(t *testing.T) {
 		return fmt.Sprint(b)
 	}
 	want := view(r)
+	r.Seal()
 	clone := r.routes.Clone()
-	recs := make(map[Handle]record)
-	for _, st := range r.slots.all() {
+	cp := r.Clone(clone)
+	if cp.Table() != clone.Table() {
+		t.Fatal("the clone does not index its slots by its arena's table")
+	}
+	for id, st := range r.slots.all() {
+		if st.in.n == 0 {
+			continue // past the table's end, or never written
+		}
+		if p := r.Table().At(id); clone.Table().At(id) != p {
+			t.Fatalf("id %d names %s on the clone, %s before", id, clone.Table().At(id), p)
+		}
 		for _, e := range r.in.view(st.in) {
-			recs[e.h] = *r.routes.rec(e.h)
+			if *clone.rec(e.h) != *r.routes.rec(e.h) {
+				t.Fatalf("handle %d reads %+v on the clone, %+v before", e.h, *clone.rec(e.h), *r.routes.rec(e.h))
+			}
 		}
 	}
-	r.Rebind(clone)
-	for h, rc := range recs {
-		if *clone.rec(h) != rc {
-			t.Fatalf("handle %d reads %+v on the clone, %+v before", h, *clone.rec(h), rc)
-		}
-	}
-	if got := view(r); got != want {
-		t.Fatalf("after Rebind onto a clone:\n%s\nwant\n%s", got, want)
-	}
-	r.Rebind(NewRouteArena())
-	if got := view(r); got != want {
-		t.Fatalf("after Rebind onto a fresh arena:\n%s\nwant\n%s", got, want)
-	}
-	if p, c := r.routes.Interned(); p == 0 || c == 0 {
-		t.Fatalf("the fresh arena interned %d paths and %d community sets", p, c)
+	if got := view(cp); got != want {
+		t.Fatalf("after Clone onto an arena clone:\n%s\nwant\n%s", got, want)
 	}
 }
 

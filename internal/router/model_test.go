@@ -108,7 +108,7 @@ type modelWorld struct {
 var modelTags = map[topo.ASN][]bgp.Community{400: {bgp.C(65001, 400)}}
 
 func newModelWorld(t *testing.T, seed int64) *modelWorld {
-	w := &modelWorld{t: t, rng: rand.New(rand.NewSource(seed)), r: New(Config{ASN: 65001, IngressTags: modelTags})}
+	w := &modelWorld{t: t, rng: rand.New(rand.NewSource(seed)), r: New(Config{ASN: 65001, IngressTags: modelTags}, NewRouteArena())}
 	w.m = &tableModel{self: 65001, nbs: map[topo.ASN]topo.Rel{100: topo.RelProvider, 200: topo.RelCustomer, 300: topo.RelPeer, 400: topo.RelCustomer},
 		tags: modelTags, in: map[netip.Prefix]map[topo.ASN]*policy.Route{}, out: map[netip.Prefix]map[topo.ASN]*policy.Route{}}
 	for nb, rel := range w.m.nbs {
@@ -313,7 +313,7 @@ func (w *modelWorld) recordAll(p netip.Prefix) {
 
 func (w *modelWorld) randomStep(sealed *[]sealedCopy) {
 	p := w.prefix()
-	switch op := w.rng.Intn(13); op {
+	switch op := w.rng.Intn(12); op {
 	case 0:
 		comms := []bgp.Community{bgp.C(65001, uint16(w.rng.Intn(3)))}
 		w.step = fmt.Sprintf("Originate(%s, %v)", p, comms)
@@ -374,32 +374,19 @@ func (w *modelWorld) randomStep(sealed *[]sealedCopy) {
 		if want {
 			w.m.put(w.m.out, p, nb, rt)
 		}
-	case 10:
-		w.step = "Seal+Clone"
+	case 10, 11:
+		// Seal and clone, on the same arena or, the way a fork does, onto
+		// a clone of it: either resolves every handle and id the sealed
+		// original holds.
 		w.r.Seal()
 		*sealed = append(*sealed, sealedCopy{w.r, w.dump()})
-		w.r = w.r.Clone()
-	case 11:
-		// Move to another id and handle space: clones of the table and
-		// arena (ids and handles agree) or empty ones (every slot
-		// renumbered, every route copied).
-		if w.rng.Intn(2) == 0 {
-			w.step = "Rebind(clone)"
-			w.r.Rebind(w.r.routes.Clone())
+		if op == 10 {
+			w.step = "Seal+Clone"
+			w.r = w.r.Clone(w.r.routes)
 		} else {
-			w.step = "Rebind(empty)"
-			w.r.Rebind(NewRouteArena())
+			w.step = "Seal+Clone onto arena clone"
+			w.r = w.r.Clone(w.r.routes.Clone())
 		}
-	case 12:
-		// Move onto an arena other routers have grown, the way AddRouter
-		// moves a router holding routes onto a network's: every route the
-		// router names is copied in under a new handle.
-		a := NewRouteArena()
-		for range w.rng.Intn(3 * pageLen) {
-			a.Add(w.route(w.prefix(), 100))
-		}
-		w.step = fmt.Sprintf("Rebind(arena grown to %d routes)", a.Routes())
-		w.r.Rebind(a)
 	}
 }
 
@@ -412,12 +399,13 @@ type sealedCopy struct {
 // v6 prefixes, three of them covering others — some interned up front
 // in shuffled order, the rest at first use — and after every step
 // compares BestRoute, LookupFIB, Advertised, EachAdjIn, RIB, Prefixes
-// and String()'s prefix count with the model. The sequences rebind the
-// router onto cloned, empty and grown arenas, and session 400 is tagged,
-// so its imports are rebuilt under a new handle on every arrival: equal
-// content under two handles must never count as a change. Sealed
-// originals left behind by Clone must still read as they did when they
-// were sealed, whatever their clones did since.
+// and String()'s prefix count with the model. The sequences seal the
+// router and go on with a Clone of it, on its own arena or on a clone of
+// the arena, and session 400 is tagged, so its imports are rebuilt under
+// a new handle on every arrival: equal content under two handles must
+// never count as a change. Sealed originals left behind by Clone must
+// still read as they did when they were sealed, whatever their clones
+// did since.
 func TestTablesMatchModel(t *testing.T) {
 	steps := 500
 	if testing.Short() {
@@ -430,7 +418,7 @@ func TestTablesMatchModel(t *testing.T) {
 
 		// Fixed case: the only candidate of the highest id goes and comes
 		// back (the slot's span is released and allocated again).
-		hi := w.r.Table().At(uint32(w.r.Table().Len() - 1))
+		hi := w.r.Table().At(uint32(len(w.r.Table().Prefixes()) - 1))
 		for _, announce := range []bool{true, false, true} {
 			if announce {
 				rt := w.route(hi, 200)

@@ -177,11 +177,11 @@ type Router struct {
 	neighbors map[topo.ASN]topo.Rel
 	nbVersion int
 
-	// tbl names the prefixes; slot id is the state for tbl.At(id). Slot
+	// routes holds every route the slots and slabs name, and its table
+	// names the prefixes: slot id is the state for routes.tbl.At(id). Slot
 	// pages are allocated when this router first writes one of their ids,
 	// never sized to the table, so a prefix that reaches two routers costs
-	// two routers. routes holds every route the slots and slabs name.
-	tbl     *PrefixTable
+	// two routers.
 	routes  *RouteArena
 	slots   slotTable
 	in      slab[inEntry]
@@ -202,88 +202,32 @@ type Router struct {
 	ribMu  sync.Mutex
 }
 
-// New constructs a router from cfg with a route arena, and so a prefix
-// table, of its own; a network moves it onto the shared ones with Rebind.
-func New(cfg Config) *Router {
-	a := NewRouteArena()
+// New constructs a router from cfg on arena a: its routes live in a and
+// its slots are indexed by a's prefix table. A simnet.Network builds all
+// of its routers on the one arena it owns; a standalone router takes a
+// fresh one (NewRouteArena).
+func New(cfg Config, a *RouteArena) *Router {
 	return &Router{
 		cfg:       cfg,
 		neighbors: make(map[topo.ASN]topo.Rel),
-		tbl:       a.Table(),
 		routes:    a,
 		locRIB:    netx.NewTrie[uint32](),
 	}
 }
 
-// Table returns the prefix table the router's ids come from.
-func (r *Router) Table() *PrefixTable { return r.tbl }
-
-// Rebind moves the router onto arena a and its prefix table. When a is
-// the router's arena, or a Clone of it taken since it last grew, handles
-// and ids agree: then only the pointers move (the copy-on-write fork
-// path). Otherwise each used slot is renumbered through a's table,
-// interning its prefix, and each route it names is copied into a once
-// under a new handle, its path and communities interned there.
-func (r *Router) Rebind(a *RouteArena) {
-	oldT, oldA := r.tbl, r.routes
-	if a == oldA {
-		return
-	}
-	r.mustMutable()
-	t := a.Table()
-	r.tbl, r.routes = t, a
-	renumber := t != oldT && !(t.base == oldT && t.baseLen == oldT.Len())
-	if !renumber && a.base == oldA && a.baseLen == oldA.recs.next.Load() {
-		return
-	}
-	moved := make(map[Handle]Handle)
-	move := func(h Handle) Handle {
-		if h == 0 {
-			return 0
-		}
-		nh, ok := moved[h]
-		if !ok {
-			rt := oldA.route(oldA.rec(h))
-			nh = a.Add(&rt)
-			moved[h] = nh
-		}
-		return nh
-	}
-	slots := r.slots
-	r.slots = nil
-	for id, s := range slots.all() {
-		if s.best.h == 0 && s.in.n == 0 && s.out.n == 0 {
-			continue
-		}
-		if renumber {
-			id = t.Intern(oldT.At(id))
-		}
-		st := r.slots.grow(id)
-		*st = *s
-		st.best.h = move(st.best.h)
-		in, out := r.in.run(st.in), r.out.run(st.out)
-		for i := range in {
-			in[i].h = move(in[i].h)
-		}
-		for i := range out {
-			out[i].h = move(out[i].h)
-		}
-	}
-	r.ribStale = true
-}
+// Table returns the prefix table the router's ids come from: its
+// arena's.
+func (r *Router) Table() *PrefixTable { return r.routes.tbl }
 
 // lookup resolves p to a slot that exists, for read paths: an unknown
 // prefix, or one this router never wrote, is absent.
 func (r *Router) lookup(p netip.Prefix) (uint32, *slot) {
-	id, ok := r.tbl.Lookup(p.Masked())
+	id, ok := r.routes.tbl.Lookup(p.Masked())
 	if !ok {
 		return 0, nil
 	}
 	return id, r.slots.at(id)
 }
-
-// ASN returns the router's AS number.
-func (r *Router) ASN() topo.ASN { return r.cfg.ASN }
 
 // Config exposes the configuration for inspection by the lab harness.
 func (r *Router) Config() *Config { return &r.cfg }
@@ -341,7 +285,7 @@ func (r *Router) Originate(p netip.Prefix, comms ...bgp.Community) bool {
 	r.mustMutable()
 	rt := policy.NewLocalRoute(p)
 	rt.Communities = bgp.NewCommunitySet(comms...)
-	id := r.tbl.Intern(rt.Prefix)
+	id := r.routes.tbl.Intern(rt.Prefix)
 	r.storeAdjIn(id, inEntry{lp: rt.LocalPref, h: r.routes.Add(rt)})
 	return r.decide(id)
 }
@@ -372,7 +316,7 @@ const (
 // the import outcome and whether the Loc-RIB best route changed.
 func (r *Router) ReceiveUpdate(from topo.ASN, in *policy.Route) (ImportResult, bool) {
 	r.mustMutable()
-	id := r.tbl.Intern(in.Prefix)
+	id := r.routes.tbl.Intern(in.Prefix)
 	rel, res := r.admit(from, in.ASPath)
 	if res == ImportAccepted {
 		res = r.receive(nil, from, rel, id, in, 0)

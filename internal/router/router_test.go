@@ -19,7 +19,7 @@ func route(p netip.Prefix, path ...uint32) *policy.Route {
 }
 
 func newRouter(asn topo.ASN) *Router {
-	return New(Config{ASN: asn, Vendor: VendorJuniper})
+	return New(Config{ASN: asn, Vendor: VendorJuniper}, NewRouteArena())
 }
 
 func TestOriginateAndBest(t *testing.T) {
@@ -164,7 +164,7 @@ func TestRTBHServiceAcceptsAndNullRoutes(t *testing.T) {
 		Catalog:         policy.NewCatalog(65001).Add(policy.Service{Community: bh, Kind: policy.SvcBlackhole}),
 		BlackholeMinLen: 24,
 		MaxPrefixLen:    24,
-	})
+	}, NewRouteArena())
 	r.AddNeighbor(64500, topo.RelCustomer)
 	r.AddNeighbor(64501, topo.RelPeer)
 
@@ -220,7 +220,7 @@ func TestOriginValidationOrdering(t *testing.T) {
 			ValidateOrigin:          true,
 			BlackholeMinLen:         24,
 			BlackholeBeforeValidate: misconfig,
-		})
+		}, NewRouteArena())
 		r.AddNeighbor(64500, topo.RelCustomer)
 		return r
 	}
@@ -253,7 +253,7 @@ func TestLocalPrefServiceCustomerGating(t *testing.T) {
 	cat := policy.NewCatalog(65001).Add(policy.Service{
 		Community: lp, Kind: policy.SvcLocalPref, Param: 80, CustomerOnly: true,
 	})
-	r := New(Config{ASN: 65001, Vendor: VendorJuniper, Catalog: cat})
+	r := New(Config{ASN: 65001, Vendor: VendorJuniper, Catalog: cat}, NewRouteArena())
 	r.AddNeighbor(64500, topo.RelCustomer)
 	r.AddNeighbor(64501, topo.RelPeer)
 
@@ -280,7 +280,7 @@ func TestLocationTagging(t *testing.T) {
 	r := New(Config{
 		ASN: 65001, Vendor: VendorJuniper,
 		IngressTags: map[topo.ASN][]bgp.Community{64500: {bgp.C(65001, 201)}},
-	})
+	}, NewRouteArena())
 	r.AddNeighbor(64500, topo.RelPeer)
 	r.AddNeighbor(64501, topo.RelPeer)
 	r.ReceiveUpdate(64500, route(pfx, 64500, 1))
@@ -390,7 +390,7 @@ func TestWellKnownCommunityExportControl(t *testing.T) {
 func TestPrependService(t *testing.T) {
 	pp := bgp.C(65001, 103)
 	cat := policy.NewCatalog(65001).Add(policy.Service{Community: pp, Kind: policy.SvcPrepend, Param: 3})
-	r := New(Config{ASN: 65001, Vendor: VendorJuniper, Catalog: cat})
+	r := New(Config{ASN: 65001, Vendor: VendorJuniper, Catalog: cat}, NewRouteArena())
 	r.AddNeighbor(64500, topo.RelCustomer)
 	r.AddNeighbor(64501, topo.RelPeer)
 
@@ -420,7 +420,7 @@ func TestSelectiveAnnouncementServices(t *testing.T) {
 	cat := policy.NewCatalog(65001).
 		Add(policy.Service{Community: noAnnTo, Kind: policy.SvcNoAnnounceTo, Param: 64501}).
 		Add(policy.Service{Community: annTo, Kind: policy.SvcAnnounceTo, Param: 64501})
-	r := New(Config{ASN: 65001, Vendor: VendorJuniper, Catalog: cat})
+	r := New(Config{ASN: 65001, Vendor: VendorJuniper, Catalog: cat}, NewRouteArena())
 	r.AddNeighbor(64500, topo.RelCustomer)
 	r.AddNeighbor(64501, topo.RelCustomer)
 	r.AddNeighbor(64502, topo.RelCustomer)
@@ -450,7 +450,7 @@ func TestSelectiveAnnouncementServices(t *testing.T) {
 func TestNoExportService(t *testing.T) {
 	nx := bgp.C(65001, 9)
 	cat := policy.NewCatalog(65001).Add(policy.Service{Community: nx, Kind: policy.SvcNoExport})
-	r := New(Config{ASN: 65001, Vendor: VendorJuniper, Catalog: cat})
+	r := New(Config{ASN: 65001, Vendor: VendorJuniper, Catalog: cat}, NewRouteArena())
 	r.AddNeighbor(64500, topo.RelCustomer)
 	r.AddNeighbor(64501, topo.RelCustomer)
 	a := route(pfx, 64500, 1)
@@ -467,7 +467,7 @@ func TestVendorCommunityDefaults(t *testing.T) {
 		if send {
 			cfg.SendCommunity = map[topo.ASN]bool{64501: true}
 		}
-		r := New(cfg)
+		r := New(cfg, NewRouteArena())
 		r.AddNeighbor(64500, topo.RelCustomer)
 		r.AddNeighbor(64501, topo.RelCustomer)
 		a := route(pfx, 64500, 1)
@@ -494,7 +494,7 @@ func TestVendorCommunityDefaults(t *testing.T) {
 
 func TestPropagationModesOnExport(t *testing.T) {
 	mk := func(mode policy.PropagationMode) bgp.CommunitySet {
-		r := New(Config{ASN: 65001, Vendor: VendorJuniper, Propagation: mode})
+		r := New(Config{ASN: 65001, Vendor: VendorJuniper, Propagation: mode}, NewRouteArena())
 		r.AddNeighbor(64500, topo.RelCustomer)
 		r.AddNeighbor(64501, topo.RelCustomer)
 		a := route(pfx, 64500, 1)
@@ -521,7 +521,7 @@ func TestPerNeighborPropagationOverride(t *testing.T) {
 		ASN: 65001, Vendor: VendorJuniper,
 		Propagation:            policy.PropForwardAll,
 		PropagationPerNeighbor: map[topo.ASN]policy.PropagationMode{64501: policy.PropStripAll},
-	})
+	}, NewRouteArena())
 	r.AddNeighbor(64500, topo.RelCustomer)
 	r.AddNeighbor(64501, topo.RelCustomer)
 	r.AddNeighbor(64502, topo.RelCustomer)
@@ -620,7 +620,7 @@ func TestCiscoCommunityAdditionCap(t *testing.T) {
 		want int
 	}{{VendorCisco, CiscoMaxAddedCommunities}, {VendorJuniper, 40}} {
 		cfg := Config{ASN: 65001, Vendor: c.v, IngressTags: map[topo.ASN][]bgp.Community{64500: tags}}
-		classic, shared := New(cfg), New(cfg)
+		classic, shared := New(cfg, NewRouteArena()), New(cfg, NewRouteArena())
 		for _, r := range []*Router{classic, shared} {
 			r.AddNeighbor(64500, topo.RelCustomer)
 		}

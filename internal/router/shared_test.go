@@ -15,7 +15,7 @@ import (
 // shared-vs-classic receive comparison.
 func mkSharedPair(cfg Config) (classic, shared *Router) {
 	mk := func() *Router {
-		r := New(cfg)
+		r := New(cfg, NewRouteArena())
 		r.AddNeighbor(100, topo.RelProvider)
 		r.AddNeighbor(200, topo.RelCustomer)
 		r.AddNeighbor(300, topo.RelPeer)
@@ -28,7 +28,7 @@ func mkSharedPair(cfg Config) (classic, shared *Router) {
 // then Decide — as one step, so it can stand beside ReceiveUpdate. in is
 // stored in the router's arena first, the way a sender's export is.
 func (r *Router) ReceiveShared(from topo.ASN, in *policy.Route) (ImportResult, bool) {
-	id := r.tbl.Intern(in.Prefix)
+	id := r.Table().Intern(in.Prefix)
 	res := r.ReceiveSharedNoDecide(nil, from, id, r.routes.Add(in))
 	if res != ImportAccepted {
 		return res, false
@@ -165,7 +165,7 @@ func TestReceiveSharedMatchesReceiveUpdate(t *testing.T) {
 func TestNoDecideBatchingMatchesPerDelivery(t *testing.T) {
 	pfx := netx.MustPrefix("203.0.113.0/24")
 	mk := func() *Router {
-		r := New(Config{ASN: 65001})
+		r := New(Config{ASN: 65001}, NewRouteArena())
 		r.AddNeighbor(100, topo.RelProvider)
 		r.AddNeighbor(200, topo.RelCustomer)
 		return r

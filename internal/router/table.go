@@ -12,10 +12,9 @@ import (
 
 // PrefixTable assigns every prefix a dense id in first-seen order; routers
 // index their per-prefix slots by it and arena records name their prefix
-// by it. A simnet.Network owns one table for all of its routers, the one
-// its RouteArena resolves through, so the engine hands ids — never
-// prefixes — to the batched entry points; a standalone router (New) owns
-// a private one.
+// by it. Each RouteArena owns one, and every router on the arena indexes
+// its slots by it, so a simnet.Network's engine hands ids — never
+// prefixes — to the batched entry points.
 //
 // The table is append-only: an id, once assigned, names the same prefix
 // for the table's lifetime and in every Clone taken afterwards. Ids are
@@ -31,12 +30,6 @@ type PrefixTable struct {
 	mu  sync.RWMutex
 	ids map[netip.Prefix]uint32
 	pfx atomic.Pointer[[]netip.Prefix]
-
-	// base and baseLen record the table this one was cloned from and its
-	// length then: while base has not grown since, a router can move from
-	// base to this table without renumbering (Router.Rebind).
-	base    *PrefixTable
-	baseLen int
 }
 
 // NewPrefixTable returns an empty table.
@@ -76,9 +69,6 @@ func (t *PrefixTable) Lookup(p netip.Prefix) (uint32, bool) {
 // At returns the prefix id names.
 func (t *PrefixTable) At(id uint32) netip.Prefix { return (*t.pfx.Load())[id] }
 
-// Len returns how many prefixes have an id.
-func (t *PrefixTable) Len() int { return len(t.view()) }
-
 // Prefixes returns the prefixes indexed by id. The slice is a stable
 // read-only view: later Interns never write the elements it covers.
 func (t *PrefixTable) Prefixes() []netip.Prefix { return slices.Clip(t.view()) }
@@ -98,7 +88,7 @@ func (t *PrefixTable) Clone() *PrefixTable {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	pfx := t.Prefixes()
-	c := &PrefixTable{ids: maps.Clone(t.ids), base: t, baseLen: len(pfx)}
+	c := &PrefixTable{ids: maps.Clone(t.ids)}
 	c.pfx.Store(&pfx)
 	return c
 }

@@ -252,7 +252,7 @@ func (n *Network) applyWindow(ops []Op, counts []int) error {
 			return err
 		}
 	}
-	pfx := n.prefixes.Prefixes()
+	pfx := n.routes.Table().Prefixes()
 	replayed := 0
 	for i := range ops {
 		for _, d := range st.replay[i] {
@@ -279,7 +279,7 @@ func (n *Network) runDelta(workers int, counts []int) (int, error) {
 	st := n.deltaStateFor()
 	// Every id a run can meet was interned before it started, so one view
 	// of the table serves all rounds without touching its lock.
-	pfx := n.prefixes.Prefixes()
+	pfx := n.routes.Table().Prefixes()
 	byPrefix := func(a, b uint32) int { return netx.ComparePrefix(pfx[a], pfx[b]) }
 	delivered := 0
 	maxWork := n.maxDeliveries()

@@ -46,7 +46,7 @@ func (n *Network) runRounds(workers int) (int, error) {
 	}
 	delivered := 0
 	for len(n.queue) > 0 {
-		pfx := n.prefixes.Prefixes()
+		pfx := n.routes.Table().Prefixes()
 		frontier := n.queue
 		n.queue = nil
 		clear(n.queued)

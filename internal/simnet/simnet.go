@@ -62,16 +62,15 @@ func (t tap) observes(asn topo.ASN) bool {
 type Network struct {
 	Graph   *topo.Graph
 	routers map[topo.ASN]*router.Router
-	// routes is the one arena every router of this network stores its
-	// routes in, and prefixes its prefix table, which every router
-	// indexes its slots by. Prefix ids are assigned only in serial entry
-	// points (schedule, the routers' own Originate, AddRouter's Rebind),
-	// never inside a convergence run. Handles and the ids of interned
-	// paths and community sets are assigned inside convergence runs too
-	// (the engine's workers append through cursors of their own). None of
-	// them shows in anything a tap, archive or RIB dump carries.
-	routes   *router.RouteArena
-	prefixes *router.PrefixTable
+	// routes is the one arena every router of this network is built on
+	// and stores its routes in; every router indexes its slots by the
+	// arena's prefix table. Prefix ids are assigned only in serial entry
+	// points (schedule, the routers' own Originate), never inside a
+	// convergence run. Handles and the ids of interned paths and
+	// community sets are assigned inside convergence runs too (the
+	// engine's workers append through cursors of their own). None of them
+	// shows in anything a tap, archive or RIB dump carries.
+	routes *router.RouteArena
 
 	// queue of (asn, prefix id) pairs whose exports must be recomputed.
 	queue   []workItem
@@ -115,21 +114,17 @@ func New(g *topo.Graph, mk ConfigFunc) *Network {
 	if mk == nil {
 		mk = DefaultConfig
 	}
-	routes := router.NewRouteArena()
 	n := &Network{
-		Graph:    g,
-		routers:  make(map[topo.ASN]*router.Router, g.NumASes()),
-		routes:   routes,
-		prefixes: routes.Table(),
-		queued:   make(map[workItem]bool),
-		maxWork:  0,
+		Graph:   g,
+		routers: make(map[topo.ASN]*router.Router, g.NumASes()),
+		routes:  router.NewRouteArena(),
+		queued:  make(map[workItem]bool),
+		maxWork: 0,
 	}
 	for _, asn := range g.ASes() {
 		cfg := mk(asn)
 		cfg.ASN = asn
-		r := router.New(cfg)
-		r.Rebind(n.routes)
-		n.routers[asn] = r
+		n.routers[asn] = router.New(cfg, n.routes)
 	}
 	for _, asn := range g.ASes() {
 		r := n.routers[asn]
@@ -147,18 +142,18 @@ func (n *Network) Routes() *router.RouteArena { return n.routes }
 // Router returns the speaker for asn (nil if absent).
 func (n *Network) Router(asn topo.ASN) *router.Router { return n.routers[asn] }
 
-// AddRouter inserts an extra node (e.g. a route server or an injection
-// platform) that is not part of the relationship graph. Sessions must be
-// wired explicitly with Connect. The router moves onto the network's
-// prefix table and route arena, keeping whatever routes it already
-// holds.
-func (n *Network) AddRouter(r *router.Router) {
+// AddRouter builds an extra node from cfg (e.g. a route server or an
+// injection platform) that is not part of the relationship graph, on the
+// network's route arena, and returns it. Sessions must be wired
+// explicitly with Connect.
+func (n *Network) AddRouter(cfg router.Config) *router.Router {
 	if n.frozen {
-		panic(fmt.Sprintf("simnet: AddRouter(AS%d) on frozen network — fork the snapshot instead", r.ASN()))
+		panic(fmt.Sprintf("simnet: AddRouter(AS%d) on frozen network — fork the snapshot instead", cfg.ASN))
 	}
-	r.Rebind(n.routes)
-	n.routers[r.ASN()] = r
+	r := router.New(cfg, n.routes)
+	n.routers[cfg.ASN] = r
 	n.invalidateDelta()
+	return r
 }
 
 // Connect wires a bilateral session between two present routers, with rel
@@ -217,7 +212,7 @@ func (n *Network) Steps() int { return n.steps }
 
 // schedule queues (asn, p) for export and returns p's prefix id.
 func (n *Network) schedule(asn topo.ASN, p netip.Prefix) uint32 {
-	it := workItem{asn: asn, id: n.prefixes.Intern(p.Masked())}
+	it := workItem{asn: asn, id: n.routes.Table().Intern(p.Masked())}
 	if !n.queued[it] {
 		n.queued[it] = true
 		n.queue = append(n.queue, it)

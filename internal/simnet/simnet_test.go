@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"net/netip"
+	"runtime"
 	"testing"
 
 	"bgpworms/internal/bgp"
@@ -222,8 +223,7 @@ func TestTapObservesUpdatesAndWithdrawals(t *testing.T) {
 func TestConnectAndAddRouter(t *testing.T) {
 	g := paperFig2(t)
 	n := New(g, nil)
-	extra := router.New(router.Config{ASN: 99, Vendor: router.VendorJuniper})
-	n.AddRouter(extra)
+	n.AddRouter(router.Config{ASN: 99, Vendor: router.VendorJuniper})
 	if err := n.Connect(99, 2, topo.RelProvider); err != nil {
 		t.Fatal(err)
 	}
@@ -243,6 +243,70 @@ func TestConnectAndAddRouter(t *testing.T) {
 	}
 	if _, err := n.Withdraw(12345, pfx); err == nil {
 		t.Fatal("unknown withdraw must fail")
+	}
+}
+
+// TestNetworkRoutersShareOneArena: every router of a network — the
+// graph's ASes, an extra node AddRouter builds, the copy-on-write clones
+// of a fork — is built on the network's one route arena and indexes its
+// slots by that arena's prefix table, and building a network allocates
+// no arena per AS. On a 512-AS tree simnet.New allocates 682 bytes per
+// AS on every run (688 under -race); an empty arena is ~10 KB, so the
+// bound, that figure and a small margin, catches one built per router.
+func TestNetworkRoutersShareOneArena(t *testing.T) {
+	const bytesPerAS = 720
+	g := topo.NewGraph()
+	for asn := topo.ASN(2); asn <= 512; asn++ {
+		if err := g.AddCustomerProvider(asn, asn/2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	onArena := func(n *Network, where string) {
+		t.Helper()
+		for _, asn := range n.ASes() {
+			if n.Router(asn).Table() != n.Routes().Table() {
+				t.Fatalf("%s: AS%d indexes its slots by a table not its network's arena's", where, asn)
+			}
+		}
+	}
+	n := New(g, nil)
+	if r := n.AddRouter(router.Config{ASN: 999, Vendor: router.VendorJuniper}); r != n.Router(999) {
+		t.Fatal("AddRouter returned a router the network does not hold")
+	}
+	if err := n.Connect(999, 512, topo.RelProvider); err != nil {
+		t.Fatal(err)
+	}
+	onArena(n, "built")
+	if _, err := n.Announce(999, pfx); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := n.Freeze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := snap.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Routes() == n.Routes() {
+		t.Fatal("the fork stores its routes in the snapshot's arena")
+	}
+	for _, asn := range f.ASes() {
+		f.MutableRouter(asn)
+	}
+	onArena(f, "forked")
+
+	var before, after runtime.MemStats
+	const runs = 4
+	runtime.ReadMemStats(&before)
+	for range runs {
+		New(g, nil)
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*g.NumASes())
+	t.Logf("simnet.New allocates %.0f bytes per AS (bound %d)", got, bytesPerAS)
+	if got > bytesPerAS {
+		t.Errorf("simnet.New allocates %.0f bytes per AS, want at most %d", got, bytesPerAS)
 	}
 }
 
@@ -279,12 +343,11 @@ func TestTransparentRouteServerOffPath(t *testing.T) {
 	g.AddAS(100)
 	g.AddAS(200)
 	n := New(g, nil)
-	rs := router.New(router.Config{
+	n.AddRouter(router.Config{
 		ASN: 900, Vendor: router.VendorJuniper,
 		Propagation: policy.PropForwardAll,
 		Transparent: true, ReflectAll: true,
 	})
-	n.AddRouter(rs)
 	n.Connect(100, 900, topo.RelPeer)
 	n.Connect(200, 900, topo.RelPeer)
 

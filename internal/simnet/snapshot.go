@@ -91,18 +91,16 @@ func (s *Snapshot) Fork() (*Network, error) {
 		return nil, fmt.Errorf("simnet: fork of discarded snapshot")
 	}
 	s.forks++
-	routes := s.routes.Clone()
 	return &Network{
-		Graph:    s.graph,
-		routers:  maps.Clone(s.routers),
-		routes:   routes,
-		prefixes: routes.Table(),
-		queued:   make(map[workItem]bool),
-		steps:    s.steps,
-		maxWork:  s.maxWork,
-		workers:  s.workers,
-		oracle:   s.oracle,
-		cow:      true,
+		Graph:   s.graph,
+		routers: maps.Clone(s.routers),
+		routes:  s.routes.Clone(),
+		queued:  make(map[workItem]bool),
+		steps:   s.steps,
+		maxWork: s.maxWork,
+		workers: s.workers,
+		oracle:  s.oracle,
+		cow:     true,
 	}, nil
 }
 
@@ -140,8 +138,7 @@ func (n *Network) mutable(asn topo.ASN) *router.Router {
 	if n.frozen {
 		panic(fmt.Sprintf("simnet: mutation of frozen network (AS%d) — fork the snapshot instead", asn))
 	}
-	cp := r.Clone()
-	cp.Rebind(n.routes)
+	cp := r.Clone(n.routes)
 	n.routers[asn] = cp
 	return cp
 }
