@@ -24,7 +24,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/metrics"
+	"strconv"
 
+	"bgpworms/internal/bgp"
 	"bgpworms/internal/core"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/obs"
@@ -39,7 +43,7 @@ func main() {
 	// benchmark PR drops the argument.
 	engine := flag.String("engine", "delta", "simulation engine: delta (the only one)")
 	years := flag.Bool("evolution", true, "compute the Figure 3 time series (builds one Internet per year)")
-	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (build/churn/load/analyze/render/evolution, or stream with -mrt)")
+	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (build/churn/load/analyze/render/evolution, or stream with -mrt), each with heap_mb at its end")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
@@ -72,7 +76,7 @@ func main() {
 	if *mrtDir != "" {
 		sp := tr.Start("stream")
 		a, err := pipe.StreamMRTDir(*mrtDir, nil)
-		sp.End()
+		end(sp)
 		if err != nil {
 			fail(err)
 		}
@@ -85,23 +89,24 @@ func main() {
 		fail(err)
 	}
 	p.Workers = *workers
-	w, err := buildWorld(p, world.Scale, tr)
+	ds, blackhole, sp, err := loadWorld(p, world.Scale, tr)
 	if err != nil {
 		fail(err)
 	}
-	sp := tr.Start("load")
-	ds := core.FromCollectors(w.Collectors)
-	sp.End()
+	// The world is unreachable now: collect it before Analyze allocates,
+	// so its routers do not ride the heap the pacer sized from them.
+	runtime.GC()
+	end(sp)
 	sp = tr.Start("analyze")
-	a := pipe.Analyze(ds, w.Registry.All())
-	sp.End()
+	a := pipe.Analyze(ds, blackhole)
+	end(sp)
 	sp = tr.Start("render")
 	printAnalysis(os.Stdout, a)
-	sp.End()
+	end(sp)
 
 	if *years {
 		evoSp := tr.Start("evolution")
-		defer evoSp.End()
+		defer end(evoSp)
 		fmt.Println("== Figure 3: community use over time ==")
 		base := gen.Tiny()
 		base.Seed = p.Seed
@@ -159,21 +164,40 @@ func printAnalysis(w io.Writer, a *core.Analysis) {
 	fmt.Fprintln(w)
 }
 
-func buildWorld(p gen.Params, scale string, tr *obs.Trace) (*gen.Internet, error) {
+// loadWorld builds and churns the world and copies its collectors'
+// archives into a Dataset, under build, churn and load spans. It returns
+// the Dataset and the blackhole registry only, so the world is garbage
+// once it returns; the load span is still open, for the caller to end
+// once it has collected the world.
+func loadWorld(p gen.Params, scale string, tr *obs.Trace) (*core.Dataset, []bgp.Community, *obs.Span, error) {
 	sp := tr.Start("build")
 	sp.SetAttr("scale", scale)
 	w, err := gen.Build(p)
-	sp.End()
+	end(sp)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	sp = tr.Start("churn")
 	_, err = w.RunChurn()
-	sp.End()
+	end(sp)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	return w, nil
+	sp = tr.Start("load")
+	return core.FromCollectors(w.Collectors), w.Registry.All(), sp, nil
+}
+
+// end closes sp, recording as heap_mb the bytes of heap objects, live
+// or not yet swept, at its end. runtime/metrics reads them without
+// stopping the world.
+func end(sp *obs.Span) {
+	if sp == nil {
+		return
+	}
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(s)
+	sp.SetAttr("heap_mb", strconv.FormatFloat(float64(s[0].Value.Uint64())/(1<<20), 'f', 1, 64))
+	sp.End()
 }
 
 func fail(err error) {

@@ -7,13 +7,16 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
 	"bgpworms/internal/collector"
 	"bgpworms/internal/core"
 	"bgpworms/internal/gen"
+	"bgpworms/internal/obs"
 )
 
 // TestMain doubles as the worms binary: with WORMS_HELPER set the test
@@ -93,6 +96,43 @@ func TestStreamFlagIsGone(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "flag provided but not defined: -stream") {
 		t.Fatalf("stderr lacks the flag package's refusal:\n%s", stderr)
+	}
+}
+
+// TestTraceSpansCarryHeap: every -trace span records the heap at its end
+// as heap_mb, so a memory peak can be put down to a phase, and tracing
+// leaves the report byte-for-byte as it is.
+func TestTraceSpansCarryHeap(t *testing.T) {
+	args := []string{"-scale", "tiny", "-evolution=false"}
+	plain, stderr, err := runWorms(args...)
+	if err != nil {
+		t.Fatalf("worms: %v\n%s", err, stderr)
+	}
+	out := filepath.Join(t.TempDir(), "trace.json")
+	traced, stderr, err := runWorms(append(args, "-trace", out)...)
+	if err != nil {
+		t.Fatalf("worms -trace: %v\n%s", err, stderr)
+	}
+	if traced != plain {
+		t.Fatal("the traced report differs from the untraced one")
+	}
+	raw, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr obs.TraceRecord
+	if err := json.Unmarshal(raw, &tr); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, sp := range tr.Spans {
+		names = append(names, sp.Name)
+		if mb, err := strconv.ParseFloat(sp.Attrs["heap_mb"], 64); err != nil || mb <= 0 {
+			t.Errorf("span %s: heap_mb %q", sp.Name, sp.Attrs["heap_mb"])
+		}
+	}
+	if want := []string{"build", "churn", "load", "analyze", "render"}; !slices.Equal(names, want) {
+		t.Fatalf("spans %v, want %v", names, want)
 	}
 }
 

@@ -77,17 +77,24 @@ type Peer struct {
 	IP netip.Addr
 }
 
-// Observation is one recorded routing event at a collector.
+// Observation is one recorded routing event at a collector: 24 bytes
+// and no pointer, so a collector's archive is never scanned by the
+// garbage collector. Its time is derived from Seq (Time) and its prefix
+// is named by id in the network's PrefixTable (Collector.Prefix); the id
+// is a layout detail that orders and appears in nothing observable.
 type Observation struct {
 	Seq    int
-	Time   time.Time
 	PeerAS topo.ASN
 	// Route is the delivered route's handle in the network's arena, 0 for
 	// withdrawals: recording one copies nothing. Collector.Route resolves
 	// it.
-	Route  router.Handle
-	Prefix netip.Prefix
+	Route router.Handle
+	pfx   uint32
 }
+
+// Time is the observation's logical session clock, feed.LogicalTime of
+// its sequence number.
+func (ob Observation) Time() time.Time { return feed.LogicalTime(uint64(ob.Seq)) }
 
 // Collector is a passive measurement node attached to the network.
 type Collector struct {
@@ -179,7 +186,7 @@ func (c *Collector) tap(from, _ topo.ASN, prefix netip.Prefix, rt simnet.RouteRe
 	// The delivered route is recorded by reference, not copied: a stored
 	// route is never changed (a later export of the prefix is a new
 	// route), and readers copy what they keep.
-	c.obs = append(c.obs, Observation{Seq: c.seq, Time: feed.LogicalTime(uint64(c.seq)), PeerAS: from, Prefix: prefix, Route: rt.Handle()})
+	c.obs = append(c.obs, Observation{Seq: c.seq, PeerAS: from, Route: rt.Handle(), pfx: c.net.Routes().Table().Intern(prefix)})
 	observationsTotal.Inc()
 }
 
@@ -187,7 +194,9 @@ func (c *Collector) tap(from, _ topo.ASN, prefix netip.Prefix, rt simnet.RouteRe
 // recorded so far are shared read-only (capacity-clamped so appends
 // reallocate), the sequence (and with it the logical clock) continues
 // where the snapshot stopped, and a fresh tap, subscribed to the
-// collector's sessions, is registered on the fork.
+// collector's sessions, is registered on the fork. Prefix and Route
+// resolve through the fork, whose cloned prefix table and arena name
+// the snapshot's observations as the snapshot did.
 func (c *Collector) ForkInto(n *simnet.Network) *Collector {
 	cp := &Collector{
 		Platform: c.Platform,
@@ -222,6 +231,11 @@ func partialKeeps(collector, peer topo.ASN, p netip.Prefix) bool {
 // resolves every handle a snapshot's collector recorded as well.
 func (c *Collector) Route(ob Observation) router.Ref { return c.net.Routes().Ref(ob.Route) }
 
+// Prefix resolves the prefix ob recorded through the prefix table of the
+// network the collector is attached to; a fork's table is a clone of its
+// snapshot's, so it resolves the snapshot's ids and the fork's own.
+func (c *Collector) Prefix(ob Observation) netip.Prefix { return c.net.Routes().Table().At(ob.pfx) }
+
 // Observations returns everything recorded so far.
 func (c *Collector) Observations() []Observation { return c.obs }
 
@@ -240,12 +254,12 @@ func collectorIP(collector topo.ASN) netip.Addr {
 func (c *Collector) WriteUpdatesMRT(w io.Writer) (int, error) {
 	mw := mrt.NewWriter(w)
 	for _, ob := range c.obs {
-		msg, err := observationToUpdate(ob, c.Route(ob))
+		msg, err := c.observationToUpdate(ob)
 		if err != nil {
 			return mw.Count(), err
 		}
 		rec := &mrt.BGP4MPMessage{
-			Timestamp: ob.Time,
+			Timestamp: ob.Time(),
 			PeerAS:    ob.PeerAS,
 			LocalAS:   c.ASN,
 			PeerIP:    peerIP(c.ASN, ob.PeerAS),
@@ -259,14 +273,15 @@ func (c *Collector) WriteUpdatesMRT(w io.Writer) (int, error) {
 	return mw.Count(), nil
 }
 
-// observationToUpdate converts a recorded route, ob's resolved as ref,
-// into a wire UPDATE.
-func observationToUpdate(ob Observation, ref router.Ref) (*bgp.Update, error) {
+// observationToUpdate converts a recorded route, resolved through the
+// collector's network, into a wire UPDATE.
+func (c *Collector) observationToUpdate(ob Observation) (*bgp.Update, error) {
+	prefix, ref := c.Prefix(ob), c.Route(ob)
 	if !ref.Valid() {
-		if ob.Prefix.Addr().Is4() {
-			return &bgp.Update{Withdrawn: []netip.Prefix{ob.Prefix}}, nil
+		if prefix.Addr().Is4() {
+			return &bgp.Update{Withdrawn: []netip.Prefix{prefix}}, nil
 		}
-		return &bgp.Update{Attrs: bgp.PathAttributes{MPUnreachNLRI: []netip.Prefix{ob.Prefix}}}, nil
+		return &bgp.Update{Attrs: bgp.PathAttributes{MPUnreachNLRI: []netip.Prefix{prefix}}}, nil
 	}
 	rt := ref.Route()
 	attrs := bgp.PathAttributes{
@@ -274,12 +289,12 @@ func observationToUpdate(ob Observation, ref router.Ref) (*bgp.Update, error) {
 		ASPath:      rt.ASPath.Clone(),
 		Communities: rt.Communities.Clone(),
 	}
-	if ob.Prefix.Addr().Is4() {
+	if prefix.Addr().Is4() {
 		attrs.NextHop = peerIP(0, ob.PeerAS)
-		return &bgp.Update{Attrs: attrs, NLRI: []netip.Prefix{ob.Prefix}}, nil
+		return &bgp.Update{Attrs: attrs, NLRI: []netip.Prefix{prefix}}, nil
 	}
 	attrs.MPReachNextHop = netip.MustParseAddr("2001:db8::1")
-	attrs.MPReachNLRI = []netip.Prefix{ob.Prefix}
+	attrs.MPReachNLRI = []netip.Prefix{prefix}
 	return &bgp.Update{Attrs: attrs}, nil
 }
 

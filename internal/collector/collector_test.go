@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/mrt"
@@ -58,7 +60,7 @@ func TestFullFeedRecordsUpdates(t *testing.T) {
 	}
 	// Timestamps are monotone.
 	for i := 1; i < len(obs); i++ {
-		if !obs[i].Time.After(obs[i-1].Time) {
+		if !obs[i].Time().After(obs[i-1].Time()) {
 			t.Fatal("non-monotone clock")
 		}
 	}
@@ -89,7 +91,7 @@ func TestRecordedRouteSurvivesReExport(t *testing.T) {
 		}
 		first := c.Observations()[0]
 		want := c.Route(first).Route()
-		wantWire, err := observationToUpdate(first, c.Route(first))
+		wantWire, err := c.observationToUpdate(first)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +111,7 @@ func TestRecordedRouteSurvivesReExport(t *testing.T) {
 		if rt := c.Route(got).Route(); rt.String() != want.String() {
 			t.Errorf("oracle=%v: first observation now reads %v, recorded as %v", oracle, &rt, &want)
 		}
-		gotWire, _ := observationToUpdate(got, c.Route(got))
+		gotWire, _ := c.observationToUpdate(got)
 		a, _ := wantWire.Encode()
 		b, _ := gotWire.Encode()
 		if !bytes.Equal(a, b) {
@@ -129,7 +131,7 @@ func TestCustomerFeedSeesOnlyCustomerRoutes(t *testing.T) {
 	// route of AS4, so a customer feed must not include it.
 	n.Announce(1, pfx)
 	for _, ob := range c.Observations() {
-		if ob.Prefix == pfx {
+		if c.Prefix(ob) == pfx {
 			t.Fatal("customer feed leaked a provider-learned route")
 		}
 	}
@@ -138,7 +140,7 @@ func TestCustomerFeedSeesOnlyCustomerRoutes(t *testing.T) {
 	n.Announce(5, p5)
 	found := false
 	for _, ob := range c.Observations() {
-		if ob.Prefix == p5 {
+		if c.Prefix(ob) == p5 {
 			found = true
 		}
 	}
@@ -164,7 +166,7 @@ func TestPartialFeedDropsSome(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, ob := range c.Observations() {
-		seen[ob.Prefix.String()] = true
+		seen[c.Prefix(ob).String()] = true
 	}
 	if len(seen) == 0 || len(seen) >= total {
 		t.Fatalf("partial feed kept %d of %d", len(seen), total)
@@ -180,7 +182,7 @@ func TestWithdrawalsRecorded(t *testing.T) {
 	n.Withdraw(1, pfx)
 	var withdrawals int
 	for _, ob := range c.Observations() {
-		if ob.Route == 0 && ob.Prefix == pfx {
+		if ob.Route == 0 && c.Prefix(ob) == pfx {
 			withdrawals++
 		}
 	}
@@ -285,6 +287,30 @@ func TestWriteRIBSnapshotMRT(t *testing.T) {
 	// Both peers contribute an entry for each prefix.
 	if entries < 3 {
 		t.Fatalf("entries=%d", entries)
+	}
+}
+
+// TestObservationHoldsNoPointer: an observation is a record of ids and
+// values, so a collector's archive is never scanned by the garbage
+// collector, and it stays at 24 bytes.
+func TestObservationHoldsNoPointer(t *testing.T) {
+	var check func(reflect.Type, string)
+	check = func(ty reflect.Type, at string) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				check(ty.Field(i).Type, at+"."+ty.Field(i).Name)
+			}
+		case reflect.Array:
+			check(ty.Elem(), at+"[]")
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+			reflect.Func, reflect.Interface, reflect.String:
+			t.Errorf("%s is a %s", at, ty.Kind())
+		}
+	}
+	check(reflect.TypeFor[Observation](), "Observation")
+	if size := unsafe.Sizeof(Observation{}); size > 24 {
+		t.Errorf("an observation is %d bytes, want at most 24", size)
 	}
 }
 

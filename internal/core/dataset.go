@@ -115,8 +115,8 @@ func FromCollectors(cs []*collector.Collector) *Dataset {
 			next++
 		})
 		for _, ob := range c.Observations() {
-			at = ob.Time
-			record(ob.PeerAS, c.ASN, ob.Prefix, c.Route(ob))
+			at = ob.Time()
+			record(ob.PeerAS, c.ASN, c.Prefix(ob), c.Route(ob))
 		}
 	})
 	return ds

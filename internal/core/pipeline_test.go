@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
+	"weak"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/conc"
@@ -154,8 +156,8 @@ func TestFromCollectorsMatchesSerialConversion(t *testing.T) {
 			want.Updates = append(want.Updates, ev)
 		})
 		for _, ob := range c.Observations() {
-			at = ob.Time
-			record(ob.PeerAS, c.ASN, ob.Prefix, c.Route(ob))
+			at = ob.Time()
+			record(ob.PeerAS, c.ASN, c.Prefix(ob), c.Route(ob))
 		}
 	}
 	if len(want.Collectors) < 2 || len(want.Updates) == 0 {
@@ -165,6 +167,30 @@ func TestFromCollectorsMatchesSerialConversion(t *testing.T) {
 		t.Fatalf("FromCollectors gave %d updates from %d collectors, the serial conversion %d from %d, or other records",
 			len(got.Updates), len(got.Collectors), len(want.Updates), len(want.Collectors))
 	}
+}
+
+// TestDatasetReleasesWorld: a Dataset and the blackhole registry keep
+// nothing of the world they were read from alive, so a caller that holds
+// only them, as worms does before Analyze, lets the garbage collector
+// free the world's network, routers and route arena.
+func TestDatasetReleasesWorld(t *testing.T) {
+	w, err := gen.Build(gen.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := weak.Make(w.Net)
+	ds := FromCollectors(w.Collectors)
+	reg := w.Registry.All()
+	w = nil
+	runtime.GC()
+	if net.Value() != nil {
+		t.Fatal("the world's network is still reachable from the Dataset or the registry")
+	}
+	if len(ds.Updates) == 0 || len(reg) == 0 {
+		t.Fatalf("%d updates, %d registry communities: the check needs both", len(ds.Updates), len(reg))
+	}
+	runtime.KeepAlive(ds)
+	runtime.KeepAlive(reg)
 }
 
 // TestStreamingMatchesMaterialized runs the same MRT archives through

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"bgpworms/internal/bgp"
 	"bgpworms/internal/obs"
 	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
@@ -66,6 +67,49 @@ func TestSnapshotStreamFreeForks(t *testing.T) {
 	}
 	if _, err := BuildSnapshotForReplay(p); err == nil {
 		t.Fatal("BuildSnapshotForReplay accepted a Params.Tap")
+	}
+}
+
+// TestForkArchivesForkOnlyPrefix: a prefix first announced on a fork is
+// interned in the fork's prefix table alone, and the fork's collectors
+// must archive it, and everything they inherited, as a scratch world
+// given the same announcement does.
+func TestForkArchivesForkOnlyPrefix(t *testing.T) {
+	snap, err := BuildSnapshot(Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := snap.Fork(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold := buildTiny(t)
+	p := netip.MustParsePrefix("192.0.2.0/24")
+	for _, w := range []*Internet{cold, f} {
+		if _, err := w.Net.Announce(ASNStubBase, p, bgp.C(uint16(ASNStubBase), 7)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sibling, err := snap.Fork(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, known := sibling.Net.Routes().Table().Lookup(p); known {
+		t.Fatal("a fork's announcement reached the snapshot's prefix table")
+	}
+	recorded := 0
+	for _, c := range f.Collectors {
+		for _, ob := range c.Observations() {
+			if c.Prefix(ob) == p {
+				recorded++
+			}
+		}
+	}
+	if recorded == 0 {
+		t.Fatal("no forked collector recorded the fork-only prefix; the check needs one")
+	}
+	if !bytes.Equal(archives(t, f), archives(t, cold)) {
+		t.Fatal("a fork's collector archives differ from a scratch build's after the same announcement")
 	}
 }
 
