@@ -116,7 +116,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		n, err = c.WriteRIBSnapshotMRT(rff, gen.BaseTime.AddDate(0, 1, 0))
+		n, err = c.WriteRIBSnapshotMRT(rff, w.Net, gen.BaseTime.AddDate(0, 1, 0))
 		rff.Close()
 		if err != nil {
 			fail(err)

@@ -25,10 +25,12 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"runtime/metrics"
 	"strconv"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/collector"
 	"bgpworms/internal/core"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/obs"
@@ -43,7 +45,7 @@ func main() {
 	// benchmark PR drops the argument.
 	engine := flag.String("engine", "delta", "simulation engine: delta (the only one)")
 	years := flag.Bool("evolution", true, "compute the Figure 3 time series (builds one Internet per year)")
-	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (build/churn/load/analyze/render/evolution, or stream with -mrt), each with heap_mb at its end")
+	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (build/churn/load/analyze/render/evolution, or stream with -mrt), each with heap_mb and retained_mb at its end")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
@@ -89,12 +91,19 @@ func main() {
 		fail(err)
 	}
 	p.Workers = *workers
-	ds, blackhole, sp, err := loadWorld(p, world.Scale, tr)
+	cs, blackhole, sp, err := loadWorld(p, world.Scale, tr)
 	if err != nil {
 		fail(err)
 	}
-	// The world is unreachable now: collect it before Analyze allocates,
-	// so its routers do not ride the heap the pacer sized from them.
+	// The network and its routers are unreachable now; the collectors
+	// and the route arena they resolve through are all that is left of
+	// the world. Collect the routers and return their pages to the OS
+	// before the Dataset is copied, so the copy does not grow the
+	// process past the converged world.
+	debug.FreeOSMemory()
+	ds := core.FromCollectors(cs)
+	// The collectors and the arena are unreachable in turn: collect them
+	// before Analyze allocates, so they do not ride its heap.
 	runtime.GC()
 	end(sp)
 	sp = tr.Start("analyze")
@@ -164,12 +173,12 @@ func printAnalysis(w io.Writer, a *core.Analysis) {
 	fmt.Fprintln(w)
 }
 
-// loadWorld builds and churns the world and copies its collectors'
-// archives into a Dataset, under build, churn and load spans. It returns
-// the Dataset and the blackhole registry only, so the world is garbage
-// once it returns; the load span is still open, for the caller to end
-// once it has collected the world.
-func loadWorld(p gen.Params, scale string, tr *obs.Trace) (*core.Dataset, []bgp.Community, *obs.Span, error) {
+// loadWorld builds and churns the world under build and churn spans and
+// opens the load span. It returns the collectors and the blackhole
+// registry only, so the network and its routers are garbage once it
+// returns; the collectors keep just the route arena. The load span is
+// still open, for the caller to copy the archives and end it.
+func loadWorld(p gen.Params, scale string, tr *obs.Trace) ([]*collector.Collector, []bgp.Community, *obs.Span, error) {
 	sp := tr.Start("build")
 	sp.SetAttr("scale", scale)
 	w, err := gen.Build(p)
@@ -184,19 +193,28 @@ func loadWorld(p gen.Params, scale string, tr *obs.Trace) (*core.Dataset, []bgp.
 		return nil, nil, nil, err
 	}
 	sp = tr.Start("load")
-	return core.FromCollectors(w.Collectors), w.Registry.All(), sp, nil
+	return w.Collectors, w.Registry.All(), sp, nil
 }
 
-// end closes sp, recording as heap_mb the bytes of heap objects, live
-// or not yet swept, at its end. runtime/metrics reads them without
+// end closes sp, recording at its end as heap_mb the bytes of heap
+// objects, live or not yet swept, and as retained_mb the memory the
+// runtime holds from the OS: all it has mapped less the heap pages it
+// has released. Peak RSS follows retained_mb, which counts the free
+// pages heap_mb cannot show. runtime/metrics reads both without
 // stopping the world.
 func end(sp *obs.Span) {
 	if sp == nil {
 		return
 	}
-	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	s := []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/total:bytes"},
+		{Name: "/memory/classes/heap/released:bytes"},
+	}
 	metrics.Read(s)
-	sp.SetAttr("heap_mb", strconv.FormatFloat(float64(s[0].Value.Uint64())/(1<<20), 'f', 1, 64))
+	mb := func(b uint64) string { return strconv.FormatFloat(float64(b)/(1<<20), 'f', 1, 64) }
+	sp.SetAttr("heap_mb", mb(s[0].Value.Uint64()))
+	sp.SetAttr("retained_mb", mb(s[1].Value.Uint64()-s[2].Value.Uint64()))
 	sp.End()
 }
 

@@ -100,8 +100,10 @@ func TestStreamFlagIsGone(t *testing.T) {
 }
 
 // TestTraceSpansCarryHeap: every -trace span records the heap at its end
-// as heap_mb, so a memory peak can be put down to a phase, and tracing
-// leaves the report byte-for-byte as it is.
+// as heap_mb and the memory the runtime keeps from the OS as retained_mb
+// (never below heap_mb, whose objects it counts), so a memory peak can
+// be put down to a phase, and tracing leaves the report byte-for-byte as
+// it is.
 func TestTraceSpansCarryHeap(t *testing.T) {
 	args := []string{"-scale", "tiny", "-evolution=false"}
 	plain, stderr, err := runWorms(args...)
@@ -127,8 +129,12 @@ func TestTraceSpansCarryHeap(t *testing.T) {
 	var names []string
 	for _, sp := range tr.Spans {
 		names = append(names, sp.Name)
-		if mb, err := strconv.ParseFloat(sp.Attrs["heap_mb"], 64); err != nil || mb <= 0 {
+		heap, err := strconv.ParseFloat(sp.Attrs["heap_mb"], 64)
+		if err != nil || heap <= 0 {
 			t.Errorf("span %s: heap_mb %q", sp.Name, sp.Attrs["heap_mb"])
+		}
+		if kept, err := strconv.ParseFloat(sp.Attrs["retained_mb"], 64); err != nil || kept < heap {
+			t.Errorf("span %s: retained_mb %q with heap_mb %q", sp.Name, sp.Attrs["retained_mb"], sp.Attrs["heap_mb"])
 		}
 	}
 	if want := []string{"build", "churn", "load", "analyze", "render"}; !slices.Equal(names, want) {

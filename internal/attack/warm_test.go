@@ -91,7 +91,7 @@ func runObservable(t *testing.T, name string, ctx *scenario.Context, snap *gen.S
 			if _, err := c.WriteUpdatesMRT(&arch); err != nil {
 				t.Fatalf("%s: updates MRT: %v", name, err)
 			}
-			if _, err := c.WriteRIBSnapshotMRT(&arch, gen.BaseTime.AddDate(0, 1, 0)); err != nil {
+			if _, err := c.WriteRIBSnapshotMRT(&arch, w.Net, gen.BaseTime.AddDate(0, 1, 0)); err != nil {
 				t.Fatalf("%s: RIB MRT: %v", name, err)
 			}
 		}

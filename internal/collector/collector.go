@@ -96,16 +96,19 @@ type Observation struct {
 // its sequence number.
 func (ob Observation) Time() time.Time { return feed.LogicalTime(uint64(ob.Seq)) }
 
-// Collector is a passive measurement node attached to the network.
+// Collector is a passive measurement node attached to the network. It
+// keeps the network's route arena, which resolves its observations, and
+// not the network: once the network's routers are unreachable, the
+// collectors and the arena are all that stay live of a world.
 type Collector struct {
 	Platform Platform
 	Name     string
 	ASN      topo.ASN
 
-	peers map[topo.ASN]Peer
-	net   *simnet.Network // the network Attach built the collector's node in
-	obs   []Observation
-	seq   int
+	peers  map[topo.ASN]Peer
+	routes *router.RouteArena // the arena of the network Attach built the collector's node in
+	obs    []Observation
+	seq    int
 }
 
 // New creates a collector. asn must be unused by the production network.
@@ -142,7 +145,7 @@ func (c *Collector) Peers() []Peer {
 // relationship), and a tap subscribed to the deliveries the collector
 // receives.
 func (c *Collector) Attach(n *simnet.Network) error {
-	c.net = n
+	c.routes = n.Routes()
 	n.AddRouter(router.Config{
 		ASN:    c.ASN,
 		Vendor: router.VendorJuniper,
@@ -186,7 +189,7 @@ func (c *Collector) tap(from, _ topo.ASN, prefix netip.Prefix, rt simnet.RouteRe
 	// The delivered route is recorded by reference, not copied: a stored
 	// route is never changed (a later export of the prefix is a new
 	// route), and readers copy what they keep.
-	c.obs = append(c.obs, Observation{Seq: c.seq, PeerAS: from, Route: rt.Handle(), pfx: c.net.Routes().Table().Intern(prefix)})
+	c.obs = append(c.obs, Observation{Seq: c.seq, PeerAS: from, Route: rt.Handle(), pfx: c.routes.Table().Intern(prefix)})
 	observationsTotal.Inc()
 }
 
@@ -195,15 +198,15 @@ func (c *Collector) tap(from, _ topo.ASN, prefix netip.Prefix, rt simnet.RouteRe
 // reallocate), the sequence (and with it the logical clock) continues
 // where the snapshot stopped, and a fresh tap, subscribed to the
 // collector's sessions, is registered on the fork. Prefix and Route
-// resolve through the fork, whose cloned prefix table and arena name
-// the snapshot's observations as the snapshot did.
+// resolve through the fork's arena, whose cloned prefix table and
+// records name the snapshot's observations as the snapshot did.
 func (c *Collector) ForkInto(n *simnet.Network) *Collector {
 	cp := &Collector{
 		Platform: c.Platform,
 		Name:     c.Name,
 		ASN:      c.ASN,
 		peers:    c.peers,
-		net:      n,
+		routes:   n.Routes(),
 		obs:      c.obs[:len(c.obs):len(c.obs)],
 		seq:      c.seq,
 	}
@@ -229,12 +232,12 @@ func partialKeeps(collector, peer topo.ASN, p netip.Prefix) bool {
 // Route resolves the route ob recorded (the zero Ref for a withdrawal)
 // through the arena of the network the collector is attached to, which
 // resolves every handle a snapshot's collector recorded as well.
-func (c *Collector) Route(ob Observation) router.Ref { return c.net.Routes().Ref(ob.Route) }
+func (c *Collector) Route(ob Observation) router.Ref { return c.routes.Ref(ob.Route) }
 
 // Prefix resolves the prefix ob recorded through the prefix table of the
 // network the collector is attached to; a fork's table is a clone of its
 // snapshot's, so it resolves the snapshot's ids and the fork's own.
-func (c *Collector) Prefix(ob Observation) netip.Prefix { return c.net.Routes().Table().At(ob.pfx) }
+func (c *Collector) Prefix(ob Observation) netip.Prefix { return c.routes.Table().At(ob.pfx) }
 
 // Observations returns everything recorded so far.
 func (c *Collector) Observations() []Observation { return c.obs }
@@ -299,9 +302,15 @@ func (c *Collector) observationToUpdate(ob Observation) (*bgp.Update, error) {
 }
 
 // WriteRIBSnapshotMRT emits a TABLE_DUMP_V2 snapshot of the collector's
-// current Adj-RIB-In: one PEER_INDEX_TABLE followed by one RIB record per
-// prefix.
-func (c *Collector) WriteRIBSnapshotMRT(w io.Writer, at time.Time) (int, error) {
+// current Adj-RIB-In in n, the network it is attached to: one
+// PEER_INDEX_TABLE followed by one RIB record per prefix. The RIB lives
+// in the collector's router node, which the collector does not keep, so
+// the caller names the network; one whose arena is not the collector's
+// is refused.
+func (c *Collector) WriteRIBSnapshotMRT(w io.Writer, n *simnet.Network, at time.Time) (int, error) {
+	if n.Routes() != c.routes {
+		return 0, fmt.Errorf("collector %s: RIB snapshot of a network it is not attached to", c.Name)
+	}
 	mw := mrt.NewWriter(w)
 	peers := c.Peers()
 	idx := make(map[topo.ASN]uint16, len(peers))
@@ -325,7 +334,7 @@ func (c *Collector) WriteRIBSnapshotMRT(w io.Writer, at time.Time) (int, error) 
 	var order []netip.Prefix
 	// The node resolves through the network, so a forked collector reads
 	// the fork's copy-on-write router rather than the sealed original.
-	c.net.Router(c.ASN).EachAdjIn(func(p netip.Prefix, from topo.ASN, rt *policy.Route) {
+	n.Router(c.ASN).EachAdjIn(func(p netip.Prefix, from topo.ASN, rt *policy.Route) {
 		// Partial feeds are partial in the table too.
 		if pr, ok := c.peers[from]; ok && pr.Feed == PartialFeed && !partialKeeps(c.ASN, from, p) {
 			return

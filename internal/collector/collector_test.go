@@ -251,6 +251,28 @@ func TestWriteUpdatesMRTRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRIBSnapshotRefusesForeignNetwork: a collector keeps its network's
+// route arena, not the network, so the RIB dump takes the network as an
+// argument and refuses one whose arena is not the collector's.
+func TestRIBSnapshotRefusesForeignNetwork(t *testing.T) {
+	n := testNet(t)
+	c := New(PlatformRV, "rv1", 60006)
+	c.AddPeer(Peer{AS: 3, Feed: FullFeed})
+	if err := c.Attach(n); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := c.WriteRIBSnapshotMRT(&buf, testNet(t), t0); err == nil {
+		t.Fatal("a RIB snapshot through another network's arena was written")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("the refused snapshot wrote %d bytes", buf.Len())
+	}
+	if _, err := c.WriteRIBSnapshotMRT(&buf, n, t0); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWriteRIBSnapshotMRT(t *testing.T) {
 	n := testNet(t)
 	c := New(PlatformRV, "rv1", 60006)
@@ -261,7 +283,7 @@ func TestWriteRIBSnapshotMRT(t *testing.T) {
 	n.Announce(5, netx.MustPrefix("198.51.100.0/24"))
 
 	var buf bytes.Buffer
-	if _, err := c.WriteRIBSnapshotMRT(&buf, t0.Add(time.Hour)); err != nil {
+	if _, err := c.WriteRIBSnapshotMRT(&buf, n, t0.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	recs := readAll(t, buf.Bytes())

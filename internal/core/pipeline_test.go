@@ -193,6 +193,39 @@ func TestDatasetReleasesWorld(t *testing.T) {
 	runtime.KeepAlive(reg)
 }
 
+// TestCollectorsOutliveNetwork: a world's collectors keep nothing of its
+// network alive, only the route arena their observations resolve
+// through, so worms can drop the routers before it copies the archives.
+// The Dataset copied after the network is collected equals the one
+// copied while the world was whole.
+func TestCollectorsOutliveNetwork(t *testing.T) {
+	w, err := gen.Build(gen.Tiny())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.RunChurn(); err != nil {
+		t.Fatal(err)
+	}
+	whole := FromCollectors(w.Collectors)
+	cs := w.Collectors
+	net := weak.Make(w.Net)
+	w = nil
+	runtime.GC()
+	if net.Value() != nil {
+		t.Fatal("the world's network is still reachable from its collectors")
+	}
+	ds := FromCollectors(cs)
+	if len(ds.Updates) == 0 {
+		t.Fatal("no updates: the check needs some")
+	}
+	if !reflect.DeepEqual(ds.Updates, whole.Updates) {
+		t.Error("the updates copied after the network was collected differ from the whole world's")
+	}
+	if !reflect.DeepEqual(ds.Collectors, whole.Collectors) {
+		t.Errorf("collectors %+v after the network was collected, %+v before", ds.Collectors, whole.Collectors)
+	}
+}
+
 // TestStreamingMatchesMaterialized runs the same MRT archives through
 // a materialized reference — every archive decoded whole with
 // feed.StreamMRT and concatenated in sorted file-name order, then

@@ -27,7 +27,7 @@ func privatePages(orig, cp *Router) (slots, in, out int) {
 func privateSlabPages[T any](orig, cp *slab[T]) int {
 	n := 0
 	for pg := range cp.pages {
-		first := span{off: uint32(pg << slabPageBits), n: 1}
+		first := packSpan(uint32(pg<<slabPageBits), 1, 1)
 		if pg >= len(orig.pages) || &cp.view(first)[0] != &orig.view(first)[0] {
 			n++
 		}

@@ -322,7 +322,7 @@ func TestCloneKeepsIDsValid(t *testing.T) {
 		t.Fatal("the clone does not index its slots by its arena's table")
 	}
 	for id, st := range r.slots.all() {
-		if st.in.n == 0 {
+		if st.in.n() == 0 {
 			continue // past the table's end, or never written
 		}
 		if p := r.Table().At(id); clone.Table().At(id) != p {

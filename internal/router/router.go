@@ -160,7 +160,7 @@ func (r *Router) entryRoute(e inEntry) *policy.Route {
 	return &rt
 }
 
-// slot is everything a router knows about one prefix (40 bytes, no
+// slot is everything a router knows about one prefix (32 bytes, no
 // pointer): the Loc-RIB winner by value — best.h is 0 when there is none
 // — and the spans of its candidate and advertisement runs. Slots are
 // indexed by prefix id and never removed; a slot with no best and two

@@ -93,7 +93,8 @@ func (t *PrefixTable) Clone() *PrefixTable {
 	return c
 }
 
-// slotPageBits sizes a page of the slot table: 128 slots, 5 KiB.
+// slotPageBits sizes a page of the slot table: 128 32-byte slots, 4 KiB,
+// which is exactly one of the allocator's size classes.
 const slotPageBits = 7
 
 type slotPage = [1 << slotPageBits]slot
@@ -179,9 +180,41 @@ func (t slotTable) share() slotTable {
 	return cp
 }
 
-// span locates one slot's run of entries inside a slab: page off>>slabPageBits,
-// starting at element off&(slabPage-1).
-type span struct{ off, n, cap uint32 }
+// span locates one slot's run of entries inside a slab in 8 bytes: the
+// run starts at element off&(slabPage-1) of page off>>slabPageBits, and
+// nc packs its length above spanClassBits with its capacity's size class
+// plus one below, so a zero class is no capacity and a capacity-1 span
+// is not an empty one. Only the slab's own methods and packSpan read or
+// build the packing.
+type span struct{ off, nc uint32 }
+
+const (
+	spanClassBits = 5
+	// spanMaxLen is the longest run a span can hold: 2^27-1 entries, far
+	// beyond any router's (a medium world's longest is 78).
+	spanMaxLen = 1<<(32-spanClassBits) - 1
+)
+
+// packSpan builds the span of a run of n entries at off in a span of
+// capacity c, 0 or a power of two.
+func packSpan(off, n, c uint32) span {
+	var class uint32
+	if c != 0 {
+		class = uint32(bits.TrailingZeros32(c)) + 1
+	}
+	return span{off: off, nc: n<<spanClassBits | class}
+}
+
+// n is the run's length.
+func (sp span) n() uint32 { return sp.nc >> spanClassBits }
+
+// cap is the span's capacity, 0 or a power of two.
+func (sp span) cap() uint32 {
+	if class := sp.nc & (1<<spanClassBits - 1); class != 0 {
+		return 1 << (class - 1)
+	}
+	return 0
+}
 
 // slabPageBits sizes a slab page: 1024 entries, 16 KiB of candidates or
 // 8 KiB of advertisement records.
@@ -224,16 +257,17 @@ type slabPageRef[T any] struct {
 // may alias a shared page; an insert into the same span may move the
 // run and leave it stale.
 func (s *slab[T]) view(sp span) []T {
-	if sp.n == 0 {
+	n := sp.n()
+	if n == 0 {
 		return nil
 	}
 	o := sp.off & (slabPage - 1)
-	return s.pages[sp.off>>slabPageBits].elems[o : o+sp.n]
+	return s.pages[sp.off>>slabPageBits].elems[o : o+n]
 }
 
 // run is view for writing: sp's page is copied first if it is shared.
 func (s *slab[T]) run(sp span) []T {
-	if sp.n == 0 {
+	if sp.n() == 0 {
 		return nil
 	}
 	s.own(int(sp.off >> slabPageBits))
@@ -251,11 +285,16 @@ func (s *slab[T]) own(pg int) {
 func (s *slab[T]) set(sp span, i int, v T) { s.run(sp)[i] = v }
 
 // insert places v at index i of sp's run, moving the run if it is full.
+// It panics if the run would outgrow spanMaxLen.
 func (s *slab[T]) insert(sp *span, i int, v T) {
-	if sp.n == sp.cap {
+	n := sp.n()
+	if n == spanMaxLen {
+		panic("router: slab run outgrows its span's length field")
+	}
+	if n == sp.cap() {
 		s.grow(sp)
 	}
-	sp.n++
+	*sp = packSpan(sp.off, n+1, sp.cap())
 	run := s.run(*sp)
 	copy(run[i+1:], run[i:])
 	run[i] = v
@@ -267,8 +306,8 @@ func (s *slab[T]) remove(sp *span, i int) {
 	copy(run[i:], run[i+1:])
 	var zero T
 	run[len(run)-1] = zero
-	sp.n--
-	if sp.n == 0 {
+	*sp = packSpan(sp.off, sp.n()-1, sp.cap())
+	if sp.n() == 0 {
 		s.release(*sp)
 		*sp = span{}
 	}
@@ -276,8 +315,8 @@ func (s *slab[T]) remove(sp *span, i int) {
 
 // grow moves sp's run to a span of twice the capacity.
 func (s *slab[T]) grow(sp *span) {
-	newCap := max(1, 2*sp.cap)
-	moved := span{off: s.alloc(newCap), n: sp.n, cap: newCap}
+	newCap := max(1, 2*sp.cap())
+	moved := packSpan(s.alloc(newCap), sp.n(), newCap)
 	copy(s.run(moved), s.view(*sp))
 	s.release(*sp)
 	*sp = moved
@@ -302,7 +341,7 @@ func (s *slab[T]) alloc(c uint32) uint32 {
 			// largest power of two first.
 			for rest := s.pages[pg].elems; len(rest) < cap(rest); {
 				piece := uint32(1) << (bits.Len(uint(cap(rest)-len(rest))) - 1)
-				s.release(span{off: uint32(pg<<slabPageBits | len(rest)), cap: piece})
+				s.release(packSpan(uint32(pg<<slabPageBits|len(rest)), 0, piece))
 				rest = rest[:len(rest)+int(piece)]
 				s.pages[pg].elems = rest
 			}
@@ -322,11 +361,12 @@ func (s *slab[T]) alloc(c uint32) uint32 {
 
 // release zeroes sp's run and returns its span to the free list.
 func (s *slab[T]) release(sp span) {
-	if sp.cap == 0 {
+	c := sp.cap()
+	if c == 0 {
 		return
 	}
 	clear(s.run(sp))
-	class := bits.TrailingZeros32(sp.cap)
+	class := bits.TrailingZeros32(c)
 	for len(s.free) <= class {
 		s.free = append(s.free, nil)
 	}

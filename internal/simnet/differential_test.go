@@ -167,7 +167,7 @@ func perturbAndCollapse(w *gen.Internet) (*outcome, error) {
 		if _, err := c.WriteUpdatesMRT(&arch); err != nil {
 			return nil, err
 		}
-		if _, err := c.WriteRIBSnapshotMRT(&arch, gen.BaseTime.AddDate(0, 1, 0)); err != nil {
+		if _, err := c.WriteRIBSnapshotMRT(&arch, w.Net, gen.BaseTime.AddDate(0, 1, 0)); err != nil {
 			return nil, err
 		}
 	}
