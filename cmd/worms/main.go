@@ -8,8 +8,12 @@
 // same wire-format path the paper's pipeline used: each archive is
 // classified as a byte stream, never materialized as an update slice,
 // so memory is bounded by the aggregates and not by the archive size.
-// -workers sizes the analysis worker pool and, when generating, the
-// simulation engine's pool (0 or negative = one per CPU for both). The
+// When generating, the world converges in prefix partitions: its ops are
+// split by a hash of their prefix into 4 × workers partitions, each
+// converged on a fork of the routeless world at one engine worker, and
+// the collectors' archives are merged back in op order. -workers sizes
+// that partition pool, at most that many partitions in flight, and the
+// analysis worker pool (0 or negative = one per CPU for both). The
 // printed report is byte-identical for every value under a fixed seed.
 //
 // Usage:
@@ -24,13 +28,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/debug"
 	"runtime/metrics"
 	"strconv"
 
-	"bgpworms/internal/bgp"
-	"bgpworms/internal/collector"
 	"bgpworms/internal/core"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/obs"
@@ -40,12 +40,12 @@ import (
 func main() {
 	world := gen.NewFlags(flag.CommandLine, "small")
 	mrtDir := flag.String("mrt", "", "stream-classify the updates.*.mrt archives in this directory instead of simulating")
-	workers := flag.Int("workers", 0, "analysis worker pool size (0 = one per CPU); also sizes the simulation engine's pool when generating")
+	workers := flag.Int("workers", 0, "worker pool size (0 = one per CPU): the analysis pool and, when generating, the partition pool, which converges the world in 4 × workers prefix partitions, this many at a time")
 	// -engine exists for bench/, which passes "delta"; it goes when a
 	// benchmark PR drops the argument.
 	engine := flag.String("engine", "delta", "simulation engine: delta (the only one)")
 	years := flag.Bool("evolution", true, "compute the Figure 3 time series (builds one Internet per year)")
-	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (build/churn/load/analyze/render/evolution, or stream with -mrt), each with heap_mb and retained_mb at its end")
+	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (plan/converge/merge/analyze/render/evolution, or stream with -mrt), each with heap_mb and retained_mb at its end")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
@@ -91,20 +91,26 @@ func main() {
 		fail(err)
 	}
 	p.Workers = *workers
-	cs, blackhole, sp, err := loadWorld(p, world.Scale, tr)
+	// The world converges in prefix partitions (gen.PlanArchives): each
+	// partition's routers and arena are garbage once its collectors'
+	// events are taken, so no whole world is ever live.
+	sp := tr.Start("plan")
+	sp.SetAttr("scale", world.Scale)
+	plan, err := gen.PlanArchives(p)
+	end(sp)
 	if err != nil {
 		fail(err)
 	}
-	// The network and its routers are unreachable now; the collectors
-	// and the route arena they resolve through are all that is left of
-	// the world. Collect the routers and return their pages to the OS
-	// before the Dataset is copied, so the copy does not grow the
-	// process past the converged world.
-	debug.FreeOSMemory()
-	ds := core.FromCollectors(cs)
-	// The collectors and the arena are unreachable in turn: collect them
-	// before Analyze allocates, so they do not ride its heap.
-	runtime.GC()
+	sp = tr.Start("converge")
+	sp.SetAttr("partitions", strconv.Itoa(plan.Partitions()))
+	parts, err := plan.Converge()
+	end(sp)
+	if err != nil {
+		fail(err)
+	}
+	sp = tr.Start("merge")
+	ds := core.NewDataset(plan.Collectors, parts.Merge())
+	blackhole := plan.Registry.All()
 	end(sp)
 	sp = tr.Start("analyze")
 	a := pipe.Analyze(ds, blackhole)
@@ -171,29 +177,6 @@ func printAnalysis(w io.Writer, a *core.Analysis) {
 		fmt.Fprintf(w, "  (%.1f, %.1f) -> %d\n", b.X, b.Y, b.Count)
 	}
 	fmt.Fprintln(w)
-}
-
-// loadWorld builds and churns the world under build and churn spans and
-// opens the load span. It returns the collectors and the blackhole
-// registry only, so the network and its routers are garbage once it
-// returns; the collectors keep just the route arena. The load span is
-// still open, for the caller to copy the archives and end it.
-func loadWorld(p gen.Params, scale string, tr *obs.Trace) ([]*collector.Collector, []bgp.Community, *obs.Span, error) {
-	sp := tr.Start("build")
-	sp.SetAttr("scale", scale)
-	w, err := gen.Build(p)
-	end(sp)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sp = tr.Start("churn")
-	_, err = w.RunChurn()
-	end(sp)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sp = tr.Start("load")
-	return w.Collectors, w.Registry.All(), sp, nil
 }
 
 // end closes sp, recording at its end as heap_mb the bytes of heap

@@ -103,7 +103,8 @@ func TestStreamFlagIsGone(t *testing.T) {
 // as heap_mb and the memory the runtime keeps from the OS as retained_mb
 // (never below heap_mb, whose objects it counts), so a memory peak can
 // be put down to a phase, and tracing leaves the report byte-for-byte as
-// it is.
+// it is. The world's phases are the partitioned ones: plan, converge
+// (naming its partition count) and merge.
 func TestTraceSpansCarryHeap(t *testing.T) {
 	args := []string{"-scale", "tiny", "-evolution=false"}
 	plain, stderr, err := runWorms(args...)
@@ -137,8 +138,11 @@ func TestTraceSpansCarryHeap(t *testing.T) {
 			t.Errorf("span %s: retained_mb %q with heap_mb %q", sp.Name, sp.Attrs["retained_mb"], sp.Attrs["heap_mb"])
 		}
 	}
-	if want := []string{"build", "churn", "load", "analyze", "render"}; !slices.Equal(names, want) {
+	if want := []string{"plan", "converge", "merge", "analyze", "render"}; !slices.Equal(names, want) {
 		t.Fatalf("spans %v, want %v", names, want)
+	}
+	if k, err := strconv.Atoi(tr.Spans[1].Attrs["partitions"]); err != nil || k < 1 {
+		t.Errorf("converge span: partitions %q", tr.Spans[1].Attrs["partitions"])
 	}
 }
 

@@ -242,6 +242,22 @@ func (c *Collector) Prefix(ob Observation) netip.Prefix { return c.routes.Table(
 // Observations returns everything recorded so far.
 func (c *Collector) Observations() []Observation { return c.obs }
 
+// AppendEvents appends the archive to dst as feed.Events, in recording
+// order, and returns the extended slice. Each observation goes through
+// the one route-to-record conversion, feed.Tap, and keeps its time.
+func (c *Collector) AppendEvents(dst []feed.Event) []feed.Event {
+	var at time.Time
+	record := feed.Tap(c.Name, func(ev feed.Event) {
+		ev.Time = at
+		dst = append(dst, ev)
+	})
+	for _, ob := range c.obs {
+		at = ob.Time()
+		record(ob.PeerAS, c.ASN, c.Prefix(ob), c.Route(ob))
+	}
+	return dst
+}
+
 // peerIP derives a deterministic session address.
 func peerIP(collector, peer topo.ASN) netip.Addr {
 	return netip.AddrFrom4([4]byte{10, byte(collector), byte(peer >> 8), byte(peer)})

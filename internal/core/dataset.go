@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"time"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/collector"
@@ -83,20 +82,28 @@ type Dataset struct {
 }
 
 // FromCollectors converts attached collectors' archives into a Dataset.
-// Each recorded delivery goes through the one route-to-record
-// conversion, feed.Tap, and keeps the collector's session clock. Updates
+// Each collector's observations become events through
+// Collector.AppendEvents and keep the collector's session clock. Updates
 // is sized once from the observation counts, and each collector converts
 // into its own segment of it concurrently, one worker per CPU; the
 // segments follow cs order.
 func FromCollectors(cs []*collector.Collector) *Dataset {
-	ds := &Dataset{Collectors: make([]CollectorMeta, len(cs))}
 	starts := make([]int, len(cs)+1)
 	for i, c := range cs {
 		starts[i+1] = starts[i] + len(c.Observations())
 	}
-	ds.Updates = make([]feed.Event, starts[len(cs)])
+	updates := make([]feed.Event, starts[len(cs)])
 	conc.Do(len(cs), runtime.GOMAXPROCS(0), func(i int) {
-		c := cs[i]
+		cs[i].AppendEvents(updates[starts[i]:starts[i]:starts[i+1]])
+	})
+	return NewDataset(cs, updates)
+}
+
+// NewDataset labels updates, every collector's archive in cs order, with
+// the collectors' sessions.
+func NewDataset(cs []*collector.Collector, updates []feed.Event) *Dataset {
+	ds := &Dataset{Updates: updates, Collectors: make([]CollectorMeta, len(cs))}
+	for i, c := range cs {
 		meta := CollectorMeta{
 			Platform: string(c.Platform),
 			Name:     c.Name,
@@ -107,18 +114,7 @@ func FromCollectors(cs []*collector.Collector) *Dataset {
 			meta.PeerASNs[uint32(p.AS)] = true
 		}
 		ds.Collectors[i] = meta
-		var at time.Time
-		next := starts[i]
-		record := feed.Tap(c.Name, func(ev feed.Event) {
-			ev.Time = at
-			ds.Updates[next] = ev
-			next++
-		})
-		for _, ob := range c.Observations() {
-			at = ob.Time()
-			record(ob.PeerAS, c.ASN, c.Prefix(ob), c.Route(ob))
-		}
-	})
+	}
 	return ds
 }
 

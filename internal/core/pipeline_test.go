@@ -171,8 +171,8 @@ func TestFromCollectorsMatchesSerialConversion(t *testing.T) {
 
 // TestDatasetReleasesWorld: a Dataset and the blackhole registry keep
 // nothing of the world they were read from alive, so a caller that holds
-// only them, as worms does before Analyze, lets the garbage collector
-// free the world's network, routers and route arena.
+// only them lets the garbage collector free the world's network, routers
+// and route arena before Analyze.
 func TestDatasetReleasesWorld(t *testing.T) {
 	w, err := gen.Build(gen.Tiny())
 	if err != nil {
@@ -195,7 +195,8 @@ func TestDatasetReleasesWorld(t *testing.T) {
 
 // TestCollectorsOutliveNetwork: a world's collectors keep nothing of its
 // network alive, only the route arena their observations resolve
-// through, so worms can drop the routers before it copies the archives.
+// through, so a world's routers can be dropped before its archives are
+// copied.
 // The Dataset copied after the network is collected equals the one
 // copied while the world was whole.
 func TestCollectorsOutliveNetwork(t *testing.T) {

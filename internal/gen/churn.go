@@ -32,14 +32,24 @@ type ChurnReport struct {
 // RunChurn simulates the observation month: re-announcement trains,
 // community retagging, blackhole episodes, and IXP-community tagging. All
 // of it lands in the collectors' update archives. Nothing it draws
-// depends on network state, so it plans the month first and converges
-// it with one Apply.
+// depends on network state, so it plans the month first (churnOps) and
+// converges it with one Apply.
 func (w *Internet) RunChurn() (*ChurnReport, error) {
 	defer churnSecs.ObserveSince(time.Now())
+	ops, rep := w.churnOps()
+	if _, err := w.Net.Apply(ops...); err != nil {
+		return rep, fmt.Errorf("gen: churn: %w", err)
+	}
+	return rep, nil
+}
+
+// churnOps draws the observation month's origination changes, in the
+// order RunChurn applies them, and reports what it drew.
+func (w *Internet) churnOps() ([]simnet.Op, *ChurnReport) {
 	rep := &ChurnReport{}
 	prefixes := w.AllPrefixes()
 	if len(prefixes) == 0 {
-		return rep, nil
+		return nil, rep
 	}
 	var ops []simnet.Op
 	announce := func(as topo.ASN, p netip.Prefix, tags ...bgp.Community) {
@@ -126,10 +136,7 @@ func (w *Internet) RunChurn() (*ChurnReport, error) {
 		announce(src, pfx, w.OriginTags[pfx].Clone().Add(rs.AnnounceToCommunity(dst))...)
 		rep.IXPTagged++
 	}
-	if _, err := w.Net.Apply(ops...); err != nil {
-		return rep, fmt.Errorf("gen: churn: %w", err)
-	}
-	return rep, nil
+	return ops, rep
 }
 
 type rtbhTarget struct {

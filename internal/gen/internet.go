@@ -81,19 +81,34 @@ func (w *Internet) drawValue(rng *rand.Rand) uint16 {
 // collectors, and announces every origin prefix to convergence.
 func Build(p Params) (*Internet, error) {
 	defer buildSecs.ObserveSince(time.Now())
+	w, ops, err := plan(p)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := w.Net.Apply(ops...); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+// plan draws everything Build makes without converging anything: the
+// topology, the routers, IXPs and collectors wired into a routeless
+// network, the registry, and the origin announcements Build applies,
+// which it returns. Nothing it draws depends on network state.
+func plan(p Params) (*Internet, []simnet.Op, error) {
 	switch p.Engine {
 	case "", "delta", "rounds":
 	default:
-		return nil, fmt.Errorf("gen: unknown engine %q (want \"delta\" or empty)", p.Engine)
+		return nil, nil, fmt.Errorf("gen: unknown engine %q (want \"delta\" or empty)", p.Engine)
 	}
 	if ASNStubBase+topo.ASN(p.Stubs) > ASNIXPBase {
 		// Dynamic layout: route servers move to the 16-bit window, which
 		// must fit between the mid tier and the stub base.
 		if ASNMidBase+topo.ASN(p.Mid) > ASNIXPBase16 {
-			return nil, fmt.Errorf("gen: %d mid ASes collide with the 16-bit route-server window at %d", p.Mid, ASNIXPBase16)
+			return nil, nil, fmt.Errorf("gen: %d mid ASes collide with the 16-bit route-server window at %d", p.Mid, ASNIXPBase16)
 		}
 		if ASNIXPBase16+topo.ASN(p.IXPs) > ASNStubBase {
-			return nil, fmt.Errorf("gen: %d route servers overrun the 16-bit window into the stub range at %d", p.IXPs, ASNStubBase)
+			return nil, nil, fmt.Errorf("gen: %d route servers overrun the 16-bit window into the stub range at %d", p.IXPs, ASNStubBase)
 		}
 	}
 	src := newCountingSource(p.Seed)
@@ -112,16 +127,13 @@ func Build(p Params) (*Internet, error) {
 		w.Net.Tap(p.Tap)
 	}
 	if err := w.attachIXPs(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := w.attachCollectors(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	w.buildRegistry()
-	if err := w.announceOrigins(); err != nil {
-		return nil, err
-	}
-	return w, nil
+	return w, w.originOps(), nil
 }
 
 // tier1ASNs / midASNs / stubASNs enumerate generated ranges.
@@ -396,10 +408,9 @@ func v6PrefixFor(originIdx int) netip.Prefix {
 	return netx.MustPrefix(fmt.Sprintf("2001:db8:%x::/48", originIdx+1))
 }
 
-// announceOrigins draws every sampled stub's prefixes and tags, then
-// converges all the announcements with one Apply (nothing drawn depends
-// on network state).
-func (w *Internet) announceOrigins() error {
+// originOps draws every sampled stub's prefixes and tags and returns
+// their announcements, which Build converges with one Apply.
+func (w *Internet) originOps() []simnet.Op {
 	stubs := w.stubASNs()
 	step := w.Params.OriginSampleEvery
 	if step < 1 {
@@ -423,8 +434,7 @@ func (w *Internet) announceOrigins() error {
 			ops = append(ops, simnet.Op{AS: s, Prefix: pfx})
 		}
 	}
-	_, err := w.Net.Apply(ops...)
-	return err
+	return ops
 }
 
 // originTagSet draws the communities an origin attaches at announcement

@@ -156,9 +156,9 @@ func applyReceivers(w *gen.Internet, ops []simnet.Op) []topo.ASN {
 
 // TestApplyMatchesSerial holds Apply to its contract on seeded random
 // worlds at workers 1, 2 and 4: one Apply(ops...) fires exactly the tap
-// calls, returns exactly the per-op delivery counts, and leaves exactly
-// the RIBs of applying the ops one at a time in slice order, and that
-// one-at-a-time run equals the rounds oracle's. Each arm registers its
+// calls and op ends (OnOp), returns exactly the per-op delivery counts,
+// and leaves exactly the RIBs of applying the ops one at a time in slice
+// order, and that one-at-a-time run equals the rounds oracle's. Each arm registers its
 // own taps — one whole-world tap, receiver-scoped taps only, or a
 // whole-world tap between two scoped ones — so every tap must see
 // exactly the deliveries to its receivers, taps sharing a delivery in
@@ -193,12 +193,17 @@ func TestApplyMatchesSerial(t *testing.T) {
 					}
 					ids[i] = recordTaps(w.Net, tp.name, &tr.taps, to...)
 				}
+				// Each op's end goes into the transcript between its tap
+				// calls and the next op's, at the op's index in ops.
+				base := 0
+				w.Net.OnOp(func(i int) { tr.taps = append(tr.taps, fmt.Sprintf("op %d ends", base+i)) })
 				half := len(ops) / 2
 				if batched {
 					for k, part := range [][]simnet.Op{ops[:half], ops[half:]} {
 						if k == 1 && arm.untap {
 							w.Net.Untap(ids[0])
 						}
+						base = k * half
 						counts, err := w.Net.Apply(part...)
 						if err != nil {
 							t.Fatal(err)
@@ -213,6 +218,7 @@ func TestApplyMatchesSerial(t *testing.T) {
 						if i == half {
 							cut = len(tr.taps)
 						}
+						base = i
 						c, err := w.Net.Apply(op)
 						if err != nil {
 							t.Fatal(err)

@@ -214,8 +214,10 @@ const applyWindowOps = 16
 // depends on another prefix's state, so the deliveries runDelta credits
 // to an op by prefix are exactly, and in the order of, those of the op's
 // own serial run; the taps replay them op by op once the window has
-// converged, each delivery to the taps that observe its receiver.
-func (n *Network) applyWindow(ops []Op, counts []int) error {
+// converged, each delivery to the taps that observe its receiver, and
+// each op's end (OnOp) follows its replay. base is the index of ops[0]
+// in Apply's list.
+func (n *Network) applyWindow(base int, ops []Op, counts []int) error {
 	var wave [applyWindowOps]int
 	waves := 0
 	for i, op := range ops {
@@ -262,6 +264,7 @@ func (n *Network) applyWindow(ops []Op, counts []int) error {
 		}
 		replayed += len(st.replay[i])
 		st.replay[i] = st.replay[i][:0]
+		n.endOp(base + i)
 	}
 	tapReplayed.Add(uint64(replayed))
 	arenaRoutes.Add(uint64(n.routes.Routes() - stored))

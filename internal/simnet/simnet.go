@@ -92,6 +92,8 @@ type Network struct {
 	// cow marks a network created by Snapshot.Fork: some routers may be
 	// sealed originals that engines must copy-on-write before mutating.
 	cow bool
+	// opDone observes each op's end (OnOp); nil when nothing does.
+	opDone func(i int)
 }
 
 type workItem struct {
@@ -207,6 +209,13 @@ func (n *Network) Untap(id int) {
 	}
 }
 
+// OnOp registers fn to run once per op of every later Apply, with the
+// op's index in that Apply's list, after the op has converged and its
+// deliveries have fired every tap and before any later op's do: a tap's
+// calls between two fn calls are exactly the op's. A nil fn stops the
+// calls. Forks do not inherit it.
+func (n *Network) OnOp(fn func(i int)) { n.opDone = fn }
+
 // Steps returns the number of update deliveries processed so far.
 func (n *Network) Steps() int { return n.steps }
 
@@ -246,13 +255,14 @@ func first(counts []int, err error) (int, error) { return counts[0], err }
 
 // Apply makes each op's origination change and converges the network
 // after it, in slice order, returning the deliveries each op caused.
-// Taps, per-op counts and final RIBs are exactly those of applying the
-// ops one at a time; the delta engine gets there by converging ops on
-// distinct prefixes together (applyWindow). An op from an unknown AS
-// ends the list with an error after the ops before it are applied. An
-// op that exceeds the convergence bound — counted per op — ends it with
-// the error it raises on its own, leaving the network mid-convergence
-// and, under the delta engine, its window's taps unfired.
+// Taps, per-op counts, OnOp's calls and final RIBs are exactly those of
+// applying the ops one at a time; the delta engine gets there by
+// converging ops on distinct prefixes together (applyWindow). An op from
+// an unknown AS ends the list with an error after the ops before it are
+// applied. An op that exceeds the convergence bound — counted per op —
+// ends it with the error it raises on its own, leaving the network
+// mid-convergence and, under the delta engine, its window's taps and
+// OnOp calls unfired.
 func (n *Network) Apply(ops ...Op) ([]int, error) {
 	counts := make([]int, len(ops))
 	valid := len(ops)
@@ -273,11 +283,12 @@ func (n *Network) Apply(ops ...Op) ([]int, error) {
 			if err != nil {
 				return counts, err
 			}
+			n.endOp(i)
 		}
 	} else {
 		for lo := 0; lo < valid; lo += applyWindowOps {
 			hi := min(lo+applyWindowOps, valid)
-			if err := n.applyWindow(ops[lo:hi], counts[lo:hi]); err != nil {
+			if err := n.applyWindow(lo, ops[lo:hi], counts[lo:hi]); err != nil {
 				return counts, err
 			}
 		}
@@ -290,6 +301,13 @@ func (n *Network) Apply(ops ...Op) ([]int, error) {
 		return counts, fmt.Errorf("simnet: %s from unknown AS%d", verb, ops[valid].AS)
 	}
 	return counts, nil
+}
+
+// endOp reports the end of op i of the running Apply to OnOp's fn.
+func (n *Network) endOp(i int) {
+	if n.opDone != nil {
+		n.opDone(i)
+	}
 }
 
 // originate makes op's change at its AS and, when the AS's Loc-RIB
