@@ -41,7 +41,7 @@ func TestReceiveAndDecideAllocateNothing(t *testing.T) {
 	i := 0
 	if n := testing.AllocsPerRun(200, func() {
 		i++
-		if r.ReceiveSharedNoDecide(nil, 100, id, loser[i%2]) != ImportAccepted || r.Decide(id) {
+		if res, _ := r.ReceiveSharedNoDecide(nil, 100, id, loser[i%2]); res != ImportAccepted || r.Decide(id) {
 			t.Fatal("replacing a losing candidate changed the best route")
 		}
 	}); n != 0 {
@@ -53,7 +53,7 @@ func TestReceiveAndDecideAllocateNothing(t *testing.T) {
 	winner := [2]Handle{r.routes.Add(learned(200, 8, 7)), r.routes.Add(learned(200, 9, 7))}
 	if n := testing.AllocsPerRun(200, func() {
 		i++
-		if r.ReceiveSharedNoDecide(nil, 200, id, winner[i%2]) != ImportAccepted || !r.Decide(id) {
+		if res, _ := r.ReceiveSharedNoDecide(nil, 200, id, winner[i%2]); res != ImportAccepted || !r.Decide(id) {
 			t.Fatal("replacing the best candidate did not change the best route")
 		}
 	}); n != 0 {

@@ -27,9 +27,17 @@ type tableModel struct {
 	out  map[netip.Prefix]map[topo.ASN]*policy.Route
 }
 
+// receive imports rt from session from. An update the import rejects
+// (here, a path through us) still replaces what the session sent before:
+// RFC 4271 §9's implicit withdraw, with §9.1.2 excluding the looped
+// route from the decision. An unknown session has nothing to replace.
 func (m *tableModel) receive(from topo.ASN, rt *policy.Route) {
 	rel, ok := m.nbs[from]
-	if !ok || rt.ASPath.Contains(uint32(m.self)) {
+	if !ok {
+		return
+	}
+	if rt.ASPath.Contains(uint32(m.self)) {
+		m.put(m.in, rt.Prefix, from, nil)
 		return
 	}
 	cp := rt.Clone()
@@ -435,6 +443,18 @@ func TestTablesMatchModel(t *testing.T) {
 			}
 			w.check()
 		}
+
+		// Fixed case: the same session sends the highest id again, looped
+		// through us. The update still replaces the candidate it sent
+		// before (RFC 4271 §9's implicit withdraw), so none is left.
+		looped := w.route(hi, 200)
+		looped.ASPath = bgp.Path(200, 65001, 3001)
+		w.step = fmt.Sprintf("ReceiveUpdate(200, %s) on the highest id, looped", show(looped))
+		if _, changed := w.r.ReceiveUpdate(200, looped); !changed {
+			w.fail("a looped update from the best route's session reported no change")
+		}
+		w.m.receive(200, looped)
+		w.check()
 
 		// Fixed case: a tagged session's import is rebuilt in the arena
 		// every time it arrives, so the same delivery twice stores equal

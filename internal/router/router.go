@@ -313,7 +313,10 @@ const (
 )
 
 // ReceiveUpdate processes an announcement from neighbor `from`. It returns
-// the import outcome and whether the Loc-RIB best route changed.
+// the import outcome and whether the Loc-RIB best route changed: an
+// accepted update replaces the session's candidate, and a rejected one
+// withdraws it (RFC 4271 §9's implicit withdraw; §9.1.2 keeps a looped
+// route out of the decision).
 func (r *Router) ReceiveUpdate(from topo.ASN, in *policy.Route) (ImportResult, bool) {
 	r.mustMutable()
 	id := r.routes.tbl.Intern(in.Prefix)
@@ -321,7 +324,7 @@ func (r *Router) ReceiveUpdate(from topo.ASN, in *policy.Route) (ImportResult, b
 	if res == ImportAccepted {
 		res = r.receive(nil, from, rel, id, in, 0)
 	}
-	if res != ImportAccepted {
+	if res != ImportAccepted && !r.implicitWithdraw(from, id) {
 		return res, false
 	}
 	return res, r.decide(id)
@@ -329,7 +332,10 @@ func (r *Router) ReceiveUpdate(from topo.ASN, in *policy.Route) (ImportResult, b
 
 // ReceiveSharedNoDecide stores the update h names in the router's arena,
 // for the prefix id names, in the Adj-RIB-In without running the
-// decision process, reporting whether the import was accepted. A route
+// decision process. It reports the import outcome and whether the
+// Adj-RIB-In changed: an accepted update always stores its candidate, and
+// a rejected one removes the candidate the session sent before, if any
+// (RFC 4271 §9's implicit withdraw, as in ReceiveUpdate). A route
 // the import must tag or rewrite is stored anew through cur, the calling
 // engine worker's cursor on the same arena (nil: the arena's spare
 // cursor). Engines that batch several deliveries for one prefix (the delta
@@ -345,25 +351,25 @@ func (r *Router) ReceiveUpdate(from topo.ASN, in *policy.Route) (ImportResult, b
 // path the delta engine lives on. Only an import that adds a community
 // (blackhole NO_EXPORT, the session's ingress tags) resolves the route
 // and builds a private one (receive).
-func (r *Router) ReceiveSharedNoDecide(cur *RouteCursor, from topo.ASN, id uint32, h Handle) ImportResult {
+func (r *Router) ReceiveSharedNoDecide(cur *RouteCursor, from topo.ASN, id uint32, h Handle) (ImportResult, bool) {
 	r.mustMutable()
 	a := r.routes
 	rc := a.rec(h)
 	rel, res := r.admit(from, a.path(rc.path))
 	if res != ImportAccepted {
-		return res
+		return res, r.implicitWithdraw(from, id)
 	}
 	res, entry, pristine := r.importScan(from, rel, a.tbl.At(rc.pfx), a.comms.at(rc.comms))
 	if res != ImportAccepted {
-		return res
+		return res, r.implicitWithdraw(from, id)
 	}
 	if pristine {
 		entry.h = h
 		r.storeAdjIn(id, entry)
-		return ImportAccepted
+		return ImportAccepted, true
 	}
 	in := a.route(rc)
-	return r.receive(cur, from, rel, id, &in, h)
+	return r.receive(cur, from, rel, id, &in, h), true
 }
 
 // admit runs the session and loop checks every import starts with,
@@ -639,6 +645,15 @@ func (r *Router) ReceiveWithdraw(from topo.ASN, p netip.Prefix) bool {
 func (r *Router) WithdrawNoDecide(from topo.ASN, id uint32) bool {
 	r.mustMutable()
 	return from != 0 && r.withdraw(from, id)
+}
+
+// implicitWithdraw applies RFC 4271 §9 to an update the import rejected:
+// it still replaces what the session sent before, so the session's
+// candidate goes, and it reports whether there was one. An unknown
+// session has none.
+func (r *Router) implicitWithdraw(from topo.ASN, id uint32) bool {
+	_, known := r.neighbors[from]
+	return known && r.withdraw(from, id)
 }
 
 func (r *Router) withdraw(from topo.ASN, id uint32) bool {

@@ -209,6 +209,80 @@ func TestRTBHServiceAcceptsAndNullRoutes(t *testing.T) {
 	}
 }
 
+// TestRejectedUpdateWithdrawsCandidate: an update the import rejects
+// still replaces what its session sent before (RFC 4271 §9's implicit
+// withdraw), on both receive paths and for every policy rejection — a
+// path through us, a /32 re-sent without the blackhole community that
+// made it acceptable, and an announcement outside the customer's
+// registered prefixes. The old candidate must leave the Adj-RIB-In and
+// the best route must fall back, reported as a change.
+func TestRejectedUpdateWithdrawsCandidate(t *testing.T) {
+	bh := bgp.C(65001, 666)
+	host := netx.MustPrefix("192.0.2.7/32")
+	mk := func() *Router {
+		r := New(Config{
+			ASN: 65001, Vendor: VendorJuniper,
+			Catalog:          policy.NewCatalog(65001).Add(policy.Service{Community: bh, Kind: policy.SvcBlackhole}),
+			BlackholeMinLen:  24,
+			MaxPrefixLen:     24,
+			CustomerPrefixes: map[topo.ASN]*policy.PrefixList{64500: (&policy.PrefixList{}).AddRange(host, 24, 32).AddRange(pfx, 24, 24)},
+			ValidateOrigin:   true,
+		}, NewRouteArena())
+		r.AddNeighbor(64500, topo.RelCustomer)
+		r.AddNeighbor(64501, topo.RelPeer)
+		return r
+	}
+	tagged := func(rt *policy.Route, cs ...bgp.Community) *policy.Route {
+		rt.Communities = bgp.NewCommunitySet(cs...)
+		return rt
+	}
+	for _, c := range []struct {
+		name           string
+		p              netip.Prefix
+		accept, reject *policy.Route
+		want           ImportResult
+		fallback       topo.ASN // the best after the rejection, 0 for none
+	}{
+		{"loop", pfx, route(pfx, 64500, 1), route(pfx, 64500, 65001, 1), ImportRejectedLoop, 64501},
+		{"too-specific", host, tagged(route(host, 64500, 1), bh), route(host, 64500, 1), ImportRejectedTooSpecific, 0},
+		{"origin-invalid", pfx, route(pfx, 64500, 1), tagged(route(pfx, 64500, 1), bgp.C(64500, 1)), ImportRejectedOriginInvalid, 64501},
+	} {
+		for _, shared := range []bool{false, true} {
+			r := mk()
+			recv := r.ReceiveUpdate
+			if shared {
+				recv = r.ReceiveShared
+			}
+			if c.fallback != 0 {
+				recv(c.fallback, route(c.p, uint32(c.fallback), 7, 1))
+			}
+			if res, _ := recv(64500, c.accept); res != ImportAccepted {
+				t.Fatalf("%s shared=%v: first update %v, want accepted", c.name, shared, res)
+			}
+			if c.name == "origin-invalid" {
+				// The customer's registered prefixes no longer cover it.
+				r.Config().CustomerPrefixes[64500] = (&policy.PrefixList{}).AddRange(host, 24, 32)
+			}
+			res, changed := recv(64500, c.reject)
+			if res != c.want || !changed {
+				t.Fatalf("%s shared=%v: rejection %v changed=%v, want %v and a change", c.name, shared, res, changed, c.want)
+			}
+			r.EachAdjIn(func(p netip.Prefix, from topo.ASN, rt *policy.Route) {
+				if p == c.p && from == 64500 {
+					t.Errorf("%s shared=%v: the rejected session's old candidate is still in the Adj-RIB-In: %v", c.name, shared, rt)
+				}
+			})
+			best, ok := r.BestRoute(c.p)
+			if c.fallback == 0 && ok || c.fallback != 0 && (!ok || best.NextHopAS != c.fallback) {
+				t.Errorf("%s shared=%v: best after the rejection %v (ok=%v), want the route from AS%d", c.name, shared, best, ok, c.fallback)
+			}
+			if res, changed := recv(64500, c.reject); res != c.want || changed {
+				t.Errorf("%s shared=%v: the same rejection again: %v changed=%v, want no change", c.name, shared, res, changed)
+			}
+		}
+	}
+}
+
 func TestOriginValidationOrdering(t *testing.T) {
 	bh := bgp.C(65001, 666)
 	mk := func(misconfig bool) *Router {

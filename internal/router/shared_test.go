@@ -29,8 +29,8 @@ func mkSharedPair(cfg Config) (classic, shared *Router) {
 // stored in the router's arena first, the way a sender's export is.
 func (r *Router) ReceiveShared(from topo.ASN, in *policy.Route) (ImportResult, bool) {
 	id := r.Table().Intern(in.Prefix)
-	res := r.ReceiveSharedNoDecide(nil, from, id, r.routes.Add(in))
-	if res != ImportAccepted {
+	res, mutated := r.ReceiveSharedNoDecide(nil, from, id, r.routes.Add(in))
+	if !mutated {
 		return res, false
 	}
 	return res, r.Decide(id)

@@ -410,7 +410,7 @@ func (n *Network) runDelta(workers int, counts []int) (int, error) {
 			for _, d := range st.inbox[di] {
 				mutated := false
 				if d.h != 0 {
-					mutated = dst.ReceiveSharedNoDecide(&st.curs[w], d.from, d.id, d.h) == router.ImportAccepted
+					_, mutated = dst.ReceiveSharedNoDecide(&st.curs[w], d.from, d.id, d.h)
 				} else {
 					mutated = dst.WithdrawNoDecide(d.from, d.id)
 				}

@@ -143,8 +143,7 @@ func (n *Network) runRounds(workers int) (int, error) {
 			for _, d := range byDst[dstOrder[i]] {
 				reschedule := false
 				if d.rt != nil {
-					res, chg := dst.ReceiveUpdate(d.from, d.rt)
-					reschedule = res == router.ImportAccepted && chg
+					_, reschedule = dst.ReceiveUpdate(d.from, d.rt)
 				} else {
 					reschedule = dst.ReceiveWithdraw(d.from, pfx[d.id])
 				}
