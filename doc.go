@@ -55,10 +55,11 @@
 // sets, class-shared export slabs, copy-on-write receives), converging
 // ops on distinct prefixes together while replaying taps in op order. Its
 // convergence counts, tap ordering, archives, and final RIBs are
-// invariant across worker counts under a fixed seed, and bit-identical
-// to the older rounds engine kept as its oracle — a property the
-// randomized differential suite (internal/simnet/differential_test.go)
-// enforces with shrinking.
+// invariant across worker counts under a fixed seed, and equal to a
+// test-only spec oracle written from RFC 4271 and the policy rules, which
+// shares no code with the engine — a property the randomized
+// differential suite (internal/simnet/differential_test.go) enforces
+// with shrinking.
 // The watch and semantics engines extend the same discipline to the
 // online side: prefix-sharded windows make alert sets shard-count
 // invariant, ingest has one lossless path (a feed that outruns the

@@ -26,13 +26,11 @@ import (
 )
 
 // warmCombos is the engine × worker matrix the equivalence claim
-// covers: the delta engine and its rounds reference under 1/4/16 engine
-// workers.
+// covers: the one engine under 1/4/16 engine workers.
 var warmCombos = []struct {
 	engine  string
 	workers int
 }{
-	{"rounds", 1}, {"rounds", 4}, {"rounds", 16},
 	{"delta", 1}, {"delta", 4}, {"delta", 16},
 }
 
@@ -193,13 +191,12 @@ func checkScenarioMatrix(t *testing.T, scale string, combos []struct {
 	}
 }
 
-// TestWarmScenarioEquivalence is the tiny-scale matrix: both engines,
-// all worker counts (a reduced diagonal in -short mode).
+// TestWarmScenarioEquivalence is the tiny-scale matrix: all worker
+// counts (1 and 4 in -short mode).
 func TestWarmScenarioEquivalence(t *testing.T) {
 	combos := warmCombos
 	if testing.Short() {
-		combos = combos[:0:0]
-		combos = append(combos, warmCombos[1], warmCombos[3]) // rounds/4, delta/1
+		combos = combos[:2]
 	}
 	checkScenarioMatrix(t, "tiny", combos)
 }
@@ -291,7 +288,8 @@ func TestWarmIncompatibleSnapshotIsLoud(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := warmContext(t, "rtbh", "tiny", "rounds", 1)
+	ctx := warmContext(t, "rtbh", "tiny", "delta", 1)
+	ctx.Gen.Seed++
 	ctx.Warm = snap
 	if _, err := scenario.Run("rtbh", ctx); err == nil {
 		t.Fatal("mismatched warm snapshot accepted silently")

@@ -269,9 +269,10 @@ func TestFlagsParams(t *testing.T) {
 }
 
 // TestBuildRejectsRetiredEngines pins what Params.Engine accepts: an
-// engine name other than "delta" (or the oracle's "rounds") is an error.
+// engine name other than "delta" is an error, the retired "rounds"
+// reference included.
 func TestBuildRejectsRetiredEngines(t *testing.T) {
-	for _, engine := range []string{"serial", "auto", "warp"} {
+	for _, engine := range []string{"serial", "auto", "warp", "rounds"} {
 		p := Tiny()
 		p.Engine = engine
 		if _, err := Build(p); err == nil {

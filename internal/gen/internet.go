@@ -97,7 +97,7 @@ func Build(p Params) (*Internet, error) {
 // which it returns. Nothing it draws depends on network state.
 func plan(p Params) (*Internet, []simnet.Op, error) {
 	switch p.Engine {
-	case "", "delta", "rounds":
+	case "", "delta":
 	default:
 		return nil, nil, fmt.Errorf("gen: unknown engine %q (want \"delta\" or empty)", p.Engine)
 	}
@@ -331,9 +331,6 @@ func (w *Internet) buildNetwork() {
 		return cfg
 	})
 	w.Net.SetWorkers(p.Workers)
-	if p.Engine == "rounds" {
-		w.Net.UseRoundsOracle()
-	}
 }
 
 func (w *Internet) attachIXPs() error {

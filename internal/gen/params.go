@@ -31,8 +31,7 @@ type Params struct {
 
 	// Engine exists for bench/, which passes "delta", and goes when a
 	// benchmark PR drops the argument: "" and "delta" both mean the one
-	// propagation engine. "rounds" runs simnet's reference engine
-	// instead; only the differential tests set it.
+	// propagation engine, and any other value is an error.
 	Engine string
 
 	// Topology shape.

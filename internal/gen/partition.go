@@ -62,9 +62,13 @@ type ArchivePlan struct {
 	Collectors []*collector.Collector
 	// Registry is the world's blackhole community registry.
 	Registry *Registry
+	// Net is the world before any op: every router configured and every
+	// session wired, no route anywhere. Converge runs on forks of it.
+	Net *simnet.Snapshot
+	// Ops are the ops Build applies (one announcement per origin
+	// prefix), then those RunChurn applies, in their order.
+	Ops []simnet.Op
 
-	net     *simnet.Snapshot
-	ops     []simnet.Op
 	workers int
 }
 
@@ -91,8 +95,8 @@ func PlanArchives(p Params) (*ArchivePlan, error) {
 	return &ArchivePlan{
 		Collectors: w.Collectors,
 		Registry:   w.Registry,
-		net:        net,
-		ops:        append(ops, churn...),
+		Net:        net,
+		Ops:        append(ops, churn...),
 		workers:    workers,
 	}, nil
 }
@@ -134,8 +138,8 @@ func partitionOf(p netip.Prefix, k int) int {
 }
 
 func (a *ArchivePlan) converge(k int) (*Archives, error) {
-	ar := &Archives{owner: make([]int, len(a.ops)), parts: make([]partition, k), collectors: len(a.Collectors)}
-	for i, op := range a.ops {
+	ar := &Archives{owner: make([]int, len(a.Ops)), parts: make([]partition, k), collectors: len(a.Collectors)}
+	for i, op := range a.Ops {
 		j := partitionOf(op.Prefix, k)
 		ar.owner[i] = j
 		ar.parts[j].ops = append(ar.parts[j].ops, i)
@@ -159,7 +163,7 @@ func (a *ArchivePlan) convergePartition(pt *partition) error {
 	if len(pt.ops) == 0 {
 		return nil
 	}
-	n, err := a.net.Fork()
+	n, err := a.Net.Fork()
 	if err != nil {
 		return err
 	}
@@ -179,7 +183,7 @@ func (a *ArchivePlan) convergePartition(pt *partition) error {
 	})
 	ops := make([]simnet.Op, len(pt.ops))
 	for i, g := range pt.ops {
-		ops[i] = a.ops[g]
+		ops[i] = a.Ops[g]
 	}
 	pt.counts, err = n.Apply(ops...)
 	if err != nil {

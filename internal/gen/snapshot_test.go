@@ -140,12 +140,11 @@ func TestSnapshotReplaysConstructionStream(t *testing.T) {
 // TestSnapshotTapReplayCounts pins simnet_tap_replayed_total over a
 // tiny snapshot build: stream-free, the delta engine buffers only the
 // deliveries addressed to collectors, as counted by a whole-world tap on
-// the rounds oracle; recording, it buffers every delivery.
+// a build of its own; recording, it buffers every delivery.
 func TestSnapshotTapReplayCounts(t *testing.T) {
 	replayed := obs.Default.Counter("simnet_tap_replayed_total", "")
 	perReceiver := map[topo.ASN]int{}
 	p := Tiny()
-	p.Engine = "rounds"
 	p.Tap = func(_, to topo.ASN, _ netip.Prefix, _ simnet.RouteRef) { perReceiver[to]++ }
 	w, err := Build(p)
 	if err != nil {

@@ -363,44 +363,10 @@ func (r *Router) ExportAll(cur *RouteCursor, id uint32, nbs []topo.ASN, hints *E
 // slices.BinarySearchFunc.
 func bySession(e nbRoute, nb topo.ASN) int { return cmp.Compare(e.from, nb) }
 
-// RecordAdvertised stores what was last sent to a neighbor, letting the
-// simulator deliver only genuine changes. It returns true when the new
-// announcement differs from the previous one. It is the single-step
-// reference RecordAdvertisedAll's merge is checked against (the rounds
-// oracle drives it), so it shares the slots with it and no code.
-func (r *Router) RecordAdvertised(neighbor topo.ASN, p netip.Prefix, rt *policy.Route) bool {
-	r.mustMutable()
-	if rt == nil {
-		id, st := r.lookup(p)
-		if st == nil {
-			return false // nothing recorded, and a withdrawal interns nothing
-		}
-		i, had := slices.BinarySearchFunc(r.out.view(st.out), neighbor, bySession)
-		if had {
-			r.out.remove(&r.slots.mut(id).out, i)
-		}
-		return had
-	}
-	st := r.slots.grow(r.routes.tbl.Intern(p.Masked()))
-	sent := r.out.view(st.out)
-	i, had := slices.BinarySearchFunc(sent, neighbor, bySession)
-	rc := r.routes.record(rt)
-	if had && r.routes.sameRecord(r.routes.rec(sent[i].h), &rc) {
-		return false
-	}
-	nr := nbRoute{from: neighbor, h: r.routes.store(rc)}
-	if had {
-		r.out.set(st.out, i, nr)
-	} else {
-		r.out.insert(&st.out, i, nr)
-	}
-	return true
-}
-
 // RecordAdvertisedAll merges a full per-neighbor export round for prefix
 // id into the Adj-RIB-Out, calling emit for every session whose
-// advertisement actually changed (h 0 = withdraw) — the batch form of
-// RecordAdvertised the delta engine drives. items must be ordered by
+// advertisement actually changed (h 0 = withdraw), so the engine
+// delivers only genuine changes. items must be ordered by
 // neighbor ascending with each session at most once (ExportAll output);
 // sessions absent from items keep their recorded state. Items whose Dec
 // is not ExportSent count as withdrawals.

@@ -176,19 +176,19 @@ func TestInternEqualSequenceNotSegments(t *testing.T) {
 	p := netx.MustPrefix("203.0.113.0/24")
 	rt := policy.NewLocalRoute(p)
 	rt.ASPath = forms[0]
-	if !r.RecordAdvertised(100, p, rt) {
+	if !advertise(r, 100, p, rt) {
 		t.Fatal("first advertisement not recorded as a change")
 	}
 	for i, form := range forms[1:] {
 		cp := *rt
 		cp.ASPath = form
-		if r.RecordAdvertised(100, p, &cp) {
+		if advertise(r, 100, p, &cp) {
 			t.Fatalf("form %d (%v) re-advertised as a change", i+1, form)
 		}
 	}
 	cp := *rt
 	cp.ASPath = bgp.Path(1, 2, 4)
-	if !r.RecordAdvertised(100, p, &cp) {
+	if !advertise(r, 100, p, &cp) {
 		t.Fatal("a different sequence was not a change")
 	}
 }

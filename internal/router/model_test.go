@@ -365,23 +365,9 @@ func (w *modelWorld) randomStep(sealed *[]sealedCopy) {
 		if got, want := w.r.ReceiveWithdraw(from, p), before != show(w.m.best(p)); got != want {
 			w.fail("best changed = %v, want %v", got, want)
 		}
-	case 7, 8:
+	case 7, 8, 9:
 		w.step = fmt.Sprintf("RecordAdvertisedAll(%s)", p)
 		w.recordAll(p)
-	case 9:
-		nb := w.nbs[w.rng.Intn(len(w.nbs))]
-		var rt *policy.Route
-		if w.rng.Intn(3) > 0 {
-			rt = w.route(p, 65001)
-		}
-		w.step = fmt.Sprintf("RecordAdvertised(%d, %s, %s)", nb, p, show(rt))
-		want := show(w.m.out[p][nb]) != show(rt)
-		if got := w.r.RecordAdvertised(nb, p, rt); got != want {
-			w.fail("returned %v, want %v", got, want)
-		}
-		if want {
-			w.m.put(w.m.out, p, nb, rt)
-		}
 	case 10, 11:
 		// Seal and clone, on the same arena or, the way a fork does, onto
 		// a clone of it: either resolves every handle and id the sealed

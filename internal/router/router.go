@@ -17,8 +17,8 @@
 // entry points the delta engine drives — ExportAll, RecordAdvertisedAll,
 // ReceiveSharedNoDecide, WithdrawNoDecide, Decide — take the id and pass
 // routes by handle, so convergence hashes no prefix; the single-step,
-// prefix-keyed API (ReceiveUpdate, ExportTo, RecordAdvertised,
-// BestRoute, ...) resolves the id through the table first, takes and
+// prefix-keyed API (ReceiveUpdate, ExportTo, BestRoute, ...) resolves
+// the id through the table first, takes and
 // returns *policy.Route, and runs on the same slots. See ARCHITECTURE.md,
 // "Router memory layout".
 package router
@@ -551,8 +551,9 @@ func byFrom(e inEntry, from topo.ASN) int { return cmp.Compare(e.from, from) }
 // pristine — nothing would tag or rewrite the route, so the shared
 // input's handle can be stored as-is (the caller sets the entry's h).
 // Non-pristine accepted imports are replayed by the mutating path in
-// receive; the two must agree, which the engine differential tests
-// cross-check (the rounds oracle never takes this path).
+// receive; the two must agree, which TestReceiveSharedMatchesReceiveUpdate
+// and the engine's differential tests against the spec oracle, which
+// shares neither, cross-check.
 func (r *Router) importScan(from topo.ASN, rel topo.Rel, pfx netip.Prefix, comms bgp.CommunitySet) (ImportResult, inEntry, bool) {
 	fromCustomer := rel == topo.RelCustomer
 

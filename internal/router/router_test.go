@@ -613,6 +613,19 @@ func TestPerNeighborPropagationOverride(t *testing.T) {
 	}
 }
 
+// advertise records rt as sent to nb for p (nil: nothing is sent)
+// through RecordAdvertisedAll and reports whether the session's
+// advertisement changed.
+func advertise(r *Router, nb topo.ASN, p netip.Prefix, rt *policy.Route) bool {
+	it := ExportItem{NB: nb, Dec: ExportSuppressedGaoRexford}
+	if rt != nil {
+		it.H, it.Dec = r.routes.Add(rt), ExportSent
+	}
+	changed := false
+	r.RecordAdvertisedAll(r.Table().Intern(p), []ExportItem{it}, func(topo.ASN, Handle) { changed = true })
+	return changed
+}
+
 func TestRecordAdvertisedChangeDetection(t *testing.T) {
 	r := newRouter(65001)
 	r.AddNeighbor(64500, topo.RelCustomer)
@@ -620,24 +633,24 @@ func TestRecordAdvertisedChangeDetection(t *testing.T) {
 	r.ReceiveUpdate(64500, route(pfx, 64500, 1))
 	out, _ := r.ExportTo(64501, pfx)
 
-	if !r.RecordAdvertised(64501, pfx, out) {
+	if !advertise(r, 64501, pfx, out) {
 		t.Fatal("first advertisement is a change")
 	}
-	if r.RecordAdvertised(64501, pfx, out.Clone()) {
+	if advertise(r, 64501, pfx, out.Clone()) {
 		t.Fatal("identical advertisement is not a change")
 	}
 	mod := out.Clone()
 	mod.Communities = mod.Communities.Add(bgp.C(1, 1))
-	if !r.RecordAdvertised(64501, pfx, mod) {
+	if !advertise(r, 64501, pfx, mod) {
 		t.Fatal("community change is a change")
 	}
 	if got, ok := r.Advertised(64501, pfx); !ok || !got.Communities.Has(bgp.C(1, 1)) {
 		t.Fatal("Advertised lookup failed")
 	}
-	if !r.RecordAdvertised(64501, pfx, nil) {
+	if !advertise(r, 64501, pfx, nil) {
 		t.Fatal("withdrawal after advertisement is a change")
 	}
-	if r.RecordAdvertised(64501, pfx, nil) {
+	if advertise(r, 64501, pfx, nil) {
 		t.Fatal("repeat withdrawal is not a change")
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"bgpworms/internal/gen"
 	"bgpworms/internal/netx"
 	"bgpworms/internal/obs"
+	"bgpworms/internal/policy"
 	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
 )
@@ -107,23 +108,18 @@ type applyTranscript struct {
 // to (none: every receiver), that appends its calls to into.
 func recordTaps(n *simnet.Network, name string, into *[]string, to ...topo.ASN) int {
 	return n.Tap(func(from, to topo.ASN, p netip.Prefix, ref simnet.RouteRef) {
-		if !ref.Valid() {
-			*into = append(*into, fmt.Sprintf("%s: %d>%d %s withdraw", name, from, to, p))
-			return
+		var rt *policy.Route
+		if ref.Valid() {
+			v := ref.Route()
+			rt = &v
 		}
-		rt := ref.Route()
-		*into = append(*into, fmt.Sprintf("%s: %d>%d %s %s", name, from, to, p, &rt))
+		*into = append(*into, name+": "+tapCall{from: from, to: to, p: p, rt: rt}.String())
 	}, to...)
 }
 
 func ribDump(n *simnet.Network) string {
-	var b strings.Builder
-	for _, asn := range n.ASes() {
-		for _, rt := range n.Router(asn).RIB() {
-			fmt.Fprintf(&b, "AS%d %s\n", asn, rt)
-		}
-	}
-	return b.String()
+	loc, _ := networkTables(n)
+	return strings.Join(loc, "\n")
 }
 
 // applyArm is one tap set TestApplyMatchesSerial registers on a built
@@ -158,7 +154,7 @@ func applyReceivers(w *gen.Internet, ops []simnet.Op) []topo.ASN {
 // worlds at workers 1, 2 and 4: one Apply(ops...) fires exactly the tap
 // calls and op ends (OnOp), returns exactly the per-op delivery counts,
 // and leaves exactly the RIBs of applying the ops one at a time in slice
-// order, and that one-at-a-time run equals the rounds oracle's. Each arm registers its
+// order, and that one-at-a-time run equals the spec oracle's (spec_test.go). Each arm registers its
 // own taps — one whole-world tap, receiver-scoped taps only, or a
 // whole-world tap between two scoped ones — so every tap must see
 // exactly the deliveries to its receivers, taps sharing a delivery in
@@ -238,7 +234,7 @@ func TestApplyMatchesSerial(t *testing.T) {
 				tr.ribs = ribDump(w.Net)
 				return tr
 			}
-			oracle := run("rounds", 1, true)
+			oracle := specApply(t, cfg, arm, opSeed)
 			for _, workers := range []int{1, 2, 4} {
 				serial, batched := run("delta", workers, false), run("delta", workers, true)
 				where := fmt.Sprintf("{%s} %s workers=%d", cfg, arm.name, workers)
@@ -248,10 +244,54 @@ func TestApplyMatchesSerial(t *testing.T) {
 					}
 				}
 				sameApply(t, where+": batched vs serial", batched, serial)
-				sameApply(t, where+": serial vs the rounds oracle", serial, oracle)
+				sameApply(t, where+": serial vs the spec oracle", serial, oracle)
 			}
 		}
 	}
+}
+
+// specApply is the spec oracle's transcript of arm over cfg's world: it
+// reads the planned world before any op, converges Build's ops (one
+// announcement per origin prefix, the plan's first ops) without a tap,
+// then the ops drawn from opSeed with the arm's taps.
+func specApply(t *testing.T, cfg worldCfg, arm applyArm, opSeed int64) applyTranscript {
+	t.Helper()
+	p := cfg.params()
+	w, err := gen.Build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := applyOps(w, rand.New(rand.NewSource(opSeed)))
+	rcv := applyReceivers(w, ops)
+	plan, err := gen.PlanArchives(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := plan.Net.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := readSpecWorld(n)
+	for _, op := range plan.Ops[:len(w.AllPrefixes())] {
+		s.apply(op)
+	}
+	var tr applyTranscript
+	for i, op := range ops {
+		ds := s.apply(op)
+		tr.counts = append(tr.counts, len(ds))
+		for _, d := range ds {
+			for k, tp := range arm.taps {
+				observes := tp.to == nil || slices.ContainsFunc(tp.to, func(r int) bool { return rcv[r] == d.to })
+				if observes && !(k == 0 && arm.untap && i >= len(ops)/2) {
+					tr.taps = append(tr.taps, tp.name+": "+tapCall{from: d.from, to: d.to, p: d.p, rt: d.rt}.String())
+				}
+			}
+		}
+		tr.taps = append(tr.taps, fmt.Sprintf("op %d ends", i))
+	}
+	loc, _ := s.tables()
+	tr.ribs = strings.Join(loc, "\n")
+	return tr
 }
 
 func sameApply(t *testing.T, where string, got, want applyTranscript) {
@@ -271,20 +311,20 @@ func sameApply(t *testing.T, where string, got, want applyTranscript) {
 // TestTapReplayCountsObservedDeliveries pins simnet_tap_replayed_total
 // on a tiny world: with collectors as the only taps, the delta engine
 // buffers exactly the deliveries addressed to them, as counted by a
-// whole-world tap on the rounds oracle, at any worker count; once a
+// whole-world tap on a run of its own, at any worker count; once a
 // whole-world tap registers, it buffers every delivery.
 func TestTapReplayCountsObservedDeliveries(t *testing.T) {
 	replayed := obs.Default.Counter("simnet_tap_replayed_total", "")
-	build := func(engine string, workers int) (*gen.Internet, []simnet.Op) {
+	build := func(workers int) (*gen.Internet, []simnet.Op) {
 		p := tinyCfg.params()
-		p.Engine, p.Workers = engine, workers
+		p.Workers = workers
 		w, err := gen.Build(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return w, applyOps(w, rand.New(rand.NewSource(1)))
 	}
-	w, ops := build("rounds", 1)
+	w, ops := build(1)
 	collectors := make(map[topo.ASN]bool)
 	for _, c := range w.Collectors {
 		collectors[c.ASN] = true
@@ -299,7 +339,7 @@ func TestTapReplayCountsObservedDeliveries(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2} {
-		w, ops := build("delta", workers)
+		w, ops := build(workers)
 		before, steps := replayed.Value(), w.Net.Steps()
 		if _, err := w.Net.Apply(ops...); err != nil {
 			t.Fatal(err)

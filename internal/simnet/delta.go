@@ -12,9 +12,8 @@ import (
 	"bgpworms/internal/topo"
 )
 
-// The delta engine converges the same propagation queue as the rounds
-// reference engine (parallel.go) but is organized around change, not
-// rounds over sorted global frontiers:
+// The delta engine drains the propagation queue organized around
+// change rather than rounds over sorted global frontiers:
 //
 //   - work lives in per-router dirty-prefix buckets keyed by a dense
 //     router index, so a round never sorts a global frontier or clears
@@ -43,13 +42,13 @@ import (
 //     receiver (tapOf), so a world whose only taps are collectors keeps
 //     and replays the few deliveries addressed to them, not the world's.
 //
-// Determinism contract: the delta engine delivers updates in exactly
-// the canonical order the rounds engine uses (sources ascending, dirty
-// prefixes in canonical order, neighbors ascending), applies them under
-// the same barriers, and therefore produces bit-identical tap streams,
-// delivery counts, and final RIBs — for any worker count, and equal to
-// the rounds engine on the same workload. TestDifferentialEngines holds
-// both engines to that contract on randomized worlds.
+// Determinism contract: the delta engine delivers updates in one
+// canonical order (rounds; in a round, sources ascending, dirty prefixes
+// in canonical order, neighbors ascending), with barriers between a
+// round's exports and its receives, and therefore produces bit-identical
+// tap streams, delivery counts, and final RIBs for any worker count.
+// TestDifferentialEngines holds it to a spec oracle that delivers in the
+// same order (spec_test.go) on randomized worlds.
 
 // deltaState is the delta engine's cached world view plus reusable
 // scratch. It is rebuilt when routers are added and refreshed per run
@@ -168,8 +167,7 @@ func (n *Network) deltaStateFor() *deltaState {
 }
 
 // indexTaps rebuilds st's per-receiver tap lists. Each list holds the
-// taps observing its receiver (tap.observes, the rounds oracle's
-// filter) in registration order.
+// taps observing its receiver (tap.observes) in registration order.
 func (n *Network) indexTaps(st *deltaState) {
 	observers := func(keep func(tap) bool) []UpdateTap {
 		var fns []UpdateTap

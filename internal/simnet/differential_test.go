@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -20,6 +21,8 @@ import (
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/netx"
+	"bgpworms/internal/policy"
+	"bgpworms/internal/simnet"
 	"bgpworms/internal/topo"
 )
 
@@ -181,31 +184,229 @@ func perturbAndCollapse(w *gen.Internet) (*outcome, error) {
 	return &outcome{steps: w.Net.Steps(), archives: arch.Bytes(), ribs: ribs.String()}, nil
 }
 
-// checkCfg reports a non-empty divergence description if the engines
-// disagree on cfg.
+// specOutcome is everything the delta engine must agree with the spec
+// oracle on: every call of a tap with each op's end (OnOp) in its place,
+// the deliveries each op caused, and every AS's final Loc-RIB and
+// Adj-RIB-In.
+type specOutcome struct {
+	taps       []tapCall
+	counts     []int
+	loc, adjIn []string
+	// rejected holds, per op, the candidates the spec's rejected updates
+	// withdrew (RFC 4271's implicit withdraw).
+	rejected [][]string
+}
+
+// diverges describes the first observable on which o departs from the
+// spec's want ("" when they agree), the final tables first, and returns
+// the first op whose deliveries differ (-1 when they all agree).
+func (o *specOutcome) diverges(want *specOutcome) (string, int) {
+	op := -1
+	for i, c := range want.taps {
+		if i >= len(o.taps) || !o.taps[i].same(c) {
+			op = 0
+			for _, c := range want.taps[:i] {
+				if c.end > 0 {
+					op = c.end
+				}
+			}
+			break
+		}
+	}
+	if op < 0 && len(o.taps) > len(want.taps) {
+		op = len(want.counts)
+	}
+	if msg := tableDiff("final Adj-RIB-In", o.adjIn, want.adjIn); msg != "" {
+		return msg, op
+	}
+	if msg := tableDiff("final Loc-RIB", o.loc, want.loc); msg != "" {
+		return msg, op
+	}
+	if !slices.Equal(o.counts, want.counts) {
+		i := 0
+		for i < min(len(o.counts), len(want.counts)) && o.counts[i] == want.counts[i] {
+			i++
+		}
+		return fmt.Sprintf("op %d: %v deliveries, the spec %v", i, o.counts[i:min(i+1, len(o.counts))], want.counts[i:min(i+1, len(want.counts))]), op
+	}
+	return streamDiff(o.taps, want.taps), op
+}
+
+// specPlan is a planned world, its ops and the late session its runs
+// end with: an originating stub gains a transit provider after the
+// world has converged and re-announces its first prefix across it,
+// which makes the delta engine refresh the export hints it caches
+// against Router.NeighborVersion.
+type specPlan struct {
+	plan          *gen.ArchivePlan
+	stub, transit topo.ASN
+	lateP         netip.Prefix
+}
+
+func newSpecPlan(cfg worldCfg) (*specPlan, error) {
+	plan, err := gen.PlanArchives(cfg.params())
+	if err != nil {
+		return nil, err
+	}
+	n, err := plan.Net.Fork()
+	if err != nil {
+		return nil, err
+	}
+	sp := &specPlan{plan: plan}
+	first := map[topo.ASN]netip.Prefix{}
+	var stubs []topo.ASN
+	for _, op := range plan.Ops {
+		if _, seen := first[op.AS]; !seen && !op.Withdraw && n.Graph.IsStub(op.AS) && len(n.Graph.Neighbors(op.AS)) > 0 {
+			first[op.AS] = op.Prefix
+			stubs = append(stubs, op.AS)
+		}
+	}
+	slices.Sort(stubs)
+	for _, stub := range stubs {
+		for _, transit := range n.Graph.ASes() {
+			if n.Graph.IsTransit(transit) && !slices.Contains(n.Router(stub).Neighbors(), transit) {
+				sp.stub, sp.transit, sp.lateP = stub, transit, first[stub]
+				return sp, nil
+			}
+		}
+	}
+	return nil, fmt.Errorf("no stub with a prefix and a transit it is not yet connected to")
+}
+
+// ops is the run's op list: the plan's, then the late session's
+// withdrawal and re-announcement, the session wired between the two
+// lists.
+func (sp *specPlan) ops() []simnet.Op {
+	return append(slices.Clip(sp.plan.Ops), simnet.Op{AS: sp.stub, Prefix: sp.lateP, Withdraw: true}, simnet.Op{AS: sp.stub, Prefix: sp.lateP})
+}
+
+// observedBy keeps only the tap calls a tap scoped to the receivers in
+// to would make, and every op end.
+func (o *specOutcome) observedBy(to []topo.ASN) *specOutcome {
+	scoped := *o
+	scoped.taps = nil
+	for _, c := range o.taps {
+		if c.end > 0 || slices.Contains(to, c.to) {
+			scoped.taps = append(scoped.taps, c)
+		}
+	}
+	return &scoped
+}
+
+// specRun converges the first k of sp's ops under the spec oracle.
+func specRun(sp *specPlan, k int) (*specOutcome, error) {
+	n, err := sp.plan.Net.Fork()
+	if err != nil {
+		return nil, err
+	}
+	s := readSpecWorld(n)
+	o := &specOutcome{}
+	for i, op := range sp.ops()[:k] {
+		if i == len(sp.plan.Ops) {
+			s.connect(sp.stub, sp.transit, topo.RelProvider)
+		}
+		ds := s.apply(op)
+		o.counts = append(o.counts, len(ds))
+		o.rejected = append(o.rejected, slices.Clone(s.rejected))
+		for _, d := range ds {
+			o.taps = append(o.taps, tapCall{from: d.from, to: d.to, p: d.p, rt: d.rt})
+		}
+		o.taps = append(o.taps, tapCall{end: i + 1})
+	}
+	o.loc, o.adjIn = s.tables()
+	return o, nil
+}
+
+// deltaRun converges the first k of sp's ops with the delta engine at
+// workers, the plan's ops in one Apply and the late session's in
+// another. Its tap observes the receivers in to, or with to empty the
+// whole world.
+func deltaRun(sp *specPlan, k, workers int, to ...topo.ASN) (*specOutcome, error) {
+	n, err := sp.plan.Net.Fork()
+	if err != nil {
+		return nil, err
+	}
+	n.SetWorkers(workers)
+	o := &specOutcome{}
+	n.Tap(func(from, to topo.ASN, p netip.Prefix, ref simnet.RouteRef) {
+		var rt *policy.Route
+		if ref.Valid() {
+			v := ref.Route()
+			rt = &v
+		}
+		o.taps = append(o.taps, tapCall{from: from, to: to, p: p, rt: rt})
+	}, to...)
+	ops, cut := sp.ops()[:k], min(k, len(sp.plan.Ops))
+	base := 0
+	n.OnOp(func(i int) { o.taps = append(o.taps, tapCall{end: base + i + 1}) })
+	if o.counts, err = n.Apply(ops[:cut]...); err != nil {
+		return nil, err
+	}
+	if k > cut {
+		if err := n.Connect(sp.stub, sp.transit, topo.RelProvider); err != nil {
+			return nil, err
+		}
+		base = cut
+		late, err := n.Apply(ops[cut:]...)
+		if err != nil {
+			return nil, err
+		}
+		o.counts = append(o.counts, late...)
+	}
+	o.loc, o.adjIn = networkTables(n)
+	return o, nil
+}
+
+// checkCfg reports a non-empty divergence description if the delta
+// engine at 1, 4 or 16 workers departs from the spec oracle on cfg. At
+// one worker a whole-world tap observes; at 4 and 16, only a tap
+// scoped to the plan's collectors, which must see exactly the spec's
+// deliveries to them.
+// When the deliveries depart, it names the candidates the spec withdrew
+// on rejected updates in the last op on the same prefix that had any, up
+// to the one they depart on: an engine that keeps one of them stale
+// sends differently from there.
 func checkCfg(t *testing.T, cfg worldCfg) string {
 	t.Helper()
-	ref, err := buildOutcome(t, cfg, "rounds", 1)
+	sp, err := newSpecPlan(cfg)
 	if err != nil {
-		return "rounds/1 build error: " + err.Error()
+		return "plan error: " + err.Error()
 	}
-	if ref.steps == 0 {
-		return "rounds/1 produced an empty world"
+	all := len(sp.ops())
+	want, err := specRun(sp, all)
+	if err != nil {
+		return "spec error: " + err.Error()
 	}
-	for _, v := range []struct {
-		engine  string
-		workers int
-	}{
-		{"delta", 1}, {"delta", 4}, {"delta", 16},
-		{"rounds", 4}, {"rounds", 16},
-	} {
-		got, err := buildOutcome(t, cfg, v.engine, v.workers)
+	if len(want.taps) == len(want.counts) {
+		return "the spec delivered nothing"
+	}
+	var collectors []topo.ASN
+	for _, c := range sp.plan.Collectors {
+		collectors = append(collectors, c.ASN)
+	}
+	for _, workers := range []int{1, 4, 16} {
+		var to []topo.ASN
+		ref := want
+		if workers > 1 {
+			to, ref = collectors, want.observedBy(collectors)
+		}
+		got, err := deltaRun(sp, all, workers, to...)
 		if err != nil {
-			return fmt.Sprintf("%s/%d build error: %v", v.engine, v.workers, err)
+			return fmt.Sprintf("delta/%d error: %v", workers, err)
 		}
-		if msg := got.diverges(ref); msg != "" {
-			return fmt.Sprintf("%s/%d vs rounds/1: %s", v.engine, v.workers, msg)
+		msg, op := got.diverges(ref)
+		if msg == "" {
+			continue
 		}
+		msg = fmt.Sprintf("delta/%d vs the spec: %s", workers, msg)
+		ops := sp.ops()
+		for j := min(op, all-1); op >= 0 && j >= 0; j-- {
+			if ops[j].Prefix.Masked() == ops[op].Prefix.Masked() && len(want.rejected[j]) > 0 {
+				msg += fmt.Sprintf("; in op %d %v the spec's rejected updates withdrew %s", j, ops[j], strings.Join(want.rejected[j], ", "))
+				break
+			}
+		}
+		return msg
 	}
 	return ""
 }
@@ -282,15 +483,14 @@ func TestDifferentialEngines(t *testing.T) {
 
 // checkWarmCfg reports a non-empty divergence description if a warm
 // fork-then-perturb world differs from the scratch build anywhere: any
-// engine, any worker count, any observable (delivery count, collector
-// archives, converged RIBs).
+// worker count, any observable (delivery count, collector archives,
+// converged RIBs).
 func checkWarmCfg(t *testing.T, cfg worldCfg) string {
 	t.Helper()
 	for _, v := range []struct {
 		engine  string
 		workers int
 	}{
-		{"rounds", 1}, {"rounds", 4}, {"rounds", 16},
 		{"delta", 1}, {"delta", 4}, {"delta", 16},
 	} {
 		cold, err := buildOutcome(t, cfg, v.engine, v.workers)
@@ -402,110 +602,107 @@ func TestForkPrefixIsolation(t *testing.T) {
 		{netx.MustPrefix("198.51.100.0/24"), netx.MustPrefix("203.0.113.0/24")},
 		{netx.MustPrefix("2001:db8:f0::/48"), netx.MustPrefix("192.0.2.0/24")},
 	}
-	for _, engine := range []string{"delta", "rounds"} {
-		p := tinyCfg.params()
-		p.Engine = engine
-		p.Workers = 4
-		snap, err := gen.BuildSnapshot(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		probe, err := snap.Fork(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		origin := probe.StubASes()[0]
-		snapTable := probe.Net.Router(origin).Table() // a sealed router reads the snapshot's table
-		snapLen := len(snapTable.Prefixes())
-		// advertised dumps every Adj-RIB-Out record of the probe's routers,
-		// which are all still the snapshot's sealed originals.
-		advertised := func() string {
-			var b strings.Builder
-			for _, asn := range probe.Net.ASes() {
-				r := probe.Net.Router(asn)
-				for _, p := range snapTable.Prefixes()[:snapLen] {
-					for _, nb := range r.Neighbors() {
-						if rt, ok := r.Advertised(nb, p); ok {
-							fmt.Fprintf(&b, "AS%d>%d %s\n", asn, nb, rt)
-						}
+	p := tinyCfg.params()
+	p.Workers = 4
+	snap, err := gen.BuildSnapshot(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe, err := snap.Fork(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	origin := probe.StubASes()[0]
+	snapTable := probe.Net.Router(origin).Table() // a sealed router reads the snapshot's table
+	snapLen := len(snapTable.Prefixes())
+	// advertised dumps every Adj-RIB-Out record of the probe's routers,
+	// which are all still the snapshot's sealed originals.
+	advertised := func() string {
+		var b strings.Builder
+		for _, asn := range probe.Net.ASes() {
+			r := probe.Net.Router(asn)
+			for _, p := range snapTable.Prefixes()[:snapLen] {
+				for _, nb := range r.Neighbors() {
+					if rt, ok := r.Advertised(nb, p); ok {
+						fmt.Fprintf(&b, "AS%d>%d %s\n", asn, nb, rt)
 					}
 				}
 			}
-			return b.String()
 		}
-		snapAdvertised := advertised()
+		return b.String()
+	}
+	snapAdvertised := advertised()
 
-		// announce runs a plan on w; on a fork it also reads the local
-		// prefix back through a router that is still the sealed original.
-		announce := func(w *gen.Internet, pl plan, fork bool) error {
-			if _, err := w.Net.Announce(origin, pl.local, bgp.CommunityNoExport); err != nil {
-				return err
-			}
-			if fork {
-				sealed := 0
-				for _, asn := range w.Net.ASes() {
-					r := w.Net.Router(asn)
-					if !r.Sealed() {
-						continue
-					}
-					sealed++
-					_, best := r.BestRoute(pl.local)
-					fib, covered := r.LookupFIB(pl.local.Addr())
-					_, adv := r.Advertised(origin, pl.local)
-					if best || adv || (covered && fib.Prefix == pl.local) {
-						return fmt.Errorf("sealed AS%d knows fork-only %s (best=%v fib=%v advertised=%v)", asn, pl.local, best, fib, adv)
-					}
-				}
-				if sealed == 0 {
-					return fmt.Errorf("a NO_EXPORT announcement copied every router: nothing sealed left to read through")
-				}
-			}
-			_, err := w.Net.Announce(origin, pl.flood)
+	// announce runs a plan on w; on a fork it also reads the local
+	// prefix back through a router that is still the sealed original.
+	announce := func(w *gen.Internet, pl plan, fork bool) error {
+		if _, err := w.Net.Announce(origin, pl.local, bgp.CommunityNoExport); err != nil {
 			return err
 		}
+		if fork {
+			sealed := 0
+			for _, asn := range w.Net.ASes() {
+				r := w.Net.Router(asn)
+				if !r.Sealed() {
+					continue
+				}
+				sealed++
+				_, best := r.BestRoute(pl.local)
+				fib, covered := r.LookupFIB(pl.local.Addr())
+				_, adv := r.Advertised(origin, pl.local)
+				if best || adv || (covered && fib.Prefix == pl.local) {
+					return fmt.Errorf("sealed AS%d knows fork-only %s (best=%v fib=%v advertised=%v)", asn, pl.local, best, fib, adv)
+				}
+			}
+			if sealed == 0 {
+				return fmt.Errorf("a NO_EXPORT announcement copied every router: nothing sealed left to read through")
+			}
+		}
+		_, err := w.Net.Announce(origin, pl.flood)
+		return err
+	}
 
-		warm := make([]*outcome, len(plans))
-		errs := make([]error, len(plans))
-		var wg sync.WaitGroup
-		for i, pl := range plans {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w, err := snap.Fork(nil)
-				if err == nil {
-					err = announce(w, pl, true)
-				}
-				if err == nil {
-					warm[i], err = perturbAndCollapse(w)
-				}
-				errs[i] = err
-			}()
+	warm := make([]*outcome, len(plans))
+	errs := make([]error, len(plans))
+	var wg sync.WaitGroup
+	for i, pl := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, err := snap.Fork(nil)
+			if err == nil {
+				err = announce(w, pl, true)
+			}
+			if err == nil {
+				warm[i], err = perturbAndCollapse(w)
+			}
+			errs[i] = err
+		}()
+	}
+	wg.Wait()
+	for i, pl := range plans {
+		if errs[i] != nil {
+			t.Fatalf("fork %d: %v", i, errs[i])
 		}
-		wg.Wait()
-		for i, pl := range plans {
-			if errs[i] != nil {
-				t.Fatalf("%s fork %d: %v", engine, i, errs[i])
-			}
-			w, err := gen.Build(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := announce(w, pl, false); err != nil {
-				t.Fatal(err)
-			}
-			cold, err := perturbAndCollapse(w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if msg := warm[i].diverges(cold); msg != "" {
-				t.Errorf("%s fork %d vs scratch build: %s", engine, i, msg)
-			}
+		w, err := gen.Build(p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := len(snapTable.Prefixes()); got != snapLen {
-			t.Errorf("%s: snapshot prefix table grew from %d to %d prefixes under its forks", engine, snapLen, got)
+		if err := announce(w, pl, false); err != nil {
+			t.Fatal(err)
 		}
-		if advertised() != snapAdvertised {
-			t.Errorf("%s: the snapshot's Adj-RIB-Outs changed under its forks", engine)
+		cold, err := perturbAndCollapse(w)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if msg := warm[i].diverges(cold); msg != "" {
+			t.Errorf("fork %d vs scratch build: %s", i, msg)
+		}
+	}
+	if got := len(snapTable.Prefixes()); got != snapLen {
+		t.Errorf("snapshot prefix table grew from %d to %d prefixes under its forks", snapLen, got)
+	}
+	if advertised() != snapAdvertised {
+		t.Errorf("the snapshot's Adj-RIB-Outs changed under its forks")
 	}
 }

@@ -14,8 +14,13 @@ import (
 // the hot per-delivery loops are untouched. Metrics are observational
 // only: tap streams and convergence results are identical either way.
 var (
-	deltaRuns  = newRunMetrics("delta")
-	roundsRuns = newRunMetrics("rounds")
+	// The run series keep their {engine="delta"} label, so the names
+	// /metrics serves do not change.
+	deltaRuns = runMetrics{
+		runs:       obs.Default.Counter(`simnet_runs_total{engine="delta"}`, "convergence runs"),
+		deliveries: obs.Default.Counter(`simnet_deliveries_total{engine="delta"}`, "route deliveries (convergence steps)"),
+		secs:       obs.Default.Histogram(`simnet_run_seconds{engine="delta"}`, "convergence wall time", obs.DurationBuckets),
+	}
 
 	deltaRounds        = obs.Default.Counter("simnet_delta_rounds_total", "delta engine convergence rounds")
 	deltaDirtyPrefixes = obs.Default.Counter("simnet_delta_dirty_prefixes_total", "dirty (router,prefix) work items across delta rounds")
@@ -26,20 +31,10 @@ var (
 	internedComms      = obs.Default.Counter("simnet_interned_community_sets_total", "distinct community sets delta engine windows added to network intern tables")
 )
 
-// runMetrics is what one engine run tallies, one series set per
-// engine label; {engine="delta"} is the one a product process moves.
+// runMetrics is what one engine run tallies.
 type runMetrics struct {
 	runs, deliveries *obs.Counter
 	secs             *obs.Histogram
-}
-
-func newRunMetrics(engine string) runMetrics {
-	label := `{engine="` + engine + `"}`
-	return runMetrics{
-		runs:       obs.Default.Counter("simnet_runs_total"+label, "convergence runs"),
-		deliveries: obs.Default.Counter("simnet_deliveries_total"+label, "route deliveries (convergence steps)"),
-		secs:       obs.Default.Histogram("simnet_run_seconds"+label, "convergence wall time", obs.DurationBuckets),
-	}
 }
 
 // observe tallies one run that started at start and delivered

@@ -15,9 +15,9 @@
 // count under a fixed seed, which is what lets the layers above —
 // gen.Params.Workers, core.Pipeline, and the scenario sweep's
 // engine-workers grid dimension — change parallelism without changing
-// results. The round-based engine in parallel.go delivers in the same
-// canonical order and is kept as the reference the differential tests
-// check the delta engine against (see ARCHITECTURE.md, "Determinism
+// results. The differential tests hold the engine to a spec oracle
+// written from RFC 4271 and the documented policy rules, which shares
+// no code with it (spec_test.go; see ARCHITECTURE.md, "Determinism
 // contracts" and "Engine").
 package simnet
 
@@ -27,7 +27,6 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"time"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/policy"
@@ -81,9 +80,6 @@ type Network struct {
 	maxWork int
 	// workers is the engine's shard pool size (SetWorkers).
 	workers int
-	// oracle routes Apply through the rounds reference engine instead of
-	// the delta engine (UseRoundsOracle).
-	oracle bool
 	// delta is the delta engine's cached index and scratch (delta.go).
 	delta *deltaState
 	// frozen marks a network sealed by Freeze: its routers are shared
@@ -272,25 +268,10 @@ func (n *Network) Apply(ops ...Op) ([]int, error) {
 			break
 		}
 	}
-	var err error
-	if n.oracle {
-		// The reference: one op, one rounds run, taps fired inline.
-		for i, op := range ops[:valid] {
-			n.originate(op)
-			start := time.Now()
-			counts[i], err = n.runRounds(n.Workers())
-			roundsRuns.observe(start, counts[i])
-			if err != nil {
-				return counts, err
-			}
-			n.endOp(i)
-		}
-	} else {
-		for lo := 0; lo < valid; lo += applyWindowOps {
-			hi := min(lo+applyWindowOps, valid)
-			if err := n.applyWindow(lo, ops[lo:hi], counts[lo:hi]); err != nil {
-				return counts, err
-			}
+	for lo := 0; lo < valid; lo += applyWindowOps {
+		hi := min(lo+applyWindowOps, valid)
+		if err := n.applyWindow(lo, ops[lo:hi], counts[lo:hi]); err != nil {
+			return counts, err
 		}
 	}
 	if valid < len(ops) {
@@ -359,12 +340,6 @@ func (n *Network) Workers() int {
 	}
 	return n.workers
 }
-
-// UseRoundsOracle makes Apply execute the rounds reference engine
-// (parallel.go) instead of the delta engine. It exists for the
-// differential tests, which reach it through gen.Params.Engine ==
-// "rounds"; nothing a user can set selects it.
-func (n *Network) UseRoundsOracle() { n.oracle = true }
 
 // ASes lists all router ASNs in ascending order.
 func (n *Network) ASes() []topo.ASN {

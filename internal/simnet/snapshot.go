@@ -19,9 +19,9 @@ import (
 // pages, copying a page only when it first writes it (router/cow.go).
 // A scenario's perturbation therefore costs O(pages written) — a page or
 // two per router per prefix it reaches — not O(dirty routers × table),
-// let alone O(world). The engines pre-clone exactly the routers a round
-// will mutate during their serial phases (see runDelta and runRounds),
-// and every mutating entry point on a sealed router panics, so a missed
+// let alone O(world). The engine pre-clones exactly the routers a round
+// will mutate during its serial phases (see runDelta), and every
+// mutating entry point on a sealed router panics, so a missed
 // clone is a loud failure instead of cross-fork corruption.
 
 // Snapshot is an immutable, converged world: the shared backbone any
@@ -34,7 +34,6 @@ type Snapshot struct {
 	steps   int
 	maxWork int
 	workers int
-	oracle  bool
 
 	mu        sync.Mutex
 	forks     int
@@ -72,7 +71,6 @@ func (n *Network) Freeze() (*Snapshot, error) {
 		steps:   n.steps,
 		maxWork: n.maxWork,
 		workers: n.workers,
-		oracle:  n.oracle,
 	}, nil
 }
 
@@ -99,7 +97,6 @@ func (s *Snapshot) Fork() (*Network, error) {
 		steps:   s.steps,
 		maxWork: s.maxWork,
 		workers: s.workers,
-		oracle:  s.oracle,
 		cow:     true,
 	}, nil
 }
