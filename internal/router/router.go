@@ -18,9 +18,8 @@
 // ReceiveSharedNoDecide, WithdrawNoDecide, Decide — take the id and pass
 // routes by handle, so convergence hashes no prefix; the single-step,
 // prefix-keyed API (ReceiveUpdate, ExportTo, BestRoute, ...) resolves
-// the id through the table first, takes and
-// returns *policy.Route, and runs on the same slots. See ARCHITECTURE.md,
-// "Router memory layout".
+// the id through the table first, takes and returns *policy.Route, and
+// runs on the same slots. See ARCHITECTURE.md, "Router memory layout".
 package router
 
 import (
@@ -356,10 +355,11 @@ func (r *Router) ReceiveSharedNoDecide(cur *RouteCursor, from topo.ASN, id uint3
 	a := r.routes
 	rc := a.rec(h)
 	rel, res := r.admit(from, a.path(rc.path))
-	if res != ImportAccepted {
-		return res, r.implicitWithdraw(from, id)
+	var entry inEntry
+	var pristine bool
+	if res == ImportAccepted {
+		res, entry, pristine = r.importScan(from, rel, a.tbl.At(rc.pfx), a.comms.at(rc.comms))
 	}
-	res, entry, pristine := r.importScan(from, rel, a.tbl.At(rc.pfx), a.comms.at(rc.comms))
 	if res != ImportAccepted {
 		return res, r.implicitWithdraw(from, id)
 	}

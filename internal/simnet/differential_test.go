@@ -1,12 +1,12 @@
 package simnet_test
 
-// The differential engine property test: random worlds must converge to
-// identical collector archives (the tap-derived record of every
-// delivery), identical RIBs, and identical delivery counts under the
-// delta engine and its rounds reference, and under 1/4/16 workers. On
-// failure the harness shrinks the world — halving each topology/churn
-// dimension while the failure reproduces — and reports the minimal
-// failing configuration, which is the one worth debugging.
+// The differential property tests: on random worlds the delta engine
+// at 1/4/16 workers must deliver exactly what the spec oracle
+// (spec_test.go) delivers and end with its tables, and a warm fork must
+// be indistinguishable from a scratch build. On failure the harness
+// shrinks the world — halving each topology/churn dimension while the
+// failure reproduces — and reports the minimal failing configuration,
+// which is the one worth debugging.
 
 import (
 	"bytes"
@@ -66,7 +66,8 @@ var (
 	smallCfg = worldCfg{Tier1: 5, Mid: 40, Stubs: 200, Churn: 120, RTBH: 12, Seed: 1} // == gen.Small()
 )
 
-// outcome captures everything the engines must agree on.
+// outcome captures everything a warm fork and a scratch build, or two
+// worker counts, must agree on.
 type outcome struct {
 	steps    int
 	archives []byte
@@ -87,12 +88,11 @@ func (o *outcome) diverges(ref *outcome) string {
 	return ""
 }
 
-// buildOutcome builds the world under one engine/worker setting and
-// collapses its observable state.
-func buildOutcome(t *testing.T, cfg worldCfg, engine string, workers int) (*outcome, error) {
+// buildOutcome builds the world at workers and collapses its
+// observable state.
+func buildOutcome(t *testing.T, cfg worldCfg, workers int) (*outcome, error) {
 	t.Helper()
 	p := cfg.params()
-	p.Engine = engine
 	p.Workers = workers
 	w, err := gen.Build(p)
 	if err != nil {
@@ -103,13 +103,11 @@ func buildOutcome(t *testing.T, cfg worldCfg, engine string, workers int) (*outc
 
 // buildWarmOutcome builds the same world warm: freeze right after
 // construction, fork, and run the identical perturbation on the fork.
-// Its outcome must be bit-identical to buildOutcome's for every engine
-// and worker count — the copy-on-write equivalence the snapshot layer
-// promises.
-func buildWarmOutcome(t *testing.T, cfg worldCfg, engine string, workers int) (*outcome, error) {
+// Its outcome must be bit-identical to buildOutcome's for every worker
+// count — the copy-on-write equivalence the snapshot layer promises.
+func buildWarmOutcome(t *testing.T, cfg worldCfg, workers int) (*outcome, error) {
 	t.Helper()
 	p := cfg.params()
-	p.Engine = engine
 	p.Workers = workers
 	snap, err := gen.BuildSnapshot(p)
 	if err != nil {
@@ -460,11 +458,10 @@ func shrinkSteps(c worldCfg) []worldCfg {
 	return out
 }
 
-// TestDifferentialEngines is the randomized rounds-vs-delta oracle
-// check with shrinking. gen hands origin announcements and the churn
-// month to Apply as op lists, so the delta side converges them in
-// batched windows, while the rounds oracle's Apply stays the independent
-// referee: one op, one run, taps fired inline.
+// TestDifferentialEngines is the randomized engine-vs-spec check with
+// shrinking. The plan's origin announcements and churn month go to
+// Apply as one op list, which the engine converges in batched windows,
+// while the spec oracle converges one op at a time.
 func TestDifferentialEngines(t *testing.T) {
 	rng := rand.New(rand.NewSource(20180401))
 	configs := 4
@@ -487,22 +484,17 @@ func TestDifferentialEngines(t *testing.T) {
 // converged RIBs).
 func checkWarmCfg(t *testing.T, cfg worldCfg) string {
 	t.Helper()
-	for _, v := range []struct {
-		engine  string
-		workers int
-	}{
-		{"delta", 1}, {"delta", 4}, {"delta", 16},
-	} {
-		cold, err := buildOutcome(t, cfg, v.engine, v.workers)
+	for _, workers := range []int{1, 4, 16} {
+		cold, err := buildOutcome(t, cfg, workers)
 		if err != nil {
-			return fmt.Sprintf("%s/%d cold build error: %v", v.engine, v.workers, err)
+			return fmt.Sprintf("w%d cold build error: %v", workers, err)
 		}
-		warm, err := buildWarmOutcome(t, cfg, v.engine, v.workers)
+		warm, err := buildWarmOutcome(t, cfg, workers)
 		if err != nil {
-			return fmt.Sprintf("%s/%d warm build error: %v", v.engine, v.workers, err)
+			return fmt.Sprintf("w%d warm build error: %v", workers, err)
 		}
 		if msg := warm.diverges(cold); msg != "" {
-			return fmt.Sprintf("%s/%d warm vs cold: %s", v.engine, v.workers, msg)
+			return fmt.Sprintf("w%d warm vs cold: %s", workers, msg)
 		}
 	}
 	return ""
@@ -565,7 +557,7 @@ func TestBuildWorkerCountInvariance(t *testing.T) {
 		if name == "small" && testing.Short() {
 			continue
 		}
-		ref, err := buildOutcome(t, cfg, "", 0)
+		ref, err := buildOutcome(t, cfg, 0)
 		if err != nil {
 			t.Fatalf("%s: workers=0: %v", name, err)
 		}
@@ -573,7 +565,7 @@ func TestBuildWorkerCountInvariance(t *testing.T) {
 			t.Fatalf("%s: workers=0 produced an empty world", name)
 		}
 		for _, w := range []int{1, 2, 8} {
-			got, err := buildOutcome(t, cfg, "", w)
+			got, err := buildOutcome(t, cfg, w)
 			if err != nil {
 				t.Fatalf("%s: workers=%d: %v", name, w, err)
 			}
