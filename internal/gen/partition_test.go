@@ -38,7 +38,7 @@ func wholeWorld(t *testing.T, p Params) (*core.Dataset, []int) {
 // the world has prefixes — with one or several partitions in flight.
 // Each partition's per-op delivery counts, put back at their ops'
 // places, are the whole world's Apply counts. (The op ends the merge
-// relies on are held to the serial run and the rounds oracle by
+// relies on are held to the serial run and the spec oracle by
 // simnet's TestApplyMatchesSerial.)
 func TestPartitionedArchivesEqualWholeWorld(t *testing.T) {
 	for _, scale := range []string{"tiny", "small"} {
