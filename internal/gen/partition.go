@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"net/netip"
 	"runtime"
+	"slices"
 
 	"bgpworms/internal/collector"
 	"bgpworms/internal/conc"
@@ -62,13 +63,12 @@ type ArchivePlan struct {
 	Collectors []*collector.Collector
 	// Registry is the world's blackhole community registry.
 	Registry *Registry
-	// Net is the world before any op: every router configured and every
+	// net is the world before any op: every router configured and every
 	// session wired, no route anywhere. Converge runs on forks of it.
-	Net *simnet.Snapshot
-	// Ops are the ops Build applies (one announcement per origin
+	net *simnet.Snapshot
+	// ops are the ops Build applies (one announcement per origin
 	// prefix), then those RunChurn applies, in their order.
-	Ops []simnet.Op
-
+	ops     []simnet.Op
 	workers int
 }
 
@@ -95,10 +95,21 @@ func PlanArchives(p Params) (*ArchivePlan, error) {
 	return &ArchivePlan{
 		Collectors: w.Collectors,
 		Registry:   w.Registry,
-		Net:        net,
-		Ops:        append(ops, churn...),
+		net:        net,
+		ops:        append(ops, churn...),
 		workers:    workers,
 	}, nil
+}
+
+// Fork returns a fork of the plan's world before any op and a copy of
+// its ops, to converge the plan some other way than Converge without
+// changing what Converge reads.
+func (a *ArchivePlan) Fork() (*simnet.Network, []simnet.Op, error) {
+	n, err := a.net.Fork()
+	if err != nil {
+		return nil, nil, err
+	}
+	return n, slices.Clone(a.ops), nil
 }
 
 // Partitions is K, the number of prefix partitions Converge runs.
@@ -138,8 +149,8 @@ func partitionOf(p netip.Prefix, k int) int {
 }
 
 func (a *ArchivePlan) converge(k int) (*Archives, error) {
-	ar := &Archives{owner: make([]int, len(a.Ops)), parts: make([]partition, k), collectors: len(a.Collectors)}
-	for i, op := range a.Ops {
+	ar := &Archives{owner: make([]int, len(a.ops)), parts: make([]partition, k), collectors: len(a.Collectors)}
+	for i, op := range a.ops {
 		j := partitionOf(op.Prefix, k)
 		ar.owner[i] = j
 		ar.parts[j].ops = append(ar.parts[j].ops, i)
@@ -163,7 +174,7 @@ func (a *ArchivePlan) convergePartition(pt *partition) error {
 	if len(pt.ops) == 0 {
 		return nil
 	}
-	n, err := a.Net.Fork()
+	n, err := a.net.Fork()
 	if err != nil {
 		return err
 	}
@@ -183,7 +194,7 @@ func (a *ArchivePlan) convergePartition(pt *partition) error {
 	})
 	ops := make([]simnet.Op, len(pt.ops))
 	for i, g := range pt.ops {
-		ops[i] = a.Ops[g]
+		ops[i] = a.ops[g]
 	}
 	pt.counts, err = n.Apply(ops...)
 	if err != nil {

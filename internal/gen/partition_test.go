@@ -54,11 +54,11 @@ func TestPartitionedArchivesEqualWholeWorld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pl.Ops) != len(wantCounts) {
-			t.Fatalf("%s: the plan holds %d ops, the whole world applied %d", scale, len(pl.Ops), len(wantCounts))
+		if len(pl.ops) != len(wantCounts) {
+			t.Fatalf("%s: the plan holds %d ops, the whole world applied %d", scale, len(pl.ops), len(wantCounts))
 		}
 		prefixes := map[netip.Prefix]bool{}
-		for _, op := range pl.Ops {
+		for _, op := range pl.ops {
 			prefixes[op.Prefix.Masked()] = true
 		}
 		for _, workers := range []int{1, 4} {
@@ -69,7 +69,7 @@ func TestPartitionedArchivesEqualWholeWorld(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", where, err)
 				}
-				counts := make([]int, len(pl.Ops))
+				counts := make([]int, len(pl.ops))
 				for _, pt := range ar.parts {
 					for i, g := range pt.ops {
 						counts[g] = pt.counts[i]

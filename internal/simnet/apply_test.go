@@ -267,12 +267,12 @@ func specApply(t *testing.T, cfg worldCfg, arm applyArm, opSeed int64) applyTran
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := plan.Net.Fork()
+	n, planOps, err := plan.Fork()
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := readSpecWorld(n)
-	for _, op := range plan.Ops[:len(w.AllPrefixes())] {
+	for _, op := range planOps[:len(w.AllPrefixes())] {
 		s.apply(op)
 	}
 	var tr applyTranscript

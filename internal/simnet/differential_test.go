@@ -237,6 +237,7 @@ func (o *specOutcome) diverges(want *specOutcome) (string, int) {
 // against Router.NeighborVersion.
 type specPlan struct {
 	plan          *gen.ArchivePlan
+	planOps       []simnet.Op
 	stub, transit topo.ASN
 	lateP         netip.Prefix
 }
@@ -246,14 +247,14 @@ func newSpecPlan(cfg worldCfg) (*specPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := plan.Net.Fork()
+	n, ops, err := plan.Fork()
 	if err != nil {
 		return nil, err
 	}
-	sp := &specPlan{plan: plan}
+	sp := &specPlan{plan: plan, planOps: ops}
 	first := map[topo.ASN]netip.Prefix{}
 	var stubs []topo.ASN
-	for _, op := range plan.Ops {
+	for _, op := range ops {
 		if _, seen := first[op.AS]; !seen && !op.Withdraw && n.Graph.IsStub(op.AS) && len(n.Graph.Neighbors(op.AS)) > 0 {
 			first[op.AS] = op.Prefix
 			stubs = append(stubs, op.AS)
@@ -275,7 +276,7 @@ func newSpecPlan(cfg worldCfg) (*specPlan, error) {
 // withdrawal and re-announcement, the session wired between the two
 // lists.
 func (sp *specPlan) ops() []simnet.Op {
-	return append(slices.Clip(sp.plan.Ops), simnet.Op{AS: sp.stub, Prefix: sp.lateP, Withdraw: true}, simnet.Op{AS: sp.stub, Prefix: sp.lateP})
+	return append(slices.Clip(sp.planOps), simnet.Op{AS: sp.stub, Prefix: sp.lateP, Withdraw: true}, simnet.Op{AS: sp.stub, Prefix: sp.lateP})
 }
 
 // observedBy keeps only the tap calls a tap scoped to the receivers in
@@ -293,14 +294,14 @@ func (o *specOutcome) observedBy(to []topo.ASN) *specOutcome {
 
 // specRun converges the first k of sp's ops under the spec oracle.
 func specRun(sp *specPlan, k int) (*specOutcome, error) {
-	n, err := sp.plan.Net.Fork()
+	n, _, err := sp.plan.Fork()
 	if err != nil {
 		return nil, err
 	}
 	s := readSpecWorld(n)
 	o := &specOutcome{}
 	for i, op := range sp.ops()[:k] {
-		if i == len(sp.plan.Ops) {
+		if i == len(sp.planOps) {
 			s.connect(sp.stub, sp.transit, topo.RelProvider)
 		}
 		ds := s.apply(op)
@@ -320,7 +321,7 @@ func specRun(sp *specPlan, k int) (*specOutcome, error) {
 // another. Its tap observes the receivers in to, or with to empty the
 // whole world.
 func deltaRun(sp *specPlan, k, workers int, to ...topo.ASN) (*specOutcome, error) {
-	n, err := sp.plan.Net.Fork()
+	n, _, err := sp.plan.Fork()
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +335,7 @@ func deltaRun(sp *specPlan, k, workers int, to ...topo.ASN) (*specOutcome, error
 		}
 		o.taps = append(o.taps, tapCall{from: from, to: to, p: p, rt: rt})
 	}, to...)
-	ops, cut := sp.ops()[:k], min(k, len(sp.plan.Ops))
+	ops, cut := sp.ops()[:k], min(k, len(sp.planOps))
 	base := 0
 	n.OnOp(func(i int) { o.taps = append(o.taps, tapCall{end: base + i + 1}) })
 	if o.counts, err = n.Apply(ops[:cut]...); err != nil {
