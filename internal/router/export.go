@@ -41,107 +41,25 @@ func (d ExportDecision) String() string {
 	}
 }
 
-// ExportTo computes the route this AS would announce to neighbor for
-// prefix p, applying Gao-Rexford export rules, well-known communities,
-// selective-announcement services, prepending services, vendor community
-// handling and propagation mode.
+// ExportTo is ExportAll for one session: the route this AS would
+// announce to neighbor for prefix p, resolved, and the decision. Its AS
+// path and community set are the arena's canonical values: read-only.
 //
-// The returned route is a fresh copy safe for the receiver to mutate.
+// Like every export, it stores the route it builds in the router's
+// arena, so the router must be mutable: on a sealed router, whose arena
+// a fork may have frozen, ExportTo panics before it writes anything.
 func (r *Router) ExportTo(neighbor topo.ASN, p netip.Prefix) (*policy.Route, ExportDecision) {
-	_, st := r.lookup(p)
-	if st == nil || st.best.h == 0 {
+	r.mustMutable()
+	id, st := r.lookup(p)
+	if st == nil {
 		return nil, ExportNothing
 	}
-	return r.exportTo(neighbor, st.best)
-}
-
-// exportTo is ExportTo for a resolved best entry.
-func (r *Router) exportTo(neighbor topo.ASN, best inEntry) (*policy.Route, ExportDecision) {
-	rel, ok := r.neighbors[neighbor]
-	if !ok {
-		return nil, ExportNothing
+	it := r.ExportAll(nil, id, []topo.ASN{neighbor}, nil, nil)[0]
+	if it.Dec != ExportSent {
+		return nil, it.Dec
 	}
-	// Never send a route back to the neighbor we learned it from.
-	if best.from == neighbor {
-		return nil, ExportSuppressedGaoRexford
-	}
-	rt := r.routes.route(r.routes.rec(best.h))
-	// Gao-Rexford: routes from peers/providers go to customers only.
-	// Route servers (ReflectAll) redistribute everything.
-	fromCustomerOrLocal := best.from == 0 || best.rel == topo.RelCustomer
-	if !fromCustomerOrLocal && rel != topo.RelCustomer && !r.cfg.ReflectAll {
-		return nil, ExportSuppressedGaoRexford
-	}
-	// Well-known communities.
-	if rt.Communities.Has(bgp.CommunityNoAdvertise) {
-		return nil, ExportSuppressedNoAdvertise
-	}
-	if rt.Communities.Has(bgp.CommunityNoExport) {
-		return nil, ExportSuppressedNoExport
-	}
-	if rt.Communities.Has(bgp.CommunityNoPeer) && rel == topo.RelPeer {
-		return nil, ExportSuppressedNoExport
-	}
-
-	// Community services owned by this AS, evaluated in catalog order —
-	// the order itself resolves announce/no-announce conflicts (§5.3).
-	fromCustomer := best.rel == topo.RelCustomer
-	prepend := 0
-	hasAnnounceTo := false
-	announceDecided := false
-	announceAllowed := true
-	for _, svc := range r.cfg.Catalog.Active(rt.Communities, fromCustomer || best.from == 0) {
-		switch svc.Kind {
-		case policy.SvcNoExport:
-			return nil, ExportSuppressedService
-		case policy.SvcNoAnnounceTo:
-			if topo.ASN(svc.Param) == neighbor && !announceDecided {
-				announceAllowed = false
-				announceDecided = true
-			}
-		case policy.SvcAnnounceTo:
-			hasAnnounceTo = true
-			if topo.ASN(svc.Param) == neighbor && !announceDecided {
-				announceAllowed = true
-				announceDecided = true
-			}
-		case policy.SvcPrepend:
-			if prepend == 0 {
-				prepend = int(svc.Param)
-			}
-		}
-	}
-	if announceDecided && !announceAllowed {
-		return nil, ExportSuppressedService
-	}
-	if !announceDecided && hasAnnounceTo {
-		// Selective announcement: targets were named and this neighbor is
-		// not among them.
-		return nil, ExportSuppressedService
-	}
-
-	out := rt.Clone()
-	selfHops := 1 + prepend
-	if r.cfg.Transparent {
-		selfHops = prepend // route servers stay off the AS path
-	}
-	out.ASPath = out.ASPath.Prepend(r.cfg.ASN, selfHops)
-	out.LocalPref = policy.DefaultLocalPref // LP is not transitive across eBGP
-	out.Blackhole = false                   // the *receiver* decides to null-route
-	out.NextHopAS = r.cfg.ASN
-	out.FromRel = topo.RelNone
-
-	// Vendor default: IOS without send-community strips everything (§6.1).
-	if r.cfg.Vendor == VendorCisco && !r.cfg.SendCommunity[neighbor] {
-		out.Communities = nil
-	} else {
-		mode := r.cfg.Propagation
-		if m, ok := r.cfg.PropagationPerNeighbor[neighbor]; ok {
-			mode = m
-		}
-		out.Communities = policy.ApplyPropagation(mode, uint16(r.cfg.ASN), out.Communities)
-	}
-	return out, ExportSent
+	rt := r.routes.route(r.routes.rec(it.H))
+	return &rt, ExportSent
 }
 
 // ExportItem is one session's export outcome from ExportAll: H names the
@@ -179,22 +97,31 @@ func (r *Router) Hints(nbs []topo.ASN) *ExportHints {
 		Mode:  make([]policy.PropagationMode, len(nbs)),
 	}
 	for i, nb := range nbs {
-		h.Rels[i] = r.neighbors[nb]
-		h.Strip[i] = r.cfg.Vendor == VendorCisco && !r.cfg.SendCommunity[nb]
-		h.Mode[i] = r.cfg.Propagation
-		if m, ok := r.cfg.PropagationPerNeighbor[nb]; ok {
-			h.Mode[i] = m
-		}
+		h.Rels[i], h.Strip[i], h.Mode[i] = r.session(nb)
 	}
 	return h
 }
 
-// ExportAll computes the export of prefix id toward every neighbor in
-// nbs, appending one ExportItem per neighbor to buf — exactly what
-// ExportTo would decide and build, in nbs order — while doing the
+// session returns the export policy of the session to nb, what Hints
+// caches: the neighbor's relationship, whether the session strips all
+// communities (IOS without send-community, §6.1), and its propagation
+// mode (the per-neighbor override or the AS-wide default).
+func (r *Router) session(nb topo.ASN) (topo.Rel, bool, policy.PropagationMode) {
+	mode := r.cfg.Propagation
+	if m, ok := r.cfg.PropagationPerNeighbor[nb]; ok {
+		mode = m
+	}
+	return r.neighbors[nb], r.cfg.Vendor == VendorCisco && !r.cfg.SendCommunity[nb], mode
+}
+
+// ExportAll is the router's export policy. It computes the export of
+// prefix id toward every neighbor in nbs, appending one ExportItem per
+// neighbor to buf in nbs order: Gao-Rexford export rules, well-known
+// communities, selective-announcement services, prepending services,
+// vendor community handling and propagation mode. The
 // neighbor-independent work (best-route lookup, service-catalog scan,
-// AS-path prepending, community propagation) once per call instead of
-// once per session. Neighbors with the same effective community policy
+// AS-path prepending, community propagation) is done once per call, not
+// once per session: neighbors with the same effective community policy
 // share one outbound route per (prefix, policy class). The class's path
 // and communities are assembled in the scratch of cur, the calling engine
 // worker's cursor (nil: the arena's spare one), and interned, so content
@@ -228,21 +155,16 @@ func (r *Router) ExportAll(cur *RouteCursor, id uint32, nbs []topo.ASN, hints *E
 	noPeer := comms.Has(bgp.CommunityNoPeer)
 
 	// Service scan, neighbor-independent: catalog order still resolves
-	// announce/no-announce conflicts (§5.3) — the first service naming a
-	// neighbor decides for it, and SvcNoExport suppresses everything
-	// (ExportTo returns at that service, so later ones are irrelevant).
+	// announce/no-announce conflicts (§5.3), and SvcNoExport suppresses
+	// everything, so later services are irrelevant.
 	prepend := 0
 	suppressAll := false
-	hasAnnounceTo := false
 	var annCtl []policy.Service
 	for _, svc := range r.cfg.Catalog.Active(comms, fromCustomerOrLocal) {
 		switch svc.Kind {
 		case policy.SvcNoExport:
 			suppressAll = true
 		case policy.SvcNoAnnounceTo, policy.SvcAnnounceTo:
-			if svc.Kind == policy.SvcAnnounceTo {
-				hasAnnounceTo = true
-			}
 			annCtl = append(annCtl, svc)
 		case policy.SvcPrepend:
 			if prepend == 0 {
@@ -294,61 +216,34 @@ func (r *Router) ExportAll(cur *RouteCursor, id uint32, nbs []topo.ASN, hints *E
 
 	for ni, nb := range nbs {
 		var rel topo.Rel
-		if hints != nil {
-			rel = hints.Rels[ni]
-		} else {
-			var ok bool
-			rel, ok = r.neighbors[nb]
-			if !ok {
-				buf = append(buf, ExportItem{NB: nb, Dec: ExportNothing})
-				continue
-			}
-		}
-		if best.from == nb {
-			buf = append(buf, ExportItem{NB: nb, Dec: ExportSuppressedGaoRexford})
-			continue
-		}
-		if !fromCustomerOrLocal && rel != topo.RelCustomer && !r.cfg.ReflectAll {
-			buf = append(buf, ExportItem{NB: nb, Dec: ExportSuppressedGaoRexford})
-			continue
-		}
-		if noAdv {
-			buf = append(buf, ExportItem{NB: nb, Dec: ExportSuppressedNoAdvertise})
-			continue
-		}
-		if noExp || (noPeer && rel == topo.RelPeer) {
-			buf = append(buf, ExportItem{NB: nb, Dec: ExportSuppressedNoExport})
-			continue
-		}
-		if suppressAll {
-			buf = append(buf, ExportItem{NB: nb, Dec: ExportSuppressedService})
-			continue
-		}
-		if len(annCtl) > 0 {
-			decided, allowed := false, true
-			for _, svc := range annCtl {
-				if topo.ASN(svc.Param) == nb {
-					allowed = svc.Kind == policy.SvcAnnounceTo
-					decided = true
-					break
-				}
-			}
-			if (decided && !allowed) || (!decided && hasAnnounceTo) {
-				buf = append(buf, ExportItem{NB: nb, Dec: ExportSuppressedService})
-				continue
-			}
-		}
-
 		var strip bool
 		var mode policy.PropagationMode
 		if hints != nil {
-			strip, mode = hints.Strip[ni], hints.Mode[ni]
+			rel, strip, mode = hints.Rels[ni], hints.Strip[ni], hints.Mode[ni]
+		} else if _, ok := r.neighbors[nb]; ok {
+			rel, strip, mode = r.session(nb)
 		} else {
-			strip = r.cfg.Vendor == VendorCisco && !r.cfg.SendCommunity[nb]
-			mode = r.cfg.Propagation
-			if m, ok := r.cfg.PropagationPerNeighbor[nb]; ok {
-				mode = m
-			}
+			buf = append(buf, ExportItem{NB: nb, Dec: ExportNothing})
+			continue
+		}
+		dec := ExportSent
+		switch {
+		case best.from == nb:
+			dec = ExportSuppressedGaoRexford // never back to its sender
+		case !fromCustomerOrLocal && rel != topo.RelCustomer && !r.cfg.ReflectAll:
+			// Routes from peers and providers go to customers only; route
+			// servers (ReflectAll) redistribute everything.
+			dec = ExportSuppressedGaoRexford
+		case noAdv:
+			dec = ExportSuppressedNoAdvertise
+		case noExp || (noPeer && rel == topo.RelPeer):
+			dec = ExportSuppressedNoExport
+		case suppressAll || !announced(annCtl, nb):
+			dec = ExportSuppressedService
+		}
+		if dec != ExportSent {
+			buf = append(buf, ExportItem{NB: nb, Dec: dec})
+			continue
 		}
 		idx := 0
 		if !strip {
@@ -357,6 +252,21 @@ func (r *Router) ExportAll(cur *RouteCursor, id uint32, nbs []topo.ASN, hints *E
 		buf = append(buf, ExportItem{NB: nb, H: classRoute(idx, mode, nb), Dec: ExportSent})
 	}
 	return buf
+}
+
+// announced reports whether the announce-control services ctl, in
+// catalog order, let a route go to nb: the first service naming nb
+// decides, and a route with announce-to targets goes to none it does not
+// name (selective announcement).
+func announced(ctl []policy.Service, nb topo.ASN) bool {
+	targeted := false
+	for _, svc := range ctl {
+		if topo.ASN(svc.Param) == nb {
+			return svc.Kind == policy.SvcAnnounceTo
+		}
+		targeted = targeted || svc.Kind == policy.SvcAnnounceTo
+	}
+	return !targeted
 }
 
 // bySession orders an Adj-RIB-Out run against a neighbor for

@@ -342,10 +342,7 @@ func (w *modelWorld) randomStep(sealed *[]sealedCopy) {
 		w.m.receive(from, rt)
 		var changed bool
 		switch op {
-		case 2:
-			w.step = fmt.Sprintf("ReceiveShared(%d, %s)", from, show(rt))
-			_, changed = w.r.ReceiveShared(from, rt)
-		case 3:
+		case 2, 3:
 			w.step = fmt.Sprintf("ReceiveUpdate(%d, %s)", from, show(rt))
 			_, changed = w.r.ReceiveUpdate(from, rt)
 		default:

@@ -16,10 +16,16 @@
 // holds a pointer. The batched
 // entry points the delta engine drives — ExportAll, RecordAdvertisedAll,
 // ReceiveSharedNoDecide, WithdrawNoDecide, Decide — take the id and pass
-// routes by handle, so convergence hashes no prefix; the single-step,
-// prefix-keyed API (ReceiveUpdate, ExportTo, BestRoute, ...) resolves
-// the id through the table first, takes and returns *policy.Route, and
-// runs on the same slots. See ARCHITECTURE.md, "Router memory layout".
+// routes by handle, so convergence hashes no prefix.
+//
+// There is one import policy, importScan, which ReceiveSharedNoDecide
+// runs, and one export policy, ExportAll. The single-step, prefix-keyed
+// API is a one-session view of the same path: ReceiveUpdate stores its
+// route in the arena and runs ReceiveSharedNoDecide, then Decide;
+// ReceiveWithdraw is WithdrawNoDecide, then Decide; ExportTo is ExportAll
+// for one session, resolved to a *policy.Route. The readers (BestRoute,
+// Advertised, ...) resolve the id through the table first. See
+// ARCHITECTURE.md, "Router memory layout".
 package router
 
 import (
@@ -311,22 +317,19 @@ const (
 	ImportRejectedOriginInvalid
 )
 
-// ReceiveUpdate processes an announcement from neighbor `from`. It returns
-// the import outcome and whether the Loc-RIB best route changed: an
-// accepted update replaces the session's candidate, and a rejected one
-// withdraws it (RFC 4271 §9's implicit withdraw; §9.1.2 keeps a looped
-// route out of the decision).
+// ReceiveUpdate processes an announcement from neighbor `from`: it
+// stores the route in the router's arena, the way a sender's export is
+// stored, runs ReceiveSharedNoDecide on it and then the decision
+// process. It
+// returns the import outcome and whether the Loc-RIB best route changed:
+// an accepted update replaces the session's candidate, and a rejected
+// one withdraws it (RFC 4271 §9's implicit withdraw; §9.1.2 keeps a
+// looped route out of the decision).
 func (r *Router) ReceiveUpdate(from topo.ASN, in *policy.Route) (ImportResult, bool) {
 	r.mustMutable()
 	id := r.routes.tbl.Intern(in.Prefix)
-	rel, res := r.admit(from, in.ASPath)
-	if res == ImportAccepted {
-		res = r.receive(nil, from, rel, id, in, 0)
-	}
-	if res != ImportAccepted && !r.implicitWithdraw(from, id) {
-		return res, false
-	}
-	return res, r.decide(id)
+	res, changed := r.ReceiveSharedNoDecide(nil, from, id, r.routes.Add(in))
+	return res, changed && r.decide(id)
 }
 
 // ReceiveSharedNoDecide stores the update h names in the router's arena,
@@ -334,55 +337,32 @@ func (r *Router) ReceiveUpdate(from topo.ASN, in *policy.Route) (ImportResult, b
 // decision process. It reports the import outcome and whether the
 // Adj-RIB-In changed: an accepted update always stores its candidate, and
 // a rejected one removes the candidate the session sent before, if any
-// (RFC 4271 §9's implicit withdraw, as in ReceiveUpdate). A route
-// the import must tag or rewrite is stored anew through cur, the calling
-// engine worker's cursor on the same arena (nil: the arena's spare
-// cursor). Engines that batch several deliveries for one prefix (the delta
-// engine's per-destination inboxes) apply them all and then call Decide
-// once per prefix: the final candidate set — and therefore the decision
-// — is order-identical to deciding after every delivery, while transient
-// intermediate best routes (which could only trigger no-op re-exports)
-// are never computed.
+// (RFC 4271 §9's implicit withdraw). Engines that batch several
+// deliveries for one prefix (the delta engine's per-destination inboxes)
+// apply them all and then call Decide once per prefix: the final
+// candidate set — and therefore the decision — is order-identical to
+// deciding after every delivery, while transient intermediate best
+// routes (which could only trigger no-op re-exports) are never computed.
 //
-// The route is read in place: a pure decision pass (importScan) settles
-// the outcome, and if the import neither tags nor rewrites the route,
-// the accepted entry stores h itself with zero allocation — the fast
-// path the delta engine lives on. Only an import that adds a community
-// (blackhole NO_EXPORT, the session's ingress tags) resolves the route
-// and builds a private one (receive).
+// The route is read in place: importScan, the import policy, settles
+// the outcome, and if the import adds no community the accepted entry
+// stores h itself with zero allocation — the fast path the delta engine
+// lives on. Only an import that tags the route (blackhole NO_EXPORT, the
+// session's ingress tags) stores a route of the router's own (tag),
+// through cur, the calling engine worker's cursor on the same arena
+// (nil: the arena's spare cursor).
 func (r *Router) ReceiveSharedNoDecide(cur *RouteCursor, from topo.ASN, id uint32, h Handle) (ImportResult, bool) {
 	r.mustMutable()
-	a := r.routes
-	rc := a.rec(h)
-	rel, res := r.admit(from, a.path(rc.path))
-	var entry inEntry
-	var pristine bool
-	if res == ImportAccepted {
-		res, entry, pristine = r.importScan(from, rel, a.tbl.At(rc.pfx), a.comms.at(rc.comms))
-	}
+	res, e, noExport, tags := r.importScan(from, r.routes.rec(h))
 	if res != ImportAccepted {
 		return res, r.implicitWithdraw(from, id)
 	}
-	if pristine {
-		entry.h = h
-		r.storeAdjIn(id, entry)
-		return ImportAccepted, true
+	e.h = h
+	if noExport || len(tags) > 0 {
+		e.h = r.tag(cur, e, noExport, tags)
 	}
-	in := a.route(rc)
-	return r.receive(cur, from, rel, id, &in, h), true
-}
-
-// admit runs the session and loop checks every import starts with,
-// returning the sender's relationship.
-func (r *Router) admit(from topo.ASN, path bgp.ASPath) (topo.Rel, ImportResult) {
-	rel, ok := r.neighbors[from]
-	if !ok {
-		return rel, ImportRejectedUnknownNeighbor
-	}
-	if path.HasLoop(r.cfg.ASN) {
-		return rel, ImportRejectedLoop
-	}
-	return rel, ImportAccepted
+	r.storeAdjIn(id, e)
+	return ImportAccepted, true
 }
 
 // Decide runs the decision process for prefix id and reports whether the
@@ -392,133 +372,108 @@ func (r *Router) Decide(id uint32) bool {
 	return r.decide(id)
 }
 
-// receive runs the import policy for an update from an admitted session
-// and stores the accepted candidate in the Adj-RIB-In, as a route of the
-// router's own; callers run the decision process. The input is a
-// caller's route, or the arena route named by handle shared, whose path
-// and communities ids the new route reuses. A tag is added to a copy of
-// the set in the cursor's scratch, and the route is stored through cur
-// (nil: the arena's spare cursor).
-func (r *Router) receive(cur *RouteCursor, from topo.ASN, rel topo.Rel, id uint32, in *policy.Route, shared Handle) ImportResult {
+// importScan is the router's import policy, and allocation-free: it
+// decides an update from neighbor from — the stored route rc — without
+// building a route. It returns the outcome; for an accepted update the
+// candidate entry with its import-derived attributes (relationship,
+// local-pref, blackhole; the caller sets h), and the communities the
+// import adds: NO_EXPORT on an accepted blackhole when the AS follows
+// RFC 7999, and the session's ingress tags, cut to the IOS addition cap
+// (§6.1).
+func (r *Router) importScan(from topo.ASN, rc *record) (ImportResult, inEntry, bool, []bgp.Community) {
+	rel, ok := r.neighbors[from]
+	if !ok {
+		return ImportRejectedUnknownNeighbor, inEntry{}, false, nil
+	}
+	a := r.routes
+	if a.path(rc.path).HasLoop(r.cfg.ASN) {
+		return ImportRejectedLoop, inEntry{}, false, nil
+	}
+	pfx, comms := a.tbl.At(rc.pfx), a.comms.at(rc.comms)
+	fromCustomer := rel == topo.RelCustomer
+
+	// An AS offering RTBH honours its own blackhole community and the
+	// RFC 7999 well-known one, on prefixes specific enough for it.
+	blackholeTagged := false
+	if bh, offers := r.cfg.Catalog.BlackholeCommunity(); offers {
+		blackholeTagged = comms.Has(bh) || comms.Has(bgp.CommunityBlackhole)
+	}
+	if blackholeTagged && r.cfg.BlackholeMinLen > 0 && pfx.Bits() < r.cfg.BlackholeMinLen {
+		blackholeTagged = false // too coarse for RTBH; treat as ordinary route
+	}
+
+	validated := !r.cfg.ValidateOrigin || !fromCustomer || r.cfg.CustomerPrefixes[from].Matches(pfx)
+	// §6.3 misconfiguration: blackhole precedence skips validation.
+	bh := blackholeTagged && r.cfg.BlackholeBeforeValidate
+	if !bh {
+		if !validated {
+			return ImportRejectedOriginInvalid, inEntry{}, false, nil
+		}
+		bh = blackholeTagged
+	}
+
+	if !bh && r.cfg.MaxPrefixLen > 0 {
+		// MaxPrefixLen is the IPv4 hygiene limit; the IPv6 convention is
+		// /48 (twice the host-bit headroom).
+		limit := r.cfg.MaxPrefixLen
+		if pfx.Addr().Is6() {
+			limit = 48
+		}
+		if pfx.Bits() > limit {
+			return ImportRejectedTooSpecific, inEntry{}, false, nil
+		}
+	}
+
+	var lp uint32
+	switch {
+	case bh:
+		lp = LocalPrefBlackhole
+	case rel == topo.RelCustomer:
+		lp = LocalPrefCustomer
+	case rel == topo.RelPeer:
+		lp = LocalPrefPeer
+	default:
+		lp = LocalPrefProvider
+	}
+	// Community services at ingress (local-pref class; prepend and
+	// announce-control act at export).
+	for _, svc := range r.cfg.Catalog.Active(comms, fromCustomer) {
+		if svc.Kind == policy.SvcLocalPref {
+			lp = svc.Param
+		}
+	}
+
+	// Per-session ingress tagging (Figure 1, AS6 style).
+	tags := r.cfg.IngressTags[from]
+	if r.cfg.Vendor == VendorCisco && len(tags) > CiscoMaxAddedCommunities {
+		tags = tags[:CiscoMaxAddedCommunities]
+	}
+	return ImportAccepted, inEntry{from: from, rel: rel, lp: lp, bh: bh}, bh && r.cfg.BlackholeAddNoExport, tags
+}
+
+// tag stores the route e names again, as a route of the router's own:
+// its communities plus NO_EXPORT (if noExport) and tags, and e's
+// import-derived attributes. It returns the new route's handle. The set
+// is built in the scratch of cur (nil: the arena's spare cursor) and the
+// route stored through it; e's route is read, never written.
+func (r *Router) tag(cur *RouteCursor, e inEntry, noExport bool, tags []bgp.Community) Handle {
 	cur = r.cursor(cur)
 	if cur == nil {
 		cur = r.routes.borrow()
 		defer r.routes.giveBack(cur)
 	}
-	// The input's slices are read, never written: the first tag copies
-	// the set into the cursor's scratch.
-	rt := *in
-	tagged := false
-	addComm := func(c bgp.Community) {
-		if !tagged {
-			cur.comms = append(cur.comms[:0], rt.Communities...)
-			tagged = true
-		}
+	a := r.routes
+	rc := *a.rec(e.h)
+	cur.comms = append(cur.comms[:0], a.comms.at(rc.comms)...)
+	if noExport {
+		cur.comms = cur.comms.Add(bgp.CommunityNoExport)
+	}
+	for _, c := range tags {
 		cur.comms = cur.comms.Add(c)
-		rt.Communities = cur.comms
 	}
-	rt.NextHopAS = from
-	rt.FromRel = rel
-	rt.Blackhole = false
-
-	fromCustomer := rel == topo.RelCustomer
-
-	// Determine whether the update triggers our RTBH service.
-	blackholeTagged := false
-	if r.cfg.Catalog != nil {
-		if bh, ok := r.cfg.Catalog.BlackholeCommunity(); ok && rt.Communities.Has(bh) {
-			blackholeTagged = true
-		}
-	}
-	// RFC 7999 well-known BLACKHOLE is honoured by ASes offering RTBH.
-	if !blackholeTagged && r.cfg.Catalog != nil {
-		if _, offers := r.cfg.Catalog.BlackholeCommunity(); offers && rt.Communities.Has(bgp.CommunityBlackhole) {
-			blackholeTagged = true
-		}
-	}
-	if blackholeTagged && r.cfg.BlackholeMinLen > 0 && rt.Prefix.Bits() < r.cfg.BlackholeMinLen {
-		blackholeTagged = false // too coarse for RTBH; treat as ordinary route
-	}
-
-	applyBlackhole := func() {
-		rt.Blackhole = true
-		rt.LocalPref = LocalPrefBlackhole
-		if r.cfg.BlackholeAddNoExport {
-			addComm(bgp.CommunityNoExport)
-		}
-	}
-
-	validated := true
-	if r.cfg.ValidateOrigin && fromCustomer {
-		pl := r.cfg.CustomerPrefixes[from]
-		if !pl.Matches(rt.Prefix) {
-			validated = false
-		}
-	}
-
-	if blackholeTagged && r.cfg.BlackholeBeforeValidate {
-		// §6.3 misconfiguration: blackhole precedence skips validation.
-		applyBlackhole()
-	} else {
-		if !validated {
-			return ImportRejectedOriginInvalid
-		}
-		if blackholeTagged {
-			applyBlackhole()
-		}
-	}
-
-	if !rt.Blackhole && r.cfg.MaxPrefixLen > 0 {
-		// MaxPrefixLen is the IPv4 hygiene limit; the IPv6 convention is
-		// /48 (twice the host-bit headroom).
-		limit := r.cfg.MaxPrefixLen
-		if rt.Prefix.Addr().Is6() {
-			limit = 48
-		}
-		if rt.Prefix.Bits() > limit {
-			return ImportRejectedTooSpecific
-		}
-	}
-
-	if !rt.Blackhole {
-		switch rel {
-		case topo.RelCustomer:
-			rt.LocalPref = LocalPrefCustomer
-		case topo.RelPeer:
-			rt.LocalPref = LocalPrefPeer
-		default:
-			rt.LocalPref = LocalPrefProvider
-		}
-	}
-
-	// Community services at ingress (local-pref class; prepend and
-	// announce-control act at export).
-	for _, svc := range r.cfg.Catalog.Active(rt.Communities, fromCustomer) {
-		if svc.Kind == policy.SvcLocalPref {
-			rt.LocalPref = svc.Param
-		}
-	}
-
-	// Per-session ingress tagging (Figure 1, AS6 style).
-	for added, tag := range r.cfg.IngressTags[from] {
-		if !r.allowAdd(added) {
-			break
-		}
-		addComm(tag)
-	}
-
-	rc := record{pfx: id, origin: rt.Origin, med: rt.MED, lp: rt.LocalPref, nh: from, rel: rel, bh: rt.Blackhole}
-	if shared != 0 {
-		src := r.routes.rec(shared)
-		rc.path, rc.comms = src.path, src.comms
-	} else {
-		rc.path, rc.comms = r.routes.pathID(in.ASPath), r.routes.comms.intern(in.Communities)
-	}
-	if tagged {
-		rc.comms = r.routes.comms.intern(rt.Communities)
-	}
-	r.storeAdjIn(id, inEntry{from: from, rel: rel, lp: rt.LocalPref, bh: rt.Blackhole, h: cur.add(rc)})
-	return ImportAccepted
+	rc.comms = a.comms.intern(cur.comms)
+	rc.lp, rc.nh, rc.rel, rc.bh = e.lp, e.from, e.rel, e.bh
+	return cur.add(rc)
 }
 
 // cursor checks that cur, an engine worker's cursor or nil, appends to
@@ -544,100 +499,12 @@ func (r *Router) storeAdjIn(id uint32, e inEntry) {
 // byFrom orders a candidate run against a neighbor for slices.BinarySearchFunc.
 func byFrom(e inEntry, from topo.ASN) int { return cmp.Compare(e.from, from) }
 
-// importScan is the allocation-free decision half of the import policy:
-// it computes the outcome, effective local-pref, and blackhole flag for
-// an update — its prefix and communities — without building a route,
-// and reports whether the import is
-// pristine — nothing would tag or rewrite the route, so the shared
-// input's handle can be stored as-is (the caller sets the entry's h).
-// Non-pristine accepted imports are replayed by the mutating path in
-// receive; the two must agree, which TestReceiveSharedMatchesReceiveUpdate
-// and the engine's differential tests against the spec oracle, which
-// shares neither, cross-check.
-func (r *Router) importScan(from topo.ASN, rel topo.Rel, pfx netip.Prefix, comms bgp.CommunitySet) (ImportResult, inEntry, bool) {
-	fromCustomer := rel == topo.RelCustomer
-
-	blackholeTagged := false
-	if r.cfg.Catalog != nil {
-		if bh, ok := r.cfg.Catalog.BlackholeCommunity(); ok && comms.Has(bh) {
-			blackholeTagged = true
-		}
-		if !blackholeTagged {
-			if _, offers := r.cfg.Catalog.BlackholeCommunity(); offers && comms.Has(bgp.CommunityBlackhole) {
-				blackholeTagged = true
-			}
-		}
-	}
-	if blackholeTagged && r.cfg.BlackholeMinLen > 0 && pfx.Bits() < r.cfg.BlackholeMinLen {
-		blackholeTagged = false
-	}
-
-	validated := true
-	if r.cfg.ValidateOrigin && fromCustomer {
-		if !r.cfg.CustomerPrefixes[from].Matches(pfx) {
-			validated = false
-		}
-	}
-
-	bh := false
-	if blackholeTagged && r.cfg.BlackholeBeforeValidate {
-		bh = true
-	} else {
-		if !validated {
-			return ImportRejectedOriginInvalid, inEntry{}, false
-		}
-		bh = blackholeTagged
-	}
-
-	if !bh && r.cfg.MaxPrefixLen > 0 {
-		limit := r.cfg.MaxPrefixLen
-		if pfx.Addr().Is6() {
-			limit = 48
-		}
-		if pfx.Bits() > limit {
-			return ImportRejectedTooSpecific, inEntry{}, false
-		}
-	}
-
-	var lp uint32
-	mutates := false
-	if bh {
-		lp = LocalPrefBlackhole
-		if r.cfg.BlackholeAddNoExport {
-			mutates = true
-		}
-	} else {
-		switch rel {
-		case topo.RelCustomer:
-			lp = LocalPrefCustomer
-		case topo.RelPeer:
-			lp = LocalPrefPeer
-		default:
-			lp = LocalPrefProvider
-		}
-	}
-
-	for _, svc := range r.cfg.Catalog.Active(comms, fromCustomer) {
-		if svc.Kind == policy.SvcLocalPref {
-			lp = svc.Param
-		}
-	}
-	if len(r.cfg.IngressTags[from]) > 0 {
-		mutates = true
-	}
-
-	return ImportAccepted, inEntry{from: from, rel: rel, lp: lp, bh: bh}, !mutates
-}
-
-// ReceiveWithdraw processes a withdrawal from a neighbor and reports
-// whether the best route changed.
+// ReceiveWithdraw processes a withdrawal from a neighbor — WithdrawNoDecide,
+// then the decision process — and reports whether the best route changed.
 func (r *Router) ReceiveWithdraw(from topo.ASN, p netip.Prefix) bool {
 	r.mustMutable()
 	id, st := r.lookup(p)
-	if st == nil || from == 0 || !r.withdraw(from, id) {
-		return false
-	}
-	return r.decide(id)
+	return st != nil && r.WithdrawNoDecide(from, id) && r.decide(id)
 }
 
 // WithdrawNoDecide removes the neighbor's Adj-RIB-In entry for prefix id
@@ -667,11 +534,6 @@ func (r *Router) withdraw(from topo.ASN, id uint32) bool {
 		r.in.remove(&r.slots.mut(id).in, i)
 	}
 	return found
-}
-
-// allowAdd enforces the IOS 32-addition cap (§6.1).
-func (r *Router) allowAdd(added int) bool {
-	return r.cfg.Vendor != VendorCisco || added < CiscoMaxAddedCommunities
 }
 
 func (r *Router) String() string {

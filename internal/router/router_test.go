@@ -211,11 +211,11 @@ func TestRTBHServiceAcceptsAndNullRoutes(t *testing.T) {
 
 // TestRejectedUpdateWithdrawsCandidate: an update the import rejects
 // still replaces what its session sent before (RFC 4271 §9's implicit
-// withdraw), on both receive paths and for every policy rejection — a
-// path through us, a /32 re-sent without the blackhole community that
-// made it acceptable, and an announcement outside the customer's
-// registered prefixes. The old candidate must leave the Adj-RIB-In and
-// the best route must fall back, reported as a change.
+// withdraw), for every policy rejection — a path through us, a /32
+// re-sent without the blackhole community that made it acceptable, and
+// an announcement outside the customer's registered prefixes. The old
+// candidate must leave the Adj-RIB-In and the best route must fall back,
+// reported as a change.
 func TestRejectedUpdateWithdrawsCandidate(t *testing.T) {
 	bh := bgp.C(65001, 666)
 	host := netx.MustPrefix("192.0.2.7/32")
@@ -247,39 +247,95 @@ func TestRejectedUpdateWithdrawsCandidate(t *testing.T) {
 		{"too-specific", host, tagged(route(host, 64500, 1), bh), route(host, 64500, 1), ImportRejectedTooSpecific, 0},
 		{"origin-invalid", pfx, route(pfx, 64500, 1), tagged(route(pfx, 64500, 1), bgp.C(64500, 1)), ImportRejectedOriginInvalid, 64501},
 	} {
-		for _, shared := range []bool{false, true} {
-			r := mk()
-			recv := r.ReceiveUpdate
-			if shared {
-				recv = r.ReceiveShared
+		r := mk()
+		if c.fallback != 0 {
+			r.ReceiveUpdate(c.fallback, route(c.p, uint32(c.fallback), 7, 1))
+		}
+		if res, _ := r.ReceiveUpdate(64500, c.accept); res != ImportAccepted {
+			t.Fatalf("%s: first update %v, want accepted", c.name, res)
+		}
+		if c.name == "origin-invalid" {
+			// The customer's registered prefixes no longer cover it.
+			r.Config().CustomerPrefixes[64500] = (&policy.PrefixList{}).AddRange(host, 24, 32)
+		}
+		res, changed := r.ReceiveUpdate(64500, c.reject)
+		if res != c.want || !changed {
+			t.Fatalf("%s: rejection %v changed=%v, want %v and a change", c.name, res, changed, c.want)
+		}
+		r.EachAdjIn(func(p netip.Prefix, from topo.ASN, rt *policy.Route) {
+			if p == c.p && from == 64500 {
+				t.Errorf("%s: the rejected session's old candidate is still in the Adj-RIB-In: %v", c.name, rt)
 			}
-			if c.fallback != 0 {
-				recv(c.fallback, route(c.p, uint32(c.fallback), 7, 1))
+		})
+		best, ok := r.BestRoute(c.p)
+		if c.fallback == 0 && ok || c.fallback != 0 && (!ok || best.NextHopAS != c.fallback) {
+			t.Errorf("%s: best after the rejection %v (ok=%v), want the route from AS%d", c.name, best, ok, c.fallback)
+		}
+		if res, changed := r.ReceiveUpdate(64500, c.reject); res != c.want || changed {
+			t.Errorf("%s: the same rejection again: %v changed=%v, want no change", c.name, res, changed)
+		}
+	}
+}
+
+// TestImportPrefixLengthLimit holds the hygiene limit on both import
+// entry points, a route (ReceiveUpdate) and a stored route's handle
+// (ReceiveSharedNoDecide, the delta engine's): MaxPrefixLen bounds IPv4
+// announcements, and IPv6 ones are bounded at /48 whatever it says.
+func TestImportPrefixLengthLimit(t *testing.T) {
+	for _, c := range []struct {
+		p    netip.Prefix
+		want ImportResult
+	}{
+		{netip.MustParsePrefix("203.0.113.0/24"), ImportAccepted},
+		{netip.MustParsePrefix("203.0.113.0/25"), ImportRejectedTooSpecific},
+		{netip.MustParsePrefix("2001:db8:1::/48"), ImportAccepted},
+		{netip.MustParsePrefix("2001:db8:1::/49"), ImportRejectedTooSpecific},
+	} {
+		for _, handle := range []bool{false, true} {
+			r := New(Config{ASN: 65001, MaxPrefixLen: 24}, NewRouteArena())
+			r.AddNeighbor(64500, topo.RelCustomer)
+			var res ImportResult
+			if handle {
+				id := r.Table().Intern(c.p)
+				res, _ = r.ReceiveSharedNoDecide(nil, 64500, id, r.routes.Add(route(c.p, 64500, 1)))
+				r.Decide(id)
+			} else {
+				res, _ = r.ReceiveUpdate(64500, route(c.p, 64500, 1))
 			}
-			if res, _ := recv(64500, c.accept); res != ImportAccepted {
-				t.Fatalf("%s shared=%v: first update %v, want accepted", c.name, shared, res)
-			}
-			if c.name == "origin-invalid" {
-				// The customer's registered prefixes no longer cover it.
-				r.Config().CustomerPrefixes[64500] = (&policy.PrefixList{}).AddRange(host, 24, 32)
-			}
-			res, changed := recv(64500, c.reject)
-			if res != c.want || !changed {
-				t.Fatalf("%s shared=%v: rejection %v changed=%v, want %v and a change", c.name, shared, res, changed, c.want)
-			}
-			r.EachAdjIn(func(p netip.Prefix, from topo.ASN, rt *policy.Route) {
-				if p == c.p && from == 64500 {
-					t.Errorf("%s shared=%v: the rejected session's old candidate is still in the Adj-RIB-In: %v", c.name, shared, rt)
-				}
-			})
-			best, ok := r.BestRoute(c.p)
-			if c.fallback == 0 && ok || c.fallback != 0 && (!ok || best.NextHopAS != c.fallback) {
-				t.Errorf("%s shared=%v: best after the rejection %v (ok=%v), want the route from AS%d", c.name, shared, best, ok, c.fallback)
-			}
-			if res, changed := recv(64500, c.reject); res != c.want || changed {
-				t.Errorf("%s shared=%v: the same rejection again: %v changed=%v, want no change", c.name, shared, res, changed)
+			_, best := r.BestRoute(c.p)
+			if res != c.want || best != (c.want == ImportAccepted) {
+				t.Errorf("%s (handle input %v): %v, best route %v; want %v", c.p, handle, res, best, c.want)
 			}
 		}
+	}
+}
+
+// TestExportToNeedsMutableRouter pins ExportTo's precondition: it stores
+// the route it builds in the router's arena, so on a sealed router,
+// whose arena a fork freezes, it panics before it writes anything.
+func TestExportToNeedsMutableRouter(t *testing.T) {
+	r := newRouter(65001)
+	r.AddNeighbor(64500, topo.RelCustomer)
+	r.AddNeighbor(64501, topo.RelCustomer)
+	r.ReceiveUpdate(64500, route(pfx, 64500, 1))
+	before := r.routes.Routes()
+	if out, d := r.ExportTo(64501, pfx); d != ExportSent || out.NextHopAS != 65001 || r.routes.Routes() != before+1 {
+		t.Fatalf("ExportTo on a mutable router: %v %v, %d routes stored, want the export and one", out, d, r.routes.Routes()-before)
+	}
+	r.Seal()
+	r.routes.Clone() // a fork freezes the arena
+	before = r.routes.Routes()
+	paths, sets := r.routes.Interned()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ExportTo on a sealed router did not panic")
+			}
+		}()
+		r.ExportTo(64501, pfx)
+	}()
+	if p, s := r.routes.Interned(); r.routes.Routes() != before || p != paths || s != sets {
+		t.Error("ExportTo on a sealed router wrote to its arena")
 	}
 }
 
@@ -697,7 +753,7 @@ func TestRIBAndStringViews(t *testing.T) {
 
 func TestCiscoCommunityAdditionCap(t *testing.T) {
 	// A session configured with 40 ingress tags: IOS adds the first 32
-	// (§6.1), JunOS all 40 — on both import paths.
+	// (§6.1), JunOS all 40.
 	var tags []bgp.Community
 	for i := 0; i < 40; i++ {
 		tags = append(tags, bgp.C(65001, uint16(1000+i)))
@@ -707,20 +763,15 @@ func TestCiscoCommunityAdditionCap(t *testing.T) {
 		want int
 	}{{VendorCisco, CiscoMaxAddedCommunities}, {VendorJuniper, 40}} {
 		cfg := Config{ASN: 65001, Vendor: c.v, IngressTags: map[topo.ASN][]bgp.Community{64500: tags}}
-		classic, shared := New(cfg, NewRouteArena()), New(cfg, NewRouteArena())
-		for _, r := range []*Router{classic, shared} {
-			r.AddNeighbor(64500, topo.RelCustomer)
+		r := New(cfg, NewRouteArena())
+		r.AddNeighbor(64500, topo.RelCustomer)
+		r.ReceiveUpdate(64500, route(pfx, 64500, 1))
+		best, _ := r.BestRoute(pfx)
+		if len(best.Communities) != c.want {
+			t.Fatalf("vendor %d: added=%d want %d", c.v, len(best.Communities), c.want)
 		}
-		classic.ReceiveUpdate(64500, route(pfx, 64500, 1))
-		shared.ReceiveShared(64500, route(pfx, 64500, 1))
-		for name, r := range map[string]*Router{"classic": classic, "shared": shared} {
-			best, _ := r.BestRoute(pfx)
-			if len(best.Communities) != c.want {
-				t.Fatalf("vendor %d %s: added=%d want %d", c.v, name, len(best.Communities), c.want)
-			}
-			if !best.Communities.Has(tags[0]) || best.Communities.Has(tags[c.want-1]+1) {
-				t.Fatalf("vendor %d %s: cap kept the wrong tags: %v", c.v, name, best.Communities)
-			}
+		if !best.Communities.Has(tags[0]) || best.Communities.Has(tags[c.want-1]+1) {
+			t.Fatalf("vendor %d: cap kept the wrong tags: %v", c.v, best.Communities)
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"bgpworms/internal/topo"
 )
 
-// mkSharedPair builds two identically configured routers for the
-// shared-vs-classic receive comparison.
+// mkSharedPair builds two identically configured routers, one fed
+// routes and one fed handles.
 func mkSharedPair(cfg Config) (classic, shared *Router) {
 	mk := func() *Router {
 		r := New(cfg, NewRouteArena())
@@ -24,18 +24,6 @@ func mkSharedPair(cfg Config) (classic, shared *Router) {
 	return mk(), mk()
 }
 
-// ReceiveShared is the delta engine's receive — ReceiveSharedNoDecide,
-// then Decide — as one step, so it can stand beside ReceiveUpdate. in is
-// stored in the router's arena first, the way a sender's export is.
-func (r *Router) ReceiveShared(from topo.ASN, in *policy.Route) (ImportResult, bool) {
-	id := r.Table().Intern(in.Prefix)
-	res, mutated := r.ReceiveSharedNoDecide(nil, from, id, r.routes.Add(in))
-	if !mutated {
-		return res, false
-	}
-	return res, r.Decide(id)
-}
-
 // equalRoutes compares two routes on what re-advertisement compares
 // (RouteArena.sameRecord).
 func equalRoutes(a, b *policy.Route) bool {
@@ -44,10 +32,35 @@ func equalRoutes(a, b *policy.Route) bool {
 		slices.Equal(a.ASPath.Sequence(), b.ASPath.Sequence()) && slices.Equal(a.Communities, b.Communities)
 }
 
-// TestReceiveSharedMatchesReceiveUpdate pins the contract the delta
-// engine rests on: ReceiveShared (shallow copy + copy-on-write) must
-// produce the same import results and the same Loc-RIB as ReceiveUpdate
-// (deep clone) — and must never mutate the shared input.
+// adjIn returns the Adj-RIB-In entry r holds for p from session from, or
+// nil.
+func adjIn(r *Router, p netip.Prefix, from topo.ASN) *policy.Route {
+	var got *policy.Route
+	r.EachAdjIn(func(q netip.Prefix, f topo.ASN, rt *policy.Route) {
+		if q == p && f == from {
+			got = rt
+		}
+	})
+	return got
+}
+
+// importWant is what the import policy must make of one update: the
+// outcome and, for an accepted one, the stored entry's local-pref,
+// blackhole flag and the communities the import adds.
+type importWant struct {
+	res  ImportResult
+	lp   uint32
+	bh   bool
+	tags []bgp.Community
+}
+
+// TestReceiveSharedMatchesReceiveUpdate holds the import policy to the
+// expected outcome, local-pref, blackhole flag and added communities of
+// every (config, session, route) case, through both of its entry points:
+// a route (ReceiveUpdate) and a handle to a stored one
+// (ReceiveSharedNoDecide, then Decide, the delta engine's receive). The
+// two must store the same entries and report the same changes, and
+// neither may mutate the input or store a tagged set that aliases it.
 func TestReceiveSharedMatchesReceiveUpdate(t *testing.T) {
 	cat := policy.NewCatalog(65001)
 	cat.Add(policy.Service{Community: bgp.C(65001, 666), Kind: policy.SvcBlackhole})
@@ -91,19 +104,64 @@ func TestReceiveSharedMatchesReceiveUpdate(t *testing.T) {
 			return rt
 		}(),
 	}
+	sessions := []topo.ASN{100, 200, 300}
+	byRel := func(tags ...[]bgp.Community) [3]importWant {
+		w := [3]importWant{{lp: LocalPrefProvider}, {lp: LocalPrefCustomer}, {lp: LocalPrefPeer}}
+		for i := range tags {
+			w[i].tags = tags[i]
+		}
+		return w
+	}
+	same := func(w importWant) [3]importWant { return [3]importWant{w, w, w} }
+	loop := same(importWant{res: ImportRejectedLoop})
+	// wants[cfg][route][session]: sessions 100, 200 and 300 are a
+	// provider, a customer and a peer. Route 2's path runs through 65001.
+	wants := map[string][3][3]importWant{
+		"plain": {byRel(), byRel(), loop},
+		"services": {
+			byRel(),
+			// The /32 carries the RTBH community: blackholed at its
+			// precedence and tagged NO_EXPORT from every session.
+			same(importWant{lp: LocalPrefBlackhole, bh: true, tags: []bgp.Community{bgp.CommunityNoExport}}),
+			loop,
+		},
+		"tagging": {
+			byRel(nil, cfgs["tagging"].IngressTags[200], cfgs["tagging"].IngressTags[300]),
+			byRel(nil, cfgs["tagging"].IngressTags[200], cfgs["tagging"].IngressTags[300]),
+			loop,
+		},
+		"hygiene": {byRel(), same(importWant{res: ImportRejectedTooSpecific}), loop},
+	}
 	for name, cfg := range cfgs {
 		t.Run(name, func(t *testing.T) {
 			classic, shared := mkSharedPair(cfg)
-			for _, from := range []topo.ASN{100, 200, 300} {
-				for _, rt := range routes {
+			for si, from := range sessions {
+				for ri, rt := range routes {
+					w := wants[name][ri][si]
 					want := rt.Clone() // guard against input mutation
 					resC, chgC := classic.ReceiveUpdate(from, rt)
-					resS, chgS := shared.ReceiveShared(from, rt)
-					if resC != resS || chgC != chgS {
-						t.Fatalf("from=%d %s: classic=(%v,%v) shared=(%v,%v)", from, rt.Prefix, resC, chgC, resS, chgS)
+					id := shared.Table().Intern(rt.Prefix)
+					resS, chgS := shared.ReceiveSharedNoDecide(nil, from, id, shared.routes.Add(rt))
+					chgS = chgS && shared.Decide(id)
+					if resC != w.res || resS != w.res || chgC != chgS {
+						t.Fatalf("from=%d %s: route input (%v,%v), handle input (%v,%v), want %v and equal changes", from, rt.Prefix, resC, chgC, resS, chgS, w.res)
 					}
 					if !equalRoutes(rt, want) || rt.LocalPref != want.LocalPref || rt.FromRel != want.FromRel {
-						t.Fatalf("shared input mutated: %v != %v", rt, want)
+						t.Fatalf("input mutated: %v != %v", rt, want)
+					}
+					for _, r := range []*Router{classic, shared} {
+						got := adjIn(r, rt.Prefix, from)
+						if w.res != ImportAccepted {
+							if got != nil {
+								t.Fatalf("from=%d %s: rejected as %v, yet stored %v", from, rt.Prefix, w.res, show(got))
+							}
+							continue
+						}
+						comms := slices.Clone(rt.Communities).AddAll(w.tags...)
+						if got == nil || got.LocalPref != w.lp || got.Blackhole != w.bh || !slices.Equal(got.Communities, comms) ||
+							got.NextHopAS != from || got.FromRel != classic.NeighborRel(from) {
+							t.Fatalf("from=%d %s: stored %v, want lp=%d blackhole=%v communities %v", from, rt.Prefix, show(got), w.lp, w.bh, comms)
+						}
 					}
 				}
 			}
@@ -115,7 +173,7 @@ func TestReceiveSharedMatchesReceiveUpdate(t *testing.T) {
 					t.Fatalf("best presence diverges for %s: %v vs %v", rt.Prefix, okc, oks)
 				}
 				if okc && (!equalRoutes(bc, bs) || bc.FromRel != bs.FromRel) {
-					t.Fatalf("best diverges for %s:\nclassic: %v\nshared:  %v", rt.Prefix, bc, bs)
+					t.Fatalf("best diverges for %s:\nroute input:  %v\nhandle input: %v", rt.Prefix, bc, bs)
 				}
 			}
 			type adj struct {
@@ -136,24 +194,26 @@ func TestReceiveSharedMatchesReceiveUpdate(t *testing.T) {
 			}
 			for i := range ac {
 				if ac[i] != as[i] {
-					t.Fatalf("adj-in diverges at %d:\nclassic: %+v\nshared:  %+v", i, ac[i], as[i])
+					t.Fatalf("adj-in diverges at %d:\nroute input:  %+v\nhandle input: %+v", i, ac[i], as[i])
 				}
 			}
 			// A tagged session's entries carry every tag, in a community
 			// set of their own.
-			shared.EachAdjIn(func(p netip.Prefix, from topo.ASN, rt *policy.Route) {
-				tags := cfg.IngressTags[from]
-				for _, c := range tags {
-					if !rt.Communities.Has(c) {
-						t.Errorf("%s from %d: tag %s missing: %v", p, from, c, rt.Communities)
+			for _, r := range []*Router{classic, shared} {
+				r.EachAdjIn(func(p netip.Prefix, from topo.ASN, rt *policy.Route) {
+					tags := cfg.IngressTags[from]
+					for _, c := range tags {
+						if !rt.Communities.Has(c) {
+							t.Errorf("%s from %d: tag %s missing: %v", p, from, c, rt.Communities)
+						}
 					}
-				}
-				for _, in := range routes {
-					if len(tags) > 0 && in.Prefix == p && len(in.Communities) > 0 && &rt.Communities[0] == &in.Communities[0] {
-						t.Errorf("%s from %d: tagged entry aliases the shared community set", p, from)
+					for _, in := range routes {
+						if len(tags) > 0 && in.Prefix == p && len(in.Communities) > 0 && &rt.Communities[0] == &in.Communities[0] {
+							t.Errorf("%s from %d: tagged entry aliases the input community set", p, from)
+						}
 					}
-				}
-			})
+				})
+			}
 		})
 	}
 }
