@@ -254,6 +254,27 @@ func (r *Router) ExportAll(cur *RouteCursor, id uint32, nbs []topo.ASN, hints *E
 	return buf
 }
 
+// ExportsNothing reports whether ExportAll for prefix id would send
+// nothing and RecordAdvertisedAll would then withdraw nothing, so the
+// export need not run at all: the prefix's Adj-RIB-Out run is empty and
+// its best route is absent, or was learned from a peer or provider at a
+// router that is no route server (ReflectAll) and has no customer
+// session — ExportAll's Gao-Rexford rule keeps such a route from every
+// session. hasCustomer says whether any session the export would be
+// offered to is to a customer. It reads only the prefix's slot and the
+// config, so it answers for the state the last Decide left.
+func (r *Router) ExportsNothing(id uint32, hasCustomer bool) bool {
+	st := r.slots.at(id)
+	if st == nil {
+		return true
+	}
+	if st.out.n() != 0 {
+		return false
+	}
+	best := st.best
+	return best.h == 0 || best.from != 0 && best.rel != topo.RelCustomer && !r.cfg.ReflectAll && !hasCustomer
+}
+
 // announced reports whether the announce-control services ctl, in
 // catalog order, let a route go to nb: the first service naming nb
 // decides, and a route with announce-to targets goes to none it does not

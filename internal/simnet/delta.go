@@ -59,6 +59,7 @@ type deltaState struct {
 	byASN []int32               // dense ASN -> index table (fast path)
 	nbs   [][]topo.ASN          // modelled neighbors per router, ascending
 	hints []*router.ExportHints // per-neighbor export policy, nbs-aligned
+	cust  []bool                // some modelled session is to a customer (from hints)
 	nbVer []int                 // Router.NeighborVersion at last refresh
 
 	owner  []int32              // prefix id -> index in the window of the op converging it
@@ -137,6 +138,7 @@ func (n *Network) deltaStateFor() *deltaState {
 		}
 		st.nbs = make([][]topo.ASN, len(st.order))
 		st.hints = make([]*router.ExportHints, len(st.order))
+		st.cust = make([]bool, len(st.order))
 		st.nbVer = make([]int, len(st.order))
 		st.items = make([][]uint32, len(st.order))
 		st.inbox = make([][]delivery, len(st.order))
@@ -161,6 +163,7 @@ func (n *Network) deltaStateFor() *deltaState {
 				st.nbs[i] = []topo.ASN{}
 			}
 			st.hints[i] = r.Hints(st.nbs[i])
+			st.cust[i] = slices.Contains(st.hints[i].Rels, topo.RelCustomer)
 		}
 	}
 	return st
@@ -420,9 +423,12 @@ func (n *Network) runDelta(workers int, counts []int) (int, error) {
 			// independent) and the next round re-sorts canonically.
 			slices.Sort(dirty)
 			dirty = slices.Compact(dirty)
+			// A prefix whose best changed is next round's export work only
+			// if that export can deliver (Router.ExportsNothing): nothing
+			// touches its slot between this barrier and the export.
 			ch := dirty[:0]
 			for _, id := range dirty {
-				if dst.Decide(id) {
+				if dst.Decide(id) && !dst.ExportsNothing(id, st.cust[di]) {
 					ch = append(ch, id)
 				}
 			}
