@@ -109,8 +109,11 @@ func betterEntry(a *RouteArena, x, y inEntry) bool {
 	if x.lp != y.lp {
 		return x.lp > y.lp
 	}
+	if x.hops != y.hops {
+		return x.hops < y.hops
+	}
 	xr, yr := a.rec(x.h), a.rec(y.h)
-	if xr.path != yr.path {
+	if x.hops == maxHops && xr.path != yr.path {
 		if xl, yl := a.path(xr.path).HopLength(), a.path(yr.path).HopLength(); xl != yl {
 			return xl < yl
 		}

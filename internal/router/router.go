@@ -147,13 +147,25 @@ type nbRoute struct {
 // relationship, local-pref and blackhole from the entry; the route h
 // names is authoritative only for prefix, path, communities, origin and
 // MED. Router.entryRoute builds the policy.Route a looking glass shows.
+//
+// hops is the route's AS path hop length (bgp.ASPath.HopLength, capped at
+// maxHops), kept in what would be padding so the decision process orders
+// candidates by local-pref and path length without reading the arena.
 type inEntry struct {
 	from topo.ASN
 	lp   uint32
 	h    Handle
 	rel  topo.Rel
 	bh   bool
+	hops uint16
 }
+
+// maxHops is the largest hop length inEntry.hops holds; a longer path
+// reads as maxHops, and two candidates at maxHops compare their paths.
+const maxHops = 1<<16 - 1
+
+// hopsOf returns inEntry.hops for path.
+func hopsOf(path bgp.ASPath) uint16 { return uint16(min(path.HopLength(), maxHops)) }
 
 // entryRoute returns e as a full route: its record's fields, with the
 // entry's import-derived attributes laid over them. This is the read
@@ -291,7 +303,7 @@ func (r *Router) Originate(p netip.Prefix, comms ...bgp.Community) bool {
 	rt := policy.NewLocalRoute(p)
 	rt.Communities = bgp.NewCommunitySet(comms...)
 	id := r.routes.tbl.Intern(rt.Prefix)
-	r.storeAdjIn(id, inEntry{lp: rt.LocalPref, h: r.routes.Add(rt)})
+	r.storeAdjIn(id, inEntry{lp: rt.LocalPref, h: r.routes.Add(rt), hops: hopsOf(rt.ASPath)})
 	return r.decide(id)
 }
 
@@ -386,7 +398,8 @@ func (r *Router) importScan(from topo.ASN, rc *record) (ImportResult, inEntry, b
 		return ImportRejectedUnknownNeighbor, inEntry{}, false, nil
 	}
 	a := r.routes
-	if a.path(rc.path).HasLoop(r.cfg.ASN) {
+	path := a.path(rc.path)
+	if path.HasLoop(r.cfg.ASN) {
 		return ImportRejectedLoop, inEntry{}, false, nil
 	}
 	pfx, comms := a.tbl.At(rc.pfx), a.comms.at(rc.comms)
@@ -448,7 +461,7 @@ func (r *Router) importScan(from topo.ASN, rc *record) (ImportResult, inEntry, b
 	if r.cfg.Vendor == VendorCisco && len(tags) > CiscoMaxAddedCommunities {
 		tags = tags[:CiscoMaxAddedCommunities]
 	}
-	return ImportAccepted, inEntry{from: from, rel: rel, lp: lp, bh: bh}, bh && r.cfg.BlackholeAddNoExport, tags
+	return ImportAccepted, inEntry{from: from, rel: rel, lp: lp, bh: bh, hops: hopsOf(path)}, bh && r.cfg.BlackholeAddNoExport, tags
 }
 
 // tag stores the route e names again, as a route of the router's own:
