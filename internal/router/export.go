@@ -1,9 +1,7 @@
 package router
 
 import (
-	"cmp"
 	"net/netip"
-	"slices"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/policy"
@@ -206,7 +204,7 @@ func (r *Router) ExportAll(cur *RouteCursor, id uint32, nbs []topo.ASN, hints *E
 			lp:     policy.DefaultLocalPref, // LP is not transitive across eBGP
 			nh:     r.cfg.ASN,
 		}
-		if i, found := slices.BinarySearchFunc(sent, nb, bySession); found && *a.rec(sent[i].h) == rc {
+		if i, found := searchSession(sent, nb); found && *a.rec(sent[i].h) == rc {
 			classes[idx] = sent[i].h
 		} else {
 			classes[idx] = cur.add(rc)
@@ -290,9 +288,19 @@ func announced(ctl []policy.Service, nb topo.ASN) bool {
 	return !targeted
 }
 
-// bySession orders an Adj-RIB-Out run against a neighbor for
-// slices.BinarySearchFunc.
-func bySession(e nbRoute, nb topo.ASN) int { return cmp.Compare(e.from, nb) }
+// searchSession finds nb in an Adj-RIB-Out run, sorted by neighbor: the
+// index of its record, or where it would go, and whether it is there.
+func searchSession(sent []nbRoute, nb topo.ASN) (int, bool) {
+	lo, hi := 0, len(sent)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); sent[m].from < nb {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(sent) && sent[lo].from == nb
+}
 
 // RecordAdvertisedAll merges a full per-neighbor export round for prefix
 // id into the Adj-RIB-Out, calling emit for every session whose
@@ -343,7 +351,7 @@ func (r *Router) Advertised(neighbor topo.ASN, p netip.Prefix) (*policy.Route, b
 		return nil, false
 	}
 	sent := r.out.view(st.out)
-	if i, found := slices.BinarySearchFunc(sent, neighbor, bySession); found {
+	if i, found := searchSession(sent, neighbor); found {
 		rt := r.routes.route(r.routes.rec(sent[i].h))
 		return &rt, true
 	}

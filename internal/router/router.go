@@ -29,7 +29,6 @@
 package router
 
 import (
-	"cmp"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -501,7 +500,7 @@ func (r *Router) cursor(cur *RouteCursor) *RouteCursor {
 // storeAdjIn inserts or replaces the candidate entry for (id, e.from).
 func (r *Router) storeAdjIn(id uint32, e inEntry) {
 	st := r.slots.grow(id)
-	i, found := slices.BinarySearchFunc(r.in.view(st.in), e.from, byFrom)
+	i, found := searchFrom(r.in.view(st.in), e.from)
 	if found {
 		r.in.set(st.in, i, e)
 		return
@@ -509,8 +508,19 @@ func (r *Router) storeAdjIn(id uint32, e inEntry) {
 	r.in.insert(&st.in, i, e)
 }
 
-// byFrom orders a candidate run against a neighbor for slices.BinarySearchFunc.
-func byFrom(e inEntry, from topo.ASN) int { return cmp.Compare(e.from, from) }
+// searchFrom finds from in a candidate run, sorted by neighbor: the index
+// of its entry, or where it would go, and whether it is there.
+func searchFrom(cands []inEntry, from topo.ASN) (int, bool) {
+	lo, hi := 0, len(cands)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); cands[m].from < from {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo, lo < len(cands) && cands[lo].from == from
+}
 
 // ReceiveWithdraw processes a withdrawal from a neighbor — WithdrawNoDecide,
 // then the decision process — and reports whether the best route changed.
@@ -542,7 +552,7 @@ func (r *Router) withdraw(from topo.ASN, id uint32) bool {
 	if st == nil {
 		return false
 	}
-	i, found := slices.BinarySearchFunc(r.in.view(st.in), from, byFrom)
+	i, found := searchFrom(r.in.view(st.in), from)
 	if found {
 		r.in.remove(&r.slots.mut(id).in, i)
 	}
