@@ -474,3 +474,76 @@ func TestTablesMatchModel(t *testing.T) {
 		}
 	}
 }
+
+// hopsMismatch describes the first candidate or best route of r whose
+// entry's hops is not its path's hop length (capped at 2^16-1), or
+// returns "".
+func hopsMismatch(r *Router) string {
+	for id, st := range r.slots.all() {
+		for _, e := range append([]inEntry{st.best}, r.in.view(st.in)...) {
+			if e.h == 0 {
+				continue
+			}
+			path := r.routes.path(r.routes.rec(e.h).path)
+			if want := min(path.HopLength(), 1<<16-1); int(e.hops) != want {
+				return fmt.Sprintf("%s from AS%d: hops %d, path %v has %d", r.routes.tbl.At(id), e.from, e.hops, path, want)
+			}
+		}
+	}
+	return ""
+}
+
+// TestEntryHopsMatchPath: every stored candidate, and every best route,
+// carries its path's hop length — for an origination, a path with an
+// AS_SET, a tagged session's import (stored under a route of the
+// router's own) and the model world's random sequences.
+func TestEntryHopsMatchPath(t *testing.T) {
+	r := New(Config{ASN: 65001, IngressTags: modelTags}, NewRouteArena())
+	for _, nb := range []topo.ASN{100, 400} {
+		r.AddNeighbor(nb, topo.RelPeer)
+	}
+	r.Originate(pfx)
+	set := route(netx.MustPrefix("198.51.100.0/24"))
+	set.ASPath = bgp.ASPath{{Type: bgp.SegmentSequence, ASNs: []uint32{100, 7}}, {Type: bgp.SegmentSet, ASNs: []uint32{8, 9, 10}}}
+	r.ReceiveUpdate(100, set)
+	r.ReceiveUpdate(400, route(set.Prefix, 400, 5, 6, 7))
+	r.ReceiveUpdate(400, route(pfx, 400))
+	if msg := hopsMismatch(r); msg != "" {
+		t.Fatal(msg)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		w := newModelWorld(t, seed)
+		var sealed []sealedCopy
+		for i := 0; i < 150; i++ {
+			w.randomStep(&sealed)
+			if msg := hopsMismatch(w.r); msg != "" {
+				w.fail("%s", msg)
+			}
+		}
+	}
+}
+
+// TestDecisionPastHopCap: paths longer than an entry's hops field holds
+// still order by length, whichever arrives first.
+func TestDecisionPastHopCap(t *testing.T) {
+	long := func(from topo.ASN, n int) *policy.Route {
+		path := make([]uint32, n)
+		for i := range path {
+			path[i] = 3000
+		}
+		path[0] = uint32(from)
+		return route(pfx, path...)
+	}
+	for _, first := range []topo.ASN{64500, 64501} {
+		r := newRouter(65001)
+		r.AddNeighbor(64500, topo.RelPeer)
+		r.AddNeighbor(64501, topo.RelPeer)
+		lens := map[topo.ASN]int{64500: 1<<16 + 4, 64501: 1<<16 + 3}
+		r.ReceiveUpdate(first, long(first, lens[first]))
+		other := 64500 + 64501 - first
+		r.ReceiveUpdate(other, long(other, lens[other]))
+		if best, _ := r.BestRoute(pfx); best.NextHopAS != 64501 {
+			t.Errorf("%d first: AS%d's %d-hop path won over AS64501's %d-hop one", first, best.NextHopAS, best.ASPath.HopLength(), lens[64501])
+		}
+	}
+}

@@ -7,10 +7,14 @@ import (
 	"unsafe"
 )
 
-// TestSlotLayout pins the slot table's sizes: an 8-byte span, a 32-byte
+// TestSlotLayout pins the slot table's sizes: an 8-byte span, a 16-byte
+// candidate entry (its hop length in what would be padding), a 32-byte
 // slot and a slot page of exactly 4 KiB, one of the allocator's size
 // classes, so no page carries rounding waste.
 func TestSlotLayout(t *testing.T) {
+	if size := unsafe.Sizeof(inEntry{}); size != 16 {
+		t.Errorf("a candidate entry is %d bytes, want 16", size)
+	}
 	if size := unsafe.Sizeof(span{}); size != 8 {
 		t.Errorf("a span is %d bytes, want 8", size)
 	}
