@@ -84,29 +84,6 @@ func (p ASPath) Contains(asn uint32) bool {
 	return false
 }
 
-// Prepend returns a new path with asn prepended n times as part of the
-// leading sequence segment.
-func (p ASPath) Prepend(asn uint32, n int) ASPath {
-	if n <= 0 {
-		return p.Clone()
-	}
-	var head []uint32 // the leading sequence the repeats join, if there is one
-	rest := p
-	if len(p) > 0 && p[0].Type == SegmentSequence {
-		head, rest = p[0].ASNs, p[1:]
-	}
-	lead := make([]uint32, n, n+len(head))
-	for i := range lead {
-		lead[i] = asn
-	}
-	out := make(ASPath, 1, 1+len(rest))
-	out[0] = PathSegment{Type: SegmentSequence, ASNs: append(lead, head...)}
-	for _, seg := range rest {
-		out = append(out, PathSegment{Type: seg.Type, ASNs: append([]uint32(nil), seg.ASNs...)})
-	}
-	return out
-}
-
 // EqualSequence reports whether both paths flatten to the same ASN
 // sequence (segment boundaries ignored, as Sequence would produce),
 // without allocating — the hot-path form of comparing two Sequence()

@@ -35,37 +35,6 @@ func TestHopLengthCountsSetAsOne(t *testing.T) {
 	}
 }
 
-func TestPrepend(t *testing.T) {
-	p := Path(2, 1)
-	q := p.Prepend(3, 3)
-	want := []uint32{3, 3, 3, 2, 1}
-	got := q.Sequence()
-	if len(got) != len(want) {
-		t.Fatalf("seq=%v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("seq=%v want %v", got, want)
-		}
-	}
-	// Original untouched.
-	if p.HopLength() != 2 {
-		t.Fatal("Prepend mutated receiver")
-	}
-	// Prepend onto empty and onto leading set.
-	if e := (ASPath)(nil).Prepend(7, 2); e.HopLength() != 2 || e.Origin() != 7 {
-		t.Fatalf("prepend onto empty: %v", e)
-	}
-	withSet := ASPath{{Type: SegmentSet, ASNs: []uint32{1, 2}}}
-	ps := withSet.Prepend(9, 1)
-	if ps[0].Type != SegmentSequence || ps[0].ASNs[0] != 9 {
-		t.Fatalf("prepend onto set: %v", ps)
-	}
-	if n := Path(1).Prepend(2, 0); n.HopLength() != 1 {
-		t.Fatal("prepend zero should be identity")
-	}
-}
-
 func TestStripPrepending(t *testing.T) {
 	got := StripPrepending(nil, []uint32{3, 3, 3, 2, 2, 1})
 	want := []uint32{3, 2, 1}
@@ -121,19 +90,6 @@ func TestProperty_StripPrepending(t *testing.T) {
 			return false
 		}
 		return s[0] == asns[0] && s[len(s)-1] == asns[len(asns)-1]
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Prepend(a, n) always increases HopLength by n and keeps origin.
-func TestProperty_Prepend(t *testing.T) {
-	f := func(asns []uint32, a uint32, n uint8) bool {
-		k := int(n % 8)
-		p := Path(asns...)
-		q := p.Prepend(a, k)
-		return q.HopLength() == p.HopLength()+k && q.Origin() == p.Origin() || (len(asns) == 0 && q.Origin() == a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

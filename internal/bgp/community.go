@@ -184,17 +184,6 @@ func (s CommunitySet) AddAll(cs ...Community) CommunitySet {
 	return s
 }
 
-// RemoveIf returns the set without any community matching pred.
-func (s CommunitySet) RemoveIf(pred func(Community) bool) CommunitySet {
-	out := s[:0]
-	for _, c := range s {
-		if !pred(c) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Clone returns an independent copy; needed because updates are shared
 // between RIB entries in the simulator.
 func (s CommunitySet) Clone() CommunitySet {

@@ -143,6 +143,19 @@ func (s CommunitySet) isSorted() bool {
 	return sort.SliceIsSorted(s, func(i, j int) bool { return s[i] < s[j] })
 }
 
+// RemoveIf returns the set without any community matching pred. The
+// set tests use it to take members out again; no product code removes
+// communities from a set.
+func (s CommunitySet) RemoveIf(pred func(Community) bool) CommunitySet {
+	out := s[:0]
+	for _, c := range s {
+		if !pred(c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // is matches exactly c, for RemoveIf.
 func is(c Community) func(Community) bool {
 	return func(x Community) bool { return x == c }

@@ -54,17 +54,6 @@ func mkRoute() *Route {
 	return r
 }
 
-func TestRouteCloneIndependence(t *testing.T) {
-	r := mkRoute()
-	c := r.Clone()
-	c.Communities = c.Communities.Add(bgp.C(1, 1))
-	c.ASPath = c.ASPath.Prepend(9, 1)
-	c.LocalPref = 50
-	if r.Communities.Has(bgp.C(1, 1)) || r.ASPath.HopLength() != 2 || r.LocalPref != DefaultLocalPref {
-		t.Fatal("clone aliases original")
-	}
-}
-
 func TestCatalogLookupAndOrder(t *testing.T) {
 	cat := NewCatalog(65001).
 		Add(Service{Community: bgp.C(65001, 0), Kind: SvcNoAnnounceTo, Param: 7}).
@@ -109,28 +98,6 @@ func TestCatalogCustomerOnlyGating(t *testing.T) {
 	}
 	if got := cat.Active(cs, true); len(got) != 1 {
 		t.Fatal("customer must trigger service")
-	}
-}
-
-func TestApplyPropagationModes(t *testing.T) {
-	cs := bgp.NewCommunitySet(bgp.C(100, 1), bgp.C(200, 2), bgp.CommunityBlackhole)
-	if got := ApplyPropagation(PropForwardAll, 100, cs); len(got) != 3 {
-		t.Fatalf("forward-all: %v", got)
-	}
-	if got := ApplyPropagation(PropStripAll, 100, cs); len(got) != 0 {
-		t.Fatalf("strip-all: %v", got)
-	}
-	got := ApplyPropagation(PropActStripOwn, 100, cs)
-	if got.Has(bgp.C(100, 1)) || !got.Has(bgp.C(200, 2)) || !got.Has(bgp.CommunityBlackhole) {
-		t.Fatalf("act-strip-own: %v", got)
-	}
-	got = ApplyPropagation(PropStripForeign, 100, cs)
-	if !got.Has(bgp.C(100, 1)) || got.Has(bgp.C(200, 2)) || !got.Has(bgp.CommunityBlackhole) {
-		t.Fatalf("strip-foreign: %v", got)
-	}
-	// Original untouched.
-	if len(cs) != 3 {
-		t.Fatal("ApplyPropagation mutated input")
 	}
 }
 

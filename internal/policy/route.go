@@ -46,14 +46,6 @@ func NewLocalRoute(prefix netip.Prefix) *Route {
 	}
 }
 
-// Clone deep-copies the route so policy actions never alias RIB state.
-func (r *Route) Clone() *Route {
-	out := *r
-	out.ASPath = r.ASPath.Clone()
-	out.Communities = r.Communities.Clone()
-	return &out
-}
-
 // String renders a compact single-line view for looking glasses.
 func (r *Route) String() string {
 	bh := ""

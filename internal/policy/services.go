@@ -174,8 +174,7 @@ func (m PropagationMode) String() string {
 }
 
 // Keeps reports whether an AS with 16-bit community identity self
-// forwards community c under the mode — ApplyPropagation's rule for one
-// community.
+// forwards community c under the mode.
 func (m PropagationMode) Keeps(self uint16, c bgp.Community) bool {
 	switch m {
 	case PropStripAll:
@@ -186,18 +185,5 @@ func (m PropagationMode) Keeps(self uint16, c bgp.Community) bool {
 		return c.ASN() == self || c.IsWellKnown()
 	default:
 		return true
-	}
-}
-
-// ApplyPropagation transforms an outgoing community set per mode for an AS
-// with the given 16-bit community-ASN identity.
-func ApplyPropagation(mode PropagationMode, self uint16, cs bgp.CommunitySet) bgp.CommunitySet {
-	switch mode {
-	case PropStripAll:
-		return nil
-	case PropActStripOwn, PropStripForeign:
-		return cs.Clone().RemoveIf(func(c bgp.Community) bool { return !mode.Keeps(self, c) })
-	default:
-		return cs.Clone()
 	}
 }

@@ -296,7 +296,7 @@ func (c *RouteCursor) prepend(id, asn uint32, n int) uint32 {
 }
 
 // kept returns the id of the part of community set id that mode lets an
-// export from AS self carry — what policy.ApplyPropagation builds —
+// export from AS self carry (PropagationMode.Keeps per community),
 // filtering in the cursor's scratch.
 func (c *RouteCursor) kept(id uint32, mode policy.PropagationMode, self uint16) uint32 {
 	set := c.a.comms.at(id)

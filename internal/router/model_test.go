@@ -40,7 +40,7 @@ func (m *tableModel) receive(from topo.ASN, rt *policy.Route) {
 		m.put(m.in, rt.Prefix, from, nil)
 		return
 	}
-	cp := rt.Clone()
+	cp := cloneRoute(rt)
 	cp.NextHopAS, cp.FromRel = from, rel
 	cp.LocalPref = map[topo.Rel]uint32{topo.RelCustomer: LocalPrefCustomer, topo.RelPeer: LocalPrefPeer, topo.RelProvider: LocalPrefProvider}[rel]
 	for _, c := range m.tags[from] {
@@ -295,7 +295,7 @@ func (w *modelWorld) recordAll(p netip.Prefix) {
 		if w.rng.Intn(3) > 0 {
 			rt = w.route(p, 65001)
 			if old := w.m.out[p][nb]; old != nil && w.rng.Intn(2) == 0 {
-				rt = old.Clone() // an equal re-advertisement under a new handle: no change
+				rt = cloneRoute(old) // an equal re-advertisement under a new handle: no change
 			}
 			it.H, it.Dec = w.r.routes.Add(rt), ExportSent
 		}

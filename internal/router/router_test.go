@@ -359,12 +359,12 @@ func TestOriginValidationOrdering(t *testing.T) {
 	hijack.Communities = bgp.NewCommunitySet(bh)
 
 	// Correct order: validation rejects the hijack despite the tag.
-	if res, _ := mk(false).ReceiveUpdate(64500, hijack.Clone()); res != ImportRejectedOriginInvalid {
+	if res, _ := mk(false).ReceiveUpdate(64500, cloneRoute(hijack)); res != ImportRejectedOriginInvalid {
 		t.Fatalf("correct order: res=%v", res)
 	}
 	// Misconfigured order: blackhole precedence lets the hijack in.
 	r := mk(true)
-	if res, _ := r.ReceiveUpdate(64500, hijack.Clone()); res != ImportAccepted {
+	if res, _ := r.ReceiveUpdate(64500, cloneRoute(hijack)); res != ImportAccepted {
 		t.Fatal("misconfig must accept tagged hijack")
 	}
 	best, _ := r.BestRoute(pfx)
@@ -692,10 +692,10 @@ func TestRecordAdvertisedChangeDetection(t *testing.T) {
 	if !advertise(r, 64501, pfx, out) {
 		t.Fatal("first advertisement is a change")
 	}
-	if advertise(r, 64501, pfx, out.Clone()) {
+	if advertise(r, 64501, pfx, cloneRoute(out)) {
 		t.Fatal("identical advertisement is not a change")
 	}
-	mod := out.Clone()
+	mod := cloneRoute(out)
 	mod.Communities = mod.Communities.Add(bgp.C(1, 1))
 	if !advertise(r, 64501, pfx, mod) {
 		t.Fatal("community change is a change")

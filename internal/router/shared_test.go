@@ -24,6 +24,29 @@ func mkSharedPair(cfg Config) (classic, shared *Router) {
 	return mk(), mk()
 }
 
+// cloneRoute deep-copies rt, so a test can feed one copy to a router and
+// keep the other as the expected value.
+func cloneRoute(rt *policy.Route) *policy.Route {
+	out := *rt
+	out.ASPath = rt.ASPath.Clone()
+	out.Communities = rt.Communities.Clone()
+	return &out
+}
+
+// TestCloneRouteIndependence: a clone shares no path, community set or
+// scalar with its original.
+func TestCloneRouteIndependence(t *testing.T) {
+	r := route(pfx, 64500, 64501)
+	r.Communities = bgp.NewCommunitySet(bgp.C(64500, 100))
+	c := cloneRoute(r)
+	c.Communities = c.Communities.Add(bgp.C(1, 1))
+	c.ASPath[0].ASNs[0] = 9
+	c.LocalPref = 50
+	if r.Communities.Has(bgp.C(1, 1)) || r.ASPath[0].ASNs[0] != 64500 || r.LocalPref != policy.DefaultLocalPref {
+		t.Fatal("clone aliases original")
+	}
+}
+
 // equalRoutes compares two routes on what re-advertisement compares
 // (RouteArena.sameRecord).
 func equalRoutes(a, b *policy.Route) bool {
@@ -138,7 +161,7 @@ func TestReceiveSharedMatchesReceiveUpdate(t *testing.T) {
 			for si, from := range sessions {
 				for ri, rt := range routes {
 					w := wants[name][ri][si]
-					want := rt.Clone() // guard against input mutation
+					want := cloneRoute(rt) // guard against input mutation
 					resC, chgC := classic.ReceiveUpdate(from, rt)
 					id := shared.Table().Intern(rt.Prefix)
 					resS, chgS := shared.ReceiveSharedNoDecide(nil, from, id, shared.routes.Add(rt))

@@ -44,6 +44,8 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"testing"
+	"testing/quick"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/netx"
@@ -288,10 +290,10 @@ func (s *specWorld) export(st *specPrefix, p netip.Prefix, a, nb topo.ASN) *poli
 		if m, ok := cfg.PropagationPerNeighbor[nb]; ok {
 			mode = m
 		}
-		cs = policy.ApplyPropagation(mode, uint16(a), cs)
+		cs = specPropagate(mode, uint16(a), cs)
 	}
 	return &policy.Route{
-		Prefix: p, ASPath: best.ASPath.Prepend(uint32(a), hops), Communities: cs,
+		Prefix: p, ASPath: specPrepend(best.ASPath, uint32(a), hops), Communities: cs,
 		Origin: best.Origin, MED: best.MED, LocalPref: policy.DefaultLocalPref, NextHopAS: a,
 	}
 }
@@ -473,4 +475,100 @@ func streamDiff(got, want []tapCall) string {
 		}
 	}
 	return ""
+}
+
+// specPrepend returns a new path with asn prepended n times as part of
+// the leading sequence segment, a new one when the path starts with an
+// AS_SET or is empty.
+func specPrepend(p bgp.ASPath, asn uint32, n int) bgp.ASPath {
+	if n <= 0 {
+		return p.Clone()
+	}
+	var head []uint32 // the leading sequence the repeats join, if there is one
+	rest := p
+	if len(p) > 0 && p[0].Type == bgp.SegmentSequence {
+		head, rest = p[0].ASNs, p[1:]
+	}
+	lead := make([]uint32, n, n+len(head))
+	for i := range lead {
+		lead[i] = asn
+	}
+	out := make(bgp.ASPath, 1, 1+len(rest))
+	out[0] = bgp.PathSegment{Type: bgp.SegmentSequence, ASNs: append(lead, head...)}
+	for _, seg := range rest {
+		out = append(out, bgp.PathSegment{Type: seg.Type, ASNs: append([]uint32(nil), seg.ASNs...)})
+	}
+	return out
+}
+
+// specPropagate returns the communities of cs that an export from the AS
+// with 16-bit community identity self carries under mode, as a new set.
+func specPropagate(mode policy.PropagationMode, self uint16, cs bgp.CommunitySet) bgp.CommunitySet {
+	var out bgp.CommunitySet
+	for _, c := range cs {
+		if mode.Keeps(self, c) {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+func TestSpecPrepend(t *testing.T) {
+	p := bgp.Path(2, 1)
+	q := specPrepend(p, 3, 3)
+	if got, want := q.Sequence(), []uint32{3, 3, 3, 2, 1}; !slices.Equal(got, want) {
+		t.Fatalf("seq=%v want %v", got, want)
+	}
+	// Original untouched.
+	if p.HopLength() != 2 {
+		t.Fatal("specPrepend mutated its input")
+	}
+	// Prepend onto empty and onto leading set.
+	if e := specPrepend(nil, 7, 2); e.HopLength() != 2 || e.Origin() != 7 {
+		t.Fatalf("prepend onto empty: %v", e)
+	}
+	withSet := bgp.ASPath{{Type: bgp.SegmentSet, ASNs: []uint32{1, 2}}}
+	ps := specPrepend(withSet, 9, 1)
+	if ps[0].Type != bgp.SegmentSequence || ps[0].ASNs[0] != 9 {
+		t.Fatalf("prepend onto set: %v", ps)
+	}
+	if n := specPrepend(bgp.Path(1), 2, 0); n.HopLength() != 1 {
+		t.Fatal("prepend zero should be identity")
+	}
+}
+
+// Property: prepending a, n times, increases HopLength by n and keeps the
+// origin.
+func TestSpecPrependProperty(t *testing.T) {
+	f := func(asns []uint32, a uint32, n uint8) bool {
+		k := int(n % 8)
+		p := bgp.Path(asns...)
+		q := specPrepend(p, a, k)
+		return q.HopLength() == p.HopLength()+k && q.Origin() == p.Origin() || (len(asns) == 0 && q.Origin() == a)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSpecPropagationModes(t *testing.T) {
+	cs := bgp.NewCommunitySet(bgp.C(100, 1), bgp.C(200, 2), bgp.CommunityBlackhole)
+	if got := specPropagate(policy.PropForwardAll, 100, cs); len(got) != 3 {
+		t.Fatalf("forward-all: %v", got)
+	}
+	if got := specPropagate(policy.PropStripAll, 100, cs); len(got) != 0 {
+		t.Fatalf("strip-all: %v", got)
+	}
+	got := specPropagate(policy.PropActStripOwn, 100, cs)
+	if got.Has(bgp.C(100, 1)) || !got.Has(bgp.C(200, 2)) || !got.Has(bgp.CommunityBlackhole) {
+		t.Fatalf("act-strip-own: %v", got)
+	}
+	got = specPropagate(policy.PropStripForeign, 100, cs)
+	if !got.Has(bgp.C(100, 1)) || got.Has(bgp.C(200, 2)) || !got.Has(bgp.CommunityBlackhole) {
+		t.Fatalf("strip-foreign: %v", got)
+	}
+	// Original untouched.
+	if len(cs) != 3 {
+		t.Fatal("specPropagate mutated its input")
+	}
 }
