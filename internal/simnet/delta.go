@@ -23,6 +23,11 @@ import (
 //     slot indices), so buckets, deliveries and every router call in a
 //     round hash no prefix; the id is turned back into its prefix only
 //     to order a bucket canonically and to show taps the delivery;
+//   - a prefix whose best route changed is scheduled for export only
+//     if the export can deliver (router.ExportsNothing: not when the
+//     Adj-RIB-Out run is empty and the best is absent or, at a router
+//     with no customer session and no ReflectAll, from a peer or
+//     provider) — nine in ten best changes on a generated world;
 //   - exports run through router.ExportAll, which does the
 //     neighbor-independent work once per (router, prefix) and shares
 //     one route per policy class across sessions — the compact

@@ -22,9 +22,12 @@ var (
 		secs:       obs.Default.Histogram(`simnet_run_seconds{engine="delta"}`, "convergence wall time", obs.DurationBuckets),
 	}
 
-	deltaRounds        = obs.Default.Counter("simnet_delta_rounds_total", "delta engine convergence rounds")
-	deltaDirtyPrefixes = obs.Default.Counter("simnet_delta_dirty_prefixes_total", "dirty (router,prefix) work items across delta rounds")
-	deltaExports       = obs.Default.Counter("simnet_delta_export_batches_total", "phase-1 export shards (one per dirty source router per round)")
+	// The three round series count only exports that can deliver: an
+	// origination change, or a best-route change that Router.ExportsNothing
+	// does not rule out. A skipped export is counted nowhere.
+	deltaRounds        = obs.Default.Counter("simnet_delta_rounds_total", "delta engine convergence rounds (each runs at least one export that can deliver)")
+	deltaDirtyPrefixes = obs.Default.Counter("simnet_delta_dirty_prefixes_total", "(router,prefix) exports run across delta rounds (ExportAll calls; best changes whose export can deliver nothing are not scheduled)")
+	deltaExports       = obs.Default.Counter("simnet_delta_export_batches_total", "phase-1 export shards (one per source router with an export to run, per round)")
 	tapReplayed        = obs.Default.Counter("simnet_tap_replayed_total", "deliveries buffered for tap replay (those to a receiver some tap observes)")
 	arenaRoutes        = obs.Default.Counter("simnet_route_arena_routes_total", "routes stored in network route arenas by delta engine windows (never freed before their network)")
 	internedPaths      = obs.Default.Counter("simnet_interned_paths_total", "distinct AS paths delta engine windows added to network intern tables")
