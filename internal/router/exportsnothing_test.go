@@ -1,7 +1,6 @@
 package router_test
 
 import (
-	"net/netip"
 	"slices"
 	"testing"
 
@@ -103,11 +102,11 @@ func TestExportsNothingMatchesExportAll(t *testing.T) {
 	}
 }
 
-// TestExportsNothingFixedCases pins the sessions the predicate must not
-// skip: a route server redistributes a peer's route, a router whose only
-// customer is a route collector still exports to it, and a router whose
-// best moved from its own origination to a peer's route must withdraw
-// what it sent.
+// TestExportsNothingFixedCases: a prefix with no slot exports nothing,
+// and the predicate must not skip three exports: a route server
+// redistributes a peer's route, a router whose only customer is a route
+// collector still exports to it, and a router whose best moved from its
+// own origination to a peer's route must withdraw what it sent.
 func TestExportsNothingFixedCases(t *testing.T) {
 	p := netx.MustPrefix("203.0.113.0/24")
 	learned := func(path ...uint32) *policy.Route {
@@ -149,6 +148,11 @@ func TestExportsNothingFixedCases(t *testing.T) {
 		}
 	}
 
+	// A prefix the router never wrote exports nothing.
+	if r := router.New(router.Config{ASN: 65001}, router.NewRouteArena()); !r.ExportsNothing(r.Table().Intern(p), true) {
+		t.Error("a prefix with no slot should export nothing")
+	}
+
 	// A route server (ReflectAll) redistributes a peer's route to its
 	// other peers, though it has no customer.
 	rs, nbs, customer := mk(router.Config{ReflectAll: true, Transparent: true},
@@ -179,15 +183,5 @@ func TestExportsNothingFixedCases(t *testing.T) {
 	mustExport("withdraw what was sent", r, nbs, customer, nbs)
 	if !r.ExportsNothing(id(r), customer) {
 		t.Error("after the withdrawals, a peer's route with no customer to go to should export nothing")
-	}
-}
-
-// TestExportsNothingUnknownPrefix: a prefix the router never wrote
-// exports nothing.
-func TestExportsNothingUnknownPrefix(t *testing.T) {
-	r := router.New(router.Config{ASN: 65001}, router.NewRouteArena())
-	id := r.Table().Intern(netip.MustParsePrefix("198.51.100.0/24"))
-	if !r.ExportsNothing(id, true) {
-		t.Error("a prefix with no slot should export nothing")
 	}
 }
