@@ -8,10 +8,12 @@ import (
 	"bgpworms/internal/feed"
 )
 
-// evidence is the per-community accumulator one worker folds. Every
-// field is a commutative/associative fold (sums, min/max, set unions),
+// evidence is one community's counters and bounds. A partial holds the
+// evidence folded since its last drain; the engine's accumulator holds
+// the sum of every drain, plus the fan-out counts its pair lists keep.
+// Every field folds commutatively and associatively (sums, min/max),
 // which is what makes the merged dictionary invariant to how the
-// observation stream was partitioned across workers.
+// observation stream was partitioned across partials.
 type evidence struct {
 	count     uint64
 	onPath    uint64
@@ -24,17 +26,16 @@ type evidence struct {
 	lastSeq   uint64
 	firstTime time.Time
 	lastTime  time.Time
-	peers     map[uint32]struct{}
-	prefixes  map[netip.Prefix]struct{}
+	// peers and prefixes count the distinct (peer, community) and
+	// (prefix, community) pairs of the whole dictionary; only the
+	// engine's accumulator sets them.
+	peers    int
+	prefixes int
 }
 
-func newEvidence() *evidence {
-	return &evidence{
-		maxTravel: -1,
-		peers:     make(map[uint32]struct{}),
-		prefixes:  make(map[netip.Prefix]struct{}),
-	}
-}
+// newEvidence returns evidence with nothing folded: a MaxTravel of -1
+// says the defining AS was never on path.
+func newEvidence() *evidence { return &evidence{maxTravel: -1} }
 
 // pathFacts is what one raw AS path says about one defining AS, scanned
 // once without allocating: whether the AS is on the path, its hop
@@ -73,7 +74,8 @@ func isHostRoute(p netip.Prefix) bool {
 }
 
 // fold updates the community's evidence with one sighting. Classified
-// lazily at snapshot time; the hot path is counters and set inserts.
+// lazily at snapshot time; the hot path is counters only (the partial
+// records the sighting's pairs beside them).
 func (e *evidence) fold(ob *feed.Event, c bgp.Community) {
 	asn := uint32(c.ASN())
 	onPath, travel, prepended := pathFacts(ob.ASPath, asn)
@@ -101,16 +103,12 @@ func (e *evidence) fold(ob *feed.Event, c bgp.Community) {
 	if ob.Seq > e.lastSeq {
 		e.lastSeq, e.lastTime = ob.Seq, ob.Time
 	}
-	e.peers[ob.PeerAS] = struct{}{}
-	e.prefixes[ob.Prefix] = struct{}{}
 }
 
-// merge folds another worker's evidence for the same community into e.
-// Commutative: merge order never changes the result.
-func (e *evidence) merge(o *evidence) {
-	if o.count == 0 {
-		return
-	}
+// add folds a partial's drained counters and bounds into e.
+// Commutative: drain order never changes the result. The fan-out counts
+// are not added: a pair counts once, when the engine first admits it.
+func (e *evidence) add(o *evidence) {
 	if e.count == 0 || o.firstSeq < e.firstSeq {
 		e.firstSeq, e.firstTime = o.firstSeq, o.firstTime
 	}
@@ -126,12 +124,6 @@ func (e *evidence) merge(o *evidence) {
 	if o.maxTravel > e.maxTravel {
 		e.maxTravel = o.maxTravel
 	}
-	for p := range o.peers {
-		e.peers[p] = struct{}{}
-	}
-	for p := range o.prefixes {
-		e.prefixes[p] = struct{}{}
-	}
 }
 
 // BlackholePattern reports whether the value looks like a blackhole
@@ -144,7 +136,8 @@ func BlackholePattern(c bgp.Community) bool {
 }
 
 // classify is the fused classifier: a pure function of one community's
-// merged evidence, evaluated during the snapshot merge pass. The rules
+// merged evidence, evaluated when a snapshot republishes the community
+// (MergeEntries re-derives it from summed entries). The rules
 // are wire-honest — only signals a passive observer has:
 //
 //  1. reserved ranges are well-known;
@@ -195,8 +188,8 @@ func (e *evidence) entry(c bgp.Community) *Entry {
 		AtOrigin:  e.atOrigin,
 		HostRoute: e.hostRoute,
 		Prepended: e.prepended,
-		Peers:     len(e.peers),
-		Prefixes:  len(e.prefixes),
+		Peers:     e.peers,
+		Prefixes:  e.prefixes,
 		MaxTravel: e.maxTravel,
 		FirstSeq:  e.firstSeq,
 		LastSeq:   e.lastSeq,

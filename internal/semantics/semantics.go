@@ -14,21 +14,24 @@
 //
 // The engine shares the repo's determinism discipline (core.Pipeline,
 // watch.Engine) without owning any concurrency: it is a set of partial
-// dictionaries and the merge over them. Whoever feeds it brings the
-// goroutine — a single producer folds inline through Ingest (the sink
-// feed.StreamMRT and feed.Tap deliver to), each watch shard worker folds
-// its event batches, as they are, into a partial of its own — and
-// Snapshot merges the partials. Withdrawals and community-free
-// announcements fold nothing. Every fold is commutative and
-// associative (counter sums, min/max of sequence numbers and
-// timestamps, set unions), so the merged dictionary — and the
-// classification computed from it — is bit-identical however the stream
-// was split over partials and in whatever order they were folded
-// (TestSemanticsDeterminismAcrossWorkers).
+// dictionaries and the accumulator they drain into. Whoever feeds it
+// brings the goroutine — a single producer folds inline through Ingest
+// (the sink feed.StreamMRT and feed.Tap deliver to), each watch shard
+// worker folds its event batches, as they are, into a partial of its
+// own — and Snapshot and ExportState drain the partials. Withdrawals and
+// community-free announcements fold nothing. Every fold is commutative
+// and associative (counter sums, min/max of sequence numbers and
+// timestamps, each distinct (prefix, community) and (peer, community)
+// pair counted once), so the merged dictionary — and the classification
+// computed from it — is bit-identical however the stream was split over
+// partials, in whatever order they were folded and whenever they were
+// drained (TestSemanticsDeterminismAcrossWorkers,
+// TestIncrementalPublicationEqualsFreshMerge).
 //
-// Classification is fused into the snapshot merge: one pass over the
-// merged evidence assigns each community its Class; there is no second
-// scan of the observation stream. The classifier is wire-honest — it
+// Classification is fused into publication: Snapshot classifies each
+// community whose evidence changed since the last snapshot and keeps
+// the last snapshot's Entry for every other; there is no second scan of
+// the observation stream. The classifier is wire-honest — it
 // uses only signals a passive observer has (path position, prefix
 // shape, prepending, value patterns), which is why it over-counts
 // blackhole triggers on squatted :666 values exactly as §7.6 describes,
@@ -234,7 +237,7 @@ type Provider interface {
 	Lookup(c bgp.Community) (*Entry, bool)
 }
 
-// newSnapshot indexes a merged entry map into an immutable snapshot.
+// newSnapshot indexes an entry map into an immutable snapshot.
 func newSnapshot(version, observations uint64, entries map[bgp.Community]*Entry) *Snapshot {
 	s := &Snapshot{
 		Version:      version,

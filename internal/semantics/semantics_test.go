@@ -314,7 +314,8 @@ func TestTruthAddKeepsAction(t *testing.T) {
 
 // TestEnginePublishesSnapshot: the engine's dictionary, read through
 // Lookup and Published, is the last snapshot taken. It is empty before
-// the first Snapshot, and a fold stays invisible until the next one.
+// the first Snapshot, and a fold stays invisible until the next one,
+// which publishes a new community and a changed one alike.
 func TestEnginePublishesSnapshot(t *testing.T) {
 	e := NewEngine(Config{})
 	defer e.Close()
@@ -338,6 +339,7 @@ func TestEnginePublishesSnapshot(t *testing.T) {
 		t.Fatal("Lookup missed an entry of the published snapshot")
 	}
 	ingest(later)
+	ingest(first)
 	if _, ok := e.Lookup(later); ok {
 		t.Fatal("a fold after the Snapshot was visible before the next one")
 	}
@@ -346,6 +348,9 @@ func TestEnginePublishesSnapshot(t *testing.T) {
 	}
 	if _, ok := e.Lookup(later); !ok {
 		t.Fatal("the next Snapshot did not publish the later fold")
+	}
+	if en, _ := e.Lookup(first); en.Count != 2 {
+		t.Fatalf("the next Snapshot published %s seen %d times, folded twice", first, en.Count)
 	}
 }
 

@@ -1,9 +1,11 @@
 package semantics
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"bgpworms/internal/bgp"
@@ -13,8 +15,9 @@ import (
 // every community, plus the fold count. The durable store writes it
 // next to the watch engine's state so a restarted daemon resumes with
 // the dictionary it had. Because every fold is commutative, restoring
-// is just preloading the engine's own partial with the merged evidence
-// — subsequent folds land on top, in whichever partial, and the next
+// is just preloading the engine's accumulator with the merged evidence
+// and its pairs — subsequent folds land on top, in whichever partial, a
+// pair already restored counts nothing when drained, and the next
 // Snapshot is identical to one from an uninterrupted run.
 type State struct {
 	// Seq is the number of observations folded, which is also the last
@@ -45,13 +48,24 @@ type EvidenceState struct {
 	Prefixes  []netip.Prefix
 }
 
-// ExportState snapshots the merged evidence of every partial. It is an
-// exact cut when no fold is in flight — the durable store calls it
+// ExportState drains every partial and exports the merged evidence:
+// each community's sorted peer list as it stands, and the per-prefix
+// community lists inverted into each community's sorted Prefixes. It is
+// an exact cut when no fold is in flight — the durable store calls it
 // behind the watch engine's Flush.
 func (e *Engine) ExportState() *State {
 	st := &State{Seq: e.seq.Load()}
-	for c, ev := range e.merged() {
-		es := EvidenceState{
+	e.snapMu.Lock()
+	defer e.snapMu.Unlock()
+	e.drain()
+	d := &e.dict
+	cs := slices.Sorted(maps.Keys(d.evidence))
+	st.Communities = make([]EvidenceState, len(cs))
+	at := make(map[bgp.Community]*EvidenceState, len(cs))
+	for i, c := range cs {
+		ev := d.evidence[c]
+		es := &st.Communities[i]
+		*es = EvidenceState{
 			Community: c,
 			Count:     ev.count,
 			OnPath:    ev.onPath,
@@ -64,33 +78,29 @@ func (e *Engine) ExportState() *State {
 			LastSeq:   ev.lastSeq,
 			FirstSeen: ev.firstTime,
 			LastSeen:  ev.lastTime,
+			Peers:     slices.Clone(d.peers[c]),
 		}
-		for p := range ev.peers {
-			es.Peers = append(es.Peers, p)
-		}
-		sort.Slice(es.Peers, func(i, j int) bool { return es.Peers[i] < es.Peers[j] })
-		for p := range ev.prefixes {
-			es.Prefixes = append(es.Prefixes, p)
-		}
-		sort.Slice(es.Prefixes, func(i, j int) bool {
-			a, b := es.Prefixes[i], es.Prefixes[j]
-			if c := a.Addr().Compare(b.Addr()); c != 0 {
-				return c < 0
-			}
-			return a.Bits() < b.Bits()
-		})
-		st.Communities = append(st.Communities, es)
+		at[c] = es
 	}
-	sort.Slice(st.Communities, func(i, j int) bool {
-		return st.Communities[i].Community < st.Communities[j].Community
+	// Walking the prefixes in order appends each community's in order.
+	prefixes := slices.SortedFunc(maps.Keys(d.prefixes), func(a, b netip.Prefix) int {
+		if c := a.Addr().Compare(b.Addr()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Bits(), b.Bits())
 	})
+	for _, p := range prefixes {
+		for _, c := range d.prefixes[p] {
+			at[c].Prefixes = append(at[c].Prefixes, p)
+		}
+	}
 	return st
 }
 
 // RestoreState loads a previously exported State into a fresh engine
-// (one that has never folded). The merged evidence lands on the engine's
-// own partial; commutativity makes that indistinguishable from having
-// folded the original stream.
+// (one that has never folded). The merged evidence and its pairs land in
+// the engine's accumulator; commutativity makes that indistinguishable
+// from having folded the original stream.
 func (e *Engine) RestoreState(st *State) error {
 	if st == nil {
 		return nil
@@ -102,11 +112,11 @@ func (e *Engine) RestoreState(st *State) error {
 		return fmt.Errorf("semantics: restore into engine that already ingested (seq=%d)", seq)
 	}
 	e.seq.Store(st.Seq)
-	own := e.own
-	own.mu.Lock()
+	e.snapMu.Lock()
+	d := &e.dict
 	for i := range st.Communities {
 		es := &st.Communities[i]
-		ev := newEvidence()
+		ev := d.tally(es.Community)
 		ev.count = es.Count
 		ev.onPath = es.OnPath
 		ev.offPath = es.OffPath
@@ -116,15 +126,13 @@ func (e *Engine) RestoreState(st *State) error {
 		ev.maxTravel = es.MaxTravel
 		ev.firstSeq, ev.firstTime = es.FirstSeq, es.FirstSeen
 		ev.lastSeq, ev.lastTime = es.LastSeq, es.LastSeen
-		for _, p := range es.Peers {
-			ev.peers[p] = struct{}{}
-		}
+		d.addPeers(es.Community, es.Peers)
+		c := []bgp.Community{es.Community}
 		for _, p := range es.Prefixes {
-			ev.prefixes[p] = struct{}{}
+			d.addCommunities(p, c)
 		}
-		own.acc[es.Community] = ev
 	}
-	own.mu.Unlock()
+	e.snapMu.Unlock()
 	e.version.Add(1)
 	return nil
 }
