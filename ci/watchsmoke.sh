@@ -98,8 +98,12 @@ if [ -z "$asn" ]; then
 fi
 echo "== /dict/$asn"
 curl -fsS "http://$ADDR/dict/$asn" | head -30
-# The whole replay's /dict: stage 3 requires the fleet's to be these bytes.
+# The whole replay's /dict, its first AS's /dict/{asn} and its
+# communities count: stage 3 requires the fleet to serve the same.
 single_dict=$(dict_after_replay "$ADDR" "$LOG1")
+first_asn=$(printf '%s\n' "$single_dict" | sed -n 's/.*"asn": *\([0-9]*\).*/\1/p' | head -1)
+single_asdict=$(curl -fsS "http://$ADDR/dict/$first_asn")
+single_comms=$(curl -fsS "http://$ADDR/dict/stats" | sed -n 's/.*"communities": *\([0-9]*\).*/\1/p' | head -1)
 
 # Metrics: the Prometheus endpoint must serve the watch/semantics/HTTP
 # series, and the watch counters must reflect the replay that just ran.
@@ -301,8 +305,17 @@ if [ "$fleet_dict" != "$single_dict" ]; then
     echo "watchsmoke: FAIL — the 2-shard frontend's /dict differs from the single daemon's"
     exit 1
 fi
+if [ "$(curl -fsS "http://$FADDR/dict/$first_asn")" != "$single_asdict" ]; then
+    echo "watchsmoke: FAIL — the 2-shard frontend's /dict/$first_asn differs from the single daemon's"
+    exit 1
+fi
+fleet_comms=$(curl -fsS "http://$FADDR/dict/stats" | sed -n 's/.*"communities": *\([0-9]*\).*/\1/p' | head -1)
+if [ "${fleet_comms:-x}" != "${single_comms:-y}" ]; then
+    echo "watchsmoke: FAIL — the 2-shard frontend's /dict/stats counts $fleet_comms communities, the single daemon $single_comms"
+    exit 1
+fi
 
-echo "watchsmoke: stage 3 OK — $fcount merged alerts from 2 shards, /dict byte-identical to one daemon's"
+echo "watchsmoke: stage 3 OK — $fcount merged alerts from 2 shards, /dict and /dict/$first_asn byte-identical to one daemon's, $fleet_comms communities"
 
 # ---------------------------------------------------------------------
 # Stage 4 — fleet reshaping + replication: capture the stable merged

@@ -60,11 +60,13 @@
 //
 // Every shard consumes the full feed and assigns identical global
 // sequence numbers, but journals and processes only its prefix range;
-// the -frontend process scatter-gathers /alerts, /prefix/{p}, /dict,
+// the -frontend process scatter-gathers /alerts, /prefix/{p}, /dict*,
 // and /stats, merging shard snapshots into responses
-// byte-identical to a single-process daemon's (dictionary detectors
-// see per-shard partial dictionaries; run -dict=false for exact
-// cross-shard alert equality).
+// byte-identical to a single-process daemon's: the shards' dictionaries
+// merge through the semantics engine's own drain, each entry's peer
+// list carried in /dict/export, so /dict and every /dict/{asn} are one
+// process's bytes (dictionary detectors see per-shard partial
+// dictionaries; run -dict=false for exact cross-shard alert equality).
 //
 // Each -frontend element may list "|"-separated replica URLs for its
 // prefix range (independent shard processes over the same feed slice):

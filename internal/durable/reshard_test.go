@@ -145,6 +145,26 @@ func TestReshardByteIdentity(t *testing.T) {
 	if rep.Records == 0 {
 		t.Fatal("reshard scattered no records; shard 0's post-checkpoint tail should survive")
 	}
+	// Semantics state is not split: every source checkpoint carries a
+	// dictionary, no destination checkpoint does, and the new fleet's
+	// /dict restarts from the replayed tail and the live feed.
+	hasSemantics := func(dir string) bool {
+		cp, err := loadLatestSnapshot(dir)
+		if err != nil || cp == nil {
+			t.Fatalf("%s: checkpoint %v, err %v", dir, cp, err)
+		}
+		return cp.Semantics != nil
+	}
+	for _, dir := range srcs {
+		if !hasSemantics(dir) {
+			t.Fatalf("source %s: checkpoint carries no semantics section", dir)
+		}
+	}
+	for _, dir := range dst3 {
+		if hasSemantics(dir) {
+			t.Fatalf("destination %s: checkpoint carries a semantics section", dir)
+		}
+	}
 	if got := mergedAlerts(t, dst3, mid); !bytes.Equal(got, wantAlerts) {
 		t.Fatalf("2→3 resharded alert union differs from uninterrupted run (%d vs %d bytes)", len(got), len(wantAlerts))
 	}

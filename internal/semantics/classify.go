@@ -10,7 +10,7 @@ import (
 
 // evidence is one community's counters and bounds. A partial holds the
 // evidence folded since its last drain; the engine's accumulator holds
-// the sum of every drain, plus the fan-out counts its pair lists keep.
+// the sum of every drain, plus the prefix count its pair lists keep.
 // Every field folds commutatively and associatively (sums, min/max),
 // which is what makes the merged dictionary invariant to how the
 // observation stream was partitioned across partials.
@@ -26,10 +26,9 @@ type evidence struct {
 	lastSeq   uint64
 	firstTime time.Time
 	lastTime  time.Time
-	// peers and prefixes count the distinct (peer, community) and
-	// (prefix, community) pairs of the whole dictionary; only the
-	// engine's accumulator sets them.
-	peers    int
+	// prefixes counts the distinct (prefix, community) pairs of the whole
+	// dictionary; only a dictionary sets it. The distinct peers are its
+	// peer list's length.
 	prefixes int
 }
 
@@ -105,9 +104,9 @@ func (e *evidence) fold(ob *feed.Event, c bgp.Community) {
 	}
 }
 
-// add folds a partial's drained counters and bounds into e.
-// Commutative: drain order never changes the result. The fan-out counts
-// are not added: a pair counts once, when the engine first admits it.
+// add folds a partial's drained counters and bounds, or a shard's, into
+// e. Commutative: drain order never changes the result. The prefix count
+// is not added: a pair counts once, when the dictionary first admits it.
 func (e *evidence) add(o *evidence) {
 	if e.count == 0 || o.firstSeq < e.firstSeq {
 		e.firstSeq, e.firstTime = o.firstSeq, o.firstTime
@@ -136,8 +135,8 @@ func BlackholePattern(c bgp.Community) bool {
 }
 
 // classify is the fused classifier: a pure function of one community's
-// merged evidence, evaluated when a snapshot republishes the community
-// (MergeEntries re-derives it from summed entries). The rules
+// merged evidence, evaluated when a snapshot republishes the community —
+// the engine's and the fleet's Merge alike. The rules
 // are wire-honest — only signals a passive observer has:
 //
 //  1. reserved ranges are well-known;
@@ -175,9 +174,10 @@ func classify(c bgp.Community, e *evidence) Class {
 	return ClassUnknown
 }
 
-// entry materializes the public Entry from merged evidence, with its
-// class — the single classification point of the engine.
-func (e *evidence) entry(c bgp.Community) *Entry {
+// entry materializes the public Entry from merged evidence and the
+// length of the community's peer list, with its class — the single
+// classification point of the engine and of Merge.
+func (e *evidence) entry(c bgp.Community, peers int) *Entry {
 	return &Entry{
 		Community: c,
 		Name:      c.Display(),
@@ -188,12 +188,30 @@ func (e *evidence) entry(c bgp.Community) *Entry {
 		AtOrigin:  e.atOrigin,
 		HostRoute: e.hostRoute,
 		Prepended: e.prepended,
-		Peers:     e.peers,
+		Peers:     peers,
 		Prefixes:  e.prefixes,
 		MaxTravel: e.maxTravel,
 		FirstSeq:  e.firstSeq,
 		LastSeq:   e.lastSeq,
 		FirstSeen: e.firstTime,
 		LastSeen:  e.lastTime,
+	}
+}
+
+// evidence reads back the counters and bounds an entry was materialized
+// from: what a shard's export adds to the fleet's merge.
+func (en *Entry) evidence() *evidence {
+	return &evidence{
+		count:     en.Count,
+		onPath:    en.OnPath,
+		offPath:   en.OffPath,
+		atOrigin:  en.AtOrigin,
+		hostRoute: en.HostRoute,
+		prepended: en.Prepended,
+		maxTravel: en.MaxTravel,
+		firstSeq:  en.FirstSeq,
+		lastSeq:   en.LastSeq,
+		firstTime: en.FirstSeen,
+		lastTime:  en.LastSeen,
 	}
 }

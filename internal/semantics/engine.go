@@ -118,16 +118,13 @@ func (d *dictionary) tally(c bgp.Community) *evidence {
 	return ev
 }
 
-// addPeers adds community c's peers to the dictionary, counting each
-// pair the whole dictionary lacks. One it already holds — from another
-// partial, or a restored state — counts nothing.
+// addPeers adds community c's peers to its sorted peer list. A peer the
+// list holds already — from another partial or shard, or a restored
+// state — adds nothing. The caller has tallied c.
 func (d *dictionary) addPeers(c bgp.Community, peers []uint32) {
-	ev, list := d.tally(c), slices.Grow(d.peers[c], len(peers))
+	list := slices.Grow(d.peers[c], len(peers))
 	for _, peer := range peers {
-		var added bool
-		if list, added = insert(list, peer); added {
-			ev.peers++
-		}
+		list, _ = insert(list, peer)
 	}
 	d.peers[c] = list
 }
@@ -144,6 +141,25 @@ func (d *dictionary) addCommunities(p netip.Prefix, cs []bgp.Community) {
 		}
 	}
 	d.prefixes[p] = list
+}
+
+// publish classifies each community whose evidence changed since the
+// last publish — every community when there is no prev — beside a copy
+// of its peer list, takes every other entry and list from prev
+// unchanged, and indexes them into a new snapshot.
+func (d *dictionary) publish(version, observations uint64, prev *Snapshot) *Snapshot {
+	entries := make(map[bgp.Community]*Entry, len(d.evidence))
+	peers := make(map[bgp.Community][]uint32, len(d.evidence))
+	for c, ev := range d.evidence {
+		if _, moved := d.changed[c]; moved || prev == nil {
+			list := slices.Clone(d.peers[c])
+			entries[c], peers[c] = ev.entry(c, len(list)), list
+		} else {
+			entries[c], peers[c] = prev.entries[c], prev.peers[c]
+		}
+	}
+	clear(d.changed)
+	return newSnapshot(version, observations, entries, peers)
 }
 
 // Engine is the dictionary-inference engine: a set of partial
@@ -357,17 +373,7 @@ func (e *Engine) Snapshot() *Snapshot {
 	}
 	e.merges.Add(1)
 	e.drain()
-	d := &e.dict
-	entries := make(map[bgp.Community]*Entry, len(d.evidence))
-	for c, ev := range d.evidence {
-		if _, moved := d.changed[c]; moved || prev == nil {
-			entries[c] = ev.entry(c)
-		} else {
-			entries[c] = prev.entries[c]
-		}
-	}
-	clear(d.changed)
-	s := newSnapshot(v, e.seq.Load(), entries)
+	s := e.dict.publish(v, e.seq.Load(), prev)
 	e.snap.Store(s)
 	return s
 }

@@ -193,7 +193,7 @@ func checkIncrementalPublication(t *testing.T, workers int, seed int64) {
 
 // checkCut holds the engine's published entries and exported state to
 // a single-Ingest engine fed prefix, snapshotted once, and the pair
-// fan-out to fanout. exportFirst drains through ExportState before the
+// fan-out, the published peer lists among it, to fanout. exportFirst drains through ExportState before the
 // Snapshot, so the snapshot must still republish what that drain moved.
 func checkCut(t *testing.T, e *Engine, prefix []feed.Event, exportFirst bool) {
 	t.Helper()
@@ -231,10 +231,16 @@ func checkCut(t *testing.T, e *Engine, prefix []feed.Event, exportFirst bool) {
 	if len(state.Communities) != len(peers) {
 		t.Fatalf("cut %d: %d communities exported, the stream has %d", len(prefix), len(state.Communities), len(peers))
 	}
+	published := make(map[bgp.Community][]uint32)
+	for _, x := range snap.Exports() {
+		published[x.Community] = x.PeerList
+	}
 	for _, es := range state.Communities {
 		en, _ := snap.Lookup(es.Community)
-		if !slices.Equal(es.Peers, peers[es.Community]) || en.Peers != len(es.Peers) {
-			t.Fatalf("cut %d: %s peers %v (entry %d), the stream's %v", len(prefix), es.Community, es.Peers, en.Peers, peers[es.Community])
+		if !slices.Equal(es.Peers, peers[es.Community]) || en.Peers != len(es.Peers) ||
+			!slices.Equal(published[es.Community], es.Peers) {
+			t.Fatalf("cut %d: %s peers %v (entry %d, published %v), the stream's %v",
+				len(prefix), es.Community, es.Peers, en.Peers, published[es.Community], peers[es.Community])
 		}
 		if !slices.Equal(es.Prefixes, prefixes[es.Community]) || en.Prefixes != len(es.Prefixes) {
 			t.Fatalf("cut %d: %s prefixes %v (entry %d), the stream's %v", len(prefix), es.Community, es.Prefixes, en.Prefixes, prefixes[es.Community])

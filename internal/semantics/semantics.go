@@ -26,7 +26,10 @@
 // computed from it — is bit-identical however the stream was split over
 // partials, in whatever order they were folded and whenever they were
 // drained (TestSemanticsDeterminismAcrossWorkers,
-// TestIncrementalPublicationEqualsFreshMerge).
+// TestIncrementalPublicationEqualsFreshMerge). Merge builds a sharded
+// fleet's dictionary from its shards' exports with the same primitives,
+// each entry's peer list unioned, so it equals one engine's
+// (TestMergeMatchesSingleRun).
 //
 // Classification is fused into publication: Snapshot classifies each
 // community whose evidence changed since the last snapshot and keeps
@@ -100,23 +103,13 @@ func (c *Class) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &name); err != nil {
 		return err
 	}
-	switch name {
-	case "unknown":
-		*c = ClassUnknown
-	case "informational":
-		*c = ClassInformational
-	case "action-blackhole":
-		*c = ClassActionBlackhole
-	case "action-steering":
-		*c = ClassActionSteering
-	case "action-prepend":
-		*c = ClassActionPrepend
-	case "well-known":
-		*c = ClassWellKnown
-	default:
-		return fmt.Errorf("semantics: unknown class %q", name)
+	for _, k := range Classes() {
+		if k.String() == name {
+			*c = k
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("semantics: unknown class %q", name)
 }
 
 // IsAction reports whether the class triggers a routing action.
@@ -192,8 +185,11 @@ type Snapshot struct {
 	Observations uint64
 
 	entries map[bgp.Community]*Entry
-	byAS    map[uint16][]*Entry
-	asns    []uint16
+	// peers holds each community's sorted peer list, the evidence behind
+	// its entry's Peers count: what Merge unions across shards.
+	peers map[bgp.Community][]uint32
+	byAS  map[uint16][]*Entry
+	asns  []uint16
 }
 
 // Lookup returns the dictionary entry for c, if inference has one.
@@ -221,6 +217,25 @@ func (s *Snapshot) Entries() []*Entry {
 	return out
 }
 
+// Export is one dictionary entry as a shard exports it for the fleet's
+// merge: the entry and its community's sorted peer list. The list is the
+// only evidence that does not add across shards — one session can see
+// several shards' prefixes — so Merge takes the union of the lists.
+type Export struct {
+	*Entry
+	PeerList []uint32 `json:"peer_list"`
+}
+
+// Exports returns every entry with its peer list, in Entries order.
+func (s *Snapshot) Exports() []Export {
+	entries := s.Entries()
+	out := make([]Export, len(entries))
+	for i, e := range entries {
+		out[i] = Export{Entry: e, PeerList: s.peers[e.Community]}
+	}
+	return out
+}
+
 // ByClass counts entries per class name.
 func (s *Snapshot) ByClass() map[string]int {
 	out := make(map[string]int)
@@ -237,12 +252,14 @@ type Provider interface {
 	Lookup(c bgp.Community) (*Entry, bool)
 }
 
-// newSnapshot indexes an entry map into an immutable snapshot.
-func newSnapshot(version, observations uint64, entries map[bgp.Community]*Entry) *Snapshot {
+// newSnapshot indexes an entry map and its peer lists into an immutable
+// snapshot.
+func newSnapshot(version, observations uint64, entries map[bgp.Community]*Entry, peers map[bgp.Community][]uint32) *Snapshot {
 	s := &Snapshot{
 		Version:      version,
 		Observations: observations,
 		entries:      entries,
+		peers:        peers,
 		byAS:         make(map[uint16][]*Entry),
 	}
 	for c, e := range entries {

@@ -137,57 +137,22 @@ func (e *Engine) RestoreState(st *State) error {
 	return nil
 }
 
-// MergeEntries merges already-classified dictionary entries for the
-// same communities into one snapshot — the scatter-gather path, where
-// each shard holds a partial dictionary built from a disjoint slice of
-// the prefix space and observations is the shards' summed count.
-// Counter fields add exactly, first/last bounds take min/max, and the
-// class is re-derived from the merged counters (classification uses
-// only additive evidence, so the merged class equals the class a
-// single-process run would assign). Two caveats, both documented on
-// the frontend: Peers sums to an upper bound (the same session can
-// observe more than one shard's prefixes), while Prefixes is exact
-// under prefix sharding (prefix sets are disjoint by construction).
-// The result has no engine version.
-func MergeEntries(observations uint64, lists ...[]*Entry) *Snapshot {
-	merged := make(map[bgp.Community]*Entry)
-	for _, list := range lists {
-		for _, in := range list {
-			m := merged[in.Community]
-			if m == nil {
-				cp := *in
-				merged[in.Community] = &cp
-				continue
-			}
-			if in.Count > 0 && (m.Count == 0 || in.FirstSeq < m.FirstSeq) {
-				m.FirstSeq, m.FirstSeen = in.FirstSeq, in.FirstSeen
-			}
-			if in.LastSeq > m.LastSeq {
-				m.LastSeq, m.LastSeen = in.LastSeq, in.LastSeen
-			}
-			m.Count += in.Count
-			m.OnPath += in.OnPath
-			m.OffPath += in.OffPath
-			m.AtOrigin += in.AtOrigin
-			m.HostRoute += in.HostRoute
-			m.Prepended += in.Prepended
-			m.Peers += in.Peers
-			m.Prefixes += in.Prefixes
-			if in.MaxTravel > m.MaxTravel {
-				m.MaxTravel = in.MaxTravel
-			}
+// Merge builds a fleet's dictionary from its shards' exports with the
+// primitives the engine drains with: counters and bounds add as a
+// partial's do, peer lists join as a union, prefix counts add (shards
+// own disjoint prefix ranges), and each community is classified once.
+// The result is the snapshot one engine fed every shard's stream would
+// publish, without an engine version; observations is the shards'
+// summed count.
+func Merge(observations uint64, shards ...[]Export) *Snapshot {
+	d := newDictionary()
+	for _, exports := range shards {
+		for _, x := range exports {
+			ev := d.tally(x.Community)
+			ev.add(x.evidence())
+			ev.prefixes += x.Prefixes
+			d.addPeers(x.Community, x.PeerList)
 		}
 	}
-	for _, m := range merged {
-		m.Class = classify(m.Community, &evidence{
-			count:     m.Count,
-			onPath:    m.OnPath,
-			offPath:   m.OffPath,
-			atOrigin:  m.AtOrigin,
-			hostRoute: m.HostRoute,
-			prepended: m.Prepended,
-			maxTravel: m.MaxTravel,
-		})
-	}
-	return newSnapshot(0, observations, merged)
+	return d.publish(0, observations, nil)
 }

@@ -26,10 +26,10 @@ import (
 //   - /prefix/{p}    route to the owning shard (pure function of the
 //     prefix), proxy its response verbatim.
 //   - /dict, /dict/stats, /dict/{asn}  scatter /dict/export, merge the
-//     partial dictionaries into one snapshot with semantics.MergeEntries,
-//     and render it with the shard's own payload builders. Counters and
-//     classes merge exactly; Peers is an upper bound (one session can
-//     observe several shards' prefixes).
+//     partial dictionaries into one snapshot with semantics.Merge — the
+//     engine's own drain, with each entry's peer list unioned — and
+//     render it with the shard's own payload builders, byte-identical
+//     to a single process's.
 //   - /stats         scatter, serve per-shard snapshots plus sums.
 //
 // Revalidation rides ETags: every gather remembers each range's last
@@ -428,7 +428,7 @@ func (f *Frontend) mergedDict() (*semantics.Snapshot, error) {
 	if f.dictKey == key {
 		return f.dictSnap, nil
 	}
-	lists := make([][]*semantics.Entry, len(bodies))
+	lists := make([][]semantics.Export, len(bodies))
 	var observations uint64
 	for i, b := range bodies {
 		var p dictExportPayload
@@ -438,7 +438,7 @@ func (f *Frontend) mergedDict() (*semantics.Snapshot, error) {
 		lists[i] = p.Entries
 		observations += p.Observations
 	}
-	f.dictKey, f.dictSnap = key, semantics.MergeEntries(observations, lists...)
+	f.dictKey, f.dictSnap = key, semantics.Merge(observations, lists...)
 	return f.dictSnap, nil
 }
 

@@ -359,12 +359,13 @@ func (s *Server) handleDictStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // dictExportPayload is the /dict/export response shape: the whole
-// dictionary in one page, the scatter unit the frontend merges.
+// dictionary in one page, each entry with its community's peer list —
+// the scatter unit the frontend merges.
 type dictExportPayload struct {
 	Version      uint64             `json:"version"`
 	Observations uint64             `json:"observations"`
 	Count        int                `json:"count"`
-	Entries      []*semantics.Entry `json:"entries"`
+	Entries      []semantics.Export `json:"entries"`
 }
 
 // handleDictExport serves the full inferred dictionary. The frontend
@@ -374,7 +375,7 @@ type dictExportPayload struct {
 func (s *Server) handleDictExport(w http.ResponseWriter, r *http.Request) {
 	snap := s.dictSnapshot()
 	body, etag, err := s.dictExp.get(snap.Version, func() ([]byte, error) {
-		entries := snap.Entries()
+		entries := snap.Exports()
 		return json.MarshalIndent(dictExportPayload{
 			Version:      snap.Version,
 			Observations: snap.Observations,
