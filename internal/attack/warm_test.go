@@ -11,13 +11,16 @@ package attack
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
 
+	"bgpworms/internal/bgp"
 	"bgpworms/internal/gen"
+	"bgpworms/internal/policy"
 	"bgpworms/internal/scenario"
 	"bgpworms/internal/semantics"
 	"bgpworms/internal/simnet"
@@ -37,9 +40,116 @@ var warmCombos = []struct {
 // scenarioObservable collapses everything one scenario run exposes.
 type scenarioObservable struct {
 	result   []byte
-	taps     string
+	taps     tapLog
 	archives []byte
 	ribs     string
+}
+
+// tapLog is a run's update stream in a fixed binary encoding, one record
+// per delivery: from, to and prefix, then a withdrawal mark or every
+// field Route.String prints — prefix, next hop, AS path, local pref,
+// communities, blackhole — in that order. ends[i] is where record i
+// ends. Encoding is cheap where formatting every delivery is not, and
+// only a record that differs is ever formatted.
+type tapLog struct {
+	buf  []byte
+	ends []int
+}
+
+func (l *tapLog) record(from, to topo.ASN, prefix netip.Prefix, ref simnet.RouteRef) {
+	b := binary.AppendUvarint(l.buf, uint64(from))
+	b = binary.AppendUvarint(b, uint64(to))
+	b = appendPrefix(b, prefix)
+	if !ref.Valid() {
+		b = append(b, 0)
+	} else {
+		rt := ref.Route()
+		b = append(b, 1)
+		b = appendPrefix(b, rt.Prefix)
+		b = binary.AppendUvarint(b, uint64(rt.NextHopAS))
+		b = binary.AppendUvarint(b, uint64(len(rt.ASPath)))
+		for _, seg := range rt.ASPath {
+			b = append(b, byte(seg.Type))
+			b = binary.AppendUvarint(b, uint64(len(seg.ASNs)))
+			for _, a := range seg.ASNs {
+				b = binary.AppendUvarint(b, uint64(a))
+			}
+		}
+		b = binary.AppendUvarint(b, uint64(rt.LocalPref))
+		b = binary.AppendUvarint(b, uint64(len(rt.Communities)))
+		for _, c := range rt.Communities {
+			b = binary.AppendUvarint(b, uint64(c))
+		}
+		if rt.Blackhole {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	l.buf, l.ends = b, append(l.ends, len(b))
+}
+
+func appendPrefix(b []byte, p netip.Prefix) []byte {
+	a := p.Addr().AsSlice()
+	b = append(b, byte(p.Bits()+1), byte(len(a)))
+	return append(b, a...)
+}
+
+// diff names the first delivery where o differs from l, formatting only
+// that record of each; empty means bit-identical streams.
+func (l *tapLog) diff(o *tapLog) string {
+	if bytes.Equal(l.buf, o.buf) {
+		return ""
+	}
+	start := 0 // every earlier record is equal, so both start here
+	for i := 0; ; i++ {
+		if i == len(l.ends) || i == len(o.ends) {
+			return fmt.Sprintf("after %d equal deliveries, %d against %d", i, len(l.ends), len(o.ends))
+		}
+		a, b := l.buf[start:l.ends[i]], o.buf[start:o.ends[i]]
+		if !bytes.Equal(a, b) {
+			return fmt.Sprintf("at delivery %d:\n  %s\n  %s", i, formatTap(a), formatTap(b))
+		}
+		start = l.ends[i]
+	}
+}
+
+// formatTap renders one tapLog record as text.
+func formatTap(rec []byte) string {
+	num := func() uint64 {
+		v, n := binary.Uvarint(rec)
+		rec = rec[n:]
+		return v
+	}
+	octet := func() byte {
+		v := rec[0]
+		rec = rec[1:]
+		return v
+	}
+	prefix := func() netip.Prefix {
+		bits, n := int(octet())-1, int(octet())
+		a, _ := netip.AddrFromSlice(rec[:n])
+		rec = rec[n:]
+		return netip.PrefixFrom(a, bits)
+	}
+	from, to, p := num(), num(), prefix()
+	if octet() == 0 {
+		return fmt.Sprintf("%d>%d %s withdraw", from, to, p)
+	}
+	rt := policy.Route{Prefix: prefix(), NextHopAS: topo.ASN(num())}
+	for n := num(); n > 0; n-- {
+		seg := bgp.PathSegment{Type: bgp.SegmentType(octet())}
+		for k := num(); k > 0; k-- {
+			seg.ASNs = append(seg.ASNs, uint32(num()))
+		}
+		rt.ASPath = append(rt.ASPath, seg)
+	}
+	rt.LocalPref = uint32(num())
+	for n := num(); n > 0; n-- {
+		rt.Communities = append(rt.Communities, bgp.Community(num()))
+	}
+	rt.Blackhole = octet() == 1
+	return fmt.Sprintf("%d>%d %s %s", from, to, p, &rt)
 }
 
 func warmContext(t *testing.T, name, scale, engine string, workers int) *scenario.Context {
@@ -57,19 +167,12 @@ func warmContext(t *testing.T, name, scale, engine string, workers int) *scenari
 
 // runObservable executes the scenario (warm when snap is non-nil,
 // scratch otherwise) and collapses its observables, the update stream
-// only when tapped. Tap events are formatted as they arrive.
+// only when tapped. Tap events are encoded as they arrive.
 func runObservable(t *testing.T, name string, ctx *scenario.Context, snap *gen.Snapshot, tapped bool) *scenarioObservable {
 	t.Helper()
-	var taps strings.Builder
+	out := &scenarioObservable{}
 	if tapped {
-		ctx.Tap = func(from, to topo.ASN, prefix netip.Prefix, ref simnet.RouteRef) {
-			if !ref.Valid() {
-				fmt.Fprintf(&taps, "%d>%d %s withdraw\n", from, to, prefix)
-				return
-			}
-			rt := ref.Route()
-			fmt.Fprintf(&taps, "%d>%d %s %s\n", from, to, prefix, &rt)
-		}
+		ctx.Tap = out.taps.record
 	}
 	var worlds []*gen.Internet
 	ctx.World = func(w *gen.Internet) { worlds = append(worlds, w) }
@@ -78,7 +181,6 @@ func runObservable(t *testing.T, name string, ctx *scenario.Context, snap *gen.S
 	if err != nil {
 		t.Fatalf("%s: run: %v", name, err)
 	}
-	out := &scenarioObservable{taps: taps.String()}
 	if out.result, err = json.Marshal(res); err != nil {
 		t.Fatalf("%s: marshal result: %v", name, err)
 	}
@@ -111,8 +213,8 @@ func diffObservable(cold, warm *scenarioObservable) string {
 	if !bytes.Equal(warm.result, cold.result) {
 		return fmt.Sprintf("Result JSON diverges:\nwarm: %s\ncold: %s", warm.result, cold.result)
 	}
-	if warm.taps != cold.taps {
-		return "tap streams diverge"
+	if msg := cold.taps.diff(&warm.taps); msg != "" {
+		return "tap streams diverge (cold, then warm) " + msg
 	}
 	if !bytes.Equal(warm.archives, cold.archives) {
 		return "collector MRT archives diverge"
@@ -182,7 +284,7 @@ func checkScenarioMatrix(t *testing.T, scale string, combos []struct {
 					t.Errorf("%s on %s/%s/%d: %s", name, scale, v.engine, v.workers, msg)
 				}
 				untapped := runObservable(t, name, warmContext(t, name, scale, v.engine, v.workers), bare, false)
-				cold.taps = ""
+				cold.taps = tapLog{}
 				if msg := diffObservable(cold, untapped); msg != "" {
 					t.Errorf("%s untapped on %s/%s/%d: %s", name, scale, v.engine, v.workers, msg)
 				}
