@@ -34,12 +34,12 @@ func ScaleForYear(base Params, year int) Params {
 	// Keep the seed constant: successive years then share generator
 	// draws, so growth dominates sampling noise in the Figure 3 series.
 	p.Seed = base.Seed
-	p.Tier1 = maxInt(3, int(float64(base.Tier1)*f))
-	p.Mid = maxInt(4, int(float64(base.Mid)*f))
-	p.Stubs = maxInt(10, int(float64(base.Stubs)*f))
-	p.IXPs = maxInt(1, int(float64(base.IXPs)*f))
-	p.ChurnEvents = maxInt(5, int(float64(base.ChurnEvents)*f))
-	p.RTBHEvents = maxInt(1, int(float64(base.RTBHEvents)*f))
+	p.Tier1 = max(3, int(float64(base.Tier1)*f))
+	p.Mid = max(4, int(float64(base.Mid)*f))
+	p.Stubs = max(10, int(float64(base.Stubs)*f))
+	p.IXPs = max(1, int(float64(base.IXPs)*f))
+	p.ChurnEvents = max(5, int(float64(base.ChurnEvents)*f))
+	p.RTBHEvents = max(1, int(float64(base.RTBHEvents)*f))
 	p.POriginTags = base.POriginTags * (0.45 + 0.55*f)
 	p.PLocationTagging = base.PLocationTagging * (0.4 + 0.6*f)
 	p.PBlackholeService = base.PBlackholeService * (0.35 + 0.65*f)
@@ -70,13 +70,6 @@ func Evolution(base Params, years []int, measure MetricsFn) ([]EvolutionPoint, e
 		})
 	}
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // TransitASes returns the generated transit ASes (tier-1 + mid).

@@ -498,10 +498,3 @@ func (w *Internet) OriginOf(p netip.Prefix) (topo.ASN, bool) {
 	}
 	return 0, false
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
