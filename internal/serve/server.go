@@ -290,11 +290,15 @@ type alertsPayload struct {
 	Alerts []watch.Alert `json:"alerts"`
 }
 
+// alertsBody renders the /alerts payload of alerts.
+func alertsBody(alerts []watch.Alert) ([]byte, error) {
+	return json.MarshalIndent(alertsPayload{Count: len(alerts), Alerts: alerts}, "", "  ")
+}
+
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 	if det := r.URL.Query().Get("detector"); det != "" {
 		// Filtered views are per-query; only the full view is cached.
-		filtered := s.opts.Watch.AlertsOf(det)
-		body, err := json.MarshalIndent(alertsPayload{Count: len(filtered), Alerts: filtered}, "", "  ")
+		body, err := alertsBody(s.opts.Watch.AlertsOf(det))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -303,8 +307,7 @@ func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body, etag, err := s.alerts.get(s.opts.Watch.Version(), func() ([]byte, error) {
-		alerts := s.opts.Watch.Alerts()
-		return json.MarshalIndent(alertsPayload{Count: len(alerts), Alerts: alerts}, "", "  ")
+		return alertsBody(s.opts.Watch.Alerts())
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
