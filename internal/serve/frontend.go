@@ -272,7 +272,7 @@ func (f *Frontend) fetch(url, etag string, cached []byte) shardResult {
 	case http.StatusNotModified:
 		return shardResult{body: cached, etag: etag}
 	case http.StatusOK:
-		body, err := io.ReadAll(resp.Body)
+		body, err := readBody(resp)
 		if err != nil {
 			return shardResult{err: err}
 		}
@@ -281,6 +281,19 @@ func (f *Frontend) fetch(url, etag string, cached []byte) shardResult {
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return shardResult{err: fmt.Errorf("status %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))}
 	}
+}
+
+// readBody reads a 200 answer's body into one buffer of its declared
+// length; only an answer that declares none is read by growing one.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength < 0 {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, resp.ContentLength)
+	if _, err := io.ReadFull(resp.Body, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // merged returns the cached render for key, or computes and caches it.
@@ -358,7 +371,7 @@ func (f *Frontend) handlePrefix(w http.ResponseWriter, r *http.Request) {
 		}
 		// Any non-5xx answer is authoritative for the range — 200, 304,
 		// and 404 (prefix not tracked) all propagate to the client.
-		for _, h := range []string{"Content-Type", "ETag"} {
+		for _, h := range []string{"Content-Type", "Content-Length", "ETag"} {
 			if v := resp.Header.Get(h); v != "" {
 				w.Header().Set(h, v)
 			}
@@ -533,9 +546,10 @@ func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	body, _ := json.MarshalIndent(payload, "", "  ")
 	if payload.Status != "ok" {
-		w.Header().Set("Content-Type", "application/json")
+		body = append(body, '\n')
+		jsonHeader(w, len(body))
 		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write(append(body, '\n'))
+		w.Write(body)
 		return
 	}
 	writeJSON(w, body)

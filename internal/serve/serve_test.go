@@ -229,6 +229,50 @@ func TestServerETagNamesItsView(t *testing.T) {
 	}
 }
 
+// TestJSONContentLength: every JSON response of a shard and of the
+// frontend declares its length, and the length is its body's, newline
+// included. The frontend reads a shard body into one buffer of that
+// size, and streams its merged /alerts under a length it computed.
+func TestJSONContentLength(t *testing.T) {
+	events := churnEvents(t)
+	feH, shards := startFleet(t, events, 2)
+	ref := startProc(t, events, 0, 1).srv.Handler()
+	alerts := shards[0].eng.Alerts()
+	if len(alerts) == 0 {
+		t.Fatal("shard 0 holds no alerts; /prefix and /alerts cases are vacuous")
+	}
+	asns := shards[0].sem.Snapshot().ASNs()
+	if len(asns) == 0 {
+		t.Fatal("shard 0 holds no dictionary; /dict/{asn} is vacuous")
+	}
+	prefix := "/prefix/" + alerts[0].Prefix.String()
+	dictAS := fmt.Sprintf("/dict/%d", asns[0])
+	common := []string{"/healthz", "/stats", "/alerts", "/alerts?detector=" + alerts[0].Detector,
+		"/alerts?detector=no-such-detector", prefix, "/dict", "/dict/stats", dictAS}
+	check := func(name string, h http.Handler, paths []string) {
+		for _, path := range paths {
+			code, hdr, body := get(t, h, path, nil)
+			if code != http.StatusOK || !strings.HasPrefix(hdr.Get("Content-Type"), "application/json") {
+				t.Fatalf("%s %s: status %d, Content-Type %q", name, path, code, hdr.Get("Content-Type"))
+			}
+			if got, want := hdr.Get("Content-Length"), fmt.Sprint(len(body)); got != want {
+				t.Errorf("%s %s: Content-Length %q for a %s-byte body", name, path, got, want)
+			}
+		}
+	}
+	check("shard", ref, append(common, "/durable", "/dict/export"))
+	check("frontend", feH, common)
+
+	// A degraded frontend's /healthz is JSON too.
+	down := httptest.NewServer(http.NotFoundHandler())
+	down.Close()
+	fe := NewFrontend([]string{down.URL}, obs.NewRegistry()).Handler()
+	code, hdr, body := get(t, fe, "/healthz", nil)
+	if code != http.StatusServiceUnavailable || hdr.Get("Content-Length") != fmt.Sprint(len(body)) {
+		t.Fatalf("degraded /healthz: status %d, Content-Length %q for a %d-byte body", code, hdr.Get("Content-Length"), len(body))
+	}
+}
+
 // TestFrontendSeesShardRestart: a shard that restarts and reaches the
 // same engine version with other state must not be revalidated as
 // unchanged. Version-derived ETags collided here, and the frontend kept

@@ -190,10 +190,24 @@ func (c *snapshotCache) get(version uint64, render func() ([]byte, error)) (body
 	return body, etag, nil
 }
 
+// jsonHeader declares a JSON response of n bytes.
+func jsonHeader(w http.ResponseWriter, n int) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(n))
+}
+
+// writeJSON writes body as a JSON response that ends in a newline, with
+// its length declared.
 func writeJSON(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	newline := len(body) == 0 || body[len(body)-1] != '\n'
+	n := len(body)
+	if newline {
+		n++
+	}
+	jsonHeader(w, n)
 	w.Write(body)
-	if len(body) == 0 || body[len(body)-1] != '\n' {
+	if newline {
 		w.Write([]byte("\n"))
 	}
 }
