@@ -82,7 +82,7 @@ func randTime(r *rand.Rand) time.Time {
 	case 0:
 		return time.Time{}
 	case 1:
-		return t.Truncate(time.Duration(1) * time.Duration([]int64{1, 1e3, 1e6, 1e9}[r.IntN(4)]))
+		return t.Truncate(time.Duration([]int64{1, 1e3, 1e6, 1e9}[r.IntN(4)]))
 	case 2:
 		return t.In(time.FixedZone("z", (r.IntN(47)-23)*1800+r.IntN(2)*17))
 	case 3:
@@ -144,6 +144,13 @@ func randAlert(r *rand.Rand) watch.Alert {
 	}
 }
 
+// alertsPayload is the /alerts response shape, the reference the
+// encoder is held to.
+type alertsPayload struct {
+	Count  int           `json:"count"`
+	Alerts []watch.Alert `json:"alerts"`
+}
+
 // referenceAlertsBody is the /alerts body encoding/json writes for alerts.
 func referenceAlertsBody(alerts []watch.Alert) ([]byte, error) {
 	return json.MarshalIndent(alertsPayload{Count: len(alerts), Alerts: alerts}, "", "  ")
@@ -160,6 +167,9 @@ func sameAsReference(t *testing.T, alerts []watch.Alert) {
 	}
 	if werr == nil && !bytes.Equal(got, want) {
 		t.Fatalf("alertsBody diverged from encoding/json for %#v:\ngot  %q\nwant %q", alerts, got, want)
+	}
+	if werr == nil && cap(got) != len(got) {
+		t.Fatalf("alertsBody sized a %d-byte body at %d bytes", len(got), cap(got))
 	}
 }
 

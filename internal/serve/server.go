@@ -176,6 +176,13 @@ func (c *snapshotCache) get(version uint64, render func() ([]byte, error)) (body
 		return body, etag, nil
 	}
 	c.mu.RUnlock()
+	// Drop an older render before building this one, so the build does
+	// not keep it alive; a reader serving it holds its own reference.
+	c.mu.Lock()
+	if c.valid && c.version < version {
+		c.valid, c.body, c.etag = false, nil, ""
+	}
+	c.mu.Unlock()
 	if body, err = render(); err != nil {
 		return nil, "", err
 	}
@@ -296,17 +303,6 @@ func (s *Server) handleDurable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, body)
-}
-
-// alertsPayload is the /alerts response shape.
-type alertsPayload struct {
-	Count  int           `json:"count"`
-	Alerts []watch.Alert `json:"alerts"`
-}
-
-// alertsBody renders the /alerts payload of alerts.
-func alertsBody(alerts []watch.Alert) ([]byte, error) {
-	return json.MarshalIndent(alertsPayload{Count: len(alerts), Alerts: alerts}, "", "  ")
 }
 
 func (s *Server) handleAlerts(w http.ResponseWriter, r *http.Request) {

@@ -431,29 +431,42 @@ func (e *Engine) Version() uint64 { return e.version.Load() }
 // the triggering event (detector registration order breaks ties within
 // one event). Safe to call while ingesting.
 func (e *Engine) Alerts() []Alert {
-	var out []Alert
-	for _, s := range e.shards {
-		s.mu.Lock()
-		out = append(out, s.alerts...)
-		s.mu.Unlock()
-	}
-	return bySeq(out)
+	return bySeq(e.copyAlerts(func(*Alert) bool { return true }))
 }
 
 // AlertsOf is Alerts filtered to one detector, copying only that
 // detector's alerts. Safe to call while ingesting.
 func (e *Engine) AlertsOf(detector string) []Alert {
-	var out []Alert
+	return bySeq(e.copyAlerts(func(a *Alert) bool { return a.Detector == detector }))
+}
+
+// copyAlerts copies the alerts keep accepts, shard by shard, into one
+// slice sized by counting them first; nil when there are none. It holds
+// every shard's lock from the count to the copy, so the two agree and
+// the copy is one cut of the engine.
+func (e *Engine) copyAlerts(keep func(*Alert) bool) []Alert {
+	n := 0
 	for _, s := range e.shards {
 		s.mu.Lock()
-		for _, a := range s.alerts {
-			if a.Detector == detector {
-				out = append(out, a)
+		for i := range s.alerts {
+			if keep(&s.alerts[i]) {
+				n++
+			}
+		}
+	}
+	var out []Alert
+	if n > 0 {
+		out = make([]Alert, 0, n)
+	}
+	for _, s := range e.shards {
+		for i := range s.alerts {
+			if keep(&s.alerts[i]) {
+				out = append(out, s.alerts[i])
 			}
 		}
 		s.mu.Unlock()
 	}
-	return bySeq(out)
+	return out
 }
 
 // bySeq orders shard-concatenated alerts by sequence. The alerts of one
