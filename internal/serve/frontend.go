@@ -46,12 +46,9 @@ type Frontend struct {
 	client *http.Client
 	start  time.Time
 
-	alerts   gatherCache
-	stats    gatherCache
-	dict     gatherCache
-	dictMu   sync.Mutex
-	dictKey  string
-	dictSnap *semantics.Snapshot
+	alerts gatherCache
+	stats  gatherCache
+	dict   gatherCache
 
 	scatterHist *obs.Histogram
 	upstreamErr *obs.Counter
@@ -153,15 +150,16 @@ func (f *Frontend) Handler() http.Handler {
 }
 
 // gatherCache remembers, per range, the last ETag+body a path served,
-// whichever replica served it, plus one merged render keyed by the
-// joined ETag vector.
+// whichever replica served it, plus one merge of those bodies keyed by
+// the joined ETag vector: the /stats body, the /alerts index, the
+// merged dictionary.
 type gatherCache struct {
 	mu     sync.Mutex
 	etags  []string
 	bodies [][]byte
 
-	mergedKey  string
-	mergedBody []byte
+	mergedKey string
+	merged    any
 }
 
 func (c *gatherCache) init(sets []*replicaSet) {
@@ -238,7 +236,14 @@ func (f *Frontend) fetchSet(si int, path string, c *gatherCache) shardResult {
 		c.mu.Lock()
 		etag, cached := c.etags[si], c.bodies[si]
 		c.mu.Unlock()
-		out = f.fetch(set.urls[ri]+path, etag, cached)
+		out = f.fetch(set.urls[ri]+path, etag, cached, func() {
+			// A new body is coming: the range's old one, and the merge
+			// built over it, do not live on while it is read.
+			c.mu.Lock()
+			c.etags[si], c.bodies[si] = "", nil
+			c.mergedKey, c.merged = "", nil
+			c.mu.Unlock()
+		})
 		if out.err != nil {
 			return out.err
 		}
@@ -254,8 +259,9 @@ func (f *Frontend) fetchSet(si int, path string, c *gatherCache) shardResult {
 }
 
 // fetch GETs url, revalidating against etag; a 304 answer reuses the
-// cached body.
-func (f *Frontend) fetch(url, etag string, cached []byte) shardResult {
+// cached body. fresh, when non-nil, runs when a 200 answer arrives,
+// before its body is read.
+func (f *Frontend) fetch(url, etag string, cached []byte, fresh func()) shardResult {
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		return shardResult{err: err}
@@ -272,6 +278,9 @@ func (f *Frontend) fetch(url, etag string, cached []byte) shardResult {
 	case http.StatusNotModified:
 		return shardResult{body: cached, etag: etag}
 	case http.StatusOK:
+		if fresh != nil {
+			fresh()
+		}
 		body, err := readBody(resp)
 		if err != nil {
 			return shardResult{err: err}
@@ -296,46 +305,44 @@ func readBody(resp *http.Response) ([]byte, error) {
 	return body, nil
 }
 
-// merged returns the cached render for key, or computes and caches it.
-func (c *gatherCache) mergedFor(key string, render func() ([]byte, error)) ([]byte, error) {
+// mergedFor returns c's merge for key, building it with merge on a
+// miss. The previous merge is dropped first, so building the next one
+// does not keep it alive; a request still serving it holds its own
+// reference.
+func mergedFor[T any](c *gatherCache, key string, merge func() (T, error)) (T, error) {
 	c.mu.Lock()
-	if c.mergedKey == key && c.mergedBody != nil {
-		body := c.mergedBody
+	if c.mergedKey == key && c.merged != nil {
+		v := c.merged.(T)
 		c.mu.Unlock()
-		return body, nil
+		return v, nil
 	}
+	c.mergedKey, c.merged = "", nil
 	c.mu.Unlock()
-	body, err := render()
+	v, err := merge()
 	if err != nil {
-		return nil, err
+		return v, err
 	}
 	c.mu.Lock()
-	c.mergedKey, c.mergedBody = key, body
+	c.mergedKey, c.merged = key, v
 	c.mu.Unlock()
-	return body, nil
+	return v, nil
 }
 
+// handleAlerts answers from the index of the shards' bodies: the full
+// view and every detector's are written from the same index, so a
+// filtered view is consistent with the full one.
 func (f *Frontend) handleAlerts(w http.ResponseWriter, r *http.Request) {
-	// Filters are applied after the merge so the filtered view is
-	// consistent with the cached full view.
-	detector := r.URL.Query().Get("detector")
 	bodies, key, err := f.gather("/alerts", &f.alerts)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	merge := func() ([]byte, error) { return mergeAlerts(bodies, detector) }
-	var body []byte
-	if detector == "" {
-		body, err = f.alerts.mergedFor(key, merge)
-	} else {
-		body, err = merge() // filtered views are per-query; only the full view is cached
-	}
+	x, err := mergedFor(&f.alerts, key, func() (*alertIndex, error) { return indexAlerts(bodies) })
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeJSON(w, body)
+	x.write(w, r.URL.Query().Get("detector"))
 }
 
 func (f *Frontend) handlePrefix(w http.ResponseWriter, r *http.Request) {
@@ -398,7 +405,7 @@ func (f *Frontend) handleStats(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	body, err := f.stats.mergedFor(key, func() ([]byte, error) {
+	body, err := mergedFor(&f.stats, key, func() ([]byte, error) {
 		payload := frontendStats{Total: watch.Stats{ByDetector: map[string]uint64{}}}
 		for i, b := range bodies {
 			var st watch.Stats
@@ -436,23 +443,19 @@ func (f *Frontend) mergedDict() (*semantics.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.dictMu.Lock()
-	defer f.dictMu.Unlock()
-	if f.dictKey == key {
-		return f.dictSnap, nil
-	}
-	lists := make([][]semantics.Export, len(bodies))
-	var observations uint64
-	for i, b := range bodies {
-		var p dictExportPayload
-		if err := json.Unmarshal(b, &p); err != nil {
-			return nil, fmt.Errorf("shard %d /dict/export: %w", i, err)
+	return mergedFor(&f.dict, key, func() (*semantics.Snapshot, error) {
+		lists := make([][]semantics.Export, len(bodies))
+		var observations uint64
+		for i, b := range bodies {
+			var p dictExportPayload
+			if err := json.Unmarshal(b, &p); err != nil {
+				return nil, fmt.Errorf("shard %d /dict/export: %w", i, err)
+			}
+			lists[i] = p.Entries
+			observations += p.Observations
 		}
-		lists[i] = p.Entries
-		observations += p.Observations
-	}
-	f.dictKey, f.dictSnap = key, semantics.Merge(observations, lists...)
-	return f.dictSnap, nil
+		return semantics.Merge(observations, lists...), nil
+	})
 }
 
 // dictPage serves a /dict page rendered from the merged dictionary.
@@ -518,7 +521,7 @@ func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		healthy := false
 		var firstErr string
 		for _, base := range set.urls {
-			res := f.fetch(base+"/healthz", "", nil)
+			res := f.fetch(base+"/healthz", "", nil, nil)
 			status := "ok"
 			// A probe observes: it does not mark, because a success would
 			// make the last replica probed the sticky one on every poll.

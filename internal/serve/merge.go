@@ -1,85 +1,106 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"net/http"
 	"slices"
-	"strconv"
 )
 
-// mergeAlerts merges per-shard /alerts bodies into the body one process
-// would have served, without decoding an alert: every element is copied
-// as its shard rendered it, and only its seq and detector are read.
-// Shards own disjoint prefix ranges, so sequence numbers never collide
-// and a stable sort by seq reconstructs the exact global order. A
-// non-empty detector keeps the alerts whose detector field is the string
-// literal json.Marshal writes for that name, as the shard wrote it.
+// alertIndex is the fleet's /alerts at one vector of shard ETags: the
+// shard bodies and, in global sequence order, where each alert element
+// sits in them. A merged answer is written from it element by element;
+// no merged body is ever built. Shards own disjoint prefix ranges, so
+// sequence numbers never collide, and a stable sort by seq of the
+// bodies' elements in shard order reconstructs the exact global order.
 //
-// Copying elements verbatim is exact because shard and frontend render
-// the same alertsPayload at the same depth (json.MarshalIndent, two
-// spaces); renderAlerts writes the envelope around them the way the
-// encoder does (TestFrontendByteIdentity).
-func mergeAlerts(bodies [][]byte, detector string) ([]byte, error) {
+// Copying elements verbatim is exact because shard and frontend write
+// the same envelope at the same depth (alerts.go); only an element's seq
+// and detector are read, never the alert.
+type alertIndex struct {
+	bodies [][]byte
+	elems  []alertElem
+}
+
+// alertElem is one alert element: its sequence number, the body it sits
+// in, and the byte ranges of the element and of its detector value.
+type alertElem struct {
+	seq              uint64
+	body             uint32
+	start, end       uint32
+	detStart, detEnd uint32
+}
+
+// indexAlerts indexes the /alerts bodies of every shard. A body that is
+// not an /alerts payload fails the whole index.
+func indexAlerts(bodies [][]byte) (*alertIndex, error) {
+	x := &alertIndex{bodies: bodies}
+	for i, b := range bodies {
+		var err error
+		if x.elems, err = appendAlerts(x.elems, uint32(i), b); err != nil {
+			return nil, fmt.Errorf("shard %d /alerts: %w", i, err)
+		}
+	}
+	slices.SortStableFunc(x.elems, func(a, b alertElem) int { return cmp.Compare(a.seq, b.seq) })
+	return x, nil
+}
+
+// write answers with the merged /alerts, or, for a non-empty detector,
+// with the alerts whose detector field is the string literal
+// json.Marshal writes for that name, as their shard wrote it. The
+// length is computed before the first byte, and the body ends in the
+// newline writeJSON adds.
+func (x *alertIndex) write(w http.ResponseWriter, detector string) {
 	var lit []byte // nil keeps every alert
 	if detector != "" {
 		lit, _ = json.Marshal(detector)
 	}
-	var merged []alertElem
-	for i, b := range bodies {
-		var err error
-		if merged, err = appendAlerts(merged, b, lit); err != nil {
-			return nil, fmt.Errorf("shard %d /alerts: %w", i, err)
+	keep := func(e *alertElem) bool {
+		return lit == nil || bytes.Equal(x.bodies[e.body][e.detStart:e.detEnd], lit)
+	}
+	count, elemBytes := 0, 0
+	for i := range x.elems {
+		if e := &x.elems[i]; keep(e) {
+			count++
+			elemBytes += int(e.end - e.start)
 		}
 	}
-	slices.SortStableFunc(merged, func(a, b alertElem) int { return cmp.Compare(a.seq, b.seq) })
-	return renderAlerts(merged), nil
-}
-
-// alertElem is one alert of a shard body: the raw JSON object and its
-// sequence number.
-type alertElem struct {
-	seq uint64
-	raw []byte
-}
-
-// renderAlerts writes the alertsPayload envelope around elems exactly
-// as json.MarshalIndent(alertsPayload{...}, "", "  ") renders it.
-func renderAlerts(elems []alertElem) []byte {
-	n := 64
-	for _, e := range elems {
-		n += len(e.raw) + 6
-	}
-	out := make([]byte, 0, n)
-	out = append(out, "{\n  \"count\": "...)
-	out = strconv.AppendInt(out, int64(len(elems)), 10)
-	out = append(out, ",\n  \"alerts\": "...)
-	if len(elems) == 0 {
-		out = append(out, "null"...)
-	} else {
-		out = append(out, "[\n    "...)
-		for i, e := range elems {
-			if i > 0 {
-				out = append(out, ",\n    "...)
+	size := alertsLen(count, elemBytes, count == 0) + 1
+	jsonHeader(w, size)
+	bw := bufio.NewWriterSize(w, min(size, 32<<10))
+	var buf [64]byte
+	bw.Write(appendAlertsHead(buf[:0], count, count == 0))
+	first := true
+	for i := range x.elems {
+		if e := &x.elems[i]; keep(e) {
+			if !first {
+				bw.WriteString(alertsSep)
 			}
-			out = append(out, e.raw...)
+			first = false
+			bw.Write(x.bodies[e.body][e.start:e.end])
 		}
-		out = append(out, "\n  ]"...)
 	}
-	return append(out, "\n}"...)
+	bw.Write(appendAlertsTail(buf[:0], count))
+	bw.WriteByte('\n')
+	bw.Flush()
 }
 
-// appendAlerts appends the alerts of one /alerts body to dst: all of
-// them, or those whose detector field is the literal detector. json.Valid
-// vets the whole body first, so the walk after it only follows
-// structure.
-func appendAlerts(dst []alertElem, body []byte, detector []byte) ([]alertElem, error) {
-	if !json.Valid(body) {
+// appendAlerts appends the alert elements of one /alerts body, the
+// body-th, to dst. json.Valid vets the whole body first, so the walk
+// after it only follows structure.
+func appendAlerts(dst []alertElem, body uint32, b []byte) ([]alertElem, error) {
+	if len(b) > math.MaxUint32 {
+		return dst, errors.New("body is larger than 4 GiB")
+	}
+	if !json.Valid(b) {
 		return dst, errors.New("body is not valid JSON")
 	}
-	s := jsonScan{b: body}
+	s := jsonScan{b: b}
 	if s.peek() != '{' {
 		return dst, errors.New("body is not a JSON object")
 	}
@@ -92,7 +113,7 @@ func appendAlerts(dst []alertElem, body []byte, detector []byte) ([]alertElem, e
 		} else {
 			found = true
 			var err error
-			if dst, err = s.alerts(dst, detector); err != nil {
+			if dst, err = s.alerts(dst, body); err != nil {
 				return dst, err
 			}
 		}
@@ -106,7 +127,7 @@ func appendAlerts(dst []alertElem, body []byte, detector []byte) ([]alertElem, e
 
 // alerts reads the "alerts" member's value: null or an array of alert
 // objects.
-func (s *jsonScan) alerts(dst []alertElem, detector []byte) ([]alertElem, error) {
+func (s *jsonScan) alerts(dst []alertElem, body uint32) ([]alertElem, error) {
 	switch s.peek() {
 	case 'n':
 		s.value()
@@ -120,10 +141,9 @@ func (s *jsonScan) alerts(dst []alertElem, detector []byte) ([]alertElem, error)
 		if s.peek() != '{' {
 			return dst, errors.New("an alert is not a JSON object")
 		}
-		start := s.i
+		e := alertElem{body: body, start: uint32(s.i)}
 		s.i++
-		var e alertElem
-		seq, keep := false, detector == nil
+		seq := false
 		for s.peek() != '}' {
 			key := s.member()
 			v := s.value()
@@ -131,7 +151,8 @@ func (s *jsonScan) alerts(dst []alertElem, detector []byte) ([]alertElem, error)
 			case `"seq"`:
 				e.seq, seq = parseSeq(v)
 			case `"detector"`:
-				keep = keep || bytes.Equal(v, detector)
+				e.detEnd = uint32(s.i)
+				e.detStart = e.detEnd - uint32(len(v))
 			}
 			s.comma()
 		}
@@ -139,10 +160,8 @@ func (s *jsonScan) alerts(dst []alertElem, detector []byte) ([]alertElem, error)
 		if !seq {
 			return dst, errors.New("an alert has no unsigned seq")
 		}
-		if keep {
-			e.raw = s.b[start:s.i]
-			dst = append(dst, e)
-		}
+		e.end = uint32(s.i)
+		dst = append(dst, e)
 		s.comma()
 	}
 	s.i++
