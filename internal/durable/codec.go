@@ -112,11 +112,20 @@ func appendPrefix(buf []byte, p netip.Prefix) []byte {
 // an allocation from a length the input merely claims: any truncation or
 // implausible length yields an error, which is what makes it safe as the
 // WAL recovery, checkpoint restore and fuzzing surface.
-func DecodeEvent(data []byte) (feed.Event, error) {
+func DecodeEvent(data []byte) (feed.Event, error) { return decodeEvent(data, "") }
+
+// decodeEvent is DecodeEvent that hands back source itself, not a new
+// string, when the record's source equals it: a replay passes the
+// previous record's, so a log of one feed allocates its source once.
+func decodeEvent(data []byte, source string) (feed.Event, error) {
 	r := reader{data: data}
 	ev := feed.Event{Seq: r.uvarint(), Time: r.time()}
 	flags := r.byte()
-	ev.Source = r.str()
+	if b := r.bytes(r.count(1)); string(b) == source {
+		ev.Source = source
+	} else {
+		ev.Source = string(b)
+	}
 	ev.PeerAS = uint32(r.uvarint())
 	ev.Prefix = r.prefix(flags)
 	if n := r.count(1); n > 0 {

@@ -2,8 +2,10 @@ package durable
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/feed"
@@ -84,6 +86,30 @@ func TestEventCodecRoundTrip(t *testing.T) {
 		if !eventsEqual(&ev, &got) {
 			t.Fatalf("event %d round-trip mismatch:\nin  %+v\nout %+v", i, ev, got)
 		}
+	}
+}
+
+// TestDecodeEventReusesAnEqualSource: the replay decoder hands back the
+// source it is given when the record's is equal, and a new string when
+// it is not; the event is the same either way.
+func TestDecodeEventReusesAnEqualSource(t *testing.T) {
+	ev := sampleEvents()[0]
+	buf := EncodeEvent(nil, &ev)
+	prev := strings.Clone(ev.Source)
+	got, err := decodeEvent(buf, prev)
+	if err != nil || !eventsEqual(&ev, &got) {
+		t.Fatalf("decode with an equal source: %+v, %v", got, err)
+	}
+	if unsafe.StringData(got.Source) != unsafe.StringData(prev) {
+		t.Error("an equal source was allocated again")
+	}
+	if got, err = decodeEvent(buf, "other"); err != nil || got.Source != ev.Source {
+		t.Fatalf("decode with another source: source %q, %v", got.Source, err)
+	}
+	with := testing.AllocsPerRun(100, func() { decodeEvent(buf, prev) })
+	without := testing.AllocsPerRun(100, func() { decodeEvent(buf, "") })
+	if with != without-1 {
+		t.Errorf("decode allocates %v times with the source to reuse, %v without", with, without)
 	}
 }
 

@@ -133,30 +133,31 @@ func Open(eng *watch.Engine, sem *semantics.Engine, opts Options) (*Store, Recov
 		s.skipped = cp.Skipped
 		s.snapSeq, s.snapAt = cp.Seq, cp.SavedAt
 	}
-	wal, wrec, err := OpenWAL(opts.Dir, WALOptions{
+	// One scan of the log checks it and replays its tail past the
+	// checkpoint. Consecutive records of one feed share a source, which
+	// the decoder then hands back instead of allocating it again.
+	var source string
+	wal, wrec, err := openWAL(opts.Dir, WALOptions{
 		SegmentBytes:  opts.SegmentBytes,
 		FsyncInterval: opts.FsyncInterval,
-	})
-	if err != nil {
-		return nil, rec, err
-	}
-	rec.TornBytes = wrec.TornBytes
-	s.wal = wal
-	if err := wal.Replay(rec.CheckpointSeq+1, func(seq uint64, payload []byte) error {
-		ev, err := DecodeEvent(payload)
+	}, rec.CheckpointSeq+1, func(seq uint64, payload []byte) error {
+		ev, err := decodeEvent(payload, source)
 		if err != nil {
 			return err
 		}
 		if ev.Seq != seq {
 			return fmt.Errorf("durable: frame seq %d carries event seq %d", seq, ev.Seq)
 		}
+		source = ev.Source
 		eng.Ingest(ev)
 		rec.Replayed++
 		return nil
-	}); err != nil {
-		wal.Close()
+	})
+	if err != nil {
 		return nil, rec, err
 	}
+	rec.TornBytes = wrec.TornBytes
+	s.wal = wal
 	eng.Flush()
 	rec.Seq = max(rec.CheckpointSeq, wrec.LastSeq)
 	s.recovered = rec.Seq

@@ -6,9 +6,11 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net/netip"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -168,6 +170,85 @@ func TestStoreCrashRecoveryResumeSkip(t *testing.T) {
 		gotStats.Processed != wantStats.Processed {
 		t.Fatalf("recovered stats %+v, want %+v", gotStats, wantStats)
 	}
+}
+
+// TestStoreOpenRecoversInOneScan pins what Open's single scan of the
+// log keeps of the two it replaced: every intact record past the
+// checkpoint replays and a torn tail on the final segment is cut, while
+// damage in a sealed segment fails the open (the RUNBOOK's mid-log
+// corruption) however many records were replayed before it.
+func TestStoreOpenRecoversInOneScan(t *testing.T) {
+	events := churnEvents(t)[:400]
+	const snapAt = 100
+	crashed := func(t *testing.T) (dir string, segs []string) {
+		dir = t.TempDir()
+		eng, sem := newPair(2)
+		defer eng.Close()
+		defer sem.Close()
+		st, _, err := Open(eng, sem, Options{Dir: dir, FsyncInterval: noSync, SegmentBytes: 4096})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sink := st.Sink()
+		for i, ev := range events {
+			if i == snapAt {
+				if err := st.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sink(ev)
+		}
+		if err := st.wal.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		st.crash()
+		if segs, _ = filepath.Glob(filepath.Join(dir, "wal-*.seg")); len(segs) < 3 {
+			t.Fatalf("%d WAL segments; the sealed-segment case needs at least 3", len(segs))
+		}
+		return dir, segs
+	}
+	damage := func(t *testing.T, path string, fromEnd int64) {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[int64(len(raw))-fromEnd] ^= 0xFF
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("torn final tail", func(t *testing.T) {
+		dir, segs := crashed(t)
+		damage(t, segs[len(segs)-1], 1) // the last record's last byte
+		eng, sem := newPair(2)
+		defer eng.Close()
+		defer sem.Close()
+		st, rec, err := Open(eng, sem, Options{Dir: dir, FsyncInterval: noSync})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if rec.CheckpointSeq != snapAt || rec.TornBytes == 0 ||
+			rec.Replayed != len(events)-snapAt-1 || rec.Seq != uint64(len(events)-1) {
+			t.Fatalf("recovered %+v; want checkpoint %d, torn bytes, %d replayed to seq %d",
+				rec, snapAt, len(events)-snapAt-1, len(events)-1)
+		}
+		if got, want := eng.Stats().Ingested, uint64(len(events)-1); got != want {
+			t.Fatalf("engine holds %d events, want %d", got, want)
+		}
+	})
+	t.Run("damaged sealed segment", func(t *testing.T) {
+		dir, segs := crashed(t)
+		damage(t, segs[len(segs)-2], 1)
+		eng, sem := newPair(2)
+		defer eng.Close()
+		defer sem.Close()
+		_, _, err := Open(eng, sem, Options{Dir: dir, FsyncInterval: noSync})
+		if err == nil || !strings.Contains(err.Error(), "torn tail but is not the final segment") {
+			t.Fatalf("Open over a damaged sealed segment: %v", err)
+		}
+	})
 }
 
 // TestStoreLiveResume covers the non-re-readable path: the feed resumes

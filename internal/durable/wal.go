@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -106,6 +107,15 @@ type WAL struct {
 // segments: the final segment's torn tail, if any, is truncated in
 // place; corruption anywhere else is an error.
 func OpenWAL(dir string, opts WALOptions) (*WAL, WALRecovery, error) {
+	return openWAL(dir, opts, 0, nil)
+}
+
+// openWAL is OpenWAL that also replays the log: the one recovery scan
+// that checks every frame calls fn, when non-nil, for every intact
+// record with seq >= fromSeq, in order, before the torn tail is cut.
+// An error from fn, or corruption found after fn has seen records,
+// fails the open; the caller discards what fn was fed.
+func openWAL(dir string, opts WALOptions, fromSeq uint64, fn func(seq uint64, payload []byte) error) (*WAL, WALRecovery, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, WALRecovery{}, err
@@ -116,7 +126,7 @@ func OpenWAL(dir string, opts WALOptions) (*WAL, WALRecovery, error) {
 		records: obs.Default.Counter("wal_records_total", "records appended to the WAL"),
 		bytes:   obs.Default.Counter("wal_appended_bytes_total", "bytes appended to the WAL"),
 	}
-	rec, err := w.recover()
+	rec, err := w.recover(fromSeq, fn)
 	if err != nil {
 		return nil, rec, err
 	}
@@ -152,9 +162,10 @@ func (w *WAL) segments() ([]string, error) {
 	return paths, nil
 }
 
-// recover scans the on-disk segments, truncates a torn tail off the
-// last one, and positions the writer.
-func (w *WAL) recover() (WALRecovery, error) {
+// recover scans the on-disk segments, replaying records >= fromSeq
+// through fn, truncates a torn tail off the last one, and positions the
+// writer.
+func (w *WAL) recover(fromSeq uint64, fn func(seq uint64, payload []byte) error) (WALRecovery, error) {
 	var rec WALRecovery
 	paths, err := w.segments()
 	if err != nil {
@@ -164,7 +175,7 @@ func (w *WAL) recover() (WALRecovery, error) {
 	w.segs = len(paths)
 	for i, p := range paths {
 		last := i == len(paths)-1
-		info, err := scanSegment(p, 0, nil)
+		info, err := scanSegment(p, fromSeq, fn)
 		if err != nil {
 			return rec, fmt.Errorf("durable: segment %s: %w", filepath.Base(p), err)
 		}
@@ -254,29 +265,28 @@ func scanSegment(path string, fromSeq uint64, fn func(seq uint64, payload []byte
 	}
 	info.firstSeq = binary.BigEndian.Uint64(hdr[8:])
 	info.goodBytes = segHeader
-	var fh [frameHeader]byte
-	payload := make([]byte, 0, 4096)
+	// frame holds one whole frame, so seq||payload, which the CRC
+	// covers, is contiguous.
+	frame := make([]byte, frameHeader, 4096)
 	for info.goodBytes < size {
-		if _, err := io.ReadFull(br, fh[:]); err != nil {
+		if _, err := io.ReadFull(br, frame[:frameHeader]); err != nil {
 			break // torn frame header
 		}
-		length := binary.BigEndian.Uint32(fh[0:4])
-		sum := binary.BigEndian.Uint32(fh[4:8])
-		seq := binary.BigEndian.Uint64(fh[8:16])
+		length := binary.BigEndian.Uint32(frame[0:4])
+		sum := binary.BigEndian.Uint32(frame[4:8])
+		seq := binary.BigEndian.Uint64(frame[8:16])
 		if length > maxRecord || info.goodBytes+frameHeader+int64(length) > size {
 			break // implausible length or runs past EOF: torn
 		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(br, payload); err != nil {
+		frame = slices.Grow(frame[:frameHeader], int(length))[:frameHeader+int(length)]
+		if _, err := io.ReadFull(br, frame[frameHeader:]); err != nil {
 			break
 		}
-		crc := crc32.Update(0, crcTable, fh[8:16])
-		crc = crc32.Update(crc, crcTable, payload)
-		if crc != sum {
+		if crc32.Checksum(frame[8:], crcTable) != sum {
 			break // torn or bit-rotted tail record
 		}
 		if fn != nil && seq >= fromSeq {
-			if err := fn(seq, payload); err != nil {
+			if err := fn(seq, frame[frameHeader:]); err != nil {
 				return info, err
 			}
 		}
@@ -470,36 +480,6 @@ func (w *WAL) SizeBytes() int64 {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.sealed + w.segBytes
-}
-
-// Replay calls fn for every record with seq >= fromSeq, in order. It
-// reads the on-disk state and is meant for recovery, before appends
-// start; calling it on a live WAL sees whatever has been flushed.
-func (w *WAL) Replay(fromSeq uint64, fn func(seq uint64, payload []byte) error) error {
-	w.mu.Lock()
-	if err := w.flushLocked(false); err != nil {
-		w.mu.Unlock()
-		return err
-	}
-	paths, err := w.segments()
-	w.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	for i, p := range paths {
-		// Skip whole segments that end before fromSeq: the next
-		// segment's name is the first seq after this one.
-		if i+1 < len(paths) {
-			next, err := parseSegName(filepath.Base(paths[i+1]))
-			if err == nil && next > 0 && next-1 < fromSeq {
-				continue
-			}
-		}
-		if _, err := scanSegment(p, fromSeq, fn); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // TruncateBefore deletes sealed segments whose every record is below

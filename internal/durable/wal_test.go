@@ -2,6 +2,7 @@ package durable
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -36,10 +37,28 @@ func appendN(t testing.TB, w *WAL, seqs []uint64) {
 	}
 }
 
+// replay calls fn for every flushed record of w with seq >= from, in
+// order, the way recovery's scan hands records over.
+func replay(w *WAL, from uint64, fn func(seq uint64, payload []byte) error) error {
+	w.mu.Lock()
+	err := w.flushLocked(false)
+	paths, lerr := w.segments()
+	w.mu.Unlock()
+	if err = errors.Join(err, lerr); err != nil {
+		return err
+	}
+	for _, p := range paths {
+		if _, err := scanSegment(p, from, fn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func replayAll(t testing.TB, w *WAL, from uint64) []uint64 {
 	t.Helper()
 	var got []uint64
-	if err := w.Replay(from, func(seq uint64, payload []byte) error {
+	if err := replay(w, from, func(seq uint64, payload []byte) error {
 		if want := fmt.Sprintf("payload-%d", seq); string(payload) != want {
 			return fmt.Errorf("seq %d payload %q, want %q", seq, payload, want)
 		}
@@ -461,7 +480,7 @@ func TestTruncateBeforeProperty(t *testing.T) {
 			}
 		}
 		var gotTail []uint64
-		if err := w.Replay(cut, func(seq uint64, _ []byte) error {
+		if err := replay(w, cut, func(seq uint64, _ []byte) error {
 			gotTail = append(gotTail, seq)
 			return nil
 		}); err != nil {
