@@ -384,17 +384,18 @@ type dictExportPayload struct {
 // handleDictExport serves the full inferred dictionary. The frontend
 // fetches this from every shard (with If-None-Match revalidation) and
 // merges the partials; it is also a bulk-download convenience for
-// operators.
+// operators. It is machine-read, so it is compact JSON: an indented
+// peer list costs a line per peer.
 func (s *Server) handleDictExport(w http.ResponseWriter, r *http.Request) {
 	snap := s.dictSnapshot()
 	body, etag, err := s.dictExp.get(snap.Version, func() ([]byte, error) {
 		entries := snap.Exports()
-		return json.MarshalIndent(dictExportPayload{
+		return json.Marshal(dictExportPayload{
 			Version:      snap.Version,
 			Observations: snap.Observations,
 			Count:        len(entries),
 			Entries:      entries,
-		}, "", "  ")
+		})
 	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
