@@ -73,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -fuzz '^FuzzSuiteFile$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/suite
 	$(GO) test -fuzz '^FuzzWALRecord$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/durable
 	$(GO) test -fuzz '^FuzzCheckpoint$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/durable
+	$(GO) test -fuzz '^FuzzAlertJSON$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/serve
 
 # lint is gofmt, go vet and the layering gate (layering_test.go): the
 # record package imports only the wire and simulation layers, watch and
