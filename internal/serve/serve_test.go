@@ -581,6 +581,56 @@ func TestFrontendRevalidation(t *testing.T) {
 	}
 }
 
+// TestFrontendConcurrentAlerts: readers of the full and a filtered
+// /alerts share the frontend's cached shard bodies and alert index
+// while the shards keep ingesting, so fresh bodies keep replacing them;
+// once the shards are flushed, every view is the single process's.
+func TestFrontendConcurrentAlerts(t *testing.T) {
+	events := churnEvents(t)
+	half := len(events) / 2
+	feH, shards := startFleet(t, events[:half], 2)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	served := make(chan struct{}) // an answer counts only if the feeder is waiting for it
+	for g := 0; g < 4; g++ {
+		path := []string{"/alerts", "/alerts?detector=community-squat"}[g%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if code, _, body := get(t, feH, path, nil); code != http.StatusOK {
+					t.Errorf("GET %s while the shards ingest: status %d: %s", path, code, body)
+				}
+				select {
+				case served <- struct{}{}:
+				default:
+				}
+			}
+		}()
+	}
+	// Small flushed steps, each waiting for two answers given after it,
+	// so the shards' bodies change many times under the readers.
+	for i := half; i < len(events); i += 25 {
+		for _, sp := range shards {
+			sink := sp.store.Sink()
+			for _, ev := range events[i:min(i+25, len(events))] {
+				sink(ev)
+			}
+			sp.eng.Flush()
+		}
+		<-served
+		<-served
+	}
+	close(stop)
+	wg.Wait()
+	sameAlerts(t, startProc(t, events, 0, 1).srv.Handler(), feH)
+}
+
 // TestFrontendShardFailure pins the no-partial-merge rule: with one
 // shard down, merged endpoints refuse (502) rather than silently serve
 // a view missing a slice of the prefix space, and /healthz degrades.
