@@ -94,7 +94,7 @@ func (x *alertIndex) write(w http.ResponseWriter, detector string) {
 // body-th, to dst. json.Valid vets the whole body first, so the walk
 // after it only follows structure.
 func appendAlerts(dst []alertElem, body uint32, b []byte) ([]alertElem, error) {
-	if len(b) > math.MaxUint32 {
+	if uint64(len(b)) > math.MaxUint32 {
 		return dst, errors.New("body is larger than 4 GiB")
 	}
 	if !json.Valid(b) {
