@@ -237,9 +237,10 @@ func (e *snapEncoder) watch(st *watch.State) {
 		w := &st.Prefixes[i]
 		e.prefix(w.Prefix)
 		e.uvarint(w.Total)
-		e.uvarint(uint64(len(w.Events)))
-		for j := range w.Events {
-			e.rec = EncodeEvent(e.rec[:0], &w.Events[j])
+		e.uvarint(uint64(w.Len()))
+		for j := 0; j < w.Len(); j++ {
+			ev := w.At(j).Event(w.Prefix)
+			e.rec = EncodeEvent(e.rec[:0], &ev)
 			e.uvarint(uint64(len(e.rec)))
 			e.buf = append(e.buf, e.rec...)
 		}
@@ -342,23 +343,25 @@ func decodeWatchState(r *reader) (*watch.State, error) {
 	st.AlertsRaised, st.AlertsTruncated = r.uvarint(), r.uvarint()
 	if n := r.count(minWindowBytes); n > 0 {
 		st.Prefixes = make([]watch.PrefixWindow, 0, n)
+		var events []feed.Event // one window's, reused: AppendWindow keeps entries
+		source := ""
 		for i := 0; i < n && !r.failed; i++ {
-			w := watch.PrefixWindow{Prefix: r.prefix(r.byte()), Total: r.uvarint()}
-			if m := r.count(minEventBytes); m > 0 {
-				w.Events = make([]feed.Event, 0, m)
-				for j := 0; j < m && !r.failed; j++ {
-					rec := r.bytes(r.count(1))
-					if r.failed {
-						break
-					}
-					ev, err := DecodeEvent(rec)
-					if err != nil {
-						return nil, fmt.Errorf("window %s event %d: %w", w.Prefix, j, err)
-					}
-					w.Events = append(w.Events, ev)
+			p, total := r.prefix(r.byte()), r.uvarint()
+			events = events[:0]
+			m := r.count(minEventBytes)
+			for j := 0; j < m && !r.failed; j++ {
+				rec := r.bytes(r.count(1))
+				if r.failed {
+					break
 				}
+				ev, err := decodeEvent(rec, source)
+				if err != nil {
+					return nil, fmt.Errorf("window %s event %d: %w", p, j, err)
+				}
+				source = ev.Source
+				events = append(events, ev)
 			}
-			st.Prefixes = append(st.Prefixes, w)
+			st.AppendWindow(p, total, events)
 		}
 	}
 	if n := r.count(minAlertBytes); n > 0 {

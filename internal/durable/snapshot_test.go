@@ -45,19 +45,12 @@ func stateBytes(t testing.TB, eng *watch.Engine, sem *semantics.Engine) []byte {
 func sampleCheckpoint() *Checkpoint {
 	evs := sampleEvents()
 	t0 := time.Date(2018, 4, 3, 12, 30, 0, 123456789, time.UTC)
-	return &Checkpoint{
+	cp := &Checkpoint{
 		Seq:     11,
 		Skipped: 4,
 		SavedAt: t0.Add(time.Hour),
 		Watch: &watch.State{
 			Seq: 11, Ingested: 12, Processed: 11, AlertsRaised: 3, AlertsTruncated: 1,
-			Prefixes: []watch.PrefixWindow{
-				{Total: 1, Events: evs[3:4]}, // the prefix-less window
-				{Prefix: evs[4].Prefix, Total: 1, Events: evs[4:5]},
-				{Prefix: evs[0].Prefix, Total: 9, Events: evs[0:2]},
-				{Prefix: netip.MustParsePrefix("198.51.100.0/24"), Total: 40},
-				{Prefix: evs[2].Prefix, Total: 1, Events: evs[2:3]},
-			},
 			Alerts: []watch.Alert{
 				{Seq: 1, Time: t0, Detector: "blackhole-onset", Severity: watch.Critical, Prefix: evs[0].Prefix,
 					PeerAS: 64512, Origin: 65001, Community: "3356:666", Source: "rrc00", Message: "onset"},
@@ -77,6 +70,13 @@ func sampleCheckpoint() *Checkpoint {
 			},
 		},
 	}
+	st := cp.Watch
+	st.AppendWindow(netip.Prefix{}, 1, evs[3:4]) // the prefix-less window
+	st.AppendWindow(evs[4].Prefix, 1, evs[4:5])
+	st.AppendWindow(evs[0].Prefix, 9, evs[0:2])
+	st.AppendWindow(netip.MustParsePrefix("198.51.100.0/24"), 40, nil)
+	st.AppendWindow(evs[2].Prefix, 1, evs[2:3])
+	return cp
 }
 
 // TestCheckpointCodecRoundTrip: decode(encode(cp)) is cp — checked
@@ -96,14 +96,15 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	}
 	for i, w := range cp.Watch.Prefixes {
 		g := got.Watch.Prefixes[i]
-		if g.Prefix != w.Prefix || g.Total != w.Total || len(g.Events) != len(w.Events) {
+		if g.Prefix != w.Prefix || g.Total != w.Total || g.Len() != w.Len() {
 			t.Fatalf("window %d: got %+v want %+v", i, g, w)
 		}
-		for j := range w.Events {
-			if !eventsEqual(&w.Events[j], &g.Events[j]) {
-				t.Fatalf("window %d event %d: got %+v want %+v", i, j, g.Events[j], w.Events[j])
+		for j := 0; j < w.Len(); j++ {
+			we, ge := w.At(j).Event(w.Prefix), g.At(j).Event(g.Prefix)
+			if !eventsEqual(&we, &ge) {
+				t.Fatalf("window %d event %d: got %+v want %+v", i, j, ge, we)
 			}
-			if w.Events[j].Time.IsZero() != g.Events[j].Time.IsZero() {
+			if we.Time.IsZero() != ge.Time.IsZero() {
 				t.Fatalf("window %d event %d: zero time did not survive", i, j)
 			}
 		}
@@ -286,8 +287,8 @@ const parentJSONCheckpointBytes = 5_995_411
 // at or under a third of the JSON it replaced.
 func TestCheckpointSizeVsJSON(t *testing.T) {
 	st := sizingState(t)
-	if len(st.Prefixes) != 1000 || len(st.Prefixes[0].Events) != 32 {
-		t.Fatalf("sizing state is %d prefixes x %d events, want 1000 x 32", len(st.Prefixes), len(st.Prefixes[0].Events))
+	if len(st.Prefixes) != 1000 || st.Prefixes[0].Len() != 32 {
+		t.Fatalf("sizing state is %d prefixes x %d events, want 1000 x 32", len(st.Prefixes), st.Prefixes[0].Len())
 	}
 	dir := t.TempDir()
 	path, err := writeSnapshot(dir, &Checkpoint{Seq: st.Seq, SavedAt: time.Unix(1522540800, 0).UTC(), Watch: st})

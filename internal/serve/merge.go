@@ -14,14 +14,15 @@ import (
 
 // alertIndex is the fleet's /alerts at one vector of shard ETags: the
 // shard bodies and, in global sequence order, where each alert element
-// sits in them. A merged answer is written from it element by element;
-// no merged body is ever built. Shards own disjoint prefix ranges, so
+// sits in them. A merged answer is written from it run by run; no
+// merged body is ever built. Shards own disjoint prefix ranges, so
 // sequence numbers never collide, and a stable sort by seq of the
 // bodies' elements in shard order reconstructs the exact global order.
 //
 // Copying elements verbatim is exact because shard and frontend write
 // the same envelope at the same depth (alerts.go); only an element's seq
-// and detector are read, never the alert.
+// and detector are read, never the alert. Elements that follow each
+// other in one body are written as the one slice they are there.
 type alertIndex struct {
 	bodies [][]byte
 	elems  []alertElem
@@ -75,15 +76,28 @@ func (x *alertIndex) write(w http.ResponseWriter, detector string) {
 	bw := bufio.NewWriterSize(w, min(size, 32<<10))
 	var buf [64]byte
 	bw.Write(appendAlertsHead(buf[:0], count, count == 0))
-	first := true
+	// Kept elements that sit next to each other in one body, separated
+	// there by exactly alertsSep, go out as one slice of it: the run
+	// body[start:end], open once anything is kept.
+	var body, start, end uint32
+	open := false
 	for i := range x.elems {
-		if e := &x.elems[i]; keep(e) {
-			if !first {
-				bw.WriteString(alertsSep)
-			}
-			first = false
-			bw.Write(x.bodies[e.body][e.start:e.end])
+		e := &x.elems[i]
+		if !keep(e) {
+			continue
 		}
+		if open && e.body == body && e.start == end+uint32(len(alertsSep)) && string(x.bodies[body][end:e.start]) == alertsSep {
+			end = e.end
+			continue
+		}
+		if open {
+			bw.Write(x.bodies[body][start:end])
+			bw.WriteString(alertsSep)
+		}
+		body, start, end, open = e.body, e.start, e.end, true
+	}
+	if open {
+		bw.Write(x.bodies[body][start:end])
 	}
 	bw.Write(appendAlertsTail(buf[:0], count))
 	bw.WriteByte('\n')

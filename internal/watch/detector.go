@@ -105,7 +105,7 @@ func (blackholeOnset) Observe(st *PrefixState, ev *feed.Event, emit func(Alert))
 		return
 	}
 	for i := 0; i < st.Len(); i++ {
-		for _, c := range st.At(i).Communities {
+		for _, c := range st.At(i).Communities() {
 			if c.IsBlackhole() {
 				return // episode already open
 			}
@@ -169,10 +169,10 @@ func (d propDistance) Observe(st *PrefixState, ev *feed.Event, emit func(Alert))
 		repeat := false
 		for i := 0; i < st.Len() && !repeat; i++ {
 			prior := st.At(i)
-			if prior.Withdraw || !prior.Communities.Has(c) {
+			if prior.Withdraw() || !prior.Communities().Has(c) {
 				continue
 			}
-			if travelHops(prior.ASPath, c) > d.threshold {
+			if travelHops(prior.ASPath(), c) > d.threshold {
 				repeat = true
 			}
 		}
@@ -224,7 +224,7 @@ func (routeLeak) Observe(st *PrefixState, ev *feed.Event, emit func(Alert)) {
 	seen := false
 	for i := 0; i < st.Len(); i++ {
 		prior := st.At(i)
-		if prior.Withdraw || len(prior.ASPath) == 0 {
+		if prior.Withdraw() || len(prior.ASPath()) == 0 {
 			continue
 		}
 		po := prior.Origin()

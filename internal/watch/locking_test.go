@@ -209,10 +209,10 @@ func TestConcurrentProducersKeepShardFIFO(t *testing.T) {
 			t.Fatalf("shards=%d: ingested %d, processed %d of %d events", shards, st.Ingested, st.Processed, len(events))
 		}
 		for _, w := range e.ExportState().Prefixes {
-			for i := 1; i < len(w.Events); i++ {
-				if w.Events[i-1].Seq >= w.Events[i].Seq {
+			for i := 1; i < w.Len(); i++ {
+				if w.At(i-1).Seq() >= w.At(i).Seq() {
 					t.Fatalf("shards=%d: %s window out of order: seq %d before %d",
-						shards, w.Prefix, w.Events[i-1].Seq, w.Events[i].Seq)
+						shards, w.Prefix, w.At(i-1).Seq(), w.At(i).Seq())
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -36,6 +37,9 @@ type State struct {
 	// ByDetector carries the per-detector firing totals (they outlive
 	// retention truncation, so they cannot be rebuilt from Alerts).
 	ByDetector map[string]uint64
+
+	// origins resolves the windows AppendWindow builds.
+	origins *origins
 }
 
 // PrefixWindow is one prefix's persisted sliding-window state.
@@ -43,12 +47,52 @@ type PrefixWindow struct {
 	Prefix netip.Prefix
 	// Total counts every event ever folded for the prefix.
 	Total uint64
-	// Events is the current ring content, oldest first. The events are
-	// copies, but their ASPath and Communities slices are the ones the
-	// live ring holds: an ingested event's slices are never written
-	// again (the ring replaces whole events), so sharing them is safe
-	// and keeps the export a shallow copy.
-	Events []feed.Event
+	// events is the window content, oldest first, in the compact form
+	// the engine's rings hold. The entries are copies, but their ASPath
+	// and Communities slices are the ones the live ring holds: an
+	// ingested event's slices are never written again (the ring
+	// replaces whole entries), so sharing them is safe and keeps the
+	// export a shallow copy.
+	events  []entry
+	origins *origins
+}
+
+// Len is the number of windowed events.
+func (w *PrefixWindow) Len() int { return len(w.events) }
+
+// At returns the i-th windowed event, oldest first (0 <= i < Len).
+func (w *PrefixWindow) At(i int) WindowEvent { return WindowEvent{&w.events[i], w.origins} }
+
+// MarshalJSON writes the window as {Prefix, Total, Events}, the events
+// materialised: a State's JSON reads as it did when windows held
+// feed.Events, so two exports compare by their JSON.
+func (w PrefixWindow) MarshalJSON() ([]byte, error) {
+	events := make([]feed.Event, len(w.events))
+	for i := range events {
+		events[i] = w.At(i).Event(w.Prefix)
+	}
+	return json.Marshal(struct {
+		Prefix netip.Prefix
+		Total  uint64
+		Events []feed.Event
+	}{w.Prefix, w.Total, events})
+}
+
+// AppendWindow appends p's window, holding events oldest first, to st:
+// how a checkpoint decoder builds the State that RestoreState takes.
+// The events' paths and community sets are kept, not copied.
+func (st *State) AppendWindow(p netip.Prefix, total uint64, events []feed.Event) {
+	if st.origins == nil {
+		st.origins = &origins{}
+	}
+	w := PrefixWindow{Prefix: p, Total: total, origins: st.origins}
+	if len(events) > 0 {
+		w.events = make([]entry, len(events))
+		for i := range events {
+			w.events[i] = st.origins.entry(&events[i])
+		}
+	}
+	st.Prefixes = append(st.Prefixes, w)
 }
 
 // ExportState flushes pending work and snapshots the engine's full
@@ -69,21 +113,25 @@ func (e *Engine) ExportState() *State {
 	}
 	for _, s := range e.shards {
 		s.mu.Lock()
-		// One slab per shard holds every window's events: the export runs
-		// inside the durable store's ingest fence, where 5,000 growing
-		// appends were most of its time.
+		// One slab per shard holds every window's entries: the export
+		// runs inside the durable store's ingest fence, where 5,000
+		// growing appends were most of its time.
 		n := 0
 		for _, ps := range s.prefixes {
 			n += ps.n
 		}
-		slab := make([]feed.Event, 0, n)
+		slab := make([]entry, 0, n)
+		o := s.origins.frozen()
 		st.Prefixes = slices.Grow(st.Prefixes, len(s.prefixes))
 		for p, ps := range s.prefixes {
 			from := len(slab)
-			for i := 0; i < ps.n; i++ {
-				slab = append(slab, *ps.At(i))
+			if end := ps.head + ps.n; end <= len(ps.ring) {
+				slab = append(slab, ps.ring[ps.head:end]...)
+			} else {
+				slab = append(slab, ps.ring[ps.head:]...)
+				slab = append(slab, ps.ring[:end-len(ps.ring)]...)
 			}
-			st.Prefixes = append(st.Prefixes, PrefixWindow{Prefix: p, Total: ps.total, Events: slab[from:len(slab):len(slab)]})
+			st.Prefixes = append(st.Prefixes, PrefixWindow{Prefix: p, Total: ps.total, events: slab[from:len(slab):len(slab)], origins: o})
 		}
 		st.Alerts = append(st.Alerts, s.alerts...)
 		for k, v := range s.byDetector {
@@ -133,9 +181,10 @@ func (e *Engine) RestoreState(st *State) error {
 		p := w.Prefix.Masked()
 		s := e.shards[e.shardOf(p)]
 		s.mu.Lock()
-		ps := newPrefixState(e.cfg.WindowEvents)
-		for j := range w.Events {
-			ps.push(&w.Events[j], e.cfg.Window)
+		ps := newPrefixState(e.cfg.WindowEvents, s.origins)
+		for j := 0; j < w.Len(); j++ {
+			ev := w.At(j).Event(w.Prefix)
+			ps.push(&ev, e.cfg.Window)
 		}
 		ps.total = w.Total
 		s.prefixes[p] = ps

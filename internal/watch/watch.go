@@ -133,6 +133,7 @@ type shard struct {
 
 	mu         sync.Mutex // workers and readers only; see "Engine locking"
 	prefixes   map[netip.Prefix]*PrefixState
+	origins    *origins // every window's sources and time zones
 	alerts     []Alert
 	byDetector map[string]uint64
 
@@ -200,6 +201,7 @@ func NewEngine(cfg Config) *Engine {
 		s := &shard{
 			ch:         make(chan batch, queueDepth),
 			prefixes:   make(map[netip.Prefix]*PrefixState),
+			origins:    &origins{},
 			byDetector: make(map[string]uint64),
 		}
 		maxRetained := -1
@@ -356,7 +358,7 @@ func (e *Engine) runShard(s *shard) {
 func (e *Engine) process(s *shard, ev *feed.Event) {
 	st := s.prefixes[ev.Prefix]
 	if st == nil {
-		st = newPrefixState(e.cfg.WindowEvents)
+		st = newPrefixState(e.cfg.WindowEvents, s.origins)
 		s.prefixes[ev.Prefix] = st
 	}
 	s.curEv = ev
@@ -563,11 +565,14 @@ func (e *Engine) PrefixInfo(p netip.Prefix) (PrefixInfo, bool) {
 	var comms bgp.CommunitySet
 	for i := 0; i < st.Len(); i++ {
 		ev := st.At(i)
-		info.LastSeq, info.LastTime, info.Withdrawn = ev.Seq, ev.Time, ev.Withdraw
-		if !ev.Withdraw {
+		if !ev.Withdraw() {
 			info.Origin = ev.Origin()
 		}
-		comms = comms.AddAll(ev.Communities...)
+		comms = comms.AddAll(ev.Communities()...)
+	}
+	if n := st.Len(); n > 0 {
+		last := st.At(n - 1)
+		info.LastSeq, info.LastTime, info.Withdrawn = last.Seq(), last.Time(), last.Withdraw()
 	}
 	for _, c := range comms {
 		info.Communities = append(info.Communities, c.String())

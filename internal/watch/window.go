@@ -1,6 +1,7 @@
 package watch
 
 import (
+	"net/netip"
 	"time"
 
 	"bgpworms/internal/bgp"
@@ -16,28 +17,149 @@ import (
 // A PrefixState lives wholly inside one shard; detectors must not
 // retain it across Observe calls.
 type PrefixState struct {
-	ring  []feed.Event
-	head  int // index of the oldest event
-	n     int
-	total uint64
+	ring    []entry
+	origins *origins // the shard's, resolving every entry's origin id
+	head    int      // index of the oldest event
+	n       int
+	total   uint64
 }
 
-func newPrefixState(capacity int) *PrefixState {
-	return &PrefixState{ring: make([]feed.Event, capacity)}
+// entry is one windowed event as a ring holds it: 80 bytes, two of
+// them pointer words, against 144 for a feed.Event. The prefix is the
+// window's key, so no entry repeats it; the time is kept as Unix
+// seconds and nanoseconds, and the event's source and time zone as an
+// id into its shard's origins. Paths and community sets are the
+// ingested event's own: nothing writes them after ingest.
+type entry struct {
+	seq         uint64
+	sec         int64
+	asPath      []uint32
+	communities bgp.CommunitySet
+	nsec        int32
+	peerAS      uint32
+	origin      uint32
+	withdraw    bool
+}
+
+// origin is what the entries of one shard share: the source an event
+// arrived on and the location its time was stated in.
+type origin struct {
+	source string
+	loc    *time.Location
+}
+
+// origins interns a shard's origins. A shard's list only grows, and an
+// id, once given, names the same origin for good, so an export shares
+// a prefix of the list instead of copying it. A feed carries a handful
+// of origins, so the table stays small.
+type origins struct {
+	list []origin
+	ids  map[origin]uint32
+	last uint32 // the id returned last: one feed's events repeat it
+}
+
+// id interns (source, loc) and returns its id.
+func (o *origins) id(source string, loc *time.Location) uint32 {
+	k := origin{source, loc}
+	if int(o.last) < len(o.list) && o.list[o.last] == k {
+		return o.last
+	}
+	id, ok := o.ids[k]
+	if !ok {
+		if o.ids == nil {
+			o.ids = make(map[origin]uint32)
+		}
+		id = uint32(len(o.list))
+		o.list = append(o.list, k)
+		o.ids[k] = id
+	}
+	o.last = id
+	return id
+}
+
+// frozen is the list as it stands, as origins of its own that later
+// interning never changes: what an export's windows resolve through.
+func (o *origins) frozen() *origins {
+	return &origins{list: o.list[:len(o.list):len(o.list)]}
+}
+
+// entry builds ev's compact form, interning its origin into o.
+func (o *origins) entry(ev *feed.Event) entry {
+	return entry{
+		seq: ev.Seq, sec: ev.Time.Unix(), nsec: int32(ev.Time.Nanosecond()),
+		asPath: ev.ASPath, communities: ev.Communities,
+		peerAS: ev.PeerAS, origin: o.id(ev.Source, ev.Time.Location()), withdraw: ev.Withdraw,
+	}
+}
+
+// before reports whether the entry's time is before the instant
+// (sec, nsec), as time.Time.Before would on wall clocks.
+func (e *entry) before(sec int64, nsec int32) bool {
+	return e.sec < sec || e.sec == sec && e.nsec < nsec
+}
+
+// WindowEvent is a windowed event read in place: the one way detectors,
+// PrefixInfo, RestoreState and the checkpoint codec read a window, in
+// an engine or in an exported State.
+type WindowEvent struct {
+	e *entry
+	o *origins
+}
+
+// Seq is the event's ingest sequence number.
+func (w WindowEvent) Seq() uint64 { return w.e.seq }
+
+// Time is the event's time as it was ingested: the same instant in the
+// same location, == to the original (a monotonic clock reading, which
+// no feed's time carries, is not kept). A zero time stays zero.
+func (w WindowEvent) Time() time.Time {
+	return time.Unix(w.e.sec, int64(w.e.nsec)).In(w.o.list[w.e.origin].loc)
+}
+
+// ASPath is the event's AS path, shared with the window: read only.
+func (w WindowEvent) ASPath() []uint32 { return w.e.asPath }
+
+// Communities is the event's community set, shared with the window:
+// read only.
+func (w WindowEvent) Communities() bgp.CommunitySet { return w.e.communities }
+
+// Withdraw reports whether the event was a withdrawal.
+func (w WindowEvent) Withdraw() bool { return w.e.withdraw }
+
+// Origin returns the originating AS (0 for an empty path).
+func (w WindowEvent) Origin() uint32 {
+	if len(w.e.asPath) == 0 {
+		return 0
+	}
+	return w.e.asPath[len(w.e.asPath)-1]
+}
+
+// Event materialises the windowed event for prefix p, the key of the
+// window it sits in. Its slices are the window's.
+func (w WindowEvent) Event(p netip.Prefix) feed.Event {
+	return feed.Event{
+		Seq: w.e.seq, Time: w.Time(), Source: w.o.list[w.e.origin].source,
+		PeerAS: w.e.peerAS, Prefix: p,
+		ASPath: w.e.asPath, Communities: w.e.communities, Withdraw: w.e.withdraw,
+	}
+}
+
+func newPrefixState(capacity int, o *origins) *PrefixState {
+	return &PrefixState{ring: make([]entry, capacity), origins: o}
 }
 
 // Len is the current window occupancy.
 func (s *PrefixState) Len() int { return s.n }
 
 // At returns the i-th windowed event, oldest first (0 <= i < Len).
-func (s *PrefixState) At(i int) *feed.Event {
-	return &s.ring[(s.head+i)%len(s.ring)]
+func (s *PrefixState) At(i int) WindowEvent {
+	return WindowEvent{&s.ring[(s.head+i)%len(s.ring)], s.origins}
 }
 
 // HasCommunity reports whether any windowed event carries c.
 func (s *PrefixState) HasCommunity(c bgp.Community) bool {
 	for i := 0; i < s.n; i++ {
-		if s.At(i).Communities.Has(c) {
+		if s.At(i).Communities().Has(c) {
 			return true
 		}
 	}
@@ -48,8 +170,9 @@ func (s *PrefixState) HasCommunity(c bgp.Community) bool {
 // count bound (overwriting the oldest when full).
 func (s *PrefixState) push(ev *feed.Event, horizon time.Duration) {
 	cutoff := ev.Time.Add(-horizon)
-	for s.n > 0 && s.ring[s.head].Time.Before(cutoff) {
-		s.ring[s.head] = feed.Event{}
+	sec, nsec := cutoff.Unix(), int32(cutoff.Nanosecond())
+	for s.n > 0 && s.ring[s.head].before(sec, nsec) {
+		s.ring[s.head] = entry{}
 		s.head = (s.head + 1) % len(s.ring)
 		s.n--
 	}
@@ -57,7 +180,7 @@ func (s *PrefixState) push(ev *feed.Event, horizon time.Duration) {
 		s.head = (s.head + 1) % len(s.ring)
 		s.n--
 	}
-	s.ring[(s.head+s.n)%len(s.ring)] = *ev
+	s.ring[(s.head+s.n)%len(s.ring)] = s.origins.entry(ev)
 	s.n++
 	s.total++
 }

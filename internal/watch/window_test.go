@@ -24,13 +24,19 @@ type window struct {
 func stateOf(seq uint64, windows []window) *watch.State {
 	st := &watch.State{Seq: seq}
 	for _, w := range windows {
-		st.Prefixes = append(st.Prefixes, watch.PrefixWindow{Prefix: w.prefix, Total: w.total, Events: w.events})
+		st.AppendWindow(w.prefix, w.total, w.events)
 	}
 	return st
 }
 
 // eventsOf reads an exported window back as events, oldest first.
-func eventsOf(w *watch.PrefixWindow) []feed.Event { return w.Events }
+func eventsOf(w *watch.PrefixWindow) []feed.Event {
+	var events []feed.Event
+	for i := 0; i < w.Len(); i++ {
+		events = append(events, w.At(i).Event(w.Prefix))
+	}
+	return events
+}
 
 // sameEvent compares every field, Time by == so that its location, a
 // zero time and the absence of a monotonic reading all count.
