@@ -239,7 +239,7 @@ func (e *snapEncoder) watch(st *watch.State) {
 		e.uvarint(w.Total)
 		e.uvarint(uint64(w.Len()))
 		for j := 0; j < w.Len(); j++ {
-			ev := w.At(j).Event(w.Prefix)
+			ev := w.At(j).FeedEvent(w.Prefix)
 			e.rec = EncodeEvent(e.rec[:0], &ev)
 			e.uvarint(uint64(len(e.rec)))
 			e.buf = append(e.buf, e.rec...)

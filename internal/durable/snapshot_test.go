@@ -100,7 +100,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 			t.Fatalf("window %d: got %+v want %+v", i, g, w)
 		}
 		for j := 0; j < w.Len(); j++ {
-			we, ge := w.At(j).Event(w.Prefix), g.At(j).Event(g.Prefix)
+			we, ge := w.At(j).FeedEvent(w.Prefix), g.At(j).FeedEvent(g.Prefix)
 			if !eventsEqual(&we, &ge) {
 				t.Fatalf("window %d event %d: got %+v want %+v", i, j, ge, we)
 			}

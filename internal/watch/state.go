@@ -69,7 +69,7 @@ func (w *PrefixWindow) At(i int) WindowEvent { return WindowEvent{&w.events[i], 
 func (w PrefixWindow) MarshalJSON() ([]byte, error) {
 	events := make([]feed.Event, len(w.events))
 	for i := range events {
-		events[i] = w.At(i).Event(w.Prefix)
+		events[i] = w.At(i).FeedEvent(w.Prefix)
 	}
 	return json.Marshal(struct {
 		Prefix netip.Prefix
@@ -183,7 +183,7 @@ func (e *Engine) RestoreState(st *State) error {
 		s.mu.Lock()
 		ps := newPrefixState(e.cfg.WindowEvents, s.origins)
 		for j := 0; j < w.Len(); j++ {
-			ev := w.At(j).Event(w.Prefix)
+			ev := w.At(j).FeedEvent(w.Prefix)
 			ps.push(&ev, e.cfg.Window)
 		}
 		ps.total = w.Total

@@ -134,9 +134,9 @@ func (w WindowEvent) Origin() uint32 {
 	return w.e.asPath[len(w.e.asPath)-1]
 }
 
-// Event materialises the windowed event for prefix p, the key of the
+// FeedEvent materialises the windowed event for prefix p, the key of the
 // window it sits in. Its slices are the window's.
-func (w WindowEvent) Event(p netip.Prefix) feed.Event {
+func (w WindowEvent) FeedEvent(p netip.Prefix) feed.Event {
 	return feed.Event{
 		Seq: w.e.seq, Time: w.Time(), Source: w.o.list[w.e.origin].source,
 		PeerAS: w.e.peerAS, Prefix: p,

@@ -33,7 +33,7 @@ func stateOf(seq uint64, windows []window) *watch.State {
 func eventsOf(w *watch.PrefixWindow) []feed.Event {
 	var events []feed.Event
 	for i := 0; i < w.Len(); i++ {
-		events = append(events, w.At(i).Event(w.Prefix))
+		events = append(events, w.At(i).FeedEvent(w.Prefix))
 	}
 	return events
 }
