@@ -89,7 +89,7 @@ func (st *State) AppendWindow(p netip.Prefix, total uint64, events []feed.Event)
 	if len(events) > 0 {
 		w.events = make([]entry, len(events))
 		for i := range events {
-			w.events[i] = st.origins.entry(&events[i])
+			w.events[i] = st.origins.compact(&events[i])
 		}
 	}
 	st.Prefixes = append(st.Prefixes, w)

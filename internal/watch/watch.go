@@ -565,14 +565,11 @@ func (e *Engine) PrefixInfo(p netip.Prefix) (PrefixInfo, bool) {
 	var comms bgp.CommunitySet
 	for i := 0; i < st.Len(); i++ {
 		ev := st.At(i)
+		info.LastSeq, info.LastTime, info.Withdrawn = ev.Seq(), ev.Time(), ev.Withdraw()
 		if !ev.Withdraw() {
 			info.Origin = ev.Origin()
 		}
 		comms = comms.AddAll(ev.Communities()...)
-	}
-	if n := st.Len(); n > 0 {
-		last := st.At(n - 1)
-		info.LastSeq, info.LastTime, info.Withdrawn = last.Seq(), last.Time(), last.Withdraw()
 	}
 	for _, c := range comms {
 		info.Communities = append(info.Communities, c.String())

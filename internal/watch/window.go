@@ -83,8 +83,8 @@ func (o *origins) frozen() *origins {
 	return &origins{list: o.list[:len(o.list):len(o.list)]}
 }
 
-// entry builds ev's compact form, interning its origin into o.
-func (o *origins) entry(ev *feed.Event) entry {
+// compact builds ev's entry, interning its origin into o.
+func (o *origins) compact(ev *feed.Event) entry {
 	return entry{
 		seq: ev.Seq, sec: ev.Time.Unix(), nsec: int32(ev.Time.Nanosecond()),
 		asPath: ev.ASPath, communities: ev.Communities,
@@ -180,7 +180,7 @@ func (s *PrefixState) push(ev *feed.Event, horizon time.Duration) {
 		s.head = (s.head + 1) % len(s.ring)
 		s.n--
 	}
-	s.ring[(s.head+s.n)%len(s.ring)] = s.origins.entry(ev)
+	s.ring[(s.head+s.n)%len(s.ring)] = s.origins.compact(ev)
 	s.n++
 	s.total++
 }
