@@ -21,8 +21,7 @@ import (
 //
 // Copying elements verbatim is exact because shard and frontend write
 // the same envelope at the same depth (alerts.go); only an element's seq
-// and detector are read, never the alert. Elements that follow each
-// other in one body are written as the one slice they are there.
+// and detector are read, never the alert.
 type alertIndex struct {
 	bodies [][]byte
 	elems  []alertElem
