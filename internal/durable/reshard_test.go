@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -222,15 +223,14 @@ func TestReshardWithoutCheckpoints(t *testing.T) {
 	}
 }
 
-// TestReshardInvalidPrefixDuplicates pins the every-shard-journals-it
-// invariant: an invalid-prefix event appears in both source WAL tails
-// under the same sequence, is collapsed to one logical record, and is
-// scattered to every destination.
-func TestReshardInvalidPrefixDuplicates(t *testing.T) {
+// TestReshardPrefixlessHasOneOwner: a prefix-less event is journaled
+// by the one source shard that owns netip.Prefix{} and scattered to its
+// one new owner, like every other record.
+func TestReshardPrefixlessHasOneOwner(t *testing.T) {
 	records := []feed.Event{
 		{Source: "c1", PeerAS: 64500, Prefix: netip.MustParsePrefix("10.0.0.0/24"), ASPath: []uint32{64500, 64501}},
 		{Source: "c1", PeerAS: 64500, Prefix: netip.MustParsePrefix("192.0.2.0/24"), ASPath: []uint32{64500, 64502}},
-		{Source: "c1", PeerAS: 64500}, // no prefix: journaled by every shard
+		{Source: "c1", PeerAS: 64500}, // no prefix
 		{Source: "c1", PeerAS: 64500, Prefix: netip.MustParsePrefix("198.51.100.0/24"), Withdraw: true},
 	}
 	var srcs []string
@@ -243,8 +243,8 @@ func TestReshardInvalidPrefixDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 		sink := st.Sink()
-		// Checkpoint before the feed so the invalid record lands in the
-		// uncovered WAL tail of both shards.
+		// Checkpoint before the feed so every record lands in the
+		// uncovered WAL tail.
 		if err := st.Snapshot(); err != nil {
 			t.Fatal(err)
 		}
@@ -262,41 +262,87 @@ func TestReshardInvalidPrefixDuplicates(t *testing.T) {
 		sem.Close()
 	}
 	dst := []string{filepath.Join(t.TempDir(), "d0"), filepath.Join(t.TempDir(), "d1"), filepath.Join(t.TempDir(), "d2")}
-	rep, err := Reshard(ReshardOptions{SrcDirs: srcs, DstDirs: dst, Owner: fnvIndex(3)})
+	owner := fnvIndex(len(dst))
+	rep, err := Reshard(ReshardOptions{SrcDirs: srcs, DstDirs: dst, Owner: owner})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Duplicates != 1 {
-		t.Fatalf("collapsed %d duplicate records, want 1 (the invalid-prefix event)", rep.Duplicates)
-	}
 	if rep.Records != len(records) {
-		t.Fatalf("scattered %d unique records, want %d", rep.Records, len(records))
+		t.Fatalf("scattered %d records, want %d", rep.Records, len(records))
 	}
-	// Three valid records went to one destination each; the invalid one
-	// went to all three.
 	total := 0
 	for _, n := range rep.PerDst {
 		total += n
 	}
-	if want := (len(records) - 1) + len(dst); total != want {
-		t.Fatalf("wrote %d records across destinations, want %d", total, want)
+	if total != rep.Records {
+		t.Fatalf("wrote %d records across destinations, want %d: one each", total, rep.Records)
 	}
 	for k, dir := range dst {
+		var got, want []netip.Prefix
+		for r, err := range iterSrcRecords(dir) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := DecodeEvent(r.payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, ev.Prefix)
+		}
+		for _, ev := range records {
+			if owner(ev.Prefix) == k {
+				want = append(want, ev.Prefix)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("dst %d holds %v, want %v (the prefix-less record belongs to dst %d)", k, got, want, owner(netip.Prefix{}))
+		}
+	}
+}
+
+// TestReshardRefusesASourcePassedTwice: every record has one owner, so
+// a sequence found in two source directories means one shard's state
+// was passed twice (two replicas of one range, say). Collapsing the
+// copies would hide that; Reshard refuses and names both directories,
+// whether the copies' records are a live tail or all checkpoint-covered.
+func TestReshardRefusesASourcePassedTwice(t *testing.T) {
+	events := churnEvents(t)
+	for _, graceful := range []bool{false, true} {
+		src := filepath.Join(t.TempDir(), "src")
 		eng, sem := newPair(2)
-		st, rec, err := Open(eng, sem, Options{Dir: dir, Owner: hashOwner(k, 3), FsyncInterval: noSync})
+		st, _, err := Open(eng, sem, Options{Dir: src, Owner: hashOwner(0, 2), FsyncInterval: noSync})
 		if err != nil {
-			t.Fatalf("dst %d failed to open after reshard: %v", k, err)
+			t.Fatal(err)
 		}
-		// A shard's watermark is its last owned record; the invalid event
-		// (seq 3) reached every destination, so no watermark may trail it.
-		if rec.Seq < 3 || rec.Seq > uint64(len(records)) {
-			t.Fatalf("dst %d recovered watermark %d, want within [3,%d]", k, rec.Seq, len(records))
+		sink := st.Sink()
+		for _, ev := range events[:len(events)/2] {
+			sink(ev)
 		}
-		if err := st.Close(); err != nil {
+		if err := st.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range events[len(events)/2:] {
+			sink(ev)
+		}
+		if graceful {
+			err = st.Close()
+		} else if err = st.wal.Sync(); err == nil {
+			st.crash()
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		eng.Close()
 		sem.Close()
+		twin := filepath.Join(t.TempDir(), "twin")
+		if err := os.CopyFS(twin, os.DirFS(src)); err != nil {
+			t.Fatal(err)
+		}
+		dst := []string{filepath.Join(t.TempDir(), "d0")}
+		_, err = Reshard(ReshardOptions{SrcDirs: []string{src, twin}, DstDirs: dst, Owner: fnvIndex(1)})
+		if err == nil || !strings.Contains(err.Error(), src) || !strings.Contains(err.Error(), twin) {
+			t.Fatalf("graceful=%v: a source passed twice must be refused naming both copies, got %v", graceful, err)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package netx
 
 import (
+	"cmp"
 	"math/rand"
 	"net/netip"
 	"sort"
@@ -59,18 +60,35 @@ func TestNthAddr(t *testing.T) {
 	}
 }
 
+// TestComparePrefixOrdering holds the canonical order: the invalid
+// prefix first, then IPv4, then IPv6 — an IPv4-mapped IPv6 prefix is
+// IPv6 — each by address, then length.
 func TestComparePrefixOrdering(t *testing.T) {
-	ps := []netip.Prefix{
-		MustPrefix("2001:db8::/32"),
-		MustPrefix("10.0.0.0/16"),
-		MustPrefix("10.0.0.0/8"),
+	want := []netip.Prefix{
+		{},
 		MustPrefix("9.0.0.0/8"),
+		MustPrefix("10.0.0.0/8"),
+		MustPrefix("10.0.0.0/16"),
+		MustPrefix("::ffff:10.0.0.0/104"),
+		MustPrefix("2001:db8::/32"),
 	}
-	sort.Slice(ps, func(i, j int) bool { return ComparePrefix(ps[i], ps[j]) < 0 })
-	want := []string{"9.0.0.0/8", "10.0.0.0/8", "10.0.0.0/16", "2001:db8::/32"}
-	for i, w := range want {
-		if ps[i].String() != w {
-			t.Fatalf("order[%d]=%s want %s", i, ps[i], w)
+	for _, perm := range [][]int{{5, 1, 2, 0, 4, 3}, {3, 4, 0, 5, 2, 1}, {0, 5, 4, 3, 2, 1}} {
+		ps := make([]netip.Prefix, len(perm))
+		for i, j := range perm {
+			ps[i] = want[j]
+		}
+		sort.Slice(ps, func(i, j int) bool { return ComparePrefix(ps[i], ps[j]) < 0 })
+		for i, w := range want {
+			if ps[i] != w {
+				t.Fatalf("from %v: order[%d]=%s want %s", perm, i, ps[i], w)
+			}
+		}
+	}
+	for i, a := range want {
+		for j, b := range want {
+			if got := ComparePrefix(a, b); got != cmp.Compare(i, j) {
+				t.Errorf("ComparePrefix(%s, %s) = %d, want %d", a, b, got, cmp.Compare(i, j))
+			}
 		}
 	}
 }

@@ -208,9 +208,10 @@ func (s *durableShard) stop(t *testing.T) {
 // run a 2-shard durable fleet, capture the merged /alerts, stop the
 // fleet, reshard its directories 2→3 with the exact ownership function
 // cmd/walreshard wires (RangeMap over the destination count), boot the
-// new fleet feed-less, and require the byte-identical merged surface.
+// new fleet feed-less, and require the byte-identical merged surface,
+// which is also one process's /alerts.
 func TestFrontendReshardByteIdentity(t *testing.T) {
-	events := churnEvents(t)
+	events := withPrefixless(churnEvents(t))
 
 	srcDirs := []string{t.TempDir(), t.TempDir()}
 	var pre []byte
@@ -229,6 +230,9 @@ func TestFrontendReshardByteIdentity(t *testing.T) {
 	}
 	if !strings.Contains(string(pre), `"detector"`) {
 		t.Fatal("pre-reshard /alerts holds no alerts — identity would be vacuous")
+	}
+	if want := mustGet(t, startProc(t, events, 0, 1).srv.Handler(), "/alerts"); !bytes.Equal(pre, want) {
+		t.Fatalf("2-shard fleet /alerts diverged from one process: fleet %d bytes, process %d bytes", len(pre), len(want))
 	}
 
 	dstDirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}

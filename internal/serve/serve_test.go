@@ -319,6 +319,18 @@ func TestFrontendSeesShardRestart(t *testing.T) {
 	}
 }
 
+// withPrefixless appends a prefix-less announcement tagged 300:666 to
+// events. Its prefix has one owner like any other (RangeMap gives it to
+// shard 0), so a fleet must serve its blackhole alert once, as one
+// process does, and not once per shard.
+func withPrefixless(events []feed.Event) []feed.Event {
+	bare := events[len(events)-1]
+	bare.Prefix, bare.Withdraw = netip.Prefix{}, false
+	bare.ASPath = []uint32{bare.PeerAS, 300}
+	bare.Communities = bgp.NewCommunitySet(bgp.C(300, 666))
+	return append(events, bare)
+}
+
 // startFleet starts n shard processes, each fed every event, behind a
 // frontend, and returns the frontend's handler and the shards.
 func startFleet(t *testing.T, events []feed.Event, n int) (http.Handler, []*proc) {
@@ -375,6 +387,7 @@ func TestFrontendByteIdentity(t *testing.T) {
 	events = append(events, leak)
 	leak.ASPath = []uint32{leak.PeerAS, 999}
 	events = append(events, leak)
+	events = withPrefixless(events)
 	for i := range events {
 		events[i].Source += " <&>"
 	}
