@@ -63,8 +63,8 @@ func main() {
 	if *quiet {
 		return
 	}
-	fmt.Printf("resharded %d -> %d shards: %d records (%d checkpoint-covered dropped, %d cross-shard duplicates collapsed)\n",
-		len(srcs), len(dsts), rep.Records, rep.Covered, rep.Duplicates)
+	fmt.Printf("resharded %d -> %d shards: %d records (%d checkpoint-covered dropped)\n",
+		len(srcs), len(dsts), rep.Records, rep.Covered)
 	if rep.CheckpointSeq > 0 {
 		fmt.Printf("destination checkpoints cover seq %d\n", rep.CheckpointSeq)
 	} else {

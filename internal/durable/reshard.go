@@ -1,15 +1,16 @@
 package durable
 
 import (
-	"bytes"
 	"fmt"
 	"iter"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
+	"bgpworms/internal/netx"
 	"bgpworms/internal/watch"
 )
 
@@ -35,13 +36,12 @@ import (
 //     higher watermark, so replay-from-minimum applies each surviving
 //     record exactly once per prefix.
 //
-// Events with an invalid prefix are journaled by every shard
-// (Store.Ingest owns them unconditionally), so their records appear in
-// every source WAL and their state in every source checkpoint. Records
-// are deduplicated by sequence during the merge and scattered to every
-// destination; invalid-prefix state is taken only from the source with
-// the minimum cp.Seq — states from higher-watermark sources cover
-// records that other sources' WALs will replay.
+// Every prefix has one owner, the invalid one included (Store.Ingest
+// asks Owner about every event), so every record is in exactly one
+// source WAL and each prefix's window in exactly one source checkpoint.
+// A sequence, covered or not, or a window found in two sources means
+// one shard's state was passed twice (two replicas of one range, say),
+// and is refused with both directories named.
 //
 // Non-splittable residue: semantics state is keyed by AS, not prefix,
 // and is dropped (destinations rebuild it from the replayed tail and
@@ -62,9 +62,9 @@ type ReshardOptions struct {
 	// DstDirs are the new per-shard directories, one per new shard, in
 	// shard-index order. Each must be empty or absent.
 	DstDirs []string
-	// Owner maps a valid masked prefix to its new shard index in
-	// [0, len(DstDirs)). Invalid prefixes are handled internally (they
-	// go to every destination, mirroring Store.Ingest).
+	// Owner maps a masked prefix, the invalid one included, to its new
+	// shard index in [0, len(DstDirs)): serve.RangeMap.Owner over the
+	// destination count, the function the new fleet's stores filter by.
 	Owner func(netip.Prefix) int
 	// SegmentBytes is the destination WAL rotation threshold (0 keeps
 	// the WAL default).
@@ -73,16 +73,12 @@ type ReshardOptions struct {
 
 // ReshardReport summarizes what Reshard moved.
 type ReshardReport struct {
-	// Records is the number of unique records scattered into the new
-	// WALs (an invalid-prefix record written to every destination
-	// counts once).
+	// Records is the number of records scattered into the new WALs,
+	// each to one destination.
 	Records int
 	// Covered counts source WAL records dropped because their source's
 	// checkpoint already reflected them.
 	Covered int
-	// Duplicates counts cross-source duplicate sequences collapsed
-	// (invalid-prefix records journaled by every shard).
-	Duplicates int
 	// CheckpointSeq is the destination checkpoints' watermark (0 when
 	// no source had a checkpoint and none was written).
 	CheckpointSeq uint64
@@ -201,11 +197,22 @@ func Reshard(opts ReshardOptions) (ReshardReport, error) {
 		return rep, fmt.Errorf("durable: reshard sources mix checkpointed and checkpoint-less directories; shut the fleet down gracefully (Close writes a final checkpoint) and retry")
 	}
 	var minSeq uint64
-	minSrc := -1
 	if withCp > 0 {
+		// A prefix's window is in its one owner's checkpoint, so a window
+		// in two sources is a directory passed twice, even one whose WAL
+		// holds no record.
+		holder := map[netip.Prefix]int{}
+		minSeq = cps[0].Seq
 		for i, cp := range cps {
-			if minSrc < 0 || cp.Seq < minSeq {
-				minSeq, minSrc = cp.Seq, i
+			minSeq = min(minSeq, cp.Seq)
+			if cp.Watch == nil {
+				continue
+			}
+			for _, w := range cp.Watch.Prefixes {
+				if j, ok := holder[w.Prefix]; ok {
+					return rep, fmt.Errorf("durable: reshard prefix %s has a window in both %s and %s; pass each shard's directory once", w.Prefix, opts.SrcDirs[j], opts.SrcDirs[i])
+				}
+				holder[w.Prefix] = i
 			}
 		}
 		rep.CheckpointSeq = minSeq
@@ -230,11 +237,30 @@ func Reshard(opts ReshardOptions) (ReshardReport, error) {
 		}
 		dsts[i] = w
 	}
+	// scatter appends one uncovered record to its owner's WAL.
+	scatter := func(rec walRecord) error {
+		ev, err := DecodeEvent(rec.payload)
+		if err != nil {
+			return fmt.Errorf("durable: reshard record %d: %w", rec.seq, err)
+		}
+		if ev.Seq != rec.seq {
+			return fmt.Errorf("durable: reshard frame %d carries event seq %d", rec.seq, ev.Seq)
+		}
+		o := opts.Owner(ev.Prefix.Masked())
+		if o < 0 || o >= nDst {
+			return fmt.Errorf("durable: reshard owner(%s) = %d outside [0,%d)", ev.Prefix, o, nDst)
+		}
+		if err := dsts[o].Append(rec.seq, rec.payload); err != nil {
+			return err
+		}
+		rep.PerDst[o]++
+		rep.Records++
+		return nil
+	}
 
 	// Streaming k-way merge by sequence across the source WALs. Each
-	// source yields in ascending order; equal sequences across sources
-	// are the invalid-prefix records every shard journals — verified
-	// byte-identical and written once (to every destination).
+	// source's records arrive in order; a sequence at the head of two
+	// sources is refused before the checkpoint filter could hide it.
 	heads := make([]walRecord, len(opts.SrcDirs))
 	nexts := make([]func() (walRecord, error, bool), len(opts.SrcDirs))
 	alive := make([]bool, len(opts.SrcDirs))
@@ -244,26 +270,9 @@ func Reshard(opts ReshardOptions) (ReshardReport, error) {
 		nexts[i] = next
 	}
 	advance := func(i int) error {
-		for {
-			r, err, ok := nexts[i]()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				alive[i] = false
-				return nil
-			}
-			// Drop records the source's own checkpoint covers:
-			// TruncateBefore keeps whole segments, so the tail can retain
-			// covered records that recovery would skip but a re-scatter
-			// must not re-apply.
-			if cps[i] != nil && r.seq <= cps[i].Seq {
-				rep.Covered++
-				continue
-			}
-			heads[i], alive[i] = r, true
-			return nil
-		}
+		r, err, ok := nexts[i]()
+		heads[i], alive[i] = r, ok
+		return err
 	}
 	for i := range nexts {
 		if err := advance(i); err != nil {
@@ -275,7 +284,14 @@ func Reshard(opts ReshardOptions) (ReshardReport, error) {
 	for {
 		lead := -1
 		for i, ok := range alive {
-			if ok && (lead < 0 || heads[i].seq < heads[lead].seq) {
+			if !ok {
+				continue
+			}
+			if lead >= 0 && heads[i].seq == heads[lead].seq {
+				closeDsts()
+				return rep, fmt.Errorf("durable: reshard sequence %d is in both %s and %s; pass each shard's directory once", heads[i].seq, opts.SrcDirs[lead], opts.SrcDirs[i])
+			}
+			if lead < 0 || heads[i].seq < heads[lead].seq {
 				lead = i
 			}
 		}
@@ -283,59 +299,24 @@ func Reshard(opts ReshardOptions) (ReshardReport, error) {
 			break
 		}
 		rec := heads[lead]
-		if rec.seq == lastSeq && rep.Records > 0 {
+		if rec.seq <= lastSeq {
 			closeDsts()
-			return rep, fmt.Errorf("durable: reshard sequence %d repeats after being scattered", rec.seq)
+			return rep, fmt.Errorf("durable: reshard sequence %d in %s does not follow %d", rec.seq, opts.SrcDirs[lead], lastSeq)
 		}
-		// Collapse duplicates before advancing anything: every head's
-		// payload is stable until its own iterator moves.
-		dups := []int{lead}
-		for i, ok := range alive {
-			if ok && i != lead && heads[i].seq == rec.seq {
-				if !bytes.Equal(heads[i].payload, rec.payload) {
-					closeDsts()
-					return rep, fmt.Errorf("durable: reshard sequence %d differs between %s and %s", rec.seq, opts.SrcDirs[lead], opts.SrcDirs[i])
-				}
-				dups = append(dups, i)
-				rep.Duplicates++
-			}
-		}
-		ev, err := DecodeEvent(rec.payload)
-		if err != nil {
-			closeDsts()
-			return rep, fmt.Errorf("durable: reshard record %d: %w", rec.seq, err)
-		}
-		if ev.Seq != rec.seq {
-			closeDsts()
-			return rep, fmt.Errorf("durable: reshard frame %d carries event seq %d", rec.seq, ev.Seq)
-		}
-		targets := []int{}
-		if ev.Prefix.IsValid() {
-			o := opts.Owner(ev.Prefix.Masked())
-			if o < 0 || o >= nDst {
-				closeDsts()
-				return rep, fmt.Errorf("durable: reshard owner(%s) = %d outside [0,%d)", ev.Prefix, o, nDst)
-			}
-			targets = append(targets, o)
-		} else {
-			for i := 0; i < nDst; i++ {
-				targets = append(targets, i)
-			}
-		}
-		for _, t := range targets {
-			if err := dsts[t].Append(rec.seq, rec.payload); err != nil {
-				closeDsts()
-				return rep, err
-			}
-			rep.PerDst[t]++
-		}
-		rep.Records++
 		lastSeq = rec.seq
-		for _, i := range dups {
-			if err := advance(i); err != nil {
-				closeDsts()
-				return rep, err
-			}
+		// Drop records the source's own checkpoint covers:
+		// TruncateBefore keeps whole segments, so the tail can retain
+		// covered records that recovery would skip but a re-scatter
+		// must not re-apply.
+		if cps[lead] != nil && rec.seq <= cps[lead].Seq {
+			rep.Covered++
+		} else if err := scatter(rec); err != nil {
+			closeDsts()
+			return rep, err
+		}
+		if err := advance(lead); err != nil {
+			closeDsts()
+			return rep, err
 		}
 	}
 	for i, w := range dsts {
@@ -351,36 +332,22 @@ func Reshard(opts ReshardOptions) (ReshardReport, error) {
 		savedAt := time.Now().UTC()
 		for dst, dir := range opts.DstDirs {
 			st := &watch.State{Seq: minSeq, ByDetector: map[string]uint64{}}
-			for src, cp := range cps {
+			for _, cp := range cps {
 				if cp.Watch == nil {
 					continue
 				}
 				for _, w := range cp.Watch.Prefixes {
-					if w.Prefix.IsValid() {
-						if opts.Owner(w.Prefix.Masked()) == dst {
-							st.Prefixes = append(st.Prefixes, w)
-						}
-					} else if src == minSrc {
+					if opts.Owner(w.Prefix.Masked()) == dst {
 						st.Prefixes = append(st.Prefixes, w)
 					}
 				}
 				for _, a := range cp.Watch.Alerts {
-					if a.Prefix.IsValid() {
-						if opts.Owner(a.Prefix.Masked()) == dst {
-							st.Alerts = append(st.Alerts, a)
-						}
-					} else if src == minSrc {
+					if opts.Owner(a.Prefix.Masked()) == dst {
 						st.Alerts = append(st.Alerts, a)
 					}
 				}
 			}
-			sort.Slice(st.Prefixes, func(i, j int) bool {
-				a, b := st.Prefixes[i].Prefix, st.Prefixes[j].Prefix
-				if c := a.Addr().Compare(b.Addr()); c != 0 {
-					return c < 0
-				}
-				return a.Bits() < b.Bits()
-			})
+			slices.SortFunc(st.Prefixes, func(a, b watch.PrefixWindow) int { return netx.ComparePrefix(a.Prefix, b.Prefix) })
 			sort.SliceStable(st.Alerts, func(i, j int) bool { return st.Alerts[i].Seq < st.Alerts[j].Seq })
 			for _, w := range st.Prefixes {
 				st.Ingested += w.Total

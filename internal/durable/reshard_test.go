@@ -3,7 +3,6 @@ package durable
 import (
 	"bytes"
 	"encoding/json"
-	"hash/fnv"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -13,21 +12,16 @@ import (
 	"testing"
 
 	"bgpworms/internal/feed"
+	"bgpworms/internal/netx"
 	"bgpworms/internal/watch"
 )
 
 // fnvIndex is the int-valued form of hashOwner's partition: hashOwner
-// (index, of) accepts exactly the prefixes with fnvIndex(p, of) ==
+// (index, of) accepts exactly the prefixes with fnvIndex(of)(p) ==
 // index, so a source fleet built on hashOwner and a reshard driven by
 // fnvIndex agree on ownership.
 func fnvIndex(of int) func(netip.Prefix) int {
-	return func(p netip.Prefix) int {
-		h := fnv.New32a()
-		a := p.Addr().As16()
-		h.Write(a[:])
-		h.Write([]byte{byte(p.Bits())})
-		return int(h.Sum32()) % of
-	}
+	return func(p netip.Prefix) int { return int(netx.PrefixHash(p) % uint32(of)) }
 }
 
 // runSrcFleet drives a 2-shard fleet over the full feed with
@@ -300,31 +294,41 @@ func TestReshardPrefixlessHasOneOwner(t *testing.T) {
 	}
 }
 
-// TestReshardRefusesASourcePassedTwice: every record has one owner, so
-// a sequence found in two source directories means one shard's state
-// was passed twice (two replicas of one range, say). Collapsing the
-// copies would hide that; Reshard refuses and names both directories,
-// whether the copies' records are a live tail or all checkpoint-covered.
+// TestReshardRefusesASourcePassedTwice: every record and every window
+// has one owner, so one found in two source directories means one
+// shard's state was passed twice (two replicas of one range, say).
+// Collapsing the copies would hide that; Reshard refuses and names both
+// directories. A copy is found by its WAL records, checkpointed or
+// not, and by its checkpoint windows when its WAL is gone.
 func TestReshardRefusesASourcePassedTwice(t *testing.T) {
 	events := churnEvents(t)
-	for _, graceful := range []bool{false, true} {
+	for _, c := range []struct {
+		name      string
+		snapshot  bool // checkpoint before the feed: the WAL tail holds every record
+		graceful  bool // Close: the final checkpoint holds every window
+		twinNoWAL bool
+		want      string
+	}{
+		{"no checkpoint", false, false, false, "sequence"},
+		{"WAL tail", true, false, false, "sequence"},
+		{"checkpoint only", false, true, true, "window"},
+	} {
 		src := filepath.Join(t.TempDir(), "src")
 		eng, sem := newPair(2)
 		st, _, err := Open(eng, sem, Options{Dir: src, Owner: hashOwner(0, 2), FsyncInterval: noSync})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if c.snapshot {
+			if err := st.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		sink := st.Sink()
-		for _, ev := range events[:len(events)/2] {
+		for _, ev := range events {
 			sink(ev)
 		}
-		if err := st.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range events[len(events)/2:] {
-			sink(ev)
-		}
-		if graceful {
+		if c.graceful {
 			err = st.Close()
 		} else if err = st.wal.Sync(); err == nil {
 			st.crash()
@@ -338,10 +342,19 @@ func TestReshardRefusesASourcePassedTwice(t *testing.T) {
 		if err := os.CopyFS(twin, os.DirFS(src)); err != nil {
 			t.Fatal(err)
 		}
+		if c.twinNoWAL {
+			segs, _ := filepath.Glob(filepath.Join(twin, "wal-*.seg"))
+			for _, seg := range segs {
+				if err := os.Remove(seg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		dst := []string{filepath.Join(t.TempDir(), "d0")}
 		_, err = Reshard(ReshardOptions{SrcDirs: []string{src, twin}, DstDirs: dst, Owner: fnvIndex(1)})
-		if err == nil || !strings.Contains(err.Error(), src) || !strings.Contains(err.Error(), twin) {
-			t.Fatalf("graceful=%v: a source passed twice must be refused naming both copies, got %v", graceful, err)
+		if err == nil || !strings.Contains(err.Error(), c.want) ||
+			!strings.Contains(err.Error(), src) || !strings.Contains(err.Error(), twin) {
+			t.Fatalf("%s: a source passed twice must be refused by its %s, naming both copies; got %v", c.name, c.want, err)
 		}
 	}
 }

@@ -28,10 +28,11 @@ type Options struct {
 	// the background loop; Snapshot can still be called directly, and
 	// Close always writes a final checkpoint).
 	SnapshotInterval time.Duration
-	// Owner, when non-nil, is the sharded daemon's ownership filter:
-	// events whose prefix it rejects still consume a global sequence
-	// number (so every shard assigns identical sequences) but are
-	// neither journaled nor ingested. Invalid prefixes are always owned.
+	// Owner, when non-nil, is the sharded daemon's ownership filter,
+	// asked about every event's masked prefix, the invalid one included
+	// (serve.RangeMap gives it to shard 0): events it rejects still
+	// consume a global sequence number (so every shard assigns
+	// identical sequences) but are neither journaled nor ingested.
 	Owner func(netip.Prefix) bool
 	// ResumeSkip declares the feed re-readable: after a restart the
 	// source replays from its beginning, and the store skips events
@@ -211,7 +212,7 @@ func (s *Store) Ingest(ev feed.Event) error {
 		return nil
 	}
 	ev.Seq = seq
-	if s.opts.Owner != nil && ev.Prefix.IsValid() && !s.opts.Owner(ev.Prefix.Masked()) {
+	if s.opts.Owner != nil && !s.opts.Owner(ev.Prefix.Masked()) {
 		s.skipped++
 		return nil
 	}

@@ -3,7 +3,6 @@ package durable
 import (
 	"bytes"
 	"encoding/json"
-	"hash/fnv"
 	"math/rand"
 	"net/netip"
 	"os"
@@ -305,16 +304,10 @@ func TestStoreLiveResume(t *testing.T) {
 	}
 }
 
-// hashOwner partitions the prefix space by FNV hash, the simplest
-// deterministic 1-of-n ownership function.
+// hashOwner partitions the prefix space by netx.PrefixHash, the
+// simplest deterministic 1-of-n ownership function.
 func hashOwner(index, of int) func(netip.Prefix) bool {
-	return func(p netip.Prefix) bool {
-		h := fnv.New32a()
-		a := p.Addr().As16()
-		h.Write(a[:])
-		h.Write([]byte{byte(p.Bits())})
-		return int(h.Sum32())%of == index
-	}
+	return func(p netip.Prefix) bool { return fnvIndex(of)(p) == index }
 }
 
 // TestStoreShardedByteIdentity proves the scatter-gather claim at the

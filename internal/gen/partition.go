@@ -3,7 +3,6 @@ package gen
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/netip"
 	"runtime"
 	"slices"
@@ -11,6 +10,7 @@ import (
 	"bgpworms/internal/collector"
 	"bgpworms/internal/conc"
 	"bgpworms/internal/feed"
+	"bgpworms/internal/netx"
 	"bgpworms/internal/simnet"
 )
 
@@ -137,15 +137,10 @@ type partition struct {
 	ends   [][]int32      // per collector, len(events) after each op
 }
 
-// partitionOf assigns a prefix to one of k partitions by a hash of its
-// masked address and length.
+// partitionOf assigns a prefix to one of k partitions by the hash of
+// its masked form.
 func partitionOf(p netip.Prefix, k int) int {
-	p = p.Masked()
-	a := p.Addr().As16()
-	h := fnv.New32a()
-	h.Write(a[:])
-	h.Write([]byte{byte(p.Bits())})
-	return int(h.Sum32() % uint32(k))
+	return int(netx.PrefixHash(p.Masked()) % uint32(k))
 }
 
 func (a *ArchivePlan) converge(k int) (*Archives, error) {

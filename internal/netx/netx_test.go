@@ -2,6 +2,7 @@ package netx
 
 import (
 	"cmp"
+	"hash/fnv"
 	"math/rand"
 	"net/netip"
 	"sort"
@@ -90,6 +91,36 @@ func TestComparePrefixOrdering(t *testing.T) {
 				t.Errorf("ComparePrefix(%s, %s) = %d, want %d", a, b, got, cmp.Compare(i, j))
 			}
 		}
+	}
+}
+
+// TestPrefixHashIsFNV1a holds PrefixHash to hash/fnv's New32a over
+// the same 17 bytes, the masked address's 16 and the length byte, for
+// random IPv4 and IPv6 prefixes and the invalid one, and holds it to
+// no allocation.
+func TestPrefixHashIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ps := []netip.Prefix{{}}
+	for i := 0; i < 4000; i++ {
+		var a [16]byte
+		rng.Read(a[:])
+		if i%2 == 0 {
+			ps = append(ps, netip.PrefixFrom(netip.AddrFrom4([4]byte(a[:4])), rng.Intn(33)).Masked())
+		} else {
+			ps = append(ps, netip.PrefixFrom(netip.AddrFrom16(a), rng.Intn(129)).Masked())
+		}
+	}
+	for _, p := range ps {
+		h := fnv.New32a()
+		a := p.Addr().As16()
+		h.Write(a[:])
+		h.Write([]byte{byte(p.Bits())})
+		if got, want := PrefixHash(p), h.Sum32(); got != want {
+			t.Fatalf("PrefixHash(%s) = %#x, want %#x", p, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { PrefixHash(ps[1]) }); n != 0 {
+		t.Fatalf("PrefixHash allocates %.0f times", n)
 	}
 }
 

@@ -5,6 +5,7 @@
 package netx
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
 )
@@ -80,24 +81,27 @@ func putBE64(b []byte, v uint64) {
 	}
 }
 
-// ComparePrefix orders prefixes by address family, then address, then
-// length. It is suitable for sort.Slice and produces the canonical order
-// used in RIB dumps.
+// ComparePrefix orders prefixes by address, then length: the invalid
+// prefix first, then IPv4, then IPv6 (an IPv4-mapped address is IPv6).
+// It is the one canonical prefix order: RIB dumps, checkpoint windows
+// and dictionary exports all sort by it.
 func ComparePrefix(a, b netip.Prefix) int {
-	if a.Addr().Is4() != b.Addr().Is4() {
-		if a.Addr().Is4() {
-			return -1
-		}
-		return 1
-	}
 	if c := a.Addr().Compare(b.Addr()); c != 0 {
 		return c
 	}
-	switch {
-	case a.Bits() < b.Bits():
-		return -1
-	case a.Bits() > b.Bits():
-		return 1
+	return cmp.Compare(a.Bits(), b.Bits())
+}
+
+// PrefixHash is FNV-1a over p's 16-byte address and its length byte:
+// what hash/fnv's New32a returns for those 17 bytes, without
+// allocating. Pass a masked prefix, so that equal prefixes hash equal.
+// It is the one prefix hash: the watch engine's shard and the archive
+// planner's partition both reduce it.
+func PrefixHash(p netip.Prefix) uint32 {
+	a := p.Addr().As16()
+	h := uint32(2166136261)
+	for _, b := range a {
+		h = (h ^ uint32(b)) * 16777619
 	}
-	return 0
+	return (h ^ uint32(byte(p.Bits()))) * 16777619
 }

@@ -1,7 +1,6 @@
 package semantics
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 	"maps"
@@ -96,12 +95,7 @@ func fanout(stream []feed.Event) (peers map[bgp.Community][]uint32, prefixes map
 	peers, prefixes = make(map[bgp.Community][]uint32), make(map[bgp.Community][]netip.Prefix)
 	for c := range peerSet {
 		peers[c] = slices.Sorted(maps.Keys(peerSet[c]))
-		prefixes[c] = slices.SortedFunc(maps.Keys(prefixSet[c]), func(a, b netip.Prefix) int {
-			if d := a.Addr().Compare(b.Addr()); d != 0 {
-				return d
-			}
-			return cmp.Compare(a.Bits(), b.Bits())
-		})
+		prefixes[c] = slices.SortedFunc(maps.Keys(prefixSet[c]), netx.ComparePrefix)
 	}
 	return peers, prefixes
 }

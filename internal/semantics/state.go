@@ -1,7 +1,6 @@
 package semantics
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"net/netip"
@@ -9,6 +8,7 @@ import (
 	"time"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/netx"
 )
 
 // State is the engine's persistable snapshot: the merged evidence for
@@ -83,13 +83,7 @@ func (e *Engine) ExportState() *State {
 		at[c] = es
 	}
 	// Walking the prefixes in order appends each community's in order.
-	prefixes := slices.SortedFunc(maps.Keys(d.prefixes), func(a, b netip.Prefix) int {
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Bits(), b.Bits())
-	})
-	for _, p := range prefixes {
+	for _, p := range slices.SortedFunc(maps.Keys(d.prefixes), netx.ComparePrefix) {
 		for _, c := range d.prefixes[p] {
 			at[c].Prefixes = append(at[c].Prefixes, p)
 		}

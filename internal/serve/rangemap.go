@@ -12,6 +12,15 @@ import "net/netip"
 //
 // Every shard daemon and the frontend must agree on N; ownership is a
 // pure function, so there is no assignment state to coordinate.
+//
+// Owner is the fleet's only answer to "who owns this prefix", and every
+// prefix, the invalid one included, has exactly one owner: the shard
+// store journals an event only if Owner gives its masked prefix to the
+// shard (durable.Options.Owner), walreshard routes every record,
+// checkpoint window and alert by Owner over the new count
+// (durable.ReshardOptions.Owner), and the frontend routes /prefix/{p}
+// by it. No module special-cases a prefix, so the shards' slices are
+// disjoint and sum to the feed.
 type RangeMap struct {
 	n int
 }
@@ -31,8 +40,8 @@ func NewRangeMap(n int) *RangeMap {
 // IPv4-mapped IPv6 address (::ffff:a.b.c.d) is unmapped first so it
 // lands on the owner of the equivalent IPv4 prefix — Is4 is false for
 // mapped addresses, and without the unmap their leading zero bytes
-// would send every one of them to shard 0. An invalid prefix maps to
-// shard 0 so every event has exactly one owner.
+// would send every one of them to shard 0. The invalid prefix (an
+// event without one) maps to shard 0, like any prefix to one shard.
 func (m *RangeMap) Owner(p netip.Prefix) int {
 	if !p.IsValid() {
 		return 0

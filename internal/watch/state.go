@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"bgpworms/internal/feed"
+	"bgpworms/internal/netx"
 )
 
 // State is the engine's persistable snapshot: everything needed to
@@ -139,13 +140,7 @@ func (e *Engine) ExportState() *State {
 		}
 		s.mu.Unlock()
 	}
-	sort.Slice(st.Prefixes, func(i, j int) bool {
-		a, b := st.Prefixes[i].Prefix, st.Prefixes[j].Prefix
-		if c := a.Addr().Compare(b.Addr()); c != 0 {
-			return c < 0
-		}
-		return a.Bits() < b.Bits()
-	})
+	slices.SortFunc(st.Prefixes, func(a, b PrefixWindow) int { return netx.ComparePrefix(a.Prefix, b.Prefix) })
 	sort.SliceStable(st.Alerts, func(i, j int) bool { return st.Alerts[i].Seq < st.Alerts[j].Seq })
 	return st
 }

@@ -40,6 +40,7 @@ import (
 
 	"bgpworms/internal/bgp"
 	"bgpworms/internal/feed"
+	"bgpworms/internal/netx"
 	"bgpworms/internal/obs"
 	"bgpworms/internal/semantics"
 )
@@ -266,16 +267,9 @@ func (e *Engine) Collect(emit func(obs.Sample)) {
 	}
 }
 
-// shardOf maps a prefix to its home shard (FNV-1a over address+length,
-// the hashing discipline collector.partialKeeps uses).
+// shardOf maps a masked prefix to its home shard.
 func (e *Engine) shardOf(p netip.Prefix) int {
-	a := p.Addr().As16()
-	h := uint32(2166136261)
-	for _, b := range a {
-		h = (h ^ uint32(b)) * 16777619
-	}
-	h = (h ^ uint32(p.Bits())) * 16777619
-	return int(h % uint32(len(e.shards)))
+	return int(netx.PrefixHash(p) % uint32(len(e.shards)))
 }
 
 // Ingest feeds one event; it is the engine's only way in. An event that
