@@ -359,6 +359,68 @@ func TestStoreShardedByteIdentity(t *testing.T) {
 	}
 }
 
+// TestStoreSkippedSurvivesCrash: the events a shard does not own are
+// never journaled, so a crash must not lose their count. One shard of a
+// 2-shard split takes 300 events, checkpoints after 100 and dies with
+// the rest of its tail synced; reopened, it reports the skip count it
+// reported before the crash, which is the watermark less what its
+// engine holds.
+func TestStoreSkippedSurvivesCrash(t *testing.T) {
+	events := churnEvents(t)[:300]
+	const snapAt = 100
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Owner: hashOwner(0, 2), FsyncInterval: noSync}
+
+	eng1, sem1 := newPair(2)
+	st1, _, err := Open(eng1, sem1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := st1.Sink()
+	for i, ev := range events {
+		if i == snapAt {
+			if err := st1.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sink(ev)
+	}
+	if err := st1.wal.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	before := st1.Status()
+	gaugeBefore := collected(st1.Collect)["durable_skipped_events"]
+	st1.crash()
+	eng1.Close()
+	sem1.Close()
+	if before.Skipped == 0 || before.Skipped == uint64(len(events)) || gaugeBefore != float64(before.Skipped) {
+		t.Fatalf("before the crash: skipped %d of %d events, gauge %v", before.Skipped, len(events), gaugeBefore)
+	}
+
+	eng2, sem2 := newPair(3)
+	defer eng2.Close()
+	defer sem2.Close()
+	st2, rec, err := Open(eng2, sem2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if rec.CheckpointSeq != snapAt || rec.Seq != before.Seq {
+		t.Fatalf("recovered %+v, want checkpoint %d and watermark %d", rec, snapAt, before.Seq)
+	}
+	after := st2.Status()
+	if after.Skipped != before.Skipped {
+		t.Fatalf("skipped %d after recovery, %d before the crash", after.Skipped, before.Skipped)
+	}
+	if got := collected(st2.Collect)["durable_skipped_events"]; got != gaugeBefore {
+		t.Fatalf("durable_skipped_events %v after recovery, %v before the crash", got, gaugeBefore)
+	}
+	if ingested := eng2.Stats().Ingested; after.Skipped != after.Seq-ingested {
+		t.Fatalf("skipped %d, but the watermark %d less the %d events ingested is %d",
+			after.Skipped, after.Seq, ingested, after.Seq-ingested)
+	}
+}
+
 // TestStoreSnapshotRetention pins the garbage-collection behavior:
 // checkpoints prune to two and fully-covered WAL segments are
 // deleted.
