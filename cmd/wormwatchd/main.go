@@ -45,11 +45,11 @@
 // for it (back-pressure), and no event is ever dropped.
 //
 // -scenario and -mrt are re-readable: a restarted daemon re-reads them
-// from the beginning and resume-skips everything recovery already
-// applied. A -feed-listen stream is not — the bytes are gone once
-// read — so with -wal the WAL alone is the recovery source, sequence
-// numbering continues where the previous life stopped, and combining
-// -feed-listen with a re-readable feed under -wal is refused.
+// from the beginning and drops as many events as recovery applied
+// before they reach the store, whose numbering continues where the
+// previous life stopped. A -feed-listen stream is not — the bytes are
+// gone once read — so with -wal the WAL alone is its recovery source,
+// and combining -feed-listen with a re-readable feed under -wal is refused.
 //
 // Sharding splits the prefix space across N processes:
 //
@@ -382,12 +382,12 @@ func runDaemon(cfg config) error {
 
 	// The durable store sits between the feeds and the engine: it
 	// assigns global sequence numbers, journals owned events, and (in
-	// sharded mode) filters to this shard's prefix range. The
-	// re-readable feeds (-scenario, -mrt) re-read from their beginning
-	// on restart, so the store resumes by skipping what recovery
-	// already applied; a -feed-listen stream cannot be re-read, so
-	// there the WAL alone is the recovery source and sequence
-	// numbering continues from the recovered watermark.
+	// sharded mode) filters to this shard's prefix range. Its numbering
+	// continues from the recovered watermark. The re-readable feeds
+	// (-scenario, -mrt) re-read from their beginning on restart, so
+	// their first recovered-watermark events are dropped here, before
+	// the store; a -feed-listen stream cannot be re-read, so there the
+	// WAL alone is the recovery source.
 	var store *durable.Store
 	sink := eng.Ingest
 	if cfg.walDir != "" {
@@ -396,7 +396,6 @@ func runDaemon(cfg config) error {
 			FsyncInterval:    cfg.fsync,
 			SegmentBytes:     cfg.walSegment,
 			SnapshotInterval: cfg.snapInterval,
-			ResumeSkip:       cfg.feedListen == "",
 		}
 		if cfg.shardCount > 1 {
 			opts.Owner = serve.NewRangeMap(cfg.shardCount).OwnerFunc(cfg.shardIndex)
@@ -410,6 +409,17 @@ func runDaemon(cfg config) error {
 		// Close this one finds the store closed and does nothing.
 		defer store.Close()
 		sink = store.Sink()
+		if n := recInfo.Seq; cfg.feedListen == "" && n > 0 {
+			// A re-read feed's first n events are the ones recovery applied.
+			var dropped atomic.Uint64
+			journal := sink
+			sink = func(ev feed.Event) {
+				if dropped.Load() < n && dropped.Add(1) <= n {
+					return
+				}
+				journal(ev)
+			}
+		}
 		log.Printf("wormwatchd: durable: recovered seq %d (checkpoint %d + %d WAL records, %d torn bytes)",
 			recInfo.Seq, recInfo.CheckpointSeq, recInfo.Replayed, recInfo.TornBytes)
 	}

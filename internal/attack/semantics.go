@@ -147,7 +147,6 @@ func RunHygieneFiltering(ctx *scenario.Context) (*scenario.Result, error) {
 		rate       int
 		forwarding int
 		rtbhFired  bool
-		launchable bool
 	}
 	var cells []cell
 	for _, rate := range rates {
@@ -169,7 +168,6 @@ func RunHygieneFiltering(ctx *scenario.Context) (*scenario.Result, error) {
 		if ctx.World != nil {
 			ctx.World(l.W)
 		}
-		c.launchable = true
 		prop, err := l.PropagationCheck(l.Research)
 		if err != nil {
 			return nil, err

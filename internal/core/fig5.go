@@ -54,8 +54,6 @@ func (o CommunityObservation) OnPath() bool { return o.TaggerIdx >= 0 }
 // PropagationAnalysis is the full §4.3 computation over a dataset.
 type PropagationAnalysis struct {
 	Observations []CommunityObservation
-	// isBlackhole classifies community values.
-	isBlackhole func(bgp.Community) bool
 }
 
 // IsBlackholeClassifier builds the classifier the paper uses: the RFC 7999
@@ -106,7 +104,7 @@ func (a *propAgg) add(u *feed.Event, stripped []uint32) {
 func (a *propAgg) merge(b *propAgg) { a.obs.merge(b.obs) }
 
 func (a *propAgg) finalize() *PropagationAnalysis {
-	return &PropagationAnalysis{Observations: a.obs.all(), isBlackhole: a.isBlackhole}
+	return &PropagationAnalysis{Observations: a.obs.all()}
 }
 
 // Figure5a returns the propagation-distance ECDFs for all on-path

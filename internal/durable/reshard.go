@@ -45,11 +45,12 @@ import (
 //
 // Non-splittable residue: semantics state is keyed by AS, not prefix,
 // and is dropped (destinations rebuild it from the replayed tail and
-// the live feed); global engine counters (Ingested, AlertsTruncated)
-// and the store's Skipped count are per-shard accounting and restart
-// from the splittable evidence — retained window totals and alerts. The
-// /alerts surface, which is built purely from prefix-keyed state, is
-// preserved byte-for-byte.
+// the live feed). No counter is carried: a destination's ingested and
+// processed counts are its windows' totals and its skip count its
+// watermark less those, as for any store; its per-detector alert counts
+// are tallied from the alerts it takes, and AlertsTruncated restarts at
+// 0. The /alerts surface, which is built purely from prefix-keyed
+// state, is preserved byte-for-byte.
 
 // ReshardOptions configures one offline reshard run.
 type ReshardOptions struct {
@@ -349,11 +350,6 @@ func Reshard(opts ReshardOptions) (ReshardReport, error) {
 			}
 			slices.SortFunc(st.Prefixes, func(a, b watch.PrefixWindow) int { return netx.ComparePrefix(a.Prefix, b.Prefix) })
 			sort.SliceStable(st.Alerts, func(i, j int) bool { return st.Alerts[i].Seq < st.Alerts[j].Seq })
-			for _, w := range st.Prefixes {
-				st.Ingested += w.Total
-			}
-			st.Processed = st.Ingested
-			st.AlertsRaised = uint64(len(st.Alerts))
 			for _, a := range st.Alerts {
 				st.ByDetector[a.Detector]++
 			}

@@ -30,8 +30,8 @@ import (
 // prefixes as flag byte + address + length — read back through the same
 // bounds-checked reader as WAL records:
 //
-//	header     seq, skipped, saved-at, sections (bit 0 watch, bit 1 semantics)
-//	watch      seq, ingested, processed, 0, alerts raised, alerts truncated
+//	header     seq, skipped*, saved-at, sections (bit 0 watch, bit 1 semantics)
+//	watch      seq, ingested*, processed*, 0, alerts raised*, alerts truncated
 //	           (the fourth slot counted events shed by a lossy ingest path
 //	           the engine no longer has; written 0, skipped on read)
 //	           n x window: prefix, total, n x (length, EncodeEvent record)
@@ -45,6 +45,11 @@ import (
 //	                       at-origin, host-route, prepended, max travel (varint),
 //	                       first seq, last seq, first seen, last seen,
 //	                       n x peer AS, n x prefix
+//
+// * Derived, written and not read back: ingested and processed are the
+// windows' totals summed, skipped is seq less that sum (0 if the sum is
+// larger, as a resharded checkpoint's may be), alerts raised is the
+// per-detector totals summed.
 
 const (
 	snapMagic = "WWSNAP02"
@@ -71,10 +76,6 @@ type Checkpoint struct {
 	// Seq is reflected in the states below, so recovery replays the WAL
 	// strictly after it.
 	Seq uint64
-	// Skipped counts events the store consumed but did not own (the
-	// sharded daemon's non-owned feed share); recovery needs it only
-	// for accounting.
-	Skipped uint64
 	// SavedAt is the wall-clock write time (snapshot_age_seconds).
 	SavedAt   time.Time
 	Watch     *watch.State
@@ -207,8 +208,14 @@ func (e *snapEncoder) spill() {
 // it.
 func encodeCheckpoint(w io.Writer, cp *Checkpoint) error {
 	e := &snapEncoder{w: w, buf: make([]byte, 0, 1<<16+4096)}
+	var applied uint64 // every applied event sits in one window
+	if cp.Watch != nil {
+		for i := range cp.Watch.Prefixes {
+			applied += cp.Watch.Prefixes[i].Total
+		}
+	}
 	e.uvarint(cp.Seq)
-	e.uvarint(cp.Skipped)
+	e.uvarint(cp.Seq - min(cp.Seq, applied)) // skipped
 	e.time(cp.SavedAt)
 	var sections byte
 	if cp.Watch != nil {
@@ -219,7 +226,7 @@ func encodeCheckpoint(w io.Writer, cp *Checkpoint) error {
 	}
 	e.buf = append(e.buf, sections)
 	if st := cp.Watch; st != nil {
-		e.watch(st)
+		e.watch(st, applied)
 	}
 	if st := cp.Semantics; st != nil {
 		e.semantics(st)
@@ -228,8 +235,15 @@ func encodeCheckpoint(w io.Writer, cp *Checkpoint) error {
 	return e.err
 }
 
-func (e *snapEncoder) watch(st *watch.State) {
-	for _, v := range []uint64{st.Seq, st.Ingested, st.Processed, 0, st.AlertsRaised, st.AlertsTruncated} {
+func (e *snapEncoder) watch(st *watch.State, applied uint64) {
+	names := make([]string, 0, len(st.ByDetector))
+	var raised uint64
+	for name, n := range st.ByDetector {
+		names = append(names, name)
+		raised += n
+	}
+	sort.Strings(names)
+	for _, v := range []uint64{st.Seq, applied, applied, 0, raised, st.AlertsTruncated} {
 		e.uvarint(v)
 	}
 	e.uvarint(uint64(len(st.Prefixes)))
@@ -261,11 +275,6 @@ func (e *snapEncoder) watch(st *watch.State) {
 		e.str(a.Message)
 		e.spill()
 	}
-	names := make([]string, 0, len(st.ByDetector))
-	for name := range st.ByDetector {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	e.uvarint(uint64(len(names)))
 	for _, name := range names {
 		e.str(name)
@@ -316,7 +325,9 @@ const (
 // trailing bytes yield an error.
 func decodeCheckpoint(body []byte) (*Checkpoint, error) {
 	r := &reader{data: body}
-	cp := &Checkpoint{Seq: r.uvarint(), Skipped: r.uvarint(), SavedAt: r.time()}
+	cp := &Checkpoint{Seq: r.uvarint()}
+	r.uvarint() // skipped, derived (see the layout above)
+	cp.SavedAt = r.time()
 	sections := r.byte()
 	if sections&sectionWatch != 0 {
 		st, err := decodeWatchState(r)
@@ -338,9 +349,11 @@ func decodeCheckpoint(body []byte) (*Checkpoint, error) {
 }
 
 func decodeWatchState(r *reader) (*watch.State, error) {
-	st := &watch.State{Seq: r.uvarint(), Ingested: r.uvarint(), Processed: r.uvarint()}
-	r.uvarint() // reserved slot, see the layout above
-	st.AlertsRaised, st.AlertsTruncated = r.uvarint(), r.uvarint()
+	st := &watch.State{Seq: r.uvarint()}
+	for i := 0; i < 4; i++ {
+		r.uvarint() // ingested, processed, reserved, alerts raised: see the layout above
+	}
+	st.AlertsTruncated = r.uvarint()
 	if n := r.count(minWindowBytes); n > 0 {
 		st.Prefixes = make([]watch.PrefixWindow, 0, n)
 		var events []feed.Event // one window's, reused: AppendWindow keeps entries

@@ -7,6 +7,7 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -47,10 +48,9 @@ func sampleCheckpoint() *Checkpoint {
 	t0 := time.Date(2018, 4, 3, 12, 30, 0, 123456789, time.UTC)
 	cp := &Checkpoint{
 		Seq:     11,
-		Skipped: 4,
 		SavedAt: t0.Add(time.Hour),
 		Watch: &watch.State{
-			Seq: 11, Ingested: 12, Processed: 11, AlertsRaised: 3, AlertsTruncated: 1,
+			Seq: 11, AlertsTruncated: 1,
 			Alerts: []watch.Alert{
 				{Seq: 1, Time: t0, Detector: "blackhole-onset", Severity: watch.Critical, Prefix: evs[0].Prefix,
 					PeerAS: 64512, Origin: 65001, Community: "3356:666", Source: "rrc00", Message: "onset"},
@@ -91,7 +91,7 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(encodeCP(t, got), enc) {
 		t.Fatal("re-encoding the decoded checkpoint changed its bytes")
 	}
-	if got.Seq != cp.Seq || got.Skipped != cp.Skipped || !got.SavedAt.Equal(cp.SavedAt) {
+	if got.Seq != cp.Seq || !got.SavedAt.Equal(cp.SavedAt) || got.Watch.AlertsTruncated != 1 {
 		t.Fatalf("header drifted: %+v", got)
 	}
 	for i, w := range cp.Watch.Prefixes {
@@ -122,6 +122,24 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 	}
 	if g := got.Semantics.Communities[1]; len(g.Peers) != 2 || g.Peers[1] != 65000 || !g.LastSeen.Equal(cp.Semantics.Communities[1].LastSeen) {
 		t.Fatalf("evidence 1 drifted: %+v", g)
+	}
+
+	// The derived slots. The sample's windows total 52 events against
+	// a watermark of 11, as a resharded checkpoint's may: skipped reads
+	// 0, not a wrapped difference. At watermark 60 it reads 8.
+	for _, c := range []struct{ seq, skipped uint64 }{{11, 0}, {60, 8}} {
+		r := &reader{data: encodeCP(t, &Checkpoint{Seq: c.seq, SavedAt: cp.SavedAt, Watch: cp.Watch})}
+		header := []uint64{r.uvarint(), r.uvarint()}
+		r.time()
+		r.byte()
+		for i := 0; i < 6; i++ {
+			header = append(header, r.uvarint())
+		}
+		// seq, skipped; then watch seq, ingested, processed, reserved,
+		// alerts raised (the by-detector sum), alerts truncated.
+		if want := []uint64{c.seq, c.skipped, 11, 52, 52, 0, 4, 1}; !slices.Equal(header, want) {
+			t.Fatalf("seq %d: header slots %v, want %v", c.seq, header, want)
+		}
 	}
 
 	// Sections are optional, one by one.

@@ -34,12 +34,6 @@ type Options struct {
 	// consume a global sequence number (so every shard assigns
 	// identical sequences) but are neither journaled nor ingested.
 	Owner func(netip.Prefix) bool
-	// ResumeSkip declares the feed re-readable: after a restart the
-	// source replays from its beginning, and the store skips events
-	// until the stream passes the recovery watermark. Leave false for
-	// live feeds, which resume mid-stream — their events continue the
-	// recovered numbering instead.
-	ResumeSkip bool
 }
 
 // Recovery reports what Open rebuilt.
@@ -61,6 +55,11 @@ type Recovery struct {
 // the watch engine, and checkpoints engine state so recovery is
 // restore + replay-the-tail. One Store owns one engine pair.
 //
+// After Open, numbering continues at the recovered watermark whatever
+// the feed (a caller re-reading one drops its first Recovery.Seq events).
+// The store keeps no counts: what it did not own is its watermark less
+// what the engine ingested.
+//
 // Feed everything through Ingest (or the Sink adapter) from however
 // many goroutines; the store serializes, which is also what keeps the
 // WAL order identical to the engine's ingest order.
@@ -81,16 +80,14 @@ type Store struct {
 	snapMu sync.Mutex
 	keep   int // checkpoint files retained: 2, the newest and a fallback against a torn write (a test audits more)
 
-	mu          sync.Mutex
-	pos         uint64 // global position of the last event seen from the feed
-	recovered   uint64 // recovery watermark: everything <= is already applied
-	skipped     uint64 // events consumed but not owned (sharded mode)
-	resumeSkips uint64 // events skipped while a re-read feed caught up
-	snapSeq     uint64
-	snapAt      time.Time
-	encBuf      []byte
-	err         error
-	closed      bool
+	mu        sync.Mutex
+	pos       uint64 // global sequence watermark: the last number assigned or recovered
+	recovered uint64 // recovery watermark, reported by Status
+	snapSeq   uint64
+	snapAt    time.Time
+	encBuf    []byte
+	err       error
+	closed    bool
 
 	stopSnap  chan struct{}
 	snapDone  chan struct{}
@@ -131,7 +128,6 @@ func Open(eng *watch.Engine, sem *semantics.Engine, opts Options) (*Store, Recov
 			}
 		}
 		rec.CheckpointSeq = cp.Seq
-		s.skipped = cp.Skipped
 		s.snapSeq, s.snapAt = cp.Seq, cp.SavedAt
 	}
 	// One scan of the log checks it and replays its tail past the
@@ -161,39 +157,28 @@ func Open(eng *watch.Engine, sem *semantics.Engine, opts Options) (*Store, Recov
 	s.wal = wal
 	eng.Flush()
 	rec.Seq = max(rec.CheckpointSeq, wrec.LastSeq)
-	s.recovered = rec.Seq
-	if !opts.ResumeSkip {
-		s.pos = rec.Seq
-	}
+	s.pos, s.recovered = rec.Seq, rec.Seq
 	go s.runSnapshots()
 	return s, rec, nil
 }
 
-// Collect emits the store's per-instance gauges, and its WAL's, for the
-// server that holds the store.
+// Collect emits the store's per-instance gauges, read from Status, and
+// its WAL's, for the server that holds the store.
 func (s *Store) Collect(emit func(obs.Sample)) {
-	s.mu.Lock()
-	seq, skipped := s.watermarkLocked(), s.skipped
-	snapSeq, snapAt := s.snapSeq, s.snapAt
-	s.mu.Unlock()
+	st := s.Status()
 	gauge := func(name, help string, v float64) {
 		emit(obs.Sample{Name: name, Help: help, Type: obs.TypeGauge, Value: v})
 	}
-	gauge("durable_seq", "global event sequence watermark", float64(seq))
-	gauge("durable_skipped_events", "events consumed but not owned by this shard", float64(skipped))
-	gauge("snapshot_seq", "sequence covered by the newest checkpoint", float64(snapSeq))
+	gauge("durable_seq", "global event sequence watermark", float64(st.Seq))
+	gauge("durable_skipped_events", "events consumed but not owned by this shard", float64(st.Skipped))
+	gauge("snapshot_seq", "sequence covered by the newest checkpoint", float64(st.SnapshotSeq))
 	age := -1.0 // no checkpoint yet
-	if !snapAt.IsZero() {
-		age = time.Since(snapAt).Seconds()
+	if !st.SnapshotAt.IsZero() {
+		age = time.Since(st.SnapshotAt).Seconds()
 	}
 	gauge("snapshot_age_seconds", "seconds since the newest checkpoint was written", age)
 	s.wal.collect(emit)
 }
-
-// watermarkLocked is the global sequence covered so far. While a
-// re-read feed is still catching up (ResumeSkip), the recovery
-// watermark stays authoritative.
-func (s *Store) watermarkLocked() uint64 { return max(s.pos, s.recovered) }
 
 // Ingest journals one event and forwards it to the watch engine. The
 // store assigns the global sequence number; any Seq already on the
@@ -207,13 +192,8 @@ func (s *Store) Ingest(ev feed.Event) error {
 	}
 	s.pos++
 	seq := s.pos
-	if s.opts.ResumeSkip && seq <= s.recovered {
-		s.resumeSkips++
-		return nil
-	}
 	ev.Seq = seq
 	if s.opts.Owner != nil && !s.opts.Owner(ev.Prefix.Masked()) {
-		s.skipped++
 		return nil
 	}
 	s.encBuf = EncodeEvent(s.encBuf[:0], &ev)
@@ -281,8 +261,7 @@ func (s *Store) Snapshot() error {
 // the whole of a checkpoint's claim on the ingest lock.
 func (s *Store) fenceLocked() *Checkpoint {
 	cp := &Checkpoint{
-		Seq:     s.watermarkLocked(),
-		Skipped: s.skipped,
+		Seq:     s.pos,
 		SavedAt: time.Now().UTC(),
 		Watch:   s.eng.ExportState(),
 	}
@@ -338,7 +317,7 @@ func (s *Store) checkpointIfNew() {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	s.mu.Lock()
-	if s.closed || s.watermarkLocked() <= s.snapSeq {
+	if s.closed || s.pos <= s.snapSeq {
 		s.mu.Unlock()
 		return
 	}
@@ -355,7 +334,9 @@ type Status struct {
 	Seq uint64 `json:"seq"`
 	// Recovered is the watermark recovery rebuilt at startup.
 	Recovered uint64 `json:"recovered"`
-	// Skipped counts events consumed but not owned (sharded mode).
+	// Skipped counts events consumed but not owned (sharded mode): Seq
+	// less the engine's ingested count, or 0 if a resharded checkpoint's
+	// windows run past Seq.
 	Skipped uint64 `json:"skipped,omitempty"`
 	// WALBytes / WALDurableSeq describe the live log.
 	WALBytes      int64  `json:"wal_bytes"`
@@ -374,9 +355,9 @@ func (s *Store) Status() Status {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Status{
-		Seq:           s.watermarkLocked(),
+		Seq:           s.pos,
 		Recovered:     s.recovered,
-		Skipped:       s.skipped,
+		Skipped:       s.pos - min(s.pos, s.eng.Ingested()), // one atomic load
 		WALBytes:      s.wal.SizeBytes(),
 		WALDurableSeq: s.wal.DurableSeq(),
 		SnapshotSeq:   s.snapSeq,

@@ -87,20 +87,21 @@ func dictJSON(t testing.TB, s *semantics.Engine) []byte {
 	return b
 }
 
-// TestStoreCrashRecoveryResumeSkip is the tentpole proof: feed part of
-// a stream through a durable store, checkpoint mid-way, make the WAL
-// tail durable, then die as a kill -9 would (buffered bytes lost, no
-// final checkpoint). A fresh process recovers and — because the feed is
-// re-readable — re-reads from the start, with the store skipping
-// everything recovery already applied. The final alert set, dictionary,
-// and counters must be byte-identical to a run that never crashed.
-func TestStoreCrashRecoveryResumeSkip(t *testing.T) {
+// TestStoreCrashRecovery is the tentpole proof: feed part of a stream
+// through a durable store, checkpoint mid-way, make the WAL tail
+// durable, then die as a kill -9 would (buffered bytes lost, no final
+// checkpoint). A fresh process recovers and the feed resumes at the
+// recovered watermark, where the store's numbering continues (a daemon
+// re-reading its feed drops the first rec.Seq events itself). The final
+// alert set, dictionary, and counters must be byte-identical to a run
+// that never crashed.
+func TestStoreCrashRecovery(t *testing.T) {
 	events := churnEvents(t)
 	wantAlerts, wantDict, wantStats := referenceRun(t, events)
 	cut := 2 * len(events) / 3
 	snapAt := cut / 2
 	dir := t.TempDir()
-	opts := Options{Dir: dir, ResumeSkip: true, FsyncInterval: noSync}
+	opts := Options{Dir: dir, FsyncInterval: noSync}
 
 	eng1, sem1 := newPair(4)
 	st1, rec, err := Open(eng1, sem1, opts)
@@ -148,10 +149,10 @@ func TestStoreCrashRecoveryResumeSkip(t *testing.T) {
 	if rec2.Replayed != cut-snapAt {
 		t.Fatalf("replayed %d WAL records, want %d", rec2.Replayed, cut-snapAt)
 	}
-	// The re-readable feed starts over; the store must skip the first
-	// cut events and splice the rest on.
+	// The feed resumes past the recovered watermark, and the store
+	// splices it on.
 	sink2 := st2.Sink()
-	for _, ev := range events {
+	for _, ev := range events[rec2.Seq:] {
 		sink2(ev)
 	}
 	if err := st2.Close(); err != nil {

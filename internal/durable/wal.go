@@ -85,7 +85,6 @@ type WAL struct {
 	mu       sync.Mutex
 	f        *os.File
 	bw       *bufio.Writer
-	segStart uint64 // first record seq in the active segment
 	segBytes int64
 	sealed   int64 // on-disk bytes across sealed segments
 	segs     int   // segment files on disk, kept so a scrape lists no directory
@@ -208,13 +207,12 @@ func (w *WAL) recover(fromSeq uint64, fn func(seq uint64, payload []byte) error)
 			f.Close()
 			return rec, err
 		}
-		first, err := parseSegName(filepath.Base(p))
-		if err != nil {
+		if _, err := parseSegName(filepath.Base(p)); err != nil {
 			f.Close()
 			return rec, err
 		}
 		w.f, w.bw = f, bufio.NewWriterSize(f, 1<<16)
-		w.segStart, w.segBytes = first, st.Size()
+		w.segBytes = st.Size()
 		w.sealed -= st.Size()
 	}
 	return rec, nil
@@ -365,7 +363,7 @@ func (w *WAL) rotateLocked(nextSeq uint64) error {
 		return err
 	}
 	w.f, w.bw = f, bufio.NewWriterSize(f, 1<<16)
-	w.segStart, w.segBytes = nextSeq, segHeader
+	w.segBytes = segHeader
 	return nil
 }
 

@@ -24,11 +24,9 @@ import (
 type State struct {
 	// Seq is the last assigned ingest sequence number.
 	Seq uint64
-	// Ingested / Processed / AlertsRaised / AlertsTruncated mirror the
-	// Stats counters at export time.
-	Ingested        uint64
-	Processed       uint64
-	AlertsRaised    uint64
+	// AlertsTruncated mirrors the Stats counter. The others are not kept:
+	// ingested and processed are the windows' Totals summed (every
+	// applied event sits in one window), alerts raised ByDetector's.
 	AlertsTruncated uint64
 	// Prefixes holds every tracked prefix's window, sorted by prefix
 	// (address, then length) so the export is byte-stable.
@@ -106,9 +104,6 @@ func (e *Engine) ExportState() *State {
 	e.mu.Unlock()
 	st := &State{
 		Seq:             seq,
-		Ingested:        e.ingested.Load(),
-		Processed:       e.processed.Load(),
-		AlertsRaised:    e.alerts.Load(),
 		AlertsTruncated: e.truncated.Load(),
 		ByDetector:      make(map[string]uint64),
 	}
@@ -167,10 +162,8 @@ func (e *Engine) RestoreState(st *State) error {
 	}
 	e.seq = st.Seq
 	e.mu.Unlock()
-	e.ingested.Store(st.Ingested)
-	e.processed.Store(st.Processed)
-	e.alerts.Store(st.AlertsRaised)
 	e.truncated.Store(st.AlertsTruncated)
+	var applied uint64
 	for i := range st.Prefixes {
 		w := &st.Prefixes[i]
 		p := w.Prefix.Masked()
@@ -184,7 +177,10 @@ func (e *Engine) RestoreState(st *State) error {
 		ps.total = w.Total
 		s.prefixes[p] = ps
 		s.mu.Unlock()
+		applied += w.Total
 	}
+	e.ingested.Store(applied)
+	e.processed.Store(applied)
 	for _, a := range st.Alerts {
 		s := e.shards[e.shardOf(a.Prefix.Masked())]
 		s.mu.Lock()

@@ -178,7 +178,6 @@ type Engine struct {
 
 	ingested  atomic.Uint64
 	processed atomic.Uint64
-	alerts    atomic.Uint64
 	truncated atomic.Uint64
 	version   atomic.Uint64
 
@@ -227,7 +226,6 @@ func NewEngine(cfg Config) *Engine {
 			}
 			s.alerts = append(s.alerts, a)
 			s.byDetector[a.Detector]++
-			e.alerts.Add(1)
 		}
 		if cfg.Semantics != nil {
 			s.dict = cfg.Semantics.NewPartial()
@@ -423,6 +421,10 @@ func (e *Engine) Close() {
 // their render caches on it.
 func (e *Engine) Version() uint64 { return e.version.Load() }
 
+// Ingested is Stats().Ingested read alone: one atomic load, none of
+// the shard locks Stats takes.
+func (e *Engine) Ingested() uint64 { return e.ingested.Load() }
+
 // Alerts snapshots every alert so far, ordered by ingest sequence of
 // the triggering event (detector registration order breaks ties within
 // one event). Safe to call while ingesting.
@@ -482,7 +484,8 @@ type Stats struct {
 	// (bench/serving.go:369,451,620,779) and decodes it from /stats.
 	Dropped uint64 `json:"dropped"`
 	Pending uint64 `json:"pending"`
-	Alerts  uint64 `json:"alerts"`
+	// Alerts is the sum of ByDetector.
+	Alerts uint64 `json:"alerts"`
 	// AlertsTruncated counts old alerts discarded under the retention
 	// cap (Config.MaxAlerts).
 	AlertsTruncated uint64            `json:"alerts_truncated"`
@@ -499,7 +502,6 @@ func (e *Engine) Stats() Stats {
 	st := Stats{
 		Ingested:        e.ingested.Load(),
 		Processed:       e.processed.Load(),
-		Alerts:          e.alerts.Load(),
 		AlertsTruncated: e.truncated.Load(),
 		Shards:          len(e.shards),
 		WindowEvents:    e.cfg.WindowEvents,
@@ -515,6 +517,7 @@ func (e *Engine) Stats() Stats {
 		st.TrackedPrefixes += len(s.prefixes)
 		for k, v := range s.byDetector {
 			st.ByDetector[k] += v
+			st.Alerts += v
 		}
 		s.mu.Unlock()
 	}
