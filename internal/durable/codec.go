@@ -27,6 +27,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
+	"slices"
 	"time"
 
 	"bgpworms/internal/bgp"
@@ -112,12 +113,18 @@ func appendPrefix(buf []byte, p netip.Prefix) []byte {
 // an allocation from a length the input merely claims: any truncation or
 // implausible length yields an error, which is what makes it safe as the
 // WAL recovery, checkpoint restore and fuzzing surface.
-func DecodeEvent(data []byte) (feed.Event, error) { return decodeEvent(data, "") }
+func DecodeEvent(data []byte) (feed.Event, error) { return decodeEvent(data, "", nil) }
 
 // decodeEvent is DecodeEvent that hands back source itself, not a new
 // string, when the record's source equals it: a replay passes the
 // previous record's, so a log of one feed allocates its source once.
-func decodeEvent(data []byte, source string) (feed.Event, error) {
+// With sc non-nil the path and community set are appended to sc's
+// buffers instead of allocated, and last only until the caller resets
+// them.
+func decodeEvent(data []byte, source string, sc *scratch) (feed.Event, error) {
+	if sc == nil {
+		sc = new(scratch) // stays on the stack: only its buffers escape, as the event's slices
+	}
 	r := reader{data: data}
 	ev := feed.Event{Seq: r.uvarint(), Time: r.time()}
 	flags := r.byte()
@@ -129,16 +136,20 @@ func decodeEvent(data []byte, source string) (feed.Event, error) {
 	ev.PeerAS = uint32(r.uvarint())
 	ev.Prefix = r.prefix(flags)
 	if n := r.count(1); n > 0 {
-		ev.ASPath = make([]uint32, 0, n)
+		from := len(sc.asns)
+		sc.asns = slices.Grow(sc.asns, n)
 		for i := 0; i < n && !r.failed; i++ {
-			ev.ASPath = append(ev.ASPath, uint32(r.uvarint()))
+			sc.asns = append(sc.asns, uint32(r.uvarint()))
 		}
+		ev.ASPath = sc.asns[from:len(sc.asns):len(sc.asns)]
 	}
 	if n := r.count(4); n > 0 {
-		ev.Communities = make(bgp.CommunitySet, 0, n)
+		from := len(sc.comms)
+		sc.comms = slices.Grow(sc.comms, n)
 		for i := 0; i < n; i++ {
-			ev.Communities = append(ev.Communities, bgp.Community(binary.BigEndian.Uint32(r.bytes(4))))
+			sc.comms = append(sc.comms, bgp.Community(binary.BigEndian.Uint32(r.bytes(4))))
 		}
+		ev.Communities = sc.comms[from:len(sc.comms):len(sc.comms)]
 	}
 	ev.Withdraw = flags&flagWithdraw != 0
 	if r.failed {
@@ -148,6 +159,14 @@ func decodeEvent(data []byte, source string) (feed.Event, error) {
 		return ev, fmt.Errorf("durable: %d trailing bytes after event record", len(data)-r.pos)
 	}
 	return ev, nil
+}
+
+// scratch holds the paths and community sets of the events decoded
+// into it, so a run of records that the caller copies out of costs its
+// allocations once, not per record.
+type scratch struct {
+	asns  []uint32
+	comms bgp.CommunitySet
 }
 
 // reader is a bounds-checked cursor: reads past the end and values no

@@ -96,18 +96,18 @@ func TestDecodeEventReusesAnEqualSource(t *testing.T) {
 	ev := sampleEvents()[0]
 	buf := EncodeEvent(nil, &ev)
 	prev := strings.Clone(ev.Source)
-	got, err := decodeEvent(buf, prev)
+	got, err := decodeEvent(buf, prev, nil)
 	if err != nil || !eventsEqual(&ev, &got) {
 		t.Fatalf("decode with an equal source: %+v, %v", got, err)
 	}
 	if unsafe.StringData(got.Source) != unsafe.StringData(prev) {
 		t.Error("an equal source was allocated again")
 	}
-	if got, err = decodeEvent(buf, "other"); err != nil || got.Source != ev.Source {
+	if got, err = decodeEvent(buf, "other", nil); err != nil || got.Source != ev.Source {
 		t.Fatalf("decode with another source: source %q, %v", got.Source, err)
 	}
-	with := testing.AllocsPerRun(100, func() { decodeEvent(buf, prev) })
-	without := testing.AllocsPerRun(100, func() { decodeEvent(buf, "") })
+	with := testing.AllocsPerRun(100, func() { decodeEvent(buf, prev, nil) })
+	without := testing.AllocsPerRun(100, func() { decodeEvent(buf, "", nil) })
 	if with != without-1 {
 		t.Errorf("decode allocates %v times with the source to reuse, %v without", with, without)
 	}

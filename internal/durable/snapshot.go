@@ -356,18 +356,22 @@ func decodeWatchState(r *reader) (*watch.State, error) {
 	st.AlertsTruncated = r.uvarint()
 	if n := r.count(minWindowBytes); n > 0 {
 		st.Prefixes = make([]watch.PrefixWindow, 0, n)
-		var events []feed.Event // one window's, reused: AppendWindow keeps entries
+		// One window's events and their paths and sets, reused:
+		// AppendWindow copies only what its tables lack.
+		var events []feed.Event
+		var sc scratch
 		source := ""
 		for i := 0; i < n && !r.failed; i++ {
 			p, total := r.prefix(r.byte()), r.uvarint()
 			events = events[:0]
+			sc = scratch{sc.asns[:0], sc.comms[:0]}
 			m := r.count(minEventBytes)
 			for j := 0; j < m && !r.failed; j++ {
 				rec := r.bytes(r.count(1))
 				if r.failed {
 					break
 				}
-				ev, err := decodeEvent(rec, source)
+				ev, err := decodeEvent(rec, source, &sc)
 				if err != nil {
 					return nil, fmt.Errorf("window %s event %d: %w", p, j, err)
 				}

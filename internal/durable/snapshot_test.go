@@ -3,6 +3,7 @@ package durable
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"hash/crc32"
 	"net/netip"
 	"os"
@@ -364,5 +365,86 @@ func TestCheckpointFromBeforeTheInlineFoldRestores(t *testing.T) {
 	}
 	if !bytes.Equal(stateBytes(t, re, reSem), stateBytes(t, ctl, ctlSem)) {
 		t.Fatalf("state restored from %s differs from a control fed events 1..%d", path, seq)
+	}
+}
+
+// TestCheckpointDecodeAllocatesPerValue pins what decoding a checkpoint
+// allocates for its windows: a few allocations per window and one copy
+// per distinct path and community set, none per windowed event. Each
+// window's paths and sets are decoded into one reused scratch buffer
+// that AppendWindow copies only the values it lacks out of; 200
+// windows of 32 events over 4 paths and 3 sets then decode in the
+// allocations of 200 windows of one event each, plus the buffers'
+// growth to one window's size (16 measured; the bound is 50), where an
+// allocation per event's path and set would add 12,400.
+func TestCheckpointDecodeAllocatesPerValue(t *testing.T) {
+	const windows = 200
+	t0 := time.Date(2018, 4, 3, 12, 0, 0, 0, time.UTC)
+	encoded := func(perWindow int) []byte {
+		st := &watch.State{Seq: windows * uint64(perWindow)}
+		events := make([]feed.Event, perWindow)
+		for i := 0; i < windows; i++ {
+			p := netip.PrefixFrom(netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 0}), 24)
+			for j := range events {
+				k := uint32(i*perWindow + j)
+				events[j] = feed.Event{Seq: uint64(k + 1), Time: t0.Add(time.Duration(k) * time.Second), Source: "mrt:feed",
+					PeerAS: 64500 + k%4, Prefix: p, ASPath: []uint32{64500 + k%4, 3356, 65001},
+					Communities: bgp.NewCommunitySet(bgp.C(3356, uint16(k%3)), bgp.C(65001, 666))}
+			}
+			st.AppendWindow(p, uint64(perWindow), events)
+		}
+		return encodeCP(t, &Checkpoint{Seq: st.Seq, Watch: st})
+	}
+	allocs := func(body []byte) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := decodeCheckpoint(body); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(encoded(1)), allocs(encoded(32))
+	t.Logf("decode allocates %.0f times for %d windows of 1 event, %.0f for windows of 32", few, windows, many)
+	if many > few+50 {
+		t.Fatalf("decoding 32-event windows allocates %.0f times, 1-event windows %.0f: the difference grows with the events", many, few)
+	}
+}
+
+// TestCheckpointOfAnExportOutlivesIdReuse pins that a checkpoint
+// encoded from an export reads what the engine held at the export, the
+// property the store relies on when it encodes outside its ingest
+// fence: after the export, two full windows of new values overwrite
+// every ring slot, so every path and community-set id the export names
+// is released and reused for another value, and the export's JSON and
+// checkpoint bytes must not move.
+func TestCheckpointOfAnExportOutlivesIdReuse(t *testing.T) {
+	const window = 4
+	eng := watch.NewEngine(watch.Config{Shards: 1, WindowEvents: window})
+	defer eng.Close()
+	prefixes := []netip.Prefix{netip.MustParsePrefix("10.0.0.0/24"), netip.MustParsePrefix("10.0.1.0/24")}
+	ingest := func(round int) {
+		for i := 0; i < window; i++ {
+			for j, p := range prefixes {
+				k := uint32(100*round + 10*i + j)
+				eng.Ingest(feed.Event{Prefix: p, PeerAS: 65000 + k, ASPath: []uint32{65000 + k, 3320},
+					Communities: bgp.NewCommunitySet(bgp.C(3320, uint16(k)))})
+			}
+		}
+		eng.Flush()
+	}
+	ingest(0)
+	st := eng.ExportState()
+	cp := &Checkpoint{Seq: st.Seq, Watch: st}
+	wantCP := encodeCP(t, cp)
+	wantJSON, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingest(1)
+	ingest(2)
+	if got := encodeCP(t, cp); !bytes.Equal(got, wantCP) {
+		t.Fatal("the checkpoint of an export changed after its ids were reused")
+	}
+	if got, err := json.Marshal(st); err != nil || !bytes.Equal(got, wantJSON) {
+		t.Fatalf("the export's JSON changed after its ids were reused:\nat export: %s\nnow:       %s", wantJSON, got)
 	}
 }

@@ -138,7 +138,7 @@ func Open(eng *watch.Engine, sem *semantics.Engine, opts Options) (*Store, Recov
 		SegmentBytes:  opts.SegmentBytes,
 		FsyncInterval: opts.FsyncInterval,
 	}, rec.CheckpointSeq+1, func(seq uint64, payload []byte) error {
-		ev, err := decodeEvent(payload, source)
+		ev, err := decodeEvent(payload, source, nil)
 		if err != nil {
 			return err
 		}

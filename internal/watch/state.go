@@ -37,8 +37,8 @@ type State struct {
 	// retention truncation, so they cannot be rebuilt from Alerts).
 	ByDetector map[string]uint64
 
-	// origins resolves the windows AppendWindow builds.
-	origins *origins
+	// tables resolves the windows AppendWindow builds.
+	tables *tables
 }
 
 // PrefixWindow is one prefix's persisted sliding-window state.
@@ -47,20 +47,19 @@ type PrefixWindow struct {
 	// Total counts every event ever folded for the prefix.
 	Total uint64
 	// events is the window content, oldest first, in the compact form
-	// the engine's rings hold. The entries are copies, but their ASPath
-	// and Communities slices are the ones the live ring holds: an
-	// ingested event's slices are never written again (the ring
-	// replaces whole entries), so sharing them is safe and keeps the
-	// export a shallow copy.
-	events  []entry
-	origins *origins
+	// the engine's rings hold: copies, whose ids resolve through t. An
+	// export's t is its own copy of the shard's id lists, taken with the
+	// entries, because the shard reuses a released id for another value;
+	// the values themselves are never written and are shared.
+	events []entry
+	t      *tables
 }
 
 // Len is the number of windowed events.
 func (w *PrefixWindow) Len() int { return len(w.events) }
 
 // At returns the i-th windowed event, oldest first (0 <= i < Len).
-func (w *PrefixWindow) At(i int) WindowEvent { return WindowEvent{&w.events[i], w.origins} }
+func (w *PrefixWindow) At(i int) WindowEvent { return WindowEvent{&w.events[i], w.t} }
 
 // MarshalJSON writes the window as {Prefix, Total, Events}, the events
 // materialised: a State's JSON reads as it did when windows held
@@ -79,16 +78,18 @@ func (w PrefixWindow) MarshalJSON() ([]byte, error) {
 
 // AppendWindow appends p's window, holding events oldest first, to st:
 // how a checkpoint decoder builds the State that RestoreState takes.
-// The events' paths and community sets are kept, not copied.
+// The events' paths and community sets are interned into st's own
+// tables, which copy only the values they do not hold yet, so the
+// caller may reuse the events and their slices once this returns.
 func (st *State) AppendWindow(p netip.Prefix, total uint64, events []feed.Event) {
-	if st.origins == nil {
-		st.origins = &origins{}
+	if st.tables == nil {
+		st.tables = &tables{}
 	}
-	w := PrefixWindow{Prefix: p, Total: total, origins: st.origins}
+	w := PrefixWindow{Prefix: p, Total: total, t: st.tables}
 	if len(events) > 0 {
 		w.events = make([]entry, len(events))
 		for i := range events {
-			w.events[i] = st.origins.compact(&events[i])
+			w.events[i] = st.tables.compact(&events[i], false)
 		}
 	}
 	st.Prefixes = append(st.Prefixes, w)
@@ -117,7 +118,7 @@ func (e *Engine) ExportState() *State {
 			n += ps.n
 		}
 		slab := make([]entry, 0, n)
-		o := s.origins.frozen()
+		t := s.t.frozen()
 		st.Prefixes = slices.Grow(st.Prefixes, len(s.prefixes))
 		for p, ps := range s.prefixes {
 			from := len(slab)
@@ -127,7 +128,7 @@ func (e *Engine) ExportState() *State {
 				slab = append(slab, ps.ring[ps.head:]...)
 				slab = append(slab, ps.ring[:end-len(ps.ring)]...)
 			}
-			st.Prefixes = append(st.Prefixes, PrefixWindow{Prefix: p, Total: ps.total, events: slab[from:len(slab):len(slab)], origins: o})
+			st.Prefixes = append(st.Prefixes, PrefixWindow{Prefix: p, Total: ps.total, events: slab[from:len(slab):len(slab)], t: t})
 		}
 		st.Alerts = append(st.Alerts, s.alerts...)
 		for k, v := range s.byDetector {
@@ -169,7 +170,7 @@ func (e *Engine) RestoreState(st *State) error {
 		p := w.Prefix.Masked()
 		s := e.shards[e.shardOf(p)]
 		s.mu.Lock()
-		ps := newPrefixState(e.cfg.WindowEvents, s.origins)
+		ps := newPrefixState(e.cfg.WindowEvents, s.t)
 		for j := 0; j < w.Len(); j++ {
 			ev := w.At(j).FeedEvent(w.Prefix)
 			ps.push(&ev, e.cfg.Window)

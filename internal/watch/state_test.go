@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"testing"
 
+	"bgpworms/internal/bgp"
 	"bgpworms/internal/core"
 	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
@@ -128,10 +129,14 @@ func TestExportStateDeterministic(t *testing.T) {
 // TestExportStateSharesNoRing pins that an exported State shares no
 // mutable memory with the engine, the property the durable store relies
 // on when it encodes a checkpoint outside its ingest fence: after the
-// export, a full window of new events for the same prefixes overwrites
-// every ring slot, and the export must still read as it did when taken.
-// The windows are contiguous in their rings at export time, the case an
-// export that aliased the ring would get wrong.
+// export, two full windows of new events for the same prefixes
+// overwrite every ring slot and release every path and community-set
+// id the export names, and the shard reuses each freed id for a new
+// value; the export must still read as it did when taken. The windows
+// are contiguous in their rings at export time, the case an export that
+// aliased the ring would get wrong. durable's
+// TestCheckpointOfAnExportOutlivesIdReuse holds the checkpoint bytes to
+// the same.
 func TestExportStateSharesNoRing(t *testing.T) {
 	const window = 4
 	e := watch.NewEngine(watch.Config{Shards: 2, WindowEvents: window})
@@ -141,7 +146,8 @@ func TestExportStateSharesNoRing(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for _, p := range prefixes {
 				peer := uint32(65000 + 10*round + i)
-				e.Ingest(feed.Event{Prefix: p, PeerAS: peer, ASPath: []uint32{peer, 3320}})
+				e.Ingest(feed.Event{Prefix: p, PeerAS: peer, ASPath: []uint32{peer, 3320},
+					Communities: bgp.NewCommunitySet(bgp.C(3320, uint16(peer)))})
 			}
 		}
 		e.Flush()
@@ -156,6 +162,7 @@ func TestExportStateSharesNoRing(t *testing.T) {
 		t.Fatalf("export holds %d windows, want %d", len(st.Prefixes), len(prefixes))
 	}
 	ingest(1, window)
+	ingest(2, window)
 	got, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)

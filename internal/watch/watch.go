@@ -134,7 +134,7 @@ type shard struct {
 
 	mu         sync.Mutex // workers and readers only; see "Engine locking"
 	prefixes   map[netip.Prefix]*PrefixState
-	origins    *origins // every window's sources and time zones
+	t          *tables // what every window's entries resolve through
 	alerts     []Alert
 	byDetector map[string]uint64
 
@@ -201,7 +201,7 @@ func NewEngine(cfg Config) *Engine {
 		s := &shard{
 			ch:         make(chan batch, queueDepth),
 			prefixes:   make(map[netip.Prefix]*PrefixState),
-			origins:    &origins{},
+			t:          &tables{},
 			byDetector: make(map[string]uint64),
 		}
 		maxRetained := -1
@@ -350,7 +350,7 @@ func (e *Engine) runShard(s *shard) {
 func (e *Engine) process(s *shard, ev *feed.Event) {
 	st := s.prefixes[ev.Prefix]
 	if st == nil {
-		st = newPrefixState(e.cfg.WindowEvents, s.origins)
+		st = newPrefixState(e.cfg.WindowEvents, s.t)
 		s.prefixes[ev.Prefix] = st
 	}
 	s.curEv = ev

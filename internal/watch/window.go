@@ -17,28 +17,28 @@ import (
 // A PrefixState lives wholly inside one shard; detectors must not
 // retain it across Observe calls.
 type PrefixState struct {
-	ring    []entry
-	origins *origins // the shard's, resolving every entry's origin id
-	head    int      // index of the oldest event
-	n       int
-	total   uint64
+	ring  []entry
+	t     *tables // the shard's, resolving every entry's ids
+	head  int     // index of the oldest event
+	n     int
+	total uint64
 }
 
-// entry is one windowed event as a ring holds it: 80 bytes, two of
-// them pointer words, against 144 for a feed.Event. The prefix is the
-// window's key, so no entry repeats it; the time is kept as Unix
-// seconds and nanoseconds, and the event's source and time zone as an
-// id into its shard's origins. Paths and community sets are the
-// ingested event's own: nothing writes them after ingest.
+// entry is one windowed event as a ring holds it: 40 bytes and no
+// pointer, against 144 for a feed.Event, so a ring is memory the
+// collector never scans. The prefix is the window's key, so no entry
+// repeats it; the time is kept as Unix seconds and nanoseconds, the
+// event's path and community set as ids into its shard's intern tables,
+// and its source and time zone as an id into the shard's origins.
 type entry struct {
-	seq         uint64
-	sec         int64
-	asPath      []uint32
-	communities bgp.CommunitySet
-	nsec        int32
-	peerAS      uint32
-	origin      uint32
-	withdraw    bool
+	seq      uint64
+	sec      int64
+	nsec     int32
+	peerAS   uint32
+	origin   uint32
+	path     uint32
+	comms    uint32
+	withdraw bool
 }
 
 // origin is what the entries of one shard share: the source an event
@@ -78,18 +78,9 @@ func (o *origins) id(source string, loc *time.Location) uint32 {
 }
 
 // frozen is the list as it stands, as origins of its own that later
-// interning never changes: what an export's windows resolve through.
-func (o *origins) frozen() *origins {
-	return &origins{list: o.list[:len(o.list):len(o.list)]}
-}
-
-// compact builds ev's entry, interning its origin into o.
-func (o *origins) compact(ev *feed.Event) entry {
-	return entry{
-		seq: ev.Seq, sec: ev.Time.Unix(), nsec: int32(ev.Time.Nanosecond()),
-		asPath: ev.ASPath, communities: ev.Communities,
-		peerAS: ev.PeerAS, origin: o.id(ev.Source, ev.Time.Location()), withdraw: ev.Withdraw,
-	}
+// interning never changes.
+func (o *origins) frozen() origins {
+	return origins{list: o.list[:len(o.list):len(o.list)]}
 }
 
 // before reports whether the entry's time is before the instant
@@ -103,7 +94,7 @@ func (e *entry) before(sec int64, nsec int32) bool {
 // an engine or in an exported State.
 type WindowEvent struct {
 	e *entry
-	o *origins
+	t *tables
 }
 
 // Seq is the event's ingest sequence number.
@@ -113,39 +104,41 @@ func (w WindowEvent) Seq() uint64 { return w.e.seq }
 // same location, == to the original (a monotonic clock reading, which
 // no feed's time carries, is not kept). A zero time stays zero.
 func (w WindowEvent) Time() time.Time {
-	return time.Unix(w.e.sec, int64(w.e.nsec)).In(w.o.list[w.e.origin].loc)
+	return time.Unix(w.e.sec, int64(w.e.nsec)).In(w.t.origins.list[w.e.origin].loc)
 }
 
-// ASPath is the event's AS path, shared with the window: read only.
-func (w WindowEvent) ASPath() []uint32 { return w.e.asPath }
+// ASPath is the event's AS path, shared with the window's table: read
+// only.
+func (w WindowEvent) ASPath() []uint32 { return w.t.paths.at(w.e.path) }
 
-// Communities is the event's community set, shared with the window:
-// read only.
-func (w WindowEvent) Communities() bgp.CommunitySet { return w.e.communities }
+// Communities is the event's community set, shared with the window's
+// table: read only.
+func (w WindowEvent) Communities() bgp.CommunitySet { return w.t.comms.at(w.e.comms) }
 
 // Withdraw reports whether the event was a withdrawal.
 func (w WindowEvent) Withdraw() bool { return w.e.withdraw }
 
 // Origin returns the originating AS (0 for an empty path).
 func (w WindowEvent) Origin() uint32 {
-	if len(w.e.asPath) == 0 {
+	path := w.ASPath()
+	if len(path) == 0 {
 		return 0
 	}
-	return w.e.asPath[len(w.e.asPath)-1]
+	return path[len(path)-1]
 }
 
 // FeedEvent materialises the windowed event for prefix p, the key of the
-// window it sits in. Its slices are the window's.
+// window it sits in. Its slices are the window's table's: read only.
 func (w WindowEvent) FeedEvent(p netip.Prefix) feed.Event {
 	return feed.Event{
-		Seq: w.e.seq, Time: w.Time(), Source: w.o.list[w.e.origin].source,
+		Seq: w.e.seq, Time: w.Time(), Source: w.t.origins.list[w.e.origin].source,
 		PeerAS: w.e.peerAS, Prefix: p,
-		ASPath: w.e.asPath, Communities: w.e.communities, Withdraw: w.e.withdraw,
+		ASPath: w.ASPath(), Communities: w.Communities(), Withdraw: w.e.withdraw,
 	}
 }
 
-func newPrefixState(capacity int, o *origins) *PrefixState {
-	return &PrefixState{ring: make([]entry, capacity), origins: o}
+func newPrefixState(capacity int, t *tables) *PrefixState {
+	return &PrefixState{ring: make([]entry, capacity), t: t}
 }
 
 // Len is the current window occupancy.
@@ -153,7 +146,7 @@ func (s *PrefixState) Len() int { return s.n }
 
 // At returns the i-th windowed event, oldest first (0 <= i < Len).
 func (s *PrefixState) At(i int) WindowEvent {
-	return WindowEvent{&s.ring[(s.head+i)%len(s.ring)], s.origins}
+	return WindowEvent{&s.ring[(s.head+i)%len(s.ring)], s.t}
 }
 
 // HasCommunity reports whether any windowed event carries c.
@@ -167,20 +160,28 @@ func (s *PrefixState) HasCommunity(c bgp.Community) bool {
 }
 
 // push folds ev into the window: age-based eviction first, then the
-// count bound (overwriting the oldest when full).
+// count bound (overwriting the oldest when full). The new entry takes
+// its references before the evicted ones are released, so a value the
+// two share stays stored. An ingested event's path and community set
+// are never written again, so the tables keep them instead of copies.
 func (s *PrefixState) push(ev *feed.Event, horizon time.Duration) {
+	e := s.t.compact(ev, true)
 	cutoff := ev.Time.Add(-horizon)
 	sec, nsec := cutoff.Unix(), int32(cutoff.Nanosecond())
 	for s.n > 0 && s.ring[s.head].before(sec, nsec) {
-		s.ring[s.head] = entry{}
-		s.head = (s.head + 1) % len(s.ring)
-		s.n--
+		s.evictOldest()
 	}
 	if s.n == len(s.ring) {
-		s.head = (s.head + 1) % len(s.ring)
-		s.n--
+		s.evictOldest()
 	}
-	s.ring[(s.head+s.n)%len(s.ring)] = s.origins.compact(ev)
+	s.ring[(s.head+s.n)%len(s.ring)] = e
 	s.n++
 	s.total++
+}
+
+// evictOldest drops the oldest entry and its references.
+func (s *PrefixState) evictOldest() {
+	s.t.release(&s.ring[s.head])
+	s.head = (s.head + 1) % len(s.ring)
+	s.n--
 }
