@@ -10,8 +10,9 @@
 // so memory is bounded by the aggregates and not by the archive size.
 // When generating, the world converges in prefix partitions: its ops are
 // split by a hash of their prefix into 4 × workers partitions, each
-// converged on a fork of the routeless world at one engine worker, and
-// the collectors' archives are merged back in op order. -workers sizes
+// converged on a fork of the routeless world at one engine worker and
+// kept as compact records, and the analysis folds each collector's
+// records back in op order, one event at a time. -workers sizes
 // that partition pool, at most that many partitions in flight, and the
 // analysis worker pool (0 or negative = one per CPU for both). The
 // printed report is byte-identical for every value under a fixed seed.
@@ -45,7 +46,7 @@ func main() {
 	// benchmark PR drops the argument.
 	engine := flag.String("engine", "delta", "simulation engine: delta (the only one)")
 	years := flag.Bool("evolution", true, "compute the Figure 3 time series (builds one Internet per year)")
-	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (plan/converge/merge/analyze/render/evolution, or stream with -mrt), each with heap_mb and retained_mb at its end")
+	traceOut := flag.String("trace", "", "write a JSON span trace of the pipeline phases (plan/converge/analyze/render/evolution, or stream with -mrt), each with heap_mb and retained_mb at its end")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fail(fmt.Errorf("unexpected argument %q: every input is a flag, and flags after it were not read (see -h)", flag.Arg(0)))
@@ -93,7 +94,8 @@ func main() {
 	p.Workers = *workers
 	// The world converges in prefix partitions (gen.PlanArchives): each
 	// partition's routers and arena are garbage once its collectors'
-	// events are taken, so no whole world is ever live.
+	// records are taken, so no whole world is ever live, and the
+	// analysis folds the records without an update slice.
 	sp := tr.Start("plan")
 	sp.SetAttr("scale", world.Scale)
 	plan, err := gen.PlanArchives(p)
@@ -108,12 +110,8 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	sp = tr.Start("merge")
-	ds := core.NewDataset(plan.Collectors, parts.Merge())
-	blackhole := plan.Registry.All()
-	end(sp)
 	sp = tr.Start("analyze")
-	a := pipe.Analyze(ds, blackhole)
+	a := pipe.AnalyzeArchives(plan.Collectors, parts.Each, plan.Registry.All())
 	end(sp)
 	sp = tr.Start("render")
 	printAnalysis(os.Stdout, a)

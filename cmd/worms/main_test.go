@@ -104,7 +104,8 @@ func TestStreamFlagIsGone(t *testing.T) {
 // (never below heap_mb, whose objects it counts), so a memory peak can
 // be put down to a phase, and tracing leaves the report byte-for-byte as
 // it is. The world's phases are the partitioned ones: plan, converge
-// (naming its partition count) and merge.
+// (naming its partition count) and analyze, which folds the partitions'
+// records with no merge between them.
 func TestTraceSpansCarryHeap(t *testing.T) {
 	args := []string{"-scale", "tiny", "-evolution=false"}
 	plain, stderr, err := runWorms(args...)
@@ -138,7 +139,7 @@ func TestTraceSpansCarryHeap(t *testing.T) {
 			t.Errorf("span %s: retained_mb %q with heap_mb %q", sp.Name, sp.Attrs["retained_mb"], sp.Attrs["heap_mb"])
 		}
 	}
-	if want := []string{"plan", "converge", "merge", "analyze", "render"}; !slices.Equal(names, want) {
+	if want := []string{"plan", "converge", "analyze", "render"}; !slices.Equal(names, want) {
 		t.Fatalf("spans %v, want %v", names, want)
 	}
 	if k, err := strconv.Atoi(tr.Spans[1].Attrs["partitions"]); err != nil || k < 1 {

@@ -331,8 +331,9 @@ func TestDaemonGracefulShutdownAndRestart(t *testing.T) {
 	}
 
 	// Restart on the same directory: recovery restores the full state
-	// before the listener comes up, and the re-fed scenario is entirely
-	// skipped (resume-skip), so /alerts is byte-identical immediately.
+	// before the listener comes up, and the daemon re-reads the scenario
+	// from its start and drops every event up to the recovered watermark
+	// before the store, so /alerts is byte-identical immediately.
 	d2 := startDaemon(t, cfg)
 	base2 := d2.url(t)
 	defer d2.stop(t)

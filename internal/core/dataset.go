@@ -104,18 +104,23 @@ func FromCollectors(cs []*collector.Collector) *Dataset {
 func NewDataset(cs []*collector.Collector, updates []feed.Event) *Dataset {
 	ds := &Dataset{Updates: updates, Collectors: make([]CollectorMeta, len(cs))}
 	for i, c := range cs {
-		meta := CollectorMeta{
-			Platform: string(c.Platform),
-			Name:     c.Name,
-			PeerASNs: make(map[uint32]bool),
-		}
-		for _, p := range c.Peers() {
-			meta.PeerIPs++
-			meta.PeerASNs[uint32(p.AS)] = true
-		}
-		ds.Collectors[i] = meta
+		ds.Collectors[i] = collectorMeta(c)
 	}
 	return ds
+}
+
+// collectorMeta describes c and its sessions.
+func collectorMeta(c *collector.Collector) CollectorMeta {
+	meta := CollectorMeta{
+		Platform: string(c.Platform),
+		Name:     c.Name,
+		PeerASNs: make(map[uint32]bool),
+	}
+	for _, p := range c.Peers() {
+		meta.PeerIPs++
+		meta.PeerASNs[uint32(p.AS)] = true
+	}
+	return meta
 }
 
 // slot identifies one (peer, prefix) table slot of a collector.
@@ -124,21 +129,21 @@ type slot struct {
 	prefix netip.Prefix
 }
 
-// collectorView is one collector's latest route per slot, held as
-// pointers to the folded events, with slots in first-seen order.
+// collectorView is one collector's latest route per slot, held as a
+// copy of the folded event, with slots in first-seen order.
 type collectorView struct {
 	idx   map[slot]int
-	slots []*feed.Event
+	slots []feed.Event
 }
 
 func (v *collectorView) add(ev *feed.Event) {
 	k := slot{ev.PeerAS, ev.Prefix}
 	if i, seen := v.idx[k]; seen {
-		v.slots[i] = ev
+		v.slots[i] = *ev
 		return
 	}
 	v.idx[k] = len(v.slots)
-	v.slots = append(v.slots, ev)
+	v.slots = append(v.slots, *ev)
 }
 
 // latestAgg folds the update stream down to the final route per
@@ -165,8 +170,8 @@ func (a latestAgg) merge(b latestAgg) {
 			a[name] = bv
 			continue
 		}
-		for _, ev := range bv.slots {
-			v.add(ev)
+		for i := range bv.slots {
+			v.add(&bv.slots[i])
 		}
 	}
 }
@@ -180,8 +185,8 @@ func (a latestAgg) finalize(workers int) []*feed.Event {
 	conc.Do(len(names), workers, func(i int) {
 		v := a[names[i]]
 		out := make([]*feed.Event, 0, len(v.slots))
-		for _, ev := range v.slots {
-			if !ev.Withdraw {
+		for i := range v.slots {
+			if ev := &v.slots[i]; !ev.Withdraw {
 				out = append(out, ev)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"bgpworms/internal/bgp"
+	"bgpworms/internal/collector"
 	"bgpworms/internal/conc"
 	"bgpworms/internal/feed"
 )
@@ -15,11 +16,14 @@ import (
 //   - Analyze takes a world in memory (a Dataset): each collector's run
 //     of the update slice folds into its own Accumulator, merged in
 //     slice order;
+//   - AnalyzeArchives takes collectors' archives one event at a time
+//     (a partitioned world's, gen.Archives.Each): each collector folds
+//     into its own Accumulator, merged in collector order;
 //   - StreamMRTDir takes bytes on disk: each updates.*.mrt archive
 //     streams into its own Accumulator, the update slice never
 //     materialized, merged in sorted file-name order.
 //
-// Both end in Accumulator.Analysis, which filters and sorts each
+// All end in Accumulator.Analysis, which filters and sorts each
 // collector's latest-route view on its own worker and adds the one
 // per-prefix reduction (the Figure 6 filter inference): the concurrent
 // route view is sharded by prefix and the per-edge indication counts
@@ -78,8 +82,8 @@ type Figure3 struct {
 // run of consecutive updates from one collector (Source) folds into its
 // own Accumulator on the worker pool, the accumulators merge in slice
 // order, then the Figure 6 inference runs over the latest-route view
-// sharded by prefix. The view points into ds.Updates. knownBlackhole
-// seeds the Figure 5 blackhole classifier (nil = only :666 classifies).
+// sharded by prefix. knownBlackhole seeds the Figure 5 blackhole
+// classifier (nil = only :666 classifies).
 func (p *Pipeline) Analyze(ds *Dataset, knownBlackhole []bgp.Community) *Analysis {
 	acc := p.fold(ds.Updates, IsBlackholeClassifier(knownBlackhole))
 	for _, c := range ds.Collectors {
@@ -88,9 +92,8 @@ func (p *Pipeline) Analyze(ds *Dataset, knownBlackhole []bgp.Community) *Analysi
 	return acc.Analysis(p)
 }
 
-// fold folds updates one collector run per Accumulator, concurrently,
-// and merges the accumulators in slice order, which reproduces the
-// serial scan.
+// fold folds updates through foldStreams, one stream per run of
+// consecutive updates from one collector.
 func (p *Pipeline) fold(updates []feed.Event, cls func(bgp.Community) bool) *Accumulator {
 	var runs [][2]int
 	for lo := 0; lo < len(updates); {
@@ -101,15 +104,41 @@ func (p *Pipeline) fold(updates []feed.Event, cls func(bgp.Community) bool) *Acc
 		runs = append(runs, [2]int{lo, hi})
 		lo = hi
 	}
-	if len(runs) == 0 {
+	return p.foldStreams(len(runs), func(i int, add func(*feed.Event)) {
+		for j := runs[i][0]; j < runs[i][1]; j++ {
+			add(&updates[j])
+		}
+	}, cls)
+}
+
+// AnalyzeArchives runs the full §4 pipeline over collectors' archives
+// that are never held as one update slice: each(c, add) hands collector
+// cs[c]'s archive to add one event at a time, in its order, and may
+// build every event in one value it reuses. Each collector folds into
+// its own Accumulator on the worker pool, so each must serve several
+// collectors at once, and the accumulators merge in cs order: the
+// Analysis of the Dataset FromCollectors would make of the same
+// archives.
+func (p *Pipeline) AnalyzeArchives(cs []*collector.Collector, each func(c int, add func(*feed.Event)), knownBlackhole []bgp.Community) *Analysis {
+	acc := p.foldStreams(len(cs), each, IsBlackholeClassifier(knownBlackhole))
+	for _, c := range cs {
+		acc.AddCollector(collectorMeta(c))
+	}
+	return acc.Analysis(p)
+}
+
+// foldStreams folds n streams, stream i handed to add by each(i, add),
+// one Accumulator per stream, concurrently, and merges the accumulators
+// in stream order, which reproduces the serial scan of their
+// concatenation.
+func (p *Pipeline) foldStreams(n int, each func(i int, add func(*feed.Event)), cls func(bgp.Community) bool) *Accumulator {
+	if n == 0 {
 		return newAccumulatorFor(cls)
 	}
-	accs := make([]*Accumulator, len(runs))
-	conc.Do(len(runs), p.workers(), func(i int) {
+	accs := make([]*Accumulator, n)
+	conc.Do(n, p.workers(), func(i int) {
 		acc := newAccumulatorFor(cls)
-		for j := runs[i][0]; j < runs[i][1]; j++ {
-			acc.Add(&updates[j])
-		}
+		each(i, acc.Add)
 		accs[i] = acc
 	})
 	for _, b := range accs[1:] {

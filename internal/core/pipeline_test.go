@@ -131,6 +131,42 @@ func TestAnalyzeMatchesSerialScan(t *testing.T) {
 	}
 }
 
+// TestAccumulatorCopiesTheLatestRoute: the latest-route view keeps a
+// copy of each event it is handed, not the caller's pointer, so a
+// producer may build every event in one value, as gen.Archives.Each
+// does. Folding small seed 1's dataset through one event that is
+// overwritten after every Add gives exactly what Analyze gives.
+func TestAccumulatorCopiesTheLatestRoute(t *testing.T) {
+	w, err := gen.Build(gen.Small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.RunChurn(); err != nil {
+		t.Fatal(err)
+	}
+	ds := FromCollectors(w.Collectors)
+	starts := make([]int, len(w.Collectors)+1)
+	for i, c := range w.Collectors {
+		starts[i+1] = starts[i] + len(c.Observations())
+	}
+	p := NewPipeline(0)
+	got := p.AnalyzeArchives(w.Collectors, func(c int, add func(*feed.Event)) {
+		var ev feed.Event
+		for _, u := range ds.Updates[starts[c]:starts[c+1]] {
+			ev = u
+			add(&ev)
+			ev = feed.Event{Source: u.Source, Withdraw: true}
+		}
+	}, w.Registry.All())
+	want := p.Analyze(ds, w.Registry.All())
+	if want.Fig3.TableEntries == 0 {
+		t.Fatal("an empty latest-route view: the check needs routes")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("folding through one reused event gives Figure 3 point %+v, Analyze %+v, or other results", got.Fig3, want.Fig3)
+	}
+}
+
 // TestFromCollectorsMatchesSerialConversion: converting each collector
 // into its own segment concurrently gives the dataset that converting
 // every observation in turn does.

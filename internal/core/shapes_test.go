@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"bgpworms/internal/feed"
 	"bgpworms/internal/gen"
 	"bgpworms/internal/stats"
 )
@@ -10,8 +11,8 @@ import (
 // TestPaperShapes holds the generated worlds to the paper's shapes, so a
 // change that moves output bytes on purpose still has to keep the
 // reproduction looking like the paper. It analyses small seeds 1-3
-// through the path worms takes (gen.PlanArchives, Converge, Merge,
-// Analyze). Small is the largest world tier-1 affords three of; its
+// through the path worms takes (gen.PlanArchives, Converge, and
+// AnalyzeArchives over Archives.Each). Small is the largest world tier-1 affords three of; its
 // values fall short of the paper's in places, so each band is set
 // around what seeds 1-3 measure (named in the comments) rather than at
 // the paper's figure, wide enough for a calibration change that keeps
@@ -31,20 +32,21 @@ func TestPaperShapes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ds := NewDataset(plan.Collectors, parts.Merge())
 		all, v6 := map[uint32]bool{}, map[uint32]bool{}
-		for _, ev := range ds.Updates {
-			if ev.Withdraw || len(ev.ASPath) == 0 {
-				continue
-			}
-			o := ev.ASPath[len(ev.ASPath)-1]
-			all[o] = true
-			if ev.Prefix.Addr().Is6() {
-				v6[o] = true
-			}
+		for c := range plan.Collectors {
+			parts.Each(c, func(ev *feed.Event) {
+				if ev.Withdraw || len(ev.ASPath) == 0 {
+					return
+				}
+				o := ev.ASPath[len(ev.ASPath)-1]
+				all[o] = true
+				if ev.Prefix.Addr().Is6() {
+					v6[o] = true
+				}
+			})
 		}
 		origins, v6Origins = origins+len(all), v6Origins+len(v6)
-		a := NewPipeline(0).Analyze(ds, plan.Registry.All())
+		a := NewPipeline(0).AnalyzeArchives(plan.Collectors, parts.Each, plan.Registry.All())
 		shares = append(shares, a.Share)
 		for _, o := range a.Prop.Observations {
 			if d := o.Distance(); o.Blackhole && d >= 0 {

@@ -63,8 +63,9 @@ func (a *Accumulator) AddCollector(meta CollectorMeta) {
 }
 
 // Add folds one observation into every aggregate, under the platform
-// its collector (Source) names. The latest-route view keeps ev itself,
-// so the caller must not change it afterwards.
+// its collector (Source) names. The latest-route view keeps a copy of
+// ev, so the caller may reuse it; the copy shares ev's AS path and
+// community set, which nobody may write afterwards.
 func (a *Accumulator) Add(ev *feed.Event) { a.addStripped(ev, strippedPath(ev)) }
 
 func (a *Accumulator) addStripped(u *feed.Event, stripped []uint32) {

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"slices"
 
+	"bgpworms/internal/bgp"
 	"bgpworms/internal/collector"
 	"bgpworms/internal/conc"
 	"bgpworms/internal/feed"
@@ -23,13 +24,13 @@ import (
 // only on the earlier ops on its prefix. PlanArchives draws the ops and
 // freezes the routeless network once; Converge splits the ops into
 // prefix-hash partitions and converges each on a fork of the frozen
-// network at one engine worker, turning its archives into events and
-// dropping its routers and arena before the next partition in its slot
-// starts; Merge puts each collector's events back in op order and
-// renumbers its session clock. The result is exactly what
-// core.FromCollectors makes of the world Build and RunChurn converge.
-// RIB dumps and the data plane read across prefixes, so genesis, warm
-// snapshots and scenario worlds stay whole.
+// network at one engine worker, keeping its archives as compact records
+// and dropping its routers and arena before the next partition in its
+// slot starts; Each walks one collector's records in op order and
+// yields them as events on the collector's own session clock. What it
+// yields is exactly what core.FromCollectors makes of the world Build
+// and RunChurn converge. RIB dumps and the data plane read across
+// prefixes, so genesis, warm snapshots and scenario worlds stay whole.
 
 // partitionsPerWorker sets K, the number of partitions, to this many
 // per worker; at most workers partitions are in flight. A partition
@@ -121,20 +122,34 @@ func (a *ArchivePlan) Partitions() int { return partitionsPerWorker * a.workers 
 func (a *ArchivePlan) Converge() (*Archives, error) { return a.converge(a.Partitions()) }
 
 // Archives are a plan's converged partitions, each holding its
-// collectors' events until Merge.
+// collectors' archives as records, which Each yields as events.
 type Archives struct {
-	owner      []int // the partition of each of the plan's ops
-	parts      []partition
-	collectors int
+	ops   []simnet.Op // the plan's, read-only
+	owner []int       // the partition of each op
+	parts []partition
+	names []string // the collectors' names, in the plan's order
 }
 
 // partition is one prefix slice of a plan: the ops it converged and
-// what each collector observed of them.
+// what each collector observed of them, as records naming their AS
+// paths and community sets in the partition's own tables.
 type partition struct {
-	ops    []int          // indices of its ops in the plan, ascending
-	counts []int          // the deliveries each of its ops caused
-	events [][]feed.Event // per collector, its archive in op order
-	ends   [][]int32      // per collector, len(events) after each op
+	ops     []int      // indices of its ops in the plan, ascending
+	counts  []int      // the deliveries each of its ops caused
+	records [][]record // per collector, its archive in op order
+	ends    [][]int32  // per collector, len(records) after each op
+	paths   [][]uint32 // each distinct AS path its records name, flattened
+	sets    []bgp.CommunitySet
+}
+
+// record is one observation of a partition's archive: 16 bytes and no
+// pointer. An announcement names its flattened AS path and its
+// community set by index in the partition's tables. Its prefix is its
+// op's, and its time is its place in the collector's archive.
+type record struct {
+	peer      uint32
+	path, set uint32
+	withdraw  bool
 }
 
 // partitionOf assigns a prefix to one of k partitions by the hash of
@@ -144,7 +159,10 @@ func partitionOf(p netip.Prefix, k int) int {
 }
 
 func (a *ArchivePlan) converge(k int) (*Archives, error) {
-	ar := &Archives{owner: make([]int, len(a.ops)), parts: make([]partition, k), collectors: len(a.Collectors)}
+	ar := &Archives{ops: a.ops, owner: make([]int, len(a.ops)), parts: make([]partition, k), names: make([]string, len(a.Collectors))}
+	for i, c := range a.Collectors {
+		ar.names[i] = c.Name
+	}
 	for i, op := range a.ops {
 		j := partitionOf(op.Prefix, k)
 		ar.owner[i] = j
@@ -164,7 +182,7 @@ func (a *ArchivePlan) converge(k int) (*Archives, error) {
 
 // convergePartition applies pt's ops on a fork of the plan's network
 // at one engine worker and keeps what its collectors observed, as
-// events with each op's end, then lets the fork go.
+// records with each op's end, then lets the fork go.
 func (a *ArchivePlan) convergePartition(pt *partition) error {
 	if len(pt.ops) == 0 {
 		return nil
@@ -195,43 +213,82 @@ func (a *ArchivePlan) convergePartition(pt *partition) error {
 	if err != nil {
 		return err
 	}
-	pt.events = make([][]feed.Event, len(cs))
+	return pt.keep(cs, ops)
+}
+
+// keep turns what cs observed of ops, pt's ops, into records while
+// their arena is alive, flattening each distinct AS path and community
+// set once. A record takes its prefix from its op, so an observation
+// of any other prefix fails the partition.
+func (pt *partition) keep(cs []*collector.Collector, ops []simnet.Op) error {
+	paths, sets := map[uint32]uint32{}, map[uint32]uint32{}
+	pt.records = make([][]record, len(cs))
 	for i, c := range cs {
-		pt.events[i] = c.AppendEvents(make([]feed.Event, 0, len(c.Observations())))
+		obs := c.Observations()
+		recs := make([]record, 0, len(obs))
+		for k, end := range pt.ends[i] {
+			want := ops[k].Prefix.Masked()
+			for _, ob := range obs[len(recs):end] {
+				if p := c.Prefix(ob); p != want {
+					return fmt.Errorf("collector %s observed %v during an op on %v", c.Name, p, want)
+				}
+				ref := c.Route(ob)
+				if !ref.Valid() {
+					recs = append(recs, record{peer: uint32(ob.PeerAS), withdraw: true})
+					continue
+				}
+				pid, sid := ref.ValueIDs()
+				path, pathSeen := paths[pid]
+				set, setSeen := sets[sid]
+				if !pathSeen || !setSeen {
+					rt := ref.Route()
+					if !pathSeen {
+						path = uint32(len(pt.paths))
+						paths[pid] = path
+						pt.paths = append(pt.paths, rt.ASPath.Sequence())
+					}
+					if !setSeen {
+						set = uint32(len(pt.sets))
+						sets[sid] = set
+						pt.sets = append(pt.sets, rt.Communities.Clone())
+					}
+				}
+				recs = append(recs, record{peer: uint32(ob.PeerAS), path: path, set: set})
+			}
+		}
+		if len(recs) != len(obs) {
+			return fmt.Errorf("collector %s observed %d updates after the last op's end", c.Name, len(obs)-len(recs))
+		}
+		pt.records[i] = recs
 	}
 	return nil
 }
 
-// Merge returns every collector's archive, collectors in the plan's
-// order, each in op order and stamped with its own session clock, the
-// n-th event at feed.LogicalTime(n): the Updates core.FromCollectors
-// makes of the whole world. It drops the partitions as it returns, so a
-// second Merge returns nothing.
-func (ar *Archives) Merge() []feed.Event {
-	defer func() { ar.owner, ar.parts, ar.collectors = nil, nil, 0 }()
-	total := 0
-	for _, pt := range ar.parts {
-		for _, evs := range pt.events {
-			total += len(evs)
-		}
-	}
-	out := make([]feed.Event, 0, total)
+// Each yields collector c's archive, collectors in the plan's order, in
+// op order: the events core.FromCollectors makes of the whole world's
+// collector c, the n-th at feed.LogicalTime(n) on the collector's own
+// clock. Every event is built in one value that Each reuses, so yield
+// must copy what it keeps of it; its AS path and community set are the
+// partition's, shared by every event that names them, and read-only.
+// Each only reads the archives, so several may run at once.
+func (ar *Archives) Each(c int, yield func(*feed.Event)) {
 	nextOp := make([]int, len(ar.parts))
-	nextEv := make([]int32, len(ar.parts))
-	for c := range ar.collectors {
-		start := len(out)
-		clear(nextOp)
-		clear(nextEv)
-		for _, j := range ar.owner {
-			pt := &ar.parts[j]
-			end := pt.ends[c][nextOp[j]]
-			out = append(out, pt.events[c][nextEv[j]:end]...)
-			nextOp[j]++
-			nextEv[j] = end
+	nextRec := make([]int32, len(ar.parts))
+	var ev feed.Event
+	n := uint64(0)
+	for g, j := range ar.owner {
+		pt := &ar.parts[j]
+		end := pt.ends[c][nextOp[j]]
+		prefix := ar.ops[g].Prefix.Masked()
+		for _, r := range pt.records[c][nextRec[j]:end] {
+			n++
+			ev = feed.Event{Time: feed.LogicalTime(n), Source: ar.names[c], PeerAS: r.peer, Prefix: prefix, Withdraw: r.withdraw}
+			if !r.withdraw {
+				ev.ASPath, ev.Communities = pt.paths[r.path], pt.sets[r.set]
+			}
+			yield(&ev)
 		}
-		for i := start; i < len(out); i++ {
-			out[i].Time = feed.LogicalTime(uint64(i - start + 1))
-		}
+		nextOp[j]++
+		nextRec[j] = end
 	}
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bgpworms/internal/core"
+	"bgpworms/internal/feed"
 )
 
 // wholeWorld converges p's world the way Build and RunChurn do, and
@@ -32,13 +33,14 @@ func wholeWorld(t *testing.T, p Params) (*core.Dataset, []int) {
 }
 
 // TestPartitionedArchivesEqualWholeWorld: a world converged in prefix
-// partitions and merged by op (PlanArchives, Converge, Merge) is exactly
-// the Dataset of the whole world, at any partition count — one, a few,
-// a count that leaves some partitions empty, and more partitions than
-// the world has prefixes — with one or several partitions in flight.
-// Each partition's per-op delivery counts, put back at their ops'
-// places, are the whole world's Apply counts. (The op ends the merge
-// relies on are held to the serial run and the spec oracle by
+// partitions and walked by op (PlanArchives, Converge, Each) yields
+// exactly the Dataset of the whole world, at any partition count — one,
+// a few, a count that leaves some partitions empty, and more partitions
+// than the world has prefixes — with one or several partitions in
+// flight. Each collector's yielded events are copied out, since Each
+// reuses one value. Each partition's per-op delivery counts, put back at
+// their ops' places, are the whole world's Apply counts. (The op ends
+// the walk relies on are held to the serial run and the spec oracle by
 // simnet's TestApplyMatchesSerial.)
 func TestPartitionedArchivesEqualWholeWorld(t *testing.T) {
 	for _, scale := range []string{"tiny", "small"} {
@@ -78,7 +80,11 @@ func TestPartitionedArchivesEqualWholeWorld(t *testing.T) {
 				if !slices.Equal(counts, wantCounts) {
 					t.Errorf("%s: per-op deliveries differ from the whole world's", where)
 				}
-				got := core.NewDataset(pl.Collectors, ar.Merge())
+				var evs []feed.Event
+				for c := range pl.Collectors {
+					ar.Each(c, func(ev *feed.Event) { evs = append(evs, *ev) })
+				}
+				got := core.NewDataset(pl.Collectors, evs)
 				if !reflect.DeepEqual(got.Collectors, want.Collectors) {
 					t.Fatalf("%s: collectors %+v, whole world %+v", where, got.Collectors, want.Collectors)
 				}

@@ -278,6 +278,15 @@ func (r Ref) Handle() Handle { return r.h }
 // community set are the arena's canonical values: read-only.
 func (r Ref) Route() policy.Route { return r.a.route(r.a.rec(r.h)) }
 
+// ValueIDs returns the ids of the route's AS path and community set in
+// its arena's intern tables, which r must be Valid for: within one arena
+// equal ids name equal values, so a reader can convert each distinct
+// value once. Like handles, the ids order and print nothing.
+func (r Ref) ValueIDs() (path, comms uint32) {
+	rc := r.a.rec(r.h)
+	return rc.path, rc.comms
+}
+
 // RouteCursor appends routes to an arena from one goroutine, reserving
 // handles a block at a time, and holds the scratch space routes are
 // built in before their path and communities are interned. The delta
