@@ -12,11 +12,12 @@ import (
 // change that moves output bytes on purpose still has to keep the
 // reproduction looking like the paper. It analyses small seeds 1-3
 // through the path worms takes (gen.PlanArchives, Converge, and
-// AnalyzeArchives over Archives.Each). Small is the largest world tier-1 affords three of; its
-// values fall short of the paper's in places, so each band is set
-// around what seeds 1-3 measure (named in the comments) rather than at
-// the paper's figure, wide enough for a calibration change that keeps
-// the shape and narrow enough to fail one that loses it.
+// AnalyzeArchives over Archives.Each). Small is the largest world
+// tier-1 affords three of; its values fall short of the paper's in
+// places, so each band is set around what seeds 1-3 measure (named in
+// the comments) rather than at the paper's figure, wide enough for a
+// calibration change that keeps the shape and narrow enough to fail
+// one that loses it.
 func TestPaperShapes(t *testing.T) {
 	var shares []float64
 	origins, v6Origins := 0, 0

@@ -264,10 +264,9 @@ func (pt *partition) keep(cs []*collector.Collector, ops []simnet.Op) error {
 	return nil
 }
 
-// Each yields collector c's archive, collectors in the plan's order, in
-// op order: the events core.FromCollectors makes of the whole world's
-// collector c, the n-th at feed.LogicalTime(n) on the collector's own
-// clock. Every event is built in one value that Each reuses, so yield
+// Each yields the archive of the plan's c-th collector in op order: the
+// events core.FromCollectors makes of that collector in the whole
+// world, the n-th at feed.LogicalTime(n) on the collector's own clock. Every event is built in one value that Each reuses, so yield
 // must copy what it keeps of it; its AS path and community set are the
 // partition's, shared by every event that names them, and read-only.
 // Each only reads the archives, so several may run at once.
